@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: tier1 race bench-smoke build vet test chaos fuzz-smoke transport-race obs-smoke pipeline-race replica-race scrub-race chunk-race serve-race
+.PHONY: tier1 race bench-smoke build vet test chaos fuzz-smoke obs-smoke
 
 tier1: ## vet + build + full test suite (the repo's gate)
 	$(GO) vet ./...
@@ -16,14 +16,8 @@ vet:
 test:
 	$(GO) test ./...
 
-race: ## race-detector pass over the data-path packages and the root suite
-	$(GO) test -race ./internal/storage/ ./internal/vdev/ ./internal/dumpfmt/ \
-		./internal/physical/ ./internal/raid/ ./internal/logical/ ./internal/bufpool/ \
-		./internal/tape/ ./internal/chaos/ .
-
-transport-race: ## race-detector pass over the remote session layer
-	$(GO) test -race -count 1 -run Transport -timeout 120s \
-		./internal/transport/ ./internal/ndmp/ ./cmd/backupctl/
+race: ## race-detector pass over every package; no test list to fall out of (-short skips only internal/bench's table-regeneration scenarios)
+	$(GO) test -race -short ./...
 
 chaos: ## seeded fault-injection property tests, wide seed sweep
 	CHAOS_SEEDS=8 $(GO) test -count 1 -v -run 'TestChaos' ./internal/chaos/
@@ -37,41 +31,9 @@ fuzz-smoke: ## brief real fuzzing of the untrusted-input parsers
 	$(GO) test -fuzz FuzzDecodeManifest -fuzztime 10s ./internal/catalog/
 	$(GO) test -fuzz FuzzDecodeWire -fuzztime 10s ./internal/replica/
 
-replica-race: ## race-detector pass over catalog replication and the failover chaos scenarios
-	$(GO) test -race -count 1 -timeout 300s ./internal/replica/
-	$(GO) test -race -count 1 -run 'TestChaosReplicatedJournal|TestChaosTapeHostFailover' \
-		-timeout 300s ./internal/chaos/
-	$(GO) test -race -count 1 -run 'TestScheduleSurvivesCatalogFailover' ./internal/sched/
-
-scrub-race: ## race-detector pass over the integrity layer and the bit-rot chaos gauntlet
-	$(GO) test -race -count 1 -timeout 300s ./internal/scrub/
-	$(GO) test -race -count 1 -run 'TestChaosScrub' -timeout 300s ./internal/chaos/
-	$(GO) test -race -count 1 -run 'TestPlanRoutesAround|TestSetHealth|TestRecovery' \
-		-timeout 300s ./internal/catalog/
-
 obs-smoke: ## instrumented dump with tracing + metrics, validated end to end
 	$(GO) run ./cmd/backupctl stats -mb 4 -trace obs_trace.json -check > /dev/null
 	rm -f obs_trace.json
-
-pipeline-race: ## race-detector pass over the parallel pipeline, both engines' concurrency tests, and the parallel-shard chaos scenario
-	$(GO) test -race -count 1 ./internal/pipeline/ ./internal/sim/
-	$(GO) test -race -count 1 -run 'Parallel' -timeout 300s \
-		./internal/logical/ ./internal/physical/
-	$(GO) test -race -count 1 -run 'TestChaosParallel' -timeout 300s ./internal/chaos/
-
-chunk-race: ## race-detector pass over the dedup chunk layer, its catalog/engine integration, and the mid-dump crash chaos scenarios
-	$(GO) test -race -count 1 ./internal/chunk/
-	$(GO) test -race -count 1 -run 'Chunk|Dedup' -timeout 300s \
-		./internal/catalog/ ./internal/logical/ ./internal/physical/ \
-		./internal/media/ ./internal/bench/ ./cmd/backupctl/
-	$(GO) test -race -count 1 -run 'TestChunkCrashMidDump' -timeout 300s ./internal/chaos/
-
-serve-race: ## race-detector pass over the multi-tenant serve stack: registry, scheduler, bench fleet, and the tenant-cut chaos scenario
-	$(GO) test -race -count 1 ./internal/sched/
-	$(GO) test -race -count 1 -run 'TestTransportHost|TestTransportServe|TestTransportReplicate|TestTransportReconnect|TestTransportData|TestTransportGate' \
-		-timeout 300s ./internal/ndmp/ ./cmd/backupctl/
-	$(GO) test -race -count 1 -run 'TestServeBench' -timeout 300s ./internal/bench/
-	$(GO) test -race -count 1 -run 'TestChaosServe' -timeout 300s ./internal/chaos/
 
 bench-smoke: ## quick fast-path micro-benchmarks, gated against the committed baseline
 	$(GO) test -run xxx -bench 'RunRead|RunWrite|RecordWrite' -benchtime 100x \

@@ -26,6 +26,7 @@ import (
 	"repro/internal/logical"
 	"repro/internal/ndmp"
 	"repro/internal/physical"
+	"repro/internal/stream"
 	"repro/internal/wafl"
 )
 
@@ -325,8 +326,8 @@ func recoverLogical(ctx context.Context, vol string, plan *catalog.Plan, target 
 // single-file plan — extracts the file offline without writing the
 // volume at all.
 func recoverImage(ctx context.Context, vol string, plan *catalog.Plan) error {
-	sources := func() ([]physical.Source, error) {
-		var out []physical.Source
+	sources := func() ([]stream.Source, error) {
+		var out []stream.Source
 		for _, step := range plan.Steps {
 			for _, ref := range step.Media {
 				src, _, err := openStream(ref.Volume)

@@ -38,12 +38,12 @@ import (
 
 	"repro/internal/catalog"
 	"repro/internal/chunk"
-	"repro/internal/dumpfmt"
 	"repro/internal/logical"
 	"repro/internal/obs"
 	"repro/internal/physical"
 	"repro/internal/scrub"
 	"repro/internal/storage"
+	"repro/internal/stream"
 	"repro/internal/wafl"
 	"repro/internal/workload"
 )
@@ -109,7 +109,7 @@ func run(args []string) error {
 		if *vol == "" || (*in == "") == (*setID == 0) {
 			return fmt.Errorf("imagerestore: -vol and exactly one of -i and -set required")
 		}
-		var replay physical.Source
+		var replay stream.Source
 		var nblocks uint64
 		if *setID != 0 {
 			catVol := *from
@@ -201,7 +201,7 @@ func run(args []string) error {
 		if err != nil {
 			return err
 		}
-		var incs []physical.Source
+		var incs []stream.Source
 		if *incr != "" {
 			for _, p := range strings.Split(*incr, ",") {
 				s, _, err := openStream(p)
@@ -515,7 +515,7 @@ func volumeCommand(ctx context.Context, fs *wafl.FS, vol, cmd string, rest []str
 		if err != nil {
 			return err
 		}
-		var sink dumpfmt.Sink
+		var sink stream.Sink
 		var closeSink func() error
 		var dw *chunk.Writer
 		media := *out
@@ -603,7 +603,7 @@ func volumeCommand(ctx context.Context, fs *wafl.FS, vol, cmd string, rest []str
 			defer flush()
 			ctx = obs.WithTracer(ctx, tracer)
 		}
-		var src dumpfmt.Source
+		var src stream.Source
 		if *setID != 0 {
 			catVol := *from
 			if catVol == "" {
@@ -682,7 +682,7 @@ func volumeCommand(ctx context.Context, fs *wafl.FS, vol, cmd string, rest []str
 			return err
 		}
 		defer store.Close()
-		var sink dumpfmt.Sink
+		var sink stream.Sink
 		var closeSink func() error
 		var dw *chunk.Writer
 		media := *out
@@ -852,4 +852,4 @@ func saveDates(vol string, d *logical.DumpDates) error {
 }
 
 // ensure dumpfmt is linked for its Sink contract documentation.
-var _ dumpfmt.Sink = (*fileSink)(nil)
+var _ stream.Sink = (*fileSink)(nil)

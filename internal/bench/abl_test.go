@@ -6,6 +6,7 @@ import (
 )
 
 func TestSmokeAblations(t *testing.T) {
+	tableScenario(t)
 	cfg := DefaultConfig()
 	cfg.DataMB = 16
 	cfg.AgeRounds = 3
@@ -23,6 +24,7 @@ func TestSmokeAblations(t *testing.T) {
 }
 
 func TestSmokeIncremental(t *testing.T) {
+	tableScenario(t)
 	cfg := DefaultConfig()
 	cfg.DataMB = 16
 	cfg.AgeRounds = 3
@@ -41,6 +43,7 @@ func TestSmokeIncremental(t *testing.T) {
 }
 
 func TestSmokeConcurrentVolumes(t *testing.T) {
+	tableScenario(t)
 	cfg := DefaultConfig()
 	cfg.DataMB = 16
 	cfg.AgeRounds = 2

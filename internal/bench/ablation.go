@@ -2,6 +2,7 @@ package bench
 
 import (
 	"context"
+	"slices"
 	"time"
 
 	"repro/internal/core"
@@ -291,6 +292,7 @@ func RunIncremental(ctx context.Context, cfg Config) (*IncrementalResult, error)
 			paths = append(paths, p)
 		}
 	}
+	slices.Sort(paths) // map order would make the seeded churn pick differ run to run
 	if _, err := workload.Age(ctx, f.FS, paths, workload.AgeSpec{
 		Seed: cfg.Seed + 99, Rounds: 1, ChurnPerRound: len(paths) / 20, MeanFileSize: 64 << 10,
 	}); err != nil {

@@ -11,6 +11,7 @@ import (
 // bytes, and in reverse mode restore-of-latest stays within 10% of
 // the non-dedup streaming restore.
 func TestChunkWeek(t *testing.T) {
+	tableScenario(t)
 	cfg := DefaultConfig()
 	cfg.DataMB = 8
 	for _, rev := range []bool{false, true} {

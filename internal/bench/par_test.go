@@ -6,6 +6,7 @@ import (
 )
 
 func TestSmokeParallel(t *testing.T) {
+	tableScenario(t)
 	cfg := DefaultConfig()
 	cfg.DataMB = 32
 	cfg.AgeRounds = 3

@@ -7,11 +7,11 @@ import (
 	"os"
 
 	"repro/internal/core"
-	"repro/internal/dumpfmt"
 	"repro/internal/logical"
 	"repro/internal/physical"
 	"repro/internal/raid"
 	"repro/internal/sim"
+	"repro/internal/stream"
 	"repro/internal/wafl"
 	"repro/internal/workload"
 )
@@ -78,7 +78,7 @@ func RunParallel(ctx context.Context, cfg Config, drives int) (*ParallelResult, 
 	var lbBytes int64
 	f.Env.Spawn("ldump", func(p *sim.Proc) {
 		c := sim.WithProc(ctx, p)
-		sinks := make([]dumpfmt.Sink, drives)
+		sinks := make([]stream.Sink, drives)
 		for i := range sinks {
 			if lbErr = f.LoadTape(c, i); lbErr != nil {
 				return
@@ -171,7 +171,7 @@ func RunParallel(ctx context.Context, cfg Config, drives int) (*ParallelResult, 
 	var pbBytes int64
 	f.Env.Spawn("idump", func(p *sim.Proc) {
 		c := sim.WithProc(ctx, p)
-		sinks := make([]physical.Sink, drives)
+		sinks := make([]stream.Sink, drives)
 		for i := range sinks {
 			if pbErr = f.LoadTape(c, drives+i); pbErr != nil {
 				return
@@ -218,7 +218,7 @@ func RunParallel(ctx context.Context, cfg Config, drives int) (*ParallelResult, 
 	var prBytes int64
 	f.Env.Spawn("irest", func(p *sim.Proc) {
 		c := sim.WithProc(ctx, p)
-		srcs := make([]physical.Source, drives)
+		srcs := make([]stream.Source, drives)
 		for i := range srcs {
 			f.Tapes[drives+i].Rewind(p)
 			srcs[i] = f.Source(c, drives+i)

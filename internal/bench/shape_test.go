@@ -18,6 +18,7 @@ func shapeCfg() Config {
 }
 
 func TestShapeBasic(t *testing.T) {
+	tableScenario(t)
 	res, err := RunBasic(context.Background(), shapeCfg())
 	if err != nil {
 		t.Fatal(err)
@@ -60,6 +61,7 @@ func TestShapeBasic(t *testing.T) {
 }
 
 func TestShapeScaling(t *testing.T) {
+	tableScenario(t)
 	ctx := context.Background()
 	pts, err := RunScaling(ctx, shapeCfg(), []int{1, 4})
 	if err != nil {
@@ -103,6 +105,7 @@ func TestShapeScaling(t *testing.T) {
 }
 
 func TestShapeAblationsDirections(t *testing.T) {
+	tableScenario(t)
 	ctx := context.Background()
 	cfg := shapeCfg()
 	cfg.DataMB = 16
@@ -134,6 +137,7 @@ func TestShapeAblationsDirections(t *testing.T) {
 }
 
 func TestShapeIncrementalSizes(t *testing.T) {
+	tableScenario(t)
 	cfg := shapeCfg()
 	cfg.DataMB = 16
 	cfg.AgeRounds = 3
@@ -158,6 +162,7 @@ func TestShapeIncrementalSizes(t *testing.T) {
 }
 
 func TestExperimentsAreDeterministic(t *testing.T) {
+	tableScenario(t)
 	// The whole stack — workload, filesystem, simulator, devices — is
 	// seeded and deterministic: two runs of the same experiment must
 	// agree to the nanosecond of virtual time.

@@ -5,7 +5,19 @@ import (
 	"testing"
 )
 
+// tableScenario marks a test that regenerates an EXPERIMENTS.md table.
+// These are minutes of single-threaded simulator work under the race
+// detector, on engines whose own packages' tests already run raced, so
+// `make race` (go test -race -short) skips them; tier-1 runs them all.
+func tableScenario(t *testing.T) {
+	t.Helper()
+	if testing.Short() {
+		t.Skip("table-regeneration scenario: skipped under -short")
+	}
+}
+
 func TestSmokeBasic(t *testing.T) {
+	tableScenario(t)
 	cfg := DefaultConfig()
 	cfg.DataMB = 16
 	cfg.AgeRounds = 3

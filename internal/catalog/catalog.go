@@ -403,7 +403,7 @@ func (c *Catalog) AppendMediaEvent(ev MediaEvent) error {
 // remote push stream. When the catalog's store is a replication group,
 // the record — and therefore the checkpoint it certifies — is durable
 // on a quorum before this returns; that is the contract that upgrades
-// dumpfmt.Syncer's "host-acked" to "replicated".
+// stream.Syncer's "host-acked" to "replicated".
 func (c *Catalog) AppendSessionCheckpoint(sc SessionCheckpoint) error {
 	return c.append(sc, encodeSessionCkpt(&sc))
 }

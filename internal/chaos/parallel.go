@@ -6,10 +6,10 @@ import (
 	"fmt"
 	"sort"
 
-	"repro/internal/dumpfmt"
 	"repro/internal/logical"
 	"repro/internal/physical"
 	"repro/internal/storage"
+	"repro/internal/stream"
 	"repro/internal/tape"
 	"repro/internal/wafl"
 	"repro/internal/workload"
@@ -19,8 +19,8 @@ import (
 // offline mid-stream with a persistent fault. The property under test
 // is the parallel pipeline's isolation contract: sibling shards run to
 // completion, the faulted shard comes back with a per-shard resume
-// checkpoint, a single-shard Dump resumes only that slice onto a
-// replacement drive, and the salvaged torn stream plus the
+// checkpoint, a Dump resuming from that checkpoint redumps only that
+// slice onto a replacement drive, and the salvaged torn stream plus the
 // continuation plus the sibling streams restore byte-identically.
 type ParallelScenario struct {
 	Seed   int64
@@ -186,7 +186,7 @@ func checkShards(rep *ParallelReport, nShards int, shardErr func(k int) error, s
 }
 
 func runParallelLogical(ctx context.Context, s ParallelScenario, rep *ParallelReport, view *wafl.View, drives []*tape.Drive, cont *tape.Drive) (*wafl.View, error) {
-	sinks := make([]dumpfmt.Sink, len(drives))
+	sinks := make([]stream.Sink, len(drives))
 	for k := range sinks {
 		sinks[k] = &logical.DriveSink{Drive: drives[k]}
 	}
@@ -207,7 +207,8 @@ func runParallelLogical(ctx context.Context, s ParallelScenario, rep *ParallelRe
 	}
 
 	// Operator swaps in the replacement drive; the continuation dump
-	// resumes only the torn shard's slice of the file list.
+	// resumes from the torn shard's checkpoint, which names its slice
+	// of the file list.
 	drives[rep.Faulted].SetOffline(false)
 	drives[rep.Faulted].Flush(nil)
 	ckpt := stats.ShardResults[rep.Faulted].Checkpoint
@@ -216,11 +217,10 @@ func runParallelLogical(ctx context.Context, s ParallelScenario, rep *ParallelRe
 	// inside the directory section (which salvage cannot parse) and
 	// the continuation redumps the whole shard, so the partial stream
 	// is discarded rather than salvaged.
-	rep.Resumed = ckpt != nil && ckpt.LastIno > 0
+	rep.Resumed = ckpt.LastIno > 0
 	stats2, err := logical.Dump(ctx, logical.DumpOptions{
 		View: view, Label: "chaos-par", ReadAhead: 8,
-		Sink: &logical.DriveSink{Drive: cont}, Shard: rep.Faulted, Shards: len(drives),
-		Resume: ckpt, CheckpointEvery: s.CheckpointEvery,
+		Sink: &logical.DriveSink{Drive: cont}, Resume: ckpt, CheckpointEvery: s.CheckpointEvery,
 	})
 	if err != nil {
 		return nil, fmt.Errorf("chaos: resuming torn shard: %w", err)
@@ -264,7 +264,7 @@ func runParallelLogical(ctx context.Context, s ParallelScenario, rep *ParallelRe
 }
 
 func runParallelPhysical(ctx context.Context, s ParallelScenario, rep *ParallelReport, fs *wafl.FS, dev storage.Device, drives []*tape.Drive, cont *tape.Drive) (*wafl.View, error) {
-	sinks := make([]physical.Sink, len(drives))
+	sinks := make([]stream.Sink, len(drives))
 	for k := range sinks {
 		sinks[k] = &logical.DriveSink{Drive: drives[k]}
 	}
@@ -289,11 +289,10 @@ func runParallelPhysical(ctx context.Context, s ParallelScenario, rep *ParallelR
 	ckpt := stats.ShardResults[rep.Faulted].Checkpoint
 	// BlocksDone 0 = nothing durable before the fault; the torn stream
 	// is superseded entirely by the continuation and is discarded.
-	rep.Resumed = ckpt != nil && ckpt.BlocksDone > 0
+	rep.Resumed = ckpt.BlocksDone > 0
 	stats2, err := physical.Dump(ctx, physical.DumpOptions{
 		FS: fs, Vol: dev, SnapName: "par",
-		Sink: &logical.DriveSink{Drive: cont}, Shard: rep.Faulted, Shards: len(drives),
-		Resume: ckpt, CheckpointEvery: s.CheckpointEvery,
+		Sink: &logical.DriveSink{Drive: cont}, Resume: ckpt, CheckpointEvery: s.CheckpointEvery,
 	})
 	if err != nil {
 		return nil, fmt.Errorf("chaos: resuming torn image shard: %w", err)
@@ -304,7 +303,7 @@ func runParallelPhysical(ctx context.Context, s ParallelScenario, rep *ParallelR
 	// Restore: all first-pass streams in one salvage-tolerant parallel
 	// call (the torn stream's tail is dropped), then the continuation.
 	target := storage.NewMemDevice(dev.NumBlocks())
-	srcs := make([]physical.Source, 0, len(drives))
+	srcs := make([]stream.Source, 0, len(drives))
 	for k, d := range drives {
 		if k == rep.Faulted && !rep.Resumed {
 			continue // partial stream superseded entirely by the continuation

@@ -140,7 +140,10 @@ type Index interface {
 
 // Media is append-only chunk storage. Append must consume data before
 // returning (the caller reuses the buffer); ReadAt returns the exact
-// bytes appended at loc.
+// bytes appended at loc. Media with write-behind buffering also
+// implement stream.Syncer: the Writer syncs them before journaling
+// index entries, so the journal never references bytes that aren't on
+// media.
 type Media interface {
 	Append(data []byte) (Loc, error)
 	ReadAt(loc Loc) ([]byte, error)
@@ -151,12 +154,4 @@ type Media interface {
 // Media without it reclaim dead bytes at volume granularity instead.
 type Eraser interface {
 	Erase(loc Loc) error
-}
-
-// Syncer is optionally implemented by media with write-behind
-// buffering; Sync returns once every appended chunk is durable. The
-// Writer calls it before journaling index entries, so the journal
-// never references bytes that aren't on media.
-type Syncer interface {
-	Sync() error
 }

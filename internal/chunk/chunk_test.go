@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"repro/internal/chunk"
+	"repro/internal/sim"
 )
 
 // memIndex is a test chunk index with commit counting.
@@ -341,5 +342,35 @@ func TestWriterMediaFailure(t *testing.T) {
 	}
 	if len(ix.m) == 0 {
 		t.Fatal("pre-failure chunks were not committable")
+	}
+}
+
+// TestWriterForwardsBindProc: a Writer over drive media rebinds the
+// media's process (a multi-sink dump shard writes from its own), and
+// over media with nothing to bind it is a no-op.
+func TestWriterForwardsBindProc(t *testing.T) {
+	media := chunk.NewDriveMedia(nil, nil)
+	w, err := chunk.NewWriter(chunk.WriterOptions{Index: newMemIndex(), Media: media})
+	if err != nil {
+		t.Fatal(err)
+	}
+	bound := false
+	env := sim.NewEnv()
+	env.Spawn("p", func(p *sim.Proc) {
+		bound = true
+		if old := w.BindProc(p); old != nil || media.Proc != p {
+			t.Errorf("bind: previous %v, media bound to %v", old, media.Proc)
+		}
+		if old := w.BindProc(nil); old != p || media.Proc != nil {
+			t.Errorf("restore: previous %v, media bound to %v", old, media.Proc)
+		}
+	})
+	env.Run()
+	if !bound {
+		t.Fatal("simulated process never ran")
+	}
+	plain, _ := chunk.NewWriter(chunk.WriterOptions{Index: newMemIndex(), Media: chunk.NewMemMedia("m")})
+	if old := plain.BindProc(nil); old != nil {
+		t.Errorf("mem media had a binding: %v", old)
 	}
 }

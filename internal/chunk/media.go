@@ -183,7 +183,7 @@ func (m *FileMedia) Erase(loc Loc) error {
 	return err
 }
 
-// Sync implements Syncer.
+// Sync implements stream.Syncer.
 func (m *FileMedia) Sync() error { return m.f.Sync() }
 
 // Close closes the store.
@@ -213,6 +213,13 @@ type DriveMedia struct {
 // NewDriveMedia wraps drive; proc (may be nil) is charged tape time.
 func NewDriveMedia(drive *tape.Drive, proc *sim.Proc) *DriveMedia {
 	return &DriveMedia{Drive: drive, Proc: proc}
+}
+
+// BindProc implements stream.ProcBinder.
+func (m *DriveMedia) BindProc(p *sim.Proc) *sim.Proc {
+	old := m.Proc
+	m.Proc = p
+	return old
 }
 
 // Append implements Media, spanning cartridges at end of media.

@@ -17,7 +17,7 @@ const RecordBytes = dumpfmt.NTRec * dumpfmt.TPBSize
 // Reader reconstitutes a dedup-encoded stream: manifest refs resolve
 // through the index to stored chunks, which are read, decompressed,
 // verified against their content hash and re-blocked into tape-sized
-// records. It implements dumpfmt.Source (and physical's Source shape),
+// records. It implements stream.Source (and physical's Source shape),
 // so either engine's restore consumes it unchanged.
 type Reader struct {
 	index Lookup
@@ -34,7 +34,7 @@ func NewReader(index Lookup, media Media, m Manifest) *Reader {
 	return &Reader{index: index, media: media, refs: m.Refs}
 }
 
-// ReadRecord implements dumpfmt.Source: the next RecordBytes of the
+// ReadRecord implements stream.Source: the next RecordBytes of the
 // stream (final record short), io.EOF at the end. Each call returns a
 // fresh buffer, matching the tape-drive source contract.
 func (r *Reader) ReadRecord() ([]byte, error) {

@@ -6,6 +6,8 @@ import (
 	"fmt"
 
 	"repro/internal/obs"
+	"repro/internal/sim"
+	"repro/internal/stream"
 )
 
 // WriterStats counts one stream's dedup outcomes.
@@ -43,13 +45,13 @@ type WriterOptions struct {
 	Engine string
 }
 
-// Writer is a dedup-compressing dumpfmt.Sink: it splits the incoming
+// Writer is a dedup-compressing stream.Sink: it splits the incoming
 // dump stream into content-defined chunks, skips chunks the index
 // already holds, compresses and stores the rest, and accumulates the
 // stream's manifest. Close returns the manifest; the caller journals
 // it (catalog.AppendManifest) alongside the dump set.
 //
-// Sync (the dumpfmt.Syncer hook the engines call after checkpoint
+// Sync (the stream.Syncer hook the engines call after checkpoint
 // markers) flushes media and journals the entries staged so far, so a
 // crash mid-dump leaves every journaled chunk reusable: the retry's
 // dedup hits skip exactly the work already done. The manifest itself
@@ -97,7 +99,7 @@ func NewWriter(opts WriterOptions) (*Writer, error) {
 	}, nil
 }
 
-// WriteRecord implements dumpfmt.Sink (and physical.Sink): the record
+// WriteRecord implements stream.Sink: the record
 // joins the chunking stream. Chunk media manages its own volumes, so
 // end-of-media never surfaces to the engine.
 func (w *Writer) WriteRecord(data []byte) error {
@@ -107,22 +109,24 @@ func (w *Writer) WriteRecord(data []byte) error {
 	return w.split.Write(data, w.onChunk)
 }
 
-// NextVolume implements dumpfmt.Sink. Chunk media spans volumes
+// NextVolume implements stream.Sink. Chunk media spans volumes
 // internally, so the engine never sees end-of-media and this is only
 // reachable through engine-driven volume policies; it is a no-op.
 func (w *Writer) NextVolume() error { return nil }
 
-// Sync implements dumpfmt.Syncer: flush chunk media, then journal the
+// BindProc forwards stream.ProcBinder to the chunk media (DriveMedia
+// charges tape time to a bound process).
+func (w *Writer) BindProc(p *sim.Proc) *sim.Proc { return stream.BindProc(w.media, p) }
+
+// Sync implements stream.Syncer: flush chunk media, then journal the
 // staged index entries. Called by both engines after checkpoint
 // markers. The partial chunk still in the splitter is intentionally
 // NOT forced out — cutting at checkpoint offsets would make chunk
 // boundaries depend on checkpoint cadence and wreck cross-set dedup;
 // a torn dump redoes from scratch anyway (cheaply, via hits).
 func (w *Writer) Sync() error {
-	if sy, ok := w.media.(Syncer); ok {
-		if err := sy.Sync(); err != nil {
-			return err
-		}
+	if err := stream.Sync(w.media); err != nil {
+		return err
 	}
 	if len(w.staged) == 0 {
 		return nil

@@ -6,6 +6,8 @@ import (
 	"io"
 	"testing"
 	"testing/quick"
+
+	"repro/internal/stream"
 )
 
 func TestHeaderRoundTrip(t *testing.T) {
@@ -140,7 +142,7 @@ func newMemSink(capacity int64) *memSink {
 
 func (s *memSink) WriteRecord(data []byte) error {
 	if s.capacity > 0 && s.used+int64(len(data)) > s.capacity {
-		return ErrEndOfMedia
+		return stream.ErrEndOfMedia
 	}
 	cp := make([]byte, len(data))
 	copy(cp, data)

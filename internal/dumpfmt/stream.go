@@ -6,54 +6,15 @@ import (
 	"io"
 
 	"repro/internal/bufpool"
+	"repro/internal/stream"
 )
-
-// ErrEndOfMedia is returned by a Sink when the current tape volume is
-// full; the Writer responds by requesting the next volume and writing
-// a continuation TS_TAPE header, which is how dumps span cartridges.
-var ErrEndOfMedia = errors.New("dumpfmt: end of media")
-
-// Sink is where the Writer sends blocked tape records (NTRec 1 KB
-// units each). Implementations wrap a tape drive.
-type Sink interface {
-	// WriteRecord writes one blocked record, returning ErrEndOfMedia
-	// when the volume is full.
-	WriteRecord(data []byte) error
-	// NextVolume mounts the next volume. Called after ErrEndOfMedia.
-	NextVolume() error
-}
-
-// Syncer is optionally implemented by sinks whose WriteRecord accepts
-// records provisionally (a network session with a send window, a deep
-// write-behind buffer). Sync returns once every record accepted so far
-// is durable on media. The dump engines call it after emitting a
-// checkpoint marker, before recording the checkpoint as reached — the
-// checkpoint contract promises everything up to the marker is on tape,
-// and a provisional accept alone cannot promise that.
-//
-// When the sink is an ndmp session against a tape host backed by the
-// replicated catalog, Sync promises more: the checkpoint's high-water
-// mark is recorded in the replicated journal, quorum-acknowledged, so
-// the resume point survives the loss of the tape host itself. A
-// checkpoint a dump engine considers reached is then exactly the point
-// a standby host can answer for after failover — "durable" means
-// replicated, not just host-acked.
-type Syncer interface {
-	Sync() error
-}
-
-// Source is where the Reader pulls blocked records from, io.EOF at the
-// end of the dump. Implementations handle cartridge cycling.
-type Source interface {
-	ReadRecord() ([]byte, error)
-}
 
 // Writer emits a dump stream: headers and 1 KB segments, blocked into
 // NTRec-unit tape records. Headers are marshalled and segments copied
 // directly into the pending record buffer (pooled via bufpool), so
 // the steady-state record path performs no allocation.
 type Writer struct {
-	sink   Sink
+	sink   stream.Sink
 	label  string
 	date   int64
 	ddate  int64
@@ -69,7 +30,7 @@ type Writer struct {
 
 // NewWriter starts a dump stream and writes the initial TS_TAPE
 // volume header.
-func NewWriter(sink Sink, label string, date, ddate int64, level int32) (*Writer, error) {
+func NewWriter(sink stream.Sink, label string, date, ddate int64, level int32) (*Writer, error) {
 	rec := bufpool.Get(NTRec * TPBSize)
 	w := &Writer{
 		sink:   sink,
@@ -150,7 +111,7 @@ func (w *Writer) flush() error {
 		if err == nil {
 			break
 		}
-		if !errors.Is(err, ErrEndOfMedia) {
+		if !errors.Is(err, stream.ErrEndOfMedia) {
 			return err
 		}
 		// Switch volumes until one takes the continuation header: a
@@ -173,7 +134,7 @@ func (w *Writer) flush() error {
 				w.written += TPBSize
 				break
 			}
-			if !errors.Is(cerr, ErrEndOfMedia) {
+			if !errors.Is(cerr, stream.ErrEndOfMedia) {
 				return fmt.Errorf("dumpfmt: writing continuation header: %w", cerr)
 			}
 		}
@@ -217,13 +178,13 @@ func (w *Writer) Close() error {
 // records does not take down the rest of the restore — the resilience
 // property the paper credits logical backup with.
 type Reader struct {
-	src     Source
+	src     stream.Source
 	pending [][]byte
 	skipped int // corrupt units skipped during resync
 }
 
 // NewReader wraps a source of blocked records.
-func NewReader(src Source) *Reader { return &Reader{src: src} }
+func NewReader(src stream.Source) *Reader { return &Reader{src: src} }
 
 // Skipped returns how many units were discarded during resync.
 func (r *Reader) Skipped() int { return r.skipped }

@@ -4,11 +4,13 @@ import (
 	"context"
 	"encoding/binary"
 	"fmt"
-	"sort"
+	"slices"
+	"sync"
 
-	"repro/internal/bufpool"
 	"repro/internal/dumpfmt"
 	"repro/internal/obs"
+	"repro/internal/pipeline"
+	"repro/internal/stream"
 	"repro/internal/wafl"
 )
 
@@ -39,9 +41,10 @@ type DumpOptions struct {
 	// Exclude, if set, filters out entries by name ("logical backup
 	// schemes often take advantage of filters").
 	Exclude func(name string) bool
-	// Sink receives the stream of a single-stream dump. Mutually
-	// exclusive with Sinks.
-	Sink dumpfmt.Sink
+	// Sink receives the stream of a single-stream dump: shorthand for a
+	// one-element Sinks whose failure comes back bare, with the resume
+	// checkpoint in DumpStats.Checkpoint. Mutually exclusive with Sinks.
+	Sink stream.Sink
 	// Sinks fans one Dump call out across parallel tape drives: shard
 	// k of len(Sinks) writes a self-contained stream to Sinks[k] —
 	// full inode maps and all directories (so restore can map names),
@@ -50,21 +53,14 @@ type DumpOptions struct {
 	// pipeline; restore applies the shard streams in any order. A
 	// shard failure does not abort its siblings: the other shards run
 	// to completion and the failed shard's checkpoint comes back in
-	// ShardResults for a single-shard resume.
-	Sinks []dumpfmt.Sink
+	// ShardResults, to be resumed on its own (Sink + Resume) or with
+	// the set (ResumeShards).
+	Sinks []stream.Sink
 	// Readers is the number of parallel Phase IV chunk readers per
-	// shard (Sinks mode; default 1). Readers pull file chunks off a
-	// shared plan and the per-drive writer reassembles them in stream
-	// order, so the bytes on tape do not depend on Readers.
+	// stream (default 1). Readers pull file chunks off a shared plan
+	// and the stream is written in plan order, so the bytes on tape do
+	// not depend on Readers.
 	Readers int
-	// Shard/Shards split the Phase IV file list across parallel tape
-	// drives when the caller drives each shard itself (one Dump call
-	// per drive): shard k of n writes full maps and directories plus
-	// the k-th contiguous slice of the file list — the same slice the
-	// Sinks mode computes, so the streams are interchangeable. Zero
-	// Shards means no sharding. With Sinks set these must be zero.
-	Shard  int
-	Shards int
 	// Label names the dump on tape.
 	Label string
 	// ReadAhead is the dump engine's own read-ahead depth in blocks
@@ -79,11 +75,13 @@ type DumpOptions struct {
 	// the logical stream the same property). 0 disables checkpoints
 	// and keeps the stream byte-identical to older dumps.
 	CheckpointEvery int
-	// Resume continues an interrupted single-stream dump from the
-	// checkpoint a failed Dump returned: Phases I-III run again (the
-	// new stream must be self-contained enough for restore to map
-	// names), but Phase IV skips files already durably on the previous
-	// stream.
+	// Resume continues one interrupted stream onto Sink from the
+	// checkpoint a failed Dump returned — DumpStats.Checkpoint of a
+	// single-stream dump, or one shard's ShardResults[k].Checkpoint of
+	// a parallel one, whose slice of the file list the checkpoint
+	// names. Phases I-III run again (the new stream must be
+	// self-contained enough for restore to map names), but Phase IV
+	// skips files already durably on the previous stream.
 	Resume *Checkpoint
 	// ResumeShards, len(Sinks) long, resumes individual shards of a
 	// parallel dump: entry k is shard k's checkpoint from a previous
@@ -110,9 +108,9 @@ type Checkpoint struct {
 	Date    int64 // dump date of the interrupted run (kept across streams)
 	Level   int
 	LastIno wafl.Inum // 0 = no file completed
-	// Shard/Shards record the shard identity of a sharded dump (both
-	// zero for an unsharded stream), so a resume cannot be applied to
-	// the wrong slice of the file list.
+	// Shard/Shards name the slice of the file list the stream carries
+	// (slice Shard of Shards; both zero for a single stream that is not
+	// one of a set), so a resume redumps exactly that slice.
 	Shard  int
 	Shards int
 }
@@ -139,18 +137,17 @@ type DumpStats struct {
 	// faults — the "exactly which inodes were damaged" report.
 	Damaged []DamagedBlock
 	// Checkpoint is set (alongside a non-nil error) when a
-	// single-stream dump aborted but can resume; nil on success or
-	// when checkpoints were disabled and no resume state existed.
+	// single-stream (Sink) dump aborted mid-stream: the point to Resume
+	// from, LastIno 0 when nothing was durable yet. Nil on success.
 	Checkpoint *Checkpoint
-	// ShardResults is the per-shard outcome of a parallel (Sinks)
-	// dump, one entry per stream; nil for a single-stream dump. The
+	// ShardResults is the per-stream outcome, one entry per sink. The
 	// top-level file and byte counters aggregate across shards;
 	// DirsDumped counts unique directories (every stream carries all
 	// of them).
 	ShardResults []ShardResult
 }
 
-// ShardResult is one shard's outcome within a parallel dump.
+// ShardResult is one stream's outcome within a dump.
 type ShardResult struct {
 	Shard        int
 	FilesDumped  int
@@ -159,7 +156,8 @@ type ShardResult struct {
 	// Damaged lists this shard's hole-mapped blocks, in stream order.
 	Damaged []DamagedBlock
 	// Checkpoint is set (alongside a non-nil Err) when the shard
-	// aborted but can resume from its last durable checkpoint.
+	// aborted: its last durable checkpoint, LastIno 0 when nothing was
+	// durable yet.
 	Checkpoint *Checkpoint
 	// Err is the shard's failure, nil when the shard completed.
 	Err error
@@ -180,74 +178,35 @@ type dumpState struct {
 	names  map[wafl.Inum]string // name each inode was first reached by
 	inodes map[wafl.Inum]wafl.Inode
 
-	// Cross-file read-ahead state (Phase IV). The dump engine runs its
-	// own read-ahead policy in inode order — exactly what the paper
-	// says the in-kernel dump does (§3), and the reason it is not at
-	// the mercy of the filesystem's per-file policy. The lookahead
-	// cursor walks the upcoming (file, block) sequence, keeping
-	// ReadAhead blocks in flight in front of the tape cursor.
-	fileList []wafl.Inum
-	laFile   int
-	laFbn    uint32
-	issued   int64
-	consumed int64
+	// Phase III/IV worklists, shared read-only by every stream: the
+	// free-inode map, the directories and files to dump in ascending
+	// inode order, and each directory's encoded entry list.
+	clri     *dumpfmt.InoMap
+	dirInos  []wafl.Inum
+	fileInos []wafl.Inum
+	dirBlobs [][]byte // parallel to dirInos
 
-	// chunkBuf is the pooled Phase IV read buffer, sized for a full
-	// header's worth of segments: each chunk is read (in runs) before
-	// its header goes out, so an unreadable block can be demoted to a
-	// hole in the map instead of aborting a half-written record.
-	chunkBuf *[]byte
+	untimed bool       // stages are real goroutines, not simulator procs
+	viewMu  sync.Mutex // see lockView
+	cbMu    sync.Mutex // see callback
 
-	stats   *DumpStats
-	ckptIno wafl.Inum // last inode durably checkpointed to media
-}
-
-// logf reports a recovery event to the operator's log, if any.
-func (st *dumpState) logf(format string, args ...any) {
-	if st.opts.Log != nil {
-		st.opts.Log(fmt.Sprintf(format, args...))
-	}
+	stats *DumpStats
 }
 
 // runBlocks is how many file blocks Phase IV reads per bulk ReadAt.
 const runBlocks = 16
 
-// Dump runs the four-phase logical dump and writes the stream to
-// opts.Sink, or — when opts.Sinks is set — fans Phase IV out across
-// parallel per-drive streams from this one call.
+// Dump runs the four-phase logical dump and writes one self-contained
+// stream per sink: to opts.Sink, or fanned out across opts.Sinks with
+// Phase IV split between them.
 func Dump(ctx context.Context, opts DumpOptions) (*DumpStats, error) {
-	multi := len(opts.Sinks) > 0
 	if opts.View == nil {
 		return nil, fmt.Errorf("logical: nil view")
 	}
-	if multi {
-		if opts.Sink != nil {
-			return nil, fmt.Errorf("logical: Sink and Sinks are mutually exclusive")
-		}
-		if opts.Shard != 0 || opts.Shards != 0 {
-			return nil, fmt.Errorf("logical: Shard/Shards are caller-driven sharding; Sinks shards internally")
-		}
-		if opts.Resume != nil {
-			return nil, fmt.Errorf("logical: use ResumeShards to resume a parallel dump")
-		}
-		if opts.ResumeShards != nil && len(opts.ResumeShards) != len(opts.Sinks) {
-			return nil, fmt.Errorf("logical: ResumeShards has %d entries for %d sinks", len(opts.ResumeShards), len(opts.Sinks))
-		}
-		for i, s := range opts.Sinks {
-			if s == nil {
-				return nil, fmt.Errorf("logical: nil sink %d", i)
-			}
-		}
-	} else {
-		if opts.Sink == nil {
-			return nil, fmt.Errorf("logical: nil sink")
-		}
-		if opts.ResumeShards != nil {
-			return nil, fmt.Errorf("logical: ResumeShards requires Sinks")
-		}
-		if opts.Shards != 0 && (opts.Shard < 0 || opts.Shard >= opts.Shards) {
-			return nil, fmt.Errorf("logical: shard %d of %d out of range", opts.Shard, opts.Shards)
-		}
+	streams, err := pipeline.Streams(opts.Sink, opts.Sinks, opts.Resume, opts.ResumeShards,
+		func(c *Checkpoint) pipeline.Shard { return pipeline.Shard{K: c.Shard, N: c.Shards} })
+	if err != nil {
+		return nil, fmt.Errorf("logical: %w", err)
 	}
 	if opts.Level < 0 || opts.Level > MaxLevel {
 		return nil, fmt.Errorf("logical: bad level %d", opts.Level)
@@ -265,52 +224,31 @@ func Dump(ctx context.Context, opts DumpOptions) (*DumpStats, error) {
 	if opts.Dates != nil {
 		st.ddate = opts.Dates.Base(opts.FSID, opts.Level)
 	}
-	if opts.Resume != nil {
-		if opts.Resume.Level != opts.Level {
-			return nil, fmt.Errorf("logical: resume checkpoint is level %d, dump is level %d", opts.Resume.Level, opts.Level)
-		}
-		if opts.Resume.Shard != opts.Shard || opts.Resume.Shards != opts.Shards {
-			return nil, fmt.Errorf("logical: resume checkpoint is shard %d of %d, dump is shard %d of %d",
-				opts.Resume.Shard, opts.Resume.Shards, opts.Shard, opts.Shards)
-		}
-		// The continuation stream carries the interrupted dump's date,
-		// so all its streams describe one self-consistent dump set.
-		st.date = opts.Resume.Date
-		st.ckptIno = opts.Resume.LastIno
-	}
-	// Parallel resume: every shard checkpoint must describe the same
-	// interrupted dump, whose date the continuation set inherits.
-	var resumeDate int64
-	for k, r := range opts.ResumeShards {
+	// Every resume checkpoint must describe the same interrupted dump,
+	// whose date the continuation inherits so that all its streams
+	// describe one self-consistent dump set.
+	resumed := false
+	for _, s := range streams {
+		r := s.Resume
 		if r == nil {
 			continue
 		}
 		if r.Level != opts.Level {
-			return nil, fmt.Errorf("logical: shard %d resume checkpoint is level %d, dump is level %d", k, r.Level, opts.Level)
+			return nil, fmt.Errorf("logical: resume checkpoint is level %d, dump is level %d", r.Level, opts.Level)
 		}
-		if r.Shard != k || r.Shards != len(opts.Sinks) {
-			return nil, fmt.Errorf("logical: resume checkpoint for shard %d of %d given as shard %d of %d",
-				r.Shard, r.Shards, k, len(opts.Sinks))
-		}
-		if resumeDate != 0 && resumeDate != r.Date {
+		if resumed && r.Date != st.date {
 			return nil, fmt.Errorf("logical: shard resume checkpoints disagree on dump date")
 		}
-		resumeDate = r.Date
-	}
-	if resumeDate != 0 {
-		st.date = resumeDate
+		st.date, resumed = r.Date, true
 	}
 	root := wafl.RootIno
 	if opts.Subtree != "" {
-		var err error
 		root, err = opts.View.Namei(ctx, opts.Subtree)
 		if err != nil {
 			return nil, fmt.Errorf("logical: subtree %q: %w", opts.Subtree, err)
 		}
 	}
 	st.rootIno = root
-	st.chunkBuf = bufpool.Get(dumpfmt.MaxSegsPerHeader * dumpfmt.TPBSize)
-	defer bufpool.Put(st.chunkBuf)
 
 	ctx, dumpSpan := obs.Start(ctx, "logical.dump")
 	dumpSpan.SetAttr("level", opts.Level)
@@ -347,146 +285,27 @@ func Dump(ctx context.Context, opts DumpOptions) (*DumpStats, error) {
 	end()
 
 	// The free-inode map and the sorted Phase III/IV worklists are
-	// computed once and shared by the single-stream path and every
-	// parallel shard.
-	clri := dumpfmt.NewInoMap(uint32(st.view.NumInodes(ctx)))
+	// computed once and shared by every stream.
+	st.clri = dumpfmt.NewInoMap(uint32(st.view.NumInodes(ctx)))
 	for i := uint32(wafl.RootIno); i < uint32(st.view.NumInodes(ctx)); i++ {
 		if !st.used.Has(i) {
-			clri.Set(i)
+			st.clri.Set(i)
 		}
 	}
-	var dirInos, fileInos []wafl.Inum
 	for ino := range st.inodes {
 		if !st.dump.Has(uint32(ino)) {
 			continue
 		}
 		if st.isDir[ino] {
-			dirInos = append(dirInos, ino)
+			st.dirInos = append(st.dirInos, ino)
 		} else {
-			fileInos = append(fileInos, ino)
+			st.fileInos = append(st.fileInos, ino)
 		}
 	}
-	sort.Slice(dirInos, func(i, j int) bool { return dirInos[i] < dirInos[j] })
-	sort.Slice(fileInos, func(i, j int) bool { return fileInos[i] < fileInos[j] })
+	slices.Sort(st.dirInos)
+	slices.Sort(st.fileInos)
 
-	if multi {
-		return st.dumpParallel(ctx, clri, dirInos, fileInos, begin, end)
-	}
-
-	w, err := dumpfmt.NewWriter(opts.Sink, opts.Label, st.date, st.ddate, int32(opts.Level))
-	if err != nil {
-		return nil, err
-	}
-
-	stats := &DumpStats{Date: st.date, BaseDate: st.ddate, InodesMapped: st.used.Count()}
-	st.stats = stats
-
-	// fail wraps an unrecoverable error with the resumable state: the
-	// last inode durably checkpointed (possibly inherited from the
-	// attempt this one resumed), so the next invocation can continue.
-	fail := func(err error) (*DumpStats, error) {
-		if opts.CheckpointEvery > 0 || opts.Resume != nil {
-			stats.Checkpoint = &Checkpoint{
-				Date: st.date, Level: opts.Level, LastIno: st.ckptIno,
-				Shard: opts.Shard, Shards: opts.Shards,
-			}
-		}
-		return stats, err
-	}
-
-	// Write the two maps the format prescribes: inodes free at dump
-	// time (TS_CLRI) and inodes on this tape (TS_BITS). A sharded
-	// stream carries the full maps: restore tolerates TS_BITS naming
-	// files that arrive on sibling streams.
-	if err := writeMap(w, dumpfmt.TSClri, clri, uint32(st.rootIno)); err != nil {
-		return fail(err)
-	}
-	if err := writeMap(w, dumpfmt.TSBits, st.dump, uint32(st.rootIno)); err != nil {
-		return fail(err)
-	}
-
-	// Phase III: dump directories, in ascending inode order.
-	begin("Dumping directories")
-	for _, ino := range dirInos {
-		if err := ctx.Err(); err != nil {
-			end()
-			return fail(err)
-		}
-		if err := st.dumpDirectory(ctx, w, ino); err != nil {
-			end()
-			return fail(err)
-		}
-		stats.DirsDumped++
-	}
-	end()
-
-	// Phase IV: dump files, in ascending inode order, with the dump
-	// engine's own cross-file read-ahead running in front. A
-	// caller-driven shard dumps only its contiguous slice of the list;
-	// a resumed dump skips the files its checkpoint vouches for.
-	begin("Dumping files")
-	if opts.Shards > 1 {
-		lo := len(fileInos) * opts.Shard / opts.Shards
-		hi := len(fileInos) * (opts.Shard + 1) / opts.Shards
-		fileInos = fileInos[lo:hi]
-	}
-	if st.ckptIno > 0 {
-		skip := sort.Search(len(fileInos), func(i int) bool { return fileInos[i] > st.ckptIno })
-		stats.FilesSkipped = skip
-		fileInos = fileInos[skip:]
-	}
-	st.fileList = fileInos
-	sinceCkpt := 0
-	for _, ino := range fileInos {
-		if err := ctx.Err(); err != nil {
-			end()
-			return fail(err)
-		}
-		if opts.FileIndex != nil {
-			// Emitted before the file so Unit names the stream position
-			// of its header. A resumed dump indexes only this stream's
-			// files; the skipped ones are on the prior attempt's index.
-			opts.FileIndex(st.path(ino), ino, w.Tapea())
-		}
-		if err := st.dumpFile(ctx, w, ino); err != nil {
-			end()
-			return fail(err)
-		}
-		stats.FilesDumped++
-		sinceCkpt++
-		if opts.CheckpointEvery > 0 && sinceCkpt >= opts.CheckpointEvery {
-			if err := w.Checkpoint(uint32(ino)); err != nil {
-				end()
-				return fail(err)
-			}
-			// A sink that accepts records provisionally must confirm
-			// durability before the checkpoint may vouch for this file.
-			if sy, ok := opts.Sink.(dumpfmt.Syncer); ok {
-				if err := sy.Sync(); err != nil {
-					end()
-					return fail(err)
-				}
-			}
-			st.ckptIno = ino
-			sinceCkpt = 0
-		}
-	}
-	end()
-
-	if err := w.Close(); err != nil {
-		return fail(err)
-	}
-	stats.BytesWritten = w.Written()
-	if opts.Dates != nil {
-		opts.Dates.Record(opts.FSID, opts.Level, st.date)
-	}
-	m := obs.MetricsFrom(ctx)
-	l := obs.Labels{"fsid": opts.FSID}
-	m.Counter("logical_dump_files_total", l).Add(int64(stats.FilesDumped))
-	m.Counter("logical_dump_dirs_total", l).Add(int64(stats.DirsDumped))
-	m.Counter("logical_dump_bytes_total", l).Add(stats.BytesWritten)
-	m.Counter("logical_dump_damaged_blocks_total", l).Add(int64(len(stats.Damaged)))
-	return stats, nil
+	return st.dumpShards(ctx, streams, begin, end)
 }
 
 // phaseSpanName maps the harness-facing stage names to span names,
@@ -640,7 +459,11 @@ func writeMap(w *dumpfmt.Writer, typ int32, m *dumpfmt.InoMap, rootIno uint32) e
 
 // canonical directory record encoding: [ino u32][type u8][len u16][name].
 func encodeDirEnts(ents []wafl.DirEnt) []byte {
-	var buf []byte
+	size := 0
+	for _, e := range ents {
+		size += 7 + len(e.Name)
+	}
+	buf := make([]byte, 0, size)
 	var tmp [7]byte
 	for _, e := range ents {
 		binary.LittleEndian.PutUint32(tmp[0:], uint32(e.Ino))
@@ -670,28 +493,6 @@ func DecodeDirEnts(data []byte) ([]wafl.DirEnt, error) {
 		off += n
 	}
 	return ents, nil
-}
-
-// dumpDirectory writes one directory's canonical entry list.
-func (st *dumpState) dumpDirectory(ctx context.Context, w *dumpfmt.Writer, ino wafl.Inum) error {
-	ents, err := st.view.Readdir(ctx, ino)
-	if err != nil {
-		return err
-	}
-	// Apply the exclusion filter to the entry list too, so restore
-	// never learns about filtered names.
-	kept := ents[:0]
-	for _, e := range ents {
-		if e.Name != "." && e.Name != ".." && st.opts.Exclude != nil && st.opts.Exclude(e.Name) {
-			continue
-		}
-		kept = append(kept, e)
-	}
-	data := encodeDirEnts(kept)
-	inode := st.inodes[ino]
-	di := toDumpInode(&inode)
-	di.Size = uint64(len(data))
-	return writeBlob(w, dumpfmt.TSInode, uint32(ino), di, data)
 }
 
 // writeBlob emits fully present (hole-free) data under one or more
@@ -737,168 +538,6 @@ func writeBlob(w *dumpfmt.Writer, typ int32, ino uint32, di dumpfmt.DumpInode, d
 		first = false
 	}
 	return nil
-}
-
-// dumpFile writes one regular file or symlink with its hole map,
-// driving the dump engine's own read-ahead.
-func (st *dumpState) dumpFile(ctx context.Context, w *dumpfmt.Writer, ino wafl.Inum) error {
-	inode := st.inodes[ino]
-	di := toDumpInode(&inode)
-	totalSegs := int((inode.Size + dumpfmt.TPBSize - 1) / dumpfmt.TPBSize)
-	if totalSegs == 0 {
-		h := &dumpfmt.Header{Type: dumpfmt.TSInode, Inumber: uint32(ino), Dinode: di}
-		return w.WriteHeader(h)
-	}
-	segsPerBlock := wafl.BlockSize / dumpfmt.TPBSize
-	prefetch := st.opts.ReadAhead > 0
-
-	chunkBuf := *st.chunkBuf
-	seg := 0
-	first := true
-	for seg < totalSegs {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		chunk := totalSegs - seg
-		if chunk > dumpfmt.MaxSegsPerHeader {
-			chunk = dumpfmt.MaxSegsPerHeader
-		}
-		// Build the hole map for this chunk from the block tree.
-		addrs := make([]byte, chunk)
-		for i := 0; i < chunk; i++ {
-			fbn := uint32((seg + i) / segsPerBlock)
-			pbn, err := st.view.BlockAt(ctx, ino, fbn)
-			if err != nil {
-				return err
-			}
-			if pbn != 0 {
-				addrs[i] = 1
-			}
-		}
-		// Stage the chunk's present blocks into chunkBuf BEFORE the
-		// header goes out — segment i of the chunk lives at
-		// chunkBuf[i*TPBSize:]. Contiguous runs of present blocks are
-		// pulled in with one bulk ReadAt each (chunks are block-aligned:
-		// MaxSegsPerHeader is a multiple of segsPerBlock), with the dump
-		// engine's own read-ahead running W blocks in front. A run that
-		// fails is salvaged block by block; blocks that stay unreadable
-		// are demoted to holes in addrs, so the header's map and the
-		// segments that follow it always agree.
-		for i := 0; i < chunk; {
-			if addrs[i] == 0 {
-				i++
-				continue
-			}
-			sIdx := seg + i
-			fbn0 := sIdx / segsPerBlock
-			// Extend the run while the next block is present and in
-			// this chunk.
-			nb := 1
-			for nb < runBlocks {
-				next := (fbn0+nb)*segsPerBlock - seg
-				if next >= chunk || addrs[next] == 0 {
-					break
-				}
-				nb++
-			}
-			if prefetch {
-				st.consumed += int64(nb)
-				st.pumpReadAhead(ctx)
-			}
-			dst := chunkBuf[i*dumpfmt.TPBSize : i*dumpfmt.TPBSize+nb*wafl.BlockSize]
-			if _, err := st.view.ReadAt(ctx, ino, uint64(fbn0)*wafl.BlockSize, dst); err != nil {
-				if err := st.salvageRun(ctx, ino, fbn0, nb, seg, chunk, addrs, chunkBuf); err != nil {
-					return err
-				}
-			}
-			i = (fbn0+nb)*segsPerBlock - seg
-			if i > chunk {
-				i = chunk
-			}
-		}
-		t := int32(dumpfmt.TSInode)
-		if !first {
-			t = dumpfmt.TSAddr
-		}
-		h := &dumpfmt.Header{Type: t, Inumber: uint32(ino), Dinode: di, Count: int32(chunk), Addrs: addrs}
-		if err := w.WriteHeader(h); err != nil {
-			return err
-		}
-		for i := 0; i < chunk; i++ {
-			if addrs[i] == 0 {
-				continue
-			}
-			sIdx := seg + i
-			so := i * dumpfmt.TPBSize
-			endOff := so + dumpfmt.TPBSize
-			if rem := inode.Size - uint64(sIdx)*dumpfmt.TPBSize; rem < dumpfmt.TPBSize {
-				endOff = so + int(rem)
-			}
-			if err := w.WriteSegment(chunkBuf[so:endOff]); err != nil {
-				return err
-			}
-		}
-		seg += chunk
-		first = false
-	}
-	return nil
-}
-
-// salvageRun recovers a failed bulk run one block at a time. A block
-// the storage stack cannot produce even with retries and RAID
-// reconstruction is logged, recorded in the damage report, and
-// demoted to a hole in addrs — the dump continues, per the paper's
-// observation that logical backup degrades per-file rather than
-// per-volume. Cancellation is not damage: it aborts the dump.
-func (st *dumpState) salvageRun(ctx context.Context, ino wafl.Inum, fbn0, nb, seg, chunk int, addrs []byte, chunkBuf []byte) error {
-	segsPerBlock := wafl.BlockSize / dumpfmt.TPBSize
-	for b := 0; b < nb; b++ {
-		fbn := fbn0 + b
-		si := fbn*segsPerBlock - seg // chunk-relative first segment of the block
-		dst := chunkBuf[si*dumpfmt.TPBSize : si*dumpfmt.TPBSize+wafl.BlockSize]
-		_, err := st.view.ReadAt(ctx, ino, uint64(fbn)*wafl.BlockSize, dst)
-		if err == nil {
-			continue
-		}
-		if cerr := ctx.Err(); cerr != nil {
-			return cerr
-		}
-		for k := 0; k < segsPerBlock; k++ {
-			if si+k < chunk {
-				addrs[si+k] = 0
-			}
-		}
-		st.stats.Damaged = append(st.stats.Damaged, DamagedBlock{Ino: ino, Fbn: uint32(fbn), Err: err.Error()})
-		st.logf("ino %d fbn %d unreadable, hole-mapped: %v", ino, fbn, err)
-	}
-	return nil
-}
-
-// pumpReadAhead advances the lookahead cursor until ReadAhead blocks
-// are in flight beyond the blocks already consumed. Unlike a per-file
-// policy, the cursor crosses file boundaries: the next file's blocks
-// start arriving while the current file is still being written to
-// tape, hiding the per-file first-block seek.
-func (st *dumpState) pumpReadAhead(ctx context.Context) {
-	for st.issued < st.consumed+int64(st.opts.ReadAhead) && st.laFile < len(st.fileList) {
-		if ctx.Err() != nil {
-			return
-		}
-		ino := st.fileList[st.laFile]
-		inode := st.inodes[ino]
-		if st.laFbn >= inode.Blocks() {
-			st.laFile++
-			st.laFbn = 0
-			continue
-		}
-		pbn, err := st.view.BlockAt(ctx, ino, st.laFbn)
-		st.laFbn++
-		st.issued++ // holes count: the tape cursor skips them too
-		if err != nil || pbn <= 1 {
-			continue
-		}
-		st.view.PrefetchBlock(ctx, pbn)
-	}
 }
 
 func toDumpInode(ino *wafl.Inode) dumpfmt.DumpInode {

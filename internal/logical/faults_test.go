@@ -9,7 +9,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/storage"
 	"repro/internal/tape"
 	"repro/internal/wafl"
 	"repro/internal/workload"
@@ -20,45 +19,8 @@ import (
 // exactly that block — and that the restored tree is byte-identical
 // everywhere else, with zeros in the hole.
 func TestDamageReportExactHoleMapping(t *testing.T) {
-	mem := storage.NewMemDevice(8192)
-	fd := storage.NewFaultDevice(mem)
-	fs, err := wafl.Mkfs(ctx, fd, nil, wafl.Options{CacheBlocks: 16})
-	if err != nil {
-		t.Fatal(err)
-	}
-	content := make([]byte, 64<<10)
-	for i := range content {
-		content[i] = byte(i%251 + 1) // nonzero, so a holed block differs
-	}
-	if _, err := fs.WriteFile(ctx, "/d/victim.dat", content, 0644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := fs.WriteFile(ctx, "/d/bystander.dat", content[:20<<10], 0644); err != nil {
-		t.Fatal(err)
-	}
-	if err := fs.CP(ctx); err != nil {
-		t.Fatal(err)
-	}
-
-	// Remount so the dump's reads go to the device, not the warm cache.
-	fs, err = wafl.Mount(ctx, fd, nil, wafl.Options{CacheBlocks: 16})
-	if err != nil {
-		t.Fatal(err)
-	}
-	view := fs.ActiveView()
-	ino, err := view.Namei(ctx, "/d/victim.dat")
-	if err != nil {
-		t.Fatal(err)
-	}
-	const badFbn = 3
-	pbn, err := view.BlockAt(ctx, ino, badFbn)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if pbn == 0 {
-		t.Fatal("victim fbn is a hole")
-	}
-	fd.FailRead(int(pbn), storage.ErrLatentSector)
+	view, ino, content := damagedBlockFS(t)
+	const badFbn = damagedFbn
 
 	var logged []string
 	drive := newTape(t, 0, 1)

@@ -5,73 +5,56 @@ import (
 	"errors"
 	"fmt"
 	"sort"
-	"sync"
-	"sync/atomic"
 
 	"repro/internal/bufpool"
 	"repro/internal/dumpfmt"
 	"repro/internal/obs"
 	"repro/internal/pipeline"
 	"repro/internal/sim"
+	"repro/internal/stream"
 	"repro/internal/wafl"
 )
 
-// The parallel logical dump: Phases I-III run once on the calling
-// process, then each drive gets its own shard pipeline — N chunk
-// readers pulling Phase IV file chunks off a precomputed plan, one
-// writer reassembling them in plan order behind the full maps and the
-// shared directory records. The plan fixes every header boundary
-// before any file I/O starts, so the bytes each shard writes are
-// identical to a caller-driven Shard/Shards dump of the same slice —
-// parallelism changes only the clock.
+// Phases III and IV, the one data path of every logical dump: the
+// directories are read and encoded once on the calling process, then
+// each stream (one per sink) is a shard — its slice of the Phase IV
+// file list expanded into a plan of chunks, N readers staging chunks
+// off the plan through pipeline.Fanout, and the stream written in plan
+// order behind the full maps and the shared directory records. The plan
+// fixes every header boundary before any file I/O starts, so a shard's
+// bytes do not depend on the reader count or on how many sibling shards
+// run beside it — parallelism changes only the clock.
 
-// viewGate serializes filesystem-view access across parallel Phase IV
-// readers in untimed mode: the wafl block cache is not thread-safe.
-// On the simulator the cooperative scheduler already serializes
-// stages, so the gate is a no-op there (a real mutex must never be
-// held across a simulated wait).
-type viewGate struct {
-	mu   sync.Mutex
-	real bool
-}
-
-func (g *viewGate) lock() {
-	if g.real {
-		g.mu.Lock()
+// lockView serializes filesystem-view access across parallel Phase IV
+// readers in untimed mode: the wafl block cache is not thread-safe. On
+// the simulator the cooperative scheduler already serializes stages, so
+// it is a no-op there (a real mutex must never be held across a
+// simulated wait).
+func (st *dumpState) lockView() {
+	if st.untimed {
+		st.viewMu.Lock()
 	}
 }
 
-func (g *viewGate) unlock() {
-	if g.real {
-		g.mu.Unlock()
+func (st *dumpState) unlockView() {
+	if st.untimed {
+		st.viewMu.Unlock()
 	}
-}
-
-// shardPrep is the Phase I-III product shared read-only by every
-// shard: the dump state's maps, the encoded directory records, and the
-// gates serializing view access and operator callbacks.
-type shardPrep struct {
-	st       *dumpState
-	clri     *dumpfmt.InoMap
-	dirInos  []wafl.Inum
-	dirBlobs map[wafl.Inum][]byte
-	gate     *viewGate
-	cbMu     sync.Mutex
 }
 
 // callback runs an operator callback (Log, FileIndex), serialized
 // across shard writers when they are real goroutines.
-func (p *shardPrep) callback(f func()) {
-	if p.gate.real {
-		p.cbMu.Lock()
-		defer p.cbMu.Unlock()
+func (st *dumpState) callback(f func()) {
+	if st.untimed {
+		st.cbMu.Lock()
+		defer st.cbMu.Unlock()
 	}
 	f()
 }
 
 // fileJob is one planned Phase IV chunk: up to MaxSegsPerHeader
-// segments of one file, block-aligned exactly like the sequential
-// engine's chunks so the stream bytes match it byte for byte.
+// segments of one file. Chunks are block-aligned (MaxSegsPerHeader is a
+// multiple of the segments per block).
 type fileJob struct {
 	ino        wafl.Inum
 	seg, nsegs int
@@ -90,10 +73,7 @@ func planFiles(st *dumpState, files []wafl.Inum) []fileJob {
 			continue
 		}
 		for seg := 0; seg < totalSegs; {
-			n := totalSegs - seg
-			if n > dumpfmt.MaxSegsPerHeader {
-				n = dumpfmt.MaxSegsPerHeader
-			}
+			n := min(totalSegs-seg, dumpfmt.MaxSegsPerHeader)
 			plan = append(plan, fileJob{
 				ino: ino, seg: seg, nsegs: n,
 				first: seg == 0, last: seg+n >= totalSegs,
@@ -106,14 +86,19 @@ func planFiles(st *dumpState, files []wafl.Inum) []fileJob {
 
 // chunkRes is one staged chunk moving from a reader to the writer.
 type chunkRes struct {
-	seq     int
 	addrs   []byte  // hole map, after salvage demotion
 	buf     *[]byte // pooled segment data; nil for an empty file
 	damaged []DamagedBlock
 }
 
-// shardPump is one shard's cross-file read-ahead cursor, walking the
-// shard's own (file, block) sequence in front of its readers.
+// shardPump is one shard's cross-file read-ahead cursor. The dump
+// engine runs its own read-ahead policy in inode order — what the paper
+// says the in-kernel dump does (§3), and the reason it is not at the
+// mercy of the filesystem's per-file policy. The cursor walks the
+// shard's own (file, block) sequence in front of its readers and
+// crosses file boundaries: the next file's blocks start arriving while
+// the current file is still being written to tape, hiding the per-file
+// first-block seek.
 type shardPump struct {
 	files    []wafl.Inum
 	laFile   int
@@ -124,7 +109,7 @@ type shardPump struct {
 
 // pumpShard advances the lookahead cursor until ReadAhead blocks are
 // in flight beyond the blocks the shard's readers have consumed.
-// Callers hold the view gate.
+// Callers hold the view lock.
 func pumpShard(ctx context.Context, st *dumpState, pump *shardPump) {
 	for pump.issued < pump.consumed+int64(st.opts.ReadAhead) && pump.laFile < len(pump.files) {
 		if ctx.Err() != nil {
@@ -148,18 +133,25 @@ func pumpShard(ctx context.Context, st *dumpState, pump *shardPump) {
 }
 
 // stageChunk reads one chunk's hole map and present blocks into a
-// pooled buffer, salvaging failed runs block by block: blocks that
-// stay unreadable are demoted to holes in addrs and recorded in the
-// result's damage list (the writer folds them into the stream-order
-// report). Mirrors dumpFile's staging loop exactly.
-func stageChunk(ctx context.Context, st *dumpState, gate *viewGate, pump *shardPump, seq int, j fileJob) (chunkRes, error) {
-	res := chunkRes{seq: seq}
+// pooled buffer BEFORE its header goes out — segment i of the chunk
+// lives at buf[i*TPBSize:]. Contiguous runs of present blocks are
+// pulled in with one bulk ReadAt each, with the dump engine's own
+// read-ahead running ReadAhead blocks in front. A run that fails is
+// salvaged block by block: a block the storage stack cannot produce
+// even with retries and RAID reconstruction is demoted to a hole in
+// addrs and recorded in the result's damage list, so the header's map
+// and the segments that follow it always agree and the dump continues
+// — logical backup degrades per file rather than per volume.
+func stageChunk(ctx context.Context, st *dumpState, pump *shardPump, j fileJob) (chunkRes, error) {
+	var res chunkRes
 	if j.nsegs == 0 {
 		return res, nil
 	}
 	segsPerBlock := wafl.BlockSize / dumpfmt.TPBSize
 	prefetch := st.opts.ReadAhead > 0
-	res.buf = bufpool.Get(dumpfmt.MaxSegsPerHeader * dumpfmt.TPBSize)
+	// Whole blocks: the last run of a file reads its final block in full.
+	blocks := (j.nsegs + segsPerBlock - 1) / segsPerBlock
+	res.buf = bufpool.Get(blocks * wafl.BlockSize)
 	chunkBuf := *res.buf
 	addrs := make([]byte, j.nsegs)
 	fail := func(err error) (chunkRes, error) {
@@ -167,8 +159,8 @@ func stageChunk(ctx context.Context, st *dumpState, gate *viewGate, pump *shardP
 		res.buf = nil
 		return res, err
 	}
-	gate.lock()
-	defer gate.unlock()
+	st.lockView()
+	defer st.unlockView()
 	for i := 0; i < j.nsegs; i++ {
 		fbn := uint32((j.seg + i) / segsPerBlock)
 		pbn, err := st.view.BlockAt(ctx, j.ino, fbn)
@@ -186,6 +178,8 @@ func stageChunk(ctx context.Context, st *dumpState, gate *viewGate, pump *shardP
 		}
 		sIdx := j.seg + i
 		fbn0 := sIdx / segsPerBlock
+		// Extend the run while the next block is present and in this
+		// chunk.
 		nb := 1
 		for nb < runBlocks {
 			next := (fbn0+nb)*segsPerBlock - j.seg
@@ -230,43 +224,61 @@ func stageChunk(ctx context.Context, st *dumpState, gate *viewGate, pump *shardP
 	return res, nil
 }
 
-// shardChunkReader pulls chunk jobs off the shared plan by atomic
-// counter, stages each, and hands it to the writer queue.
-func shardChunkReader(ctx context.Context, st *dumpState, gate *viewGate, pump *shardPump, plan []fileJob, next *atomic.Int64, out *pipeline.Queue[chunkRes]) error {
-	for {
+// shardWriter writes one shard's stream on the process running the
+// shard: the preamble when the readers have started, then each chunk as
+// the fan-out delivers it in plan order. It accumulates the shard's
+// outcome in res.
+type shardWriter struct {
+	st   *dumpState
+	sink stream.Sink
+	plan []fileJob
+	w    *dumpfmt.Writer
+	res  *ShardResult
+	// ckptIno is the last inode durably checkpointed to media, possibly
+	// inherited from the attempt this one resumes.
+	ckptIno   wafl.Inum
+	sinceCkpt int
+}
+
+// open starts the stream: label header, the two maps the format
+// prescribes — inodes free at dump time (TS_CLRI) and inodes in the
+// dump (TS_BITS) — and Phase III, every directory in ascending inode
+// order. Every stream carries the full maps and all directories, so
+// each is self-contained enough for restore to map names on its own;
+// restore tolerates TS_BITS naming files that arrive on sibling streams.
+func (sw *shardWriter) open(ctx context.Context) error {
+	st := sw.st
+	w, err := dumpfmt.NewWriter(sw.sink, st.opts.Label, st.date, st.ddate, int32(st.opts.Level))
+	if err != nil {
+		return err
+	}
+	sw.w = w
+	if err := writeMap(w, dumpfmt.TSClri, st.clri, uint32(st.rootIno)); err != nil {
+		return err
+	}
+	if err := writeMap(w, dumpfmt.TSBits, st.dump, uint32(st.rootIno)); err != nil {
+		return err
+	}
+	for i, ino := range st.dirInos {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		seq := int(next.Add(1)) - 1
-		if seq >= len(plan) {
-			return nil
-		}
-		res, err := stageChunk(ctx, st, gate, pump, seq, plan[seq])
-		if err != nil {
-			return err
-		}
-		if err := out.Put(ctx, res); err != nil {
-			if res.buf != nil {
-				bufpool.Put(res.buf)
-			}
+		data := st.dirBlobs[i]
+		inode := st.inodes[ino]
+		di := toDumpInode(&inode)
+		di.Size = uint64(len(data))
+		if err := writeBlob(w, dumpfmt.TSInode, uint32(ino), di, data); err != nil {
 			return err
 		}
 	}
+	return nil
 }
 
-// writerState is the shard writer's progress, read by dumpLogicalShard
-// after the pipeline joins (single writer, so no locking).
-type writerState struct {
-	filesDumped int
-	bytes       int64
-	ckptIno     wafl.Inum
-	damaged     []DamagedBlock
-}
-
-// emitChunk writes one reassembled chunk: TSInode/TSAddr header, then
-// the present segments with the last segment trimmed to the file size.
-func emitChunk(st *dumpState, w *dumpfmt.Writer, j fileJob, res chunkRes) error {
-	inode := st.inodes[j.ino]
+// writeChunk writes one staged chunk: TSInode/TSAddr header, then the
+// present segments with the last segment trimmed to the file size.
+func (sw *shardWriter) writeChunk(j fileJob, res chunkRes) error {
+	w := sw.w
+	inode := sw.st.inodes[j.ino]
 	di := toDumpInode(&inode)
 	if j.nsegs == 0 {
 		return w.WriteHeader(&dumpfmt.Header{Type: dumpfmt.TSInode, Inumber: uint32(j.ino), Dinode: di})
@@ -297,201 +309,113 @@ func emitChunk(st *dumpState, w *dumpfmt.Writer, j fileJob, res chunkRes) error 
 	return nil
 }
 
-// shardStreamWriter writes one shard's complete stream: label header,
-// full maps, every directory (replayed from the shared blobs), then
-// the Phase IV chunks reassembled in plan order from the reader queue,
-// checkpointing after every CheckpointEvery completed files.
-func shardStreamWriter(ctx context.Context, prep *shardPrep, sink dumpfmt.Sink, plan []fileJob, out *pipeline.Queue[chunkRes], ws *writerState) error {
-	st := prep.st
+// emit writes Phase IV chunk seq, checkpointing after every
+// CheckpointEvery completed files.
+func (sw *shardWriter) emit(seq int, c chunkRes) error {
+	st, w := sw.st, sw.w
 	opts := &st.opts
-	defer pipeline.BindStageProc(ctx, sink)()
-
-	w, err := dumpfmt.NewWriter(sink, opts.Label, st.date, st.ddate, int32(opts.Level))
-	if err != nil {
+	j := sw.plan[seq]
+	if j.first && opts.FileIndex != nil {
+		// Emitted before the file so unit names the stream position of
+		// its header. A resumed dump indexes only this stream's files;
+		// the skipped ones are on the prior attempt's index.
+		unit := w.Tapea()
+		st.callback(func() { opts.FileIndex(st.path(j.ino), j.ino, unit) })
+	}
+	if err := sw.writeChunk(j, c); err != nil {
 		return err
 	}
-	// Full maps on every stream: restore tolerates TS_BITS naming
-	// files that arrive on sibling streams.
-	if err := writeMap(w, dumpfmt.TSClri, prep.clri, uint32(st.rootIno)); err != nil {
-		return err
+	// Damage reports fold in here, in stream order, so the report is
+	// deterministic for any reader count.
+	for _, d := range c.damaged {
+		sw.res.Damaged = append(sw.res.Damaged, d)
+		if opts.Log != nil {
+			st.callback(func() {
+				opts.Log(fmt.Sprintf("ino %d fbn %d unreadable, hole-mapped: %s", d.Ino, d.Fbn, d.Err))
+			})
+		}
 	}
-	if err := writeMap(w, dumpfmt.TSBits, st.dump, uint32(st.rootIno)); err != nil {
-		return err
+	if !j.last {
+		return nil
 	}
-	// Phase III: every stream carries all directories, so each is
-	// self-contained enough for restore to map names on its own.
-	for _, ino := range prep.dirInos {
-		if err := ctx.Err(); err != nil {
+	sw.res.FilesDumped++
+	sw.sinceCkpt++
+	if opts.CheckpointEvery > 0 && sw.sinceCkpt >= opts.CheckpointEvery {
+		if err := w.Checkpoint(uint32(j.ino)); err != nil {
 			return err
 		}
-		data := prep.dirBlobs[ino]
-		inode := st.inodes[ino]
-		di := toDumpInode(&inode)
-		di.Size = uint64(len(data))
-		if err := writeBlob(w, dumpfmt.TSInode, uint32(ino), di, data); err != nil {
+		// A sink that accepts records provisionally must confirm
+		// durability before the checkpoint may vouch for this file.
+		if err := stream.Sync(sw.sink); err != nil {
 			return err
 		}
+		sw.ckptIno = j.ino
+		sw.sinceCkpt = 0
 	}
-
-	// Phase IV: drain the queue, reassembling plan order (readers
-	// finish out of order; pending chunks are bounded by the reader
-	// count plus the queue).
-	pending := make(map[int]chunkRes)
-	defer func() {
-		for _, r := range pending {
-			if r.buf != nil {
-				bufpool.Put(r.buf)
-			}
-		}
-	}()
-	sinceCkpt := 0
-	for emitted := 0; emitted < len(plan); {
-		res, ready := pending[emitted]
-		if !ready {
-			c, ok, err := out.Get(ctx)
-			if err != nil {
-				return err
-			}
-			if !ok {
-				return fmt.Errorf("logical: chunk stream ended at %d of %d", emitted, len(plan))
-			}
-			pending[c.seq] = c
-			continue
-		}
-		delete(pending, emitted)
-		j := plan[emitted]
-		if j.first && opts.FileIndex != nil {
-			unit := w.Tapea()
-			prep.callback(func() { opts.FileIndex(st.path(j.ino), j.ino, unit) })
-		}
-		err := emitChunk(st, w, j, res)
-		if res.buf != nil {
-			bufpool.Put(res.buf)
-		}
-		if err != nil {
-			return err
-		}
-		// Damage reports fold in here, in stream order, so the report
-		// is deterministic for any reader count.
-		for _, d := range res.damaged {
-			ws.damaged = append(ws.damaged, d)
-			if opts.Log != nil {
-				d := d
-				prep.callback(func() {
-					st.logf("ino %d fbn %d unreadable, hole-mapped: %s", d.Ino, d.Fbn, d.Err)
-				})
-			}
-		}
-		if j.last {
-			ws.filesDumped++
-			sinceCkpt++
-			if opts.CheckpointEvery > 0 && sinceCkpt >= opts.CheckpointEvery {
-				if err := w.Checkpoint(uint32(j.ino)); err != nil {
-					return err
-				}
-				// A sink that accepts records provisionally must confirm
-				// durability before the checkpoint may vouch for them.
-				if sy, ok := sink.(dumpfmt.Syncer); ok {
-					if err := sy.Sync(); err != nil {
-						return err
-					}
-				}
-				ws.ckptIno = j.ino
-				sinceCkpt = 0
-			}
-		}
-		emitted++
-	}
-	if err := w.Close(); err != nil {
-		return err
-	}
-	ws.bytes = w.Written()
 	return nil
 }
 
-// dumpLogicalShard runs one shard's pipeline to completion. The error
-// (with resume checkpoint) stays in the ShardResult so sibling shards
-// are unaffected.
-func dumpLogicalShard(ctx context.Context, prep *shardPrep, sink dumpfmt.Sink, files []wafl.Inum, ckShard, ckShards int, resume *Checkpoint) ShardResult {
-	st := prep.st
-	opts := &st.opts
-	res := ShardResult{Shard: ckShard}
+// dumpShard runs one stream to completion on the calling process. The
+// error stays in the ShardResult, always with the checkpoint to resume
+// from (LastIno 0 when nothing is durable yet), so sibling shards are
+// unaffected.
+func (st *dumpState) dumpShard(ctx context.Context, s pipeline.Stream[Checkpoint]) ShardResult {
+	res := ShardResult{Shard: s.Shard.K}
+	lo, hi := s.Shard.Slice(len(st.fileInos))
+	files := st.fileInos[lo:hi]
 
-	ckptIno := wafl.Inum(0)
-	if resume != nil {
-		ckptIno = resume.LastIno
-	}
-	if ckptIno > 0 {
-		skip := sort.Search(len(files), func(i int) bool { return files[i] > ckptIno })
+	sw := &shardWriter{st: st, sink: s.Sink, res: &res}
+	if s.Resume != nil {
+		// A resumed shard skips the files its checkpoint vouches for.
+		sw.ckptIno = s.Resume.LastIno
+		skip := sort.Search(len(files), func(i int) bool { return files[i] > sw.ckptIno })
 		res.FilesSkipped = skip
 		files = files[skip:]
 	}
-	plan := planFiles(st, files)
-
-	readers := opts.Readers
-	if readers < 1 {
-		readers = 1
-	}
-	if readers > len(plan) && len(plan) > 0 {
-		readers = len(plan)
-	}
+	sw.plan = planFiles(st, files)
 
 	pump := &shardPump{files: files}
-	pl := pipeline.New(ctx)
-	out := pipeline.NewQueue[chunkRes](pl, fmt.Sprintf("logical.shard%d", ckShard), 2*readers+2)
-	var next atomic.Int64
-	var live atomic.Int64
-	live.Store(int64(readers))
-	for r := 0; r < readers; r++ {
-		pl.Go(fmt.Sprintf("logical.shard%d.reader%d", ckShard, r), func(ctx context.Context) error {
-			err := shardChunkReader(ctx, st, prep.gate, pump, plan, &next, out)
-			if live.Add(-1) == 0 {
-				out.CloseSend() // last reader out ends the stream
+	fan := pipeline.Fanout[chunkRes]{
+		Name: fmt.Sprintf("logical.shard%d", s.Shard.K), N: len(sw.plan), Readers: st.opts.Readers,
+		Stage: func(ctx context.Context, _, seq int) (chunkRes, error) {
+			return stageChunk(ctx, st, pump, sw.plan[seq])
+		},
+		Open: func() error { return sw.open(ctx) },
+		Emit: sw.emit,
+		Release: func(c chunkRes) {
+			if c.buf != nil {
+				bufpool.Put(c.buf)
 			}
-			return err
-		})
+		},
 	}
-	ws := &writerState{ckptIno: ckptIno}
-	pl.Go(fmt.Sprintf("logical.shard%d.writer", ckShard), func(ctx context.Context) error {
-		return shardStreamWriter(ctx, prep, sink, plan, out, ws)
-	})
-	err := pl.Wait()
-	res.FilesDumped = ws.filesDumped
-	res.Damaged = ws.damaged
+	err := fan.Run(ctx)
+	if err == nil {
+		err = sw.w.Close()
+	}
 	if err != nil {
 		res.Err = err
-		if opts.CheckpointEvery > 0 || resume != nil {
-			res.Checkpoint = &Checkpoint{
-				Date: st.date, Level: opts.Level, LastIno: ws.ckptIno,
-				Shard: ckShard, Shards: ckShards,
-			}
+		res.Checkpoint = &Checkpoint{
+			Date: st.date, Level: st.opts.Level, LastIno: sw.ckptIno,
+			Shard: s.Shard.K, Shards: s.Shard.N,
 		}
 		return res
 	}
-	res.BytesWritten = ws.bytes
+	res.BytesWritten = sw.w.Written()
 	return res
 }
 
-// dumpParallel is the Sinks-mode Phase III/IV driver: directories are
-// read and encoded once, then each sink's shard rides its own pipeline
-// and a plain group joins them — one drive's failure leaves the
-// sibling shards streaming to completion.
-func (st *dumpState) dumpParallel(ctx context.Context, clri *dumpfmt.InoMap, dirInos, fileInos []wafl.Inum, begin func(string), end func()) (*DumpStats, error) {
+// dumpShards is the Phase III/IV driver: directories are read and
+// encoded once, so only Phase IV touches the filesystem concurrently,
+// then every stream's shard runs.
+func (st *dumpState) dumpShards(ctx context.Context, streams []pipeline.Stream[Checkpoint], begin func(string), end func()) (*DumpStats, error) {
 	opts := &st.opts
-	nShards := len(opts.Sinks)
-
 	stats := &DumpStats{Date: st.date, BaseDate: st.ddate, InodesMapped: st.used.Count()}
 	st.stats = stats
+	st.untimed = sim.ProcFrom(ctx) == nil
 
-	// Phase III prep: read and encode every directory once, so only
-	// Phase IV touches the filesystem concurrently.
 	begin("Dumping directories")
-	prep := &shardPrep{
-		st: st, clri: clri, dirInos: dirInos,
-		dirBlobs: make(map[wafl.Inum][]byte, len(dirInos)),
-		gate:     &viewGate{real: sim.ProcFrom(ctx) == nil},
-	}
-	for _, ino := range dirInos {
+	st.dirBlobs = make([][]byte, len(st.dirInos))
+	for i, ino := range st.dirInos {
 		if err := ctx.Err(); err != nil {
 			end()
 			return stats, err
@@ -501,6 +425,8 @@ func (st *dumpState) dumpParallel(ctx context.Context, clri *dumpfmt.InoMap, dir
 			end()
 			return stats, err
 		}
+		// Apply the exclusion filter to the entry list too, so restore
+		// never learns about filtered names.
 		kept := ents[:0]
 		for _, e := range ents {
 			if e.Name != "." && e.Name != ".." && opts.Exclude != nil && opts.Exclude(e.Name) {
@@ -508,33 +434,16 @@ func (st *dumpState) dumpParallel(ctx context.Context, clri *dumpfmt.InoMap, dir
 			}
 			kept = append(kept, e)
 		}
-		prep.dirBlobs[ino] = encodeDirEnts(kept)
+		st.dirBlobs[i] = encodeDirEnts(kept)
 	}
-	stats.DirsDumped = len(dirInos)
+	stats.DirsDumped = len(st.dirInos)
 	end()
 
-	// Phase IV: shard pipelines joined by a plain group; per-shard
-	// errors stay in the results so siblings are unaffected.
 	begin("Dumping files")
-	results := make([]ShardResult, nShards)
-	g := pipeline.NewGroup(ctx)
-	for k := 0; k < nShards; k++ {
-		k := k
-		lo := len(fileInos) * k / nShards
-		hi := len(fileInos) * (k + 1) / nShards
-		var resume *Checkpoint
-		if opts.ResumeShards != nil {
-			resume = opts.ResumeShards[k]
-		}
-		g.Go(fmt.Sprintf("logical.shard%d", k), func(ctx context.Context) error {
-			results[k] = dumpLogicalShard(ctx, prep, opts.Sinks[k], fileInos[lo:hi], k, nShards, resume)
-			return nil
-		})
-	}
-	if err := g.Wait(); err != nil {
-		end()
-		return stats, err
-	}
+	results := make([]ShardResult, len(streams))
+	pipeline.RunShards(ctx, "logical", streams, func(ctx context.Context, k int, s pipeline.Stream[Checkpoint]) {
+		results[k] = st.dumpShard(ctx, s)
+	})
 	end()
 
 	stats.ShardResults = results
@@ -550,6 +459,12 @@ func (st *dumpState) dumpParallel(ctx context.Context, clri *dumpfmt.InoMap, dir
 		}
 	}
 	if len(errs) > 0 {
+		if opts.Sink != nil {
+			// Single-stream contract: the bare error, and the resume
+			// checkpoint at the stats top level.
+			stats.Checkpoint = results[0].Checkpoint
+			return stats, results[0].Err
+		}
 		return stats, errors.Join(errs...)
 	}
 	if opts.Dates != nil {

@@ -6,7 +6,7 @@ import (
 	"io"
 	"testing"
 
-	"repro/internal/dumpfmt"
+	"repro/internal/stream"
 	"repro/internal/tape"
 	"repro/internal/wafl"
 	"repro/internal/workload"
@@ -65,68 +65,6 @@ func parallelLogicalFS(t *testing.T, seed int64) (*wafl.FS, *wafl.View) {
 	return src, sv
 }
 
-// TestLogicalParallelMatchesShardedStreams proves the tentpole
-// byte-identity contract: one Sinks dump with parallel readers writes,
-// per shard, exactly the stream a caller-driven Shard/Shards dump of
-// the same slice writes. Parallelism changes only the clock.
-func TestLogicalParallelMatchesShardedStreams(t *testing.T) {
-	_, sv := parallelLogicalFS(t, 71)
-	const nShards = 4
-
-	// Reference: one sequential dump per shard, caller-driven.
-	want := make([]*memSink, nShards)
-	for k := 0; k < nShards; k++ {
-		want[k] = &memSink{}
-		if _, err := Dump(ctx, DumpOptions{
-			View: sv, Sink: want[k], Label: "par", ReadAhead: 8,
-			Shard: k, Shards: nShards, CheckpointEvery: 3,
-		}); err != nil {
-			t.Fatalf("shard %d reference dump: %v", k, err)
-		}
-	}
-
-	// One parallel invocation drives all four streams.
-	sinks := make([]dumpfmt.Sink, nShards)
-	got := make([]*memSink, nShards)
-	for k := range sinks {
-		got[k] = &memSink{}
-		sinks[k] = got[k]
-	}
-	stats, err := Dump(ctx, DumpOptions{
-		View: sv, Sinks: sinks, Label: "par", ReadAhead: 8,
-		Readers: 3, CheckpointEvery: 3,
-	})
-	if err != nil {
-		t.Fatalf("parallel dump: %v", err)
-	}
-
-	if len(stats.ShardResults) != nShards {
-		t.Fatalf("ShardResults = %d entries, want %d", len(stats.ShardResults), nShards)
-	}
-	files, bytes := 0, int64(0)
-	for k, r := range stats.ShardResults {
-		if r.Err != nil {
-			t.Fatalf("shard %d: %v", k, r.Err)
-		}
-		files += r.FilesDumped
-		bytes += r.BytesWritten
-	}
-	if files != stats.FilesDumped || bytes != stats.BytesWritten {
-		t.Fatalf("shard sums files=%d bytes=%d != totals files=%d bytes=%d",
-			files, bytes, stats.FilesDumped, stats.BytesWritten)
-	}
-	if stats.FilesDumped == 0 {
-		t.Fatal("parallel dump dumped no files")
-	}
-
-	for k := 0; k < nShards; k++ {
-		w, g := want[k].bytes(), got[k].bytes()
-		if string(w) != string(g) {
-			t.Fatalf("shard %d stream differs: sequential %d bytes, parallel %d bytes", k, len(w), len(g))
-		}
-	}
-}
-
 // TestLogicalParallelRestoreOrderIndependence: each shard stream is
 // self-contained (full maps, all directories), so restore may apply
 // the set in any order and converge to the same tree.
@@ -134,7 +72,7 @@ func TestLogicalParallelRestoreOrderIndependence(t *testing.T) {
 	_, sv := parallelLogicalFS(t, 72)
 	const nShards = 4
 
-	sinks := make([]dumpfmt.Sink, nShards)
+	sinks := make([]stream.Sink, nShards)
 	streams := make([]*memSink, nShards)
 	for k := range sinks {
 		streams[k] = &memSink{}
@@ -174,7 +112,7 @@ func TestLogicalParallelShardFaultIsolatedAndResumes(t *testing.T) {
 	const faulted = 2
 
 	drives := make([]*tape.Drive, nShards)
-	sinks := make([]dumpfmt.Sink, nShards)
+	sinks := make([]stream.Sink, nShards)
 	for k := range drives {
 		drives[k] = newTape(t, 0, 1)
 		sinks[k] = &DriveSink{Drive: drives[k]}
@@ -221,7 +159,7 @@ func TestLogicalParallelShardFaultIsolatedAndResumes(t *testing.T) {
 	drives[faulted].Flush(nil)
 	torn := stats.ShardResults[faulted].Checkpoint
 
-	contSinks := make([]dumpfmt.Sink, nShards)
+	contSinks := make([]stream.Sink, nShards)
 	contStreams := make([]*memSink, nShards)
 	resume := make([]*Checkpoint, nShards)
 	for k := range contSinks {
@@ -288,7 +226,7 @@ func TestLogicalParallelIncrementalChain(t *testing.T) {
 
 	dump := func(view *wafl.View, level int) []*memSink {
 		t.Helper()
-		sinks := make([]dumpfmt.Sink, nShards)
+		sinks := make([]stream.Sink, nShards)
 		streams := make([]*memSink, nShards)
 		for k := range sinks {
 			streams[k] = &memSink{}

@@ -5,9 +5,9 @@ import (
 	"io"
 	"testing"
 
-	"repro/internal/dumpfmt"
 	"repro/internal/nvram"
 	"repro/internal/storage"
+	"repro/internal/stream"
 	"repro/internal/wafl"
 	"repro/internal/workload"
 )
@@ -15,7 +15,7 @@ import (
 // truncatedSource delivers only the first n records, then fails like a
 // drive losing the tape mid-restore.
 type truncatedSource struct {
-	inner dumpfmt.Source
+	inner stream.Source
 	left  int
 }
 

@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/dumpfmt"
 	"repro/internal/obs"
+	"repro/internal/stream"
 	"repro/internal/wafl"
 )
 
@@ -17,7 +18,7 @@ type RestoreOptions struct {
 	// FS is the target filesystem.
 	FS *wafl.FS
 	// Source supplies the dump stream.
-	Source dumpfmt.Source
+	Source stream.Source
 	// TargetDir is where the dump root is grafted ("" or "/" = root).
 	TargetDir string
 	// Files optionally restricts the restore to these dump-relative
@@ -715,7 +716,7 @@ func (rst *restoreState) finishDirs(ctx context.Context) error {
 
 // RestorePath is a convenience for examples: restore only the given
 // paths under targetDir.
-func RestorePath(ctx context.Context, fs *wafl.FS, src dumpfmt.Source, targetDir string, files ...string) (*RestoreStats, error) {
+func RestorePath(ctx context.Context, fs *wafl.FS, src stream.Source, targetDir string, files ...string) (*RestoreStats, error) {
 	return Restore(ctx, RestoreOptions{
 		FS: fs, Source: src, TargetDir: targetDir,
 		Files: files, KernelIntegrated: true,

@@ -20,14 +20,14 @@ import (
 	"errors"
 	"io"
 
-	"repro/internal/dumpfmt"
 	"repro/internal/obs"
 	"repro/internal/sim"
 	"repro/internal/storage"
+	"repro/internal/stream"
 	"repro/internal/tape"
 )
 
-// DriveSink adapts a tape drive to dumpfmt.Sink, mapping end-of-media
+// DriveSink adapts a tape drive to stream.Sink, mapping end-of-media
 // and cartridge changes. The sim process (may be nil) is charged for
 // tape time.
 //
@@ -57,17 +57,18 @@ type DriveSink struct {
 // swaps performed by the sink.
 func (s *DriveSink) MediaStats() (retries, swaps int) { return s.retries, s.swaps }
 
-// BindProc rebinds the simulated process tape time is charged to and
-// returns the previous binding. A pipeline writer stage runs on its own
-// process, so it binds the sink to itself for the stage's lifetime and
-// restores the old binding on exit.
+// BindProc implements stream.ProcBinder: it rebinds the simulated
+// process tape time is charged to and returns the previous binding. A
+// shard of a multi-sink dump writes from its own process, so it binds
+// the sink to itself for the shard's lifetime and restores the old
+// binding on exit.
 func (s *DriveSink) BindProc(p *sim.Proc) *sim.Proc {
 	old := s.Proc
 	s.Proc = p
 	return old
 }
 
-// WriteRecord implements dumpfmt.Sink.
+// WriteRecord implements stream.Sink.
 func (s *DriveSink) WriteRecord(data []byte) error {
 	retry := s.Retry
 	if retry.MaxRetries == 0 && retry.Initial == 0 {
@@ -88,24 +89,24 @@ func (s *DriveSink) WriteRecord(data []byte) error {
 	case err == nil:
 		return nil
 	case errors.Is(err, tape.ErrEndOfMedia):
-		return dumpfmt.ErrEndOfMedia
+		return stream.ErrEndOfMedia
 	case errors.Is(err, tape.ErrMediaWrite):
 		// Persistent (or unhealed transient) media error: give up on
 		// this cartridge. What was already written stays readable; the
 		// Writer re-emits the failed record on the next volume.
 		s.swaps++
-		return dumpfmt.ErrEndOfMedia
+		return stream.ErrEndOfMedia
 	default:
 		return err
 	}
 }
 
-// NextVolume implements dumpfmt.Sink: load the next stacker cartridge.
+// NextVolume implements stream.Sink: load the next stacker cartridge.
 func (s *DriveSink) NextVolume() error {
 	return s.Drive.Load(s.Proc)
 }
 
-// DriveSource adapts a tape drive to dumpfmt.Source for restore,
+// DriveSource adapts a tape drive to stream.Source for restore,
 // cycling through stacker cartridges at end of tape and treating file
 // marks and an empty stacker as end of stream.
 //
@@ -154,7 +155,7 @@ func (s *DriveSource) BindProc(p *sim.Proc) *sim.Proc {
 	return old
 }
 
-// ReadRecord implements dumpfmt.Source.
+// ReadRecord implements stream.Source.
 func (s *DriveSource) ReadRecord() ([]byte, error) {
 	retry := s.Retry
 	if retry.MaxRetries == 0 && retry.Initial == 0 {

@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/dumpfmt"
 	"repro/internal/obs"
+	"repro/internal/stream"
 	"repro/internal/wafl"
 )
 
@@ -37,7 +38,7 @@ type VerifyOptions struct {
 	// normally the snapshot the dump was taken from.
 	View *wafl.View
 	// Source supplies the dump stream.
-	Source dumpfmt.Source
+	Source stream.Source
 	// Subtree is the dump root used at dump time ("" = whole fs).
 	Subtree string
 }

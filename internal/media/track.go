@@ -2,22 +2,17 @@ package media
 
 import (
 	"repro/internal/catalog"
+	"repro/internal/sim"
+	"repro/internal/stream"
 	"repro/internal/tape"
 )
-
-// RecordSink is the record-stream contract both dump engines emit
-// (structurally dumpfmt.Sink and physical.Sink).
-type RecordSink interface {
-	WriteRecord(data []byte) error
-	NextVolume() error
-}
 
 // TrackingSink wraps a drive-backed sink and records which cartridges
 // the stream lands on, and at which raw record index each begins —
 // the MediaRefs the catalog stores so a restore can find and position
 // the media with no operator-supplied list.
 type TrackingSink struct {
-	Sink  RecordSink
+	Sink  stream.Sink
 	Drive *tape.Drive
 
 	refs []catalog.MediaRef
@@ -35,7 +30,7 @@ func (t *TrackingSink) bind() {
 	t.refs = append(t.refs, catalog.MediaRef{Volume: c.Label, Start: int64(c.Index())})
 }
 
-// WriteRecord implements RecordSink.
+// WriteRecord implements stream.Sink.
 func (t *TrackingSink) WriteRecord(data []byte) error {
 	if len(t.refs) == 0 {
 		t.bind()
@@ -43,7 +38,7 @@ func (t *TrackingSink) WriteRecord(data []byte) error {
 	return t.Sink.WriteRecord(data)
 }
 
-// NextVolume implements RecordSink, binding the newly mounted volume.
+// NextVolume implements stream.Sink, binding the newly mounted volume.
 func (t *TrackingSink) NextVolume() error {
 	if err := t.Sink.NextVolume(); err != nil {
 		return err
@@ -52,14 +47,12 @@ func (t *TrackingSink) NextVolume() error {
 	return nil
 }
 
-// Sync forwards the checkpoint-durability contract (dumpfmt.Syncer)
+// Sync forwards the checkpoint-durability contract (stream.Syncer)
 // when the wrapped sink has one.
-func (t *TrackingSink) Sync() error {
-	if s, ok := t.Sink.(interface{ Sync() error }); ok {
-		return s.Sync()
-	}
-	return nil
-}
+func (t *TrackingSink) Sync() error { return stream.Sync(t.Sink) }
+
+// BindProc forwards stream.ProcBinder to the wrapped sink.
+func (t *TrackingSink) BindProc(p *sim.Proc) *sim.Proc { return stream.BindProc(t.Sink, p) }
 
 // Refs returns the volumes written, in stream order.
 func (t *TrackingSink) Refs() []catalog.MediaRef {

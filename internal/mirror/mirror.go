@@ -75,15 +75,6 @@ func (p *pipe) WriteRecord(data []byte) error {
 
 func (p *pipe) NextVolume() error { return fmt.Errorf("mirror: network pipe has no volumes") }
 
-// BindProc implements pipeline.ProcBinder: the dump engine's writer
-// stage runs on its own simulated process and rebinds the pipe so link
-// time is charged to the process actually writing.
-func (p *pipe) BindProc(np *sim.Proc) *sim.Proc {
-	old := p.proc
-	p.proc = np
-	return old
-}
-
 func (p *pipe) ReadRecord() ([]byte, error) {
 	if p.pos >= len(p.recs) {
 		return nil, io.EOF

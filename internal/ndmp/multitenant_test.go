@@ -3,6 +3,7 @@ package ndmp
 import (
 	"errors"
 	"fmt"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -141,33 +142,29 @@ func TestTransportHostEvictFinalizesSink(t *testing.T) {
 	}
 }
 
-// TestTransportHelloVersionNegotiation: a v2 Hello (no tenant suffix)
-// is served as the default tenant; versions outside [MinVersion,
-// Version] are refused with AckErr.
-func TestTransportHelloVersionNegotiation(t *testing.T) {
-	v2 := Hello{Version: 2, Kind: KindLogical, Session: 3, Stream: 0, Level: 1, FSID: "home0"}
-	got, err := decodeHello(encodeHello(v2))
+// TestTransportHelloVersion: a Hello of the one protocol version is
+// served; any other version — the retired v2 layout without a tenant
+// suffix, a v1, a future one — is refused with AckErr, which the
+// client surfaces as a RemoteError, and opens no sink.
+func TestTransportHelloVersion(t *testing.T) {
+	cur := Hello{Version: Version, Kind: KindImage, Session: 9, Stream: 2, Level: -1, FSID: "fs", Tenant: "acme"}
+	got, err := decodeHello(encodeHello(cur))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Tenant != "" || got.FSID != "home0" || got.Version != 2 {
-		t.Fatalf("v2 hello decoded as %+v", got)
+	if got != cur {
+		t.Fatalf("hello round-trip: %+v", got)
 	}
-	v3 := Hello{Version: Version, Kind: KindImage, Session: 9, Stream: 2, Level: -1, FSID: "fs", Tenant: "acme"}
-	got, err = decodeHello(encodeHello(v3))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got != v3 {
-		t.Fatalf("v3 hello round-trip: %+v", got)
+	if _, err := decodeHello(encodeHello(cur)[:helloFixed+len(cur.FSID)]); !errors.Is(err, transport.ErrBadFrame) {
+		t.Fatalf("hello cut before its tenant decoded with %v", err)
 	}
 
 	var opened int
 	host := NewHost(func(Hello) (Sink, error) { opened++; return &memSink{}, nil })
-	sendHello := func(h Hello) ack {
+	sendHello := func(payload []byte) ack {
 		t.Helper()
 		resps := host.HandleFrame(transport.Encode(&transport.Frame{
-			Type: MsgHello, Payload: encodeHello(h)}))
+			Type: MsgHello, Payload: payload}))
 		if len(resps) != 1 {
 			t.Fatalf("hello got %d responses, want 1", len(resps))
 		}
@@ -181,17 +178,18 @@ func TestTransportHelloVersionNegotiation(t *testing.T) {
 		}
 		return a
 	}
-	if a := sendHello(v2); a.status != AckOK {
-		t.Fatalf("v2 hello refused: %+v", a)
+	if a := sendHello(encodeHello(cur)); a.status != AckOK {
+		t.Fatalf("hello refused: %+v", a)
 	}
 	if opened != 1 {
-		t.Fatalf("v2 hello opened %d sinks, want 1", opened)
+		t.Fatalf("hello opened %d sinks, want 1", opened)
 	}
-	if a := sendHello(Hello{Version: 1, Session: 4}); a.status != AckErr {
-		t.Fatalf("v1 hello served: %+v", a)
-	}
-	if a := sendHello(Hello{Version: Version + 1, Session: 5}); a.status != AckErr {
-		t.Fatalf("future hello served: %+v", a)
+	v2 := encodeHello(Hello{Version: 2, Kind: KindLogical, Session: 3, Level: 1, FSID: "home0"})
+	v2 = v2[:helloFixed+len("home0")] // v2 had no tenant suffix
+	for _, p := range [][]byte{v2, encodeHello(Hello{Version: 1, Session: 4}), encodeHello(Hello{Version: Version + 1, Session: 5})} {
+		if a := sendHello(p); a.status != AckErr || !strings.Contains(a.msg, "not supported") {
+			t.Fatalf("version %d hello answered %+v", p[0], a)
+		}
 	}
 	if opened != 1 {
 		t.Fatalf("refused hellos opened sinks (%d)", opened)

@@ -7,8 +7,8 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/dumpfmt"
 	"repro/internal/sim"
+	recstream "repro/internal/stream"
 	"repro/internal/transport"
 )
 
@@ -23,7 +23,7 @@ type memSink struct {
 
 func (m *memSink) WriteRecord(rec []byte) error {
 	if m.cap > 0 && m.cur >= m.cap {
-		return dumpfmt.ErrEndOfMedia
+		return recstream.ErrEndOfMedia
 	}
 	m.cur++
 	m.recs = append(m.recs, append([]byte(nil), rec...))
@@ -65,7 +65,7 @@ func pushAll(t *testing.T, s *Session, recs [][]byte) {
 	t.Helper()
 	for i, rec := range recs {
 		err := s.WriteRecord(rec)
-		for errors.Is(err, dumpfmt.ErrEndOfMedia) {
+		for errors.Is(err, recstream.ErrEndOfMedia) {
 			if verr := s.NextVolume(); verr != nil {
 				t.Fatalf("record %d: next volume: %v", i, verr)
 			}

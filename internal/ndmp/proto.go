@@ -22,21 +22,13 @@ import (
 	"repro/internal/transport"
 )
 
-// Protocol version spoken by both ends. Version 2 added the
-// replication high-water mark to every ack, the MsgSync/MsgSyncAck
-// checkpoint-replication round trip, and the AckStale status a
-// standby tape host answers when a failed-over client greets it
-// mid-stream. Version 3 added the tenant name to the Hello, so a
-// multi-tenant tape host can namespace catalogs and enforce
-// per-tenant scheduling; hosts negotiate down — a v2 Hello is served
-// with an empty tenant.
+// Version is the one protocol version both ends speak: acks carry the
+// replication high-water mark, MsgSync/MsgSyncAck replicate
+// checkpoints, a standby tape host answers AckStale to a failed-over
+// client, and the Hello names the tenant so a multi-tenant tape host
+// can namespace catalogs and enforce per-tenant scheduling. A host
+// refuses a Hello of any other version.
 const Version = 3
-
-// MinVersion is the oldest Hello a host still serves. Everything a v2
-// client can say decodes identically under v3 (the tenant field is an
-// optional suffix), so the host answers v2 Hellos rather than forcing
-// a flag-day upgrade of every data mover.
-const MinVersion = 2
 
 // Message types carried in transport.Frame.Type.
 const (
@@ -111,9 +103,9 @@ const (
 
 // Hello is the session-open payload. FSID and Level describe what is
 // being dumped, so the tape host can record the pushed stream in its
-// own backup catalog, not just land the bytes. Tenant (v3) names the
+// own backup catalog, not just land the bytes. Tenant names the
 // client's namespace: the host keys catalogs, scheduling shares and
-// rate limits by it. A v2 Hello decodes with Tenant "".
+// rate limits by it.
 type Hello struct {
 	Version byte
 	Kind    byte   // KindLogical or KindImage
@@ -125,18 +117,13 @@ type Hello struct {
 }
 
 // helloFixed is the fixed-width prefix of an encoded Hello: version,
-// kind, session, stream, level, and the FSID length. A v3 Hello
-// appends a length-prefixed tenant name after the FSID.
+// kind, session, stream, level, and the FSID length. The FSID and a
+// length-prefixed tenant name follow.
 const helloFixed = 22
 
-// encodeHello marshals h. The tenant suffix is emitted only for v3+
-// hellos, so a client negotiated down to v2 stays bit-compatible.
+// encodeHello marshals h.
 func encodeHello(h Hello) []byte {
-	n := helloFixed + len(h.FSID)
-	if h.Version >= 3 {
-		n += 4 + len(h.Tenant)
-	}
-	buf := make([]byte, n)
+	buf := make([]byte, helloFixed+len(h.FSID)+4+len(h.Tenant))
 	buf[0] = h.Version
 	buf[1] = h.Kind
 	binary.LittleEndian.PutUint64(buf[2:], h.Session)
@@ -144,18 +131,20 @@ func encodeHello(h Hello) []byte {
 	binary.LittleEndian.PutUint32(buf[14:], uint32(h.Level))
 	binary.LittleEndian.PutUint32(buf[18:], uint32(len(h.FSID)))
 	copy(buf[helloFixed:], h.FSID)
-	if h.Version >= 3 {
-		off := helloFixed + len(h.FSID)
-		binary.LittleEndian.PutUint32(buf[off:], uint32(len(h.Tenant)))
-		copy(buf[off+4:], h.Tenant)
-	}
+	off := helloFixed + len(h.FSID)
+	binary.LittleEndian.PutUint32(buf[off:], uint32(len(h.Tenant)))
+	copy(buf[off+4:], h.Tenant)
 	return buf
 }
 
-// decodeHello unmarshals a Hello payload of any supported version.
+// decodeHello unmarshals a Hello payload. Of a Hello that is not
+// Version only the version byte means anything; the host refuses it.
 func decodeHello(p []byte) (Hello, error) {
 	if len(p) < helloFixed {
 		return Hello{}, fmt.Errorf("%w: hello payload %d bytes", transport.ErrBadFrame, len(p))
+	}
+	if p[0] != Version {
+		return Hello{Version: p[0]}, nil
 	}
 	n := int(binary.LittleEndian.Uint32(p[18:]))
 	if n < 0 || helloFixed+n > len(p) {
@@ -169,23 +158,21 @@ func decodeHello(p []byte) (Hello, error) {
 		Level:   int32(binary.LittleEndian.Uint32(p[14:])),
 		FSID:    string(p[helloFixed : helloFixed+n]),
 	}
-	if h.Version >= 3 {
-		off := helloFixed + n
-		if len(p) < off+4 {
-			return Hello{}, fmt.Errorf("%w: v3 hello missing tenant length", transport.ErrBadFrame)
-		}
-		tn := int(binary.LittleEndian.Uint32(p[off:]))
-		if tn < 0 || off+4+tn > len(p) {
-			return Hello{}, fmt.Errorf("%w: hello tenant length %d", transport.ErrBadFrame, tn)
-		}
-		h.Tenant = string(p[off+4 : off+4+tn])
+	off := helloFixed + n
+	if len(p) < off+4 {
+		return Hello{}, fmt.Errorf("%w: hello missing tenant length", transport.ErrBadFrame)
 	}
+	tn := int(binary.LittleEndian.Uint32(p[off:]))
+	if tn < 0 || off+4+tn > len(p) {
+		return Hello{}, fmt.Errorf("%w: hello tenant length %d", transport.ErrBadFrame, tn)
+	}
+	h.Tenant = string(p[off+4 : off+4+tn])
 	return h, nil
 }
 
 // ack is the payload of MsgHelloAck, MsgAck, MsgVolAck and MsgSyncAck:
 // a status byte, the cumulative acknowledged sequence, the replicated
-// checkpoint high-water mark (v2 — records 1..repl are recorded in the
+// checkpoint high-water mark (records 1..repl are recorded in the
 // replicated catalog, so they survive the loss of this tape host), and
 // (for AckErr) a human-readable reason.
 type ack struct {

@@ -9,22 +9,17 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/dumpfmt"
 	"repro/internal/obs"
+	recstream "repro/internal/stream"
 	"repro/internal/transport"
 )
 
-// Sink is the durable record consumer a Host writes to — structurally
-// the same contract both dump engines emit (dumpfmt.Sink and
-// physical.Sink): WriteRecord returns dumpfmt.ErrEndOfMedia when the
-// volume is full, and NextVolume mounts the next cartridge. A Sink
-// that also implements io.Closer is closed when its stream is evicted
-// from the registry (clean session close, explicit eviction, or host
-// shutdown), which is what finalizes server-side stream files.
-type Sink interface {
-	WriteRecord(rec []byte) error
-	NextVolume() error
-}
+// Sink is the durable record consumer a Host writes to — the contract
+// both dump engines emit. A Sink that also implements io.Closer is
+// closed when its stream is evicted from the registry (clean session
+// close, explicit eviction, or host shutdown), which is what finalizes
+// server-side stream files.
+type Sink = recstream.Sink
 
 // SinkFactory opens the durable sink for one stream of a session. The
 // host calls it on the first Hello naming that stream; re-Hellos of
@@ -412,9 +407,9 @@ func (c *Conn) handleHello(f *transport.Frame) [][]byte {
 	if err != nil {
 		return c.BadFrame()
 	}
-	if hello.Version < MinVersion || hello.Version > Version {
+	if hello.Version != Version {
 		return c.respond(MsgHelloAck, ack{status: AckErr,
-			msg: fmt.Sprintf("version %d not supported (host speaks %d-%d)", hello.Version, MinVersion, Version)})
+			msg: fmt.Sprintf("version %d not supported (host speaks %d)", hello.Version, Version)})
 	}
 	key := streamKey{hello.Session, hello.Stream}
 	h.mu.Lock()
@@ -574,7 +569,7 @@ func (c *Conn) handleData(f *transport.Frame) [][]byte {
 			return c.respond(MsgAck, ack{status: AckOK, acked: st.released})
 		}
 		return nil
-	case errors.Is(err, dumpfmt.ErrEndOfMedia):
+	case errors.Is(err, recstream.ErrEndOfMedia):
 		// The record did not fit. It is NOT durable: latch EOM and
 		// report the high-water mark so the client re-sends it after
 		// the volume switch.

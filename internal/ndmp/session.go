@@ -6,10 +6,10 @@ import (
 	"fmt"
 	"time"
 
-	"repro/internal/dumpfmt"
 	"repro/internal/obs"
 	"repro/internal/sim"
 	"repro/internal/storage"
+	recstream "repro/internal/stream"
 	"repro/internal/transport"
 )
 
@@ -31,8 +31,7 @@ type Config struct {
 	FSID string
 	// Tenant names the client's namespace on a multi-tenant tape
 	// host: catalogs, stream files and scheduler shares are kept per
-	// tenant. Empty means the host's default tenant (also what a v2
-	// peer, whose Hello has no tenant field, is served as).
+	// tenant. Empty means the host's default tenant.
 	Tenant string
 	// Level is the incremental level carried in the Hello (-1 for
 	// image streams).
@@ -518,7 +517,7 @@ func (s *Session) WriteRecord(rec []byte) error {
 		return err
 	}
 	if s.eom {
-		return dumpfmt.ErrEndOfMedia
+		return recstream.ErrEndOfMedia
 	}
 	seq := s.nextSeq
 	s.nextSeq++
@@ -541,7 +540,7 @@ func (s *Session) WriteRecord(rec []byte) error {
 		s.window = s.window[:len(s.window)-1]
 		s.nextSeq = seq
 		s.stats.Records--
-		return dumpfmt.ErrEndOfMedia
+		return recstream.ErrEndOfMedia
 	}
 	return nil
 }
@@ -585,7 +584,7 @@ func (s *Session) NextVolume() error {
 
 // Sync drains the send window, blocking until every record accepted
 // so far is acknowledged durable AND the checkpoint is replicated. It
-// implements dumpfmt.Syncer: the dump engines call it after emitting
+// implements stream.Syncer: the dump engines call it after emitting
 // a checkpoint marker, which is what makes a checkpoint over the wire
 // mean the same thing it means on a local drive — everything up to
 // the marker is on tape — plus one promise a local drive never made:

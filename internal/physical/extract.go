@@ -5,6 +5,7 @@ import (
 	"fmt"
 
 	"repro/internal/storage"
+	"repro/internal/stream"
 	"repro/internal/wafl"
 )
 
@@ -19,7 +20,7 @@ import (
 //
 // The returned map is path → file contents. Directories cannot be
 // extracted (ask for the files inside them).
-func Extract(ctx context.Context, full Source, incrementals []Source, paths ...string) (map[string][]byte, error) {
+func Extract(ctx context.Context, full stream.Source, incrementals []stream.Source, paths ...string) (map[string][]byte, error) {
 	if len(paths) == 0 {
 		return nil, fmt.Errorf("physical: no paths to extract")
 	}

@@ -4,27 +4,26 @@ import (
 	"context"
 	"encoding/binary"
 	"fmt"
+	"hash"
 	"hash/crc32"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/bufpool"
-	"repro/internal/dumpfmt"
 	"repro/internal/pipeline"
 	"repro/internal/sim"
 	"repro/internal/storage"
+	"repro/internal/stream"
 )
 
-// The shard pipeline: a deterministic extent plan is computed up front,
-// N readers pull extents off the plan by atomic counter and push filled
-// buffers into a bounded queue, and the drive writer reassembles them
-// in plan order. Because the plan fixes every extent boundary and every
-// checkpoint position before any I/O starts, the bytes on tape are
-// identical for any reader count — parallelism changes only the clock.
+// The shard data path of every image dump: a deterministic extent plan
+// is computed up front, N readers pull extents off the plan through
+// pipeline.Fanout, and the stream is written in plan order. Because the
+// plan fixes every extent boundary and every checkpoint position before
+// any I/O starts, the bytes on tape are identical for any reader count
+// — parallelism changes only the clock.
 
 // extent is one planned device visit: a run of consecutive blocks, cut
-// at maxRun and at checkpoint boundaries exactly as the sequential
-// engine cut them.
+// at maxRun and at checkpoint boundaries.
 type extent struct {
 	bno       uint32
 	count     int
@@ -72,240 +71,148 @@ func planExtents(blocks []uint32, skipped, every int) []extent {
 	return plan
 }
 
-// chunk is one extent's payload moving from a reader to the writer.
-type chunk struct {
-	seq int // index into the extent plan
-	buf *[]byte
+// extentBuf is one extent's payload moving from a reader to the
+// writer: the pooled buffer, filled on return from the asynchronous
+// read, and the virtual time the device finishes delivering it.
+type extentBuf struct {
+	buf  *[]byte
+	done sim.Time
 }
 
-// shardState is the writer's progress, read by dumpShard after the
-// pipeline joins (single-writer, so no locking).
-type shardState struct {
-	ckptDone int // absolute blocks durably on media
-	bytes    int64
+// shardWriter writes one shard's stream on the process running the
+// shard: header, then each extent as the fan-out delivers it in plan
+// order with checkpoint sentinels at the planned positions, then the
+// trailer. The payload checksum is computed here, in stream order.
+type shardWriter struct {
+	sink stream.Sink
+	w    *streamWriter
+	plan []extent
+	crc  hash.Hash32
+	// ckptDone is the absolute count of the shard's blocks durably on
+	// media.
+	ckptDone int
 }
 
-// shardReader pulls extents off the shared plan, reads each through the
-// volume's async bulk path, and hands filled buffers to the writer
-// queue. depth extents are kept in flight per reader (ReadAhead), so
-// the spindle queues stay full while the reader burns its per-block CPU
-// charge. Extents are claimed one at a time: under the cooperative
-// scheduler the shard's readers hand the scan position to each other
-// at their wait points, so the union of their accesses stays one
-// sequential stream per spindle (batched claims were measured worse —
-// they split each shard into readers separate streams and thrash the
-// drives' sequentiality tracking).
-func shardReader(ctx context.Context, opts *DumpOptions, plan []extent, next *atomic.Int64, out *pipeline.Queue[chunk], depth int) error {
-	p := sim.ProcFrom(ctx)
-	type inflight struct {
-		seq  int
-		buf  *[]byte
-		done sim.Time
-	}
-	var q []inflight
-	fail := func(err error) error {
-		for _, f := range q {
-			bufpool.Put(f.buf)
-		}
+func (sw *shardWriter) emit(seq int, x extentBuf) error {
+	e := sw.plan[seq]
+	payload := (*x.buf)[:e.count*storage.BlockSize]
+	var ext [8]byte
+	binary.LittleEndian.PutUint32(ext[0:], e.bno)
+	binary.LittleEndian.PutUint32(ext[4:], uint32(e.count))
+	if err := sw.w.write(ext[:]); err != nil {
 		return err
 	}
-	// flush completes the oldest in-flight read: wait out its device
-	// time and the previous extent's CPU work, reserve this extent's
-	// dump CPU, and hand the buffer downstream. Deferring the CPU wait
-	// one extent overlaps checksum/copy work with the spindles.
-	var cpuDone sim.Time
-	flush := func() error {
-		f := q[0]
-		q = q[1:]
-		if p != nil {
-			wait := f.done
-			if cpuDone > wait {
-				wait = cpuDone
-			}
-			if wait > 0 {
-				p.WaitUntil(wait)
-			}
-		}
-		cpuDone = opts.Costs.schedule(ctx, time.Duration(plan[f.seq].count)*opts.Costs.DumpBlock)
-		if err := out.Put(ctx, chunk{seq: f.seq, buf: f.buf}); err != nil {
-			bufpool.Put(f.buf)
-			return err
-		}
+	sw.crc.Write(payload)
+	if err := sw.w.write(payload); err != nil {
+		return err
+	}
+	if !e.ckptAfter {
 		return nil
 	}
-	for {
-		if err := ctx.Err(); err != nil {
-			return fail(err)
-		}
-		seq := int(next.Add(1)) - 1
-		if seq >= len(plan) {
-			break
-		}
-		e := plan[seq]
-		bp := bufpool.Get(e.count * storage.BlockSize)
-		done, err := storage.ReadRunAsync(ctx, opts.Vol, int(e.bno), e.count, (*bp)[:e.count*storage.BlockSize])
-		if err != nil {
-			bufpool.Put(bp)
-			return fail(err)
-		}
-		q = append(q, inflight{seq: seq, buf: bp, done: done})
-		if len(q) >= depth {
-			if err := flush(); err != nil {
-				return fail(err)
-			}
-		}
+	binary.LittleEndian.PutUint32(ext[0:], CkptSentinel)
+	binary.LittleEndian.PutUint32(ext[4:], sw.crc.Sum32())
+	if err := sw.w.write(ext[:]); err != nil {
+		return err
 	}
-	for len(q) > 0 {
-		if err := flush(); err != nil {
-			return fail(err)
-		}
+	if err := sw.w.flushPartial(); err != nil {
+		return err
 	}
+	// A provisional-accept sink (network session) must drain before the
+	// checkpoint may vouch for these blocks.
+	if err := stream.Sync(sw.sink); err != nil {
+		return err
+	}
+	sw.ckptDone = e.doneAfter
 	return nil
 }
 
-// shardWriter drains the chunk queue, reassembles extents in plan order
-// (readers finish out of order; pending buffers are bounded by
-// readers×depth plus the queue), and writes the stream: header,
-// extents, checkpoint sentinels at the planned positions, trailer. The
-// payload checksum is computed here, in stream order.
-func shardWriter(ctx context.Context, opts *DumpOptions, sink Sink, hdr *streamHeader, plan []extent, out *pipeline.Queue[chunk], st *shardState) error {
-	defer pipeline.BindStageProc(ctx, sink)()
-	w := newStreamWriter(sink)
-	defer func() {
-		if w.rec != nil {
-			bufpool.Put(w.rec)
-			w.rec = nil
-		}
-	}()
-	pending := make(map[int]*[]byte)
-	defer func() {
-		for _, bp := range pending {
-			bufpool.Put(bp)
-		}
-	}()
-	if err := w.write(hdr.marshal()); err != nil {
-		return err
-	}
-	crc := crc32.NewIEEE()
+// close writes the trailer: sentinel extent + checksum of all payload
+// bytes.
+func (sw *shardWriter) close() error {
 	var ext [8]byte
-	emitted := 0
-	for emitted < len(plan) {
-		bp, ready := pending[emitted]
-		if !ready {
-			c, ok, err := out.Get(ctx)
-			if err != nil {
-				return err
-			}
-			if !ok {
-				return fmt.Errorf("%w: block stream ended at extent %d of %d", ErrBadStream, emitted, len(plan))
-			}
-			pending[c.seq] = c.buf
-			continue
-		}
-		delete(pending, emitted)
-		e := plan[emitted]
-		payload := (*bp)[:e.count*storage.BlockSize]
-		binary.LittleEndian.PutUint32(ext[0:], e.bno)
-		binary.LittleEndian.PutUint32(ext[4:], uint32(e.count))
-		err := w.write(ext[:])
-		if err == nil {
-			crc.Write(payload)
-			err = w.write(payload)
-		}
-		bufpool.Put(bp)
-		if err != nil {
-			return err
-		}
-		if e.ckptAfter {
-			binary.LittleEndian.PutUint32(ext[0:], CkptSentinel)
-			binary.LittleEndian.PutUint32(ext[4:], crc.Sum32())
-			if err := w.write(ext[:]); err != nil {
-				return err
-			}
-			if err := w.flushPartial(); err != nil {
-				return err
-			}
-			// A provisional-accept sink (network session) must drain
-			// before the checkpoint may vouch for these blocks.
-			if sy, ok := sink.(dumpfmt.Syncer); ok {
-				if err := sy.Sync(); err != nil {
-					return err
-				}
-			}
-			st.ckptDone = e.doneAfter
-		}
-		emitted++
-	}
-	// Trailer: sentinel extent + checksum of all payload bytes.
 	binary.LittleEndian.PutUint32(ext[0:], EndSentinel)
-	binary.LittleEndian.PutUint32(ext[4:], crc.Sum32())
-	if err := w.write(ext[:]); err != nil {
+	binary.LittleEndian.PutUint32(ext[4:], sw.crc.Sum32())
+	if err := sw.w.write(ext[:]); err != nil {
 		return err
 	}
-	if err := w.flush(); err != nil {
-		return err
-	}
-	st.bytes = w.written
-	return nil
+	return sw.w.flushPartial()
 }
 
-// dumpShard runs one shard's pipeline to completion: plan, readers,
-// writer. The error (with resume checkpoint) stays in the ShardResult
-// so sibling shards are unaffected.
-func dumpShard(ctx context.Context, opts *DumpOptions, sink Sink, blocks []uint32, hdr streamHeader, ckShard, ckShards int, resume *Checkpoint) ShardResult {
-	res := ShardResult{Shard: ckShard}
-	skipped := 0
-	if resume != nil {
-		skipped = resume.BlocksDone
-		blocks = blocks[skipped:]
+// dumpShard runs one shard to completion on the calling process: plan,
+// then readers pulling extents off the plan through pipeline.Fanout
+// while this process writes the stream. Each reader keeps ReadAhead
+// extent reads in flight on the volume's async bulk path, so the
+// spindle queues stay full while the reader burns its per-block CPU
+// charge. Extents are claimed one at a time: under the cooperative
+// scheduler the shard's readers hand the scan position to each other at
+// their wait points, so the union of their accesses stays one
+// sequential stream per spindle (batched claims were measured worse —
+// they split each shard into readers separate streams and thrash the
+// drives' sequentiality tracking). The error stays in the ShardResult,
+// always with the checkpoint to resume from (BlocksDone 0 when nothing
+// is durable yet), so sibling shards are unaffected.
+func dumpShard(ctx context.Context, opts *DumpOptions, s pipeline.Stream[Checkpoint], all []uint32, hdr streamHeader) ShardResult {
+	res := ShardResult{Shard: s.Shard.K}
+	lo, hi := s.Shard.Slice(len(all))
+	blocks := all[lo:hi]
+	if s.Resume != nil {
+		res.BlocksSkipped = s.Resume.BlocksDone
+		blocks = blocks[res.BlocksSkipped:]
 	}
-	res.BlocksSkipped = skipped
 	hdr.blockCount = uint64(len(blocks))
 
-	plan := planExtents(blocks, skipped, opts.CheckpointEvery)
-	st := &shardState{ckptDone: skipped}
+	sw := &shardWriter{
+		sink: s.Sink, w: newStreamWriter(s.Sink), crc: crc32.NewIEEE(),
+		plan:     planExtents(blocks, res.BlocksSkipped, opts.CheckpointEvery),
+		ckptDone: res.BlocksSkipped,
+	}
+	defer sw.w.release()
 
-	readers := opts.Readers
-	if readers < 1 {
-		readers = 1
-	}
-	if readers > len(plan) && len(plan) > 0 {
-		readers = len(plan)
-	}
-	depth := opts.ReadAhead
-	if depth < 1 {
-		depth = 1
-	}
-
-	pl := pipeline.New(ctx)
-	out := pipeline.NewQueue[chunk](pl, fmt.Sprintf("physical.shard%d", ckShard), 2*readers+2)
-	var next atomic.Int64
-	var live atomic.Int64
-	live.Store(int64(readers))
-	for r := 0; r < readers; r++ {
-		pl.Go(fmt.Sprintf("physical.shard%d.reader%d", ckShard, r), func(ctx context.Context) error {
-			err := shardReader(ctx, opts, plan, &next, out, depth)
-			if live.Add(-1) == 0 {
-				out.CloseSend() // last reader out ends the stream
+	// cpuDone[r] is when reader r's previous extent's dump CPU finishes.
+	// Deferring that wait one extent overlaps checksum/copy work with
+	// the spindles.
+	cpuDone := make([]sim.Time, max(opts.Readers, 1))
+	fan := pipeline.Fanout[extentBuf]{
+		Name: fmt.Sprintf("physical.shard%d", s.Shard.K), N: len(sw.plan),
+		Readers: opts.Readers, Depth: opts.ReadAhead,
+		Stage: func(ctx context.Context, _, seq int) (extentBuf, error) {
+			e := sw.plan[seq]
+			bp := bufpool.Get(e.count * storage.BlockSize)
+			done, err := storage.ReadRunAsync(ctx, opts.Vol, int(e.bno), e.count, (*bp)[:e.count*storage.BlockSize])
+			if err != nil {
+				bufpool.Put(bp)
+				return extentBuf{}, err
 			}
-			return err
-		})
+			return extentBuf{buf: bp, done: done}, nil
+		},
+		// Wait out the read's device time and the previous extent's CPU
+		// work, then reserve this extent's dump CPU.
+		Settle: func(ctx context.Context, r, seq int, x extentBuf) {
+			if p := sim.ProcFrom(ctx); p != nil {
+				if wait := max(x.done, cpuDone[r]); wait > 0 {
+					p.WaitUntil(wait)
+				}
+			}
+			cpuDone[r] = opts.Costs.schedule(ctx, time.Duration(sw.plan[seq].count)*opts.Costs.DumpBlock)
+		},
+		Open:    func() error { return sw.w.write(hdr.marshal()) },
+		Emit:    sw.emit,
+		Release: func(x extentBuf) { bufpool.Put(x.buf) },
 	}
-	pl.Go(fmt.Sprintf("physical.shard%d.writer", ckShard), func(ctx context.Context) error {
-		return shardWriter(ctx, opts, sink, &hdr, plan, out, st)
-	})
-	if err := pl.Wait(); err != nil {
+	err := fan.Run(ctx)
+	if err == nil {
+		err = sw.close()
+	}
+	if err != nil {
 		res.Err = err
-		if opts.CheckpointEvery > 0 || resume != nil {
-			res.Checkpoint = &Checkpoint{
-				Gen: hdr.gen, BaseGen: hdr.baseGen,
-				BlocksDone: st.ckptDone,
-				Shard:      ckShard, Shards: ckShards,
-			}
+		res.Checkpoint = &Checkpoint{
+			Gen: hdr.gen, BaseGen: hdr.baseGen,
+			BlocksDone: sw.ckptDone,
+			Shard:      s.Shard.K, Shards: s.Shard.N,
 		}
 		return res
 	}
 	res.BlocksDumped = len(blocks)
-	res.BytesWritten = st.bytes
+	res.BytesWritten = sw.w.written
 	return res
 }

@@ -1,7 +1,6 @@
 package physical
 
 import (
-	"bytes"
 	"crypto/sha256"
 	"errors"
 	"fmt"
@@ -9,6 +8,7 @@ import (
 
 	"repro/internal/logical"
 	"repro/internal/storage"
+	"repro/internal/stream"
 	"repro/internal/tape"
 	"repro/internal/wafl"
 	"repro/internal/workload"
@@ -36,55 +36,6 @@ func parallelFS(t *testing.T, seed int64) (*wafl.FS, *storage.MemDevice) {
 	return fs, dev
 }
 
-// TestParallelDumpMatchesShardedStreams: one Dump call with Sinks (and
-// parallel readers) produces, shard for shard, exactly the bytes the
-// caller-driven Shard/Shards mode produces — parallelism changes only
-// the clock, never the tape.
-func TestParallelDumpMatchesShardedStreams(t *testing.T) {
-	fs, dev := parallelFS(t, 7)
-	const drives = 4
-
-	want := make([][]byte, drives)
-	for k := 0; k < drives; k++ {
-		sink := &memSink{}
-		if _, err := Dump(ctx, DumpOptions{
-			FS: fs, Vol: dev, SnapName: "s", Sink: sink,
-			Shard: k, Shards: drives, CheckpointEvery: 32,
-		}); err != nil {
-			t.Fatalf("sequential shard %d: %v", k, err)
-		}
-		want[k] = streamBytes(sink)
-	}
-
-	sinks := make([]Sink, drives)
-	mem := make([]*memSink, drives)
-	for k := range sinks {
-		mem[k] = &memSink{}
-		sinks[k] = mem[k]
-	}
-	stats, err := Dump(ctx, DumpOptions{
-		FS: fs, Vol: dev, SnapName: "s", Sinks: sinks,
-		Readers: 3, ReadAhead: 2, CheckpointEvery: 32,
-	})
-	if err != nil {
-		t.Fatalf("parallel dump: %v", err)
-	}
-	if len(stats.ShardResults) != drives {
-		t.Fatalf("ShardResults = %d entries, want %d", len(stats.ShardResults), drives)
-	}
-	var sum int
-	for k := 0; k < drives; k++ {
-		got := streamBytes(mem[k])
-		if !bytes.Equal(got, want[k]) {
-			t.Errorf("shard %d stream differs: %d vs %d bytes", k, len(got), len(want[k]))
-		}
-		sum += stats.ShardResults[k].BlocksDumped
-	}
-	if sum != stats.BlocksDumped {
-		t.Errorf("shard blocks sum %d != total %d", sum, stats.BlocksDumped)
-	}
-}
-
 // TestParallelDumpRestoreRoundTrip: 4 concurrent shard streams from one
 // Dump call, applied by one parallel Restore call, rebuild the tree.
 func TestParallelDumpRestoreRoundTrip(t *testing.T) {
@@ -95,7 +46,7 @@ func TestParallelDumpRestoreRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	sinks := make([]Sink, 4)
+	sinks := make([]stream.Sink, 4)
 	mem := make([]*memSink, 4)
 	for k := range sinks {
 		mem[k] = &memSink{}
@@ -108,7 +59,7 @@ func TestParallelDumpRestoreRoundTrip(t *testing.T) {
 	}
 
 	target := storage.NewMemDevice(8192)
-	srcs := make([]Source, 4)
+	srcs := make([]stream.Source, 4)
 	for k := range srcs {
 		srcs[k] = mem[k].source()
 	}
@@ -158,7 +109,7 @@ func deviceDigest(t *testing.T, dev storage.Device) [32]byte {
 // restore safe.
 func TestParallelRestoreOrderIndependence(t *testing.T) {
 	fs, dev := parallelFS(t, 33)
-	sinks := make([]Sink, 4)
+	sinks := make([]stream.Sink, 4)
 	mem := make([]*memSink, 4)
 	for k := range sinks {
 		mem[k] = &memSink{}
@@ -179,7 +130,7 @@ func TestParallelRestoreOrderIndependence(t *testing.T) {
 	var first [32]byte
 	for pi, perm := range perms {
 		target := storage.NewMemDevice(8192)
-		srcs := make([]Source, len(perm))
+		srcs := make([]stream.Source, len(perm))
 		for i, k := range perm {
 			srcs[i] = mem[k].source()
 		}
@@ -214,8 +165,8 @@ func TestParallelIncrementalChain(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	dumpPar := func(snap, base string) []Source {
-		sinks := make([]Sink, 3)
+	dumpPar := func(snap, base string) []stream.Source {
+		sinks := make([]stream.Sink, 3)
 		mem := make([]*memSink, 3)
 		for k := range sinks {
 			mem[k] = &memSink{}
@@ -226,7 +177,7 @@ func TestParallelIncrementalChain(t *testing.T) {
 		}); err != nil {
 			t.Fatalf("parallel dump %s/%s: %v", snap, base, err)
 		}
-		srcs := make([]Source, len(mem))
+		srcs := make([]stream.Source, len(mem))
 		for k := range mem {
 			srcs[k] = mem[k].source()
 		}
@@ -272,7 +223,7 @@ func TestParallelShardFaultIsolatedAndResumes(t *testing.T) {
 	const drives = 4
 	const faulted = 2
 	tapes := make([]*tape.Drive, drives)
-	sinks := make([]Sink, drives)
+	sinks := make([]stream.Sink, drives)
 	for k := range tapes {
 		tapes[k] = tape.NewDrive(nil, fmt.Sprintf("t%d", k), tape.DefaultParams())
 		tapes[k].AddCartridges(tape.NewCartridge(fmt.Sprintf("c%d", k)))
@@ -335,7 +286,7 @@ func TestParallelShardFaultIsolatedAndResumes(t *testing.T) {
 			Shard:      k, Shards: drives,
 		}
 	}
-	resinks := make([]Sink, drives)
+	resinks := make([]stream.Sink, drives)
 	empties := make([]*memSink, drives)
 	for k := range resinks {
 		if k == faulted {
@@ -361,7 +312,7 @@ func TestParallelShardFaultIsolatedAndResumes(t *testing.T) {
 	// Restore: the three complete shard streams, the torn stream in
 	// salvage mode, then the continuation.
 	target := storage.NewMemDevice(8192)
-	var firstPass []Source
+	var firstPass []stream.Source
 	for k := range tapes {
 		tapes[k].Rewind(nil)
 		firstPass = append(firstPass, logical.NewDriveSource(tapes[k], nil, 1))

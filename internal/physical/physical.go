@@ -26,11 +26,11 @@ import (
 	"time"
 
 	"repro/internal/bufpool"
-	"repro/internal/dumpfmt"
 	"repro/internal/obs"
 	"repro/internal/pipeline"
 	"repro/internal/sim"
 	"repro/internal/storage"
+	"repro/internal/stream"
 	"repro/internal/wafl"
 )
 
@@ -61,23 +61,6 @@ var (
 	ErrBadChecksum = errors.New("physical: stream checksum mismatch")
 )
 
-// Sink is where the dump writes tape records; structurally identical
-// to dumpfmt.Sink so the same drive adapters serve both engines.
-type Sink interface {
-	WriteRecord(data []byte) error
-	NextVolume() error
-}
-
-// Source supplies tape records to restore; io.EOF ends the stream.
-type Source interface {
-	ReadRecord() ([]byte, error)
-}
-
-// RunDevice is optionally implemented by volumes that support bulk
-// sequential runs (the RAID layer does); both engines prefer it and
-// fall back to per-block I/O via the storage run shim otherwise.
-type RunDevice = storage.RunDevice
-
 // Costs is the CPU model for the physical path: a single per-block
 // charge, far below the logical path's, because no metadata is
 // interpreted (paper Table 3: 5% vs 25% CPU).
@@ -104,11 +87,10 @@ func (c *Costs) charge(ctx context.Context, d time.Duration) {
 }
 
 // schedule reserves d of CPU time and returns its completion time
-// without blocking. The pipelined readers use it so one extent's
+// without blocking. The dump readers use it so one extent's
 // checksum/copy work overlaps the next extent's disk time; the reader
 // folds the returned time into its next wait, which is what paces it
-// when the CPU saturates. The sequential engine charges Sync because
-// it has nothing to overlap with.
+// when the CPU saturates.
 func (c *Costs) schedule(ctx context.Context, d time.Duration) sim.Time {
 	if c == nil || c.CPU == nil || d <= 0 {
 		return 0
@@ -131,9 +113,10 @@ type DumpOptions struct {
 	// only blocks in SnapName's world but not in BaseSnapName's world
 	// are written (Table 1 semantics).
 	BaseSnapName string
-	// Sink receives the stream of a single-stream dump. Mutually
-	// exclusive with Sinks.
-	Sink Sink
+	// Sink receives the stream of a single-stream dump: shorthand for a
+	// one-element Sinks whose failure comes back bare, with the resume
+	// checkpoint in DumpStats.Checkpoint. Mutually exclusive with Sinks.
+	Sink stream.Sink
 	// Sinks fans one Dump call out across parallel tape drives: shard
 	// k of len(Sinks) writes the k-th contiguous slice of the block
 	// set to Sinks[k] as its own self-contained stream (§5.2: "for
@@ -142,12 +125,13 @@ type DumpOptions struct {
 	// internal pipeline. Restore applies the shard streams in any
 	// order. A shard failure does not abort its siblings: the other
 	// shards run to completion and the failed shard's checkpoint comes
-	// back in ShardResults for a single-shard resume.
-	Sinks []Sink
-	// Readers is the number of parallel block readers per shard
-	// (default 1). Readers pull extents off a shared work list and the
-	// per-drive writer reassembles them in stream order, so the bytes
-	// on tape do not depend on Readers.
+	// back in ShardResults, to be resumed on its own (Sink + Resume) or
+	// with the set (ResumeShards).
+	Sinks []stream.Sink
+	// Readers is the number of parallel block readers per stream
+	// (default 1). Readers pull extents off a shared plan and the
+	// stream is written in plan order, so the bytes on tape do not
+	// depend on Readers.
 	Readers int
 	// ReadAhead is how many extent reads each reader keeps in flight
 	// on the volume's async bulk path (default 1, i.e. none). Higher
@@ -156,21 +140,16 @@ type DumpOptions struct {
 	ReadAhead int
 	// Costs is the CPU model; zero value charges nothing.
 	Costs Costs
-	// Shard/Shards split the dump across parallel tape drives when the
-	// caller drives each shard itself (one Dump call per drive): shard
-	// k of n writes the k-th contiguous slice of the block set as its
-	// own self-contained stream. Zero Shards means no sharding. With
-	// Sinks set, sharding is implied and these must be zero.
-	Shard  int
-	Shards int
 	// CheckpointEvery emits a durable checkpoint extent after every N
 	// blocks, making the dump restartable (the paper's §4 restarts
 	// image dumps at tape boundaries). 0 disables checkpoints.
 	CheckpointEvery int
-	// Resume continues an interrupted single-stream dump from the
-	// checkpoint a failed Dump returned: the block set is recomputed
-	// from the same (frozen) snapshots and the first BlocksDone
-	// entries are skipped.
+	// Resume continues one interrupted stream onto Sink from the
+	// checkpoint a failed Dump returned — DumpStats.Checkpoint of a
+	// single-stream dump, or one shard's ShardResults[k].Checkpoint of
+	// a parallel one, whose slice of the block set the checkpoint
+	// names. The block set is recomputed from the same (frozen)
+	// snapshots and the slice's first BlocksDone entries are skipped.
 	Resume *Checkpoint
 	// ResumeShards, len(Sinks) long, resumes individual shards of a
 	// parallel dump: entry k is shard k's checkpoint from a previous
@@ -189,22 +168,22 @@ type Checkpoint struct {
 	Gen        uint64
 	BaseGen    uint64
 	BlocksDone int // blocks of this shard durably on media
-	// Shard/Shards record the shard identity of a sharded dump (both
-	// zero for an unsharded stream), so a resume cannot be applied to
-	// the wrong slice of the block set.
+	// Shard/Shards name the slice of the block set the stream carries
+	// (slice Shard of Shards; both zero for a single stream that is not
+	// one of a set), so a resume redumps exactly that slice.
 	Shard  int
 	Shards int
 }
 
-// ShardResult is one shard's outcome within a (possibly parallel)
-// dump.
+// ShardResult is one stream's outcome within a dump.
 type ShardResult struct {
 	Shard         int
 	BlocksDumped  int
 	BlocksSkipped int // already on media per the resume checkpoint
 	BytesWritten  int64
 	// Checkpoint is set (alongside a non-nil Err) when the shard
-	// aborted but can resume from its last durable checkpoint.
+	// aborted: its last durable checkpoint, BlocksDone 0 when nothing
+	// was durable yet.
 	Checkpoint *Checkpoint
 	// Err is the shard's failure, nil when the shard completed.
 	Err error
@@ -224,8 +203,8 @@ type DumpStats struct {
 	// target volume without mounting any media.
 	NBlocks uint64
 	// Checkpoint is set (alongside a non-nil error) when a
-	// single-stream dump aborted but can resume; nil on success or
-	// when checkpoints were disabled and no resume state existed.
+	// single-stream (Sink) dump aborted mid-stream: the point to Resume
+	// from, BlocksDone 0 when nothing was durable yet. Nil on success.
 	Checkpoint *Checkpoint
 	// ShardResults is the per-shard outcome, one entry per stream
 	// (one for a single-stream dump, len(Sinks) for a parallel one).
@@ -262,40 +241,18 @@ const maxRun = 512
 
 // Dump writes the image stream for opts.SnapName — to opts.Sink as a
 // single stream, or fanned out across opts.Sinks with one concurrent
-// shard per drive. Either way the blocks move through the stage
-// pipeline: parallel block readers sharded by block range feed a
-// per-drive tape writer through a bounded queue.
+// shard per drive. Either way the blocks move through the one shard
+// data path: parallel block readers feed the stream writer in plan
+// order.
 func Dump(ctx context.Context, opts DumpOptions) (*DumpStats, error) {
-	multi := len(opts.Sinks) > 0
-	sinks := opts.Sinks
-	if !multi {
-		if opts.FS == nil || opts.Vol == nil || opts.Sink == nil {
-			return nil, fmt.Errorf("physical: nil fs, volume or sink")
-		}
-		sinks = []Sink{opts.Sink}
-	} else {
-		if opts.FS == nil || opts.Vol == nil {
-			return nil, fmt.Errorf("physical: nil fs, volume or sink")
-		}
-		if opts.Sink != nil {
-			return nil, fmt.Errorf("physical: Sink and Sinks are mutually exclusive")
-		}
-		if opts.Shards != 0 || opts.Shard != 0 {
-			return nil, fmt.Errorf("physical: Shard/Shards must be zero with Sinks (sharding is implied)")
-		}
-		if opts.Resume != nil {
-			return nil, fmt.Errorf("physical: use ResumeShards with Sinks")
-		}
-		if opts.ResumeShards != nil && len(opts.ResumeShards) != len(sinks) {
-			return nil, fmt.Errorf("physical: %d resume checkpoints for %d sinks", len(opts.ResumeShards), len(sinks))
-		}
-		for _, s := range sinks {
-			if s == nil {
-				return nil, fmt.Errorf("physical: nil sink in Sinks")
-			}
-		}
+	if opts.FS == nil || opts.Vol == nil {
+		return nil, fmt.Errorf("physical: nil fs or volume")
 	}
-	nShards := len(sinks)
+	streams, err := pipeline.Streams(opts.Sink, opts.Sinks, opts.Resume, opts.ResumeShards,
+		func(c *Checkpoint) pipeline.Shard { return pipeline.Shard{K: c.Shard, N: c.Shards} })
+	if err != nil {
+		return nil, fmt.Errorf("physical: %w", err)
+	}
 
 	ctx, dumpSpan := obs.Start(ctx, "physical.dump")
 	defer dumpSpan.End()
@@ -330,44 +287,11 @@ func Dump(ctx context.Context, opts DumpOptions) (*DumpStats, error) {
 	// bitmap set difference of the paper's §4.1.
 	all := IncrementalBlocks(words, baseWords)
 
-	// Shard specs: the contiguous block-set slice, the shard identity
-	// recorded in checkpoints, and the resume state. The slice formula
-	// is the same for a parallel dump and a caller-driven Shard/Shards
-	// dump, so the streams (and resume checkpoints) are interchangeable
-	// between the two modes.
-	type shardSpec struct {
-		blocks            []uint32
-		ckShard, ckShards int
-		resume            *Checkpoint
-	}
-	specs := make([]shardSpec, nShards)
-	if multi {
-		for k := range specs {
-			lo := len(all) * k / nShards
-			hi := len(all) * (k + 1) / nShards
-			specs[k] = shardSpec{blocks: all[lo:hi], ckShard: k, ckShards: nShards}
-			if opts.ResumeShards != nil {
-				specs[k].resume = opts.ResumeShards[k]
-			}
-		}
-	} else {
-		blocks := all
-		if opts.Shards > 1 {
-			if opts.Shard < 0 || opts.Shard >= opts.Shards {
-				return nil, fmt.Errorf("physical: shard %d of %d", opts.Shard, opts.Shards)
-			}
-			lo := len(blocks) * opts.Shard / opts.Shards
-			hi := len(blocks) * (opts.Shard + 1) / opts.Shards
-			blocks = blocks[lo:hi]
-		}
-		specs[0] = shardSpec{blocks: blocks, ckShard: opts.Shard, ckShards: opts.Shards, resume: opts.Resume}
-	}
-
 	// A resumed shard recomputes the same deterministic block set (the
 	// snapshots are frozen) and skips what its checkpoint vouches for.
 	// Validate every resume before any tape moves.
-	for k := range specs {
-		r := specs[k].resume
+	for _, st := range streams {
+		r := st.Resume
 		if r == nil {
 			continue
 		}
@@ -375,12 +299,8 @@ func Dump(ctx context.Context, opts DumpOptions) (*DumpStats, error) {
 			return nil, fmt.Errorf("physical: resume checkpoint is for gen %d/base %d, dump is gen %d/base %d",
 				r.Gen, r.BaseGen, snap.Gen, baseGen)
 		}
-		if r.Shard != specs[k].ckShard || r.Shards != specs[k].ckShards {
-			return nil, fmt.Errorf("physical: resume checkpoint is for shard %d/%d, dump shard is %d/%d",
-				r.Shard, r.Shards, specs[k].ckShard, specs[k].ckShards)
-		}
-		if r.BlocksDone > len(specs[k].blocks) {
-			return nil, fmt.Errorf("physical: resume checkpoint claims %d of %d blocks", r.BlocksDone, len(specs[k].blocks))
+		if lo, hi := st.Shard.Slice(len(all)); r.BlocksDone > hi-lo {
+			return nil, fmt.Errorf("physical: resume checkpoint claims %d of %d blocks", r.BlocksDone, hi-lo)
 		}
 	}
 
@@ -400,25 +320,10 @@ func Dump(ctx context.Context, opts DumpOptions) (*DumpStats, error) {
 	}
 
 	stats := &DumpStats{Gen: snap.Gen, BaseGen: baseGen, NBlocks: uint64(len(words))}
-	results := make([]ShardResult, nShards)
-	if nShards == 1 {
-		results[0] = dumpShard(ctx, &opts, sinks[0], specs[0].blocks, hdr, specs[0].ckShard, specs[0].ckShards, specs[0].resume)
-	} else {
-		// Shards are isolated: each runs its own pipeline, and a plain
-		// group joins them, so one drive's failure leaves the sibling
-		// shards streaming to completion.
-		g := pipeline.NewGroup(ctx)
-		for k := range specs {
-			k := k
-			g.Go(fmt.Sprintf("physical.shard%d", k), func(ctx context.Context) error {
-				results[k] = dumpShard(ctx, &opts, sinks[k], specs[k].blocks, hdr, specs[k].ckShard, specs[k].ckShards, specs[k].resume)
-				return nil // shard errors are isolated in results
-			})
-		}
-		if err := g.Wait(); err != nil {
-			return stats, err
-		}
-	}
+	results := make([]ShardResult, len(streams))
+	pipeline.RunShards(ctx, "physical", streams, func(ctx context.Context, k int, st pipeline.Stream[Checkpoint]) {
+		results[k] = dumpShard(ctx, &opts, st, all, hdr)
+	})
 
 	stats.ShardResults = results
 	var errs []error
@@ -432,9 +337,9 @@ func Dump(ctx context.Context, opts DumpOptions) (*DumpStats, error) {
 		}
 	}
 	if len(errs) > 0 {
-		if !multi {
-			// Single-stream contract: the raw error and the resume
-			// checkpoint at the stats top level, exactly as before.
+		if opts.Sink != nil {
+			// Single-stream contract: the bare error, and the resume
+			// checkpoint at the stats top level.
 			stats.Checkpoint = results[0].Checkpoint
 			return stats, results[0].Err
 		}
@@ -443,10 +348,7 @@ func Dump(ctx context.Context, opts DumpOptions) (*DumpStats, error) {
 	dumpSpan.SetAttr("blocks", stats.BlocksDumped)
 	dumpSpan.SetAttr("bytes", stats.BytesWritten)
 	dumpSpan.SetAttr("gen", stats.Gen)
-	dumpSpan.SetAttr("shards", nShards)
-	if opts.Shards > 1 {
-		dumpSpan.SetAttr("shard", opts.Shard)
-	}
+	dumpSpan.SetAttr("shards", len(streams))
 	m := obs.MetricsFrom(ctx)
 	l := obs.Labels{"snap": opts.SnapName}
 	m.Counter("physical_dump_blocks_total", l).Add(int64(stats.BlocksDumped))
@@ -480,7 +382,7 @@ func IncrementalBlocks(words, baseWords []uint32) []uint32 {
 // switching volumes on end-of-media. The record buffer is pooled and
 // filled in place: steady-state record emission allocates nothing.
 type streamWriter struct {
-	sink    Sink
+	sink    stream.Sink
 	rec     *[]byte // pooled backing, recSize long
 	n       int     // bytes pending in rec
 	written int64
@@ -488,7 +390,7 @@ type streamWriter struct {
 
 const recSize = RecordBlocks * storage.BlockSize
 
-func newStreamWriter(sink Sink) *streamWriter {
+func newStreamWriter(sink stream.Sink) *streamWriter {
 	return &streamWriter{sink: sink, rec: bufpool.Get(recSize)}
 }
 
@@ -514,7 +416,7 @@ func (w *streamWriter) emit(rec []byte) error {
 			w.written += int64(len(rec))
 			return nil
 		}
-		if !errors.Is(err, dumpfmt.ErrEndOfMedia) {
+		if !errors.Is(err, stream.ErrEndOfMedia) {
 			return err
 		}
 		if err := w.sink.NextVolume(); err != nil {
@@ -538,11 +440,9 @@ func (w *streamWriter) flushPartial() error {
 	return nil
 }
 
-// flush emits any partial record and recycles the buffer; the writer
-// must not be used afterwards.
-func (w *streamWriter) flush() error {
-	err := w.flushPartial()
+// release recycles the record buffer; the writer must not be used
+// afterwards.
+func (w *streamWriter) release() {
 	bufpool.Put(w.rec)
 	w.rec = nil
-	return err
 }

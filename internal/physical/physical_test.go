@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"repro/internal/storage"
+	"repro/internal/stream"
 	"repro/internal/wafl"
 	"repro/internal/workload"
 )
@@ -345,7 +346,7 @@ func TestExtractSingleFileFromImage(t *testing.T) {
 	}
 
 	// Extract from the chain: the revised version.
-	got, err = Extract(ctx, full.source(), []Source{inc.source()}, "/docs/report.txt")
+	got, err = Extract(ctx, full.source(), []stream.Source{inc.source()}, "/docs/report.txt")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,11 +1,13 @@
 package physical
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math/rand"
 	"testing"
 
 	"repro/internal/storage"
+	"repro/internal/stream"
 	"repro/internal/wafl"
 	"repro/internal/workload"
 )
@@ -88,8 +90,9 @@ func TestImageChainPropertyRandomStates(t *testing.T) {
 	}
 }
 
-// TestShardedDumpCoversExactlyOnce verifies shard partitioning:
-// together the shards carry every block exactly once.
+// TestShardedDumpCoversExactlyOnce verifies shard partitioning: the
+// streams of an n-sink dump carry, between them, every block of the
+// set exactly once, in order.
 func TestShardedDumpCoversExactlyOnce(t *testing.T) {
 	fs, dev := newFS(t, 8192)
 	workload.Generate(ctx, fs, workload.Spec{Seed: 77, Files: 30, DirFanout: 6, MeanFileSize: 8 << 10})
@@ -98,35 +101,61 @@ func TestShardedDumpCoversExactlyOnce(t *testing.T) {
 	all := IncrementalBlocks(words, nil)
 
 	for _, shards := range []int{1, 2, 3, 5} {
-		seen := make(map[uint32]int)
-		total := 0
-		for k := 0; k < shards; k++ {
-			sink := &memSink{}
-			st, err := Dump(ctx, DumpOptions{
-				FS: fs, Vol: dev, SnapName: "s", Sink: sink, Shard: k, Shards: shards,
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			total += st.BlocksDumped
-			// Re-derive this shard's slice and mark it.
-			lo := len(all) * k / shards
-			hi := len(all) * (k + 1) / shards
-			for _, b := range all[lo:hi] {
-				seen[b]++
-			}
+		sinks := make([]stream.Sink, shards)
+		mem := make([]*memSink, shards)
+		for k := range sinks {
+			mem[k] = &memSink{}
+			sinks[k] = mem[k]
 		}
-		if total != len(all) {
-			t.Fatalf("%d shards dumped %d blocks, want %d", shards, total, len(all))
+		st, err := Dump(ctx, DumpOptions{FS: fs, Vol: dev, SnapName: "s", Sinks: sinks})
+		if err != nil {
+			t.Fatal(err)
 		}
-		for b, n := range seen {
-			if n != 1 {
-				t.Fatalf("%d shards: block %d covered %d times", shards, b, n)
+		if st.BlocksDumped != len(all) {
+			t.Fatalf("%d shards dumped %d blocks, want %d", shards, st.BlocksDumped, len(all))
+		}
+		var got []uint32
+		for k := range mem {
+			got = append(got, streamBlocks(t, mem[k])...)
+		}
+		if len(got) != len(all) {
+			t.Fatalf("%d shards: streams carry %d blocks, want %d", shards, len(got), len(all))
+		}
+		for i := range got {
+			if got[i] != all[i] {
+				t.Fatalf("%d shards: block %d of the set is %d on tape, want %d", shards, i, got[i], all[i])
 			}
 		}
 	}
-	// Out-of-range shard index is rejected.
-	if _, err := Dump(ctx, DumpOptions{FS: fs, Vol: dev, SnapName: "s", Sink: &memSink{}, Shard: 5, Shards: 4}); err == nil {
+	// A resume checkpoint naming a slice that cannot exist is rejected.
+	if _, err := Dump(ctx, DumpOptions{
+		FS: fs, Vol: dev, SnapName: "s", Sink: &memSink{},
+		Resume: &Checkpoint{Gen: fs.Generation(), Shard: 5, Shards: 4},
+	}); err == nil {
 		t.Fatal("bad shard accepted")
+	}
+}
+
+// streamBlocks parses an image stream's extent headers into the block
+// numbers it carries, in stream order.
+func streamBlocks(t *testing.T, s *memSink) []uint32 {
+	t.Helper()
+	b := streamBytes(s)
+	le := binary.LittleEndian
+	off := headerFixed + int(le.Uint32(b[44:]))
+	var out []uint32
+	for {
+		bno, count := le.Uint32(b[off:]), le.Uint32(b[off+4:])
+		off += 8
+		switch bno {
+		case EndSentinel:
+			return out
+		case CkptSentinel:
+			continue
+		}
+		for i := uint32(0); i < count; i++ {
+			out = append(out, bno+i)
+		}
+		off += int(count) * storage.BlockSize
 	}
 }

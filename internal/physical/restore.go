@@ -12,6 +12,7 @@ import (
 	"repro/internal/obs"
 	"repro/internal/pipeline"
 	"repro/internal/storage"
+	"repro/internal/stream"
 	"repro/internal/wafl"
 )
 
@@ -21,13 +22,13 @@ type RestoreOptions struct {
 	// NVRAM (the paper's stated reason image restore is fast).
 	Vol storage.Device
 	// Source supplies the stream. Mutually exclusive with Sources.
-	Source Source
+	Source stream.Source
 	// Sources applies the shard streams of a parallel dump
 	// concurrently, one restore stage per stream. Shard streams are
 	// disjoint block sets and each carries the same composed root
 	// (installed idempotently), so the result does not depend on shard
 	// order or interleaving. Stats are summed across streams.
-	Sources []Source
+	Sources []stream.Source
 	// Costs is the CPU model.
 	Costs Costs
 	// ExpectIncremental controls base checking: when applying an
@@ -54,7 +55,7 @@ type RestoreStats struct {
 
 // streamReader presents record-oriented input as a byte stream.
 type streamReader struct {
-	src  Source
+	src  stream.Source
 	buf  []byte
 	pos  int
 	read int64
@@ -138,7 +139,7 @@ func Restore(ctx context.Context, opts RestoreOptions) (*RestoreStats, error) {
 // restoreStream reads, validates and applies one stream. targetGen
 // supplies the target's current root generation for incremental base
 // checking; it is only consulted when the header says incremental.
-func restoreStream(ctx context.Context, opts RestoreOptions, src Source, targetGen func(context.Context) (uint64, error)) (*RestoreStats, error) {
+func restoreStream(ctx context.Context, opts RestoreOptions, src stream.Source, targetGen func(context.Context) (uint64, error)) (*RestoreStats, error) {
 	r := &streamReader{src: src}
 	h, err := readHeader(r)
 	if err != nil {
@@ -201,7 +202,7 @@ func restoreParallel(ctx context.Context, opts RestoreOptions) (*RestoreStats, e
 	g := pipeline.NewGroup(ctx)
 	for k := range opts.Sources {
 		g.Go(fmt.Sprintf("physical.restore%d", k), func(ctx context.Context) error {
-			defer pipeline.BindStageProc(ctx, opts.Sources[k])()
+			defer stream.BindCtxProc(ctx, opts.Sources[k])()
 			st, err := restoreStream(ctx, opts, opts.Sources[k], hoisted)
 			if err != nil {
 				return fmt.Errorf("stream %d: %w", k, err)
@@ -289,7 +290,7 @@ func restoreBody(ctx context.Context, vol storage.Device, r *streamReader, h *st
 				return nil, err
 			}
 			crc.Write(chunk)
-			if err := storage.WriteRun(ctx, vol, int(start)+int(b), c, chunk); err != nil {
+			if err := vol.WriteRun(ctx, int(start)+int(b), c, chunk); err != nil {
 				return nil, err
 			}
 			opts.Costs.charge(ctx, time.Duration(c)*opts.Costs.RestBlock)
@@ -336,7 +337,7 @@ func readTargetGen(ctx context.Context, vol storage.Device) (uint64, error) {
 type teeSource struct {
 	buffered [][]byte
 	pos      int
-	src      Source
+	src      stream.Source
 }
 
 func (t *teeSource) ReadRecord() ([]byte, error) {
@@ -352,7 +353,7 @@ func (t *teeSource) ReadRecord() ([]byte, error) {
 // stream: it returns the source volume geometry and generations plus a
 // Source that replays everything, so a caller can size a target volume
 // before restoring (cmd/backupctl does this).
-func StreamInfo(src Source) (nblocks, gen, baseGen uint64, replay Source, err error) {
+func StreamInfo(src stream.Source) (nblocks, gen, baseGen uint64, replay stream.Source, err error) {
 	tee := &teeSource{}
 	wrapped := &streamReader{src: recorderSource{src: src, into: &tee.buffered}}
 	h, err := readHeader(wrapped)
@@ -365,7 +366,7 @@ func StreamInfo(src Source) (nblocks, gen, baseGen uint64, replay Source, err er
 
 // recorderSource captures records as they are read.
 type recorderSource struct {
-	src  Source
+	src  stream.Source
 	into *[][]byte
 }
 

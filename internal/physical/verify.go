@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/obs"
 	"repro/internal/storage"
+	"repro/internal/stream"
 )
 
 // StreamCheck is the result of verifying an image stream without
@@ -27,14 +28,14 @@ type StreamCheck struct {
 // VerifyStream reads an image stream end to end, validating structure
 // (header, extent bounds, trailer) and the payload checksum, writing
 // nothing. It returns the stream's identity on success.
-func VerifyStream(src Source) (*StreamCheck, error) {
+func VerifyStream(src stream.Source) (*StreamCheck, error) {
 	return VerifyStreamCtx(context.Background(), src)
 }
 
 // VerifyStreamCtx is VerifyStream with observability: the pass runs
 // under a "physical.verify" span and feeds the verify_* metrics from
 // the registry in ctx — the scrubber's image-set entry point.
-func VerifyStreamCtx(ctx context.Context, src Source) (*StreamCheck, error) {
+func VerifyStreamCtx(ctx context.Context, src stream.Source) (*StreamCheck, error) {
 	_, span := obs.Start(ctx, "physical.verify")
 	defer span.End()
 	m := obs.MetricsFrom(ctx)
@@ -52,7 +53,7 @@ func VerifyStreamCtx(ctx context.Context, src Source) (*StreamCheck, error) {
 	return check, nil
 }
 
-func verifyStream(src Source) (*StreamCheck, error) {
+func verifyStream(src stream.Source) (*StreamCheck, error) {
 	r := &streamReader{src: src}
 	h, err := readHeader(r)
 	if err != nil {

@@ -1,7 +1,10 @@
 // Package pipeline provides the stage-structured concurrency layer the
 // dump engines are built on: a Group that fans work out to stages, a
-// Pipeline that adds first-error propagation and teardown, and a
-// bounded Queue connecting stages with backpressure.
+// Pipeline that adds first-error propagation and teardown, a bounded
+// Queue connecting stages with backpressure — and, built from those,
+// the one data path both engines share: Streams and RunShards resolve a
+// dump's sinks into shards and run them, and Fanout moves each shard's
+// plan through parallel readers to an in-order writer.
 //
 // Everything here is dual-mode. When the context carries a sim.Proc,
 // stages are spawned as simulated processes on that proc's Env and
@@ -22,10 +25,10 @@
 //   - A stage returning the pipeline's own abort error is not treated
 //     as a new failure.
 //
-// Shard isolation is built ON TOP of this package, not inside it: each
-// dump shard runs its own Pipeline, and shards are joined by a plain
-// Group, so one drive's failure tears down its shard's stages but
-// leaves sibling shards streaming.
+// Shard isolation is built on top of Pipeline, not inside it: each
+// dump shard runs its own (inside Fanout), and RunShards joins the
+// shards with a plain Group, so one drive's failure tears down its
+// shard's stages but leaves sibling shards streaming.
 package pipeline
 
 import (
@@ -63,10 +66,6 @@ func NewGroup(ctx context.Context) *Group {
 	}
 	return g
 }
-
-// Simulated reports whether the group runs its stages on the
-// simulator's virtual clock.
-func (g *Group) Simulated() bool { return g.env != nil }
 
 // record appends a stage error.
 func (g *Group) record(err error) {
@@ -144,9 +143,6 @@ func New(ctx context.Context) *Pipeline {
 // Context returns the pipeline's cancellable context.
 func (pl *Pipeline) Context() context.Context { return pl.ctx }
 
-// Simulated reports whether stages run on the simulator.
-func (pl *Pipeline) Simulated() bool { return pl.g.Simulated() }
-
 // register adds a queue to the teardown list. If the pipeline already
 // failed the queue is aborted immediately.
 func (pl *Pipeline) register(q aborter) {
@@ -178,13 +174,6 @@ func (pl *Pipeline) fail(err error) {
 	for _, q := range queues {
 		q.abort(err)
 	}
-}
-
-// Err returns the pipeline's first error, or nil.
-func (pl *Pipeline) Err() error {
-	pl.mu.Lock()
-	defer pl.mu.Unlock()
-	return pl.first
 }
 
 // Go starts fn as a pipeline stage. A non-nil return fails the whole

@@ -15,8 +15,9 @@ var ErrClosed = errors.New("pipeline: queue closed")
 
 // Queue is a bounded FIFO connecting pipeline stages. Put blocks while
 // the queue is full, Get while it is empty — on the simulator by
-// parking the calling process on a sim.Cond, otherwise on a channel
-// with ctx cancellation. Depth is exported as the gauge
+// parking the calling process on a sim.Cond, otherwise on wake-up
+// channels made once with the queue (a blocking wait allocates
+// nothing) with ctx cancellation. Depth is exported as the gauge
 // pipeline_queue_depth{queue="<name>"} on the registry carried by the
 // pipeline's context.
 //
@@ -25,8 +26,7 @@ var ErrClosed = errors.New("pipeline: queue closed")
 // caller blocks the goroutine. A single queue must not be used from
 // both modes at once.
 type Queue[T any] struct {
-	name string
-	cap  int
+	cap int
 
 	mu      sync.Mutex // go mode; sim mode is cooperatively serialized
 	buf     []T
@@ -37,7 +37,17 @@ type Queue[T any] struct {
 	notFull  *sim.Cond // sim mode, lazily created
 	notEmpty *sim.Cond
 
-	bcast chan struct{} // go mode: closed and replaced on state change
+	// Go mode. roomCh and dataCh each hold at most one wake-up token: a
+	// take leaves one for a blocked Put, a put one for a blocked Get,
+	// and a woken caller that leaves the queue still usable by its peers
+	// passes the token on. done is closed by the first CloseSend or
+	// abort, after which no call blocks.
+	roomCh, dataCh chan struct{}
+	done           chan struct{}
+
+	// drop, when set, receives each buffered value an abort discards,
+	// so pooled values go back to their pool.
+	drop func(T)
 
 	depth *obs.Gauge
 }
@@ -50,10 +60,12 @@ func NewQueue[T any](pl *Pipeline, name string, capacity int) *Queue[T] {
 		capacity = 1
 	}
 	q := &Queue[T]{
-		name:  name,
-		cap:   capacity,
-		buf:   make([]T, capacity),
-		depth: obs.MetricsFrom(pl.Context()).Gauge("pipeline_queue_depth", obs.Labels{"queue": name}),
+		cap:    capacity,
+		buf:    make([]T, capacity),
+		roomCh: make(chan struct{}, 1),
+		dataCh: make(chan struct{}, 1),
+		done:   make(chan struct{}),
+		depth:  obs.MetricsFrom(pl.Context()).Gauge("pipeline_queue_depth", obs.Labels{"queue": name}),
 	}
 	pl.register(q)
 	return q
@@ -68,20 +80,33 @@ func (q *Queue[T]) conds(p *sim.Proc) {
 	}
 }
 
-// wakeLocked wakes every go-mode waiter. Callers hold q.mu.
-func (q *Queue[T]) wakeLocked() {
-	if q.bcast != nil {
-		close(q.bcast)
-		q.bcast = nil
+// signal leaves a wake-up token on ch unless one is already there.
+func signal(ch chan struct{}) {
+	select {
+	case ch <- struct{}{}:
+	default:
 	}
 }
 
-// waitChLocked returns the channel a go-mode caller should block on.
-func (q *Queue[T]) waitChLocked() chan struct{} {
-	if q.bcast == nil {
-		q.bcast = make(chan struct{})
+// wait blocks a go-mode caller until a token arrives on ch, the queue
+// is closed or aborted, or ctx is cancelled (the only error).
+func (q *Queue[T]) wait(ctx context.Context, ch chan struct{}) error {
+	select {
+	case <-ch:
+	case <-q.done:
+	case <-ctx.Done():
+		return ctx.Err()
 	}
-	return q.bcast
+	return nil
+}
+
+// finishLocked wakes every go-mode waiter for good. Callers hold q.mu.
+func (q *Queue[T]) finishLocked() {
+	select {
+	case <-q.done:
+	default:
+		close(q.done)
+	}
 }
 
 // put appends v. Callers have checked there is room.
@@ -134,16 +159,16 @@ func (q *Queue[T]) Put(ctx context.Context, v T) error {
 			return ErrClosed
 		case q.n < q.cap:
 			q.put(v)
-			q.wakeLocked()
+			signal(q.dataCh)
+			if q.n < q.cap {
+				signal(q.roomCh) // room left for the next blocked Put
+			}
 			q.mu.Unlock()
 			return nil
 		}
-		w := q.waitChLocked()
 		q.mu.Unlock()
-		select {
-		case <-w:
-		case <-ctx.Done():
-			return ctx.Err()
+		if err := q.wait(ctx, q.roomCh); err != nil {
+			return err
 		}
 	}
 }
@@ -178,19 +203,19 @@ func (q *Queue[T]) Get(ctx context.Context) (v T, ok bool, err error) {
 			return zero, false, err
 		case q.n > 0:
 			v = q.take()
-			q.wakeLocked()
+			signal(q.roomCh)
+			if q.n > 0 {
+				signal(q.dataCh) // data left for the next blocked Get
+			}
 			q.mu.Unlock()
 			return v, true, nil
 		case q.closed:
 			q.mu.Unlock()
 			return zero, false, nil
 		}
-		w := q.waitChLocked()
 		q.mu.Unlock()
-		select {
-		case <-w:
-		case <-ctx.Done():
-			return zero, false, ctx.Err()
+		if err := q.wait(ctx, q.dataCh); err != nil {
+			return zero, false, err
 		}
 	}
 }
@@ -200,7 +225,7 @@ func (q *Queue[T]) Get(ctx context.Context) (v T, ok bool, err error) {
 func (q *Queue[T]) CloseSend() {
 	q.mu.Lock()
 	q.closed = true
-	q.wakeLocked()
+	q.finishLocked()
 	q.mu.Unlock()
 	if q.notFull != nil {
 		q.notFull.Broadcast()
@@ -209,31 +234,30 @@ func (q *Queue[T]) CloseSend() {
 }
 
 // abort poisons the queue with err: every blocked and future Put/Get
-// returns it. First error wins; buffered values are discarded.
+// returns it. First error wins; buffered values are discarded (handed
+// to drop, if set).
 func (q *Queue[T]) abort(err error) {
 	q.mu.Lock()
 	if q.err == nil && err != nil {
 		q.err = err
 	}
-	// Drop buffered values so pooled buffers are not pinned by a dead
-	// queue (the GC still owns them; this just clears our references).
-	q.head, q.n = 0, 0
-	for i := range q.buf {
+	var dropped []T
+	for ; q.n > 0; q.n-- {
+		if q.drop != nil {
+			dropped = append(dropped, q.buf[q.head])
+		}
 		var zero T
-		q.buf[i] = zero
+		q.buf[q.head] = zero
+		q.head = (q.head + 1) % q.cap
 	}
 	q.depth.Set(0)
-	q.wakeLocked()
+	q.finishLocked()
 	q.mu.Unlock()
+	for _, v := range dropped {
+		q.drop(v)
+	}
 	if q.notFull != nil {
 		q.notFull.Broadcast()
 		q.notEmpty.Broadcast()
 	}
-}
-
-// Len returns the number of buffered values.
-func (q *Queue[T]) Len() int {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	return q.n
 }

@@ -30,13 +30,10 @@ var (
 )
 
 // Disk is the device interface a RAID group needs from its members:
-// block and bulk-run I/O plus the prefetch hook used for streaming
-// reads.
+// block and bulk-run I/O, the asynchronous run read, and the prefetch
+// hook used for streaming reads.
 type Disk interface {
-	storage.Device
-	ReadRun(ctx context.Context, bno, n int, buf []byte) error
-	ReadRunAsync(ctx context.Context, bno, n int, buf []byte) (sim.Time, error)
-	WriteRun(ctx context.Context, bno, n int, buf []byte) error
+	storage.AsyncRunDevice
 	Prefetch(ctx context.Context, bno int)
 	Flush(ctx context.Context)
 	Station() *sim.Station

@@ -13,6 +13,7 @@ import (
 	"repro/internal/physical"
 	"repro/internal/sim"
 	"repro/internal/storage"
+	"repro/internal/stream"
 	"repro/internal/tape"
 )
 
@@ -68,7 +69,7 @@ func (s *setSource) position() error {
 	return nil
 }
 
-// ReadRecord implements dumpfmt.Source and physical.Source.
+// ReadRecord implements stream.Source.
 func (s *setSource) ReadRecord() ([]byte, error) {
 	attempt := 0
 	for {
@@ -154,7 +155,7 @@ func Recover(ctx context.Context, f *core.Filer, pool *media.Pool, plan *catalog
 	if plan.Engine == catalog.Image {
 		if plan.File != "" {
 			full := newSetSource(drive, proc, plan.Steps[0].Media)
-			var incs []physical.Source
+			var incs []stream.Source
 			for _, step := range plan.Steps[1:] {
 				incs = append(incs, newSetSource(drive, proc, step.Media))
 			}

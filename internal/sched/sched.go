@@ -16,13 +16,13 @@ import (
 
 	"repro/internal/catalog"
 	"repro/internal/core"
-	"repro/internal/dumpfmt"
 	"repro/internal/logical"
 	"repro/internal/media"
 	"repro/internal/obs"
 	"repro/internal/physical"
 	"repro/internal/scrub"
 	"repro/internal/sim"
+	"repro/internal/stream"
 	"repro/internal/wafl"
 )
 
@@ -287,7 +287,7 @@ func (s *Scheduler) logicalRun(ctx context.Context, run, level int) (*RunResult,
 		return nil, err
 	}
 	track := &media.TrackingSink{Sink: f.Sink(ctx, s.cfg.Drive), Drive: f.Tapes[s.cfg.Drive]}
-	var sink dumpfmt.Sink = track
+	var sink stream.Sink = track
 	var capture *scrub.CaptureSink
 	if s.cfg.Mirror != nil {
 		capture = &scrub.CaptureSink{Sink: track}
@@ -357,7 +357,7 @@ func (s *Scheduler) imageRun(ctx context.Context, run, level int) (*RunResult, e
 	}
 
 	track := &media.TrackingSink{Sink: f.Sink(ctx, s.cfg.Drive), Drive: f.Tapes[s.cfg.Drive]}
-	var sink physical.Sink = track
+	var sink stream.Sink = track
 	var capture *scrub.CaptureSink
 	if s.cfg.Mirror != nil {
 		capture = &scrub.CaptureSink{Sink: track}

@@ -3,6 +3,9 @@ package scrub
 import (
 	"context"
 	"sync"
+
+	"repro/internal/sim"
+	"repro/internal/stream"
 )
 
 // Replica is a redundancy source for repair: anything able to produce
@@ -57,22 +60,16 @@ func (s *Store) Len() int {
 	return len(s.sets)
 }
 
-// Sink is the record-sink shape both stream formats write to.
-type Sink interface {
-	WriteRecord(data []byte) error
-	NextVolume() error
-}
-
 // CaptureSink tees every successfully written record into an in-memory
 // list while forwarding to the real sink. Because the tape layer never
 // lands a failed write, the captured list is byte-identical to what
 // reached media — exactly what repairFrom needs.
 type CaptureSink struct {
-	Sink Sink
+	Sink stream.Sink
 	recs [][]byte
 }
 
-// WriteRecord implements Sink, capturing on success only.
+// WriteRecord implements stream.Sink, capturing on success only.
 func (c *CaptureSink) WriteRecord(data []byte) error {
 	if err := c.Sink.WriteRecord(data); err != nil {
 		return err
@@ -83,17 +80,15 @@ func (c *CaptureSink) WriteRecord(data []byte) error {
 	return nil
 }
 
-// NextVolume implements Sink.
+// NextVolume implements stream.Sink.
 func (c *CaptureSink) NextVolume() error { return c.Sink.NextVolume() }
 
 // Sync forwards the checkpoint-durability contract when the wrapped
 // sink has one.
-func (c *CaptureSink) Sync() error {
-	if s, ok := c.Sink.(interface{ Sync() error }); ok {
-		return s.Sync()
-	}
-	return nil
-}
+func (c *CaptureSink) Sync() error { return stream.Sync(c.Sink) }
+
+// BindProc forwards stream.ProcBinder to the wrapped sink.
+func (c *CaptureSink) BindProc(p *sim.Proc) *sim.Proc { return stream.BindProc(c.Sink, p) }
 
 // Records returns the captured stream, in write order.
 func (c *CaptureSink) Records() [][]byte { return c.recs }

@@ -28,6 +28,7 @@ import (
 	"repro/internal/physical"
 	"repro/internal/sim"
 	"repro/internal/storage"
+	"repro/internal/stream"
 	"repro/internal/tape"
 )
 
@@ -128,12 +129,6 @@ func (r *Report) Unrepaired() []Finding { return r.Findings }
 func (r *Report) String() string {
 	return fmt.Sprintf("scrub: %d set(s), %d bytes; %d repaired, %d unrepaired, %d damaged, %d quarantined",
 		r.Sets, r.BytesScanned, len(r.Repaired), len(r.Findings), len(r.Damaged), len(r.Quarantined))
-}
-
-// RecordSource supplies one dump set's stream records, io.EOF at end —
-// the subset of tape/stream sources the verifiers need.
-type RecordSource interface {
-	ReadRecord() ([]byte, error)
 }
 
 // Config wires a Scrubber to the catalog and pool it guards.
@@ -333,14 +328,14 @@ func (s *Scrubber) scanSet(ctx context.Context, ds catalog.DumpSet) ([]Finding, 
 // record source — the non-tape entry (backupctl's stream files). It
 // returns format-level findings only; media faults belong to sources
 // that can surface them.
-func VerifySetStream(ctx context.Context, ds catalog.DumpSet, src RecordSource) []Finding {
+func VerifySetStream(ctx context.Context, ds catalog.DumpSet, src stream.Source) []Finding {
 	return verifyStream(ctx, ds, &countingSource{src: src})
 }
 
 // verifyStream runs the engine's format verifier over the stream and
 // translates the outcome into findings.
 func verifyStream(ctx context.Context, ds catalog.DumpSet, src interface {
-	RecordSource
+	stream.Source
 	count() int64
 }) []Finding {
 	var findings []Finding
@@ -419,9 +414,9 @@ func dedupe(in []Finding) []Finding {
 	return out
 }
 
-// countingSource adapts a bare RecordSource with byte accounting.
+// countingSource adapts a bare stream.Source with byte accounting.
 type countingSource struct {
-	src   RecordSource
+	src   stream.Source
 	bytes int64
 }
 
@@ -496,7 +491,7 @@ func (s *scanSource) position() error {
 	return nil
 }
 
-// ReadRecord implements dumpfmt.Source and physical.Source.
+// ReadRecord implements stream.Source.
 func (s *scanSource) ReadRecord() ([]byte, error) {
 	attempt := 0
 	for {

@@ -32,32 +32,3 @@ func BenchmarkMemRunRead(b *testing.B) {
 		bno += run
 	}
 }
-
-// BenchmarkMemRunReadFallback measures the same read through the
-// per-block fallback shim, for comparison against the native run path.
-func BenchmarkMemRunReadFallback(b *testing.B) {
-	const nblocks = 4096
-	const run = 512
-	d := NewMemDevice(nblocks)
-	ctx := context.Background()
-	buf := make([]byte, run*BlockSize)
-	for bno := 0; bno+run <= nblocks; bno += run {
-		if err := d.WriteRun(ctx, bno, run, buf); err != nil {
-			b.Fatal(err)
-		}
-	}
-	var plain Device = struct{ Device }{d} // hide the RunDevice methods
-	b.SetBytes(run * BlockSize)
-	b.ReportAllocs()
-	b.ResetTimer()
-	bno := 0
-	for i := 0; i < b.N; i++ {
-		if bno+run > nblocks {
-			bno = 0
-		}
-		if err := ReadRun(ctx, plain, bno, run, buf); err != nil {
-			b.Fatal(err)
-		}
-		bno += run
-	}
-}

@@ -66,7 +66,7 @@ func (d *FileDevice) WriteBlock(_ context.Context, bno int, data []byte) error {
 	return err
 }
 
-// ReadRun implements RunDevice with a single positional read for the
+// ReadRun implements Device with a single positional read for the
 // whole run — the CLI's persistent volumes move bulk data in one
 // syscall per run instead of one per 4 KB block.
 func (d *FileDevice) ReadRun(_ context.Context, bno, n int, buf []byte) error {
@@ -80,7 +80,7 @@ func (d *FileDevice) ReadRun(_ context.Context, bno, n int, buf []byte) error {
 	return err
 }
 
-// WriteRun implements RunDevice with a single positional write.
+// WriteRun implements Device with a single positional write.
 func (d *FileDevice) WriteRun(_ context.Context, bno, n int, buf []byte) error {
 	if err := checkRun(bno, n, d.blocks, buf); err != nil {
 		return err

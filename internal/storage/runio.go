@@ -7,23 +7,6 @@ import (
 	"repro/internal/sim"
 )
 
-// RunDevice is implemented by devices with a native bulk path for
-// contiguous multi-block runs. The run calls are semantically
-// equivalent to n consecutive ReadBlock/WriteBlock calls but let an
-// implementation amortize locking, bounds checks and (for timed
-// devices) seek accounting over the whole run.
-//
-// Buffer ownership: buf belongs to the caller. Implementations must
-// not retain it past the call, and ReadRun must fill every byte of
-// buf[:n*BlockSize] (never-written blocks read as zeros).
-type RunDevice interface {
-	Device
-	// ReadRun fills buf (n*BlockSize long) with blocks [bno, bno+n).
-	ReadRun(ctx context.Context, bno, n int, buf []byte) error
-	// WriteRun stores buf (n*BlockSize long) at blocks [bno, bno+n).
-	WriteRun(ctx context.Context, bno, n int, buf []byte) error
-}
-
 // checkRun validates a run request against a device of total blocks.
 func checkRun(bno, n, total int, buf []byte) error {
 	if n < 0 || bno < 0 || bno+n > total {
@@ -35,40 +18,16 @@ func checkRun(bno, n, total int, buf []byte) error {
 	return nil
 }
 
-// ReadRun reads n consecutive blocks starting at bno from d into buf,
-// taking the device's native bulk path when it has one and falling
-// back to per-block reads otherwise. This is the generic entry point
-// the dump engines use, so any Device works and fast ones are fast.
+// ReadRun is d.ReadRun as a function; the benchmark module's device
+// tap calls it.
 func ReadRun(ctx context.Context, d Device, bno, n int, buf []byte) error {
-	if rd, ok := d.(RunDevice); ok {
-		return rd.ReadRun(ctx, bno, n, buf)
-	}
-	if err := checkRun(bno, n, d.NumBlocks(), buf); err != nil {
-		return err
-	}
-	for i := 0; i < n; i++ {
-		if err := d.ReadBlock(ctx, bno+i, buf[i*BlockSize:(i+1)*BlockSize]); err != nil {
-			return err
-		}
-	}
-	return nil
+	return d.ReadRun(ctx, bno, n, buf)
 }
 
-// WriteRun writes n consecutive blocks starting at bno to d from buf,
-// taking the native bulk path when available, per-block otherwise.
+// WriteRun is d.WriteRun as a function; the benchmark module's device
+// tap calls it.
 func WriteRun(ctx context.Context, d Device, bno, n int, buf []byte) error {
-	if rd, ok := d.(RunDevice); ok {
-		return rd.WriteRun(ctx, bno, n, buf)
-	}
-	if err := checkRun(bno, n, d.NumBlocks(), buf); err != nil {
-		return err
-	}
-	for i := 0; i < n; i++ {
-		if err := d.WriteBlock(ctx, bno+i, buf[i*BlockSize:(i+1)*BlockSize]); err != nil {
-			return err
-		}
-	}
-	return nil
+	return d.WriteRun(ctx, bno, n, buf)
 }
 
 // AsyncRunDevice is implemented by devices whose bulk read path can
@@ -81,7 +40,7 @@ func WriteRun(ctx context.Context, d Device, bno, n int, buf []byte) error {
 // think time — the read-ahead batching the parallel dump pipeline
 // is built on. Untimed contexts return 0 (already complete).
 type AsyncRunDevice interface {
-	RunDevice
+	Device
 	ReadRunAsync(ctx context.Context, bno, n int, buf []byte) (sim.Time, error)
 }
 
@@ -92,26 +51,5 @@ func ReadRunAsync(ctx context.Context, d Device, bno, n int, buf []byte) (sim.Ti
 	if ad, ok := d.(AsyncRunDevice); ok {
 		return ad.ReadRunAsync(ctx, bno, n, buf)
 	}
-	return 0, ReadRun(ctx, d, bno, n, buf)
-}
-
-// runShim adds the per-block fallback as methods, for callers that
-// want to hold a RunDevice value regardless of the underlying type.
-type runShim struct{ Device }
-
-func (s runShim) ReadRun(ctx context.Context, bno, n int, buf []byte) error {
-	return ReadRun(ctx, s.Device, bno, n, buf)
-}
-
-func (s runShim) WriteRun(ctx context.Context, bno, n int, buf []byte) error {
-	return WriteRun(ctx, s.Device, bno, n, buf)
-}
-
-// WithRuns returns d itself when it already implements RunDevice, or
-// wraps it in a per-block fallback shim otherwise.
-func WithRuns(d Device) RunDevice {
-	if rd, ok := d.(RunDevice); ok {
-		return rd
-	}
-	return runShim{d}
+	return 0, d.ReadRun(ctx, bno, n, buf)
 }

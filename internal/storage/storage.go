@@ -25,6 +25,14 @@ var (
 // Device is a fixed-geometry array of 4 KB blocks. Implementations may
 // charge virtual time for each access via the sim process carried in
 // ctx; without one, access is untimed.
+//
+// The run calls are semantically equivalent to n consecutive
+// ReadBlock/WriteBlock calls but let an implementation amortize
+// locking, bounds checks and (for timed devices) seek accounting over
+// the whole run. Buffer ownership: buf belongs to the caller.
+// Implementations must not retain it past the call, and ReadRun must
+// fill every byte of buf[:n*BlockSize] (never-written blocks read as
+// zeros).
 type Device interface {
 	// NumBlocks returns the device capacity in blocks.
 	NumBlocks() int
@@ -32,6 +40,10 @@ type Device interface {
 	ReadBlock(ctx context.Context, bno int, buf []byte) error
 	// WriteBlock stores data (which must be BlockSize long) at block bno.
 	WriteBlock(ctx context.Context, bno int, data []byte) error
+	// ReadRun fills buf (n*BlockSize long) with blocks [bno, bno+n).
+	ReadRun(ctx context.Context, bno, n int, buf []byte) error
+	// WriteRun stores buf (n*BlockSize long) at blocks [bno, bno+n).
+	WriteRun(ctx context.Context, bno, n int, buf []byte) error
 }
 
 // zeroBlock is the shared image of a never-written block: reads of
@@ -39,8 +51,8 @@ type Device interface {
 var zeroBlock [BlockSize]byte
 
 // MemDevice is an untimed in-memory Device. It is safe for concurrent
-// use and is the workhorse of functional tests. It implements
-// RunDevice with a lock-once bulk path.
+// use and is the workhorse of functional tests. Its run calls take the
+// lock once.
 type MemDevice struct {
 	mu     sync.Mutex
 	blocks [][]byte
@@ -69,7 +81,7 @@ func (d *MemDevice) ReadBlock(_ context.Context, bno int, buf []byte) error {
 	return nil
 }
 
-// ReadRun implements RunDevice: one lock acquisition for the whole
+// ReadRun implements Device: one lock acquisition for the whole
 // run, copying block slices (or the shared zero block) into buf.
 func (d *MemDevice) ReadRun(_ context.Context, bno, n int, buf []byte) error {
 	if err := checkRun(bno, n, len(d.blocks), buf); err != nil {
@@ -88,7 +100,7 @@ func (d *MemDevice) ReadRun(_ context.Context, bno, n int, buf []byte) error {
 	return nil
 }
 
-// WriteRun implements RunDevice: one lock acquisition for the run,
+// WriteRun implements Device: one lock acquisition for the run,
 // backing all previously-unwritten blocks with a single arena
 // allocation instead of one make per block.
 func (d *MemDevice) WriteRun(_ context.Context, bno, n int, buf []byte) error {
@@ -252,7 +264,7 @@ func (d *FaultDevice) WriteBlock(ctx context.Context, bno int, data []byte) erro
 	return d.Inner.WriteBlock(ctx, bno, data)
 }
 
-// ReadRun implements RunDevice, preserving per-block fault semantics:
+// ReadRun implements Device, preserving per-block fault semantics:
 // a latent sector error inside the run surfaces after the blocks in
 // front of it have been read, exactly as the per-block loop would.
 func (d *FaultDevice) ReadRun(ctx context.Context, bno, n int, buf []byte) error {
@@ -283,14 +295,14 @@ func (d *FaultDevice) ReadRun(ctx context.Context, bno, n int, buf []byte) error
 	d.reads += good
 	d.mu.Unlock()
 	if good > 0 {
-		if err := ReadRun(ctx, d.Inner, bno, good, buf[:good*BlockSize]); err != nil {
+		if err := d.Inner.ReadRun(ctx, bno, good, buf[:good*BlockSize]); err != nil {
 			return err
 		}
 	}
 	return badErr
 }
 
-// WriteRun implements RunDevice. A probabilistic write fault inside
+// WriteRun implements Device. A probabilistic write fault inside
 // the run fails the whole run before any block is written; the
 // write-behind layers above make a partial stripe indistinguishable
 // from none anyway.
@@ -308,5 +320,5 @@ func (d *FaultDevice) WriteRun(ctx context.Context, bno, n int, buf []byte) erro
 	}
 	d.writes += n
 	d.mu.Unlock()
-	return WriteRun(ctx, d.Inner, bno, n, buf)
+	return d.Inner.WriteRun(ctx, bno, n, buf)
 }

@@ -82,7 +82,7 @@ func newHeadSet() headSet {
 // context carries a sim process.
 type Disk struct {
 	name    string
-	store   storage.RunDevice
+	store   storage.Device
 	params  Params
 	station *sim.Station
 
