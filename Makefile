@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: tier1 race bench-smoke build vet test chaos fuzz-smoke obs-smoke
+.PHONY: tier1 race tables tables-check build vet test chaos fuzz-smoke obs-smoke
 
 tier1: ## vet + build + full test suite (the repo's gate)
 	$(GO) vet ./...
@@ -35,10 +35,8 @@ obs-smoke: ## instrumented dump with tracing + metrics, validated end to end
 	$(GO) run ./cmd/backupctl stats -mb 4 -trace obs_trace.json -check > /dev/null
 	rm -f obs_trace.json
 
-bench-smoke: ## quick fast-path micro-benchmarks, gated against the committed baseline
-	$(GO) test -run xxx -bench 'RunRead|RunWrite|RecordWrite' -benchtime 100x \
-		./internal/storage/ ./internal/vdev/ ./internal/raid/ \
-		./internal/dumpfmt/ ./internal/physical/
-	$(GO) run ./cmd/backupctl bench -json '' -compare BENCH_fastpath.json
-	$(GO) run ./cmd/backupctl bench -chunk -json '' -compare BENCH_chunk.json
-	$(GO) run ./cmd/backupctl bench -clients 100 -json '' -compare BENCH_serve.json
+tables: ## regenerate every EXPERIMENTS.md table into the committed reference
+	$(GO) run ./cmd/benchtables > docs/benchtables-reference.txt
+
+tables-check: ## exact-match gate: virtual-clock tables are deterministic, so any diff is a behaviour change
+	$(GO) run ./cmd/benchtables | diff - docs/benchtables-reference.txt

@@ -506,7 +506,6 @@ var commandDocs = []commandDoc{
 	{"push", "push -to HOST:PORT [-kind logical|image] [-level N]", "dump across the network to a serve host"},
 	{"serve", "serve -listen ADDR -o FILE [-standby FILE] [-once]", "receive pushed streams; recorded in <out>.catalog (mirrored to -standby)"},
 	{"replica", "replica status -primary FILE -standby FILE", "report catalog journal replication state"},
-	{"bench", "bench [-json FILE] [-compare BASE] [-parallel -drives 1,2,4 -readers N] [-chunk] [-chunkweek]", "run the fast-path or chunk micro-benchmarks, the parallel scaling matrix, or the dedup-week experiment"},
 	{"help", "help [command]", "show usage"},
 }
 

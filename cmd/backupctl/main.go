@@ -32,7 +32,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"sort"
 	"strconv"
 	"strings"
 
@@ -223,8 +222,6 @@ func run(args []string) error {
 			fmt.Printf("extracted %s -> %s (%d bytes)\n", p, out, len(data))
 		}
 		return nil
-	case "bench":
-		return benchCommand(rest)
 	case "stats":
 		return statsCommand(ctx, rest)
 	case "serve":
@@ -838,17 +835,13 @@ func loadDates(vol string) (*logical.DumpDates, error) {
 }
 
 func saveDates(vol string, d *logical.DumpDates) error {
-	var lines []string
-	// DumpDates does not expose iteration; persist via its String form
-	// ("<fsid> level <L> at <date>" lines).
-	for _, line := range strings.Split(d.String(), "\n") {
-		fields := strings.Fields(line)
-		if len(fields) == 5 && fields[0] == vol {
-			lines = append(lines, fields[2]+" "+fields[4])
+	var b strings.Builder
+	for _, e := range d.Entries() {
+		if e.FSID == vol {
+			fmt.Fprintf(&b, "%d %d\n", e.Level, e.Date)
 		}
 	}
-	sort.Strings(lines)
-	return os.WriteFile(datesPath(vol), []byte(strings.Join(lines, "\n")+"\n"), 0644)
+	return os.WriteFile(datesPath(vol), []byte(b.String()), 0644)
 }
 
 // ensure dumpfmt is linked for its Sink contract documentation.

@@ -99,6 +99,7 @@ func TestCLIWalkthrough(t *testing.T) {
 
 	// Error paths.
 	mustFail("-vol", vol, "nosuchcommand")
+	mustFail("-vol", vol, "bench") // retired: benchmark/ and cmd/benchtables measure
 	mustFail("-vol", filepath.Join(dir, "missing.img"), "ls")
 	mustFail("mkfs") // no -vol
 	mustFail("-vol", vol, "restore")

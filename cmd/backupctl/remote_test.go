@@ -17,7 +17,9 @@ import (
 // and restore exactly like locally-dumped ones.
 func TestTransportServePush(t *testing.T) {
 	dir := t.TempDir()
-	vol := filepath.Join(dir, "home.img")
+	// The space is deliberate: the volume path is the FSID in the wire
+	// Hello, the catalog and the .dumpdates history.
+	vol := filepath.Join(dir, "home vol.img")
 	clone := filepath.Join(dir, "clone.img")
 	hostFile := filepath.Join(dir, "payload.txt")
 	payload := []byte("remote backup payload\n")
@@ -77,6 +79,30 @@ func TestTransportServePush(t *testing.T) {
 	// Push records dump dates like a local dump would.
 	if _, err := os.Stat(vol + ".dumpdates"); err != nil {
 		t.Fatalf("push did not persist dump dates: %v", err)
+	}
+
+	// A level-1 push bases itself on that file alone — push has no
+	// catalog to fall back on — so it must send only the churn since
+	// the level 0, and record itself beside it.
+	do("-vol", vol, "put", hostFile, "/docs/second.txt")
+	remoteIncr := filepath.Join(dir, "remote.l1.dump")
+	addr, done = serveOnce(remoteIncr)
+	do("-vol", vol, "push", "-to", addr, "-level", "1")
+	wait(done)
+	full, err := os.Stat(remoteDump)
+	if err != nil {
+		t.Fatal(err)
+	}
+	incr, err := os.Stat(remoteIncr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if incr.Size()*4 > full.Size() {
+		t.Fatalf("level-1 push sent %d bytes against a %d-byte level 0: not an incremental", incr.Size(), full.Size())
+	}
+	dates, _ := loadDates(vol)
+	if es := dates.Entries(); len(es) != 2 || es[0].Level != 0 || es[1].Level != 1 || es[1].Date <= es[0].Date {
+		t.Fatalf("dump dates after level 0 + level 1: %+v", es)
 	}
 
 	// The server catalogs the received stream from the wire Hello and

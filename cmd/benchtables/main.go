@@ -12,7 +12,10 @@
 // Tables: 1 block states, 2 basic throughput, 3 stage breakdown,
 // 4 two drives, 5 four drives, 6 concurrent volumes, 7 scaling
 // summary, 8 NVRAM ablation, 9 read-ahead ablation, 10 zero-copy
-// ablation, 11 incremental dumps, 12 mirroring lag. Default: all.
+// ablation, 11 incremental dumps, 12 mirroring lag, 13 dedup week,
+// 14 reader/read-ahead sweep at 4 drives. Default: all. Tables 13 and
+// 14 run at the fixed scale their EXPERIMENTS.md sections quote (16 MB
+// seed 7; 24 MB, 4 aging rounds), whatever -mb, -age and -seed say.
 package main
 
 import (
@@ -135,6 +138,43 @@ func main() {
 			res.FullLogicalBytes>>10, res.FullLogical.Elapsed, res.IncrLogicalBytes>>10, res.IncrLogical.Elapsed)
 		fmt.Printf("  Physical: full %8d blocks in %-9v incr    %8d blocks in %v\n",
 			res.FullPhysicalBlocks, res.FullPhysical.Elapsed, res.IncrPhysicalBlocks, res.IncrPhysical.Elapsed)
+		fmt.Println()
+	}
+	if want(13) {
+		week := bench.Config{DataMB: 16, Seed: 7}
+		fmt.Printf("Table 13: A deduplicated week of fulls (%d MB dataset, ~2%% churn per day)\n", week.DataMB)
+		for _, reverse := range []bool{false, true} {
+			rep, err := bench.RunChunkWeek(ctx, week, reverse)
+			die(err)
+			mode := "forward"
+			if reverse {
+				mode = "reverse"
+			}
+			fmt.Printf("  %s dedup\n", mode)
+			fmt.Println("  day  logical MB   added MB      hits    misses  rewrites   dump sim s")
+			for _, d := range rep.Days {
+				fmt.Printf("  %3d  %10.2f  %9.2f  %8d  %8d  %8d  %11.2f\n",
+					d.Day, d.LogicalMB, d.AddedMB, d.Hits, d.Misses, d.Rewrites, d.DumpSimSec)
+			}
+			fmt.Printf("  dedup ratio: %.2fx (%.2f MB logical in %.2f MB unique stored)\n",
+				rep.DedupRatio, float64(rep.LogicalBytes)/(1<<20), float64(rep.UniqueBytes)/(1<<20))
+			fmt.Printf("  restore latest %.2fs, oldest %.2fs, streaming baseline %.2fs (latest/baseline %.2fx)\n",
+				rep.RestoreLatestSec, rep.RestoreOldestSec, rep.BaselineRestoreSec, rep.LatestVsBaseline)
+		}
+		fmt.Println()
+	}
+	if want(14) {
+		sweep := cfg
+		sweep.DataMB, sweep.AgeRounds, sweep.Seed = 24, 4, 1999
+		fmt.Printf("Table 14: Dump at 4 drives by readers per shard and physical read-ahead depth (%d MB)\n", sweep.DataMB)
+		fmt.Printf("%-8s %-6s %-22s %s\n", "Readers", "Depth", "Logical GB/h (CPU)", "Physical GB/h (CPU)")
+		for _, rd := range [][2]int{{1, 3}, {3, 3}, {6, 3}, {3, 1}, {3, 2}, {3, 6}} {
+			sweep.Readers, sweep.PipeDepth = rd[0], rd[1]
+			pts, err := bench.RunScaling(ctx, sweep, []int{4})
+			die(err)
+			fmt.Printf("%-8d %-6d %6.1f (%3.0f%%)          %6.1f (%3.0f%%)\n",
+				rd[0], rd[1], pts[0].LogicalGBph, 100*pts[0].LogicalCPU, pts[0].PhysGBph, 100*pts[0].PhysCPU)
+		}
 		fmt.Println()
 	}
 }

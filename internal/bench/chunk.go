@@ -2,11 +2,7 @@ package bench
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
-	"io"
-	"math/rand"
-	"testing"
 
 	"repro/internal/catalog"
 	"repro/internal/chunk"
@@ -17,157 +13,30 @@ import (
 	"repro/internal/workload"
 )
 
-// Chunk-layer benchmarks: the splitter micro-suite behind
-// BENCH_chunk.json (a hard regression contract, like the fast-path
-// report) and the dedup-week experiment behind the EXPERIMENTS.md
-// table.
-
-// RunChunkBench executes the chunk micro-suite. ChunkSplit is the
-// zero-copy path (one large Write, chunks emitted as subslices);
-// ChunkSplitRecords feeds dump-sized 10 KB records, the shape the
-// engines actually produce; ChunkWriterHits is full writer overhead
-// (hash + lookup) on an all-hits stream — the dedup path that skips
-// media entirely.
-func RunChunkBench() *FastPathReport {
-	rep := &FastPathReport{}
-	add := func(name string, fn func(b *testing.B)) {
-		rep.Results = append(rep.Results, resultOf(name, testing.Benchmark(fn)))
-	}
-	add("ChunkSplit", benchChunkSplit)
-	add("ChunkSplitRecords", benchChunkSplitRecords)
-	add("ChunkWriterHits", benchChunkWriterHits)
-	return rep
-}
-
-func chunkBenchData(n int) []byte {
-	rng := rand.New(rand.NewSource(42))
-	buf := make([]byte, n)
-	rng.Read(buf)
-	return buf
-}
-
-func benchChunkSplit(b *testing.B) {
-	data := chunkBenchData(4 << 20)
-	b.SetBytes(int64(len(data)))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		s := chunk.NewSplitter(chunk.DefaultParams())
-		if err := s.Write(data, func([]byte) error { return nil }); err != nil {
-			b.Fatal(err)
-		}
-		if err := s.Flush(func([]byte) error { return nil }); err != nil {
-			b.Fatal(err)
-		}
-		s.Close()
-	}
-}
-
-func benchChunkSplitRecords(b *testing.B) {
-	data := chunkBenchData(4 << 20)
-	b.SetBytes(int64(len(data)))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		s := chunk.NewSplitter(chunk.DefaultParams())
-		for off := 0; off < len(data); off += chunk.RecordBytes {
-			end := off + chunk.RecordBytes
-			if end > len(data) {
-				end = len(data)
-			}
-			if err := s.Write(data[off:end], func([]byte) error { return nil }); err != nil {
-				b.Fatal(err)
-			}
-		}
-		if err := s.Flush(func([]byte) error { return nil }); err != nil {
-			b.Fatal(err)
-		}
-		s.Close()
-	}
-}
-
-// benchIndex is a minimal map index for the writer benchmark.
-type benchIndex map[chunk.Hash]chunk.Entry
-
-func (ix benchIndex) LookupChunk(h chunk.Hash) (chunk.Entry, bool) { e, ok := ix[h]; return e, ok }
-func (ix benchIndex) CommitChunks(es []chunk.Entry) error {
-	for _, e := range es {
-		ix[e.Hash] = e
-	}
-	return nil
-}
-
-func benchChunkWriterHits(b *testing.B) {
-	data := chunkBenchData(4 << 20)
-	ix := benchIndex{}
-	media := chunk.NewMemMedia("bench")
-	prime, err := chunk.NewWriter(chunk.WriterOptions{Index: ix, Media: media})
-	if err != nil {
-		b.Fatal(err)
-	}
-	if err := prime.WriteRecord(data); err != nil {
-		b.Fatal(err)
-	}
-	if _, err := prime.Close(); err != nil {
-		b.Fatal(err)
-	}
-	b.SetBytes(int64(len(data)))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		w, err := chunk.NewWriter(chunk.WriterOptions{Index: ix, Media: media})
-		if err != nil {
-			b.Fatal(err)
-		}
-		for off := 0; off < len(data); off += chunk.RecordBytes {
-			end := off + chunk.RecordBytes
-			if end > len(data) {
-				end = len(data)
-			}
-			if err := w.WriteRecord(data[off:end]); err != nil {
-				b.Fatal(err)
-			}
-		}
-		if _, err := w.Close(); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// --- dedup week ---------------------------------------------------------
-
 // ChunkDayRow is one scheduled full in the dedup-week experiment.
 type ChunkDayRow struct {
-	Day        int     `json:"day"`
-	LogicalMB  float64 `json:"logical_mb"`
-	AddedMB    float64 `json:"added_mb"` // unique bytes this full stored
-	Hits       int64   `json:"hits"`
-	Misses     int64   `json:"misses"`
-	Rewrites   int64   `json:"rewrites"`
-	DumpSimSec float64 `json:"dump_sim_sec"`
+	Day        int
+	LogicalMB  float64
+	AddedMB    float64 // unique bytes this full stored
+	Hits       int64
+	Misses     int64
+	Rewrites   int64
+	DumpSimSec float64
 }
 
 // ChunkWeekReport is the dedup-week outcome: a scheduled week of
 // level-0 fulls over a mostly-unchanged volume, plus the restore
 // tradeoff that motivates reverse dedup.
 type ChunkWeekReport struct {
-	Reverse      bool          `json:"reverse"`
-	Days         []ChunkDayRow `json:"days"`
-	LogicalBytes int64         `json:"logical_bytes"`
-	UniqueBytes  int64         `json:"unique_bytes"` // live chunk-store bytes after the week
-	DedupRatio   float64       `json:"dedup_ratio"`
+	Days         []ChunkDayRow
+	LogicalBytes int64
+	UniqueBytes  int64 // live chunk-store bytes after the week
+	DedupRatio   float64
 
-	RestoreLatestSec   float64 `json:"restore_latest_sim_sec"`
-	RestoreOldestSec   float64 `json:"restore_oldest_sim_sec"`
-	BaselineRestoreSec float64 `json:"baseline_restore_sim_sec"` // non-dedup streaming restore
-	LatestVsBaseline   float64 `json:"latest_vs_baseline"`       // >1 = slower than streaming
-}
-
-// WriteJSON serializes the report.
-func (r *ChunkWeekReport) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(r)
+	RestoreLatestSec   float64
+	RestoreOldestSec   float64
+	BaselineRestoreSec float64 // non-dedup streaming restore
+	LatestVsBaseline   float64 // >1 = slower than streaming
 }
 
 // RunChunkWeek schedules a week of daily level-0 logical fulls through
@@ -197,7 +66,7 @@ func RunChunkWeek(ctx context.Context, cfg Config, reverse bool) (*ChunkWeekRepo
 		return nil, err
 	}
 	media := chunk.NewDriveMedia(f.Tapes[0], nil)
-	rep := &ChunkWeekReport{Reverse: reverse}
+	rep := &ChunkWeekReport{}
 
 	manifests := make([]chunk.Manifest, 0, 7)
 	for day := 1; day <= 7; day++ {

@@ -2,9 +2,7 @@ package bench
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
-	"io"
 
 	"repro/internal/catalog"
 	"repro/internal/chunk"
@@ -14,34 +12,22 @@ import (
 	"repro/internal/physical"
 	"repro/internal/raid"
 	"repro/internal/sim"
-	"repro/internal/wafl"
 )
 
 // ObsReport is what an instrumented smoke run produced: each engine's
 // own statistics next to the registry that observed it, so callers can
 // cross-check the two (backupctl stats -check does exactly that).
 type ObsReport struct {
-	DataBytes int64               `json:"data_bytes"`
-	Logical   *logical.DumpStats  `json:"logical"`
-	Image     *physical.DumpStats `json:"image"`
+	Logical *logical.DumpStats
+	Image   *physical.DumpStats
 	// DedupPrime and DedupRepeat are the two passes of the dedup
 	// smoke: the same snapshot chunked twice over one index, so the
 	// repeat is (nearly) all hits and every chunk counter moves.
-	DedupPrime  chunk.WriterStats `json:"dedup_prime"`
-	DedupRepeat chunk.WriterStats `json:"dedup_repeat"`
-	Metrics     []obs.Point       `json:"metrics"`
-	Stages      []*Stage          `json:"-"`
-	Registry    *obs.Registry     `json:"-"`
-	Filer       *core.Filer       `json:"-"`
-}
-
-// WriteJSON dumps the report (with a fresh metrics snapshot) for
-// BENCH_obs.json.
-func (r *ObsReport) WriteJSON(w io.Writer) error {
-	r.Metrics = r.Registry.Snapshot()
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(r)
+	DedupPrime  chunk.WriterStats
+	DedupRepeat chunk.WriterStats
+	Stages      []*Stage
+	Registry    *obs.Registry
+	Filer       *core.Filer
 }
 
 // RunObs populates a filer, then runs a level-0 logical dump to drive
@@ -78,9 +64,8 @@ func RunObs(ctx context.Context, cfg Config, tr *obs.Tracer) (*ObsReport, error)
 		ctx = obs.WithTracer(ctx, tr)
 	}
 	rep := &ObsReport{
-		DataBytes: int64(f.FS.UsedBlocks()) * wafl.BlockSize,
-		Registry:  reg,
-		Filer:     f,
+		Registry: reg,
+		Filer:    f,
 	}
 	rec := NewRecorder(meters)
 

@@ -2,9 +2,7 @@ package bench
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
-	"os"
 
 	"repro/internal/core"
 	"repro/internal/logical"
@@ -370,77 +368,13 @@ func RunConcurrentVolumes(ctx context.Context, cfg Config) (*ConcurrentVolumesRe
 
 // ScalingPoint is one row of the §5.2/§5.3 scaling summary.
 type ScalingPoint struct {
-	Drives          int     `json:"drives"`
-	LogicalGBph     float64 `json:"logical_gbph"`
-	PhysGBph        float64 `json:"physical_gbph"`
-	LogicalPer      float64 `json:"logical_gbph_per_tape"`
-	PhysPer         float64 `json:"physical_gbph_per_tape"`
-	LogicalCPU      float64 `json:"logical_cpu_util"`
-	PhysCPU         float64 `json:"physical_cpu_util"`
-	LogicalTapeUtil float64 `json:"logical_tape_util"` // vs. drives × streaming rate
-}
-
-// ParallelReport is the machine-readable Tables 4–5 summary emitted
-// by `backupctl bench -parallel`: one scaling row per drive count,
-// every operation driven by a single parallel Dump/Restore invocation.
-type ParallelReport struct {
-	DataMB    int            `json:"data_mb"`
-	Seed      int64          `json:"seed"`
-	AgeRounds int            `json:"age_rounds"`
-	Readers   int            `json:"readers"`
-	PipeDepth int            `json:"pipe_depth"`
-	Points    []ScalingPoint `json:"points"`
-	// PhysSpeedup is aggregate physical dump throughput at the highest
-	// drive count over the 1-drive rate — the scaling headline.
-	PhysSpeedup float64 `json:"physical_speedup"`
-	// LogicalSpeedup is the same ratio for the logical engine, which
-	// the paper (and this reproduction) show going disk-limited.
-	LogicalSpeedup float64 `json:"logical_speedup"`
-}
-
-// RunParallelReport runs the drive-count matrix and packages it for
-// the committed BENCH_parallel.json.
-func RunParallelReport(ctx context.Context, cfg Config, driveCounts []int) (*ParallelReport, error) {
-	pts, err := RunScaling(ctx, cfg, driveCounts)
-	if err != nil {
-		return nil, err
-	}
-	rep := &ParallelReport{
-		DataMB: cfg.DataMB, Seed: cfg.Seed, AgeRounds: cfg.AgeRounds,
-		Readers: cfg.readers(), PipeDepth: cfg.pipeDepth(), Points: pts,
-	}
-	if len(pts) > 1 && pts[0].Drives == 1 {
-		last := pts[len(pts)-1]
-		rep.PhysSpeedup = last.PhysGBph / pts[0].PhysGBph
-		rep.LogicalSpeedup = last.LogicalGBph / pts[0].LogicalGBph
-	}
-	return rep, nil
-}
-
-// WriteJSON writes the report to path.
-func (rep *ParallelReport) WriteJSON(path string) error {
-	data, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0644)
-}
-
-// Format renders the report as the Table 7-style scaling summary.
-func (rep *ParallelReport) Format() string {
-	out := fmt.Sprintf("Parallel scaling (%d MB, readers=%d, depth=%d)\n",
-		rep.DataMB, rep.Readers, rep.PipeDepth)
-	out += fmt.Sprintf("%-8s %-30s %-30s\n", "Drives", "Logical GB/h (per tape, CPU)", "Physical GB/h (per tape, CPU)")
-	for _, p := range rep.Points {
-		out += fmt.Sprintf("%-8d %6.1f (%5.1f, %3.0f%%)            %6.1f (%5.1f, %3.0f%%)\n",
-			p.Drives, p.LogicalGBph, p.LogicalPer, 100*p.LogicalCPU,
-			p.PhysGBph, p.PhysPer, 100*p.PhysCPU)
-	}
-	if rep.PhysSpeedup > 0 {
-		out += fmt.Sprintf("physical speedup %.2fx, logical %.2fx over %d drives\n",
-			rep.PhysSpeedup, rep.LogicalSpeedup, rep.Points[len(rep.Points)-1].Drives)
-	}
-	return out
+	Drives      int
+	LogicalGBph float64
+	PhysGBph    float64
+	LogicalPer  float64
+	PhysPer     float64
+	LogicalCPU  float64
+	PhysCPU     float64
 }
 
 // RunScaling sweeps 1, 2 and 4 drives and reports aggregate and
@@ -462,7 +396,6 @@ func RunScaling(ctx context.Context, cfg Config, driveCounts []int) ([]ScalingPo
 		}
 		p.LogicalPer = p.LogicalGBph / float64(n)
 		p.PhysPer = p.PhysGBph / float64(n)
-		p.LogicalTapeUtil = r.LogicalBackup.MBps() / (8.5 * float64(n))
 		out = append(out, p)
 	}
 	return out, nil

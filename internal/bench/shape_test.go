@@ -2,8 +2,20 @@ package bench
 
 import (
 	"context"
+	"strings"
 	"testing"
 )
+
+// tableScenario marks a test that regenerates an EXPERIMENTS.md table.
+// These are minutes of single-threaded simulator work under the race
+// detector, on engines whose own packages' tests already run raced, so
+// `make race` (go test -race -short) skips them; tier-1 runs them all.
+func tableScenario(t *testing.T) {
+	t.Helper()
+	if testing.Short() {
+		t.Skip("table-regeneration scenario: skipped under -short")
+	}
+}
 
 // Shape tests: the paper's qualitative conclusions, asserted with
 // generous margins so they hold across seeds. These are the
@@ -15,6 +27,15 @@ func shapeCfg() Config {
 	cfg.DataMB = 24
 	cfg.AgeRounds = 4
 	return cfg
+}
+
+// TestTable1BlockStates is the semantic check behind Table 1: each of
+// the four block states, built from real snapshots, lands in or out of
+// the incremental set as the paper's truth table says.
+func TestTable1BlockStates(t *testing.T) {
+	if out := Table1(); strings.Count(out, "[OK]") != 4 {
+		t.Fatalf("Table 1 semantics violated:\n%s", out)
+	}
 }
 
 func TestShapeBasic(t *testing.T) {
@@ -63,16 +84,20 @@ func TestShapeBasic(t *testing.T) {
 func TestShapeScaling(t *testing.T) {
 	tableScenario(t)
 	ctx := context.Background()
-	pts, err := RunScaling(ctx, shapeCfg(), []int{1, 4})
+	pts, err := RunScaling(ctx, shapeCfg(), []int{1, 2, 4})
 	if err != nil {
 		t.Fatal(err)
 	}
-	one, four := pts[0], pts[1]
+	one, two, four := pts[0], pts[1], pts[2]
 
 	// §5.3: "The performance of physical dump/restore scales very
-	// well" — at least 2.5x from 1 to 4 drives.
+	// well" — at least 2.5x from 1 to 4 drives, and at least 1.5x per
+	// doubling (paper: 1.9x / 1.9x).
 	if r := four.PhysGBph / one.PhysGBph; r < 2.5 {
 		t.Errorf("physical backup scaled only %.2fx over 4 drives", r)
+	}
+	if r12, r24 := two.PhysGBph/one.PhysGBph, four.PhysGBph/two.PhysGBph; r12 < 1.5 || r24 < 1.5 {
+		t.Errorf("physical backup scaled %.2fx then %.2fx per doubling, want >= 1.5x each", r12, r24)
 	}
 	// "Logical dump/restore scales much more poorly": sub-linear, and
 	// worse than physical.
@@ -101,6 +126,49 @@ func TestShapeScaling(t *testing.T) {
 	// CPU climbs with drives for logical (paper: 25% -> 90%).
 	if four.LogicalCPU <= one.LogicalCPU {
 		t.Errorf("logical CPU did not climb with drives: %.2f -> %.2f", one.LogicalCPU, four.LogicalCPU)
+	}
+
+	// Table 14: at 4 drives the logical dump is seek-bound, not
+	// reader-starved — every added reader per shard costs locality —
+	// while physical, sequential by construction, does not care.
+	fourWith := func(readers int) ScalingPoint {
+		cfg := shapeCfg()
+		cfg.Readers = readers
+		p, err := RunScaling(ctx, cfg, []int{4})
+		if err != nil {
+			t.Fatalf("readers=%d: %v", readers, err)
+		}
+		return p[0]
+	}
+	r1, r6 := fourWith(1), fourWith(6) // four is the shipped readers=3
+	if !(r1.LogicalGBph > four.LogicalGBph && four.LogicalGBph > r6.LogicalGBph) {
+		t.Errorf("logical GB/h at 4 drives not ordered readers 1 > 3 > 6: %.1f / %.1f / %.1f",
+			r1.LogicalGBph, four.LogicalGBph, r6.LogicalGBph)
+	}
+	for _, p := range []ScalingPoint{r1, r6} {
+		if r := p.PhysGBph / four.PhysGBph; r < 0.9 || r > 1.1 {
+			t.Errorf("physical GB/h moved %.2fx off the readers=3 rate, want within 10%%", r)
+		}
+	}
+}
+
+// TestSmokeConcurrentVolumes is Table 6's claim: two volumes dumped
+// concurrently to separate drives do not slow each other down.
+func TestSmokeConcurrentVolumes(t *testing.T) {
+	tableScenario(t)
+	cfg := DefaultConfig()
+	cfg.DataMB = 16
+	cfg.AgeRounds = 2
+	res, err := RunConcurrentVolumes(context.Background(), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Logf("home: iso %v vs con %v; rlse: iso %v vs con %v",
+		res.HomeIsolated.Elapsed, res.HomeConcurrent.Elapsed,
+		res.RlseIsolated.Elapsed, res.RlseConcurrent.Elapsed)
+	slow := float64(res.HomeConcurrent.Elapsed) / float64(res.HomeIsolated.Elapsed)
+	if slow > 1.25 {
+		t.Errorf("concurrent home dump %.2fx slower than isolated", slow)
 	}
 }
 

@@ -8,6 +8,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/bufpool"
 	"repro/internal/chunk"
 	"repro/internal/sim"
 )
@@ -66,7 +67,7 @@ func dedupable(seed int64, n int) []byte {
 }
 
 // writeStream pushes data through a Writer in 10 KB records.
-func writeStream(t *testing.T, w *chunk.Writer, data []byte) chunk.Manifest {
+func writeStream(t testing.TB, w *chunk.Writer, data []byte) chunk.Manifest {
 	t.Helper()
 	for off := 0; off < len(data); off += 10240 {
 		end := off + 10240
@@ -325,7 +326,7 @@ func TestWriterMediaFailure(t *testing.T) {
 	media.FailAfter = 10
 	w, _ := chunk.NewWriter(chunk.WriterOptions{Index: ix, Media: media})
 
-	data := dedupable(6, 1 << 20)
+	data := dedupable(6, 1<<20)
 	var werr error
 	for off := 0; off < len(data) && werr == nil; off += 10240 {
 		end := off + 10240
@@ -372,5 +373,49 @@ func TestWriterForwardsBindProc(t *testing.T) {
 	plain, _ := chunk.NewWriter(chunk.WriterOptions{Index: newMemIndex(), Media: chunk.NewMemMedia("m")})
 	if old := plain.BindProc(nil); old != nil {
 		t.Errorf("mem media had a binding: %v", old)
+	}
+}
+
+const hitsStreamBytes = 4 << 20
+
+// writerHitsStep primes an index with hitsStreamBytes of random data
+// and returns one iteration of dumping the same bytes again: full
+// writer overhead (split + hash + lookup) on an all-hits stream, the
+// dedup path that skips media entirely. The benchmark times it; the
+// test pins its allocation count.
+func writerHitsStep(tb testing.TB) func() {
+	data := make([]byte, hitsStreamBytes)
+	rand.New(rand.NewSource(42)).Read(data)
+	opts := chunk.WriterOptions{Index: newMemIndex(), Media: chunk.NewMemMedia("bench")}
+	step := func() {
+		w, err := chunk.NewWriter(opts)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		writeStream(tb, w, data)
+	}
+	step() // prime: every later pass is all hits
+	return step
+}
+
+func BenchmarkWriterHits(b *testing.B) {
+	step := writerHitsStep(b)
+	b.SetBytes(hitsStreamBytes)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		step()
+	}
+}
+
+// TestWriterHitsAllocs pins the all-hits dump at its measured 27
+// allocations per 4 MiB stream (writer, splitter, manifest growth), so
+// work on the dedup path has a deterministic before-number.
+func TestWriterHitsAllocs(t *testing.T) {
+	if bufpool.RaceEnabled {
+		t.Skip("pooled buffers are not allocation-free under the race detector")
+	}
+	if n := testing.AllocsPerRun(4, writerHitsStep(t)); n > 27 {
+		t.Fatalf("all-hits writer: %v allocs per 4 MiB stream, want <= 27", n)
 	}
 }

@@ -140,51 +140,56 @@ func TestSplitterEmptyAndTiny(t *testing.T) {
 	}
 }
 
-// BenchmarkSplitter measures raw chunking throughput over large
-// buffers (the zero-copy path); the bench -chunk report compares it
-// against the zero-copy record fast path.
-func BenchmarkSplitter(b *testing.B) {
-	rng := rand.New(rand.NewSource(11))
-	data := make([]byte, 4<<20)
-	rng.Read(data)
-	s := NewSplitter(Params{})
-	defer s.Close()
-	emit := func(c []byte) error { return nil }
-	b.SetBytes(int64(len(data)))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := s.Write(data, emit); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.StopTimer()
-	_ = s.Flush(emit)
-}
+const benchStreamBytes = 4 << 20
 
-// BenchmarkSplitterRecords feeds the splitter dump-sized (10 KB)
-// records, the shape the dedup sink actually sees.
-func BenchmarkSplitterRecords(b *testing.B) {
-	rng := rand.New(rand.NewSource(12))
-	data := make([]byte, 4<<20)
+// splitterStep returns one iteration of pushing benchStreamBytes of
+// random data through a long-lived splitter in writeSize slices, shared
+// by the benchmarks that time it and the test that counts its
+// allocations.
+func splitterStep(tb testing.TB, seed int64, writeSize int) func() {
+	rng := rand.New(rand.NewSource(seed))
+	data := make([]byte, benchStreamBytes)
 	rng.Read(data)
 	s := NewSplitter(Params{})
-	defer s.Close()
+	tb.Cleanup(s.Close)
 	emit := func(c []byte) error { return nil }
-	b.SetBytes(int64(len(data)))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for off := 0; off < len(data); off += 10240 {
-			end := off + 10240
+	return func() {
+		for off := 0; off < len(data); off += writeSize {
+			end := off + writeSize
 			if end > len(data) {
 				end = len(data)
 			}
 			if err := s.Write(data[off:end], emit); err != nil {
-				b.Fatal(err)
+				tb.Fatal(err)
 			}
 		}
 	}
-	b.StopTimer()
-	_ = s.Flush(emit)
+}
+
+func benchSplitter(b *testing.B, seed int64, writeSize int) {
+	step := splitterStep(b, seed, writeSize)
+	b.SetBytes(benchStreamBytes)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		step()
+	}
+}
+
+// BenchmarkSplitter measures raw chunking throughput over large
+// buffers: one Write, chunks emitted as subslices (the zero-copy path).
+func BenchmarkSplitter(b *testing.B) { benchSplitter(b, 11, benchStreamBytes) }
+
+// BenchmarkSplitterRecords feeds the splitter dump-sized (10 KB)
+// records, the shape the dedup sink actually sees.
+func BenchmarkSplitterRecords(b *testing.B) { benchSplitter(b, 12, RecordBytes) }
+
+// TestSplitterZeroAlloc pins the splitter's steady state: a live
+// splitter allocates nothing in either write shape.
+func TestSplitterZeroAlloc(t *testing.T) {
+	for name, writeSize := range map[string]int{"one Write": benchStreamBytes, "10 KB records": RecordBytes} {
+		if n := testing.AllocsPerRun(4, splitterStep(t, 11, writeSize)); n != 0 {
+			t.Errorf("%s: %v allocs per 4 MiB, want 0", name, n)
+		}
+	}
 }

@@ -8,32 +8,48 @@ type nullSink struct{}
 func (nullSink) WriteRecord(data []byte) error { return nil }
 func (nullSink) NextVolume() error             { return nil }
 
-// BenchmarkRecordWrite measures the logical dump record path: one
-// TS_INODE header plus four 1 KB data segments per iteration — the
-// steady-state shape of Phase IV writing one 4 KB file block.
-func BenchmarkRecordWrite(b *testing.B) {
+// recordWriteStep returns one iteration of the logical dump record
+// path — one TS_INODE header plus four 1 KB data segments, the
+// steady-state shape of Phase IV writing one 4 KB file block — shared
+// by the benchmark that times it and the test that counts its
+// allocations.
+func recordWriteStep(tb testing.TB) func() {
 	w, err := NewWriter(nullSink{}, "bench", 1, 0, 0)
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	seg := make([]byte, TPBSize)
 	for i := range seg {
 		seg[i] = byte(i)
 	}
 	addrs := []byte{1, 1, 1, 1}
+	return func() {
+		h := Header{Type: TSInode, Inumber: 42, Count: 4, Addrs: addrs,
+			Dinode: DumpInode{Mode: 0100644, Size: 4096}}
+		if err := w.WriteHeader(&h); err != nil {
+			tb.Fatal(err)
+		}
+		for s := 0; s < 4; s++ {
+			if err := w.WriteSegment(seg); err != nil {
+				tb.Fatal(err)
+			}
+		}
+	}
+}
+
+// BenchmarkRecordWrite measures the logical dump record path.
+func BenchmarkRecordWrite(b *testing.B) {
+	step := recordWriteStep(b)
 	b.SetBytes(5 * TPBSize)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		h := Header{Type: TSInode, Inumber: 42, Count: 4, Addrs: addrs,
-			Dinode: DumpInode{Mode: 0100644, Size: 4096}}
-		if err := w.WriteHeader(&h); err != nil {
-			b.Fatal(err)
-		}
-		for s := 0; s < 4; s++ {
-			if err := w.WriteSegment(seg); err != nil {
-				b.Fatal(err)
-			}
-		}
+		step()
+	}
+}
+
+func TestRecordWriteZeroAlloc(t *testing.T) {
+	if n := testing.AllocsPerRun(100, recordWriteStep(t)); n != 0 {
+		t.Fatalf("Writer header + 4 segments: %v allocs per run, want 0", n)
 	}
 }

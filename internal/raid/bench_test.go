@@ -4,14 +4,17 @@ import (
 	"context"
 	"testing"
 
+	"repro/internal/bufpool"
 	"repro/internal/storage"
 	"repro/internal/vdev"
 )
 
+const benchRun = 512 // blocks per run, matching the image-dump run size
+
 // benchVolume builds an untimed volume shaped like a small RAID-4
 // array and seeds it with data so run reads hit written blocks.
-func benchVolume(b *testing.B) *Volume {
-	b.Helper()
+func benchVolume(tb testing.TB) *Volume {
+	tb.Helper()
 	v, err := Build(nil, "bench", Config{
 		Groups:            2,
 		DataDisksPerGroup: 4,
@@ -19,72 +22,79 @@ func benchVolume(b *testing.B) *Volume {
 		DiskParams:        vdev.DefaultParams(),
 	})
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	ctx := context.Background()
-	const run = 512
-	buf := make([]byte, run*storage.BlockSize)
+	buf := make([]byte, benchRun*storage.BlockSize)
 	for i := range buf {
 		buf[i] = byte(i)
 	}
-	for bno := 0; bno+run <= v.NumBlocks(); bno += run {
-		if err := v.WriteRun(ctx, bno, run, buf); err != nil {
-			b.Fatal(err)
+	for bno := 0; bno+benchRun <= v.NumBlocks(); bno += benchRun {
+		if err := v.WriteRun(ctx, bno, benchRun, buf); err != nil {
+			tb.Fatal(err)
 		}
 	}
 	return v
 }
 
-// BenchmarkRunRead measures the bulk sequential read path image dump
-// streams through: volume → group striping → member disks.
-func BenchmarkRunRead(b *testing.B) {
-	v := benchVolume(b)
+// runStep returns one iteration of a sequential run-I/O loop over a
+// seeded volume — ReadRun or WriteRun, wrapping at the end — shared by
+// the benchmarks that time it and the tests that count its allocations.
+func runStep(tb testing.TB, write bool) func() {
+	v := benchVolume(tb)
 	ctx := context.Background()
-	const run = 512
-	buf := make([]byte, run*storage.BlockSize)
-	// Warm each group's de-striping scratch so the timed loop measures
-	// the steady state: run reads allocate nothing once warm.
+	buf := make([]byte, benchRun*storage.BlockSize)
+	// Warm each group's de-striping scratch so the loop measures the
+	// steady state: run reads allocate nothing once warm.
 	for _, g := range v.Groups() {
-		if err := g.ReadRun(ctx, 0, run, buf); err != nil {
-			b.Fatal(err)
+		if err := g.ReadRun(ctx, 0, benchRun, buf); err != nil {
+			tb.Fatal(err)
 		}
 	}
-	b.SetBytes(run * storage.BlockSize)
-	b.ReportAllocs()
-	b.ResetTimer()
-	bno := 0
-	for i := 0; i < b.N; i++ {
-		if bno+run > v.NumBlocks() {
-			bno = 0
-		}
-		if err := v.ReadRun(ctx, bno, run, buf); err != nil {
-			b.Fatal(err)
-		}
-		bno += run
-	}
-}
-
-// BenchmarkRunWrite measures the bulk sequential write path image
-// restore streams through, including full-stripe parity computation.
-func BenchmarkRunWrite(b *testing.B) {
-	v := benchVolume(b)
-	ctx := context.Background()
-	const run = 512
-	buf := make([]byte, run*storage.BlockSize)
 	for i := range buf {
 		buf[i] = byte(i * 7)
 	}
-	b.SetBytes(run * storage.BlockSize)
-	b.ReportAllocs()
-	b.ResetTimer()
+	io := v.ReadRun
+	if write {
+		io = v.WriteRun
+	}
 	bno := 0
-	for i := 0; i < b.N; i++ {
-		if bno+run > v.NumBlocks() {
+	return func() {
+		if bno+benchRun > v.NumBlocks() {
 			bno = 0
 		}
-		if err := v.WriteRun(ctx, bno, run, buf); err != nil {
-			b.Fatal(err)
+		if err := io(ctx, bno, benchRun, buf); err != nil {
+			tb.Fatal(err)
 		}
-		bno += run
+		bno += benchRun
+	}
+}
+
+func benchRunIO(b *testing.B, write bool) {
+	step := runStep(b, write)
+	b.SetBytes(benchRun * storage.BlockSize)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		step()
+	}
+}
+
+// BenchmarkRunRead measures the bulk sequential read path image dump
+// streams through: volume → group striping → member disks.
+func BenchmarkRunRead(b *testing.B) { benchRunIO(b, false) }
+
+// BenchmarkRunWrite measures the bulk sequential write path image
+// restore streams through, including full-stripe parity computation.
+func BenchmarkRunWrite(b *testing.B) { benchRunIO(b, true) }
+
+func TestRunIOZeroAlloc(t *testing.T) {
+	if bufpool.RaceEnabled {
+		t.Skip("pooled scratch is not allocation-free under the race detector")
+	}
+	for name, write := range map[string]bool{"ReadRun": false, "WriteRun": true} {
+		if n := testing.AllocsPerRun(20, runStep(t, write)); n != 0 {
+			t.Errorf("Volume.%s: %v allocs per run, want 0", name, n)
+		}
 	}
 }
