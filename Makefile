@@ -2,7 +2,8 @@ GO ?= go
 
 .PHONY: tier1 race tables tables-check build vet test chaos fuzz-smoke obs-smoke
 
-tier1: ## vet + build + full test suite (the repo's gate)
+tier1: ## gofmt + vet + build + full test suite (the repo's gate)
+	@test -z "$$(gofmt -l .)" || { echo "gofmt needed:"; gofmt -l .; exit 1; }
 	$(GO) vet ./...
 	$(GO) build ./...
 	$(GO) test ./...
@@ -19,8 +20,8 @@ test:
 race: ## race-detector pass over every package; no test list to fall out of (-short skips only internal/bench's table-regeneration scenarios)
 	$(GO) test -race -short ./...
 
-chaos: ## seeded fault-injection property tests, wide seed sweep
-	CHAOS_SEEDS=8 $(GO) test -count 1 -v -run 'TestChaos' ./internal/chaos/
+chaos: ## seeded fault-injection property tests, wide seed sweep; the whole package, so no test can fall out by its name
+	CHAOS_SEEDS=8 $(GO) test -count 1 -v ./internal/chaos/
 
 fuzz-smoke: ## brief real fuzzing of the untrusted-input parsers
 	$(GO) test -fuzz FuzzDecodeDirEnts -fuzztime 10s ./internal/logical/

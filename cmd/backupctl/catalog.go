@@ -22,10 +22,9 @@ import (
 	"strings"
 
 	"repro/internal/catalog"
-	"repro/internal/dumpfmt"
+	"repro/internal/engine"
 	"repro/internal/logical"
 	"repro/internal/ndmp"
-	"repro/internal/physical"
 	"repro/internal/stream"
 	"repro/internal/wafl"
 )
@@ -63,15 +62,13 @@ func catalogDates(cat *catalog.Catalog, vol string) *logical.DumpDates {
 	return legacy
 }
 
-// recordLogicalSet journals one completed logical dump, returning the
-// new set's id (a dedup-encoded dump appends its manifest under it).
-func recordLogicalSet(cat *catalog.Catalog, vol, snap, out string, level int, stats *logical.DumpStats, index []catalog.FileIndexEntry) (uint64, error) {
-	id, err := cat.AppendDumpSet(catalog.DumpSet{
-		Engine: catalog.Logical, FSID: vol, Snap: snap,
-		Level: int32(level), Date: stats.Date, BaseDate: stats.BaseDate,
-		Bytes: stats.BytesWritten, Units: int64(stats.FilesDumped),
-		Media: []catalog.MediaRef{{Volume: out}},
-	})
+// recordSet journals one completed local dump — the job's own half of
+// the record plus where this command put it — and returns the new set's
+// id (a dedup-encoded dump appends its manifest under it).
+func recordSet(cat *catalog.Catalog, job *engine.Dump, vol, snap, out string, index []catalog.FileIndexEntry) (uint64, error) {
+	ds := job.Set()
+	ds.FSID, ds.Snap, ds.Media = vol, snap, []catalog.MediaRef{{Volume: out}}
+	id, err := cat.AppendDumpSet(ds)
 	if err != nil {
 		return 0, err
 	}
@@ -79,20 +76,6 @@ func recordLogicalSet(cat *catalog.Catalog, vol, snap, out string, level int, st
 		return id, cat.AppendFileIndex(id, index)
 	}
 	return id, nil
-}
-
-// recordImageSet journals one completed image dump, returning the new
-// set's id. Image sets have no filesystem dump date; the snapshot
-// generation is the monotonic clock that orders them, so it doubles as
-// the set's Date for -at planning.
-func recordImageSet(cat *catalog.Catalog, vol, snap, out string, stats *physical.DumpStats) (uint64, error) {
-	return cat.AppendDumpSet(catalog.DumpSet{
-		Engine: catalog.Image, FSID: vol, Snap: snap, Level: -1,
-		Date: int64(stats.Gen), Gen: stats.Gen, BaseGen: stats.BaseGen,
-		NBlocks: stats.NBlocks, Bytes: stats.BytesWritten,
-		Units: int64(stats.BlocksDumped),
-		Media: []catalog.MediaRef{{Volume: out}},
-	})
 }
 
 // catalogCommand lists and edits the catalog beside -vol.
@@ -242,7 +225,7 @@ func planCommand(vol string, rest []string) error {
 // operator names a time (or file), the catalog names the streams.
 func recoverCommand(ctx context.Context, vol string, rest []string) error {
 	set := newFlagSet("recover")
-	engine, at, file, expired, damaged := planFlags(set)
+	engineName, at, file, expired, damaged := planFlags(set)
 	target := set.String("target", "/", "directory to graft a logical recovery onto")
 	wipe := set.Bool("wipe", false, "reformat the volume before a full logical recovery (frees snapshot-pinned space)")
 	if err := set.Parse(rest); err != nil {
@@ -251,7 +234,7 @@ func recoverCommand(ctx context.Context, vol string, rest []string) error {
 	if vol == "" {
 		return fmt.Errorf("recover: -vol required")
 	}
-	eng, err := parseEngine(*engine)
+	eng, err := parseEngine(*engineName)
 	if err != nil {
 		return fmt.Errorf("recover: %w", err)
 	}
@@ -268,114 +251,67 @@ func recoverCommand(ctx context.Context, vol string, rest []string) error {
 		return err
 	}
 	fmt.Print(plan.String())
-	if eng == catalog.Image {
-		return recoverImage(ctx, vol, plan)
-	}
-	return recoverLogical(ctx, vol, plan, *target, *wipe)
-}
 
-// recoverLogical mounts vol and applies the chain's streams in order:
-// the full dump first, then each incremental with deletion sync, so
-// the volume converges on the dumped state — files removed between
-// dumps do not survive the recovery.
-func recoverLogical(ctx context.Context, vol string, plan *catalog.Plan, target string, wipe bool) error {
-	dev, err := openOrCreate(vol, 0)
-	if err != nil {
-		return err
-	}
-	defer dev.Close()
-	var fs *wafl.FS
-	if wipe && plan.File == "" {
-		// Disaster-recovery semantics: reformat so snapshot-pinned
-		// blocks don't starve the restore's copy-on-write allocation.
-		fs, err = wafl.Mkfs(ctx, dev, nil, wafl.Options{})
-	} else {
-		fs, err = wafl.Mount(ctx, dev, nil, wafl.Options{})
-	}
-	if err != nil {
-		return err
-	}
-	var files []string
-	if plan.File != "" {
-		files = []string{plan.File}
-	}
-	for i, step := range plan.Steps {
-		for j, ref := range step.Media {
-			src, _, err := openStream(ref.Volume)
-			if err != nil {
-				return fmt.Errorf("recover: set %d media %s: %w", step.ID, ref.Volume, err)
-			}
-			// A resumed set spans several streams; all but the last are
-			// partial and restore with salvage semantics.
-			stats, err := logical.Restore(ctx, logical.RestoreOptions{
-				FS: fs, Source: src, TargetDir: target, Files: files,
-				SyncDeletes: i > 0, KernelIntegrated: true,
-				Salvage: step.Resumed && j < len(step.Media)-1,
-			})
-			if err != nil {
-				return fmt.Errorf("recover: set %d: %w", step.ID, err)
-			}
-			fmt.Printf("step %d/%d: set %d from %s: %d files restored, %d deleted\n",
-				i+1, len(plan.Steps), step.ID, ref.Volume, stats.FilesRestored, stats.Deleted)
+	// A single-file image plan extracts offline and touches no volume;
+	// everything else lands on -vol: a logical chain on its mounted (or,
+	// with -wipe, reformatted) filesystem, an image chain on the raw
+	// device, sized from the catalog when it has to be created.
+	var t engine.Target
+	if eng == catalog.Logical || plan.File == "" {
+		nblocks := 0
+		if eng == catalog.Image {
+			nblocks = int(plan.Steps[0].NBlocks)
 		}
-	}
-	return nil
-}
-
-// recoverImage rebuilds vol from the chain's image streams, or — for a
-// single-file plan — extracts the file offline without writing the
-// volume at all.
-func recoverImage(ctx context.Context, vol string, plan *catalog.Plan) error {
-	sources := func() ([]stream.Source, error) {
-		var out []stream.Source
-		for _, step := range plan.Steps {
-			for _, ref := range step.Media {
-				src, _, err := openStream(ref.Volume)
-				if err != nil {
-					return nil, fmt.Errorf("recover: set %d media %s: %w", step.ID, ref.Volume, err)
-				}
-				out = append(out, src)
-			}
-		}
-		return out, nil
-	}
-	if plan.File != "" {
-		srcs, err := sources()
+		dev, err := openOrCreate(vol, nblocks)
 		if err != nil {
 			return err
 		}
-		files, err := physical.Extract(ctx, srcs[0], srcs[1:], plan.File)
-		if err != nil {
-			return err
-		}
-		for p, data := range files {
-			out := strings.ReplaceAll(strings.TrimPrefix(p, "/"), "/", "_")
-			if err := os.WriteFile(out, data, 0644); err != nil {
+		defer dev.Close()
+		t = engine.Target{Vol: dev, Dir: *target}
+		if eng == catalog.Logical {
+			if *wipe && plan.File == "" {
+				// Disaster-recovery semantics: reformat so snapshot-pinned
+				// blocks don't starve the restore's copy-on-write allocation.
+				t.FS, err = wafl.Mkfs(ctx, dev, nil, wafl.Options{})
+			} else {
+				t.FS, err = wafl.Mount(ctx, dev, nil, wafl.Options{})
+			}
+			if err != nil {
 				return err
 			}
-			fmt.Printf("extracted %s -> %s (%d bytes)\n", p, out, len(data))
 		}
-		return nil
 	}
-
-	dev, err := openOrCreate(vol, int(plan.Steps[0].NBlocks))
-	if err != nil {
-		return err
-	}
-	defer dev.Close()
-	srcs, err := sources()
-	if err != nil {
-		return err
-	}
-	for i, src := range srcs {
-		stats, err := physical.Restore(ctx, physical.RestoreOptions{
-			Vol: dev, Source: src, ExpectIncremental: i > 0,
-		})
-		if err != nil {
-			return fmt.Errorf("recover: step %d: %w", i+1, err)
+	// Each media ref of a set is one stream file; a resumed set has
+	// several, which the executor applies in order, salvaging all but
+	// the last.
+	res, err := engine.Recover(ctx, plan, t, func(step catalog.DumpSet) ([]stream.Source, error) {
+		var srcs []stream.Source
+		for _, ref := range step.Media {
+			src, _, err := openStream(ref.Volume)
+			if err != nil {
+				return nil, fmt.Errorf("media %s: %w", ref.Volume, err)
+			}
+			srcs = append(srcs, src)
 		}
-		fmt.Printf("step %d/%d: %d blocks restored (generation %d)\n",
-			i+1, len(srcs), stats.BlocksRestored, stats.Gen)
+		return srcs, nil
+	}, func(i int, step catalog.DumpSet, r *engine.Restored) {
+		if eng == catalog.Image {
+			fmt.Printf("step %d/%d: set %d: %d blocks restored (generation %d)\n",
+				i+1, len(plan.Steps), step.ID, r.BlocksRestored, r.Gen)
+		} else {
+			fmt.Printf("step %d/%d: set %d: %d files restored, %d deleted\n",
+				i+1, len(plan.Steps), step.ID, r.FilesRestored, r.Deleted)
+		}
+	})
+	if err != nil {
+		return fmt.Errorf("recover: %w", err)
+	}
+	for p, data := range res.Files {
+		out := strings.ReplaceAll(strings.TrimPrefix(p, "/"), "/", "_")
+		if err := os.WriteFile(out, data, 0644); err != nil {
+			return err
+		}
+		fmt.Printf("extracted %s -> %s (%d bytes)\n", p, out, len(data))
 	}
 	return nil
 }
@@ -417,11 +353,18 @@ func recordReceived(base, standby string, streams []recvStream) error {
 		defer store.Close()
 		cat = c
 	}
-	hello := streams[0].hello
-	ds := catalog.DumpSet{
-		FSID: hello.FSID, Level: hello.Level,
-		Resumed: len(streams) > 1,
+	// Every stream of the set carries the same header values; the last
+	// is the one that completed, so it is the one certain to have one.
+	hello, last := streams[0].hello, streams[len(streams)-1].path
+	src, _, err := openStream(last)
+	if err != nil {
+		return err
 	}
+	ds, err := engine.PeekSet(catalog.Engine(hello.Kind), src)
+	if err != nil {
+		return fmt.Errorf("serve: catalog %s: %w", last, err)
+	}
+	ds.FSID, ds.Level, ds.Resumed = hello.FSID, hello.Level, len(streams) > 1
 	for _, rs := range streams {
 		fi, err := os.Stat(rs.path)
 		if err != nil {
@@ -430,46 +373,8 @@ func recordReceived(base, standby string, streams []recvStream) error {
 		ds.Bytes += fi.Size()
 		ds.Media = append(ds.Media, catalog.MediaRef{Volume: rs.path})
 	}
-	if hello.Kind == ndmp.KindImage {
-		src, _, err := openStream(streams[0].path)
-		if err != nil {
-			return err
-		}
-		nblocks, gen, baseGen, _, err := physical.StreamInfo(src)
-		if err != nil {
-			return fmt.Errorf("serve: catalog %s: %w", streams[0].path, err)
-		}
-		ds.Engine = catalog.Image
-		ds.Gen, ds.BaseGen, ds.NBlocks = gen, baseGen, nblocks
-		ds.Date = int64(gen)
-	} else {
-		h, err := peekDumpHeader(streams[0].path)
-		if err != nil {
-			return fmt.Errorf("serve: catalog %s: %w", streams[0].path, err)
-		}
-		ds.Engine = catalog.Logical
-		ds.Date, ds.BaseDate = h.Date, h.DDate
-		ds.Snap = h.Label
-	}
-	_, err := cat.AppendDumpSet(ds)
+	_, err = cat.AppendDumpSet(ds)
 	return err
-}
-
-// peekDumpHeader reads the leading TS_TAPE header of a logical stream
-// file — the dump date and base date the catalog needs.
-func peekDumpHeader(path string) (*dumpfmt.Header, error) {
-	src, _, err := openStream(path)
-	if err != nil {
-		return nil, err
-	}
-	rec, err := src.ReadRecord()
-	if err != nil {
-		return nil, err
-	}
-	if len(rec) < dumpfmt.TPBSize {
-		return nil, fmt.Errorf("backupctl: %d-byte leading record", len(rec))
-	}
-	return dumpfmt.UnmarshalHeader(rec[:dumpfmt.TPBSize])
 }
 
 // --- per-command usage (the help subcommand).

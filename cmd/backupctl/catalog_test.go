@@ -2,6 +2,7 @@ package main
 
 import (
 	"context"
+	"errors"
 	"os"
 	"path/filepath"
 	"strconv"
@@ -9,7 +10,11 @@ import (
 	"testing"
 
 	"repro/internal/catalog"
+	"repro/internal/engine"
+	"repro/internal/ndmp"
+	"repro/internal/physical"
 	"repro/internal/storage"
+	"repro/internal/stream"
 	"repro/internal/wafl"
 )
 
@@ -179,4 +184,133 @@ func TestCatalogRecoverCLI(t *testing.T) {
 	mustFail("help", "nosuchcommand")
 	mustFail("-vol", vol, "plan", "-engine", "bogus")
 	mustFail("plan") // no -vol
+}
+
+// dyingSink loses its stream after left records, as a push's link does.
+type dyingSink struct {
+	stream.Sink
+	left int
+}
+
+var errLinkDied = errors.New("test: link died")
+
+func (d *dyingSink) WriteRecord(rec []byte) error {
+	if d.left == 0 {
+		return errLinkDied
+	}
+	d.left--
+	return d.Sink.WriteRecord(rec)
+}
+
+// TestCatalogRecoverResumedImageSet: an image dump whose first stream
+// dies mid-way and is resumed onto a second lands in the catalog as one
+// Resumed set over two stream files, exactly as serve records a resumed
+// push. recover -engine image must rebuild the volume from it: the torn
+// first file salvaged, the second applied on top, one step.
+func TestCatalogRecoverResumedImageSet(t *testing.T) {
+	ctx := context.Background()
+	dir := t.TempDir()
+	vol := filepath.Join(dir, "home.img")
+	do := func(args ...string) {
+		t.Helper()
+		if err := run(args); err != nil {
+			t.Fatalf("backupctl %s: %v", strings.Join(args, " "), err)
+		}
+	}
+	put := func(content string) {
+		t.Helper()
+		host := filepath.Join(dir, "stage.txt")
+		if err := os.WriteFile(host, []byte(content), 0644); err != nil {
+			t.Fatal(err)
+		}
+		do("-vol", vol, "put", host, "/docs/a.txt")
+	}
+	do("-vol", vol, "mkfs", "-blocks", "4096")
+	do("-vol", vol, "fill", "-mb", "2")
+	put("dumped")
+
+	dev, err := storage.OpenFileDevice(vol)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fs, err := wafl.Mount(ctx, dev, nil, wafl.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := fs.CreateSnapshot(ctx, "s0"); err != nil {
+		t.Fatal(err)
+	}
+	job := engine.NewImage(physical.DumpOptions{FS: fs, Vol: dev, SnapName: "s0", CheckpointEvery: 64})
+	var landed []recvStream
+	resumes, err := engine.Resume(ctx, job, 2, func(attempt int) (stream.Sink, func(error) error, error) {
+		path := streamPath(filepath.Join(dir, "img"), attempt)
+		file, err := createStream(path, 0)
+		if err != nil {
+			return nil, nil, err
+		}
+		landed = append(landed, recvStream{
+			hello: ndmp.Hello{Kind: ndmp.KindImage, FSID: vol, Level: -1, Stream: attempt}, path: path,
+		})
+		var sink stream.Sink = file
+		if attempt == 0 {
+			sink = &dyingSink{Sink: file, left: 6}
+		}
+		return sink, func(err error) error {
+			file.Close()
+			return err
+		}, nil
+	}, func(err error) bool { return errors.Is(err, errLinkDied) })
+	if err != nil || resumes != 1 {
+		t.Fatalf("dump: %d resumes, err %v; want one resume", resumes, err)
+	}
+	dev.Close()
+	if err := recordReceived(vol, "", landed); err != nil {
+		t.Fatal(err)
+	}
+	sets := volSets(t, vol)
+	if len(sets) != 1 || sets[0].Engine != catalog.Image || !sets[0].Resumed || len(sets[0].Media) != 2 {
+		t.Fatalf("journaled sets %+v, want one resumed image set over two files", sets)
+	}
+
+	put("written after the dump")
+	do("-vol", vol, "recover", "-engine", "image")
+	data, err := readVol(t, vol, "/docs/a.txt")
+	if err != nil || string(data) != "dumped" {
+		t.Fatalf("after recover: /docs/a.txt = %q, %v; want the dumped content", data, err)
+	}
+	do("-vol", vol, "fsck")
+}
+
+// TestRecordReceivedRejectsUnknownKind: the stream kind is an
+// unvalidated wire byte. A push announcing a kind that names no engine
+// must be refused, never journaled: the catalog's decoder rejects the
+// engine, so one such record would make every later open of the
+// tenant's acknowledged history fail.
+func TestRecordReceivedRejectsUnknownKind(t *testing.T) {
+	dir := t.TempDir()
+	vol := filepath.Join(dir, "home.img")
+	out := filepath.Join(dir, "d0")
+	for _, args := range [][]string{
+		{"-vol", vol, "mkfs", "-blocks", "2048"},
+		{"-vol", vol, "fill", "-mb", "1"},
+		{"-vol", vol, "dump", "-o", out},
+	} {
+		if err := run(args); err != nil {
+			t.Fatalf("backupctl %s: %v", strings.Join(args, " "), err)
+		}
+	}
+	base := filepath.Join(dir, "recv")
+	for _, kind := range []byte{0, 3} {
+		landed := []recvStream{{hello: ndmp.Hello{Kind: kind, FSID: vol}, path: out}}
+		if err := recordReceived(base, "", landed); err == nil {
+			t.Fatalf("kind %d: journaled a set with no engine", kind)
+		}
+	}
+	landed := []recvStream{{hello: ndmp.Hello{Kind: ndmp.KindLogical, FSID: vol}, path: out}}
+	if err := recordReceived(base, "", landed); err != nil {
+		t.Fatalf("catalog unusable after the refused kinds: %v", err)
+	}
+	if sets := volSets(t, base); len(sets) != 1 || sets[0].Engine != catalog.Logical {
+		t.Fatalf("journaled sets %+v, want the one logical set", sets)
+	}
 }

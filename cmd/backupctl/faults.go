@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 
+	"repro/internal/catalog"
 	"repro/internal/chaos"
 	"repro/internal/storage"
 	"repro/internal/tape"
@@ -26,40 +27,38 @@ func faultsCommand(ctx context.Context, args []string) error {
 	if err := set.Parse(args); err != nil {
 		return err
 	}
-	var engines []chaos.Engine
-	switch *engine {
-	case "logical":
-		engines = []chaos.Engine{chaos.Logical}
-	case "physical":
-		engines = []chaos.Engine{chaos.Physical}
-	case "both":
-		engines = []chaos.Engine{chaos.Logical, chaos.Physical}
-	default:
-		return fmt.Errorf("faults: unknown engine %q", *engine)
+	// The report prints the words the operator types: this command has
+	// always called the image engine "physical".
+	engines := map[string]catalog.Engine{"logical": catalog.Logical, "physical": catalog.Image}
+	names := []string{"logical", "physical"}
+	if *engine != "both" {
+		if _, ok := engines[*engine]; !ok {
+			return fmt.Errorf("faults: unknown engine %q", *engine)
+		}
+		names = []string{*engine}
 	}
 
 	type namedScenario struct {
 		name string
-		make func(eng chaos.Engine, s int64) chaos.Scenario
-		only chaos.Engine // pointer-free "both" marker via ok flag
-		all  bool
+		make func(eng catalog.Engine, s int64) chaos.Scenario
+		only catalog.Engine // 0 = both engines
 	}
 	scenarios := []namedScenario{
-		{name: "damage", all: false, only: chaos.Logical,
-			make: func(eng chaos.Engine, s int64) chaos.Scenario {
+		{name: "damage", only: catalog.Logical,
+			make: func(eng catalog.Engine, s int64) chaos.Scenario {
 				return chaos.Scenario{Seed: s, Engine: eng, DataBlockFaults: 3,
 					Tape: tape.FaultConfig{WriteFault: 0.02, Transient: 1.0}}
 			}},
-		{name: "raid", all: true,
-			make: func(eng chaos.Engine, s int64) chaos.Scenario {
+		{name: "raid",
+			make: func(eng catalog.Engine, s int64) chaos.Scenario {
 				return chaos.Scenario{Seed: s, Engine: eng, Raid: true,
 					Profile: storage.FaultProfile{ReadFault: 0.15, RunFault: 0.5, Transient: 0.5, HealAfter: 2},
 					Tape:    tape.FaultConfig{WriteFault: 0.01, Transient: 1.0}}
 			}},
-		{name: "offline", all: true,
-			make: func(eng chaos.Engine, s int64) chaos.Scenario {
+		{name: "offline",
+			make: func(eng catalog.Engine, s int64) chaos.Scenario {
 				off := 12
-				if eng == chaos.Physical {
+				if eng == catalog.Image {
 					off = 4
 				}
 				return chaos.Scenario{Seed: s, Engine: eng, Files: 30,
@@ -72,12 +71,12 @@ func faultsCommand(ctx context.Context, args []string) error {
 		if *scenario != "all" && *scenario != sc.name {
 			continue
 		}
-		for _, eng := range engines {
-			if !sc.all && eng != sc.only {
+		for _, eng := range names {
+			if sc.only != 0 && engines[eng] != sc.only {
 				continue
 			}
 			for s := *seed; s < *seed+int64(*runs); s++ {
-				rep, err := chaos.Run(ctx, sc.make(eng, s))
+				rep, err := chaos.Run(ctx, sc.make(engines[eng], s))
 				if err != nil {
 					fmt.Printf("FAIL %-8s %-8s seed=%-3d %v\n", sc.name, eng, s, err)
 					failures++

@@ -37,6 +37,7 @@ import (
 
 	"repro/internal/catalog"
 	"repro/internal/chunk"
+	"repro/internal/engine"
 	"repro/internal/logical"
 	"repro/internal/obs"
 	"repro/internal/physical"
@@ -196,21 +197,31 @@ func run(args []string) error {
 		if *in == "" || fs.NArg() == 0 {
 			return fmt.Errorf("extract: -i and at least one path required")
 		}
-		full, _, err := openStream(*in)
-		if err != nil {
-			return err
-		}
-		var incs []stream.Source
+		// Replay the chain onto a scratch device sized from the full
+		// stream's header, never -vol, and read the paths out of that.
+		chain := []string{*in}
 		if *incr != "" {
-			for _, p := range strings.Split(*incr, ",") {
-				s, _, err := openStream(p)
+			chain = append(chain, strings.Split(*incr, ",")...)
+		}
+		var scratch engine.Target
+		for i, p := range chain {
+			file, _, err := openStream(p)
+			if err != nil {
+				return err
+			}
+			var src stream.Source = file
+			if i == 0 {
+				nblocks, _, _, replay, err := physical.StreamInfo(src)
 				if err != nil {
 					return err
 				}
-				incs = append(incs, s)
+				scratch.Vol, src = storage.NewMemDevice(int(nblocks)), replay
+			}
+			if _, err := engine.RestoreSet(ctx, catalog.Image, scratch, []stream.Source{src}, i > 0); err != nil {
+				return fmt.Errorf("extract: replaying %s: %w", p, err)
 			}
 		}
-		files, err := physical.Extract(ctx, full, incs, fs.Args()...)
+		files, err := physical.ReadFiles(ctx, scratch.Vol, fs.Args()...)
 		if err != nil {
 			return err
 		}
@@ -539,16 +550,17 @@ func volumeCommand(ctx context.Context, fs *wafl.FS, vol, cmd string, rest []str
 			sink, closeSink = fsink, fsink.Close
 		}
 		var index []catalog.FileIndexEntry
-		stats, err := logical.Dump(ctx, logical.DumpOptions{
+		job := engine.NewLogical(logical.DumpOptions{
 			View: view, Level: *level, Dates: dates, FSID: vol,
-			Subtree: *subtree, Sink: sink, Label: "backupctl", ReadAhead: 16,
+			Subtree: *subtree, Label: "backupctl", ReadAhead: 16,
 			FileIndex: func(path string, ino wafl.Inum, unit int64) {
 				index = append(index, catalog.FileIndexEntry{Path: path, Ino: uint32(ino), Unit: unit})
 			},
 		})
-		if err != nil {
+		if err := job.To(ctx, sink); err != nil {
 			return err
 		}
+		stats := job.LogicalStats
 		var manifest chunk.Manifest
 		if dw != nil {
 			if manifest, err = dw.Close(); err != nil {
@@ -559,7 +571,7 @@ func volumeCommand(ctx context.Context, fs *wafl.FS, vol, cmd string, rest []str
 		}
 		// The catalog journal is the authoritative record; the legacy
 		// <vol>.dumpdates file is kept in sync for older tooling.
-		id, err := recordLogicalSet(cat, vol, "backupctl.dump", media, *level, stats, index)
+		id, err := recordSet(cat, job, vol, "backupctl.dump", media, index)
 		if err != nil {
 			return err
 		}
@@ -705,12 +717,13 @@ func volumeCommand(ctx context.Context, fs *wafl.FS, vol, cmd string, rest []str
 			}
 			sink, closeSink = fsink, fsink.Close
 		}
-		stats, err := physical.Dump(ctx, physical.DumpOptions{
-			FS: fs, Vol: fs.Device(), SnapName: name, BaseSnapName: *base, Sink: sink,
+		job := engine.NewImage(physical.DumpOptions{
+			FS: fs, Vol: fs.Device(), SnapName: name, BaseSnapName: *base,
 		})
-		if err != nil {
+		if err := job.To(ctx, sink); err != nil {
 			return err
 		}
+		stats := job.ImageStats
 		var manifest chunk.Manifest
 		if dw != nil {
 			if manifest, err = dw.Close(); err != nil {
@@ -719,7 +732,7 @@ func volumeCommand(ctx context.Context, fs *wafl.FS, vol, cmd string, rest []str
 		} else if err := closeSink(); err != nil {
 			return err
 		}
-		id, err := recordImageSet(cat, vol, name, media, stats)
+		id, err := recordSet(cat, job, vol, name, media, nil)
 		if err != nil {
 			return err
 		}

@@ -18,18 +18,19 @@ package main
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"net"
 	"os"
 	"sync"
 	"time"
 
+	"repro/internal/engine"
 	"repro/internal/logical"
 	"repro/internal/ndmp"
 	"repro/internal/obs"
 	"repro/internal/physical"
 	"repro/internal/sched"
+	"repro/internal/stream"
 	"repro/internal/transport"
 	"repro/internal/wafl"
 )
@@ -275,10 +276,9 @@ func pushCommand(ctx context.Context, fs *wafl.FS, vol string, rest []string) er
 		ctx = obs.WithTracer(ctx, tracer)
 	}
 
-	streamKind := byte(ndmp.KindLogical)
-	var lgOpts logical.DumpOptions
-	var phOpts physical.DumpOptions
-	var dates *logical.DumpDates
+	var job *engine.Dump
+	var dates *logical.DumpDates // logical only: the history a clean push records itself in
+	pushLevel := int32(*level)
 	switch *kind {
 	case "logical":
 		if *ckpt <= 0 {
@@ -293,12 +293,12 @@ func pushCommand(ctx context.Context, fs *wafl.FS, vol string, rest []string) er
 		if err != nil {
 			return err
 		}
-		lgOpts = logical.DumpOptions{
+		job = engine.NewLogical(logical.DumpOptions{
 			View: view, Level: *level, Dates: dates, FSID: vol,
 			Label: "backupctl", ReadAhead: 16, CheckpointEvery: *ckpt,
-		}
+		})
 	case "image":
-		streamKind = ndmp.KindImage
+		pushLevel = -1
 		if *ckpt <= 0 {
 			*ckpt = 256 // blocks between resumable checkpoints
 		}
@@ -311,9 +311,9 @@ func pushCommand(ctx context.Context, fs *wafl.FS, vol string, rest []string) er
 				return err
 			}
 		}
-		phOpts = physical.DumpOptions{
+		job = engine.NewImage(physical.DumpOptions{
 			FS: fs, Vol: fs.Device(), SnapName: name, CheckpointEvery: *ckpt,
-		}
+		})
 	default:
 		return fmt.Errorf("push: unknown -kind %q", *kind)
 	}
@@ -326,71 +326,45 @@ func pushCommand(ctx context.Context, fs *wafl.FS, vol string, rest []string) er
 		return transport.NewNetConn(c), nil
 	}
 
-	// The engine-resume loop: the session absorbs recoverable link
-	// faults internally; only a dead peer or an exhausted redial
-	// budget escapes, and then the dump restarts on a fresh stream
-	// from its last acknowledged checkpoint.
+	// The session absorbs recoverable link faults internally; only a
+	// dead peer or an exhausted redial budget escapes, and then the dump
+	// continues on a fresh stream from its last acknowledged checkpoint.
+	var acked uint64
 	reconnects, replayed := 0, 0
-	for attempt := 0; ; attempt++ {
-		if attempt > *maxResumes {
-			return fmt.Errorf("push: gave up after %d checkpoint resumes", *maxResumes)
-		}
-		pushLevel := int32(*level)
-		if streamKind == ndmp.KindImage {
-			pushLevel = -1
-		}
+	resumes, err := engine.Resume(ctx, job, *maxResumes, func(attempt int) (stream.Sink, func(error) error, error) {
 		sess, err := ndmp.Dial(dial, ndmp.Config{
-			Kind: streamKind, Session: *session, Stream: attempt,
+			Kind: byte(job.Engine()), Session: *session, Stream: attempt,
 			Window: *window, DeadAfter: *dead, Ctx: ctx,
 			FSID: vol, Level: pushLevel, Tenant: *tenant,
 		})
 		if err != nil {
-			return fmt.Errorf("push: dial stream %d: %w", attempt, err)
+			return nil, nil, fmt.Errorf("dial stream %d: %w", attempt, err)
 		}
-
-		var lgStats *logical.DumpStats
-		var phStats *physical.DumpStats
-		if streamKind == ndmp.KindLogical {
-			lgOpts.Sink = sess
-			lgStats, err = logical.Dump(ctx, lgOpts)
-		} else {
-			phOpts.Sink = sess
-			phStats, err = physical.Dump(ctx, phOpts)
-		}
-		if err == nil {
-			err = sess.Close()
-		}
-		st := sess.Stats()
-		reconnects += st.Reconnects
-		replayed += st.Replayed
-		if err == nil {
-			if streamKind == ndmp.KindLogical {
-				if err := saveDates(vol, dates); err != nil {
-					return err
-				}
-				fmt.Printf("pushed %d files, %d dirs, %d bytes (level %d)\n",
-					lgStats.FilesDumped, lgStats.DirsDumped, lgStats.BytesWritten, *level)
-			} else {
-				fmt.Printf("pushed %d blocks (generation %d)\n", phStats.BlocksDumped, phStats.Gen)
+		return sess, func(err error) error {
+			if err == nil {
+				err = sess.Close()
 			}
-			fmt.Printf("session %d: %d stream(s), %d acked records, %d reconnects, %d replayed\n",
-				*session, attempt+1, sess.Acked(), reconnects, replayed)
-			return nil
-		}
-		if !errors.Is(err, ndmp.ErrPeerDead) && !errors.Is(err, ndmp.ErrSessionLost) {
-			return fmt.Errorf("push: stream %d: %w", attempt, err)
-		}
-		fmt.Fprintf(os.Stderr, "backupctl: push: stream %d lost (%v)\n", attempt, err)
-		lgOpts.Resume, phOpts.Resume = nil, nil
-		switch {
-		case lgStats != nil && lgStats.Checkpoint != nil:
-			lgOpts.Resume = lgStats.Checkpoint
-			fmt.Fprintf(os.Stderr, "backupctl: push: resuming from acknowledged checkpoint on stream %d\n", attempt+1)
-		case phStats != nil && phStats.Checkpoint != nil:
-			phOpts.Resume = phStats.Checkpoint
-			fmt.Fprintf(os.Stderr, "backupctl: push: resuming from acknowledged checkpoint on stream %d\n", attempt+1)
-		default:
-			fmt.Fprintf(os.Stderr, "backupctl: push: no acknowledged checkpoint; restarting stream\n")
+			st := sess.Stats()
+			reconnects += st.Reconnects
+			replayed += st.Replayed
+			acked = sess.Acked()
+			if ndmp.StreamLost(err) && attempt < *maxResumes {
+				fmt.Fprintf(os.Stderr, "backupctl: push: stream %d lost (%v); resuming from its last acknowledged checkpoint on stream %d\n",
+					attempt, err, attempt+1)
+			}
+			return err
+		}, nil
+	}, ndmp.StreamLost)
+	if err != nil {
+		return fmt.Errorf("push: %w", err)
+	}
+	if dates != nil {
+		if err := saveDates(vol, dates); err != nil {
+			return err
 		}
 	}
+	fmt.Printf("pushed %s\n", job.Summary())
+	fmt.Printf("session %d: %d stream(s), %d acked records, %d reconnects, %d replayed\n",
+		*session, resumes+1, acked, reconnects, replayed)
+	return nil
 }

@@ -23,6 +23,7 @@ import (
 	"repro/internal/logical"
 	"repro/internal/physical"
 	"repro/internal/sim"
+	"repro/internal/storage"
 	"repro/internal/workload"
 )
 
@@ -102,8 +103,12 @@ func main() {
 	filer.Env.Spawn("extract", func(p *sim.Proc) {
 		c := core.Proc(ctx, p)
 		filer.Tapes[1].Rewind(p)
+		scratch := storage.NewMemDevice(filer.Vol.NumBlocks())
+		if _, err := physical.Restore(c, physical.RestoreOptions{Vol: scratch, Source: filer.Source(c, 1)}); err != nil {
+			log.Fatal(err)
+		}
 		var err error
-		extracted, err = physical.Extract(c, filer.Source(c, 1), nil, "/users/pat/thesis.tex")
+		extracted, err = physical.ReadFiles(c, scratch, "/users/pat/thesis.tex")
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -366,6 +366,11 @@ func (c *Catalog) RegisterMetrics(r *obs.Registry) {
 // AppendDumpSet records a completed dump set, assigning and returning
 // its ID. The record is durable when AppendDumpSet returns.
 func (c *Catalog) AppendDumpSet(ds DumpSet) (uint64, error) {
+	if ds.Engine != Logical && ds.Engine != Image {
+		// The decoder rejects it, so journaling it would make every
+		// later Open of this catalog fail.
+		return 0, fmt.Errorf("catalog: unknown engine %d", ds.Engine)
+	}
 	ds.ID = c.next
 	if err := c.append(ds, encodeDumpSet(&ds)); err != nil {
 		return 0, err

@@ -101,6 +101,31 @@ func TestJournalRoundTrip(t *testing.T) {
 	}
 }
 
+// TestAppendRefusesWhatOpenRejects: the decoder rejects a set whose
+// engine it does not know, so the writer must too — otherwise one bad
+// append makes the whole journal unreadable.
+func TestAppendRefusesWhatOpenRejects(t *testing.T) {
+	store := &MemStore{}
+	c, err := Open(store)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, eng := range []Engine{0, 3} {
+		if _, err := c.AppendDumpSet(sampleSet(eng, "vol0", 0, 100, 0, 0, 0)); err == nil {
+			t.Fatalf("engine %d: appended", eng)
+		}
+	}
+	if len(store.Buf) != 0 {
+		t.Fatalf("refused appends wrote %d bytes", len(store.Buf))
+	}
+	if _, err := c.AppendDumpSet(sampleSet(Image, "vol0", -1, 100, 0, 1, 0)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Open(store); err != nil {
+		t.Fatalf("reopen: %v", err)
+	}
+}
+
 func TestFileStorePersistence(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "journal")
 	s, err := OpenFileStore(path)

@@ -183,7 +183,7 @@ func (c *Catalog) Plan(opts PlanOptions) (*Plan, error) {
 			}
 		}
 		// An image plan keeps the whole chain even for one file: blocks
-		// of the file may live in any member, and Extract walks them all.
+		// of the file may live in any member, and the executor replays them all.
 		return p, nil
 	}
 	return nil, &UnplannableError{Engine: opts.Engine, FSID: opts.FSID, Blocked: blocked}

@@ -163,7 +163,7 @@ func TestChaosCatalogCrashRecovery(t *testing.T) {
 				// reused, as if the interrupted append never happened.
 				id, err := rec.AppendDumpSet(catalog.DumpSet{
 					Engine: engine, FSID: "vol0", Level: 1,
-					Date: wantSets[len(wantSets)-1].Date + 1,
+					Date:  wantSets[len(wantSets)-1].Date + 1,
 					Media: []catalog.MediaRef{{Volume: "t9"}},
 				})
 				if err != nil {

@@ -22,38 +22,24 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"sort"
 
+	"repro/internal/catalog"
+	"repro/internal/engine"
 	"repro/internal/logical"
 	"repro/internal/obs"
-	"repro/internal/physical"
 	"repro/internal/raid"
 	"repro/internal/storage"
+	"repro/internal/stream"
 	"repro/internal/tape"
 	"repro/internal/vdev"
 	"repro/internal/wafl"
 	"repro/internal/workload"
 )
 
-// Engine selects the backup strategy under test.
-type Engine int
-
-const (
-	Logical Engine = iota
-	Physical
-)
-
-func (e Engine) String() string {
-	if e == Physical {
-		return "physical"
-	}
-	return "logical"
-}
-
 // Scenario is one seeded chaos run.
 type Scenario struct {
 	Seed   int64
-	Engine Engine
+	Engine catalog.Engine
 	// Raid mounts the filesystem on a 4+1 RAID-4 volume and arms
 	// Profile on one data member: every injected fault must be absorbed
 	// by retry or parity reconstruction, so the tree must come back
@@ -79,7 +65,7 @@ type Scenario struct {
 
 // Report is the outcome of a scenario.
 type Report struct {
-	Engine  Engine
+	Engine  catalog.Engine
 	Seed    int64
 	Resumes int // checkpoint-resumed dump invocations
 
@@ -102,21 +88,6 @@ type Report struct {
 	Metrics []obs.Point
 }
 
-// countingSink wraps a DriveSink to count cartridges consumed, so the
-// restore side knows how many volumes to read back.
-type countingSink struct {
-	*logical.DriveSink
-	vols int
-}
-
-func (c *countingSink) NextVolume() error {
-	err := c.DriveSink.NextVolume()
-	if err == nil {
-		c.vols++
-	}
-	return err
-}
-
 // Run executes one scenario and evaluates the chaos invariant. An
 // error means the scenario could not be evaluated (unrecoverable dump
 // failure, resume divergence) — not that the invariant failed; callers
@@ -128,16 +99,7 @@ func Run(ctx context.Context, s Scenario) (*Report, error) {
 	if s.MeanFileSize <= 0 {
 		s.MeanFileSize = 12 << 10
 	}
-	if s.Cartridges < 1 {
-		s.Cartridges = 1
-	}
-	if s.CheckpointEvery <= 0 {
-		if s.Engine == Physical {
-			s.CheckpointEvery = 32
-		} else {
-			s.CheckpointEvery = 2
-		}
-	}
+	s.CheckpointEvery = perEngine(s.CheckpointEvery, s.Engine, 2, 32)
 	if s.MaxResumes <= 0 {
 		s.MaxResumes = 4
 	}
@@ -191,33 +153,17 @@ func Run(ctx context.Context, s Scenario) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	paths, err := workload.Generate(ctx, fs, workload.Spec{
-		Seed: s.Seed, Files: s.Files, DirFanout: 5, MeanFileSize: s.MeanFileSize,
-		Symlinks: s.Files / 10, Hardlinks: s.Files / 15,
-	})
+	paths, err := workload.Generate(ctx, fs, treeSpec(s.Seed, s.Files, s.MeanFileSize))
 	if err != nil {
 		return nil, err
 	}
-	if err := fs.CreateSnapshot(ctx, "chaos"); err != nil {
+	// Freeze and digest the source tree before any flat-topology faults
+	// are planted — the reference must come from clean reads.
+	// (Raid-member faults may already be armed; the volume hides them
+	// by design.)
+	src := &source{dev: dev, fs: fs, paths: paths}
+	if err := src.freeze(ctx, "chaos"); err != nil {
 		return nil, err
-	}
-	// Remount cold so dump reads hit the (faulty) devices, not the
-	// write-back cache.
-	fs, err = wafl.Mount(ctx, dev, nil, wafl.Options{CacheBlocks: 32})
-	if err != nil {
-		return nil, err
-	}
-	view, err := fs.SnapshotView("chaos")
-	if err != nil {
-		return nil, err
-	}
-
-	// Digest the source tree before any flat-topology faults are
-	// planted — the reference must come from clean reads. (Raid-member
-	// faults may already be armed; the volume hides them by design.)
-	want, err := workload.TreeDigest(ctx, view, "/")
-	if err != nil {
-		return nil, fmt.Errorf("chaos: source tree unreadable: %w", err)
 	}
 
 	// Flat topology: plant latent sector errors under random file data
@@ -226,11 +172,11 @@ func Run(ctx context.Context, s Scenario) (*Report, error) {
 		rng := rand.New(rand.NewSource(s.Seed*7919 + 1))
 		for i := 0; i < s.DataBlockFaults; i++ {
 			p := paths[rng.Intn(len(paths))]
-			ino, err := view.Namei(ctx, p)
+			ino, err := src.view.Namei(ctx, p)
 			if err != nil {
 				return nil, err
 			}
-			inode, err := view.GetInode(ctx, ino)
+			inode, err := src.view.GetInode(ctx, ino)
 			if err != nil {
 				return nil, err
 			}
@@ -238,7 +184,7 @@ func Run(ctx context.Context, s Scenario) (*Report, error) {
 			if nfbn == 0 {
 				continue
 			}
-			pbn, err := view.BlockAt(ctx, ino, uint32(rng.Intn(nfbn)))
+			pbn, err := src.view.BlockAt(ctx, ino, uint32(rng.Intn(nfbn)))
 			if err != nil {
 				return nil, err
 			}
@@ -248,187 +194,64 @@ func Run(ctx context.Context, s Scenario) (*Report, error) {
 		}
 	}
 
-	// Remount once more so the dump's reads are cold and actually hit
-	// the planted faults rather than the digest pass's warm cache.
-	fs, err = wafl.Mount(ctx, dev, nil, wafl.Options{CacheBlocks: 32})
-	if err != nil {
+	// Remount so the dump's reads are cold and actually hit the faulty
+	// devices rather than the fill's and the digest pass's warm cache.
+	if src.fs, err = wafl.Mount(ctx, dev, nil, wafl.Options{CacheBlocks: 32}); err != nil {
 		return nil, err
 	}
-	view, err = fs.SnapshotView("chaos")
-	if err != nil {
+	if src.view, err = src.fs.SnapshotView("chaos"); err != nil {
 		return nil, err
 	}
 
-	restored, err := dumpRestoreCycle(ctx, s, rep, fs, dev, view)
-	if err != nil {
-		return nil, err
-	}
-	got, err := workload.TreeDigest(ctx, restored, "/")
-	if err != nil {
-		return nil, err
-	}
-	return evaluate(ctx, rep, view, want, got)
-}
-
-// dumpRestoreCycle runs the engine's dump (resuming on offline faults)
-// and restores the concatenated streams, returning the restored view.
-func dumpRestoreCycle(ctx context.Context, s Scenario, rep *Report, fs *wafl.FS, dev storage.Device, view *wafl.View) (*wafl.View, error) {
+	// Dump, one drive per attempt: the fault is armed on the first;
+	// an offline event aborts the attempt and the replacement drive
+	// (same media faults, no offline event) takes the resumed stream.
 	tapeCfg := s.Tape
 	if tapeCfg.Seed == 0 {
 		tapeCfg.Seed = s.Seed
 	}
-	newDrive := func(attempt int) *tape.Drive {
-		p := tape.DefaultParams()
-		p.Capacity = s.TapeCapacity
-		d := tape.NewDrive(nil, fmt.Sprintf("t%d", attempt), p)
-		for i := 0; i < s.Cartridges; i++ {
-			d.AddCartridges(tape.NewCartridge(fmt.Sprintf("t%d-%d", attempt, i)))
+	job := src.dump(s.Engine, s.CheckpointEvery, 0)
+	var tapes []*streamTape
+	rep.Resumes, err = engine.Resume(ctx, job, s.MaxResumes, func(attempt int) (stream.Sink, func(error) error, error) {
+		t, err := newStreamTape(fmt.Sprintf("t%d", attempt), s.Cartridges, s.TapeCapacity)
+		if err != nil {
+			return nil, nil, err
 		}
-		d.Load(nil)
 		cfg := tapeCfg
 		if attempt > 0 {
-			cfg.OfflineAfterRecords = 0 // the replacement drive works
+			cfg.OfflineAfterRecords = 0
 		}
-		d.InjectFaults(cfg)
-		d.RegisterMetrics(obs.MetricsFrom(ctx))
-		return d
-	}
-
-	var drives []*tape.Drive
-	var vols []int
-	var firstLabels []string
-	var lgOpts logical.DumpOptions
-	var phOpts physical.DumpOptions
-	if s.Engine == Logical {
-		lgOpts = logical.DumpOptions{View: view, Label: "chaos", ReadAhead: 8, CheckpointEvery: s.CheckpointEvery}
-	} else {
-		phOpts = physical.DumpOptions{FS: fs, Vol: dev, SnapName: "chaos", CheckpointEvery: s.CheckpointEvery}
-	}
-	for attempt := 0; ; attempt++ {
-		if attempt > s.MaxResumes {
-			return nil, fmt.Errorf("chaos: %s dump did not converge after %d resumes", s.Engine, s.MaxResumes)
-		}
-		drive := newDrive(attempt)
-		sink := &countingSink{DriveSink: &logical.DriveSink{Drive: drive}}
-		drives = append(drives, drive)
-		firstLabels = append(firstLabels, fmt.Sprintf("t%d-0", attempt))
-
-		var err error
-		var lgCkpt *logical.Checkpoint
-		var phCkpt *physical.Checkpoint
-		if s.Engine == Logical {
-			lgOpts.Sink = sink
-			var stats *logical.DumpStats
-			stats, err = logical.Dump(ctx, lgOpts)
-			if stats != nil {
-				lgCkpt = stats.Checkpoint
-				if err == nil {
-					rep.Damaged = append(rep.Damaged, stats.Damaged...)
-				} else if lgCkpt != nil {
-					// Keep damage only for files the checkpoint covers;
-					// everything after it is re-dumped by the resume.
-					for _, d := range stats.Damaged {
-						if d.Ino <= lgCkpt.LastIno {
-							rep.Damaged = append(rep.Damaged, d)
-						}
+		t.drive.InjectFaults(cfg)
+		t.drive.RegisterMetrics(reg)
+		tapes = append(tapes, t)
+		return t.sink, func(err error) error {
+			retries, swaps := t.sink.MediaStats()
+			rep.TapeRetries += retries
+			rep.TapeSwaps += swaps
+			// A failed attempt's damage report counts only up to its
+			// checkpoint; the resume re-dumps (and re-reports) the rest.
+			if st := job.LogicalStats; st != nil {
+				for _, d := range st.Damaged {
+					if err == nil || (st.Checkpoint != nil && d.Ino <= st.Checkpoint.LastIno) {
+						rep.Damaged = append(rep.Damaged, d)
 					}
 				}
 			}
-		} else {
-			phOpts.Sink = sink
-			var stats *physical.DumpStats
-			stats, err = physical.Dump(ctx, phOpts)
-			if stats != nil {
-				phCkpt = stats.Checkpoint
-			}
-		}
-		retries, swaps := sink.MediaStats()
-		rep.TapeRetries += retries
-		rep.TapeSwaps += swaps
-		vols = append(vols, sink.vols+1)
-		if err == nil {
-			rep.Resumes = attempt
-			break
-		}
-		if !errors.Is(err, tape.ErrOffline) {
-			return nil, fmt.Errorf("chaos: unrecoverable %s dump fault: %w", s.Engine, err)
-		}
-		drive.SetOffline(false)
-		drive.Flush(nil)
-		if lgCkpt == nil && phCkpt == nil {
-			// Offline before the first checkpoint: nothing to resume
-			// from; restart clean, discarding the partial streams.
-			drives = drives[:0]
-			vols = vols[:0]
-			firstLabels = firstLabels[:0]
-			rep.Damaged = rep.Damaged[:0]
-			lgOpts.Resume, phOpts.Resume = nil, nil
-			continue
-		}
-		lgOpts.Resume, phOpts.Resume = lgCkpt, phCkpt
-	}
-
-	// Restore the streams in order: every stream but the last is torn
-	// (its drive died) and is applied in salvage mode.
-	rewind := func(i int) *logical.DriveSource {
-		d := drives[i]
-		// An offline latch that fired on the dump's final record leaves
-		// the drive down; the operator brings it back before reading.
-		d.SetOffline(false)
-		for d.Loaded().Label != firstLabels[i] {
-			if err := d.Load(nil); err != nil {
-				break
-			}
-		}
-		d.Rewind(nil)
-		return logical.NewDriveSource(d, nil, vols[i])
-	}
-	if s.Engine == Logical {
-		dst, err := wafl.Mkfs(ctx, storage.NewMemDevice(8192), nil, wafl.Options{})
-		if err != nil {
-			return nil, err
-		}
-		for i := range drives {
-			_, err := logical.Restore(ctx, logical.RestoreOptions{
-				FS: dst, Source: rewind(i), KernelIntegrated: true,
-				Salvage: i < len(drives)-1,
-			})
-			if err != nil {
-				return nil, fmt.Errorf("chaos: restoring stream %d/%d: %w", i+1, len(drives), err)
-			}
-		}
-		return dst.ActiveView(), nil
-	}
-	target := storage.NewMemDevice(dev.NumBlocks())
-	for i := range drives {
-		_, err := physical.Restore(ctx, physical.RestoreOptions{
-			Vol: target, Source: rewind(i), Salvage: i < len(drives)-1,
-		})
-		if err != nil {
-			return nil, fmt.Errorf("chaos: restoring image stream %d/%d: %w", i+1, len(drives), err)
-		}
-	}
-	dst, err := wafl.Mount(ctx, target, nil, wafl.Options{})
+			return err
+		}, nil
+	}, func(err error) bool { return errors.Is(err, tape.ErrOffline) })
 	if err != nil {
+		return nil, fmt.Errorf("chaos: %s dump: %w", s.Engine, err)
+	}
+	if rep.DiffPaths, err = src.restoreDiff(ctx, s.Engine, sources(tapes)); err != nil {
 		return nil, err
 	}
-	return dst.ActiveView(), nil
+	return evaluate(ctx, rep, src.view)
 }
 
-// evaluate compares the trees and checks that any differences are
-// exactly the inodes the damage report names.
-func evaluate(ctx context.Context, rep *Report, src *wafl.View, want, got map[string]workload.Entry) (*Report, error) {
-	for p, e := range want {
-		if g, ok := got[p]; !ok || g != e {
-			rep.DiffPaths = append(rep.DiffPaths, p)
-		}
-	}
-	for p := range got {
-		if _, ok := want[p]; !ok {
-			rep.DiffPaths = append(rep.DiffPaths, p)
-		}
-	}
-	sort.Strings(rep.DiffPaths)
+// evaluate checks that any differences are exactly the inodes the
+// damage report names.
+func evaluate(ctx context.Context, rep *Report, src *wafl.View) (*Report, error) {
 	rep.Identical = len(rep.DiffPaths) == 0
 
 	damagedInos := make(map[wafl.Inum]bool)

@@ -3,6 +3,7 @@ package chaos
 import (
 	"context"
 	"os"
+	"repro/internal/catalog"
 	"strconv"
 	"testing"
 
@@ -45,7 +46,7 @@ func TestChaosLogicalDamageReport(t *testing.T) {
 	for seed := int64(1); seed <= int64(seedCount()); seed++ {
 		rep, err := Run(ctx, Scenario{
 			Seed:            seed,
-			Engine:          Logical,
+			Engine:          catalog.Logical,
 			DataBlockFaults: 3,
 			Tape:            tape.FaultConfig{WriteFault: 0.02, Transient: 1.0},
 		})
@@ -64,7 +65,7 @@ func TestChaosLogicalDamageReport(t *testing.T) {
 // reconstructed from parity. Both engines must return a byte-identical
 // tree with an empty damage report.
 func TestChaosRaidAbsorbsDiskFaults(t *testing.T) {
-	for _, engine := range []Engine{Logical, Physical} {
+	for _, engine := range []catalog.Engine{catalog.Logical, catalog.Image} {
 		recovered := 0
 		for seed := int64(1); seed <= int64(seedCount()); seed++ {
 			rep, err := Run(ctx, Scenario{
@@ -95,11 +96,11 @@ func TestChaosRaidAbsorbsDiskFaults(t *testing.T) {
 // must resume from the checkpoint on a replacement drive and the
 // concatenated streams must restore correctly — for both engines.
 func TestChaosOfflineResume(t *testing.T) {
-	for _, engine := range []Engine{Logical, Physical} {
+	for _, engine := range []catalog.Engine{catalog.Logical, catalog.Image} {
 		// Image records are 60 KB, logical records 10 KB: pick offline
 		// thresholds that land mid-dump for each stream shape.
 		offline := 12
-		if engine == Physical {
+		if engine == catalog.Image {
 			offline = 4
 		}
 		for seed := int64(1); seed <= int64(seedCount()); seed++ {
@@ -120,11 +121,41 @@ func TestChaosOfflineResume(t *testing.T) {
 	}
 }
 
+// TestChaosOfflineEveryRecord tears the first stream at every record
+// boundary it has — inside the maps and directories (or the image
+// header) where nothing is durable yet, mid-file, and on the final
+// record — and requires the resumed set to restore byte-identical each
+// time: salvage holds at every prefix of the stream, not only past the
+// first checkpoint.
+func TestChaosOfflineEveryRecord(t *testing.T) {
+	for _, engine := range []catalog.Engine{catalog.Logical, catalog.Image} {
+		k := 1
+		for ; ; k++ {
+			rep, err := Run(ctx, Scenario{
+				Seed: 1, Engine: engine, Files: 30,
+				Tape: tape.FaultConfig{OfflineAfterRecords: k},
+			})
+			if err != nil {
+				t.Fatalf("%s offline after %d records: %v", engine, k, err)
+			}
+			if !rep.Identical {
+				t.Fatalf("%s offline after %d records: diffs=%v", engine, k, rep.DiffPaths)
+			}
+			if rep.Resumes == 0 {
+				break // k is past the stream's last record: the fault never fired
+			}
+		}
+		if k < 4 {
+			t.Errorf("%s: stream ended after %d records; the sweep proved nothing", engine, k-1)
+		}
+	}
+}
+
 // TestChaosKitchenSink: everything at once — flaky raid member, flat
 // tape media errors with occasional cartridge loss, and an offline
 // event — across both engines.
 func TestChaosKitchenSink(t *testing.T) {
-	for _, engine := range []Engine{Logical, Physical} {
+	for _, engine := range []catalog.Engine{catalog.Logical, catalog.Image} {
 		for seed := int64(1); seed <= int64(seedCount()); seed++ {
 			rep, err := Run(ctx, Scenario{
 				Seed:   seed,

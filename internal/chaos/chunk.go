@@ -7,11 +7,7 @@ import (
 
 	"repro/internal/catalog"
 	"repro/internal/chunk"
-	"repro/internal/logical"
-	"repro/internal/physical"
-	"repro/internal/storage"
-	"repro/internal/wafl"
-	"repro/internal/workload"
+	"repro/internal/stream"
 )
 
 // ChunkScenario crashes a dedup-encoded dump mid-stream: the chunk
@@ -26,7 +22,7 @@ import (
 //     and every set restores byte-identical through the chunk layer.
 type ChunkScenario struct {
 	Seed    int64
-	Engine  Engine
+	Engine  catalog.Engine
 	Reverse bool // day-two dumps in reverse (RevDedup) mode
 
 	Files        int
@@ -38,7 +34,7 @@ type ChunkScenario struct {
 
 // ChunkReport is the outcome of a ChunkScenario.
 type ChunkReport struct {
-	Engine         Engine
+	Engine         catalog.Engine
 	Seed           int64
 	TornBytes      int64 // catalog journal bytes lost to the torn tail
 	OrphansSwept   int   // zero-ref chunks the post-recovery sweep erased
@@ -63,19 +59,9 @@ func RunChunkCrash(ctx context.Context, s ChunkScenario) (*ChunkReport, error) {
 	}
 	rep := &ChunkReport{Engine: s.Engine, Seed: s.Seed}
 
-	const blocks = 8192
-	dev := storage.NewMemDevice(blocks)
-	fs, err := wafl.Mkfs(ctx, dev, nil, wafl.Options{})
+	// The source is frozen as day one.
+	src, err := newSource(ctx, s.Seed, s.Files, s.MeanFileSize, 8192)
 	if err != nil {
-		return nil, err
-	}
-	paths, err := workload.Generate(ctx, fs, workload.Spec{
-		Seed: s.Seed, Files: s.Files, DirFanout: 5, MeanFileSize: s.MeanFileSize,
-	})
-	if err != nil {
-		return nil, err
-	}
-	if err := fs.CreateSnapshot(ctx, "day1"); err != nil {
 		return nil, err
 	}
 
@@ -87,27 +73,24 @@ func RunChunkCrash(ctx context.Context, s ChunkScenario) (*ChunkReport, error) {
 	media := chunk.NewMemMedia("m0")
 
 	// Day one: a clean full, manifest journaled with the set.
-	m1, _, err := dedupDump(ctx, s, fs, dev, "day1", cat, media, false)
+	id1, m1, _, err := dedupDump(ctx, s, src, 100, cat, media, false)
 	if err != nil {
 		return nil, fmt.Errorf("chaos: day-one dump: %w", err)
 	}
-	id1, err := recordChunkSet(cat, "day1", 100, m1)
-	if err != nil {
-		return nil, err
-	}
 	rep.LogicalBytes += m1.RawBytes
 
-	// Mutate a handful of files, snapshot day two.
+	// Mutate a handful of files, freeze day two.
+	day1 := *src
 	rng := rand.New(rand.NewSource(s.Seed*31 + 7))
-	for i := 0; i < 1+len(paths)/8; i++ {
-		p := paths[rng.Intn(len(paths))]
+	for i := 0; i < 1+len(src.paths)/8; i++ {
+		p := src.paths[rng.Intn(len(src.paths))]
 		buf := make([]byte, 4<<10)
 		rng.Read(buf)
-		if _, err := fs.WriteFile(ctx, p, buf, 0644); err != nil {
+		if _, err := src.fs.WriteFile(ctx, p, buf, 0644); err != nil {
 			return nil, err
 		}
 	}
-	if err := fs.CreateSnapshot(ctx, "day2"); err != nil {
+	if err := src.freeze(ctx, "day2"); err != nil {
 		return nil, err
 	}
 
@@ -117,7 +100,7 @@ func RunChunkCrash(ctx context.Context, s ChunkScenario) (*ChunkReport, error) {
 	if media.FailAfter <= 0 {
 		media.FailAfter = 3 + int(rng.Int63n(20))
 	}
-	if _, _, err := dedupDump(ctx, s, fs, dev, "day2", cat, media, s.Reverse); err == nil {
+	if _, _, _, err := dedupDump(ctx, s, src, 200, cat, media, s.Reverse); err == nil {
 		return nil, fmt.Errorf("chaos: injected media failure never surfaced")
 	}
 	media.FailAfter = 0
@@ -148,15 +131,12 @@ func RunChunkCrash(ctx context.Context, s ChunkScenario) (*ChunkReport, error) {
 	// Day two, take two: redump on the recovered catalog. Survivors of
 	// the crashed attempt are committed index entries with intact media
 	// bytes, so the redump dedups against them.
-	m2, ws, err := dedupDump(ctx, s, fs, dev, "day2", cat2, media, s.Reverse)
+	_, m2, ws, err := dedupDump(ctx, s, src, 200, cat2, media, s.Reverse)
 	if err != nil {
 		return nil, fmt.Errorf("chaos: redump after recovery: %w", err)
 	}
 	rep.RedumpHits = ws.Hits
 	rep.RedumpRewrites = ws.Rewrites
-	if _, err := recordChunkSet(cat2, "day2", 200, m2); err != nil {
-		return nil, err
-	}
 	rep.LogicalBytes += m2.RawBytes
 
 	// Sweep the crashed attempt's orphans. Invariant: no victim is
@@ -184,103 +164,47 @@ func RunChunkCrash(ctx context.Context, s ChunkScenario) (*ChunkReport, error) {
 	// Both sets must restore byte-identical through the chunk layer.
 	rep.Identical = true
 	for _, day := range []struct {
-		snap string
-		id   uint64
-		m    chunk.Manifest
-	}{{"day1", id1, m1r}, {"day2", 0, m2}} {
-		want, err := snapDigest(ctx, fs, day.snap)
+		src *source
+		m   chunk.Manifest
+	}{{&day1, m1r}, {src, m2}} {
+		diffs, err := day.src.restoreDiff(ctx, s.Engine, []stream.Source{chunk.NewReader(cat2, media, day.m)})
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("chaos: restoring %s: %w", day.src.snap, err)
 		}
-		got, err := dedupRestore(ctx, s, cat2, media, day.m, blocks)
-		if err != nil {
-			return nil, fmt.Errorf("chaos: restoring %s: %w", day.snap, err)
-		}
-		if diffs := workload.DiffDigests(want, got); len(diffs) > 0 {
+		if len(diffs) > 0 {
 			rep.Identical = false
 		}
 	}
 	return rep, nil
 }
 
-// dedupDump runs one engine dump of snap through a fresh chunk.Writer
-// into (index, media), returning the manifest and writer stats.
-func dedupDump(ctx context.Context, s ChunkScenario, fs *wafl.FS, dev storage.Device, snap string, index chunk.Index, media chunk.Media, reverse bool) (chunk.Manifest, chunk.WriterStats, error) {
+// dedupDump runs one dump of the frozen snapshot through a fresh
+// chunk.Writer into (cat, media) and journals the set with its
+// manifest, returning the set id, the manifest and the writer's stats.
+// A failed dump abandons the writer — no Close, no manifest — exactly a
+// crash.
+func dedupDump(ctx context.Context, s ChunkScenario, src *source, date int64, cat *catalog.Catalog, media chunk.Media, reverse bool) (uint64, chunk.Manifest, chunk.WriterStats, error) {
 	w, err := chunk.NewWriter(chunk.WriterOptions{
-		Index: index, Media: media, Reverse: reverse,
+		Index: cat, Media: media, Reverse: reverse,
 		Ctx: ctx, Engine: s.Engine.String(),
 	})
 	if err != nil {
-		return chunk.Manifest{}, chunk.WriterStats{}, err
+		return 0, chunk.Manifest{}, chunk.WriterStats{}, err
 	}
-	if s.Engine == Logical {
-		view, err := fs.SnapshotView(snap)
-		if err != nil {
-			return chunk.Manifest{}, chunk.WriterStats{}, err
-		}
-		_, err = logical.Dump(ctx, logical.DumpOptions{
-			View: view, Label: "chaos", ReadAhead: 8, CheckpointEvery: 4,
-			Sink: w,
-		})
-		if err != nil {
-			return chunk.Manifest{}, w.Stats(), err
-		}
-	} else {
-		_, err = physical.Dump(ctx, physical.DumpOptions{
-			FS: fs, Vol: dev, SnapName: snap, CheckpointEvery: 16, Sink: w,
-		})
-		if err != nil {
-			return chunk.Manifest{}, w.Stats(), err
-		}
+	job := src.dump(s.Engine, perEngine(0, s.Engine, 4, 16), 0)
+	if err := job.To(ctx, w); err != nil {
+		return 0, chunk.Manifest{}, w.Stats(), err
 	}
 	m, err := w.Close()
-	return m, w.Stats(), err
-}
-
-// dedupRestore restores a manifest through the chunk layer and digests
-// the resulting tree.
-func dedupRestore(ctx context.Context, s ChunkScenario, index chunk.Lookup, media chunk.Media, m chunk.Manifest, blocks int) (map[string]workload.Entry, error) {
-	src := chunk.NewReader(index, media, m)
-	if s.Engine == Logical {
-		dst, err := wafl.Mkfs(ctx, storage.NewMemDevice(blocks), nil, wafl.Options{})
-		if err != nil {
-			return nil, err
-		}
-		if _, err := logical.Restore(ctx, logical.RestoreOptions{
-			FS: dst, Source: src, KernelIntegrated: true,
-		}); err != nil {
-			return nil, err
-		}
-		return workload.TreeDigest(ctx, dst.ActiveView(), "/")
-	}
-	target := storage.NewMemDevice(blocks)
-	if _, err := physical.Restore(ctx, physical.RestoreOptions{Vol: target, Source: src}); err != nil {
-		return nil, err
-	}
-	dst, err := wafl.Mount(ctx, target, nil, wafl.Options{})
 	if err != nil {
-		return nil, err
+		return 0, m, w.Stats(), err
 	}
-	return workload.TreeDigest(ctx, dst.ActiveView(), "/")
-}
-
-// recordChunkSet journals a dedup-encoded dump set and its manifest.
-func recordChunkSet(cat *catalog.Catalog, snap string, date int64, m chunk.Manifest) (uint64, error) {
-	id, err := cat.AppendDumpSet(catalog.DumpSet{
-		Engine: catalog.Logical, FSID: "chaos", Snap: snap,
-		Date: date, Bytes: m.RawBytes, Media: []catalog.MediaRef{{Volume: "m0"}},
-	})
-	if err != nil {
-		return 0, err
+	ds := job.Set()
+	ds.FSID, ds.Snap, ds.Date, ds.Bytes = "chaos", src.snap, date, m.RawBytes
+	ds.Media = []catalog.MediaRef{{Volume: "m0"}}
+	id, err := cat.AppendDumpSet(ds)
+	if err == nil {
+		err = cat.AppendManifest(id, m)
 	}
-	return id, cat.AppendManifest(id, m)
-}
-
-// snapDigest digests a snapshot's tree.
-func snapDigest(ctx context.Context, fs *wafl.FS, snap string) (map[string]workload.Entry, error) {
-	v, err := fs.SnapshotView(snap)
-	if err != nil {
-		return nil, err
-	}
-	return workload.TreeDigest(ctx, v, "/")
+	return id, m, w.Stats(), err
 }

@@ -2,6 +2,7 @@ package chaos
 
 import (
 	"fmt"
+	"repro/internal/catalog"
 	"testing"
 )
 
@@ -12,9 +13,9 @@ import (
 // restores byte-identical. The invariant checks themselves live in
 // RunChunkCrash — a violation is an error, not just a report field.
 func TestChunkCrashMidDump(t *testing.T) {
-	for _, engine := range []Engine{Logical, Physical} {
+	for _, engine := range []catalog.Engine{catalog.Logical, catalog.Image} {
 		for _, reverse := range []bool{false, true} {
-			for seed := int64(1); seed <= 3; seed++ {
+			for seed := int64(1); seed <= int64(seedCount()); seed++ {
 				name := fmt.Sprintf("%s/reverse=%v/seed=%d", engine, reverse, seed)
 				t.Run(name, func(t *testing.T) {
 					rep, err := RunChunkCrash(ctx, ChunkScenario{

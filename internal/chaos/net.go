@@ -2,18 +2,14 @@ package chaos
 
 import (
 	"context"
-	"errors"
 	"fmt"
 
-	"repro/internal/logical"
+	"repro/internal/catalog"
+	"repro/internal/engine"
 	"repro/internal/ndmp"
 	"repro/internal/obs"
-	"repro/internal/physical"
-	"repro/internal/storage"
-	"repro/internal/tape"
+	"repro/internal/stream"
 	"repro/internal/transport"
-	"repro/internal/wafl"
-	"repro/internal/workload"
 )
 
 // NetScenario is one seeded network-fault chaos run: the dump engine
@@ -34,7 +30,7 @@ import (
 // composed, which is the point of the scenario.
 type NetScenario struct {
 	Seed   int64
-	Engine Engine
+	Engine catalog.Engine
 
 	// Net arms the link. CutAfterFrames entries are two-way partitions
 	// healed by the session's redial; CorruptAtFrames mangle frames in
@@ -59,7 +55,7 @@ type NetScenario struct {
 
 // NetReport is the outcome of a network chaos scenario.
 type NetReport struct {
-	Engine Engine
+	Engine catalog.Engine
 	Seed   int64
 
 	Resumes    int // engine-level checkpoint resumes (streams - 1)
@@ -83,22 +79,22 @@ type NetReport struct {
 // record the host's responses stop arriving, and the next sound the
 // client hears is its own dead-peer deadline.
 type netSink struct {
-	sess     *ndmp.Session
+	sess     *ndmp.Session // the current attempt's
 	link     *transport.Link
-	written  *int
-	schedule *[]int
-	injected *int
+	written  int
+	schedule []int
+	injected int
 }
 
 func (n *netSink) WriteRecord(rec []byte) error {
 	if err := n.sess.WriteRecord(rec); err != nil {
 		return err
 	}
-	*n.written++
-	if s := *n.schedule; len(s) > 0 && *n.written >= s[0] {
+	n.written++
+	if len(n.schedule) > 0 && n.written >= n.schedule[0] {
 		n.link.PartitionOneWay(false)
-		*n.schedule = s[1:]
-		*n.injected++
+		n.schedule = n.schedule[1:]
+		n.injected++
 	}
 	return nil
 }
@@ -121,16 +117,7 @@ func RunNet(ctx context.Context, s NetScenario) (*NetReport, error) {
 	if s.MeanFileSize <= 0 {
 		s.MeanFileSize = 12 << 10
 	}
-	if s.Cartridges < 1 {
-		s.Cartridges = 1
-	}
-	if s.CheckpointEvery <= 0 {
-		if s.Engine == Physical {
-			s.CheckpointEvery = 32
-		} else {
-			s.CheckpointEvery = 2
-		}
-	}
+	s.CheckpointEvery = perEngine(s.CheckpointEvery, s.Engine, 2, 32)
 	if s.MaxResumes <= 0 {
 		s.MaxResumes = 4
 	}
@@ -139,26 +126,7 @@ func RunNet(ctx context.Context, s NetScenario) (*NetReport, error) {
 	defer func() { rep.Metrics = reg.Snapshot() }()
 
 	// Clean source filesystem: the network is the only chaos here.
-	const blocks = 8192
-	dev := storage.NewMemDevice(blocks)
-	fs, err := wafl.Mkfs(ctx, dev, nil, wafl.Options{CacheBlocks: 32})
-	if err != nil {
-		return nil, err
-	}
-	if _, err := workload.Generate(ctx, fs, workload.Spec{
-		Seed: s.Seed, Files: s.Files, DirFanout: 5, MeanFileSize: s.MeanFileSize,
-		Symlinks: s.Files / 10, Hardlinks: s.Files / 15,
-	}); err != nil {
-		return nil, err
-	}
-	if err := fs.CreateSnapshot(ctx, "chaos"); err != nil {
-		return nil, err
-	}
-	view, err := fs.SnapshotView("chaos")
-	if err != nil {
-		return nil, err
-	}
-	want, err := workload.TreeDigest(ctx, view, "/")
+	src, err := newSource(ctx, s.Seed, s.Files, s.MeanFileSize, 8192)
 	if err != nil {
 		return nil, err
 	}
@@ -172,26 +140,14 @@ func RunNet(ctx context.Context, s NetScenario) (*NetReport, error) {
 	}
 	link := transport.NewLink(transport.DefaultParams())
 	link.Arm(fc)
-	type streamTape struct {
-		drive *tape.Drive
-		sink  *countingSink
-		label string
-	}
 	var tapes []*streamTape
 	host := ndmp.NewHost(func(h ndmp.Hello) (ndmp.Sink, error) {
-		p := tape.DefaultParams()
-		p.Capacity = s.TapeCapacity
-		d := tape.NewDrive(nil, fmt.Sprintf("rt%d", h.Stream), p)
-		for i := 0; i < s.Cartridges; i++ {
-			d.AddCartridges(tape.NewCartridge(fmt.Sprintf("rt%d-%d", h.Stream, i)))
-		}
-		if err := d.Load(nil); err != nil {
+		t, err := newStreamTape(fmt.Sprintf("rt%d", h.Stream), s.Cartridges, s.TapeCapacity)
+		if err != nil {
 			return nil, err
 		}
-		st := &streamTape{drive: d, label: fmt.Sprintf("rt%d-0", h.Stream)}
-		st.sink = &countingSink{DriveSink: &logical.DriveSink{Drive: d}}
-		tapes = append(tapes, st)
-		return st.sink, nil
+		tapes = append(tapes, t)
+		return t.sink, nil
 	})
 	host.RegisterMetrics(reg)
 	link.B().Attach(host.HandleFrame)
@@ -202,142 +158,43 @@ func RunNet(ctx context.Context, s NetScenario) (*NetReport, error) {
 		return link.A(), nil
 	}
 
-	written := 0
-	schedule := append([]int(nil), s.PartitionAfterRecords...)
-	kind := byte(ndmp.KindLogical)
-	var lgOpts logical.DumpOptions
-	var phOpts physical.DumpOptions
-	if s.Engine == Logical {
-		lgOpts = logical.DumpOptions{View: view, Label: "chaos", ReadAhead: 8, CheckpointEvery: s.CheckpointEvery}
-	} else {
-		kind = ndmp.KindImage
-		phOpts = physical.DumpOptions{FS: fs, Vol: dev, SnapName: "chaos", CheckpointEvery: s.CheckpointEvery}
-	}
-
-	var vols []int
-	for attempt := 0; ; attempt++ {
-		if attempt > s.MaxResumes {
-			return nil, fmt.Errorf("chaos: %s dump did not converge after %d resumes", s.Engine, s.MaxResumes)
-		}
-		// A one-way partition from the previous attempt is an operator
-		// problem solved before the retry; redials heal hard cuts
-		// themselves.
-		link.Heal()
-		sess, err := ndmp.Dial(dial, ndmp.Config{
-			Kind: kind, Session: uint64(s.Seed) + 1, Stream: attempt,
-			Window: s.Window, Ctx: ctx,
-		})
-		if err != nil {
-			return nil, fmt.Errorf("chaos: dial stream %d: %w", attempt, err)
-		}
-		sess.RegisterMetrics(reg)
-		sink := &netSink{sess: sess, link: link, written: &written, schedule: &schedule, injected: &rep.Partitions}
-
-		var lgCkpt *logical.Checkpoint
-		var phCkpt *physical.Checkpoint
-		if s.Engine == Logical {
-			lgOpts.Sink = sink
-			var stats *logical.DumpStats
-			stats, err = logical.Dump(ctx, lgOpts)
-			if stats != nil {
-				lgCkpt = stats.Checkpoint
+	sink := &netSink{link: link, schedule: append([]int(nil), s.PartitionAfterRecords...)}
+	rep.Resumes, err = engine.Resume(ctx, src.dump(s.Engine, s.CheckpointEvery, 0), s.MaxResumes,
+		func(attempt int) (stream.Sink, func(error) error, error) {
+			// A one-way partition from the previous attempt is an
+			// operator problem solved before the retry; redials heal
+			// hard cuts themselves.
+			link.Heal()
+			sess, err := ndmp.Dial(dial, ndmp.Config{
+				Kind: byte(s.Engine), Session: uint64(s.Seed) + 1, Stream: attempt,
+				Window: s.Window, Ctx: ctx,
+			})
+			if err != nil {
+				return nil, nil, fmt.Errorf("chaos: dial stream %d: %w", attempt, err)
 			}
-		} else {
-			phOpts.Sink = sink
-			var stats *physical.DumpStats
-			stats, err = physical.Dump(ctx, phOpts)
-			if stats != nil {
-				phCkpt = stats.Checkpoint
-			}
-		}
-		if err == nil {
-			err = sess.Close()
-		}
-		st := sess.Stats()
-		rep.Reconnects += st.Reconnects
-		rep.Replayed += st.Replayed
-		if err == nil {
-			rep.Resumes = attempt
-			vols = append(vols, tapes[len(tapes)-1].sink.vols+1)
-			break
-		}
-		if !errors.Is(err, ndmp.ErrPeerDead) && !errors.Is(err, ndmp.ErrSessionLost) {
-			return nil, fmt.Errorf("chaos: unrecoverable %s dump fault: %w", s.Engine, err)
-		}
-		vols = append(vols, tapes[len(tapes)-1].sink.vols+1)
-		if lgCkpt == nil && phCkpt == nil {
-			// Dead before the first acknowledged checkpoint: restart
-			// clean, discarding the partial streams.
-			tapes = tapes[:0]
-			vols = vols[:0]
-			lgOpts.Resume, phOpts.Resume = nil, nil
-			continue
-		}
-		lgOpts.Resume, phOpts.Resume = lgCkpt, phCkpt
+			sess.RegisterMetrics(reg)
+			sink.sess = sess
+			return sink, func(err error) error {
+				if err == nil {
+					err = sess.Close()
+				}
+				st := sess.Stats()
+				rep.Reconnects += st.Reconnects
+				rep.Replayed += st.Replayed
+				return err
+			}, nil
+		}, ndmp.StreamLost)
+	if err != nil {
+		return nil, fmt.Errorf("chaos: %s dump: %w", s.Engine, err)
 	}
 	rep.Net = link.Stats()
-	rep.Partitions += rep.Net.Cuts
+	rep.Partitions = sink.injected + rep.Net.Cuts
 	rep.Host = host.Stats()
 
-	// Restore the streams in order from the per-stream drives: every
-	// stream but the last tore when its session died and is applied in
-	// salvage mode, exactly like the offline-drive scenarios.
-	rewind := func(i int) *logical.DriveSource {
-		d := tapes[i].drive
-		for d.Loaded().Label != tapes[i].label {
-			if err := d.Load(nil); err != nil {
-				break
-			}
-		}
-		d.Rewind(nil)
-		return logical.NewDriveSource(d, nil, vols[i])
-	}
-	var got map[string]workload.Entry
-	if s.Engine == Logical {
-		dst, err := wafl.Mkfs(ctx, storage.NewMemDevice(blocks), nil, wafl.Options{})
-		if err != nil {
-			return nil, err
-		}
-		for i := range tapes {
-			if _, err := logical.Restore(ctx, logical.RestoreOptions{
-				FS: dst, Source: rewind(i), KernelIntegrated: true,
-				Salvage: i < len(tapes)-1,
-			}); err != nil {
-				return nil, fmt.Errorf("chaos: restoring stream %d/%d: %w", i+1, len(tapes), err)
-			}
-		}
-		got, err = workload.TreeDigest(ctx, dst.ActiveView(), "/")
-		if err != nil {
-			return nil, err
-		}
-	} else {
-		target := storage.NewMemDevice(dev.NumBlocks())
-		for i := range tapes {
-			if _, err := physical.Restore(ctx, physical.RestoreOptions{
-				Vol: target, Source: rewind(i), Salvage: i < len(tapes)-1,
-			}); err != nil {
-				return nil, fmt.Errorf("chaos: restoring image stream %d/%d: %w", i+1, len(tapes), err)
-			}
-		}
-		dst, err := wafl.Mount(ctx, target, nil, wafl.Options{})
-		if err != nil {
-			return nil, err
-		}
-		got, err = workload.TreeDigest(ctx, dst.ActiveView(), "/")
-		if err != nil {
-			return nil, err
-		}
-	}
-
-	for p, e := range want {
-		if g, ok := got[p]; !ok || g != e {
-			rep.DiffPaths = append(rep.DiffPaths, p)
-		}
-	}
-	for p := range got {
-		if _, ok := want[p]; !ok {
-			rep.DiffPaths = append(rep.DiffPaths, p)
-		}
+	// Every stream but the last tore when its session died; restore
+	// salvages those, exactly like the offline-drive scenarios.
+	if rep.DiffPaths, err = src.restoreDiff(ctx, s.Engine, sources(tapes)); err != nil {
+		return nil, err
 	}
 	rep.Identical = len(rep.DiffPaths) == 0
 	return rep, nil

@@ -1,6 +1,7 @@
 package chaos
 
 import (
+	"repro/internal/catalog"
 	"testing"
 
 	"repro/internal/transport"
@@ -27,13 +28,13 @@ func runNetScenario(t *testing.T, s NetScenario) *NetReport {
 // byte-identical.
 func TestChaosNetPartitionedDumps(t *testing.T) {
 	cases := []struct {
-		engine   Engine
+		engine   catalog.Engine
 		cuts     []int // frame indexes; logical streams ~45 records, image ~8
 		corrupt  []int
 		capacity int64
 	}{
-		{Logical, []int{15, 40, 70}, []int{23}, 128 << 10},
-		{Physical, []int{6, 12, 20}, []int{9}, 256 << 10},
+		{catalog.Logical, []int{15, 40, 70}, []int{23}, 128 << 10},
+		{catalog.Image, []int{6, 12, 20}, []int{9}, 256 << 10},
 	}
 	for _, c := range cases {
 		rep := runNetScenario(t, NetScenario{
@@ -81,11 +82,11 @@ func TestChaosNetPartitionedDumps(t *testing.T) {
 // never acknowledged must not be resumed from.
 func TestChaosNetDeadPeerResume(t *testing.T) {
 	cases := []struct {
-		engine     Engine
+		engine     catalog.Engine
 		partitions []int // cumulative accepted records
 	}{
-		{Logical, []int{18}},
-		{Physical, []int{5}},
+		{catalog.Logical, []int{18}},
+		{catalog.Image, []int{5}},
 	}
 	for _, c := range cases {
 		rep := runNetScenario(t, NetScenario{
@@ -108,7 +109,7 @@ func TestChaosNetDeadPeerResume(t *testing.T) {
 // faults. The session's windowed replay must deliver exactly-once,
 // in-order records regardless, for both engines.
 func TestChaosNetLossyLink(t *testing.T) {
-	for _, engine := range []Engine{Logical, Physical} {
+	for _, engine := range []catalog.Engine{catalog.Logical, catalog.Image} {
 		injected := 0
 		for seed := int64(1); seed <= int64(seedCount()); seed++ {
 			rep := runNetScenario(t, NetScenario{

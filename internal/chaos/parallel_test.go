@@ -1,6 +1,10 @@
 package chaos
 
-import "testing"
+import (
+	"testing"
+
+	"repro/internal/catalog"
+)
 
 // TestChaosParallelShardFault: one drive of a 4-drive parallel dump
 // latches offline mid-stream (persistent tape fault). For both engines
@@ -8,7 +12,7 @@ import "testing"
 // resumes from its per-shard checkpoint on a replacement drive, and
 // the restored tree is byte-identical to the source.
 func TestChaosParallelShardFault(t *testing.T) {
-	for _, engine := range []Engine{Logical, Physical} {
+	for _, engine := range []catalog.Engine{catalog.Logical, catalog.Image} {
 		resumed := 0
 		for seed := int64(1); seed <= int64(seedCount()); seed++ {
 			rep, err := RunParallel(ctx, ParallelScenario{
@@ -44,7 +48,7 @@ func TestChaosParallelShardFault(t *testing.T) {
 func TestChaosParallelFaultIsTerminalPerShard(t *testing.T) {
 	rep, err := RunParallel(ctx, ParallelScenario{
 		Seed:                3,
-		Engine:              Physical,
+		Engine:              catalog.Image,
 		Drives:              4,
 		OfflineAfterRecords: 4,
 	})

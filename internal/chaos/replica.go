@@ -9,16 +9,12 @@ import (
 	"time"
 
 	"repro/internal/catalog"
-	"repro/internal/logical"
+	"repro/internal/engine"
 	"repro/internal/ndmp"
 	"repro/internal/obs"
-	"repro/internal/physical"
 	"repro/internal/replica"
-	"repro/internal/storage"
-	"repro/internal/tape"
+	"repro/internal/stream"
 	"repro/internal/transport"
-	"repro/internal/wafl"
-	"repro/internal/workload"
 )
 
 // ReplicaScenario is one seeded chaos run against the replicated
@@ -232,7 +228,7 @@ func RunReplica(ctx context.Context, s ReplicaScenario) (*ReplicaReport, error) 
 // byte-identical for both engines.
 type ReplicaFailoverScenario struct {
 	Seed   int64
-	Engine Engine
+	Engine catalog.Engine
 
 	// FailAfterRecords kills the active tape host after this many
 	// accepted records (0 = a third of the way through, at least 1).
@@ -246,7 +242,7 @@ type ReplicaFailoverScenario struct {
 
 // ReplicaFailoverReport is the outcome of a failover chaos run.
 type ReplicaFailoverReport struct {
-	Engine Engine
+	Engine catalog.Engine
 	Seed   int64
 
 	Resumes     int
@@ -258,13 +254,6 @@ type ReplicaFailoverReport struct {
 	Metrics     []obs.Point
 }
 
-// hostTape is one stream's drive on whichever tape host served it.
-type hostTape struct {
-	drive *tape.Drive
-	sink  *countingSink
-	label string
-}
-
 // RunReplicaFailover executes one tape-host failover scenario.
 func RunReplicaFailover(ctx context.Context, s ReplicaFailoverScenario) (*ReplicaFailoverReport, error) {
 	if s.Files <= 0 {
@@ -273,13 +262,7 @@ func RunReplicaFailover(ctx context.Context, s ReplicaFailoverScenario) (*Replic
 	if s.MeanFileSize <= 0 {
 		s.MeanFileSize = 12 << 10
 	}
-	if s.CheckpointEvery <= 0 {
-		if s.Engine == Physical {
-			s.CheckpointEvery = 32
-		} else {
-			s.CheckpointEvery = 2
-		}
-	}
+	s.CheckpointEvery = perEngine(s.CheckpointEvery, s.Engine, 2, 32)
 	if s.MaxResumes <= 0 {
 		s.MaxResumes = 4
 	}
@@ -287,27 +270,7 @@ func RunReplicaFailover(ctx context.Context, s ReplicaFailoverScenario) (*Replic
 	reg := obs.NewRegistry()
 	defer func() { rep.Metrics = reg.Snapshot() }()
 
-	// Source filesystem.
-	const blocks = 8192
-	dev := storage.NewMemDevice(blocks)
-	fs, err := wafl.Mkfs(ctx, dev, nil, wafl.Options{CacheBlocks: 32})
-	if err != nil {
-		return nil, err
-	}
-	if _, err := workload.Generate(ctx, fs, workload.Spec{
-		Seed: s.Seed, Files: s.Files, DirFanout: 5, MeanFileSize: s.MeanFileSize,
-		Symlinks: s.Files / 10, Hardlinks: s.Files / 15,
-	}); err != nil {
-		return nil, err
-	}
-	if err := fs.CreateSnapshot(ctx, "chaos"); err != nil {
-		return nil, err
-	}
-	view, err := fs.SnapshotView("chaos")
-	if err != nil {
-		return nil, err
-	}
-	want, err := workload.TreeDigest(ctx, view, "/")
+	src, err := newSource(ctx, s.Seed, s.Files, s.MeanFileSize, 8192)
 	if err != nil {
 		return nil, err
 	}
@@ -328,19 +291,15 @@ func RunReplicaFailover(ctx context.Context, s ReplicaFailoverScenario) (*Replic
 	// Two tape hosts behind two links. Streams land on per-stream
 	// drives; both hosts append into the shared tapes list, which
 	// stays stream-ordered because the harness is single-threaded.
-	var tapes []*hostTape
+	var tapes []*streamTape
 	newHost := func(hostName string) *ndmp.Host {
 		h := ndmp.NewHost(func(hello ndmp.Hello) (ndmp.Sink, error) {
-			p := tape.DefaultParams()
-			d := tape.NewDrive(nil, fmt.Sprintf("%s-rt%d", hostName, hello.Stream), p)
-			d.AddCartridges(tape.NewCartridge(fmt.Sprintf("%s-rt%d-0", hostName, hello.Stream)))
-			if err := d.Load(nil); err != nil {
+			t, err := newStreamTape(fmt.Sprintf("%s-rt%d", hostName, hello.Stream), 1, 0)
+			if err != nil {
 				return nil, err
 			}
-			ht := &hostTape{drive: d, label: fmt.Sprintf("%s-rt%d-0", hostName, hello.Stream)}
-			ht.sink = &countingSink{DriveSink: &logical.DriveSink{Drive: d}}
-			tapes = append(tapes, ht)
-			return ht.sink, nil
+			tapes = append(tapes, t)
+			return t.sink, nil
 		})
 		h.Replicate = func(session uint64, stream int, acked uint64) error {
 			return cat.AppendSessionCheckpoint(catalog.SessionCheckpoint{
@@ -381,162 +340,54 @@ func RunReplicaFailover(ctx context.Context, s ReplicaFailoverScenario) (*Replic
 		return link.A(), nil
 	}
 
-	// Image records carry ~60 KB extents, logical records ~10 KB of
-	// dump stream: pick a default fail point that lands mid-dump for
-	// each record shape.
-	failAfter := s.FailAfterRecords
-	if failAfter <= 0 {
-		if s.Engine == Physical {
-			failAfter = 4
-		} else {
-			failAfter = s.Files/3 + 1
-		}
+	// The active machine dies whole, mid-dump: tape host link severed
+	// permanently, co-located catalog replica killed.
+	sink := &failoverSink{
+		failAfter: perEngine(s.FailAfterRecords, s.Engine, s.Files/3+1, 4),
+		failover: func() {
+			linkA.Sever()
+			cluster.Kill("r0")
+		},
 	}
-	written := 0
-	failed := false
-	failover := func() {
-		// The active machine dies whole: tape host link severed
-		// permanently, co-located catalog replica killed.
-		linkA.Sever()
-		cluster.Kill("r0")
-		failed = true
-	}
-
-	kind := byte(ndmp.KindLogical)
-	var lgOpts logical.DumpOptions
-	var phOpts physical.DumpOptions
-	if s.Engine == Logical {
-		lgOpts = logical.DumpOptions{View: view, Label: "chaos", ReadAhead: 8, CheckpointEvery: s.CheckpointEvery}
-	} else {
-		kind = ndmp.KindImage
-		phOpts = physical.DumpOptions{FS: fs, Vol: dev, SnapName: "chaos", CheckpointEvery: s.CheckpointEvery}
-	}
-
-	for attempt := 0; ; attempt++ {
-		if attempt > s.MaxResumes {
-			return nil, fmt.Errorf("chaos: %s dump did not converge after %d resumes", s.Engine, s.MaxResumes)
-		}
-		sess, err := ndmp.Dial(dial, ndmp.Config{
-			Kind: kind, Session: uint64(s.Seed) + 1, Stream: attempt, Ctx: ctx,
-		})
-		if err != nil {
-			return nil, fmt.Errorf("chaos: dial stream %d: %w", attempt, err)
-		}
-		sess.RegisterMetrics(reg)
-		sink := &failoverSink{sess: sess, written: &written, failAfter: failAfter, failed: &failed, failover: failover}
-
-		var lgCkpt *logical.Checkpoint
-		var phCkpt *physical.Checkpoint
-		if s.Engine == Logical {
-			lgOpts.Sink = sink
-			var stats *logical.DumpStats
-			stats, err = logical.Dump(ctx, lgOpts)
-			if stats != nil {
-				lgCkpt = stats.Checkpoint
+	job := src.dump(s.Engine, s.CheckpointEvery, 0)
+	rep.Resumes, err = engine.Resume(ctx, job, s.MaxResumes,
+		func(attempt int) (stream.Sink, func(error) error, error) {
+			sess, err := ndmp.Dial(dial, ndmp.Config{
+				Kind: byte(s.Engine), Session: uint64(s.Seed) + 1, Stream: attempt, Ctx: ctx,
+			})
+			if err != nil {
+				return nil, nil, fmt.Errorf("chaos: dial stream %d: %w", attempt, err)
 			}
-		} else {
-			phOpts.Sink = sink
-			var stats *physical.DumpStats
-			stats, err = physical.Dump(ctx, phOpts)
-			if stats != nil {
-				phCkpt = stats.Checkpoint
-			}
-		}
-		if err == nil {
-			err = sess.Close()
-		}
-		if err == nil {
-			rep.Resumes = attempt
-			break
-		}
-		if !errors.Is(err, ndmp.ErrPeerDead) && !errors.Is(err, ndmp.ErrSessionLost) {
-			return nil, fmt.Errorf("chaos: unrecoverable %s dump fault: %w", s.Engine, err)
-		}
-		if lgCkpt == nil && phCkpt == nil {
-			// Dead before the first replicated checkpoint: restart
-			// clean, discarding the partial streams (including any sink
-			// a failed re-Hello opened on the standby).
-			tapes = tapes[:0]
-			lgOpts.Resume, phOpts.Resume = nil, nil
-			continue
-		}
-		lgOpts.Resume, phOpts.Resume = lgCkpt, phCkpt
+			sess.RegisterMetrics(reg)
+			sink.sess = sess
+			return sink, func(err error) error {
+				if err == nil {
+					err = sess.Close()
+				}
+				return err
+			}, nil
+		}, ndmp.StreamLost)
+	if err != nil {
+		return nil, fmt.Errorf("chaos: %s dump: %w", s.Engine, err)
 	}
 
 	// Commit the completed dump to the replicated catalog — the
-	// acknowledgment the zero-loss guarantee is stated over.
-	media := make([]catalog.MediaRef, 0, len(tapes))
+	// acknowledgment the zero-loss guarantee is stated over. An attempt
+	// can bind more than one tape (a reconnect that lands on the
+	// standby opens a fresh one), and every one of them is the set's.
+	ds := job.Set()
+	ds.FSID, ds.Snap, ds.Date, ds.Resumed = "chaosvol", src.snap, cluster.Now().Unix(), len(tapes) > 1
 	for _, t := range tapes {
-		media = append(media, catalog.MediaRef{Volume: t.label})
+		ds.Media = append(ds.Media, catalog.MediaRef{Volume: t.label})
 	}
-	if _, err := cat.AppendDumpSet(catalog.DumpSet{
-		Engine: catalog.Logical, FSID: "chaosvol", Snap: "chaos",
-		Date: cluster.Now().Unix(), Media: media,
-	}); err != nil {
+	if _, err := cat.AppendDumpSet(ds); err != nil {
 		return nil, fmt.Errorf("chaos: committing dump set: %w", err)
 	}
 
-	// Restore the streams in order; every stream but the last tore
-	// when its host died and is applied in salvage mode. Volume counts
-	// come from each tape's own sink — an attempt can bind more than
-	// one tape when a reconnect lands on the standby, so counting per
-	// attempt would misalign.
-	rewind := func(i int) *logical.DriveSource {
-		d := tapes[i].drive
-		for d.Loaded().Label != tapes[i].label {
-			if err := d.Load(nil); err != nil {
-				break
-			}
-		}
-		d.Rewind(nil)
-		return logical.NewDriveSource(d, nil, tapes[i].sink.vols+1)
-	}
-	var got map[string]workload.Entry
-	if s.Engine == Logical {
-		dst, err := wafl.Mkfs(ctx, storage.NewMemDevice(blocks), nil, wafl.Options{})
-		if err != nil {
-			return nil, err
-		}
-		for i := range tapes {
-			if _, err := logical.Restore(ctx, logical.RestoreOptions{
-				FS: dst, Source: rewind(i), KernelIntegrated: true,
-				Salvage: i < len(tapes)-1,
-			}); err != nil {
-				return nil, fmt.Errorf("chaos: restoring stream %d/%d: %w", i+1, len(tapes), err)
-			}
-		}
-		got, err = workload.TreeDigest(ctx, dst.ActiveView(), "/")
-		if err != nil {
-			return nil, err
-		}
-	} else {
-		target := storage.NewMemDevice(dev.NumBlocks())
-		for i := range tapes {
-			if _, err := physical.Restore(ctx, physical.RestoreOptions{
-				Vol: target, Source: rewind(i), Salvage: i < len(tapes)-1,
-			}); err != nil {
-				return nil, fmt.Errorf("chaos: restoring image stream %d/%d: %w", i+1, len(tapes), err)
-			}
-		}
-		dst, err := wafl.Mount(ctx, target, nil, wafl.Options{})
-		if err != nil {
-			return nil, err
-		}
-		got, err = workload.TreeDigest(ctx, dst.ActiveView(), "/")
-		if err != nil {
-			return nil, err
-		}
-	}
-
-	for p, e := range want {
-		if g, ok := got[p]; !ok || g != e {
-			rep.DiffPaths = append(rep.DiffPaths, p)
-		}
-	}
-	for p := range got {
-		if _, ok := want[p]; !ok {
-			rep.DiffPaths = append(rep.DiffPaths, p)
-		}
+	// Every stream but the last tore when its host died; restore
+	// salvages those.
+	if rep.DiffPaths, err = src.restoreDiff(ctx, s.Engine, sources(tapes)); err != nil {
+		return nil, err
 	}
 	rep.Identical = len(rep.DiffPaths) == 0
 	rep.ViewChanges = cluster.Service().Changes()
@@ -558,10 +409,9 @@ func RunReplicaFailover(ctx context.Context, s ReplicaFailoverScenario) (*Replic
 // failoverSink wraps the session sink to kill the active tape-host
 // machine after a fixed number of accepted records.
 type failoverSink struct {
-	sess      *ndmp.Session
-	written   *int
+	sess      *ndmp.Session // the current attempt's
+	written   int
 	failAfter int
-	failed    *bool
 	failover  func()
 }
 
@@ -569,8 +419,7 @@ func (f *failoverSink) WriteRecord(rec []byte) error {
 	if err := f.sess.WriteRecord(rec); err != nil {
 		return err
 	}
-	*f.written++
-	if !*f.failed && *f.written >= f.failAfter {
+	if f.written++; f.written == f.failAfter {
 		f.failover()
 	}
 	return nil

@@ -1,6 +1,10 @@
 package chaos
 
-import "testing"
+import (
+	"testing"
+
+	"repro/internal/catalog"
+)
 
 // TestChaosReplicatedJournal: the replicated catalog journal under a
 // seeded gauntlet of primary kills, partitions, backup crashes and
@@ -46,7 +50,7 @@ func TestChaosReplicatedJournal(t *testing.T) {
 // checkpoint, and the restored tree must be byte-identical — for both
 // engines.
 func TestChaosTapeHostFailover(t *testing.T) {
-	for _, engine := range []Engine{Logical, Physical} {
+	for _, engine := range []catalog.Engine{catalog.Logical, catalog.Image} {
 		resumed := 0
 		for seed := int64(1); seed <= int64(seedCount()); seed++ {
 			rep, err := RunReplicaFailover(ctx, ReplicaFailoverScenario{

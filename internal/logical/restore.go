@@ -36,8 +36,10 @@ type RestoreOptions struct {
 	// Salvage tolerates a stream that ends mid-file — the tail left on
 	// tape by a dump that aborted after its last checkpoint. Everything
 	// before the tear restores normally; the torn file is dropped and
-	// TornTail is set in the stats. The resumed dump's stream re-dumps
-	// that file, so a concatenated restore loses nothing.
+	// TornTail is set in the stats. A stream torn earlier, inside its
+	// maps or directories, applies nothing. The resumed dump's stream
+	// re-dumps what the tear lost, so a concatenated restore loses
+	// nothing.
 	Salvage bool
 	// Stages receives stage boundaries; may be nil.
 	Stages StageRecorder
@@ -124,6 +126,12 @@ func Restore(ctx context.Context, opts RestoreOptions) (*RestoreStats, error) {
 	des, pending, err := readDirectories(r, stats)
 	end()
 	if err != nil {
+		if opts.Salvage && errors.Is(err, io.ErrUnexpectedEOF) {
+			// Torn inside the maps or directories: nothing on this
+			// stream is usable, and the resumed stream carries it all.
+			stats.TornTail = true
+			return stats, nil
+		}
 		return nil, err
 	}
 
@@ -263,6 +271,9 @@ func readBlobSegments(r *dumpfmt.Reader, h *dumpfmt.Header) ([]byte, error) {
 			break
 		}
 		next, err := r.NextHeader()
+		if err == io.EOF {
+			return nil, io.ErrUnexpectedEOF // the blob's continuation is gone
+		}
 		if err != nil {
 			return nil, err
 		}

@@ -252,6 +252,23 @@ func TestTransportSessionRemoteErrorIsTerminal(t *testing.T) {
 	}
 }
 
+// TestHostRefusesUnknownKind: the kind byte doubles as the catalog's
+// engine, so a Hello naming neither engine is refused before any media
+// is opened for it.
+func TestHostRefusesUnknownKind(t *testing.T) {
+	for _, kind := range []byte{0, 3} {
+		l := transport.NewLink(transport.DefaultParams())
+		opened := false
+		host := NewHost(func(Hello) (Sink, error) { opened = true; return &memSink{}, nil })
+		l.B().Attach(host.HandleFrame)
+		_, err := Dial(func() (transport.Conn, error) { return l.A(), nil }, Config{Kind: kind, Session: 5})
+		var re *RemoteError
+		if !errors.As(err, &re) || opened {
+			t.Fatalf("kind %d: err %v, sink opened %v; want RemoteError and no sink", kind, err, opened)
+		}
+	}
+}
+
 // TestTransportSessionDeadPeerDeadline is the acceptance test for
 // heartbeat loss: a one-way partition silently eats every host
 // response, and the client must surface ErrPeerDead within the
@@ -270,6 +287,7 @@ func TestTransportSessionDeadPeerDeadline(t *testing.T) {
 	env.Spawn("mover", func(p *sim.Proc) {
 		l.A().Bind(p)
 		s, err := Dial(dial, Config{
+			Kind:           KindLogical,
 			Session:        5,
 			Window:         4,
 			HeartbeatEvery: heartbeat,

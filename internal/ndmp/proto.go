@@ -19,6 +19,7 @@ import (
 	"errors"
 	"fmt"
 
+	"repro/internal/catalog"
 	"repro/internal/transport"
 )
 
@@ -99,6 +100,14 @@ const (
 	KindLogical = 0x01
 	// KindImage is a physical block-image extent stream.
 	KindImage = 0x02
+)
+
+// The kinds are the catalog's engine values on the wire — code holding
+// a catalog.Engine sends byte(engine). An index below is out of range,
+// and the build fails, if the two enumerations ever disagree.
+var (
+	_ = [1]struct{}{}[KindLogical-catalog.Logical]
+	_ = [1]struct{}{}[KindImage-catalog.Image]
 )
 
 // Hello is the session-open payload. FSID and Level describe what is
@@ -226,6 +235,14 @@ var (
 	// fall back to checkpoint Resume on a fresh session.
 	ErrSessionLost = errors.New("ndmp: session lost")
 )
+
+// StreamLost reports whether err means the stream is gone but the dump
+// need not be: the peer is dead, the redial budget ran out, or a
+// failover put the client in front of fresh media. The engine resumes
+// from its last acknowledged checkpoint on a fresh stream.
+func StreamLost(err error) bool {
+	return errors.Is(err, ErrPeerDead) || errors.Is(err, ErrSessionLost)
+}
 
 // SessionLostError carries the cause of a lost session and how many
 // reconnects succeeded before the budget ran out. errors.Is matches

@@ -411,6 +411,9 @@ func (c *Conn) handleHello(f *transport.Frame) [][]byte {
 		return c.respond(MsgHelloAck, ack{status: AckErr,
 			msg: fmt.Sprintf("version %d not supported (host speaks %d)", hello.Version, Version)})
 	}
+	if hello.Kind != KindLogical && hello.Kind != KindImage {
+		return c.respond(MsgHelloAck, ack{status: AckErr, msg: fmt.Sprintf("unknown stream kind %d", hello.Kind)})
+	}
 	key := streamKey{hello.Session, hello.Stream}
 	h.mu.Lock()
 	st, ok := h.streams[key]

@@ -336,26 +336,35 @@ func TestExtractSingleFileFromImage(t *testing.T) {
 	fs.CreateSnapshot(ctx, "incr")
 	inc := imageDump(t, fs, dev, "incr", "full")
 
-	// Extract from the full image alone: the original version.
-	got, err := Extract(ctx, full.source(), nil, "/docs/report.txt")
+	// Replay the full image alone onto scratch: the original version.
+	scratch := storage.NewMemDevice(dev.NumBlocks())
+	if _, err := Restore(ctx, RestoreOptions{Vol: scratch, Source: full.source()}); err != nil {
+		t.Fatal(err)
+	}
+	got, err := ReadFiles(ctx, scratch, "/docs/report.txt")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if string(got["/docs/report.txt"]) != "quarterly numbers" {
 		t.Fatalf("full extract = %q", got["/docs/report.txt"])
 	}
+	if _, err := ReadFiles(ctx, scratch, "/nope"); err == nil {
+		t.Fatal("extracting a missing path succeeded")
+	}
 
-	// Extract from the chain: the revised version.
-	got, err = Extract(ctx, full.source(), []stream.Source{inc.source()}, "/docs/report.txt")
+	// Replay the chain: the revised version.
+	scratch = storage.NewMemDevice(dev.NumBlocks())
+	for i, src := range []stream.Source{full.source(), inc.source()} {
+		if _, err := Restore(ctx, RestoreOptions{Vol: scratch, Source: src, ExpectIncremental: i > 0}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	got, err = ReadFiles(ctx, scratch, "/docs/report.txt")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if string(got["/docs/report.txt"]) != "quarterly numbers, revised" {
 		t.Fatalf("chain extract = %q", got["/docs/report.txt"])
-	}
-
-	if _, err := Extract(ctx, full.source(), nil, "/nope"); err == nil {
-		t.Fatal("extracting a missing path succeeded")
 	}
 }
 

@@ -38,7 +38,8 @@ type RestoreOptions struct {
 	// Salvage tolerates a stream that ends without its trailer — what
 	// an interrupted dump leaves on tape. Blocks up to the tear are
 	// applied (checksum-verified up to the last checkpoint extent), the
-	// root is NOT installed, and TornTail is set in the stats. The
+	// root is NOT installed, and TornTail is set in the stats; a tear
+	// inside the header (down to zero records) applies nothing. The
 	// resumed dump's stream re-writes everything past the last
 	// checkpoint and installs the root.
 	Salvage bool
@@ -143,6 +144,13 @@ func restoreStream(ctx context.Context, opts RestoreOptions, src stream.Source, 
 	r := &streamReader{src: src}
 	h, err := readHeader(r)
 	if err != nil {
+		if opts.Salvage && (err == io.EOF || err == io.ErrUnexpectedEOF) {
+			// Torn before the header completed (an opened stream whose
+			// link died at once): nothing to apply.
+			obs.MetricsFrom(ctx).Counter("restore_salvaged_streams_total",
+				obs.Labels{"engine": "image"}).Inc()
+			return &RestoreStats{BytesRead: r.read, TornTail: true}, nil
+		}
 		return nil, err
 	}
 	if uint64(opts.Vol.NumBlocks()) < h.nblocks {

@@ -8,9 +8,8 @@ import (
 
 	"repro/internal/catalog"
 	"repro/internal/core"
-	"repro/internal/logical"
+	"repro/internal/engine"
 	"repro/internal/media"
-	"repro/internal/physical"
 	"repro/internal/sim"
 	"repro/internal/storage"
 	"repro/internal/stream"
@@ -120,27 +119,12 @@ type RecoverOptions struct {
 	Wipe bool
 }
 
-// RecoverResult reports what a plan execution did.
-type RecoverResult struct {
-	Steps int
-	// Files holds extracted content for single-file image recovery
-	// (path → bytes); empty otherwise.
-	Files map[string][]byte
-	// FilesRestored counts files laid down by logical restores.
-	FilesRestored int
-	// BlocksRestored counts blocks written by image restores.
-	BlocksRestored int
-}
-
 // Recover executes a restore plan end to end against f, pulling media
 // from pool: it assembles the drive, positions each step's stream, and
-// drives logical.Restore, physical.Restore or physical.Extract as the
-// plan dictates. After an image recovery the filer's filesystem is
-// remounted from the restored volume.
-func Recover(ctx context.Context, f *core.Filer, pool *media.Pool, plan *catalog.Plan, opts RecoverOptions) (*RecoverResult, error) {
-	if len(plan.Steps) == 0 {
-		return nil, fmt.Errorf("sched: empty plan")
-	}
+// hands the plan to the engine-neutral executor. After an image
+// recovery the filer's filesystem is remounted from the restored
+// volume.
+func Recover(ctx context.Context, f *core.Filer, pool *media.Pool, plan *catalog.Plan, opts RecoverOptions) (*engine.Restored, error) {
 	proc := sim.ProcFrom(ctx)
 	drive := opts.Drive
 	if drive == nil {
@@ -150,67 +134,25 @@ func Recover(ctx context.Context, f *core.Filer, pool *media.Pool, plan *catalog
 		}
 		drive = d
 	}
-
-	res := &RecoverResult{Steps: len(plan.Steps)}
-	if plan.Engine == catalog.Image {
-		if plan.File != "" {
-			full := newSetSource(drive, proc, plan.Steps[0].Media)
-			var incs []stream.Source
-			for _, step := range plan.Steps[1:] {
-				incs = append(incs, newSetSource(drive, proc, step.Media))
-			}
-			files, err := physical.Extract(ctx, full, incs, plan.File)
-			if err != nil {
-				return nil, err
-			}
-			res.Files = files
-			return res, nil
-		}
-		for i, step := range plan.Steps {
-			src := newSetSource(drive, proc, step.Media)
-			stats, err := physical.Restore(ctx, physical.RestoreOptions{
-				Vol:               f.Vol,
-				Source:            src,
-				Costs:             f.Config.PhysCosts,
-				ExpectIncremental: i > 0,
-			})
-			if err != nil {
-				return nil, fmt.Errorf("sched: image step %d (set %d): %w", i+1, step.ID, err)
-			}
-			res.BlocksRestored += stats.BlocksRestored
-		}
-		if err := f.Remount(ctx); err != nil {
-			return nil, err
-		}
-		return res, nil
-	}
-
-	// Logical: a full-volume chain replays every step with deletion
-	// sync; a single-file plan is one pruned step restoring just the
-	// path.
-	if opts.Wipe && plan.File == "" {
+	wholeVolume := plan.File == ""
+	if opts.Wipe && wholeVolume && plan.Engine == catalog.Logical {
 		if err := f.Wipe(ctx); err != nil {
 			return nil, err
 		}
 	}
-	var files []string
-	if plan.File != "" {
-		files = []string{plan.File}
+	res, err := engine.Recover(ctx, plan,
+		engine.Target{FS: f.FS, Dir: opts.TargetDir, Vol: f.Vol, Costs: f.Config.PhysCosts},
+		func(step catalog.DumpSet) ([]stream.Source, error) {
+			// On tape a set is one stream, however many volumes it spans.
+			return []stream.Source{newSetSource(drive, proc, step.Media)}, nil
+		}, nil)
+	if err != nil {
+		return nil, fmt.Errorf("sched: %w", err)
 	}
-	for i, step := range plan.Steps {
-		src := newSetSource(drive, proc, step.Media)
-		stats, err := logical.Restore(ctx, logical.RestoreOptions{
-			FS:               f.FS,
-			Source:           src,
-			TargetDir:        opts.TargetDir,
-			Files:            files,
-			SyncDeletes:      i > 0,
-			KernelIntegrated: true,
-		})
-		if err != nil {
-			return nil, fmt.Errorf("sched: logical step %d (set %d): %w", i+1, step.ID, err)
+	if wholeVolume && plan.Engine == catalog.Image {
+		if err := f.Remount(ctx); err != nil {
+			return nil, err
 		}
-		res.FilesRestored += stats.FilesRestored
 	}
 	return res, nil
 }

@@ -10,12 +10,14 @@ package sched
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math/bits"
 	"time"
 
 	"repro/internal/catalog"
 	"repro/internal/core"
+	"repro/internal/engine"
 	"repro/internal/logical"
 	"repro/internal/media"
 	"repro/internal/obs"
@@ -286,6 +288,31 @@ func (s *Scheduler) logicalRun(ctx context.Context, run, level int) (*RunResult,
 	if err != nil {
 		return nil, err
 	}
+	var index []catalog.FileIndexEntry
+	return s.runJob(ctx, run, level, snap, engine.NewLogical(logical.DumpOptions{
+		View:      view,
+		Level:     level,
+		Dates:     f.Dates,
+		FSID:      s.cfg.FSID,
+		Label:     snap,
+		ReadAhead: 16,
+		FileIndex: func(path string, ino wafl.Inum, unit int64) {
+			index = append(index, catalog.FileIndexEntry{Path: path, Ino: uint32(ino), Unit: unit})
+		},
+	}), &index)
+}
+
+// dumpError is a runJob failure of the dump itself: nothing about the
+// set has been recorded yet.
+type dumpError struct{ error }
+
+func (e dumpError) Unwrap() error { return e.error }
+
+// runJob dumps job to the schedule's drive and records the completed
+// set everywhere it is accounted for: the catalog (with index, when the
+// engine produces one), the stream mirror and the media pool.
+func (s *Scheduler) runJob(ctx context.Context, run, level int, snap string, job *engine.Dump, index *[]catalog.FileIndexEntry) (*RunResult, error) {
+	f := s.cfg.Filer
 	track := &media.TrackingSink{Sink: f.Sink(ctx, s.cfg.Drive), Drive: f.Tapes[s.cfg.Drive]}
 	var sink stream.Sink = track
 	var capture *scrub.CaptureSink
@@ -293,49 +320,35 @@ func (s *Scheduler) logicalRun(ctx context.Context, run, level int) (*RunResult,
 		capture = &scrub.CaptureSink{Sink: track}
 		sink = capture
 	}
-	var index []catalog.FileIndexEntry
-	stats, err := logical.Dump(ctx, logical.DumpOptions{
-		View:      view,
-		Level:     level,
-		Dates:     f.Dates,
-		FSID:      s.cfg.FSID,
-		Sink:      sink,
-		Label:     snap,
-		ReadAhead: 16,
-		FileIndex: func(path string, ino wafl.Inum, unit int64) {
-			index = append(index, catalog.FileIndexEntry{Path: path, Ino: uint32(ino), Unit: unit})
-		},
-	})
-	if err != nil {
-		return nil, fmt.Errorf("sched: run %d level %d: %w", run, level, err)
+	if err := job.To(ctx, sink); err != nil {
+		return nil, dumpError{fmt.Errorf("sched: run %d level %d: %w", run, level, err)}
 	}
 	f.Tapes[s.cfg.Drive].Flush(sim.ProcFrom(ctx))
 
-	id, err := s.cfg.Catalog.AppendDumpSet(catalog.DumpSet{
-		Engine:   catalog.Logical,
-		FSID:     s.cfg.FSID,
-		Snap:     snap,
-		Level:    int32(level),
-		Date:     stats.Date,
-		BaseDate: stats.BaseDate,
-		Bytes:    stats.BytesWritten,
-		Units:    int64(stats.FilesDumped),
-		Media:    track.Refs(),
-	})
+	ds := job.Set()
+	ds.FSID, ds.Snap, ds.Media = s.cfg.FSID, snap, track.Refs()
+	if ds.Engine == catalog.Image {
+		// Generations order image sets, but retention ages every set on
+		// the filesystem clock, so a scheduled one is dated by it.
+		ds.Date = f.FS.Clock()
+	}
+	id, err := s.cfg.Catalog.AppendDumpSet(ds)
 	if err != nil {
 		return nil, err
 	}
-	if err := s.cfg.Catalog.AppendFileIndex(id, index); err != nil {
-		return nil, err
+	if index != nil {
+		if err := s.cfg.Catalog.AppendFileIndex(id, *index); err != nil {
+			return nil, err
+		}
 	}
 	if capture != nil {
 		s.cfg.Mirror.Put(id, capture.Records())
 	}
-	if err := s.cfg.Pool.CommitSet(id, track.Labels(), stats.Date); err != nil {
+	if err := s.cfg.Pool.CommitSet(id, track.Labels(), ds.Date); err != nil {
 		return nil, err
 	}
-	return &RunResult{Run: run, Level: level, SetID: id, Date: stats.Date,
-		Bytes: stats.BytesWritten, Media: track.Labels()}, nil
+	return &RunResult{Run: run, Level: level, SetID: id, Date: ds.Date,
+		Bytes: ds.Bytes, Media: track.Labels()}, nil
 }
 
 // imageRun performs one scheduled image dump. Level semantics mirror
@@ -356,48 +369,20 @@ func (s *Scheduler) imageRun(ctx context.Context, run, level int) (*RunResult, e
 		}
 	}
 
-	track := &media.TrackingSink{Sink: f.Sink(ctx, s.cfg.Drive), Drive: f.Tapes[s.cfg.Drive]}
-	var sink stream.Sink = track
-	var capture *scrub.CaptureSink
-	if s.cfg.Mirror != nil {
-		capture = &scrub.CaptureSink{Sink: track}
-		sink = capture
-	}
-	stats, err := physical.Dump(ctx, physical.DumpOptions{
+	job := engine.NewImage(physical.DumpOptions{
 		FS:           f.FS,
 		Vol:          f.Vol,
 		SnapName:     snap,
 		BaseSnapName: base.snap,
-		Sink:         sink,
 		Costs:        f.Config.PhysCosts,
 	})
+	res, err := s.runJob(ctx, run, level, snap, job, nil)
 	if err != nil {
-		f.FS.DeleteSnapshot(ctx, snap)
-		return nil, fmt.Errorf("sched: run %d level %d: %w", run, level, err)
-	}
-	f.Tapes[s.cfg.Drive].Flush(sim.ProcFrom(ctx))
-
-	date := f.FS.Clock()
-	id, err := s.cfg.Catalog.AppendDumpSet(catalog.DumpSet{
-		Engine:  catalog.Image,
-		FSID:    s.cfg.FSID,
-		Snap:    snap,
-		Level:   -1,
-		Date:    date,
-		Gen:     stats.Gen,
-		BaseGen: stats.BaseGen,
-		NBlocks: stats.NBlocks,
-		Bytes:   stats.BytesWritten,
-		Units:   int64(stats.BlocksDumped),
-		Media:   track.Refs(),
-	})
-	if err != nil {
-		return nil, err
-	}
-	if capture != nil {
-		s.cfg.Mirror.Put(id, capture.Records())
-	}
-	if err := s.cfg.Pool.CommitSet(id, track.Labels(), date); err != nil {
+		// Once the set is in the catalog its snapshot stays, whatever
+		// failed after: a later image dump may base on it.
+		if errors.As(err, new(dumpError)) {
+			f.FS.DeleteSnapshot(ctx, snap)
+		}
 		return nil, err
 	}
 
@@ -409,8 +394,6 @@ func (s *Scheduler) imageRun(ctx context.Context, run, level int) (*RunResult, e
 			delete(s.bases, l)
 		}
 	}
-	s.bases[level] = imageBase{snap: snap, gen: stats.Gen, date: date}
-
-	return &RunResult{Run: run, Level: level, SetID: id, Date: date,
-		Bytes: stats.BytesWritten, Media: track.Labels()}, nil
+	s.bases[level] = imageBase{snap: snap, gen: job.ImageStats.Gen, date: res.Date}
+	return res, nil
 }

@@ -3,6 +3,7 @@ package sched
 import (
 	"bytes"
 	"context"
+	"errors"
 	"fmt"
 	"reflect"
 	"testing"
@@ -401,4 +402,49 @@ func TestScheduleSurvivesCatalogFailover(t *testing.T) {
 			t.Fatalf("set %d recorded no media", i)
 		}
 	}
+}
+
+// flakyStore is a catalog store whose appends start failing after a
+// budget of successes, for failures between a run's catalog record and
+// its media commit.
+type flakyStore struct {
+	catalog.MemStore
+	budget int // appends still allowed; negative = unlimited
+}
+
+func (s *flakyStore) Append(p []byte) error {
+	if s.budget == 0 {
+		return errors.New("test: journal device failed")
+	}
+	if s.budget > 0 {
+		s.budget--
+	}
+	return s.MemStore.Append(p)
+}
+
+// TestImageRunKeepsSnapshotOnceCataloged: a failed image dump deletes
+// the snapshot it took, but a run that fails after its set reached the
+// catalog must not — the catalog now names a set whose snapshot later
+// incrementals base on.
+func TestImageRunKeepsSnapshotOnceCataloged(t *testing.T) {
+	r := newRig(t, catalog.Image)
+	store := &flakyStore{budget: -1}
+	cat, err := catalog.Open(store)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r.s.cfg.Catalog, r.s.cfg.Pool = cat, media.NewPool("main", cat)
+
+	store.budget = 1 // the dump set lands; the pool's media events do not
+	if _, err := r.s.RunN(ctx, 1); err == nil {
+		t.Fatal("run succeeded with a failing journal")
+	}
+	sets := cat.Live()
+	if len(sets) != 1 {
+		t.Fatalf("%d sets cataloged, want the one whose commit failed", len(sets))
+	}
+	if _, err := r.f.FS.Snapshot(sets[0].Snap); err != nil {
+		t.Fatalf("cataloged set %d lost its snapshot %q: %v", sets[0].ID, sets[0].Snap, err)
+	}
+
 }

@@ -22,10 +22,9 @@ import (
 	"time"
 
 	"repro/internal/catalog"
-	"repro/internal/dumpfmt"
+	"repro/internal/engine"
 	"repro/internal/media"
 	"repro/internal/obs"
-	"repro/internal/physical"
 	"repro/internal/sim"
 	"repro/internal/storage"
 	"repro/internal/stream"
@@ -332,29 +331,21 @@ func VerifySetStream(ctx context.Context, ds catalog.DumpSet, src stream.Source)
 	return verifyStream(ctx, ds, &countingSource{src: src})
 }
 
-// verifyStream runs the engine's format verifier over the stream and
-// translates the outcome into findings.
+// verifyStream runs the set's engine's format verifier over the stream
+// and translates the outcome into findings.
 func verifyStream(ctx context.Context, ds catalog.DumpSet, src interface {
 	stream.Source
 	count() int64
 }) []Finding {
 	var findings []Finding
-	if ds.Engine == catalog.Image {
-		if _, err := physical.VerifyStreamCtx(ctx, src); err != nil && !isMediaErr(err) {
-			findings = append(findings, Finding{Kind: StreamCorrupt, SetID: ds.ID,
-				Record: -1, Detail: err.Error()})
-		}
-	} else {
-		r := dumpfmt.NewReader(src)
-		err := drainLogical(r)
-		if err != nil && !isMediaErr(err) {
-			findings = append(findings, Finding{Kind: StreamCorrupt, SetID: ds.ID,
-				Record: -1, Detail: err.Error()})
-		}
-		if n := r.Skipped(); n > 0 {
-			findings = append(findings, Finding{Kind: StreamCorrupt, SetID: ds.ID,
-				Record: -1, Detail: fmt.Sprintf("%d corrupt unit(s) resynced over", n)})
-		}
+	resynced, err := engine.Verify(ctx, ds.Engine, src)
+	if err != nil && !isMediaErr(err) {
+		findings = append(findings, Finding{Kind: StreamCorrupt, SetID: ds.ID,
+			Record: -1, Detail: err.Error()})
+	}
+	if resynced > 0 {
+		findings = append(findings, Finding{Kind: StreamCorrupt, SetID: ds.ID,
+			Record: -1, Detail: fmt.Sprintf("%d corrupt unit(s) resynced over", resynced)})
 	}
 	// Fewer bytes than the catalog recorded means part of the stream is
 	// gone; only meaningful when nothing louder already fired.
@@ -363,36 +354,6 @@ func verifyStream(ctx context.Context, ds catalog.DumpSet, src interface {
 			Record: -1, Detail: fmt.Sprintf("catalog says %d bytes, media yields %d", ds.Bytes, src.count())})
 	}
 	return findings
-}
-
-// drainLogical walks a logical dump stream to its TS_END, consuming
-// every header's data segments; header checksums are verified by the
-// reader as it goes.
-func drainLogical(r *dumpfmt.Reader) error {
-	for {
-		h, err := r.NextHeader()
-		if err == io.EOF {
-			return nil
-		}
-		if err != nil {
-			return err
-		}
-		if h.Type == dumpfmt.TSEnd {
-			return nil
-		}
-		present := 0
-		for _, a := range h.Addrs {
-			if a == 1 {
-				present++
-			}
-		}
-		if present == 0 {
-			continue
-		}
-		if _, err := r.ReadSegments(present); err != nil && err != io.ErrUnexpectedEOF {
-			return err
-		}
-	}
 }
 
 func isMediaErr(err error) bool {

@@ -121,11 +121,11 @@ type Link struct {
 	rng     *rand.Rand
 	down    bool
 	severed bool
-	oneWay [2]bool // oneWay[i]: frames FROM ends[i] silently vanish
-	sent   int     // frames offered for transmission, drives schedules
-	cutIdx int
-	corIdx int
-	stats  FaultStats
+	oneWay  [2]bool // oneWay[i]: frames FROM ends[i] silently vanish
+	sent    int     // frames offered for transmission, drives schedules
+	cutIdx  int
+	corIdx  int
+	stats   FaultStats
 }
 
 // NewLink creates a healthy link.
