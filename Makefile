@@ -1,10 +1,13 @@
 GO ?= go
 
-.PHONY: tier1 race tables tables-check build vet test chaos fuzz-smoke obs-smoke
+WORKLOAD ?= logical-4d
+
+.PHONY: tier1 race tables tables-check attribution build vet test chaos fuzz-smoke obs-smoke
 
 tier1: ## gofmt + vet + build + full test suite (the repo's gate)
 	@test -z "$$(gofmt -l .)" || { echo "gofmt needed:"; gofmt -l .; exit 1; }
 	$(GO) vet ./...
+	cd benchmark && $(GO) vet ./... # the nested module is invisible to ./...
 	$(GO) build ./...
 	$(GO) test ./...
 
@@ -35,6 +38,9 @@ fuzz-smoke: ## brief real fuzzing of the untrusted-input parsers
 obs-smoke: ## instrumented dump with tracing + metrics, validated end to end
 	$(GO) run ./cmd/backupctl stats -mb 4 -trace obs_trace.json -check > /dev/null
 	rm -f obs_trace.json
+
+attribution: ## per-layer table of one traced benchmark run (non-zero series): run it at the parent and at the change for the before/after of a speed-up
+	@bash benchmark/run.sh --workload $(WORKLOAD) --seed 1999 --seconds 6 --trace 1 | awk '/^  / && $$2 + 0 != 0'
 
 tables: ## regenerate every EXPERIMENTS.md table into the committed reference
 	$(GO) run ./cmd/benchtables > docs/benchtables-reference.txt

@@ -4,6 +4,7 @@ import (
 	"context"
 	"strings"
 	"testing"
+	"time"
 )
 
 // tableScenario marks a test that regenerates an EXPERIMENTS.md table.
@@ -128,9 +129,19 @@ func TestShapeScaling(t *testing.T) {
 		t.Errorf("logical CPU did not climb with drives: %.2f -> %.2f", one.LogicalCPU, four.LogicalCPU)
 	}
 
-	// Table 14: at 4 drives the logical dump is seek-bound, not
-	// reader-starved — every added reader per shard costs locality —
-	// while physical, sequential by construction, does not care.
+	// The logical curve rises with every drive added, as the paper's
+	// does (13.9 -> 19.8 MB/s): the engine's read-ahead issues all the
+	// streams' reads in disk order, so added streams do not turn into
+	// added seeks.
+	if !(one.LogicalGBph <= two.LogicalGBph && two.LogicalGBph <= four.LogicalGBph) {
+		t.Errorf("logical GB/h not non-decreasing over 1/2/4 drives: %.1f / %.1f / %.1f",
+			one.LogicalGBph, two.LogicalGBph, four.LogicalGBph)
+	}
+
+	// Table 14: at 4 drives the reads are issued from one place, so
+	// readers per shard only stage chunks out of the cache: one reader
+	// and the shipped three land within 10 % of each other. Physical,
+	// sequential by construction, does not care either.
 	fourWith := func(readers int) ScalingPoint {
 		cfg := shapeCfg()
 		cfg.Readers = readers
@@ -141,9 +152,9 @@ func TestShapeScaling(t *testing.T) {
 		return p[0]
 	}
 	r1, r6 := fourWith(1), fourWith(6) // four is the shipped readers=3
-	if !(r1.LogicalGBph > four.LogicalGBph && four.LogicalGBph > r6.LogicalGBph) {
-		t.Errorf("logical GB/h at 4 drives not ordered readers 1 > 3 > 6: %.1f / %.1f / %.1f",
-			r1.LogicalGBph, four.LogicalGBph, r6.LogicalGBph)
+	if r := four.LogicalGBph / r1.LogicalGBph; r < 0.9 || r > 1.1 {
+		t.Errorf("logical GB/h at 4 drives: readers 3 (%.1f) is %.2fx readers 1 (%.1f), want within 10%%",
+			four.LogicalGBph, r, r1.LogicalGBph)
 	}
 	for _, p := range []ScalingPoint{r1, r6} {
 		if r := p.PhysGBph / four.PhysGBph; r < 0.9 || r > 1.1 {
@@ -220,12 +231,29 @@ func TestShapeIncrementalSizes(t *testing.T) {
 	if res.IncrPhysicalBlocks*3 >= res.FullPhysicalBlocks {
 		t.Errorf("physical incremental %d vs full %d blocks", res.IncrPhysicalBlocks, res.FullPhysicalBlocks)
 	}
-	// The physical incremental is the faster of the two per byte
-	// moved: no Phase I mapping sweep.
-	logicalRate := float64(res.IncrLogicalBytes) / res.IncrLogical.Elapsed.Seconds()
-	physRate := float64(res.IncrPhysicalBlocks*4096) / res.IncrPhysical.Elapsed.Seconds()
-	if physRate <= logicalRate {
-		t.Errorf("incremental image (%.0f B/s) not faster than incremental dump (%.0f B/s)", physRate, logicalRate)
+	// The physical incremental is the cheaper of the two per byte moved:
+	// no Phase I mapping sweep. Measured as work — CPU per byte dumped,
+	// the paper's Table 3 measure — not as bytes per elapsed second: the
+	// sweep's reads overlap now and mostly hit the buffer cache, so it
+	// no longer shows as latency on an incremental this small, but the
+	// level-1 dump still walks every inode and reads every directory to
+	// find the few files that changed, and that cost is spread over
+	// fewer bytes than the full dump's.
+	cpuPerByte := func(o OpResult, bytes int64) float64 {
+		var busy time.Duration
+		for _, s := range o.Stages {
+			busy += s.End.CPUBusy - s.Begin.CPUBusy
+		}
+		return float64(busy) / float64(bytes)
+	}
+	incrLogical := cpuPerByte(res.IncrLogical, res.IncrLogicalBytes)
+	fullLogical := cpuPerByte(res.FullLogical, res.FullLogicalBytes)
+	incrPhysical := cpuPerByte(res.IncrPhysical, int64(res.IncrPhysicalBlocks)*4096)
+	if incrLogical < 3*incrPhysical {
+		t.Errorf("incremental dump CPU %.1f ns/byte not well above incremental image's %.1f", incrLogical, incrPhysical)
+	}
+	if incrLogical < 1.3*fullLogical {
+		t.Errorf("incremental dump CPU %.1f ns/byte not above the full dump's %.1f: where did the mapping sweep go?", incrLogical, fullLogical)
 	}
 }
 

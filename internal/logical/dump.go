@@ -56,16 +56,23 @@ type DumpOptions struct {
 	// ShardResults, to be resumed on its own (Sink + Resume) or with
 	// the set (ResumeShards).
 	Sinks []stream.Sink
-	// Readers is the number of parallel Phase IV chunk readers per
-	// stream (default 1). Readers pull file chunks off a shared plan
-	// and the stream is written in plan order, so the bytes on tape do
-	// not depend on Readers.
+	// Readers is the number of parallel Phase IV chunk stagers per
+	// stream (default 1). They pull file chunks off a shared plan and
+	// the stream is written in plan order, so the bytes on tape do not
+	// depend on Readers. With read-ahead on they copy out of the buffer
+	// cache — the dump issues its device reads from one place, whatever
+	// the reader count — so more of them buy CPU overlap, not disk
+	// parallelism.
 	Readers int
 	// Label names the dump on tape.
 	Label string
-	// ReadAhead is the dump engine's own read-ahead depth in blocks
-	// (paper §3: "Network Appliance's dump generates its own
-	// read-ahead policy"). 0 disables it.
+	// ReadAhead turns on the dump engine's own read-ahead (paper §3:
+	// "Network Appliance's dump generates its own read-ahead policy"):
+	// Phase I reads the tree a frontier at a time and Phase IV issues
+	// every stream's reads ahead of its readers, both in physical block
+	// order. 0 turns it off; the magnitude of a positive value is not
+	// used — how far ahead to run comes from the view's buffer cache
+	// and the number of streams.
 	ReadAhead int
 	// Stages receives stage boundaries; may be nil.
 	Stages StageRecorder
@@ -325,6 +332,13 @@ func phaseSpanName(stage string) string {
 // phaseMap walks the subtree, recording every allocated inode, its
 // parent, and whether it needs dumping (Phase I), then propagates
 // directory requirements up to the root (Phase II).
+//
+// The walk is breadth-first, one stretch of the frontier at a time: the
+// inode-file blocks the stretch needs are read ahead as one batch, then
+// the data blocks of its directories as another, and only then are its
+// entries processed — from cache, in plain queue order, so the maps do
+// not depend on the read-ahead. A stretch is bounded so that what it
+// reads ahead fits the buffer cache.
 func (st *dumpState) phaseMap(ctx context.Context) error {
 	st.used = dumpfmt.NewInoMap(uint32(st.view.NumInodes(ctx)))
 	st.dump = dumpfmt.NewInoMap(uint32(st.view.NumInodes(ctx)))
@@ -333,45 +347,76 @@ func (st *dumpState) phaseMap(ctx context.Context) error {
 		ino, parent wafl.Inum
 		name        string
 	}
-	queue := []qent{{st.rootIno, st.rootIno, ""}}
+	stretch := max(st.view.CacheBlocks()/2, 1)
+	frontier := []qent{{st.rootIno, st.rootIno, ""}}
+	var next []qent
+	var pbns []wafl.BlockNo
 	visited := map[wafl.Inum]bool{}
-	for len(queue) > 0 {
-		if err := ctx.Err(); err != nil {
-			return err
+	for len(frontier) > 0 {
+		level := frontier[:min(len(frontier), stretch)]
+		frontier = frontier[len(level):]
+		if st.opts.ReadAhead > 0 {
+			// Whatever fails to resolve here fails again, in order, below.
+			pbns = pbns[:0]
+			for _, e := range level {
+				if visited[e.ino] {
+					continue
+				}
+				if pbn, err := st.view.InodeBlock(ctx, e.ino); err == nil {
+					pbns = append(pbns, pbn)
+				}
+			}
+			st.view.Prefetch(ctx, pbns)
+			pbns = pbns[:0]
+			for _, e := range level {
+				if visited[e.ino] || len(pbns) >= stretch {
+					continue
+				}
+				if inode, err := st.view.GetInode(ctx, e.ino); err == nil && wafl.IsDir(inode.Mode) {
+					pbns = st.appendBlocks(ctx, pbns, e.ino, 0, inode.Blocks())
+				}
+			}
+			st.view.Prefetch(ctx, pbns)
 		}
-		cur := queue[0]
-		queue = queue[1:]
-		if visited[cur.ino] {
-			continue
-		}
-		visited[cur.ino] = true
-		inode, err := st.view.GetInode(ctx, cur.ino)
-		if err != nil {
-			return err
-		}
-		st.used.Set(uint32(cur.ino))
-		st.parent[cur.ino] = cur.parent
-		st.names[cur.ino] = cur.name // hardlinks: the first name seen wins
-		st.inodes[cur.ino] = inode
-		st.isDir[cur.ino] = wafl.IsDir(inode.Mode)
-		// Changed since the base date? (Level 0 has ddate 0: everything.)
-		if inode.Mtime > st.ddate || inode.Ctime > st.ddate {
-			st.dump.Set(uint32(cur.ino))
-		}
-		if wafl.IsDir(inode.Mode) {
-			ents, err := st.view.Readdir(ctx, cur.ino)
+		for _, cur := range level {
+			if err := ctx.Err(); err != nil {
+				return err
+			}
+			if visited[cur.ino] {
+				continue
+			}
+			visited[cur.ino] = true
+			inode, err := st.view.GetInode(ctx, cur.ino)
 			if err != nil {
 				return err
 			}
-			for _, e := range ents {
-				if e.Name == "." || e.Name == ".." {
-					continue
-				}
-				if st.opts.Exclude != nil && st.opts.Exclude(e.Name) {
-					continue
-				}
-				queue = append(queue, qent{e.Ino, cur.ino, e.Name})
+			st.used.Set(uint32(cur.ino))
+			st.parent[cur.ino] = cur.parent
+			st.names[cur.ino] = cur.name // hardlinks: the first name seen wins
+			st.inodes[cur.ino] = inode
+			st.isDir[cur.ino] = wafl.IsDir(inode.Mode)
+			// Changed since the base date? (Level 0 has ddate 0: everything.)
+			if inode.Mtime > st.ddate || inode.Ctime > st.ddate {
+				st.dump.Set(uint32(cur.ino))
 			}
+			if wafl.IsDir(inode.Mode) {
+				ents, err := st.view.Readdir(ctx, cur.ino)
+				if err != nil {
+					return err
+				}
+				for _, e := range ents {
+					if e.Name == "." || e.Name == ".." {
+						continue
+					}
+					if st.opts.Exclude != nil && st.opts.Exclude(e.Name) {
+						continue
+					}
+					next = append(next, qent{e.Ino, cur.ino, e.Name})
+				}
+			}
+		}
+		if len(frontier) == 0 {
+			frontier, next = next, nil
 		}
 	}
 
@@ -392,6 +437,20 @@ func (st *dumpState) phaseMap(ctx context.Context) error {
 	}
 	st.dump.Set(uint32(st.rootIno))
 	return nil
+}
+
+// appendBlocks appends the physical blocks behind file blocks
+// [fbn, fbn+n) of ino to pbns, for a read-ahead batch. Holes, staged
+// blocks with no physical home yet, and blocks whose address cannot be
+// resolved are left out: the demand read reports what is wrong with
+// them.
+func (st *dumpState) appendBlocks(ctx context.Context, pbns []wafl.BlockNo, ino wafl.Inum, fbn, n uint32) []wafl.BlockNo {
+	for end := fbn + n; fbn < end; fbn++ {
+		if pbn, err := st.view.BlockAt(ctx, ino, fbn); err == nil && pbn > 1 {
+			pbns = append(pbns, pbn)
+		}
+	}
+	return pbns
 }
 
 // path reconstructs an inode's dump-relative path from the Phase I

@@ -4,6 +4,7 @@ import (
 	"crypto/sha256"
 	"errors"
 	"fmt"
+	"strings"
 	"testing"
 
 	"repro/internal/storage"
@@ -26,6 +27,21 @@ var goldenStreams = map[string]string{
 	"shard3":      "58bd356a3ed30e69837e649eda991dafe55603031847f1683c8aadd9b845eeb3",
 	"level1":      "285a2423a06997b220c66454bb490f0efa6ddf31086d94e36496624897a718a6",
 	"damaged":     "04c2906c2b5f5f72b28397c708eda85f87a07e234627d57b1645f9d44080f2fd",
+
+	// Recorded at commit ff00062, whose Phase I was a demand-reading
+	// queue walk: what the frontier-batched walk must map, name and
+	// order identically. "x.index" is the digest of x's file index.
+	"single.index":         "eb4edf707075febf49040582077928dfcf2943022f21ed35e4bab97875db5a50",
+	"snap-subtree":         "6dd9d0bf95badd2b62a3de2e67fe5223f15056e56a7071b2e4062df74cc10530",
+	"snap-subtree.index":   "39f044aae896876d1688a1f6202beb482273300c3de3ce76dbd22bb42347486b",
+	"snap-exclude":         "ba2fbd746218437654608f7f23feb94ddbbc5eebfbca1cf9f72a0b37a2f1dcc1",
+	"snap-exclude.index":   "98b1d4c0512b3b8476ab366799ba9567c0cd5fbc7a47cc479b675a374571f4ce",
+	"active":               "3094c303afae1fea9d89afe9b5ed0c41f173b7a6bbc3c7d38b76131bdbc6708c",
+	"active.index":         "2ecbae3dc511293e56e410356f8fa605c09fcbe8bf79bf653f441097613f82ab",
+	"active-subtree":       "4ac219bf8334cd4418efe27f1b96592536c05147cec1fe33646f201d1acd99a5",
+	"active-subtree.index": "39f044aae896876d1688a1f6202beb482273300c3de3ce76dbd22bb42347486b",
+	"active-exclude":       "214661f73d6a32009f9dfb250a1cbffb6cfec18ecaac780940364baf9f866588",
+	"active-exclude.index": "91a4f1ed1cda6125f6fdf6532c2a9d86542d9c67b6efb17259c172304450e898",
 }
 
 func checkGolden(t *testing.T, name string, s *memSink) {
@@ -90,10 +106,19 @@ func TestGoldenStreams(t *testing.T) {
 				t.Helper()
 				s := &memSink{}
 				o.Sink, o.Label, o.ReadAhead, o.Readers = s, "gold", 8, readers
+				// The file index spells each file's path from Phase I's
+				// parent and name maps (first hard-link name wins).
+				index := &memSink{}
+				o.FileIndex = func(path string, ino wafl.Inum, _ int64) {
+					index.recs = append(index.recs, []byte(fmt.Sprintf("%d %s\n", ino, path)))
+				}
 				if _, err := Dump(ctx, o); err != nil {
 					t.Fatalf("%s: %v", name, err)
 				}
 				checkGolden(t, name, s)
+				if _, ok := goldenStreams[name+".index"]; ok {
+					checkGolden(t, name+".index", index)
+				}
 			}
 			one("single", DumpOptions{View: sv})
 			one("single-ckpt", DumpOptions{View: sv, CheckpointEvery: 3})
@@ -150,6 +175,21 @@ func TestGoldenStreams(t *testing.T) {
 
 			dv, _, _ := damagedBlockFS(t)
 			one("damaged", DumpOptions{View: dv})
+
+			// Phase I's walk, by what it leaves in the stream (both inode
+			// maps, every directory's entries in order) and in the index:
+			// whole volume, one subtree, and a name filter, of a frozen
+			// view and of the active one with a staged file in it.
+			noDigits := func(name string) bool { return strings.ContainsAny(name, "37") }
+			one("snap-subtree", DumpOptions{View: sv2, Subtree: "/d2"})
+			one("snap-exclude", DumpOptions{View: sv2, Exclude: noDigits})
+			if _, err := src.WriteFile(ctx, "/inc/staged.txt", []byte("not yet on disk"), 0644); err != nil {
+				t.Fatal(err)
+			}
+			av := src.ActiveView()
+			one("active", DumpOptions{View: av})
+			one("active-subtree", DumpOptions{View: av, Subtree: "/d2"})
+			one("active-exclude", DumpOptions{View: av, Exclude: noDigits})
 		})
 	}
 }

@@ -52,32 +52,43 @@ func (st *dumpState) callback(f func()) {
 	f()
 }
 
+// segsPerBlock is how many dump segments one filesystem block holds.
+const segsPerBlock = wafl.BlockSize / dumpfmt.TPBSize
+
 // fileJob is one planned Phase IV chunk: up to MaxSegsPerHeader
 // segments of one file. Chunks are block-aligned (MaxSegsPerHeader is a
 // multiple of the segments per block).
 type fileJob struct {
 	ino        wafl.Inum
 	seg, nsegs int
+	pos        int  // file blocks in front of this chunk in its shard's plan
 	first      bool // first chunk of its file: TSInode header + FileIndex
 	last       bool // last chunk of its file: checkpoint accounting
 }
 
+// blocks is the number of file blocks the chunk spans; the last chunk
+// of a file reads its final block in full.
+func (j fileJob) blocks() int { return (j.nsegs + segsPerBlock - 1) / segsPerBlock }
+
 // planFiles expands a shard's file slice into its chunk-job plan.
 func planFiles(st *dumpState, files []wafl.Inum) []fileJob {
 	var plan []fileJob
+	pos := 0
 	for _, ino := range files {
 		inode := st.inodes[ino]
 		totalSegs := int((inode.Size + dumpfmt.TPBSize - 1) / dumpfmt.TPBSize)
 		if totalSegs == 0 {
-			plan = append(plan, fileJob{ino: ino, first: true, last: true})
+			plan = append(plan, fileJob{ino: ino, pos: pos, first: true, last: true})
 			continue
 		}
 		for seg := 0; seg < totalSegs; {
 			n := min(totalSegs-seg, dumpfmt.MaxSegsPerHeader)
-			plan = append(plan, fileJob{
-				ino: ino, seg: seg, nsegs: n,
+			j := fileJob{
+				ino: ino, seg: seg, nsegs: n, pos: pos,
 				first: seg == 0, last: seg+n >= totalSegs,
-			})
+			}
+			plan = append(plan, j)
+			pos += j.blocks()
 			seg += n
 		}
 	}
@@ -91,67 +102,23 @@ type chunkRes struct {
 	damaged []DamagedBlock
 }
 
-// shardPump is one shard's cross-file read-ahead cursor. The dump
-// engine runs its own read-ahead policy in inode order — what the paper
-// says the in-kernel dump does (§3), and the reason it is not at the
-// mercy of the filesystem's per-file policy. The cursor walks the
-// shard's own (file, block) sequence in front of its readers and
-// crosses file boundaries: the next file's blocks start arriving while
-// the current file is still being written to tape, hiding the per-file
-// first-block seek.
-type shardPump struct {
-	files    []wafl.Inum
-	laFile   int
-	laFbn    uint32
-	issued   int64
-	consumed int64
-}
-
-// pumpShard advances the lookahead cursor until ReadAhead blocks are
-// in flight beyond the blocks the shard's readers have consumed.
-// Callers hold the view lock.
-func pumpShard(ctx context.Context, st *dumpState, pump *shardPump) {
-	for pump.issued < pump.consumed+int64(st.opts.ReadAhead) && pump.laFile < len(pump.files) {
-		if ctx.Err() != nil {
-			return
-		}
-		ino := pump.files[pump.laFile]
-		inode := st.inodes[ino]
-		if pump.laFbn >= inode.Blocks() {
-			pump.laFile++
-			pump.laFbn = 0
-			continue
-		}
-		pbn, err := st.view.BlockAt(ctx, ino, pump.laFbn)
-		pump.laFbn++
-		pump.issued++ // holes count: the tape cursor skips them too
-		if err != nil || pbn <= 1 {
-			continue
-		}
-		st.view.PrefetchBlock(ctx, pbn)
-	}
-}
-
 // stageChunk reads one chunk's hole map and present blocks into a
 // pooled buffer BEFORE its header goes out — segment i of the chunk
 // lives at buf[i*TPBSize:]. Contiguous runs of present blocks are
-// pulled in with one bulk ReadAt each, with the dump engine's own
-// read-ahead running ReadAhead blocks in front. A run that fails is
-// salvaged block by block: a block the storage stack cannot produce
-// even with retries and RAID reconstruction is demoted to a hole in
-// addrs and recorded in the result's damage list, so the header's map
-// and the segments that follow it always agree and the dump continues
-// — logical backup degrades per file rather than per volume.
-func stageChunk(ctx context.Context, st *dumpState, pump *shardPump, j fileJob) (chunkRes, error) {
+// pulled in with one bulk ReadAt each — out of the buffer cache when
+// the dump's read-ahead (ra; nil when it is off) is running. A run that
+// fails is salvaged block by block: a block the storage stack cannot
+// produce even with retries and RAID reconstruction is demoted to a
+// hole in addrs and recorded in the result's damage list, so the
+// header's map and the segments that follow it always agree and the
+// dump continues — logical backup degrades per file rather than per
+// volume.
+func stageChunk(ctx context.Context, st *dumpState, ra *readAhead, shard, seq int, j fileJob) (chunkRes, error) {
 	var res chunkRes
 	if j.nsegs == 0 {
 		return res, nil
 	}
-	segsPerBlock := wafl.BlockSize / dumpfmt.TPBSize
-	prefetch := st.opts.ReadAhead > 0
-	// Whole blocks: the last run of a file reads its final block in full.
-	blocks := (j.nsegs + segsPerBlock - 1) / segsPerBlock
-	res.buf = bufpool.Get(blocks * wafl.BlockSize)
+	res.buf = bufpool.Get(j.blocks() * wafl.BlockSize)
 	chunkBuf := *res.buf
 	addrs := make([]byte, j.nsegs)
 	fail := func(err error) (chunkRes, error) {
@@ -161,6 +128,11 @@ func stageChunk(ctx context.Context, st *dumpState, pump *shardPump, j fileJob) 
 	}
 	st.lockView()
 	defer st.unlockView()
+	if ra != nil {
+		if err := ra.advance(ctx, shard, seq); err != nil {
+			return fail(err)
+		}
+	}
 	for i := 0; i < j.nsegs; i++ {
 		fbn := uint32((j.seg + i) / segsPerBlock)
 		pbn, err := st.view.BlockAt(ctx, j.ino, fbn)
@@ -187,10 +159,6 @@ func stageChunk(ctx context.Context, st *dumpState, pump *shardPump, j fileJob) 
 				break
 			}
 			nb++
-		}
-		if prefetch {
-			pump.consumed += int64(nb)
-			pumpShard(ctx, st, pump)
 		}
 		dst := chunkBuf[i*dumpfmt.TPBSize : i*dumpfmt.TPBSize+nb*wafl.BlockSize]
 		if _, err := st.view.ReadAt(ctx, j.ino, uint64(fbn0)*wafl.BlockSize, dst); err != nil {
@@ -221,6 +189,9 @@ func stageChunk(ctx context.Context, st *dumpState, pump *shardPump, j fileJob) 
 		}
 	}
 	res.addrs = addrs
+	if ra != nil {
+		ra.shards[shard].staged += j.blocks()
+	}
 	return res, nil
 }
 
@@ -229,11 +200,12 @@ func stageChunk(ctx context.Context, st *dumpState, pump *shardPump, j fileJob) 
 // the fan-out delivers it in plan order. It accumulates the shard's
 // outcome in res.
 type shardWriter struct {
-	st   *dumpState
-	sink stream.Sink
-	plan []fileJob
-	w    *dumpfmt.Writer
-	res  *ShardResult
+	st    *dumpState
+	shard pipeline.Shard
+	sink  stream.Sink
+	plan  []fileJob
+	w     *dumpfmt.Writer
+	res   *ShardResult
 	// ckptIno is the last inode durably checkpointed to media, possibly
 	// inherited from the attempt this one resumes.
 	ckptIno   wafl.Inum
@@ -355,30 +327,32 @@ func (sw *shardWriter) emit(seq int, c chunkRes) error {
 	return nil
 }
 
-// dumpShard runs one stream to completion on the calling process. The
-// error stays in the ShardResult, always with the checkpoint to resume
-// from (LastIno 0 when nothing is durable yet), so sibling shards are
-// unaffected.
-func (st *dumpState) dumpShard(ctx context.Context, s pipeline.Stream[Checkpoint]) ShardResult {
-	res := ShardResult{Shard: s.Shard.K}
+// newShardWriter plans stream s: its slice of the file list, less the
+// files a resume checkpoint vouches for, expanded into chunks.
+func newShardWriter(st *dumpState, s pipeline.Stream[Checkpoint]) *shardWriter {
+	sw := &shardWriter{st: st, shard: s.Shard, sink: s.Sink, res: &ShardResult{Shard: s.Shard.K}}
 	lo, hi := s.Shard.Slice(len(st.fileInos))
 	files := st.fileInos[lo:hi]
-
-	sw := &shardWriter{st: st, sink: s.Sink, res: &res}
 	if s.Resume != nil {
-		// A resumed shard skips the files its checkpoint vouches for.
 		sw.ckptIno = s.Resume.LastIno
 		skip := sort.Search(len(files), func(i int) bool { return files[i] > sw.ckptIno })
-		res.FilesSkipped = skip
+		sw.res.FilesSkipped = skip
 		files = files[skip:]
 	}
 	sw.plan = planFiles(st, files)
+	return sw
+}
 
-	pump := &shardPump{files: files}
+// dumpShard runs the dump's k-th stream to completion on the calling
+// process. The error stays in the ShardResult, always with the
+// checkpoint to resume from (LastIno 0 when nothing is durable yet), so
+// sibling shards are unaffected.
+func (st *dumpState) dumpShard(ctx context.Context, k int, sw *shardWriter, ra *readAhead) ShardResult {
+	res := sw.res
 	fan := pipeline.Fanout[chunkRes]{
-		Name: fmt.Sprintf("logical.shard%d", s.Shard.K), N: len(sw.plan), Readers: st.opts.Readers,
+		Name: fmt.Sprintf("logical.shard%d", sw.shard.K), N: len(sw.plan), Readers: st.opts.Readers,
 		Stage: func(ctx context.Context, _, seq int) (chunkRes, error) {
-			return stageChunk(ctx, st, pump, sw.plan[seq])
+			return stageChunk(ctx, st, ra, k, seq, sw.plan[seq])
 		},
 		Open: func() error { return sw.open(ctx) },
 		Emit: sw.emit,
@@ -389,6 +363,9 @@ func (st *dumpState) dumpShard(ctx context.Context, s pipeline.Stream[Checkpoint
 		},
 	}
 	err := fan.Run(ctx)
+	if ra != nil {
+		ra.done(k)
+	}
 	if err == nil {
 		err = sw.w.Close()
 	}
@@ -396,12 +373,12 @@ func (st *dumpState) dumpShard(ctx context.Context, s pipeline.Stream[Checkpoint
 		res.Err = err
 		res.Checkpoint = &Checkpoint{
 			Date: st.date, Level: st.opts.Level, LastIno: sw.ckptIno,
-			Shard: s.Shard.K, Shards: s.Shard.N,
+			Shard: sw.shard.K, Shards: sw.shard.N,
 		}
-		return res
+		return *res
 	}
 	res.BytesWritten = sw.w.Written()
-	return res
+	return *res
 }
 
 // dumpShards is the Phase III/IV driver: directories are read and
@@ -440,9 +417,21 @@ func (st *dumpState) dumpShards(ctx context.Context, streams []pipeline.Stream[C
 	end()
 
 	begin("Dumping files")
+	// Every stream is planned before any runs, so the read-ahead can
+	// issue for all of them at once.
+	writers := make([]*shardWriter, len(streams))
+	plans := make([][]fileJob, len(streams))
+	for k, s := range streams {
+		writers[k] = newShardWriter(st, s)
+		plans[k] = writers[k].plan
+	}
+	var ra *readAhead
+	if opts.ReadAhead > 0 {
+		ra = newReadAhead(ctx, st, plans)
+	}
 	results := make([]ShardResult, len(streams))
-	pipeline.RunShards(ctx, "logical", streams, func(ctx context.Context, k int, s pipeline.Stream[Checkpoint]) {
-		results[k] = st.dumpShard(ctx, s)
+	pipeline.RunShards(ctx, "logical", streams, func(ctx context.Context, k int, _ pipeline.Stream[Checkpoint]) {
+		results[k] = st.dumpShard(ctx, k, writers[k], ra)
 	})
 	end()
 

@@ -198,6 +198,15 @@ func (v *Volume) WriteBlock(ctx context.Context, bno int, data []byte) error {
 	return nil
 }
 
+// CanPrefetch reports whether Prefetch would charge a read for volume
+// block bno. A degraded group declines: its reads reconstruct from the
+// surviving members on demand, so the caller must not count the block
+// as read ahead.
+func (v *Volume) CanPrefetch(bno int) bool {
+	g, _, err := v.locate(bno)
+	return err == nil && g.failed < 0
+}
+
 // Prefetch charges read time for volume block bno without blocking the
 // caller, warming the path for an upcoming demand read.
 func (v *Volume) Prefetch(ctx context.Context, bno int) {

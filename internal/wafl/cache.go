@@ -40,7 +40,8 @@ func (c *blockCache) get(bno BlockNo) []byte {
 	return nil
 }
 
-// put inserts or refreshes bno with data, copying it.
+// put inserts or refreshes bno with a copy of data, for callers that keep
+// their slice.
 func (c *blockCache) put(bno BlockNo, data []byte) {
 	if c.max <= 0 {
 		return
@@ -50,9 +51,21 @@ func (c *blockCache) put(bno BlockNo, data []byte) {
 		c.lru.MoveToFront(e)
 		return
 	}
-	cp := make([]byte, len(data))
-	copy(cp, data)
-	c.index[bno] = c.lru.PushFront(&cacheEntry{bno: bno, data: cp})
+	c.insert(bno, append([]byte(nil), data...))
+}
+
+// insert is put for a buffer the caller hands over: the cache owns data
+// from here on, so a block read from the device is allocated once.
+func (c *blockCache) insert(bno BlockNo, data []byte) {
+	if c.max <= 0 {
+		return
+	}
+	if e, ok := c.index[bno]; ok {
+		e.Value.(*cacheEntry).data = data
+		c.lru.MoveToFront(e)
+		return
+	}
+	c.index[bno] = c.lru.PushFront(&cacheEntry{bno: bno, data: data})
 	for c.lru.Len() > c.max {
 		old := c.lru.Back()
 		c.lru.Remove(old)

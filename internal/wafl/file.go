@@ -207,17 +207,21 @@ func (fs *FS) readAhead(ctx context.Context, ino Inum, st *istate, fbn uint32) {
 // the buffer cache with its contents, so the later demand read hits
 // the cache instead of paying the device twice. The async charge is
 // bounded by the disk's write-behind depth, which models a finite
-// read-ahead queue.
+// read-ahead queue. A block the device declines to prefetch stays
+// uncached: its demand read pays for it on the clock.
 func (fs *FS) prefetchBlock(ctx context.Context, pbn BlockNo) {
 	if pbn == 0 || fs.cache.get(pbn) != nil {
 		return
 	}
 	if fs.pref != nil {
+		if d, ok := fs.pref.(prefetchDecliner); ok && !d.CanPrefetch(int(pbn)) {
+			return
+		}
 		fs.pref.Prefetch(ctx, int(pbn))
 	}
 	buf := make([]byte, BlockSize)
 	if err := fs.dev.ReadBlock(context.Background(), int(pbn), buf); err == nil {
-		fs.cache.put(pbn, buf)
+		fs.cache.insert(pbn, buf)
 	}
 }
 

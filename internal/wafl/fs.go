@@ -16,6 +16,14 @@ type Prefetcher interface {
 	Prefetch(ctx context.Context, bno int)
 }
 
+// prefetchDecliner is implemented by a Prefetcher that declines some
+// requests without charging them (a degraded RAID group reconstructs
+// on demand instead of streaming). The filesystem asks first and warms
+// its cache only with blocks whose device time the prefetch pays for.
+type prefetchDecliner interface {
+	CanPrefetch(bno int) bool
+}
+
 // Options configures a filesystem instance. The zero value gets
 // sensible defaults from applyDefaults.
 type Options struct {
@@ -354,7 +362,7 @@ func (fs *FS) readBlock(ctx context.Context, pbn BlockNo) ([]byte, error) {
 	if err := fs.dev.ReadBlock(ctx, int(pbn), buf); err != nil {
 		return nil, err
 	}
-	fs.cache.put(pbn, buf)
+	fs.cache.insert(pbn, buf)
 	return buf, nil
 }
 

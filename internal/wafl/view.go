@@ -3,6 +3,7 @@ package wafl
 import (
 	"context"
 	"fmt"
+	"slices"
 )
 
 // View is a read surface over either the active filesystem or one
@@ -181,13 +182,45 @@ func (v *View) BlockAt(ctx context.Context, ino Inum, fbn uint32) (BlockNo, erro
 	return v.fs.walkTree(ctx, &inode, fbn)
 }
 
-// PrefetchBlock asynchronously reads physical block pbn into the
-// buffer cache, charging device time without blocking the caller
-// beyond the device's read-ahead queue depth. The logical dump engine
-// drives its own read-ahead through this (paper §3).
-func (v *View) PrefetchBlock(ctx context.Context, pbn BlockNo) {
-	v.fs.prefetchBlock(ctx, pbn)
+// Prefetch asynchronously reads the physical blocks in pbns into the
+// buffer cache, in ascending block order whatever order the caller
+// collected them in: pbns is sorted in place, and holes (0), repeats
+// and blocks already cached are dropped. Each remaining block charges
+// device time through the device's Prefetcher without blocking the
+// caller beyond its read-ahead queue depth, so a disk sees one forward
+// sweep per call. The logical dump engine drives all of its read-ahead
+// through this (paper §3).
+func (v *View) Prefetch(ctx context.Context, pbns []BlockNo) {
+	slices.Sort(pbns)
+	for _, pbn := range pbns {
+		if ctx.Err() != nil {
+			return
+		}
+		v.fs.prefetchBlock(ctx, pbn) // skips what an earlier element cached
+	}
 }
+
+// InodeBlock returns the physical block that must be read to resolve
+// inode ino in this view, or 0 when none need be: the slot is out of
+// range or in a never-written region of the inode file, or (active
+// view) the inode's state is already in memory.
+func (v *View) InodeBlock(ctx context.Context, ino Inum) (BlockNo, error) {
+	if ino < RootIno || uint64(ino) >= v.NumInodes(ctx) {
+		return 0, nil
+	}
+	fbn := uint32(ino) / InodesPerBlock
+	if v.snap != nil {
+		return v.fs.walkTree(ctx, &v.snap.Root, fbn)
+	}
+	if _, ok := v.fs.states[ino]; ok {
+		return 0, nil
+	}
+	return v.fs.inodeFilePbn(ctx, fbn)
+}
+
+// CacheBlocks returns the capacity of the buffer cache the view reads
+// through, in blocks: the budget a caller's read-ahead must fit in.
+func (v *View) CacheBlocks() int { return v.fs.cache.max }
 
 // Readlink returns the target of symlink ino. Targets are stored as
 // file data.
