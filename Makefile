@@ -26,14 +26,13 @@ race: ## race-detector pass over every package; no test list to fall out of (-sh
 chaos: ## seeded fault-injection property tests, wide seed sweep; the whole package, so no test can fall out by its name
 	CHAOS_SEEDS=8 $(GO) test -count 1 -v ./internal/chaos/
 
-fuzz-smoke: ## brief real fuzzing of the untrusted-input parsers
-	$(GO) test -fuzz FuzzDecodeDirEnts -fuzztime 10s ./internal/logical/
-	$(GO) test -fuzz FuzzUnmarshalHeader -fuzztime 10s ./internal/dumpfmt/
-	$(GO) test -fuzz FuzzStreamHeader -fuzztime 10s ./internal/physical/
-	$(GO) test -fuzz FuzzDecodeJournal -fuzztime 10s ./internal/catalog/
-	$(GO) test -fuzz FuzzDecodeChunkIndex -fuzztime 10s ./internal/catalog/
-	$(GO) test -fuzz FuzzDecodeManifest -fuzztime 10s ./internal/catalog/
-	$(GO) test -fuzz FuzzDecodeWire -fuzztime 10s ./internal/replica/
+fuzz-smoke: ## brief real fuzzing of the untrusted-input parsers: 10 s per target `go test -list` finds, so no target can fall out by its name
+	@targets=$$($(GO) test -list '^Fuzz' ./... | awk '/^Fuzz/ {n[++c] = $$1} /^ok/ {for (i = 1; i <= c; i++) print n[i], $$2; c = 0} /^FAIL/ {bad = 1} END {exit bad}') || exit 1; \
+	test -n "$$targets" || { echo "fuzz-smoke: no fuzz targets found"; exit 1; }; \
+	echo "$$targets" | while read target pkg; do \
+		echo "== $$target $$pkg"; \
+		$(GO) test -fuzz "^$$target\$$" -fuzztime 10s $$pkg || exit 1; \
+	done
 
 obs-smoke: ## instrumented dump with tracing + metrics, validated end to end
 	$(GO) run ./cmd/backupctl stats -mb 4 -trace obs_trace.json -check > /dev/null

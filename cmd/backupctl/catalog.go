@@ -25,6 +25,8 @@ import (
 	"repro/internal/engine"
 	"repro/internal/logical"
 	"repro/internal/ndmp"
+	"repro/internal/replica"
+	"repro/internal/scrub"
 	"repro/internal/stream"
 	"repro/internal/wafl"
 )
@@ -32,22 +34,46 @@ import (
 // catalogPath names the journal beside a volume image.
 func catalogPath(vol string) string { return vol + ".catalog" }
 
-// openVolCatalog opens (creating if absent) the catalog beside vol.
-// Callers must Close the returned store.
-func openVolCatalog(vol string) (*catalog.Catalog, *catalog.FileStore, error) {
-	store, err := catalog.OpenFileStore(catalogPath(vol))
+// openCatalog opens (creating if absent) the catalog journal beside vol;
+// the caller runs done when finished with it. With a standby path — the
+// serve side's -standby — the journal is a mirrored pair: a two-member
+// replica.Cluster over <vol>.catalog and the standby file, ideally on
+// different media. Opening it elects the copy with the longest valid
+// journal and reinstalls the other from it, and every append lands in
+// both files or fails, so losing either file loses no acknowledged set.
+func openCatalog(vol, standby string) (cat *catalog.Catalog, done func(), err error) {
+	primary, err := catalog.OpenFileStore(catalogPath(vol))
 	if err != nil {
 		return nil, nil, err
 	}
-	cat, err := catalog.Open(store)
-	if err != nil {
-		store.Close()
+	var store catalog.Store = primary
+	done = func() { primary.Close() }
+	if standby != "" {
+		second, err := catalog.OpenFileStore(standby)
+		if err != nil {
+			done()
+			return nil, nil, err
+		}
+		// The cluster has no Close of its own: it only borrows the stores.
+		done = func() { primary.Close(); second.Close() }
+		cluster, err := replica.New(replica.Config{
+			Members: []string{"primary", "standby"},
+			Stores:  map[string]catalog.Store{"primary": primary, "standby": second},
+		})
+		if err != nil {
+			done()
+			return nil, nil, err
+		}
+		store = cluster
+	}
+	if cat, err = catalog.Open(store); err != nil {
+		done()
 		return nil, nil, err
 	}
 	if cat.TornBytes > 0 {
 		fmt.Fprintf(os.Stderr, "backupctl: catalog: dropped %d torn trailing bytes (crash mid-append)\n", cat.TornBytes)
 	}
-	return cat, store, nil
+	return cat, done, nil
 }
 
 // catalogDates returns the dump-date history for vol: derived from the
@@ -60,22 +86,6 @@ func catalogDates(cat *catalog.Catalog, vol string) *logical.DumpDates {
 	}
 	legacy, _ := loadDates(vol)
 	return legacy
-}
-
-// recordSet journals one completed local dump — the job's own half of
-// the record plus where this command put it — and returns the new set's
-// id (a dedup-encoded dump appends its manifest under it).
-func recordSet(cat *catalog.Catalog, job *engine.Dump, vol, snap, out string, index []catalog.FileIndexEntry) (uint64, error) {
-	ds := job.Set()
-	ds.FSID, ds.Snap, ds.Media = vol, snap, []catalog.MediaRef{{Volume: out}}
-	id, err := cat.AppendDumpSet(ds)
-	if err != nil {
-		return 0, err
-	}
-	if len(index) > 0 {
-		return id, cat.AppendFileIndex(id, index)
-	}
-	return id, nil
 }
 
 // catalogCommand lists and edits the catalog beside -vol.
@@ -92,11 +102,11 @@ func catalogCommand(vol string, rest []string) error {
 	if vol == "" {
 		return fmt.Errorf("catalog: -vol required")
 	}
-	cat, store, err := openVolCatalog(vol)
+	cat, done, err := openCatalog(vol, "")
 	if err != nil {
 		return err
 	}
-	defer store.Close()
+	defer done()
 
 	if *sweep {
 		return sweepChunks(cat, vol)
@@ -170,49 +180,43 @@ func catalogCommand(vol string, rest []string) error {
 	return nil
 }
 
-// planFlags is the flag subset plan and recover share.
-func planFlags(set *flag.FlagSet) (engine *string, at *int64, file *string, expired, damaged *bool) {
-	engine = set.String("engine", "logical", "dump family to plan from: logical or image")
-	at = set.Int64("at", 0, "target time: newest state dumped at or before this (0 = latest)")
-	file = set.String("file", "", "plan a single-file recovery of this dump-relative path")
-	expired = set.Bool("expired", false, "allow expired sets (media not yet reclaimed)")
-	damaged = set.Bool("damaged", false, "allow damaged sets (salvage: restore may be partial)")
-	return
-}
-
-func parseEngine(s string) (catalog.Engine, error) {
-	switch s {
-	case "logical":
-		return catalog.Logical, nil
-	case "image":
-		return catalog.Image, nil
+// selectPlan is what plan and recover share: parse the flags that name a
+// restore point (the caller has registered its own on set) and return
+// the chain the catalog beside vol selects for it.
+func selectPlan(set *flag.FlagSet, vol string, rest []string) (*catalog.Plan, error) {
+	engine := set.String("engine", "logical", "dump family to plan from: logical or image")
+	at := set.Int64("at", 0, "target time: newest state dumped at or before this (0 = latest)")
+	file := set.String("file", "", "plan a single-file recovery of this dump-relative path")
+	expired := set.Bool("expired", false, "allow expired sets (media not yet reclaimed)")
+	damaged := set.Bool("damaged", false, "allow damaged sets (salvage: restore may be partial)")
+	if err := set.Parse(rest); err != nil {
+		return nil, err
 	}
-	return 0, fmt.Errorf("unknown -engine %q (want logical or image)", s)
+	if vol == "" {
+		return nil, fmt.Errorf("%s: -vol required", set.Name())
+	}
+	eng := catalog.Logical
+	switch *engine {
+	case "logical":
+	case "image":
+		eng = catalog.Image
+	default:
+		return nil, fmt.Errorf("%s: unknown -engine %q (want logical or image)", set.Name(), *engine)
+	}
+	cat, done, err := openCatalog(vol, "")
+	if err != nil {
+		return nil, err
+	}
+	defer done()
+	return cat.Plan(catalog.PlanOptions{
+		Engine: eng, FSID: vol, At: *at, File: *file,
+		IncludeExpired: *expired, IncludeDamaged: *damaged,
+	})
 }
 
 // planCommand prints the restore chain the catalog selects.
 func planCommand(vol string, rest []string) error {
-	set := newFlagSet("plan")
-	engine, at, file, expired, damaged := planFlags(set)
-	if err := set.Parse(rest); err != nil {
-		return err
-	}
-	if vol == "" {
-		return fmt.Errorf("plan: -vol required")
-	}
-	eng, err := parseEngine(*engine)
-	if err != nil {
-		return fmt.Errorf("plan: %w", err)
-	}
-	cat, store, err := openVolCatalog(vol)
-	if err != nil {
-		return err
-	}
-	defer store.Close()
-	plan, err := cat.Plan(catalog.PlanOptions{
-		Engine: eng, FSID: vol, At: *at, File: *file,
-		IncludeExpired: *expired, IncludeDamaged: *damaged,
-	})
+	plan, err := selectPlan(newFlagSet("plan"), vol, rest)
 	if err != nil {
 		return err
 	}
@@ -225,31 +229,13 @@ func planCommand(vol string, rest []string) error {
 // operator names a time (or file), the catalog names the streams.
 func recoverCommand(ctx context.Context, vol string, rest []string) error {
 	set := newFlagSet("recover")
-	engineName, at, file, expired, damaged := planFlags(set)
 	target := set.String("target", "/", "directory to graft a logical recovery onto")
 	wipe := set.Bool("wipe", false, "reformat the volume before a full logical recovery (frees snapshot-pinned space)")
-	if err := set.Parse(rest); err != nil {
-		return err
-	}
-	if vol == "" {
-		return fmt.Errorf("recover: -vol required")
-	}
-	eng, err := parseEngine(*engineName)
-	if err != nil {
-		return fmt.Errorf("recover: %w", err)
-	}
-	cat, store, err := openVolCatalog(vol)
+	plan, err := selectPlan(set, vol, rest)
 	if err != nil {
 		return err
 	}
-	defer store.Close()
-	plan, err := cat.Plan(catalog.PlanOptions{
-		Engine: eng, FSID: vol, At: *at, File: *file,
-		IncludeExpired: *expired, IncludeDamaged: *damaged,
-	})
-	if err != nil {
-		return err
-	}
+	eng := plan.Engine
 	fmt.Print(plan.String())
 
 	// A single-file image plan extracts offline and touches no volume;
@@ -317,10 +303,12 @@ func recoverCommand(ctx context.Context, vol string, rest []string) error {
 }
 
 // recvStream is one pushed stream the serve side has landed: the wire
-// Hello that announced it plus the file it was written to.
+// Hello that announced it, the file it was written to and the record
+// bytes the host accepted into it.
 type recvStream struct {
 	hello ndmp.Hello
 	path  string
+	bytes int64
 }
 
 // recordReceived journals a cleanly closed push session in the
@@ -331,28 +319,20 @@ type recvStream struct {
 // generations come from the stream headers, so the server's catalog
 // can plan restore chains exactly like the client's. With a standby
 // path the append lands in both journals before it is acknowledged.
-func recordReceived(base, standby string, streams []recvStream) error {
+//
+// Nothing is cataloged healthy on the sender's word: the landed files
+// are read back through the verification scrub applies, and a set with
+// findings is journaled damaged, so `catalog` shows it and `plan`
+// routes around it.
+func recordReceived(ctx context.Context, base, standby string, streams []recvStream) error {
 	if len(streams) == 0 {
 		return nil
 	}
-	var cat *catalog.Catalog
-	if standby != "" {
-		store, err := openMirrorStore(catalogPath(base), standby)
-		if err != nil {
-			return err
-		}
-		defer store.Close()
-		if cat, err = catalog.Open(store); err != nil {
-			return err
-		}
-	} else {
-		c, store, err := openVolCatalog(base)
-		if err != nil {
-			return err
-		}
-		defer store.Close()
-		cat = c
+	cat, done, err := openCatalog(base, standby)
+	if err != nil {
+		return err
 	}
+	defer done()
 	// Every stream of the set carries the same header values; the last
 	// is the one that completed, so it is the one certain to have one.
 	hello, last := streams[0].hello, streams[len(streams)-1].path
@@ -366,15 +346,21 @@ func recordReceived(base, standby string, streams []recvStream) error {
 	}
 	ds.FSID, ds.Level, ds.Resumed = hello.FSID, hello.Level, len(streams) > 1
 	for _, rs := range streams {
-		fi, err := os.Stat(rs.path)
-		if err != nil {
-			return err
-		}
-		ds.Bytes += fi.Size()
+		ds.Bytes += rs.bytes
 		ds.Media = append(ds.Media, catalog.MediaRef{Volume: rs.path})
 	}
-	_, err = cat.AppendDumpSet(ds)
-	return err
+	// A resumed set's non-final streams are deliberately partial; only a
+	// full restore pass can judge them (scrub skips them too).
+	var findings []scrub.Finding
+	if !ds.Resumed {
+		findings = scrubSet(ctx, cat, ds)
+	}
+	id, err := cat.AppendDumpSet(ds)
+	if err != nil || len(findings) == 0 {
+		return err
+	}
+	fmt.Fprintf(os.Stderr, "backupctl: serve: set %d failed verification on landing, cataloged damaged: %s\n", id, findings[0])
+	return cat.MarkDamaged(id, ds.Date, "ingest: "+findings[0].Detail)
 }
 
 // --- per-command usage (the help subcommand).

@@ -3,6 +3,7 @@ package main
 import (
 	"context"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strconv"
@@ -10,6 +11,7 @@ import (
 	"testing"
 
 	"repro/internal/catalog"
+	"repro/internal/dumpfmt"
 	"repro/internal/engine"
 	"repro/internal/ndmp"
 	"repro/internal/physical"
@@ -244,7 +246,7 @@ func TestCatalogRecoverResumedImageSet(t *testing.T) {
 	var landed []recvStream
 	resumes, err := engine.Resume(ctx, job, 2, func(attempt int) (stream.Sink, func(error) error, error) {
 		path := streamPath(filepath.Join(dir, "img"), attempt)
-		file, err := createStream(path, 0)
+		file, err := createStream(path)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -264,7 +266,7 @@ func TestCatalogRecoverResumedImageSet(t *testing.T) {
 		t.Fatalf("dump: %d resumes, err %v; want one resume", resumes, err)
 	}
 	dev.Close()
-	if err := recordReceived(vol, "", landed); err != nil {
+	if err := recordReceived(ctx, vol, "", landed); err != nil {
 		t.Fatal(err)
 	}
 	sets := volSets(t, vol)
@@ -302,15 +304,111 @@ func TestRecordReceivedRejectsUnknownKind(t *testing.T) {
 	base := filepath.Join(dir, "recv")
 	for _, kind := range []byte{0, 3} {
 		landed := []recvStream{{hello: ndmp.Hello{Kind: kind, FSID: vol}, path: out}}
-		if err := recordReceived(base, "", landed); err == nil {
+		if err := recordReceived(context.Background(), base, "", landed); err == nil {
 			t.Fatalf("kind %d: journaled a set with no engine", kind)
 		}
 	}
 	landed := []recvStream{{hello: ndmp.Hello{Kind: ndmp.KindLogical, FSID: vol}, path: out}}
-	if err := recordReceived(base, "", landed); err != nil {
+	if err := recordReceived(context.Background(), base, "", landed); err != nil {
 		t.Fatalf("catalog unusable after the refused kinds: %v", err)
 	}
 	if sets := volSets(t, base); len(sets) != 1 || sets[0].Engine != catalog.Logical {
 		t.Fatalf("journaled sets %+v, want the one logical set", sets)
+	}
+}
+
+// TestRecordReceivedVerifiesLandedSet: a pushed set is cataloged only
+// after this host has read it back. The sender's word — a clean Close,
+// the byte count the session accepted — is not enough: a landed file
+// that lost its tail mid-record, or carries a flipped byte where the
+// format has a checksum over it, is journaled damaged so plan routes
+// around it; an intact one is healthy. (An image stream is CRC-covered
+// end to end; a logical stream, like BSD dump's, checksums its headers
+// and not the file data between them.)
+func TestRecordReceivedVerifiesLandedSet(t *testing.T) {
+	dir := t.TempDir()
+	vol := filepath.Join(dir, "home.img")
+	dump, image := filepath.Join(dir, "d0"), filepath.Join(dir, "i0")
+	for _, args := range [][]string{
+		{"-vol", vol, "mkfs", "-blocks", "2048"},
+		{"-vol", vol, "fill", "-mb", "1"},
+		{"-vol", vol, "dump", "-o", dump},
+		{"-vol", vol, "imagedump", "-o", image},
+	} {
+		if err := run(args); err != nil {
+			t.Fatalf("backupctl %s: %v", strings.Join(args, " "), err)
+		}
+	}
+	for _, eng := range []struct {
+		kind   byte
+		file   string
+		flipAt func(n int) int
+	}{
+		// The header after the stream's leading one (which PeekSet
+		// needs whole to build the record at all).
+		{ndmp.KindLogical, dump, func(int) int { return 4 + dumpfmt.TPBSize + 60 }},
+		{ndmp.KindImage, image, func(n int) int { return n / 2 }},
+	} {
+		whole, err := os.ReadFile(eng.file)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// What the session accepted: the records' bytes, without the
+		// length prefixes the stream file frames them in.
+		var accepted int64
+		src, _, err := openStream(eng.file)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for {
+			rec, err := src.ReadRecord()
+			if err != nil {
+				break
+			}
+			accepted += int64(len(rec))
+		}
+		flipped := append([]byte(nil), whole...)
+		flipped[eng.flipAt(len(flipped))] ^= 0xFF
+
+		base := filepath.Join(dir, fmt.Sprintf("recv%d", eng.kind))
+		for i, c := range []struct {
+			name   string
+			landed []byte
+			health string
+		}{
+			{"intact", whole, "ok"},
+			{"truncated mid-record", whole[:len(whole)*2/3+1], "damaged"},
+			{"flipped byte", flipped, "damaged"},
+		} {
+			name := fmt.Sprintf("%s %s", catalog.Engine(eng.kind), c.name)
+			path := fmt.Sprintf("%s.landed%d", base, i)
+			if err := os.WriteFile(path, c.landed, 0644); err != nil {
+				t.Fatal(err)
+			}
+			landed := []recvStream{{hello: ndmp.Hello{Kind: eng.kind, FSID: vol}, path: path, bytes: accepted}}
+			if err := recordReceived(context.Background(), base, "", landed); err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			store, err := catalog.OpenFileStore(catalogPath(base))
+			if err != nil {
+				t.Fatal(err)
+			}
+			cat, err := catalog.Open(store)
+			store.Close()
+			if err != nil {
+				t.Fatal(err)
+			}
+			sets := cat.Sets()
+			if len(sets) != i+1 {
+				t.Fatalf("%s: %d sets journaled, want %d (a damaged set is recorded, not dropped)", name, len(sets), i+1)
+			}
+			reason, _ := cat.Damaged(sets[i].ID)
+			if got := cat.HealthLabel(sets[i].ID); got != c.health {
+				t.Fatalf("%s: cataloged %q (%s), want %q", name, got, reason, c.health)
+			}
+			if c.health == "damaged" && !strings.HasPrefix(reason, "ingest: ") {
+				t.Fatalf("%s: damage reason %q does not say where it was found", name, reason)
+			}
+		}
 	}
 }

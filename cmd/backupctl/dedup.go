@@ -37,18 +37,35 @@ func printDedupStats(ws chunk.WriterStats, m chunk.Manifest) {
 		ws.Chunks, ws.Hits, ws.Misses, ws.Rewrites, saved, ratio)
 }
 
-// manifestSource opens set id's manifest from cat and returns a
-// record source that rebuilds its stream through the chunk index.
-func manifestSource(cat *catalog.Catalog, vol string, id uint64) (*chunk.Reader, *chunk.FileMedia, error) {
-	m, ok := cat.Manifest(id)
-	if !ok {
-		return nil, nil, fmt.Errorf("set %d has no chunk manifest (not a dedup-encoded dump)", id)
+// setSource opens what `restore -set` and `imagerestore -set` replay:
+// the catalog beside from (beside vol when -from is not given) and a
+// record source that rebuilds set id's stream through that volume's
+// chunk index and store. vet, when non-nil, sees the catalog first and
+// can refuse the set. The caller runs done when the restore is over.
+func setSource(from, vol string, id uint64, vet func(cat *catalog.Catalog, catVol string) error) (*chunk.Reader, func(), error) {
+	if from == "" {
+		from = vol
 	}
-	media, err := openChunkStore(vol)
+	cat, closeCat, err := openCatalog(from, "")
 	if err != nil {
 		return nil, nil, err
 	}
-	return chunk.NewReader(cat, media, m), media, nil
+	if vet != nil {
+		err = vet(cat, from)
+	}
+	m, ok := cat.Manifest(id)
+	if err == nil && !ok {
+		err = fmt.Errorf("set %d has no chunk manifest (not a dedup-encoded dump)", id)
+	}
+	var media *chunk.FileMedia
+	if err == nil {
+		media, err = openChunkStore(from)
+	}
+	if err != nil {
+		closeCat()
+		return nil, nil, err
+	}
+	return chunk.NewReader(cat, media, m), func() { media.Close(); closeCat() }, nil
 }
 
 // sweepChunks erases zero-reference chunks from the store beside vol.

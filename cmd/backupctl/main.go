@@ -39,7 +39,6 @@ import (
 	"repro/internal/chunk"
 	"repro/internal/engine"
 	"repro/internal/logical"
-	"repro/internal/obs"
 	"repro/internal/physical"
 	"repro/internal/scrub"
 	"repro/internal/storage"
@@ -112,34 +111,22 @@ func run(args []string) error {
 		var replay stream.Source
 		var nblocks uint64
 		if *setID != 0 {
-			catVol := *from
-			if catVol == "" {
-				catVol = *vol
-			}
-			cat, store, err := openVolCatalog(catVol)
-			if err != nil {
-				return err
-			}
-			defer store.Close()
-			found := false
-			for _, ds := range cat.Sets() {
-				if ds.ID == *setID {
-					if ds.Engine != catalog.Image {
-						return fmt.Errorf("imagerestore: set %d is a %s dump, not an image (use restore -set)", *setID, ds.Engine)
-					}
-					nblocks = ds.NBlocks
-					found = true
+			src, done, err := setSource(*from, *vol, *setID, func(cat *catalog.Catalog, catVol string) error {
+				ds, ok := cat.Set(*setID)
+				if !ok {
+					return fmt.Errorf("set %d not in %s catalog", *setID, catVol)
 				}
-			}
-			if !found {
-				return fmt.Errorf("imagerestore: set %d not in %s catalog", *setID, catVol)
-			}
-			rd, media, err := manifestSource(cat, catVol, *setID)
+				if ds.Engine != catalog.Image {
+					return fmt.Errorf("set %d is a %s dump, not an image (use restore -set)", *setID, ds.Engine)
+				}
+				nblocks = ds.NBlocks
+				return nil
+			})
 			if err != nil {
 				return fmt.Errorf("imagerestore: %w", err)
 			}
-			defer media.Close()
-			replay = rd
+			defer done()
+			replay = src
 		} else {
 			src, _, err := openStream(*in)
 			if err != nil {
@@ -388,11 +375,11 @@ func volumeCommand(ctx context.Context, fs *wafl.FS, vol, cmd string, rest []str
 		// one exists beside the volume.
 		var findings []scrub.Finding
 		if _, err := os.Stat(catalogPath(vol)); err == nil {
-			cat, store, err := openVolCatalog(vol)
+			cat, done, err := openCatalog(vol, "")
 			if err != nil {
 				return err
 			}
-			defer store.Close()
+			defer done()
 			findings = scrub.Fsck(cat, scrub.FsckOptions{HaveVolume: statExtent})
 			for _, f := range findings {
 				fmt.Println("fsck:", f)
@@ -484,111 +471,8 @@ func volumeCommand(ctx context.Context, fs *wafl.FS, vol, cmd string, rest []str
 			fmt.Println("verify:", p)
 		}
 		return fmt.Errorf("%d mismatches", len(res.Problems))
-	case "dump":
-		set := newFlagSet("dump")
-		out := set.String("o", "", "output stream file")
-		level := set.Int("level", 0, "incremental level 0-9")
-		subtree := set.String("subtree", "", "dump only this directory")
-		dedup := set.Bool("dedup", false, "dedup-encode into <vol>.chunkstore instead of a stream file")
-		revdedup := set.Bool("revdedup", false, "reverse dedup: rewrite old-set hits so this dump restores at streaming rate (implies -dedup)")
-		trace := set.String("trace", "", "write a Chrome trace of the dump to this file")
-		if err := set.Parse(rest); err != nil {
-			return err
-		}
-		if *revdedup {
-			*dedup = true
-		}
-		if *out == "" && !*dedup {
-			return fmt.Errorf("dump: -o required (or -dedup)")
-		}
-		if *trace != "" {
-			tracer, flush, err := traceToFile(*trace)
-			if err != nil {
-				return err
-			}
-			defer flush()
-			ctx = obs.WithTracer(ctx, tracer)
-		}
-		cat, store, err := openVolCatalog(vol)
-		if err != nil {
-			return err
-		}
-		defer store.Close()
-		dates := catalogDates(cat, vol)
-		if err := fs.CreateSnapshot(ctx, "backupctl.dump"); err != nil {
-			return err
-		}
-		defer fs.DeleteSnapshot(ctx, "backupctl.dump")
-		view, err := fs.SnapshotView("backupctl.dump")
-		if err != nil {
-			return err
-		}
-		var sink stream.Sink
-		var closeSink func() error
-		var dw *chunk.Writer
-		media := *out
-		if *dedup {
-			store, err := openChunkStore(vol)
-			if err != nil {
-				return err
-			}
-			defer store.Close()
-			dw, err = chunk.NewWriter(chunk.WriterOptions{
-				Index: cat, Media: store, Reverse: *revdedup,
-				Ctx: ctx, Engine: "logical",
-			})
-			if err != nil {
-				return err
-			}
-			sink, closeSink = dw, nil
-			media = chunkStorePath(vol)
-		} else {
-			fsink, err := createStream(*out, uint64(fs.NumBlocks()))
-			if err != nil {
-				return err
-			}
-			sink, closeSink = fsink, fsink.Close
-		}
-		var index []catalog.FileIndexEntry
-		job := engine.NewLogical(logical.DumpOptions{
-			View: view, Level: *level, Dates: dates, FSID: vol,
-			Subtree: *subtree, Label: "backupctl", ReadAhead: 16,
-			FileIndex: func(path string, ino wafl.Inum, unit int64) {
-				index = append(index, catalog.FileIndexEntry{Path: path, Ino: uint32(ino), Unit: unit})
-			},
-		})
-		if err := job.To(ctx, sink); err != nil {
-			return err
-		}
-		stats := job.LogicalStats
-		var manifest chunk.Manifest
-		if dw != nil {
-			if manifest, err = dw.Close(); err != nil {
-				return err
-			}
-		} else if err := closeSink(); err != nil {
-			return err
-		}
-		// The catalog journal is the authoritative record; the legacy
-		// <vol>.dumpdates file is kept in sync for older tooling.
-		id, err := recordSet(cat, job, vol, "backupctl.dump", media, index)
-		if err != nil {
-			return err
-		}
-		if dw != nil {
-			if err := cat.AppendManifest(id, manifest); err != nil {
-				return err
-			}
-		}
-		if err := saveDates(vol, dates); err != nil {
-			return err
-		}
-		fmt.Printf("dumped %d files, %d dirs, %d bytes (level %d, base date %d)\n",
-			stats.FilesDumped, stats.DirsDumped, stats.BytesWritten, *level, stats.BaseDate)
-		if dw != nil {
-			printDedupStats(dw.Stats(), manifest)
-		}
-		return nil
+	case "dump", "imagedump":
+		return dumpCommand(ctx, fs, vol, cmd, rest)
 	case "restore":
 		set := newFlagSet("restore")
 		in := set.String("i", "", "input stream file")
@@ -604,30 +488,18 @@ func volumeCommand(ctx context.Context, fs *wafl.FS, vol, cmd string, rest []str
 		if (*in == "") == (*setID == 0) {
 			return fmt.Errorf("restore: exactly one of -i and -set required")
 		}
-		if *trace != "" {
-			tracer, flush, err := traceToFile(*trace)
-			if err != nil {
-				return err
-			}
-			defer flush()
-			ctx = obs.WithTracer(ctx, tracer)
+		ctx, flush, err := traceToFile(ctx, *trace)
+		if err != nil {
+			return err
 		}
+		defer flush()
 		var src stream.Source
 		if *setID != 0 {
-			catVol := *from
-			if catVol == "" {
-				catVol = vol
-			}
-			cat, store, err := openVolCatalog(catVol)
-			if err != nil {
-				return err
-			}
-			defer store.Close()
-			rd, media, err := manifestSource(cat, catVol, *setID)
+			rd, done, err := setSource(*from, vol, *setID, nil)
 			if err != nil {
 				return fmt.Errorf("restore: %w", err)
 			}
-			defer media.Close()
+			defer done()
 			src = rd
 		} else {
 			s, _, err := openStream(*in)
@@ -652,103 +524,177 @@ func volumeCommand(ctx context.Context, fs *wafl.FS, vol, cmd string, rest []str
 		return nil
 	case "push":
 		return pushCommand(ctx, fs, vol, rest)
-	case "imagedump":
-		set := newFlagSet("imagedump")
-		out := set.String("o", "", "output stream file")
-		snap := set.String("snap", "", "snapshot to dump (created if missing)")
-		base := set.String("base", "", "base snapshot for an incremental")
-		dedup := set.Bool("dedup", false, "dedup-encode into <vol>.chunkstore instead of a stream file")
-		revdedup := set.Bool("revdedup", false, "reverse dedup: rewrite old-set hits so this image restores at streaming rate (implies -dedup)")
-		trace := set.String("trace", "", "write a Chrome trace of the image dump to this file")
-		if err := set.Parse(rest); err != nil {
-			return err
-		}
-		if *revdedup {
-			*dedup = true
-		}
-		if *out == "" && !*dedup {
-			return fmt.Errorf("imagedump: -o required (or -dedup)")
-		}
-		if *trace != "" {
-			tracer, flush, err := traceToFile(*trace)
-			if err != nil {
-				return err
-			}
-			defer flush()
-			ctx = obs.WithTracer(ctx, tracer)
-		}
-		name := *snap
-		if name == "" {
-			name = "backupctl.image"
-		}
-		if _, err := fs.Snapshot(name); err != nil {
-			if err := fs.CreateSnapshot(ctx, name); err != nil {
-				return err
-			}
-		}
-		cat, store, err := openVolCatalog(vol)
-		if err != nil {
-			return err
-		}
-		defer store.Close()
-		var sink stream.Sink
-		var closeSink func() error
-		var dw *chunk.Writer
-		media := *out
-		if *dedup {
-			cstore, err := openChunkStore(vol)
-			if err != nil {
-				return err
-			}
-			defer cstore.Close()
-			dw, err = chunk.NewWriter(chunk.WriterOptions{
-				Index: cat, Media: cstore, Reverse: *revdedup,
-				Ctx: ctx, Engine: "image",
-			})
-			if err != nil {
-				return err
-			}
-			sink = dw
-			media = chunkStorePath(vol)
-		} else {
-			fsink, err := createStream(*out, uint64(fs.NumBlocks()))
-			if err != nil {
-				return err
-			}
-			sink, closeSink = fsink, fsink.Close
-		}
-		job := engine.NewImage(physical.DumpOptions{
-			FS: fs, Vol: fs.Device(), SnapName: name, BaseSnapName: *base,
-		})
-		if err := job.To(ctx, sink); err != nil {
-			return err
-		}
-		stats := job.ImageStats
-		var manifest chunk.Manifest
-		if dw != nil {
-			if manifest, err = dw.Close(); err != nil {
-				return err
-			}
-		} else if err := closeSink(); err != nil {
-			return err
-		}
-		id, err := recordSet(cat, job, vol, name, media, nil)
-		if err != nil {
-			return err
-		}
-		if dw != nil {
-			if err := cat.AppendManifest(id, manifest); err != nil {
-				return err
-			}
-		}
-		fmt.Printf("image-dumped %d blocks (generation %d, base %d)\n",
-			stats.BlocksDumped, stats.Gen, stats.BaseGen)
-		if dw != nil {
-			printDedupStats(dw.Stats(), manifest)
-		}
-		return nil
 	}
 	return fmt.Errorf("unknown command %q; run 'backupctl help'", cmd)
+}
+
+// logicalJob snapshots the volume as snap for the life of one logical
+// dump of it — release deletes the snapshot — and wraps the dump opts
+// describe; dump and push differ only in what they put in opts.
+func logicalJob(ctx context.Context, fs *wafl.FS, snap string, opts logical.DumpOptions) (job *engine.Dump, release func(), err error) {
+	if err := fs.CreateSnapshot(ctx, snap); err != nil {
+		return nil, nil, err
+	}
+	release = func() { fs.DeleteSnapshot(ctx, snap) }
+	if opts.View, err = fs.SnapshotView(snap); err != nil {
+		release()
+		return nil, nil, err
+	}
+	opts.Label, opts.ReadAhead = "backupctl", 16
+	return engine.NewLogical(opts), release, nil
+}
+
+// imageJob wraps an image dump of snapshot snap (unnamed: def), created
+// if missing and kept afterwards: it is the next incremental's base.
+func imageJob(ctx context.Context, fs *wafl.FS, snap, def string, opts physical.DumpOptions) (*engine.Dump, string, error) {
+	if snap == "" {
+		snap = def
+	}
+	if _, err := fs.Snapshot(snap); err != nil {
+		if err := fs.CreateSnapshot(ctx, snap); err != nil {
+			return nil, "", err
+		}
+	}
+	opts.FS, opts.Vol, opts.SnapName = fs, fs.Device(), snap
+	return engine.NewImage(opts), snap, nil
+}
+
+// dumpCommand is `dump` and `imagedump`: one command but for the engine,
+// which decides the flags that describe the job, the snapshot it reads
+// and the summary line. The job runs into the stream file -o names — or,
+// dedup-encoded, into the chunk store beside the volume — and the set is
+// journaled in <vol>.catalog with the file index the run collected and,
+// for a dedup dump, its manifest.
+func dumpCommand(ctx context.Context, fs *wafl.FS, vol, cmd string, rest []string) error {
+	image := cmd == "imagedump"
+	what, restored := "dump", "dump"
+	if image {
+		what, restored = "image dump", "image"
+	}
+	set := newFlagSet(cmd)
+	out := set.String("o", "", "output stream file")
+	dedup := set.Bool("dedup", false, "dedup-encode into <vol>.chunkstore instead of a stream file")
+	revdedup := set.Bool("revdedup", false, "reverse dedup: rewrite old-set hits so this "+restored+" restores at streaming rate (implies -dedup)")
+	trace := set.String("trace", "", "write a Chrome trace of the "+what+" to this file")
+	var level *int
+	var subtree, snap, base *string
+	if image {
+		snap = set.String("snap", "", "snapshot to dump (created if missing)")
+		base = set.String("base", "", "base snapshot for an incremental")
+	} else {
+		level = set.Int("level", 0, "incremental level 0-9")
+		subtree = set.String("subtree", "", "dump only this directory")
+	}
+	if err := set.Parse(rest); err != nil {
+		return err
+	}
+	if *revdedup {
+		*dedup = true
+	}
+	if *out == "" && !*dedup {
+		return fmt.Errorf("%s: -o required (or -dedup)", cmd)
+	}
+	ctx, flush, err := traceToFile(ctx, *trace)
+	if err != nil {
+		return err
+	}
+	defer flush()
+	cat, done, err := openCatalog(vol, "")
+	if err != nil {
+		return err
+	}
+	defer done()
+
+	var job *engine.Dump
+	var index []catalog.FileIndexEntry
+	var dates *logical.DumpDates
+	name, release := "backupctl.dump", func() {}
+	if image {
+		job, name, err = imageJob(ctx, fs, *snap, "backupctl.image", physical.DumpOptions{BaseSnapName: *base})
+	} else {
+		dates = catalogDates(cat, vol)
+		job, release, err = logicalJob(ctx, fs, name, logical.DumpOptions{
+			Level: *level, Dates: dates, FSID: vol, Subtree: *subtree,
+			FileIndex: func(path string, ino wafl.Inum, unit int64) {
+				index = append(index, catalog.FileIndexEntry{Path: path, Ino: uint32(ino), Unit: unit})
+			},
+		})
+	}
+	if err != nil {
+		return err
+	}
+	defer release()
+
+	// The sink: a stream file, or the dedup writer over the chunk store.
+	var sink stream.Sink
+	var dw *chunk.Writer
+	var manifest chunk.Manifest
+	media := *out
+	var finish func() error
+	if *dedup {
+		cstore, err := openChunkStore(vol)
+		if err != nil {
+			return err
+		}
+		defer cstore.Close()
+		dw, err = chunk.NewWriter(chunk.WriterOptions{
+			Index: cat, Media: cstore, Reverse: *revdedup,
+			Ctx: ctx, Engine: job.Engine().String(),
+		})
+		if err != nil {
+			return err
+		}
+		sink, media = dw, chunkStorePath(vol)
+		finish = func() (err error) { manifest, err = dw.Close(); return }
+	} else {
+		file, err := createStream(*out)
+		if err != nil {
+			return err
+		}
+		sink, finish = file, file.Close
+	}
+	if err := job.To(ctx, sink); err != nil {
+		return err
+	}
+	if err := finish(); err != nil {
+		return err
+	}
+
+	// The job's own half of the record plus where this command put it.
+	ds := job.Set()
+	ds.FSID, ds.Snap, ds.Media = vol, name, []catalog.MediaRef{{Volume: media}}
+	id, err := cat.AppendDumpSet(ds)
+	if err != nil {
+		return err
+	}
+	if len(index) > 0 {
+		if err := cat.AppendFileIndex(id, index); err != nil {
+			return err
+		}
+	}
+	if dw != nil {
+		if err := cat.AppendManifest(id, manifest); err != nil {
+			return err
+		}
+	}
+	if image {
+		stats := job.ImageStats
+		fmt.Printf("image-dumped %d blocks (generation %d, base %d)\n",
+			stats.BlocksDumped, stats.Gen, stats.BaseGen)
+	} else {
+		// The catalog journal is the authoritative record; the legacy
+		// <vol>.dumpdates file is kept in sync for older tooling.
+		if err := saveDates(vol, dates); err != nil {
+			return err
+		}
+		stats := job.LogicalStats
+		fmt.Printf("dumped %d files, %d dirs, %d bytes (level %d, base date %d)\n",
+			stats.FilesDumped, stats.DirsDumped, stats.BytesWritten, *level, stats.BaseDate)
+	}
+	if dw != nil {
+		printDedupStats(dw.Stats(), manifest)
+	}
+	return nil
 }
 
 // --- stream files: length-prefixed tape records on the host FS.
@@ -757,7 +703,7 @@ type fileSink struct {
 	f *os.File
 }
 
-func createStream(path string, _ uint64) (*fileSink, error) {
+func createStream(path string) (*fileSink, error) {
 	f, err := os.OpenFile(path, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0644)
 	if err != nil {
 		return nil, err
@@ -857,5 +803,4 @@ func saveDates(vol string, d *logical.DumpDates) error {
 	return os.WriteFile(datesPath(vol), []byte(b.String()), 0644)
 }
 
-// ensure dumpfmt is linked for its Sink contract documentation.
 var _ stream.Sink = (*fileSink)(nil)

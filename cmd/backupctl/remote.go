@@ -73,15 +73,11 @@ func serveCommand(rest []string) error {
 	if *out == "" {
 		return fmt.Errorf("serve: -o required")
 	}
-	var tr *obs.Tracer
-	if *trace != "" {
-		tracer, flush, err := traceToFile(*trace)
-		if err != nil {
-			return err
-		}
-		defer flush()
-		tr = tracer
+	ctx, flush, err := traceToFile(context.Background(), *trace)
+	if err != nil {
+		return err
 	}
+	defer flush()
 	l, err := net.Listen("tcp", *listen)
 	if err != nil {
 		return err
@@ -92,7 +88,7 @@ func serveCommand(rest []string) error {
 		DefaultRate: *rate, DriveRate: *driveRate,
 	})
 	fmt.Printf("serving on %s, streams to %s (%d drives)\n", l.Addr(), *out, *drives)
-	return serveOn(l, *out, *standby, *once, *idle, tr, pool)
+	return serveOn(l, *out, *standby, *once, *idle, obs.TracerFrom(ctx), pool)
 }
 
 // serveOn accepts connections concurrently — one goroutine per
@@ -128,7 +124,7 @@ func serveOn(l net.Listener, base, standby string, once bool, idle time.Duration
 			// stream files so two live pushes never share a path.
 			path = fmt.Sprintf("%s.x%x", path, h.Session)
 		}
-		sink, err := createStream(path, 0)
+		sink, err := createStream(path)
 		if err != nil {
 			return nil, err
 		}
@@ -157,13 +153,18 @@ func serveOn(l net.Listener, base, standby string, once bool, idle time.Duration
 		var bytes int64
 		for _, e := range ends {
 			bytes += e.Bytes
+			for i := range rs {
+				if rs[i].hello.Stream == e.Hello.Stream {
+					rs[i].bytes = e.Bytes
+				}
+			}
 		}
 		fmt.Printf("session %d closed: %d stream(s), %d bytes (tenant %q)\n",
 			session, len(ends), bytes, tenant)
 		// The session closed cleanly, so every landed stream is a
 		// completed dump: record them in the tenant's own catalog.
 		catMu.Lock()
-		err := recordReceived(tenantPath(base, tenant), tenantPath(standby, tenant), rs)
+		err := recordReceived(traceCtx, tenantPath(base, tenant), tenantPath(standby, tenant), rs)
 		catMu.Unlock()
 		if err != nil {
 			err = fmt.Errorf("serve: recording session %d in catalog: %w", session, err)
@@ -267,16 +268,14 @@ func pushCommand(ctx context.Context, fs *wafl.FS, vol string, rest []string) er
 		}
 		*session = id
 	}
-	if *trace != "" {
-		tracer, flush, err := traceToFile(*trace)
-		if err != nil {
-			return err
-		}
-		defer flush()
-		ctx = obs.WithTracer(ctx, tracer)
+	ctx, flush, err := traceToFile(ctx, *trace)
+	if err != nil {
+		return err
 	}
+	defer flush()
 
 	var job *engine.Dump
+	release := func() {}
 	var dates *logical.DumpDates // logical only: the history a clean push records itself in
 	pushLevel := int32(*level)
 	switch *kind {
@@ -285,38 +284,22 @@ func pushCommand(ctx context.Context, fs *wafl.FS, vol string, rest []string) er
 			*ckpt = 64 // files between resumable checkpoints
 		}
 		dates, _ = loadDates(vol)
-		if err := fs.CreateSnapshot(ctx, "backupctl.push"); err != nil {
-			return err
-		}
-		defer fs.DeleteSnapshot(ctx, "backupctl.push")
-		view, err := fs.SnapshotView("backupctl.push")
-		if err != nil {
-			return err
-		}
-		job = engine.NewLogical(logical.DumpOptions{
-			View: view, Level: *level, Dates: dates, FSID: vol,
-			Label: "backupctl", ReadAhead: 16, CheckpointEvery: *ckpt,
+		job, release, err = logicalJob(ctx, fs, "backupctl.push", logical.DumpOptions{
+			Level: *level, Dates: dates, FSID: vol, CheckpointEvery: *ckpt,
 		})
 	case "image":
 		pushLevel = -1
 		if *ckpt <= 0 {
 			*ckpt = 256 // blocks between resumable checkpoints
 		}
-		name := *snap
-		if name == "" {
-			name = "backupctl.push"
-		}
-		if _, err := fs.Snapshot(name); err != nil {
-			if err := fs.CreateSnapshot(ctx, name); err != nil {
-				return err
-			}
-		}
-		job = engine.NewImage(physical.DumpOptions{
-			FS: fs, Vol: fs.Device(), SnapName: name, CheckpointEvery: *ckpt,
-		})
+		job, _, err = imageJob(ctx, fs, *snap, "backupctl.push", physical.DumpOptions{CheckpointEvery: *ckpt})
 	default:
 		return fmt.Errorf("push: unknown -kind %q", *kind)
 	}
+	if err != nil {
+		return err
+	}
+	defer release()
 
 	dial := func() (transport.Conn, error) {
 		c, err := net.Dial("tcp", *to)

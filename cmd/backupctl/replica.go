@@ -1,169 +1,68 @@
-// Catalog replication for the serve side: `serve -standby FILE`
-// mirrors every catalog append to a second journal file — ideally on
-// different media — so losing the serve host's primary disk does not
-// lose the record of which dumps it received. `replica status`
-// inspects a primary/standby pair and reports whether the standby is
-// in sync, lagging (clean shorter prefix, caught up on the next
-// append), or diverged (mismatched bytes, rewritten on the next
-// append). The full quorum protocol lives in internal/replica; the
-// mirror here is its two-copy file-backed cousin, sharing the same
-// journal framing and the same catch-up rules.
+// Catalog replication for the serve side: `serve -standby FILE` keeps
+// the catalog of received dumps as a mirrored pair — a two-member
+// internal/replica cluster over the primary journal file and a standby
+// one, ideally on different media — so losing either file does not
+// lose the record of which dumps this host holds. Every open elects
+// the copy with the longest valid journal and reinstalls the other
+// from it; every append lands in both files or fails. `replica status`
+// inspects a pair without opening (and so without healing) it.
 package main
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
+	"io/fs"
+	"os"
 
 	"repro/internal/catalog"
 )
 
-// mirrorStore is a catalog.Store that keeps a standby journal file in
-// lockstep with the primary. Reads serve from the primary (it is the
-// point of truth); appends and truncates apply to the primary first,
-// then the standby. A standby that cannot keep up fails the append —
-// the caller asked for two copies, so one copy is an error, exactly
-// like the quorum rule in internal/replica.
-type mirrorStore struct {
-	primary *catalog.FileStore
-	standby *catalog.FileStore
-}
-
-// openMirrorStore opens both journals and reconciles the standby to
-// the primary: a clean shorter prefix is extended, anything else is
-// rewritten from the primary (the standby holds no acknowledged state
-// of its own, so rewriting never loses a durable record).
-func openMirrorStore(primaryPath, standbyPath string) (*mirrorStore, error) {
-	p, err := catalog.OpenFileStore(primaryPath)
-	if err != nil {
-		return nil, err
-	}
-	s, err := catalog.OpenFileStore(standbyPath)
-	if err != nil {
-		p.Close()
-		return nil, err
-	}
-	m := &mirrorStore{primary: p, standby: s}
-	if err := m.reconcile(); err != nil {
-		m.Close()
-		return nil, err
-	}
-	return m, nil
-}
-
-func (m *mirrorStore) reconcile() error {
-	pb, err := m.primary.ReadAll()
-	if err != nil {
-		return err
-	}
-	sb, err := m.standby.ReadAll()
-	if err != nil {
-		return err
-	}
-	switch {
-	case bytes.Equal(sb, pb):
-		return nil
-	case len(sb) < len(pb) && bytes.Equal(sb, pb[:len(sb)]):
-		return m.standby.Append(pb[len(sb):])
-	default:
-		if err := m.standby.Truncate(0); err != nil {
-			return err
-		}
-		return m.standby.Append(pb)
-	}
-}
-
-// ReadAll implements catalog.Store.
-func (m *mirrorStore) ReadAll() ([]byte, error) { return m.primary.ReadAll() }
-
-// Append implements catalog.Store.
-func (m *mirrorStore) Append(p []byte) error {
-	if err := m.primary.Append(p); err != nil {
-		return err
-	}
-	if err := m.standby.Append(p); err != nil {
-		return fmt.Errorf("standby journal: %w", err)
-	}
-	return nil
-}
-
-// Truncate implements catalog.Store.
-func (m *mirrorStore) Truncate(n int64) error {
-	if err := m.primary.Truncate(n); err != nil {
-		return err
-	}
-	if err := m.standby.Truncate(n); err != nil {
-		return fmt.Errorf("standby journal: %w", err)
-	}
-	return nil
-}
-
-// Close closes both journal files.
-func (m *mirrorStore) Close() {
-	m.primary.Close()
-	m.standby.Close()
-}
-
-// replicaCommand dispatches `backupctl replica <sub>`.
+// replicaCommand is `backupctl replica status`: it compares the two
+// journal files of a mirrored pair the way the next open will, by their
+// valid prefixes. It only reads — a missing file counts as empty and is
+// not created.
 func replicaCommand(rest []string) error {
 	if len(rest) == 0 {
 		return fmt.Errorf("replica: subcommand required (status)")
 	}
-	sub, rest := rest[0], rest[1:]
-	switch sub {
-	case "status":
-		return replicaStatusCommand(rest)
-	default:
-		return fmt.Errorf("replica: unknown subcommand %q", sub)
+	if rest[0] != "status" {
+		return fmt.Errorf("replica: unknown subcommand %q", rest[0])
 	}
-}
-
-// replicaStatusCommand compares a primary catalog journal with its
-// standby mirror and reports the replication state.
-func replicaStatusCommand(rest []string) error {
 	set := newFlagSet("replica status")
 	primary := set.String("primary", "", "primary catalog journal (default <vol>.catalog of -o base)")
 	standby := set.String("standby", "", "standby catalog journal")
-	if err := set.Parse(rest); err != nil {
+	if err := set.Parse(rest[1:]); err != nil {
 		return err
 	}
 	if *primary == "" || *standby == "" {
 		return fmt.Errorf("replica status: -primary and -standby required")
 	}
-	p, err := catalog.OpenFileStore(*primary)
-	if err != nil {
-		return err
+	var valid [2][]byte
+	names := [2]string{"primary", "standby"}
+	for i, path := range [2]string{*primary, *standby} {
+		buf, err := os.ReadFile(path)
+		if err != nil && !errors.Is(err, fs.ErrNotExist) {
+			return err
+		}
+		n, _ := catalog.ScanFrames(buf, nil)
+		valid[i] = buf[:n]
+		cat, err := catalog.Open(&catalog.MemStore{Buf: valid[i]})
+		if err != nil {
+			return fmt.Errorf("replica status: %s does not replay: %w", names[i], err)
+		}
+		fmt.Printf("%s %s: %d bytes (%d valid), %d sets\n", names[i], path, len(buf), n, len(cat.Sets()))
 	}
-	defer p.Close()
-	s, err := catalog.OpenFileStore(*standby)
-	if err != nil {
-		return err
+	// The longer valid journal leads the next open; the primary on a tie.
+	lead := 0
+	if len(valid[1]) > len(valid[0]) {
+		lead = 1
 	}
-	defer s.Close()
-	pb, err := p.ReadAll()
-	if err != nil {
-		return err
-	}
-	sb, err := s.ReadAll()
-	if err != nil {
-		return err
-	}
-
-	pValid, _ := catalog.ScanFrames(pb, nil)
-	sValid, _ := catalog.ScanFrames(sb, nil)
-	cat, err := catalog.Open(p)
-	if err != nil {
-		return fmt.Errorf("replica status: primary does not replay: %w", err)
-	}
-	fmt.Printf("primary %s: %d bytes (%d valid), %d sets\n",
-		*primary, len(pb), pValid, len(cat.Sets()))
-	fmt.Printf("standby %s: %d bytes (%d valid)\n", *standby, len(sb), sValid)
-	switch {
-	case bytes.Equal(sb, pb):
+	if bytes.Equal(valid[0], valid[1]) {
 		fmt.Println("state: in sync")
-	case len(sb) < len(pb) && bytes.Equal(sb, pb[:len(sb)]):
-		fmt.Printf("state: lagging %d bytes (clean prefix; caught up on next append)\n", len(pb)-len(sb))
-	default:
-		fmt.Println("state: diverged (standby is rewritten from the primary on next append)")
+	} else {
+		fmt.Printf("state: %s leads by %d bytes, the other copy is caught up at next open\n",
+			names[lead], len(valid[lead])-len(valid[1-lead]))
 	}
 	return nil
 }

@@ -76,11 +76,11 @@ func scrubCommand(ctx context.Context, vol string, rest []string) error {
 	if vol == "" {
 		return fmt.Errorf("scrub: -vol required")
 	}
-	cat, store, err := openVolCatalog(vol)
+	cat, done, err := openCatalog(vol, "")
 	if err != nil {
 		return err
 	}
-	defer store.Close()
+	defer done()
 
 	var total int
 	scanned := 0

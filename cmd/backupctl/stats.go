@@ -34,10 +34,14 @@ func randomSessionID() (uint64, error) {
 	}
 }
 
-// traceToFile creates path eagerly (to fail before the work, not
-// after) and returns a tracer plus the flush that writes the Chrome
-// trace on the way out.
-func traceToFile(path string) (*obs.Tracer, func(), error) {
+// traceToFile returns ctx carrying a tracer, and the flush that writes
+// its spans to path as a Chrome trace on the way out; with no path both
+// are no-ops. The file is created eagerly, to fail before the work, not
+// after.
+func traceToFile(ctx context.Context, path string) (context.Context, func(), error) {
+	if path == "" {
+		return ctx, func() {}, nil
+	}
 	f, err := os.Create(path)
 	if err != nil {
 		return nil, nil, err
@@ -50,7 +54,7 @@ func traceToFile(path string) (*obs.Tracer, func(), error) {
 		f.Close()
 		fmt.Fprintf(os.Stderr, "backupctl: wrote %d spans to %s\n", tr.SpanCount(), path)
 	}
-	return tr, flush, nil
+	return obs.WithTracer(ctx, tr), flush, nil
 }
 
 func statsCommand(ctx context.Context, rest []string) error {

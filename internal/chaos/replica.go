@@ -29,7 +29,13 @@ import (
 type ReplicaScenario struct {
 	Seed    int64
 	Appends int // catalog records to push through the gauntlet (default 40)
+	// Stores are the nodes' durable journals, keyed by ReplicaMembers
+	// name; a missing entry is a fresh in-memory store.
+	Stores map[string]catalog.Store
 }
+
+// ReplicaMembers names the nodes of a RunReplica group.
+var ReplicaMembers = []string{"r0", "r1", "r2"}
 
 // ReplicaReport is the outcome of a replicated-journal chaos run.
 type ReplicaReport struct {
@@ -55,8 +61,8 @@ func RunReplica(ctx context.Context, s ReplicaScenario) (*ReplicaReport, error) 
 	reg := obs.NewRegistry()
 	defer func() { rep.Metrics = reg.Snapshot() }()
 
-	members := []string{"r0", "r1", "r2"}
-	cluster, err := replica.New(replica.Config{Members: members, Ctx: ctx, Registry: reg})
+	members := ReplicaMembers
+	cluster, err := replica.New(replica.Config{Members: members, Stores: s.Stores, Ctx: ctx, Registry: reg})
 	if err != nil {
 		return nil, err
 	}

@@ -1,6 +1,7 @@
 package chaos
 
 import (
+	"path/filepath"
 	"testing"
 
 	"repro/internal/catalog"
@@ -10,11 +11,27 @@ import (
 // seeded gauntlet of primary kills, partitions, backup crashes and
 // stranded-tail injections. The zero-loss invariant: no acknowledged
 // append is ever missing from the final replay, and every node's
-// journal converges byte-for-byte once the faults heal.
+// journal converges byte-for-byte once the faults heal. Every seed runs
+// twice: over in-memory stores and over the journal files `serve
+// -standby` keeps, so kill/restart reloads real files.
 func TestChaosReplicatedJournal(t *testing.T) {
 	faults, stranded := 0, 0
-	for seed := int64(1); seed <= int64(seedCount()); seed++ {
-		rep, err := RunReplica(ctx, ReplicaScenario{Seed: seed})
+	for run := 0; run < 2*seedCount(); run++ {
+		seed, onFiles := int64(run/2+1), run%2 == 1
+		s := ReplicaScenario{Seed: seed}
+		if onFiles {
+			dir := t.TempDir()
+			s.Stores = make(map[string]catalog.Store)
+			for _, m := range ReplicaMembers {
+				fs, err := catalog.OpenFileStore(filepath.Join(dir, m+".catalog"))
+				if err != nil {
+					t.Fatal(err)
+				}
+				t.Cleanup(func() { fs.Close() })
+				s.Stores[m] = fs
+			}
+		}
+		rep, err := RunReplica(ctx, s)
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
@@ -32,8 +49,8 @@ func TestChaosReplicatedJournal(t *testing.T) {
 		if rep.StrandedCut {
 			stranded++
 		}
-		t.Logf("seed %d: acked=%d rejected=%d kills=%d partitions=%d views=%d stranded=%v",
-			seed, rep.Acked, rep.Rejected, rep.Kills, rep.Partitions, rep.ViewChanges, rep.StrandedCut)
+		t.Logf("seed %d (files=%v): acked=%d rejected=%d kills=%d partitions=%d views=%d stranded=%v",
+			seed, onFiles, rep.Acked, rep.Rejected, rep.Kills, rep.Partitions, rep.ViewChanges, rep.StrandedCut)
 	}
 	if faults == 0 {
 		t.Errorf("no faults injected across all seeds; the sweep proved nothing")

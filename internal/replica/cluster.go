@@ -1,6 +1,7 @@
 package replica
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -19,9 +20,10 @@ var ErrNoQuorum = errors.New("replica: no quorum")
 
 // Config parameterizes a Cluster.
 type Config struct {
-	// Members are the replica node names in canonical order;
-	// members[0] is the initial primary. Minimum three for the
-	// single-failure fault model.
+	// Members are the replica node names in canonical order; on empty
+	// journals members[0] is the initial primary. Three members survive
+	// one failure; two are a mirrored pair — quorum is both copies, so
+	// any failure fails the append rather than acknowledging on one.
 	Members []string
 	// Stores maps member name to its durable journal store. Missing
 	// entries get a fresh in-memory store.
@@ -95,9 +97,16 @@ type Cluster struct {
 }
 
 // New builds a cluster, opening (and tail-truncating) every node.
+// Durable stores may come back from a crash unequal, so cold start
+// applies the view service's promotion rule: the member with the
+// largest valid journal leads the first view (member order breaks
+// ties, so empty journals start under members[0]) and every other
+// member is caught up to it before New returns. The election runs on
+// post-load sizes: a node truncated its store at the first invalid
+// frame, and only the longer valid journal leading makes that safe.
 func New(cfg Config) (*Cluster, error) {
-	if len(cfg.Members) < 3 {
-		return nil, fmt.Errorf("replica: need >= 3 members, have %d", len(cfg.Members))
+	if len(cfg.Members) < 2 {
+		return nil, fmt.Errorf("replica: need >= 2 members, have %d", len(cfg.Members))
 	}
 	if cfg.DeadAfter == 0 {
 		cfg.DeadAfter = 3 * time.Second
@@ -129,6 +138,28 @@ func New(cfg Config) (*Cluster, error) {
 	c.vs = NewViewService(cfg.Members, cfg.DeadAfter, start)
 	if r := cfg.Registry; r != nil {
 		c.registerMetrics(r)
+	}
+	lead := c.nodes[0]
+	for _, n := range c.nodes[1:] {
+		if n.Size() > lead.Size() {
+			lead = n
+		}
+	}
+	first := View{Num: 1, Primary: lead.Name}
+	for _, n := range c.nodes {
+		if n != lead {
+			first.Backups = append(first.Backups, n.Name)
+		}
+	}
+	c.vs.view, c.size = first, lead.Size()
+	truth := lead.Journal()
+	for _, b := range first.Backups {
+		if bytes.Equal(c.Node(b).Journal(), truth) {
+			continue
+		}
+		if err := c.catchUp(first, b); err != nil {
+			return nil, fmt.Errorf("replica: cold-start catch-up of %s: %w", b, err)
+		}
 	}
 	return c, nil
 }

@@ -87,35 +87,12 @@ func (n *Node) Size() int64 {
 	return int64(len(n.buf))
 }
 
-// Seq returns the highest applied append sequence.
-func (n *Node) Seq() uint64 {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return n.seq
-}
-
 // Journal returns a copy of the node's journal bytes (test/inspection
 // hook for the convergence assertions).
 func (n *Node) Journal() []byte {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	return append([]byte(nil), n.buf...)
-}
-
-// Corrupt flips one byte of the node's durable journal in place — a
-// chaos hook modelling media corruption between crash and restart.
-func (n *Node) Corrupt(off int64, xor byte) error {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	if off < 0 || off >= int64(len(n.buf)) {
-		return fmt.Errorf("replica: corrupt offset %d of %d", off, len(n.buf))
-	}
-	n.buf[off] ^= xor
-	// Rewrite the store to match (simulates the flipped sector).
-	if err := n.store.Truncate(0); err != nil {
-		return err
-	}
-	return n.store.Append(n.buf)
 }
 
 // Handle dispatches one decoded wire message and returns the reply.

@@ -331,3 +331,135 @@ func TestTornNodeJournalEveryOffset(t *testing.T) {
 		}
 	}
 }
+
+// refusingStore is a durable store whose media stops taking writes.
+type refusingStore struct {
+	catalog.MemStore
+	refuse bool
+}
+
+func (s *refusingStore) Append(p []byte) error {
+	if s.refuse {
+		return errors.New("test: no space left on device")
+	}
+	return s.MemStore.Append(p)
+}
+
+// TestMirroredPairNeverAcksOnOneCopy: two members are a mirrored pair —
+// quorum is both copies — so an append that cannot land on both fails,
+// the durability frontier stays put, and once the missing copy is back
+// it is caught up and the retried append lands on both.
+func TestMirroredPairNeverAcksOnOneCopy(t *testing.T) {
+	set := catalog.DumpSet{Engine: catalog.Logical, FSID: "vol0", Snap: "retry", Date: 200,
+		Media: []catalog.MediaRef{{Volume: "t0"}}}
+	converged := func(c *Cluster) {
+		t.Helper()
+		if a, b := c.Node("a").Journal(), c.Node("b").Journal(); !bytes.Equal(a, b) {
+			t.Fatalf("copies differ: a %d bytes, b %d bytes", len(a), len(b))
+		}
+	}
+
+	// The backup's store refuses the write.
+	bad := &refusingStore{}
+	c, err := New(Config{Members: []string{"a", "b"}, Stores: map[string]catalog.Store{"b": bad}})
+	if err != nil {
+		t.Fatalf("New with two members: %v", err)
+	}
+	cat, err := catalog.Open(c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	appendSet(t, cat, 100)
+	converged(c)
+	acked := c.AckedSize()
+	bad.refuse = true
+	if _, err := cat.AppendDumpSet(set); !errors.Is(err, ErrNoQuorum) {
+		t.Fatalf("append with one copy refusing = %v, want ErrNoQuorum", err)
+	}
+	if c.AckedSize() != acked {
+		t.Fatalf("acked size moved %d -> %d on a one-copy append", acked, c.AckedSize())
+	}
+
+	// Either member killed: the append fails; after the restart the
+	// copy is caught up and the retry succeeds on both.
+	for _, victim := range []string{"a", "b"} {
+		c, err := New(Config{Members: []string{"a", "b"}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		cat, err := catalog.Open(c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		appendSet(t, cat, 100)
+		acked := c.AckedSize()
+		c.Kill(victim)
+		if _, err := cat.AppendDumpSet(set); !errors.Is(err, ErrNoQuorum) {
+			t.Fatalf("%s down: append = %v, want ErrNoQuorum", victim, err)
+		}
+		if c.AckedSize() != acked {
+			t.Fatalf("%s down: acked size moved %d -> %d", victim, acked, c.AckedSize())
+		}
+		if err := c.Restart(victim); err != nil {
+			t.Fatal(err)
+		}
+		converged(c)
+		if cat, err = catalog.Open(c); err != nil { // the failed append poisoned the handle
+			t.Fatal(err)
+		}
+		if _, err := cat.AppendDumpSet(set); err != nil {
+			t.Fatalf("%s restarted: retried append: %v", victim, err)
+		}
+		converged(c)
+		if c.AckedSize() <= acked || c.AckedSize() != c.Node("a").Size() {
+			t.Fatalf("%s restarted: acked %d, copies hold %d", victim, c.AckedSize(), c.Node("a").Size())
+		}
+	}
+}
+
+// TestColdStartElectsLargestValidJournal: durable stores come back from
+// a crash unequal. The member whose journal is longest after the
+// torn-tail rule leads the first view and the others are reinstalled
+// from it before New returns; with nothing to choose between them the
+// first member leads and no view change is counted.
+func TestColdStartElectsLargestValidJournal(t *testing.T) {
+	seed := newTestCluster(t)
+	cat, err := catalog.Open(seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := int64(1); i <= 3; i++ {
+		appendSet(t, cat, 100*i)
+	}
+	full := seed.Node("n0").Journal()
+
+	flipped := append([]byte(nil), full...)
+	flipped[20] ^= 0xFF // inside the first frame: nothing of it is valid
+	stores := map[string]catalog.Store{
+		"n0": &catalog.MemStore{Buf: flipped},
+		"n1": &catalog.MemStore{Buf: append([]byte(nil), full[:len(full)-7]...)}, // torn tail
+		"n2": &catalog.MemStore{Buf: append([]byte(nil), full...)},
+	}
+	c, err := New(Config{Members: []string{"n0", "n1", "n2"}, Stores: stores})
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	if v := c.View(); v.Num != 1 || v.Primary != "n2" || len(v.Backups) != 2 {
+		t.Fatalf("first view %+v, want n2 leading view 1", v)
+	}
+	if c.Service().Changes() != 0 {
+		t.Fatalf("cold start counted %d view changes", c.Service().Changes())
+	}
+	assertConverged(t, c)
+	if got := c.Node("n0").Journal(); !bytes.Equal(got, full) || c.AckedSize() != int64(len(full)) {
+		t.Fatalf("after cold start: %d bytes, acked %d, want %d", len(got), c.AckedSize(), len(full))
+	}
+	for name, s := range stores {
+		if !bytes.Equal(s.(*catalog.MemStore).Buf, full) {
+			t.Fatalf("%s's durable store was not reinstalled", name)
+		}
+	}
+	if v := newTestCluster(t).View(); v.Primary != "n0" || v.Backups[0] != "n1" || v.Backups[1] != "n2" {
+		t.Fatalf("empty journals: first view %+v, want member order", v)
+	}
+}
