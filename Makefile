@@ -2,7 +2,7 @@ GO ?= go
 
 WORKLOAD ?= logical-4d
 
-.PHONY: tier1 race tables tables-check attribution build vet test chaos fuzz-smoke obs-smoke
+.PHONY: tier1 race tables tables-check attribution build vet test chaos fuzz-smoke obs-smoke loc
 
 tier1: ## gofmt + vet + build + full test suite (the repo's gate)
 	@test -z "$$(gofmt -l .)" || { echo "gofmt needed:"; gofmt -l .; exit 1; }
@@ -10,6 +10,10 @@ tier1: ## gofmt + vet + build + full test suite (the repo's gate)
 	cd benchmark && $(GO) vet ./... # the nested module is invisible to ./...
 	$(GO) build ./...
 	$(GO) test ./...
+
+loc: ## the two line counts simplicity PRs and ROADMAP re-anchors quote: Go outside benchmark/, non-test and test
+	@echo "non-test Go: $$(find . -name '*.go' -not -path './benchmark/*' -not -name '*_test.go' | xargs cat | wc -l)"
+	@echo "test Go:     $$(find . -name '*_test.go' -not -path './benchmark/*' | xargs cat | wc -l)"
 
 build:
 	$(GO) build ./...

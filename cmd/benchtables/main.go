@@ -57,36 +57,34 @@ func main() {
 				res.Ops()))
 		}
 		if want(3) {
-			groups := map[string][]*bench.Stage{
-				"Logical Dump":     res.LogicalBackup.Stages,
-				"Logical Restore":  res.LogicalRestore.Stages,
-				"Physical Dump":    res.PhysicalBackup.Stages,
-				"Physical Restore": res.PhysicalRestore.Stages,
+			ops := res.Ops()
+			for i, name := range []string{"Logical Dump", "Logical Restore", "Physical Dump", "Physical Restore"} {
+				ops[i].Name = name // Table 3 says "Dump" where Table 2 says "Backup"
 			}
-			fmt.Println(bench.FormatStagesTable("Table 3: Dump and Restore Details", groups,
-				[]string{"Logical Dump", "Logical Restore", "Physical Dump", "Physical Restore"}))
+			fmt.Println(bench.FormatStagesTable("Table 3: Dump and Restore Details", ops))
 		}
+	}
+	// Tables 4, 5 and 7 read the same experiment: each drive count runs
+	// at most once.
+	runs := map[int]*bench.Result{}
+	parallel := func(drives int) *bench.Result {
+		if runs[drives] == nil {
+			res, err := bench.RunParallel(ctx, cfg, drives)
+			die(err)
+			runs[drives] = res
+		}
+		return runs[drives]
 	}
 	for _, tc := range []struct{ n, drives int }{{4, 2}, {5, 4}} {
 		if !want(tc.n) {
 			continue
 		}
-		res, err := bench.RunParallel(ctx, cfg, tc.drives)
-		die(err)
-		groups := map[string][]*bench.Stage{
-			"Logical Backup":   res.LogicalBackupStages,
-			"Logical Restore":  res.LogicalRestoreStages,
-			"Physical Backup":  res.PhysicalBackupStages,
-			"Physical Restore": res.PhysicalRestoreStages,
-		}
+		res := parallel(tc.drives)
 		fmt.Println(bench.FormatParallelTable(
 			fmt.Sprintf("Table %d: Parallel Backup and Restore Performance on %d tape drives (%d MB)",
 				tc.n, tc.drives, res.DataBytes>>20),
-			groups,
-			[]string{"Logical Backup", "Logical Restore", "Physical Backup", "Physical Restore"}))
-		fmt.Println(bench.FormatOpsTable("  Aggregate:", []bench.OpResult{
-			res.LogicalBackup, res.LogicalRestore, res.PhysicalBackup, res.PhysicalRestore,
-		}))
+			res.Ops()))
+		fmt.Println(bench.FormatOpsTable("  Aggregate:", res.Ops()))
 	}
 	if want(6) {
 		res, err := bench.RunConcurrentVolumes(ctx, cfg)
@@ -95,11 +93,10 @@ func main() {
 			[]bench.OpResult{res.HomeIsolated, res.RlseIsolated, res.HomeConcurrent, res.RlseConcurrent}))
 	}
 	if want(7) {
-		points, err := bench.RunScaling(ctx, cfg, []int{1, 2, 4})
-		die(err)
 		fmt.Println("Table 7: Backup scaling with tape drives (cf. §5.2–5.3)")
 		fmt.Printf("%-8s %-28s %-28s\n", "Drives", "Logical GB/h (per tape, CPU)", "Physical GB/h (per tape, CPU)")
-		for _, p := range points {
+		for _, drives := range []int{1, 2, 4} {
+			p := parallel(drives).Scaling()
 			fmt.Printf("%-8d %6.1f (%5.1f, %3.0f%%)          %6.1f (%5.1f, %3.0f%%)\n",
 				p.Drives, p.LogicalGBph, p.LogicalPer, 100*p.LogicalCPU,
 				p.PhysGBph, p.PhysPer, 100*p.PhysCPU)

@@ -6,9 +6,6 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/logical"
-	"repro/internal/raid"
-	"repro/internal/sim"
 	"repro/internal/wafl"
 	"repro/internal/workload"
 )
@@ -28,61 +25,80 @@ func (a *AblationResult) Speedup() float64 {
 	return float64(a.Baseline.Elapsed) / float64(a.Variant.Elapsed)
 }
 
+// ablate measures one operation twice, each time on a freshly built
+// and populated filer: the baseline (variant false), then the variant.
+// tweak adjusts the filer configuration and prepare runs unmeasured
+// between populating and the operation; either may be nil.
+func ablate(ctx context.Context, cfg Config, title string, names [2]string,
+	tweak func(fc *core.FilerConfig, variant bool),
+	prepare func(f *core.Filer, m *Meters, variant bool) error,
+	op func(c context.Context, f *core.Filer, rec *Recorder, variant bool) (int64, error)) (*AblationResult, error) {
+	res := &AblationResult{Name: title}
+	for i, out := range []*OpResult{&res.Baseline, &res.Variant} {
+		variant := i == 1
+		vcfg := cfg
+		if tweak != nil {
+			vcfg = cfg.tweaked(func(fc *core.FilerConfig) { tweak(fc, variant) })
+		}
+		f, err := buildFiler(ctx, vcfg, "eliot", 1, nil, nil)
+		if err != nil {
+			return nil, err
+		}
+		if err := populate(ctx, f, vcfg, "", 0); err != nil {
+			return nil, err
+		}
+		meters := metersFor(f)
+		if prepare != nil {
+			if err := prepare(f, meters, variant); err != nil {
+				return nil, err
+			}
+		}
+		*out, err = measure(ctx, meters, names[i], func(c context.Context, rec *Recorder) (int64, error) {
+			return op(c, f, rec, variant)
+		})
+		if err != nil {
+			return nil, err
+		}
+	}
+	return res, nil
+}
+
 // RunNVRAMAblation is ablation A1: the paper's footnote 2 observes that
 // logical restore "goes through the file system and NVRAM" and that
 // avoiding NVRAM "is in the works". Baseline: restore with NVRAM
 // logging; variant: the same restore with logging off (a restart-safe
 // restore can simply be re-run from tape).
 func RunNVRAMAblation(ctx context.Context, cfg Config) (*AblationResult, error) {
-	measure := func(bypass bool) (OpResult, error) {
-		f, err := buildFiler(ctx, cfg, "eliot", 1, nil, nil)
-		if err != nil {
-			return OpResult{}, err
-		}
-		if err := populate(ctx, f, cfg, "", 0); err != nil {
-			return OpResult{}, err
-		}
-		if err := dumpForRestore(ctx, f); err != nil {
-			return OpResult{}, err
-		}
-		if err := f.Wipe(ctx); err != nil {
-			return OpResult{}, err
-		}
-		if bypass {
-			f.FS.SetNVRAMLogging(false)
-		}
-		meters := metersFor(f)
-		rec := NewRecorder(meters)
-		var rerr error
-		var bytes int64
-		f.Env.Spawn("restore", func(p *sim.Proc) {
-			c := sim.WithProc(ctx, p)
+	return ablate(ctx, cfg, "A1: NVRAM bypass on logical restore",
+		[2]string{"Logical restore through NVRAM", "Logical restore bypassing NVRAM"}, nil,
+		func(f *core.Filer, m *Meters, bypass bool) error {
+			// A level-0 dump on drive 0, then the wiped filesystem the
+			// restore is measured on.
+			if _, err := measure(ctx, m, "prepare", func(c context.Context, _ *Recorder) (int64, error) {
+				view, err := loadAndSnapshot(c, f, "prep")
+				if err != nil {
+					return 0, err
+				}
+				defer f.FS.DeleteSnapshot(c, "prep") // as after any dump; Table 8 moves if it is left to the wipe
+				return logicalDump{}.toTape(c, f, view, 0, 1)
+			}); err != nil {
+				return err
+			}
+			if err := f.Wipe(ctx); err != nil {
+				return err
+			}
+			if bypass {
+				f.FS.SetNVRAMLogging(false)
+			}
+			return nil
+		},
+		func(c context.Context, f *core.Filer, rec *Recorder, _ bool) (int64, error) {
 			stats, err := f.LogicalRestore(c, 0, "/", false, rec)
 			if err != nil {
-				rerr = err
-				return
+				return 0, err
 			}
-			bytes = stats.BytesRead
+			return stats.BytesRead, nil
 		})
-		f.Env.Run()
-		if rerr != nil {
-			return OpResult{}, rerr
-		}
-		name := "Logical restore through NVRAM"
-		if bypass {
-			name = "Logical restore bypassing NVRAM"
-		}
-		return summarize(name, rec, bytes), nil
-	}
-	base, err := measure(false)
-	if err != nil {
-		return nil, err
-	}
-	variant, err := measure(true)
-	if err != nil {
-		return nil, err
-	}
-	return &AblationResult{Name: "A1: NVRAM bypass on logical restore", Baseline: base, Variant: variant}, nil
 }
 
 // RunReadAheadAblation is ablation A2: the paper notes "Network
@@ -91,56 +107,17 @@ func RunNVRAMAblation(ctx context.Context, cfg Config) (*AblationResult, error) 
 // fighting inode-order reads); variant: the dump engine's cross-file
 // read-ahead.
 func RunReadAheadAblation(ctx context.Context, cfg Config) (*AblationResult, error) {
-	measure := func(readAhead int, name string) (OpResult, error) {
-		f, err := buildFiler(ctx, cfg, "eliot", 1, nil, nil)
-		if err != nil {
-			return OpResult{}, err
-		}
-		if err := populate(ctx, f, cfg, "", 0); err != nil {
-			return OpResult{}, err
-		}
-		if err := f.FS.CP(ctx); err != nil {
-			return OpResult{}, err
-		}
-		meters := metersFor(f)
-		rec := NewRecorder(meters)
-		var derr error
-		var bytes int64
-		f.Env.Spawn("dump", func(p *sim.Proc) {
-			c := sim.WithProc(ctx, p)
-			if err := f.LoadTape(c, 0); err != nil {
-				derr = err
-				return
-			}
-			if err := f.FS.CreateSnapshot(c, "s"); err != nil {
-				derr = err
-				return
-			}
-			view, _ := f.FS.SnapshotView("s")
-			rec.Begin("Dump")
-			stats, err := dumpLevel(c, f, view, 0, 0, readAhead)
+	return ablate(ctx, cfg, "A2: dump-driven read-ahead",
+		[2]string{"Logical dump, no read-ahead", "Logical dump, dump-driven read-ahead"}, nil,
+		func(f *core.Filer, _ *Meters, _ bool) error { return f.FS.CP(ctx) },
+		func(c context.Context, f *core.Filer, rec *Recorder, readAhead bool) (int64, error) {
+			view, err := loadAndSnapshot(c, f, "s")
 			if err != nil {
-				derr = err
-				return
+				return 0, err
 			}
-			rec.End()
-			bytes = stats.BytesWritten
+			rec.Begin("Dump")
+			return logicalDump{noReadAhead: !readAhead}.toTape(c, f, view, 0, 1)
 		})
-		f.Env.Run()
-		if derr != nil {
-			return OpResult{}, derr
-		}
-		return summarize(name, rec, bytes), nil
-	}
-	base, err := measure(0, "Logical dump, no read-ahead")
-	if err != nil {
-		return nil, err
-	}
-	variant, err := measure(16, "Logical dump, dump-driven read-ahead")
-	if err != nil {
-		return nil, err
-	}
-	return &AblationResult{Name: "A2: dump-driven read-ahead", Baseline: base, Variant: variant}, nil
 }
 
 // RunCopyAblation is ablation A3: the paper's dump is in-kernel with a
@@ -149,56 +126,22 @@ func RunReadAheadAblation(ctx context.Context, cfg Config) (*AblationResult, err
 // paying a per-block copy across the user/kernel boundary; variant:
 // the zero-copy kernel path.
 func RunCopyAblation(ctx context.Context, cfg Config) (*AblationResult, error) {
-	measure := func(copyCost time.Duration, name string) (OpResult, error) {
-		c2 := cfg
-		prev := cfg.Tweak
-		c2.Tweak = func(fc *core.FilerConfig) {
-			fc.FSCosts.CopyBlock = copyCost
-			if prev != nil {
-				prev(fc)
+	return ablate(ctx, cfg, "A3: kernel integration (zero-copy)",
+		[2]string{"Logical dump, user-level (copies)", "Logical dump, in-kernel (zero-copy)"},
+		func(fc *core.FilerConfig, zeroCopy bool) {
+			if !zeroCopy {
+				// A user/kernel boundary crossing plus copy cost ~100 µs
+				// per 4 KB on a 500 MHz machine.
+				fc.FSCosts.CopyBlock = 100 * time.Microsecond
 			}
-		}
-		f, err := buildFiler(ctx, c2, "eliot", 1, nil, nil)
-		if err != nil {
-			return OpResult{}, err
-		}
-		if err := populate(ctx, f, c2, "", 0); err != nil {
-			return OpResult{}, err
-		}
-		meters := metersFor(f)
-		rec := NewRecorder(meters)
-		var derr error
-		var bytes int64
-		f.Env.Spawn("dump", func(p *sim.Proc) {
-			c := sim.WithProc(ctx, p)
-			if err := f.LoadTape(c, 0); err != nil {
-				derr = err
-				return
-			}
-			stats, err := f.LogicalDump(c, 0, 0, "", "s", rec)
+		}, nil,
+		func(c context.Context, f *core.Filer, rec *Recorder, _ bool) (int64, error) {
+			view, err := loadAndSnapshot(c, f, "s")
 			if err != nil {
-				derr = err
-				return
+				return 0, err
 			}
-			bytes = stats.BytesWritten
+			return logicalDump{rec: rec}.toTape(c, f, view, 0, 1)
 		})
-		f.Env.Run()
-		if derr != nil {
-			return OpResult{}, derr
-		}
-		return summarize(name, rec, bytes), nil
-	}
-	// A user/kernel boundary crossing plus copy cost ~100 µs per 4 KB
-	// on a 500 MHz machine.
-	base, err := measure(100*time.Microsecond, "Logical dump, user-level (copies)")
-	if err != nil {
-		return nil, err
-	}
-	variant, err := measure(0, "Logical dump, in-kernel (zero-copy)")
-	if err != nil {
-		return nil, err
-	}
-	return &AblationResult{Name: "A3: kernel integration (zero-copy)", Baseline: base, Variant: variant}, nil
 }
 
 // IncrementalResult measures the §6 extension: incremental image dumps
@@ -228,58 +171,48 @@ func RunIncremental(ctx context.Context, cfg Config) (*IncrementalResult, error)
 	res := &IncrementalResult{}
 	meters := metersFor(f)
 
-	runOp := func(name string, drive int, fn func(c context.Context, rec *Recorder) error) (OpResult, error) {
-		rec := NewRecorder(meters)
-		var opErr error
-		f.Env.Spawn(name, func(p *sim.Proc) {
-			c := sim.WithProc(ctx, p)
+	// Each dump is one stage named after the operation, begun once the
+	// drive holds its cartridge.
+	dumpOp := func(name string, drive int, dump func(c context.Context) (int64, error)) (OpResult, error) {
+		return measure(ctx, meters, name, func(c context.Context, rec *Recorder) (int64, error) {
 			if err := f.LoadTape(c, drive); err != nil {
-				opErr = err
-				return
+				return 0, err
 			}
 			rec.Begin(name)
-			opErr = fn(c, rec)
-			f.Tapes[drive].Flush(p)
-			rec.End()
+			return dump(c)
 		})
-		f.Env.Run()
-		if opErr != nil {
-			return OpResult{}, opErr
-		}
-		return summarize(name, rec, 0), nil
+	}
+	logicalOp := func(name, snap string, drive, level int) (OpResult, error) {
+		return dumpOp(name, drive, func(c context.Context) (int64, error) {
+			if err := f.FS.CreateSnapshot(c, snap); err != nil {
+				return 0, err
+			}
+			defer f.FS.DeleteSnapshot(c, snap)
+			view, err := f.FS.SnapshotView(snap)
+			if err != nil {
+				return 0, err
+			}
+			return logicalDump{level: level}.toTape(c, f, view, drive, 1)
+		})
+	}
+	imageOp := func(name, snap, base string, drive int, blocks *int) (OpResult, error) {
+		return dumpOp(name, drive, func(c context.Context) (int64, error) {
+			stats, err := f.ImageDump(c, drive, snap, base)
+			if err != nil {
+				return 0, err
+			}
+			*blocks = stats.BlocksDumped
+			return stats.BytesWritten, nil
+		})
 	}
 
 	// Full dumps with both strategies.
-	op, err := runOp("Full logical dump", 0, func(c context.Context, rec *Recorder) error {
-		if err := f.FS.CreateSnapshot(c, "l0"); err != nil {
-			return err
-		}
-		defer f.FS.DeleteSnapshot(c, "l0")
-		view, _ := f.FS.SnapshotView("l0")
-		stats, err := dumpLevel(c, f, view, 0, 0, 16)
-		if err != nil {
-			return err
-		}
-		res.FullLogicalBytes = stats.BytesWritten
-		return nil
-	})
-	if err != nil {
+	if res.FullLogical, err = logicalOp("Full logical dump", "l0", 0, 0); err != nil {
 		return nil, err
 	}
-	res.FullLogical = op
-
-	op, err = runOp("Full image dump", 1, func(c context.Context, rec *Recorder) error {
-		stats, err := f.ImageDump(c, 1, "img0", "")
-		if err != nil {
-			return err
-		}
-		res.FullPhysicalBlocks = stats.BlocksDumped
-		return nil
-	})
-	if err != nil {
+	if res.FullPhysical, err = imageOp("Full image dump", "img0", "", 1, &res.FullPhysicalBlocks); err != nil {
 		return nil, err
 	}
-	res.FullPhysical = op
 
 	// ~5% churn.
 	paths := []string{}
@@ -300,71 +233,12 @@ func RunIncremental(ctx context.Context, cfg Config) (*IncrementalResult, error)
 	}
 
 	// Incrementals with both strategies.
-	op, err = runOp("Incremental logical dump", 2, func(c context.Context, rec *Recorder) error {
-		if err := f.FS.CreateSnapshot(c, "l1"); err != nil {
-			return err
-		}
-		defer f.FS.DeleteSnapshot(c, "l1")
-		view, _ := f.FS.SnapshotView("l1")
-		stats, err := dumpLevel(c, f, view, 2, 1, 16)
-		if err != nil {
-			return err
-		}
-		res.IncrLogicalBytes = stats.BytesWritten
-		return nil
-	})
-	if err != nil {
+	if res.IncrLogical, err = logicalOp("Incremental logical dump", "l1", 2, 1); err != nil {
 		return nil, err
 	}
-	res.IncrLogical = op
-
-	op, err = runOp("Incremental image dump", 3, func(c context.Context, rec *Recorder) error {
-		stats, err := f.ImageDump(c, 3, "img1", "img0")
-		if err != nil {
-			return err
-		}
-		res.IncrPhysicalBlocks = stats.BlocksDumped
-		return nil
-	})
-	if err != nil {
+	if res.IncrPhysical, err = imageOp("Incremental image dump", "img1", "img0", 3, &res.IncrPhysicalBlocks); err != nil {
 		return nil, err
 	}
-	res.IncrPhysical = op
+	res.FullLogicalBytes, res.IncrLogicalBytes = res.FullLogical.Bytes, res.IncrLogical.Bytes
 	return res, nil
-}
-
-// metersFor builds a Meters over a filer's resources.
-func metersFor(f *core.Filer) *Meters {
-	return &Meters{Env: f.Env, CPU: f.CPU, Vols: []*raid.Volume{f.Vol}, Tapes: f.Tapes}
-}
-
-// dumpLevel runs a logical dump at the given level and read-ahead.
-func dumpLevel(ctx context.Context, f *core.Filer, view *wafl.View, drive, level, readAhead int) (*logical.DumpStats, error) {
-	stats, err := logical.Dump(ctx, logical.DumpOptions{
-		View: view, Level: level, Dates: f.Dates, FSID: f.Config.Name,
-		Sink: f.Sink(ctx, drive), Label: "bench", ReadAhead: readAhead,
-	})
-	if err != nil {
-		return nil, err
-	}
-	f.Tapes[drive].Flush(sim.ProcFrom(ctx))
-	return stats, nil
-}
-
-// dumpForRestore writes a level-0 dump onto drive 0 so a restore can
-// be measured on a wiped filesystem.
-func dumpForRestore(ctx context.Context, f *core.Filer) error {
-	var derr error
-	f.Env.Spawn("prep-dump", func(p *sim.Proc) {
-		c := sim.WithProc(ctx, p)
-		if err := f.LoadTape(c, 0); err != nil {
-			derr = err
-			return
-		}
-		if _, err := f.LogicalDump(c, 0, 0, "", "prep", nil); err != nil {
-			derr = err
-		}
-	})
-	f.Env.Run()
-	return derr
 }

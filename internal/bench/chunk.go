@@ -9,6 +9,7 @@ import (
 	"repro/internal/logical"
 	"repro/internal/sim"
 	"repro/internal/storage"
+	"repro/internal/stream"
 	"repro/internal/wafl"
 	"repro/internal/workload"
 )
@@ -66,6 +67,7 @@ func RunChunkWeek(ctx context.Context, cfg Config, reverse bool) (*ChunkWeekRepo
 		return nil, err
 	}
 	media := chunk.NewDriveMedia(f.Tapes[0], nil)
+	meters := metersFor(f)
 	rep := &ChunkWeekReport{}
 
 	manifests := make([]chunk.Manifest, 0, 7)
@@ -86,41 +88,33 @@ func RunChunkWeek(ctx context.Context, cfg Config, reverse bool) (*ChunkWeekRepo
 		if err := f.FS.CreateSnapshot(ctx, snap); err != nil {
 			return nil, err
 		}
-		var dumpErr error
-		f.Env.Spawn(snap, func(p *sim.Proc) {
-			c := sim.WithProc(ctx, p)
-			media.Proc = p
+		var ws chunk.WriterStats
+		op, err := measure(ctx, meters, "dedup week "+snap, func(c context.Context, rec *Recorder) (int64, error) {
+			media.Proc = sim.ProcFrom(c)
 			// Each full gets its own cartridge, as a scheduler would
 			// rotate media; restore-of-latest then mounts one volume and
 			// streams instead of spacing over older sets.
-			if dumpErr = media.NextVolume(); dumpErr != nil {
-				return
+			if err := media.NextVolume(); err != nil {
+				return 0, err
 			}
-			start := p.Now()
+			rec.Begin(snap)
 			view, err := f.FS.SnapshotView(snap)
 			if err != nil {
-				dumpErr = err
-				return
+				return 0, err
 			}
 			w, err := chunk.NewWriter(chunk.WriterOptions{
 				Index: cat, Media: media, Reverse: reverse,
 				Ctx: c, Engine: "logical",
 			})
 			if err != nil {
-				dumpErr = err
-				return
+				return 0, err
 			}
-			if _, err := logical.Dump(c, logical.DumpOptions{
-				View: view, Label: snap, FSID: "chunkweek",
-				ReadAhead: 16, Sink: w,
-			}); err != nil {
-				dumpErr = err
-				return
+			if _, err := (logicalDump{label: snap}).to(c, f, view, w); err != nil {
+				return 0, err
 			}
 			m, err := w.Close()
 			if err != nil {
-				dumpErr = err
-				return
+				return 0, err
 			}
 			id, err := cat.AppendDumpSet(catalog.DumpSet{
 				Engine: catalog.Logical, FSID: "chunkweek", Snap: snap,
@@ -128,106 +122,88 @@ func RunChunkWeek(ctx context.Context, cfg Config, reverse bool) (*ChunkWeekRepo
 				Media: []catalog.MediaRef{{Volume: f.Tapes[0].Loaded().Label}},
 			})
 			if err != nil {
-				dumpErr = err
-				return
+				return 0, err
 			}
-			if dumpErr = cat.AppendManifest(id, m); dumpErr != nil {
-				return
+			if err := cat.AppendManifest(id, m); err != nil {
+				return 0, err
 			}
-			ws := w.Stats()
+			ws = w.Stats()
 			manifests = append(manifests, m)
-			rep.Days = append(rep.Days, ChunkDayRow{
-				Day:        day,
-				LogicalMB:  float64(m.RawBytes) / (1 << 20),
-				AddedMB:    float64(ws.StoredBytes) / (1 << 20),
-				Hits:       ws.Hits,
-				Misses:     ws.Misses,
-				Rewrites:   ws.Rewrites,
-				DumpSimSec: (p.Now() - start).Seconds(),
-			})
-			rep.LogicalBytes += m.RawBytes
+			return m.RawBytes, nil
 		})
-		f.Env.Run()
-		if dumpErr != nil {
-			return nil, fmt.Errorf("bench: dedup week day %d: %w", day, dumpErr)
+		if err != nil {
+			return nil, err
 		}
+		rep.Days = append(rep.Days, ChunkDayRow{
+			Day:        day,
+			LogicalMB:  float64(op.Bytes) / (1 << 20),
+			AddedMB:    float64(ws.StoredBytes) / (1 << 20),
+			Hits:       ws.Hits,
+			Misses:     ws.Misses,
+			Rewrites:   ws.Rewrites,
+			DumpSimSec: op.Elapsed.Seconds(),
+		})
+		rep.LogicalBytes += op.Bytes
 	}
 	_, rep.UniqueBytes, _ = cat.ChunkStats()
 	if rep.UniqueBytes > 0 {
 		rep.DedupRatio = float64(rep.LogicalBytes) / float64(rep.UniqueBytes)
 	}
 
-	// Restore-of-latest vs restore-of-oldest through the chunk layer.
-	restoreSimSec := func(name string, m chunk.Manifest) (float64, error) {
-		var sec float64
-		var rerr error
-		f.Env.Spawn(name, func(p *sim.Proc) {
-			c := sim.WithProc(ctx, p)
-			media.Proc = p
+	// restoreSec times a logical restore, onto a fresh in-memory
+	// filesystem, of the stream that source opens; what source itself
+	// does is outside the timed stage.
+	restoreSec := func(name string, source func(c context.Context) (stream.Source, error)) (float64, error) {
+		op, err := measure(ctx, meters, name, func(c context.Context, rec *Recorder) (int64, error) {
+			media.Proc = sim.ProcFrom(c)
+			src, err := source(c)
+			if err != nil {
+				return 0, err
+			}
 			dst, err := wafl.Mkfs(c, storage.NewMemDevice(f.Vol.NumBlocks()), nil, wafl.Options{})
 			if err != nil {
-				rerr = err
-				return
+				return 0, err
 			}
-			start := p.Now()
-			if _, err := logical.Restore(c, logical.RestoreOptions{
-				FS: dst, Source: chunk.NewReader(cat, media, m),
-				KernelIntegrated: true,
-			}); err != nil {
-				rerr = err
-				return
+			rec.Begin(name)
+			stats, err := logical.Restore(c, logical.RestoreOptions{
+				FS: dst, Source: src, KernelIntegrated: true,
+			})
+			if err != nil {
+				return 0, err
 			}
-			sec = (p.Now() - start).Seconds()
+			return stats.BytesRead, nil
 		})
-		f.Env.Run()
-		return sec, rerr
+		return op.Elapsed.Seconds(), err
 	}
-	if rep.RestoreLatestSec, err = restoreSimSec("restore-latest", manifests[len(manifests)-1]); err != nil {
+	// Restore-of-latest vs restore-of-oldest through the chunk layer.
+	fromChunks := func(m chunk.Manifest) func(context.Context) (stream.Source, error) {
+		return func(context.Context) (stream.Source, error) { return chunk.NewReader(cat, media, m), nil }
+	}
+	if rep.RestoreLatestSec, err = restoreSec("dedup week restore-latest", fromChunks(manifests[len(manifests)-1])); err != nil {
 		return nil, err
 	}
-	if rep.RestoreOldestSec, err = restoreSimSec("restore-oldest", manifests[0]); err != nil {
+	if rep.RestoreOldestSec, err = restoreSec("dedup week restore-oldest", fromChunks(manifests[0])); err != nil {
 		return nil, err
 	}
 
 	// Non-dedup baseline: one conventional full of the final day to
 	// drive 1, restored as a straight stream.
-	var baseErr error
-	f.Env.Spawn("baseline", func(p *sim.Proc) {
-		c := sim.WithProc(ctx, p)
-		if baseErr = f.LoadTape(c, 1); baseErr != nil {
-			return
+	rep.BaselineRestoreSec, err = restoreSec("dedup week baseline", func(c context.Context) (stream.Source, error) {
+		if err := f.LoadTape(c, 1); err != nil {
+			return nil, err
 		}
 		view, err := f.FS.SnapshotView("day7")
 		if err != nil {
-			baseErr = err
-			return
+			return nil, err
 		}
-		if _, err := logical.Dump(c, logical.DumpOptions{
-			View: view, Label: "day7-raw", FSID: "chunkweek",
-			ReadAhead: 16, Sink: f.Sink(c, 1),
-		}); err != nil {
-			baseErr = err
-			return
+		if _, err := (logicalDump{}).toTape(c, f, view, 1, 1); err != nil {
+			return nil, err
 		}
-		f.Tapes[1].Flush(p)
-		dst, err := wafl.Mkfs(c, storage.NewMemDevice(f.Vol.NumBlocks()), nil, wafl.Options{})
-		if err != nil {
-			baseErr = err
-			return
-		}
-		f.Tapes[1].Rewind(p)
-		start := p.Now()
-		if _, err := logical.Restore(c, logical.RestoreOptions{
-			FS: dst, Source: f.Source(c, 1), KernelIntegrated: true,
-		}); err != nil {
-			baseErr = err
-			return
-		}
-		rep.BaselineRestoreSec = (p.Now() - start).Seconds()
+		f.Tapes[1].Rewind(sim.ProcFrom(c))
+		return f.Source(c, 1), nil
 	})
-	f.Env.Run()
-	if baseErr != nil {
-		return nil, fmt.Errorf("bench: dedup week baseline: %w", baseErr)
+	if err != nil {
+		return nil, err
 	}
 	if rep.BaselineRestoreSec > 0 {
 		rep.LatestVsBaseline = rep.RestoreLatestSec / rep.BaselineRestoreSec

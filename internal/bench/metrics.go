@@ -14,60 +14,31 @@ import (
 	"text/tabwriter"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/obs"
-	"repro/internal/raid"
 	"repro/internal/sim"
-	"repro/internal/tape"
 )
 
-// Meters knows how to sample every resource of an experiment. Samples
-// are read through an obs.Registry: each resource registers its pull
-// collectors once, and Take aggregates the registry's families, so the
-// same numbers the benchmark reports are exported by backupctl stats.
+// Meters samples every resource of an experiment through an
+// obs.Registry that each resource registered its pull collectors on
+// once, so the numbers the tables report are the ones backupctl stats
+// exports.
 type Meters struct {
-	Env   *sim.Env
-	CPU   *sim.Station
-	Vols  []*raid.Volume
-	Tapes []*tape.Drive
-
-	reg  *obs.Registry
-	seen map[any]bool
+	Env *sim.Env
+	Reg *obs.Registry
 }
 
-// Registry returns the registry the meters sample through, creating it
-// and registering every known resource on first use. Resources
-// appended to Vols/Tapes after a sample (parallel experiments grow
-// mid-run) are picked up on the next call.
-func (m *Meters) Registry() *obs.Registry {
-	if m.reg == nil {
-		m.reg = obs.NewRegistry()
+// metersFor builds the meters over a filer's CPU, volume and tapes.
+func metersFor(f *core.Filer) *Meters {
+	m := &Meters{Env: f.Env, Reg: obs.NewRegistry()}
+	cpu := f.CPU
+	m.Reg.RegisterFunc("sim_cpu_busy_seconds", obs.KindGauge, nil,
+		func() float64 { return cpu.Busy().Seconds() })
+	f.Vol.RegisterMetrics(m.Reg)
+	for _, t := range f.Tapes {
+		t.RegisterMetrics(m.Reg)
 	}
-	m.syncRegistry()
-	return m.reg
-}
-
-func (m *Meters) syncRegistry() {
-	if m.seen == nil {
-		m.seen = make(map[any]bool)
-	}
-	if m.CPU != nil && !m.seen[m.CPU] {
-		m.seen[m.CPU] = true
-		cpu := m.CPU
-		m.reg.RegisterFunc("sim_cpu_busy_seconds", obs.KindGauge, nil,
-			func() float64 { return cpu.Busy().Seconds() })
-	}
-	for _, v := range m.Vols {
-		if !m.seen[v] {
-			m.seen[v] = true
-			v.RegisterMetrics(m.reg)
-		}
-	}
-	for _, t := range m.Tapes {
-		if !m.seen[t] {
-			m.seen[t] = true
-			t.RegisterMetrics(m.reg)
-		}
-	}
+	return m
 }
 
 // busyDuration converts a busy-seconds gauge back to a duration.
@@ -89,7 +60,7 @@ type Sample struct {
 
 // Take reads all meters now, through the registry.
 func (m *Meters) Take() Sample {
-	reg := m.Registry()
+	reg := m.Reg
 	return Sample{
 		T:         m.Env.Now(),
 		CPUBusy:   busyDuration(reg.Sum("sim_cpu_busy_seconds")),
@@ -145,9 +116,6 @@ type Recorder struct {
 	open   *Stage
 }
 
-// NewRecorder creates a recorder over m.
-func NewRecorder(m *Meters) *Recorder { return &Recorder{M: m} }
-
 // Begin opens a stage (closing any still-open one first).
 func (r *Recorder) Begin(name string) {
 	if r.open != nil {
@@ -164,15 +132,6 @@ func (r *Recorder) End() {
 	r.open.End = r.M.Take()
 	r.Stages = append(r.Stages, r.open)
 	r.open = nil
-}
-
-// Total returns a synthetic stage spanning the first begin to the last
-// end.
-func (r *Recorder) Total(name string) Stage {
-	if len(r.Stages) == 0 {
-		return Stage{Name: name}
-	}
-	return Stage{Name: name, Begin: r.Stages[0].Begin, End: r.Stages[len(r.Stages)-1].End}
 }
 
 // OpResult summarizes one measured operation.
@@ -198,48 +157,6 @@ func (o *OpResult) GBph() float64 {
 		return 0
 	}
 	return float64(o.Bytes) / (1 << 30) / o.Elapsed.Hours()
-}
-
-// summarize builds an OpResult from a recorder.
-func summarize(name string, rec *Recorder, bytes int64) OpResult {
-	total := rec.Total(name)
-	return OpResult{
-		Name:    name,
-		Elapsed: total.Elapsed(),
-		Bytes:   bytes,
-		Stages:  rec.Stages,
-		CPUUtil: total.CPUUtil(),
-	}
-}
-
-// mergeStages aggregates same-named stages from several concurrent
-// recorders into window stages (min begin to max end), the way the
-// paper reports one row per stage for four parallel dumps.
-func mergeStages(recs []*Recorder) []*Stage {
-	var order []string
-	byName := make(map[string]*Stage)
-	for _, r := range recs {
-		for _, s := range r.Stages {
-			m, ok := byName[s.Name]
-			if !ok {
-				cp := *s
-				byName[s.Name] = &cp
-				order = append(order, s.Name)
-				continue
-			}
-			if s.Begin.T < m.Begin.T {
-				m.Begin = s.Begin
-			}
-			if s.End.T > m.End.T {
-				m.End = s.End
-			}
-		}
-	}
-	out := make([]*Stage, 0, len(order))
-	for _, n := range order {
-		out = append(out, byName[n])
-	}
-	return out
 }
 
 // FormatDuration renders a duration the way the paper does: hours with
@@ -268,16 +185,16 @@ func FormatOpsTable(title string, ops []OpResult) string {
 	return b.String()
 }
 
-// FormatStagesTable renders Table 3-style rows (per stage, with CPU
-// utilization).
-func FormatStagesTable(title string, groups map[string][]*Stage, order []string) string {
+// FormatStagesTable renders Table 3-style rows (each operation's
+// stages, with CPU utilization).
+func FormatStagesTable(title string, ops []OpResult) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "%s\n", title)
 	w := tabwriter.NewWriter(&b, 2, 4, 2, ' ', 0)
 	fmt.Fprintln(w, "Stage\tTime spent\tCPU Utilization")
-	for _, g := range order {
-		fmt.Fprintf(w, "%s\t\t\n", g)
-		for _, s := range groups[g] {
+	for _, o := range ops {
+		fmt.Fprintf(w, "%s\t\t\n", o.Name)
+		for _, s := range o.Stages {
 			fmt.Fprintf(w, "  %s\t%s\t%.0f%%\n", s.Name, FormatDuration(s.Elapsed()), 100*s.CPUUtil())
 		}
 	}
@@ -285,16 +202,16 @@ func FormatStagesTable(title string, groups map[string][]*Stage, order []string)
 	return b.String()
 }
 
-// FormatParallelTable renders Table 4/5-style rows (per stage with CPU
-// and disk/tape rates).
-func FormatParallelTable(title string, groups map[string][]*Stage, order []string) string {
+// FormatParallelTable renders Table 4/5-style rows (each operation's
+// stages, with CPU and disk/tape rates).
+func FormatParallelTable(title string, ops []OpResult) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "%s\n", title)
 	w := tabwriter.NewWriter(&b, 2, 4, 2, ' ', 0)
 	fmt.Fprintln(w, "Operation\tElapsed time\tCPU Utilization\tDisk MB/s\tTape MB/s")
-	for _, g := range order {
-		fmt.Fprintf(w, "%s\t\t\t\t\n", g)
-		for _, s := range groups[g] {
+	for _, o := range ops {
+		fmt.Fprintf(w, "%s\t\t\t\t\n", o.Name)
+		for _, s := range o.Stages {
 			fmt.Fprintf(w, "  %s\t%s\t%.0f%%\t%.2f\t%.2f\n",
 				s.Name, FormatDuration(s.Elapsed()), 100*s.CPUUtil(), s.DiskMBps(), s.TapeMBps())
 		}

@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"repro/internal/mirror"
-	"repro/internal/sim"
 	"repro/internal/storage"
 	"repro/internal/workload"
 )
@@ -46,24 +45,18 @@ func RunMirrorLag(ctx context.Context, cfg Config, linkMBps []float64) ([]Mirror
 		m := mirror.New(f.FS, f.Vol, standby, link, f.Config.PhysCosts)
 
 		pt := MirrorPoint{LinkMBps: rate}
-		var syncErr error
-		run := func(into *time.Duration, blocks *int) {
-			f.Env.Spawn("sync", func(p *sim.Proc) {
-				c := sim.WithProc(ctx, p)
-				start := p.Now()
+		meters := metersFor(f)
+		sync := func(name string, blocks *int) (time.Duration, error) {
+			op, err := measure(ctx, meters, fmt.Sprintf("%s at %.1f MB/s", name, rate), func(c context.Context, rec *Recorder) (int64, error) {
+				rec.Begin(name)
 				n, err := m.Sync(c)
-				if err != nil {
-					syncErr = err
-					return
-				}
-				*into = time.Duration(p.Now() - start)
 				*blocks = n
+				return 0, err
 			})
-			f.Env.Run()
+			return op.Elapsed, err
 		}
-		run(&pt.InitialSync, &pt.InitialBlk)
-		if syncErr != nil {
-			return nil, fmt.Errorf("bench: initial mirror sync at %.1f MB/s: %w", rate, syncErr)
+		if pt.InitialSync, err = sync("initial mirror sync", &pt.InitialBlk); err != nil {
+			return nil, err
 		}
 		// Steady state: ~3% churn, then sync the delta.
 		if _, err := workload.Age(ctx, f.FS, paths, workload.AgeSpec{
@@ -72,9 +65,8 @@ func RunMirrorLag(ctx context.Context, cfg Config, linkMBps []float64) ([]Mirror
 		}); err != nil {
 			return nil, err
 		}
-		run(&pt.SteadySync, &pt.SteadyBlk)
-		if syncErr != nil {
-			return nil, fmt.Errorf("bench: steady mirror sync at %.1f MB/s: %w", rate, syncErr)
+		if pt.SteadySync, err = sync("steady mirror sync", &pt.SteadyBlk); err != nil {
+			return nil, err
 		}
 		out = append(out, pt)
 	}

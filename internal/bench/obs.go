@@ -2,7 +2,6 @@ package bench
 
 import (
 	"context"
-	"fmt"
 
 	"repro/internal/catalog"
 	"repro/internal/chunk"
@@ -10,8 +9,6 @@ import (
 	"repro/internal/logical"
 	"repro/internal/obs"
 	"repro/internal/physical"
-	"repro/internal/raid"
-	"repro/internal/sim"
 )
 
 // ObsReport is what an instrumented smoke run produced: each engine's
@@ -25,9 +22,7 @@ type ObsReport struct {
 	// repeat is (nearly) all hits and every chunk counter moves.
 	DedupPrime  chunk.WriterStats
 	DedupRepeat chunk.WriterStats
-	Stages      []*Stage
 	Registry    *obs.Registry
-	Filer       *core.Filer
 }
 
 // RunObs populates a filer, then runs a level-0 logical dump to drive
@@ -36,15 +31,9 @@ type ObsReport struct {
 // backupctl stats and make obs-smoke. The returned report keeps the
 // live registry, so its pull collectors still read the filer.
 func RunObs(ctx context.Context, cfg Config, tr *obs.Tracer) (*ObsReport, error) {
-	tweak := cfg.Tweak
-	cfg.Tweak = func(fc *core.FilerConfig) {
-		// A small cache forces the dumps to the disks, so the vdev and
-		// raid counters observe real traffic instead of cache hits.
-		fc.CacheBlocks = 64
-		if tweak != nil {
-			tweak(fc)
-		}
-	}
+	// A small cache forces the dumps to the disks, so the vdev and raid
+	// counters observe real traffic instead of cache hits.
+	cfg = cfg.tweaked(func(fc *core.FilerConfig) { fc.CacheBlocks = 64 })
 	f, err := buildFiler(ctx, cfg, "obs", 2, nil, nil)
 	if err != nil {
 		return nil, err
@@ -56,45 +45,33 @@ func RunObs(ctx context.Context, cfg Config, tr *obs.Tracer) (*ObsReport, error)
 		return nil, err
 	}
 
-	meters := &Meters{Env: f.Env, CPU: f.CPU, Vols: []*raid.Volume{f.Vol}, Tapes: f.Tapes}
-	reg := meters.Registry()
+	meters := metersFor(f)
+	rep := &ObsReport{Registry: meters.Reg}
 	plain := ctx // no registry: the dedup smoke's dumps must not recount engine metrics
-	ctx = obs.WithMetrics(ctx, reg)
+	ctx = obs.WithMetrics(ctx, rep.Registry)
 	if tr != nil {
 		ctx = obs.WithTracer(ctx, tr)
 	}
-	rep := &ObsReport{
-		Registry: reg,
-		Filer:    f,
-	}
-	rec := NewRecorder(meters)
 
-	var dumpErr error
-	f.Env.Spawn("logical-dump", func(p *sim.Proc) {
-		c := sim.WithProc(ctx, p)
-		if dumpErr = f.LoadTape(c, 0); dumpErr != nil {
-			return
+	if _, err := measure(ctx, meters, "obs logical dump", func(c context.Context, _ *Recorder) (int64, error) {
+		if err := f.LoadTape(c, 0); err != nil {
+			return 0, err
 		}
-		rep.Logical, dumpErr = f.LogicalDump(c, 0, 0, "/", "obs-l0", rec)
-	})
-	f.Env.Run()
-	if dumpErr != nil {
-		return nil, fmt.Errorf("bench: obs logical dump: %w", dumpErr)
+		stats, err := f.LogicalDump(c, 0, 0, "/", "obs-l0", nil)
+		rep.Logical = stats
+		return 0, err
+	}); err != nil {
+		return nil, err
 	}
-
-	var imgErr error
-	f.Env.Spawn("image-dump", func(p *sim.Proc) {
-		c := sim.WithProc(ctx, p)
-		if imgErr = f.LoadTape(c, 1); imgErr != nil {
-			return
+	if _, err := measure(ctx, meters, "obs image dump", func(c context.Context, _ *Recorder) (int64, error) {
+		if err := f.LoadTape(c, 1); err != nil {
+			return 0, err
 		}
-		rec.Begin("Dumping blocks")
-		rep.Image, imgErr = f.ImageDump(c, 1, "obs-img", "")
-		rec.End()
-	})
-	f.Env.Run()
-	if imgErr != nil {
-		return nil, fmt.Errorf("bench: obs image dump: %w", imgErr)
+		stats, err := f.ImageDump(c, 1, "obs-img", "")
+		rep.Image = stats
+		return 0, err
+	}); err != nil {
+		return nil, err
 	}
 
 	// Dedup smoke: chunk the same snapshot twice through one index.
@@ -104,53 +81,40 @@ func RunObs(ctx context.Context, cfg Config, tr *obs.Tracer) (*ObsReport, error)
 	if err != nil {
 		return nil, err
 	}
-	dcat.RegisterChunkMetrics(reg)
+	dcat.RegisterChunkMetrics(rep.Registry)
 	dmedia := chunk.NewMemMedia("obs-chunks")
 	if err := f.FS.CreateSnapshot(ctx, "obs-dedup"); err != nil {
 		return nil, err
 	}
-	for _, pass := range []string{"dedup-prime", "dedup-repeat"} {
-		var passErr error
-		var ws chunk.WriterStats
-		f.Env.Spawn(pass, func(p *sim.Proc) {
-			// The dump itself runs metrics-free (its files/bytes would
-			// double-count the engine counters the -check cross-checks);
-			// only the chunk writer reports to the registry.
-			c := sim.WithProc(plain, p)
+	for _, pass := range []struct {
+		name string
+		ws   *chunk.WriterStats
+	}{{"obs dedup-prime", &rep.DedupPrime}, {"obs dedup-repeat", &rep.DedupRepeat}} {
+		// The dump itself runs metrics-free (its files/bytes would
+		// double-count the engine counters the -check cross-checks);
+		// only the chunk writer reports to the registry.
+		if _, err := measure(plain, meters, pass.name, func(c context.Context, _ *Recorder) (int64, error) {
 			view, err := f.FS.SnapshotView("obs-dedup")
 			if err != nil {
-				passErr = err
-				return
+				return 0, err
 			}
 			w, err := chunk.NewWriter(chunk.WriterOptions{
 				Index: dcat, Media: dmedia, Ctx: ctx, Engine: "logical",
 			})
 			if err != nil {
-				passErr = err
-				return
+				return 0, err
 			}
-			if _, err := logical.Dump(c, logical.DumpOptions{
-				View: view, Label: "obs-dedup", FSID: "obs",
-				ReadAhead: 8, Sink: w,
-			}); err != nil {
-				passErr = err
-				return
+			if _, err := (logicalDump{label: "obs-dedup"}).to(c, f, view, w); err != nil {
+				return 0, err
 			}
-			if _, passErr = w.Close(); passErr != nil {
-				return
+			if _, err := w.Close(); err != nil {
+				return 0, err
 			}
-			ws = w.Stats()
-		})
-		f.Env.Run()
-		if passErr != nil {
-			return nil, fmt.Errorf("bench: obs %s: %w", pass, passErr)
-		}
-		if pass == "dedup-prime" {
-			rep.DedupPrime = ws
-		} else {
-			rep.DedupRepeat = ws
+			*pass.ws = w.Stats()
+			return 0, nil
+		}); err != nil {
+			return nil, err
 		}
 	}
-	rep.Stages = rec.Stages
 	return rep, nil
 }

@@ -274,15 +274,22 @@ func TestExperimentsAreDeterministic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i, pair := range [][2]OpResult{
-		{a.LogicalBackup, b.LogicalBackup},
-		{a.LogicalRestore, b.LogicalRestore},
-		{a.PhysicalBackup, b.PhysicalBackup},
-		{a.PhysicalRestore, b.PhysicalRestore},
-	} {
-		if pair[0].Elapsed != pair[1].Elapsed || pair[0].Bytes != pair[1].Bytes {
+	opsA, opsB := a.Ops(), b.Ops()
+	for i := range opsA {
+		x, y := opsA[i], opsB[i]
+		if x.Elapsed != y.Elapsed || x.Bytes != y.Bytes {
 			t.Errorf("op %d: run A (%v, %d bytes) != run B (%v, %d bytes)",
-				i, pair[0].Elapsed, pair[0].Bytes, pair[1].Elapsed, pair[1].Bytes)
+				i, x.Elapsed, x.Bytes, y.Elapsed, y.Bytes)
+		}
+		// Every stage boundary sampled the same clock, CPU-busy, disk and
+		// tape counters in both runs.
+		if len(x.Stages) != len(y.Stages) {
+			t.Fatalf("%s: %d stages in run A, %d in run B", x.Name, len(x.Stages), len(y.Stages))
+		}
+		for j := range x.Stages {
+			if *x.Stages[j] != *y.Stages[j] {
+				t.Errorf("%s stage %d: run A %+v != run B %+v", x.Name, j, *x.Stages[j], *y.Stages[j])
+			}
 		}
 	}
 }

@@ -3,7 +3,6 @@ package catalog
 import (
 	"encoding/binary"
 	"fmt"
-	"sort"
 
 	"repro/internal/chunk"
 	"repro/internal/logical"
@@ -448,12 +447,6 @@ func (c *Catalog) Damaged(setID uint64) (string, bool) {
 	return h.Reason, true
 }
 
-// Health returns a set's latest health verdict, if any was journaled.
-func (c *Catalog) Health(setID uint64) (SetHealth, bool) {
-	h, ok := c.health[setID]
-	return h, ok
-}
-
 // DamagedSets returns the IDs currently marked damaged, in completion
 // order.
 func (c *Catalog) DamagedSets() []uint64 {
@@ -555,20 +548,6 @@ func (c *Catalog) DumpDates() *logical.DumpDates {
 		}
 	}
 	return d
-}
-
-// FSIDs returns the filesystems with recorded sets, sorted.
-func (c *Catalog) FSIDs() []string {
-	seen := map[string]bool{}
-	for _, ds := range c.sets {
-		seen[ds.FSID] = true
-	}
-	out := make([]string, 0, len(seen))
-	for id := range seen {
-		out = append(out, id)
-	}
-	sort.Strings(out)
-	return out
 }
 
 // --- payload encoding: [kind u8][version u8] then fixed LE fields and

@@ -724,12 +724,3 @@ func (rst *restoreState) finishDirs(ctx context.Context) error {
 	}
 	return nil
 }
-
-// RestorePath is a convenience for examples: restore only the given
-// paths under targetDir.
-func RestorePath(ctx context.Context, fs *wafl.FS, src stream.Source, targetDir string, files ...string) (*RestoreStats, error) {
-	return Restore(ctx, RestoreOptions{
-		FS: fs, Source: src, TargetDir: targetDir,
-		Files: files, KernelIntegrated: true,
-	})
-}

@@ -147,9 +147,3 @@ func (m *Mirror) Sync(ctx context.Context) (int, error) {
 	m.blocks += int64(stats.BlocksDumped)
 	return stats.BlocksDumped, nil
 }
-
-// MountTarget mounts the replica read-only-by-convention (the caller
-// must not write while mirroring continues).
-func (m *Mirror) MountTarget(ctx context.Context) (*wafl.FS, error) {
-	return wafl.Mount(ctx, m.dst, nil, wafl.Options{})
-}

@@ -303,15 +303,6 @@ type Point struct {
 	Hist   *HistSnapshot // non-nil only for histograms
 }
 
-// Key renders the point as name{labels} for keyed lookups.
-func (p Point) Key() string {
-	key := labelKey(p.Labels)
-	if key == "" {
-		return p.Name
-	}
-	return p.Name + "{" + key + "}"
-}
-
 // Snapshot evaluates every series (running pull collectors) and
 // returns them in registration order. Nil receiver returns nil.
 func (r *Registry) Snapshot() []Point {

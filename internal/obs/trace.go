@@ -125,12 +125,6 @@ func MetricsFrom(ctx context.Context) *Registry {
 	return r
 }
 
-// SpanFrom extracts the innermost open span from ctx, or nil.
-func SpanFrom(ctx context.Context) *Span {
-	s, _ := ctx.Value(spanKey{}).(*Span)
-	return s
-}
-
 // Start opens a span named name. The begin timestamp is taken from
 // the sim proc in ctx (virtual time) or wall time. The returned
 // context carries the span, so child Starts nest under it in the

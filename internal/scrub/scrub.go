@@ -121,10 +121,6 @@ type Report struct {
 	Quarantined []string
 }
 
-// Unrepaired returns the findings no repair resolved; a nonzero count
-// is what turns a backupctl scrub/fsck exit nonzero.
-func (r *Report) Unrepaired() []Finding { return r.Findings }
-
 func (r *Report) String() string {
 	return fmt.Sprintf("scrub: %d set(s), %d bytes; %d repaired, %d unrepaired, %d damaged, %d quarantined",
 		r.Sets, r.BytesScanned, len(r.Repaired), len(r.Findings), len(r.Damaged), len(r.Quarantined))

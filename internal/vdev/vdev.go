@@ -182,10 +182,6 @@ func (d *Disk) InjectFaults(p storage.FaultProfile) *storage.FaultDevice {
 	return d.faults
 }
 
-// Faults returns the drive's fault layer, or nil if InjectFaults was
-// never called.
-func (d *Disk) Faults() *storage.FaultDevice { return d.faults }
-
 // SetRetryPolicy replaces the drive's transient-fault retry policy.
 func (d *Disk) SetRetryPolicy(p storage.RetryPolicy) { d.retry = p }
 

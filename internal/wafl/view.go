@@ -78,29 +78,6 @@ func (v *View) getInodeSnap(ctx context.Context, ino Inum) (Inode, error) {
 	return UnmarshalInode(blk[off : off+InodeSize]), nil
 }
 
-// InodeIfAllocated returns (inode, true) when slot ino is allocated in
-// this view, used by dump's inode-ordered sweep.
-func (v *View) InodeIfAllocated(ctx context.Context, ino Inum) (Inode, bool, error) {
-	if v.snap == nil {
-		if ino < RootIno || ino >= v.fs.nextIno {
-			return Inode{}, false, nil
-		}
-		st, err := v.fs.state(ctx, ino)
-		if err != nil {
-			return Inode{}, false, err
-		}
-		return st.ino, st.ino.Allocated(), nil
-	}
-	if ino < RootIno || uint64(ino) >= v.NumInodes(ctx) {
-		return Inode{}, false, nil
-	}
-	inode, err := v.getInodeSnap(ctx, ino)
-	if err != nil {
-		return Inode{}, false, err
-	}
-	return inode, inode.Allocated(), nil
-}
-
 // readAt reads file data as seen by the view.
 func (v *View) readAt(ctx context.Context, ino Inum, off uint64, buf []byte) (int, error) {
 	if v.snap == nil {

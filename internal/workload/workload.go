@@ -133,11 +133,6 @@ type AgeSpec struct {
 	MeanFileSize int
 }
 
-// DefaultAge returns churn that measurably fragments a small volume.
-func DefaultAge() AgeSpec {
-	return AgeSpec{Seed: 2, Rounds: 8, ChurnPerRound: 60, MeanFileSize: 24 << 10}
-}
-
 // Age applies churn to the existing paths, returning the surviving
 // path list. Deletions and recreations interleave with consistency
 // points so freed space scatters through the volume.
