@@ -1,6 +1,7 @@
 GO ?= go
 
 WORKLOAD ?= logical-4d
+PHASE ?=
 
 .PHONY: tier1 race tables tables-check attribution build vet test chaos fuzz-smoke obs-smoke loc
 
@@ -42,8 +43,9 @@ obs-smoke: ## instrumented dump with tracing + metrics, validated end to end
 	$(GO) run ./cmd/backupctl stats -mb 4 -trace obs_trace.json -check > /dev/null
 	rm -f obs_trace.json
 
-attribution: ## per-layer table of one traced benchmark run (non-zero series): run it at the parent and at the change for the before/after of a speed-up
-	@bash benchmark/run.sh --workload $(WORKLOAD) --seed 1999 --seconds 6 --trace 1 | awk '/^  / && $$2 + 0 != 0'
+attribution: ## per-layer table of one traced benchmark run (non-zero series; PHASE=dump|restore keeps one side's): run it at the parent and at the change for the before/after of a speed-up
+	@case "$(PHASE)" in ""|dump|restore) ;; *) echo "PHASE must be dump or restore, not '$(PHASE)'" >&2; exit 1;; esac
+	@bash benchmark/run.sh --workload $(WORKLOAD) --seed 1999 --seconds 6 --trace 1 | awk -v phase="$(PHASE)" '/^  / && $$2 + 0 != 0 && (phase == "" || $$1 ~ "\\." phase "$$")'
 
 tables: ## regenerate every EXPERIMENTS.md table into the committed reference
 	$(GO) run ./cmd/benchtables > docs/benchtables-reference.txt

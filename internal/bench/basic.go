@@ -245,34 +245,27 @@ func fourOps(ctx context.Context, cfg Config, drives int, basic bool) (*Result, 
 		return nil, err
 	}
 
-	// Logical restore: wipe, then one restore per shard stream. Stream
-	// 0 goes first alone — every stream carries the full directory set,
-	// so its directory pass builds the whole skeleton and the concurrent
-	// siblings only map existing directories (their file slices are
-	// disjoint, so no name is created twice).
+	// Logical restore: wipe, then one restore per shard stream, all
+	// started together. Every stream carries the full directory set;
+	// whichever reaches a directory first makes it and the others adopt
+	// it, and their file slices are disjoint.
 	if err := f.Wipe(ctx); err != nil {
 		return nil, err
 	}
-	restoreStream := func(i int) opBody {
-		return func(c context.Context, rec *Recorder) (int64, error) {
+	running := make([]func() (OpResult, error), drives)
+	for i := range running {
+		running[i] = start(ctx, meters, "Logical Restore", func(c context.Context, rec *Recorder) (int64, error) {
 			stats, err := f.LogicalRestore(c, i, "/", false, rec)
 			if err != nil {
 				return 0, err
 			}
 			return stats.BytesRead, nil
-		}
-	}
-	streams := make([]OpResult, drives)
-	if streams[0], err = measure(ctx, meters, "Logical Restore", restoreStream(0)); err != nil {
-		return nil, err
-	}
-	siblings := make([]func() (OpResult, error), drives)
-	for i := 1; i < drives; i++ {
-		siblings[i] = start(ctx, meters, "Logical Restore", restoreStream(i))
+		})
 	}
 	f.Env.Run()
-	for i := 1; i < drives; i++ {
-		if streams[i], err = siblings[i](); err != nil {
+	streams := make([]OpResult, drives)
+	for i := range running {
+		if streams[i], err = running[i](); err != nil {
 			return nil, err
 		}
 	}

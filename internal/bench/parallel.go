@@ -88,6 +88,10 @@ type ScalingPoint struct {
 	PhysPer     float64
 	LogicalCPU  float64
 	PhysCPU     float64
+
+	// The restores of the same run, in MB/s.
+	LogicalRestoreMBps float64
+	PhysRestoreMBps    float64
 }
 
 // Scaling derives the scaling-summary row from a run's two backups.
@@ -101,6 +105,9 @@ func (r *Result) Scaling() ScalingPoint {
 		PhysPer:     r.PhysicalBackup.GBph() / n,
 		LogicalCPU:  r.LogicalBackup.CPUUtil,
 		PhysCPU:     r.PhysicalBackup.CPUUtil,
+
+		LogicalRestoreMBps: r.LogicalRestore.MBps(),
+		PhysRestoreMBps:    r.PhysicalRestore.MBps(),
 	}
 }
 

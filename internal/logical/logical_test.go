@@ -266,9 +266,63 @@ func TestIncrementalChainWithDeletesAndRenames(t *testing.T) {
 	// Restore: level 0, then apply level 1 with deletion sync.
 	dst := newFS(t, 16384)
 	restoreFromTape(t, dst, tape0)
-	restoreFromTape(t, dst, tape1, func(o *RestoreOptions) { o.SyncDeletes = true })
+	grows, _ := dst.ActiveView().Namei(ctx, "/dir/grows.txt")
+	r1 := restoreFromTape(t, dst, tape1, func(o *RestoreOptions) { o.SyncDeletes = true })
 
 	assertTreesEqual(t, digests(t, sv1, "/"), digests(t, dst.ActiveView(), "/"))
+	if err := dst.MustCheck(ctx); err != nil {
+		t.Fatal(err)
+	}
+	// The level 1 deleted exactly the two names that went away, made no
+	// directory, and updated the changed file in place.
+	if r1.Deleted != 2 || r1.DirsCreated != 0 {
+		t.Fatalf("level 1 deleted %d entries and made %d directories, want 2 and 0", r1.Deleted, r1.DirsCreated)
+	}
+	if ino, _ := dst.ActiveView().Namei(ctx, "/dir/grows.txt"); ino != grows {
+		t.Fatalf("/dir/grows.txt is inode %d after the level 1, was %d: not adopted", ino, grows)
+	}
+}
+
+// TestRestoreIntoPopulatedDirectory: a restore without SyncDeletes
+// adopts what the target already has under the dump's names — an
+// existing directory is descended into, an existing file truncated and
+// rewritten in place — and leaves every unrelated entry alone.
+func TestRestoreIntoPopulatedDirectory(t *testing.T) {
+	src := newFS(t, 8192)
+	src.WriteFile(ctx, "/shared/from-dump.txt", []byte("dump"), 0644)
+	src.WriteFile(ctx, "/shared/both.txt", []byte("short"), 0644)
+	src.WriteFile(ctx, "/new/file.txt", []byte("new"), 0644)
+	src.CreateSnapshot(ctx, "s")
+	sv, _ := src.SnapshotView("s")
+	drive := newTape(t, 0, 1)
+	dumpToTape(t, sv, drive, 0, nil)
+
+	dst := newFS(t, 8192)
+	dst.WriteFile(ctx, "/shared/both.txt", []byte("a much longer local version"), 0600)
+	dst.WriteFile(ctx, "/shared/local.txt", []byte("local"), 0644)
+	dst.WriteFile(ctx, "/unrelated/keep.txt", []byte("keep"), 0644)
+	av := dst.ActiveView()
+	shared, _ := av.Namei(ctx, "/shared")
+	both, _ := av.Namei(ctx, "/shared/both.txt")
+
+	stats := restoreFromTape(t, dst, drive)
+	if stats.DirsCreated != 1 || stats.Deleted != 0 {
+		t.Fatalf("made %d directories and deleted %d entries, want 1 (/new) and 0", stats.DirsCreated, stats.Deleted)
+	}
+	for path, want := range map[string]string{
+		"/shared/from-dump.txt": "dump", "/shared/both.txt": "short", "/new/file.txt": "new",
+		"/shared/local.txt": "local", "/unrelated/keep.txt": "keep",
+	} {
+		if got, err := av.ReadFile(ctx, path); err != nil || string(got) != want {
+			t.Errorf("%s = %q, %v; want %q", path, got, err, want)
+		}
+	}
+	if ino, _ := av.Namei(ctx, "/shared"); ino != shared {
+		t.Errorf("/shared is inode %d, was %d: the existing directory was not adopted", ino, shared)
+	}
+	if ino, _ := av.Namei(ctx, "/shared/both.txt"); ino != both {
+		t.Errorf("/shared/both.txt is inode %d, was %d: the existing file was not adopted", ino, both)
+	}
 	if err := dst.MustCheck(ctx); err != nil {
 		t.Fatal(err)
 	}

@@ -6,6 +6,9 @@ import (
 	"io"
 	"testing"
 
+	"repro/internal/nvram"
+	"repro/internal/sim"
+	"repro/internal/storage"
 	"repro/internal/stream"
 	"repro/internal/tape"
 	"repro/internal/wafl"
@@ -98,6 +101,64 @@ func TestLogicalParallelRestoreOrderIndependence(t *testing.T) {
 		if err := dst.MustCheck(ctx); err != nil {
 			t.Fatalf("order %v: %v", order, err)
 		}
+	}
+}
+
+// TestLogicalParallelRestoreStreamsStartTogether: every shard stream
+// carries the full directory set, so streams that start at once race
+// to make the same directories. Each directory is made by exactly one
+// of them, the losers adopt it, and the tree comes out whole.
+func TestLogicalParallelRestoreStreamsStartTogether(t *testing.T) {
+	_, sv := parallelLogicalFS(t, 74)
+	const nShards = 4
+	sinks := make([]stream.Sink, nShards)
+	streams := make([]*memSink, nShards)
+	for k := range sinks {
+		streams[k] = &memSink{}
+		sinks[k] = streams[k]
+	}
+	if _, err := Dump(ctx, DumpOptions{View: sv, Sinks: sinks, Label: "race", ReadAhead: 8, Readers: 2}); err != nil {
+		t.Fatalf("parallel dump: %v", err)
+	}
+	wantTree := digests(t, sv, "/")
+	dirs := 0
+	for p, e := range wantTree {
+		if p != "" && e.Type == wafl.ModeDir { // "" is the root
+			dirs++
+		}
+	}
+
+	// A CPU station and a timed NVRAM are what make the simulator
+	// interleave the streams between operations.
+	env := sim.NewEnv()
+	costs := wafl.DefaultCosts()
+	costs.CPU = sim.NewStation(env, "cpu", 0)
+	dst, err := wafl.Mkfs(ctx, storage.NewMemDevice(16384), nvram.New(env, nvram.DefaultParams()), wafl.Options{Costs: costs, Env: env})
+	if err != nil {
+		t.Fatal(err)
+	}
+	made := make([]int, nShards)
+	for k := range streams {
+		env.Spawn(fmt.Sprintf("restore%d", k), func(p *sim.Proc) {
+			st, err := Restore(sim.WithProc(ctx, p), RestoreOptions{FS: dst, Source: streams[k].source(), KernelIntegrated: true})
+			if err != nil {
+				t.Errorf("shard %d: %v", k, err)
+				return
+			}
+			made[k] = st.DirsCreated
+		})
+	}
+	env.Run()
+	assertTreesEqual(t, wantTree, digests(t, dst.ActiveView(), "/"))
+	if err := dst.MustCheck(ctx); err != nil {
+		t.Fatal(err)
+	}
+	total := 0
+	for _, n := range made {
+		total += n
+	}
+	if total != dirs {
+		t.Fatalf("streams made %v directories of the tree's %d: want each made exactly once", made, dirs)
 	}
 }
 

@@ -339,6 +339,8 @@ type restoreState struct {
 	locs map[wafl.Inum][]location
 
 	dirsToFinish []wafl.Inum // dump dir inos created/updated this run
+
+	batch []byte // restoreFile's write-coalescing buffer, empty between files; FS.Write keeps no reference to it
 }
 
 type location struct {
@@ -390,6 +392,18 @@ func (rst *restoreState) buildSkeleton(ctx context.Context) error {
 			rst.locs[e.Ino] = append(rst.locs[e.Ino], location{dir: d, name: e.Name})
 		}
 
+		// One listing of the target directory answers every question
+		// this pass has about it: what to delete, which directories
+		// are already there, which files to adopt.
+		existing, err := av.Readdir(ctx, fsDir)
+		if err != nil {
+			return err
+		}
+		onDisk := make(map[string]wafl.Inum, len(existing))
+		for _, e := range existing {
+			onDisk[e.Name] = e.Ino
+		}
+
 		// Deletion sync: anything on the filesystem that the dump's
 		// copy of this directory does not mention was deleted (or
 		// renamed away) between base and incremental. Only directories
@@ -397,10 +411,6 @@ func (rst *restoreState) buildSkeleton(ctx context.Context) error {
 		// incremental omits unchanged directories entirely, and their
 		// absence says nothing about deletions.
 		if _, onTape := des.ents[d]; rst.opts.SyncDeletes && onTape {
-			existing, err := av.Readdir(ctx, fsDir)
-			if err != nil {
-				return err
-			}
 			for _, e := range existing {
 				if e.Name == "." || e.Name == ".." {
 					continue
@@ -421,36 +431,43 @@ func (rst *restoreState) buildSkeleton(ctx context.Context) error {
 		sort.Strings(names)
 		for _, n := range names {
 			e := dumpNames[n]
-			if e.Type == wafl.ModeDir {
-				if !rst.selected(e.Ino) && rst.wanted != nil {
-					// Still descend: a selected file may live below.
-					if !rst.anySelectedBelow(e.Ino) {
-						continue
-					}
-				}
-				fsIno, err := av.Lookup(ctx, fsDir, n)
-				if err != nil {
-					attrs := des.attrs[e.Ino]
-					perm := attrs.Mode & 0777
-					if perm == 0 {
-						perm = 0755
-					}
-					if !rst.opts.KernelIntegrated {
-						perm = 0700 // provisional; fixed in the final pass
-					}
-					fsIno, err = rst.fs.Mkdir(ctx, fsDir, n, perm, attrs.UID, attrs.GID)
-					if err != nil {
-						return err
-					}
-					rst.stats.DirsCreated++
-				}
-				rst.inoMap[e.Ino] = fsIno
-				queue = append(queue, e.Ino)
-			} else {
-				if fsIno, err := av.Lookup(ctx, fsDir, n); err == nil {
+			fsIno, exists := onDisk[n]
+			if e.Type != wafl.ModeDir {
+				if exists {
 					rst.inoMap[e.Ino] = fsIno
 				}
+				continue
 			}
+			if !rst.selected(e.Ino) && rst.wanted != nil {
+				// Still descend: a selected file may live below.
+				if !rst.anySelectedBelow(e.Ino) {
+					continue
+				}
+			}
+			if !exists {
+				attrs := des.attrs[e.Ino]
+				perm := attrs.Mode & 0777
+				if perm == 0 {
+					perm = 0755
+				}
+				if !rst.opts.KernelIntegrated {
+					perm = 0700 // provisional; fixed in the final pass
+				}
+				fsIno, err = rst.fs.Mkdir(ctx, fsDir, n, perm, attrs.UID, attrs.GID)
+				if errors.Is(err, wafl.ErrExists) {
+					// A sibling stream of the same set, restoring
+					// concurrently, made it since the listing: every
+					// stream carries the full directory set.
+					fsIno, err = av.Lookup(ctx, fsDir, n)
+				} else if err == nil {
+					rst.stats.DirsCreated++
+				}
+				if err != nil {
+					return err
+				}
+			}
+			rst.inoMap[e.Ino] = fsIno
+			queue = append(queue, e.Ino)
 		}
 	}
 	return nil
@@ -592,14 +609,13 @@ func (rst *restoreState) restoreFile(ctx context.Context, r *dumpfmt.Reader, h *
 	// run rather than per 1 KB segment, as a real restore does.
 	segBase := int64(0)
 	cur := h
-	var batch []byte
 	var batchOff uint64
 	flush := func() error {
-		if len(batch) == 0 {
+		if len(rst.batch) == 0 {
 			return nil
 		}
-		err := rst.fs.Write(ctx, fsIno, batchOff, batch)
-		batch = batch[:0]
+		err := rst.fs.Write(ctx, fsIno, batchOff, rst.batch)
+		rst.batch = rst.batch[:0]
 		return err
 	}
 	const maxBatch = 64 << 10
@@ -628,15 +644,15 @@ func (rst *restoreState) restoreFile(ctx context.Context, r *dumpfmt.Reader, h *
 				if len(seg) == 0 {
 					continue
 				}
-				if len(batch) > 0 && (batchOff+uint64(len(batch)) != off || len(batch) >= maxBatch) {
+				if len(rst.batch) > 0 && (batchOff+uint64(len(rst.batch)) != off || len(rst.batch) >= maxBatch) {
 					if err := flush(); err != nil {
 						return nil, err
 					}
 				}
-				if len(batch) == 0 {
+				if len(rst.batch) == 0 {
 					batchOff = off
 				}
-				batch = append(batch, seg...)
+				rst.batch = append(rst.batch, seg...)
 				rst.stats.BytesRead += int64(len(seg))
 			}
 		} else {

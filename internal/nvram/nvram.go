@@ -62,22 +62,44 @@ func New(env *sim.Env, p Params) *Log {
 	return l
 }
 
-// Append logs one serialized operation. The caller should take a
+// Append logs one serialized operation and blocks the caller's process
+// until it is committed: Record, then Commit. The caller should take a
 // consistency point when NeedCP reports true; Append itself only fails
 // when a single entry cannot fit at all.
 func (l *Log) Append(ctx context.Context, op []byte) error {
+	svc, err := l.Record(op)
+	if err != nil {
+		return err
+	}
+	l.Commit(ctx, svc)
+	return nil
+}
+
+// Record places one serialized operation in the log, after every entry
+// recorded before it, and returns the service time its commit costs.
+// It takes no modelled time, so a caller that must keep entries in the
+// order it applied them can record under its own lock and pay Commit
+// after releasing it; the operation must not be acknowledged before
+// Commit returns.
+func (l *Log) Record(op []byte) (time.Duration, error) {
 	if l.params.Size > 0 && l.used+len(op) > l.params.Size {
-		return ErrFull
+		return 0, ErrFull
 	}
 	cp := make([]byte, len(op))
 	copy(cp, op)
 	l.entries = append(l.entries, cp)
 	l.used += len(op)
 	l.appends++
+	return l.params.PerOp + time.Duration(len(op))*l.params.PerByte, nil
+}
+
+// Commit blocks the process in ctx for svc of service on the NVRAM
+// station, queued behind every commit already waiting there. Untimed
+// callers return at once.
+func (l *Log) Commit(ctx context.Context, svc time.Duration) {
 	if p := sim.ProcFrom(ctx); p != nil {
-		l.station.Sync(p, l.params.PerOp+time.Duration(len(op))*l.params.PerByte)
+		l.station.Sync(p, svc)
 	}
-	return nil
 }
 
 // NeedCP reports whether the log has passed its high-water mark (half

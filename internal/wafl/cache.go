@@ -40,22 +40,10 @@ func (c *blockCache) get(bno BlockNo) []byte {
 	return nil
 }
 
-// put inserts or refreshes bno with a copy of data, for callers that keep
-// their slice.
-func (c *blockCache) put(bno BlockNo, data []byte) {
-	if c.max <= 0 {
-		return
-	}
-	if e, ok := c.index[bno]; ok {
-		copy(e.Value.(*cacheEntry).data, data)
-		c.lru.MoveToFront(e)
-		return
-	}
-	c.insert(bno, append([]byte(nil), data...))
-}
-
-// insert is put for a buffer the caller hands over: the cache owns data
-// from here on, so a block read from the device is allocated once.
+// insert caches data as the contents of bno, replacing what was there.
+// The caller hands the buffer over: the cache owns data from here on,
+// so a block read from the device, or staged and then written by a
+// consistency point, is allocated once.
 func (c *blockCache) insert(bno BlockNo, data []byte) {
 	if c.max <= 0 {
 		return

@@ -135,6 +135,8 @@ func (fs *FS) flushState(ctx context.Context, st *istate) error {
 			if err := fs.writeBlock(ctx, npbn, st.dirty[fbn]); err != nil {
 				return err
 			}
+			// Billed at once, not through fs.charge: a consistency
+			// point's CPU is spent under the lock, like its writes.
 			fs.costs.charge(ctx, fs.costs.CPBlock)
 		}
 		st.dirty = make(map[uint32][]byte)

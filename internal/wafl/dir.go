@@ -41,28 +41,54 @@ func initDirBlock(blk []byte) {
 	blk[5] = byte(BlockSize >> 8)
 }
 
+// dirRecAt decodes and validates the fixed part of the record at off.
+func dirRecAt(blk []byte, off int) (ino Inum, reclen, namelen int, ftype uint32, err error) {
+	if off+dirRecFixed > BlockSize {
+		return 0, 0, 0, 0, fmt.Errorf("%w: truncated directory record at %d", ErrCorrupt, off)
+	}
+	ino = Inum(leU32(blk[off:]))
+	reclen = int(blk[off+4]) | int(blk[off+5])<<8
+	namelen = int(blk[off+6])
+	ftype = uint32(blk[off+7]) << 12
+	if reclen < dirRecFixed || off+reclen > BlockSize || dirRecLen(namelen) > reclen {
+		return 0, 0, 0, 0, fmt.Errorf("%w: bad directory record at %d (reclen %d)", ErrCorrupt, off, reclen)
+	}
+	return ino, reclen, namelen, ftype, nil
+}
+
 // dirForEach iterates the records of one directory block. The callback
 // gets the record offset, its fields, and returns false to stop.
 func dirForEach(blk []byte, fn func(off int, ino Inum, reclen int, ftype uint32, name string) bool) error {
-	off := 0
-	for off < BlockSize {
-		if off+dirRecFixed > BlockSize {
-			return fmt.Errorf("%w: truncated directory record at %d", ErrCorrupt, off)
+	for off := 0; off < BlockSize; {
+		ino, reclen, namelen, ftype, err := dirRecAt(blk, off)
+		if err != nil {
+			return err
 		}
-		ino := Inum(leU32(blk[off:]))
-		reclen := int(blk[off+4]) | int(blk[off+5])<<8
-		namelen := int(blk[off+6])
-		ftype := uint32(blk[off+7]) << 12
-		if reclen < dirRecFixed || off+reclen > BlockSize || dirRecLen(namelen) > reclen {
-			return fmt.Errorf("%w: bad directory record at %d (reclen %d)", ErrCorrupt, off, reclen)
-		}
-		name := string(blk[off+dirRecFixed : off+dirRecFixed+namelen])
-		if !fn(off, ino, reclen, ftype, name) {
+		if !fn(off, ino, reclen, ftype, string(blk[off+dirRecFixed:off+dirRecFixed+namelen])) {
 			return nil
 		}
 		off += reclen
 	}
 	return nil
+}
+
+// dirFind returns the offset, inode and type of the live record called
+// name in blk, or ino 0 if there is none. It compares the records'
+// bytes in place, so a lookup builds no string per record it passes
+// over, and hands blk to no callback, so callers' scan buffers stay on
+// their stacks.
+func dirFind(blk []byte, name string) (at int, found Inum, foundType uint32, err error) {
+	for off := 0; off < BlockSize; {
+		ino, reclen, namelen, ftype, err := dirRecAt(blk, off)
+		if err != nil {
+			return 0, 0, 0, err
+		}
+		if ino != 0 && string(blk[off+dirRecFixed:off+dirRecFixed+namelen]) == name {
+			return off, ino, ftype, nil
+		}
+		off += reclen
+	}
+	return 0, 0, 0, nil
 }
 
 // dirInsertInBlock places (name → ino) in blk if space allows,
@@ -125,19 +151,13 @@ func dirInsertInBlock(blk []byte, name string, ino Inum, ftype uint32) error {
 // dirRemoveFromBlock deletes name from blk, returning the removed
 // inode number, or (0, false) if absent.
 func dirRemoveFromBlock(blk []byte, name string) (Inum, bool) {
-	var removed Inum
-	found := false
-	dirForEach(blk, func(off int, ino Inum, reclen int, ftype uint32, n string) bool {
-		if ino != 0 && n == name {
-			removed = ino
-			putU32(blk[off:], 0) // mark free; coalescing happens on insert
-			blk[off+6] = 0
-			found = true
-			return false
-		}
-		return true
-	})
-	return removed, found
+	off, removed, _, _ := dirFind(blk, name)
+	if removed == 0 {
+		return 0, false
+	}
+	putU32(blk[off:], 0) // mark free; coalescing happens on insert
+	blk[off+6] = 0
+	return removed, true
 }
 
 // lookupDir finds name in directory dir of view v.
@@ -149,22 +169,14 @@ func (v *View) lookupDir(ctx context.Context, dir Inum, name string) (Inum, uint
 	if !IsDir(ino.Mode) {
 		return 0, 0, ErrNotDir
 	}
-	v.fs.costs.charge(ctx, v.fs.costs.Op)
+	v.fs.charge(ctx, v.fs.costs.Op)
 	blocks := ino.Blocks()
 	blk := make([]byte, BlockSize)
 	for fbn := uint32(0); fbn < blocks; fbn++ {
 		if _, err := v.readAt(ctx, dir, uint64(fbn)*BlockSize, blk); err != nil {
 			return 0, 0, err
 		}
-		var got Inum
-		var gotType uint32
-		err := dirForEach(blk, func(off int, eIno Inum, reclen int, ftype uint32, n string) bool {
-			if eIno != 0 && n == name {
-				got, gotType = eIno, ftype
-				return false
-			}
-			return true
-		})
+		_, got, gotType, err := dirFind(blk, name)
 		if err != nil {
 			return 0, 0, err
 		}
@@ -185,7 +197,7 @@ func (v *View) Readdir(ctx context.Context, dir Inum) ([]DirEnt, error) {
 	if !IsDir(ino.Mode) {
 		return nil, ErrNotDir
 	}
-	v.fs.costs.charge(ctx, v.fs.costs.Op)
+	v.fs.charge(ctx, v.fs.costs.Op)
 	var ents []DirEnt
 	blocks := ino.Blocks()
 	blk := make([]byte, BlockSize)

@@ -2,6 +2,7 @@ package wafl
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"fmt"
 	"strings"
@@ -278,5 +279,45 @@ func TestManySmallFilesAcrossManyCPs(t *testing.T) {
 				t.Fatalf("%s corrupted: %v", p, err)
 			}
 		}
+	}
+}
+
+// failNextRead is a device whose next read fails with err.
+type failNextRead struct {
+	storage.Device
+	err error
+}
+
+func (d *failNextRead) ReadBlock(ctx context.Context, bno int, buf []byte) error {
+	if err := d.err; err != nil {
+		d.err = nil
+		return err
+	}
+	return d.Device.ReadBlock(ctx, bno, buf)
+}
+
+// TestMkdirAllPassesOtherErrorsThrough: only ErrNotFound means a
+// component is missing. An error that merely quotes that phrase (here a
+// read error naming a path) used to be answered with Mkdir, which then
+// reported the existing directory as ErrExists.
+func TestMkdirAllPassesOtherErrorsThrough(t *testing.T) {
+	dev := &failNextRead{Device: storage.NewMemDevice(512)}
+	fs, err := Mkfs(ctx, dev, nil, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := fs.MkdirAll(ctx, "/a", 0755); err != nil {
+		t.Fatal(err)
+	}
+	if err := fs.CP(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if fs, err = Mount(ctx, dev, nil, Options{}); err != nil { // cold cache
+		t.Fatal(err)
+	}
+	ioErr := fmt.Errorf("read %q: input/output error", "/vol/"+ErrNotFound.Error())
+	dev.err = ioErr
+	if _, err := fs.MkdirAll(ctx, "/a/b", 0755); !errors.Is(err, ioErr) {
+		t.Fatalf("MkdirAll = %v, want the read error", err)
 	}
 }

@@ -167,7 +167,7 @@ func (fs *FS) readAt(ctx context.Context, ino Inum, off uint64, buf []byte) (int
 		} else {
 			copy(buf[n:n+want], src[bo:bo+want])
 		}
-		fs.costs.charge(ctx, fs.costs.ReadBlock+fs.costs.CopyBlock)
+		fs.charge(ctx, fs.costs.ReadBlock+fs.costs.CopyBlock)
 		n += want
 	}
 	return n, nil
@@ -292,7 +292,7 @@ func (fs *FS) writeAtOpts(ctx context.Context, ino Inum, off uint64, data []byte
 		}
 		copy(blk[bo:bo+want], data[n:n+want])
 		if charge {
-			fs.costs.charge(ctx, fs.costs.WriteBlock+fs.costs.CopyBlock)
+			fs.charge(ctx, fs.costs.WriteBlock+fs.costs.CopyBlock)
 		}
 		n += want
 	}

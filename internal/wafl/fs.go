@@ -85,10 +85,12 @@ type FS struct {
 	freeInos []Inum
 	nextIno  Inum
 
-	stagedBlocks int       // staged-but-unallocated dirty blocks, for ENOSPC
-	owner        *sim.Proc // simulated process holding the FS lock
-	replaying    bool      // true while replaying the NVRAM log
-	noLog        bool      // NVRAM logging disabled (see SetNVRAMLogging)
+	stagedBlocks int           // staged-but-unallocated dirty blocks, for ENOSPC
+	owner        *sim.Proc     // simulated process holding the FS lock
+	owedCPU      time.Duration // CPU the owner has burned under the lock, billed at unlock
+	owedCommit   time.Duration // NVRAM commit time of the entries it recorded, likewise
+	replaying    bool          // true while replaying the NVRAM log
+	noLog        bool          // NVRAM logging disabled (see SetNVRAMLogging)
 	lastCPAt     sim.Time
 	logical      int64 // fallback logical clock
 	lastRead     map[Inum]uint32
@@ -105,6 +107,17 @@ type FS struct {
 // against the CP the same way. The lock is recursive per process
 // (maybeCP runs under its caller's lock) and free for untimed callers,
 // which are single-threaded by construction.
+//
+// What the lock covers is the staging of a mutation in memory, which
+// takes no modelled time. The CPU an operation burns and the NVRAM
+// commit of the entry it records are not staging: while the lock is
+// held they are only noted (charge, logAppend), and the outermost
+// unlock pays them on the shared stations after letting the next
+// operation in — still before the operation returns, so nothing is
+// acknowledged ahead of its log entry. A consistency point is the
+// exception: it writes the staged state out under the lock, device
+// time and its own CPU included, because a sibling staging into state
+// the CP is half-way through flushing is exactly what the lock is for.
 func (fs *FS) lock(ctx context.Context) func() {
 	p := sim.ProcFrom(ctx)
 	if p == nil || fs.owner == p {
@@ -114,7 +127,30 @@ func (fs *FS) lock(ctx context.Context) func() {
 		p.Sleep(50 * time.Microsecond)
 	}
 	fs.owner = p
-	return func() { fs.owner = nil }
+	return func() {
+		cpu, commit := fs.owedCPU, fs.owedCommit
+		fs.owedCPU, fs.owedCommit = 0, 0
+		fs.owner = nil
+		fs.costs.charge(ctx, cpu)
+		if commit > 0 {
+			fs.log.Commit(ctx, commit)
+		}
+	}
+}
+
+// holds reports whether the process in ctx is the one holding the lock.
+func (fs *FS) holds(ctx context.Context) bool {
+	return fs.owner != nil && fs.owner == sim.ProcFrom(ctx)
+}
+
+// charge bills d of CPU time to the process in ctx: at once, or when
+// that process releases the filesystem lock if it is holding it.
+func (fs *FS) charge(ctx context.Context, d time.Duration) {
+	if fs.holds(ctx) {
+		fs.owedCPU += d
+		return
+	}
+	fs.costs.charge(ctx, d)
 }
 
 // now returns the filesystem's notion of the current time in unix
@@ -366,12 +402,14 @@ func (fs *FS) readBlock(ctx context.Context, pbn BlockNo) ([]byte, error) {
 	return buf, nil
 }
 
-// writeBlock writes a physical block and updates the cache.
+// writeBlock writes a physical block and hands data to the cache: the
+// callers are a consistency point's flushes, each of which drops its
+// buffer once it is written, so the cache keeps it instead of a copy.
 func (fs *FS) writeBlock(ctx context.Context, pbn BlockNo, data []byte) error {
 	if err := fs.dev.WriteBlock(ctx, int(pbn), data); err != nil {
 		return err
 	}
-	fs.cache.put(pbn, data)
+	fs.cache.insert(pbn, data)
 	return nil
 }
 

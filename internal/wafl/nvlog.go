@@ -91,16 +91,25 @@ func (d *logDec) bytes() []byte {
 	return b
 }
 
-// append commits an entry to NVRAM unless logging is off or replaying.
+// logAppend records an entry in NVRAM, unless logging is off or
+// replaying, and pays for its commit: at once, or — when the caller
+// holds the filesystem lock, so that the entry lands in the order the
+// operations were staged — when the lock is released (see lock).
 func (fs *FS) logAppend(ctx context.Context, e *logEnc) {
 	if fs.log == nil || fs.replaying || fs.noLog {
 		return
 	}
-	// Append never legitimately fails here: maybeCP keeps the log
+	// Record never legitimately fails here: maybeCP keeps the log
 	// below capacity. A failure indicates a sizing bug.
-	if err := fs.log.Append(ctx, e.buf); err != nil {
+	svc, err := fs.log.Record(e.buf)
+	if err != nil {
 		panic(fmt.Sprintf("wafl: NVRAM append failed: %v", err))
 	}
+	if fs.holds(ctx) {
+		fs.owedCommit += svc
+		return
+	}
+	fs.log.Commit(ctx, svc)
 }
 
 func (fs *FS) logCreate(ctx context.Context, op opcode, parent Inum, name string, ino Inum, mode, uid, gid uint32, target string) {

@@ -2,6 +2,7 @@ package wafl
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"strings"
 	"time"
@@ -60,7 +61,7 @@ func (fs *FS) makeNode(ctx context.Context, parent Inum, name string, mode uint3
 	if err := validName(name); err != nil {
 		return 0, err
 	}
-	fs.costs.charge(ctx, fs.costs.Op)
+	fs.charge(ctx, fs.costs.Op)
 	pst, err := fs.state(ctx, parent)
 	if err != nil {
 		return 0, err
@@ -121,7 +122,7 @@ func (fs *FS) Write(ctx context.Context, ino Inum, off uint64, data []byte) erro
 	if len(data) > 0 {
 		first := off / BlockSize
 		last := (off + uint64(len(data)) - 1) / BlockSize
-		fs.costs.charge(ctx, time.Duration(last-first+1)*(fs.costs.WriteBlock+fs.costs.CopyBlock))
+		fs.charge(ctx, time.Duration(last-first+1)*(fs.costs.WriteBlock+fs.costs.CopyBlock))
 	}
 	fs.logWrite(ctx, ino, off, data)
 	defer fs.lock(ctx)()
@@ -148,7 +149,7 @@ func (fs *FS) Truncate(ctx context.Context, ino Inum, size uint64) error {
 	if IsDir(st.ino.Mode) {
 		return ErrIsDir
 	}
-	fs.costs.charge(ctx, fs.costs.Op)
+	fs.charge(ctx, fs.costs.Op)
 	if err := fs.truncateTo(ctx, ino, size); err != nil {
 		return err
 	}
@@ -159,7 +160,7 @@ func (fs *FS) Truncate(ctx context.Context, ino Inum, size uint64) error {
 // Remove deletes the non-directory entry name from parent.
 func (fs *FS) Remove(ctx context.Context, parent Inum, name string) error {
 	defer fs.lock(ctx)()
-	fs.costs.charge(ctx, fs.costs.Op)
+	fs.charge(ctx, fs.costs.Op)
 	ino, _, err := fs.ActiveView().lookupDir(ctx, parent, name)
 	if err != nil {
 		return err
@@ -189,7 +190,7 @@ func (fs *FS) Remove(ctx context.Context, parent Inum, name string) error {
 // Rmdir deletes the empty directory name from parent.
 func (fs *FS) Rmdir(ctx context.Context, parent Inum, name string) error {
 	defer fs.lock(ctx)()
-	fs.costs.charge(ctx, fs.costs.Op)
+	fs.charge(ctx, fs.costs.Op)
 	if name == "." || name == ".." {
 		return fmt.Errorf("%w: cannot remove %q", ErrExists, name)
 	}
@@ -234,7 +235,7 @@ func (fs *FS) Link(ctx context.Context, ino, parent Inum, name string) error {
 	if err := validName(name); err != nil {
 		return err
 	}
-	fs.costs.charge(ctx, fs.costs.Op)
+	fs.charge(ctx, fs.costs.Op)
 	st, err := fs.state(ctx, ino)
 	if err != nil {
 		return err
@@ -265,7 +266,7 @@ func (fs *FS) Rename(ctx context.Context, srcDir Inum, srcName string, dstDir In
 	if err := validName(dstName); err != nil {
 		return err
 	}
-	fs.costs.charge(ctx, fs.costs.Op)
+	fs.charge(ctx, fs.costs.Op)
 	ino, ftype, err := fs.ActiveView().lookupDir(ctx, srcDir, srcName)
 	if err != nil {
 		return err
@@ -339,7 +340,7 @@ func (fs *FS) Rename(ctx context.Context, srcDir Inum, srcName string, dstDir In
 // SetAttr updates attributes of ino.
 func (fs *FS) SetAttr(ctx context.Context, ino Inum, attr Attr) error {
 	defer fs.lock(ctx)()
-	fs.costs.charge(ctx, fs.costs.Op)
+	fs.charge(ctx, fs.costs.Op)
 	st, err := fs.state(ctx, ino)
 	if err != nil {
 		return err
@@ -419,7 +420,7 @@ func (fs *FS) MkdirAll(ctx context.Context, path string, perm uint32) (Inum, err
 				return 0, ErrNotDir
 			}
 			cur = next
-		case strings.Contains(err.Error(), ErrNotFound.Error()):
+		case errors.Is(err, ErrNotFound):
 			next, err = fs.Mkdir(ctx, cur, c, perm, 0, 0)
 			if err != nil {
 				return 0, err

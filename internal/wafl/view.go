@@ -120,7 +120,7 @@ func (v *View) readAtSnap(ctx context.Context, inode *Inode, off uint64, buf []b
 			}
 			copy(buf[n:n+want], src[bo:bo+want])
 		}
-		v.fs.costs.charge(ctx, v.fs.costs.ReadBlock+v.fs.costs.CopyBlock)
+		v.fs.charge(ctx, v.fs.costs.ReadBlock+v.fs.costs.CopyBlock)
 		n += want
 	}
 	return n, nil
