@@ -3,7 +3,7 @@ GO ?= go
 WORKLOAD ?= logical-4d
 PHASE ?=
 
-.PHONY: tier1 race tables tables-check attribution build vet test chaos fuzz-smoke obs-smoke loc
+.PHONY: tier1 race tables tables-check attribution alloc-profile build vet test chaos fuzz-smoke obs-smoke loc
 
 tier1: ## gofmt + vet + build + full test suite (the repo's gate)
 	@test -z "$$(gofmt -l .)" || { echo "gofmt needed:"; gofmt -l .; exit 1; }
@@ -46,6 +46,17 @@ obs-smoke: ## instrumented dump with tracing + metrics, validated end to end
 attribution: ## per-layer table of one traced benchmark run (non-zero series; PHASE=dump|restore keeps one side's): run it at the parent and at the change for the before/after of a speed-up
 	@case "$(PHASE)" in ""|dump|restore) ;; *) echo "PHASE must be dump or restore, not '$(PHASE)'" >&2; exit 1;; esac
 	@bash benchmark/run.sh --workload $(WORKLOAD) --seed 1999 --seconds 6 --trace 1 | awk -v phase="$(PHASE)" '/^  / && $$2 + 0 != 0 && (phase == "" || $$1 ~ "\\." phase "$$")'
+
+ALLOC_PROFILE_DIR ?= $(CURDIR)/.alloc_profile
+
+alloc-profile: ## where the heap objects of a logical dump and restore come from: the two internal/logical allocation pins with every allocation sampled, top 25 sites each — the whole test, tree generation included (the frozen benchmark/ binary has no profile flag)
+	@mkdir -p $(ALLOC_PROFILE_DIR)
+	@for pin in TestDumpAllocsPerMiB TestRestoreAllocsPerMiB; do \
+		echo "== $$pin"; \
+		$(GO) test -count 1 -run "^$$pin\$$" -v -memprofilerate 1 -memprofile $$pin.mem \
+			-o $(ALLOC_PROFILE_DIR)/logical.test -outputdir $(ALLOC_PROFILE_DIR) ./internal/logical | grep 'allocations per MiB' || exit 1; \
+		$(GO) tool pprof -sample_index=alloc_objects -top -nodecount 25 $(ALLOC_PROFILE_DIR)/logical.test $(ALLOC_PROFILE_DIR)/$$pin.mem || exit 1; \
+	done
 
 tables: ## regenerate every EXPERIMENTS.md table into the committed reference
 	$(GO) run ./cmd/benchtables > docs/benchtables-reference.txt

@@ -23,13 +23,14 @@ var flateReaders = sync.Pool{New: func() any {
 	return flate.NewReader(bytes.NewReader(nil))
 }}
 
-// compress returns the deflate encoding of p, or nil when the encoding
-// would not be smaller than p (store raw instead).
-func compress(p []byte) []byte {
-	var buf bytes.Buffer
+// compress returns the deflate encoding of p, built in buf and valid
+// until buf's next use, or nil when the encoding would not be smaller
+// than p (store raw instead).
+func compress(buf *bytes.Buffer, p []byte) []byte {
+	buf.Reset()
 	buf.Grow(len(p))
 	w := flateWriters.Get().(*flate.Writer)
-	w.Reset(&buf)
+	w.Reset(buf)
 	_, werr := w.Write(p)
 	cerr := w.Close()
 	flateWriters.Put(w)

@@ -1,6 +1,7 @@
 package chunk
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -69,6 +70,7 @@ type Writer struct {
 	manifest Manifest
 	stats    WriterStats
 	closed   bool
+	zbuf     bytes.Buffer // deflate output of the chunk being stored; Media.Append consumes it
 
 	mHits, mMisses, mSaved, mRaw, mStored, mRewrites *obs.Counter
 }
@@ -205,7 +207,7 @@ func (w *Writer) hit(n int64) {
 func (w *Writer) store(h Hash, data []byte) error {
 	stored := data
 	compressed := false
-	if c := compress(data); c != nil {
+	if c := compress(&w.zbuf, data); c != nil {
 		stored = c
 		compressed = true
 		w.stats.CompressedChunks++

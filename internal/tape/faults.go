@@ -55,8 +55,13 @@ func (e *MediaError) Is(target error) bool {
 }
 
 // IsTransientMedia reports whether err is a transient media write
-// error worth retrying on the same cartridge.
+// error worth retrying on the same cartridge. Writers ask after every
+// record, so the nil case returns before errors.As, whose target
+// escapes to the heap.
 func IsTransientMedia(err error) bool {
+	if err == nil {
+		return false
+	}
 	var me *MediaError
 	return errors.As(err, &me) && me.Transient
 }

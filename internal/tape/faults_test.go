@@ -127,3 +127,16 @@ func TestProbabilisticMediaErrorsDeterministic(t *testing.T) {
 		t.Fatal("no media errors injected in 400 writes at p=0.05")
 	}
 }
+
+// Writers ask IsTransientMedia about every record they write, and
+// nearly every answer is about a nil error: that case must not cost a
+// heap object.
+func TestIsTransientMediaNilZeroAlloc(t *testing.T) {
+	if n := testing.AllocsPerRun(100, func() {
+		if IsTransientMedia(nil) {
+			t.Fatal("nil is not a media error")
+		}
+	}); n != 0 {
+		t.Fatalf("IsTransientMedia(nil): %v allocs per run, want 0", n)
+	}
+}

@@ -3,7 +3,7 @@ package wafl
 import (
 	"context"
 	"fmt"
-	"sort"
+	"slices"
 
 	"repro/internal/sim"
 )
@@ -25,7 +25,7 @@ func (fs *FS) CP(ctx context.Context) error {
 			inos = append(inos, ino)
 		}
 	}
-	sort.Slice(inos, func(i, j int) bool { return inos[i] < inos[j] })
+	slices.Sort(inos)
 
 	dirtyInodeBlocks := make(map[uint32]bool)
 	for _, ino := range inos {
@@ -46,15 +46,17 @@ func (fs *FS) CP(ctx context.Context) error {
 	for fbn := range dirtyInodeBlocks {
 		fbns = append(fbns, fbn)
 	}
-	sort.Slice(fbns, func(i, j int) bool { return fbns[i] < fbns[j] })
+	slices.Sort(fbns)
 	for _, fbn := range fbns {
-		blk := make([]byte, BlockSize)
+		blk := fs.takeBuf()
 		if pbn := fs.inofSt.fmap[fbn]; pbn != 0 {
 			old, err := fs.readBlock(ctx, pbn)
 			if err != nil {
 				return err
 			}
 			copy(blk, old)
+		} else {
+			clear(blk)
 		}
 		for slot := uint32(0); slot < InodesPerBlock; slot++ {
 			ino := Inum(fbn*InodesPerBlock + slot)
@@ -121,7 +123,7 @@ func (fs *FS) flushState(ctx context.Context, st *istate) error {
 		for fbn := range st.dirty {
 			fbns = append(fbns, fbn)
 		}
-		sort.Slice(fbns, func(i, j int) bool { return fbns[i] < fbns[j] })
+		slices.Sort(fbns)
 		for _, fbn := range fbns {
 			npbn := fs.bmap.alloc()
 			if npbn == 0 {
@@ -135,6 +137,8 @@ func (fs *FS) flushState(ctx context.Context, st *istate) error {
 			if err := fs.writeBlock(ctx, npbn, st.dirty[fbn]); err != nil {
 				return err
 			}
+			// The cache owns the buffer now and may recycle it.
+			delete(st.dirty, fbn)
 			// Billed at once, not through fs.charge: a consistency
 			// point's CPU is spent under the lock, like its writes.
 			fs.costs.charge(ctx, fs.costs.CPBlock)
@@ -188,10 +192,11 @@ func (fs *FS) rebuildTree(ctx context.Context, st *istate) error {
 		if pbn == 0 {
 			return 0, ErrNoSpace
 		}
-		blk := make([]byte, BlockSize)
+		blk := fs.takeBuf()
 		for i, p := range ptrs {
 			putU32(blk[4*i:], uint32(p))
 		}
+		clear(blk[4*len(ptrs):])
 		if err := fs.writeBlock(ctx, pbn, blk); err != nil {
 			return 0, err
 		}
@@ -283,10 +288,12 @@ func (fs *FS) flushBlkmapFile(ctx context.Context) error {
 	}
 	// Serialize after every allocation above has mutated the map.
 	for fbn := 0; fbn < nBlks; fbn++ {
-		blk := make([]byte, BlockSize)
-		for i := 0; i < PtrsPerBlock && fbn*PtrsPerBlock+i < nWords; i++ {
+		blk := fs.takeBuf()
+		n := min(PtrsPerBlock, nWords-fbn*PtrsPerBlock)
+		for i := 0; i < n; i++ {
 			putU32(blk[4*i:], fs.bmap.words[fbn*PtrsPerBlock+i])
 		}
+		clear(blk[4*n:])
 		if err := fs.writeBlock(ctx, st.fmap[uint32(fbn)], blk); err != nil {
 			return err
 		}

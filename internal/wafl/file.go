@@ -219,10 +219,12 @@ func (fs *FS) prefetchBlock(ctx context.Context, pbn BlockNo) {
 		}
 		fs.pref.Prefetch(ctx, int(pbn))
 	}
-	buf := make([]byte, BlockSize)
-	if err := fs.dev.ReadBlock(context.Background(), int(pbn), buf); err == nil {
-		fs.cache.insert(pbn, buf)
+	buf := fs.takeBuf()
+	if err := fs.dev.ReadBlock(context.Background(), int(pbn), buf); err != nil {
+		fs.giveBuf(buf)
+		return
 	}
+	fs.cacheInsert(pbn, buf)
 }
 
 // writeAt stages a write to the active file ino at off, charging the
@@ -276,8 +278,9 @@ func (fs *FS) writeAtOpts(ctx context.Context, ino Inum, off uint64, data []byte
 		}
 		blk, ok := st.dirty[fbn]
 		if !ok {
-			blk = make([]byte, BlockSize)
-			// Partial block write over existing data: read-modify-write.
+			blk = fs.takeBuf()
+			// Partial block write: read-modify-write over existing
+			// data, zeroes where there is none.
 			if bo != 0 || want != BlockSize {
 				if pbn := st.fmap[fbn]; pbn != 0 {
 					old, err := fs.readBlock(ctx, pbn)
@@ -285,6 +288,8 @@ func (fs *FS) writeAtOpts(ctx context.Context, ino Inum, off uint64, data []byte
 						return err
 					}
 					copy(blk, old)
+				} else {
+					clear(blk)
 				}
 			}
 			st.dirty[fbn] = blk
@@ -343,7 +348,7 @@ func (fs *FS) truncateTo(ctx context.Context, ino Inum, size uint64) error {
 				if err != nil {
 					return err
 				}
-				blk = make([]byte, BlockSize)
+				blk = fs.takeBuf()
 				copy(blk, old)
 				st.dirty[fbn] = blk
 				fs.stagedBlocks++

@@ -73,9 +73,15 @@ type FS struct {
 	dev   storage.Device
 	pref  Prefetcher // dev, if it supports prefetch
 	log   *nvram.Log // may be nil (no operation logging)
+	enc   logEnc     // the log entry being built, see logEntry
 	opts  Options
 	costs Costs
 	cache *blockCache
+	bufs  [][]byte // spare block buffers, see takeBuf
+	// poison makes giveBuf scribble over every buffer it is handed, so
+	// that a slice of the cache read after its time reads garbage. Set
+	// only by tests (TestTinyPoisonedCache).
+	poison bool
 
 	info fsinfo
 	bmap *blkmap
@@ -388,17 +394,57 @@ func (fs *FS) readFsinfo(ctx context.Context) (*fsinfo, error) {
 	return read(fsinfoBlockB)
 }
 
+// takeBuf returns a block-sized buffer for a block on its way into the
+// cache — one read from the device, staged by a write, or built by a
+// consistency point — drawing on the buffers the cache has traded back
+// (cacheInsert) before allocating. A recycled buffer holds whatever
+// block it held last: a caller that does not overwrite all of it must
+// clear it first. The spares never outnumber the blocks that were
+// staged or cached at once, and like the cache they are touched only
+// by the filesystem's one running operation.
+func (fs *FS) takeBuf() []byte {
+	if n := len(fs.bufs); n > 0 {
+		buf := fs.bufs[n-1]
+		fs.bufs = fs.bufs[:n-1]
+		return buf
+	}
+	return make([]byte, BlockSize)
+}
+
+// giveBuf keeps a buffer nothing references any more for takeBuf.
+func (fs *FS) giveBuf(buf []byte) {
+	if buf == nil {
+		return
+	}
+	if fs.poison {
+		for i := range buf {
+			buf[i] = 0xDB
+		}
+	}
+	fs.bufs = append(fs.bufs, buf)
+}
+
+// cacheInsert hands data to the cache as the contents of pbn and keeps
+// the buffer the cache gives back in exchange.
+func (fs *FS) cacheInsert(pbn BlockNo, data []byte) {
+	fs.giveBuf(fs.cache.insert(pbn, data))
+}
+
 // readBlock reads a physical block through the buffer cache. The
-// returned slice is cache-owned: callers must not modify it.
+// returned slice is cache-owned: callers must not modify it, and it is
+// valid only until their next call that can insert into the cache (any
+// read, prefetch or consistency point), after which the buffer may be
+// holding another block. Copy or parse it first.
 func (fs *FS) readBlock(ctx context.Context, pbn BlockNo) ([]byte, error) {
 	if data := fs.cache.get(pbn); data != nil {
 		return data, nil
 	}
-	buf := make([]byte, BlockSize)
+	buf := fs.takeBuf()
 	if err := fs.dev.ReadBlock(ctx, int(pbn), buf); err != nil {
+		fs.giveBuf(buf)
 		return nil, err
 	}
-	fs.cache.insert(pbn, buf)
+	fs.cacheInsert(pbn, buf)
 	return buf, nil
 }
 
@@ -409,7 +455,7 @@ func (fs *FS) writeBlock(ctx context.Context, pbn BlockNo, data []byte) error {
 	if err := fs.dev.WriteBlock(ctx, int(pbn), data); err != nil {
 		return err
 	}
-	fs.cache.insert(pbn, data)
+	fs.cacheInsert(pbn, data)
 	return nil
 }
 
@@ -478,12 +524,17 @@ func (fs *FS) treeBlocks(ctx context.Context, ino *Inode, data func(fbn uint32, 
 		if ptr != nil {
 			ptr(ino.DblInd)
 		}
-		l1, err := fs.readBlock(ctx, ino.DblInd)
+		blk, err := fs.readBlock(ctx, ino.DblInd)
 		if err != nil {
 			return err
 		}
-		for i := 0; i < PtrsPerBlock; i++ {
-			l2pbn := BlockNo(leU32(l1[4*i:]))
+		// Copied out: the reads of the second level below may recycle
+		// the buffer behind blk.
+		var l1 [PtrsPerBlock]BlockNo
+		for i := range l1 {
+			l1[i] = BlockNo(leU32(blk[4*i:]))
+		}
+		for i, l2pbn := range l1 {
 			if l2pbn == 0 {
 				continue
 			}

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"slices"
 )
 
 // NVRAM log records. Each mutating operation is serialized (including
@@ -28,10 +29,30 @@ const (
 	opSetAttr
 )
 
-// logEnc builds one log entry.
+// logEnc builds one log entry in the filesystem's one scratch buffer
+// (FS.enc): nvram.Log.Record copies what it is given, so the buffer is
+// free again as soon as the entry is recorded.
 type logEnc struct{ buf []byte }
 
-func newLogEnc(op opcode) *logEnc { return &logEnc{buf: []byte{byte(op)}} }
+// logFixedMax bounds the fixed-width part of any entry: the opcode and
+// the integers around its names and data (a SetAttr with every
+// attribute present is the longest, at 49 bytes).
+const logFixedMax = 64
+
+// logEntry starts the entry for an operation whose names and data take
+// n bytes, with room for all of it up front. It returns nil when the
+// operation is not to be logged — no NVRAM, logging off, or the log
+// being replayed — so that nothing is encoded for a log that will not
+// take it.
+func (fs *FS) logEntry(op opcode, n int) *logEnc {
+	if fs.log == nil || fs.replaying || fs.noLog {
+		return nil
+	}
+	e := &fs.enc
+	e.buf = append(slices.Grow(e.buf[:0], logFixedMax+n), byte(op))
+	return e
+}
+
 func (e *logEnc) u32(v uint32) *logEnc {
 	var b [4]byte
 	binary.LittleEndian.PutUint32(b[:], v)
@@ -91,14 +112,11 @@ func (d *logDec) bytes() []byte {
 	return b
 }
 
-// logAppend records an entry in NVRAM, unless logging is off or
-// replaying, and pays for its commit: at once, or — when the caller
-// holds the filesystem lock, so that the entry lands in the order the
-// operations were staged — when the lock is released (see lock).
+// logAppend records an entry in NVRAM and pays for its commit: at once,
+// or — when the caller holds the filesystem lock, so that the entry
+// lands in the order the operations were staged — when the lock is
+// released (see lock).
 func (fs *FS) logAppend(ctx context.Context, e *logEnc) {
-	if fs.log == nil || fs.replaying || fs.noLog {
-		return
-	}
 	// Record never legitimately fails here: maybeCP keeps the log
 	// below capacity. A failure indicates a sizing bug.
 	svc, err := fs.log.Record(e.buf)
@@ -113,27 +131,39 @@ func (fs *FS) logAppend(ctx context.Context, e *logEnc) {
 }
 
 func (fs *FS) logCreate(ctx context.Context, op opcode, parent Inum, name string, ino Inum, mode, uid, gid uint32, target string) {
-	fs.logAppend(ctx, newLogEnc(op).u32(uint32(parent)).str(name).u32(uint32(ino)).u32(mode).u32(uid).u32(gid).str(target))
+	if e := fs.logEntry(op, len(name)+len(target)); e != nil {
+		fs.logAppend(ctx, e.u32(uint32(parent)).str(name).u32(uint32(ino)).u32(mode).u32(uid).u32(gid).str(target))
+	}
 }
 
 func (fs *FS) logWrite(ctx context.Context, ino Inum, off uint64, data []byte) {
-	fs.logAppend(ctx, newLogEnc(opWrite).u32(uint32(ino)).u64(off).bytes(data))
+	if e := fs.logEntry(opWrite, len(data)); e != nil {
+		fs.logAppend(ctx, e.u32(uint32(ino)).u64(off).bytes(data))
+	}
 }
 
 func (fs *FS) logTruncate(ctx context.Context, ino Inum, size uint64) {
-	fs.logAppend(ctx, newLogEnc(opTruncate).u32(uint32(ino)).u64(size))
+	if e := fs.logEntry(opTruncate, 0); e != nil {
+		fs.logAppend(ctx, e.u32(uint32(ino)).u64(size))
+	}
 }
 
 func (fs *FS) logNameOp(ctx context.Context, op opcode, parent Inum, name string) {
-	fs.logAppend(ctx, newLogEnc(op).u32(uint32(parent)).str(name))
+	if e := fs.logEntry(op, len(name)); e != nil {
+		fs.logAppend(ctx, e.u32(uint32(parent)).str(name))
+	}
 }
 
 func (fs *FS) logLink(ctx context.Context, ino, parent Inum, name string) {
-	fs.logAppend(ctx, newLogEnc(opLink).u32(uint32(ino)).u32(uint32(parent)).str(name))
+	if e := fs.logEntry(opLink, len(name)); e != nil {
+		fs.logAppend(ctx, e.u32(uint32(ino)).u32(uint32(parent)).str(name))
+	}
 }
 
 func (fs *FS) logRename(ctx context.Context, srcDir Inum, srcName string, dstDir Inum, dstName string) {
-	fs.logAppend(ctx, newLogEnc(opRename).u32(uint32(srcDir)).str(srcName).u32(uint32(dstDir)).str(dstName))
+	if e := fs.logEntry(opRename, len(srcName)+len(dstName)); e != nil {
+		fs.logAppend(ctx, e.u32(uint32(srcDir)).str(srcName).u32(uint32(dstDir)).str(dstName))
+	}
 }
 
 // attr serialization: a presence bitmask followed by present fields.
@@ -240,9 +270,10 @@ func decodeAttr(d *logDec) Attr {
 }
 
 func (fs *FS) logSetAttr(ctx context.Context, ino Inum, a Attr) {
-	e := newLogEnc(opSetAttr).u32(uint32(ino))
-	encodeAttr(e, a)
-	fs.logAppend(ctx, e)
+	if e := fs.logEntry(opSetAttr, 0); e != nil {
+		encodeAttr(e.u32(uint32(ino)), a)
+		fs.logAppend(ctx, e)
+	}
 }
 
 // replay re-executes logged operations against the mounted state. The

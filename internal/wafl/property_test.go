@@ -174,6 +174,7 @@ func TestRandomOpsAgainstModel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	tweaked(fs)
 	model := make(map[string][]byte)
 	name := func(i int) string { return fmt.Sprintf("/dir%d/f%d", i%4, i) }
 
@@ -247,6 +248,7 @@ func TestRandomOpsAgainstModel(t *testing.T) {
 			if err != nil {
 				t.Fatalf("step %d remount: %v", step, err)
 			}
+			tweaked(fs)
 			verify(fs, fmt.Sprintf("step %d post-crash", step))
 		}
 	}

@@ -21,6 +21,18 @@ func newFS(t *testing.T, blocks int) *FS {
 	if err != nil {
 		t.Fatal(err)
 	}
+	return tweaked(fs)
+}
+
+// tweakFS, when set, is applied to every filesystem a test body makes
+// or mounts through newFS and tweaked: TestTinyPoisonedCache reruns
+// bodies written for the default cache over a hostile one.
+var tweakFS func(*FS)
+
+func tweaked(fs *FS) *FS {
+	if tweakFS != nil && fs != nil {
+		tweakFS(fs)
+	}
 	return fs
 }
 
