@@ -3,7 +3,7 @@ GO ?= go
 WORKLOAD ?= logical-4d
 PHASE ?=
 
-.PHONY: tier1 race tables tables-check attribution alloc-profile build vet test chaos fuzz-smoke obs-smoke loc
+.PHONY: tier1 race tables tables-check tables-diff attribution alloc-profile build vet test chaos fuzz-smoke obs-smoke loc
 
 tier1: ## gofmt + vet + build + full test suite (the repo's gate)
 	@test -z "$$(gofmt -l .)" || { echo "gofmt needed:"; gofmt -l .; exit 1; }
@@ -63,3 +63,6 @@ tables: ## regenerate every EXPERIMENTS.md table into the committed reference
 
 tables-check: ## exact-match gate: virtual-clock tables are deterministic, so any diff is a behaviour change
 	$(GO) run ./cmd/benchtables | diff - docs/benchtables-reference.txt
+
+tables-diff: ## the same comparison as a per-table before (-) / after (+): only the changed lines, under the heading of the table they belong to
+	@$(GO) run ./cmd/benchtables | diff -U 100000 docs/benchtables-reference.txt - | grep -E '^[-+][^-+]|^ Table [0-9]+' || true

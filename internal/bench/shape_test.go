@@ -113,18 +113,22 @@ func TestShapeScaling(t *testing.T) {
 	// Per-tape efficiency: physical holds up, logical degrades (paper:
 	// 27.6 vs 30.1 for physical, 17.4 vs 21 for logical — 0.92 of the
 	// one-drive rate kept against 0.83, 1.1x). Physical keeps at least
-	// 0.65 of its per-tape rate and at least 1.1x the share logical
-	// keeps (here 0.72 against 0.61). This used to be a bare physical
-	// >= 0.75, which one layout met with nothing to spare (0.76 on this
-	// dataset; Table 7's 21.30 against 0.75 x 28.4 = 21.30): the
-	// physical dump reads the volume the logical restore laid out, so
-	// any change in how restore streams interleave moves it by a few
-	// percent with nothing physical changed, and the constant said
-	// nothing about logical at all.
+	// 0.85 of its per-tape rate, logical at least 0.60, and physical at
+	// least 1.1x the share logical keeps (here 0.89 against 0.76; 0.91
+	// against 0.70 on Table 7's dataset). The floors are what spreading
+	// a consistency point's files over the volume's three RAID groups
+	// bought: with the dataset wherever one allocation cursor had left
+	// it, four streams shared a group's ten spindles and physical kept
+	// 0.72, logical 0.61. The physical dump reads the volume the
+	// logical restore laid out, so any change in how restore streams
+	// interleave moves it by a few percent with nothing physical
+	// changed.
 	physKept, logicalKept := four.PhysPer/one.PhysPer, four.LogicalPer/one.LogicalPer
-	if physKept < 0.65 || physKept < 1.1*logicalKept {
-		t.Errorf("per-tape rate kept at 4 drives: physical %.2f (%.1f -> %.1f), logical %.2f; want physical >= 0.65 and >= 1.1x logical",
-			physKept, one.PhysPer, four.PhysPer, logicalKept)
+	t.Logf("per-tape rate kept at 4 drives: physical %.3f (%.1f -> %.1f GB/h), logical %.3f (%.1f -> %.1f)",
+		physKept, one.PhysPer, four.PhysPer, logicalKept, one.LogicalPer, four.LogicalPer)
+	if physKept < 0.85 || logicalKept < 0.60 || physKept < 1.1*logicalKept {
+		t.Errorf("per-tape rate kept at 4 drives: physical %.2f (%.1f -> %.1f), logical %.2f (%.1f -> %.1f); want physical >= 0.85, logical >= 0.60 and physical >= 1.1x logical",
+			physKept, one.PhysPer, four.PhysPer, logicalKept, one.LogicalPer, four.LogicalPer)
 	}
 	if four.LogicalPer >= one.LogicalPer {
 		t.Errorf("logical per-tape rate did not degrade: %.1f -> %.1f", one.LogicalPer, four.LogicalPer)

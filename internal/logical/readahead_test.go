@@ -4,10 +4,13 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"slices"
+	"strconv"
 	"testing"
 	"time"
 
+	"repro/internal/obs"
 	"repro/internal/raid"
 	"repro/internal/sim"
 	"repro/internal/storage"
@@ -23,19 +26,21 @@ import (
 // Prefetch in order, and every block read that a simulated process
 // waited for. The cache-warming read behind a prefetch carries no
 // process, so nothing is charged for it: those are counted for the
-// blocks below watch.
+// blocks watch picks out. Embedding the volume passes its RAID group
+// geometry through to the filesystem, which the benchmark's wrapper
+// does not.
 type tapDevice struct {
 	*raid.Volume
 	prefetched []int
 	syncReads  int
-	watch      int
+	watch      func(bno int) bool
 	freeReads  int
 }
 
 func (d *tapDevice) ReadBlock(ctx context.Context, bno int, buf []byte) error {
 	if sim.ProcFrom(ctx) != nil {
 		d.syncReads++
-	} else if bno < d.watch {
+	} else if d.watch != nil && d.watch(bno) {
 		d.freeReads++
 	}
 	return d.Volume.ReadBlock(ctx, bno, buf)
@@ -52,6 +57,7 @@ func (d *tapDevice) Prefetch(ctx context.Context, bno int) {
 type simRig struct {
 	env   *sim.Env
 	dev   *tapDevice
+	fs    *wafl.FS
 	view  *wafl.View
 	tapes []*tape.Drive
 }
@@ -95,6 +101,7 @@ func newSimRig(t *testing.T, dataMB, drives int) *simRig {
 	if fs, err = wafl.Mount(ctx, r.dev, nil, wafl.Options{Costs: costs, Env: r.env}); err != nil {
 		t.Fatal(err)
 	}
+	r.fs = fs
 	if r.view, err = fs.SnapshotView("s"); err != nil {
 		t.Fatal(err)
 	}
@@ -169,15 +176,19 @@ func TestReadAheadOffIssuesNothing(t *testing.T) {
 }
 
 // TestDegradedDumpPaysForReconstruction: a degraded RAID group declines
-// prefetches, and a declined prefetch must not warm the cache: the read
-// that would do it carries no process, so the reconstruction behind it
-// would run off the clock and the demand read after it would hit the
-// cache for free. Every block of the degraded group is demand-read
-// instead, so the same dump of the same volume with one data disk
-// failed takes strictly longer than healthy and keeps the parity disk,
-// which only reconstruction reads, busy. (raid_reconstructs_total
-// counts latent-sector reconstructions, not reads of a failed disk, so
-// it cannot witness this.)
+// the prefetches of the failed disk's blocks, and a declined prefetch
+// must not warm the cache: the read that would do it carries no
+// process, so the reconstruction behind it would run off the clock and
+// the demand read after it would hit the cache for free. Those blocks
+// are demand-read instead, so the same dump of the same volume with one
+// data disk failed takes strictly longer than healthy and keeps the
+// parity disk, which only reconstruction reads, busy.
+// (raid_reconstructs_total counts latent-sector reconstructions, not
+// reads of a failed disk, so it cannot witness this.) The group's nine
+// healthy disks go on streaming: what the degraded dump pays is one
+// synchronous reconstruction for each of the failed disk's blocks (4.0x
+// the healthy dump here), not a demand read for every block of the
+// group (8.4x).
 func TestDegradedDumpPaysForReconstruction(t *testing.T) {
 	healthy := newSimRig(t, 8, 4)
 	_, base, err := healthy.dump(t, nil)
@@ -185,25 +196,70 @@ func TestDegradedDumpPaysForReconstruction(t *testing.T) {
 		t.Fatal(err)
 	}
 	degraded := newSimRig(t, 8, 4)
-	g := degraded.dev.Groups()[0] // the group all the data is in
-	if err := g.FailDisk(3); err != nil {
+	const group, disk = 1, 3
+	g := degraded.dev.Groups()[group]
+	if err := g.FailDisk(disk); err != nil {
 		t.Fatal(err)
 	}
-	degraded.dev.watch = g.NumBlocks()
+	first := degraded.dev.GroupStarts()[group]
+	onFailed := func(bno int) bool {
+		return bno >= first && bno < first+g.NumBlocks() && (bno-first)%len(g.Data()) == disk
+	}
+	held := 0
+	for bno := first; bno < first+g.NumBlocks(); bno++ {
+		if onFailed(bno) && degraded.fs.BlockMapWord(wafl.BlockNo(bno)) != 0 {
+			held++
+		}
+	}
+	if held < 20 {
+		t.Fatalf("the failed disk holds %d blocks of the snapshot: the rig no longer tests anything", held)
+	}
+	degraded.dev.watch = onFailed
 	_, slow, err := degraded.dump(t, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	parity := g.Parity().Station().Busy()
-	t.Logf("healthy %v, degraded %v, parity disk busy %v", base, slow, parity)
+	t.Logf("healthy %v, degraded %v (%.2fx), parity disk busy %v, %d snapshot blocks on the failed disk",
+		base, slow, float64(slow)/float64(base), parity, held)
 	if n := degraded.dev.freeReads; n != 0 {
-		t.Errorf("%d blocks of the degraded group were read into the cache off the clock", n)
+		t.Errorf("%d blocks of the failed disk were read into the cache off the clock", n)
 	}
 	if parity == 0 {
 		t.Error("degraded dump charged the parity disk nothing")
 	}
 	if slow <= base {
 		t.Errorf("degraded dump took %v, healthy %v", slow, base)
+	}
+	if slow > 5*base {
+		t.Errorf("degraded dump took %v, over five times the healthy %v: the surviving disks have stopped streaming", slow, base)
+	}
+}
+
+// TestDumpBusiesEveryGroup: a four-stream dump of an aged volume keeps
+// all three RAID groups busy, none with much more than its third of
+// the disk time. (Allocated from one cursor, this dataset sat in the
+// first group, which carried all of it.) Files go to the groups in
+// turn whatever their size, and a tenth of this tree's files hold most
+// of its blocks: 16 MB has enough of them to even out, which the 8 MB
+// of the other tests does not (26/47/27 %).
+func TestDumpBusiesEveryGroup(t *testing.T) {
+	r := newSimRig(t, 16, 4)
+	reg := obs.NewRegistry()
+	r.dev.RegisterMetrics(reg)
+	if _, _, err := r.dump(t, nil); err != nil {
+		t.Fatal(err)
+	}
+	total := reg.Sum("raid_group_busy_seconds")
+	if vol, _ := reg.Value("raid_disk_busy_seconds", obs.Labels{"vol": "vol"}); total == 0 || math.Abs(total-vol) > 1e-9*vol {
+		t.Fatalf("groups busy %vs in all, volume %vs", total, vol)
+	}
+	for g := range r.dev.Groups() {
+		busy, ok := reg.Value("raid_group_busy_seconds", obs.Labels{"vol": "vol", "group": strconv.Itoa(g)})
+		t.Logf("group %d: %.2fs busy, %.0f%% of the volume's", g, busy, 100*busy/total)
+		if !ok || busy > 0.45*total {
+			t.Errorf("group %d carries %.2fs of the volume's %.2fs of disk time", g, busy, total)
+		}
 	}
 }
 

@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/obs"
 	"repro/internal/sim"
 	"repro/internal/storage"
 	"repro/internal/vdev"
@@ -292,5 +293,61 @@ func TestVolumeTraffic(t *testing.T) {
 	r, w := v.Traffic()
 	if r != 3*storage.BlockSize || w != 5*storage.BlockSize {
 		t.Fatalf("traffic = (%d, %d), want (%d, %d)", r, w, 3*storage.BlockSize, 5*storage.BlockSize)
+	}
+}
+
+// TestDegradedGroupDeclinesOnlyFailedDisk: with one data disk failed a
+// volume goes on prefetching from every other disk of that group, and
+// from the other groups; only the failed disk's blocks are declined and
+// charged nothing. Per-group busy time says where the work went.
+func TestDegradedGroupDeclinesOnlyFailedDisk(t *testing.T) {
+	env := sim.NewEnv()
+	v, err := Build(env, "v", Config{Groups: 2, DataDisksPerGroup: 4, BlocksPerDisk: 16, DiskParams: vdev.DefaultParams()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := v.GroupStarts(); len(got) != 2 || got[0] != 0 || got[1] != 64 {
+		t.Fatalf("GroupStarts = %v, want [0 64]", got)
+	}
+	const failed = 2
+	if err := v.Groups()[1].FailDisk(failed); err != nil {
+		t.Fatal(err)
+	}
+	reg := obs.NewRegistry()
+	v.RegisterMetrics(reg)
+	for bno := 0; bno < v.NumBlocks(); bno++ {
+		if want := bno < 64 || bno%4 != failed; v.CanPrefetch(bno) != want {
+			t.Errorf("CanPrefetch(%d) = %v, want %v", bno, !want, want)
+		}
+	}
+	if v.CanPrefetch(-1) || v.CanPrefetch(v.NumBlocks()) {
+		t.Error("CanPrefetch accepted a block outside the volume")
+	}
+	env.Spawn("prefetch", func(p *sim.Proc) {
+		ctx := sim.WithProc(context.Background(), p)
+		for bno := 64; bno < 128; bno++ { // group 1 only
+			v.Prefetch(ctx, bno)
+		}
+	})
+	env.Run()
+	for i, d := range v.Groups()[1].Data() {
+		reads, _, _ := d.(*vdev.Disk).Stats()
+		if want := int64(16); i == failed {
+			if reads != 0 {
+				t.Errorf("the failed disk was charged %d prefetches", reads)
+			}
+		} else if reads != want {
+			t.Errorf("disk %d of the degraded group took %d prefetches, want %d", i, reads, want)
+		}
+	}
+	busy := func(group string) float64 {
+		s, ok := reg.Value("raid_group_busy_seconds", obs.Labels{"vol": "v", "group": group})
+		if !ok {
+			t.Fatalf("no raid_group_busy_seconds for group %s", group)
+		}
+		return s
+	}
+	if busy("0") != 0 || busy("1") <= 0 || busy("1") != v.DiskBusy().Seconds() {
+		t.Errorf("group busy seconds %v and %v, volume %v", busy("0"), busy("1"), v.DiskBusy().Seconds())
 	}
 }

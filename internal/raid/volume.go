@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"strconv"
 	"sync/atomic"
 	"time"
 
@@ -84,6 +85,10 @@ func (v *Volume) Name() string { return v.name }
 // NumBlocks implements storage.Device.
 func (v *Volume) NumBlocks() int { return v.total }
 
+// GroupStarts returns the first volume block of each RAID group. The
+// filesystem's write allocation spreads files over the groups with it.
+func (v *Volume) GroupStarts() []int { return v.starts }
+
 // Groups returns the volume's RAID groups, for failure-injection tests.
 func (v *Volume) Groups() []*Group { return v.groups }
 
@@ -110,7 +115,8 @@ func (v *Volume) RecoveryStats() (retries, reconstructs int) {
 }
 
 // RegisterMetrics installs pull collectors for the volume's traffic
-// and recovery counters and registers every member disk that exposes
+// and recovery counters and the disk busy time of the volume and of
+// each of its groups, and registers every member disk that exposes
 // metrics of its own. Idempotent per (registry, volume).
 func (v *Volume) RegisterMetrics(r *obs.Registry) {
 	l := obs.Labels{"vol": v.name}
@@ -146,7 +152,10 @@ func (v *Volume) RegisterMetrics(r *obs.Registry) {
 		return v.DiskBusy().Seconds()
 	})
 	type registrar interface{ RegisterMetrics(*obs.Registry) }
-	for _, g := range v.groups {
+	for i, g := range v.groups {
+		r.RegisterFunc("raid_group_busy_seconds", obs.KindGauge, obs.Labels{"vol": v.name, "group": strconv.Itoa(i)}, func() float64 {
+			return g.diskBusy().Seconds()
+		})
 		for _, d := range g.data {
 			if m, ok := d.(registrar); ok {
 				m.RegisterMetrics(r)
@@ -199,22 +208,29 @@ func (v *Volume) WriteBlock(ctx context.Context, bno int, data []byte) error {
 }
 
 // CanPrefetch reports whether Prefetch would charge a read for volume
-// block bno. A degraded group declines: its reads reconstruct from the
-// surviving members on demand, so the caller must not count the block
-// as read ahead.
+// block bno. A block on a failed disk declines: its read reconstructs
+// from the surviving members on demand, so the caller must not count
+// the block as read ahead. The group's other disks stream as ever.
 func (v *Volume) CanPrefetch(bno int) bool {
-	g, _, err := v.locate(bno)
-	return err == nil && g.failed < 0
+	g, gb, err := v.locate(bno)
+	if err != nil {
+		return false
+	}
+	disk, _ := g.locate(gb)
+	return disk != g.failed
 }
 
 // Prefetch charges read time for volume block bno without blocking the
 // caller, warming the path for an upcoming demand read.
 func (v *Volume) Prefetch(ctx context.Context, bno int) {
 	g, gb, err := v.locate(bno)
-	if err != nil || g.failed >= 0 {
+	if err != nil {
 		return
 	}
 	disk, dblock := g.locate(gb)
+	if disk == g.failed {
+		return
+	}
 	g.data[disk].Prefetch(ctx, dblock)
 	// Traffic is counted by the cache-warming read that follows a
 	// prefetch, not here, so prefetched bytes are not double-counted.
@@ -235,14 +251,22 @@ func (v *Volume) Flush(ctx context.Context) {
 func (v *Volume) DiskBusy() time.Duration {
 	var total time.Duration
 	for _, g := range v.groups {
-		for _, d := range g.data {
-			if s := d.Station(); s != nil {
-				total += s.Busy()
-			}
-		}
-		if s := g.parity.Station(); s != nil {
+		total += g.diskBusy()
+	}
+	return total
+}
+
+// diskBusy sums the accumulated busy time of the group's member disks,
+// data and parity.
+func (g *Group) diskBusy() time.Duration {
+	var total time.Duration
+	for _, d := range g.data {
+		if s := d.Station(); s != nil {
 			total += s.Busy()
 		}
+	}
+	if s := g.parity.Station(); s != nil {
+		total += s.Busy()
 	}
 	return total
 }

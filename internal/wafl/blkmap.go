@@ -21,14 +21,33 @@ func SnapBit(id int) uint32 { return 1 << uint(id) }
 type blkmap struct {
 	words  []uint32
 	frozen []uint64 // bitset: referenced by the last committed CP
-	cursor int      // next allocation probe position
-	nfree  int      // blocks with zero word and not frozen
+	groups []allocGroup
+	cur    int // index in groups of the one allocations come from
+	nfree  int // blocks with zero word and not frozen
 }
 
-func newBlkmap(nblocks int) *blkmap {
+// allocGroup is one stretch of the volume backed by its own spindles
+// (a RAID group), with its own allocation cursor.
+type allocGroup struct {
+	start, end int // volume blocks [start, end)
+	cursor     int // next allocation probe position, in [start, end]
+}
+
+// newBlkmap makes an all-free map of nblocks blocks whose allocation
+// groups begin at starts (ascending, from 0). Every cursor stands at
+// the start of its group.
+func newBlkmap(nblocks int, starts []int) *blkmap {
 	m := &blkmap{
 		words:  make([]uint32, nblocks),
 		frozen: make([]uint64, (nblocks+63)/64),
+		groups: make([]allocGroup, len(starts)),
+	}
+	for i, start := range starts {
+		end := nblocks
+		if i+1 < len(starts) {
+			end = starts[i+1]
+		}
+		m.groups[i] = allocGroup{start: start, end: end, cursor: start}
 	}
 	m.nfree = nblocks
 	return m
@@ -56,27 +75,40 @@ func (m *blkmap) refreeze() {
 	m.nfree = free
 }
 
-// alloc finds a free block near the cursor, marks it active and
-// returns it. It returns 0 (an invalid block) when the volume is full.
-// The moving cursor gives WAFL-ish locality: consecutive allocations
-// are contiguous when free space is contiguous, and scattered when a
-// mature filesystem has scattered its free space — the effect the
-// paper's "mature data set" footnote describes.
+// alloc finds a free block near the current group's cursor, marks it
+// active and returns it. It returns 0 (an invalid block) when the
+// volume is full. The moving cursor gives WAFL-ish locality:
+// consecutive allocations are contiguous when free space is
+// contiguous, and scattered when a mature filesystem has scattered its
+// free space — the effect the paper's "mature data set" footnote
+// describes. A group with nothing free spills: allocation moves on to
+// the next group and stays there.
 func (m *blkmap) alloc() BlockNo {
-	n := len(m.words)
-	for i := 0; i < n; i++ {
-		b := (m.cursor + i) % n
-		if b < fsinfoReserved { // fsinfo blocks are never allocatable
-			continue
+	for range m.groups {
+		g := &m.groups[m.cur]
+		n := g.end - g.start
+		for i := 0; i < n; i++ {
+			b := g.start + (g.cursor-g.start+i)%n
+			if b < fsinfoReserved { // fsinfo blocks are never allocatable
+				continue
+			}
+			if m.words[b] == 0 && !m.isFrozen(BlockNo(b)) {
+				m.words[b] = ActiveBit
+				g.cursor = b + 1
+				m.nfree--
+				return BlockNo(b)
+			}
 		}
-		if m.words[b] == 0 && !m.isFrozen(BlockNo(b)) {
-			m.words[b] = ActiveBit
-			m.cursor = b + 1
-			m.nfree--
-			return BlockNo(b)
-		}
+		m.nextGroup()
 	}
 	return 0
+}
+
+// nextGroup moves allocation to the next group of the volume, so that
+// what is written next lands on other spindles than what was written
+// last. A consistency point calls it between files.
+func (m *blkmap) nextGroup() {
+	m.cur = (m.cur + 1) % len(m.groups)
 }
 
 // free clears the active bit of b. The block becomes reusable only

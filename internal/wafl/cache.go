@@ -25,10 +25,12 @@ type blockCache struct {
 
 // frame is one cache slot. prev and next are frame indexes: both link
 // the LRU list while the frame is cached, next alone the free list.
+// ahead marks a block that was read ahead and has not been read yet.
 type frame struct {
 	bno        BlockNo
 	data       []byte
 	prev, next int32
+	ahead      bool
 }
 
 const noFrame = -1
@@ -84,6 +86,7 @@ func (c *blockCache) get(bno BlockNo) []byte {
 	if i, ok := c.index[bno]; ok {
 		c.touch(i)
 		c.hits++
+		c.frames[i].ahead = false
 		return c.frames[i].data
 	}
 	c.misses++
@@ -104,7 +107,7 @@ func (c *blockCache) insert(bno BlockNo, data []byte) []byte {
 	if i, ok := c.index[bno]; ok {
 		f := &c.frames[i]
 		old := f.data
-		f.data = data
+		f.data, f.ahead = data, false
 		c.touch(i)
 		return old
 	}
@@ -117,15 +120,34 @@ func (c *blockCache) insert(bno BlockNo, data []byte) []byte {
 		i = c.used
 		c.used++
 	default:
-		i = c.tail
+		// A block read ahead and still unread goes round once more:
+		// whoever asked for it is behind the rest of the traffic, and
+		// without it will fall further behind.
+		for i = c.tail; c.frames[i].ahead; i = c.tail {
+			c.frames[i].ahead = false
+			c.touch(i)
+		}
 		c.unlink(i)
 		delete(c.index, c.frames[i].bno)
 	}
 	f := &c.frames[i]
 	old := f.data
-	f.bno, f.data = bno, data
+	f.bno, f.data, f.ahead = bno, data, false
 	c.pushFront(i)
 	c.index[bno] = i
+	return old
+}
+
+// insertAhead is insert for a block nobody has asked for yet (read-
+// ahead). Until its first get the block is passed over once when its
+// turn to be evicted comes, so that traffic which has nothing to do
+// with its reader — other dump streams running ahead of this one —
+// has to fill the cache twice over to push it out.
+func (c *blockCache) insertAhead(bno BlockNo, data []byte) []byte {
+	old := c.insert(bno, data)
+	if c.max > 0 {
+		c.frames[c.head].ahead = true // insert leaves bno's frame at the head
+	}
 	return old
 }
 

@@ -182,6 +182,67 @@ func TestBlockCacheMatchesListCache(t *testing.T) {
 	}
 }
 
+// TestCacheReadAheadGoesRoundOnce: a block inserted as read-ahead is
+// passed over the first time it is the eviction candidate and evicted
+// the second; once it has been read it is an ordinary block. The
+// buffer accounting of insert holds throughout: a full cache displaces
+// exactly one buffer per new block.
+func TestCacheReadAheadGoesRoundOnce(t *testing.T) {
+	const blocks = 4
+	c := newBlockCache(blocks)
+	put := func(ahead bool, bno BlockNo) {
+		t.Helper()
+		full := len(c.index) == blocks
+		insert := c.insert
+		if ahead {
+			insert = c.insertAhead
+		}
+		if old := insert(bno, make([]byte, 8)); (old != nil) != full {
+			t.Fatalf("insert of block %d into a cache of %d: displaced buffer %v", bno, len(c.index), old)
+		}
+	}
+	cached := func(want ...BlockNo) {
+		t.Helper()
+		got := c.order()
+		slices.Sort(got)
+		if !slices.Equal(got, want) {
+			t.Fatalf("cache holds %v, want %v", got, want)
+		}
+	}
+	put(true, 1)
+	put(false, 2)
+	put(false, 3)
+	put(false, 4)
+	put(false, 5) // 1 is the oldest, and is passed over: 2 goes
+	cached(1, 3, 4, 5)
+	put(false, 6)
+	put(false, 7)
+	cached(1, 5, 6, 7)
+	put(false, 8) // its second turn
+	cached(5, 6, 7, 8)
+
+	put(true, 10)
+	if c.get(10) == nil {
+		t.Fatal("block 10 is not cached")
+	}
+	put(false, 11)
+	put(false, 12)
+	put(false, 13)
+	put(false, 14) // 10 was read: no second round
+	cached(11, 12, 13, 14)
+
+	// Read-ahead blocks alone: each is passed over once, then the
+	// oldest goes.
+	for b := BlockNo(20); b < 24; b++ {
+		put(true, b)
+	}
+	put(true, 24)
+	cached(21, 22, 23, 24)
+	if hits, misses := c.stats(); hits != 1 || misses != 0 {
+		t.Fatalf("%d hits %d misses, want the one get", hits, misses)
+	}
+}
+
 // cacheInsertStep returns one insert of an uncached block into a full
 // cache: an eviction, with the victim's buffer carrying the next block.
 func cacheInsertStep(tb testing.TB) func() {

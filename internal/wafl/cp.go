@@ -18,7 +18,9 @@ import (
 func (fs *FS) CP(ctx context.Context) error {
 	defer fs.lock(ctx)()
 	// 1. Flush dirty file data and rebuild the block trees of modified
-	//    files, in inode order for determinism.
+	//    files, in inode order for determinism. Each file's blocks go
+	//    to one RAID group and the next file's to the next group, so
+	//    that streams reading different files find different spindles.
 	inos := make([]Inum, 0, len(fs.states))
 	for ino, st := range fs.states {
 		if st.inodeDirty || len(st.dirty) > 0 {
@@ -33,6 +35,7 @@ func (fs *FS) CP(ctx context.Context) error {
 		if err := fs.flushState(ctx, st); err != nil {
 			return err
 		}
+		fs.bmap.nextGroup()
 		dirtyInodeBlocks[uint32(ino)/InodesPerBlock] = true
 	}
 

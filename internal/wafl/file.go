@@ -224,7 +224,7 @@ func (fs *FS) prefetchBlock(ctx context.Context, pbn BlockNo) {
 		fs.giveBuf(buf)
 		return
 	}
-	fs.cacheInsert(pbn, buf)
+	fs.giveBuf(fs.cache.insertAhead(pbn, buf))
 }
 
 // writeAt stages a write to the active file ino at off, charging the

@@ -24,6 +24,25 @@ type prefetchDecliner interface {
 	CanPrefetch(bno int) bool
 }
 
+// groupedDevice is implemented by a device whose address space is
+// several independent sets of spindles laid end to end (the RAID
+// volume's groups). The block allocator keeps a cursor in each and the
+// consistency point rotates its writes across them; a device without
+// it is one group.
+type groupedDevice interface {
+	// GroupStarts returns the first block of each group, ascending
+	// from 0.
+	GroupStarts() []int
+}
+
+// groupStarts returns the allocation geometry of dev.
+func groupStarts(dev storage.Device) []int {
+	if g, ok := dev.(groupedDevice); ok {
+		return g.GroupStarts()
+	}
+	return []int{0}
+}
+
 // Options configures a filesystem instance. The zero value gets
 // sensible defaults from applyDefaults.
 type Options struct {
@@ -237,7 +256,7 @@ func Mkfs(ctx context.Context, dev storage.Device, log *nvram.Log, opts Options)
 		opts:     opts,
 		costs:    opts.Costs,
 		cache:    newBlockCache(opts.CacheBlocks),
-		bmap:     newBlkmap(dev.NumBlocks()),
+		bmap:     newBlkmap(dev.NumBlocks(), groupStarts(dev)),
 		states:   make(map[Inum]*istate),
 		nextIno:  RootIno + 1,
 		lastRead: make(map[Inum]uint32),
@@ -249,7 +268,6 @@ func Mkfs(ctx context.Context, dev storage.Device, log *nvram.Log, opts Options)
 	for b := BlockNo(0); b < fsinfoReserved; b++ {
 		fs.bmap.setActive(b)
 	}
-	fs.bmap.cursor = fsinfoReserved
 	fs.inofSt = &istate{
 		dirty:     make(map[uint32][]byte),
 		fmap:      make(map[uint32]BlockNo),
@@ -324,7 +342,7 @@ func Mount(ctx context.Context, dev storage.Device, log *nvram.Log, opts Options
 	fs.logical = fs.info.CPTime
 
 	// Load the block map by walking the block-map file.
-	fs.bmap = newBlkmap(int(fs.info.NBlocks))
+	fs.bmap = newBlkmap(int(fs.info.NBlocks), groupStarts(dev))
 	nWords := int(fs.info.NBlocks)
 	nBlks := (nWords + PtrsPerBlock - 1) / PtrsPerBlock
 	for fbn := 0; fbn < nBlks; fbn++ {
@@ -344,7 +362,6 @@ func Mount(ctx context.Context, dev storage.Device, log *nvram.Log, opts Options
 		}
 	}
 	fs.bmap.refreeze()
-	fs.bmap.cursor = fsinfoReserved
 
 	fs.inofSt = &istate{dirty: make(map[uint32][]byte)}
 	fs.inofSt.ino = fs.info.InodeFile

@@ -51,9 +51,9 @@ func TestDoubleIndirectSecondLevels(t *testing.T) {
 
 // TestTinyPoisonedCache reruns the package's content tests — the random
 // operations against a model with crashes and replays, the big-file,
-// hole, truncate, directory, snapshot and revert round trips — over a
-// cache of two or three blocks whose every displaced buffer is
-// scribbled over before it is reused. With so few frames a buffer is
+// hole, truncate, directory, snapshot and revert round trips, the
+// grouped-volume bodies — over a cache of two or three blocks whose
+// every displaced buffer is scribbled over before it is reused. With so few frames a buffer is
 // recycled by the very next miss, so code that holds a readBlock slice
 // across another read, or that takes a recycled buffer for a zeroed
 // one, reads garbage and fails the body's own assertions. The tests
@@ -90,6 +90,10 @@ func TestTinyPoisonedCache(t *testing.T) {
 			{"RevertToSnapshotRestoresTree", TestRevertToSnapshotRestoresTree},
 			{"RevertedSnapshotSurvivesNewChurn", TestRevertedSnapshotSurvivesNewChurn},
 			{"CheckCleanOnHealthyChurn", TestCheckCleanOnHealthyChurn},
+			{"GroupedVolumeSpreadsFiles", TestGroupedVolumeSpreadsFiles},
+			{"GroupedVolumeSpills", TestGroupedVolumeSpills},
+			{"GroupedVolumeCrashReplay", TestGroupedVolumeCrashReplay},
+			{"GroupedVolumeCheckAndRevert", TestGroupedVolumeCheckAndRevert},
 		} {
 			t.Run(fmt.Sprintf("%s/cache%d", body.name, blocks), body.run)
 		}

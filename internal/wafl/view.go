@@ -165,15 +165,36 @@ func (v *View) BlockAt(ctx context.Context, ino Inum, fbn uint32) (BlockNo, erro
 // and blocks already cached are dropped. Each remaining block charges
 // device time through the device's Prefetcher without blocking the
 // caller beyond its read-ahead queue depth, so a disk sees one forward
-// sweep per call. The logical dump engine drives all of its read-ahead
-// through this (paper §3).
+// sweep per call. On a volume of several RAID groups the sweep is one
+// per group, a block of each in turn: the groups are independent
+// spindles, and a caller held up by the queue of one has by then fed
+// the others as well. The logical dump engine drives all of its
+// read-ahead through this (paper §3).
 func (v *View) Prefetch(ctx context.Context, pbns []BlockNo) {
 	slices.Sort(pbns)
-	for _, pbn := range pbns {
-		if ctx.Err() != nil {
-			return
+	groups := v.fs.bmap.groups
+	// pbns[lo[g]:lo[g+1]] are group g's blocks; up to eight groups
+	// need no allocation.
+	var few [9]int
+	lo := few[:0]
+	for _, g := range groups {
+		i, _ := slices.BinarySearch(pbns, BlockNo(g.start))
+		lo = append(lo, i)
+	}
+	lo = append(lo, len(pbns))
+	for round, issued := 0, true; issued; round++ {
+		issued = false
+		for g := range groups {
+			i := lo[g] + round
+			if i >= lo[g+1] {
+				continue
+			}
+			if ctx.Err() != nil {
+				return
+			}
+			v.fs.prefetchBlock(ctx, pbns[i]) // skips what an earlier element cached
+			issued = true
 		}
-		v.fs.prefetchBlock(ctx, pbn) // skips what an earlier element cached
 	}
 }
 
