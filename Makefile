@@ -3,7 +3,7 @@ GO ?= go
 WORKLOAD ?= logical-4d
 PHASE ?=
 
-.PHONY: tier1 race tables tables-check tables-diff attribution alloc-profile build vet test chaos fuzz-smoke obs-smoke loc
+.PHONY: tier1 race tables tables-check tables-diff attribution alloc-profile build vet test chaos fuzz-smoke obs-smoke loc dup
 
 tier1: ## gofmt + vet + build + full test suite (the repo's gate)
 	@test -z "$$(gofmt -l .)" || { echo "gofmt needed:"; gofmt -l .; exit 1; }
@@ -15,6 +15,9 @@ tier1: ## gofmt + vet + build + full test suite (the repo's gate)
 loc: ## the two line counts simplicity PRs and ROADMAP re-anchors quote: Go outside benchmark/, non-test and test
 	@echo "non-test Go: $$(find . -name '*.go' -not -path './benchmark/*' -not -name '*_test.go' | xargs cat | wc -l)"
 	@echo "test Go:     $$(find . -name '*_test.go' -not -path './benchmark/*' | xargs cat | wc -l)"
+
+dup: ## the number for "one implementation per mechanism": file pairs of non-test Go outside benchmark/ by shared 8-line windows after identifier normalisation, top ten (print-only; scripts/dup.py says how it counts)
+	@python3 scripts/dup.py .
 
 build:
 	$(GO) build ./...

@@ -1,10 +1,11 @@
 package catalog
 
 import (
-	"encoding/binary"
+	"errors"
 	"fmt"
 
 	"repro/internal/chunk"
+	"repro/internal/codec"
 	"repro/internal/logical"
 	"repro/internal/obs"
 )
@@ -554,167 +555,99 @@ func (c *Catalog) DumpDates() *logical.DumpDates {
 // length-prefixed strings. Decoding is defensive throughout — journal
 // bytes are untrusted input (see the fuzz test).
 
-type enc struct{ b []byte }
-
-func (e *enc) u8(v uint8)   { e.b = append(e.b, v) }
-func (e *enc) u32(v uint32) { e.b = binary.LittleEndian.AppendUint32(e.b, v) }
-func (e *enc) u64(v uint64) { e.b = binary.LittleEndian.AppendUint64(e.b, v) }
-func (e *enc) i64(v int64)  { e.u64(uint64(v)) }
-func (e *enc) str(s string) {
-	e.u32(uint32(len(s)))
-	e.b = append(e.b, s...)
-}
-
-type dec struct {
-	b   []byte
-	off int
-	err error
-}
-
-func (d *dec) fail() {
-	if d.err == nil {
-		d.err = fmt.Errorf("catalog: truncated record at %d", d.off)
-	}
-}
-func (d *dec) u8() uint8 {
-	if d.err != nil || d.off+1 > len(d.b) {
-		d.fail()
-		return 0
-	}
-	v := d.b[d.off]
-	d.off++
-	return v
-}
-func (d *dec) u32() uint32 {
-	if d.err != nil || d.off+4 > len(d.b) {
-		d.fail()
-		return 0
-	}
-	v := binary.LittleEndian.Uint32(d.b[d.off:])
-	d.off += 4
-	return v
-}
-func (d *dec) u64() uint64 {
-	if d.err != nil || d.off+8 > len(d.b) {
-		d.fail()
-		return 0
-	}
-	v := binary.LittleEndian.Uint64(d.b[d.off:])
-	d.off += 8
-	return v
-}
-func (d *dec) i64() int64 { return int64(d.u64()) }
-func (d *dec) str() string {
-	n := int(d.u32())
-	if d.err != nil || n < 0 || n > MaxRecord || d.off+n > len(d.b) {
-		d.fail()
-		return ""
-	}
-	s := string(d.b[d.off : d.off+n])
-	d.off += n
-	return s
-}
-func (d *dec) done() error {
-	if d.err == nil && d.off != len(d.b) {
-		return fmt.Errorf("catalog: %d trailing bytes in record", len(d.b)-d.off)
-	}
-	return d.err
-}
+// errRecord is what every payload decoding error wraps.
+var errRecord = errors.New("catalog: bad record")
 
 func encodeDumpSet(ds *DumpSet) []byte {
-	e := &enc{}
-	e.u8(kindDumpSet)
-	e.u8(1)
-	e.u64(ds.ID)
-	e.u8(uint8(ds.Engine))
-	e.str(ds.FSID)
-	e.str(ds.Snap)
-	e.u32(uint32(ds.Level))
-	e.i64(ds.Date)
-	e.i64(ds.BaseDate)
-	e.u64(ds.Gen)
-	e.u64(ds.BaseGen)
-	e.u64(ds.NBlocks)
-	e.i64(ds.Bytes)
-	e.i64(ds.Units)
-	if ds.Resumed {
-		e.u8(1)
-	} else {
-		e.u8(0)
-	}
-	e.u32(uint32(len(ds.Media)))
+	e := &codec.Enc{}
+	e.U8(kindDumpSet)
+	e.U8(1)
+	e.U64(ds.ID)
+	e.U8(uint8(ds.Engine))
+	e.Str(ds.FSID)
+	e.Str(ds.Snap)
+	e.U32(uint32(ds.Level))
+	e.I64(ds.Date)
+	e.I64(ds.BaseDate)
+	e.U64(ds.Gen)
+	e.U64(ds.BaseGen)
+	e.U64(ds.NBlocks)
+	e.I64(ds.Bytes)
+	e.I64(ds.Units)
+	e.Bool(ds.Resumed)
+	e.U32(uint32(len(ds.Media)))
 	for _, m := range ds.Media {
-		e.str(m.Volume)
-		e.i64(m.Start)
+		e.Str(m.Volume)
+		e.I64(m.Start)
 	}
-	return e.b
+	return e.B
 }
 
 func encodeFileIndex(r *fileIndexRecord) []byte {
-	e := &enc{}
-	e.u8(kindFileIndex)
-	e.u8(1)
-	e.u64(r.SetID)
-	e.u32(uint32(len(r.Entries)))
+	e := &codec.Enc{}
+	e.U8(kindFileIndex)
+	e.U8(1)
+	e.U64(r.SetID)
+	e.U32(uint32(len(r.Entries)))
 	for _, f := range r.Entries {
-		e.str(f.Path)
-		e.u32(f.Ino)
-		e.i64(f.Unit)
+		e.Str(f.Path)
+		e.U32(f.Ino)
+		e.I64(f.Unit)
 	}
-	return e.b
+	return e.B
 }
 
 func encodeExpiry(r *Expiry) []byte {
-	e := &enc{}
-	e.u8(kindExpiry)
-	e.u8(1)
-	e.u64(r.SetID)
-	e.i64(r.Time)
-	return e.b
+	e := &codec.Enc{}
+	e.U8(kindExpiry)
+	e.U8(1)
+	e.U64(r.SetID)
+	e.I64(r.Time)
+	return e.B
 }
 
 func encodeSessionCkpt(sc *SessionCheckpoint) []byte {
-	e := &enc{}
-	e.u8(kindSessionCkpt)
-	e.u8(1)
-	e.u64(sc.Session)
-	e.u32(uint32(sc.Stream))
-	e.u64(sc.Seq)
-	e.i64(sc.Time)
-	return e.b
+	e := &codec.Enc{}
+	e.U8(kindSessionCkpt)
+	e.U8(1)
+	e.U64(sc.Session)
+	e.U32(uint32(sc.Stream))
+	e.U64(sc.Seq)
+	e.I64(sc.Time)
+	return e.B
 }
 
 func encodeSetHealth(r *SetHealth) []byte {
-	e := &enc{}
-	e.u8(kindSetHealth)
-	e.u8(1)
-	e.u64(r.SetID)
-	e.u8(uint8(r.State))
-	e.i64(r.Time)
-	e.str(r.Reason)
-	return e.b
+	e := &codec.Enc{}
+	e.U8(kindSetHealth)
+	e.U8(1)
+	e.U64(r.SetID)
+	e.U8(uint8(r.State))
+	e.I64(r.Time)
+	e.Str(r.Reason)
+	return e.B
 }
 
 func encodeMediaEvent(ev *MediaEvent) []byte {
-	e := &enc{}
-	e.u8(kindMedia)
-	e.u8(1)
-	e.u8(uint8(ev.Kind))
-	e.str(ev.Volume)
-	e.str(ev.Pool)
-	e.i64(ev.Time)
-	return e.b
+	e := &codec.Enc{}
+	e.U8(kindMedia)
+	e.U8(1)
+	e.U8(uint8(ev.Kind))
+	e.Str(ev.Volume)
+	e.Str(ev.Pool)
+	e.I64(ev.Time)
+	return e.B
 }
 
 // DecodeRecord parses one journal payload. It is the untrusted-input
 // boundary of the catalog: arbitrary bytes must produce a record or an
 // error, never a panic or an oversized allocation.
 func DecodeRecord(p []byte) (Record, error) {
-	d := &dec{b: p}
-	kind := d.u8()
-	ver := d.u8()
-	if d.err != nil {
-		return nil, d.err
+	d := &codec.Dec{B: p, Max: MaxRecord, Bad: errRecord}
+	kind := d.U8()
+	ver := d.U8()
+	if d.Err() != nil {
+		return nil, d.Err()
 	}
 	if ver != 1 {
 		return nil, fmt.Errorf("catalog: record version %d", ver)
@@ -722,36 +655,30 @@ func DecodeRecord(p []byte) (Record, error) {
 	switch kind {
 	case kindDumpSet:
 		var ds DumpSet
-		ds.ID = d.u64()
-		ds.Engine = Engine(d.u8())
-		ds.FSID = d.str()
-		ds.Snap = d.str()
-		ds.Level = int32(d.u32())
-		ds.Date = d.i64()
-		ds.BaseDate = d.i64()
-		ds.Gen = d.u64()
-		ds.BaseGen = d.u64()
-		ds.NBlocks = d.u64()
-		ds.Bytes = d.i64()
-		ds.Units = d.i64()
-		ds.Resumed = d.u8() != 0
-		n := int(d.u32())
-		if d.err != nil {
-			return nil, d.err
-		}
-		if n < 0 || n > len(p) {
-			return nil, fmt.Errorf("catalog: media count %d", n)
-		}
+		ds.ID = d.U64()
+		ds.Engine = Engine(d.U8())
+		ds.FSID = d.Str()
+		ds.Snap = d.Str()
+		ds.Level = int32(d.U32())
+		ds.Date = d.I64()
+		ds.BaseDate = d.I64()
+		ds.Gen = d.U64()
+		ds.BaseGen = d.U64()
+		ds.NBlocks = d.U64()
+		ds.Bytes = d.I64()
+		ds.Units = d.I64()
+		ds.Resumed = d.Bool()
+		n := d.Count()
 		for i := 0; i < n; i++ {
 			var m MediaRef
-			m.Volume = d.str()
-			m.Start = d.i64()
-			if d.err != nil {
-				return nil, d.err
+			m.Volume = d.Str()
+			m.Start = d.I64()
+			if d.Err() != nil {
+				return nil, d.Err()
 			}
 			ds.Media = append(ds.Media, m)
 		}
-		if err := d.done(); err != nil {
+		if err := d.Done(); err != nil {
 			return nil, err
 		}
 		if ds.ID == 0 {
@@ -763,63 +690,57 @@ func DecodeRecord(p []byte) (Record, error) {
 		return ds, nil
 	case kindFileIndex:
 		var r fileIndexRecord
-		r.SetID = d.u64()
-		n := int(d.u32())
-		if d.err != nil {
-			return nil, d.err
-		}
-		if n < 0 || n > len(p) {
-			return nil, fmt.Errorf("catalog: index count %d", n)
-		}
+		r.SetID = d.U64()
+		n := d.Count()
 		for i := 0; i < n; i++ {
 			var f FileIndexEntry
-			f.Path = d.str()
-			f.Ino = d.u32()
-			f.Unit = d.i64()
-			if d.err != nil {
-				return nil, d.err
+			f.Path = d.Str()
+			f.Ino = d.U32()
+			f.Unit = d.I64()
+			if d.Err() != nil {
+				return nil, d.Err()
 			}
 			r.Entries = append(r.Entries, f)
 		}
-		if err := d.done(); err != nil {
+		if err := d.Done(); err != nil {
 			return nil, err
 		}
 		return r, nil
 	case kindExpiry:
 		var r Expiry
-		r.SetID = d.u64()
-		r.Time = d.i64()
-		if err := d.done(); err != nil {
+		r.SetID = d.U64()
+		r.Time = d.I64()
+		if err := d.Done(); err != nil {
 			return nil, err
 		}
 		return r, nil
 	case kindSessionCkpt:
 		var sc SessionCheckpoint
-		sc.Session = d.u64()
-		sc.Stream = int32(d.u32())
-		sc.Seq = d.u64()
-		sc.Time = d.i64()
-		if err := d.done(); err != nil {
+		sc.Session = d.U64()
+		sc.Stream = int32(d.U32())
+		sc.Seq = d.U64()
+		sc.Time = d.I64()
+		if err := d.Done(); err != nil {
 			return nil, err
 		}
 		return sc, nil
 	case kindMedia:
 		var ev MediaEvent
-		ev.Kind = MediaEventKind(d.u8())
-		ev.Volume = d.str()
-		ev.Pool = d.str()
-		ev.Time = d.i64()
-		if err := d.done(); err != nil {
+		ev.Kind = MediaEventKind(d.U8())
+		ev.Volume = d.Str()
+		ev.Pool = d.Str()
+		ev.Time = d.I64()
+		if err := d.Done(); err != nil {
 			return nil, err
 		}
 		return ev, nil
 	case kindSetHealth:
 		var r SetHealth
-		r.SetID = d.u64()
-		r.State = SetHealthState(d.u8())
-		r.Time = d.i64()
-		r.Reason = d.str()
-		if err := d.done(); err != nil {
+		r.SetID = d.U64()
+		r.State = SetHealthState(d.U8())
+		r.Time = d.I64()
+		r.Reason = d.Str()
+		if err := d.Done(); err != nil {
 			return nil, err
 		}
 		if r.SetID == 0 {
@@ -830,5 +751,5 @@ func DecodeRecord(p []byte) (Record, error) {
 		}
 		return r, nil
 	}
-	return decodeChunkRecord(kind, d, p)
+	return decodeChunkRecord(kind, d)
 }

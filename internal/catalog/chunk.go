@@ -5,6 +5,7 @@ import (
 	"sort"
 
 	"repro/internal/chunk"
+	"repro/internal/codec"
 	"repro/internal/obs"
 )
 
@@ -223,139 +224,91 @@ func (c *Catalog) RegisterChunkMetrics(r *obs.Registry) {
 
 // --- encoding -----------------------------------------------------------
 
-func (e *enc) hash(h chunk.Hash) { e.b = append(e.b, h[:]...) }
-
-func (d *dec) hash() (h chunk.Hash) {
-	if d.err != nil || d.off+len(h) > len(d.b) {
-		d.fail()
-		return
-	}
-	copy(h[:], d.b[d.off:])
-	d.off += len(h)
-	return
-}
-
-func (e *enc) boolean(v bool) {
-	if v {
-		e.u8(1)
-	} else {
-		e.u8(0)
-	}
-}
-
-// boolean decodes a strict 0/1 byte; anything else is corruption (and
-// would break canonical re-encoding).
-func (d *dec) boolean() bool {
-	switch d.u8() {
-	case 0:
-		return false
-	case 1:
-		return true
-	default:
-		if d.err == nil {
-			d.err = fmt.Errorf("catalog: bad boolean at %d", d.off-1)
-		}
-		return false
-	}
-}
-
 func encodeChunkIndex(r *chunkIndexRecord) []byte {
-	e := &enc{}
-	e.u8(kindChunkIndex)
-	e.u8(1)
-	e.u32(uint32(len(r.Entries)))
+	e := &codec.Enc{}
+	e.U8(kindChunkIndex)
+	e.U8(1)
+	e.U32(uint32(len(r.Entries)))
 	for _, ce := range r.Entries {
-		e.hash(ce.Hash)
-		e.u32(ce.RawLen)
-		e.u32(ce.StoredLen)
-		e.boolean(ce.Compressed)
-		e.str(ce.Loc.Volume)
-		e.i64(ce.Loc.Index)
+		e.Raw(ce.Hash[:])
+		e.U32(ce.RawLen)
+		e.U32(ce.StoredLen)
+		e.Bool(ce.Compressed)
+		e.Str(ce.Loc.Volume)
+		e.I64(ce.Loc.Index)
 	}
-	return e.b
+	return e.B
 }
 
 func encodeChunkManifest(r *chunkManifestRecord) []byte {
-	e := &enc{}
-	e.u8(kindManifest)
-	e.u8(1)
-	e.u64(r.SetID)
-	e.i64(r.M.RawBytes)
-	e.i64(r.M.StoredBytes)
-	e.u32(uint32(len(r.M.Refs)))
+	e := &codec.Enc{}
+	e.U8(kindManifest)
+	e.U8(1)
+	e.U64(r.SetID)
+	e.I64(r.M.RawBytes)
+	e.I64(r.M.StoredBytes)
+	e.U32(uint32(len(r.M.Refs)))
 	for _, ref := range r.M.Refs {
-		e.hash(ref.Hash)
-		e.u32(ref.RawLen)
+		e.Raw(ref.Hash[:])
+		e.U32(ref.RawLen)
 	}
-	return e.b
+	return e.B
 }
 
 func encodeChunkErase(r *chunkEraseRecord) []byte {
-	e := &enc{}
-	e.u8(kindChunkErase)
-	e.u8(1)
-	e.u32(uint32(len(r.Hashes)))
+	e := &codec.Enc{}
+	e.U8(kindChunkErase)
+	e.U8(1)
+	e.U32(uint32(len(r.Hashes)))
 	for _, h := range r.Hashes {
-		e.hash(h)
+		e.Raw(h[:])
 	}
-	return e.b
+	return e.B
 }
 
 // decodeChunkRecord parses kinds 7-9 (called from DecodeRecord with
 // the kind/version prefix already consumed).
-func decodeChunkRecord(kind uint8, d *dec, p []byte) (Record, error) {
+func decodeChunkRecord(kind uint8, d *codec.Dec) (Record, error) {
 	switch kind {
 	case kindChunkIndex:
-		n := int(d.u32())
-		if d.err != nil {
-			return nil, d.err
-		}
-		if n < 0 || n > len(p) {
-			return nil, fmt.Errorf("catalog: chunk-index count %d", n)
-		}
+		n := d.Count()
 		var r chunkIndexRecord
 		for i := 0; i < n; i++ {
 			var ce chunk.Entry
-			ce.Hash = d.hash()
-			ce.RawLen = d.u32()
-			ce.StoredLen = d.u32()
-			ce.Compressed = d.boolean()
-			ce.Loc.Volume = d.str()
-			ce.Loc.Index = d.i64()
-			if d.err != nil {
-				return nil, d.err
+			d.Raw(ce.Hash[:])
+			ce.RawLen = d.U32()
+			ce.StoredLen = d.U32()
+			ce.Compressed = d.Bool()
+			ce.Loc.Volume = d.Str()
+			ce.Loc.Index = d.I64()
+			if d.Err() != nil {
+				return nil, d.Err()
 			}
 			if ce.RawLen == 0 || ce.StoredLen == 0 {
 				return nil, fmt.Errorf("catalog: chunk entry with zero length")
 			}
 			r.Entries = append(r.Entries, ce)
 		}
-		if err := d.done(); err != nil {
+		if err := d.Done(); err != nil {
 			return nil, err
 		}
 		return r, nil
 	case kindManifest:
 		var r chunkManifestRecord
-		r.SetID = d.u64()
-		r.M.RawBytes = d.i64()
-		r.M.StoredBytes = d.i64()
-		n := int(d.u32())
-		if d.err != nil {
-			return nil, d.err
-		}
-		if n < 0 || n > len(p) {
-			return nil, fmt.Errorf("catalog: manifest ref count %d", n)
-		}
+		r.SetID = d.U64()
+		r.M.RawBytes = d.I64()
+		r.M.StoredBytes = d.I64()
+		n := d.Count()
 		for i := 0; i < n; i++ {
 			var ref chunk.Ref
-			ref.Hash = d.hash()
-			ref.RawLen = d.u32()
-			if d.err != nil {
-				return nil, d.err
+			d.Raw(ref.Hash[:])
+			ref.RawLen = d.U32()
+			if d.Err() != nil {
+				return nil, d.Err()
 			}
 			r.M.Refs = append(r.M.Refs, ref)
 		}
-		if err := d.done(); err != nil {
+		if err := d.Done(); err != nil {
 			return nil, err
 		}
 		if r.SetID == 0 {
@@ -363,22 +316,17 @@ func decodeChunkRecord(kind uint8, d *dec, p []byte) (Record, error) {
 		}
 		return r, nil
 	case kindChunkErase:
-		n := int(d.u32())
-		if d.err != nil {
-			return nil, d.err
-		}
-		if n < 0 || n > len(p) {
-			return nil, fmt.Errorf("catalog: chunk-erase count %d", n)
-		}
+		n := d.Count()
 		var r chunkEraseRecord
 		for i := 0; i < n; i++ {
-			h := d.hash()
-			if d.err != nil {
-				return nil, d.err
+			var h chunk.Hash
+			d.Raw(h[:])
+			if d.Err() != nil {
+				return nil, d.Err()
 			}
 			r.Hashes = append(r.Hashes, h)
 		}
-		if err := d.done(); err != nil {
+		if err := d.Done(); err != nil {
 			return nil, err
 		}
 		return r, nil

@@ -41,6 +41,12 @@ func FuzzDecodeJournal(f *testing.F) {
 	f.Add(mangled)
 	f.Add([]byte{})
 	f.Add([]byte{0x31, 0x54, 0x41, 0x43, 0xff, 0xff, 0xff, 0xff, 0, 0, 0, 0})
+	// A boolean byte other than 0 or 1 (here Resumed, the byte before
+	// the empty media list's count) would decode to a set that
+	// re-encodes differently: it must be refused.
+	odd := encodeDumpSet(&DumpSet{ID: 1, Engine: Logical, Resumed: true})
+	odd[len(odd)-5] = 2
+	f.Add(odd)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		// DecodeRecord on the raw bytes: error or record, never panic.

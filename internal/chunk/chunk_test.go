@@ -11,6 +11,7 @@ import (
 	"repro/internal/bufpool"
 	"repro/internal/chunk"
 	"repro/internal/sim"
+	"repro/internal/tape"
 )
 
 // memIndex is a test chunk index with commit counting.
@@ -417,5 +418,52 @@ func TestWriterHitsAllocs(t *testing.T) {
 	}
 	if n := testing.AllocsPerRun(4, writerHitsStep(t)); n > 27 {
 		t.Fatalf("all-hits writer: %v allocs per 4 MiB stream, want <= 27", n)
+	}
+}
+
+// TestDriveMediaRidesOutTransientReads: a dedup'd set restored off tape
+// survives the marginal reads the plain tape path retries — ReadAt sits
+// on the drive's one read loop — and the retry costs the fault-free
+// ReadAt nothing: one allocation, the record's copy.
+func TestDriveMediaRidesOutTransientReads(t *testing.T) {
+	drive := tape.NewDrive(nil, "d", tape.DefaultParams())
+	drive.AddCartridges(tape.NewCartridge("c0"))
+	media := chunk.NewDriveMedia(drive, nil)
+	ix := newMemIndex()
+	w, err := chunk.NewWriter(chunk.WriterOptions{Index: ix, Media: media})
+	if err != nil {
+		t.Fatal(err)
+	}
+	data := dedupable(9, 256<<10)
+	m := writeStream(t, w, data)
+
+	drive.FailNextRead(true) // the first chunk fetch
+	drive.InjectFaults(tape.FaultConfig{Seed: 5, ReadFault: 0.3, ReadTransient: 1})
+	if got := readStream(t, chunk.NewReader(ix, media, m)); !bytes.Equal(got, data) {
+		t.Fatal("restored stream differs from input")
+	}
+	if drive.MediaErrors() < 2 {
+		t.Fatalf("%d read faults fired; raise ReadFault", drive.MediaErrors())
+	}
+
+	// A fault that outlives the retry budget still surfaces.
+	for i := 0; i < 8; i++ {
+		drive.FailNextRead(true)
+	}
+	e, _ := ix.LookupChunk(m.Refs[0].Hash)
+	if _, err := media.ReadAt(e.Loc); !tape.IsTransientMedia(err) {
+		t.Fatalf("unhealed transient fault: got %v", err)
+	}
+
+	if bufpool.RaceEnabled {
+		return
+	}
+	drive.InjectFaults(tape.FaultConfig{})
+	if n := testing.AllocsPerRun(20, func() {
+		if _, err := media.ReadAt(e.Loc); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 1 {
+		t.Fatalf("fault-free ReadAt: %v allocations, want 1", n)
 	}
 }

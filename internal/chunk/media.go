@@ -250,9 +250,15 @@ func (m *DriveMedia) Append(data []byte) (Loc, error) {
 
 // ReadAt implements Media: mount the chunk's cartridge if needed,
 // position the head (forward spacing at search speed, backward via a
-// rewind) and read the record.
+// rewind) and read the record, riding out transient read faults like
+// every other reader of recorded media.
 func (m *DriveMedia) ReadAt(loc Loc) ([]byte, error) {
-	if err := m.mount(loc.Volume); err != nil {
+	was := m.Drive.Loaded()
+	err := m.Drive.Mount(m.Proc, loc.Volume)
+	if m.Drive.Loaded() != was {
+		m.pos = 0
+	}
+	if err != nil {
 		return nil, err
 	}
 	target := int(loc.Index)
@@ -266,7 +272,7 @@ func (m *DriveMedia) ReadAt(loc Loc) ([]byte, error) {
 		}
 		m.pos = target
 	}
-	rec, err := m.Drive.ReadRecord(m.Proc)
+	rec, _, err := m.Drive.ReadData(nil, m.Proc, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -284,23 +290,4 @@ func (m *DriveMedia) NextVolume() error {
 	}
 	m.pos = 0
 	return nil
-}
-
-// mount cycles the stacker until the named cartridge is loaded.
-func (m *DriveMedia) mount(vol string) error {
-	if c := m.Drive.Loaded(); c != nil && c.Label == vol {
-		return nil
-	}
-	// One full pass over the stacker finds the cartridge or proves it
-	// isn't there.
-	for range m.Drive.Stacker() {
-		if err := m.Drive.Load(m.Proc); err != nil {
-			return err
-		}
-		m.pos = 0
-		if c := m.Drive.Loaded(); c != nil && c.Label == vol {
-			return nil
-		}
-	}
-	return fmt.Errorf("chunk: cartridge %q not in stacker", vol)
 }

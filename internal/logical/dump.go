@@ -53,8 +53,7 @@ type DumpOptions struct {
 	// pipeline; restore applies the shard streams in any order. A
 	// shard failure does not abort its siblings: the other shards run
 	// to completion and the failed shard's checkpoint comes back in
-	// ShardResults, to be resumed on its own (Sink + Resume) or with
-	// the set (ResumeShards).
+	// ShardResults, to be resumed on its own (Sink + Resume).
 	Sinks []stream.Sink
 	// Readers is the number of parallel Phase IV chunk stagers per
 	// stream (default 1). They pull file chunks off a shared plan and
@@ -90,12 +89,6 @@ type DumpOptions struct {
 	// self-contained enough for restore to map names), but Phase IV
 	// skips files already durably on the previous stream.
 	Resume *Checkpoint
-	// ResumeShards, len(Sinks) long, resumes individual shards of a
-	// parallel dump: entry k is shard k's checkpoint from a previous
-	// run's ShardResults, or nil to dump that shard from its start.
-	// All checkpoints must carry the same interrupted dump's date, so
-	// every stream of the set describes one self-consistent dump.
-	ResumeShards []*Checkpoint
 	// Log, if set, receives a line per notable recovery event
 	// (hole-mapped blocks, for the operator's damage report).
 	Log func(line string)
@@ -210,7 +203,7 @@ func Dump(ctx context.Context, opts DumpOptions) (*DumpStats, error) {
 	if opts.View == nil {
 		return nil, fmt.Errorf("logical: nil view")
 	}
-	streams, err := pipeline.Streams(opts.Sink, opts.Sinks, opts.Resume, opts.ResumeShards,
+	streams, err := pipeline.Streams(opts.Sink, opts.Sinks, opts.Resume,
 		func(c *Checkpoint) pipeline.Shard { return pipeline.Shard{K: c.Shard, N: c.Shards} })
 	if err != nil {
 		return nil, fmt.Errorf("logical: %w", err)
@@ -231,22 +224,14 @@ func Dump(ctx context.Context, opts DumpOptions) (*DumpStats, error) {
 	if opts.Dates != nil {
 		st.ddate = opts.Dates.Base(opts.FSID, opts.Level)
 	}
-	// Every resume checkpoint must describe the same interrupted dump,
-	// whose date the continuation inherits so that all its streams
-	// describe one self-consistent dump set.
-	resumed := false
-	for _, s := range streams {
-		r := s.Resume
-		if r == nil {
-			continue
-		}
+	// A continuation inherits the interrupted dump's date, so that all
+	// the set's streams describe one self-consistent dump. (Only a
+	// single stream can carry a resume checkpoint.)
+	if r := streams[0].Resume; r != nil {
 		if r.Level != opts.Level {
 			return nil, fmt.Errorf("logical: resume checkpoint is level %d, dump is level %d", r.Level, opts.Level)
 		}
-		if resumed && r.Date != st.date {
-			return nil, fmt.Errorf("logical: shard resume checkpoints disagree on dump date")
-		}
-		st.date, resumed = r.Date, true
+		st.date = r.Date
 	}
 	root := wafl.RootIno
 	if opts.Subtree != "" {

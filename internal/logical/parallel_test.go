@@ -165,7 +165,7 @@ func TestLogicalParallelRestoreStreamsStartTogether(t *testing.T) {
 // TestLogicalParallelShardFaultIsolatedAndResumes is the chaos story
 // on the logical engine: one drive of four drops offline mid-dump, the
 // sibling shards run to completion, the torn shard hands back its own
-// checkpoint, a ResumeShards re-invocation redumps only that shard's
+// checkpoint, a Sink + Resume re-invocation redumps only that shard's
 // remainder, and restoring all the streams rebuilds the exact tree.
 func TestLogicalParallelShardFaultIsolatedAndResumes(t *testing.T) {
 	_, sv := parallelLogicalFS(t, 73)
@@ -213,31 +213,16 @@ func TestLogicalParallelShardFaultIsolatedAndResumes(t *testing.T) {
 	}
 
 	// The drive comes back; what reached tape before the outage is
-	// intact. Resume redumps only the torn shard: siblings get
-	// synthetic completed checkpoints, so their continuation streams
-	// carry no files.
+	// intact. The torn shard's checkpoint names its slice of the file
+	// list, so one Sink with Resume is the whole request: the complete
+	// shards are not redumped.
 	drives[faulted].SetOffline(false)
 	drives[faulted].Flush(nil)
 	torn := stats.ShardResults[faulted].Checkpoint
-
-	contSinks := make([]stream.Sink, nShards)
-	contStreams := make([]*memSink, nShards)
-	resume := make([]*Checkpoint, nShards)
-	for k := range contSinks {
-		contStreams[k] = &memSink{}
-		contSinks[k] = contStreams[k]
-		if k == faulted {
-			resume[k] = torn
-		} else {
-			resume[k] = &Checkpoint{
-				Date: torn.Date, Level: torn.Level, LastIno: wafl.Inum(1<<31 - 1),
-				Shard: k, Shards: nShards,
-			}
-		}
-	}
+	cont := &memSink{}
 	stats2, err := Dump(ctx, DumpOptions{
-		View: sv, Sinks: contSinks, Label: "chaos", ReadAhead: 8,
-		Readers: 2, CheckpointEvery: 2, ResumeShards: resume,
+		View: sv, Sink: cont, Label: "chaos", ReadAhead: 8,
+		Readers: 2, CheckpointEvery: 2, Resume: torn,
 	})
 	if err != nil {
 		t.Fatalf("resumed dump: %v", err)
@@ -245,13 +230,16 @@ func TestLogicalParallelShardFaultIsolatedAndResumes(t *testing.T) {
 	if stats2.Date != stats.Date {
 		t.Fatalf("resumed dump date %d != original %d", stats2.Date, stats.Date)
 	}
-	if r := stats2.ShardResults[faulted]; r.FilesSkipped == 0 || r.FilesDumped == 0 {
-		t.Fatalf("resumed shard skipped %d, dumped %d; want both > 0", r.FilesSkipped, r.FilesDumped)
+	if len(stats2.ShardResults) != 1 || stats2.ShardResults[0].Shard != faulted {
+		t.Fatalf("resume ran %+v, want shard %d alone", stats2.ShardResults, faulted)
 	}
-	for k, r := range stats2.ShardResults {
-		if k != faulted && r.FilesDumped != 0 {
-			t.Fatalf("completed shard %d redumped %d files on resume", k, r.FilesDumped)
-		}
+	if stats2.FilesSkipped == 0 || stats2.FilesDumped == 0 {
+		t.Fatalf("resumed shard skipped %d, dumped %d; want both > 0", stats2.FilesSkipped, stats2.FilesDumped)
+	}
+	// Skipped plus redumped is that shard's slice and no sibling's file:
+	// every shard's slice is about a quarter of the list.
+	if slice, sibling := stats2.FilesSkipped+stats2.FilesDumped, stats.ShardResults[0].FilesDumped; slice > sibling+1 || slice < sibling-1 {
+		t.Fatalf("resumed shard covered %d files, a sibling's slice is %d", slice, sibling)
 	}
 
 	// Restore the three intact tapes, the torn tape (salvaging its
@@ -268,7 +256,7 @@ func TestLogicalParallelShardFaultIsolatedAndResumes(t *testing.T) {
 		}
 	}
 	if _, err := Restore(ctx, RestoreOptions{
-		FS: dst, Source: contStreams[faulted].source(), KernelIntegrated: true,
+		FS: dst, Source: cont.source(), KernelIntegrated: true,
 	}); err != nil {
 		t.Fatalf("restoring continuation stream: %v", err)
 	}

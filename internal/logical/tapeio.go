@@ -42,9 +42,6 @@ import (
 type DriveSink struct {
 	Drive *tape.Drive
 	Proc  *sim.Proc
-	// Retry bounds transient-media-error retries. Zero value means
-	// storage.DefaultRetryPolicy.
-	Retry storage.RetryPolicy
 	// Ctx, when set, is polled between backoff sleeps so a canceled
 	// dump stops retrying instead of sleeping out the budget.
 	Ctx context.Context
@@ -70,10 +67,7 @@ func (s *DriveSink) BindProc(p *sim.Proc) *sim.Proc {
 
 // WriteRecord implements stream.Sink.
 func (s *DriveSink) WriteRecord(data []byte) error {
-	retry := s.Retry
-	if retry.MaxRetries == 0 && retry.Initial == 0 {
-		retry = storage.DefaultRetryPolicy()
-	}
+	retry := storage.DefaultRetryPolicy()
 	err := s.Drive.WriteRecord(s.Proc, data)
 	for attempt := 1; tape.IsTransientMedia(err) && attempt <= retry.MaxRetries; attempt++ {
 		if s.Ctx != nil && s.Ctx.Err() != nil {
@@ -107,23 +101,18 @@ func (s *DriveSink) NextVolume() error {
 }
 
 // DriveSource adapts a tape drive to stream.Source for restore,
-// cycling through stacker cartridges at end of tape and treating file
-// marks and an empty stacker as end of stream.
+// cycling through stacker cartridges at end of tape and treating an
+// empty stacker as end of stream.
 //
-// Media read faults get the same bounded retry-with-backoff the write
-// path has had since the dump engines grew fault tolerance: transient
-// errors (a marginal read the drive recovers on a repositioning pass)
-// are retried up to Retry.MaxRetries with backoff charged to the
-// simulated clock; a persistent error — a damaged spot of tape —
+// Records come off the drive through tape.Drive.ReadData: file marks
+// skipped, transient read errors retried with backoff charged to the
+// simulated clock. A persistent error — a damaged spot of tape —
 // either propagates (default, verify wants to know) or, with
-// SkipDamaged, spaces past the bad record and keeps reading, leaning
-// on the stream formats' resynchronization to salvage the rest.
+// SkipDamaged, is spaced past, leaning on the stream formats'
+// resynchronization to salvage the rest.
 type DriveSource struct {
 	Drive *tape.Drive
 	Proc  *sim.Proc
-	// Retry bounds transient-read retries. Zero value means
-	// storage.DefaultRetryPolicy.
-	Retry storage.RetryPolicy
 	// Ctx, when set, is polled between backoff sleeps so a canceled
 	// restore stops retrying promptly.
 	Ctx context.Context
@@ -157,54 +146,29 @@ func (s *DriveSource) BindProc(p *sim.Proc) *sim.Proc {
 
 // ReadRecord implements stream.Source.
 func (s *DriveSource) ReadRecord() ([]byte, error) {
-	retry := s.Retry
-	if retry.MaxRetries == 0 && retry.Initial == 0 {
-		retry = storage.DefaultRetryPolicy()
+	var damaged func(string, int)
+	if s.SkipDamaged {
+		damaged = s.noteSkipped
 	}
-	attempt := 0
 	for {
-		if s.Ctx != nil && s.Ctx.Err() != nil {
-			return nil, s.Ctx.Err()
+		rec, retries, err := s.Drive.ReadData(s.Ctx, s.Proc, damaged)
+		s.retries += retries
+		if !errors.Is(err, tape.ErrEndOfTape) {
+			return rec, err
 		}
-		rec, err := s.Drive.ReadRecord(s.Proc)
-		switch {
-		case err == nil:
-			return rec, nil
-		case errors.Is(err, tape.ErrFileMark):
-			continue
-		case errors.Is(err, tape.ErrEndOfTape):
-			s.volumes++
-			if s.max > 0 && s.volumes >= s.max {
-				return nil, io.EOF
-			}
-			if lerr := s.Drive.Load(s.Proc); lerr != nil {
-				return nil, io.EOF
-			}
-		case tape.IsTransientMedia(err):
-			attempt++
-			if attempt > retry.MaxRetries {
-				return nil, err
-			}
-			s.retries++
-			if s.Proc != nil {
-				s.Proc.Sleep(retry.Delay(attempt))
-			}
-		case errors.Is(err, tape.ErrMediaRead) && s.SkipDamaged:
-			// A latched bad spot: the head is parked before it, so
-			// space one record past and keep going. The dumpfmt
-			// Reader (and physical restore's salvage mode) resync on
-			// the far side.
-			if serr := s.Drive.SpaceRecords(s.Proc, 1); serr != nil {
-				return nil, serr
-			}
-			s.skipped++
-			if s.Ctx != nil {
-				obs.MetricsFrom(s.Ctx).Counter("restore_skipped_records_total",
-					obs.Labels{"engine": "logical"}).Inc()
-			}
-			attempt = 0
-		default:
-			return nil, err
+		s.volumes++
+		if s.max > 0 && s.volumes >= s.max {
+			return nil, io.EOF
 		}
+		if s.Drive.Load(s.Proc) != nil {
+			return nil, io.EOF
+		}
+	}
+}
+
+func (s *DriveSource) noteSkipped(string, int) {
+	s.skipped++
+	if s.Ctx != nil {
+		obs.MetricsFrom(s.Ctx).Counter("restore_skipped_records_total", nil).Inc()
 	}
 }

@@ -174,6 +174,21 @@ func (p *Pool) Volume(label string) (*Volume, bool) {
 	return v, ok
 }
 
+// LoadDrive queues on d the cartridges bound to labels, in mount
+// order — the operator carrying a media list's tapes to a drive — and
+// returns the labels the pool cannot mount: unknown to it, or a volume
+// with no cartridge bound.
+func (p *Pool) LoadDrive(d *tape.Drive, labels []string) (missing []string) {
+	for _, label := range labels {
+		if v, ok := p.vols[label]; ok && v.Cart != nil {
+			d.AddCartridges(v.Cart)
+		} else {
+			missing = append(missing, label)
+		}
+	}
+	return missing
+}
+
 // Volumes lists the pool in registration order.
 func (p *Pool) Volumes() []*Volume {
 	out := make([]*Volume, 0, len(p.order))

@@ -1,6 +1,10 @@
 package media
 
 import (
+	"context"
+	"errors"
+	"io"
+
 	"repro/internal/catalog"
 	"repro/internal/sim"
 	"repro/internal/stream"
@@ -68,4 +72,56 @@ func (t *TrackingSink) Labels() []string {
 		out[i] = r.Volume
 	}
 	return out
+}
+
+// SetSource is TrackingSink's read-side dual: it feeds one dump set's
+// stream back to a restore or verify by walking the MediaRefs the sink
+// recorded, in order — mount the volume, rewind, space to the recorded
+// start index, read records until the volume's data runs out, move to
+// the next ref. The stream formats terminate themselves (TS_END / the
+// image trailer), so records of a later dump set sharing the last
+// cartridge are never consumed. Every record comes off the drive
+// through tape.Drive.ReadData, whose fault rule applies: with a nil
+// damaged callback a persistent media fault fails the read, otherwise
+// the callback is told the volume and record and the walk carries on
+// past it.
+type SetSource struct {
+	drive   *tape.Drive
+	ctx     context.Context
+	proc    *sim.Proc
+	refs    []catalog.MediaRef
+	damaged func(volume string, record int)
+	cur     int
+	ready   bool // refs[cur] is mounted and positioned
+}
+
+// NewSetSource reads the set recorded at refs from drive, which must
+// hold the cartridges (Pool.LoadDrive); tape time is charged to ctx's
+// sim process.
+func NewSetSource(ctx context.Context, drive *tape.Drive, refs []catalog.MediaRef, damaged func(volume string, record int)) *SetSource {
+	return &SetSource{drive: drive, ctx: ctx, proc: sim.ProcFrom(ctx), refs: refs, damaged: damaged}
+}
+
+// ReadRecord implements stream.Source.
+func (s *SetSource) ReadRecord() ([]byte, error) {
+	for ; s.cur < len(s.refs); s.cur++ {
+		if ref := s.refs[s.cur]; !s.ready {
+			if err := s.drive.Mount(s.proc, ref.Volume); err != nil {
+				return nil, err
+			}
+			s.drive.Rewind(s.proc)
+			if ref.Start > 0 {
+				if err := s.drive.SpaceRecords(s.proc, int(ref.Start)); err != nil {
+					return nil, err
+				}
+			}
+			s.ready = true
+		}
+		rec, _, err := s.drive.ReadData(s.ctx, s.proc, s.damaged)
+		if !errors.Is(err, tape.ErrEndOfTape) {
+			return rec, err
+		}
+		s.ready = false
+	}
+	return nil, io.EOF
 }

@@ -210,7 +210,7 @@ func TestParallelIncrementalChain(t *testing.T) {
 // TestParallelShardFaultIsolatedAndResumes: one drive of a 4-drive
 // parallel dump goes offline mid-stream. The sibling shards complete,
 // the failed shard comes back with a resume checkpoint, a second Dump
-// resumes only that shard, and salvage-applying the torn stream plus
+// (Sink + Resume) continues that shard alone, and salvage-applying the torn stream plus
 // the continuation plus the siblings rebuilds the tree byte for byte.
 func TestParallelShardFaultIsolatedAndResumes(t *testing.T) {
 	fs, dev := parallelFS(t, 55)
@@ -272,40 +272,21 @@ func TestParallelShardFaultIsolatedAndResumes(t *testing.T) {
 	if err := cont.Load(nil); err != nil {
 		t.Fatal(err)
 	}
-	resume := make([]*Checkpoint, drives)
-	resume[faulted] = stats.ShardResults[faulted].Checkpoint
-	for k := range resume {
-		if k == faulted {
-			continue
-		}
-		// Completed shards resume past their whole block set: their
-		// continuation streams carry no data.
-		resume[k] = &Checkpoint{
-			Gen: stats.Gen, BaseGen: stats.BaseGen,
-			BlocksDone: stats.ShardResults[k].BlocksDumped,
-			Shard:      k, Shards: drives,
-		}
-	}
-	resinks := make([]stream.Sink, drives)
-	empties := make([]*memSink, drives)
-	for k := range resinks {
-		if k == faulted {
-			resinks[k] = &logical.DriveSink{Drive: cont}
-			continue
-		}
-		empties[k] = &memSink{}
-		resinks[k] = empties[k]
-	}
+	// Its checkpoint names its slice of the block set, so one Sink with
+	// Resume is the whole request: the complete shards are not redumped.
+	torn := stats.ShardResults[faulted].Checkpoint
 	stats2, err := Dump(ctx, DumpOptions{
-		FS: fs, Vol: dev, SnapName: "s", Sinks: resinks,
-		CheckpointEvery: 16, ResumeShards: resume,
+		FS: fs, Vol: dev, SnapName: "s", Sink: &logical.DriveSink{Drive: cont},
+		CheckpointEvery: 16, Resume: torn,
 	})
 	if err != nil {
-		t.Fatalf("resumed parallel dump: %v", err)
+		t.Fatalf("resumed shard dump: %v", err)
 	}
-	if stats2.ShardResults[faulted].BlocksSkipped != resume[faulted].BlocksDone {
-		t.Fatalf("resumed shard skipped %d, checkpoint says %d",
-			stats2.ShardResults[faulted].BlocksSkipped, resume[faulted].BlocksDone)
+	if len(stats2.ShardResults) != 1 || stats2.ShardResults[0].Shard != faulted {
+		t.Fatalf("resume ran %+v, want shard %d alone", stats2.ShardResults, faulted)
+	}
+	if stats2.BlocksSkipped != torn.BlocksDone {
+		t.Fatalf("resumed shard skipped %d, checkpoint says %d", stats2.BlocksSkipped, torn.BlocksDone)
 	}
 	cont.Flush(nil)
 

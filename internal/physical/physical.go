@@ -125,8 +125,7 @@ type DumpOptions struct {
 	// internal pipeline. Restore applies the shard streams in any
 	// order. A shard failure does not abort its siblings: the other
 	// shards run to completion and the failed shard's checkpoint comes
-	// back in ShardResults, to be resumed on its own (Sink + Resume) or
-	// with the set (ResumeShards).
+	// back in ShardResults, to be resumed on its own (Sink + Resume).
 	Sinks []stream.Sink
 	// Readers is the number of parallel block readers per stream
 	// (default 1). Readers pull extents off a shared plan and the
@@ -151,13 +150,6 @@ type DumpOptions struct {
 	// names. The block set is recomputed from the same (frozen)
 	// snapshots and the slice's first BlocksDone entries are skipped.
 	Resume *Checkpoint
-	// ResumeShards, len(Sinks) long, resumes individual shards of a
-	// parallel dump: entry k is shard k's checkpoint from a previous
-	// run's ShardResults, or nil to dump that shard from its start.
-	// Shards that already completed can be resumed with a checkpoint
-	// whose BlocksDone covers the whole shard; their stream is then
-	// header+trailer only.
-	ResumeShards []*Checkpoint
 }
 
 // Checkpoint is the durable progress of an interrupted image dump. The
@@ -248,7 +240,7 @@ func Dump(ctx context.Context, opts DumpOptions) (*DumpStats, error) {
 	if opts.FS == nil || opts.Vol == nil {
 		return nil, fmt.Errorf("physical: nil fs or volume")
 	}
-	streams, err := pipeline.Streams(opts.Sink, opts.Sinks, opts.Resume, opts.ResumeShards,
+	streams, err := pipeline.Streams(opts.Sink, opts.Sinks, opts.Resume,
 		func(c *Checkpoint) pipeline.Shard { return pipeline.Shard{K: c.Shard, N: c.Shards} })
 	if err != nil {
 		return nil, fmt.Errorf("physical: %w", err)

@@ -3,6 +3,7 @@ package physical
 import (
 	"context"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
@@ -235,6 +236,73 @@ func restoreParallel(ctx context.Context, opts RestoreOptions) (*RestoreStats, e
 	return merged, nil
 }
 
+// errTorn marks a stream that ends before its trailer — what an
+// interrupted dump leaves on tape. Whether the blocks before the tear
+// are worth keeping is the caller's decision (RestoreOptions.Salvage).
+var errTorn = fmt.Errorf("%w: torn", ErrBadStream)
+
+// extentWalk is what walkExtents saw up to where it stopped.
+type extentWalk struct {
+	extents     int
+	checkpoints int // checkpoint extents, each checksum-verified
+}
+
+// walkExtents reads the body of a stream whose header h has been read:
+// it bounds-checks every extent against the header's geometry, checks
+// the running payload CRC at each checkpoint extent and at the
+// trailer, and hands the blocks to run in stream order, at most
+// maxRun at a time (data is valid only during the call). It stops
+// after the trailer; a stream that ends first is an errTorn.
+func walkExtents(r *streamReader, h *streamHeader, run func(start, n int, data []byte) error) (extentWalk, error) {
+	const maxRun = 512
+	var w extentWalk
+	crc := crc32.NewIEEE()
+	var ext [8]byte
+	runBuf := bufpool.Get(maxRun * storage.BlockSize)
+	defer bufpool.Put(runBuf)
+	buf := *runBuf
+	for {
+		if err := r.readFull(ext[:]); err != nil {
+			return w, fmt.Errorf("%w: missing trailer", errTorn)
+		}
+		start := binary.LittleEndian.Uint32(ext[0:])
+		count := binary.LittleEndian.Uint32(ext[4:])
+		if start == EndSentinel || start == CkptSentinel {
+			// Trailer or checkpoint: verify the payload so far; carry no data.
+			if crc.Sum32() != count {
+				return w, ErrBadChecksum
+			}
+			if start == EndSentinel {
+				return w, nil
+			}
+			w.checkpoints++
+			continue
+		}
+		if uint64(start)+uint64(count) > h.nblocks || count == 0 {
+			return w, fmt.Errorf("%w: extent %d+%d out of range", ErrBadStream, start, count)
+		}
+		w.extents++
+		for b := uint32(0); b < count; {
+			c := int(count - b)
+			if c > maxRun {
+				c = maxRun
+			}
+			chunk := buf[:c*storage.BlockSize]
+			if err := r.readFull(chunk); err != nil {
+				if err == io.EOF || err == io.ErrUnexpectedEOF {
+					return w, fmt.Errorf("%w: mid-extent", errTorn)
+				}
+				return w, err
+			}
+			crc.Write(chunk)
+			if err := run(int(start)+int(b), c, chunk); err != nil {
+				return w, err
+			}
+			b += uint32(c)
+		}
+	}
+}
+
 // restoreBody applies the extents and root of a stream whose header
 // has already been read and validated.
 func restoreBody(ctx context.Context, vol storage.Device, r *streamReader, h *streamHeader, opts RestoreOptions) (*RestoreStats, error) {
@@ -245,16 +313,16 @@ func restoreBody(ctx context.Context, vol storage.Device, r *streamReader, h *st
 		span.SetAttr("bytes", stats.BytesRead)
 		span.End()
 	}()
-	const maxRestoreRun = 512
-	crc := crc32.NewIEEE()
-	var ext [8]byte
-	runBuf := bufpool.Get(maxRestoreRun * storage.BlockSize)
-	defer bufpool.Put(runBuf)
-	buf := *runBuf
-	torn := func(err error) (*RestoreStats, error) {
-		if !opts.Salvage {
-			return nil, err
+	walk, err := walkExtents(r, h, func(start, n int, data []byte) error {
+		if err := vol.WriteRun(ctx, start, n, data); err != nil {
+			return err
 		}
+		opts.Costs.charge(ctx, time.Duration(n)*opts.Costs.RestBlock)
+		stats.BlocksRestored += n
+		return nil
+	})
+	stats.Checkpoints = walk.checkpoints
+	if errors.Is(err, errTorn) && opts.Salvage {
 		stats.TornTail = true
 		stats.BytesRead = r.read
 		span.SetAttr("torn_tail", true)
@@ -262,49 +330,8 @@ func restoreBody(ctx context.Context, vol storage.Device, r *streamReader, h *st
 			obs.Labels{"engine": "image"}).Inc()
 		return stats, nil
 	}
-	for {
-		if err := r.readFull(ext[:]); err != nil {
-			return torn(fmt.Errorf("%w: missing trailer", ErrBadStream))
-		}
-		start := binary.LittleEndian.Uint32(ext[0:])
-		count := binary.LittleEndian.Uint32(ext[4:])
-		if start == EndSentinel {
-			if crc.Sum32() != count {
-				return nil, ErrBadChecksum
-			}
-			break
-		}
-		if start == CkptSentinel {
-			// Checkpoint: verify the payload so far; carry no data.
-			if crc.Sum32() != count {
-				return nil, ErrBadChecksum
-			}
-			stats.Checkpoints++
-			continue
-		}
-		if uint64(start)+uint64(count) > h.nblocks || count == 0 {
-			return nil, fmt.Errorf("%w: extent %d+%d out of range", ErrBadStream, start, count)
-		}
-		for b := uint32(0); b < count; {
-			c := int(count - b)
-			if c > maxRestoreRun {
-				c = maxRestoreRun
-			}
-			chunk := buf[:c*storage.BlockSize]
-			if err := r.readFull(chunk); err != nil {
-				if err == io.EOF || err == io.ErrUnexpectedEOF {
-					return torn(fmt.Errorf("%w: stream torn mid-extent", ErrBadStream))
-				}
-				return nil, err
-			}
-			crc.Write(chunk)
-			if err := vol.WriteRun(ctx, int(start)+int(b), c, chunk); err != nil {
-				return nil, err
-			}
-			opts.Costs.charge(ctx, time.Duration(c)*opts.Costs.RestBlock)
-			stats.BlocksRestored += c
-			b += uint32(c)
-		}
+	if err != nil {
+		return nil, err
 	}
 
 	// Install the composed root last, redundantly across both fixed

@@ -2,12 +2,9 @@ package physical
 
 import (
 	"context"
-	"encoding/binary"
 	"fmt"
-	"hash/crc32"
 
 	"repro/internal/obs"
-	"repro/internal/storage"
 	"repro/internal/stream"
 )
 
@@ -60,40 +57,14 @@ func verifyStream(src stream.Source) (*StreamCheck, error) {
 		return nil, err
 	}
 	check := &StreamCheck{NBlocks: h.nblocks, Gen: h.gen, BaseGen: h.baseGen}
-	crc := crc32.NewIEEE()
-	var ext [8]byte
-	buf := make([]byte, storage.BlockSize)
-	for {
-		if err := r.readFull(ext[:]); err != nil {
-			return nil, fmt.Errorf("%w: missing trailer", ErrBadStream)
-		}
-		start := binary.LittleEndian.Uint32(ext[0:])
-		count := binary.LittleEndian.Uint32(ext[4:])
-		if start == EndSentinel {
-			if crc.Sum32() != count {
-				return nil, ErrBadChecksum
-			}
-			break
-		}
-		if start == CkptSentinel {
-			if crc.Sum32() != count {
-				return nil, ErrBadChecksum
-			}
-			check.Checkpoints++
-			continue
-		}
-		if uint64(start)+uint64(count) > h.nblocks || count == 0 {
-			return nil, fmt.Errorf("%w: extent %d+%d out of range", ErrBadStream, start, count)
-		}
-		check.Extents++
-		for b := uint32(0); b < count; b++ {
-			if err := r.readFull(buf); err != nil {
-				return nil, err
-			}
-			crc.Write(buf)
-			check.BlockCount++
-		}
+	walk, err := walkExtents(r, h, func(_, n int, _ []byte) error {
+		check.BlockCount += n
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
+	check.Extents, check.Checkpoints = walk.extents, walk.checkpoints
 	if uint64(check.BlockCount) != h.blockCount {
 		return nil, fmt.Errorf("%w: header says %d blocks, stream carries %d",
 			ErrBadStream, h.blockCount, check.BlockCount)

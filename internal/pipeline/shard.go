@@ -36,15 +36,11 @@ type Stream[C any] struct {
 // streams. A single sink is the one-element case; its shard is the one
 // its resume checkpoint names (shardOf reads it), so resuming one
 // stream of a set onto a replacement sink needs no option. Several
-// sinks are shards 0..n-1 of n, each optionally resumed by the entry of
-// resumes (nil, or len(sinks) long) at its index.
-func Streams[C any](sink stream.Sink, sinks []stream.Sink, resume *C, resumes []*C, shardOf func(*C) Shard) ([]Stream[C], error) {
+// sinks are shards 0..n-1 of n, each dumped from its start.
+func Streams[C any](sink stream.Sink, sinks []stream.Sink, resume *C, shardOf func(*C) Shard) ([]Stream[C], error) {
 	if len(sinks) == 0 {
 		if sink == nil {
 			return nil, errors.New("nil sink")
-		}
-		if resumes != nil {
-			return nil, errors.New("ResumeShards requires Sinks")
 		}
 		s := Stream[C]{Sink: sink, Resume: resume}
 		if resume != nil {
@@ -59,10 +55,7 @@ func Streams[C any](sink stream.Sink, sinks []stream.Sink, resume *C, resumes []
 		return nil, errors.New("Sink and Sinks are mutually exclusive")
 	}
 	if resume != nil {
-		return nil, errors.New("use ResumeShards to resume a dump to Sinks")
-	}
-	if resumes != nil && len(resumes) != len(sinks) {
-		return nil, fmt.Errorf("ResumeShards has %d entries for %d sinks", len(resumes), len(sinks))
+		return nil, errors.New("Resume continues one stream: give its Sink, not Sinks")
 	}
 	streams := make([]Stream[C], len(sinks))
 	for k, sink := range sinks {
@@ -70,13 +63,6 @@ func Streams[C any](sink stream.Sink, sinks []stream.Sink, resume *C, resumes []
 			return nil, fmt.Errorf("nil sink %d", k)
 		}
 		streams[k] = Stream[C]{Sink: sink, Shard: Shard{k, len(sinks)}}
-		if resumes == nil || resumes[k] == nil {
-			continue
-		}
-		if got := shardOf(resumes[k]); got != streams[k].Shard {
-			return nil, fmt.Errorf("resume checkpoint for shard %d of %d given as shard %d of %d", got.K, got.N, k, len(sinks))
-		}
-		streams[k].Resume = resumes[k]
 	}
 	return streams, nil
 }

@@ -24,11 +24,11 @@ func (s *bindSink) BindProc(p *sim.Proc) *sim.Proc {
 }
 
 // TestStreamsResolvesOptions: one sink takes its shard from its resume
-// checkpoint; several sinks are shards 0..n-1 and refuse a checkpoint
-// from another slot; contradictory options are refused.
+// checkpoint; several sinks are shards 0..n-1; contradictory options
+// are refused.
 func TestStreamsResolvesOptions(t *testing.T) {
 	a, b := &bindSink{}, &bindSink{}
-	one, err := Streams(stream.Sink(a), nil, &ckpt{2, 4}, nil, shardOf)
+	one, err := Streams(stream.Sink(a), nil, &ckpt{2, 4}, shardOf)
 	if err != nil || len(one) != 1 || one[0].Shard != (Shard{2, 4}) || one[0].Resume == nil {
 		t.Fatalf("single sink + resume: %+v, %v", one, err)
 	}
@@ -38,22 +38,16 @@ func TestStreamsResolvesOptions(t *testing.T) {
 	if lo, hi := (Shard{}).Slice(10); lo != 0 || hi != 10 {
 		t.Fatalf("whole list = [%d,%d)", lo, hi)
 	}
-	two, err := Streams(nil, []stream.Sink{a, b}, nil, []*ckpt{nil, {1, 2}}, shardOf)
-	if err != nil || len(two) != 2 || two[1].Shard != (Shard{1, 2}) || two[0].Resume != nil || two[1].Resume == nil {
+	two, err := Streams[ckpt](nil, []stream.Sink{a, b}, nil, shardOf)
+	if err != nil || len(two) != 2 || two[1].Shard != (Shard{1, 2}) || two[0].Resume != nil || two[1].Resume != nil {
 		t.Fatalf("two sinks: %+v, %v", two, err)
 	}
 	for name, bad := range map[string]func() error{
-		"no sink":         func() error { _, err := Streams[ckpt](nil, nil, nil, nil, shardOf); return err },
-		"both":            func() error { _, err := Streams[ckpt](a, []stream.Sink{b}, nil, nil, shardOf); return err },
-		"nil in Sinks":    func() error { _, err := Streams[ckpt](nil, []stream.Sink{a, nil}, nil, nil, shardOf); return err },
-		"shard 5 of 4":    func() error { _, err := Streams(stream.Sink(a), nil, &ckpt{5, 4}, nil, shardOf); return err },
-		"Resume + Sinks":  func() error { _, err := Streams(nil, []stream.Sink{a}, &ckpt{0, 1}, nil, shardOf); return err },
-		"resumes w/o set": func() error { _, err := Streams(stream.Sink(a), nil, nil, []*ckpt{nil}, shardOf); return err },
-		"resumes length":  func() error { _, err := Streams(nil, []stream.Sink{a, b}, nil, []*ckpt{nil}, shardOf); return err },
-		"wrong slot": func() error {
-			_, err := Streams(nil, []stream.Sink{a, b}, nil, []*ckpt{{1, 2}, nil}, shardOf)
-			return err
-		},
+		"no sink":        func() error { _, err := Streams[ckpt](nil, nil, nil, shardOf); return err },
+		"both":           func() error { _, err := Streams[ckpt](a, []stream.Sink{b}, nil, shardOf); return err },
+		"nil in Sinks":   func() error { _, err := Streams[ckpt](nil, []stream.Sink{a, nil}, nil, shardOf); return err },
+		"shard 5 of 4":   func() error { _, err := Streams(stream.Sink(a), nil, &ckpt{5, 4}, shardOf); return err },
+		"Resume + Sinks": func() error { _, err := Streams(nil, []stream.Sink{a}, &ckpt{0, 1}, shardOf); return err },
 	} {
 		if bad() == nil {
 			t.Errorf("%s: accepted", name)
@@ -68,13 +62,13 @@ func TestRunShardsProcesses(t *testing.T) {
 	onSim(func(ctx context.Context) {
 		caller := sim.ProcFrom(ctx)
 		a, b := &bindSink{proc: caller}, &bindSink{proc: caller}
-		one, _ := Streams[ckpt](a, nil, nil, nil, shardOf)
+		one, _ := Streams[ckpt](a, nil, nil, shardOf)
 		RunShards(ctx, "t", one, func(ctx context.Context, k int, s Stream[ckpt]) {
 			if sim.ProcFrom(ctx) != caller || a.proc != caller {
 				t.Error("single stream left the calling process")
 			}
 		})
-		two, _ := Streams[ckpt](nil, []stream.Sink{a, b}, nil, nil, shardOf)
+		two, _ := Streams[ckpt](nil, []stream.Sink{a, b}, nil, shardOf)
 		ran := 0
 		RunShards(ctx, "t", two, func(ctx context.Context, k int, s Stream[ckpt]) {
 			ran++

@@ -168,9 +168,6 @@ func (g *Group) ReadBlock(ctx context.Context, bno int, buf []byte) error {
 	return g.reconstruct(ctx, dblock, buf)
 }
 
-// SetRetryPolicy replaces the group's transient-fault retry policy.
-func (g *Group) SetRetryPolicy(p storage.RetryPolicy) { g.retry = p }
-
 // RecoveryStats returns how many transient-fault retries the group has
 // performed and how many single-block reads it has served degraded
 // (reconstructed from parity because the owning block was unreadable).

@@ -95,14 +95,6 @@ func (v *Volume) Groups() []*Group { return v.groups }
 // Traffic returns cumulative bytes read from and written to the volume.
 func (v *Volume) Traffic() (read, written int64) { return v.bytesRead.Load(), v.bytesWritten.Load() }
 
-// SetRetryPolicy replaces the transient-fault retry policy on every
-// group in the volume.
-func (v *Volume) SetRetryPolicy(p storage.RetryPolicy) {
-	for _, g := range v.groups {
-		g.SetRetryPolicy(p)
-	}
-}
-
 // RecoveryStats sums transient-fault retries and degraded-mode block
 // reconstructions across the volume's groups.
 func (v *Volume) RecoveryStats() (retries, reconstructs int) {

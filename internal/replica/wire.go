@@ -19,9 +19,10 @@
 package replica
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
+
+	"repro/internal/codec"
 )
 
 // Wire message kinds. Every exchange between the Cluster handle and a
@@ -175,270 +176,105 @@ func (InstallAck) kind() byte  { return MsgInstallAck }
 func (Truncate) kind() byte    { return MsgTruncate }
 func (TruncateAck) kind() byte { return MsgTruncateAck }
 
-// --- encoding: [kind u8][version u8] then fixed LE fields and
-// length-prefixed byte strings, mirroring the catalog's journal
-// payload style. Decoding is defensive throughout: wire bytes are
-// untrusted input (see FuzzDecodeWire).
-
-type wenc struct{ b []byte }
-
-func (e *wenc) u8(v uint8)   { e.b = append(e.b, v) }
-func (e *wenc) u32(v uint32) { e.b = binary.LittleEndian.AppendUint32(e.b, v) }
-func (e *wenc) u64(v uint64) { e.b = binary.LittleEndian.AppendUint64(e.b, v) }
-func (e *wenc) i64(v int64)  { e.u64(uint64(v)) }
-func (e *wenc) bool(v bool) {
-	if v {
-		e.u8(1)
-	} else {
-		e.u8(0)
-	}
-}
-func (e *wenc) bytes(p []byte) {
-	e.u32(uint32(len(p)))
-	e.b = append(e.b, p...)
-}
-func (e *wenc) str(s string) {
-	e.u32(uint32(len(s)))
-	e.b = append(e.b, s...)
-}
-
-type wdec struct {
-	b   []byte
-	off int
-	err error
-}
-
-func (d *wdec) fail() {
-	if d.err == nil {
-		d.err = fmt.Errorf("%w: truncated at %d", ErrBadMessage, d.off)
-	}
-}
-func (d *wdec) u8() uint8 {
-	if d.err != nil || d.off+1 > len(d.b) {
-		d.fail()
-		return 0
-	}
-	v := d.b[d.off]
-	d.off++
-	return v
-}
-func (d *wdec) u32() uint32 {
-	if d.err != nil || d.off+4 > len(d.b) {
-		d.fail()
-		return 0
-	}
-	v := binary.LittleEndian.Uint32(d.b[d.off:])
-	d.off += 4
-	return v
-}
-func (d *wdec) u64() uint64 {
-	if d.err != nil || d.off+8 > len(d.b) {
-		d.fail()
-		return 0
-	}
-	v := binary.LittleEndian.Uint64(d.b[d.off:])
-	d.off += 8
-	return v
-}
-func (d *wdec) i64() int64 { return int64(d.u64()) }
-func (d *wdec) bool() bool {
-	switch d.u8() {
-	case 0:
-		return false
-	case 1:
-		return true
-	default:
-		// Only 0 and 1 are legal: the encoding must stay canonical
-		// (encode∘decode is the identity on valid frames).
-		d.fail()
-		return false
-	}
-}
-func (d *wdec) bytes() []byte {
-	n := int(d.u32())
-	if d.err != nil || n < 0 || n > MaxWire || d.off+n > len(d.b) {
-		d.fail()
-		return nil
-	}
-	p := d.b[d.off : d.off+n : d.off+n]
-	d.off += n
-	return p
-}
-func (d *wdec) str() string {
-	n := int(d.u32())
-	if d.err != nil || n < 0 || n > MaxWire || d.off+n > len(d.b) {
-		d.fail()
-		return ""
-	}
-	s := string(d.b[d.off : d.off+n])
-	d.off += n
-	return s
-}
-func (d *wdec) done() error {
-	if d.err == nil && d.off != len(d.b) {
-		return fmt.Errorf("%w: %d trailing bytes", ErrBadMessage, len(d.b)-d.off)
-	}
-	return d.err
-}
+// --- encoding: [kind u8][version u8] then internal/codec fields, the
+// catalog's journal payload style. Wire bytes are untrusted input (see
+// FuzzDecodeWire).
 
 // Encode marshals m into one wire frame.
 func Encode(m Message) []byte {
-	e := &wenc{}
-	e.u8(m.kind())
-	e.u8(wireVersion)
+	e := &codec.Enc{}
+	e.U8(m.kind())
+	e.U8(wireVersion)
 	switch v := m.(type) {
 	case Append:
-		e.u64(v.View)
-		e.u64(v.Seq)
-		e.i64(v.Off)
-		e.bytes(v.Frame)
+		e.U64(v.View)
+		e.U64(v.Seq)
+		e.I64(v.Off)
+		e.Bytes(v.Frame)
 	case AppendAck:
-		e.u64(v.View)
-		e.u64(v.Seq)
-		e.i64(v.Size)
-		e.bool(v.OK)
-		e.str(v.Msg)
+		e.U64(v.View)
+		e.U64(v.Seq)
+		e.I64(v.Size)
+		e.Bool(v.OK)
+		e.Str(v.Msg)
 	case Status:
-		e.i64(v.Prefix)
+		e.I64(v.Prefix)
 	case StatusAck:
-		e.i64(v.Size)
-		e.u32(v.CRC)
-		e.u64(v.Seq)
+		e.I64(v.Size)
+		e.U32(v.CRC)
+		e.U64(v.Seq)
 	case Catchup:
-		e.i64(v.Have)
-		e.u32(v.CRC)
+		e.I64(v.Have)
+		e.U32(v.CRC)
 	case CatchupResp:
-		e.i64(v.From)
-		e.i64(v.Total)
-		e.bool(v.OK)
-		e.bytes(v.Data)
+		e.I64(v.From)
+		e.I64(v.Total)
+		e.Bool(v.OK)
+		e.Bytes(v.Data)
 	case Install:
-		e.u64(v.View)
-		e.i64(v.From)
-		e.u64(v.Seq)
-		e.bytes(v.Data)
+		e.U64(v.View)
+		e.I64(v.From)
+		e.U64(v.Seq)
+		e.Bytes(v.Data)
 	case InstallAck:
-		e.i64(v.Size)
-		e.bool(v.OK)
-		e.str(v.Msg)
+		e.I64(v.Size)
+		e.Bool(v.OK)
+		e.Str(v.Msg)
 	case Truncate:
-		e.u64(v.View)
-		e.i64(v.N)
+		e.U64(v.View)
+		e.I64(v.N)
 	case TruncateAck:
-		e.i64(v.Size)
-		e.bool(v.OK)
-		e.str(v.Msg)
+		e.I64(v.Size)
+		e.Bool(v.OK)
+		e.Str(v.Msg)
 	default:
 		panic(fmt.Sprintf("replica: encode of unknown message %T", m))
 	}
-	return e.b
+	return e.B
 }
 
 // Decode parses one wire frame. It is the untrusted-input boundary of
 // the replication layer: arbitrary bytes must produce a message or an
 // error, never a panic or an oversized allocation.
 func Decode(raw []byte) (Message, error) {
-	d := &wdec{b: raw}
-	kind := d.u8()
-	ver := d.u8()
-	if d.err != nil {
-		return nil, d.err
+	d := &codec.Dec{B: raw, Max: MaxWire, Bad: ErrBadMessage}
+	kind := d.U8()
+	ver := d.U8()
+	if d.Err() != nil {
+		return nil, d.Err()
 	}
 	if ver != wireVersion {
 		return nil, fmt.Errorf("%w: version %d", ErrBadMessage, ver)
 	}
+	// Fields decode in wire order: Go evaluates the calls in a composite
+	// literal left to right.
+	var m Message
 	switch kind {
 	case MsgAppend:
-		var m Append
-		m.View = d.u64()
-		m.Seq = d.u64()
-		m.Off = d.i64()
-		m.Frame = d.bytes()
-		if err := d.done(); err != nil {
-			return nil, err
-		}
-		return m, nil
+		m = Append{View: d.U64(), Seq: d.U64(), Off: d.I64(), Frame: d.Bytes()}
 	case MsgAppendAck:
-		var m AppendAck
-		m.View = d.u64()
-		m.Seq = d.u64()
-		m.Size = d.i64()
-		m.OK = d.bool()
-		m.Msg = d.str()
-		if err := d.done(); err != nil {
-			return nil, err
-		}
-		return m, nil
+		m = AppendAck{View: d.U64(), Seq: d.U64(), Size: d.I64(), OK: d.Bool(), Msg: d.Str()}
 	case MsgStatus:
-		var m Status
-		m.Prefix = d.i64()
-		if err := d.done(); err != nil {
-			return nil, err
-		}
-		return m, nil
+		m = Status{Prefix: d.I64()}
 	case MsgStatusAck:
-		var m StatusAck
-		m.Size = d.i64()
-		m.CRC = d.u32()
-		m.Seq = d.u64()
-		if err := d.done(); err != nil {
-			return nil, err
-		}
-		return m, nil
+		m = StatusAck{Size: d.I64(), CRC: d.U32(), Seq: d.U64()}
 	case MsgCatchup:
-		var m Catchup
-		m.Have = d.i64()
-		m.CRC = d.u32()
-		if err := d.done(); err != nil {
-			return nil, err
-		}
-		return m, nil
+		m = Catchup{Have: d.I64(), CRC: d.U32()}
 	case MsgCatchupResp:
-		var m CatchupResp
-		m.From = d.i64()
-		m.Total = d.i64()
-		m.OK = d.bool()
-		m.Data = d.bytes()
-		if err := d.done(); err != nil {
-			return nil, err
-		}
-		return m, nil
+		m = CatchupResp{From: d.I64(), Total: d.I64(), OK: d.Bool(), Data: d.Bytes()}
 	case MsgInstall:
-		var m Install
-		m.View = d.u64()
-		m.From = d.i64()
-		m.Seq = d.u64()
-		m.Data = d.bytes()
-		if err := d.done(); err != nil {
-			return nil, err
-		}
-		return m, nil
+		m = Install{View: d.U64(), From: d.I64(), Seq: d.U64(), Data: d.Bytes()}
 	case MsgInstallAck:
-		var m InstallAck
-		m.Size = d.i64()
-		m.OK = d.bool()
-		m.Msg = d.str()
-		if err := d.done(); err != nil {
-			return nil, err
-		}
-		return m, nil
+		m = InstallAck{Size: d.I64(), OK: d.Bool(), Msg: d.Str()}
 	case MsgTruncate:
-		var m Truncate
-		m.View = d.u64()
-		m.N = d.i64()
-		if err := d.done(); err != nil {
-			return nil, err
-		}
-		return m, nil
+		m = Truncate{View: d.U64(), N: d.I64()}
 	case MsgTruncateAck:
-		var m TruncateAck
-		m.Size = d.i64()
-		m.OK = d.bool()
-		m.Msg = d.str()
-		if err := d.done(); err != nil {
-			return nil, err
-		}
-		return m, nil
+		m = TruncateAck{Size: d.I64(), OK: d.Bool(), Msg: d.Str()}
+	default:
+		return nil, fmt.Errorf("%w: unknown kind %d", ErrBadMessage, kind)
 	}
-	return nil, fmt.Errorf("%w: unknown kind %d", ErrBadMessage, kind)
+	if err := d.Done(); err != nil {
+		return nil, err
+	}
+	return m, nil
 }

@@ -18,7 +18,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"io"
 	"time"
 
 	"repro/internal/catalog"
@@ -26,7 +25,6 @@ import (
 	"repro/internal/media"
 	"repro/internal/obs"
 	"repro/internal/sim"
-	"repro/internal/storage"
 	"repro/internal/stream"
 	"repro/internal/tape"
 )
@@ -296,26 +294,29 @@ func (s *Scrubber) scanSet(ctx context.Context, ds catalog.DumpSet) ([]Finding, 
 	// scrubber's job is to report exactly this.
 	var findings []Finding
 	drive := tape.NewDrive(s.cfg.Env, s.cfg.Name+"/maint", s.cfg.Params)
-	for _, ref := range ds.Media {
-		v, ok := s.cfg.Pool.Volume(ref.Volume)
-		if !ok || v.Cart == nil {
-			findings = append(findings, Finding{Kind: OrphanSet, SetID: ds.ID,
-				Volume: ref.Volume, Record: -1, Detail: "pool cannot mount volume"})
-			continue
-		}
-		drive.AddCartridges(v.Cart)
+	labels := make([]string, len(ds.Media))
+	for i, ref := range ds.Media {
+		labels[i] = ref.Volume
+	}
+	for _, label := range s.cfg.Pool.LoadDrive(drive, labels) {
+		findings = append(findings, Finding{Kind: OrphanSet, SetID: ds.ID,
+			Volume: label, Record: -1, Detail: "pool cannot mount volume"})
 	}
 	if len(findings) > 0 {
 		return findings, 0, nil
 	}
 
-	src := &scanSource{
-		drive: drive, proc: sim.ProcFrom(ctx), refs: ds.Media,
-		retry:      storage.DefaultRetryPolicy(),
-		pauseEvery: s.cfg.PauseEvery, pause: s.cfg.Pause,
+	// The scrubber wants the full damage map, not the first hit: a
+	// persistent media fault becomes a finding and the scan goes on.
+	var damage []Finding
+	src := &countingSource{
+		src: media.NewSetSource(ctx, drive, ds.Media, func(volume string, record int) {
+			damage = append(damage, Finding{Kind: MediaFault, SetID: ds.ID,
+				Volume: volume, Record: record, Detail: "unreadable record"})
+		}),
+		proc: sim.ProcFrom(ctx), pauseEvery: s.cfg.PauseEvery, pause: s.cfg.Pause,
 	}
-	findings = append(findings, verifyStream(ctx, ds, src)...)
-	findings = append(findings, src.findings(ds.ID)...)
+	findings = append(verifyStream(ctx, ds, src), damage...)
 	return dedupe(findings), src.bytes, nil
 }
 
@@ -329,10 +330,7 @@ func VerifySetStream(ctx context.Context, ds catalog.DumpSet, src stream.Source)
 
 // verifyStream runs the set's engine's format verifier over the stream
 // and translates the outcome into findings.
-func verifyStream(ctx context.Context, ds catalog.DumpSet, src interface {
-	stream.Source
-	count() int64
-}) []Finding {
+func verifyStream(ctx context.Context, ds catalog.DumpSet, src *countingSource) []Finding {
 	var findings []Finding
 	resynced, err := engine.Verify(ctx, ds.Engine, src)
 	if err != nil && !isMediaErr(err) {
@@ -345,9 +343,9 @@ func verifyStream(ctx context.Context, ds catalog.DumpSet, src interface {
 	}
 	// Fewer bytes than the catalog recorded means part of the stream is
 	// gone; only meaningful when nothing louder already fired.
-	if len(findings) == 0 && src.count() < ds.Bytes {
+	if len(findings) == 0 && src.bytes < ds.Bytes {
 		findings = append(findings, Finding{Kind: ByteCountMismatch, SetID: ds.ID,
-			Record: -1, Detail: fmt.Sprintf("catalog says %d bytes, media yields %d", ds.Bytes, src.count())})
+			Record: -1, Detail: fmt.Sprintf("catalog says %d bytes, media yields %d", ds.Bytes, src.bytes)})
 	}
 	return findings
 }
@@ -371,137 +369,31 @@ func dedupe(in []Finding) []Finding {
 	return out
 }
 
-// countingSource adapts a bare stream.Source with byte accounting.
+// countingSource counts the bytes a verify pass reads off src and,
+// over tape, rate-limits it: after every pauseEvery bytes (0 = never)
+// it sleeps proc for pause, so scrubbing never starves live dumps of
+// drive time.
 type countingSource struct {
 	src   stream.Source
 	bytes int64
+
+	proc       *sim.Proc
+	pauseEvery int64
+	pause      time.Duration
+	sincePause int64
 }
 
 func (c *countingSource) ReadRecord() ([]byte, error) {
 	rec, err := c.src.ReadRecord()
 	c.bytes += int64(len(rec))
+	c.sincePause += int64(len(rec))
+	if c.pauseEvery > 0 && c.sincePause >= c.pauseEvery {
+		c.sincePause = 0
+		if c.proc != nil {
+			c.proc.Sleep(c.pause)
+		}
+	}
 	return rec, err
-}
-
-func (c *countingSource) count() int64 { return c.bytes }
-
-// scanSource walks a set's MediaRefs on the maintenance drive like the
-// restore executor's source, but never gives up on a persistent media
-// fault: the damaged record is logged as a finding, the head spaces
-// past it, and the scan keeps going — the scrubber wants the full
-// damage map, not the first hit. Reads are rate-limited by sleeping
-// the configured pause every pauseEvery bytes.
-type scanSource struct {
-	drive *tape.Drive
-	proc  *sim.Proc
-	refs  []catalog.MediaRef
-	cur   int
-	ready bool
-	retry storage.RetryPolicy
-
-	bytes      int64
-	pauseEvery int64
-	pause      time.Duration
-	sincePause int64
-	damage     []Finding // volume+record stamped; SetID filled later
-}
-
-func (s *scanSource) count() int64 { return s.bytes }
-
-func (s *scanSource) findings(setID uint64) []Finding {
-	out := make([]Finding, len(s.damage))
-	for i, f := range s.damage {
-		f.SetID = setID
-		out[i] = f
-	}
-	return out
-}
-
-func (s *scanSource) mount(label string) error {
-	if c := s.drive.Loaded(); c != nil && c.Label == label {
-		return nil
-	}
-	tries := len(s.drive.Stacker()) + 1
-	for i := 0; i < tries; i++ {
-		if err := s.drive.Load(s.proc); err != nil {
-			return err
-		}
-		if c := s.drive.Loaded(); c != nil && c.Label == label {
-			return nil
-		}
-	}
-	return fmt.Errorf("scrub: volume %q is not in the maintenance drive", label)
-}
-
-func (s *scanSource) position() error {
-	ref := s.refs[s.cur]
-	if err := s.mount(ref.Volume); err != nil {
-		return err
-	}
-	s.drive.Rewind(s.proc)
-	if ref.Start > 0 {
-		if err := s.drive.SpaceRecords(s.proc, int(ref.Start)); err != nil {
-			return err
-		}
-	}
-	s.ready = true
-	return nil
-}
-
-// ReadRecord implements stream.Source.
-func (s *scanSource) ReadRecord() ([]byte, error) {
-	attempt := 0
-	for {
-		if s.cur >= len(s.refs) {
-			return nil, io.EOF
-		}
-		if !s.ready {
-			if err := s.position(); err != nil {
-				return nil, err
-			}
-		}
-		rec, err := s.drive.ReadRecord(s.proc)
-		var me *tape.MediaError
-		switch {
-		case err == nil:
-			s.bytes += int64(len(rec))
-			s.sincePause += int64(len(rec))
-			if s.sincePause >= s.pauseEvery {
-				s.sincePause = 0
-				if s.proc != nil {
-					s.proc.Sleep(s.pause)
-				}
-			}
-			return rec, nil
-		case errors.Is(err, tape.ErrFileMark):
-			continue
-		case errors.Is(err, tape.ErrEndOfTape):
-			s.cur++
-			s.ready = false
-		case tape.IsTransientMedia(err):
-			attempt++
-			if attempt > s.retry.MaxRetries {
-				return nil, err
-			}
-			if s.proc != nil {
-				s.proc.Sleep(s.retry.Delay(attempt))
-			}
-		case errors.As(err, &me) && me.Read:
-			// Persistent fault: log it, space past, keep scanning.
-			vol := ""
-			if c := s.drive.Loaded(); c != nil {
-				vol = c.Label
-			}
-			s.damage = append(s.damage, Finding{Kind: MediaFault,
-				Volume: vol, Record: me.Record, Detail: "unreadable record"})
-			if serr := s.drive.SpaceRecords(s.proc, 1); serr != nil {
-				return nil, serr
-			}
-			attempt = 0
-		default:
-			return nil, err
-		}
-	}
 }
 
 // repairSet tries each redundancy source in order until one produces

@@ -169,6 +169,11 @@ func (d *Drive) readFault() error {
 		// A latched bad spot fails every attempt, no new draw.
 		return &MediaError{Read: true, Record: idx}
 	}
+	if d.cart.marginal[idx] {
+		delete(d.cart.marginal, idx)
+		d.mediaErrors++
+		return &MediaError{Transient: true, Read: true, Record: idx}
+	}
 	if len(d.pendingReadFail) > 0 {
 		tr := d.pendingReadFail[0]
 		d.pendingReadFail = d.pendingReadFail[1:]

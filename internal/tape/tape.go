@@ -7,6 +7,7 @@
 package tape
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -14,6 +15,7 @@ import (
 
 	"repro/internal/obs"
 	"repro/internal/sim"
+	"repro/internal/storage"
 )
 
 // Errors returned by drives.
@@ -64,6 +66,7 @@ type Cartridge struct {
 	used     int64
 	damaged  bool         // latched by a persistent media write error
 	badReads map[int]bool // record indexes latched unreadable
+	marginal map[int]bool // record indexes whose next read fails, once
 }
 
 // record is one tape record or a file mark.
@@ -105,6 +108,7 @@ func (c *Cartridge) Erase() {
 	c.used = 0
 	c.damaged = false
 	c.badReads = nil
+	c.marginal = nil
 }
 
 // CorruptRecord flips bits in recorded record index i (counting data
@@ -153,6 +157,21 @@ func (c *Cartridge) InjectLatentFault(i int) bool {
 		c.badReads = make(map[int]bool)
 	}
 	c.badReads[i] = true
+	return true
+}
+
+// InjectMarginalRead makes the next read of the record at raw index i
+// fail with a transient MediaError, once, on whatever drive the
+// cartridge is in — a marginal spot that reads on the repositioning
+// pass. It reports whether a data record was marked.
+func (c *Cartridge) InjectMarginalRead(i int) bool {
+	if i < 0 || i >= len(c.records) || c.records[i].mark {
+		return false
+	}
+	if c.marginal == nil {
+		c.marginal = make(map[int]bool)
+	}
+	c.marginal[i] = true
 	return true
 }
 
@@ -301,6 +320,21 @@ func (d *Drive) Load(p *sim.Proc) error {
 // Loaded returns the mounted cartridge, or nil.
 func (d *Drive) Loaded() *Cartridge { return d.cart }
 
+// Mount cycles the stacker until the cartridge labelled label is
+// loaded. One pass over the stacker finds it or proves it is not
+// there.
+func (d *Drive) Mount(p *sim.Proc, label string) error {
+	for tries := len(d.stacker); d.cart == nil || d.cart.Label != label; tries-- {
+		if tries == 0 {
+			return fmt.Errorf("tape: cartridge %q is not in drive %s", label, d.name)
+		}
+		if err := d.Load(p); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
 // Stacker returns the queued cartridges, front (next to load) first.
 // The media pool uses it to adopt a filer's preloaded tape bank.
 func (d *Drive) Stacker() []*Cartridge {
@@ -426,6 +460,55 @@ func (d *Drive) ReadRecord(p *sim.Proc) ([]byte, error) {
 	cp := make([]byte, len(r.data))
 	copy(cp, r.data)
 	return cp, nil
+}
+
+// ReadData returns the next data record of the mounted cartridge — the
+// one read loop every consumer of recorded media (restore, verify,
+// scrub, chunk fetch) sits on. File marks are skipped and the end of
+// the recording is ErrEndOfTape, the caller's cue to change volumes.
+// A transient media error (a marginal read the drive recovers on a
+// repositioning pass) is retried under storage.DefaultRetryPolicy with
+// the backoff charged to p; retries counts them. A persistent error —
+// a damaged spot of tape — is returned when damaged is nil; otherwise
+// damaged is told the volume and raw record index, the head spaces
+// past the spot and reading goes on, leaving the stream formats'
+// resynchronization to salvage the rest. ctx, when not nil, is polled
+// before every attempt so a canceled restore stops retrying promptly.
+func (d *Drive) ReadData(ctx context.Context, p *sim.Proc, damaged func(volume string, record int)) (rec []byte, retries int, err error) {
+	retry := storage.DefaultRetryPolicy()
+	attempt := 0
+	for {
+		if ctx != nil && ctx.Err() != nil {
+			return nil, retries, ctx.Err()
+		}
+		rec, err = d.ReadRecord(p)
+		switch {
+		case err == nil:
+			return rec, retries, nil
+		case errors.Is(err, ErrFileMark):
+		case IsTransientMedia(err):
+			attempt++
+			if attempt > retry.MaxRetries {
+				return nil, retries, err
+			}
+			retries++
+			if p != nil {
+				p.Sleep(retry.Delay(attempt))
+			}
+		case damaged != nil && errors.Is(err, ErrMediaRead):
+			// The head is parked before the latched spot: space one
+			// record past it.
+			var me *MediaError
+			errors.As(err, &me)
+			if serr := d.SpaceRecords(p, 1); serr != nil {
+				return nil, retries, serr
+			}
+			damaged(d.cart.Label, me.Record)
+			attempt = 0
+		default:
+			return nil, retries, err
+		}
+	}
 }
 
 // SeekFile positions the head immediately after the nth file mark
