@@ -3,7 +3,7 @@ GO ?= go
 WORKLOAD ?= logical-4d
 PHASE ?=
 
-.PHONY: tier1 race tables tables-check tables-diff attribution alloc-profile build vet test chaos fuzz-smoke obs-smoke loc dup
+.PHONY: tier1 race tables tables-check tables-diff attribution alloc-profile build vet test chaos fuzz-smoke obs-smoke examples loc dup
 
 tier1: ## gofmt + vet + build + full test suite (the repo's gate)
 	@test -z "$$(gofmt -l .)" || { echo "gofmt needed:"; gofmt -l .; exit 1; }
@@ -45,6 +45,12 @@ fuzz-smoke: ## brief real fuzzing of the untrusted-input parsers: 10 s per targe
 obs-smoke: ## instrumented dump with tracing + metrics, validated end to end
 	$(GO) run ./cmd/backupctl stats -mb 4 -trace obs_trace.json -check > /dev/null
 	rm -f obs_trace.json
+
+examples: ## run every program under examples/ (each checks its own result; they are the only callers of internal/mirror and sched.New outside tests); a non-zero exit fails
+	@for d in examples/*/; do \
+		echo "== $$d"; \
+		$(GO) run ./$$d > /dev/null || exit 1; \
+	done
 
 attribution: ## per-layer table of one traced benchmark run (non-zero series; PHASE=dump|restore keeps one side's): run it at the parent and at the change for the before/after of a speed-up
 	@case "$(PHASE)" in ""|dump|restore) ;; *) echo "PHASE must be dump or restore, not '$(PHASE)'" >&2; exit 1;; esac

@@ -28,8 +28,6 @@ type WriterStats struct {
 
 // WriterOptions configures a dedup Writer.
 type WriterOptions struct {
-	// Params tunes the splitter (zero value = DefaultParams).
-	Params Params
 	// Index is the chunk index (the backup catalog).
 	Index Index
 	// Media is where new chunks are appended.
@@ -87,7 +85,7 @@ func NewWriter(opts WriterOptions) (*Writer, error) {
 	m := obs.MetricsFrom(ctx)
 	l := obs.Labels{"engine": opts.Engine}
 	return &Writer{
-		split:     NewSplitter(opts.Params),
+		split:     NewSplitter(DefaultParams()),
 		index:     opts.Index,
 		media:     opts.Media,
 		reverse:   opts.Reverse,

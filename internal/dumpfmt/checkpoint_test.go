@@ -1,14 +1,10 @@
 package dumpfmt
 
-import (
-	"io"
-	"testing"
-)
+import "testing"
 
 // TestCheckpointDurableAndSkipped checks that Checkpoint flushes the
-// partial record immediately (durability) and that readers both see
-// the marker via NextHeader and skip it transparently inside segment
-// runs.
+// partial record immediately (durability) and that Walk skips the
+// marker transparently inside a segment run.
 func TestCheckpointDurableAndSkipped(t *testing.T) {
 	sink := newMemSink(0)
 	w, err := NewWriter(sink, "lbl", 1000, 0, 0)
@@ -19,7 +15,7 @@ func TestCheckpointDurableAndSkipped(t *testing.T) {
 	for i := range seg {
 		seg[i] = 0xAB
 	}
-	if err := w.WriteHeader(&Header{Type: TSInode, Inumber: 7, Count: 2, Addrs: []byte{1, 1}}); err != nil {
+	if err := w.WriteHeader(&Header{Type: TSInode, Inumber: 7, Dinode: DumpInode{Size: 2 * TPBSize}, Count: 2, Addrs: []byte{1, 1}}); err != nil {
 		t.Fatal(err)
 	}
 	if err := w.WriteSegment(seg); err != nil {
@@ -40,49 +36,32 @@ func TestCheckpointDurableAndSkipped(t *testing.T) {
 	}
 
 	r := NewReader(sink.source())
-	var types []int32
-	sawCheckpoint := false
-	for {
-		h, err := r.NextHeader()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			t.Fatal(err)
-		}
-		types = append(types, h.Type)
+	h, err := r.NextHeader()
+	for err == nil && h.Type != TSEnd {
+		// The marker sits between the two segments of inode 7: Walk must
+		// deliver both, hopping over it, and it must not reappear as a
+		// header afterwards.
 		if h.Type == TSCheckpoint {
-			sawCheckpoint = true
-			if h.Inumber != 7 {
-				t.Fatalf("checkpoint inumber = %d, want 7", h.Inumber)
-			}
+			t.Fatal("checkpoint leaked out of Walk as a top-level header")
 		}
-		if h.Type == TSInode {
-			// ReadSegments must deliver both data segments, hopping
-			// over the checkpoint marker between them.
-			segs, err := r.ReadSegments(2)
-			if err != nil {
-				t.Fatal(err)
+		var segs []walked
+		cur := h
+		h, err = r.Walk(cur, collect(&segs))
+		if cur.Type == TSInode {
+			if err != nil || len(segs) != 2 {
+				t.Fatalf("inode 7: %d segments, %v", len(segs), err)
 			}
 			for _, s := range segs {
-				if s[0] != 0xAB {
+				if s.data[0] != 0xAB {
 					t.Fatal("segment bytes corrupted around checkpoint")
 				}
 			}
-			// The checkpoint between the segments was consumed by
-			// ReadSegments; it will not reappear from NextHeader.
-		}
-		if h.Type == TSEnd {
-			break
 		}
 	}
-	if sawCheckpoint {
-		// The marker sat between the two segments of inode 7, so
-		// ReadSegments should have swallowed it.
-		t.Fatal("checkpoint leaked out of ReadSegments as a top-level header")
+	if err != nil {
+		t.Fatal(err)
 	}
 	if r.Skipped() != 0 {
 		t.Fatalf("resync skipped %d units", r.Skipped())
 	}
-	_ = types
 }

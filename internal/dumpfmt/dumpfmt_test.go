@@ -217,22 +217,31 @@ func TestStreamRoundTrip(t *testing.T) {
 	if err != nil || ino.Type != TSInode || ino.Inumber != 7 {
 		t.Fatalf("inode header: %+v, %v", ino, err)
 	}
-	present := 0
-	for _, a := range ino.Addrs {
-		if a == 1 {
-			present++
-		}
-	}
-	segs, err := r.ReadSegments(present)
+	var segs []walked
+	end, err := r.Walk(ino, collect(&segs))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(segs[0], segA) || !bytes.Equal(segs[1], segC) {
+	if len(segs) != 2 || segs[0].off != 0 || segs[1].off != 2*TPBSize ||
+		!bytes.Equal(segs[0].data, segA) || !bytes.Equal(segs[1].data, segC) {
 		t.Fatal("segment contents mismatch")
 	}
-	end, err := r.NextHeader()
-	if err != nil || end.Type != TSEnd {
-		t.Fatalf("end header: %+v, %v", end, err)
+	if end.Type != TSEnd {
+		t.Fatalf("end header: %+v", end)
+	}
+}
+
+// walked is one segment a Walk visited; collect appends a copy of each
+// to *out.
+type walked struct {
+	off  uint64
+	data []byte
+}
+
+func collect(out *[]walked) func(uint64, []byte) error {
+	return func(off uint64, seg []byte) error {
+		*out = append(*out, walked{off, bytes.Clone(seg)})
+		return nil
 	}
 }
 
@@ -265,37 +274,32 @@ func TestMultiVolumeSpanning(t *testing.T) {
 	r := NewReader(sink.source())
 	seen := 0
 	conts := 0
-	for {
-		h, err := r.NextHeader()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			t.Fatal(err)
-		}
-		switch h.Type {
+	h, err := r.NextHeader()
+	for err == nil && h.Type != TSEnd {
+		var segs []walked
+		cur := h
+		h, err = r.Walk(cur, collect(&segs))
+		switch cur.Type {
 		case TSTape:
 			conts++
 		case TSInode:
-			segs, err := r.ReadSegments(2)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if segs[0][0] != byte(seen) || segs[1][0] != byte(seen+100) {
+			if len(segs) != 2 || segs[0].data[0] != byte(seen) || segs[1].data[0] != byte(seen+100) {
 				t.Fatalf("file %d data mismatch", seen)
 			}
 			seen++
-		case TSEnd:
 		}
-		if h.Type == TSEnd {
-			break
-		}
+	}
+	if err != nil {
+		t.Fatal(err)
 	}
 	if seen != files {
 		t.Fatalf("recovered %d files, want %d", seen, files)
 	}
-	// Continuation headers mid-data are skipped by ReadSegments; at
-	// minimum the initial volume header must have been seen.
+	// Continuation headers are stepped over by Walk; at minimum the
+	// initial volume header must have been seen.
 	if conts < 1 {
 		t.Fatalf("saw %d TS_TAPE headers, want >= 1", conts)
 	}
@@ -344,21 +348,15 @@ func TestReaderResyncSkipsCorruptUnits(t *testing.T) {
 
 	r := NewReader(src)
 	var got []uint32
-	for {
-		h, err := r.NextHeader()
-		if err == io.EOF {
-			t.Fatal("unexpected EOF before TS_END")
-		}
-		if err != nil {
-			t.Fatal(err)
-		}
-		if h.Type == TSEnd {
-			break
-		}
+	h, err := r.NextHeader()
+	for err == nil && h.Type != TSEnd {
 		if h.Type == TSInode {
 			got = append(got, h.Inumber)
-			r.ReadSegments(1)
 		}
+		h, err = r.Walk(h, nil)
+	}
+	if err != nil {
+		t.Fatalf("before TS_END: %v", err)
 	}
 	// File 12's header was destroyed; the others must survive.
 	want := map[uint32]bool{10: true, 11: true, 13: true, 14: true}

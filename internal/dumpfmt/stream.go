@@ -1,6 +1,7 @@
 package dumpfmt
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"io"
@@ -88,6 +89,46 @@ func (w *Writer) WriteSegment(seg []byte) error {
 	return w.unitDone()
 }
 
+// WriteMapped emits one header of type typ for inode ino with hole map
+// addrs, then the present segments of buf: segment i of the header
+// lives at buf[i*TPBSize:], and the last one is as short as len(buf)
+// leaves it. A header with an empty map carries no data.
+func (w *Writer) WriteMapped(typ int32, ino uint32, di DumpInode, addrs, buf []byte) error {
+	h := Header{Type: typ, Inumber: ino, Dinode: di, Count: int32(len(addrs)), Addrs: addrs}
+	if err := w.WriteHeader(&h); err != nil {
+		return err
+	}
+	for i, a := range addrs {
+		if a != 1 {
+			continue
+		}
+		lo := min(i*TPBSize, len(buf))
+		if err := w.WriteSegment(buf[lo:min(lo+TPBSize, len(buf))]); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// allPresent is the hole map of a hole-free header.
+var allPresent = bytes.Repeat([]byte{1}, MaxSegsPerHeader)
+
+// WriteBlob emits hole-free data (a directory's entries, an inode map)
+// as one typ header per MaxSegsPerHeader segments, every one after the
+// first a TS_ADDR continuation of the same inode. Empty data still
+// takes one (zero) segment.
+func (w *Writer) WriteBlob(typ int32, ino uint32, di DumpInode, data []byte) error {
+	nseg := max((len(data)+TPBSize-1)/TPBSize, 1)
+	for seg := 0; seg < nseg; seg += MaxSegsPerHeader {
+		n := min(nseg-seg, MaxSegsPerHeader)
+		if err := w.WriteMapped(typ, ino, di, allPresent[:n], data[min(seg*TPBSize, len(data)):]); err != nil {
+			return err
+		}
+		typ = TSAddr
+	}
+	return nil
+}
+
 // unitDone accounts for one finished 1 KB unit and flushes a full
 // blocked record.
 func (w *Writer) unitDone() error {
@@ -172,6 +213,10 @@ func (w *Writer) Close() error {
 	return nil
 }
 
+// ErrTorn reports a source that ended before TS_END: what a dump that
+// aborted, or a copy that was cut short, leaves behind.
+var ErrTorn = fmt.Errorf("dumpfmt: stream ends before TS_END: %w", io.ErrUnexpectedEOF)
+
 // Reader consumes a dump stream, un-blocking tape records into 1 KB
 // units and decoding headers with resynchronization: a corrupt unit
 // where a header was expected is skipped, so damage to one file's
@@ -180,7 +225,9 @@ func (w *Writer) Close() error {
 type Reader struct {
 	src     stream.Source
 	pending [][]byte
-	skipped int // corrupt units skipped during resync
+	skipped int      // corrupt units skipped during resync
+	ended   bool     // TS_END has been returned
+	segs    [][]byte // Walk's scratch: one header's segments
 }
 
 // NewReader wraps a source of blocked records.
@@ -189,10 +236,14 @@ func NewReader(src stream.Source) *Reader { return &Reader{src: src} }
 // Skipped returns how many units were discarded during resync.
 func (r *Reader) Skipped() int { return r.skipped }
 
-// readUnit returns the next 1 KB unit.
+// readUnit returns the next 1 KB unit. A source that runs out before
+// TS_END went by is torn; after it, the end is io.EOF.
 func (r *Reader) readUnit() ([]byte, error) {
 	for len(r.pending) == 0 {
 		rec, err := r.src.ReadRecord()
+		if err == io.EOF && !r.ended {
+			return nil, ErrTorn
+		}
 		if err != nil {
 			return nil, err
 		}
@@ -223,30 +274,89 @@ func (r *Reader) NextHeader() (*Header, error) {
 			r.skipped++
 			continue
 		}
+		r.ended = r.ended || h.Type == TSEnd
 		return h, nil
 	}
 }
 
-// ReadSegments reads n data segments following a header. A volume
-// change can interpose a TS_TAPE continuation header in the middle of
-// a file's data; such units are recognized (magic, checksum and type
-// all match) and skipped, as BSD restore does. Corrupt or missing
-// trailing segments surface as an error after salvage.
-func (r *Reader) ReadSegments(n int) ([][]byte, error) {
-	segs := make([][]byte, 0, n)
-	for i := 0; i < n; i++ {
-		unit, err := r.readUnit()
-		if err != nil {
-			if err == io.EOF {
-				return segs, io.ErrUnexpectedEOF
+// isMarker reports a header that carries nothing of any file and can
+// land anywhere in one: the TS_TAPE a volume change interposes (as BSD
+// restore expects) or a TS_CHECKPOINT.
+func isMarker(h *Header) bool { return h.Type == TSTape || h.Type == TSCheckpoint }
+
+// Walk reads the records h opens — a file, a directory or an inode map
+// (TS_INODE, TS_BITS, TS_CLRI) — and returns the first header that
+// belongs to something else. It hands visit each present segment with
+// its byte offset in the file, in stream order, cut to Dinode.Size
+// (nothing at or past the size is reported); follows the TS_ADDR
+// continuations of the same inode; and steps over markers wherever
+// they fall. The segment is valid only during the call. A nil visit
+// reads the records and reports nothing, which is also all that can be
+// done with a TS_ADDR whose TS_INODE was lost: it does not say where in
+// the file its map begins.
+//
+// A source that ends inside the file returns ErrTorn naming the inode,
+// after the segments before the tear have been visited; one that ends
+// behind its last record returns ErrTorn bare.
+func (r *Reader) Walk(h *Header, visit func(off uint64, seg []byte) error) (*Header, error) {
+	size := h.Dinode.Size
+	base := uint64(0) // segments the headers before cur describe
+	for cur := h; ; {
+		// A header's segments are all read before the first is visited,
+		// so the tape is read in runs, not a unit between filesystem
+		// operations: the virtual clock sees the difference.
+		readErr := r.readSegments(cur.Addrs)
+		n := 0
+		for i, a := range cur.Addrs {
+			if a != 1 {
+				continue
 			}
-			return segs, err
+			if n == len(r.segs) {
+				break
+			}
+			unit, off := r.segs[n], (base+uint64(i))*TPBSize
+			n++
+			if visit == nil || off >= size {
+				continue
+			}
+			if err := visit(off, unit[:min(TPBSize, size-off)]); err != nil {
+				return nil, err
+			}
 		}
-		if h, err := UnmarshalHeader(unit); err == nil && (h.Type == TSTape || h.Type == TSCheckpoint) {
-			i-- // continuation or checkpoint marker, not data
-			continue
+		if readErr == ErrTorn {
+			readErr = fmt.Errorf("inode %d torn: %w", h.Inumber, readErr)
 		}
-		segs = append(segs, unit)
+		if readErr != nil {
+			return nil, readErr
+		}
+		base += uint64(len(cur.Addrs))
+		next, err := r.NextHeader()
+		for err == nil && isMarker(next) {
+			next, err = r.NextHeader()
+		}
+		if err != nil || next.Type != TSAddr || next.Inumber != h.Inumber {
+			return next, err
+		}
+		cur = next
 	}
-	return segs, nil
+}
+
+// readSegments reads the data units hole map addrs says follow its
+// header into r.segs, skipping markers; on an error r.segs holds the
+// ones before it.
+func (r *Reader) readSegments(addrs []byte) error {
+	r.segs = r.segs[:0]
+	for _, a := range addrs {
+		for a == 1 {
+			unit, err := r.readUnit()
+			if err != nil {
+				return err
+			}
+			if h, err := UnmarshalHeader(unit); err != nil || !isMarker(h) {
+				r.segs = append(r.segs, unit)
+				break
+			}
+		}
+	}
+	return nil
 }

@@ -18,7 +18,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"io"
 
 	"repro/internal/catalog"
 	"repro/internal/dumpfmt"
@@ -334,25 +333,9 @@ func Verify(ctx context.Context, eng catalog.Engine, src stream.Source) (resynce
 		return 0, err
 	}
 	r := dumpfmt.NewReader(src)
-	for {
-		h, err := r.NextHeader()
-		if err == io.EOF || (err == nil && h.Type == dumpfmt.TSEnd) {
-			return r.Skipped(), nil
-		}
-		if err != nil {
-			return r.Skipped(), err
-		}
-		present := 0
-		for _, a := range h.Addrs {
-			if a == 1 {
-				present++
-			}
-		}
-		if present == 0 {
-			continue
-		}
-		if _, err := r.ReadSegments(present); err != nil && err != io.ErrUnexpectedEOF {
-			return r.Skipped(), err
-		}
+	h, err := r.NextHeader()
+	for err == nil && h.Type != dumpfmt.TSEnd {
+		h, err = r.Walk(h, nil)
 	}
+	return r.Skipped(), err
 }

@@ -365,3 +365,62 @@ func TestRecoverResumedSets(t *testing.T) {
 		}
 	}
 }
+
+// TestEveryPrefixIsTorn cuts one stream of each engine at every record
+// boundary. A stream that stops short of its end marker (TS_END, the
+// image trailer) is torn whichever record it stops at: it does not
+// verify, it does not restore as the set's last stream, and salvaged it
+// restores what it has with TornTail set. The whole stream passes all
+// three.
+func TestEveryPrefixIsTorn(t *testing.T) {
+	for _, eng := range engines {
+		f := newFixture(t)
+		f.snapshot("s0")
+		whole := &memSink{failAt: -1}
+		if err := f.job(eng, "s0", "").To(ctx, whole); err != nil {
+			t.Fatal(err)
+		}
+		if len(whole.recs) < 8 {
+			t.Fatalf("%s: stream has only %d records; the sweep proves nothing", eng, len(whole.recs))
+		}
+		// salvaged restores the first n records with Salvage on.
+		salvaged := func(n int) (torn bool, err error) {
+			src := &memSource{recs: whole.recs[:n]}
+			vol := storage.NewMemDevice(8192)
+			if eng == catalog.Image {
+				st, err := physical.Restore(ctx, physical.RestoreOptions{Vol: vol, Source: src, Salvage: true})
+				return err == nil && st.TornTail, err
+			}
+			fs, err := wafl.Mkfs(ctx, vol, nil, wafl.Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			st, err := logical.Restore(ctx, logical.RestoreOptions{FS: fs, Source: src, KernelIntegrated: true, Salvage: true})
+			return err == nil && st.TornTail, err
+		}
+		last := func(n int) error {
+			tgt := engine.Target{Vol: storage.NewMemDevice(8192)}
+			if eng == catalog.Logical {
+				var err error
+				if tgt.FS, err = wafl.Mkfs(ctx, tgt.Vol, nil, wafl.Options{}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			_, err := engine.RestoreSet(ctx, eng, tgt, []stream.Source{&memSource{recs: whole.recs[:n]}}, false)
+			return err
+		}
+		for n := 0; n <= len(whole.recs); n++ {
+			complete := n == len(whole.recs)
+			_, verr := engine.Verify(ctx, eng, &memSource{recs: whole.recs[:n]})
+			rerr := last(n)
+			torn, serr := salvaged(n)
+			if (verr == nil) != complete || (rerr == nil) != complete || serr != nil || torn == complete {
+				t.Errorf("%s, %d of %d records: verify %v, restore %v, salvage torn=%v %v",
+					eng, n, len(whole.recs), verr, rerr, torn, serr)
+			}
+			if eng == catalog.Logical && !complete && !(errors.Is(verr, io.ErrUnexpectedEOF) && errors.Is(rerr, io.ErrUnexpectedEOF)) {
+				t.Errorf("logical, %d of %d records: verify %v and restore %v, want io.ErrUnexpectedEOF in both", n, len(whole.recs), verr, rerr)
+			}
+		}
+	}
+}

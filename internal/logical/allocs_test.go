@@ -14,7 +14,7 @@ import (
 // TestRestoreAllocsPerMiB pins the heap objects a logical restore
 // allocates per MiB it lays down, through a filesystem that logs to
 // NVRAM as the filer's does: a ceiling that only ratchets down.
-// Measured 1 247 when recorded. What is left: a staged 4 KiB buffer
+// Measured 1 230 when recorded. What is left: a staged 4 KiB buffer
 // per block until a consistency point trades them back (this restore
 // fits in one NVRAM half, so that is all 256 per MiB; a longer one
 // reuses them), the dump reader's and the tape drive's copies of every
@@ -52,7 +52,7 @@ func TestRestoreAllocsPerMiB(t *testing.T) {
 
 	perMiB := float64(after.Mallocs-before.Mallocs) / (float64(stats.BytesRead) / (1 << 20))
 	t.Logf("%d files, %.1f MiB: %.0f allocations per MiB", stats.FilesRestored, float64(stats.BytesRead)/(1<<20), perMiB)
-	const ceiling = 1285
+	const ceiling = 1267
 	if perMiB > ceiling {
 		t.Fatalf("logical restore: %.0f allocations per MiB restored, want <= %d", perMiB, ceiling)
 	}
@@ -61,7 +61,7 @@ func TestRestoreAllocsPerMiB(t *testing.T) {
 // TestDumpAllocsPerMiB pins the heap objects a logical dump allocates
 // per MiB it writes, reading through a warm filesystem whose cache is a
 // fraction of the tree, with the engine's read-ahead on: every file
-// block is a prefetch miss that evicts another. Measured 215 when
+// block is a prefetch miss that evicts another. Measured 212 when
 // recorded, the tape's copy of each record it is handed and the
 // engine's per-file bookkeeping; what must not come back is a heap
 // object per block read or cached (1 110 with them).
@@ -91,7 +91,7 @@ func TestDumpAllocsPerMiB(t *testing.T) {
 
 	perMiB := float64(after.Mallocs-before.Mallocs) / (float64(stats.BytesWritten) / (1 << 20))
 	t.Logf("%d files, %.1f MiB: %.0f allocations per MiB", stats.FilesDumped, float64(stats.BytesWritten)/(1<<20), perMiB)
-	const ceiling = 222
+	const ceiling = 218
 	if perMiB > ceiling {
 		t.Fatalf("logical dump: %.0f allocations per MiB written, want <= %d", perMiB, ceiling)
 	}

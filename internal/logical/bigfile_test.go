@@ -24,34 +24,43 @@ func TestLargeFileSpansContinuationHeaders(t *testing.T) {
 	drive := newTape(t, 0, 1)
 	dumpToTape(t, sv, drive, 0, nil)
 
-	// The stream must contain TS_ADDR records for this file.
+	// The stream must contain TS_ADDR records for this file (a header
+	// scan alone resyncs over the data units between them)...
 	drive.Rewind(nil)
 	r := dumpfmt.NewReader(NewDriveSource(drive, nil, 0))
 	addrs := 0
 	for {
 		h, err := r.NextHeader()
-		if err != nil {
-			break
-		}
-		if h.Type == dumpfmt.TSEnd {
+		if err != nil || h.Type == dumpfmt.TSEnd {
 			break
 		}
 		if h.Type == dumpfmt.TSAddr {
 			addrs++
 		}
-		if h.Type == dumpfmt.TSInode || h.Type == dumpfmt.TSAddr ||
-			h.Type == dumpfmt.TSBits || h.Type == dumpfmt.TSClri {
-			n := 0
-			for _, a := range h.Addrs {
-				if a == 1 {
-					n++
-				}
-			}
-			r.ReadSegments(n)
-		}
 	}
 	if addrs < 2 {
 		t.Fatalf("1.5 MB file produced %d TS_ADDR records, want >= 2", addrs)
+	}
+	// ...and one walk from its TS_INODE must run through all of them.
+	drive.Rewind(nil)
+	r = dumpfmt.NewReader(NewDriveSource(drive, nil, 0))
+	h, err := r.NextHeader()
+	for err == nil && (h.Type != dumpfmt.TSInode || wafl.IsDir(h.Dinode.Mode)) {
+		h, err = r.Walk(h, nil)
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	var walked []byte
+	end, err := r.Walk(h, func(off uint64, seg []byte) error {
+		if off != uint64(len(walked)) {
+			t.Fatalf("segment at offset %d after %d bytes", off, len(walked))
+		}
+		walked = append(walked, seg...)
+		return nil
+	})
+	if err != nil || end.Type != dumpfmt.TSEnd || !bytes.Equal(walked, data) {
+		t.Fatalf("walk: %d of %d bytes, then %+v, %v", len(walked), len(data), end, err)
 	}
 
 	dst := newFS(t, 8192)

@@ -464,43 +464,6 @@ func (st *dumpState) path(ino wafl.Inum) string {
 	return string(b)
 }
 
-// writeMap emits a TS_CLRI or TS_BITS record with the bitmap as data.
-func writeMap(w *dumpfmt.Writer, typ int32, m *dumpfmt.InoMap, rootIno uint32) error {
-	data := m.Bytes()
-	nseg := (len(data) + dumpfmt.TPBSize - 1) / dumpfmt.TPBSize
-	if nseg == 0 {
-		nseg = 1
-	}
-	addrs := make([]byte, nseg)
-	for i := range addrs {
-		addrs[i] = 1
-	}
-	h := &dumpfmt.Header{
-		Type:    typ,
-		Inumber: rootIno,
-		Dinode:  dumpfmt.DumpInode{Size: uint64(len(data))},
-		Count:   int32(nseg),
-		Addrs:   addrs,
-	}
-	if err := w.WriteHeader(h); err != nil {
-		return err
-	}
-	for off := 0; off < nseg*dumpfmt.TPBSize; off += dumpfmt.TPBSize {
-		endOff := off + dumpfmt.TPBSize
-		if endOff > len(data) {
-			endOff = len(data)
-		}
-		var seg []byte
-		if off < len(data) {
-			seg = data[off:endOff]
-		}
-		if err := w.WriteSegment(seg); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // canonical directory record encoding: [ino u32][type u8][len u16][name].
 func encodeDirEnts(ents []wafl.DirEnt) []byte {
 	size := 0
@@ -537,51 +500,6 @@ func DecodeDirEnts(data []byte) ([]wafl.DirEnt, error) {
 		off += n
 	}
 	return ents, nil
-}
-
-// writeBlob emits fully present (hole-free) data under one or more
-// headers.
-func writeBlob(w *dumpfmt.Writer, typ int32, ino uint32, di dumpfmt.DumpInode, data []byte) error {
-	nseg := (len(data) + dumpfmt.TPBSize - 1) / dumpfmt.TPBSize
-	if nseg == 0 {
-		nseg = 1
-	}
-	first := true
-	for seg := 0; seg < nseg; {
-		chunk := nseg - seg
-		if chunk > dumpfmt.MaxSegsPerHeader {
-			chunk = dumpfmt.MaxSegsPerHeader
-		}
-		addrs := make([]byte, chunk)
-		for i := range addrs {
-			addrs[i] = 1
-		}
-		t := typ
-		if !first {
-			t = dumpfmt.TSAddr
-		}
-		h := &dumpfmt.Header{Type: t, Inumber: ino, Dinode: di, Count: int32(chunk), Addrs: addrs}
-		if err := w.WriteHeader(h); err != nil {
-			return err
-		}
-		for i := 0; i < chunk; i++ {
-			off := (seg + i) * dumpfmt.TPBSize
-			endOff := off + dumpfmt.TPBSize
-			if endOff > len(data) {
-				endOff = len(data)
-			}
-			var s []byte
-			if off < len(data) {
-				s = data[off:endOff]
-			}
-			if err := w.WriteSegment(s); err != nil {
-				return err
-			}
-		}
-		seg += chunk
-		first = false
-	}
-	return nil
 }
 
 func toDumpInode(ino *wafl.Inode) dumpfmt.DumpInode {

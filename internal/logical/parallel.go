@@ -225,10 +225,12 @@ func (sw *shardWriter) open(ctx context.Context) error {
 		return err
 	}
 	sw.w = w
-	if err := writeMap(w, dumpfmt.TSClri, st.clri, uint32(st.rootIno)); err != nil {
+	root := uint32(st.rootIno)
+	clri, bits := st.clri.Bytes(), st.dump.Bytes()
+	if err := w.WriteBlob(dumpfmt.TSClri, root, dumpfmt.DumpInode{Size: uint64(len(clri))}, clri); err != nil {
 		return err
 	}
-	if err := writeMap(w, dumpfmt.TSBits, st.dump, uint32(st.rootIno)); err != nil {
+	if err := w.WriteBlob(dumpfmt.TSBits, root, dumpfmt.DumpInode{Size: uint64(len(bits))}, bits); err != nil {
 		return err
 	}
 	for i, ino := range st.dirInos {
@@ -239,46 +241,26 @@ func (sw *shardWriter) open(ctx context.Context) error {
 		inode := st.inodes[ino]
 		di := toDumpInode(&inode)
 		di.Size = uint64(len(data))
-		if err := writeBlob(w, dumpfmt.TSInode, uint32(ino), di, data); err != nil {
+		if err := w.WriteBlob(dumpfmt.TSInode, uint32(ino), di, data); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// writeChunk writes one staged chunk: TSInode/TSAddr header, then the
-// present segments with the last segment trimmed to the file size.
+// writeChunk writes one staged chunk under a TSInode header, or TSAddr
+// past a file's first: the staged buffer ends where the file does.
 func (sw *shardWriter) writeChunk(j fileJob, res chunkRes) error {
-	w := sw.w
 	inode := sw.st.inodes[j.ino]
-	di := toDumpInode(&inode)
-	if j.nsegs == 0 {
-		return w.WriteHeader(&dumpfmt.Header{Type: dumpfmt.TSInode, Inumber: uint32(j.ino), Dinode: di})
-	}
 	t := int32(dumpfmt.TSInode)
 	if !j.first {
 		t = dumpfmt.TSAddr
 	}
-	h := &dumpfmt.Header{Type: t, Inumber: uint32(j.ino), Dinode: di, Count: int32(j.nsegs), Addrs: res.addrs}
-	if err := w.WriteHeader(h); err != nil {
-		return err
+	var data []byte
+	if res.buf != nil {
+		data = (*res.buf)[:min(uint64(j.nsegs)*dumpfmt.TPBSize, inode.Size-uint64(j.seg)*dumpfmt.TPBSize)]
 	}
-	chunkBuf := *res.buf
-	for i := 0; i < j.nsegs; i++ {
-		if res.addrs[i] == 0 {
-			continue
-		}
-		sIdx := j.seg + i
-		so := i * dumpfmt.TPBSize
-		endOff := so + dumpfmt.TPBSize
-		if rem := inode.Size - uint64(sIdx)*dumpfmt.TPBSize; rem < dumpfmt.TPBSize {
-			endOff = so + int(rem)
-		}
-		if err := w.WriteSegment(chunkBuf[so:endOff]); err != nil {
-			return err
-		}
-	}
-	return nil
+	return sw.w.WriteMapped(t, uint32(j.ino), toDumpInode(&inode), res.addrs, data)
 }
 
 // emit writes Phase IV chunk seq, checkpointing after every

@@ -33,13 +33,14 @@ type RestoreOptions struct {
 	// pass) and no user-level data copies. Off models a user-level
 	// BSD restore.
 	KernelIntegrated bool
-	// Salvage tolerates a stream that ends mid-file — the tail left on
-	// tape by a dump that aborted after its last checkpoint. Everything
-	// before the tear restores normally; the torn file is dropped and
-	// TornTail is set in the stats. A stream torn earlier, inside its
-	// maps or directories, applies nothing. The resumed dump's stream
-	// re-dumps what the tear lost, so a concatenated restore loses
-	// nothing.
+	// Salvage tolerates a torn stream — one whose source ends before
+	// TS_END, the tail left on tape by a dump that aborted after its
+	// last checkpoint — which is otherwise an error wrapping
+	// io.ErrUnexpectedEOF. Everything before the tear restores normally,
+	// a file torn inside keeps what was read, and TornTail is set in the
+	// stats. A stream torn earlier, inside its maps or directories,
+	// applies nothing. The resumed dump's stream re-dumps what the tear
+	// lost, so a concatenated restore loses nothing.
 	Salvage bool
 	// Stages receives stage boundaries; may be nil.
 	Stages StageRecorder
@@ -54,7 +55,7 @@ type RestoreStats struct {
 	Deleted       int // entries removed by incremental sync
 	BytesRead     int64
 	SkippedUnits  int  // corrupt 1 KB units skipped by resync
-	TornTail      bool // stream ended mid-file and Salvage dropped the tail
+	TornTail      bool // stream ended before TS_END and Salvage kept what came before
 }
 
 // desiccated is restore's in-memory "desiccated file system": the
@@ -194,122 +195,56 @@ func Restore(ctx context.Context, opts RestoreOptions) (*RestoreStats, error) {
 	return stats, nil
 }
 
-// readDirectories consumes the stream up to the first non-directory
-// TS_INODE, returning the desiccated tree and the pending header.
+// readDirectories consumes the stream's maps and directories, returning
+// the desiccated tree and the first header past them: a file's, an
+// orphan continuation's or TS_END.
 func readDirectories(r *dumpfmt.Reader, stats *RestoreStats) (*desiccated, *dumpfmt.Header, error) {
 	des := &desiccated{
 		ents:  make(map[wafl.Inum][]wafl.DirEnt),
 		attrs: make(map[wafl.Inum]dumpfmt.DumpInode),
 	}
-	for {
-		h, err := r.NextHeader()
-		if err == io.EOF {
-			return des, nil, nil
-		}
-		if err != nil {
-			return nil, nil, err
-		}
-		switch h.Type {
-		case dumpfmt.TSTape, dumpfmt.TSCheckpoint:
-			continue
-		case dumpfmt.TSClri, dumpfmt.TSBits:
-			segs, err := r.ReadSegments(countPresent(h.Addrs))
-			if err != nil {
-				return nil, nil, err
-			}
-			raw := joinSegments(segs, int(h.Dinode.Size))
-			m := dumpfmt.InoMapFromBytes(raw)
-			if h.Type == dumpfmt.TSBits {
-				des.haveBits = m
-				des.rootIno = wafl.Inum(h.Inumber)
-			} else {
-				des.usedBits = m
-				des.rootIno = wafl.Inum(h.Inumber)
-			}
-			stats.BytesRead += int64(len(raw))
-		case dumpfmt.TSInode, dumpfmt.TSAddr:
-			if !isDirMode(h.Dinode.Mode) || h.Type == dumpfmt.TSAddr {
-				return des, h, nil // directories are over
-			}
-			data, err := readBlobSegments(r, h)
-			if err != nil {
-				return nil, nil, err
-			}
-			stats.BytesRead += int64(len(data))
-			ents, err := DecodeDirEnts(data)
-			if err != nil {
-				// A damaged directory loses only its own entries.
-				continue
-			}
-			ino := wafl.Inum(h.Inumber)
-			des.ents[ino] = ents
-			des.attrs[ino] = h.Dinode
-		case dumpfmt.TSEnd:
-			return des, nil, nil
-		}
+	// Maps and directories are hole-free, so a blob is its segments in
+	// stream order.
+	var blob []byte
+	collect := func(_ uint64, seg []byte) error {
+		blob = append(blob, seg...)
+		return nil
 	}
-}
-
-// readBlobSegments reads a hole-free blob (directory data or a map),
-// following TS_ADDR continuations for blobs larger than one header's
-// segment map can describe.
-func readBlobSegments(r *dumpfmt.Reader, h *dumpfmt.Header) ([]byte, error) {
-	totalSegs := int((h.Dinode.Size + dumpfmt.TPBSize - 1) / dumpfmt.TPBSize)
-	var buf []byte
-	cur := h
-	read := 0
-	for {
-		segs, err := r.ReadSegments(countPresent(cur.Addrs))
-		if err != nil {
-			return nil, err
+	h, err := r.NextHeader()
+	for err == nil {
+		isMap := h.Type == dumpfmt.TSClri || h.Type == dumpfmt.TSBits
+		switch {
+		case h.Type == dumpfmt.TSTape || h.Type == dumpfmt.TSCheckpoint:
+			h, err = r.NextHeader()
+			continue
+		case !isMap && !(h.Type == dumpfmt.TSInode && wafl.IsDir(h.Dinode.Mode)):
+			return des, h, nil // directories are over
 		}
-		for _, s := range segs {
-			buf = append(buf, s...)
-		}
-		read += len(cur.Addrs)
-		if read >= totalSegs {
+		cur := h
+		blob = blob[:0]
+		if h, err = r.Walk(cur, collect); err != nil {
 			break
 		}
-		next, err := r.NextHeader()
-		if err == io.EOF {
-			return nil, io.ErrUnexpectedEOF // the blob's continuation is gone
+		stats.BytesRead += int64(len(blob))
+		ino := wafl.Inum(cur.Inumber)
+		switch {
+		case cur.Type == dumpfmt.TSBits:
+			des.haveBits, des.rootIno = dumpfmt.InoMapFromBytes(blob), ino
+		case isMap:
+			des.usedBits, des.rootIno = dumpfmt.InoMapFromBytes(blob), ino
+		case uint64(len(blob)) < cur.Dinode.Size:
+			// A listing cut short would pass for one with entries deleted.
+			return nil, nil, fmt.Errorf("logical: directory inode %d truncated at %d of %d bytes", ino, len(blob), cur.Dinode.Size)
+		default:
+			// A damaged directory loses only its own entries.
+			if ents, err := DecodeDirEnts(blob); err == nil {
+				des.ents[ino] = ents
+				des.attrs[ino] = cur.Dinode
+			}
 		}
-		if err != nil {
-			return nil, err
-		}
-		if next.Type != dumpfmt.TSAddr || next.Inumber != h.Inumber {
-			return nil, fmt.Errorf("logical: blob for inode %d truncated at segment %d", h.Inumber, read)
-		}
-		cur = next
 	}
-	if int(h.Dinode.Size) < len(buf) {
-		buf = buf[:h.Dinode.Size]
-	}
-	return buf, nil
+	return nil, nil, err
 }
-
-func countPresent(addrs []byte) int {
-	n := 0
-	for _, a := range addrs {
-		if a == 1 {
-			n++
-		}
-	}
-	return n
-}
-
-func joinSegments(segs [][]byte, size int) []byte {
-	var buf []byte
-	for _, s := range segs {
-		buf = append(buf, s...)
-	}
-	if size >= 0 && size < len(buf) {
-		buf = buf[:size]
-	}
-	return buf
-}
-
-func isDirMode(mode uint32) bool { return wafl.IsDir(mode) }
 
 // markSubtree marks ino and (for directories) everything beneath it.
 func markSubtree(des *desiccated, ino wafl.Inum, out map[wafl.Inum]bool) {
@@ -340,7 +275,13 @@ type restoreState struct {
 
 	dirsToFinish []wafl.Inum // dump dir inos created/updated this run
 
-	batch []byte // restoreFile's write-coalescing buffer, empty between files; FS.Write keeps no reference to it
+	// The file restoreFile is walking: where segment puts its data, if
+	// it is wanted, and the write-coalescing buffer (empty between files;
+	// FS.Write keeps no reference to it) with the offset it starts at.
+	fsIno    wafl.Inum
+	writing  bool
+	batch    []byte
+	batchOff uint64
 }
 
 type location struct {
@@ -515,50 +456,71 @@ func (rst *restoreState) removeRecursive(ctx context.Context, fsDir wafl.Inum, e
 	return rst.fs.Remove(ctx, fsDir, ent.Name)
 }
 
-// streamFiles processes the file portion of the stream.
-func (rst *restoreState) streamFiles(ctx context.Context, r *dumpfmt.Reader, pending *dumpfmt.Header) error {
-	h := pending
+// fileSection runs the file portion of a stream from h on: each
+// TS_INODE goes to file, which consumes its records and returns the
+// first header past them. Whatever else turns up before TS_END carries
+// nothing a reader wants and is read past — a continuation whose
+// TS_INODE was lost to corruption, with its data.
+func fileSection(r *dumpfmt.Reader, h *dumpfmt.Header, file func(*dumpfmt.Header) (*dumpfmt.Header, error)) error {
 	var err error
-	for {
-		if h == nil {
-			h, err = r.NextHeader()
-			if err == io.EOF {
-				return nil
-			}
-			if err != nil {
-				return err
-			}
-		}
-		switch h.Type {
-		case dumpfmt.TSEnd:
-			return nil
-		case dumpfmt.TSTape, dumpfmt.TSClri, dumpfmt.TSBits, dumpfmt.TSCheckpoint:
-			h = nil
-			continue
-		case dumpfmt.TSAddr:
-			// Continuation with no preceding TS_INODE (its header was
-			// lost to corruption): skip its data.
-			if _, err := r.ReadSegments(countPresent(h.Addrs)); err != nil {
-				return err
-			}
-			h = nil
-			continue
-		case dumpfmt.TSInode:
-			next, err := rst.restoreFile(ctx, r, h)
-			if err != nil {
-				return err
-			}
-			h = next
-		default:
-			h = nil
+	for err == nil && h.Type != dumpfmt.TSEnd {
+		if h.Type == dumpfmt.TSInode {
+			h, err = file(h)
+		} else {
+			h, err = r.Walk(h, nil)
 		}
 	}
+	return err
+}
+
+// streamFiles lays the file portion of the stream onto the filesystem.
+func (rst *restoreState) streamFiles(ctx context.Context, r *dumpfmt.Reader, h *dumpfmt.Header) error {
+	visit := func(off uint64, seg []byte) error { return rst.segment(ctx, off, seg) }
+	return fileSection(r, h, func(h *dumpfmt.Header) (*dumpfmt.Header, error) {
+		return rst.restoreFile(ctx, r, h, visit)
+	})
+}
+
+// maxBatch bounds the contiguous segments coalesced into one write.
+const maxBatch = 64 << 10
+
+// segment takes one present segment of the file being restored.
+// Contiguous segments are coalesced into large writes — one filesystem
+// operation (and one NVRAM log entry) per run rather than per 1 KB
+// segment, as a real restore does.
+func (rst *restoreState) segment(ctx context.Context, off uint64, seg []byte) error {
+	rst.stats.BytesRead += int64(len(seg))
+	if !rst.writing {
+		return nil
+	}
+	if len(rst.batch) > 0 && (rst.batchOff+uint64(len(rst.batch)) != off || len(rst.batch) >= maxBatch) {
+		if err := rst.flush(ctx); err != nil {
+			return err
+		}
+	}
+	if len(rst.batch) == 0 {
+		rst.batchOff = off
+	}
+	rst.batch = append(rst.batch, seg...)
+	return nil
+}
+
+// flush writes the coalesced run, if any.
+func (rst *restoreState) flush(ctx context.Context) error {
+	if len(rst.batch) == 0 {
+		return nil
+	}
+	err := rst.fs.Write(ctx, rst.fsIno, rst.batchOff, rst.batch)
+	rst.batch = rst.batch[:0]
+	return err
 }
 
 // restoreFile lays one file (and its continuations) onto the
 // filesystem, returning the first header that belongs to the next
-// file.
-func (rst *restoreState) restoreFile(ctx context.Context, r *dumpfmt.Reader, h *dumpfmt.Header) (*dumpfmt.Header, error) {
+// file. Under Salvage a file the stream tears inside keeps what was
+// read — the resumed stream carries it whole — and the tear is returned
+// once the file is closed.
+func (rst *restoreState) restoreFile(ctx context.Context, r *dumpfmt.Reader, h *dumpfmt.Header, visit func(uint64, []byte) error) (*dumpfmt.Header, error) {
 	dumpIno := wafl.Inum(h.Inumber)
 	di := h.Dinode
 	selected := rst.selected(dumpIno)
@@ -603,82 +565,14 @@ func (rst *restoreState) restoreFile(ctx context.Context, r *dumpfmt.Reader, h *
 		}
 	}
 
-	// Walk this file's headers (TS_INODE + TS_ADDRs), applying or
-	// skipping data. Contiguous segments are coalesced into large
-	// writes — one filesystem operation (and one NVRAM log entry) per
-	// run rather than per 1 KB segment, as a real restore does.
-	segBase := int64(0)
-	cur := h
-	var batchOff uint64
-	flush := func() error {
-		if len(rst.batch) == 0 {
-			return nil
-		}
-		err := rst.fs.Write(ctx, fsIno, batchOff, rst.batch)
-		rst.batch = rst.batch[:0]
-		return err
-	}
-	const maxBatch = 64 << 10
-	for {
-		present := countPresent(cur.Addrs)
-		segs, err := r.ReadSegments(present)
-		if err != nil && err != io.ErrUnexpectedEOF {
-			return nil, err
-		}
-		if selected {
-			si := 0
-			for i, a := range cur.Addrs {
-				if a != 1 {
-					continue
-				}
-				if si >= len(segs) {
-					break
-				}
-				off := uint64(segBase+int64(i)) * dumpfmt.TPBSize
-				seg := segs[si]
-				si++
-				// Trim the final segment to the file size.
-				if rem := di.Size - off; rem < uint64(len(seg)) {
-					seg = seg[:rem]
-				}
-				if len(seg) == 0 {
-					continue
-				}
-				if len(rst.batch) > 0 && (batchOff+uint64(len(rst.batch)) != off || len(rst.batch) >= maxBatch) {
-					if err := flush(); err != nil {
-						return nil, err
-					}
-				}
-				if len(rst.batch) == 0 {
-					batchOff = off
-				}
-				rst.batch = append(rst.batch, seg...)
-				rst.stats.BytesRead += int64(len(seg))
-			}
-		} else {
-			for _, s := range segs {
-				rst.stats.BytesRead += int64(len(s))
-			}
-		}
-		segBase += int64(len(cur.Addrs))
-		next, err := r.NextHeader()
-		if err == io.EOF {
-			cur = nil
-			break
-		}
-		if err != nil {
-			return nil, err
-		}
-		if next.Type == dumpfmt.TSAddr && next.Inumber == uint32(dumpIno) {
-			cur = next
-			continue
-		}
-		cur = next
-		break
+	rst.fsIno, rst.writing = fsIno, selected
+	next, torn := r.Walk(h, visit)
+	if torn != nil && !(rst.opts.Salvage && errors.Is(torn, io.ErrUnexpectedEOF)) {
+		return nil, torn
 	}
 
 	if selected {
-		if err := flush(); err != nil {
+		if err := rst.flush(ctx); err != nil {
 			return nil, err
 		}
 		// Size was written exactly; fix up attributes.
@@ -712,7 +606,7 @@ func (rst *restoreState) restoreFile(ctx context.Context, r *dumpfmt.Reader, h *
 	} else {
 		rst.stats.FilesSkipped++
 	}
-	return cur, nil
+	return next, torn
 }
 
 // finishDirs applies directory times (and, in user-level mode,

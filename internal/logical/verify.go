@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"context"
 	"fmt"
-	"io"
 
 	"repro/internal/dumpfmt"
 	"repro/internal/obs"
@@ -52,9 +51,7 @@ func Verify(ctx context.Context, opts VerifyOptions) (*VerifyResult, error) {
 	defer span.End()
 	r := dumpfmt.NewReader(opts.Source)
 	res := &VerifyResult{}
-	addf := func(format string, args ...interface{}) {
-		res.Problems = append(res.Problems, fmt.Sprintf(format, args...))
-	}
+	addf := res.addf
 
 	stats := &RestoreStats{}
 	des, pending, err := readDirectories(r, stats)
@@ -131,34 +128,13 @@ func Verify(ctx context.Context, opts VerifyOptions) (*VerifyResult, error) {
 	}
 
 	// Stream the file section, comparing contents against the view.
-	h := pending
-	for {
-		if h == nil {
-			h, err = r.NextHeader()
-			if err == io.EOF {
-				break
-			}
-			if err != nil {
-				return nil, err
-			}
-		}
-		if h.Type == dumpfmt.TSEnd {
-			break
-		}
-		if h.Type != dumpfmt.TSInode {
-			if h.Type == dumpfmt.TSAddr {
-				if _, err := r.ReadSegments(countPresent(h.Addrs)); err != nil {
-					return nil, err
-				}
-			}
-			h = nil
-			continue
-		}
-		next, err := verifyFile(ctx, opts.View, r, h, inoMap, locs, res)
-		if err != nil {
-			return nil, err
-		}
-		h = next
+	v := &verifier{view: opts.View, res: res, inoMap: inoMap, locs: locs}
+	visit := func(off uint64, seg []byte) error { return v.segment(ctx, off, seg) }
+	if err := fileSection(r, pending, func(h *dumpfmt.Header) (*dumpfmt.Header, error) {
+		v.begin(ctx, h)
+		return r.Walk(h, visit)
+	}); err != nil {
+		return nil, err
 	}
 	res.SkippedUnits = r.Skipped()
 	span.SetAttr("files", res.FilesChecked)
@@ -173,82 +149,64 @@ func Verify(ctx context.Context, opts VerifyOptions) (*VerifyResult, error) {
 	return res, nil
 }
 
-// verifyFile compares one file's tape records against the view.
-func verifyFile(ctx context.Context, view *wafl.View, r *dumpfmt.Reader, h *dumpfmt.Header, inoMap map[wafl.Inum]wafl.Inum, locs map[wafl.Inum]location, res *VerifyResult) (*dumpfmt.Header, error) {
+func (res *VerifyResult) addf(format string, args ...interface{}) {
+	res.Problems = append(res.Problems, fmt.Sprintf(format, args...))
+}
+
+// verifier compares the file section's records against the view.
+type verifier struct {
+	view   *wafl.View
+	res    *VerifyResult
+	inoMap map[wafl.Inum]wafl.Inum // tape ino → fs ino
+	locs   map[wafl.Inum]location
+
+	// The file being walked: its name for reports, its inode in the
+	// view, and whether its contents are (still) worth comparing.
+	name    string
+	fsIno   wafl.Inum
+	compare bool
+	buf     [dumpfmt.TPBSize]byte
+}
+
+// begin checks a file's header against the view.
+func (v *verifier) begin(ctx context.Context, h *dumpfmt.Header) {
 	tapeIno := wafl.Inum(h.Inumber)
 	di := h.Dinode
-	fsIno, known := inoMap[tapeIno]
+	fsIno, known := v.inoMap[tapeIno]
 	name := fmt.Sprintf("tape ino %d", tapeIno)
-	if loc, ok := locs[tapeIno]; ok {
+	if loc, ok := v.locs[tapeIno]; ok {
 		name = loc.name
 	}
-	addf := func(format string, args ...interface{}) {
-		res.Problems = append(res.Problems, fmt.Sprintf(format, args...))
+	v.name, v.fsIno, v.compare = name, fsIno, false
+	if !known {
+		v.res.addf("%s: on tape but not referenced by any tape directory", name)
+		return
 	}
+	fsInode, err := v.view.GetInode(ctx, fsIno)
+	if err != nil {
+		v.res.addf("%s: on tape but unreadable in the filesystem: %v", name, err)
+		return
+	}
+	v.res.FilesChecked++
+	if fsInode.Size != di.Size {
+		v.res.addf("%s: size differs (tape %d, fs %d)", name, di.Size, fsInode.Size)
+	}
+	if fsInode.Mode&07777 != di.Mode&07777 {
+		v.res.addf("%s: mode differs (tape %o, fs %o)", name, di.Mode&07777, fsInode.Mode&07777)
+	}
+	v.compare = fsInode.Size == di.Size
+}
 
-	var fsInode wafl.Inode
-	var err error
-	if known {
-		fsInode, err = view.GetInode(ctx, fsIno)
-		if err != nil {
-			addf("%s: on tape but unreadable in the filesystem: %v", name, err)
-			known = false
-		}
-	} else {
-		addf("%s: on tape but not referenced by any tape directory", name)
+// segment compares one present segment byte for byte.
+func (v *verifier) segment(ctx context.Context, off uint64, seg []byte) error {
+	v.res.BytesRead += int64(len(seg))
+	if !v.compare {
+		return nil
 	}
-	if known {
-		res.FilesChecked++
-		if fsInode.Size != di.Size {
-			addf("%s: size differs (tape %d, fs %d)", name, di.Size, fsInode.Size)
-		}
-		if fsInode.Mode&07777 != di.Mode&07777 {
-			addf("%s: mode differs (tape %o, fs %o)", name, di.Mode&07777, fsInode.Mode&07777)
-		}
+	n, err := v.view.ReadAt(ctx, v.fsIno, off, v.buf[:len(seg)])
+	if err != nil || n != len(seg) || !bytes.Equal(v.buf[:n], seg) {
+		v.res.addf("%s: contents differ at offset %d", v.name, off)
+		v.compare = false // one report per file
 	}
-
-	// Walk the data, comparing present segments byte for byte.
-	segBase := int64(0)
-	cur := h
-	buf := make([]byte, dumpfmt.TPBSize)
-	for {
-		segs, err := r.ReadSegments(countPresent(cur.Addrs))
-		if err != nil && err != io.ErrUnexpectedEOF {
-			return nil, err
-		}
-		si := 0
-		for i, a := range cur.Addrs {
-			if a != 1 || si >= len(segs) {
-				continue
-			}
-			seg := segs[si]
-			si++
-			res.BytesRead += int64(len(seg))
-			if !known || fsInode.Size != di.Size {
-				continue
-			}
-			off := uint64(segBase+int64(i)) * dumpfmt.TPBSize
-			if rem := di.Size - off; rem < uint64(len(seg)) {
-				seg = seg[:rem]
-			}
-			n, err := view.ReadAt(ctx, fsIno, off, buf[:len(seg)])
-			if err != nil || n != len(seg) || !bytes.Equal(buf[:n], seg) {
-				addf("%s: contents differ at offset %d", name, off)
-				known = false // one report per file
-			}
-		}
-		segBase += int64(len(cur.Addrs))
-		next, err := r.NextHeader()
-		if err == io.EOF {
-			return nil, nil
-		}
-		if err != nil {
-			return nil, err
-		}
-		if next.Type == dumpfmt.TSAddr && next.Inumber == uint32(tapeIno) {
-			cur = next
-			continue
-		}
-		return next, nil
-	}
+	return nil
 }

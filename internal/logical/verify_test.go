@@ -109,10 +109,3 @@ func TestVerifySubtree(t *testing.T) {
 		t.Fatalf("FilesChecked = %d, want 1", res.FilesChecked)
 	}
 }
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}

@@ -18,6 +18,20 @@ import (
 // unacknowledged tail, which the next successful view will truncate.
 var ErrNoQuorum = errors.New("replica: no quorum")
 
+// The cluster's timing, in virtual time.
+const (
+	// deadAfter is how long a node may miss pings before the view
+	// service declares it dead.
+	deadAfter = 3 * time.Second
+	// pingEvery is the heartbeat interval, and how far an operation that
+	// cannot reach quorum advances the clock before its retry, so
+	// failover detection progresses.
+	pingEvery = 500 * time.Millisecond
+	// maxAttempts bounds how many view-refresh retries an operation makes
+	// before returning ErrNoQuorum.
+	maxAttempts = 32
+)
+
 // Config parameterizes a Cluster.
 type Config struct {
 	// Members are the replica node names in canonical order; on empty
@@ -28,22 +42,6 @@ type Config struct {
 	// Stores maps member name to its durable journal store. Missing
 	// entries get a fresh in-memory store.
 	Stores map[string]catalog.Store
-	// DeadAfter is how long (virtual time) a node may miss pings
-	// before the view service declares it dead. Default 3s.
-	DeadAfter time.Duration
-	// PingEvery is the virtual heartbeat interval. Default 500ms.
-	PingEvery time.Duration
-	// MaxAttempts bounds how many view-refresh retries an operation
-	// makes before returning ErrNoQuorum. Default 32.
-	MaxAttempts int
-	// OnStall, when set, is called each time an operation cannot reach
-	// quorum under the current view, before the retry. The chaos
-	// harness uses it to advance the virtual clock, heal partitions or
-	// restart nodes. It runs with the operation lock held: it may call
-	// Advance/Heartbeat/Kill/Restart/Isolate/Rejoin but must not call
-	// Append/Truncate/ReadAll. When nil, the cluster self-advances the
-	// clock by PingEvery per retry so failover detection progresses.
-	OnStall func(attempt int)
 	// Ctx carries the tracer for per-append replication spans; Registry
 	// receives the replication metrics. Both optional.
 	Ctx      context.Context
@@ -108,15 +106,6 @@ func New(cfg Config) (*Cluster, error) {
 	if len(cfg.Members) < 2 {
 		return nil, fmt.Errorf("replica: need >= 2 members, have %d", len(cfg.Members))
 	}
-	if cfg.DeadAfter == 0 {
-		cfg.DeadAfter = 3 * time.Second
-	}
-	if cfg.PingEvery == 0 {
-		cfg.PingEvery = 500 * time.Millisecond
-	}
-	if cfg.MaxAttempts == 0 {
-		cfg.MaxAttempts = 32
-	}
 	ctx := cfg.Ctx
 	if ctx == nil {
 		ctx = context.Background()
@@ -135,7 +124,7 @@ func New(cfg Config) (*Cluster, error) {
 		c.nodes = append(c.nodes, n)
 	}
 	c.net = NewNet(c.nodes...)
-	c.vs = NewViewService(cfg.Members, cfg.DeadAfter, start)
+	c.vs = NewViewService(cfg.Members, deadAfter, start)
 	if r := cfg.Registry; r != nil {
 		c.registerMetrics(r)
 	}
@@ -271,13 +260,9 @@ func (c *Cluster) Rejoin(name string) {
 	}
 }
 
-func (c *Cluster) stall(attempt int) {
+func (c *Cluster) stall() {
 	c.stalls.Inc()
-	if c.cfg.OnStall != nil {
-		c.cfg.OnStall(attempt)
-	} else {
-		c.Advance(c.cfg.PingEvery)
-	}
+	c.Advance(pingEvery)
 	c.Heartbeat()
 }
 
@@ -298,16 +283,16 @@ func (c *Cluster) nextSeq() uint64 {
 func (c *Cluster) ReadAll() ([]byte, error) {
 	c.opMu.Lock()
 	defer c.opMu.Unlock()
-	for attempt := 0; attempt < c.cfg.MaxAttempts; attempt++ {
+	for attempt := 0; attempt < maxAttempts; attempt++ {
 		view := c.Heartbeat()
 		reply, err := c.net.RPC(view.Primary, Catchup{Have: 0, CRC: 0})
 		if err != nil {
-			c.stall(attempt)
+			c.stall()
 			continue
 		}
 		resp, ok := reply.(CatchupResp)
 		if !ok || !resp.OK {
-			c.stall(attempt)
+			c.stall()
 			continue
 		}
 		c.mu.Lock()
@@ -315,7 +300,7 @@ func (c *Cluster) ReadAll() ([]byte, error) {
 		c.mu.Unlock()
 		return resp.Data, nil
 	}
-	return nil, fmt.Errorf("%w: read after %d attempts", ErrNoQuorum, c.cfg.MaxAttempts)
+	return nil, fmt.Errorf("%w: read after %d attempts", ErrNoQuorum, maxAttempts)
 }
 
 // Append implements catalog.Store: one call replicates one (or more)
@@ -335,7 +320,7 @@ func (c *Cluster) Append(p []byte) error {
 	off := c.size
 	c.mu.Unlock()
 
-	for attempt := 0; attempt < c.cfg.MaxAttempts; attempt++ {
+	for attempt := 0; attempt < maxAttempts; attempt++ {
 		view := c.Heartbeat()
 		ok, err := c.tryAppend(view, seq, off, p)
 		if err != nil {
@@ -349,9 +334,9 @@ func (c *Cluster) Append(p []byte) error {
 			return nil
 		}
 		c.quorumFailures.Inc()
-		c.stall(attempt)
+		c.stall()
 	}
-	return fmt.Errorf("%w: append seq %d after %d attempts", ErrNoQuorum, seq, c.cfg.MaxAttempts)
+	return fmt.Errorf("%w: append seq %d after %d attempts", ErrNoQuorum, seq, maxAttempts)
 }
 
 // tryAppend makes one pass at replicating the record under one view.
@@ -486,17 +471,17 @@ func (c *Cluster) catchUp(view View, name string) error {
 func (c *Cluster) Truncate(n int64) error {
 	c.opMu.Lock()
 	defer c.opMu.Unlock()
-	for attempt := 0; attempt < c.cfg.MaxAttempts; attempt++ {
+	for attempt := 0; attempt < maxAttempts; attempt++ {
 		view := c.Heartbeat()
 		msg := Truncate{View: view.Num, N: n}
 		reply, err := c.net.RPC(view.Primary, msg)
 		if err != nil {
-			c.stall(attempt)
+			c.stall()
 			continue
 		}
 		ack, ok := reply.(TruncateAck)
 		if !ok || !ack.OK {
-			c.stall(attempt)
+			c.stall()
 			continue
 		}
 		count := 1
@@ -513,9 +498,9 @@ func (c *Cluster) Truncate(n int64) error {
 			c.mu.Unlock()
 			return nil
 		}
-		c.stall(attempt)
+		c.stall()
 	}
-	return fmt.Errorf("%w: truncate after %d attempts", ErrNoQuorum, c.cfg.MaxAttempts)
+	return fmt.Errorf("%w: truncate after %d attempts", ErrNoQuorum, maxAttempts)
 }
 
 // AckedSize returns the acknowledged journal length — the durability

@@ -88,6 +88,16 @@ func (t TowerOfHanoi) Level(run int) int {
 
 func (t TowerOfHanoi) String() string { return "tower-of-hanoi" }
 
+const (
+	// schedDrive is the tape drive index the schedule writes to.
+	schedDrive = 0
+	// interval is the virtual time between runs when simulating:
+	// nightly dumps.
+	interval = 24 * time.Hour
+	// snapPrefix names the schedule's snapshots.
+	snapPrefix = "sched"
+)
+
 // Config wires a schedule to a filer, catalog and media pool.
 type Config struct {
 	Filer   *core.Filer
@@ -97,15 +107,8 @@ type Config struct {
 	Engine catalog.Engine
 	// Policy maps run numbers to levels (default: BSD ladder).
 	Policy Policy
-	// Drive is the tape drive index the schedule writes to.
-	Drive int
 	// FSID keys the dump-date history (default: the filer's name).
 	FSID string
-	// Interval is the virtual time between runs when simulating
-	// (default 24h — nightly dumps).
-	Interval time.Duration
-	// SnapPrefix names the schedule's snapshots (default "sched").
-	SnapPrefix string
 	// Retention, when set, is applied after every run, followed by a
 	// reclamation pass.
 	Retention media.RetentionPolicy
@@ -116,12 +119,10 @@ type Config struct {
 	// dump's stream records, keyed by set ID — the stream-level
 	// standby replica the scrubber repairs damaged media from.
 	Mirror *scrub.Store
-	// Scrub, when set, runs a scheduled integrity pass (scan, repair,
-	// degrade, fsck) after a run's retention completes.
+	// Scrub, when set, runs an integrity pass (scan, repair, degrade,
+	// fsck) after every run's retention completes — nightly scrub after
+	// the nightly dump.
 	Scrub *scrub.Scrubber
-	// ScrubEvery is the scrub period in runs (default 1 — nightly
-	// scrub after the nightly dump).
-	ScrubEvery int
 }
 
 // RunResult describes one completed scheduled dump.
@@ -168,23 +169,14 @@ func New(cfg Config) (*Scheduler, error) {
 	if cfg.FSID == "" {
 		cfg.FSID = cfg.Filer.Config.Name
 	}
-	if cfg.Interval <= 0 {
-		cfg.Interval = 24 * time.Hour
-	}
-	if cfg.SnapPrefix == "" {
-		cfg.SnapPrefix = "sched"
-	}
-	if cfg.Drive < 0 || cfg.Drive >= len(cfg.Filer.Tapes) {
-		return nil, fmt.Errorf("sched: drive %d of %d", cfg.Drive, len(cfg.Filer.Tapes))
-	}
-	if cfg.ScrubEvery <= 0 {
-		cfg.ScrubEvery = 1
+	if len(cfg.Filer.Tapes) <= schedDrive {
+		return nil, fmt.Errorf("sched: filer has no tape drive %d", schedDrive)
 	}
 	return &Scheduler{cfg: cfg, bases: make(map[int]imageBase)}, nil
 }
 
 // RunN executes n scheduled runs. On a simulating filer it spawns a
-// simulation process, sleeps Interval of virtual time between runs,
+// simulation process, sleeps interval of virtual time between runs,
 // and drives the event loop; untimed it just loops. Each run's dump is
 // recorded in the catalog before RunN moves on — a crash between runs
 // loses nothing.
@@ -229,10 +221,10 @@ func (s *Scheduler) RunOne(ctx context.Context) (*RunResult, error) {
 		}
 	}
 	if p := sim.ProcFrom(ctx); p != nil {
-		p.Sleep(s.cfg.Interval)
+		p.Sleep(interval)
 	}
-	if f.Tapes[s.cfg.Drive].Loaded() == nil {
-		if err := f.Tapes[s.cfg.Drive].Load(sim.ProcFrom(ctx)); err != nil {
+	if f.Tapes[schedDrive].Loaded() == nil {
+		if err := f.Tapes[schedDrive].Load(sim.ProcFrom(ctx)); err != nil {
 			return nil, fmt.Errorf("sched: mounting media for run %d: %w", run, err)
 		}
 	}
@@ -266,7 +258,7 @@ func (s *Scheduler) RunOne(ctx context.Context) (*RunResult, error) {
 			return nil, err
 		}
 	}
-	if s.cfg.Scrub != nil && s.runs%s.cfg.ScrubEvery == 0 {
+	if s.cfg.Scrub != nil {
 		srep, err := s.cfg.Scrub.Run(ctx)
 		if err != nil {
 			return nil, fmt.Errorf("sched: scrub after run %d: %w", run, err)
@@ -279,7 +271,7 @@ func (s *Scheduler) RunOne(ctx context.Context) (*RunResult, error) {
 // logicalRun performs one scheduled logical dump.
 func (s *Scheduler) logicalRun(ctx context.Context, run, level int) (*RunResult, error) {
 	f := s.cfg.Filer
-	snap := fmt.Sprintf("%s.l%d.run%d", s.cfg.SnapPrefix, level, run)
+	snap := fmt.Sprintf("%s.l%d.run%d", snapPrefix, level, run)
 	if err := f.FS.CreateSnapshot(ctx, snap); err != nil {
 		return nil, err
 	}
@@ -313,7 +305,7 @@ func (e dumpError) Unwrap() error { return e.error }
 // engine produces one), the stream mirror and the media pool.
 func (s *Scheduler) runJob(ctx context.Context, run, level int, snap string, job *engine.Dump, index *[]catalog.FileIndexEntry) (*RunResult, error) {
 	f := s.cfg.Filer
-	track := &media.TrackingSink{Sink: f.Sink(ctx, s.cfg.Drive), Drive: f.Tapes[s.cfg.Drive]}
+	track := &media.TrackingSink{Sink: f.Sink(ctx, schedDrive), Drive: f.Tapes[schedDrive]}
 	var sink stream.Sink = track
 	var capture *scrub.CaptureSink
 	if s.cfg.Mirror != nil {
@@ -323,7 +315,7 @@ func (s *Scheduler) runJob(ctx context.Context, run, level int, snap string, job
 	if err := job.To(ctx, sink); err != nil {
 		return nil, dumpError{fmt.Errorf("sched: run %d level %d: %w", run, level, err)}
 	}
-	f.Tapes[s.cfg.Drive].Flush(sim.ProcFrom(ctx))
+	f.Tapes[schedDrive].Flush(sim.ProcFrom(ctx))
 
 	ds := job.Set()
 	ds.FSID, ds.Snap, ds.Media = s.cfg.FSID, snap, track.Refs()
@@ -357,7 +349,7 @@ func (s *Scheduler) runJob(ctx context.Context, run, level int, snap string, job
 // levels' snapshots are dropped, as a new base invalidates them.
 func (s *Scheduler) imageRun(ctx context.Context, run, level int) (*RunResult, error) {
 	f := s.cfg.Filer
-	snap := fmt.Sprintf("%s.i%d.run%d", s.cfg.SnapPrefix, level, run)
+	snap := fmt.Sprintf("%s.i%d.run%d", snapPrefix, level, run)
 	if err := f.FS.CreateSnapshot(ctx, snap); err != nil {
 		return nil, err
 	}

@@ -124,28 +124,31 @@ func (r *Report) String() string {
 		r.Sets, r.BytesScanned, len(r.Repaired), len(r.Findings), len(r.Damaged), len(r.Quarantined))
 }
 
+// scrubName prefixes the maintenance drive and the spans.
+const scrubName = "scrub"
+
+// stamp dates the scrubber's repair, damage and quarantine records: the
+// filesystem clock is not reachable from here.
+const stamp = 0
+
+// A scan over tape is rate-limited so scrubbing never starves live dumps
+// of drive time: after every pauseEvery scanned bytes it sleeps for
+// pause of virtual time.
+const (
+	pauseEvery = 8 << 20
+	pause      = 250 * time.Millisecond
+)
+
 // Config wires a Scrubber to the catalog and pool it guards.
 type Config struct {
 	Catalog *catalog.Catalog
 	Pool    *media.Pool
 	// Env builds the maintenance drive (nil = untimed reads).
 	Env *sim.Env
-	// Params is the maintenance drive's model (zero = DefaultParams).
-	Params tape.Params
-	// Name prefixes the maintenance drive and spans (default "scrub").
-	Name string
 	// Replicas are stream-record redundancy sources tried in order for
 	// in-place repair — the -standby mirror, a RAID rebuild, anything
 	// that can produce the set's byte-identical record list.
 	Replicas []Replica
-	// PauseEvery is how many scanned bytes between rate-limit pauses
-	// (default 8 MiB) so scrubbing never starves live dumps of drive
-	// time; Pause is the pause length (default 250ms of virtual time).
-	PauseEvery int64
-	Pause      time.Duration
-	// Now supplies catalog timestamps for damage/quarantine records
-	// (default: the filesystem clock is not reachable from here, 0).
-	Now func() int64
 }
 
 // Scrubber runs integrity passes.
@@ -158,26 +161,7 @@ func New(cfg Config) (*Scrubber, error) {
 	if cfg.Catalog == nil || cfg.Pool == nil {
 		return nil, fmt.Errorf("scrub: catalog and pool are required")
 	}
-	if cfg.Params.Rate == 0 {
-		cfg.Params = tape.DefaultParams()
-	}
-	if cfg.Name == "" {
-		cfg.Name = "scrub"
-	}
-	if cfg.PauseEvery <= 0 {
-		cfg.PauseEvery = 8 << 20
-	}
-	if cfg.Pause <= 0 {
-		cfg.Pause = 250 * time.Millisecond
-	}
 	return &Scrubber{cfg: cfg}, nil
-}
-
-func (s *Scrubber) now() int64 {
-	if s.cfg.Now != nil {
-		return s.cfg.Now()
-	}
-	return 0
 }
 
 // Run executes one full integrity pass: scan every live, undamaged
@@ -186,7 +170,7 @@ func (s *Scrubber) now() int64 {
 // Damaged, quarantine its volumes); then fsck the catalog against the
 // pool. Already-damaged sets are skipped — their verdict is in.
 func (s *Scrubber) Run(ctx context.Context) (*Report, error) {
-	ctx, span := obs.Start(ctx, s.cfg.Name+".run")
+	ctx, span := obs.Start(ctx, scrubName+".run")
 	defer span.End()
 	m := obs.MetricsFrom(ctx)
 	rep := &Report{}
@@ -211,7 +195,7 @@ func (s *Scrubber) Run(ctx context.Context) (*Report, error) {
 			re, n2, err := s.scanSet(ctx, ds)
 			rep.BytesScanned += n2
 			if err == nil && len(re) == 0 {
-				if err := s.cfg.Catalog.MarkRepaired(ds.ID, s.now(),
+				if err := s.cfg.Catalog.MarkRepaired(ds.ID, stamp,
 					fmt.Sprintf("scrub repaired %d finding(s)", len(findings))); err != nil {
 					return nil, err
 				}
@@ -247,7 +231,7 @@ func (s *Scrubber) degrade(ds catalog.DumpSet, findings []Finding, rep *Report, 
 	if len(findings) > 1 {
 		detail = fmt.Sprintf("%s (+%d more)", detail, len(findings)-1)
 	}
-	if err := s.cfg.Catalog.MarkDamaged(ds.ID, s.now(), detail); err != nil {
+	if err := s.cfg.Catalog.MarkDamaged(ds.ID, stamp, detail); err != nil {
 		return err
 	}
 	rep.Damaged = append(rep.Damaged, ds.ID)
@@ -269,7 +253,7 @@ func (s *Scrubber) degrade(ds catalog.DumpSet, findings []Finding, rep *Report, 
 		vols[ref.Volume] = false
 		v, ok := s.cfg.Pool.Volume(ref.Volume)
 		already := ok && v.State == media.Quarantined
-		if err := s.cfg.Pool.Quarantine(ref.Volume, s.now()); err != nil {
+		if err := s.cfg.Pool.Quarantine(ref.Volume, stamp); err != nil {
 			return err
 		}
 		if !already {
@@ -285,7 +269,7 @@ func (s *Scrubber) degrade(ds catalog.DumpSet, findings []Finding, rep *Report, 
 // format verifiers; this layers media-fault capture, rate limiting and
 // byte accounting around them.
 func (s *Scrubber) scanSet(ctx context.Context, ds catalog.DumpSet) ([]Finding, int64, error) {
-	_, span := obs.Start(ctx, s.cfg.Name+".set")
+	_, span := obs.Start(ctx, scrubName+".set")
 	defer span.End()
 	span.SetAttr("set", ds.ID)
 	span.SetAttr("engine", ds.Engine.String())
@@ -293,7 +277,7 @@ func (s *Scrubber) scanSet(ctx context.Context, ds catalog.DumpSet) ([]Finding, 
 	// Media the pool cannot produce is a finding, not an error: the
 	// scrubber's job is to report exactly this.
 	var findings []Finding
-	drive := tape.NewDrive(s.cfg.Env, s.cfg.Name+"/maint", s.cfg.Params)
+	drive := tape.NewDrive(s.cfg.Env, scrubName+"/maint", tape.DefaultParams())
 	labels := make([]string, len(ds.Media))
 	for i, ref := range ds.Media {
 		labels[i] = ref.Volume
@@ -314,7 +298,7 @@ func (s *Scrubber) scanSet(ctx context.Context, ds catalog.DumpSet) ([]Finding, 
 			damage = append(damage, Finding{Kind: MediaFault, SetID: ds.ID,
 				Volume: volume, Record: record, Detail: "unreadable record"})
 		}),
-		proc: sim.ProcFrom(ctx), pauseEvery: s.cfg.PauseEvery, pause: s.cfg.Pause,
+		proc: sim.ProcFrom(ctx),
 	}
 	findings = append(verifyStream(ctx, ds, src), damage...)
 	return dedupe(findings), src.bytes, nil
@@ -370,16 +354,12 @@ func dedupe(in []Finding) []Finding {
 }
 
 // countingSource counts the bytes a verify pass reads off src and,
-// over tape, rate-limits it: after every pauseEvery bytes (0 = never)
-// it sleeps proc for pause, so scrubbing never starves live dumps of
-// drive time.
+// on a simulated process (a scan over tape), rate-limits it.
 type countingSource struct {
 	src   stream.Source
 	bytes int64
 
 	proc       *sim.Proc
-	pauseEvery int64
-	pause      time.Duration
 	sincePause int64
 }
 
@@ -387,10 +367,10 @@ func (c *countingSource) ReadRecord() ([]byte, error) {
 	rec, err := c.src.ReadRecord()
 	c.bytes += int64(len(rec))
 	c.sincePause += int64(len(rec))
-	if c.pauseEvery > 0 && c.sincePause >= c.pauseEvery {
+	if c.sincePause >= pauseEvery {
 		c.sincePause = 0
 		if c.proc != nil {
-			c.proc.Sleep(c.pause)
+			c.proc.Sleep(pause)
 		}
 	}
 	return rec, err
