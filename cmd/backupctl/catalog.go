@@ -27,7 +27,6 @@ import (
 	"repro/internal/ndmp"
 	"repro/internal/replica"
 	"repro/internal/scrub"
-	"repro/internal/stream"
 	"repro/internal/wafl"
 )
 
@@ -182,18 +181,19 @@ func catalogCommand(vol string, rest []string) error {
 
 // selectPlan is what plan and recover share: parse the flags that name a
 // restore point (the caller has registered its own on set) and return
-// the chain the catalog beside vol selects for it.
-func selectPlan(set *flag.FlagSet, vol string, rest []string) (*catalog.Plan, error) {
+// the chain the catalog beside vol selects for it, with that catalog —
+// recover opens the chain's sets through it — and its closer.
+func selectPlan(set *flag.FlagSet, vol string, rest []string) (*catalog.Plan, *catalog.Catalog, func(), error) {
 	engine := set.String("engine", "logical", "dump family to plan from: logical or image")
 	at := set.Int64("at", 0, "target time: newest state dumped at or before this (0 = latest)")
 	file := set.String("file", "", "plan a single-file recovery of this dump-relative path")
 	expired := set.Bool("expired", false, "allow expired sets (media not yet reclaimed)")
 	damaged := set.Bool("damaged", false, "allow damaged sets (salvage: restore may be partial)")
 	if err := set.Parse(rest); err != nil {
-		return nil, err
+		return nil, nil, nil, err
 	}
 	if vol == "" {
-		return nil, fmt.Errorf("%s: -vol required", set.Name())
+		return nil, nil, nil, fmt.Errorf("%s: -vol required", set.Name())
 	}
 	eng := catalog.Logical
 	switch *engine {
@@ -201,25 +201,30 @@ func selectPlan(set *flag.FlagSet, vol string, rest []string) (*catalog.Plan, er
 	case "image":
 		eng = catalog.Image
 	default:
-		return nil, fmt.Errorf("%s: unknown -engine %q (want logical or image)", set.Name(), *engine)
+		return nil, nil, nil, fmt.Errorf("%s: unknown -engine %q (want logical or image)", set.Name(), *engine)
 	}
 	cat, done, err := openCatalog(vol, "")
 	if err != nil {
-		return nil, err
+		return nil, nil, nil, err
 	}
-	defer done()
-	return cat.Plan(catalog.PlanOptions{
+	plan, err := cat.Plan(catalog.PlanOptions{
 		Engine: eng, FSID: vol, At: *at, File: *file,
 		IncludeExpired: *expired, IncludeDamaged: *damaged,
 	})
+	if err != nil {
+		done()
+		return nil, nil, nil, err
+	}
+	return plan, cat, done, nil
 }
 
 // planCommand prints the restore chain the catalog selects.
 func planCommand(vol string, rest []string) error {
-	plan, err := selectPlan(newFlagSet("plan"), vol, rest)
+	plan, _, done, err := selectPlan(newFlagSet("plan"), vol, rest)
 	if err != nil {
 		return err
 	}
+	defer done()
 	fmt.Print(plan.String())
 	fmt.Printf("media: %s\n", strings.Join(plan.Media(), " "))
 	return nil
@@ -231,10 +236,11 @@ func recoverCommand(ctx context.Context, vol string, rest []string) error {
 	set := newFlagSet("recover")
 	target := set.String("target", "/", "directory to graft a logical recovery onto")
 	wipe := set.Bool("wipe", false, "reformat the volume before a full logical recovery (frees snapshot-pinned space)")
-	plan, err := selectPlan(set, vol, rest)
+	plan, cat, done, err := selectPlan(set, vol, rest)
 	if err != nil {
 		return err
 	}
+	defer done()
 	eng := plan.Engine
 	fmt.Print(plan.String())
 
@@ -254,33 +260,19 @@ func recoverCommand(ctx context.Context, vol string, rest []string) error {
 		}
 		defer dev.Close()
 		t = engine.Target{Vol: dev, Dir: *target}
-		if eng == catalog.Logical {
-			if *wipe && plan.File == "" {
-				// Disaster-recovery semantics: reformat so snapshot-pinned
-				// blocks don't starve the restore's copy-on-write allocation.
-				t.FS, err = wafl.Mkfs(ctx, dev, nil, wafl.Options{})
-			} else {
-				t.FS, err = wafl.Mount(ctx, dev, nil, wafl.Options{})
-			}
-			if err != nil {
+		if eng == catalog.Logical && *wipe && plan.File == "" {
+			// Disaster recovery: reformat, once every step has opened, so
+			// snapshot-pinned blocks don't starve the restore's allocation.
+			t.Wipe = func(ctx context.Context) (*wafl.FS, error) { return wafl.Mkfs(ctx, dev, nil, wafl.Options{}) }
+		} else if eng == catalog.Logical {
+			if t.FS, err = wafl.Mount(ctx, dev, nil, wafl.Options{}); err != nil {
 				return err
 			}
 		}
 	}
-	// Each media ref of a set is one stream file; a resumed set has
-	// several, which the executor applies in order, salvaging all but
-	// the last.
-	res, err := engine.Recover(ctx, plan, t, func(step catalog.DumpSet) ([]stream.Source, error) {
-		var srcs []stream.Source
-		for _, ref := range step.Media {
-			src, _, err := openStream(ref.Volume)
-			if err != nil {
-				return nil, fmt.Errorf("media %s: %w", ref.Volume, err)
-			}
-			srcs = append(srcs, src)
-		}
-		return srcs, nil
-	}, func(i int, step catalog.DumpSet, r *engine.Restored) {
+	sets := &setOpener{cat: cat, vol: vol}
+	defer sets.Close()
+	res, err := engine.Recover(ctx, plan, t, sets.open, func(i int, step catalog.DumpSet, r *engine.Restored) {
 		if eng == catalog.Image {
 			fmt.Printf("step %d/%d: set %d: %d blocks restored (generation %d)\n",
 				i+1, len(plan.Steps), step.ID, r.BlocksRestored, r.Gen)
@@ -292,14 +284,7 @@ func recoverCommand(ctx context.Context, vol string, rest []string) error {
 	if err != nil {
 		return fmt.Errorf("recover: %w", err)
 	}
-	for p, data := range res.Files {
-		out := strings.ReplaceAll(strings.TrimPrefix(p, "/"), "/", "_")
-		if err := os.WriteFile(out, data, 0644); err != nil {
-			return err
-		}
-		fmt.Printf("extracted %s -> %s (%d bytes)\n", p, out, len(data))
-	}
-	return nil
+	return writeExtracted(res.Files)
 }
 
 // recvStream is one pushed stream the serve side has landed: the wire
@@ -336,11 +321,12 @@ func recordReceived(ctx context.Context, base, standby string, streams []recvStr
 	// Every stream of the set carries the same header values; the last
 	// is the one that completed, so it is the one certain to have one.
 	hello, last := streams[0].hello, streams[len(streams)-1].path
-	src, _, err := openStream(last)
+	src, err := openStream(last)
 	if err != nil {
 		return err
 	}
 	ds, err := engine.PeekSet(catalog.Engine(hello.Kind), src)
+	src.Close()
 	if err != nil {
 		return fmt.Errorf("serve: catalog %s: %w", last, err)
 	}
@@ -353,7 +339,11 @@ func recordReceived(ctx context.Context, base, standby string, streams []recvStr
 	// full restore pass can judge them (scrub skips them too).
 	var findings []scrub.Finding
 	if !ds.Resumed {
-		findings = scrubSet(ctx, cat, ds)
+		landed, err := (&setOpener{cat: cat}).open(ctx, ds, nil)
+		if err != nil {
+			return err
+		}
+		findings, _ = scrub.VerifySetStream(ctx, ds, landed)
 	}
 	id, err := cat.AppendDumpSet(ds)
 	if err != nil || len(findings) == 0 {
@@ -384,14 +374,14 @@ var commandDocs = []commandDoc{
 	{"fill", "fill -mb N [-seed N]", "generate a synthetic dataset"},
 	{"age", "age -rounds N [-seed N]", "churn the dataset to fragment it"},
 	{"dump", "dump -o FILE|-dedup [-revdedup] [-level N] [-subtree DIR]", "logical dump; -dedup chunks it into <vol>.chunkstore"},
-	{"restore", "restore -i FILE|-set ID [-file PATH] [-target DIR] [-sync-deletes]", "apply one logical stream (or a dedup-encoded set)"},
+	{"restore", "restore -i FILE|-set ID [-from VOL] [-file PATH] [-target DIR] [-sync-deletes]", "apply one logical stream: a file, or any cataloged set (stream file or dedup-encoded)"},
 	{"verify", "verify -i FILE [-subtree DIR]", "compare a logical stream against the volume"},
 	{"imagedump", "imagedump -o FILE|-dedup [-revdedup] [-snap NAME] [-base NAME]", "physical image dump; -dedup chunks it into <vol>.chunkstore"},
-	{"imagerestore", "imagerestore -i FILE|-set ID [-from VOL] [-incremental]", "apply one image stream (or a dedup-encoded set) to -vol"},
+	{"imagerestore", "imagerestore -i FILE|-set ID [-from VOL] [-incremental]", "apply one image stream to -vol: a file, or any cataloged set (stream file or dedup-encoded)"},
 	{"imageverify", "imageverify -i FILE", "check an image stream's integrity"},
 	{"extract", "extract -i FULL [-incr A,B] PATH...", "pull files out of image streams offline"},
 	{"catalog", "catalog [-media] [-files ID] [-expire ID -now T] [-sweep]", "list or edit the backup catalog (health + dedup columns; -sweep erases zero-ref chunks)"},
-	{"scrub", "scrub [-mark] [-now T]", "re-read and verify every live set's stream files"},
+	{"scrub", "scrub [-mark]", "read back and verify every live set, stream file or dedup-encoded (-mark: record the damaged ones)"},
 	{"plan", "plan [-engine E] [-at T] [-file PATH] [-expired] [-damaged]", "show the restore chain the catalog selects (routes around damaged sets)"},
 	{"recover", "recover [-engine E] [-at T] [-file PATH] [-target DIR] [-wipe] [-damaged]", "execute a catalog-selected restore chain"},
 	{"push", "push -to HOST:PORT [-kind logical|image] [-level N]", "dump across the network to a serve host"},

@@ -356,7 +356,7 @@ func TestRecordReceivedVerifiesLandedSet(t *testing.T) {
 		// What the session accepted: the records' bytes, without the
 		// length prefixes the stream file frames them in.
 		var accepted int64
-		src, _, err := openStream(eng.file)
+		src, err := openStream(eng.file)
 		if err != nil {
 			t.Fatal(err)
 		}

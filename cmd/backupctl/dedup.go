@@ -2,17 +2,21 @@
 // into content-defined chunks, deduplicated against the volume's chunk
 // index (which lives in <vol>.catalog), compressed, and appended to
 // the shared <vol>.chunkstore file instead of a per-dump stream file.
-// The set's manifest is journaled beside it, and `restore -set N` /
-// `imagerestore -set N` rebuild the stream by resolving the manifest
-// through the index. `catalog -sweep` erases zero-reference chunks.
+// The set's manifest is journaled beside it, and whatever reads the set
+// back — recover, scrub, `restore -set N` / `imagerestore -set N` —
+// gets the stream rebuilt by resolving the manifest through the index
+// (setOpener). `catalog -sweep` erases zero-reference chunks.
 package main
 
 import (
+	"context"
 	"fmt"
 	"os"
 
 	"repro/internal/catalog"
 	"repro/internal/chunk"
+	"repro/internal/media"
+	"repro/internal/stream"
 )
 
 // chunkStorePath names the shared chunk store beside a volume image.
@@ -28,44 +32,92 @@ func openChunkStore(vol string) (*chunk.FileMedia, error) {
 
 // printDedupStats reports one dedup-encoded dump's outcome.
 func printDedupStats(ws chunk.WriterStats, m chunk.Manifest) {
-	saved := ws.HitBytes
 	ratio := 1.0
 	if m.StoredBytes > 0 {
 		ratio = float64(m.RawBytes) / float64(m.StoredBytes)
 	}
 	fmt.Printf("dedup: %d chunks (%d hits, %d misses, %d rewrites), %d bytes saved, %.2fx vs store\n",
-		ws.Chunks, ws.Hits, ws.Misses, ws.Rewrites, saved, ratio)
+		ws.Chunks, ws.Hits, ws.Misses, ws.Rewrites, ws.HitBytes, ratio)
 }
 
-// setSource opens what `restore -set` and `imagerestore -set` replay:
-// the catalog beside from (beside vol when -from is not given) and a
-// record source that rebuilds set id's stream through that volume's
-// chunk index and store. vet, when non-nil, sees the catalog first and
-// can refuse the set. The caller runs done when the restore is over.
-func setSource(from, vol string, id uint64, vet func(cat *catalog.Catalog, catVol string) error) (*chunk.Reader, func(), error) {
+// setOpener is backupctl's engine.Opener, the one answer to "given a
+// set in cat, where are its bytes": a set with a manifest is rebuilt
+// through the catalog's chunk index from the store beside vol (opened on
+// first use, closed by Close), any other is one stream file per media
+// ref, each closed by whoever reads it. recover, restore -set,
+// imagerestore -set, scrub and serve's verify-on-ingest read through
+// it; host files have no damage to ride over, so that callback is unused.
+type setOpener struct {
+	cat   *catalog.Catalog
+	vol   string
+	store *chunk.FileMedia
+}
+
+func (o *setOpener) open(_ context.Context, ds catalog.DumpSet, _ func(string, int)) ([]stream.Source, error) {
+	if m, ok := o.cat.Manifest(ds.ID); ok {
+		if o.store == nil {
+			if _, err := os.Stat(chunkStorePath(o.vol)); err != nil {
+				return nil, media.Unmountable{chunkStorePath(o.vol)} // opening would create it
+			}
+			var err error
+			if o.store, err = openChunkStore(o.vol); err != nil {
+				return nil, err
+			}
+		}
+		return []stream.Source{chunk.NewReader(o.cat, o.store, m)}, nil
+	}
+	var srcs []stream.Source
+	for _, ref := range ds.Media {
+		src, err := openStream(ref.Volume)
+		if err != nil {
+			stream.Close(srcs...)
+			return nil, media.Unmountable{ref.Volume}
+		}
+		srcs = append(srcs, src)
+	}
+	return srcs, nil
+}
+
+func (o *setOpener) Close() {
+	if o.store != nil {
+		o.store.Close()
+	}
+}
+
+// openInput is the one stream `restore` and `imagerestore` apply: the
+// file -i names, or with -set the set of that id in the catalog beside
+// from (beside vol when -from is not given), which must be an eng dump
+// in one stream — a resumed set is several, and recover applies those.
+// The caller runs done when the restore is over.
+func openInput(ctx context.Context, in, from, vol string, id uint64, eng catalog.Engine) (catalog.DumpSet, stream.Source, func(), error) {
+	if id == 0 {
+		file, err := openStream(in)
+		if err != nil {
+			return catalog.DumpSet{}, nil, nil, err
+		}
+		return catalog.DumpSet{}, file, func() { file.Close() }, nil
+	}
 	if from == "" {
 		from = vol
 	}
 	cat, closeCat, err := openCatalog(from, "")
 	if err != nil {
-		return nil, nil, err
+		return catalog.DumpSet{}, nil, nil, err
 	}
-	if vet != nil {
-		err = vet(cat, from)
+	sets := &setOpener{cat: cat, vol: from}
+	ds, ok := cat.Set(id)
+	if !ok || ds.Engine != eng || len(ds.Media) != 1 {
+		err = fmt.Errorf("%s catalog has no %s set %d in one stream", from, eng, id)
 	}
-	m, ok := cat.Manifest(id)
-	if err == nil && !ok {
-		err = fmt.Errorf("set %d has no chunk manifest (not a dedup-encoded dump)", id)
-	}
-	var media *chunk.FileMedia
+	var streams []stream.Source
 	if err == nil {
-		media, err = openChunkStore(from)
+		streams, err = sets.open(ctx, ds, nil)
 	}
 	if err != nil {
 		closeCat()
-		return nil, nil, err
+		return ds, nil, nil, err
 	}
-	return chunk.NewReader(cat, media, m), func() { media.Close(); closeCat() }, nil
+	return ds, streams[0], func() { stream.Close(streams...); sets.Close(); closeCat() }, nil
 }
 
 // sweepChunks erases zero-reference chunks from the store beside vol.
@@ -73,15 +125,13 @@ func setSource(from, vol string, id uint64, vet func(cat *catalog.Catalog, catVo
 // crash between the two only leaves dead (unreferenced) bytes behind.
 func sweepChunks(cat *catalog.Catalog, vol string) error {
 	var erase func(chunk.Entry) error
-	var media *chunk.FileMedia
 	if _, err := os.Stat(chunkStorePath(vol)); err == nil {
-		m, err := openChunkStore(vol)
+		store, err := openChunkStore(vol)
 		if err != nil {
 			return err
 		}
-		media = m
-		defer media.Close()
-		erase = func(e chunk.Entry) error { return media.Erase(e.Loc) }
+		defer store.Close()
+		erase = func(e chunk.Entry) error { return store.Erase(e.Loc) }
 	}
 	swept, err := cat.SweepChunks(erase)
 	if err != nil {

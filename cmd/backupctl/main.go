@@ -99,8 +99,8 @@ func run(args []string) error {
 	case "imagerestore":
 		fs := newFlagSet("imagerestore")
 		in := fs.String("i", "", "image stream file")
-		setID := fs.Uint64("set", 0, "restore this dedup-encoded set from a chunk store")
-		from := fs.String("from", "", "volume whose catalog/chunkstore holds -set (default -vol)")
+		setID := fs.Uint64("set", 0, "restore this cataloged image set (stream file or dedup-encoded)")
+		from := fs.String("from", "", "volume whose catalog holds -set (default -vol)")
 		incr := fs.Bool("incremental", false, "apply as incremental on the current volume state")
 		if err := fs.Parse(rest); err != nil {
 			return err
@@ -108,32 +108,14 @@ func run(args []string) error {
 		if *vol == "" || (*in == "") == (*setID == 0) {
 			return fmt.Errorf("imagerestore: -vol and exactly one of -i and -set required")
 		}
-		var replay stream.Source
-		var nblocks uint64
-		if *setID != 0 {
-			src, done, err := setSource(*from, *vol, *setID, func(cat *catalog.Catalog, catVol string) error {
-				ds, ok := cat.Set(*setID)
-				if !ok {
-					return fmt.Errorf("set %d not in %s catalog", *setID, catVol)
-				}
-				if ds.Engine != catalog.Image {
-					return fmt.Errorf("set %d is a %s dump, not an image (use restore -set)", *setID, ds.Engine)
-				}
-				nblocks = ds.NBlocks
-				return nil
-			})
-			if err != nil {
-				return fmt.Errorf("imagerestore: %w", err)
-			}
-			defer done()
-			replay = src
-		} else {
-			src, _, err := openStream(*in)
-			if err != nil {
-				return err
-			}
-			nblocks, _, _, replay, err = physical.StreamInfo(src)
-			if err != nil {
+		ds, replay, done, err := openInput(ctx, *in, *from, *vol, *setID, catalog.Image)
+		if err != nil {
+			return fmt.Errorf("imagerestore: %w", err)
+		}
+		defer done()
+		nblocks := ds.NBlocks
+		if *setID == 0 {
+			if nblocks, _, _, replay, err = physical.StreamInfo(replay); err != nil {
 				return err
 			}
 		}
@@ -159,10 +141,11 @@ func run(args []string) error {
 		if *in == "" {
 			return fmt.Errorf("imageverify: -i required")
 		}
-		src, _, err := openStream(*in)
+		src, err := openStream(*in)
 		if err != nil {
 			return err
 		}
+		defer src.Close()
 		check, err := physical.VerifyStream(src)
 		if err != nil {
 			return err
@@ -192,10 +175,11 @@ func run(args []string) error {
 		}
 		var scratch engine.Target
 		for i, p := range chain {
-			file, _, err := openStream(p)
+			file, err := openStream(p)
 			if err != nil {
 				return err
 			}
+			defer file.Close()
 			var src stream.Source = file
 			if i == 0 {
 				nblocks, _, _, replay, err := physical.StreamInfo(src)
@@ -212,14 +196,7 @@ func run(args []string) error {
 		if err != nil {
 			return err
 		}
-		for p, data := range files {
-			out := strings.ReplaceAll(strings.TrimPrefix(p, "/"), "/", "_")
-			if err := os.WriteFile(out, data, 0644); err != nil {
-				return err
-			}
-			fmt.Printf("extracted %s -> %s (%d bytes)\n", p, out, len(data))
-		}
-		return nil
+		return writeExtracted(files)
 	case "stats":
 		return statsCommand(ctx, rest)
 	case "serve":
@@ -380,7 +357,14 @@ func volumeCommand(ctx context.Context, fs *wafl.FS, vol, cmd string, rest []str
 				return err
 			}
 			defer done()
-			findings = scrub.Fsck(cat, scrub.FsckOptions{HaveVolume: statExtent})
+			// A volume is a host file: its size, or absent.
+			findings = scrub.Fsck(cat, scrub.FsckOptions{HaveVolume: func(label string) (int64, bool) {
+				fi, err := os.Stat(label)
+				if err != nil {
+					return 0, false
+				}
+				return fi.Size(), true
+			}})
 			for _, f := range findings {
 				fmt.Println("fsck:", f)
 			}
@@ -452,10 +436,11 @@ func volumeCommand(ctx context.Context, fs *wafl.FS, vol, cmd string, rest []str
 		if *in == "" {
 			return fmt.Errorf("verify: -i required")
 		}
-		src, _, err := openStream(*in)
+		src, err := openStream(*in)
 		if err != nil {
 			return err
 		}
+		defer src.Close()
 		res, err := logical.Verify(ctx, logical.VerifyOptions{
 			View: v, Source: src, Subtree: *subtree,
 		})
@@ -476,8 +461,8 @@ func volumeCommand(ctx context.Context, fs *wafl.FS, vol, cmd string, rest []str
 	case "restore":
 		set := newFlagSet("restore")
 		in := set.String("i", "", "input stream file")
-		setID := set.Uint64("set", 0, "restore this dedup-encoded set from <vol>.chunkstore")
-		from := set.String("from", "", "volume whose catalog/chunkstore holds -set (default -vol)")
+		setID := set.Uint64("set", 0, "restore this cataloged logical set (stream file or dedup-encoded)")
+		from := set.String("from", "", "volume whose catalog holds -set (default -vol)")
 		target := set.String("target", "/", "directory to graft the dump onto")
 		syncDel := set.Bool("sync-deletes", false, "apply deletions (incremental chains)")
 		file := set.String("file", "", "restore only this dump-relative path")
@@ -493,21 +478,11 @@ func volumeCommand(ctx context.Context, fs *wafl.FS, vol, cmd string, rest []str
 			return err
 		}
 		defer flush()
-		var src stream.Source
-		if *setID != 0 {
-			rd, done, err := setSource(*from, vol, *setID, nil)
-			if err != nil {
-				return fmt.Errorf("restore: %w", err)
-			}
-			defer done()
-			src = rd
-		} else {
-			s, _, err := openStream(*in)
-			if err != nil {
-				return err
-			}
-			src = s
+		_, src, done, err := openInput(ctx, *in, *from, vol, *setID, catalog.Logical)
+		if err != nil {
+			return fmt.Errorf("restore: %w", err)
 		}
+		defer done()
 		var files []string
 		if *file != "" {
 			files = []string{*file}
@@ -727,17 +702,27 @@ func (s *fileSink) NextVolume() error {
 
 func (s *fileSink) Close() error { return s.f.Close() }
 
+// fileSource reads a stream file back; left is what the file still
+// holds, which bounds what a length prefix can make ReadRecord allocate.
 type fileSource struct {
-	f *os.File
+	f    *os.File
+	left int64
 }
 
-func openStream(path string) (*fileSource, int, error) {
+func openStream(path string) (*fileSource, error) {
 	f, err := os.Open(path)
 	if err != nil {
-		return nil, 0, err
+		return nil, err
 	}
-	return &fileSource{f: f}, 0, nil
+	fi, err := f.Stat()
+	if err != nil {
+		f.Close()
+		return nil, err
+	}
+	return &fileSource{f: f, left: fi.Size()}, nil
 }
+
+func (s *fileSource) Close() error { return s.f.Close() }
 
 func (s *fileSource) ReadRecord() ([]byte, error) {
 	var hdr [4]byte
@@ -751,11 +736,27 @@ func (s *fileSource) ReadRecord() ([]byte, error) {
 	if n == 0 || n > 64<<20 {
 		return nil, fmt.Errorf("backupctl: bad record length %d", n)
 	}
+	if s.left -= 4 + int64(n); s.left < 0 {
+		return nil, io.ErrUnexpectedEOF // the file ends inside this record
+	}
 	buf := make([]byte, n)
 	if _, err := io.ReadFull(s.f, buf); err != nil {
 		return nil, err
 	}
 	return buf, nil
+}
+
+// writeExtracted lands single files pulled out of image streams (extract,
+// recover -engine image -file) in the working directory.
+func writeExtracted(files map[string][]byte) error {
+	for p, data := range files {
+		out := strings.ReplaceAll(strings.TrimPrefix(p, "/"), "/", "_")
+		if err := os.WriteFile(out, data, 0644); err != nil {
+			return err
+		}
+		fmt.Printf("extracted %s -> %s (%d bytes)\n", p, out, len(data))
+	}
+	return nil
 }
 
 // openOrCreate opens vol, creating it with n blocks when absent.

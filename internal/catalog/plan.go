@@ -189,34 +189,33 @@ func (c *Catalog) Plan(opts PlanOptions) (*Plan, error) {
 	return nil, &UnplannableError{Engine: opts.Engine, FSID: opts.FSID, Blocked: blocked}
 }
 
+// Base resolves an incremental's base link: the newest earlier set of
+// the same engine and filesystem whose generation (image) or dump date
+// (logical) is the one ds was dumped against. Planning, retention's
+// chain closure and fsck all follow base links through it.
+func (c *Catalog) Base(ds DumpSet) (base DumpSet, ok bool) {
+	for _, b := range c.sets {
+		if b.Engine != ds.Engine || b.FSID != ds.FSID || b.ID >= ds.ID || b.ID < base.ID {
+			continue
+		}
+		if (ds.Engine == Image && b.Gen == ds.BaseGen) || (ds.Engine != Image && b.Date == ds.BaseDate) {
+			base, ok = b, true
+		}
+	}
+	return base, ok
+}
+
 // chainFor walks base links from target back to its full dump. It
 // returns the chain full-first; a non-empty block reason when a member
 // is damaged (the caller routes to an older candidate); or a hard
 // error when the catalog itself cannot produce any chain through this
-// target (missing base, expired base, base-link cycle).
+// target (missing base, expired base). A base is always an earlier set,
+// so the walk ends.
 func (c *Catalog) chainFor(opts PlanOptions, target *DumpSet) ([]DumpSet, string, error) {
-	pool := c.sets
 	chain := []DumpSet{*target}
-	cur := target
-	for !cur.Full() {
-		var base *DumpSet
-		for i := range pool {
-			ds := &pool[i]
-			if ds.Engine != opts.Engine || ds.FSID != opts.FSID || ds.ID >= cur.ID {
-				continue
-			}
-			if opts.Engine == Image {
-				if ds.Gen != cur.BaseGen {
-					continue
-				}
-			} else if ds.Date != cur.BaseDate {
-				continue
-			}
-			if base == nil || ds.ID > base.ID {
-				base = ds
-			}
-		}
-		if base == nil {
+	for cur := *target; !cur.Full(); {
+		base, ok := c.Base(cur)
+		if !ok {
 			if opts.Engine == Image {
 				return nil, "", fmt.Errorf("catalog: set %d needs base generation %d, which is not in the catalog", cur.ID, cur.BaseGen)
 			}
@@ -230,11 +229,8 @@ func (c *Catalog) chainFor(opts PlanOptions, target *DumpSet) ([]DumpSet, string
 				return nil, fmt.Sprintf("set %d needs set %d, which is damaged: %s", cur.ID, base.ID, why), nil
 			}
 		}
-		chain = append(chain, *base)
+		chain = append(chain, base)
 		cur = base
-		if len(chain) > len(pool) {
-			return nil, "", fmt.Errorf("catalog: base-link cycle involving set %d", cur.ID)
-		}
 	}
 	// Reverse: full first.
 	for i, j := 0, len(chain)-1; i < j; i, j = i+1, j-1 {

@@ -11,6 +11,7 @@ import (
 	"repro/internal/media"
 	"repro/internal/sched"
 	"repro/internal/scrub"
+	"repro/internal/tape"
 	"repro/internal/workload"
 )
 
@@ -51,7 +52,8 @@ func newScrubRig(t *testing.T, engine catalog.Engine, withMirror bool) *scrubRig
 	}
 	f.AttachCatalog(cat)
 
-	scfg := scrub.Config{Catalog: cat, Pool: pool, Env: f.Env}
+	scfg := scrub.Config{Catalog: cat, Pool: pool,
+		Open: pool.Opener(tape.NewDrive(f.Env, "scrub/maint", tape.DefaultParams()))}
 	var mirror *scrub.Store
 	if withMirror {
 		mirror = scrub.NewStore()

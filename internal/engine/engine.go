@@ -203,6 +203,9 @@ type Target struct {
 	Dir   string
 	Vol   storage.Device
 	Costs physical.Costs // image restore CPU model
+	// Wipe, when set, reformats the target for a full logical recovery
+	// and returns the fresh FS; Recover runs it once the plan has opened.
+	Wipe func(context.Context) (*wafl.FS, error)
 }
 
 // Restored counts what a restore did.
@@ -250,17 +253,34 @@ func RestoreSet(ctx context.Context, eng catalog.Engine, t Target, streams []str
 	return res, nil
 }
 
-// Recover executes a restore plan: each step's streams, opened by the
-// caller from wherever its media lives, applied to t in chain order —
-// the full first, then each incremental on top. A single-file image
-// plan touches no volume: the chain replays onto an in-memory scratch
-// device sized from the catalog, and the file is read out of the
-// result. progress, if non-nil, sees each completed step.
-func Recover(ctx context.Context, plan *catalog.Plan, t Target,
-	open func(step catalog.DumpSet) ([]stream.Source, error),
+// Opener is the one way back to a cataloged set's bytes: the streams to
+// apply or verify, in order (one, but for a resumed set), from wherever
+// the media world keeps them — media.Pool.Opener for cartridges,
+// backupctl's for stream files and chunk stores. Media that cannot be
+// produced is a media.Unmountable error. With damaged non-nil, a reader
+// that can ride over an unreadable spot reports it there and reads on;
+// with nil the read fails. Whoever reads the streams runs stream.Close.
+type Opener func(ctx context.Context, ds catalog.DumpSet, damaged func(volume string, record int)) ([]stream.Source, error)
+
+// Recover executes a restore plan: every step is opened before the
+// target is touched — t.Wipe, then each step's streams applied to t in
+// chain order, the full first, then each incremental on top — so a plan
+// whose media cannot be produced fails with the target as it was. A
+// single-file image plan touches no volume: the chain replays onto an
+// in-memory scratch device sized from the catalog, and the file is read
+// out of the result. progress, if non-nil, sees each completed step.
+func Recover(ctx context.Context, plan *catalog.Plan, t Target, open Opener,
 	progress func(i int, step catalog.DumpSet, r *Restored)) (*Restored, error) {
 	if len(plan.Steps) == 0 {
 		return nil, errors.New("engine: empty plan")
+	}
+	var err error
+	opened := make([][]stream.Source, len(plan.Steps))
+	for i, step := range plan.Steps {
+		if opened[i], err = open(ctx, step, nil); err != nil {
+			return nil, fmt.Errorf("engine: set %d: %w", step.ID, err)
+		}
+		defer stream.Close(opened[i]...)
 	}
 	var files []string
 	extract := plan.File != "" && plan.Engine == catalog.Image
@@ -269,13 +289,14 @@ func Recover(ctx context.Context, plan *catalog.Plan, t Target,
 	} else if plan.File != "" {
 		files = []string{plan.File}
 	}
+	if t.Wipe != nil {
+		if t.FS, err = t.Wipe(ctx); err != nil {
+			return nil, fmt.Errorf("engine: %w", err)
+		}
+	}
 	total := &Restored{}
 	for i, step := range plan.Steps {
-		streams, err := open(step)
-		if err != nil {
-			return nil, fmt.Errorf("engine: set %d: %w", step.ID, err)
-		}
-		r, err := RestoreSet(ctx, plan.Engine, t, streams, i > 0, files...)
+		r, err := RestoreSet(ctx, plan.Engine, t, opened[i], i > 0, files...)
 		if err != nil {
 			return nil, fmt.Errorf("engine: step %d (set %d): %w", i+1, step.ID, err)
 		}
@@ -288,7 +309,6 @@ func Recover(ctx context.Context, plan *catalog.Plan, t Target,
 		}
 	}
 	if extract {
-		var err error
 		if total.Files, err = physical.ReadFiles(ctx, t.Vol, plan.File); err != nil {
 			return nil, fmt.Errorf("engine: %w", err)
 		}

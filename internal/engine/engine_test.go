@@ -336,7 +336,7 @@ func TestRecoverResumedSets(t *testing.T) {
 				t.Fatalf("%s plan: %s", eng, plan)
 			}
 			return restored(t, eng, func(tgt engine.Target) error {
-				_, err := engine.Recover(ctx, plan, tgt, func(step catalog.DumpSet) ([]stream.Source, error) {
+				_, err := engine.Recover(ctx, plan, tgt, func(_ context.Context, step catalog.DumpSet, _ func(string, int)) ([]stream.Source, error) {
 					var out []stream.Source
 					for _, ref := range step.Media {
 						out = append(out, &memSource{recs: store[ref.Volume].recs})

@@ -174,21 +174,6 @@ func (p *Pool) Volume(label string) (*Volume, bool) {
 	return v, ok
 }
 
-// LoadDrive queues on d the cartridges bound to labels, in mount
-// order — the operator carrying a media list's tapes to a drive — and
-// returns the labels the pool cannot mount: unknown to it, or a volume
-// with no cartridge bound.
-func (p *Pool) LoadDrive(d *tape.Drive, labels []string) (missing []string) {
-	for _, label := range labels {
-		if v, ok := p.vols[label]; ok && v.Cart != nil {
-			d.AddCartridges(v.Cart)
-		} else {
-			missing = append(missing, label)
-		}
-	}
-	return missing
-}
-
 // Volumes lists the pool in registration order.
 func (p *Pool) Volumes() []*Volume {
 	out := make([]*Volume, 0, len(p.order))
@@ -235,7 +220,7 @@ func (p *Pool) ApplyRetention(policy RetentionPolicy, fsid string, engine catalo
 		}
 	}
 	keep := policy.Keep(sets, now)
-	chainClose(sets, keep)
+	p.chainClose(sets, keep)
 	var expired []uint64
 	for _, ds := range sets {
 		if keep[ds.ID] {
@@ -253,43 +238,15 @@ func (p *Pool) ApplyRetention(policy RetentionPolicy, fsid string, engine catalo
 }
 
 // chainClose adds the transitive bases of every kept set to keep.
-func chainClose(sets []catalog.DumpSet, keep map[uint64]bool) {
-	byID := make(map[uint64]int, len(sets))
-	for i, ds := range sets {
-		byID[ds.ID] = i
-	}
-	base := func(ds catalog.DumpSet) (uint64, bool) {
-		var found *catalog.DumpSet
-		for i := range sets {
-			b := &sets[i]
-			if b.ID >= ds.ID {
-				continue
-			}
-			if ds.Engine == catalog.Image {
-				if b.Gen != ds.BaseGen {
-					continue
-				}
-			} else if b.Date != ds.BaseDate {
-				continue
-			}
-			if found == nil || b.ID > found.ID {
-				found = b
-			}
-		}
-		if found == nil {
-			return 0, false
-		}
-		return found.ID, true
-	}
-	changed := true
-	for changed {
+func (p *Pool) chainClose(sets []catalog.DumpSet, keep map[uint64]bool) {
+	for changed := true; changed; {
 		changed = false
 		for _, ds := range sets {
 			if !keep[ds.ID] || ds.Full() {
 				continue
 			}
-			if id, ok := base(ds); ok && !keep[id] {
-				keep[id] = true
+			if base, ok := p.cat.Base(ds); ok && !keep[base.ID] {
+				keep[base.ID] = true
 				changed = true
 			}
 		}

@@ -3,6 +3,7 @@ package media
 import (
 	"context"
 	"errors"
+	"fmt"
 	"io"
 
 	"repro/internal/catalog"
@@ -74,6 +75,40 @@ func (t *TrackingSink) Labels() []string {
 	return out
 }
 
+// Unmountable is the error an opener (engine.Opener) returns for a set
+// whose media cannot be produced: the volumes, in set order.
+type Unmountable []string
+
+func (u Unmountable) Error() string {
+	return fmt.Sprintf("media: cannot mount volume %q", []string(u))
+}
+
+// Opener is the tape world's engine.Opener, the one way from a cataloged
+// set back to its bytes on cartridges, for recovery and the scrubber
+// alike. Opening a set carries the cartridges its refs name from the pool
+// to drive (a label the pool does not know or has no cartridge for is
+// Unmountable) and hands back the set's one stream, a SetSource. A nil
+// pool is a drive somebody else stocked: nothing is carried, and a label
+// the drive lacks fails the mount that needs it.
+func (p *Pool) Opener(drive *tape.Drive) func(context.Context, catalog.DumpSet, func(volume string, record int)) ([]stream.Source, error) {
+	held := map[*tape.Cartridge]bool{}
+	return func(ctx context.Context, ds catalog.DumpSet, damaged func(volume string, record int)) ([]stream.Source, error) {
+		var missing Unmountable
+		for i := 0; p != nil && i < len(ds.Media); i++ {
+			if v, ok := p.vols[ds.Media[i].Volume]; !ok || v.Cart == nil {
+				missing = append(missing, ds.Media[i].Volume)
+			} else if !held[v.Cart] {
+				held[v.Cart] = true
+				drive.AddCartridges(v.Cart)
+			}
+		}
+		if missing != nil {
+			return nil, missing
+		}
+		return []stream.Source{&SetSource{drive: drive, ctx: ctx, proc: sim.ProcFrom(ctx), refs: ds.Media, damaged: damaged}}, nil
+	}
+}
+
 // SetSource is TrackingSink's read-side dual: it feeds one dump set's
 // stream back to a restore or verify by walking the MediaRefs the sink
 // recorded, in order — mount the volume, rewind, space to the recorded
@@ -84,7 +119,7 @@ func (t *TrackingSink) Labels() []string {
 // through tape.Drive.ReadData, whose fault rule applies: with a nil
 // damaged callback a persistent media fault fails the read, otherwise
 // the callback is told the volume and record and the walk carries on
-// past it.
+// past it; tape time is charged to ctx's sim process.
 type SetSource struct {
 	drive   *tape.Drive
 	ctx     context.Context
@@ -93,13 +128,6 @@ type SetSource struct {
 	damaged func(volume string, record int)
 	cur     int
 	ready   bool // refs[cur] is mounted and positioned
-}
-
-// NewSetSource reads the set recorded at refs from drive, which must
-// hold the cartridges (Pool.LoadDrive); tape time is charged to ctx's
-// sim process.
-func NewSetSource(ctx context.Context, drive *tape.Drive, refs []catalog.MediaRef, damaged func(volume string, record int)) *SetSource {
-	return &SetSource{drive: drive, ctx: ctx, proc: sim.ProcFrom(ctx), refs: refs, damaged: damaged}
 }
 
 // ReadRecord implements stream.Source.

@@ -134,7 +134,8 @@ func TestSetReadBackThroughRecoverAndScrub(t *testing.T) {
 					continue
 				}
 
-				sc, err := scrub.New(scrub.Config{Catalog: r.cat, Pool: r.pool})
+				sc, err := scrub.New(scrub.Config{Catalog: r.cat, Pool: r.pool,
+					Open: r.pool.Opener(tape.NewDrive(nil, "scrub/maint", tape.DefaultParams()))})
 				if err != nil {
 					t.Fatal(err)
 				}

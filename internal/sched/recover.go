@@ -8,8 +8,8 @@ import (
 	"repro/internal/core"
 	"repro/internal/engine"
 	"repro/internal/media"
-	"repro/internal/stream"
 	"repro/internal/tape"
+	"repro/internal/wafl"
 )
 
 // RecoverOptions tunes plan execution.
@@ -29,30 +29,24 @@ type RecoverOptions struct {
 }
 
 // Recover executes a restore plan end to end against f, pulling media
-// from pool: it assembles the drive, positions each step's stream, and
-// hands the plan to the engine-neutral executor. After an image
-// recovery the filer's filesystem is remounted from the restored
+// from pool: it assembles the drive and hands the plan, the pool's
+// opener and the optional wipe to the engine-neutral executor, which
+// opens every step before it reformats or applies anything. After an
+// image recovery the filer's filesystem is remounted from the restored
 // volume.
 func Recover(ctx context.Context, f *core.Filer, pool *media.Pool, plan *catalog.Plan, opts RecoverOptions) (*engine.Restored, error) {
 	drive := opts.Drive
 	if drive == nil {
 		drive = tape.NewDrive(f.Env, f.Config.Name+"/restore", f.Config.TapeParams)
-		if missing := pool.LoadDrive(drive, plan.Media()); len(missing) > 0 {
-			return nil, fmt.Errorf("sched: plan needs volume %q, which the pool cannot mount", missing[0])
-		}
+	} else {
+		pool = nil // the drive holds what it holds
 	}
 	wholeVolume := plan.File == ""
+	t := engine.Target{FS: f.FS, Dir: opts.TargetDir, Vol: f.Vol, Costs: f.Config.PhysCosts}
 	if opts.Wipe && wholeVolume && plan.Engine == catalog.Logical {
-		if err := f.Wipe(ctx); err != nil {
-			return nil, err
-		}
+		t.Wipe = func(ctx context.Context) (*wafl.FS, error) { err := f.Wipe(ctx); return f.FS, err }
 	}
-	res, err := engine.Recover(ctx, plan,
-		engine.Target{FS: f.FS, Dir: opts.TargetDir, Vol: f.Vol, Costs: f.Config.PhysCosts},
-		func(step catalog.DumpSet) ([]stream.Source, error) {
-			// On tape a set is one stream, however many volumes it spans.
-			return []stream.Source{media.NewSetSource(ctx, drive, step.Media, nil)}, nil
-		}, nil)
+	res, err := engine.Recover(ctx, plan, t, pool.Opener(drive), nil)
 	if err != nil {
 		return nil, fmt.Errorf("sched: %w", err)
 	}

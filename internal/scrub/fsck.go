@@ -75,7 +75,9 @@ func fsckMedia(ds catalog.DumpSet, opts FsckOptions) []Finding {
 
 // fsckIndex verifies the set's seek index: file-index units must land
 // inside the stream's recorded byte extent, and a file-backed volume
-// must be at least as large as the stream it claims to hold.
+// must be at least as large as the stream it claims to hold — unless
+// the set has a manifest: its volume is the shared, compressed chunk
+// store (one cut short is caught by the read: every chunk is hashed).
 func fsckIndex(cat *catalog.Catalog, ds catalog.DumpSet, opts FsckOptions) []Finding {
 	var out []Finding
 	for _, e := range cat.FileIndex(ds.ID) {
@@ -85,7 +87,7 @@ func fsckIndex(cat *catalog.Catalog, ds catalog.DumpSet, opts FsckOptions) []Fin
 					e.Path, e.Unit, ds.Bytes)})
 		}
 	}
-	if opts.HaveVolume != nil && len(ds.Media) == 1 {
+	if _, chunked := cat.Manifest(ds.ID); opts.HaveVolume != nil && len(ds.Media) == 1 && !chunked {
 		if ext, ok := opts.HaveVolume(ds.Media[0].Volume); ok && ext < ds.Bytes {
 			out = append(out, Finding{Kind: IndexPastExtent, SetID: ds.ID,
 				Volume: ds.Media[0].Volume, Record: -1,
@@ -101,32 +103,14 @@ func fsckBase(cat *catalog.Catalog, ds catalog.DumpSet) (Finding, bool) {
 	if ds.Full() {
 		return Finding{}, false
 	}
-	var base *catalog.DumpSet
-	for _, b := range cat.Sets() {
-		b := b
-		if b.Engine != ds.Engine || b.FSID != ds.FSID || b.ID >= ds.ID {
-			continue
-		}
-		if ds.Engine == catalog.Image {
-			if b.Gen != ds.BaseGen {
-				continue
-			}
-		} else if b.Date != ds.BaseDate {
-			continue
-		}
-		if base == nil || b.ID > base.ID {
-			base = &b
-		}
-	}
-	switch {
-	case base == nil:
+	base, ok := cat.Base(ds)
+	if !ok {
 		return Finding{Kind: MissingBase, SetID: ds.ID, Record: -1,
 			Detail: "base set is not in the catalog"}, true
-	default:
-		if _, dead := cat.Expired(base.ID); dead {
-			return Finding{Kind: MissingBase, SetID: ds.ID, Record: -1,
-				Detail: fmt.Sprintf("base set %d is expired", base.ID)}, true
-		}
+	}
+	if _, dead := cat.Expired(base.ID); dead {
+		return Finding{Kind: MissingBase, SetID: ds.ID, Record: -1,
+			Detail: fmt.Sprintf("base set %d is expired", base.ID)}, true
 	}
 	return Finding{}, false
 }

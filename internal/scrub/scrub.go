@@ -139,12 +139,16 @@ const (
 	pause      = 250 * time.Millisecond
 )
 
-// Config wires a Scrubber to the catalog and pool it guards.
+// Config wires a Scrubber to the catalog it guards and the way back to
+// that catalog's sets.
 type Config struct {
 	Catalog *catalog.Catalog
-	Pool    *media.Pool
-	// Env builds the maintenance drive (nil = untimed reads).
-	Env *sim.Env
+	// Open is the media world's opener: everything the scrubber reads,
+	// it reads through this.
+	Open engine.Opener
+	// Pool, when the media is a tape pool, is where volumes of degraded
+	// sets are quarantined and what the fsck cross-checks.
+	Pool *media.Pool
 	// Replicas are stream-record redundancy sources tried in order for
 	// in-place repair — the -standby mirror, a RAID rebuild, anything
 	// that can produce the set's byte-identical record list.
@@ -158,8 +162,8 @@ type Scrubber struct {
 
 // New validates cfg and returns a Scrubber.
 func New(cfg Config) (*Scrubber, error) {
-	if cfg.Catalog == nil || cfg.Pool == nil {
-		return nil, fmt.Errorf("scrub: catalog and pool are required")
+	if cfg.Catalog == nil || cfg.Open == nil {
+		return nil, fmt.Errorf("scrub: catalog and opener are required")
 	}
 	return &Scrubber{cfg: cfg}, nil
 }
@@ -168,14 +172,22 @@ func New(cfg Config) (*Scrubber, error) {
 // set's media end to end; attempt in-place repair of anything found
 // (re-verifying after); degrade what cannot be repaired (mark the set
 // Damaged, quarantine its volumes); then fsck the catalog against the
-// pool. Already-damaged sets are skipped — their verdict is in.
-func (s *Scrubber) Run(ctx context.Context) (*Report, error) {
+// pool. Already-damaged sets are skipped — their verdict is in — and so
+// are resumed ones: all but the last of their streams are torn by
+// design, and only a restore can judge them.
+func (s *Scrubber) Run(ctx context.Context) (*Report, error) { return s.pass(ctx, true) }
+
+// Scan is Run's report-only half: the same scan and fsck with the
+// findings reported and nothing repaired, marked or quarantined.
+func (s *Scrubber) Scan(ctx context.Context) (*Report, error) { return s.pass(ctx, false) }
+
+func (s *Scrubber) pass(ctx context.Context, act bool) (*Report, error) {
 	ctx, span := obs.Start(ctx, scrubName+".run")
 	defer span.End()
 	m := obs.MetricsFrom(ctx)
 	rep := &Report{}
 	for _, ds := range s.cfg.Catalog.Live() {
-		if _, bad := s.cfg.Catalog.Damaged(ds.ID); bad {
+		if _, bad := s.cfg.Catalog.Damaged(ds.ID); bad || ds.Resumed {
 			continue
 		}
 		findings, n, err := s.scanSet(ctx, ds)
@@ -189,7 +201,7 @@ func (s *Scrubber) Run(ctx context.Context) (*Report, error) {
 			continue
 		}
 		m.Counter("scrub_errors_total", nil).Add(int64(len(findings)))
-		if s.repairSet(ctx, ds) {
+		if act && s.repairSet(ctx, ds) {
 			// Trust nothing: the set counts as repaired only if a fresh
 			// scan of the media comes back clean.
 			re, n2, err := s.scanSet(ctx, ds)
@@ -209,8 +221,10 @@ func (s *Scrubber) Run(ctx context.Context) (*Report, error) {
 			findings = re
 		}
 		rep.Findings = append(rep.Findings, findings...)
-		if err := s.degrade(ds, findings, rep, m); err != nil {
-			return nil, err
+		if act {
+			if err := s.degrade(ds, findings, rep, m); err != nil {
+				return nil, err
+			}
 		}
 	}
 	fsck := Fsck(s.cfg.Catalog, FsckOptions{Pool: s.cfg.Pool})
@@ -247,7 +261,7 @@ func (s *Scrubber) degrade(ds catalog.DumpSet, findings []Finding, rep *Report, 
 		}
 	}
 	for _, ref := range ds.Media { // deterministic order
-		if !vols[ref.Volume] {
+		if !vols[ref.Volume] || s.cfg.Pool == nil {
 			continue
 		}
 		vols[ref.Volume] = false
@@ -264,66 +278,56 @@ func (s *Scrubber) degrade(ds catalog.DumpSet, findings []Finding, rep *Report, 
 	return nil
 }
 
-// scanSet mounts a set's media on a maintenance drive and re-reads its
-// stream end to end, collecting findings. The heavy lifting is the
-// format verifiers; this layers media-fault capture, rate limiting and
-// byte accounting around them.
+// scanSet opens a set and re-reads its stream end to end, collecting
+// findings. The heavy lifting is the format verifiers; this layers
+// media-fault capture around them.
 func (s *Scrubber) scanSet(ctx context.Context, ds catalog.DumpSet) ([]Finding, int64, error) {
 	_, span := obs.Start(ctx, scrubName+".set")
 	defer span.End()
 	span.SetAttr("set", ds.ID)
 	span.SetAttr("engine", ds.Engine.String())
 
-	// Media the pool cannot produce is a finding, not an error: the
-	// scrubber's job is to report exactly this.
-	var findings []Finding
-	drive := tape.NewDrive(s.cfg.Env, scrubName+"/maint", tape.DefaultParams())
-	labels := make([]string, len(ds.Media))
-	for i, ref := range ds.Media {
-		labels[i] = ref.Volume
-	}
-	for _, label := range s.cfg.Pool.LoadDrive(drive, labels) {
-		findings = append(findings, Finding{Kind: OrphanSet, SetID: ds.ID,
-			Volume: label, Record: -1, Detail: "pool cannot mount volume"})
-	}
-	if len(findings) > 0 {
-		return findings, 0, nil
-	}
-
 	// The scrubber wants the full damage map, not the first hit: a
 	// persistent media fault becomes a finding and the scan goes on.
-	var damage []Finding
-	src := &countingSource{
-		src: media.NewSetSource(ctx, drive, ds.Media, func(volume string, record int) {
-			damage = append(damage, Finding{Kind: MediaFault, SetID: ds.ID,
-				Volume: volume, Record: record, Detail: "unreadable record"})
-		}),
-		proc: sim.ProcFrom(ctx),
-	}
-	findings = append(verifyStream(ctx, ds, src), damage...)
-	return dedupe(findings), src.bytes, nil
-}
-
-// VerifySetStream verifies one dump set's stream from an arbitrary
-// record source — the non-tape entry (backupctl's stream files). It
-// returns format-level findings only; media faults belong to sources
-// that can surface them.
-func VerifySetStream(ctx context.Context, ds catalog.DumpSet, src stream.Source) []Finding {
-	return verifyStream(ctx, ds, &countingSource{src: src})
-}
-
-// verifyStream runs the set's engine's format verifier over the stream
-// and translates the outcome into findings.
-func verifyStream(ctx context.Context, ds catalog.DumpSet, src *countingSource) []Finding {
 	var findings []Finding
-	resynced, err := engine.Verify(ctx, ds.Engine, src)
-	if err != nil && !isMediaErr(err) {
-		findings = append(findings, Finding{Kind: StreamCorrupt, SetID: ds.ID,
-			Record: -1, Detail: err.Error()})
+	streams, err := s.cfg.Open(ctx, ds, func(volume string, record int) {
+		findings = append(findings, Finding{Kind: MediaFault, SetID: ds.ID,
+			Volume: volume, Record: record, Detail: "unreadable record"})
+	})
+	// Media that cannot be produced is a finding, not an error: the
+	// scrubber's job is to report exactly this.
+	var missing media.Unmountable
+	if errors.As(err, &missing) {
+		for _, label := range missing {
+			findings = append(findings, Finding{Kind: OrphanSet, SetID: ds.ID,
+				Volume: label, Record: -1, Detail: "cannot mount volume"})
+		}
+		return findings, 0, nil
+	} else if err != nil {
+		return nil, 0, err
 	}
-	if resynced > 0 {
-		findings = append(findings, Finding{Kind: StreamCorrupt, SetID: ds.ID,
-			Record: -1, Detail: fmt.Sprintf("%d corrupt unit(s) resynced over", resynced)})
+	format, n := VerifySetStream(ctx, ds, streams)
+	return dedupe(append(format, findings...)), n, nil
+}
+
+// VerifySetStream runs the engine's format verifier over a set's opened
+// streams, closes them, and translates the outcome into findings —
+// format-level only; media faults are the opener's damage callback's. n
+// is the stream bytes read, rate-limited on a simulated process.
+func VerifySetStream(ctx context.Context, ds catalog.DumpSet, streams []stream.Source) (findings []Finding, n int64) {
+	defer stream.Close(streams...)
+	src := &countingSource{proc: sim.ProcFrom(ctx)}
+	for _, one := range streams {
+		src.src = one
+		resynced, err := engine.Verify(ctx, ds.Engine, src)
+		if err != nil && !isMediaErr(err) {
+			findings = append(findings, Finding{Kind: StreamCorrupt, SetID: ds.ID,
+				Record: -1, Detail: err.Error()})
+		}
+		if resynced > 0 {
+			findings = append(findings, Finding{Kind: StreamCorrupt, SetID: ds.ID,
+				Record: -1, Detail: fmt.Sprintf("%d corrupt unit(s) resynced over", resynced)})
+		}
 	}
 	// Fewer bytes than the catalog recorded means part of the stream is
 	// gone; only meaningful when nothing louder already fired.
@@ -331,7 +335,7 @@ func verifyStream(ctx context.Context, ds catalog.DumpSet, src *countingSource) 
 		findings = append(findings, Finding{Kind: ByteCountMismatch, SetID: ds.ID,
 			Record: -1, Detail: fmt.Sprintf("catalog says %d bytes, media yields %d", ds.Bytes, src.bytes)})
 	}
-	return findings
+	return findings, src.bytes
 }
 
 func isMediaErr(err error) bool {

@@ -7,9 +7,11 @@ import (
 	"testing"
 
 	"repro/internal/catalog"
+	"repro/internal/chunk"
 	"repro/internal/dumpfmt"
 	"repro/internal/media"
 	"repro/internal/scrub"
+	"repro/internal/stream"
 	"repro/internal/tape"
 )
 
@@ -95,7 +97,8 @@ func newRig(t *testing.T) *rig {
 
 func (r *rig) scrubber(t *testing.T, withMirror bool) *scrub.Scrubber {
 	t.Helper()
-	cfg := scrub.Config{Catalog: r.cat, Pool: r.pool}
+	cfg := scrub.Config{Catalog: r.cat, Pool: r.pool,
+		Open: r.pool.Opener(tape.NewDrive(nil, "scrub/maint", tape.DefaultParams()))}
 	if withMirror {
 		cfg.Replicas = []scrub.Replica{r.mirror}
 	}
@@ -205,6 +208,44 @@ func TestScrubDegradesWithoutReplica(t *testing.T) {
 	}
 }
 
+// TestScanReportsWithoutActing: Scan is Run's scan with nothing done
+// about it — the same findings, with a mirror to repair from left
+// unused, no set marked, no volume quarantined — and it passes over a
+// resumed set as Run does.
+func TestScanReportsWithoutActing(t *testing.T) {
+	r := newRig(t)
+	r.cart.InjectLatentFault(r.start)
+	if _, err := r.cat.AppendDumpSet(catalog.DumpSet{
+		Engine: catalog.Logical, FSID: "fs", Snap: "s1", Level: 0, Date: 2000, Resumed: true,
+		Media: []catalog.MediaRef{{Volume: "vol0"}, {Volume: "vol0"}},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	s := r.scrubber(t, true)
+	rep, err := s.Scan(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Sets != 1 || len(rep.Findings) == 0 {
+		t.Fatalf("scan of one latent fault beside a resumed set: %+v", rep)
+	}
+	for _, f := range rep.Findings {
+		if f.SetID != r.setID {
+			t.Fatalf("finding off the faulted set: %v", f)
+		}
+	}
+	if len(rep.Repaired)+len(rep.Damaged)+len(rep.Quarantined) != 0 || r.cart.BadRecords() != 1 {
+		t.Fatalf("a report-only pass acted: %+v, %d bad records", rep, r.cart.BadRecords())
+	}
+	if _, bad := r.cat.Damaged(r.setID); bad {
+		t.Fatal("a report-only pass marked the set damaged")
+	}
+	// Run over the same state still repairs it.
+	if rep, err = s.Run(context.Background()); err != nil || len(rep.Repaired) == 0 || len(rep.Findings) != 0 {
+		t.Fatalf("run after scan: %+v, %v", rep, err)
+	}
+}
+
 func TestScrubQuarantineSurvivesReopen(t *testing.T) {
 	r := newRig(t)
 	r.cart.InjectLatentFault(r.start)
@@ -265,6 +306,35 @@ func TestFsckFindings(t *testing.T) {
 		t.Fatalf("index-past-extent not found: %v", got)
 	}
 
+	// File-backed volumes: a stream file shorter than its set is a
+	// finding; the chunk store behind a manifest set is shared and
+	// compressed, and its size says nothing about one set.
+	chunkedID, err := r.cat.AppendDumpSet(catalog.DumpSet{
+		Engine: catalog.Logical, FSID: "other", Snap: "s3", Level: 0, Date: 4000,
+		Bytes: 1 << 20, Media: []catalog.MediaRef{{Volume: "fs.chunkstore"}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	small := scrub.FsckOptions{HaveVolume: func(string) (int64, bool) { return 1000, true }}
+	short := func() (sets []uint64) {
+		for _, f := range scrub.Fsck(r.cat, small) {
+			if f.Kind == scrub.IndexPastExtent && f.Volume != "" {
+				sets = append(sets, f.SetID)
+			}
+		}
+		return sets
+	}
+	if got := short(); len(got) != 2 || got[0] != r.setID || got[1] != chunkedID {
+		t.Fatalf("sets larger than their 1000-byte files: %v, want %d and %d", got, r.setID, chunkedID)
+	}
+	if err := r.cat.AppendManifest(chunkedID, chunk.Manifest{RawBytes: 1 << 20, StoredBytes: 900}); err != nil {
+		t.Fatal(err)
+	}
+	if got := short(); len(got) != 1 || got[0] != r.setID {
+		t.Fatalf("with a manifest on set %d: short sets %v, want only %d", chunkedID, got, r.setID)
+	}
+
 	// Pool mismatch: erase the cartridge behind the pool's back.
 	r.cart.Erase()
 	found := false
@@ -297,7 +367,7 @@ func TestVerifySetStream(t *testing.T) {
 	r := newRig(t)
 	ds, _ := r.cat.Set(r.setID)
 	recs, _ := r.mirror.Fetch(context.Background(), r.setID)
-	if fs := scrub.VerifySetStream(context.Background(), ds, &memSource{recs: recs}); len(fs) != 0 {
+	if fs, _ := scrub.VerifySetStream(context.Background(), ds, []stream.Source{&memSource{recs: recs}}); len(fs) != 0 {
 		t.Fatalf("clean stream produced findings: %v", fs)
 	}
 	// Corrupt one record copy: the stream check must notice.
@@ -308,11 +378,11 @@ func TestVerifySetStream(t *testing.T) {
 		c[i] ^= 0xFF
 	}
 	bad[1] = c
-	if fs := scrub.VerifySetStream(context.Background(), ds, &memSource{recs: bad}); len(fs) == 0 {
+	if fs, _ := scrub.VerifySetStream(context.Background(), ds, []stream.Source{&memSource{recs: bad}}); len(fs) == 0 {
 		t.Fatal("corrupted stream passed verification")
 	}
 	// Truncated stream: fewer bytes than the catalog recorded.
-	if fs := scrub.VerifySetStream(context.Background(), ds, &memSource{recs: recs[:1]}); len(fs) == 0 {
+	if fs, _ := scrub.VerifySetStream(context.Background(), ds, []stream.Source{&memSource{recs: recs[:1]}}); len(fs) == 0 {
 		t.Fatal("truncated stream passed verification")
 	}
 }

@@ -10,6 +10,7 @@ package stream
 import (
 	"context"
 	"errors"
+	"io"
 
 	"repro/internal/sim"
 )
@@ -32,6 +33,17 @@ type Sink interface {
 // io.EOF at the end. Implementations handle cartridge cycling.
 type Source interface {
 	ReadRecord() ([]byte, error)
+}
+
+// Close releases what each of srcs holds open — a stream file is an
+// io.Closer, a set on tape or in a chunk store is not. Whoever was
+// handed opened streams runs it when it has read what it wants.
+func Close(srcs ...Source) {
+	for _, s := range srcs {
+		if c, ok := s.(io.Closer); ok {
+			c.Close()
+		}
+	}
 }
 
 // Syncer is optionally implemented by sinks whose WriteRecord accepts
