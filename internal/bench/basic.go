@@ -155,9 +155,9 @@ func RunParallel(ctx context.Context, cfg Config, drives int) (*Result, error) {
 }
 
 // fourOps is the one experiment behind Tables 2-5, 7 and 14: logical
-// backup to drives [0, drives), logical restore onto the wiped
-// filesystem, physical backup of the restored filesystem to drives
-// [drives, 2*drives), physical restore onto a fresh volume. basic
+// backup to drives [0, drives) and physical backup to drives [drives,
+// 2*drives), both of the aged filesystem, then logical restore onto
+// the wiped filesystem and physical restore onto a fresh volume. basic
 // selects RunBasic's procedure over RunParallel's.
 func fourOps(ctx context.Context, cfg Config, drives int, basic bool) (*Result, error) {
 	if drives < 1 {
@@ -245,6 +245,27 @@ func fourOps(ctx context.Context, cfg Config, drives int, basic bool) (*Result, 
 		return nil, err
 	}
 
+	// The physical backup dumps the same aged volume the logical backup
+	// read, so how the logical restore happens to lay files out cannot
+	// move the physical column.
+	res.PhysicalBackup, err = backup("Physical Backup", "idump", drives, func(c context.Context, rec *Recorder) (int64, error) {
+		rec.Begin("Dumping blocks")
+		stats, err := physical.Dump(c, physical.DumpOptions{
+			FS: f.FS, Vol: f.Vol, SnapName: "idump",
+			Sinks: tapeSinks(c, f, drives, drives), Costs: f.Config.PhysCosts,
+			Readers: readers, ReadAhead: depth,
+		})
+		if err != nil {
+			return 0, err
+		}
+		flushTapes(c, f, drives, drives)
+		rec.End()
+		return stats.BytesWritten, nil
+	})
+	if err != nil {
+		return nil, err
+	}
+
 	// Logical restore: wipe, then one restore per shard stream, all
 	// started together. Every stream carries the full directory set;
 	// whichever reaches a directory first makes it and the others adopt
@@ -274,26 +295,6 @@ func fourOps(ctx context.Context, cfg Config, drives int, basic bool) (*Result, 
 		if err := verify("logical restore", f.FS); err != nil {
 			return nil, err
 		}
-	}
-
-	// The physical backup dumps the restored filesystem: its block
-	// layout is what the dump reads.
-	res.PhysicalBackup, err = backup("Physical Backup", "idump", drives, func(c context.Context, rec *Recorder) (int64, error) {
-		rec.Begin("Dumping blocks")
-		stats, err := physical.Dump(c, physical.DumpOptions{
-			FS: f.FS, Vol: f.Vol, SnapName: "idump",
-			Sinks: tapeSinks(c, f, drives, drives), Costs: f.Config.PhysCosts,
-			Readers: readers, ReadAhead: depth,
-		})
-		if err != nil {
-			return 0, err
-		}
-		flushTapes(c, f, drives, drives)
-		rec.End()
-		return stats.BytesWritten, nil
-	})
-	if err != nil {
-		return nil, err
 	}
 
 	// Physical restore: one call applies all the shard streams onto a

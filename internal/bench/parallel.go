@@ -113,9 +113,9 @@ func (r *Result) Scaling() ScalingPoint {
 
 // RunScaling sweeps the drive counts and reports aggregate and
 // per-tape backup throughput for both strategies — the paper's
-// headline comparison (69.6 vs 110 GB/h at 4 drives). The restores run
-// too: the physical dump reads the block layout the logical restore
-// left.
+// headline comparison (69.6 vs 110 GB/h at 4 drives). Both backups read
+// the same aged volume; the restores run too, and their rates ride
+// along in the points.
 func RunScaling(ctx context.Context, cfg Config, driveCounts []int) ([]ScalingPoint, error) {
 	var out []ScalingPoint
 	for _, n := range driveCounts {

@@ -114,15 +114,15 @@ func TestShapeScaling(t *testing.T) {
 	// 27.6 vs 30.1 for physical, 17.4 vs 21 for logical — 0.92 of the
 	// one-drive rate kept against 0.83, 1.1x). Physical keeps at least
 	// 0.85 of its per-tape rate, logical at least 0.60, and physical at
-	// least 1.1x the share logical keeps (here 0.89 against 0.76; 0.91
+	// least 1.1x the share logical keeps (here 0.87 against 0.75; 0.91
 	// against 0.70 on Table 7's dataset). The floors are what spreading
 	// a consistency point's files over the volume's three RAID groups
 	// bought: with the dataset wherever one allocation cursor had left
 	// it, four streams shared a group's ten spindles and physical kept
-	// 0.72, logical 0.61. The physical dump reads the volume the
-	// logical restore laid out, so any change in how restore streams
-	// interleave moves it by a few percent with nothing physical
-	// changed.
+	// 0.72, logical 0.61. Both dumps read the same aged volume, before
+	// the logical restore wipes it: when the physical dump read the
+	// volume the restore had laid out, a faster restore alone took
+	// physical from 0.85 to 0.80.
 	physKept, logicalKept := four.PhysPer/one.PhysPer, four.LogicalPer/one.LogicalPer
 	t.Logf("per-tape rate kept at 4 drives: physical %.3f (%.1f -> %.1f GB/h), logical %.3f (%.1f -> %.1f)",
 		physKept, one.PhysPer, four.PhysPer, logicalKept, one.LogicalPer, four.LogicalPer)

@@ -68,24 +68,27 @@ func parallelLogicalFS(t *testing.T, seed int64) (*wafl.FS, *wafl.View) {
 	return src, sv
 }
 
+// dumpShards dumps sv across n in-memory shard streams.
+func dumpShards(t *testing.T, sv *wafl.View, n int, label string) []*memSink {
+	t.Helper()
+	sinks := make([]stream.Sink, n)
+	streams := make([]*memSink, n)
+	for k := range sinks {
+		streams[k] = &memSink{}
+		sinks[k] = streams[k]
+	}
+	if _, err := Dump(ctx, DumpOptions{View: sv, Sinks: sinks, Label: label, ReadAhead: 8, Readers: 2}); err != nil {
+		t.Fatalf("parallel dump: %v", err)
+	}
+	return streams
+}
+
 // TestLogicalParallelRestoreOrderIndependence: each shard stream is
 // self-contained (full maps, all directories), so restore may apply
 // the set in any order and converge to the same tree.
 func TestLogicalParallelRestoreOrderIndependence(t *testing.T) {
 	_, sv := parallelLogicalFS(t, 72)
-	const nShards = 4
-
-	sinks := make([]stream.Sink, nShards)
-	streams := make([]*memSink, nShards)
-	for k := range sinks {
-		streams[k] = &memSink{}
-		sinks[k] = streams[k]
-	}
-	if _, err := Dump(ctx, DumpOptions{
-		View: sv, Sinks: sinks, Label: "perm", ReadAhead: 8, Readers: 2,
-	}); err != nil {
-		t.Fatalf("parallel dump: %v", err)
-	}
+	streams := dumpShards(t, sv, 4, "perm")
 
 	wantTree := digests(t, sv, "/")
 	for _, order := range [][]int{{0, 1, 2, 3}, {3, 2, 1, 0}, {2, 0, 3, 1}, {1, 3, 0, 2}} {
@@ -111,15 +114,7 @@ func TestLogicalParallelRestoreOrderIndependence(t *testing.T) {
 func TestLogicalParallelRestoreStreamsStartTogether(t *testing.T) {
 	_, sv := parallelLogicalFS(t, 74)
 	const nShards = 4
-	sinks := make([]stream.Sink, nShards)
-	streams := make([]*memSink, nShards)
-	for k := range sinks {
-		streams[k] = &memSink{}
-		sinks[k] = streams[k]
-	}
-	if _, err := Dump(ctx, DumpOptions{View: sv, Sinks: sinks, Label: "race", ReadAhead: 8, Readers: 2}); err != nil {
-		t.Fatalf("parallel dump: %v", err)
-	}
+	streams := dumpShards(t, sv, nShards, "race")
 	wantTree := digests(t, sv, "/")
 	dirs := 0
 	for p, e := range wantTree {
@@ -159,6 +154,91 @@ func TestLogicalParallelRestoreStreamsStartTogether(t *testing.T) {
 	}
 	if total != dirs {
 		t.Fatalf("streams made %v directories of the tree's %d: want each made exactly once", made, dirs)
+	}
+}
+
+// skeletonMisses is a restore's StageRecorder that notes the target's
+// buffer-cache misses when the directory skeleton is done.
+type skeletonMisses struct {
+	fs     *wafl.FS
+	stage  string
+	misses int64
+}
+
+func (r *skeletonMisses) Begin(name string) { r.stage = name }
+
+func (r *skeletonMisses) End() {
+	if r.stage == "Creating files" {
+		_, r.misses = r.fs.CacheStats()
+	}
+}
+
+// TestParallelRestoreMissesNothingAfterSkeleton: concurrent restore
+// streams write several times the buffer cache in file data, through
+// consistency points the NVRAM forces mid-restore, onto a target whose
+// directories and inode file fit the cache. A consistency point does
+// not keep the file data it writes, so the metadata the streams keep
+// consulting — Create's directory lookups, the next CP's inode-file
+// merge — stays cached: once a stream's skeleton is built, no read
+// misses.
+func TestParallelRestoreMissesNothingAfterSkeleton(t *testing.T) {
+	src := newFS(t, 16384)
+	if _, err := workload.Generate(ctx, src, workload.Spec{
+		Seed: 75, Files: 60, DirFanout: 6, MeanFileSize: 32 << 10,
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if err := src.CreateSnapshot(ctx, "s"); err != nil {
+		t.Fatal(err)
+	}
+	sv, _ := src.SnapshotView("s")
+	const nShards = 4
+	streams := dumpShards(t, sv, nShards, "cache")
+
+	env := sim.NewEnv()
+	costs := wafl.DefaultCosts()
+	costs.CPU = sim.NewStation(env, "cpu", 0)
+	nv := nvram.DefaultParams()
+	nv.Size = 1 << 20 // a consistency point every ~512 KiB logged
+	const cacheBlocks = 48
+	dst, err := wafl.Mkfs(ctx, storage.NewMemDevice(4096), nvram.New(env, nv),
+		wafl.Options{Costs: costs, Env: env, CacheBlocks: cacheBlocks})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cps := dst.CPCount()
+	recs := make([]*skeletonMisses, nShards)
+	for k := range streams {
+		recs[k] = &skeletonMisses{fs: dst}
+		env.Spawn(fmt.Sprintf("restore%d", k), func(p *sim.Proc) {
+			if _, err := Restore(sim.WithProc(ctx, p), RestoreOptions{
+				FS: dst, Source: streams[k].source(), KernelIntegrated: true, Stages: recs[k],
+			}); err != nil {
+				t.Errorf("shard %d: %v", k, err)
+			}
+		})
+	}
+	env.Run()
+	_, misses := dst.CacheStats() // before the digest reads every file back
+	assertTreesEqual(t, digests(t, sv, "/"), digests(t, dst.ActiveView(), "/"))
+
+	// The rig is what the claim needs: several consistency points and
+	// several times the cache in file data.
+	dataBlocks := 0
+	for _, e := range digests(t, sv, "/") {
+		if e.Type == wafl.ModeReg {
+			dataBlocks += int((e.Size + wafl.BlockSize - 1) / wafl.BlockSize)
+		}
+	}
+	n := int(dst.CPCount() - cps)
+	if n < 3 || dataBlocks < n*cacheBlocks {
+		t.Fatalf("%d consistency points over %d data blocks into %d frames: the rig no longer washes the cache", n, dataBlocks, cacheBlocks)
+	}
+	t.Logf("%d consistency points, %d data blocks, %d frames, %d misses in all", n, dataBlocks, cacheBlocks, misses)
+	for k, r := range recs {
+		if n := misses - r.misses; n != 0 {
+			t.Errorf("stream %d: %d buffer-cache misses after its skeleton, want 0", k, n)
+		}
 	}
 }
 

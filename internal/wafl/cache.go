@@ -3,8 +3,10 @@ package wafl
 // blockCache is an LRU cache of physical blocks. Because the
 // filesystem is copy-on-write, a block's contents never change while
 // it is referenced, which makes coherence trivial: entries are
-// inserted on read and on write, and a freed-then-reused block is
-// simply overwritten by the write that reuses it.
+// inserted on read and on a consistency point's metadata writes, and a
+// freed-then-reused block is overwritten by the write that reuses it —
+// or dropped, when that write is file data the CP does not keep
+// (FS.writeBlock).
 //
 // The entries live in one slab of max frames, threaded by index into
 // an LRU list and a free list, so caching a block allocates nothing.

@@ -127,6 +127,12 @@ func (fs *FS) flushState(ctx context.Context, st *istate) error {
 			fbns = append(fbns, fbn)
 		}
 		slices.Sort(fbns)
+		// What the filesystem reads again itself stays cached:
+		// directories, symlinks and the inode file, for namei, Create,
+		// Readdir and the next CP's inode merge. A regular file's data
+		// does not: a restore writes ~4 250 data blocks per CP into a
+		// 2 048-frame cache, which would evict every one of those.
+		keep := st == fs.inofSt || !IsReg(st.ino.Mode)
 		for _, fbn := range fbns {
 			npbn := fs.bmap.alloc()
 			if npbn == 0 {
@@ -137,10 +143,10 @@ func (fs *FS) flushState(ctx context.Context, st *istate) error {
 				fs.cache.drop(old)
 			}
 			st.fmap[fbn] = npbn
-			if err := fs.writeBlock(ctx, npbn, st.dirty[fbn]); err != nil {
+			if err := fs.writeBlock(ctx, npbn, st.dirty[fbn], keep); err != nil {
 				return err
 			}
-			// The cache owns the buffer now and may recycle it.
+			// The cache or the spare stack owns the buffer now.
 			delete(st.dirty, fbn)
 			// Billed at once, not through fs.charge: a consistency
 			// point's CPU is spent under the lock, like its writes.
@@ -200,7 +206,7 @@ func (fs *FS) rebuildTree(ctx context.Context, st *istate) error {
 			putU32(blk[4*i:], uint32(p))
 		}
 		clear(blk[4*len(ptrs):])
-		if err := fs.writeBlock(ctx, pbn, blk); err != nil {
+		if err := fs.writeBlock(ctx, pbn, blk, true); err != nil {
 			return 0, err
 		}
 		fs.costs.charge(ctx, fs.costs.CPBlock)
@@ -297,7 +303,7 @@ func (fs *FS) flushBlkmapFile(ctx context.Context) error {
 			putU32(blk[4*i:], fs.bmap.words[fbn*PtrsPerBlock+i])
 		}
 		clear(blk[4*n:])
-		if err := fs.writeBlock(ctx, st.fmap[uint32(fbn)], blk); err != nil {
+		if err := fs.writeBlock(ctx, st.fmap[uint32(fbn)], blk, true); err != nil {
 			return err
 		}
 		fs.costs.charge(ctx, fs.costs.CPBlock)

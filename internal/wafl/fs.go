@@ -414,7 +414,8 @@ func (fs *FS) readFsinfo(ctx context.Context) (*fsinfo, error) {
 // takeBuf returns a block-sized buffer for a block on its way into the
 // cache — one read from the device, staged by a write, or built by a
 // consistency point — drawing on the buffers the cache has traded back
-// (cacheInsert) before allocating. A recycled buffer holds whatever
+// (cacheInsert) and those a consistency point wrote file data from
+// (writeBlock) before allocating. A recycled buffer holds whatever
 // block it held last: a caller that does not overwrite all of it must
 // clear it first. The spares never outnumber the blocks that were
 // staged or cached at once, and like the cache they are touched only
@@ -465,14 +466,22 @@ func (fs *FS) readBlock(ctx context.Context, pbn BlockNo) ([]byte, error) {
 	return buf, nil
 }
 
-// writeBlock writes a physical block and hands data to the cache: the
-// callers are a consistency point's flushes, each of which drops its
-// buffer once it is written, so the cache keeps it instead of a copy.
-func (fs *FS) writeBlock(ctx context.Context, pbn BlockNo, data []byte) error {
+// writeBlock writes a physical block for a consistency point's flush,
+// which drops its buffer once it is written. With keep set the cache
+// keeps the buffer instead of a copy. Without it the buffer goes back
+// to the spare stack, and any frame the cache still holds for pbn is
+// dropped: a block DeleteSnapshot freed can still be cached with a
+// snapshot's contents, and no read may return those once pbn is reused.
+func (fs *FS) writeBlock(ctx context.Context, pbn BlockNo, data []byte, keep bool) error {
 	if err := fs.dev.WriteBlock(ctx, int(pbn), data); err != nil {
 		return err
 	}
-	fs.cacheInsert(pbn, data)
+	if keep {
+		fs.cacheInsert(pbn, data)
+	} else {
+		fs.cache.drop(pbn)
+		fs.giveBuf(data)
+	}
 	return nil
 }
 

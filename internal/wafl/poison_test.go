@@ -86,6 +86,7 @@ func TestTinyPoisonedCache(t *testing.T) {
 			{"RenameDirectoryRewiresDotDot", TestRenameDirectoryRewiresDotDot},
 			{"ManySmallFilesAcrossManyCPs", TestManySmallFilesAcrossManyCPs},
 			{"SnapshotPreservesOldContents", TestSnapshotPreservesOldContents},
+			{"SnapshotFreedBlocksReuseReadsNewData", TestSnapshotFreedBlocksReuseReadsNewData},
 			{"BlockMapPlanesMatchPaperSemantics", TestBlockMapPlanesMatchPaperSemantics},
 			{"RevertToSnapshotRestoresTree", TestRevertToSnapshotRestoresTree},
 			{"RevertedSnapshotSurvivesNewChurn", TestRevertedSnapshotSurvivesNewChurn},
