@@ -57,14 +57,16 @@ attribution: ## per-layer table of one traced benchmark run (non-zero series; PH
 	@bash benchmark/run.sh --workload $(WORKLOAD) --seed 1999 --seconds 6 --trace 1 | awk -v phase="$(PHASE)" '/^  / && $$2 + 0 != 0 && (phase == "" || $$1 ~ "\\." phase "$$")'
 
 ALLOC_PROFILE_DIR ?= $(CURDIR)/.alloc_profile
+ALLOC_PINS = logical:TestDumpAllocsPerMiB logical:TestRestoreAllocsPerMiB ndmp:TestPushAllocsPerMiB
 
-alloc-profile: ## where the heap objects of a logical dump and restore come from: the two internal/logical allocation pins with every allocation sampled, top 25 sites each — the whole test, tree generation included (the frozen benchmark/ binary has no profile flag)
+alloc-profile: ## where the heap objects come from: the allocation pins (internal/logical's dump and restore, internal/ndmp's push over TCP) with every allocation sampled, top 25 sites each — the whole test, input generation included (the frozen benchmark/ binary has no profile flag)
 	@mkdir -p $(ALLOC_PROFILE_DIR)
-	@for pin in TestDumpAllocsPerMiB TestRestoreAllocsPerMiB; do \
+	@for p in $(ALLOC_PINS); do \
+		pkg=$${p%%:*}; pin=$${p#*:}; \
 		echo "== $$pin"; \
 		$(GO) test -count 1 -run "^$$pin\$$" -v -memprofilerate 1 -memprofile $$pin.mem \
-			-o $(ALLOC_PROFILE_DIR)/logical.test -outputdir $(ALLOC_PROFILE_DIR) ./internal/logical | grep 'allocations per MiB' || exit 1; \
-		$(GO) tool pprof -sample_index=alloc_objects -top -nodecount 25 $(ALLOC_PROFILE_DIR)/logical.test $(ALLOC_PROFILE_DIR)/$$pin.mem || exit 1; \
+			-o $(ALLOC_PROFILE_DIR)/$$pkg.test -outputdir $(ALLOC_PROFILE_DIR) ./internal/$$pkg | grep 'allocations per MiB' || exit 1; \
+		$(GO) tool pprof -sample_index=alloc_objects -top -nodecount 25 $(ALLOC_PROFILE_DIR)/$$pkg.test $(ALLOC_PROFILE_DIR)/$$pin.mem || exit 1; \
 	done
 
 tables: ## regenerate every EXPERIMENTS.md table into the committed reference

@@ -1,0 +1,114 @@
+package ndmp
+
+import (
+	"encoding/hex"
+	"errors"
+	"testing"
+
+	"repro/internal/transport"
+)
+
+// goldenHello is a Hello with an FSID and a tenant, as the whole frame
+// a Session opens with, and goldenAcks an answer of every status with
+// and without a message, as the whole frame a host's Conn sends: the
+// hex was recorded before the payload encoders became codec.Enc callers
+// appending into a connection's buffers. internal/transport's golden
+// test pins the other frames a data mover sends.
+var (
+	goldenHello = struct {
+		h   Hello
+		hex string
+	}{Hello{Version: Version, Kind: KindLogical, Session: 0x5EED, Stream: 2, Level: 1, FSID: "fs042", Tenant: "tenant01"},
+		"4e444d460101000000000000000027000000313b570a0301ed5e00000000000002000000010000000500000066733034320800000074656e616e743031"}
+
+	goldenAcks = []struct {
+		typ byte
+		a   ack
+		hex string
+	}{
+		{MsgHelloAck, ack{status: AckOK},
+			"4e444d46020000000000000000001100000060ecf8a00000000000000000000000000000000000"},
+		{MsgAck, ack{status: AckOK, acked: 41, repl: 17},
+			"4e444d4604002900000000000000110000005ddac6e70029000000000000001100000000000000"},
+		{MsgAck, ack{status: AckOK, acked: 41, repl: 17, msg: "fine"},
+			"4e444d460400290000000000000015000000e37ea35f002900000000000000110000000000000066696e65"},
+		{MsgAck, ack{status: AckEOM, acked: 5},
+			"4e444d46040005000000000000001100000026333e4f0105000000000000000000000000000000"},
+		{MsgVolAck, ack{status: AckEOM, acked: 5, msg: "volume 3 full"},
+			"4e444d46070005000000000000001e000000b4c096660105000000000000000000000000000000766f6c756d6520332066756c6c"},
+		{MsgAck, ack{status: AckGap, acked: 9, repl: 8},
+			"4e444d460400090000000000000011000000ac07d1910209000000000000000800000000000000"},
+		{MsgAck, ack{status: AckGap, acked: 9, repl: 8, msg: "lost 10"},
+			"4e444d46040009000000000000001800000035d4438a02090000000000000008000000000000006c6f7374203130"},
+		{MsgSyncAck, ack{status: AckErr, acked: 3},
+			"4e444d460b0003000000000000001100000023c67a060303000000000000000000000000000000"},
+		{MsgHelloAck, ack{status: AckErr, msg: "version 2 not supported (host speaks 3)"},
+			"4e444d460200000000000000000038000000f433c510030000000000000000000000000000000076657273696f6e2032206e6f7420737570706f727465642028686f737420737065616b73203329"},
+		{MsgHelloAck, ack{status: AckStale, repl: 77},
+			"4e444d460200000000000000000011000000931c68610400000000000000004d00000000000000"},
+		{MsgHelloAck, ack{status: AckStale, repl: 77, msg: "stream 7/1 was checkpointed elsewhere"},
+			"4e444d460200000000000000000036000000026230cd0400000000000000004d0000000000000073747265616d20372f312077617320636865636b706f696e74656420656c73657768657265"},
+		{MsgCloseAck, ack{status: AckOK, acked: 512, repl: 512},
+			"4e444d46090000020000000000001100000019c99df80000020000000000000002000000000000"},
+	}
+)
+
+// sentConn records a copy of every frame sent through it.
+type sentConn struct {
+	transport.Conn
+	sent [][]byte
+}
+
+func (c *sentConn) Send(raw []byte) error {
+	c.sent = append(c.sent, append([]byte(nil), raw...))
+	return c.Conn.Send(raw)
+}
+
+func TestGoldenMessageBytes(t *testing.T) {
+	// The Hello a Session opens with.
+	g := goldenHello
+	l := transport.NewLink(transport.DefaultParams())
+	l.B().Attach(NewHost(func(Hello) (Sink, error) { return &memSink{}, nil }).HandleFrame)
+	conn := &sentConn{Conn: l.A()}
+	if _, err := Dial(func() (transport.Conn, error) { return conn, nil }, Config{Kind: g.h.Kind,
+		Session: g.h.Session, Stream: g.h.Stream, Level: g.h.Level, FSID: g.h.FSID, Tenant: g.h.Tenant}); err != nil {
+		t.Fatal(err)
+	}
+	if got := hex.EncodeToString(conn.sent[0]); got != g.hex {
+		t.Errorf("hello encodes to %s, want %s", got, g.hex)
+	}
+	want, _ := hex.DecodeString(g.hex)
+	f, err := transport.Decode(want)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if h, err := decodeHello(f.Payload); err != nil || h != g.h {
+		t.Errorf("golden hello decodes to %+v, %v", h, err)
+	}
+	// A Hello cut anywhere inside its FSID or tenant is refused.
+	for n := helloFixed; n < len(f.Payload); n++ {
+		if _, err := decodeHello(f.Payload[:n]); !errors.Is(err, transport.ErrBadFrame) {
+			t.Errorf("hello cut to %d bytes: %v", n, err)
+		}
+	}
+
+	// The answers, all from one Conn's reused buffers.
+	c := NewHost(nil).NewConn()
+	for _, g := range goldenAcks {
+		resp := c.respond(g.typ, g.a)
+		if len(resp) != 1 || hex.EncodeToString(resp[0]) != g.hex {
+			t.Errorf("%d %+v encodes to %x, want %s", g.typ, g.a, resp, g.hex)
+		}
+		want, _ := hex.DecodeString(g.hex)
+		f, err := transport.Decode(want)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if a, err := decodeAck(f.Payload); err != nil || a != g.a || f.Type != g.typ || f.Seq != g.a.acked {
+			t.Errorf("golden %d %+v decodes to %d %+v, %v", g.typ, g.a, f.Type, a, err)
+		}
+		if _, err := decodeAck(f.Payload[:ackFixed-1]); !errors.Is(err, transport.ErrBadFrame) {
+			t.Errorf("an ack cut to %d bytes: %v", ackFixed-1, err)
+		}
+	}
+}

@@ -148,14 +148,14 @@ func TestTransportHostEvictFinalizesSink(t *testing.T) {
 // client surfaces as a RemoteError, and opens no sink.
 func TestTransportHelloVersion(t *testing.T) {
 	cur := Hello{Version: Version, Kind: KindImage, Session: 9, Stream: 2, Level: -1, FSID: "fs", Tenant: "acme"}
-	got, err := decodeHello(encodeHello(cur))
+	got, err := decodeHello(appendHello(nil, cur))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got != cur {
 		t.Fatalf("hello round-trip: %+v", got)
 	}
-	if _, err := decodeHello(encodeHello(cur)[:helloFixed+len(cur.FSID)]); !errors.Is(err, transport.ErrBadFrame) {
+	if _, err := decodeHello(appendHello(nil, cur)[:helloFixed+len(cur.FSID)]); !errors.Is(err, transport.ErrBadFrame) {
 		t.Fatalf("hello cut before its tenant decoded with %v", err)
 	}
 
@@ -178,15 +178,15 @@ func TestTransportHelloVersion(t *testing.T) {
 		}
 		return a
 	}
-	if a := sendHello(encodeHello(cur)); a.status != AckOK {
+	if a := sendHello(appendHello(nil, cur)); a.status != AckOK {
 		t.Fatalf("hello refused: %+v", a)
 	}
 	if opened != 1 {
 		t.Fatalf("hello opened %d sinks, want 1", opened)
 	}
-	v2 := encodeHello(Hello{Version: 2, Kind: KindLogical, Session: 3, Level: 1, FSID: "home0"})
+	v2 := appendHello(nil, Hello{Version: 2, Kind: KindLogical, Session: 3, Level: 1, FSID: "home0"})
 	v2 = v2[:helloFixed+len("home0")] // v2 had no tenant suffix
-	for _, p := range [][]byte{v2, encodeHello(Hello{Version: 1, Session: 4}), encodeHello(Hello{Version: Version + 1, Session: 5})} {
+	for _, p := range [][]byte{v2, appendHello(nil, Hello{Version: 1, Session: 4}), appendHello(nil, Hello{Version: Version + 1, Session: 5})} {
 		if a := sendHello(p); a.status != AckErr || !strings.Contains(a.msg, "not supported") {
 			t.Fatalf("version %d hello answered %+v", p[0], a)
 		}
@@ -212,7 +212,7 @@ func TestTransportReplicateStallResetsOnProgress(t *testing.T) {
 	l := transport.NewLink(transport.DefaultParams())
 	var acked, repl uint64
 	reply := func(typ byte, a ack) [][]byte {
-		return [][]byte{transport.Encode(&transport.Frame{Type: typ, Seq: a.acked, Payload: encodeAck(a)})}
+		return [][]byte{transport.Encode(&transport.Frame{Type: typ, Seq: a.acked, Payload: appendAck(nil, a)})}
 	}
 	l.B().Attach(func(raw []byte) [][]byte {
 		f, err := transport.Decode(raw)

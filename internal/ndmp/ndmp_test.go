@@ -325,12 +325,12 @@ func TestTransportSessionDeadPeerDeadline(t *testing.T) {
 
 func TestTransportProtoRoundTrip(t *testing.T) {
 	h := Hello{Version: Version, Kind: KindImage, Session: 0xC0FFEE, Stream: 3, Level: -1, FSID: "home0"}
-	got, err := decodeHello(encodeHello(h))
+	got, err := decodeHello(appendHello(nil, h))
 	if err != nil || got != h {
 		t.Fatalf("hello round trip: %+v / %v", got, err)
 	}
 	a := ack{status: AckErr, acked: 42, msg: "stacker empty"}
-	ga, err := decodeAck(encodeAck(a))
+	ga, err := decodeAck(appendAck(nil, a))
 	if err != nil || ga != a {
 		t.Fatalf("ack round trip: %+v / %v", ga, err)
 	}

@@ -15,11 +15,11 @@
 package ndmp
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
 
 	"repro/internal/catalog"
+	"repro/internal/codec"
 	"repro/internal/transport"
 )
 
@@ -130,24 +130,22 @@ type Hello struct {
 // length-prefixed tenant name follow.
 const helloFixed = 22
 
-// encodeHello marshals h.
-func encodeHello(h Hello) []byte {
-	buf := make([]byte, helloFixed+len(h.FSID)+4+len(h.Tenant))
-	buf[0] = h.Version
-	buf[1] = h.Kind
-	binary.LittleEndian.PutUint64(buf[2:], h.Session)
-	binary.LittleEndian.PutUint32(buf[10:], uint32(h.Stream))
-	binary.LittleEndian.PutUint32(buf[14:], uint32(h.Level))
-	binary.LittleEndian.PutUint32(buf[18:], uint32(len(h.FSID)))
-	copy(buf[helloFixed:], h.FSID)
-	off := helloFixed + len(h.FSID)
-	binary.LittleEndian.PutUint32(buf[off:], uint32(len(h.Tenant)))
-	copy(buf[off+4:], h.Tenant)
-	return buf
+// appendHello appends h's encoding to dst.
+func appendHello(dst []byte, h Hello) []byte {
+	e := codec.Enc{B: dst}
+	e.U8(h.Version)
+	e.U8(h.Kind)
+	e.U64(h.Session)
+	e.U32(uint32(h.Stream))
+	e.U32(uint32(h.Level))
+	e.Str(h.FSID)
+	e.Str(h.Tenant)
+	return e.B
 }
 
 // decodeHello unmarshals a Hello payload. Of a Hello that is not
 // Version only the version byte means anything; the host refuses it.
+// Bytes after the tenant name are ignored.
 func decodeHello(p []byte) (Hello, error) {
 	if len(p) < helloFixed {
 		return Hello{}, fmt.Errorf("%w: hello payload %d bytes", transport.ErrBadFrame, len(p))
@@ -155,27 +153,19 @@ func decodeHello(p []byte) (Hello, error) {
 	if p[0] != Version {
 		return Hello{Version: p[0]}, nil
 	}
-	n := int(binary.LittleEndian.Uint32(p[18:]))
-	if n < 0 || helloFixed+n > len(p) {
-		return Hello{}, fmt.Errorf("%w: hello fsid length %d", transport.ErrBadFrame, n)
-	}
+	d := codec.Dec{B: p, Max: len(p), Bad: transport.ErrBadFrame}
 	h := Hello{
-		Version: p[0],
-		Kind:    p[1],
-		Session: binary.LittleEndian.Uint64(p[2:]),
-		Stream:  int(binary.LittleEndian.Uint32(p[10:])),
-		Level:   int32(binary.LittleEndian.Uint32(p[14:])),
-		FSID:    string(p[helloFixed : helloFixed+n]),
+		Version: d.U8(),
+		Kind:    d.U8(),
+		Session: d.U64(),
+		Stream:  int(d.U32()),
+		Level:   int32(d.U32()),
+		FSID:    d.Str(),
+		Tenant:  d.Str(),
 	}
-	off := helloFixed + n
-	if len(p) < off+4 {
-		return Hello{}, fmt.Errorf("%w: hello missing tenant length", transport.ErrBadFrame)
+	if err := d.Err(); err != nil {
+		return Hello{}, fmt.Errorf("hello: %w", err)
 	}
-	tn := int(binary.LittleEndian.Uint32(p[off:]))
-	if tn < 0 || off+4+tn > len(p) {
-		return Hello{}, fmt.Errorf("%w: hello tenant length %d", transport.ErrBadFrame, tn)
-	}
-	h.Tenant = string(p[off+4 : off+4+tn])
 	return h, nil
 }
 
@@ -191,25 +181,26 @@ type ack struct {
 	msg    string
 }
 
-func encodeAck(a ack) []byte {
-	buf := make([]byte, 17+len(a.msg))
-	buf[0] = a.status
-	binary.LittleEndian.PutUint64(buf[1:], a.acked)
-	binary.LittleEndian.PutUint64(buf[9:], a.repl)
-	copy(buf[17:], a.msg)
-	return buf
+// ackFixed is the length of an ack before its message.
+const ackFixed = 17
+
+// appendAck appends a's encoding to dst; the message runs to the end
+// of the payload.
+func appendAck(dst []byte, a ack) []byte {
+	e := codec.Enc{B: dst}
+	e.U8(a.status)
+	e.U64(a.acked)
+	e.U64(a.repl)
+	e.Raw([]byte(a.msg))
+	return e.B
 }
 
 func decodeAck(p []byte) (ack, error) {
-	if len(p) < 17 {
+	if len(p) < ackFixed {
 		return ack{}, fmt.Errorf("%w: ack payload %d bytes", transport.ErrBadFrame, len(p))
 	}
-	return ack{
-		status: p[0],
-		acked:  binary.LittleEndian.Uint64(p[1:]),
-		repl:   binary.LittleEndian.Uint64(p[9:]),
-		msg:    string(p[17:]),
-	}, nil
+	d := codec.Dec{B: p, Bad: transport.ErrBadFrame}
+	return ack{status: d.U8(), acked: d.U64(), repl: d.U64(), msg: string(p[ackFixed:])}, nil
 }
 
 // RemoteError is a host-side failure relayed over the wire (an AckErr

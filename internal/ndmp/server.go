@@ -309,11 +309,20 @@ func (h *Host) registerTenantLocked(tenant string) {
 // Conn is one connection's binding into the host registry: frames
 // route to the stream the connection's Hello named. Each accepted
 // connection gets its own Conn; a Conn is used by one goroutine.
+//
+// A Conn answers from buffers it keeps for the connection's life: the
+// frames Handle, HandleFrame and BadFrame return are valid until the
+// next call on the same Conn. Both senders — a Link's pump and
+// ServeConn — put them on the wire before that.
 type Conn struct {
 	h     *Host
 	cur   *stream
 	last  Hello
 	bound bool
+
+	ackBuf   []byte    // the payload of the last answer
+	frameBuf []byte    // the last answer, encoded
+	out      [1][]byte // what Handle returns: frameBuf
 }
 
 // NewConn returns a fresh connection binding.
@@ -331,8 +340,9 @@ func (c *Conn) bind(st *stream) {
 }
 
 // HandleFrame consumes one raw frame and returns the frames to send
-// back. It implements transport.Handler, which is how a simulated
-// tape host stays on the client's virtual clock.
+// back, valid until the next call on c. It implements
+// transport.Handler, which is how a simulated tape host stays on the
+// client's virtual clock.
 func (c *Conn) HandleFrame(raw []byte) [][]byte {
 	f, err := transport.Decode(raw)
 	if err != nil {
@@ -343,7 +353,8 @@ func (c *Conn) HandleFrame(raw []byte) [][]byte {
 
 // HandleFrame is the single-connection convenience used by simulated
 // links: it routes through a host-owned default Conn, preserving the
-// pre-registry behavior of one client driving the host directly.
+// pre-registry behavior of one client driving the host directly. Its
+// answer is valid until the next call.
 func (h *Host) HandleFrame(raw []byte) [][]byte {
 	h.mu.Lock()
 	if h.def == nil {
@@ -356,7 +367,7 @@ func (h *Host) HandleFrame(raw []byte) [][]byte {
 
 // BadFrame records an undecodable frame and answers with the bound
 // stream's high-water mark so the client replays without waiting for
-// a window-full stall.
+// a window-full stall. The answer is valid until the next call on c.
 func (c *Conn) BadFrame() [][]byte {
 	c.h.bump(func(s *HostStats) { s.BadFrames++ })
 	var mark uint64
@@ -367,8 +378,10 @@ func (c *Conn) BadFrame() [][]byte {
 }
 
 // Handle consumes one decoded frame — the decode-once entry point
-// Serve uses so every frame is parsed exactly one time.
-func (c *Conn) Handle(f *transport.Frame) [][]byte {
+// Serve uses so every frame is parsed exactly one time. A data frame's
+// payload goes to the sink, which copies what it keeps; the answer is
+// valid until the next call on c.
+func (c *Conn) Handle(f transport.Frame) [][]byte {
 	switch f.Type {
 	case MsgHello:
 		return c.handleHello(f)
@@ -388,20 +401,24 @@ func (c *Conn) Handle(f *transport.Frame) [][]byte {
 	}
 }
 
-// respond encodes one ack-bearing response frame, defaulting its repl
-// field to the bound stream's replicated mark.
+// respond encodes one ack-bearing response frame into the
+// connection's buffers, defaulting its repl field to the bound
+// stream's replicated mark.
 func (c *Conn) respond(typ byte, a ack) [][]byte {
 	if a.repl == 0 && c.cur != nil {
 		a.repl = c.cur.repl.Load()
 	}
-	return [][]byte{transport.Encode(&transport.Frame{
+	c.ackBuf = appendAck(c.ackBuf[:0], a)
+	c.frameBuf = transport.AppendFrame(c.frameBuf[:0], &transport.Frame{
 		Type:    typ,
 		Seq:     a.acked,
-		Payload: encodeAck(a),
-	})}
+		Payload: c.ackBuf,
+	})
+	c.out[0] = c.frameBuf
+	return c.out[:]
 }
 
-func (c *Conn) handleHello(f *transport.Frame) [][]byte {
+func (c *Conn) handleHello(f transport.Frame) [][]byte {
 	h := c.h
 	hello, err := decodeHello(f.Payload)
 	if err != nil {
@@ -520,7 +537,7 @@ func (c *Conn) charge(st *stream, n int) bool {
 	return g.Charge(st.hello.Tenant, st.hello.Session, st.hello.Stream, n)
 }
 
-func (c *Conn) handleData(f *transport.Frame) [][]byte {
+func (c *Conn) handleData(f transport.Frame) [][]byte {
 	st := c.cur
 	if st == nil {
 		return c.respond(MsgAck, ack{status: AckErr, msg: "data before hello"})
@@ -652,10 +669,8 @@ func (c *Conn) handleClose() [][]byte {
 	if c.h.OnSessionClose != nil {
 		c.h.OnSessionClose(session, ends)
 	}
-	c.cur = nil
-	return [][]byte{transport.Encode(&transport.Frame{
-		Type: MsgCloseAck, Seq: a.acked, Payload: encodeAck(a),
-	})}
+	c.cur = nil // so respond keeps a.repl as it is
+	return c.respond(MsgCloseAck, a)
 }
 
 // evictSession removes every stream of a session from the registry,
@@ -748,7 +763,9 @@ func Serve(conn transport.Conn, host *Host, idleTimeout time.Duration) error {
 
 // ServeConn is Serve with a caller-built registry binding, so the
 // caller can inspect hc.Bound() afterwards (e.g. to label a span with
-// the tenant and session the connection turned out to carry).
+// the tenant and session the connection turned out to carry). Each
+// frame's answer is on the wire before the next frame is received, so
+// the received frame and hc's answer both live in reused buffers.
 func ServeConn(conn transport.Conn, hc *Conn, idleTimeout time.Duration) error {
 	if idleTimeout <= 0 {
 		idleTimeout = 30 * time.Second

@@ -96,18 +96,25 @@ type pending struct {
 // every record the host has not yet acknowledged, which makes replay
 // after a gap, an end-of-media retry, or a reconnect the same
 // operation: retransmit window entries above the high-water mark.
+//
+// The window keeps its own copy of each record, in a buffer taken back
+// from a record the host has acknowledged, and every data frame is
+// encoded into one send buffer: after the window first fills, a record
+// costs the session no allocation.
 type Session struct {
 	cfg  Config
 	dial Dialer
 	conn transport.Conn
 
 	window      []pending
-	acked       uint64 // host's durable high-water mark
-	repl        uint64 // replicated checkpoint high-water mark
-	nextSeq     uint64 // next sequence to assign
-	sentThrough uint64 // highest seq transmitted on the current conn
-	maxSent     uint64 // highest seq ever transmitted (replay stats)
-	eom         bool   // host reported end of media
+	free        [][]byte // buffers of acknowledged records, for the next ones
+	sendBuf     []byte   // the last data frame or heartbeat sent
+	acked       uint64   // host's durable high-water mark
+	repl        uint64   // replicated checkpoint high-water mark
+	nextSeq     uint64   // next sequence to assign
+	sentThrough uint64   // highest seq transmitted on the current conn
+	maxSent     uint64   // highest seq ever transmitted (replay stats)
+	eom         bool     // host reported end of media
 	silence     time.Duration
 	closed      bool
 	stats       SessionStats
@@ -133,7 +140,8 @@ func Dial(dial Dialer, cfg Config) (*Session, error) {
 	if cfg.Redial.MaxRetries == 0 && cfg.Redial.Initial == 0 {
 		cfg.Redial = DefaultRedialPolicy()
 	}
-	s := &Session{cfg: cfg, dial: dial, nextSeq: 1}
+	s := &Session{cfg: cfg, dial: dial, nextSeq: 1,
+		window: make([]pending, 0, cfg.Window), free: make([][]byte, 0, cfg.Window)}
 	if err := s.connect(); err != nil {
 		if isTerminal(err) {
 			return nil, err
@@ -221,16 +229,18 @@ func isTerminal(err error) bool {
 }
 
 // slideTo advances the high-water mark, dropping acknowledged window
-// entries.
+// entries: their buffers go to the free list, and the window is
+// compacted in place so its backing array is never outgrown.
 func (s *Session) slideTo(acked uint64) {
 	if acked <= s.acked {
 		return
 	}
 	i := 0
 	for i < len(s.window) && s.window[i].seq <= acked {
+		s.free = append(s.free, s.window[i].data)
 		i++
 	}
-	s.window = s.window[i:]
+	s.window = s.window[:copy(s.window, s.window[i:])]
 	s.acked = acked
 	if s.sentThrough < acked {
 		s.sentThrough = acked
@@ -250,7 +260,7 @@ func (s *Session) connect() error {
 	}
 	s.conn = conn
 	hello := transport.Encode(&transport.Frame{Type: MsgHello, Flags: FlagAckNow,
-		Payload: encodeHello(Hello{Version: Version, Kind: s.cfg.Kind, Session: s.cfg.Session,
+		Payload: appendHello(nil, Hello{Version: Version, Kind: s.cfg.Kind, Session: s.cfg.Session,
 			Stream: s.cfg.Stream, Level: s.cfg.Level, FSID: s.cfg.FSID, Tenant: s.cfg.Tenant})})
 	a, err := s.request(hello, MsgHelloAck)
 	if err != nil {
@@ -334,7 +344,8 @@ func (s *Session) reconnect(cause error) error {
 // request sends req and waits for a response frame of the wanted
 // type, resending req on every receive timeout (the resend doubles
 // as a heartbeat; all our requests are idempotent on the host).
-// Other acks that arrive meanwhile still slide the window.
+// Other acks that arrive meanwhile still slide the window. A request
+// is a few per session, so req is its own buffer, not sendBuf.
 func (s *Session) request(req []byte, want byte) (ack, error) {
 	s.stats.FramesSent++
 	if err := s.conn.Send(req); err != nil {
@@ -398,9 +409,8 @@ func (s *Session) transmit() error {
 		if (p.seq-s.acked)*2 >= uint64(s.cfg.Window) {
 			flags = FlagAckNow
 		}
-		raw := transport.Encode(&transport.Frame{Type: MsgData, Flags: flags, Seq: p.seq, Payload: p.data})
 		s.stats.FramesSent++
-		if err := s.conn.Send(raw); err != nil {
+		if err := s.send(&transport.Frame{Type: MsgData, Flags: flags, Seq: p.seq, Payload: p.data}); err != nil {
 			return err
 		}
 		if p.seq <= s.maxSent {
@@ -413,12 +423,19 @@ func (s *Session) transmit() error {
 	return nil
 }
 
+// send encodes f into the send buffer and transmits it. Conn.Send
+// keeps none of the buffer, so the next frame may overwrite it.
+func (s *Session) send(f *transport.Frame) error {
+	s.sendBuf = transport.AppendFrame(s.sendBuf[:0], f)
+	return s.conn.Send(s.sendBuf)
+}
+
 // probe sends a heartbeat; the host answers with its current status,
 // which doubles as an ack solicitation.
 func (s *Session) probe() error {
 	s.stats.HeartbeatsSent++
 	s.stats.FramesSent++
-	return s.conn.Send(transport.Encode(&transport.Frame{Type: MsgHeartbeat, Flags: FlagAckNow}))
+	return s.send(&transport.Frame{Type: MsgHeartbeat, Flags: FlagAckNow})
 }
 
 // recvOnce waits one heartbeat interval for a frame and processes
@@ -454,7 +471,7 @@ func (s *Session) recvOnce() error {
 }
 
 // handleFrame folds one received ack into the window state.
-func (s *Session) handleFrame(f *transport.Frame) error {
+func (s *Session) handleFrame(f transport.Frame) error {
 	if f.Type != MsgAck {
 		return nil // stale handshake/volume/close acks carry nothing new
 	}
@@ -521,9 +538,7 @@ func (s *Session) WriteRecord(rec []byte) error {
 	}
 	seq := s.nextSeq
 	s.nextSeq++
-	cp := make([]byte, len(rec))
-	copy(cp, rec)
-	s.window = append(s.window, pending{seq: seq, data: cp})
+	s.window = append(s.window, pending{seq: seq, data: append(s.takeBuf(), rec...)})
 	s.stats.Records++
 	if len(s.window) >= s.cfg.Window {
 		s.stats.WindowStalls++
@@ -537,12 +552,25 @@ func (s *Session) WriteRecord(rec []byte) error {
 		// the engine retries this exact record on the next volume.
 		// Older unacknowledged records stay in the window and replay
 		// there first, preserving stream order.
+		s.free = append(s.free, s.window[len(s.window)-1].data)
 		s.window = s.window[:len(s.window)-1]
 		s.nextSeq = seq
 		s.stats.Records--
 		return recstream.ErrEndOfMedia
 	}
 	return nil
+}
+
+// takeBuf returns an empty buffer for the next window entry: an
+// acknowledged record's, when there is one.
+func (s *Session) takeBuf() []byte {
+	n := len(s.free)
+	if n == 0 {
+		return nil
+	}
+	buf := s.free[n-1][:0]
+	s.free = s.free[:n-1]
+	return buf
 }
 
 // NextVolume asks the host to mount the next cartridge, then marks

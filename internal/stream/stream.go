@@ -23,7 +23,10 @@ var ErrEndOfMedia = errors.New("stream: end of media")
 // Sink is where a dump sends its tape records.
 type Sink interface {
 	// WriteRecord writes one record, returning ErrEndOfMedia when the
-	// volume is full.
+	// volume is full. It must not keep data after it returns: callers
+	// reuse the buffer for the next record (a tape host hands over its
+	// connection's receive buffer), so a sink that holds on to a record
+	// copies it.
 	WriteRecord(data []byte) error
 	// NextVolume mounts the next volume. Called after ErrEndOfMedia.
 	NextVolume() error

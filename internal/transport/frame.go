@@ -18,6 +18,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"slices"
 )
 
 // Frame layout, little-endian:
@@ -53,42 +54,51 @@ type Frame struct {
 	Payload []byte
 }
 
+// AppendFrame appends f's wire encoding to dst and returns the extended
+// buffer: the allocation-free encoder for a caller that keeps one frame
+// buffer and re-encodes into dst[:0]. f.Payload must not share memory
+// with dst's spare capacity.
+func AppendFrame(dst []byte, f *Frame) []byte {
+	dst = slices.Grow(dst, HeaderSize+len(f.Payload))
+	start := len(dst)
+	dst = append(dst, frameMagic[:]...)
+	dst = append(dst, f.Type, f.Flags)
+	dst = binary.LittleEndian.AppendUint64(dst, f.Seq)
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(f.Payload)))
+	dst = binary.LittleEndian.AppendUint32(dst, 0) // the CRC, once the payload is in
+	dst = append(dst, f.Payload...)
+	frame := dst[start:]
+	binary.LittleEndian.PutUint32(frame[18:], frameCRC(frame))
+	return dst
+}
+
 // Encode marshals f into a fresh wire buffer.
-func Encode(f *Frame) []byte {
-	buf := make([]byte, HeaderSize+len(f.Payload))
-	copy(buf, frameMagic[:])
-	buf[4] = f.Type
-	buf[5] = f.Flags
-	binary.LittleEndian.PutUint64(buf[6:], f.Seq)
-	binary.LittleEndian.PutUint32(buf[14:], uint32(len(f.Payload)))
-	copy(buf[HeaderSize:], f.Payload)
-	crc := crc32.NewIEEE()
-	crc.Write(buf[4:18])
-	crc.Write(buf[HeaderSize:])
-	binary.LittleEndian.PutUint32(buf[18:], crc.Sum32())
-	return buf
+func Encode(f *Frame) []byte { return AppendFrame(nil, f) }
+
+// frameCRC is the CRC a whole frame carries: over the header after the
+// magic, up to the CRC field, and the payload.
+func frameCRC(frame []byte) uint32 {
+	crc := crc32.Update(0, crc32.IEEETable, frame[4:18])
+	return crc32.Update(crc, crc32.IEEETable, frame[HeaderSize:])
 }
 
 // Decode parses and verifies a wire buffer. The returned frame's
-// payload aliases raw.
-func Decode(raw []byte) (*Frame, error) {
+// payload aliases raw, so it is valid as long as raw is.
+func Decode(raw []byte) (Frame, error) {
 	if len(raw) < HeaderSize {
-		return nil, fmt.Errorf("%w: %d bytes", ErrBadFrame, len(raw))
+		return Frame{}, fmt.Errorf("%w: %d bytes", ErrBadFrame, len(raw))
 	}
 	if [4]byte(raw[:4]) != frameMagic {
-		return nil, fmt.Errorf("%w: bad magic", ErrBadFrame)
+		return Frame{}, fmt.Errorf("%w: bad magic", ErrBadFrame)
 	}
 	n := binary.LittleEndian.Uint32(raw[14:])
 	if n > MaxPayload || int(n) != len(raw)-HeaderSize {
-		return nil, fmt.Errorf("%w: length %d in a %d-byte frame", ErrBadFrame, n, len(raw))
+		return Frame{}, fmt.Errorf("%w: length %d in a %d-byte frame", ErrBadFrame, n, len(raw))
 	}
-	crc := crc32.NewIEEE()
-	crc.Write(raw[4:18])
-	crc.Write(raw[HeaderSize:])
-	if crc.Sum32() != binary.LittleEndian.Uint32(raw[18:]) {
-		return nil, fmt.Errorf("%w: CRC mismatch", ErrBadFrame)
+	if frameCRC(raw) != binary.LittleEndian.Uint32(raw[18:]) {
+		return Frame{}, fmt.Errorf("%w: CRC mismatch", ErrBadFrame)
 	}
-	return &Frame{
+	return Frame{
 		Type:    raw[4],
 		Flags:   raw[5],
 		Seq:     binary.LittleEndian.Uint64(raw[6:]),

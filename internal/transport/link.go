@@ -26,9 +26,12 @@ var (
 // net.Conn adapter implement it.
 type Conn interface {
 	// Send transmits one encoded frame. A nil error does NOT mean the
-	// peer received it — frames on a faulty link vanish silently.
+	// peer received it — frames on a faulty link vanish silently. Send
+	// does not keep raw: the caller may reuse it once Send returns.
 	Send(raw []byte) error
 	// Recv returns the next frame, or ErrTimeout after the deadline.
+	// The frame is valid until the next Recv on the same Conn, which
+	// may receive into the same buffer.
 	Recv(timeout time.Duration) ([]byte, error)
 	// Close releases the connection.
 	Close() error
@@ -103,7 +106,9 @@ type delivery struct {
 }
 
 // Handler consumes frames at a passive endpoint (the server side) and
-// returns encoded response frames to send back.
+// returns encoded response frames to send back. The link sends (and
+// so copies) the responses before it calls the handler again, so a
+// handler may answer from buffers it reuses.
 type Handler func(raw []byte) [][]byte
 
 // Link is a deterministic simulated duplex connection. Endpoint A is
@@ -253,6 +258,7 @@ func (l *Link) sendLocked(from int, now sim.Time, raw []byte) error {
 			readyAt += sim.TimeFor(len(raw), l.params.Rate)
 		}
 	}
+	// The frame in flight is the link's own copy: the sender reuses raw.
 	cp := make([]byte, len(raw))
 	copy(cp, raw)
 	copies := 1

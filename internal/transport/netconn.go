@@ -14,8 +14,15 @@ import (
 // Conn interface. Frames travel verbatim; the receiver re-reads the
 // frame preamble to learn the payload length, so the wire format is
 // identical to the simulated link's.
+//
+// A NetConn receives into one header array and one frame buffer that
+// it keeps for the connection's life, so the frame Recv returns is
+// valid only until the next Recv. Send writes raw before it returns
+// and keeps none of it.
 type NetConn struct {
-	c net.Conn
+	c   net.Conn
+	hdr [HeaderSize]byte
+	buf []byte // the last frame received; grown to the largest seen
 }
 
 // NewNetConn wraps c.
@@ -46,7 +53,7 @@ func (n *NetConn) Recv(timeout time.Duration) ([]byte, error) {
 	if err := n.c.SetReadDeadline(time.Now().Add(timeout)); err != nil {
 		return nil, err
 	}
-	hdr := make([]byte, HeaderSize)
+	hdr := n.hdr[:]
 	if nr, err := io.ReadFull(n.c, hdr); err != nil {
 		if nr > 0 && isTimeout(err) {
 			return nil, fmt.Errorf("%w: deadline expired %d bytes into a %d-byte header (stream desynced)",
@@ -64,7 +71,11 @@ func (n *NetConn) Recv(timeout time.Duration) ([]byte, error) {
 	if err := n.c.SetReadDeadline(time.Now().Add(payloadTimeout(int(plen)))); err != nil {
 		return nil, err
 	}
-	raw := make([]byte, HeaderSize+int(plen))
+	size := HeaderSize + int(plen)
+	if cap(n.buf) < size {
+		n.buf = make([]byte, size)
+	}
+	raw := n.buf[:size]
 	copy(raw, hdr)
 	if nr, err := io.ReadFull(n.c, raw[HeaderSize:]); err != nil {
 		if isTimeout(err) {
