@@ -46,7 +46,7 @@ obs-smoke: ## instrumented dump with tracing + metrics, validated end to end
 	$(GO) run ./cmd/backupctl stats -mb 4 -trace obs_trace.json -check > /dev/null
 	rm -f obs_trace.json
 
-examples: ## run every program under examples/ (each checks its own result; they are the only callers of internal/mirror and sched.New outside tests); a non-zero exit fails
+examples: ## run every program under examples/ (each checks its own result; they are the only callers of sched.New outside tests); a non-zero exit fails
 	@for d in examples/*/; do \
 		echo "== $$d"; \
 		$(GO) run ./$$d > /dev/null || exit 1; \

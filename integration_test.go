@@ -11,13 +11,15 @@ import (
 	"fmt"
 	"testing"
 
+	"repro/internal/catalog"
 	"repro/internal/core"
+	"repro/internal/engine"
 	"repro/internal/logical"
-	"repro/internal/mirror"
 	"repro/internal/nvram"
 	"repro/internal/physical"
 	"repro/internal/sim"
 	"repro/internal/storage"
+	"repro/internal/stream"
 	"repro/internal/vdev"
 	"repro/internal/wafl"
 	"repro/internal/workload"
@@ -170,18 +172,26 @@ func TestFilerSaga(t *testing.T) {
 	}
 	fsck("after disk rebuild")
 
-	// Thursday: replicate to a standby volume, then fail over a file
-	// read to it.
+	// Thursday: replicate to a standby volume — an image dump to drive
+	// 3 applied to it — then fail over a file read to it.
 	standby := storage.NewMemDevice(filer.Vol.NumBlocks())
-	m := mirror.New(filer.FS, filer.Vol, standby, nil, filer.Config.PhysCosts)
-	if _, err := m.Sync(ctx); err != nil {
-		t.Fatal(err)
-	}
+	run("thursday-replicate", func(c context.Context, p *sim.Proc) error {
+		if err := filer.LoadTape(c, 3); err != nil {
+			return err
+		}
+		if _, err := filer.ImageDump(c, 3, "thursday", ""); err != nil {
+			return err
+		}
+		filer.Tapes[3].Rewind(p)
+		_, err := engine.RestoreSet(c, catalog.Image, engine.Target{Vol: standby, Costs: filer.Config.PhysCosts},
+			[]stream.Source{filer.Source(c, 3)}, false)
+		return err
+	})
 	replica, err := wafl.Mount(ctx, standby.Clone(), nil, wafl.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	sv, err := filer.FS.SnapshotView(m.LastSnapshot())
+	sv, err := filer.FS.SnapshotView("thursday")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -41,7 +41,8 @@ type Conn interface {
 type Params struct {
 	// Latency is the fixed per-frame propagation delay.
 	Latency time.Duration
-	// Rate is the link throughput in bytes/second (0 = infinite).
+	// Rate is the link throughput in bytes/second, per direction
+	// (0 = infinite): back-to-back frames queue for the wire.
 	Rate float64
 }
 
@@ -121,6 +122,9 @@ type Link struct {
 	params Params
 	ends   [2]*Endpoint
 	queues [2][]delivery // queues[i] = frames destined for ends[i]
+	// wireFree[i] is when the wire out of ends[i] finishes serializing
+	// the last frame sent on it.
+	wireFree [2]sim.Time
 
 	fc      *FaultConfig
 	rng     *rand.Rand
@@ -249,14 +253,15 @@ func (l *Link) sendLocked(from int, now sim.Time, raw []byte) error {
 		return nil // black hole: the sender cannot tell
 	}
 	// Delivery times exist only when a simulated clock is attached;
-	// a fully untimed link delivers instantly.
+	// a fully untimed link delivers instantly. Each direction's wire
+	// carries one frame at a time: a frame starts serializing once the
+	// one before it has left, so Rate bounds the throughput of a whole
+	// window, not just each frame's own transfer.
 	timed := l.ends[0].proc != nil || l.ends[1].proc != nil
 	var readyAt sim.Time
 	if timed {
-		readyAt = now + l.params.Latency
-		if l.params.Rate > 0 {
-			readyAt += sim.TimeFor(len(raw), l.params.Rate)
-		}
+		l.wireFree[from] = max(now, l.wireFree[from]) + sim.TimeFor(len(raw), l.params.Rate)
+		readyAt = l.wireFree[from] + l.params.Latency
 	}
 	// The frame in flight is the link's own copy: the sender reuses raw.
 	cp := make([]byte, len(raw))

@@ -151,6 +151,52 @@ func TestTransportLinkSeededFaultsReproduce(t *testing.T) {
 	}
 }
 
+// TestLinkRateIsThroughput: Rate is what a window of back-to-back frames
+// gets through the wire together, not what each frame gets alone, and
+// each direction has its own wire.
+func TestLinkRateIsThroughput(t *testing.T) {
+	const frames, size, rate, latency = 16, 64 << 10, 1 << 20, time.Millisecond
+	env := sim.NewEnv()
+	l := NewLink(Params{Latency: latency, Rate: rate})
+	var delivered []time.Duration // when B saw each data frame
+	var firstReply time.Duration  // when A saw B's answer to the first
+	var recvErr error
+	env.Spawn("a", func(p *sim.Proc) {
+		l.A().Bind(p)
+		l.B().Attach(func(raw []byte) [][]byte {
+			delivered = append(delivered, p.Now())
+			return [][]byte{Encode(&Frame{Type: 2, Seq: uint64(len(delivered))})}
+		})
+		for i := 1; i <= frames; i++ {
+			if err := l.A().Send(Encode(&Frame{Type: 1, Seq: uint64(i), Payload: make([]byte, size)})); err != nil {
+				recvErr = err
+				return
+			}
+		}
+		for i := 0; i < frames; i++ {
+			if _, err := l.A().Recv(2 * time.Second); err != nil {
+				recvErr = fmt.Errorf("reply %d: %w", i+1, err)
+				return
+			}
+			if i == 0 {
+				firstReply = p.Now()
+			}
+		}
+	})
+	env.Run()
+	if recvErr != nil {
+		t.Fatal(recvErr)
+	}
+	if want := time.Second + latency; delivered[frames-1] < want {
+		t.Fatalf("%d × %d bytes at %d B/s delivered by %v, want no earlier than %v",
+			frames, size, rate, delivered[frames-1], want)
+	}
+	if firstReply > delivered[0]+2*latency {
+		t.Fatalf("reply to the frame delivered at %v arrived at %v: it queued behind the data",
+			delivered[0], firstReply)
+	}
+}
+
 func TestTransportLinkVirtualClock(t *testing.T) {
 	env := sim.NewEnv()
 	l := NewLink(Params{Latency: time.Millisecond})
