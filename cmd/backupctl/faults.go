@@ -6,8 +6,6 @@ import (
 
 	"repro/internal/catalog"
 	"repro/internal/chaos"
-	"repro/internal/storage"
-	"repro/internal/tape"
 )
 
 // faultsCommand runs seeded fault-injection scenarios against
@@ -38,67 +36,33 @@ func faultsCommand(ctx context.Context, args []string) error {
 		names = []string{*engine}
 	}
 
-	type namedScenario struct {
-		name string
-		make func(eng catalog.Engine, s int64) chaos.Scenario
-		only catalog.Engine // 0 = both engines
-	}
-	scenarios := []namedScenario{
-		{name: "damage", only: catalog.Logical,
-			make: func(eng catalog.Engine, s int64) chaos.Scenario {
-				return chaos.Scenario{Seed: s, Engine: eng, DataBlockFaults: 3,
-					Tape: tape.FaultConfig{WriteFault: 0.02, Transient: 1.0}}
-			}},
-		{name: "raid",
-			make: func(eng catalog.Engine, s int64) chaos.Scenario {
-				return chaos.Scenario{Seed: s, Engine: eng, Raid: true,
-					Profile: storage.FaultProfile{ReadFault: 0.15, RunFault: 0.5, Transient: 0.5, HealAfter: 2},
-					Tape:    tape.FaultConfig{WriteFault: 0.01, Transient: 1.0}}
-			}},
-		{name: "offline",
-			make: func(eng catalog.Engine, s int64) chaos.Scenario {
-				off := 12
-				if eng == catalog.Image {
-					off = 4
-				}
-				return chaos.Scenario{Seed: s, Engine: eng, Files: 30,
-					Tape: tape.FaultConfig{OfflineAfterRecords: off}}
-			}},
-	}
-
 	failures := 0
-	for _, sc := range scenarios {
-		if *scenario != "all" && *scenario != sc.name {
+	for _, sc := range chaos.Suite {
+		if *scenario != "all" && *scenario != sc.Name {
 			continue
 		}
 		for _, eng := range names {
-			if sc.only != 0 && engines[eng] != sc.only {
+			if sc.Only != 0 && engines[eng] != sc.Only {
 				continue
 			}
 			for s := *seed; s < *seed+int64(*runs); s++ {
-				rep, err := chaos.Run(ctx, sc.make(engines[eng], s))
+				rep, err := chaos.Run(ctx, sc.For(engines[eng], s))
 				if err != nil {
-					fmt.Printf("FAIL %-8s %-8s seed=%-3d %v\n", sc.name, eng, s, err)
+					fmt.Printf("FAIL %-8s %-8s seed=%-3d %v\n", sc.Name, eng, s, err)
 					failures++
 					continue
 				}
-				verdict := "identical"
-				ok := rep.Identical
-				if !rep.Identical {
-					if len(rep.Damaged) > 0 && rep.Explained {
-						verdict = fmt.Sprintf("damage exactly reported (%d blocks)", len(rep.Damaged))
-						ok = true
-					} else {
-						verdict = fmt.Sprintf("UNEXPLAINED diffs %v", rep.DiffPaths)
-					}
-				}
-				status := "ok  "
-				if !ok {
-					status = "FAIL"
+				status, verdict := "ok  ", "identical"
+				switch {
+				case rep.Identical:
+				case rep.Holds():
+					verdict = fmt.Sprintf("damage exactly reported (%d blocks)", len(rep.Damaged))
+				default:
+					status, verdict = "FAIL", fmt.Sprintf("UNEXPLAINED diffs %v", rep.DiffPaths)
 					failures++
 				}
 				fmt.Printf("%s %-8s %-8s seed=%-3d resumes=%d tape(retry=%d swap=%d) raid(retry=%d recon=%d): %s\n",
-					status, sc.name, eng, s, rep.Resumes, rep.TapeRetries, rep.TapeSwaps,
+					status, sc.Name, eng, s, rep.Resumes, rep.TapeRetries, rep.TapeSwaps,
 					rep.RaidRetries, rep.Reconstructs, verdict)
 			}
 		}

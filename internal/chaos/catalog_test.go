@@ -10,21 +10,28 @@ import (
 	"repro/internal/core"
 	"repro/internal/media"
 	"repro/internal/sched"
+	"repro/internal/scrub"
+	"repro/internal/tape"
 	"repro/internal/workload"
 )
 
-// catalogRig is a filer with scheduled, catalogued dumps — the sched
-// acceptance rig, rebuilt here so the chaos suite can crash its
-// journal between runs.
-type catalogRig struct {
-	f     *core.Filer
-	cat   *catalog.Catalog
-	store *catalog.MemStore
-	pool  *media.Pool
-	s     *sched.Scheduler
+// schedRig is a filer with scheduled, catalogued dumps — the sched
+// acceptance rig, rebuilt here so the chaos suite can crash its journal
+// and rot its media between runs. With scrubbing a scrubber rides the
+// schedule; with mirrored the scheduler also feeds a stream mirror the
+// scrubber repairs from.
+type schedRig struct {
+	engine catalog.Engine
+	f      *core.Filer
+	cat    *catalog.Catalog
+	store  *catalog.MemStore
+	pool   *media.Pool
+	s      *sched.Scheduler
+	mirror *scrub.Store
+	scr    *scrub.Scrubber
 }
 
-func newCatalogRig(t *testing.T, engine catalog.Engine) *catalogRig {
+func newSchedRig(t *testing.T, engine catalog.Engine, scrubbing, mirrored bool) *schedRig {
 	t.Helper()
 	cfg := core.DefaultConfig()
 	cfg.Name = "vol0"
@@ -40,33 +47,56 @@ func newCatalogRig(t *testing.T, engine catalog.Engine) *catalogRig {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	store := &catalog.MemStore{}
-	cat, err := catalog.Open(store)
-	if err != nil {
+	r := &schedRig{engine: engine, f: f, store: &catalog.MemStore{}}
+	if r.cat, err = catalog.Open(r.store); err != nil {
 		t.Fatal(err)
 	}
-	pool := media.NewPool("main", cat)
-	if err := pool.Adopt(f.Tapes[0], 0); err != nil {
+	r.pool = media.NewPool("main", r.cat)
+	if err := r.pool.Adopt(f.Tapes[0], 0); err != nil {
 		t.Fatal(err)
 	}
-	f.AttachCatalog(cat)
-	s, err := sched.New(sched.Config{
-		Filer: f, Catalog: cat, Pool: pool, Engine: engine,
+	f.AttachCatalog(r.cat)
+	if scrubbing {
+		scfg := scrub.Config{Catalog: r.cat, Pool: r.pool,
+			Open: r.pool.Opener(tape.NewDrive(f.Env, "scrub/maint", tape.DefaultParams()))}
+		if mirrored {
+			r.mirror = scrub.NewStore()
+			scfg.Replicas = []scrub.Replica{r.mirror}
+		}
+		if r.scr, err = scrub.New(scfg); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if r.s, err = sched.New(sched.Config{
+		Filer: f, Catalog: r.cat, Pool: r.pool, Engine: engine,
 		Policy: sched.BSDLadder{Ladder: []int{3, 5}},
-	})
-	if err != nil {
+		Mirror: r.mirror, Scrub: r.scr,
+	}); err != nil {
 		t.Fatal(err)
 	}
-	return &catalogRig{f: f, cat: cat, store: store, pool: pool, s: s}
+	return r
 }
 
-func (r *catalogRig) digest(t *testing.T) map[string]workload.Entry {
+func (r *schedRig) digest(t *testing.T) map[string]workload.Entry {
 	t.Helper()
 	d, err := workload.TreeDigest(ctx, r.f.FS.ActiveView(), "/")
 	if err != nil {
 		t.Fatal(err)
 	}
 	return d
+}
+
+// recover executes plan on the filer, reformatting first for the
+// logical engine, and requires the restored tree to equal want; what
+// says which restore failed.
+func (r *schedRig) recover(t *testing.T, plan *catalog.Plan, want map[string]workload.Entry, what string) {
+	t.Helper()
+	if _, err := sched.Recover(ctx, r.f, r.pool, plan, sched.RecoverOptions{Wipe: r.engine == catalog.Logical}); err != nil {
+		t.Fatalf("%s: recover: %v", what, err)
+	}
+	if diffs := workload.DiffDigests(want, r.digest(t)); len(diffs) > 0 {
+		t.Fatalf("%s: restored tree differs: %v", what, diffs)
+	}
 }
 
 // crashMidAppend returns the journal as a crash would leave it: every
@@ -101,7 +131,7 @@ func TestChaosCatalogCrashRecovery(t *testing.T) {
 		for _, engine := range []catalog.Engine{catalog.Logical, catalog.Image} {
 			t.Run(fmt.Sprintf("seed%d-%s", seed, engine), func(t *testing.T) {
 				rng := rand.New(rand.NewSource(seed))
-				r := newCatalogRig(t, engine)
+				r := newSchedRig(t, engine, false, false)
 
 				var states []map[string]workload.Entry
 				for run := 0; run < 3; run++ {
@@ -148,16 +178,7 @@ func TestChaosCatalogCrashRecovery(t *testing.T) {
 				if len(plan.Steps) != 3 {
 					t.Fatalf("recovered plan has %d steps: %s", len(plan.Steps), plan)
 				}
-				opts := sched.RecoverOptions{}
-				if engine == catalog.Logical {
-					opts.Wipe = true
-				}
-				if _, err := sched.Recover(ctx, r.f, r.pool, plan, opts); err != nil {
-					t.Fatalf("recover from recovered catalog: %v", err)
-				}
-				if diffs := workload.DiffDigests(states[2], r.digest(t)); len(diffs) > 0 {
-					t.Fatalf("restored tree differs after catalog crash: %v", diffs)
-				}
+				r.recover(t, plan, states[2], "recovered catalog")
 
 				// The journal keeps working: the torn record's ID is
 				// reused, as if the interrupted append never happened.

@@ -33,13 +33,11 @@ import (
 	"repro/internal/tape"
 	"repro/internal/vdev"
 	"repro/internal/wafl"
-	"repro/internal/workload"
 )
 
 // Scenario is one seeded chaos run.
 type Scenario struct {
-	Seed   int64
-	Engine catalog.Engine
+	Dataset
 	// Raid mounts the filesystem on a 4+1 RAID-4 volume and arms
 	// Profile on one data member: every injected fault must be absorbed
 	// by retry or parity reconstruction, so the tree must come back
@@ -57,53 +55,72 @@ type Scenario struct {
 	TapeCapacity int64 // per cartridge, 0 = unlimited
 	Cartridges   int   // per drive, min 1
 
-	Files           int
-	MeanFileSize    int
 	CheckpointEvery int // files (logical) or blocks (physical)
 	MaxResumes      int
 }
 
 // Report is the outcome of a scenario.
 type Report struct {
-	Engine  catalog.Engine
-	Seed    int64
-	Resumes int // checkpoint-resumed dump invocations
+	Outcome
 
 	TapeRetries  int // transient media errors absorbed by the sink
 	TapeSwaps    int // cartridges abandoned to persistent media errors
 	RaidRetries  int
 	Reconstructs int
 
-	Damaged   []logical.DamagedBlock // logical damage report, aggregated
-	DiffPaths []string               // source paths that differ after restore
-
-	// Identical: the restored tree matches byte for byte. Explained:
-	// the differing paths are exactly the files the damage report
-	// names. The chaos invariant is Identical || Explained.
-	Identical bool
+	Damaged []logical.DamagedBlock // logical damage report, aggregated
+	// Explained: the differing paths are exactly the files the damage
+	// report names.
 	Explained bool
-
-	// Metrics is the run's final registry snapshot: every storage and
-	// tape counter the scenario touched, for post-mortem inspection.
-	Metrics []obs.Point
 }
+
+// Holds is the chaos invariant: the restored tree is byte-identical,
+// or a non-empty damage report names exactly the inodes that differ.
+func (r *Report) Holds() bool {
+	return r.Identical || (len(r.Damaged) > 0 && r.Explained)
+}
+
+// Named is one of the Run scenarios `make chaos` proves and `backupctl
+// --faults` runs.
+type Named struct {
+	Name string
+	Only catalog.Engine // the one engine it applies to; 0 = both
+	For  func(eng catalog.Engine, seed int64) Scenario
+}
+
+// The named scenarios, and Suite, the order the CLI runs them in.
+var (
+	// Damage plants latent sector errors under file data with no
+	// redundancy beneath: the logical dump must hole-map and report them.
+	Damage = Named{Name: "damage", Only: catalog.Logical,
+		For: func(eng catalog.Engine, seed int64) Scenario {
+			return Scenario{Dataset: Dataset{Seed: seed, Engine: eng}, DataBlockFaults: 3,
+				Tape: tape.FaultConfig{WriteFault: 0.02, Transient: 1.0}}
+		}}
+	// RaidMember arms a flaky RAID member the volume must hide.
+	RaidMember = Named{Name: "raid",
+		For: func(eng catalog.Engine, seed int64) Scenario {
+			return Scenario{Dataset: Dataset{Seed: seed, Engine: eng}, Raid: true,
+				Profile: storage.FaultProfile{ReadFault: 0.15, RunFault: 0.5, Transient: 0.5, HealAfter: 2},
+				Tape:    tape.FaultConfig{WriteFault: 0.01, Transient: 1.0}}
+		}}
+	// Offline drops the drive mid-dump, after 12 logical or 4 image
+	// records (image records are 60 KB, logical 10 KB).
+	Offline = Named{Name: "offline",
+		For: func(eng catalog.Engine, seed int64) Scenario {
+			return Scenario{Dataset: Dataset{Seed: seed, Engine: eng, Files: 30},
+				Tape: tape.FaultConfig{OfflineAfterRecords: perEngine(0, eng, 12, 4)}}
+		}}
+	Suite = []Named{Damage, RaidMember, Offline}
+)
 
 // Run executes one scenario and evaluates the chaos invariant. An
 // error means the scenario could not be evaluated (unrecoverable dump
 // failure, resume divergence) — not that the invariant failed; callers
-// check Report.Identical/Explained for that.
+// check Report.Holds for that.
 func Run(ctx context.Context, s Scenario) (*Report, error) {
-	if s.Files <= 0 {
-		s.Files = 24
-	}
-	if s.MeanFileSize <= 0 {
-		s.MeanFileSize = 12 << 10
-	}
-	s.CheckpointEvery = perEngine(s.CheckpointEvery, s.Engine, 2, 32)
-	if s.MaxResumes <= 0 {
-		s.MaxResumes = 4
-	}
-	rep := &Report{Engine: s.Engine, Seed: s.Seed}
+	s.defaults(24)
+	rep := &Report{Outcome: Outcome{Engine: s.Engine, Seed: s.Seed}}
 	reg := obs.NewRegistry()
 	ctx = obs.WithMetrics(ctx, reg)
 	defer func() { rep.Metrics = reg.Snapshot() }()
@@ -113,7 +130,6 @@ func Run(ctx context.Context, s Scenario) (*Report, error) {
 	var (
 		dev    storage.Device
 		flatFD *storage.FaultDevice
-		vol    *raid.Volume
 	)
 	if s.Raid {
 		var members []raid.Disk
@@ -128,7 +144,7 @@ func Run(ctx context.Context, s Scenario) (*Report, error) {
 		if err != nil {
 			return nil, err
 		}
-		vol, err = raid.NewVolume("chaos", g)
+		vol, err := raid.NewVolume("chaos", g)
 		if err != nil {
 			return nil, err
 		}
@@ -149,20 +165,12 @@ func Run(ctx context.Context, s Scenario) (*Report, error) {
 		dev = flatFD
 	}
 
-	fs, err := wafl.Mkfs(ctx, dev, nil, wafl.Options{CacheBlocks: 32})
-	if err != nil {
-		return nil, err
-	}
-	paths, err := workload.Generate(ctx, fs, treeSpec(s.Seed, s.Files, s.MeanFileSize))
-	if err != nil {
-		return nil, err
-	}
 	// Freeze and digest the source tree before any flat-topology faults
 	// are planted — the reference must come from clean reads.
 	// (Raid-member faults may already be armed; the volume hides them
 	// by design.)
-	src := &source{dev: dev, fs: fs, paths: paths}
-	if err := src.freeze(ctx, "chaos"); err != nil {
+	src, err := newSource(ctx, s.Dataset, dev, wafl.Options{CacheBlocks: 32})
+	if err != nil {
 		return nil, err
 	}
 
@@ -171,7 +179,7 @@ func Run(ctx context.Context, s Scenario) (*Report, error) {
 	if flatFD != nil && s.DataBlockFaults > 0 {
 		rng := rand.New(rand.NewSource(s.Seed*7919 + 1))
 		for i := 0; i < s.DataBlockFaults; i++ {
-			p := paths[rng.Intn(len(paths))]
+			p := src.paths[rng.Intn(len(src.paths))]
 			ino, err := src.view.Namei(ctx, p)
 			if err != nil {
 				return nil, err
@@ -210,9 +218,9 @@ func Run(ctx context.Context, s Scenario) (*Report, error) {
 	if tapeCfg.Seed == 0 {
 		tapeCfg.Seed = s.Seed
 	}
-	job := src.dump(s.Engine, s.CheckpointEvery, 0)
+	job, maxResumes := src.resumable(s.Engine, s.CheckpointEvery, s.MaxResumes)
 	var tapes []*streamTape
-	rep.Resumes, err = engine.Resume(ctx, job, s.MaxResumes, func(attempt int) (stream.Sink, func(error) error, error) {
+	rep.Resumes, err = engine.Resume(ctx, job, maxResumes, func(attempt int) (stream.Sink, func(error) error, error) {
 		t, err := newStreamTape(fmt.Sprintf("t%d", attempt), s.Cartridges, s.TapeCapacity)
 		if err != nil {
 			return nil, nil, err
@@ -221,11 +229,11 @@ func Run(ctx context.Context, s Scenario) (*Report, error) {
 		if attempt > 0 {
 			cfg.OfflineAfterRecords = 0
 		}
-		t.drive.InjectFaults(cfg)
-		t.drive.RegisterMetrics(reg)
+		t.Drive.InjectFaults(cfg)
+		t.Drive.RegisterMetrics(reg)
 		tapes = append(tapes, t)
-		return t.sink, func(err error) error {
-			retries, swaps := t.sink.MediaStats()
+		return t, func(err error) error {
+			retries, swaps := t.MediaStats()
 			rep.TapeRetries += retries
 			rep.TapeSwaps += swaps
 			// A failed attempt's damage report counts only up to its
@@ -243,39 +251,27 @@ func Run(ctx context.Context, s Scenario) (*Report, error) {
 	if err != nil {
 		return nil, fmt.Errorf("chaos: %s dump: %w", s.Engine, err)
 	}
-	if rep.DiffPaths, err = src.restoreDiff(ctx, s.Engine, sources(tapes)); err != nil {
+	if err := rep.restore(ctx, src, tapes); err != nil {
 		return nil, err
 	}
-	return evaluate(ctx, rep, src.view)
+	rep.Explained = explained(ctx, rep, src.view)
+	return rep, nil
 }
 
-// evaluate checks that any differences are exactly the inodes the
-// damage report names.
-func evaluate(ctx context.Context, rep *Report, src *wafl.View) (*Report, error) {
-	rep.Identical = len(rep.DiffPaths) == 0
-
-	damagedInos := make(map[wafl.Inum]bool)
+// explained reports whether the differing paths are exactly the
+// inodes the damage report names.
+func explained(ctx context.Context, rep *Report, src *wafl.View) bool {
+	damaged := make(map[wafl.Inum]bool)
 	for _, d := range rep.Damaged {
-		damagedInos[d.Ino] = true
+		damaged[d.Ino] = true
 	}
-	diffInos := make(map[wafl.Inum]bool)
-	explained := true
+	differ := make(map[wafl.Inum]bool)
 	for _, p := range rep.DiffPaths {
 		ino, err := src.Namei(ctx, p)
-		if err != nil {
-			explained = false // a path the source never had
-			continue
+		if err != nil || !damaged[ino] {
+			return false // a path the source never had, or unreported damage
 		}
-		diffInos[ino] = true
-		if !damagedInos[ino] {
-			explained = false
-		}
+		differ[ino] = true
 	}
-	for ino := range damagedInos {
-		if !diffInos[ino] {
-			explained = false // reported damage with no visible effect
-		}
-	}
-	rep.Explained = explained
-	return rep, nil
+	return len(differ) == len(damaged) // no reported damage without a visible effect
 }

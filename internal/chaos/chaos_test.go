@@ -27,7 +27,7 @@ func seedCount() int {
 // invariant asserts the chaos property on a completed report.
 func invariant(t *testing.T, rep *Report) {
 	t.Helper()
-	if rep.Identical {
+	if rep.Holds() {
 		return
 	}
 	if len(rep.Damaged) == 0 {
@@ -44,12 +44,7 @@ func invariant(t *testing.T, rep *Report) {
 // damage report must name exactly the differing inodes.
 func TestChaosLogicalDamageReport(t *testing.T) {
 	for seed := int64(1); seed <= int64(seedCount()); seed++ {
-		rep, err := Run(ctx, Scenario{
-			Seed:            seed,
-			Engine:          catalog.Logical,
-			DataBlockFaults: 3,
-			Tape:            tape.FaultConfig{WriteFault: 0.02, Transient: 1.0},
-		})
+		rep, err := Run(ctx, Damage.For(catalog.Logical, seed))
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
@@ -68,15 +63,7 @@ func TestChaosRaidAbsorbsDiskFaults(t *testing.T) {
 	for _, engine := range []catalog.Engine{catalog.Logical, catalog.Image} {
 		recovered := 0
 		for seed := int64(1); seed <= int64(seedCount()); seed++ {
-			rep, err := Run(ctx, Scenario{
-				Seed:   seed,
-				Engine: engine,
-				Raid:   true,
-				Profile: storage.FaultProfile{
-					ReadFault: 0.15, RunFault: 0.5, Transient: 0.5, HealAfter: 2,
-				},
-				Tape: tape.FaultConfig{WriteFault: 0.01, Transient: 1.0},
-			})
+			rep, err := Run(ctx, RaidMember.For(engine, seed))
 			if err != nil {
 				t.Fatalf("%s seed %d: %v", engine, seed, err)
 			}
@@ -97,19 +84,8 @@ func TestChaosRaidAbsorbsDiskFaults(t *testing.T) {
 // concatenated streams must restore correctly — for both engines.
 func TestChaosOfflineResume(t *testing.T) {
 	for _, engine := range []catalog.Engine{catalog.Logical, catalog.Image} {
-		// Image records are 60 KB, logical records 10 KB: pick offline
-		// thresholds that land mid-dump for each stream shape.
-		offline := 12
-		if engine == catalog.Image {
-			offline = 4
-		}
 		for seed := int64(1); seed <= int64(seedCount()); seed++ {
-			rep, err := Run(ctx, Scenario{
-				Seed:   seed,
-				Engine: engine,
-				Tape:   tape.FaultConfig{OfflineAfterRecords: offline},
-				Files:  30,
-			})
+			rep, err := Run(ctx, Offline.For(engine, seed))
 			if err != nil {
 				t.Fatalf("%s seed %d: %v", engine, seed, err)
 			}
@@ -132,8 +108,8 @@ func TestChaosOfflineEveryRecord(t *testing.T) {
 		k := 1
 		for ; ; k++ {
 			rep, err := Run(ctx, Scenario{
-				Seed: 1, Engine: engine, Files: 30,
-				Tape: tape.FaultConfig{OfflineAfterRecords: k},
+				Dataset: Dataset{Seed: 1, Engine: engine, Files: 30},
+				Tape:    tape.FaultConfig{OfflineAfterRecords: k},
 			})
 			if err != nil {
 				t.Fatalf("%s offline after %d records: %v", engine, k, err)
@@ -158,9 +134,8 @@ func TestChaosKitchenSink(t *testing.T) {
 	for _, engine := range []catalog.Engine{catalog.Logical, catalog.Image} {
 		for seed := int64(1); seed <= int64(seedCount()); seed++ {
 			rep, err := Run(ctx, Scenario{
-				Seed:   seed,
-				Engine: engine,
-				Raid:   true,
+				Dataset: Dataset{Seed: seed, Engine: engine, Files: 30},
+				Raid:    true,
 				Profile: storage.FaultProfile{
 					ReadFault: 0.01, Transient: 0.5, HealAfter: 1,
 				},
@@ -168,7 +143,6 @@ func TestChaosKitchenSink(t *testing.T) {
 					WriteFault: 0.02, Transient: 0.8, OfflineAfterRecords: 25,
 				},
 				Cartridges: 4,
-				Files:      30,
 			})
 			if err != nil {
 				t.Fatalf("%s seed %d: %v", engine, seed, err)

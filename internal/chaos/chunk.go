@@ -7,7 +7,9 @@ import (
 
 	"repro/internal/catalog"
 	"repro/internal/chunk"
+	"repro/internal/storage"
 	"repro/internal/stream"
+	"repro/internal/wafl"
 )
 
 // ChunkScenario crashes a dedup-encoded dump mid-stream: the chunk
@@ -21,12 +23,8 @@ import (
 //   - the redump completes (cheaply, via hits against the survivors)
 //     and every set restores byte-identical through the chunk layer.
 type ChunkScenario struct {
-	Seed    int64
-	Engine  catalog.Engine
+	Dataset
 	Reverse bool // day-two dumps in reverse (RevDedup) mode
-
-	Files        int
-	MeanFileSize int
 	// FailAfter is the media append the crash lands on, counted from
 	// the start of the day-two dump; 0 derives one from Seed.
 	FailAfter int
@@ -51,16 +49,11 @@ type ChunkReport struct {
 // (they are hard failures, not report fields — except Identical, which
 // callers assert).
 func RunChunkCrash(ctx context.Context, s ChunkScenario) (*ChunkReport, error) {
-	if s.Files <= 0 {
-		s.Files = 24
-	}
-	if s.MeanFileSize <= 0 {
-		s.MeanFileSize = 12 << 10
-	}
+	s.defaults(24)
 	rep := &ChunkReport{Engine: s.Engine, Seed: s.Seed}
 
 	// The source is frozen as day one.
-	src, err := newSource(ctx, s.Seed, s.Files, s.MeanFileSize, 8192)
+	src, err := newSource(ctx, s.Dataset, storage.NewMemDevice(8192), wafl.Options{})
 	if err != nil {
 		return nil, err
 	}

@@ -19,7 +19,7 @@ func TestChunkCrashMidDump(t *testing.T) {
 				name := fmt.Sprintf("%s/reverse=%v/seed=%d", engine, reverse, seed)
 				t.Run(name, func(t *testing.T) {
 					rep, err := RunChunkCrash(ctx, ChunkScenario{
-						Seed: seed, Engine: engine, Reverse: reverse,
+						Dataset: Dataset{Seed: seed, Engine: engine}, Reverse: reverse,
 					})
 					if err != nil {
 						t.Fatal(err)

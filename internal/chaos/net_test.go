@@ -38,15 +38,13 @@ func TestChaosNetPartitionedDumps(t *testing.T) {
 	}
 	for _, c := range cases {
 		rep := runNetScenario(t, NetScenario{
-			Seed:   11,
-			Engine: c.engine,
+			Dataset: Dataset{Seed: 11, Engine: c.engine, Files: 30},
 			Net: transport.FaultConfig{
 				CutAfterFrames:  c.cuts,
 				CorruptAtFrames: c.corrupt,
 			},
 			TapeCapacity: c.capacity,
 			Cartridges:   10,
-			Files:        30,
 		})
 		if rep.Partitions < len(c.cuts) {
 			t.Errorf("%s: %d partitions injected, want at least %d",
@@ -75,7 +73,7 @@ func TestChaosNetPartitionedDumps(t *testing.T) {
 // TestChaosNetDeadPeerResume black-holes the host's responses
 // mid-dump: the client's frames still arrive but no ack ever returns.
 // The session must declare the peer dead within its deadline and the
-// engine must fall back to PR 2's checkpoint Resume on a fresh
+// engine must fall back to its checkpoint Resume on a fresh
 // stream; the streams concatenate to a byte-identical restore. The
 // one-way partition is detected at the next checkpoint Sync, which is
 // exactly why checkpoints drain the window — a checkpoint the host
@@ -90,10 +88,8 @@ func TestChaosNetDeadPeerResume(t *testing.T) {
 	}
 	for _, c := range cases {
 		rep := runNetScenario(t, NetScenario{
-			Seed:                  12,
-			Engine:                c.engine,
+			Dataset:               Dataset{Seed: 12, Engine: c.engine, Files: 30},
 			PartitionAfterRecords: c.partitions,
-			Files:                 30,
 		})
 		if rep.Partitions < len(c.partitions) {
 			t.Errorf("%s: partition was never injected", c.engine)
@@ -113,13 +109,11 @@ func TestChaosNetLossyLink(t *testing.T) {
 		injected := 0
 		for seed := int64(1); seed <= int64(seedCount()); seed++ {
 			rep := runNetScenario(t, NetScenario{
-				Seed:   seed,
-				Engine: engine,
+				Dataset: Dataset{Seed: seed, Engine: engine, Files: 24},
 				Net: transport.FaultConfig{
 					Drop: 0.10, Duplicate: 0.05, Corrupt: 0.05, Reorder: 0.10,
 					MaxFaults: 60,
 				},
-				Files: 24,
 			})
 			injected += rep.Net.Dropped + rep.Net.Duplicated + rep.Net.Corrupted + rep.Net.Reordered
 		}

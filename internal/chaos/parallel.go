@@ -5,9 +5,10 @@ import (
 	"errors"
 	"fmt"
 
-	"repro/internal/catalog"
+	"repro/internal/storage"
 	"repro/internal/stream"
 	"repro/internal/tape"
+	"repro/internal/wafl"
 )
 
 // ParallelScenario drives one drive of an N-drive parallel dump
@@ -18,8 +19,7 @@ import (
 // slice onto a replacement drive, and the salvaged torn stream plus the
 // continuation plus the sibling streams restore byte-identically.
 type ParallelScenario struct {
-	Seed   int64
-	Engine catalog.Engine
+	Dataset
 	// Drives is the parallel fan-out width (default 4). The faulted
 	// drive index is seed-derived.
 	Drives int
@@ -30,15 +30,12 @@ type ParallelScenario struct {
 	// durable checkpoint.
 	OfflineAfterRecords int
 
-	Files           int
-	MeanFileSize    int
 	CheckpointEvery int // files (logical) or blocks (physical)
 }
 
 // ParallelReport is the outcome of a ParallelScenario.
 type ParallelReport struct {
-	Engine  catalog.Engine
-	Seed    int64
+	Outcome
 	Faulted int // drive index that went offline
 
 	// Siblings counts shards that completed despite the fault
@@ -51,9 +48,6 @@ type ParallelReport struct {
 	// Skipped is what the resume skipped: files (logical) or blocks
 	// (physical).
 	Skipped int
-
-	Identical bool
-	DiffPaths []string
 }
 
 // RunParallel executes one parallel-shard-fault scenario. An error
@@ -64,17 +58,12 @@ func RunParallel(ctx context.Context, s ParallelScenario) (*ParallelReport, erro
 		s.Drives = 4
 	}
 	s.OfflineAfterRecords = perEngine(s.OfflineAfterRecords, s.Engine, 10, 4)
-	if s.Files <= 0 {
-		s.Files = 48
-	}
-	if s.MeanFileSize <= 0 {
-		s.MeanFileSize = 12 << 10
-	}
+	s.defaults(48)
 	s.CheckpointEvery = perEngine(s.CheckpointEvery, s.Engine, 2, 16)
-	rep := &ParallelReport{Engine: s.Engine, Seed: s.Seed, Faulted: int(s.Seed) % s.Drives}
+	rep := &ParallelReport{Outcome: Outcome{Engine: s.Engine, Seed: s.Seed}, Faulted: int(s.Seed) % s.Drives}
 
 	// Clean storage — the fault in this scenario lives on one drive.
-	src, err := newSource(ctx, s.Seed, s.Files, s.MeanFileSize, 16384)
+	src, err := newSource(ctx, s.Dataset, storage.NewMemDevice(16384), wafl.Options{})
 	if err != nil {
 		return nil, err
 	}
@@ -84,9 +73,9 @@ func RunParallel(ctx context.Context, s ParallelScenario) (*ParallelReport, erro
 		if tapes[k], err = newStreamTape(fmt.Sprintf("t%d", k), 1, 0); err != nil {
 			return nil, err
 		}
-		sinks[k] = tapes[k].sink
+		sinks[k] = tapes[k]
 	}
-	tapes[rep.Faulted].drive.InjectFaults(tape.FaultConfig{OfflineAfterRecords: s.OfflineAfterRecords})
+	tapes[rep.Faulted].Drive.InjectFaults(tape.FaultConfig{OfflineAfterRecords: s.OfflineAfterRecords})
 
 	job := src.dump(s.Engine, s.CheckpointEvery, 2)
 	err = job.Fan(ctx, sinks)
@@ -124,16 +113,15 @@ func RunParallel(ctx context.Context, s ParallelScenario) (*ParallelReport, erro
 		return nil, err
 	}
 	rest := job.Shard(rep.Faulted)
-	if err := rest.To(ctx, cont.sink); err != nil {
+	if err := rest.To(ctx, cont); err != nil {
 		return nil, fmt.Errorf("chaos: resuming torn shard: %w", err)
 	}
 	rep.Skipped = rest.Outcomes()[0].Skipped
 
 	// Restore the first pass's streams — siblings complete, the torn
 	// one salvaged up to its tear — then the continuation.
-	if rep.DiffPaths, err = src.restoreDiff(ctx, s.Engine, sources(append(tapes, cont))); err != nil {
+	if err := rep.restore(ctx, src, append(tapes, cont)); err != nil {
 		return nil, err
 	}
-	rep.Identical = len(rep.DiffPaths) == 0
 	return rep, nil
 }

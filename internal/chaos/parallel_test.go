@@ -15,10 +15,7 @@ func TestChaosParallelShardFault(t *testing.T) {
 	for _, engine := range []catalog.Engine{catalog.Logical, catalog.Image} {
 		resumed := 0
 		for seed := int64(1); seed <= int64(seedCount()); seed++ {
-			rep, err := RunParallel(ctx, ParallelScenario{
-				Seed:   seed,
-				Engine: engine,
-			})
+			rep, err := RunParallel(ctx, ParallelScenario{Dataset: Dataset{Seed: seed, Engine: engine}})
 			if err != nil {
 				t.Fatalf("%s seed %d: %v", engine, seed, err)
 			}
@@ -47,8 +44,7 @@ func TestChaosParallelShardFault(t *testing.T) {
 // sibling drives never see it.
 func TestChaosParallelFaultIsTerminalPerShard(t *testing.T) {
 	rep, err := RunParallel(ctx, ParallelScenario{
-		Seed:                3,
-		Engine:              catalog.Image,
+		Dataset:             Dataset{Seed: 3, Engine: catalog.Image},
 		Drives:              4,
 		OfflineAfterRecords: 4,
 	})

@@ -13,8 +13,9 @@ import (
 	"repro/internal/ndmp"
 	"repro/internal/obs"
 	"repro/internal/replica"
-	"repro/internal/stream"
+	"repro/internal/storage"
 	"repro/internal/transport"
+	"repro/internal/wafl"
 )
 
 // ReplicaScenario is one seeded chaos run against the replicated
@@ -233,50 +234,33 @@ func RunReplica(ctx context.Context, s ReplicaScenario) (*ReplicaReport, error) 
 // replicated-acknowledged checkpoint. The restored tree must be
 // byte-identical for both engines.
 type ReplicaFailoverScenario struct {
-	Seed   int64
-	Engine catalog.Engine
+	Dataset
 
 	// FailAfterRecords kills the active tape host after this many
 	// accepted records (0 = a third of the way through, at least 1).
 	FailAfterRecords int
 
-	Files           int
-	MeanFileSize    int
 	CheckpointEvery int
 	MaxResumes      int
 }
 
 // ReplicaFailoverReport is the outcome of a failover chaos run.
 type ReplicaFailoverReport struct {
-	Engine catalog.Engine
-	Seed   int64
+	Outcome
 
-	Resumes     int
 	ViewChanges uint64
-	StaleHellos int  // standby Hellos answered from the replicated catalog
-	CatalogSets int  // dump sets committed through the replicated catalog
-	Identical   bool // restored tree matches byte for byte
-	DiffPaths   []string
-	Metrics     []obs.Point
+	StaleHellos int // standby Hellos answered from the replicated catalog
+	CatalogSets int // dump sets committed through the replicated catalog
 }
 
 // RunReplicaFailover executes one tape-host failover scenario.
 func RunReplicaFailover(ctx context.Context, s ReplicaFailoverScenario) (*ReplicaFailoverReport, error) {
-	if s.Files <= 0 {
-		s.Files = 24
-	}
-	if s.MeanFileSize <= 0 {
-		s.MeanFileSize = 12 << 10
-	}
-	s.CheckpointEvery = perEngine(s.CheckpointEvery, s.Engine, 2, 32)
-	if s.MaxResumes <= 0 {
-		s.MaxResumes = 4
-	}
-	rep := &ReplicaFailoverReport{Engine: s.Engine, Seed: s.Seed}
+	s.defaults(24)
+	rep := &ReplicaFailoverReport{Outcome: Outcome{Engine: s.Engine, Seed: s.Seed}}
 	reg := obs.NewRegistry()
 	defer func() { rep.Metrics = reg.Snapshot() }()
 
-	src, err := newSource(ctx, s.Seed, s.Files, s.MeanFileSize, 8192)
+	src, err := newSource(ctx, s.Dataset, storage.NewMemDevice(8192), wafl.Options{})
 	if err != nil {
 		return nil, err
 	}
@@ -299,14 +283,7 @@ func RunReplicaFailover(ctx context.Context, s ReplicaFailoverScenario) (*Replic
 	// stays stream-ordered because the harness is single-threaded.
 	var tapes []*streamTape
 	newHost := func(hostName string) *ndmp.Host {
-		h := ndmp.NewHost(func(hello ndmp.Hello) (ndmp.Sink, error) {
-			t, err := newStreamTape(fmt.Sprintf("%s-rt%d", hostName, hello.Stream), 1, 0)
-			if err != nil {
-				return nil, err
-			}
-			tapes = append(tapes, t)
-			return t.sink, nil
-		})
+		h := tapeHost(hostName+"-rt", &tapes, 1, 0)
 		h.Replicate = func(session uint64, stream int, acked uint64) error {
 			return cat.AppendSessionCheckpoint(catalog.SessionCheckpoint{
 				Session: session, Stream: int32(stream), Seq: acked,
@@ -326,54 +303,40 @@ func RunReplicaFailover(ctx context.Context, s ReplicaFailoverScenario) (*Replic
 	linkA.B().Attach(hostA.HandleFrame)
 	linkB.B().Attach(hostB.HandleFrame)
 
-	// The dial closure is the failover redirect: it asks the view
-	// service which replica is primary and dials the tape host
-	// co-located with it. Each dial advances the virtual clock, so a
-	// redial loop doubles as the failure detector's time source.
-	dial := func() (transport.Conn, error) {
-		cluster.Advance(time.Second)
-		v := cluster.Heartbeat()
-		link := linkB
-		if v.Primary == "r0" {
-			link = linkA
-		}
-		if link.Down() {
-			link.Heal() // no-op if severed: a dead machine stays dead
-		}
-		if link.Severed() {
-			return nil, fmt.Errorf("chaos: tape host for %s is gone", v.Primary)
-		}
-		return link.A(), nil
-	}
-
-	// The active machine dies whole, mid-dump: tape host link severed
-	// permanently, co-located catalog replica killed.
-	sink := &failoverSink{
-		failAfter: perEngine(s.FailAfterRecords, s.Engine, s.Files/3+1, 4),
-		failover: func() {
-			linkA.Sever()
-			cluster.Kill("r0")
+	at := &attempts{
+		// The dial is the failover redirect: it asks the view service
+		// which replica is primary and dials the tape host co-located
+		// with it. Each dial advances the virtual clock, so a redial
+		// loop doubles as the failure detector's time source.
+		dial: func() (transport.Conn, error) {
+			cluster.Advance(time.Second)
+			v := cluster.Heartbeat()
+			link := linkB
+			if v.Primary == "r0" {
+				link = linkA
+			}
+			if link.Down() {
+				link.Heal() // no-op if severed: a dead machine stays dead
+			}
+			if link.Severed() {
+				return nil, fmt.Errorf("chaos: tape host for %s is gone", v.Primary)
+			}
+			return link.A(), nil
+		},
+		cfg: ndmp.Config{Kind: byte(s.Engine), Session: uint64(s.Seed) + 1, Ctx: ctx},
+		reg: reg,
+		// The active machine dies whole, mid-dump: tape host link
+		// severed permanently, co-located catalog replica killed.
+		sink: tripSink{
+			at: []int{perEngine(s.FailAfterRecords, s.Engine, s.Files/3+1, 4)},
+			trip: func() {
+				linkA.Sever()
+				cluster.Kill("r0")
+			},
 		},
 	}
-	job := src.dump(s.Engine, s.CheckpointEvery, 0)
-	rep.Resumes, err = engine.Resume(ctx, job, s.MaxResumes,
-		func(attempt int) (stream.Sink, func(error) error, error) {
-			sess, err := ndmp.Dial(dial, ndmp.Config{
-				Kind: byte(s.Engine), Session: uint64(s.Seed) + 1, Stream: attempt, Ctx: ctx,
-			})
-			if err != nil {
-				return nil, nil, fmt.Errorf("chaos: dial stream %d: %w", attempt, err)
-			}
-			sess.RegisterMetrics(reg)
-			sink.sess = sess
-			return sink, func(err error) error {
-				if err == nil {
-					err = sess.Close()
-				}
-				return err
-			}, nil
-		}, ndmp.StreamLost)
-	if err != nil {
+	job, maxResumes := src.resumable(s.Engine, s.CheckpointEvery, s.MaxResumes)
+	if rep.Resumes, err = engine.Resume(ctx, job, maxResumes, at.open, ndmp.StreamLost); err != nil {
 		return nil, fmt.Errorf("chaos: %s dump: %w", s.Engine, err)
 	}
 
@@ -390,12 +353,9 @@ func RunReplicaFailover(ctx context.Context, s ReplicaFailoverScenario) (*Replic
 		return nil, fmt.Errorf("chaos: committing dump set: %w", err)
 	}
 
-	// Every stream but the last tore when its host died; restore
-	// salvages those.
-	if rep.DiffPaths, err = src.restoreDiff(ctx, s.Engine, sources(tapes)); err != nil {
+	if err := rep.restore(ctx, src, tapes); err != nil {
 		return nil, err
 	}
-	rep.Identical = len(rep.DiffPaths) == 0
 	rep.ViewChanges = cluster.Service().Changes()
 	rep.StaleHellos = hostB.Stats().Stales + hostA.Stats().Stales
 
@@ -411,25 +371,3 @@ func RunReplicaFailover(ctx context.Context, s ReplicaFailoverScenario) (*Replic
 	}
 	return rep, nil
 }
-
-// failoverSink wraps the session sink to kill the active tape-host
-// machine after a fixed number of accepted records.
-type failoverSink struct {
-	sess      *ndmp.Session // the current attempt's
-	written   int
-	failAfter int
-	failover  func()
-}
-
-func (f *failoverSink) WriteRecord(rec []byte) error {
-	if err := f.sess.WriteRecord(rec); err != nil {
-		return err
-	}
-	if f.written++; f.written == f.failAfter {
-		f.failover()
-	}
-	return nil
-}
-
-func (f *failoverSink) NextVolume() error { return f.sess.NextVolume() }
-func (f *failoverSink) Sync() error       { return f.sess.Sync() }

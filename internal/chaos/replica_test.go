@@ -71,7 +71,7 @@ func TestChaosTapeHostFailover(t *testing.T) {
 		resumed := 0
 		for seed := int64(1); seed <= int64(seedCount()); seed++ {
 			rep, err := RunReplicaFailover(ctx, ReplicaFailoverScenario{
-				Seed: seed, Engine: engine,
+				Dataset: Dataset{Seed: seed, Engine: engine},
 			})
 			if err != nil {
 				t.Fatalf("%s seed %d: %v", engine, seed, err)

@@ -8,6 +8,8 @@ import (
 	"repro/internal/catalog"
 	"repro/internal/engine"
 	"repro/internal/logical"
+	"repro/internal/ndmp"
+	"repro/internal/obs"
 	"repro/internal/physical"
 	"repro/internal/storage"
 	"repro/internal/stream"
@@ -17,9 +19,29 @@ import (
 )
 
 // The rig every dump-and-restore scenario stands on. A scenario is a
-// fault and the place it is injected; what it dumps (source), where one
-// stream lands (streamTape) and how the outcome is judged (restoreDiff)
-// are the same everywhere.
+// fault and the place it is injected; what it dumps (Dataset, source),
+// where one stream lands (streamTape, tapeHost), how a session stream
+// is faulted and redialled (tripSink, attempts) and how the outcome is
+// judged (Outcome.restore) are the same everywhere.
+
+// Dataset is what a scenario dumps and with which engine: a seeded
+// tree of Files regular files of MeanFileSize bytes on average.
+type Dataset struct {
+	Seed         int64
+	Engine       catalog.Engine
+	Files        int
+	MeanFileSize int
+}
+
+// defaults fills the unset knobs; files is the scenario's tree size.
+func (d *Dataset) defaults(files int) {
+	if d.Files <= 0 {
+		d.Files = files
+	}
+	if d.MeanFileSize <= 0 {
+		d.MeanFileSize = 12 << 10
+	}
+}
 
 // source is what a scenario dumps: a seeded filesystem, the frozen
 // snapshot of it every attempt reads, and that snapshot's digest — the
@@ -33,22 +55,16 @@ type source struct {
 	want  map[string]workload.Entry
 }
 
-// treeSpec is the scenarios' one dataset shape.
-func treeSpec(seed int64, files, meanSize int) workload.Spec {
-	return workload.Spec{
-		Seed: seed, Files: files, DirFanout: 5, MeanFileSize: meanSize,
-		Symlinks: files / 10, Hardlinks: files / 15,
-	}
-}
-
-// newSource builds the dataset on clean storage and freezes it.
-func newSource(ctx context.Context, seed int64, files, meanSize, blocks int) (*source, error) {
-	dev := storage.NewMemDevice(blocks)
-	fs, err := wafl.Mkfs(ctx, dev, nil, wafl.Options{})
+// newSource builds d's tree on dev and freezes it.
+func newSource(ctx context.Context, d Dataset, dev storage.Device, opts wafl.Options) (*source, error) {
+	fs, err := wafl.Mkfs(ctx, dev, nil, opts)
 	if err != nil {
 		return nil, err
 	}
-	paths, err := workload.Generate(ctx, fs, treeSpec(seed, files, meanSize))
+	paths, err := workload.Generate(ctx, fs, workload.Spec{
+		Seed: d.Seed, Files: d.Files, DirFanout: 5, MeanFileSize: d.MeanFileSize,
+		Symlinks: d.Files / 10, Hardlinks: d.Files / 15,
+	})
 	if err != nil {
 		return nil, err
 	}
@@ -89,6 +105,16 @@ func (s *source) dump(eng catalog.Engine, checkpointEvery, readers int) *engine.
 	})
 }
 
+// resumable is the dump of a scenario that resumes after a lost
+// stream, and its resume bound: unless the scenario sets them, it
+// checkpoints every 2 files or 32 blocks and resumes at most 4 times.
+func (s *source) resumable(eng catalog.Engine, checkpointEvery, maxResumes int) (*engine.Dump, int) {
+	if maxResumes <= 0 {
+		maxResumes = 4
+	}
+	return s.dump(eng, perEngine(checkpointEvery, eng, 2, 32), 0), maxResumes
+}
+
 // restoreDiff applies a set's streams to a fresh volume of the source's
 // size and returns the paths whose restored state differs from the
 // frozen snapshot (none = byte-identical).
@@ -127,6 +153,34 @@ func (s *source) restoreDiff(ctx context.Context, eng catalog.Engine, streams []
 	return diffs, nil
 }
 
+// Outcome is what every dump-and-restore scenario reports.
+type Outcome struct {
+	Engine    catalog.Engine
+	Seed      int64
+	Resumes   int      // checkpoint-resumed dump invocations (streams - 1)
+	DiffPaths []string // source paths that differ after restore
+	Identical bool     // the restored tree matches byte for byte
+
+	// Metrics is the run's final registry snapshot: every counter the
+	// scenario's layers registered, for post-mortem inspection.
+	Metrics []obs.Point
+}
+
+// restore reads tapes back in order onto a fresh volume and records
+// how the tree compares with src's frozen snapshot. Every stream but
+// the last may have torn when its fault hit; restore salvages those.
+func (o *Outcome) restore(ctx context.Context, src *source, tapes []*streamTape) error {
+	streams, err := sources(tapes)
+	if err != nil {
+		return err
+	}
+	if o.DiffPaths, err = src.restoreDiff(ctx, o.Engine, streams); err != nil {
+		return err
+	}
+	o.Identical = len(o.DiffPaths) == 0
+	return nil
+}
+
 // perEngine returns v when the scenario set it, else the engine's
 // default: image records carry ~60 KB of extents against ~10 KB of
 // logical dump stream, so knobs counted in records or blocks need a
@@ -141,28 +195,22 @@ func perEngine(v int, eng catalog.Engine, logicalDefault, imageDefault int) int 
 	return logicalDefault
 }
 
-// countingSink wraps a DriveSink to count cartridges consumed, so the
-// restore side knows how many volumes to read back.
-type countingSink struct {
+// streamTape is one stream's drive and its sink: every attempt of a
+// dump, every shard of a fan-out and every stream a tape host accepts
+// lands on its own, so a torn stream sits on its media exactly as its
+// fault left it.
+type streamTape struct {
 	*logical.DriveSink
-	vols int
+	label string // the first cartridge, where the stream starts
+	vols  int    // cartridges consumed, so the restore knows how many to read
 }
 
-func (c *countingSink) NextVolume() error {
-	err := c.DriveSink.NextVolume()
+func (t *streamTape) NextVolume() error {
+	err := t.DriveSink.NextVolume()
 	if err == nil {
-		c.vols++
+		t.vols++
 	}
 	return err
-}
-
-// streamTape is one stream's drive: every attempt of a dump, every
-// shard of a fan-out and every stream a tape host accepts lands on its
-// own, so a torn stream sits on its media exactly as its fault left it.
-type streamTape struct {
-	drive *tape.Drive
-	sink  *countingSink
-	label string // the first cartridge, where the stream starts
 }
 
 // newStreamTape loads a fresh drive named name with its cartridges.
@@ -176,27 +224,105 @@ func newStreamTape(name string, cartridges int, capacity int64) (*streamTape, er
 	if err := d.Load(nil); err != nil {
 		return nil, err
 	}
-	return &streamTape{
-		drive: d, label: name + "-0",
-		sink: &countingSink{DriveSink: &logical.DriveSink{Drive: d}},
-	}, nil
+	return &streamTape{DriveSink: &logical.DriveSink{Drive: d}, label: name + "-0"}, nil
 }
 
 // sources rewinds every tape to the start of its stream, in order.
-func sources(tapes []*streamTape) []stream.Source {
+func sources(tapes []*streamTape) ([]stream.Source, error) {
 	out := make([]stream.Source, len(tapes))
 	for i, t := range tapes {
-		d := t.drive
+		d := t.Drive
 		// A drive its fault left offline is brought back by the operator
 		// before it is read.
 		d.SetOffline(false)
-		for d.Loaded().Label != t.label {
-			if err := d.Load(nil); err != nil {
-				break
-			}
+		if err := d.Mount(nil, t.label); err != nil {
+			return nil, err
 		}
 		d.Rewind(nil)
-		out[i] = logical.NewDriveSource(d, nil, t.sink.vols+1)
+		out[i] = logical.NewDriveSource(d, nil, t.vols+1)
 	}
-	return out
+	return out, nil
+}
+
+// tapeHost is a remote tape host that lands every stream it accepts on
+// its own streamTape, named name plus the stream number, appended to
+// *tapes in the order the streams arrive.
+func tapeHost(name string, tapes *[]*streamTape, cartridges int, capacity int64) *ndmp.Host {
+	return ndmp.NewHost(func(h ndmp.Hello) (ndmp.Sink, error) {
+		t, err := newStreamTape(fmt.Sprintf("%s%d", name, h.Stream), cartridges, capacity)
+		if err != nil {
+			return nil, err
+		}
+		*tapes = append(*tapes, t)
+		return t, nil
+	})
+}
+
+// tripSink adapts the current attempt's session to the engines' sink
+// contract and fires a fault scheduled by record count: once the
+// accepted records reach at[0], trip runs and at moves on.
+type tripSink struct {
+	sess    *ndmp.Session // the current attempt's
+	written int
+	at      []int // cumulative accepted-record counts
+	trip    func()
+	tripped int
+}
+
+func (t *tripSink) WriteRecord(rec []byte) error {
+	if err := t.sess.WriteRecord(rec); err != nil {
+		return err
+	}
+	t.written++
+	if len(t.at) > 0 && t.written >= t.at[0] {
+		t.trip()
+		t.at = t.at[1:]
+		t.tripped++
+	}
+	return nil
+}
+
+func (t *tripSink) NextVolume() error { return t.sess.NextVolume() }
+
+// Sync forwards the engines' checkpoint drain to the session, which
+// is what makes a checkpoint mean "acknowledged durable" over the
+// wire. Without it a resume could trust a checkpoint the host never
+// received and silently lose the records in between.
+func (t *tripSink) Sync() error { return t.sess.Sync() }
+
+// attempts dumps through one ndmp session per engine.Resume attempt:
+// each attempt runs fresh (if set), dials its own stream with cfg and
+// writes through sink; when the attempt ends its session is closed and
+// its reconnects and replays are summed.
+type attempts struct {
+	dial  ndmp.Dialer
+	cfg   ndmp.Config // Stream is set per attempt
+	reg   *obs.Registry
+	fresh func()
+	sink  tripSink
+
+	reconnects, replayed int
+}
+
+func (a *attempts) open(attempt int) (stream.Sink, func(error) error, error) {
+	if a.fresh != nil {
+		a.fresh()
+	}
+	cfg := a.cfg
+	cfg.Stream = attempt
+	sess, err := ndmp.Dial(a.dial, cfg)
+	if err != nil {
+		return nil, nil, fmt.Errorf("chaos: dial stream %d: %w", attempt, err)
+	}
+	sess.RegisterMetrics(a.reg)
+	a.sink.sess = sess
+	return &a.sink, func(err error) error {
+		if err == nil {
+			err = sess.Close()
+		}
+		st := sess.Stats()
+		a.reconnects += st.Reconnects
+		a.replayed += st.Replayed
+		return err
+	}, nil
 }

@@ -7,86 +7,14 @@ import (
 	"testing"
 
 	"repro/internal/catalog"
-	"repro/internal/core"
 	"repro/internal/media"
-	"repro/internal/sched"
-	"repro/internal/scrub"
-	"repro/internal/tape"
 	"repro/internal/workload"
 )
-
-// scrubRig is the catalog rig plus the integrity layer: a stream
-// mirror fed by the scheduler and a scrubber wired into the schedule.
-type scrubRig struct {
-	f      *core.Filer
-	cat    *catalog.Catalog
-	pool   *media.Pool
-	s      *sched.Scheduler
-	mirror *scrub.Store
-	scr    *scrub.Scrubber
-}
-
-func newScrubRig(t *testing.T, engine catalog.Engine, withMirror bool) *scrubRig {
-	t.Helper()
-	cfg := core.DefaultConfig()
-	cfg.Name = "vol0"
-	cfg.Simulate = true
-	cfg.BlocksPerDisk = 512
-	cfg.CartridgesPerDrive = 8
-	f, err := core.NewFiler(ctx, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := workload.Generate(ctx, f.FS, workload.Spec{
-		Seed: 99, Files: 20, DirFanout: 4, MeanFileSize: 6 << 10,
-	}); err != nil {
-		t.Fatal(err)
-	}
-	cat, err := catalog.Open(&catalog.MemStore{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	pool := media.NewPool("main", cat)
-	if err := pool.Adopt(f.Tapes[0], 0); err != nil {
-		t.Fatal(err)
-	}
-	f.AttachCatalog(cat)
-
-	scfg := scrub.Config{Catalog: cat, Pool: pool,
-		Open: pool.Opener(tape.NewDrive(f.Env, "scrub/maint", tape.DefaultParams()))}
-	var mirror *scrub.Store
-	if withMirror {
-		mirror = scrub.NewStore()
-		scfg.Replicas = []scrub.Replica{mirror}
-	}
-	scr, err := scrub.New(scfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s, err := sched.New(sched.Config{
-		Filer: f, Catalog: cat, Pool: pool, Engine: engine,
-		Policy: sched.BSDLadder{Ladder: []int{3, 5}},
-		Mirror: mirror, Scrub: scr,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return &scrubRig{f: f, cat: cat, pool: pool, s: s, mirror: mirror, scr: scr}
-}
-
-func (r *scrubRig) digest(t *testing.T) map[string]workload.Entry {
-	t.Helper()
-	d, err := workload.TreeDigest(ctx, r.f.FS.ActiveView(), "/")
-	if err != nil {
-		t.Fatal(err)
-	}
-	return d
-}
 
 // rot injects one fault at the first record of a catalogued set:
 // a latched read error (detected by the drive) or a silent bit flip
 // (detected only by the stream's own checksums).
-func (r *scrubRig) rot(t *testing.T, setID uint64, latent bool) string {
+func (r *schedRig) rot(t *testing.T, setID uint64, latent bool) string {
 	t.Helper()
 	ds, ok := r.cat.Set(setID)
 	if !ok {
@@ -118,7 +46,7 @@ func TestChaosScrubBitRotRepair(t *testing.T) {
 		for _, engine := range []catalog.Engine{catalog.Logical, catalog.Image} {
 			t.Run(fmt.Sprintf("seed%d-%s", seed, engine), func(t *testing.T) {
 				rng := rand.New(rand.NewSource(seed))
-				r := newScrubRig(t, engine, true)
+				r := newSchedRig(t, engine, true, true)
 
 				var last map[string]workload.Entry
 				for run := 0; run < 3; run++ {
@@ -164,16 +92,7 @@ func TestChaosScrubBitRotRepair(t *testing.T) {
 				if len(plan.Steps) != 3 {
 					t.Fatalf("plan has %d steps: %s", len(plan.Steps), plan)
 				}
-				opts := sched.RecoverOptions{}
-				if engine == catalog.Logical {
-					opts.Wipe = true
-				}
-				if _, err := sched.Recover(ctx, r.f, r.pool, plan, opts); err != nil {
-					t.Fatalf("recover from repaired media: %v", err)
-				}
-				if diffs := workload.DiffDigests(last, r.digest(t)); len(diffs) > 0 {
-					t.Fatalf("restored tree differs after bit-rot repairs: %v", diffs)
-				}
+				r.recover(t, plan, last, "repaired media")
 			})
 		}
 	}
@@ -191,7 +110,7 @@ func TestChaosScrubDegradeRouteAround(t *testing.T) {
 		for _, engine := range []catalog.Engine{catalog.Logical, catalog.Image} {
 			t.Run(fmt.Sprintf("seed%d-%s", seed, engine), func(t *testing.T) {
 				rng := rand.New(rand.NewSource(seed))
-				r := newScrubRig(t, engine, false)
+				r := newSchedRig(t, engine, true, false)
 
 				// Full, then two chained incrementals.
 				var states []map[string]workload.Entry
@@ -237,16 +156,7 @@ func TestChaosScrubDegradeRouteAround(t *testing.T) {
 				if len(plan.Steps) != 1 || plan.Steps[0].ID != 1 {
 					t.Fatalf("rerouted plan = %s, want the level-0 set alone", plan)
 				}
-				opts := sched.RecoverOptions{}
-				if engine == catalog.Logical {
-					opts.Wipe = true
-				}
-				if _, err := sched.Recover(ctx, r.f, r.pool, plan, opts); err != nil {
-					t.Fatalf("rerouted recover: %v", err)
-				}
-				if diffs := workload.DiffDigests(states[0], r.digest(t)); len(diffs) > 0 {
-					t.Fatalf("rerouted restore differs from the full's state: %v", diffs)
-				}
+				r.recover(t, plan, states[0], "rerouted to the full")
 
 				// Rot the full as well: now every chain passes through
 				// damage, and the scrub must degrade it too.
