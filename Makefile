@@ -57,9 +57,9 @@ attribution: ## per-layer table of one traced benchmark run (non-zero series; PH
 	@bash benchmark/run.sh --workload $(WORKLOAD) --seed 1999 --seconds 6 --trace 1 | awk -v phase="$(PHASE)" '/^  / && $$2 + 0 != 0 && (phase == "" || $$1 ~ "\\." phase "$$")'
 
 ALLOC_PROFILE_DIR ?= $(CURDIR)/.alloc_profile
-ALLOC_PINS = logical:TestDumpAllocsPerMiB logical:TestRestoreAllocsPerMiB ndmp:TestPushAllocsPerMiB
+ALLOC_PINS = logical:TestDumpAllocsPerMiB logical:TestRestoreAllocsPerMiB logical:TestDedupRestoreAllocsPerMiB ndmp:TestPushAllocsPerMiB
 
-alloc-profile: ## where the heap objects come from: the allocation pins (internal/logical's dump and restore, internal/ndmp's push over TCP) with every allocation sampled, top 25 sites each — the whole test, input generation included (the frozen benchmark/ binary has no profile flag)
+alloc-profile: ## where the heap objects come from: the allocation pins (internal/logical's dump, restore and dedup'd restore, internal/ndmp's push over TCP) with every allocation sampled, top 25 sites each — the whole test, input generation included (the frozen benchmark/ binary has no profile flag)
 	@mkdir -p $(ALLOC_PROFILE_DIR)
 	@for p in $(ALLOC_PINS); do \
 		pkg=$${p%%:*}; pin=$${p#*:}; \

@@ -32,6 +32,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -702,11 +703,13 @@ func (s *fileSink) NextVolume() error {
 
 func (s *fileSink) Close() error { return s.f.Close() }
 
-// fileSource reads a stream file back; left is what the file still
-// holds, which bounds what a length prefix can make ReadRecord allocate.
+// fileSource reads a stream file back into one record buffer it lends
+// (stream.Source); left is what the file still holds, which bounds what
+// a length prefix can make ReadRecord grow that buffer to.
 type fileSource struct {
 	f    *os.File
 	left int64
+	buf  []byte
 }
 
 func openStream(path string) (*fileSource, error) {
@@ -739,11 +742,11 @@ func (s *fileSource) ReadRecord() ([]byte, error) {
 	if s.left -= 4 + int64(n); s.left < 0 {
 		return nil, io.ErrUnexpectedEOF // the file ends inside this record
 	}
-	buf := make([]byte, n)
-	if _, err := io.ReadFull(s.f, buf); err != nil {
+	s.buf = slices.Grow(s.buf[:0], int(n))[:n]
+	if _, err := io.ReadFull(s.f, s.buf); err != nil {
 		return nil, err
 	}
-	return buf, nil
+	return s.buf, nil
 }
 
 // writeExtracted lands single files pulled out of image streams (extract,

@@ -140,7 +140,9 @@ type Index interface {
 
 // Media is append-only chunk storage. Append must consume data before
 // returning (the caller reuses the buffer); ReadAt returns the exact
-// bytes appended at loc. Media with write-behind buffering also
+// bytes appended at loc, lent like a stream.Source's record: read-only
+// and valid until the media's next ReadAt (DriveMedia hands out the
+// drive's one read buffer). Media with write-behind buffering also
 // implement stream.Syncer: the Writer syncs them before journaling
 // index entries, so the journal never references bytes that aren't on
 // media.

@@ -5,6 +5,7 @@ import (
 	"compress/flate"
 	"fmt"
 	"io"
+	"slices"
 	"sync"
 )
 
@@ -40,21 +41,30 @@ func compress(buf *bytes.Buffer, p []byte) []byte {
 	return buf.Bytes()
 }
 
-// decompress inflates p into a fresh rawLen-byte buffer, failing on
-// short, long or malformed input.
-func decompress(p []byte, rawLen int) ([]byte, error) {
+// inflater decompresses chunks into one buffer it reuses, so a
+// restore's steady state allocates nothing per chunk.
+type inflater struct {
+	br  bytes.Reader
+	out []byte
+	one [1]byte // the overflow probe
+}
+
+// inflate decompresses p, which must inflate to exactly rawLen bytes,
+// failing on short, long or malformed input. The result is valid until
+// the next inflate.
+func (f *inflater) inflate(p []byte, rawLen int) ([]byte, error) {
 	r := flateReaders.Get().(io.ReadCloser)
 	defer flateReaders.Put(r)
-	if err := r.(flate.Resetter).Reset(bytes.NewReader(p), nil); err != nil {
+	f.br.Reset(p)
+	if err := r.(flate.Resetter).Reset(&f.br, nil); err != nil {
 		return nil, err
 	}
-	out := make([]byte, rawLen)
-	if _, err := io.ReadFull(r, out); err != nil {
+	f.out = slices.Grow(f.out[:0], rawLen)[:rawLen]
+	if _, err := io.ReadFull(r, f.out); err != nil {
 		return nil, fmt.Errorf("chunk: inflate: %w", err)
 	}
-	var one [1]byte
-	if n, _ := r.Read(one[:]); n != 0 {
+	if n, _ := r.Read(f.one[:]); n != 0 {
 		return nil, fmt.Errorf("chunk: inflate: %d-byte chunk overflows its raw length %d", len(p), rawLen)
 	}
-	return out, nil
+	return f.out, nil
 }

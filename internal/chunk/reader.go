@@ -25,20 +25,22 @@ type Reader struct {
 	refs  []Ref
 	next  int // next ref to fetch
 
-	buf []byte // decompressed bytes pending emission
-	off int    // read offset into buf
+	buf     []byte // chunk bytes pending emission: lent by media or inflate
+	off     int    // read offset into buf
+	rec     []byte // the record ReadRecord lends, reused by every call
+	inflate inflater
 }
 
 // NewReader reads back the stream m describes.
 func NewReader(index Lookup, media Media, m Manifest) *Reader {
-	return &Reader{index: index, media: media, refs: m.Refs}
+	return &Reader{index: index, media: media, refs: m.Refs, rec: make([]byte, 0, RecordBytes)}
 }
 
 // ReadRecord implements stream.Source: the next RecordBytes of the
-// stream (final record short), io.EOF at the end. Each call returns a
-// fresh buffer, matching the tape-drive source contract.
+// stream (final record short), io.EOF at the end. The record is the
+// Reader's one record buffer, lent until the next call.
 func (r *Reader) ReadRecord() ([]byte, error) {
-	rec := make([]byte, 0, RecordBytes)
+	rec := r.rec[:0]
 	for len(rec) < RecordBytes {
 		if r.off == len(r.buf) {
 			if r.next == len(r.refs) {
@@ -74,7 +76,7 @@ func (r *Reader) fetch(ref Ref) error {
 	}
 	raw := stored
 	if e.Compressed {
-		if raw, err = decompress(stored, int(e.RawLen)); err != nil {
+		if raw, err = r.inflate.inflate(stored, int(e.RawLen)); err != nil {
 			return fmt.Errorf("chunk: %s: %w", ref.Hash, err)
 		}
 	}

@@ -224,10 +224,11 @@ var ErrTorn = fmt.Errorf("dumpfmt: stream ends before TS_END: %w", io.ErrUnexpec
 // property the paper credits logical backup with.
 type Reader struct {
 	src     stream.Source
-	pending [][]byte
-	skipped int      // corrupt units skipped during resync
-	ended   bool     // TS_END has been returned
-	segs    [][]byte // Walk's scratch: one header's segments
+	rec     []byte // the source's current record, lent until its next read
+	off     int    // the next unit's offset in rec
+	skipped int    // corrupt units skipped during resync
+	ended   bool   // TS_END has been returned
+	arena   []byte // Walk's scratch: one header's segments, copied out of rec
 }
 
 // NewReader wraps a source of blocked records.
@@ -236,10 +237,13 @@ func NewReader(src stream.Source) *Reader { return &Reader{src: src} }
 // Skipped returns how many units were discarded during resync.
 func (r *Reader) Skipped() int { return r.skipped }
 
-// readUnit returns the next 1 KB unit. A source that runs out before
-// TS_END went by is torn; after it, the end is io.EOF.
+// readUnit returns the next 1 KB unit, in place in the source's
+// record: it is valid only until the next readUnit. A source that runs
+// out before TS_END went by is torn; after it, the end is io.EOF.
 func (r *Reader) readUnit() ([]byte, error) {
-	for len(r.pending) == 0 {
+	// A torn record's trailing partial unit is never reached: only its
+	// whole units are salvaged.
+	for r.off+TPBSize > len(r.rec) {
 		rec, err := r.src.ReadRecord()
 		if err == io.EOF && !r.ended {
 			return nil, ErrTorn
@@ -247,16 +251,10 @@ func (r *Reader) readUnit() ([]byte, error) {
 		if err != nil {
 			return nil, err
 		}
-		if len(rec)%TPBSize != 0 {
-			// A torn record: salvage the whole units.
-			rec = rec[:len(rec)/TPBSize*TPBSize]
-		}
-		for off := 0; off < len(rec); off += TPBSize {
-			r.pending = append(r.pending, rec[off:off+TPBSize])
-		}
+		r.rec, r.off = rec, 0
 	}
-	u := r.pending[0]
-	r.pending = r.pending[1:]
+	u := r.rec[r.off : r.off+TPBSize]
+	r.off += TPBSize
 	return u, nil
 }
 
@@ -311,10 +309,10 @@ func (r *Reader) Walk(h *Header, visit func(off uint64, seg []byte) error) (*Hea
 			if a != 1 {
 				continue
 			}
-			if n == len(r.segs) {
+			if n*TPBSize == len(r.arena) {
 				break
 			}
-			unit, off := r.segs[n], (base+uint64(i))*TPBSize
+			unit, off := r.arena[n*TPBSize:(n+1)*TPBSize], (base+uint64(i))*TPBSize
 			n++
 			if visit == nil || off >= size {
 				continue
@@ -341,11 +339,12 @@ func (r *Reader) Walk(h *Header, visit func(off uint64, seg []byte) error) (*Hea
 	}
 }
 
-// readSegments reads the data units hole map addrs says follow its
-// header into r.segs, skipping markers; on an error r.segs holds the
-// ones before it.
+// readSegments copies the data units hole map addrs says follow its
+// header into r.arena, one after another, skipping markers; on an error
+// r.arena holds the ones before it. The copy is what lets the units
+// outlive the source records they span.
 func (r *Reader) readSegments(addrs []byte) error {
-	r.segs = r.segs[:0]
+	r.arena = r.arena[:0]
 	for _, a := range addrs {
 		for a == 1 {
 			unit, err := r.readUnit()
@@ -353,7 +352,7 @@ func (r *Reader) readSegments(addrs []byte) error {
 				return err
 			}
 			if h, err := UnmarshalHeader(unit); err != nil || !isMarker(h) {
-				r.segs = append(r.segs, unit)
+				r.arena = append(r.arena, unit...)
 				break
 			}
 		}

@@ -5,40 +5,38 @@ import (
 	"testing"
 
 	"repro/internal/bufpool"
+	"repro/internal/chunk"
 	"repro/internal/nvram"
 	"repro/internal/storage"
+	"repro/internal/tape"
 	"repro/internal/wafl"
 	"repro/internal/workload"
 )
 
-// TestRestoreAllocsPerMiB pins the heap objects a logical restore
-// allocates per MiB it lays down, through a filesystem that logs to
-// NVRAM as the filer's does: a ceiling that only ratchets down.
-// Measured 1 230 when recorded. What is left: a staged 4 KiB buffer
-// per block until a consistency point trades them back (this restore
-// fits in one NVRAM half, so that is all 256 per MiB; a longer one
-// reuses them), the dump reader's and the tape drive's copies of every
-// record read, and NVRAM's copy of every entry logged. What must not
-// come back is a string per directory record a lookup passes over, a
-// lookup per dump entry in the skeleton, a copy of each block a
-// consistency point hands the cache, a write buffer per file (2 546
-// with all four), or two cache-entry objects per block cached and a
-// log entry grown by doubling (2 074 with those).
-func TestRestoreAllocsPerMiB(t *testing.T) {
-	if bufpool.RaceEnabled {
-		t.Skip("allocation counts are not meaningful under the race detector")
-	}
-	src := newFS(t, 16384)
-	if _, err := workload.Generate(ctx, src, workload.Spec{
+// pinTree fills fs with the tree the allocation pins dump and restore
+// and returns a snapshot view of it.
+func pinTree(t *testing.T, fs *wafl.FS) *wafl.View {
+	t.Helper()
+	if _, err := workload.Generate(ctx, fs, workload.Spec{
 		Seed: 7, Files: 120, DirFanout: 12, MeanFileSize: 64 << 10, Symlinks: 3, Hardlinks: 2,
 	}); err != nil {
 		t.Fatal(err)
 	}
-	src.CreateSnapshot(ctx, "s")
-	view, _ := src.SnapshotView("s")
-	drive := newTape(t, 0, 1)
-	dumpToTape(t, view, drive, 0, nil)
+	if err := fs.CreateSnapshot(ctx, "s"); err != nil {
+		t.Fatal(err)
+	}
+	view, err := fs.SnapshotView("s")
+	if err != nil {
+		t.Fatal(err)
+	}
+	return view
+}
 
+// restoreAllocsPerMiB restores what drive holds onto a filesystem that
+// logs to NVRAM as the filer's does, checks the tree against want's and
+// returns the heap objects the restore allocated per MiB it laid down.
+func restoreAllocsPerMiB(t *testing.T, want *wafl.View, drive *tape.Drive, opts ...func(*RestoreOptions)) float64 {
+	t.Helper()
 	dst, err := wafl.Mkfs(ctx, storage.NewMemDevice(16384), nvram.New(nil, nvram.DefaultParams()), wafl.Options{})
 	if err != nil {
 		t.Fatal(err)
@@ -46,25 +44,82 @@ func TestRestoreAllocsPerMiB(t *testing.T) {
 	var before, after runtime.MemStats
 	runtime.GC()
 	runtime.ReadMemStats(&before)
-	stats := restoreFromTape(t, dst, drive)
+	stats := restoreFromTape(t, dst, drive, opts...)
 	runtime.ReadMemStats(&after)
-	assertTreesEqual(t, digests(t, view, "/"), digests(t, dst.ActiveView(), "/"))
+	assertTreesEqual(t, digests(t, want, "/"), digests(t, dst.ActiveView(), "/"))
 
 	perMiB := float64(after.Mallocs-before.Mallocs) / (float64(stats.BytesRead) / (1 << 20))
 	t.Logf("%d files, %.1f MiB: %.0f allocations per MiB", stats.FilesRestored, float64(stats.BytesRead)/(1<<20), perMiB)
-	const ceiling = 1267
-	if perMiB > ceiling {
+	return perMiB
+}
+
+// TestRestoreAllocsPerMiB pins the heap objects a logical restore
+// allocates per MiB it lays down, through a filesystem that logs to
+// NVRAM as the filer's does: a ceiling that only ratchets down.
+// Measured 834 when recorded. What is left: a staged 4 KiB buffer per
+// block until a consistency point trades them back (this restore fits
+// in one NVRAM half, so that is all 256 per MiB; a longer one reuses
+// them), NVRAM's copy of every entry logged, wafl's per-file state and
+// each header's decoded Header. What must not come back is a copy of
+// every record read (the drive's and the dump reader's: 1 228 with
+// them), a string per directory entry listed or decoded, an error
+// formatted per lookup that misses, a string per directory record a
+// lookup passes over, a lookup per dump entry in the skeleton, a copy
+// of each block a consistency point hands the cache, a write buffer per
+// file (2 546 with all four), or two cache-entry objects per block
+// cached and a log entry grown by doubling (2 074 with those).
+func TestRestoreAllocsPerMiB(t *testing.T) {
+	if bufpool.RaceEnabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	view := pinTree(t, newFS(t, 16384))
+	drive := newTape(t, 0, 1)
+	dumpToTape(t, view, drive, 0, nil)
+	const ceiling = 860
+	if perMiB := restoreAllocsPerMiB(t, view, drive); perMiB > ceiling {
 		t.Fatalf("logical restore: %.0f allocations per MiB restored, want <= %d", perMiB, ceiling)
+	}
+}
+
+// TestDedupRestoreAllocsPerMiB pins the same restore fed by chunk.Reader
+// instead: the stream dedup'd onto tape through DriveMedia and read back
+// chunk by chunk, as a dedup'd set is restored. Measured 863 when
+// recorded: the plain restore's objects and little else. What must not
+// come back is a buffer per chunk inflated or per record re-blocked, or
+// anything on the plain restore's list (1 380 with all of it).
+func TestDedupRestoreAllocsPerMiB(t *testing.T) {
+	if bufpool.RaceEnabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	view := pinTree(t, newFS(t, 16384))
+	drive := newTape(t, 0, 1)
+	media := chunk.NewDriveMedia(drive, nil)
+	ix := chunkIndex{}
+	w, err := chunk.NewWriter(chunk.WriterOptions{Index: ix, Media: media, Engine: "logical"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	dumpToTape(t, view, drive, 0, nil, func(o *DumpOptions) { o.Sink = w })
+	m, err := w.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	const ceiling = 890
+	if perMiB := restoreAllocsPerMiB(t, view, drive, func(o *RestoreOptions) {
+		o.Source = chunk.NewReader(ix, media, m)
+	}); perMiB > ceiling {
+		t.Fatalf("dedup'd restore: %.0f allocations per MiB restored, want <= %d", perMiB, ceiling)
 	}
 }
 
 // TestDumpAllocsPerMiB pins the heap objects a logical dump allocates
 // per MiB it writes, reading through a warm filesystem whose cache is a
 // fraction of the tree, with the engine's read-ahead on: every file
-// block is a prefetch miss that evicts another. Measured 212 when
+// block is a prefetch miss that evicts another. Measured 150 when
 // recorded, the tape's copy of each record it is handed and the
-// engine's per-file bookkeeping; what must not come back is a heap
-// object per block read or cached (1 110 with them).
+// engine's per-file bookkeeping; what must not come back is a string
+// per directory entry listed (212 with it) or a heap object per block
+// read or cached (1 110 with them).
 func TestDumpAllocsPerMiB(t *testing.T) {
 	if bufpool.RaceEnabled {
 		t.Skip("allocation counts are not meaningful under the race detector")
@@ -73,13 +128,7 @@ func TestDumpAllocsPerMiB(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := workload.Generate(ctx, src, workload.Spec{
-		Seed: 7, Files: 120, DirFanout: 12, MeanFileSize: 64 << 10, Symlinks: 3, Hardlinks: 2,
-	}); err != nil {
-		t.Fatal(err)
-	}
-	src.CreateSnapshot(ctx, "s")
-	view, _ := src.SnapshotView("s")
+	view := pinTree(t, src)
 	dumpToTape(t, view, newTape(t, 0, 1), 0, nil, func(o *DumpOptions) { o.ReadAhead = 16 })
 
 	drive := newTape(t, 0, 1)
@@ -91,7 +140,7 @@ func TestDumpAllocsPerMiB(t *testing.T) {
 
 	perMiB := float64(after.Mallocs-before.Mallocs) / (float64(stats.BytesWritten) / (1 << 20))
 	t.Logf("%d files, %.1f MiB: %.0f allocations per MiB", stats.FilesDumped, float64(stats.BytesWritten)/(1<<20), perMiB)
-	const ceiling = 218
+	const ceiling = 160
 	if perMiB > ceiling {
 		t.Fatalf("logical dump: %.0f allocations per MiB written, want <= %d", perMiB, ceiling)
 	}

@@ -483,21 +483,27 @@ func encodeDirEnts(ents []wafl.DirEnt) []byte {
 }
 
 // DecodeDirEnts reverses encodeDirEnts; exported for restore and tests.
+// The names are slices of one copy of data.
 func DecodeDirEnts(data []byte) ([]wafl.DirEnt, error) {
-	var ents []wafl.DirEnt
-	for off := 0; off < len(data); {
+	n := 0
+	for off := 0; off < len(data); n++ {
 		if off+7 > len(data) {
 			return nil, fmt.Errorf("logical: truncated directory record at %d", off)
 		}
+		name := off + 7
+		off = name + int(binary.LittleEndian.Uint16(data[off+5:]))
+		if off > len(data) {
+			return nil, fmt.Errorf("logical: truncated directory name at %d", name)
+		}
+	}
+	ents := make([]wafl.DirEnt, 0, n)
+	s := string(data)
+	for off := 0; off < len(s); {
 		ino := binary.LittleEndian.Uint32(data[off:])
 		typ := uint32(data[off+4]) << 12
-		n := int(binary.LittleEndian.Uint16(data[off+5:]))
-		off += 7
-		if off+n > len(data) {
-			return nil, fmt.Errorf("logical: truncated directory name at %d", off)
-		}
-		ents = append(ents, wafl.DirEnt{Ino: wafl.Inum(ino), Type: typ, Name: string(data[off : off+n])})
-		off += n
+		end := off + 7 + int(binary.LittleEndian.Uint16(data[off+5:]))
+		ents = append(ents, wafl.DirEnt{Ino: wafl.Inum(ino), Type: typ, Name: s[off+7 : end]})
+		off = end
 	}
 	return ents, nil
 }

@@ -309,6 +309,10 @@ func (rst *restoreState) buildSkeleton(ctx context.Context) error {
 	queue := []wafl.Inum{des.rootIno}
 	seen := map[wafl.Inum]bool{}
 	av := rst.fs.ActiveView()
+	// Per-directory scratch, cleared and reused for every directory.
+	dumpNames := make(map[string]wafl.DirEnt)
+	onDisk := make(map[string]wafl.Inum)
+	var names []string
 	for len(queue) > 0 {
 		d := queue[0]
 		queue = queue[1:]
@@ -324,7 +328,7 @@ func (rst *restoreState) buildSkeleton(ctx context.Context) error {
 			rst.dirsToFinish = append(rst.dirsToFinish, d)
 		}
 
-		dumpNames := make(map[string]wafl.DirEnt)
+		clear(dumpNames)
 		for _, e := range des.ents[d] {
 			if e.Name == "." || e.Name == ".." {
 				continue
@@ -340,7 +344,7 @@ func (rst *restoreState) buildSkeleton(ctx context.Context) error {
 		if err != nil {
 			return err
 		}
-		onDisk := make(map[string]wafl.Inum, len(existing))
+		clear(onDisk)
 		for _, e := range existing {
 			onDisk[e.Name] = e.Ino
 		}
@@ -365,7 +369,7 @@ func (rst *restoreState) buildSkeleton(ctx context.Context) error {
 		}
 
 		// Create or map subdirectories; map existing files.
-		names := make([]string, 0, len(dumpNames))
+		names = names[:0]
 		for n := range dumpNames {
 			names = append(names, n)
 		}

@@ -1,6 +1,7 @@
 package physical
 
 import (
+	"bytes"
 	"context"
 	"encoding/binary"
 	"errors"
@@ -399,7 +400,8 @@ func StreamInfo(src stream.Source) (nblocks, gen, baseGen uint64, replay stream.
 	return h.nblocks, h.gen, h.baseGen, tee, nil
 }
 
-// recorderSource captures records as they are read.
+// recorderSource captures records as they are read. It keeps them past
+// the source's next read, so it keeps copies.
 type recorderSource struct {
 	src  stream.Source
 	into *[][]byte
@@ -408,7 +410,7 @@ type recorderSource struct {
 func (r recorderSource) ReadRecord() ([]byte, error) {
 	rec, err := r.src.ReadRecord()
 	if err == nil {
-		*r.into = append(*r.into, rec)
+		*r.into = append(*r.into, bytes.Clone(rec))
 	}
 	return rec, err
 }

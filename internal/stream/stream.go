@@ -35,6 +35,10 @@ type Sink interface {
 // Source supplies a stream's records to restore and the verifiers,
 // io.EOF at the end. Implementations handle cartridge cycling.
 type Source interface {
+	// ReadRecord returns the next record. The record is lent: it is
+	// read-only and valid only until the source's next ReadRecord, which
+	// may reuse its buffer (a tape drive reads every record into one), so
+	// a consumer that keeps a record past that copies it.
 	ReadRecord() ([]byte, error)
 }
 

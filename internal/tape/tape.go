@@ -222,7 +222,8 @@ type Drive struct {
 	station *sim.Station
 
 	cart    *Cartridge
-	pos     int // read position in cart.records
+	pos     int    // read position in cart.records
+	rbuf    []byte // the record ReadRecord lends, reused by every read
 	stacker []*Cartridge
 
 	bytesWritten int64
@@ -423,7 +424,10 @@ func (d *Drive) Flush(p *sim.Proc) {
 
 // ReadRecord returns the next record. At a file mark it returns
 // (nil, ErrFileMark) and advances past the mark; at the end of data it
-// returns (nil, ErrEndOfTape).
+// returns (nil, ErrEndOfTape). The record is a copy in the drive's one
+// read buffer, lent until the drive's next read: the cartridge stays
+// isolated from whatever the caller does with it, and a caller that
+// keeps a record copies it (the stream.Source contract).
 //
 // Reads are charged asynchronously against the transport, modelling
 // the drive's read-ahead buffer (depth WriteBehind): the drive streams
@@ -457,9 +461,8 @@ func (d *Drive) ReadRecord(p *sim.Proc) ([]byte, error) {
 	if d.station != nil {
 		d.station.Async(p, d.params.PerRecord+sim.TimeFor(len(r.data), d.params.Rate))
 	}
-	cp := make([]byte, len(r.data))
-	copy(cp, r.data)
-	return cp, nil
+	d.rbuf = append(d.rbuf[:0], r.data...)
+	return d.rbuf, nil
 }
 
 // ReadData returns the next data record of the mounted cartridge — the

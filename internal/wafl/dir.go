@@ -3,7 +3,7 @@ package wafl
 import (
 	"context"
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 )
 
@@ -56,20 +56,38 @@ func dirRecAt(blk []byte, off int) (ino Inum, reclen, namelen int, ftype uint32,
 	return ino, reclen, namelen, ftype, nil
 }
 
-// dirForEach iterates the records of one directory block. The callback
-// gets the record offset, its fields, and returns false to stop.
-func dirForEach(blk []byte, fn func(off int, ino Inum, reclen int, ftype uint32, name string) bool) error {
+// appendDirEnts appends the live records of one directory block to
+// ents. The block's names share one string, and a free record costs
+// nothing.
+func appendDirEnts(ents []DirEnt, blk []byte) ([]DirEnt, error) {
+	live, nameBytes := 0, 0
 	for off := 0; off < BlockSize; {
-		ino, reclen, namelen, ftype, err := dirRecAt(blk, off)
+		ino, reclen, namelen, _, err := dirRecAt(blk, off)
 		if err != nil {
-			return err
+			return ents, err
 		}
-		if !fn(off, ino, reclen, ftype, string(blk[off+dirRecFixed:off+dirRecFixed+namelen])) {
-			return nil
+		if ino != 0 {
+			live++
+			nameBytes += namelen
 		}
 		off += reclen
 	}
-	return nil
+	// Grown once, the builder never moves its bytes, so each String()
+	// below is a prefix of the final one and a name sliced from it stays
+	// valid.
+	var names strings.Builder
+	names.Grow(nameBytes)
+	ents = slices.Grow(ents, live)
+	for off := 0; off < BlockSize; {
+		ino, reclen, namelen, ftype, _ := dirRecAt(blk, off)
+		if ino != 0 {
+			names.Write(blk[off+dirRecFixed : off+dirRecFixed+namelen])
+			all := names.String()
+			ents = append(ents, DirEnt{Name: all[len(all)-namelen:], Ino: ino, Type: ftype})
+		}
+		off += reclen
+	}
+	return ents, nil
 }
 
 // dirFind returns the offset, inode and type of the live record called
@@ -184,7 +202,19 @@ func (v *View) lookupDir(ctx context.Context, dir Inum, name string) (Inum, uint
 			return got, gotType, nil
 		}
 	}
-	return 0, 0, fmt.Errorf("%w: %q", ErrNotFound, name)
+	return 0, 0, ErrNotFound
+}
+
+// lookupNamed is lookupDir for the exported entry points that report a miss:
+// the error names the missing component. lookupDir's own miss is the
+// bare sentinel, so the lookups that expect one (every create checks the
+// name is free) format nothing.
+func (v *View) lookupNamed(ctx context.Context, dir Inum, name string) (Inum, uint32, error) {
+	ino, ftype, err := v.lookupDir(ctx, dir, name)
+	if err == ErrNotFound {
+		err = fmt.Errorf("%w: %q", ErrNotFound, name)
+	}
+	return ino, ftype, err
 }
 
 // Readdir returns the entries of directory dir (excluding free
@@ -205,17 +235,11 @@ func (v *View) Readdir(ctx context.Context, dir Inum) ([]DirEnt, error) {
 		if _, err := v.readAt(ctx, dir, uint64(fbn)*BlockSize, blk); err != nil {
 			return nil, err
 		}
-		err := dirForEach(blk, func(off int, eIno Inum, reclen int, ftype uint32, n string) bool {
-			if eIno != 0 {
-				ents = append(ents, DirEnt{Name: n, Ino: eIno, Type: ftype})
-			}
-			return true
-		})
-		if err != nil {
+		if ents, err = appendDirEnts(ents, blk); err != nil {
 			return nil, err
 		}
 	}
-	sort.Slice(ents, func(i, j int) bool { return ents[i].Name < ents[j].Name })
+	slices.SortFunc(ents, func(a, b DirEnt) int { return strings.Compare(a.Name, b.Name) })
 	return ents, nil
 }
 
@@ -318,7 +342,7 @@ func (v *View) nameiFrom(ctx context.Context, dir Inum, path string, depth int, 
 	cur := dir
 	comps := SplitPath(path)
 	for i, c := range comps {
-		next, _, err := v.lookupDir(ctx, cur, c)
+		next, _, err := v.lookupNamed(ctx, cur, c)
 		if err != nil {
 			return 0, fmt.Errorf("%s: %w", strings.Join(comps[:i+1], "/"), err)
 		}
@@ -348,6 +372,6 @@ func (v *View) nameiFrom(ctx context.Context, dir Inum, path string, depth int, 
 
 // Lookup finds name in directory dir.
 func (v *View) Lookup(ctx context.Context, dir Inum, name string) (Inum, error) {
-	ino, _, err := v.lookupDir(ctx, dir, name)
+	ino, _, err := v.lookupNamed(ctx, dir, name)
 	return ino, err
 }

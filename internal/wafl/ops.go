@@ -161,7 +161,7 @@ func (fs *FS) Truncate(ctx context.Context, ino Inum, size uint64) error {
 func (fs *FS) Remove(ctx context.Context, parent Inum, name string) error {
 	defer fs.lock(ctx)()
 	fs.charge(ctx, fs.costs.Op)
-	ino, _, err := fs.ActiveView().lookupDir(ctx, parent, name)
+	ino, _, err := fs.ActiveView().lookupNamed(ctx, parent, name)
 	if err != nil {
 		return err
 	}
@@ -194,7 +194,7 @@ func (fs *FS) Rmdir(ctx context.Context, parent Inum, name string) error {
 	if name == "." || name == ".." {
 		return fmt.Errorf("%w: cannot remove %q", ErrExists, name)
 	}
-	ino, _, err := fs.ActiveView().lookupDir(ctx, parent, name)
+	ino, _, err := fs.ActiveView().lookupNamed(ctx, parent, name)
 	if err != nil {
 		return err
 	}
@@ -267,7 +267,7 @@ func (fs *FS) Rename(ctx context.Context, srcDir Inum, srcName string, dstDir In
 		return err
 	}
 	fs.charge(ctx, fs.costs.Op)
-	ino, ftype, err := fs.ActiveView().lookupDir(ctx, srcDir, srcName)
+	ino, ftype, err := fs.ActiveView().lookupNamed(ctx, srcDir, srcName)
 	if err != nil {
 		return err
 	}
@@ -472,7 +472,7 @@ func (fs *FS) RemovePath(ctx context.Context, path string) error {
 		return err
 	}
 	name := comps[len(comps)-1]
-	ino, _, err := fs.ActiveView().lookupDir(ctx, dir, name)
+	ino, _, err := fs.ActiveView().lookupNamed(ctx, dir, name)
 	if err != nil {
 		return err
 	}

@@ -112,15 +112,13 @@ func TestDirBlockInsertRemoveProperty(t *testing.T) {
 					break
 				}
 			}
-			got := make(map[string]Inum)
-			err := dirForEach(blk, func(off int, ino Inum, reclen int, ftype uint32, name string) bool {
-				if ino != 0 {
-					got[name] = ino
-				}
-				return true
-			})
+			ents, err := appendDirEnts(nil, blk)
 			if err != nil {
 				t.Fatal(err)
+			}
+			got := make(map[string]Inum)
+			for _, e := range ents {
+				got[e.Name] = e.Ino
 			}
 			if len(got) != len(want) {
 				t.Fatalf("scan found %d entries, want %d", len(got), len(want))

@@ -310,6 +310,41 @@ func TestRemoveErrors(t *testing.T) {
 	check(t, fs)
 }
 
+// TestMissesNameTheComponent: a lookup that misses is ErrNotFound
+// everywhere, and every exported entry point that reports one names the
+// missing component in its message.
+func TestMissesNameTheComponent(t *testing.T) {
+	fs := newFS(t, 512)
+	d, err := fs.Mkdir(ctx, RootIno, "d", 0755, 0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	v := fs.ActiveView()
+	for _, c := range []struct {
+		op   string
+		call func() error
+		want string
+	}{
+		{"Lookup", func() error { _, err := v.Lookup(ctx, d, "nope"); return err }, `wafl: no such file or directory: "nope"`},
+		{"Namei last", func() error { _, err := v.Namei(ctx, "/d/nope"); return err }, `d/nope: wafl: no such file or directory: "nope"`},
+		{"Namei inner", func() error { _, err := v.Namei(ctx, "/gone/x"); return err }, `gone: wafl: no such file or directory: "gone"`},
+		{"ReadFile", func() error { _, err := v.ReadFile(ctx, "/d/nope"); return err }, `d/nope: wafl: no such file or directory: "nope"`},
+		{"Remove", func() error { return fs.Remove(ctx, d, "nope") }, `wafl: no such file or directory: "nope"`},
+		{"Rmdir", func() error { return fs.Rmdir(ctx, RootIno, "nope") }, `wafl: no such file or directory: "nope"`},
+		{"Rename", func() error { return fs.Rename(ctx, d, "nope", RootIno, "x") }, `wafl: no such file or directory: "nope"`},
+		{"RemovePath", func() error { return fs.RemovePath(ctx, "/d/nope") }, `wafl: no such file or directory: "nope"`},
+	} {
+		err := c.call()
+		if !errors.Is(err, ErrNotFound) {
+			t.Errorf("%s: err = %v, want ErrNotFound", c.op, err)
+			continue
+		}
+		if err.Error() != c.want {
+			t.Errorf("%s: message %q, want %q", c.op, err.Error(), c.want)
+		}
+	}
+}
+
 func TestCreateDuplicate(t *testing.T) {
 	fs := newFS(t, 512)
 	if _, err := fs.Create(ctx, RootIno, "f", 0644, 0, 0); err != nil {

@@ -32,9 +32,10 @@ func (s *captureSink) WriteRecord(data []byte) error {
 func (s *captureSink) NextVolume() error { return fmt.Errorf("no next volume") }
 
 // buildAndDump deterministically builds a filesystem, mutates it
-// between two snapshots, and returns the four dump streams: logical
-// full + level 1, physical full + incremental.
-func buildAndDump(t *testing.T) [4][]byte {
+// between two snapshots ("base" and "tip"), and returns it with the four
+// dump streams of "tip": logical full + level 1, physical full +
+// incremental from "base".
+func buildAndDump(t *testing.T) ([4][]byte, *wafl.FS) {
 	t.Helper()
 	ctx := context.Background()
 	dev := storage.NewMemDevice(4096)
@@ -84,18 +85,18 @@ func buildAndDump(t *testing.T) [4][]byte {
 		}
 		out[2+i] = sink.stream
 	}
-	return out
+	return out, fs
 }
 
 func TestPoolingDoesNotChangeStreams(t *testing.T) {
 	if !bufpool.Enabled() {
 		t.Fatal("pooling should start enabled")
 	}
-	pooled := buildAndDump(t)
+	pooled, _ := buildAndDump(t)
 
 	bufpool.SetEnabled(false)
 	defer bufpool.SetEnabled(true)
-	plain := buildAndDump(t)
+	plain, _ := buildAndDump(t)
 
 	names := []string{"logical full", "logical level 1", "physical full", "physical incremental"}
 	for i := range pooled {
