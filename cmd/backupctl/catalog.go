@@ -374,10 +374,10 @@ var commandDocs = []commandDoc{
 	{"fill", "fill -mb N [-seed N]", "generate a synthetic dataset"},
 	{"age", "age -rounds N [-seed N]", "churn the dataset to fragment it"},
 	{"dump", "dump -o FILE|-dedup [-revdedup] [-level N] [-subtree DIR]", "logical dump; -dedup chunks it into <vol>.chunkstore"},
-	{"restore", "restore -i FILE|-set ID [-from VOL] [-file PATH] [-target DIR] [-sync-deletes]", "apply one logical stream: a file, or any cataloged set (stream file or dedup-encoded)"},
+	{"restore", "restore -i FILE|-set ID [-from VOL] [-file PATH] [-target DIR] [-sync-deletes]", "apply one logical stream file, or any cataloged set (stream files, resumed or not, or dedup-encoded)"},
 	{"verify", "verify -i FILE [-subtree DIR]", "compare a logical stream against the volume"},
 	{"imagedump", "imagedump -o FILE|-dedup [-revdedup] [-snap NAME] [-base NAME]", "physical image dump; -dedup chunks it into <vol>.chunkstore"},
-	{"imagerestore", "imagerestore -i FILE|-set ID [-from VOL] [-incremental]", "apply one image stream to -vol: a file, or any cataloged set (stream file or dedup-encoded)"},
+	{"imagerestore", "imagerestore -i FILE|-set ID [-from VOL] [-incremental]", "apply one image stream file to -vol, or any cataloged set (stream files, resumed or not, or dedup-encoded)"},
 	{"imageverify", "imageverify -i FILE", "check an image stream's integrity"},
 	{"extract", "extract -i FULL [-incr A,B] PATH...", "pull files out of image streams offline"},
 	{"catalog", "catalog [-media] [-files ID] [-expire ID -now T] [-sweep]", "list or edit the backup catalog (health + dedup columns; -sweep erases zero-ref chunks)"},

@@ -13,11 +13,13 @@ import (
 	"repro/internal/catalog"
 	"repro/internal/dumpfmt"
 	"repro/internal/engine"
+	"repro/internal/logical"
 	"repro/internal/ndmp"
 	"repro/internal/physical"
 	"repro/internal/storage"
 	"repro/internal/stream"
 	"repro/internal/wafl"
+	"repro/internal/workload"
 )
 
 // readVol mounts a volume image and reads one file from its active view.
@@ -204,6 +206,44 @@ func (d *dyingSink) WriteRecord(rec []byte) error {
 	return d.Sink.WriteRecord(rec)
 }
 
+// landResumed runs job the way a push that lost its stream once lands:
+// the first stream file (base.0) dies after left records, the engine
+// resumes onto a second, and both are journaled through recordReceived
+// into vol's catalog, exactly as serve records a resumed push — one
+// Resumed set over two stream files.
+func landResumed(t *testing.T, vol, base string, job *engine.Dump, hello ndmp.Hello, left int) {
+	t.Helper()
+	ctx := context.Background()
+	var landed []recvStream
+	resumes, err := engine.Resume(ctx, job, 2, func(attempt int) (stream.Sink, func(error) error, error) {
+		path := streamPath(base, attempt)
+		file, err := createStream(path)
+		if err != nil {
+			return nil, nil, err
+		}
+		hello.Stream = attempt
+		landed = append(landed, recvStream{hello: hello, path: path})
+		var sink stream.Sink = file
+		if attempt == 0 {
+			sink = &dyingSink{Sink: file, left: left}
+		}
+		return sink, func(err error) error {
+			file.Close()
+			return err
+		}, nil
+	}, func(err error) bool { return errors.Is(err, errLinkDied) })
+	if err != nil || resumes != 1 {
+		t.Fatalf("dump: %d resumes, err %v; want one resume", resumes, err)
+	}
+	if err := recordReceived(ctx, vol, "", landed); err != nil {
+		t.Fatal(err)
+	}
+	sets := volSets(t, vol)
+	if len(sets) != 1 || sets[0].Engine != job.Engine() || !sets[0].Resumed || len(sets[0].Media) != 2 {
+		t.Fatalf("journaled sets %+v, want one resumed %s set over two files", sets, job.Engine())
+	}
+}
+
 // TestCatalogRecoverResumedImageSet: an image dump whose first stream
 // dies mid-way and is resumed onto a second lands in the catalog as one
 // Resumed set over two stream files, exactly as serve records a resumed
@@ -243,36 +283,8 @@ func TestCatalogRecoverResumedImageSet(t *testing.T) {
 		t.Fatal(err)
 	}
 	job := engine.NewImage(physical.DumpOptions{FS: fs, Vol: dev, SnapName: "s0", CheckpointEvery: 64})
-	var landed []recvStream
-	resumes, err := engine.Resume(ctx, job, 2, func(attempt int) (stream.Sink, func(error) error, error) {
-		path := streamPath(filepath.Join(dir, "img"), attempt)
-		file, err := createStream(path)
-		if err != nil {
-			return nil, nil, err
-		}
-		landed = append(landed, recvStream{
-			hello: ndmp.Hello{Kind: ndmp.KindImage, FSID: vol, Level: -1, Stream: attempt}, path: path,
-		})
-		var sink stream.Sink = file
-		if attempt == 0 {
-			sink = &dyingSink{Sink: file, left: 6}
-		}
-		return sink, func(err error) error {
-			file.Close()
-			return err
-		}, nil
-	}, func(err error) bool { return errors.Is(err, errLinkDied) })
-	if err != nil || resumes != 1 {
-		t.Fatalf("dump: %d resumes, err %v; want one resume", resumes, err)
-	}
+	landResumed(t, vol, filepath.Join(dir, "img"), job, ndmp.Hello{Kind: ndmp.KindImage, FSID: vol, Level: -1}, 6)
 	dev.Close()
-	if err := recordReceived(ctx, vol, "", landed); err != nil {
-		t.Fatal(err)
-	}
-	sets := volSets(t, vol)
-	if len(sets) != 1 || sets[0].Engine != catalog.Image || !sets[0].Resumed || len(sets[0].Media) != 2 {
-		t.Fatalf("journaled sets %+v, want one resumed image set over two files", sets)
-	}
 
 	put("written after the dump")
 	do("-vol", vol, "recover", "-engine", "image")
@@ -281,6 +293,67 @@ func TestCatalogRecoverResumedImageSet(t *testing.T) {
 		t.Fatalf("after recover: /docs/a.txt = %q, %v; want the dumped content", data, err)
 	}
 	do("-vol", vol, "fsck")
+}
+
+// TestRestoreSetTakesResumedSet: restore -set and imagerestore -set
+// apply a resumed set — one set over two stream files, as serve records
+// a resumed push — the way recover does, every stream but the last
+// salvaged: the tree they rebuild is the one recover rebuilds from the
+// same set, the dumped one.
+func TestRestoreSetTakesResumedSet(t *testing.T) {
+	for _, eng := range []catalog.Engine{catalog.Logical, catalog.Image} {
+		t.Run(eng.String(), func(t *testing.T) {
+			ctx := context.Background()
+			r := newOneWayRig(t)
+			r.put("dumped")
+			dev, err := storage.OpenFileDevice(r.vol)
+			if err != nil {
+				t.Fatal(err)
+			}
+			fs, err := wafl.Mount(ctx, dev, nil, wafl.Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			base := filepath.Join(r.dir, "pushed")
+			if eng == catalog.Logical {
+				job, release, err := logicalJob(ctx, fs, "s0", logical.DumpOptions{FSID: r.vol, CheckpointEvery: 8})
+				if err != nil {
+					t.Fatal(err)
+				}
+				landResumed(t, r.vol, base, job, ndmp.Hello{Kind: ndmp.KindLogical, FSID: r.vol}, 30)
+				release()
+			} else {
+				if err := fs.CreateSnapshot(ctx, "s0"); err != nil {
+					t.Fatal(err)
+				}
+				job := engine.NewImage(physical.DumpOptions{FS: fs, Vol: dev, SnapName: "s0", CheckpointEvery: 64})
+				landResumed(t, r.vol, base, job, ndmp.Hello{Kind: ndmp.KindImage, FSID: r.vol, Level: -1}, 6)
+			}
+			dev.Close()
+			want := treeDigest(t, r.vol)
+
+			clone := filepath.Join(r.dir, "clone.img")
+			if eng == catalog.Image {
+				r.do("-vol", clone, "imagerestore", "-set", "1", "-from", r.vol)
+			} else {
+				r.do("-vol", clone, "mkfs", "-blocks", "4096")
+				r.do("-vol", clone, "restore", "-set", "1", "-from", r.vol)
+			}
+			r.put("written after the dump")
+			if eng == catalog.Image {
+				r.do("-vol", r.vol, "recover", "-engine", "image")
+			} else {
+				r.do("-vol", r.vol, "recover", "-wipe")
+			}
+			recovered := treeDigest(t, r.vol)
+			if diffs := workload.DiffDigests(want, recovered); len(diffs) > 0 {
+				t.Fatalf("recover: tree differs from the dumped one: %v", diffs[0])
+			}
+			if diffs := workload.DiffDigests(recovered, treeDigest(t, clone)); len(diffs) > 0 {
+				t.Fatalf("restore -set: tree differs from recover's: %v", diffs[0])
+			}
+		})
+	}
 }
 
 // TestRecordReceivedRejectsUnknownKind: the stream kind is an

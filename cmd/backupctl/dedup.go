@@ -84,18 +84,18 @@ func (o *setOpener) Close() {
 	}
 }
 
-// openInput is the one stream `restore` and `imagerestore` apply: the
-// file -i names, or with -set the set of that id in the catalog beside
-// from (beside vol when -from is not given), which must be an eng dump
-// in one stream — a resumed set is several, and recover applies those.
-// The caller runs done when the restore is over.
-func openInput(ctx context.Context, in, from, vol string, id uint64, eng catalog.Engine) (catalog.DumpSet, stream.Source, func(), error) {
+// openInput is the streams `restore` and `imagerestore` apply, in
+// order: the file -i names, or with -set the streams of the set of that
+// id in the catalog beside from (beside vol when -from is not given),
+// which must be an eng dump — several streams for a resumed set. The
+// caller runs done when the restore is over.
+func openInput(ctx context.Context, in, from, vol string, id uint64, eng catalog.Engine) (catalog.DumpSet, []stream.Source, func(), error) {
 	if id == 0 {
 		file, err := openStream(in)
 		if err != nil {
 			return catalog.DumpSet{}, nil, nil, err
 		}
-		return catalog.DumpSet{}, file, func() { file.Close() }, nil
+		return catalog.DumpSet{}, []stream.Source{file}, func() { file.Close() }, nil
 	}
 	if from == "" {
 		from = vol
@@ -106,8 +106,8 @@ func openInput(ctx context.Context, in, from, vol string, id uint64, eng catalog
 	}
 	sets := &setOpener{cat: cat, vol: from}
 	ds, ok := cat.Set(id)
-	if !ok || ds.Engine != eng || len(ds.Media) != 1 {
-		err = fmt.Errorf("%s catalog has no %s set %d in one stream", from, eng, id)
+	if !ok || ds.Engine != eng {
+		err = fmt.Errorf("%s catalog has no %s set %d", from, eng, id)
 	}
 	var streams []stream.Source
 	if err == nil {
@@ -117,7 +117,7 @@ func openInput(ctx context.Context, in, from, vol string, id uint64, eng catalog
 		closeCat()
 		return ds, nil, nil, err
 	}
-	return ds, streams[0], func() { stream.Close(streams...); sets.Close(); closeCat() }, nil
+	return ds, streams, func() { stream.Close(streams...); sets.Close(); closeCat() }, nil
 }
 
 // sweepChunks erases zero-reference chunks from the store beside vol.

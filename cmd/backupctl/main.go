@@ -109,14 +109,14 @@ func run(args []string) error {
 		if *vol == "" || (*in == "") == (*setID == 0) {
 			return fmt.Errorf("imagerestore: -vol and exactly one of -i and -set required")
 		}
-		ds, replay, done, err := openInput(ctx, *in, *from, *vol, *setID, catalog.Image)
+		ds, streams, done, err := openInput(ctx, *in, *from, *vol, *setID, catalog.Image)
 		if err != nil {
 			return fmt.Errorf("imagerestore: %w", err)
 		}
 		defer done()
 		nblocks := ds.NBlocks
 		if *setID == 0 {
-			if nblocks, _, _, replay, err = physical.StreamInfo(replay); err != nil {
+			if nblocks, _, _, streams[0], err = physical.StreamInfo(streams[0]); err != nil {
 				return err
 			}
 		}
@@ -125,9 +125,7 @@ func run(args []string) error {
 			return err
 		}
 		defer dev.Close()
-		stats, err := physical.Restore(ctx, physical.RestoreOptions{
-			Vol: dev, Source: replay, ExpectIncremental: *incr,
-		})
+		stats, err := engine.RestoreSet(ctx, catalog.Image, engine.Target{Vol: dev}, streams, *incr)
 		if err != nil {
 			return err
 		}
@@ -479,7 +477,7 @@ func volumeCommand(ctx context.Context, fs *wafl.FS, vol, cmd string, rest []str
 			return err
 		}
 		defer flush()
-		_, src, done, err := openInput(ctx, *in, *from, vol, *setID, catalog.Logical)
+		_, streams, done, err := openInput(ctx, *in, *from, vol, *setID, catalog.Logical)
 		if err != nil {
 			return fmt.Errorf("restore: %w", err)
 		}
@@ -488,10 +486,7 @@ func volumeCommand(ctx context.Context, fs *wafl.FS, vol, cmd string, rest []str
 		if *file != "" {
 			files = []string{*file}
 		}
-		stats, err := logical.Restore(ctx, logical.RestoreOptions{
-			FS: fs, Source: src, TargetDir: *target, Files: files,
-			SyncDeletes: *syncDel, KernelIntegrated: true,
-		})
+		stats, err := engine.RestoreSet(ctx, catalog.Logical, engine.Target{FS: fs, Dir: *target}, streams, *syncDel, files...)
 		if err != nil {
 			return err
 		}

@@ -115,7 +115,7 @@ func RunReplica(ctx context.Context, s ReplicaScenario) (*ReplicaReport, error) 
 				// truncated when the node rejoins.
 				boom := errors.New("chaos: primary crashed mid-append")
 				victim := cluster.View().Primary
-				cluster.TestHookAfterPrimary = func(seq uint64) error {
+				cluster.TestHookAfterPrimary = func() error {
 					cluster.Kill(victim)
 					return boom
 				}
@@ -193,10 +193,10 @@ func RunReplica(ctx context.Context, s ReplicaScenario) (*ReplicaReport, error) 
 	}
 
 	// Invariant 1: all journals byte-identical.
-	ref := cluster.Node(members[0]).Journal()
+	ref := cluster.Journal(members[0])
 	rep.Converged = true
 	for _, m := range members[1:] {
-		if !bytes.Equal(cluster.Node(m).Journal(), ref) {
+		if !bytes.Equal(cluster.Journal(m), ref) {
 			rep.Converged = false
 		}
 	}
@@ -219,7 +219,7 @@ func RunReplica(ctx context.Context, s ReplicaScenario) (*ReplicaReport, error) 
 			rep.Lost++
 		}
 	}
-	rep.ViewChanges = cluster.Service().Changes()
+	rep.ViewChanges = cluster.ViewChanges()
 	return rep, nil
 }
 
@@ -356,7 +356,7 @@ func RunReplicaFailover(ctx context.Context, s ReplicaFailoverScenario) (*Replic
 	if err := rep.restore(ctx, src, tapes); err != nil {
 		return nil, err
 	}
-	rep.ViewChanges = cluster.Service().Changes()
+	rep.ViewChanges = cluster.ViewChanges()
 	rep.StaleHellos = hostB.Stats().Stales + hostA.Stats().Stales
 
 	// The committed dump set must replay out of the replicated

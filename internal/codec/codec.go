@@ -1,9 +1,9 @@
 // Package codec is the record encoding the catalog journal's payloads
-// and the replica wire messages share: fixed-width little-endian
-// integers, strict 0/1 booleans and u32-length-prefixed strings and
-// byte strings. Encoding is canonical — a decodable input re-encodes
-// to the bytes that produced it — which is what lets journals and
-// messages be compared byte for byte.
+// and the ndmp Hello and ack frames share: fixed-width little-endian
+// integers, strict 0/1 booleans and u32-length-prefixed strings.
+// Encoding is canonical — a decodable input re-encodes to the bytes
+// that produced it — which is what lets journals and frames be
+// compared byte for byte.
 //
 // Dec is an untrusted-input boundary: arbitrary bytes produce values
 // or an error, never a panic or an allocation larger than the input.
@@ -31,11 +31,6 @@ func (e *Enc) Bool(v bool) {
 	} else {
 		e.U8(0)
 	}
-}
-
-func (e *Enc) Bytes(p []byte) {
-	e.U32(uint32(len(p)))
-	e.B = append(e.B, p...)
 }
 
 func (e *Enc) Str(s string) {
@@ -126,18 +121,15 @@ func (d *Dec) Count() int {
 	return n
 }
 
-// Bytes returns a length-prefixed byte string, aliasing B.
-func (d *Dec) Bytes() []byte {
+// Str returns a length-prefixed string.
+func (d *Dec) Str() string {
 	n := int(d.U32())
 	if n < 0 || n > d.Max {
 		d.fail("over-long field", d.off-4)
-		return nil
+		return ""
 	}
-	return d.take(n)
+	return string(d.take(n))
 }
-
-// Str returns a length-prefixed string.
-func (d *Dec) Str() string { return string(d.Bytes()) }
 
 // Done reports the first failure, or bytes left over after the last
 // field.

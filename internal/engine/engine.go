@@ -211,7 +211,9 @@ type Target struct {
 // Restored counts what a restore did.
 type Restored struct {
 	FilesRestored  int
+	FilesSkipped   int // on the stream, not selected
 	Deleted        int // entries removed by incremental deletion sync
+	LinksMade      int
 	BlocksRestored int
 	Gen            uint64 // generation of the last image stream applied
 	// Files is the content single-file image recovery extracted
@@ -248,7 +250,9 @@ func RestoreSet(ctx context.Context, eng catalog.Engine, t Target, streams []str
 			return nil, fmt.Errorf("logical stream %d/%d: %w", i+1, len(streams), err)
 		}
 		res.FilesRestored += st.FilesRestored
+		res.FilesSkipped += st.FilesSkipped
 		res.Deleted += st.Deleted
+		res.LinksMade += st.LinksMade
 	}
 	return res, nil
 }
@@ -301,7 +305,9 @@ func Recover(ctx context.Context, plan *catalog.Plan, t Target, open Opener,
 			return nil, fmt.Errorf("engine: step %d (set %d): %w", i+1, step.ID, err)
 		}
 		total.FilesRestored += r.FilesRestored
+		total.FilesSkipped += r.FilesSkipped
 		total.Deleted += r.Deleted
+		total.LinksMade += r.LinksMade
 		total.BlocksRestored += r.BlocksRestored
 		total.Gen = r.Gen
 		if progress != nil {

@@ -1,3 +1,22 @@
+// Package replica is the primary/backup replication layer for the
+// catalog journal — the 6.824 view-service shape run on the virtual
+// clock. Simulated nodes each hold a durable copy of the CRC-framed
+// journal; a client-side Cluster implements catalog.Store, so a Catalog
+// opened over it acknowledges AppendDumpSet / AppendFileIndex / Expire /
+// AppendMediaEvent / AppendSessionCheckpoint only after a quorum of
+// nodes has durably framed the record. A view service tracks node
+// liveness through pings, promotes the most-up-to-date live backup when
+// the primary dies, and catch-up installs the primary's journal into
+// rejoining nodes, truncating any unacknowledged tail they carried into
+// the crash. The nodes live in the Cluster's process and it calls them
+// directly: a partitioned or dead node is a call that fails, never a
+// mangled one (corruption is the journal CRC layer's problem).
+//
+// The durability contract mirrors logical recovery systems: an
+// operation is durable only once its log record is replicated and
+// acknowledged. The chaos suite (internal/chaos/replica.go) proves the
+// operational consequence — no acknowledged dump set is ever lost to a
+// primary killed or partitioned mid-append or mid-dump.
 package replica
 
 import (
@@ -63,21 +82,21 @@ type Config struct {
 // the truth and truncate divergent (always unacknowledged) tails on
 // other nodes.
 type Cluster struct {
-	// opMu serializes whole operations (Append/Truncate/ReadAll), so
-	// concurrent appends from multiple goroutines are safe and each
-	// gets a distinct offset.
+	// opMu serializes whole operations (Append/Truncate/ReadAll and the
+	// catch-up of Restart/Rejoin), so concurrent callers are safe, each
+	// append gets a distinct offset, and no append lands between a
+	// catch-up's read of the primary and its install.
 	opMu sync.Mutex
 	// mu guards the fast-changing fields below; metric closures take
 	// only mu, never opMu.
-	mu    sync.Mutex
-	size  int64 // acknowledged journal length
-	seq   uint64
-	clock time.Time
+	mu       sync.Mutex
+	size     int64 // acknowledged journal length
+	clock    time.Time
+	isolated map[string]bool // partitioned members
 
 	cfg   Config
-	net   *Net
-	vs    *ViewService
-	nodes []*Node
+	vs    *viewService
+	nodes []*node // in member order
 	ctx   context.Context
 
 	appends        *obs.Counter
@@ -91,7 +110,7 @@ type Cluster struct {
 	// record. Returning an error aborts the append (the client never
 	// acknowledges), which is how the chaos suite manufactures
 	// stranded tails deterministically.
-	TestHookAfterPrimary func(seq uint64) error
+	TestHookAfterPrimary func() error
 }
 
 // New builds a cluster, opening (and tail-truncating) every node.
@@ -111,39 +130,38 @@ func New(cfg Config) (*Cluster, error) {
 		ctx = context.Background()
 	}
 	start := time.Unix(0, 0)
-	c := &Cluster{cfg: cfg, ctx: ctx, clock: start}
+	c := &Cluster{cfg: cfg, ctx: ctx, clock: start, isolated: make(map[string]bool)}
 	for _, name := range cfg.Members {
 		store := cfg.Stores[name]
 		if store == nil {
 			store = &catalog.MemStore{}
 		}
-		n, err := OpenNode(name, store)
+		n, err := openNode(name, store)
 		if err != nil {
 			return nil, fmt.Errorf("replica: open node %s: %w", name, err)
 		}
 		c.nodes = append(c.nodes, n)
 	}
-	c.net = NewNet(c.nodes...)
-	c.vs = NewViewService(cfg.Members, deadAfter, start)
+	c.vs = newViewService(cfg.Members, deadAfter, start)
 	if r := cfg.Registry; r != nil {
 		c.registerMetrics(r)
 	}
 	lead := c.nodes[0]
 	for _, n := range c.nodes[1:] {
-		if n.Size() > lead.Size() {
+		if n.size() > lead.size() {
 			lead = n
 		}
 	}
-	first := View{Num: 1, Primary: lead.Name}
+	first := View{Num: 1, Primary: lead.name}
 	for _, n := range c.nodes {
 		if n != lead {
-			first.Backups = append(first.Backups, n.Name)
+			first.Backups = append(first.Backups, n.name)
 		}
 	}
-	c.vs.view, c.size = first, lead.Size()
-	truth := lead.Journal()
+	c.vs.view, c.size = first, lead.size()
+	truth := lead.journal()
 	for _, b := range first.Backups {
-		if bytes.Equal(c.Node(b).Journal(), truth) {
+		if bytes.Equal(c.Journal(b), truth) {
 			continue
 		}
 		if err := c.catchUp(first, b); err != nil {
@@ -168,11 +186,11 @@ func (c *Cluster) registerMetrics(r *obs.Registry) {
 	})
 	for _, n := range c.nodes {
 		node := n
-		r.RegisterFunc("replica_lag_bytes", obs.KindGauge, obs.Labels{"node": node.Name}, func() float64 {
+		r.RegisterFunc("replica_lag_bytes", obs.KindGauge, obs.Labels{"node": node.name}, func() float64 {
 			c.mu.Lock()
 			acked := c.size
 			c.mu.Unlock()
-			lag := acked - node.Size()
+			lag := acked - node.size()
 			if lag < 0 {
 				lag = 0 // an unacknowledged tail is not (negative) lag
 			}
@@ -183,6 +201,35 @@ func (c *Cluster) registerMetrics(r *obs.Registry) {
 
 // quorum is the majority of the fixed member set.
 func (c *Cluster) quorum() int { return len(c.cfg.Members)/2 + 1 }
+
+// node returns the member called name, or nil.
+func (c *Cluster) node(name string) *node {
+	for _, n := range c.nodes {
+		if n.name == name {
+			return n
+		}
+	}
+	return nil
+}
+
+// reach is the one way the cluster gets at a node to act on it: it
+// fails for an unknown member, a partitioned one and a dead one.
+func (c *Cluster) reach(name string) (*node, error) {
+	n := c.node(name)
+	if n == nil {
+		return nil, fmt.Errorf("replica: no node %q", name)
+	}
+	c.mu.Lock()
+	cut := c.isolated[name]
+	c.mu.Unlock()
+	if cut {
+		return nil, fmt.Errorf("replica: node %s unreachable", name)
+	}
+	if !n.isAlive() {
+		return nil, fmt.Errorf("replica: node %s is down", name)
+	}
+	return n, nil
+}
 
 // Now returns the cluster's virtual clock.
 func (c *Cluster) Now() time.Time {
@@ -205,8 +252,8 @@ func (c *Cluster) Advance(d time.Duration) {
 func (c *Cluster) Heartbeat() View {
 	now := c.Now()
 	for _, n := range c.nodes {
-		if n.Alive() && !c.net.Isolated(n.Name) {
-			c.vs.Ping(n.Name, n.Size(), now)
+		if _, err := c.reach(n.name); err == nil {
+			c.vs.Ping(n.name, n.size(), now)
 		}
 	}
 	return c.vs.Tick(now)
@@ -215,47 +262,67 @@ func (c *Cluster) Heartbeat() View {
 // View returns the current view without advancing anything.
 func (c *Cluster) View() View { return c.vs.View() }
 
-// Service exposes the view service (the ndmp failover path watches it
-// to learn which tape host is active).
-func (c *Cluster) Service() *ViewService { return c.vs }
+// ViewChanges returns how many view changes (failovers) have occurred.
+func (c *Cluster) ViewChanges() uint64 { return c.vs.Changes() }
 
-// Node returns a member by name (chaos/test access).
-func (c *Cluster) Node(name string) *Node { return c.net.Node(name) }
-
-// Kill crashes a node.
-func (c *Cluster) Kill(name string) {
-	if n := c.net.Node(name); n != nil {
-		n.Kill()
-	}
-}
-
-// Restart revives a crashed node from its durable store and brings it
-// back up to date from the current primary (best effort — if the
-// primary is unreachable the node rejoins lagging and catches up on
-// the next append that touches it).
-func (c *Cluster) Restart(name string) error {
-	n := c.net.Node(name)
-	if n == nil {
-		return fmt.Errorf("replica: no node %q", name)
-	}
-	if err := n.Restart(); err != nil {
-		return err
-	}
-	view := c.Heartbeat()
-	if view.Primary != name {
-		_ = c.catchUp(view, name)
+// Journal returns a copy of member name's journal bytes, reachable or
+// not (inspection for the convergence assertions); nil for an unknown
+// member.
+func (c *Cluster) Journal(name string) []byte {
+	if n := c.node(name); n != nil {
+		return n.journal()
 	}
 	return nil
 }
 
-// Isolate partitions a node off the network.
-func (c *Cluster) Isolate(name string) { c.net.Isolate(name) }
+// Kill crashes a node.
+func (c *Cluster) Kill(name string) {
+	if n := c.node(name); n != nil {
+		n.kill()
+	}
+}
 
-// Rejoin heals a node's partition and catches it up (best effort).
+// Restart revives a crashed node from its durable store and brings it
+// back up to date from the current primary.
+func (c *Cluster) Restart(name string) error {
+	c.opMu.Lock()
+	defer c.opMu.Unlock()
+	n := c.node(name)
+	if n == nil {
+		return fmt.Errorf("replica: no node %q", name)
+	}
+	if err := n.restart(); err != nil {
+		return err
+	}
+	c.rejoined(name)
+	return nil
+}
+
+// Isolate partitions a node: calls to it fail until Rejoin. The node
+// stays alive — unlike Kill it keeps its in-memory state, which is
+// exactly the difference between a network partition and a crash.
+func (c *Cluster) Isolate(name string) {
+	c.mu.Lock()
+	c.isolated[name] = true
+	c.mu.Unlock()
+}
+
+// Rejoin heals a node's partition and catches it up.
 func (c *Cluster) Rejoin(name string) {
-	c.net.Rejoin(name)
-	view := c.Heartbeat()
-	if view.Primary != name {
+	c.opMu.Lock()
+	defer c.opMu.Unlock()
+	c.mu.Lock()
+	delete(c.isolated, name)
+	c.mu.Unlock()
+	c.rejoined(name)
+}
+
+// rejoined catches a node that is back up from the current primary
+// (best effort — if the primary is unreachable the node rejoins lagging
+// and catches up on the next append that touches it). Callers hold
+// opMu.
+func (c *Cluster) rejoined(name string) {
+	if view := c.Heartbeat(); view.Primary != name {
 		_ = c.catchUp(view, name)
 	}
 }
@@ -264,14 +331,6 @@ func (c *Cluster) stall() {
 	c.stalls.Inc()
 	c.Advance(pingEvery)
 	c.Heartbeat()
-}
-
-// nextSeq under mu; offsets come from c.size under opMu.
-func (c *Cluster) nextSeq() uint64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.seq++
-	return c.seq
 }
 
 // ReadAll implements catalog.Store: it reads the full journal from
@@ -284,21 +343,16 @@ func (c *Cluster) ReadAll() ([]byte, error) {
 	c.opMu.Lock()
 	defer c.opMu.Unlock()
 	for attempt := 0; attempt < maxAttempts; attempt++ {
-		view := c.Heartbeat()
-		reply, err := c.net.RPC(view.Primary, Catchup{Have: 0, CRC: 0})
+		p, err := c.reach(c.Heartbeat().Primary)
 		if err != nil {
 			c.stall()
 			continue
 		}
-		resp, ok := reply.(CatchupResp)
-		if !ok || !resp.OK {
-			c.stall()
-			continue
-		}
+		data := p.journal()
 		c.mu.Lock()
-		c.size = resp.Total
+		c.size = int64(len(data))
 		c.mu.Unlock()
-		return resp.Data, nil
+		return data, nil
 	}
 	return nil, fmt.Errorf("%w: read after %d attempts", ErrNoQuorum, maxAttempts)
 }
@@ -315,14 +369,12 @@ func (c *Cluster) Append(p []byte) error {
 	_, span := obs.Start(c.ctx, "replica.append")
 	defer span.End()
 
-	seq := c.nextSeq()
 	c.mu.Lock()
 	off := c.size
 	c.mu.Unlock()
 
 	for attempt := 0; attempt < maxAttempts; attempt++ {
-		view := c.Heartbeat()
-		ok, err := c.tryAppend(view, seq, off, p)
+		ok, err := c.tryAppend(c.Heartbeat(), off, p)
 		if err != nil {
 			return err
 		}
@@ -336,40 +388,32 @@ func (c *Cluster) Append(p []byte) error {
 		c.quorumFailures.Inc()
 		c.stall()
 	}
-	return fmt.Errorf("%w: append seq %d after %d attempts", ErrNoQuorum, seq, maxAttempts)
+	return fmt.Errorf("%w: append at offset %d after %d attempts", ErrNoQuorum, off, maxAttempts)
 }
 
 // tryAppend makes one pass at replicating the record under one view.
 // It returns (false, nil) for retryable failures — the caller
 // refreshes the view and tries again.
-func (c *Cluster) tryAppend(view View, seq uint64, off int64, p []byte) (bool, error) {
-	msg := Append{View: view.Num, Seq: seq, Off: off, Frame: p}
-
-	// The primary first: its durable copy is mandatory.
-	reply, err := c.net.RPC(view.Primary, msg)
-	if err != nil {
-		return false, nil // primary unreachable; stall -> view change
-	}
-	ack, ok := reply.(AppendAck)
-	if !ok {
-		return false, fmt.Errorf("%w: append reply %T", ErrBadMessage, reply)
-	}
-	if !ack.OK {
-		// A new primary may lag acknowledged history only when every
-		// node that held it is down — then there is no quorum to be
-		// had and we stall until one returns. Stale view: refresh.
+func (c *Cluster) tryAppend(view View, off int64, p []byte) (bool, error) {
+	// The primary first: its durable copy is mandatory. Unreachable, it
+	// stalls toward a view change. Refusing, the view is stale — or a new
+	// primary lags acknowledged history, which happens only when every
+	// node that held it is down: then there is no quorum to be had and
+	// we stall until one returns.
+	prim, err := c.reach(view.Primary)
+	if err != nil || !prim.append(view.Num, off, p) {
 		return false, nil
 	}
 
 	if hook := c.TestHookAfterPrimary; hook != nil {
-		if err := hook(seq); err != nil {
+		if err := hook(); err != nil {
 			return false, err
 		}
 	}
 
 	count := 1
 	for _, b := range view.Backups {
-		if c.appendToBackup(view, b, msg) {
+		if c.appendToBackup(view, b, off, p) {
 			count++
 		}
 	}
@@ -378,17 +422,13 @@ func (c *Cluster) tryAppend(view View, seq uint64, off int64, p []byte) (bool, e
 
 // appendToBackup lands the record on one backup, catching the backup
 // up first when it lags or carries a divergent unacknowledged tail.
-func (c *Cluster) appendToBackup(view View, name string, msg Append) bool {
+func (c *Cluster) appendToBackup(view View, name string, off int64, p []byte) bool {
 	for try := 0; try < 2; try++ {
-		reply, err := c.net.RPC(name, msg)
+		n, err := c.reach(name)
 		if err != nil {
 			return false
 		}
-		ack, ok := reply.(AppendAck)
-		if !ok {
-			return false
-		}
-		if ack.OK {
+		if n.append(view.Num, off, p) {
 			return true
 		}
 		// Lagging or diverged: close the gap from the primary, then
@@ -401,100 +441,49 @@ func (c *Cluster) appendToBackup(view View, name string, msg Append) bool {
 }
 
 // catchUp brings node name's journal in line with the view primary's:
-// verify the shared prefix by CRC, fetch the suffix (or everything,
-// after divergence), and Install it — truncating any unacknowledged
-// tail the node carried.
+// one comparison (the primary's suffix past their common prefix, or its
+// whole journal after divergence) and one install, which truncates any
+// unacknowledged tail the node carried.
 func (c *Cluster) catchUp(view View, name string) error {
 	c.catchups.Inc()
 	_, span := obs.Start(c.ctx, "replica.catchup")
 	defer span.End()
-	for try := 0; try < 4; try++ {
-		stReply, err := c.net.RPC(name, Status{Prefix: -1})
-		if err != nil {
-			return err
-		}
-		st, ok := stReply.(StatusAck)
-		if !ok {
-			return fmt.Errorf("%w: status reply %T", ErrBadMessage, stReply)
-		}
-		cuReply, err := c.net.RPC(view.Primary, Catchup{Have: st.Size, CRC: st.CRC})
-		if err != nil {
-			return err
-		}
-		cu, ok := cuReply.(CatchupResp)
-		if !ok {
-			return fmt.Errorf("%w: catchup reply %T", ErrBadMessage, cuReply)
-		}
-		if !cu.OK {
-			// The node's journal is longer than the primary's: its tail
-			// past cu.Total is unacknowledged. Verify the primary-sized
-			// prefix instead on the next pass.
-			pstReply, err := c.net.RPC(name, Status{Prefix: cu.Total})
-			if err != nil {
-				return err
-			}
-			pst, ok := pstReply.(StatusAck)
-			if !ok {
-				return fmt.Errorf("%w: status reply %T", ErrBadMessage, pstReply)
-			}
-			cuReply, err = c.net.RPC(view.Primary, Catchup{Have: cu.Total, CRC: pst.CRC})
-			if err != nil {
-				return err
-			}
-			cu, ok = cuReply.(CatchupResp)
-			if !ok || !cu.OK {
-				return fmt.Errorf("%w: catchup reply %T", ErrBadMessage, cuReply)
-			}
-		}
-		prStReply, err := c.net.RPC(view.Primary, Status{Prefix: -1})
-		if err != nil {
-			return err
-		}
-		prSt, _ := prStReply.(StatusAck)
-		inReply, err := c.net.RPC(name, Install{View: view.Num, From: cu.From, Seq: prSt.Seq, Data: cu.Data})
-		if err != nil {
-			return err
-		}
-		in, ok := inReply.(InstallAck)
-		if !ok {
-			return fmt.Errorf("%w: install reply %T", ErrBadMessage, inReply)
-		}
-		if in.OK && in.Size == cu.Total {
-			return nil
-		}
+	n, err := c.reach(name)
+	if err != nil {
+		return err
 	}
-	return fmt.Errorf("replica: catch-up of %s did not converge", name)
+	p, err := c.reach(view.Primary)
+	if err != nil {
+		return err
+	}
+	from, data := p.suffixFor(n.journal())
+	if !n.install(view.Num, from, data) {
+		return fmt.Errorf("replica: %s refused the catch-up install", name)
+	}
+	return nil
 }
 
 // Truncate implements catalog.Store: a replicated journal truncation
 // (the catalog uses it to repair a torn tail found at Open).
-func (c *Cluster) Truncate(n int64) error {
+func (c *Cluster) Truncate(size int64) error {
 	c.opMu.Lock()
 	defer c.opMu.Unlock()
 	for attempt := 0; attempt < maxAttempts; attempt++ {
 		view := c.Heartbeat()
-		msg := Truncate{View: view.Num, N: n}
-		reply, err := c.net.RPC(view.Primary, msg)
-		if err != nil {
-			c.stall()
-			continue
-		}
-		ack, ok := reply.(TruncateAck)
-		if !ok || !ack.OK {
+		prim, err := c.reach(view.Primary)
+		if err != nil || !prim.truncate(view.Num, size) {
 			c.stall()
 			continue
 		}
 		count := 1
 		for _, b := range view.Backups {
-			if reply, err := c.net.RPC(b, msg); err == nil {
-				if ack, ok := reply.(TruncateAck); ok && ack.OK {
-					count++
-				}
+			if n, err := c.reach(b); err == nil && n.truncate(view.Num, size) {
+				count++
 			}
 		}
 		if count >= c.quorum() {
 			c.mu.Lock()
-			c.size = n
+			c.size = size
 			c.mu.Unlock()
 			return nil
 		}

@@ -2,42 +2,39 @@ package replica
 
 import (
 	"bytes"
-	"fmt"
-	"hash/crc32"
 	"sync"
 
 	"repro/internal/catalog"
 )
 
-// Node is one replica: a durable copy of the catalog journal behind
-// the wire protocol. A node is passive — it answers requests and
-// never initiates them. The primary role is a property of the current
-// view, not of the node: the same node object serves appends as a
-// primary in one view and accepts Installs as a lagging backup in the
-// next.
-type Node struct {
-	Name string
+// node is one replica: a durable copy of the catalog journal. A node is
+// passive — the Cluster calls it and it never calls anyone. The primary
+// role is a property of the current view, not of the node: the same
+// node serves appends as a primary in one view and accepts installs as
+// a lagging backup in the next. A node copies every byte it keeps and
+// every byte it hands out, so no caller's slice is ever shared.
+type node struct {
+	name string
 
 	mu      sync.Mutex
 	store   catalog.Store
 	buf     []byte // cached journal contents (mirror of store)
 	alive   bool
-	seq     uint64 // highest append sequence applied
-	maxView uint64 // highest view number seen; stale-view appends are refused
+	maxView uint64 // highest view number seen; calls from older views are refused
 }
 
-// OpenNode opens a replica over its durable store. Like catalog.Open
+// openNode opens a replica over its durable store. Like catalog.Open
 // it truncates a torn tail — a node that crashed mid-frame rejoins
 // with a clean frame-boundary journal and catches up from there.
-func OpenNode(name string, store catalog.Store) (*Node, error) {
-	n := &Node{Name: name, store: store, alive: true}
+func openNode(name string, store catalog.Store) (*node, error) {
+	n := &node{name: name, store: store, alive: true}
 	if err := n.load(); err != nil {
 		return nil, err
 	}
 	return n, nil
 }
 
-func (n *Node) load() error {
+func (n *node) load() error {
 	buf, err := n.store.ReadAll()
 	if err != nil {
 		return err
@@ -53,200 +50,137 @@ func (n *Node) load() error {
 	return nil
 }
 
-// Kill marks the node dead: it stops answering and stops being pinged
-// for. Its durable store keeps whatever was framed before the kill.
-func (n *Node) Kill() {
+// kill marks the node dead: the cluster stops reaching it and stops
+// pinging for it. Its durable store keeps whatever was framed before.
+func (n *node) kill() {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	n.alive = false
 }
 
-// Restart revives a killed node from its durable store, truncating
-// any torn tail. In-memory state (applied sequence) is lost, exactly
-// as a process restart would lose it; idempotency of appends rests on
-// offsets, which are durable, not on the sequence cache.
-func (n *Node) Restart() error {
+// restart revives a killed node from its durable store, truncating any
+// torn tail.
+func (n *node) restart() error {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	n.seq = 0
 	n.alive = true
 	return n.load()
 }
 
-// Alive reports whether the node is up.
-func (n *Node) Alive() bool {
+func (n *node) isAlive() bool {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	return n.alive
 }
 
-// Size returns the node's journal length in bytes.
-func (n *Node) Size() int64 {
+// size is the node's status: its journal length in bytes.
+func (n *node) size() int64 {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	return int64(len(n.buf))
 }
 
-// Journal returns a copy of the node's journal bytes (test/inspection
-// hook for the convergence assertions).
-func (n *Node) Journal() []byte {
+// journal returns a copy of the node's journal bytes.
+func (n *node) journal() []byte {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	return append([]byte(nil), n.buf...)
+	return bytes.Clone(n.buf)
 }
 
-// Handle dispatches one decoded wire message and returns the reply.
-// A dead node returns no reply (the Net layer turns that into a
-// delivery failure).
-func (n *Node) Handle(m Message) (Message, error) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	if !n.alive {
-		return nil, fmt.Errorf("replica: node %s is down", n.Name)
+// fence refuses a call from a view older than the newest the node has
+// seen, so a deposed primary's cluster cannot write; a newer view
+// raises the fence. Callers hold mu.
+func (n *node) fence(view uint64) bool {
+	if view < n.maxView {
+		return false
 	}
-	switch v := m.(type) {
-	case Append:
-		return n.handleAppend(v), nil
-	case Status:
-		return n.handleStatus(v), nil
-	case Catchup:
-		return n.handleCatchup(v), nil
-	case Install:
-		return n.handleInstall(v), nil
-	case Truncate:
-		return n.handleTruncate(v), nil
-	}
-	return nil, fmt.Errorf("%w: node %s: unexpected %T", ErrBadMessage, n.Name, m)
+	n.maxView = view
+	return true
 }
 
-// handleAppend applies one offset-addressed framed record. The offset
-// makes replay idempotent and exposes divergence:
+// append applies one offset-addressed run of framed records and reports
+// whether the node now holds them at off. The offset makes replay
+// idempotent and exposes divergence:
 //
-//   - off == size: the expected case — durably frame the record.
+//   - off == size: the expected case — durably frame the records.
 //   - off+len <= size and bytes match: a duplicate delivery (retry
 //     after a partial quorum); ack without rewriting.
 //   - off < size and bytes differ: this node carries a stale
 //     unacknowledged tail from a previous view (it was a primary that
-//     framed a record no quorum acked). Refuse; the current primary
-//     responds by Installing its own suffix, which truncates the tail.
-//   - off > size: the node lags; refuse with the size so catch-up can
-//     close the gap first.
-func (n *Node) handleAppend(m Append) Message {
-	if m.View < n.maxView {
-		return AppendAck{View: n.maxView, Seq: m.Seq, Size: int64(len(n.buf)), OK: false,
-			Msg: fmt.Sprintf("stale view %d < %d", m.View, n.maxView)}
+//     framed a record no quorum acked). Refuse; the cluster responds by
+//     installing the primary's suffix, which truncates the tail.
+//   - off > size: the node lags; refuse so catch-up closes the gap.
+func (n *node) append(view uint64, off int64, frames []byte) bool {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	if !n.fence(view) {
+		return false
 	}
-	n.maxView = m.View
 	size := int64(len(n.buf))
-	switch {
-	case m.Off == size:
-		if !wholeFrames(m.Frame) {
-			return AppendAck{View: m.View, Seq: m.Seq, Size: size, OK: false, Msg: "append is not whole frames"}
+	switch end := off + int64(len(frames)); {
+	case off == size:
+		if !wholeFrames(frames) || n.store.Append(frames) != nil {
+			return false
 		}
-		if err := n.store.Append(m.Frame); err != nil {
-			return AppendAck{View: m.View, Seq: m.Seq, Size: size, OK: false, Msg: err.Error()}
-		}
-		n.buf = append(n.buf, m.Frame...)
-		if m.Seq > n.seq {
-			n.seq = m.Seq
-		}
-		return AppendAck{View: m.View, Seq: m.Seq, Size: int64(len(n.buf)), OK: true}
-	case m.Off+int64(len(m.Frame)) <= size && bytes.Equal(n.buf[m.Off:m.Off+int64(len(m.Frame))], m.Frame):
-		if m.Seq > n.seq {
-			n.seq = m.Seq
-		}
-		return AppendAck{View: m.View, Seq: m.Seq, Size: size, OK: true}
-	case m.Off < size:
-		return AppendAck{View: m.View, Seq: m.Seq, Size: m.Off, OK: false, Msg: "diverged tail"}
+		n.buf = append(n.buf, frames...)
+		return true
+	case off < size && end <= size:
+		return bytes.Equal(n.buf[off:end], frames)
 	default:
-		return AppendAck{View: m.View, Seq: m.Seq, Size: size, OK: false, Msg: "lagging"}
+		return false
 	}
 }
 
-func (n *Node) handleStatus(m Status) Message {
-	prefix := int64(len(n.buf))
-	if m.Prefix >= 0 && m.Prefix < prefix {
-		prefix = m.Prefix
+// suffixFor is the catch-up read: what a node whose journal is have
+// lacks of this one. With n the shorter of the two lengths, that is the
+// suffix past n when the first n bytes agree, otherwise (the journals
+// diverged below n) the whole journal from 0.
+func (n *node) suffixFor(have []byte) (from int64, data []byte) {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	common := min(len(have), len(n.buf))
+	if !bytes.Equal(have[:common], n.buf[:common]) {
+		common = 0
 	}
-	return StatusAck{
-		Size: int64(len(n.buf)),
-		CRC:  crc32.ChecksumIEEE(n.buf[:prefix]),
-		Seq:  n.seq,
-	}
+	return int64(common), bytes.Clone(n.buf[common:])
 }
 
-// handleCatchup serves journal bytes past the requester's verified
-// prefix. A CRC mismatch over the shared prefix means the journals
-// diverged below the requester's high-water mark, so the response
-// restarts from zero — correctness over bandwidth.
-func (n *Node) handleCatchup(m Catchup) Message {
-	size := int64(len(n.buf))
-	if m.Have < 0 {
-		return CatchupResp{OK: false, Total: size}
+// install truncates to from and appends the caught-up bytes — the one
+// operation allowed to discard data, and only ever an unacknowledged
+// tail (the installed bytes come from the view's primary, which holds
+// every acknowledged record).
+func (n *node) install(view uint64, from int64, data []byte) bool {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	if !n.fence(view) || from < 0 || from > int64(len(n.buf)) || !wholeFrames(data) {
+		return false
 	}
-	if m.Have > size {
-		return CatchupResp{OK: false, Total: size}
+	if n.store.Truncate(from) != nil {
+		return false
 	}
-	if crc32.ChecksumIEEE(n.buf[:m.Have]) == m.CRC {
-		return CatchupResp{OK: true, From: m.Have, Total: size,
-			Data: append([]byte(nil), n.buf[m.Have:]...)}
-	}
-	return CatchupResp{OK: true, From: 0, Total: size,
-		Data: append([]byte(nil), n.buf...)}
-}
-
-// handleInstall truncates to From and appends the caught-up bytes —
-// the one operation allowed to discard data, and only ever an
-// unacknowledged tail (the installed bytes come from the view's
-// primary, which holds every acknowledged record).
-func (n *Node) handleInstall(m Install) Message {
-	if m.View < n.maxView {
-		return InstallAck{Size: int64(len(n.buf)), OK: false,
-			Msg: fmt.Sprintf("stale view %d < %d", m.View, n.maxView)}
-	}
-	n.maxView = m.View
-	if m.From < 0 || m.From > int64(len(n.buf)) {
-		return InstallAck{Size: int64(len(n.buf)), OK: false,
-			Msg: fmt.Sprintf("install from %d of %d", m.From, len(n.buf))}
-	}
-	if !wholeFrames(m.Data) {
-		return InstallAck{Size: int64(len(n.buf)), OK: false, Msg: "install data is not whole frames"}
-	}
-	if err := n.store.Truncate(m.From); err != nil {
-		return InstallAck{Size: int64(len(n.buf)), OK: false, Msg: err.Error()}
-	}
-	n.buf = n.buf[:m.From]
-	if len(m.Data) > 0 {
-		if err := n.store.Append(m.Data); err != nil {
-			return InstallAck{Size: int64(len(n.buf)), OK: false, Msg: err.Error()}
+	n.buf = n.buf[:from]
+	if len(data) > 0 {
+		if n.store.Append(data) != nil {
+			return false
 		}
-		n.buf = append(n.buf, m.Data...)
+		n.buf = append(n.buf, data...)
 	}
-	if m.Seq > n.seq {
-		n.seq = m.Seq
-	}
-	return InstallAck{Size: int64(len(n.buf)), OK: true}
+	return true
 }
 
-func (n *Node) handleTruncate(m Truncate) Message {
-	if m.View < n.maxView {
-		return TruncateAck{Size: int64(len(n.buf)), OK: false,
-			Msg: fmt.Sprintf("stale view %d < %d", m.View, n.maxView)}
+// truncate shortens the journal to size bytes (torn-tail repair).
+func (n *node) truncate(view uint64, size int64) bool {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	if !n.fence(view) || size < 0 || size > int64(len(n.buf)) || n.store.Truncate(size) != nil {
+		return false
 	}
-	n.maxView = m.View
-	if m.N < 0 || m.N > int64(len(n.buf)) {
-		return TruncateAck{Size: int64(len(n.buf)), OK: false,
-			Msg: fmt.Sprintf("truncate %d of %d", m.N, len(n.buf))}
-	}
-	if err := n.store.Truncate(m.N); err != nil {
-		return TruncateAck{Size: int64(len(n.buf)), OK: false, Msg: err.Error()}
-	}
-	n.buf = n.buf[:m.N]
-	return TruncateAck{Size: int64(len(n.buf)), OK: true}
+	n.buf = n.buf[:size]
+	return true
 }
 
 // wholeFrames reports whether p consists entirely of intact journal
-// frames — the validity gate for bytes arriving over the wire.
+// frames — the validity gate for bytes a node is asked to keep.
 func wholeFrames(p []byte) bool {
 	valid, err := catalog.ScanFrames(p, nil)
 	return err == nil && valid == int64(len(p))

@@ -34,9 +34,9 @@ func appendSet(t *testing.T, cat *catalog.Catalog, date int64) {
 
 func assertConverged(t *testing.T, c *Cluster) {
 	t.Helper()
-	ref := c.Node("n0").Journal()
+	ref := c.Journal("n0")
 	for _, name := range []string{"n1", "n2"} {
-		if got := c.Node(name).Journal(); !bytes.Equal(got, ref) {
+		if got := c.Journal(name); !bytes.Equal(got, ref) {
 			t.Fatalf("node %s journal diverged: %d vs %d bytes", name, len(got), len(ref))
 		}
 	}
@@ -58,8 +58,8 @@ func TestReplicatedCatalog(t *testing.T) {
 		t.Fatalf("AppendSessionCheckpoint: %v", err)
 	}
 	assertConverged(t, c)
-	if c.AckedSize() != c.Node("n0").Size() {
-		t.Fatalf("acked size %d != primary size %d", c.AckedSize(), c.Node("n0").Size())
+	if c.AckedSize() != int64(len(c.Journal("n0"))) {
+		t.Fatalf("acked size %d != primary size %d", c.AckedSize(), int64(len(c.Journal("n0"))))
 	}
 
 	cat2, err := catalog.Open(c)
@@ -93,7 +93,7 @@ func TestFailoverKeepsAckedRecords(t *testing.T) {
 	if view.Primary == "n0" {
 		t.Fatalf("primary still n0 after kill")
 	}
-	if c.Service().Changes() == 0 {
+	if c.ViewChanges() == 0 {
 		t.Fatalf("no view change recorded")
 	}
 	if c.AckedSize() <= acked {
@@ -151,7 +151,7 @@ func TestStrandedTailTruncated(t *testing.T) {
 	ackedBefore := c.AckedSize()
 
 	boom := errors.New("primary crashed mid-append")
-	c.TestHookAfterPrimary = func(seq uint64) error {
+	c.TestHookAfterPrimary = func() error {
 		c.Kill("n0")
 		return boom
 	}
@@ -167,7 +167,7 @@ func TestStrandedTailTruncated(t *testing.T) {
 	if c.AckedSize() != ackedBefore {
 		t.Fatalf("unacknowledged append moved the durability frontier")
 	}
-	if c.Node("n0").Size() <= ackedBefore {
+	if int64(len(c.Journal("n0"))) <= ackedBefore {
 		t.Fatalf("test setup: no stranded tail on the dead primary")
 	}
 
@@ -202,7 +202,7 @@ func TestStrandedTailTruncated(t *testing.T) {
 // may be missing acknowledged records.
 func TestPromotionPrefersLargestJournal(t *testing.T) {
 	start := time.Unix(0, 0)
-	vs := NewViewService([]string{"a", "b", "c"}, 3*time.Second, start)
+	vs := newViewService([]string{"a", "b", "c"}, 3*time.Second, start)
 	now := start.Add(time.Second)
 	vs.Ping("a", 100, now)
 	vs.Ping("b", 60, now)
@@ -303,7 +303,7 @@ func TestTornNodeJournalEveryOffset(t *testing.T) {
 	for i := int64(1); i <= 3; i++ {
 		appendSet(t, cat, 100*i)
 	}
-	full := c.Node("n2").Journal()
+	full := c.Journal("n2")
 	if len(full) == 0 {
 		t.Fatalf("empty journal")
 	}
@@ -315,7 +315,7 @@ func TestTornNodeJournalEveryOffset(t *testing.T) {
 		if err := c.Restart("n2"); err != nil {
 			t.Fatalf("off %d: restart: %v", off, err)
 		}
-		if got := c.Node("n2").Journal(); !bytes.Equal(got, full) {
+		if got := c.Journal("n2"); !bytes.Equal(got, full) {
 			t.Fatalf("off %d: catch-up got %d bytes, want %d", off, len(got), len(full))
 		}
 	}
@@ -326,7 +326,7 @@ func TestTornNodeJournalEveryOffset(t *testing.T) {
 		if err := c.Restart("n2"); err != nil {
 			t.Fatalf("flip %d: restart: %v", off, err)
 		}
-		if got := c.Node("n2").Journal(); !bytes.Equal(got, full) {
+		if got := c.Journal("n2"); !bytes.Equal(got, full) {
 			t.Fatalf("flip %d: catch-up got %d bytes, want %d", off, len(got), len(full))
 		}
 	}
@@ -354,7 +354,7 @@ func TestMirroredPairNeverAcksOnOneCopy(t *testing.T) {
 		Media: []catalog.MediaRef{{Volume: "t0"}}}
 	converged := func(c *Cluster) {
 		t.Helper()
-		if a, b := c.Node("a").Journal(), c.Node("b").Journal(); !bytes.Equal(a, b) {
+		if a, b := c.Journal("a"), c.Journal("b"); !bytes.Equal(a, b) {
 			t.Fatalf("copies differ: a %d bytes, b %d bytes", len(a), len(b))
 		}
 	}
@@ -411,8 +411,8 @@ func TestMirroredPairNeverAcksOnOneCopy(t *testing.T) {
 			t.Fatalf("%s restarted: retried append: %v", victim, err)
 		}
 		converged(c)
-		if c.AckedSize() <= acked || c.AckedSize() != c.Node("a").Size() {
-			t.Fatalf("%s restarted: acked %d, copies hold %d", victim, c.AckedSize(), c.Node("a").Size())
+		if c.AckedSize() <= acked || c.AckedSize() != int64(len(c.Journal("a"))) {
+			t.Fatalf("%s restarted: acked %d, copies hold %d", victim, c.AckedSize(), int64(len(c.Journal("a"))))
 		}
 	}
 }
@@ -431,7 +431,7 @@ func TestColdStartElectsLargestValidJournal(t *testing.T) {
 	for i := int64(1); i <= 3; i++ {
 		appendSet(t, cat, 100*i)
 	}
-	full := seed.Node("n0").Journal()
+	full := seed.Journal("n0")
 
 	flipped := append([]byte(nil), full...)
 	flipped[20] ^= 0xFF // inside the first frame: nothing of it is valid
@@ -447,11 +447,11 @@ func TestColdStartElectsLargestValidJournal(t *testing.T) {
 	if v := c.View(); v.Num != 1 || v.Primary != "n2" || len(v.Backups) != 2 {
 		t.Fatalf("first view %+v, want n2 leading view 1", v)
 	}
-	if c.Service().Changes() != 0 {
-		t.Fatalf("cold start counted %d view changes", c.Service().Changes())
+	if c.ViewChanges() != 0 {
+		t.Fatalf("cold start counted %d view changes", c.ViewChanges())
 	}
 	assertConverged(t, c)
-	if got := c.Node("n0").Journal(); !bytes.Equal(got, full) || c.AckedSize() != int64(len(full)) {
+	if got := c.Journal("n0"); !bytes.Equal(got, full) || c.AckedSize() != int64(len(full)) {
 		t.Fatalf("after cold start: %d bytes, acked %d, want %d", len(got), c.AckedSize(), len(full))
 	}
 	for name, s := range stores {

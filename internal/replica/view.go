@@ -5,7 +5,16 @@ import (
 	"time"
 )
 
-// ViewService is the simulated view server: the one component every
+// View is one configuration of the group: a numbered primary
+// assignment. Backups lists the remaining members in canonical order;
+// promotion on primary death picks the most-up-to-date live backup.
+type View struct {
+	Num     uint64
+	Primary string
+	Backups []string
+}
+
+// viewService is the simulated view server: the one component every
 // node and client can always reach (in a real deployment it is the
 // small replicated coordination service; here it runs in-process on
 // the virtual clock). Nodes ping it periodically; when the primary
@@ -18,7 +27,7 @@ import (
 // offset-addressed and framed), so the largest live journal contains
 // every record any quorum acknowledged — a smaller live backup may be
 // missing an acked record that only the biggest one durably framed.
-type ViewService struct {
+type viewService struct {
 	mu        sync.Mutex
 	deadAfter time.Duration
 	members   []string
@@ -28,11 +37,11 @@ type ViewService struct {
 	size      map[string]int64
 }
 
-// NewViewService builds the service over a fixed member set. The
+// newViewService builds the service over a fixed member set. The
 // initial view names members[0] primary; every member is considered
 // live as of start.
-func NewViewService(members []string, deadAfter time.Duration, start time.Time) *ViewService {
-	vs := &ViewService{
+func newViewService(members []string, deadAfter time.Duration, start time.Time) *viewService {
+	vs := &viewService{
 		deadAfter: deadAfter,
 		members:   append([]string(nil), members...),
 		last:      make(map[string]time.Time, len(members)),
@@ -46,22 +55,21 @@ func NewViewService(members []string, deadAfter time.Duration, start time.Time) 
 }
 
 // Ping records a liveness report from node name holding a journal of
-// size bytes, and returns the current view. A node that was declared
-// dead becomes a promotion candidate again on its next ping.
-func (vs *ViewService) Ping(name string, size int64, now time.Time) View {
+// size bytes. A node that was declared dead becomes a promotion
+// candidate again on its next ping.
+func (vs *viewService) Ping(name string, size int64, now time.Time) {
 	vs.mu.Lock()
 	defer vs.mu.Unlock()
 	if _, ok := vs.last[name]; ok {
 		vs.last[name] = now
 		vs.size[name] = size
 	}
-	return vs.viewLocked()
 }
 
 // Tick advances the failure detector to now: if the primary has
 // missed pings for longer than DeadAfter and a live backup exists, a
 // new view promotes the live backup with the largest journal.
-func (vs *ViewService) Tick(now time.Time) View {
+func (vs *viewService) Tick(now time.Time) View {
 	vs.mu.Lock()
 	defer vs.mu.Unlock()
 	if now.Sub(vs.last[vs.view.Primary]) <= vs.deadAfter {
@@ -94,20 +102,20 @@ func (vs *ViewService) Tick(now time.Time) View {
 }
 
 // View returns the current view.
-func (vs *ViewService) View() View {
+func (vs *viewService) View() View {
 	vs.mu.Lock()
 	defer vs.mu.Unlock()
 	return vs.viewLocked()
 }
 
 // Changes returns how many view changes (failovers) have occurred.
-func (vs *ViewService) Changes() uint64 {
+func (vs *viewService) Changes() uint64 {
 	vs.mu.Lock()
 	defer vs.mu.Unlock()
 	return vs.changes
 }
 
-func (vs *ViewService) viewLocked() View {
+func (vs *viewService) viewLocked() View {
 	v := vs.view
 	v.Backups = append([]string(nil), v.Backups...)
 	return v

@@ -384,9 +384,9 @@ func TestScheduleSurvivesCatalogFailover(t *testing.T) {
 		t.Fatalf("run 2 after rejoin: %v", err)
 	}
 
-	ref := cluster.Node(members[0]).Journal()
+	ref := cluster.Journal(members[0])
 	for _, m := range members[1:] {
-		if !bytes.Equal(cluster.Node(m).Journal(), ref) {
+		if !bytes.Equal(cluster.Journal(m), ref) {
 			t.Fatalf("node %s journal diverged after rejoin", m)
 		}
 	}
