@@ -3,7 +3,7 @@ GO ?= go
 WORKLOAD ?= logical-4d
 PHASE ?=
 
-.PHONY: tier1 race tables tables-check tables-diff attribution alloc-profile build vet test chaos fuzz-smoke obs-smoke examples loc dup
+.PHONY: tier1 race tables tables-check tables-diff attribution alloc-profile build vet test chaos fuzz-smoke obs-smoke examples examples-check loc dup
 
 tier1: ## gofmt + vet + build + full test suite (the repo's gate)
 	@test -z "$$(gofmt -l .)" || { echo "gofmt needed:"; gofmt -l .; exit 1; }
@@ -46,11 +46,15 @@ obs-smoke: ## instrumented dump with tracing + metrics, validated end to end
 	$(GO) run ./cmd/backupctl stats -mb 4 -trace obs_trace.json -check > /dev/null
 	rm -f obs_trace.json
 
-examples: ## run every program under examples/ (each checks its own result; they are the only callers of sched.New outside tests); a non-zero exit fails
-	@for d in examples/*/; do \
-		echo "== $$d"; \
-		$(GO) run ./$$d > /dev/null || exit 1; \
-	done
+# Every program under examples/, each one's stdout under a "== examples/x/"
+# heading; a program that exits non-zero stops the run.
+RUN_EXAMPLES = for d in examples/*/; do echo "== $$d"; $(GO) run ./$$d || exit 1; done
+
+examples: ## run every program under examples/ (each checks its own result; they are the only callers of sched.New outside tests) and regenerate their committed output reference
+	@$(RUN_EXAMPLES) > docs/examples-reference.txt
+
+examples-check: ## exact-match gate: the examples run on the virtual clock and print the same bytes every run, so any diff against docs/examples-reference.txt is a behaviour change
+	@out=$$(mktemp); ($(RUN_EXAMPLES)) > $$out && diff docs/examples-reference.txt $$out; rc=$$?; rm -f $$out; exit $$rc
 
 attribution: ## per-layer table of one traced benchmark run (non-zero series; PHASE=dump|restore keeps one side's): run it at the parent and at the change for the before/after of a speed-up
 	@case "$(PHASE)" in ""|dump|restore) ;; *) echo "PHASE must be dump or restore, not '$(PHASE)'" >&2; exit 1;; esac
