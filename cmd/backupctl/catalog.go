@@ -26,7 +26,6 @@ import (
 	"repro/internal/logical"
 	"repro/internal/ndmp"
 	"repro/internal/replica"
-	"repro/internal/scrub"
 	"repro/internal/wafl"
 )
 
@@ -296,19 +295,19 @@ type recvStream struct {
 	bytes int64
 }
 
-// recordReceived journals a cleanly closed push session in the
-// server's own catalog (<base>.catalog). All streams of a session are
-// one dump — checkpoint resumes add streams, not dumps — so they land
-// as a single DumpSet whose Media lists the stream files in replay
-// order. Engine and level come off the wire Hello; dump dates and
-// generations come from the stream headers, so the server's catalog
-// can plan restore chains exactly like the client's. With a standby
-// path the append lands in both journals before it is acknowledged.
+// recordReceived lands a cleanly closed push session in the server's
+// own catalog (<base>.catalog). All streams of a session are one dump —
+// checkpoint resumes add streams, not dumps — so they land as a single
+// DumpSet whose Media lists the stream files in replay order. Engine and
+// level come off the wire Hello; dump dates and generations come from
+// the stream headers, so the server's catalog can plan restore chains
+// exactly like the client's. With a standby path every append lands in
+// both journals before it is acknowledged.
 //
-// Nothing is cataloged healthy on the sender's word: the landed files
-// are read back through the verification scrub applies, and a set with
-// findings is journaled damaged, so `catalog` shows it and `plan`
-// routes around it.
+// Nothing is cataloged healthy on the sender's word: engine.Land reads
+// the landed files back (of a resumed set, the last) and indexes a
+// logical set from them, so `plan -file` prunes a pushed chain; a set
+// with findings is journaled damaged, and `plan` routes around it.
 func recordReceived(ctx context.Context, base, standby string, streams []recvStream) error {
 	if len(streams) == 0 {
 		return nil
@@ -335,22 +334,11 @@ func recordReceived(ctx context.Context, base, standby string, streams []recvStr
 		ds.Bytes += rs.bytes
 		ds.Media = append(ds.Media, catalog.MediaRef{Volume: rs.path})
 	}
-	// A resumed set's non-final streams are deliberately partial; only a
-	// full restore pass can judge them (scrub skips them too).
-	var findings []scrub.Finding
-	if !ds.Resumed {
-		landed, err := (&setOpener{cat: cat}).open(ctx, ds, nil)
-		if err != nil {
-			return err
-		}
-		findings, _ = scrub.VerifySetStream(ctx, ds, landed)
+	id, damage, err := engine.Land(ctx, cat, ds, nil, (&setOpener{cat: cat}).open)
+	if err == nil && damage != "" {
+		fmt.Fprintf(os.Stderr, "backupctl: serve: set %d failed verification on landing, cataloged damaged: %s\n", id, damage)
 	}
-	id, err := cat.AppendDumpSet(ds)
-	if err != nil || len(findings) == 0 {
-		return err
-	}
-	fmt.Fprintf(os.Stderr, "backupctl: serve: set %d failed verification on landing, cataloged damaged: %s\n", id, findings[0])
-	return cat.MarkDamaged(id, ds.Date, "ingest: "+findings[0].Detail)
+	return err
 }
 
 // --- per-command usage (the help subcommand).

@@ -206,14 +206,37 @@ func (d *dyingSink) WriteRecord(rec []byte) error {
 	return d.Sink.WriteRecord(rec)
 }
 
-// landResumed runs job the way a push that lost its stream once lands:
-// the first stream file (base.0) dies after left records, the engine
-// resumes onto a second, and both are journaled through recordReceived
-// into vol's catalog, exactly as serve records a resumed push — one
-// Resumed set over two stream files.
-func landResumed(t *testing.T, vol, base string, job *engine.Dump, hello ndmp.Hello, left int) {
+// pushResumed dumps vol with eng the way a push that lost its stream
+// once lands: the first stream file (base) dies partway, past a
+// checkpoint, and the engine resumes onto a second (base.s1). It
+// returns the two landed streams, as serve hands them to recordReceived.
+func pushResumed(t *testing.T, vol, base string, eng catalog.Engine) []recvStream {
 	t.Helper()
 	ctx := context.Background()
+	dev, err := storage.OpenFileDevice(vol)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer dev.Close()
+	fs, err := wafl.Mount(ctx, dev, nil, wafl.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	hello, left := ndmp.Hello{Kind: ndmp.KindLogical, FSID: vol}, 30
+	var job *engine.Dump
+	if eng == catalog.Logical {
+		var release func()
+		if job, release, err = logicalJob(ctx, fs, "s0", logical.DumpOptions{FSID: vol, CheckpointEvery: 8}); err != nil {
+			t.Fatal(err)
+		}
+		defer release()
+	} else {
+		if err := fs.CreateSnapshot(ctx, "s0"); err != nil {
+			t.Fatal(err)
+		}
+		job = engine.NewImage(physical.DumpOptions{FS: fs, Vol: dev, SnapName: "s0", CheckpointEvery: 64})
+		hello, left = ndmp.Hello{Kind: ndmp.KindImage, FSID: vol, Level: -1}, 6
+	}
 	var landed []recvStream
 	resumes, err := engine.Resume(ctx, job, 2, func(attempt int) (stream.Sink, func(error) error, error) {
 		path := streamPath(base, attempt)
@@ -235,13 +258,22 @@ func landResumed(t *testing.T, vol, base string, job *engine.Dump, hello ndmp.He
 	if err != nil || resumes != 1 {
 		t.Fatalf("dump: %d resumes, err %v; want one resume", resumes, err)
 	}
-	if err := recordReceived(ctx, vol, "", landed); err != nil {
+	return landed
+}
+
+// landResumed journals a resumed push's streams through recordReceived
+// into vol's catalog, exactly as serve records one, and returns the set:
+// one Resumed set over the two stream files.
+func landResumed(t *testing.T, vol string, landed []recvStream) catalog.DumpSet {
+	t.Helper()
+	if err := recordReceived(context.Background(), vol, "", landed); err != nil {
 		t.Fatal(err)
 	}
 	sets := volSets(t, vol)
-	if len(sets) != 1 || sets[0].Engine != job.Engine() || !sets[0].Resumed || len(sets[0].Media) != 2 {
-		t.Fatalf("journaled sets %+v, want one resumed %s set over two files", sets, job.Engine())
+	if len(sets) != 1 || sets[0].Engine != catalog.Engine(landed[0].hello.Kind) || !sets[0].Resumed || len(sets[0].Media) != 2 {
+		t.Fatalf("journaled sets %+v, want one resumed set over two files", sets)
 	}
+	return sets[0]
 }
 
 // TestCatalogRecoverResumedImageSet: an image dump whose first stream
@@ -250,7 +282,6 @@ func landResumed(t *testing.T, vol, base string, job *engine.Dump, hello ndmp.He
 // push. recover -engine image must rebuild the volume from it: the torn
 // first file salvaged, the second applied on top, one step.
 func TestCatalogRecoverResumedImageSet(t *testing.T) {
-	ctx := context.Background()
 	dir := t.TempDir()
 	vol := filepath.Join(dir, "home.img")
 	do := func(args ...string) {
@@ -270,21 +301,7 @@ func TestCatalogRecoverResumedImageSet(t *testing.T) {
 	do("-vol", vol, "mkfs", "-blocks", "4096")
 	do("-vol", vol, "fill", "-mb", "2")
 	put("dumped")
-
-	dev, err := storage.OpenFileDevice(vol)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fs, err := wafl.Mount(ctx, dev, nil, wafl.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := fs.CreateSnapshot(ctx, "s0"); err != nil {
-		t.Fatal(err)
-	}
-	job := engine.NewImage(physical.DumpOptions{FS: fs, Vol: dev, SnapName: "s0", CheckpointEvery: 64})
-	landResumed(t, vol, filepath.Join(dir, "img"), job, ndmp.Hello{Kind: ndmp.KindImage, FSID: vol, Level: -1}, 6)
-	dev.Close()
+	landResumed(t, vol, pushResumed(t, vol, filepath.Join(dir, "img"), catalog.Image))
 
 	put("written after the dump")
 	do("-vol", vol, "recover", "-engine", "image")
@@ -303,33 +320,9 @@ func TestCatalogRecoverResumedImageSet(t *testing.T) {
 func TestRestoreSetTakesResumedSet(t *testing.T) {
 	for _, eng := range []catalog.Engine{catalog.Logical, catalog.Image} {
 		t.Run(eng.String(), func(t *testing.T) {
-			ctx := context.Background()
 			r := newOneWayRig(t)
 			r.put("dumped")
-			dev, err := storage.OpenFileDevice(r.vol)
-			if err != nil {
-				t.Fatal(err)
-			}
-			fs, err := wafl.Mount(ctx, dev, nil, wafl.Options{})
-			if err != nil {
-				t.Fatal(err)
-			}
-			base := filepath.Join(r.dir, "pushed")
-			if eng == catalog.Logical {
-				job, release, err := logicalJob(ctx, fs, "s0", logical.DumpOptions{FSID: r.vol, CheckpointEvery: 8})
-				if err != nil {
-					t.Fatal(err)
-				}
-				landResumed(t, r.vol, base, job, ndmp.Hello{Kind: ndmp.KindLogical, FSID: r.vol}, 30)
-				release()
-			} else {
-				if err := fs.CreateSnapshot(ctx, "s0"); err != nil {
-					t.Fatal(err)
-				}
-				job := engine.NewImage(physical.DumpOptions{FS: fs, Vol: dev, SnapName: "s0", CheckpointEvery: 64})
-				landResumed(t, r.vol, base, job, ndmp.Hello{Kind: ndmp.KindImage, FSID: r.vol, Level: -1}, 6)
-			}
-			dev.Close()
+			landResumed(t, r.vol, pushResumed(t, r.vol, filepath.Join(r.dir, "pushed"), eng))
 			want := treeDigest(t, r.vol)
 
 			clone := filepath.Join(r.dir, "clone.img")
@@ -353,6 +346,44 @@ func TestRestoreSetTakesResumedSet(t *testing.T) {
 				t.Fatalf("restore -set: tree differs from recover's: %v", diffs[0])
 			}
 		})
+	}
+}
+
+// TestRecordReceivedVerifiesResumedSet: a resumed push is read back on
+// landing like any other — through its last stream, the one complete
+// by construction (the first is torn by design). One flipped byte there
+// catalogs the set damaged, for either engine; untouched, it lands
+// healthy.
+func TestRecordReceivedVerifiesResumedSet(t *testing.T) {
+	for _, eng := range []catalog.Engine{catalog.Logical, catalog.Image} {
+		for _, flip := range []bool{false, true} {
+			t.Run(fmt.Sprintf("%s flipped=%v", eng, flip), func(t *testing.T) {
+				r := newOneWayRig(t)
+				landed := pushResumed(t, r.vol, filepath.Join(r.dir, "pushed"), eng)
+				last := landed[len(landed)-1].path
+				data, err := os.ReadFile(last)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if flip {
+					// Past the leading header PeekSet needs whole: the
+					// logical stream's next header, the image stream's middle.
+					at := 4 + dumpfmt.TPBSize + 60
+					if eng == catalog.Image {
+						at = len(data) / 2
+					}
+					data[at] ^= 0xFF
+					if err := os.WriteFile(last, data, 0644); err != nil {
+						t.Fatal(err)
+					}
+				}
+				set := landResumed(t, r.vol, landed)
+				want := map[bool]string{false: "ok", true: "damaged"}[flip]
+				if got := health(t, r.vol); len(got) != 1 || got[0] != want {
+					t.Fatalf("resumed set %d cataloged %v, want %s", set.ID, got, want)
+				}
+			})
+		}
 	}
 }
 

@@ -45,8 +45,8 @@ func printDedupStats(ws chunk.WriterStats, m chunk.Manifest) {
 // through the catalog's chunk index from the store beside vol (opened on
 // first use, closed by Close), any other is one stream file per media
 // ref, each closed by whoever reads it. recover, restore -set,
-// imagerestore -set, scrub and serve's verify-on-ingest read through
-// it; host files have no damage to ride over, so that callback is unused.
+// imagerestore -set, scrub and every landing read through it; host
+// files have no damage to ride over, so that callback is unused.
 type setOpener struct {
 	cat   *catalog.Catalog
 	vol   string

@@ -145,7 +145,7 @@ func run(args []string) error {
 			return err
 		}
 		defer src.Close()
-		check, err := physical.VerifyStream(src)
+		check, err := physical.VerifyStream(ctx, src)
 		if err != nil {
 			return err
 		}
@@ -577,7 +577,6 @@ func dumpCommand(ctx context.Context, fs *wafl.FS, vol, cmd string, rest []strin
 	defer done()
 
 	var job *engine.Dump
-	var index []catalog.FileIndexEntry
 	var dates *logical.DumpDates
 	name, release := "backupctl.dump", func() {}
 	if image {
@@ -586,9 +585,6 @@ func dumpCommand(ctx context.Context, fs *wafl.FS, vol, cmd string, rest []strin
 		dates = catalogDates(cat, vol)
 		job, release, err = logicalJob(ctx, fs, name, logical.DumpOptions{
 			Level: *level, Dates: dates, FSID: vol, Subtree: *subtree,
-			FileIndex: func(path string, ino wafl.Inum, unit int64) {
-				index = append(index, catalog.FileIndexEntry{Path: path, Ino: uint32(ino), Unit: unit})
-			},
 		})
 	}
 	if err != nil {
@@ -599,7 +595,7 @@ func dumpCommand(ctx context.Context, fs *wafl.FS, vol, cmd string, rest []strin
 	// The sink: a stream file, or the dedup writer over the chunk store.
 	var sink stream.Sink
 	var dw *chunk.Writer
-	var manifest chunk.Manifest
+	var manifest *chunk.Manifest
 	media := *out
 	var finish func() error
 	if *dedup {
@@ -616,7 +612,7 @@ func dumpCommand(ctx context.Context, fs *wafl.FS, vol, cmd string, rest []strin
 			return err
 		}
 		sink, media = dw, chunkStorePath(vol)
-		finish = func() (err error) { manifest, err = dw.Close(); return }
+		finish = func() error { m, err := dw.Close(); manifest = &m; return err }
 	} else {
 		file, err := createStream(*out)
 		if err != nil {
@@ -631,22 +627,15 @@ func dumpCommand(ctx context.Context, fs *wafl.FS, vol, cmd string, rest []strin
 		return err
 	}
 
-	// The job's own half of the record plus where this command put it.
+	// The job's own half of the record plus where this command put it,
+	// landed: journaled, read back through setOpener and indexed.
 	ds := job.Set()
 	ds.FSID, ds.Snap, ds.Media = vol, name, []catalog.MediaRef{{Volume: media}}
-	id, err := cat.AppendDumpSet(ds)
+	sets := &setOpener{cat: cat, vol: vol}
+	defer sets.Close()
+	id, damage, err := engine.Land(ctx, cat, ds, manifest, sets.open)
 	if err != nil {
 		return err
-	}
-	if len(index) > 0 {
-		if err := cat.AppendFileIndex(id, index); err != nil {
-			return err
-		}
-	}
-	if dw != nil {
-		if err := cat.AppendManifest(id, manifest); err != nil {
-			return err
-		}
 	}
 	if image {
 		stats := job.ImageStats
@@ -663,7 +652,10 @@ func dumpCommand(ctx context.Context, fs *wafl.FS, vol, cmd string, rest []strin
 			stats.FilesDumped, stats.DirsDumped, stats.BytesWritten, *level, stats.BaseDate)
 	}
 	if dw != nil {
-		printDedupStats(dw.Stats(), manifest)
+		printDedupStats(dw.Stats(), *manifest)
+	}
+	if damage != "" {
+		return fmt.Errorf("%s: set %d failed verification on landing, cataloged damaged: %s", cmd, id, damage)
 	}
 	return nil
 }

@@ -12,8 +12,10 @@ import (
 
 	"repro/internal/catalog"
 	"repro/internal/dumpfmt"
+	"repro/internal/engine"
 	"repro/internal/scrub"
 	"repro/internal/storage"
+	"repro/internal/stream"
 	"repro/internal/wafl"
 	"repro/internal/workload"
 )
@@ -286,10 +288,11 @@ func TestRecoverLooksBeforeItWipes(t *testing.T) {
 	}
 }
 
-// FuzzStreamFile writes arbitrary bytes as a stream file and reads it
-// back the way every consumer of a cataloged set does — through the
-// opener, verified as each engine: no panic, a verdict either way, no
-// record buffer larger than the file, and the file closed afterwards.
+// FuzzStreamFile writes arbitrary bytes as a stream file and lands it
+// as each engine's set, the way every dump and push is cataloged —
+// journaled, opened through the opener and read back: no panic, a
+// damage verdict, no record buffer larger than the file, and the file
+// closed afterwards.
 func FuzzStreamFile(f *testing.F) {
 	dir := f.TempDir()
 	vol := filepath.Join(dir, "home.img")
@@ -312,10 +315,6 @@ func FuzzStreamFile(f *testing.F) {
 	}
 	f.Add([]byte{0xff, 0xff, 0xff, 0x03}) // a length prefix asking for 64 MiB, and no payload
 	f.Add([]byte{})
-	cat, err := catalog.Open(&catalog.MemStore{})
-	if err != nil {
-		f.Fatal(err)
-	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		path := filepath.Join(t.TempDir(), "landed")
 		if err := os.WriteFile(path, data, 0644); err != nil {
@@ -323,10 +322,23 @@ func FuzzStreamFile(f *testing.F) {
 		}
 		ctx := context.Background()
 		for _, eng := range []catalog.Engine{catalog.Logical, catalog.Image} {
+			cat, err := catalog.Open(&catalog.MemStore{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			var streams []stream.Source
+			open := func(ctx context.Context, ds catalog.DumpSet, damaged func(string, int)) ([]stream.Source, error) {
+				streams, err = (&setOpener{cat: cat}).open(ctx, ds, damaged)
+				return streams, err
+			}
+			// The framing costs four bytes a record, so no file carries
+			// the stream bytes this record claims: a finding either way.
 			ds := catalog.DumpSet{Engine: eng, Bytes: int64(len(data)), Media: []catalog.MediaRef{{Volume: path}}}
-			streams, err := (&setOpener{cat: cat}).open(ctx, ds, nil)
-			if err != nil || len(streams) != 1 {
-				t.Fatalf("open: %v, %d streams", err, len(streams))
+			if _, damage, err := engine.Land(ctx, cat, ds, nil, open); err != nil || damage == "" {
+				t.Fatalf("%s: %d bytes of file landed as %d bytes of stream: damage %q, %v", eng, len(data), ds.Bytes, damage, err)
+			}
+			if len(streams) != 1 {
+				t.Fatalf("open: %d streams", len(streams))
 			}
 			file := streams[0].(*fileSource)
 			// Every record the file can yield fits in the file.
@@ -339,11 +351,6 @@ func FuzzStreamFile(f *testing.F) {
 				if len(rec) > len(data) {
 					t.Fatalf("a %d-byte file yielded a %d-byte record", len(data), len(rec))
 				}
-			}
-			// The framing costs four bytes a record, so no file carries
-			// the stream bytes this record claims: a finding either way.
-			if findings, _ := scrub.VerifySetStream(ctx, ds, streams); len(findings) == 0 {
-				t.Fatalf("%s: %d bytes of file verified clean as %d bytes of stream", eng, len(data), ds.Bytes)
 			}
 			if _, err := file.f.Seek(0, io.SeekCurrent); !errors.Is(err, os.ErrClosed) {
 				t.Fatalf("%s: stream file still open after verification: %v", eng, err)

@@ -1,15 +1,49 @@
 package main
 
 import (
+	"context"
+	"crypto/sha256"
+	"math/rand"
 	"net"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/catalog"
+	"repro/internal/engine"
+	"repro/internal/storage"
+	"repro/internal/wafl"
 )
+
+// serveOnce runs serve in-process on an ephemeral port, writing what it
+// receives to out, until one session closes cleanly and is cataloged;
+// wait blocks until then.
+func serveOnce(t *testing.T, out string) (addr string, wait func()) {
+	t.Helper()
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan error, 1)
+	go func() {
+		defer l.Close()
+		done <- serveOn(l, out, "", true, 5*time.Second, nil, nil)
+	}()
+	return l.Addr().String(), func() {
+		t.Helper()
+		select {
+		case err := <-done:
+			if err != nil {
+				t.Fatalf("serve: %v", err)
+			}
+		case <-time.After(30 * time.Second):
+			t.Fatal("serve did not finish")
+		}
+	}
+}
 
 // TestTransportServePush runs the remote backup path end to end over
 // real TCP on the loopback interface: a serve process receives both a
@@ -38,39 +72,12 @@ func TestTransportServePush(t *testing.T) {
 	do("-vol", vol, "fill", "-mb", "2")
 	do("-vol", vol, "put", hostFile, "/docs/payload.txt")
 
-	// serve runs in-process on an ephemeral port; -once semantics via
-	// serveOn so the goroutine exits after each clean session.
-	serveOnce := func(out string) (addr string, done chan error) {
-		t.Helper()
-		l, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		done = make(chan error, 1)
-		go func() {
-			defer l.Close()
-			done <- serveOn(l, out, "", true, 5*time.Second, nil, nil)
-		}()
-		return l.Addr().String(), done
-	}
-	wait := func(done chan error) {
-		t.Helper()
-		select {
-		case err := <-done:
-			if err != nil {
-				t.Fatalf("serve: %v", err)
-			}
-		case <-time.After(30 * time.Second):
-			t.Fatal("serve did not finish")
-		}
-	}
-
 	// Logical push: the received stream verifies against the live tree
 	// and restores a deleted file.
 	remoteDump := filepath.Join(dir, "remote.dump")
-	addr, done := serveOnce(remoteDump)
+	addr, wait := serveOnce(t, remoteDump)
 	do("-vol", vol, "push", "-to", addr)
-	wait(done)
+	wait()
 	do("-vol", vol, "verify", "-i", remoteDump)
 	do("-vol", vol, "rm", "/docs/payload.txt")
 	do("-vol", vol, "restore", "-i", remoteDump, "-file", "docs/payload.txt")
@@ -86,9 +93,9 @@ func TestTransportServePush(t *testing.T) {
 	// the level 0, and record itself beside it.
 	do("-vol", vol, "put", hostFile, "/docs/second.txt")
 	remoteIncr := filepath.Join(dir, "remote.l1.dump")
-	addr, done = serveOnce(remoteIncr)
+	addr, wait = serveOnce(t, remoteIncr)
 	do("-vol", vol, "push", "-to", addr, "-level", "1")
-	wait(done)
+	wait()
 	full, err := os.Stat(remoteDump)
 	if err != nil {
 		t.Fatal(err)
@@ -122,9 +129,9 @@ func TestTransportServePush(t *testing.T) {
 	// Image push: the received stream verifies offline and restores to
 	// a byte-equivalent clone volume.
 	remoteImg := filepath.Join(dir, "remote.stream")
-	addr, done = serveOnce(remoteImg)
+	addr, wait = serveOnce(t, remoteImg)
 	do("-vol", vol, "push", "-to", addr, "-kind", "image")
-	wait(done)
+	wait()
 	do("imageverify", "-i", remoteImg)
 	do("-vol", clone, "imagerestore", "-i", remoteImg)
 	do("-vol", clone, "fsck")
@@ -197,4 +204,74 @@ func TestTransportPushDeadReceiver(t *testing.T) {
 		t.Fatalf("dead receiver took %v to surface", elapsed)
 	}
 	t.Logf("push failed as expected after %v: %v", time.Since(start), err)
+}
+
+// TestServeIndexesPushedChain: a pushed logical set lands with the file
+// index its stream yields, so a single-file plan over a serve catalog
+// prunes a pushed chain the way it prunes a local one. A level 0 and two
+// incrementals are pushed over TCP, the file changing only before the
+// second incremental: the plan for it is that one set, and recovering
+// it through the catalog's opener gives the pushed content back.
+func TestServeIndexesPushedChain(t *testing.T) {
+	ctx := context.Background()
+	dir := t.TempDir()
+	vol := filepath.Join(dir, "home.img")
+	do := func(args ...string) {
+		t.Helper()
+		if err := run(args); err != nil {
+			t.Fatalf("backupctl %s: %v", strings.Join(args, " "), err)
+		}
+	}
+	put := func(path string, seed int64) []byte {
+		t.Helper()
+		content := make([]byte, 20<<10)
+		rand.New(rand.NewSource(seed)).Read(content)
+		host := filepath.Join(dir, "stage")
+		if err := os.WriteFile(host, content, 0644); err != nil {
+			t.Fatal(err)
+		}
+		do("-vol", vol, "put", host, path)
+		return content
+	}
+	do("-vol", vol, "mkfs", "-blocks", "4096")
+	do("-vol", vol, "fill", "-mb", "2")
+	put("/docs/f.txt", 1)
+	base := filepath.Join(dir, "recv.dump")
+	var want []byte
+	for level, change := range []func(){
+		func() {},
+		func() { put("/docs/g.txt", 2) },
+		func() { want = put("/docs/f.txt", 3) },
+	} {
+		change()
+		addr, wait := serveOnce(t, base)
+		do("-vol", vol, "push", "-to", addr, "-level", strconv.Itoa(level))
+		wait()
+	}
+
+	cat, done, err := openCatalog(base, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer done()
+	plan, err := cat.Plan(catalog.PlanOptions{Engine: catalog.Logical, FSID: vol, File: "/docs/f.txt"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sets := cat.Sets(); len(plan.Steps) != 1 || len(sets) != 3 || plan.Steps[0].ID != sets[2].ID {
+		t.Fatalf("plan for one file over a pushed chain of %d sets:\n%s", len(cat.Sets()), plan)
+	}
+	fs, err := wafl.Mkfs(ctx, storage.NewMemDevice(4096), nil, wafl.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	opener := &setOpener{cat: cat, vol: base}
+	defer opener.Close()
+	if _, err := engine.Recover(ctx, plan, engine.Target{FS: fs}, opener.open, nil); err != nil {
+		t.Fatal(err)
+	}
+	got, err := fs.ActiveView().ReadFile(ctx, "/docs/f.txt")
+	if err != nil || sha256.Sum256(got) != sha256.Sum256(want) {
+		t.Fatalf("recovered /docs/f.txt: %d bytes, %v; want the %d bytes pushed last", len(got), err, len(want))
+	}
 }

@@ -98,7 +98,7 @@ func TestFilerSaga(t *testing.T) {
 			return fmt.Errorf("logical tape does not verify: %v", vres.Problems[0])
 		}
 		filer.Tapes[1].Rewind(p)
-		if _, err := physical.VerifyStream(filer.Source(c, 1)); err != nil {
+		if _, err := physical.VerifyStream(ctx, filer.Source(c, 1)); err != nil {
 			return fmt.Errorf("image tape does not verify: %w", err)
 		}
 		return nil

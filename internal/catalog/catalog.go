@@ -78,9 +78,10 @@ func (ds *DumpSet) Full() bool {
 }
 
 // FileIndexEntry locates one file inside a logical dump stream: the
-// stream position (in 1 KB dump units) where the file's header begins.
-// The planner uses presence — which chain members contain a path — and
-// a seek-capable source can use Unit to space directly to the file.
+// stream position (in 1 KB dump units) where its header begins, derived
+// with the path from the stream that landed (engine.Land). The planner
+// uses presence — which chain members contain a path — and a
+// seek-capable source can use Unit to space directly to the file.
 type FileIndexEntry struct {
 	Path string
 	Ino  uint32

@@ -55,7 +55,7 @@ func newSchedRig(t *testing.T, engine catalog.Engine, scrubbing, mirrored bool) 
 	if err := r.pool.Adopt(f.Tapes[0], 0); err != nil {
 		t.Fatal(err)
 	}
-	f.AttachCatalog(r.cat)
+	f.Dates = r.cat.DumpDates()
 	if scrubbing {
 		scfg := scrub.Config{Catalog: r.cat, Pool: r.pool,
 			Open: r.pool.Opener(tape.NewDrive(f.Env, "scrub/maint", tape.DefaultParams()))}

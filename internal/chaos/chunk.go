@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/catalog"
 	"repro/internal/chunk"
+	"repro/internal/engine"
 	"repro/internal/storage"
 	"repro/internal/stream"
 	"repro/internal/wafl"
@@ -172,10 +173,10 @@ func RunChunkCrash(ctx context.Context, s ChunkScenario) (*ChunkReport, error) {
 }
 
 // dedupDump runs one dump of the frozen snapshot through a fresh
-// chunk.Writer into (cat, media) and journals the set with its
-// manifest, returning the set id, the manifest and the writer's stats.
-// A failed dump abandons the writer — no Close, no manifest — exactly a
-// crash.
+// chunk.Writer into (cat, media) and lands the set with its manifest,
+// read back through the chunk layer, returning the set id, the manifest
+// and the writer's stats. A failed dump abandons the writer — no Close,
+// no manifest — exactly a crash.
 func dedupDump(ctx context.Context, s ChunkScenario, src *source, date int64, cat *catalog.Catalog, media chunk.Media, reverse bool) (uint64, chunk.Manifest, chunk.WriterStats, error) {
 	w, err := chunk.NewWriter(chunk.WriterOptions{
 		Index: cat, Media: media, Reverse: reverse,
@@ -195,9 +196,11 @@ func dedupDump(ctx context.Context, s ChunkScenario, src *source, date int64, ca
 	ds := job.Set()
 	ds.FSID, ds.Snap, ds.Date, ds.Bytes = "chaos", src.snap, date, m.RawBytes
 	ds.Media = []catalog.MediaRef{{Volume: "m0"}}
-	id, err := cat.AppendDumpSet(ds)
-	if err == nil {
-		err = cat.AppendManifest(id, m)
+	id, damage, err := engine.Land(ctx, cat, ds, &m, func(context.Context, catalog.DumpSet, func(string, int)) ([]stream.Source, error) {
+		return []stream.Source{chunk.NewReader(cat, media, m)}, nil
+	})
+	if err == nil && damage != "" {
+		err = fmt.Errorf("chaos: set %d landed damaged: %s", id, damage)
 	}
 	return id, m, w.Stats(), err
 }

@@ -14,6 +14,7 @@ import (
 	"repro/internal/obs"
 	"repro/internal/replica"
 	"repro/internal/storage"
+	"repro/internal/stream"
 	"repro/internal/transport"
 	"repro/internal/wafl"
 )
@@ -340,7 +341,7 @@ func RunReplicaFailover(ctx context.Context, s ReplicaFailoverScenario) (*Replic
 		return nil, fmt.Errorf("chaos: %s dump: %w", s.Engine, err)
 	}
 
-	// Commit the completed dump to the replicated catalog — the
+	// Land the completed dump in the replicated catalog — the
 	// acknowledgment the zero-loss guarantee is stated over. An attempt
 	// can bind more than one tape (a reconnect that lands on the
 	// standby opens a fresh one), and every one of them is the set's.
@@ -349,8 +350,14 @@ func RunReplicaFailover(ctx context.Context, s ReplicaFailoverScenario) (*Replic
 	for _, t := range tapes {
 		ds.Media = append(ds.Media, catalog.MediaRef{Volume: t.label})
 	}
-	if _, err := cat.AppendDumpSet(ds); err != nil {
-		return nil, fmt.Errorf("chaos: committing dump set: %w", err)
+	_, damage, err := engine.Land(ctx, cat, ds, nil, func(context.Context, catalog.DumpSet, func(string, int)) ([]stream.Source, error) {
+		return sources(tapes)
+	})
+	if err == nil && damage != "" {
+		err = errors.New(damage)
+	}
+	if err != nil {
+		return nil, fmt.Errorf("chaos: landing dump set: %w", err)
 	}
 
 	if err := rep.restore(ctx, src, tapes); err != nil {

@@ -93,21 +93,6 @@ type Filer struct {
 	Dates  *logical.DumpDates
 }
 
-// DumpDatesSource is anything that can reconstruct a durable dump-date
-// history — the backup catalog implements it. Declared structurally so
-// core does not depend on internal/catalog.
-type DumpDatesSource interface {
-	DumpDates() *logical.DumpDates
-}
-
-// AttachCatalog replaces the filer's in-memory dump-date history with
-// the one reconstructed from a durable catalog journal. Before this,
-// Dates evaporated on process exit and every restart forced a level-0;
-// with a catalog attached, incremental levels survive restarts.
-func (f *Filer) AttachCatalog(src DumpDatesSource) {
-	f.Dates = src.DumpDates()
-}
-
 // NewFiler builds and formats a filer.
 func NewFiler(ctx context.Context, cfg FilerConfig) (*Filer, error) {
 	if cfg.Name == "" {

@@ -52,9 +52,6 @@ func NewWriter(sink stream.Sink, label string, date, ddate int64, level int32) (
 // Written returns the total bytes emitted to the sink so far.
 func (w *Writer) Written() int64 { return w.written }
 
-// Tapea returns the current logical record position.
-func (w *Writer) Tapea() int64 { return w.tapea }
-
 // zeroUnit pads short segments without a per-unit scratch allocation.
 var zeroUnit [TPBSize]byte
 

@@ -2,8 +2,8 @@
 // knows there are two. The paper holds everything constant except the
 // engine — same filer, same tapes, same job — and so does the code:
 // callers build one engine's DumpOptions, wrap them in a Dump, and from
-// there on every job (dump, resume, catalog record, set restore, plan
-// execution, stream verification) is spelled once, here.
+// there on every job (dump, resume, landing in the catalog, set
+// restore, plan execution, stream verification) is spelled once, here.
 //
 // The rule the resume and restore halves share: every attempt's stream
 // belongs to the set. A failed attempt leaves a torn stream and a
@@ -322,9 +322,10 @@ func Recover(ctx context.Context, plan *catalog.Plan, t Target, open Opener,
 	return total, nil
 }
 
-// PeekSet reads a landed stream's leading header into the engine's half
-// of its catalog record — what a receiver that never saw the dump's
-// stats can still know. Every stream of a set carries the same values.
+// PeekSet reads a landed stream's first good header into the engine's
+// half of its catalog record — what a receiver that never saw the
+// dump's stats can still know. Every header of every stream of a set
+// carries the same values.
 func PeekSet(eng catalog.Engine, src stream.Source) (catalog.DumpSet, error) {
 	switch eng {
 	case catalog.Logical:
@@ -336,32 +337,9 @@ func PeekSet(eng catalog.Engine, src stream.Source) (catalog.DumpSet, error) {
 		// eng may be an unvalidated wire byte; never guess an engine for it.
 		return catalog.DumpSet{}, fmt.Errorf("engine: unknown engine %d", eng)
 	}
-	rec, err := src.ReadRecord()
-	if err != nil {
-		return catalog.DumpSet{}, err
-	}
-	if len(rec) < dumpfmt.TPBSize {
-		return catalog.DumpSet{}, fmt.Errorf("engine: %d-byte leading record", len(rec))
-	}
-	h, err := dumpfmt.UnmarshalHeader(rec[:dumpfmt.TPBSize])
+	h, err := dumpfmt.NewReader(src).NextHeader()
 	if err != nil {
 		return catalog.DumpSet{}, err
 	}
 	return catalog.DumpSet{Engine: eng, Snap: h.Label, Date: h.Date, BaseDate: h.DDate}, nil
-}
-
-// Verify reads one stream end to end through its engine's format
-// checks (header checksums, CRC framing, trailer) without applying it.
-// resynced counts corrupt units a logical reader skipped over.
-func Verify(ctx context.Context, eng catalog.Engine, src stream.Source) (resynced int, err error) {
-	if eng == catalog.Image {
-		_, err := physical.VerifyStreamCtx(ctx, src)
-		return 0, err
-	}
-	r := dumpfmt.NewReader(src)
-	h, err := r.NextHeader()
-	for err == nil && h.Type != dumpfmt.TSEnd {
-		h, err = r.Walk(h, nil)
-	}
-	return r.Skipped(), err
 }

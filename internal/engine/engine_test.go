@@ -411,7 +411,7 @@ func TestEveryPrefixIsTorn(t *testing.T) {
 		}
 		for n := 0; n <= len(whole.recs); n++ {
 			complete := n == len(whole.recs)
-			_, verr := engine.Verify(ctx, eng, &memSource{recs: whole.recs[:n]})
+			_, verr := engine.Verify(ctx, eng, &memSource{recs: whole.recs[:n]}, nil)
 			rerr := last(n)
 			torn, serr := salvaged(n)
 			if (verr == nil) != complete || (rerr == nil) != complete || serr != nil || torn == complete {

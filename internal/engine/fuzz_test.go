@@ -6,13 +6,17 @@ import (
 	"repro/internal/catalog"
 	"repro/internal/dumpfmt"
 	"repro/internal/engine"
+	"repro/internal/stream"
 )
 
 // FuzzWalk cuts arbitrary bytes into blocked records and reads them as
-// a logical stream, the way Verify and restore do. Neither may panic;
-// the walk must never report a segment that is empty or reaches past
-// its file's size, nor more bytes in all than the stream holds — a
-// restore sizes writes and buffers by what it is handed.
+// a logical stream, the way a landing set is read back (CheckSet, which
+// names the files of the stream for its index) and the way restore
+// reads one. Neither may panic; the index may not name more files than
+// the stream has headers; and the walk must never report a segment that
+// is empty or reaches past its file's size, nor more bytes in all than
+// the stream holds — a restore sizes writes and buffers by what it is
+// handed.
 func FuzzWalk(f *testing.F) {
 	// Seed: a small real stream — a map, a directory, a file with a hole
 	// and a continuation, a checkpoint — whole and cut short.
@@ -44,7 +48,10 @@ func FuzzWalk(f *testing.F) {
 			n := min(len(rest), dumpfmt.NTRec*dumpfmt.TPBSize)
 			recs, rest = append(recs, rest[:n]), rest[n:]
 		}
-		engine.Verify(ctx, catalog.Logical, &memSource{recs: recs})
+		_, _, index := engine.CheckSet(ctx, catalog.DumpSet{Engine: catalog.Logical}, []stream.Source{&memSource{recs: recs}})
+		if len(index) > len(in)/dumpfmt.TPBSize {
+			t.Fatalf("%d files indexed out of a %d-byte stream", len(index), len(in))
+		}
 
 		r := dumpfmt.NewReader(&memSource{recs: recs})
 		total := 0

@@ -92,13 +92,6 @@ type DumpOptions struct {
 	// Log, if set, receives a line per notable recovery event
 	// (hole-mapped blocks, for the operator's damage report).
 	Log func(line string)
-	// FileIndex, if set, receives one entry per file dumped in Phase
-	// IV: the file's dump-relative path, its inode, and the stream
-	// position (in 1 KB dump units) where its header begins. The
-	// backup catalog records these so a later single-file restore can
-	// tell which dump sets contain the path — and a seek-capable
-	// source can space directly to it.
-	FileIndex func(path string, ino wafl.Inum, unit int64)
 }
 
 // Checkpoint is the durable progress of an interrupted dump. It names
@@ -175,7 +168,6 @@ type dumpState struct {
 	dump   *dumpfmt.InoMap // inodes to be dumped
 	isDir  map[wafl.Inum]bool
 	parent map[wafl.Inum]wafl.Inum
-	names  map[wafl.Inum]string // name each inode was first reached by
 	inodes map[wafl.Inum]wafl.Inode
 
 	// Phase III/IV worklists, shared read-only by every stream: the
@@ -188,7 +180,7 @@ type dumpState struct {
 
 	untimed bool       // stages are real goroutines, not simulator procs
 	viewMu  sync.Mutex // see lockView
-	cbMu    sync.Mutex // see callback
+	cbMu    sync.Mutex // see log
 
 	stats *DumpStats
 }
@@ -218,7 +210,6 @@ func Dump(ctx context.Context, opts DumpOptions) (*DumpStats, error) {
 		date:   fs.Clock(),
 		isDir:  make(map[wafl.Inum]bool),
 		parent: make(map[wafl.Inum]wafl.Inum),
-		names:  make(map[wafl.Inum]string),
 		inodes: make(map[wafl.Inum]wafl.Inode),
 	}
 	if opts.Dates != nil {
@@ -328,12 +319,9 @@ func (st *dumpState) phaseMap(ctx context.Context) error {
 	st.used = dumpfmt.NewInoMap(uint32(st.view.NumInodes(ctx)))
 	st.dump = dumpfmt.NewInoMap(uint32(st.view.NumInodes(ctx)))
 
-	type qent struct {
-		ino, parent wafl.Inum
-		name        string
-	}
+	type qent struct{ ino, parent wafl.Inum }
 	stretch := max(st.view.CacheBlocks()/2, 1)
-	frontier := []qent{{st.rootIno, st.rootIno, ""}}
+	frontier := []qent{{st.rootIno, st.rootIno}}
 	var next []qent
 	var pbns []wafl.BlockNo
 	visited := map[wafl.Inum]bool{}
@@ -377,7 +365,6 @@ func (st *dumpState) phaseMap(ctx context.Context) error {
 			}
 			st.used.Set(uint32(cur.ino))
 			st.parent[cur.ino] = cur.parent
-			st.names[cur.ino] = cur.name // hardlinks: the first name seen wins
 			st.inodes[cur.ino] = inode
 			st.isDir[cur.ino] = wafl.IsDir(inode.Mode)
 			// Changed since the base date? (Level 0 has ddate 0: everything.)
@@ -396,7 +383,7 @@ func (st *dumpState) phaseMap(ctx context.Context) error {
 					if st.opts.Exclude != nil && st.opts.Exclude(e.Name) {
 						continue
 					}
-					next = append(next, qent{e.Ino, cur.ino, e.Name})
+					next = append(next, qent{e.Ino, cur.ino})
 				}
 			}
 		}
@@ -436,32 +423,6 @@ func (st *dumpState) appendBlocks(ctx context.Context, pbns []wafl.BlockNo, ino 
 		}
 	}
 	return pbns
-}
-
-// path reconstructs an inode's dump-relative path from the Phase I
-// parent and name maps ("a/b/c", "" for the dump root).
-func (st *dumpState) path(ino wafl.Inum) string {
-	if ino == st.rootIno {
-		return ""
-	}
-	var parts []string
-	for p := ino; p != st.rootIno; {
-		parts = append(parts, st.names[p])
-		par, ok := st.parent[p]
-		if !ok || par == p {
-			break
-		}
-		p = par
-	}
-	// Reverse into root-first order.
-	var b []byte
-	for i := len(parts) - 1; i >= 0; i-- {
-		if len(b) > 0 {
-			b = append(b, '/')
-		}
-		b = append(b, parts[i]...)
-	}
-	return string(b)
 }
 
 // canonical directory record encoding: [ino u32][type u8][len u16][name].

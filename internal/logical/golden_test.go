@@ -30,7 +30,8 @@ var goldenStreams = map[string]string{
 
 	// Recorded at commit ff00062, whose Phase I was a demand-reading
 	// queue walk: what the frontier-batched walk must map, name and
-	// order identically. "x.index" is the digest of x's file index.
+	// order identically. "x.index" is the digest of x's file index, once
+	// spelled by the dump from Phase I's maps, now derived from stream x.
 	"single.index":         "eb4edf707075febf49040582077928dfcf2943022f21ed35e4bab97875db5a50",
 	"snap-subtree":         "6dd9d0bf95badd2b62a3de2e67fe5223f15056e56a7071b2e4062df74cc10530",
 	"snap-subtree.index":   "39f044aae896876d1688a1f6202beb482273300c3de3ce76dbd22bb42347486b",
@@ -106,19 +107,23 @@ func TestGoldenStreams(t *testing.T) {
 				t.Helper()
 				s := &memSink{}
 				o.Sink, o.Label, o.ReadAhead, o.Readers = s, "gold", 8, readers
-				// The file index spells each file's path from Phase I's
-				// parent and name maps (first hard-link name wins).
-				index := &memSink{}
-				o.FileIndex = func(path string, ino wafl.Inum, _ int64) {
-					index.recs = append(index.recs, []byte(fmt.Sprintf("%d %s\n", ino, path)))
-				}
 				if _, err := Dump(ctx, o); err != nil {
 					t.Fatalf("%s: %v", name, err)
 				}
 				checkGolden(t, name, s)
-				if _, ok := goldenStreams[name+".index"]; ok {
-					checkGolden(t, name+".index", index)
+				if _, ok := goldenStreams[name+".index"]; !ok {
+					return
 				}
+				// The file index the stream itself yields: its directories
+				// name each file the way Phase I reached it (first
+				// hard-link name wins).
+				index := &memSink{}
+				if _, err := Index(s.source(), func(path string, ino wafl.Inum, _ int64) {
+					index.recs = append(index.recs, []byte(fmt.Sprintf("%d %s\n", ino, path)))
+				}); err != nil {
+					t.Fatalf("%s: index: %v", name, err)
+				}
+				checkGolden(t, name+".index", index)
 			}
 			one("single", DumpOptions{View: sv})
 			one("single-ckpt", DumpOptions{View: sv, CheckpointEvery: 3})

@@ -42,14 +42,14 @@ func (st *dumpState) unlockView() {
 	}
 }
 
-// callback runs an operator callback (Log, FileIndex), serialized
-// across shard writers when they are real goroutines.
-func (st *dumpState) callback(f func()) {
+// log hands the operator's Log callback a line, serialized across shard
+// writers when they are real goroutines.
+func (st *dumpState) log(line string) {
 	if st.untimed {
 		st.cbMu.Lock()
 		defer st.cbMu.Unlock()
 	}
-	f()
+	st.opts.Log(line)
 }
 
 // segsPerBlock is how many dump segments one filesystem block holds.
@@ -62,7 +62,7 @@ type fileJob struct {
 	ino        wafl.Inum
 	seg, nsegs int
 	pos        int  // file blocks in front of this chunk in its shard's plan
-	first      bool // first chunk of its file: TSInode header + FileIndex
+	first      bool // first chunk of its file: TSInode header
 	last       bool // last chunk of its file: checkpoint accounting
 }
 
@@ -269,13 +269,6 @@ func (sw *shardWriter) emit(seq int, c chunkRes) error {
 	st, w := sw.st, sw.w
 	opts := &st.opts
 	j := sw.plan[seq]
-	if j.first && opts.FileIndex != nil {
-		// Emitted before the file so unit names the stream position of
-		// its header. A resumed dump indexes only this stream's files;
-		// the skipped ones are on the prior attempt's index.
-		unit := w.Tapea()
-		st.callback(func() { opts.FileIndex(st.path(j.ino), j.ino, unit) })
-	}
 	if err := sw.writeChunk(j, c); err != nil {
 		return err
 	}
@@ -284,9 +277,7 @@ func (sw *shardWriter) emit(seq int, c chunkRes) error {
 	for _, d := range c.damaged {
 		sw.res.Damaged = append(sw.res.Damaged, d)
 		if opts.Log != nil {
-			st.callback(func() {
-				opts.Log(fmt.Sprintf("ino %d fbn %d unreadable, hole-mapped: %s", d.Ino, d.Fbn, d.Err))
-			})
+			st.log(fmt.Sprintf("ino %d fbn %d unreadable, hole-mapped: %s", d.Ino, d.Fbn, d.Err))
 		}
 	}
 	if !j.last {

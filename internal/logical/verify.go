@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"path"
 
 	"repro/internal/dumpfmt"
 	"repro/internal/obs"
@@ -147,6 +148,51 @@ func Verify(ctx context.Context, opts VerifyOptions) (*VerifyResult, error) {
 	m.Counter("verify_problems_total", lbl).Add(int64(len(res.Problems)))
 	m.Counter("verify_skipped_units_total", lbl).Add(int64(res.SkippedUnits))
 	return res, nil
+}
+
+// Index reads a logical stream end to end through the checks every
+// reader of one makes — header checksums, resynchronization, the TS_END
+// that says it is whole — applying nothing, and hands file (which may
+// be nil) each file on it: the path the stream's own directories name
+// it by, its inode, and the unit its TS_INODE header starts at, where a
+// seek-capable source can space to it. Paths are found breadth-first
+// from the dump root, and a hard link keeps the first name seen: the
+// walk and the rule of the dump's Phase I, so they are the names the
+// dump saw. A file no directory on the stream names is not handed over.
+// resynced counts the corrupt units the reader skipped.
+func Index(src stream.Source, file func(path string, ino wafl.Inum, unit int64)) (resynced int, err error) {
+	r := dumpfmt.NewReader(src)
+	des, h, err := readDirectories(r, &RestoreStats{})
+	if err == nil {
+		paths := des.paths()
+		err = fileSection(r, h, func(h *dumpfmt.Header) (*dumpfmt.Header, error) {
+			if p, ok := paths[wafl.Inum(h.Inumber)]; ok && file != nil {
+				file(p, wafl.Inum(h.Inumber), h.Tapea)
+			}
+			return r.Walk(h, nil)
+		})
+	}
+	return r.Skipped(), err
+}
+
+// paths names every inode the stream's directories reach by its
+// dump-relative path ("a/b/c"; "" is the root), breadth-first, the first
+// name seen winning.
+func (d *desiccated) paths() map[wafl.Inum]string {
+	paths := map[wafl.Inum]string{d.rootIno: ""}
+	for queue := []wafl.Inum{d.rootIno}; len(queue) > 0; queue = queue[1:] {
+		dir := queue[0]
+		for _, e := range d.ents[dir] {
+			if _, seen := paths[e.Ino]; seen || e.Name == "." || e.Name == ".." {
+				continue
+			}
+			paths[e.Ino] = path.Join(paths[dir], e.Name)
+			if _, isDir := d.ents[e.Ino]; isDir {
+				queue = append(queue, e.Ino)
+			}
+		}
+	}
+	return paths
 }
 
 func (res *VerifyResult) addf(format string, args ...interface{}) {

@@ -204,7 +204,7 @@ func TestCheckpointedStreamVerifies(t *testing.T) {
 	if stats.Checkpoint != nil {
 		t.Fatalf("successful dump returned a checkpoint: %+v", stats.Checkpoint)
 	}
-	check, err := VerifyStream(sink.source())
+	check, err := VerifyStream(ctx, sink.source())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -45,7 +45,7 @@ func TestImageVerifyRetriesTransientReads(t *testing.T) {
 	_, _, drive := imageOnTape(t)
 	drive.InjectFaults(tape.FaultConfig{Seed: 72, ReadFault: 0.2, ReadTransient: 1})
 	src := logical.NewDriveSource(drive, nil, 1)
-	chk, err := VerifyStream(src)
+	chk, err := VerifyStream(ctx, src)
 	if err != nil {
 		t.Fatalf("verify: %v", err)
 	}

@@ -89,7 +89,7 @@ func TestImageVerifyAcrossCartridges(t *testing.T) {
 		drive.Load(nil)
 	}
 	drive.Rewind(nil)
-	if _, err := VerifyStream(logical.NewDriveSource(drive, nil, 16)); err != nil {
+	if _, err := VerifyStream(ctx, logical.NewDriveSource(drive, nil, 16)); err != nil {
 		t.Fatalf("spanned stream does not verify: %v", err)
 	}
 }

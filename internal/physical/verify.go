@@ -24,15 +24,10 @@ type StreamCheck struct {
 
 // VerifyStream reads an image stream end to end, validating structure
 // (header, extent bounds, trailer) and the payload checksum, writing
-// nothing. It returns the stream's identity on success.
-func VerifyStream(src stream.Source) (*StreamCheck, error) {
-	return VerifyStreamCtx(context.Background(), src)
-}
-
-// VerifyStreamCtx is VerifyStream with observability: the pass runs
+// nothing. It returns the stream's identity on success. The pass runs
 // under a "physical.verify" span and feeds the verify_* metrics from
-// the registry in ctx — the scrubber's image-set entry point.
-func VerifyStreamCtx(ctx context.Context, src stream.Source) (*StreamCheck, error) {
+// the registry in ctx.
+func VerifyStream(ctx context.Context, src stream.Source) (*StreamCheck, error) {
 	_, span := obs.Start(ctx, "physical.verify")
 	defer span.End()
 	m := obs.MetricsFrom(ctx)

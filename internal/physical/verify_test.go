@@ -13,7 +13,7 @@ func TestVerifyStreamClean(t *testing.T) {
 	fs.CreateSnapshot(ctx, "s")
 	sink := imageDump(t, fs, dev, "s", "")
 
-	check, err := VerifyStream(sink.source())
+	check, err := VerifyStream(ctx, sink.source())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -34,7 +34,7 @@ func TestVerifyStreamDetectsBitRot(t *testing.T) {
 	fs.CreateSnapshot(ctx, "s")
 	sink := imageDump(t, fs, dev, "s", "")
 	sink.recs[len(sink.recs)/2][77] ^= 1
-	if _, err := VerifyStream(sink.source()); err == nil {
+	if _, err := VerifyStream(ctx, sink.source()); err == nil {
 		t.Fatal("bit rot passed verification")
 	}
 }
@@ -45,7 +45,7 @@ func TestVerifyStreamDetectsTruncation(t *testing.T) {
 	fs.CreateSnapshot(ctx, "s")
 	sink := imageDump(t, fs, dev, "s", "")
 	sink.recs = sink.recs[:len(sink.recs)-1]
-	if _, err := VerifyStream(sink.source()); err == nil {
+	if _, err := VerifyStream(ctx, sink.source()); err == nil {
 		t.Fatal("truncated stream passed verification")
 	}
 }
@@ -57,7 +57,7 @@ func TestVerifyStreamIncrementalIdentity(t *testing.T) {
 	fs.WriteFile(ctx, "/b", []byte("b"), 0644)
 	fs.CreateSnapshot(ctx, "s2")
 	inc := imageDump(t, fs, dev, "s2", "s1")
-	check, err := VerifyStream(inc.source())
+	check, err := VerifyStream(ctx, inc.source())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,7 +84,7 @@ func TestStreamInfoReplaysWholeStream(t *testing.T) {
 		t.Fatalf("StreamInfo = (%d, %d, %d)", nblocks, gen, baseGen)
 	}
 	// The replay source must yield a stream that still verifies.
-	if _, err := VerifyStream(replay); err != nil {
+	if _, err := VerifyStream(ctx, replay); err != nil {
 		t.Fatalf("replayed stream broken: %v", err)
 	}
 }

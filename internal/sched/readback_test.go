@@ -44,7 +44,7 @@ func newReadbackRig(t *testing.T, capacity int64) *readbackRig {
 	if err := pool.Adopt(f.Tapes[0], 0); err != nil {
 		t.Fatal(err)
 	}
-	f.AttachCatalog(cat)
+	f.Dates = cat.DumpDates()
 	s, err := New(Config{Filer: f, Catalog: cat, Pool: pool, Engine: catalog.Logical,
 		Policy: BSDLadder{Ladder: []int{0}}})
 	if err != nil {

@@ -25,7 +25,7 @@ import (
 	"repro/internal/scrub"
 	"repro/internal/sim"
 	"repro/internal/stream"
-	"repro/internal/wafl"
+	"repro/internal/tape"
 )
 
 // Policy maps a run number (0-based) to an incremental level.
@@ -207,8 +207,8 @@ func (s *Scheduler) runLoop(ctx context.Context, n int) ([]RunResult, error) {
 }
 
 // RunOne executes the next scheduled run: churn, advance the clock,
-// dump at the policy's level, record the set (and its file index) in
-// the catalog, and commit the media to the pool.
+// dump at the policy's level, land the set in the catalog (read back,
+// with its file index), and commit the media to the pool.
 func (s *Scheduler) RunOne(ctx context.Context) (*RunResult, error) {
 	run := s.runs
 	f := s.cfg.Filer
@@ -280,7 +280,6 @@ func (s *Scheduler) logicalRun(ctx context.Context, run, level int) (*RunResult,
 	if err != nil {
 		return nil, err
 	}
-	var index []catalog.FileIndexEntry
 	return s.runJob(ctx, run, level, snap, engine.NewLogical(logical.DumpOptions{
 		View:      view,
 		Level:     level,
@@ -288,10 +287,7 @@ func (s *Scheduler) logicalRun(ctx context.Context, run, level int) (*RunResult,
 		FSID:      s.cfg.FSID,
 		Label:     snap,
 		ReadAhead: 16,
-		FileIndex: func(path string, ino wafl.Inum, unit int64) {
-			index = append(index, catalog.FileIndexEntry{Path: path, Ino: uint32(ino), Unit: unit})
-		},
-	}), &index)
+	}))
 }
 
 // dumpError is a runJob failure of the dump itself: nothing about the
@@ -301,9 +297,11 @@ type dumpError struct{ error }
 func (e dumpError) Unwrap() error { return e.error }
 
 // runJob dumps job to the schedule's drive and records the completed
-// set everywhere it is accounted for: the catalog (with index, when the
-// engine produces one), the stream mirror and the media pool.
-func (s *Scheduler) runJob(ctx context.Context, run, level int, snap string, job *engine.Dump, index *[]catalog.FileIndexEntry) (*RunResult, error) {
+// set everywhere it is accounted for: the catalog (engine.Land, reading
+// it back on a verify drive built as Recover builds its restore drive),
+// the stream mirror and the media pool. A set found damaged fails the
+// run once its media is committed.
+func (s *Scheduler) runJob(ctx context.Context, run, level int, snap string, job *engine.Dump) (*RunResult, error) {
 	f := s.cfg.Filer
 	track := &media.TrackingSink{Sink: f.Sink(ctx, schedDrive), Drive: f.Tapes[schedDrive]}
 	var sink stream.Sink = track
@@ -324,20 +322,19 @@ func (s *Scheduler) runJob(ctx context.Context, run, level int, snap string, job
 		// the filesystem clock, so a scheduled one is dated by it.
 		ds.Date = f.FS.Clock()
 	}
-	id, err := s.cfg.Catalog.AppendDumpSet(ds)
+	verify := tape.NewDrive(f.Env, f.Config.Name+"/verify", f.Config.TapeParams)
+	id, damage, err := engine.Land(ctx, s.cfg.Catalog, ds, nil, s.cfg.Pool.Opener(verify))
 	if err != nil {
 		return nil, err
-	}
-	if index != nil {
-		if err := s.cfg.Catalog.AppendFileIndex(id, *index); err != nil {
-			return nil, err
-		}
 	}
 	if capture != nil {
 		s.cfg.Mirror.Put(id, capture.Records())
 	}
 	if err := s.cfg.Pool.CommitSet(id, track.Labels(), ds.Date); err != nil {
 		return nil, err
+	}
+	if damage != "" {
+		return nil, fmt.Errorf("sched: run %d: set %d failed verification on landing, cataloged damaged: %s", run, id, damage)
 	}
 	return &RunResult{Run: run, Level: level, SetID: id, Date: ds.Date,
 		Bytes: ds.Bytes, Media: track.Labels()}, nil
@@ -368,7 +365,7 @@ func (s *Scheduler) imageRun(ctx context.Context, run, level int) (*RunResult, e
 		BaseSnapName: base.snap,
 		Costs:        f.Config.PhysCosts,
 	})
-	res, err := s.runJob(ctx, run, level, snap, job, nil)
+	res, err := s.runJob(ctx, run, level, snap, job)
 	if err != nil {
 		// Once the set is in the catalog its snapshot stays, whatever
 		// failed after: a later image dump may base on it.

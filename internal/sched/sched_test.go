@@ -68,7 +68,7 @@ func newRig(t *testing.T, engine catalog.Engine) *schedRig {
 	if err := pool.Adopt(f.Tapes[0], 0); err != nil {
 		t.Fatal(err)
 	}
-	f.AttachCatalog(cat)
+	f.Dates = cat.DumpDates()
 	s, err := New(Config{
 		Filer:   f,
 		Catalog: cat,
@@ -355,7 +355,7 @@ func TestScheduleSurvivesCatalogFailover(t *testing.T) {
 	if err := pool.Adopt(f.Tapes[0], 0); err != nil {
 		t.Fatal(err)
 	}
-	f.AttachCatalog(cat)
+	f.Dates = cat.DumpDates()
 	r := &schedRig{f: f, cat: cat, pool: pool}
 	if r.s, err = New(Config{
 		Filer: f, Catalog: cat, Pool: pool, Engine: catalog.Logical,

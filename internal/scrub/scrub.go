@@ -26,7 +26,6 @@ import (
 	"repro/internal/obs"
 	"repro/internal/sim"
 	"repro/internal/stream"
-	"repro/internal/tape"
 )
 
 // FindingKind classifies one integrity finding.
@@ -36,8 +35,9 @@ const (
 	// MediaFault is an unreadable record: the drive's ECC gave up on a
 	// spot of tape (a latched persistent read error).
 	MediaFault FindingKind = iota + 1
-	// StreamCorrupt is a stream that reads but fails its own format
-	// checks: CRC framing, header checksums, resynced units, torn end.
+	// StreamCorrupt is a stream that fails its own format checks — CRC
+	// framing, header checksums, resynced units, torn end — or whose
+	// read gives up partway.
 	StreamCorrupt
 	// ByteCountMismatch is a stream that terminated cleanly but carried
 	// fewer bytes than the catalog recorded for the set.
@@ -278,9 +278,9 @@ func (s *Scrubber) degrade(ds catalog.DumpSet, findings []Finding, rep *Report, 
 	return nil
 }
 
-// scanSet opens a set and re-reads its stream end to end, collecting
-// findings. The heavy lifting is the format verifiers; this layers
-// media-fault capture around them.
+// scanSet opens a set and re-reads its streams end to end, collecting
+// findings: the check is engine.CheckSet, the one every set landed
+// through, paced; this layers media-fault capture around it.
 func (s *Scrubber) scanSet(ctx context.Context, ds catalog.DumpSet) ([]Finding, int64, error) {
 	_, span := obs.Start(ctx, scrubName+".set")
 	defer span.End()
@@ -306,40 +306,21 @@ func (s *Scrubber) scanSet(ctx context.Context, ds catalog.DumpSet) ([]Finding, 
 	} else if err != nil {
 		return nil, 0, err
 	}
-	format, n := VerifySetStream(ctx, ds, streams)
-	return dedupe(append(format, findings...)), n, nil
-}
-
-// VerifySetStream runs the engine's format verifier over a set's opened
-// streams, closes them, and translates the outcome into findings —
-// format-level only; media faults are the opener's damage callback's. n
-// is the stream bytes read, rate-limited on a simulated process.
-func VerifySetStream(ctx context.Context, ds catalog.DumpSet, streams []stream.Source) (findings []Finding, n int64) {
 	defer stream.Close(streams...)
-	src := &countingSource{proc: sim.ProcFrom(ctx)}
-	for _, one := range streams {
-		src.src = one
-		resynced, err := engine.Verify(ctx, ds.Engine, src)
-		if err != nil && !isMediaErr(err) {
-			findings = append(findings, Finding{Kind: StreamCorrupt, SetID: ds.ID,
-				Record: -1, Detail: err.Error()})
-		}
-		if resynced > 0 {
-			findings = append(findings, Finding{Kind: StreamCorrupt, SetID: ds.ID,
-				Record: -1, Detail: fmt.Sprintf("%d corrupt unit(s) resynced over", resynced)})
-		}
+	paced := make([]stream.Source, len(streams))
+	for i, src := range streams {
+		paced[i] = &pacedSource{src: src, proc: sim.ProcFrom(ctx)}
 	}
-	// Fewer bytes than the catalog recorded means part of the stream is
-	// gone; only meaningful when nothing louder already fired.
-	if len(findings) == 0 && src.bytes < ds.Bytes {
-		findings = append(findings, Finding{Kind: ByteCountMismatch, SetID: ds.ID,
-			Record: -1, Detail: fmt.Sprintf("catalog says %d bytes, media yields %d", ds.Bytes, src.bytes)})
+	checked, n, _ := engine.CheckSet(ctx, ds, paced)
+	var format []Finding
+	for _, f := range checked {
+		kind := StreamCorrupt
+		if f.Short {
+			kind = ByteCountMismatch
+		}
+		format = append(format, Finding{Kind: kind, SetID: ds.ID, Record: -1, Detail: f.Detail})
 	}
-	return findings, src.bytes
-}
-
-func isMediaErr(err error) bool {
-	return errors.Is(err, tape.ErrMediaRead) || errors.Is(err, tape.ErrMediaWrite)
+	return dedupe(append(format, findings...)), n, nil
 }
 
 // dedupe collapses findings that name the same (kind, volume, record).
@@ -357,19 +338,16 @@ func dedupe(in []Finding) []Finding {
 	return out
 }
 
-// countingSource counts the bytes a verify pass reads off src and,
-// on a simulated process (a scan over tape), rate-limits it.
-type countingSource struct {
-	src   stream.Source
-	bytes int64
-
+// pacedSource rate-limits a scan over tape: on a simulated process it
+// sleeps pause after every pauseEvery bytes read off src.
+type pacedSource struct {
+	src        stream.Source
 	proc       *sim.Proc
 	sincePause int64
 }
 
-func (c *countingSource) ReadRecord() ([]byte, error) {
+func (c *pacedSource) ReadRecord() ([]byte, error) {
 	rec, err := c.src.ReadRecord()
-	c.bytes += int64(len(rec))
 	c.sincePause += int64(len(rec))
 	if c.sincePause >= pauseEvery {
 		c.sincePause = 0

@@ -9,6 +9,7 @@ import (
 	"repro/internal/catalog"
 	"repro/internal/chunk"
 	"repro/internal/dumpfmt"
+	"repro/internal/engine"
 	"repro/internal/media"
 	"repro/internal/scrub"
 	"repro/internal/stream"
@@ -363,11 +364,14 @@ func (m *memSource) ReadRecord() ([]byte, error) {
 	return r, nil
 }
 
+// TestVerifySetStream: the set-level check a scan runs — the one a set
+// lands through, engine.CheckSet — passes the mirrored stream and
+// fails a corrupted or truncated copy of it.
 func TestVerifySetStream(t *testing.T) {
 	r := newRig(t)
 	ds, _ := r.cat.Set(r.setID)
 	recs, _ := r.mirror.Fetch(context.Background(), r.setID)
-	if fs, _ := scrub.VerifySetStream(context.Background(), ds, []stream.Source{&memSource{recs: recs}}); len(fs) != 0 {
+	if fs, _, _ := engine.CheckSet(context.Background(), ds, []stream.Source{&memSource{recs: recs}}); len(fs) != 0 {
 		t.Fatalf("clean stream produced findings: %v", fs)
 	}
 	// Corrupt one record copy: the stream check must notice.
@@ -378,11 +382,11 @@ func TestVerifySetStream(t *testing.T) {
 		c[i] ^= 0xFF
 	}
 	bad[1] = c
-	if fs, _ := scrub.VerifySetStream(context.Background(), ds, []stream.Source{&memSource{recs: bad}}); len(fs) == 0 {
+	if fs, _, _ := engine.CheckSet(context.Background(), ds, []stream.Source{&memSource{recs: bad}}); len(fs) == 0 {
 		t.Fatal("corrupted stream passed verification")
 	}
 	// Truncated stream: fewer bytes than the catalog recorded.
-	if fs, _ := scrub.VerifySetStream(context.Background(), ds, []stream.Source{&memSource{recs: recs[:1]}}); len(fs) == 0 {
+	if fs, _, _ := engine.CheckSet(context.Background(), ds, []stream.Source{&memSource{recs: recs[:1]}}); len(fs) == 0 {
 		t.Fatal("truncated stream passed verification")
 	}
 }

@@ -137,8 +137,8 @@ func TestLentRecordsAreNotKept(t *testing.T) {
 	// engine.Verify of all four streams.
 	engines := []catalog.Engine{catalog.Logical, catalog.Logical, catalog.Image, catalog.Image}
 	for i, eng := range engines {
-		wantN, wantErr := engine.Verify(ctx, eng, plain(i))
-		gotN, gotErr := engine.Verify(ctx, eng, scribbled(i))
+		wantN, wantErr := engine.Verify(ctx, eng, plain(i), nil)
+		gotN, gotErr := engine.Verify(ctx, eng, scribbled(i), nil)
 		if wantErr != nil || gotN != wantN || gotErr != nil {
 			t.Errorf("engine.Verify of stream %d: %d, %v; plain %d, %v", i, gotN, gotErr, wantN, wantErr)
 		}
