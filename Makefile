@@ -63,14 +63,18 @@ attribution: ## per-layer table of one traced benchmark run (non-zero series; PH
 ALLOC_PROFILE_DIR ?= $(CURDIR)/.alloc_profile
 ALLOC_PINS = logical:TestDumpAllocsPerMiB logical:TestRestoreAllocsPerMiB logical:TestDedupRestoreAllocsPerMiB ndmp:TestPushAllocsPerMiB
 
-alloc-profile: ## where the heap objects come from: the allocation pins (internal/logical's dump, restore and dedup'd restore, internal/ndmp's push over TCP) with every allocation sampled, top 25 sites each — the whole test, input generation included (the frozen benchmark/ binary has no profile flag)
+# Each pin writes the allocs profile on both sides of what it counts
+# (internal/allocpin); writing the first snapshot allocates under
+# runtime/pprof frames, which the second includes and -ignore drops
+# (percentages are then of what is left).
+alloc-profile: ## where the heap objects come from: the allocation pins (internal/logical's dump, restore and dedup'd restore, internal/ndmp's push over TCP) with every allocation sampled, top 25 sites of exactly the objects each pin counts (pprof -base of its two snapshots; the frozen benchmark/ binary has no profile flag)
 	@mkdir -p $(ALLOC_PROFILE_DIR)
 	@for p in $(ALLOC_PINS); do \
 		pkg=$${p%%:*}; pin=$${p#*:}; \
 		echo "== $$pin"; \
-		$(GO) test -count 1 -run "^$$pin\$$" -v -memprofilerate 1 -memprofile $$pin.mem \
-			-o $(ALLOC_PROFILE_DIR)/$$pkg.test -outputdir $(ALLOC_PROFILE_DIR) ./internal/$$pkg | grep 'allocations per MiB' || exit 1; \
-		$(GO) tool pprof -sample_index=alloc_objects -top -nodecount 25 $(ALLOC_PROFILE_DIR)/$$pkg.test $(ALLOC_PROFILE_DIR)/$$pin.mem || exit 1; \
+		ALLOC_PROFILE_DIR=$(ALLOC_PROFILE_DIR) $(GO) test -count 1 -run "^$$pin\$$" -v -memprofilerate 1 ./internal/$$pkg | grep 'allocations per MiB' || exit 1; \
+		$(GO) tool pprof -sample_index=alloc_objects -top -nodecount 25 -ignore '^runtime/pprof\.' -relative_percentages \
+			-base $(ALLOC_PROFILE_DIR)/$$pin.before.pb.gz $(ALLOC_PROFILE_DIR)/$$pin.after.pb.gz || exit 1; \
 	done
 
 tables: ## regenerate every EXPERIMENTS.md table into the committed reference

@@ -240,7 +240,7 @@ func pushResumed(t *testing.T, vol, base string, eng catalog.Engine) []recvStrea
 	var landed []recvStream
 	resumes, err := engine.Resume(ctx, job, 2, func(attempt int) (stream.Sink, func(error) error, error) {
 		path := streamPath(base, attempt)
-		file, err := createStream(path)
+		file, err := createStream(path, os.O_TRUNC)
 		if err != nil {
 			return nil, nil, err
 		}

@@ -614,7 +614,7 @@ func dumpCommand(ctx context.Context, fs *wafl.FS, vol, cmd string, rest []strin
 		sink, media = dw, chunkStorePath(vol)
 		finish = func() error { m, err := dw.Close(); manifest = &m; return err }
 	} else {
-		file, err := createStream(*out)
+		file, err := createStream(*out, os.O_TRUNC)
 		if err != nil {
 			return err
 		}
@@ -666,8 +666,10 @@ type fileSink struct {
 	f *os.File
 }
 
-func createStream(path string) (*fileSink, error) {
-	f, err := os.OpenFile(path, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0644)
+// createStream creates the stream file at path: flag is os.O_TRUNC to
+// replace a file already there, os.O_EXCL to refuse one.
+func createStream(path string, flag int) (*fileSink, error) {
+	f, err := os.OpenFile(path, os.O_WRONLY|os.O_CREATE|flag, 0644)
 	if err != nil {
 		return nil, err
 	}

@@ -12,12 +12,15 @@
 //
 // Each stream of a session lands in its own file: the first at the
 // -o path, resumed streams (after a mid-push failure) beside it with
-// an .s<N> suffix. Restore them in order — all but the last with
-// salvage semantics — exactly like replacement tapes.
+// an .s<N> suffix, and any of those a file is already at — an earlier
+// or concurrent session's — with a further .x<session> suffix. Restore
+// them in order — all but the last with salvage semantics — exactly
+// like replacement tapes.
 package main
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"net"
 	"os"
@@ -58,7 +61,7 @@ func tenantPath(path, tenant string) string {
 func serveCommand(rest []string) error {
 	set := newFlagSet("serve")
 	listen := set.String("listen", ":9000", "TCP address to listen on")
-	out := set.String("o", "", "output stream file (resumed streams get .s<N> suffixes)")
+	out := set.String("o", "", "output stream file (resumed streams get .s<N> suffixes, a path already taken .x<session>)")
 	once := set.Bool("once", false, "exit after one session closes cleanly")
 	standby := set.String("standby", "", "mirror the serve-side catalog to this standby journal file")
 	idle := set.Duration("idle", 30*time.Second, "drop a connection silent for this long")
@@ -94,9 +97,11 @@ func serveCommand(rest []string) error {
 // serveOn accepts connections concurrently — one goroutine per
 // connection, all feeding one shared session registry — so N clients
 // push at once, multiplexed onto the drive pool by gate. Stream files
-// land under the tenant-namespaced base: each tenant's first live
-// session owns the plain paths, concurrent extra sessions of the same
-// tenant get an .x<session> disambiguator. A session's streams are
+// land under the tenant-namespaced base and are only ever created, never
+// reopened: a session takes the plain path if no file is there yet and
+// otherwise one with an .x<session> disambiguator, so no session writes
+// over a stream another session landed, whether that one is still live
+// or already names a cataloged set. A session's streams are
 // cataloged if and only if that session closes cleanly (the
 // OnSessionClose hook), so a connection that drops mid-session can
 // never smuggle its aborted streams into the catalog on the back of
@@ -107,24 +112,19 @@ func serveOn(l net.Listener, base, standby string, once bool, idle time.Duration
 	var (
 		mu       sync.Mutex
 		received = make(map[uint64][]recvStream) // session -> landed streams
-		owner    = make(map[string]uint64)       // tenant -> session owning the plain base
 		catMu    sync.Mutex                      // serializes per-tenant catalog appends
 	)
 	host := ndmp.NewHost(func(h ndmp.Hello) (ndmp.Sink, error) {
 		mu.Lock()
 		defer mu.Unlock()
-		own, ok := owner[h.Tenant]
-		if !ok {
-			owner[h.Tenant] = h.Session
-			own = h.Session
-		}
 		path := streamPath(tenantPath(base, h.Tenant), h.Stream)
-		if own != h.Session {
-			// A concurrent session of the same tenant: disambiguate its
-			// stream files so two live pushes never share a path.
+		sink, err := createStream(path, os.O_EXCL)
+		if errors.Is(err, os.ErrExist) {
+			// Another session made it — live, or closed and cataloged
+			// (by this serve or an earlier one): disambiguate.
 			path = fmt.Sprintf("%s.x%x", path, h.Session)
+			sink, err = createStream(path, os.O_EXCL)
 		}
-		sink, err := createStream(path)
 		if err != nil {
 			return nil, err
 		}
@@ -146,9 +146,6 @@ func serveOn(l net.Listener, base, standby string, once bool, idle time.Duration
 		mu.Lock()
 		rs := received[session]
 		delete(received, session)
-		if owner[tenant] == session {
-			delete(owner, tenant)
-		}
 		mu.Unlock()
 		var bytes int64
 		for _, e := range ends {

@@ -16,6 +16,7 @@ import (
 	"repro/internal/engine"
 	"repro/internal/storage"
 	"repro/internal/wafl"
+	"repro/internal/workload"
 )
 
 // serveOnce runs serve in-process on an ephemeral port, writing what it
@@ -211,7 +212,10 @@ func TestTransportPushDeadReceiver(t *testing.T) {
 // prunes a pushed chain the way it prunes a local one. A level 0 and two
 // incrementals are pushed over TCP, the file changing only before the
 // second incremental: the plan for it is that one set, and recovering
-// it through the catalog's opener gives the pushed content back.
+// it through the catalog's opener gives the pushed content back. Each
+// push lands in a stream file of its own, so the whole chain recovers
+// to the volume's tree too (when each session's first stream took the
+// -o path, the level 0's file held the level 2's stream).
 func TestServeIndexesPushedChain(t *testing.T) {
 	ctx := context.Background()
 	dir := t.TempDir()
@@ -273,5 +277,23 @@ func TestServeIndexesPushedChain(t *testing.T) {
 	got, err := fs.ActiveView().ReadFile(ctx, "/docs/f.txt")
 	if err != nil || sha256.Sum256(got) != sha256.Sum256(want) {
 		t.Fatalf("recovered /docs/f.txt: %d bytes, %v; want the %d bytes pushed last", len(got), err, len(want))
+	}
+
+	full, err := cat.Plan(catalog.PlanOptions{Engine: catalog.Logical, FSID: vol})
+	if err != nil || len(full.Steps) != 3 {
+		t.Fatalf("plan of the whole chain: %v, %v", full, err)
+	}
+	if fs, err = wafl.Mkfs(ctx, storage.NewMemDevice(4096), nil, wafl.Options{}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := engine.Recover(ctx, full, engine.Target{FS: fs}, opener.open, nil); err != nil {
+		t.Fatalf("recovering the pushed chain: %v", err)
+	}
+	tree, err := workload.TreeDigest(ctx, fs.ActiveView(), "/")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if diffs := workload.DiffDigests(treeDigest(t, vol), tree); len(diffs) > 0 {
+		t.Fatalf("the recovered chain differs from the volume in %d paths: %v", len(diffs), diffs[:min(len(diffs), 5)])
 	}
 }

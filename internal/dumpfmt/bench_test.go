@@ -53,3 +53,34 @@ func TestRecordWriteZeroAlloc(t *testing.T) {
 		t.Fatalf("Writer header + 4 segments: %v allocs per run, want 0", n)
 	}
 }
+
+// TestNextHeaderZeroAlloc pins the Reader's lent header: decoding one
+// into the Reader's own, label, hole map and all, allocates nothing
+// (three objects per header when each was a fresh Header).
+func TestNextHeaderZeroAlloc(t *testing.T) {
+	sink := newMemSink(0)
+	w, err := NewWriter(sink, "allocs", 1000, 0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	holes := make([]byte, 300) // a map with no segment present: header after header
+	for ino := uint32(10); ino < 300; ino++ {
+		if err := w.WriteMapped(TSInode, ino, DumpInode{Mode: 0100644, Size: 300 * TPBSize}, holes, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	r := NewReader(sink.source())
+	if h, err := r.NextHeader(); err != nil || h.Type != TSTape {
+		t.Fatalf("volume header %+v, %v", h, err)
+	}
+	if n := testing.AllocsPerRun(200, func() {
+		if h, err := r.NextHeader(); err != nil || h.Label != "allocs" || len(h.Addrs) != len(holes) {
+			t.Fatalf("header %+v, %v", h, err)
+		}
+	}); n != 0 {
+		t.Fatalf("Reader.NextHeader: %v allocs per header, want 0", n)
+	}
+}

@@ -45,8 +45,8 @@ func TestCheckpointDurableAndSkipped(t *testing.T) {
 			t.Fatal("checkpoint leaked out of Walk as a top-level header")
 		}
 		var segs []walked
-		cur := h
-		h, err = r.Walk(cur, collect(&segs))
+		cur := *h
+		h, err = r.Walk(&cur, collect(&segs))
 		if cur.Type == TSInode {
 			if err != nil || len(segs) != 2 {
 				t.Fatalf("inode 7: %d segments, %v", len(segs), err)

@@ -171,32 +171,63 @@ func (h *Header) MarshalInto(buf []byte) error {
 	return nil
 }
 
-// UnmarshalHeader decodes and validates a 1 KB record header.
+// UnmarshalHeader decodes and validates a 1 KB record header into a
+// fresh Header. A Reader decodes into headers it owns instead, through
+// the same decode.
 func UnmarshalHeader(buf []byte) (*Header, error) {
+	h := new(Header)
+	if err := h.decode(buf); err != nil {
+		return nil, err
+	}
+	return h, nil
+}
+
+// checkHeader makes every check of buf that decode makes, in the same
+// order, and returns the record type of a valid header.
+func checkHeader(buf []byte) (int32, error) {
 	if len(buf) != TPBSize {
-		return nil, fmt.Errorf("%w: %d bytes", ErrShortRecord, len(buf))
+		return 0, fmt.Errorf("%w: %d bytes", ErrShortRecord, len(buf))
 	}
 	le := binary.LittleEndian
 	if le.Uint32(buf[offMagic:]) != Magic {
-		return nil, ErrBadMagic
+		return 0, ErrBadMagic
 	}
 	var sum int32
 	for i := 0; i < TPBSize; i += 4 {
 		sum += int32(le.Uint32(buf[i:]))
 	}
 	if sum != ChecksumConst {
-		return nil, ErrBadChecksum
+		return 0, ErrBadChecksum
 	}
-	h := &Header{
-		Type:    int32(le.Uint32(buf[offType:])),
-		Date:    int64(le.Uint64(buf[offDate:])),
-		DDate:   int64(le.Uint64(buf[offDDate:])),
-		Volume:  int32(le.Uint32(buf[offVolume:])),
-		Tapea:   int64(le.Uint64(buf[offTapea:])),
-		Inumber: le.Uint32(buf[offInumber:]),
-		Level:   int32(le.Uint32(buf[offLevel:])),
-		Count:   int32(le.Uint32(buf[offCount:])),
+	if count := int32(le.Uint32(buf[offCount:])); count < 0 || count > MaxSegsPerHeader {
+		return 0, fmt.Errorf("dumpfmt: bad addr count %d", count)
 	}
+	typ := int32(le.Uint32(buf[offType:]))
+	if typ < TSTape || typ > TSCheckpoint {
+		return 0, fmt.Errorf("dumpfmt: unknown record type %d", typ)
+	}
+	return typ, nil
+}
+
+// decode is the one header decoder: it validates buf and fills h from
+// it, leaving h as it was when buf is not a valid header. The hole map
+// goes into h's own Addrs buffer and Label keeps its string when the
+// bytes spell it already, so decoding into the same Header over and over
+// allocates nothing.
+func (h *Header) decode(buf []byte) error {
+	typ, err := checkHeader(buf)
+	if err != nil {
+		return err
+	}
+	le := binary.LittleEndian
+	h.Type = typ
+	h.Date = int64(le.Uint64(buf[offDate:]))
+	h.DDate = int64(le.Uint64(buf[offDDate:]))
+	h.Volume = int32(le.Uint32(buf[offVolume:]))
+	h.Tapea = int64(le.Uint64(buf[offTapea:]))
+	h.Inumber = le.Uint32(buf[offInumber:])
+	h.Level = int32(le.Uint32(buf[offLevel:]))
+	h.Count = int32(le.Uint32(buf[offCount:]))
 	h.Dinode = DumpInode{
 		Mode:  le.Uint32(buf[offMode:]),
 		Nlink: le.Uint32(buf[offNlink:]),
@@ -212,16 +243,37 @@ func UnmarshalHeader(buf []byte) (*Header, error) {
 	for n < len(label) && label[n] != 0 {
 		n++
 	}
-	h.Label = string(label[:n])
-	if h.Count < 0 || int(h.Count) > MaxSegsPerHeader {
-		return nil, fmt.Errorf("dumpfmt: bad addr count %d", h.Count)
+	if string(label[:n]) != h.Label {
+		h.Label = string(label[:n])
 	}
-	h.Addrs = make([]byte, h.Count)
-	copy(h.Addrs, buf[offAddrs:offAddrs+int(h.Count)])
-	if h.Type < TSTape || h.Type > TSCheckpoint {
-		return nil, fmt.Errorf("dumpfmt: unknown record type %d", h.Type)
+	h.Addrs = append(h.Addrs[:0], buf[offAddrs:offAddrs+int(h.Count)]...)
+	return nil
+}
+
+// poison scribbles over a header a Reader lent and has taken back: a
+// caller still reading it finds a record type no stream has, inode and
+// Dinode fields of 0xA5 bytes and a full hole map of 0xA5 bytes, in
+// which no segment is present — never the next header's fields. Label
+// is left alone: every header of a stream carries the same one, and a
+// string cannot be scribbled over.
+func (h *Header) poison() {
+	const (
+		u32 = 0xA5A5A5A5
+		u64 = 0xA5A5A5A5A5A5A5A5
+		i32 = int32(-0x5A5A5A5B)         // u32's bits
+		i64 = int64(-0x5A5A5A5A5A5A5A5B) // u64's bits
+	)
+	addrs := h.Addrs[:cap(h.Addrs)]
+	for i := range addrs {
+		addrs[i] = 0xA5
 	}
-	return h, nil
+	*h = Header{
+		Type: i32, Date: i64, DDate: i64, Volume: i32, Tapea: i64, Inumber: u32, Level: i32,
+		Label: h.Label,
+		Dinode: DumpInode{Mode: u32, Nlink: u32, UID: u32, GID: u32,
+			Size: u64, Atime: i64, Mtime: i64, XMode: u32},
+		Count: int32(len(addrs)), Addrs: addrs,
+	}
 }
 
 // InoMap is the bitmap of inode numbers carried by TS_BITS and TS_CLRI

@@ -277,8 +277,8 @@ func TestMultiVolumeSpanning(t *testing.T) {
 	h, err := r.NextHeader()
 	for err == nil && h.Type != TSEnd {
 		var segs []walked
-		cur := h
-		h, err = r.Walk(cur, collect(&segs))
+		cur := *h
+		h, err = r.Walk(&cur, collect(&segs))
 		switch cur.Type {
 		case TSTape:
 			conts++

@@ -219,6 +219,12 @@ var ErrTorn = fmt.Errorf("dumpfmt: stream ends before TS_END: %w", io.ErrUnexpec
 // where a header was expected is skipped, so damage to one file's
 // records does not take down the rest of the restore — the resilience
 // property the paper credits logical backup with.
+//
+// A header the Reader returns is lent, like a Source's record: it is
+// valid until the next call on the Reader returns. Every call starts by
+// scribbling over the header lent last (Header.poison), so a caller that
+// keeps one past that reads garbage rather than, silently, the header
+// after it; a caller that needs its fields across a call copies them.
 type Reader struct {
 	src     stream.Source
 	rec     []byte // the source's current record, lent until its next read
@@ -226,10 +232,18 @@ type Reader struct {
 	skipped int    // corrupt units skipped during resync
 	ended   bool   // TS_END has been returned
 	arena   []byte // Walk's scratch: one header's segments, copied out of rec
+	hdrs    [2]Header
+	lent    int // hdrs[lent] was returned last; the next header decodes into the other
 }
 
 // NewReader wraps a source of blocked records.
-func NewReader(src stream.Source) *Reader { return &Reader{src: src} }
+func NewReader(src stream.Source) *Reader {
+	r := &Reader{src: src}
+	addrs := make([]byte, 2*MaxSegsPerHeader)
+	r.hdrs[0].Addrs = addrs[:0:MaxSegsPerHeader]
+	r.hdrs[1].Addrs = addrs[MaxSegsPerHeader:MaxSegsPerHeader]
+	return r
+}
 
 // Skipped returns how many units were discarded during resync.
 func (r *Reader) Skipped() int { return r.skipped }
@@ -257,27 +271,29 @@ func (r *Reader) readUnit() ([]byte, error) {
 
 // NextHeader returns the next valid header, skipping corrupt units and
 // transparently passing volume-continuation TS_TAPE headers through to
-// the caller (they carry no payload).
+// the caller (they carry no payload). The header is lent (see Reader).
 func (r *Reader) NextHeader() (*Header, error) {
+	r.hdrs[r.lent].poison()
+	h := &r.hdrs[1-r.lent]
 	for {
 		unit, err := r.readUnit()
 		if err != nil {
 			return nil, err
 		}
-		h, err := UnmarshalHeader(unit)
-		if err != nil {
+		if err := h.decode(unit); err != nil {
 			r.skipped++
 			continue
 		}
+		r.lent = 1 - r.lent
 		r.ended = r.ended || h.Type == TSEnd
 		return h, nil
 	}
 }
 
-// isMarker reports a header that carries nothing of any file and can
-// land anywhere in one: the TS_TAPE a volume change interposes (as BSD
-// restore expects) or a TS_CHECKPOINT.
-func isMarker(h *Header) bool { return h.Type == TSTape || h.Type == TSCheckpoint }
+// isMarker reports a record type that carries nothing of any file and
+// can land anywhere in one: the TS_TAPE a volume change interposes (as
+// BSD restore expects) or a TS_CHECKPOINT.
+func isMarker(typ int32) bool { return typ == TSTape || typ == TSCheckpoint }
 
 // Walk reads the records h opens — a file, a directory or an inode map
 // (TS_INODE, TS_BITS, TS_CLRI) — and returns the first header that
@@ -293,8 +309,11 @@ func isMarker(h *Header) bool { return h.Type == TSTape || h.Type == TSCheckpoin
 // A source that ends inside the file returns ErrTorn naming the inode,
 // after the segments before the tear have been visited; one that ends
 // behind its last record returns ErrTorn bare.
+//
+// h may be the header the Reader lent last; Walk takes back the loan
+// (see Reader) and returns a header lent the same way.
 func (r *Reader) Walk(h *Header, visit func(off uint64, seg []byte) error) (*Header, error) {
-	size := h.Dinode.Size
+	ino, size := h.Inumber, h.Dinode.Size
 	base := uint64(0) // segments the headers before cur describe
 	for cur := h; ; {
 		// A header's segments are all read before the first is visited,
@@ -319,17 +338,17 @@ func (r *Reader) Walk(h *Header, visit func(off uint64, seg []byte) error) (*Hea
 			}
 		}
 		if readErr == ErrTorn {
-			readErr = fmt.Errorf("inode %d torn: %w", h.Inumber, readErr)
+			readErr = fmt.Errorf("inode %d torn: %w", ino, readErr)
 		}
 		if readErr != nil {
 			return nil, readErr
 		}
 		base += uint64(len(cur.Addrs))
 		next, err := r.NextHeader()
-		for err == nil && isMarker(next) {
+		for err == nil && isMarker(next.Type) {
 			next, err = r.NextHeader()
 		}
-		if err != nil || next.Type != TSAddr || next.Inumber != h.Inumber {
+		if err != nil || next.Type != TSAddr || next.Inumber != ino {
 			return next, err
 		}
 		cur = next
@@ -348,7 +367,7 @@ func (r *Reader) readSegments(addrs []byte) error {
 			if err != nil {
 				return err
 			}
-			if h, err := UnmarshalHeader(unit); err != nil || !isMarker(h) {
+			if typ, err := checkHeader(unit); err != nil || !isMarker(typ) {
 				r.arena = append(r.arena, unit...)
 				break
 			}

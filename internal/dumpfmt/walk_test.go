@@ -78,8 +78,8 @@ func TestEmitWalkRoundTrip(t *testing.T) {
 		h, err := r.NextHeader()
 		for f := 0; err == nil && h.Type != TSEnd; {
 			var got []walked
-			cur := h
-			h, err = r.Walk(cur, collect(&got))
+			cur := *h
+			h, err = r.Walk(&cur, collect(&got))
 			if cur.Type != TSInode {
 				continue
 			}

@@ -220,9 +220,9 @@ func readDirectories(r *dumpfmt.Reader, stats *RestoreStats) (*desiccated, *dump
 		case !isMap && !(h.Type == dumpfmt.TSInode && wafl.IsDir(h.Dinode.Mode)):
 			return des, h, nil // directories are over
 		}
-		cur := h
+		cur := *h // h is lent only until the Walk
 		blob = blob[:0]
-		if h, err = r.Walk(cur, collect); err != nil {
+		if h, err = r.Walk(&cur, collect); err != nil {
 			break
 		}
 		stats.BytesRead += int64(len(blob))
@@ -269,9 +269,11 @@ type restoreState struct {
 	stats  *RestoreStats
 	inoMap map[wafl.Inum]wafl.Inum // dump ino → fs ino
 
-	// locations of each dump ino across the dump's directories, for
-	// hard links; built lazily.
-	locs map[wafl.Inum][]location
+	// Where each dump ino is named in the dump's directories: the first
+	// name the skeleton walk meets, which the file is created as, and any
+	// further ones, its hard links. Built by buildSkeleton.
+	locs  map[wafl.Inum]location
+	links map[wafl.Inum][]location
 
 	dirsToFinish []wafl.Inum // dump dir inos created/updated this run
 
@@ -304,7 +306,12 @@ func (rst *restoreState) buildSkeleton(ctx context.Context) error {
 	}
 	des := rst.des
 	rst.inoMap[des.rootIno] = fsRoot
-	rst.locs = make(map[wafl.Inum][]location)
+	nents := 0
+	for _, ents := range des.ents {
+		nents += len(ents)
+	}
+	rst.locs = make(map[wafl.Inum]location, nents)
+	rst.links = make(map[wafl.Inum][]location)
 
 	queue := []wafl.Inum{des.rootIno}
 	seen := map[wafl.Inum]bool{}
@@ -334,7 +341,12 @@ func (rst *restoreState) buildSkeleton(ctx context.Context) error {
 				continue
 			}
 			dumpNames[e.Name] = e
-			rst.locs[e.Ino] = append(rst.locs[e.Ino], location{dir: d, name: e.Name})
+			loc := location{dir: d, name: e.Name}
+			if _, named := rst.locs[e.Ino]; named {
+				rst.links[e.Ino] = append(rst.links[e.Ino], loc)
+			} else {
+				rst.locs[e.Ino] = loc
+			}
 		}
 
 		// One listing of the target directory answers every question
@@ -540,24 +552,24 @@ func (rst *restoreState) restoreFile(ctx context.Context, r *dumpfmt.Reader, h *
 				return nil, err
 			}
 		} else {
-			locs := rst.locs[dumpIno]
-			if len(locs) == 0 {
+			loc, named := rst.locs[dumpIno]
+			if !named {
 				// File not referenced by any dumped directory —
 				// dangling; skip its data.
 				selected = false
 			} else {
-				parentFs, ok := rst.inoMap[locs[0].dir]
+				parentFs, ok := rst.inoMap[loc.dir]
 				if !ok {
 					selected = false
 				} else {
 					var err error
 					perm := di.Mode & 07777
 					if wafl.IsSymlink(di.Mode) {
-						fsIno, err = rst.fs.Symlink(ctx, parentFs, locs[0].name, "")
+						fsIno, err = rst.fs.Symlink(ctx, parentFs, loc.name, "")
 						// Target data arrives as file contents below;
 						// Symlink wrote "", so just write data.
 					} else {
-						fsIno, err = rst.fs.Create(ctx, parentFs, locs[0].name, perm, di.UID, di.GID)
+						fsIno, err = rst.fs.Create(ctx, parentFs, loc.name, perm, di.UID, di.GID)
 					}
 					if err != nil {
 						return nil, err
@@ -591,8 +603,8 @@ func (rst *restoreState) restoreFile(ctx context.Context, r *dumpfmt.Reader, h *
 			return nil, err
 		}
 		// Hard links: connect remaining locations.
-		if locs := rst.locs[dumpIno]; !wafl.IsDir(di.Mode) && len(locs) > 1 {
-			for _, loc := range locs[1:] {
+		if !wafl.IsDir(di.Mode) {
+			for _, loc := range rst.links[dumpIno] {
 				parentFs, ok := rst.inoMap[loc.dir]
 				if !ok {
 					continue

@@ -7,10 +7,10 @@ import (
 	"hash/crc32"
 	"math/rand"
 	"net"
-	"runtime"
 	"sync"
 	"testing"
 
+	"repro/internal/allocpin"
 	"repro/internal/bufpool"
 	"repro/internal/transport"
 )
@@ -109,28 +109,27 @@ func TestPushAllocsPerMiB(t *testing.T) {
 	})
 	dial, stop := tcpHost(t, host)
 
-	var before, after runtime.MemStats
-	runtime.GC()
-	runtime.ReadMemStats(&before)
 	errs := make([]error, clients)
-	var pushing sync.WaitGroup
-	for i := range streams {
-		pushing.Add(1)
-		go func() {
-			defer pushing.Done()
-			s, err := Dial(dial, Config{Kind: KindLogical, Session: uint64(i + 1)})
-			for r := 0; err == nil && r < records; r++ {
-				err = s.WriteRecord(streams[i][r*size : (r+1)*size])
-			}
-			if err == nil {
-				err = s.Close()
-			}
-			errs[i] = err
-		}()
-	}
-	pushing.Wait()
-	serveErrs := stop()
-	runtime.ReadMemStats(&after)
+	var serveErrs []error
+	mallocs := allocpin.Count(t, func() {
+		var pushing sync.WaitGroup
+		for i := range streams {
+			pushing.Add(1)
+			go func() {
+				defer pushing.Done()
+				s, err := Dial(dial, Config{Kind: KindLogical, Session: uint64(i + 1)})
+				for r := 0; err == nil && r < records; r++ {
+					err = s.WriteRecord(streams[i][r*size : (r+1)*size])
+				}
+				if err == nil {
+					err = s.Close()
+				}
+				errs[i] = err
+			}()
+		}
+		pushing.Wait()
+		serveErrs = stop()
+	})
 
 	if err := errors.Join(append(errs, serveErrs...)...); err != nil {
 		t.Fatal(err)
@@ -141,7 +140,7 @@ func TestPushAllocsPerMiB(t *testing.T) {
 		}
 	}
 	mib := float64(clients*records*size) / (1 << 20)
-	perMiB := float64(after.Mallocs-before.Mallocs) / mib
+	perMiB := float64(mallocs) / mib
 	t.Logf("%d clients, %.1f MiB: %.0f allocations per MiB", clients, mib, perMiB)
 	const ceiling = 40
 	if perMiB > ceiling {

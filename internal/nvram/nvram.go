@@ -13,6 +13,7 @@
 package nvram
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"time"
@@ -45,11 +46,15 @@ func DefaultParams() Params {
 
 // Log is a bounded non-volatile operation log. Entries survive Crash
 // (a simulated power loss) but not Reset (a consistency point).
+//
+// The entries are copied back to back into one arena, which Reset
+// empties but keeps: once the log has filled to its high-water mark,
+// recording an entry allocates nothing.
 type Log struct {
 	params  Params
 	station *sim.Station
-	entries [][]byte
-	used    int
+	arena   []byte // every entry since the last Reset, in order
+	ends    []int  // entry i is arena[ends[i-1]:ends[i]]
 	appends int64
 }
 
@@ -82,13 +87,11 @@ func (l *Log) Append(ctx context.Context, op []byte) error {
 // after releasing it; the operation must not be acknowledged before
 // Commit returns.
 func (l *Log) Record(op []byte) (time.Duration, error) {
-	if l.params.Size > 0 && l.used+len(op) > l.params.Size {
+	if l.params.Size > 0 && len(l.arena)+len(op) > l.params.Size {
 		return 0, ErrFull
 	}
-	cp := make([]byte, len(op))
-	copy(cp, op)
-	l.entries = append(l.entries, cp)
-	l.used += len(op)
+	l.arena = append(l.arena, op...)
+	l.ends = append(l.ends, len(l.arena))
 	l.appends++
 	return l.params.PerOp + time.Duration(len(op))*l.params.PerByte, nil
 }
@@ -106,28 +109,32 @@ func (l *Log) Commit(ctx context.Context, svc time.Duration) {
 // full, mirroring WAFL's split-log scheme) and the filesystem should
 // take a consistency point.
 func (l *Log) NeedCP() bool {
-	return l.params.Size > 0 && l.used >= l.params.Size/2
+	return l.params.Size > 0 && len(l.arena) >= l.params.Size/2
 }
 
-// Reset discards all entries; called when a consistency point commits.
+// Reset discards all entries, keeping the arena's room for the next
+// ones; called when a consistency point commits.
 func (l *Log) Reset() {
-	l.entries = nil
-	l.used = 0
+	l.arena = l.arena[:0]
+	l.ends = l.ends[:0]
 }
 
-// Entries returns the logged operations in append order. After a crash
-// the filesystem replays these against the last consistency point.
+// Entries returns copies of the logged operations in append order,
+// which later Records and Resets leave alone. After a crash the
+// filesystem replays these against the last consistency point.
 func (l *Log) Entries() [][]byte {
-	out := make([][]byte, len(l.entries))
-	for i, e := range l.entries {
-		out[i] = make([]byte, len(e))
-		copy(out[i], e)
+	all := bytes.Clone(l.arena)
+	out := make([][]byte, len(l.ends))
+	start := 0
+	for i, end := range l.ends {
+		out[i] = all[start:end:end]
+		start = end
 	}
 	return out
 }
 
 // Used returns the bytes currently logged.
-func (l *Log) Used() int { return l.used }
+func (l *Log) Used() int { return len(l.arena) }
 
 // Appends returns the total number of entries ever appended.
 func (l *Log) Appends() int64 { return l.appends }

@@ -49,6 +49,37 @@ func TestEntriesAreIsolated(t *testing.T) {
 	}
 }
 
+// TestEntriesOutliveReset: the log records into one arena and Reset
+// keeps it, so the next Records overwrite the bytes the last entries
+// were in. Entries taken before must not see that.
+func TestEntriesOutliveReset(t *testing.T) {
+	ctx := context.Background()
+	l := New(nil, Params{Size: 1024})
+	for _, op := range []string{"create /a", "write /a 100"} {
+		if err := l.Append(ctx, []byte(op)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	before := l.Entries()
+	l.Reset()
+	for _, op := range []string{"remove /b", "write /c 7", "rename /c /d"} {
+		if err := l.Append(ctx, []byte(op)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if string(before[0]) != "create /a" || string(before[1]) != "write /a 100" {
+		t.Fatalf("entries taken before Reset now read %q", before)
+	}
+	after := l.Entries()
+	if len(after) != 3 || string(after[0]) != "remove /b" || string(after[2]) != "rename /c /d" || l.Used() != 31 {
+		t.Fatalf("entries after Reset: %q, %d bytes", after, l.Used())
+	}
+	after[0] = append(after[0], "!!"...) // an entry's room ends where it does
+	if string(after[1]) != "write /c 7" {
+		t.Fatalf("growing one returned entry overwrote the next: %q", after[1])
+	}
+}
+
 func TestHighWaterMark(t *testing.T) {
 	ctx := context.Background()
 	l := New(nil, Params{Size: 100})

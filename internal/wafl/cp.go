@@ -1,6 +1,7 @@
 package wafl
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"slices"
@@ -21,38 +22,50 @@ func (fs *FS) CP(ctx context.Context) error {
 	//    files, in inode order for determinism. Each file's blocks go
 	//    to one RAID group and the next file's to the next group, so
 	//    that streams reading different files find different spindles.
-	inos := make([]Inum, 0, len(fs.states))
+	inos := fs.cpInos[:0]
 	for ino, st := range fs.states {
-		if st.inodeDirty || len(st.dirty) > 0 {
+		if st.inodeDirty || st.ndirty > 0 {
 			inos = append(inos, ino)
 		}
 	}
 	slices.Sort(inos)
-
-	dirtyInodeBlocks := make(map[uint32]bool)
+	fs.cpInos = inos
+	// Every staged block of a file belongs to one of inos, so each file's
+	// blocks are the next run of keys. The inode file's sort first and
+	// are step 2's: only a CP that failed half-way leaves any.
+	keys := fs.sortedStaged()
+	for len(keys) > 0 && keys[0].ino == inofIno {
+		keys = keys[1:]
+	}
 	for _, ino := range inos {
-		st := fs.states[ino]
-		if err := fs.flushState(ctx, st); err != nil {
+		n := 0
+		for n < len(keys) && keys[n].ino == ino {
+			n++
+		}
+		if err := fs.flushState(ctx, fs.states[ino], keys[:n]); err != nil {
 			return err
 		}
+		keys = keys[n:]
 		fs.bmap.nextGroup()
-		dirtyInodeBlocks[uint32(ino)/InodesPerBlock] = true
+	}
+	if len(keys) > 0 {
+		return fmt.Errorf("%w: block %d of inode %d staged without a state", ErrCorrupt, keys[0].fbn, keys[0].ino)
 	}
 
-	// 2. Serialize dirty inodes into staged inode-file blocks.
+	// 2. Serialize dirty inodes into staged inode-file blocks: the blocks
+	//    of the inodes just flushed, each once, in ascending order.
 	if err := fs.ensureFmap(ctx, fs.inofSt); err != nil {
 		return err
 	}
 	needBlocks := (uint32(fs.nextIno) + InodesPerBlock - 1) / InodesPerBlock
 	fs.inofSt.ino.Size = uint64(needBlocks) * BlockSize
-	fbns := make([]uint32, 0, len(dirtyInodeBlocks))
-	for fbn := range dirtyInodeBlocks {
-		fbns = append(fbns, fbn)
-	}
-	slices.Sort(fbns)
-	for _, fbn := range fbns {
+	for i, ino := range inos {
+		fbn := uint32(ino) / InodesPerBlock
+		if i > 0 && fbn == uint32(inos[i-1])/InodesPerBlock {
+			continue
+		}
 		blk := fs.takeBuf()
-		if pbn := fs.inofSt.fmap[fbn]; pbn != 0 {
+		if pbn := fs.inofSt.pbn(fbn); pbn != 0 {
 			old, err := fs.readBlock(ctx, pbn)
 			if err != nil {
 				return err
@@ -67,9 +80,9 @@ func (fs *FS) CP(ctx context.Context) error {
 				st.ino.Marshal(blk[slot*InodeSize:])
 			}
 		}
-		fs.inofSt.dirty[fbn] = blk
+		fs.stage(inofIno, fs.inofSt, fbn, blk)
 	}
-	if err := fs.flushState(ctx, fs.inofSt); err != nil {
+	if err := fs.flushState(ctx, fs.inofSt, fs.sortedStaged()); err != nil {
 		return err
 	}
 	fs.info.InodeFile = fs.inofSt.ino
@@ -112,47 +125,57 @@ func (fs *FS) CP(ctx context.Context) error {
 	return nil
 }
 
-// flushState writes st's dirty data blocks to fresh allocations and
-// rebuilds its block tree from the staged map.
-func (fs *FS) flushState(ctx context.Context, st *istate) error {
-	if len(st.dirty) == 0 && !st.inodeDirty && !st.treeDirty {
+// sortedStaged lists the keys of every staged block in (inode, fbn)
+// order, in the CP's scratch.
+func (fs *FS) sortedStaged() []blockKey {
+	keys := fs.cpKeys[:0]
+	for k := range fs.staged {
+		keys = append(keys, k)
+	}
+	slices.SortFunc(keys, func(a, b blockKey) int {
+		return cmp.Or(cmp.Compare(a.ino, b.ino), cmp.Compare(a.fbn, b.fbn))
+	})
+	fs.cpKeys = keys
+	return keys
+}
+
+// flushState writes st's dirty data blocks (keys: all of them, in
+// ascending fbn order) to fresh allocations and rebuilds its block tree
+// from its block map.
+func (fs *FS) flushState(ctx context.Context, st *istate, keys []blockKey) error {
+	if len(keys) == 0 && !st.inodeDirty && !st.treeDirty {
 		return nil
 	}
-	if len(st.dirty) > 0 || st.treeDirty {
+	if len(keys) > 0 || st.treeDirty {
 		if err := fs.ensureFmap(ctx, st); err != nil {
 			return err
 		}
-		fbns := make([]uint32, 0, len(st.dirty))
-		for fbn := range st.dirty {
-			fbns = append(fbns, fbn)
-		}
-		slices.Sort(fbns)
 		// What the filesystem reads again itself stays cached:
 		// directories, symlinks and the inode file, for namei, Create,
 		// Readdir and the next CP's inode merge. A regular file's data
 		// does not: a restore writes ~4 250 data blocks per CP into a
 		// 2 048-frame cache, which would evict every one of those.
 		keep := st == fs.inofSt || !IsReg(st.ino.Mode)
-		for _, fbn := range fbns {
+		for _, k := range keys {
 			npbn := fs.bmap.alloc()
 			if npbn == 0 {
 				return ErrNoSpace
 			}
-			if old := st.fmap[fbn]; old != 0 {
+			if old := st.fmap[k.fbn]; old != 0 {
 				fs.bmap.free(old)
 				fs.cache.drop(old)
 			}
-			st.fmap[fbn] = npbn
-			if err := fs.writeBlock(ctx, npbn, st.dirty[fbn], keep); err != nil {
+			st.fmap[k.fbn] = npbn
+			if err := fs.writeBlock(ctx, npbn, fs.staged[k], keep); err != nil {
 				return err
 			}
 			// The cache or the spare stack owns the buffer now.
-			delete(st.dirty, fbn)
+			delete(fs.staged, k)
+			st.ndirty--
 			// Billed at once, not through fs.charge: a consistency
 			// point's CPU is spent under the lock, like its writes.
 			fs.costs.charge(ctx, fs.costs.CPBlock)
 		}
-		st.dirty = make(map[uint32][]byte)
 		if err := fs.rebuildTree(ctx, st); err != nil {
 			return err
 		}
@@ -163,126 +186,77 @@ func (fs *FS) flushState(ctx context.Context, st *istate) error {
 }
 
 // rebuildTree frees st's old pointer blocks and writes a fresh tree
-// covering exactly the staged map.
+// covering exactly its block map.
 func (fs *FS) rebuildTree(ctx context.Context, st *istate) error {
-	for _, pbn := range st.ptrBlocks {
-		fs.bmap.free(pbn)
-		fs.cache.drop(pbn)
-	}
+	fs.release(st.ptrBlocks)
 	st.ptrBlocks = st.ptrBlocks[:0]
 
-	var maxFbn uint32
-	hasAny := false
-	for fbn := range st.fmap {
-		if st.fmap[fbn] == 0 {
-			delete(st.fmap, fbn)
-			continue
-		}
-		hasAny = true
-		if fbn > maxFbn {
-			maxFbn = fbn
-		}
+	// Trailing holes need no pointers.
+	n := uint32(len(st.fmap))
+	for n > 0 && st.fmap[n-1] == 0 {
+		n--
 	}
-	for i := range st.ino.Direct {
-		st.ino.Direct[i] = 0
+	st.fmap = st.fmap[:n]
+	st.ino.Direct = [NDirect]BlockNo{}
+	copy(st.ino.Direct[:], st.fmap)
+	// window is the part of the map one pointer block from fbn lo covers.
+	window := func(lo uint32) []BlockNo { return st.fmap[min(lo, n):min(lo+PtrsPerBlock, n)] }
+	var err error
+	if st.ino.Indirect, err = fs.writePtrBlock(ctx, st, window(NDirect)); err != nil {
+		return err
 	}
-	st.ino.Indirect = 0
 	st.ino.DblInd = 0
-	if !hasAny {
-		return nil
-	}
-	for fbn, pbn := range st.fmap {
-		if fbn < NDirect {
-			st.ino.Direct[fbn] = pbn
-		}
-	}
-	writePtrBlock := func(ptrs []BlockNo) (BlockNo, error) {
-		pbn := fs.bmap.alloc()
-		if pbn == 0 {
-			return 0, ErrNoSpace
-		}
-		blk := fs.takeBuf()
-		for i, p := range ptrs {
-			putU32(blk[4*i:], uint32(p))
-		}
-		clear(blk[4*len(ptrs):])
-		if err := fs.writeBlock(ctx, pbn, blk, true); err != nil {
-			return 0, err
-		}
-		fs.costs.charge(ctx, fs.costs.CPBlock)
-		st.ptrBlocks = append(st.ptrBlocks, pbn)
-		return pbn, nil
-	}
-	if maxFbn >= NDirect {
-		ptrs := make([]BlockNo, PtrsPerBlock)
-		any := false
-		for i := 0; i < PtrsPerBlock; i++ {
-			if p := st.fmap[NDirect+uint32(i)]; p != 0 {
-				ptrs[i] = p
-				any = true
-			}
-		}
-		if any {
-			pbn, err := writePtrBlock(ptrs)
-			if err != nil {
-				return err
-			}
-			st.ino.Indirect = pbn
-		}
-	}
-	if maxFbn >= NDirect+PtrsPerBlock {
-		l1 := make([]BlockNo, PtrsPerBlock)
-		anyL1 := false
-		for i := 0; i < PtrsPerBlock; i++ {
-			l2 := make([]BlockNo, PtrsPerBlock)
-			any := false
+	if n > NDirect+PtrsPerBlock {
+		var l1 [PtrsPerBlock]BlockNo
+		for i := range l1 {
 			base := NDirect + PtrsPerBlock + uint32(i)*PtrsPerBlock
-			if base > maxFbn { // past the end of the file
+			if base >= n { // past the end of the file
 				break
 			}
-			for j := 0; j < PtrsPerBlock; j++ {
-				if p := st.fmap[base+uint32(j)]; p != 0 {
-					l2[j] = p
-					any = true
-				}
-			}
-			if any {
-				pbn, err := writePtrBlock(l2)
-				if err != nil {
-					return err
-				}
-				l1[i] = pbn
-				anyL1 = true
-			}
-		}
-		if anyL1 {
-			pbn, err := writePtrBlock(l1)
-			if err != nil {
+			if l1[i], err = fs.writePtrBlock(ctx, st, window(base)); err != nil {
 				return err
 			}
-			st.ino.DblInd = pbn
+		}
+		if st.ino.DblInd, err = fs.writePtrBlock(ctx, st, l1[:]); err != nil {
+			return err
 		}
 	}
 	return nil
 }
 
+// writePtrBlock writes ptrs, zero-padded, to a freshly allocated pointer
+// block of st's tree and returns it. Pointers that are all holes need
+// no block: it returns 0 and allocates nothing.
+func (fs *FS) writePtrBlock(ctx context.Context, st *istate, ptrs []BlockNo) (BlockNo, error) {
+	if !slices.ContainsFunc(ptrs, func(p BlockNo) bool { return p != 0 }) {
+		return 0, nil
+	}
+	pbn := fs.bmap.alloc()
+	if pbn == 0 {
+		return 0, ErrNoSpace
+	}
+	blk := fs.takeBuf()
+	for i, p := range ptrs {
+		putU32(blk[4*i:], uint32(p))
+	}
+	clear(blk[4*len(ptrs):])
+	if err := fs.writeBlock(ctx, pbn, blk, true); err != nil {
+		return 0, err
+	}
+	fs.costs.charge(ctx, fs.costs.CPBlock)
+	st.ptrBlocks = append(st.ptrBlocks, pbn)
+	return pbn, nil
+}
+
 // flushBlkmapFile rewrites the whole block-map file copy-on-write.
 func (fs *FS) flushBlkmapFile(ctx context.Context) error {
-	st := &istate{
-		ino:       fs.info.BlkmapFile,
-		dirty:     make(map[uint32][]byte),
-		fmap:      make(map[uint32]BlockNo),
-		fmapValid: false,
-	}
+	st := &istate{ino: fs.info.BlkmapFile}
 	if err := fs.ensureFmap(ctx, st); err != nil {
 		return err
 	}
 	// Free the old map entirely, then allocate the new one.
-	for fbn, pbn := range st.fmap {
-		fs.bmap.free(pbn)
-		fs.cache.drop(pbn)
-		delete(st.fmap, fbn)
-	}
+	fs.release(st.fmap)
+	st.fmap = st.fmap[:0]
 	nWords := int(fs.info.NBlocks)
 	nBlks := (nWords + PtrsPerBlock - 1) / PtrsPerBlock
 	for fbn := 0; fbn < nBlks; fbn++ {
@@ -290,7 +264,7 @@ func (fs *FS) flushBlkmapFile(ctx context.Context) error {
 		if pbn == 0 {
 			return ErrNoSpace
 		}
-		st.fmap[uint32(fbn)] = pbn
+		st.fmap = append(st.fmap, pbn)
 	}
 	if err := fs.rebuildTree(ctx, st); err != nil {
 		return err
@@ -303,7 +277,7 @@ func (fs *FS) flushBlkmapFile(ctx context.Context) error {
 			putU32(blk[4*i:], fs.bmap.words[fbn*PtrsPerBlock+i])
 		}
 		clear(blk[4*n:])
-		if err := fs.writeBlock(ctx, st.fmap[uint32(fbn)], blk, true); err != nil {
+		if err := fs.writeBlock(ctx, st.fmap[fbn], blk, true); err != nil {
 			return err
 		}
 		fs.costs.charge(ctx, fs.costs.CPBlock)
@@ -326,7 +300,7 @@ func (fs *FS) trimStates() {
 		if ino == RootIno {
 			continue
 		}
-		if !st.inodeDirty && len(st.dirty) == 0 {
+		if !st.inodeDirty && st.ndirty == 0 {
 			delete(fs.states, ino)
 		}
 		if len(fs.states) <= maxStates/2 {
@@ -365,6 +339,7 @@ func (fs *FS) maybeCP(ctx context.Context) error {
 // not be used afterwards.
 func (fs *FS) Crash() {
 	fs.states = nil
+	fs.staged = nil
 	fs.inofSt = nil
 	fs.bmap = nil
 	fs.cache = newBlockCache(0)

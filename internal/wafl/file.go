@@ -19,9 +19,61 @@ func (fs *FS) state(ctx context.Context, ino Inum) (*istate, error) {
 	if err != nil {
 		return nil, err
 	}
-	st := &istate{ino: inode, dirty: make(map[uint32][]byte)}
+	st := fs.newState()
+	st.ino = inode
 	fs.states[ino] = st
 	return st, nil
+}
+
+// newState returns an empty istate carved from the current slab, so
+// that inodes touched one after another cost an allocation per
+// stateSlab of them, not one each.
+func (fs *FS) newState() *istate {
+	const stateSlab = 64
+	if len(fs.slab) == 0 {
+		fs.slab = make([]istate, stateSlab)
+	}
+	st := &fs.slab[0]
+	fs.slab = fs.slab[1:]
+	st.fmap = st.small[:0]
+	return st
+}
+
+// stagedBlock returns the staged contents of block fbn of ino, whose
+// state is st, if it has any.
+func (fs *FS) stagedBlock(ino Inum, st *istate, fbn uint32) ([]byte, bool) {
+	if st.ndirty == 0 {
+		return nil, false
+	}
+	blk, ok := fs.staged[blockKey{ino, fbn}]
+	return blk, ok
+}
+
+// stage makes blk the staged contents of block fbn of ino, whose state
+// is st and whose block map is loaded. The caller accounts for
+// fs.stagedBlocks.
+func (fs *FS) stage(ino Inum, st *istate, fbn uint32, blk []byte) {
+	k := blockKey{ino, fbn}
+	if _, ok := fs.staged[k]; !ok {
+		st.ndirty++
+		st.cover(fbn + 1)
+	}
+	fs.staged[k] = blk
+}
+
+// unstage drops the staged blocks of ino, whose state is st, from fbn lo
+// on and returns how many there were.
+func (fs *FS) unstage(ino Inum, st *istate, lo uint32) int {
+	n := 0
+	for fbn := lo; st.ndirty > 0 && uint64(fbn) < uint64(len(st.fmap)); fbn++ {
+		k := blockKey{ino, fbn}
+		if _, ok := fs.staged[k]; ok {
+			delete(fs.staged, k)
+			st.ndirty--
+			n++
+		}
+	}
+	return n
 }
 
 // readInodeRaw reads inode ino straight from the on-disk inode file,
@@ -46,10 +98,7 @@ func (fs *FS) readInodeRaw(ctx context.Context, ino Inum) (Inode, error) {
 // inodeFilePbn maps an inode-file fbn to its physical block, using the
 // staged map when present.
 func (fs *FS) inodeFilePbn(ctx context.Context, fbn uint32) (BlockNo, error) {
-	if fs.inofSt.fmapValid {
-		return fs.inofSt.fmap[fbn], nil
-	}
-	return fs.walkTree(ctx, &fs.inofSt.ino, fbn)
+	return fs.mapping(ctx, fs.inofSt, fbn)
 }
 
 // ensureFmap loads the complete fbn→pbn mapping for st if not already
@@ -58,10 +107,14 @@ func (fs *FS) ensureFmap(ctx context.Context, st *istate) error {
 	if st.fmapValid {
 		return nil
 	}
-	st.fmap = make(map[uint32]BlockNo)
+	st.fmap = st.fmap[:0]
+	st.cover(min(st.ino.Blocks(), MaxFileBlocks))
 	st.ptrBlocks = st.ptrBlocks[:0]
 	err := fs.treeBlocks(ctx, &st.ino,
-		func(fbn uint32, pbn BlockNo) { st.fmap[fbn] = pbn },
+		func(fbn uint32, pbn BlockNo) {
+			st.cover(fbn + 1)
+			st.fmap[fbn] = pbn
+		},
 		func(pbn BlockNo) { st.ptrBlocks = append(st.ptrBlocks, pbn) })
 	if err != nil {
 		return err
@@ -73,7 +126,7 @@ func (fs *FS) ensureFmap(ctx context.Context, st *istate) error {
 // mapping resolves fbn of st, preferring the staged map.
 func (fs *FS) mapping(ctx context.Context, st *istate, fbn uint32) (BlockNo, error) {
 	if st.fmapValid {
-		return st.fmap[fbn], nil
+		return st.pbn(fbn), nil
 	}
 	return fs.walkTree(ctx, &st.ino, fbn)
 }
@@ -114,7 +167,7 @@ func (fs *FS) allocInode(ctx context.Context) (Inum, *istate, error) {
 	gen := st.ino.Gen + 1
 	st.ino = Inode{Gen: gen}
 	st.inodeDirty = true
-	st.fmap = make(map[uint32]BlockNo)
+	st.fmap = st.fmap[:0]
 	st.fmapValid = true
 	st.ptrBlocks = st.ptrBlocks[:0]
 	return ino, st, nil
@@ -145,7 +198,7 @@ func (fs *FS) readAt(ctx context.Context, ino Inum, off uint64, buf []byte) (int
 			want = BlockSize - bo
 		}
 		var src []byte
-		if d, ok := st.dirty[fbn]; ok {
+		if d, ok := fs.stagedBlock(ino, st, fbn); ok {
 			src = d
 		} else {
 			pbn, err := fs.mapping(ctx, st, fbn)
@@ -192,7 +245,7 @@ func (fs *FS) readAhead(ctx context.Context, ino Inum, st *istate, fbn uint32) {
 		if next >= blocks {
 			break
 		}
-		if _, ok := st.dirty[next]; ok {
+		if _, ok := fs.stagedBlock(ino, st, next); ok {
 			continue
 		}
 		pbn, err := fs.mapping(ctx, st, next)
@@ -261,13 +314,14 @@ func (fs *FS) writeAtOpts(ctx context.Context, ino Inum, off uint64, data []byte
 	// by the caller-visible FreeBlocks slack).
 	newBlocks := 0
 	for b := off / BlockSize; b*BlockSize < end; b++ {
-		if _, ok := st.dirty[uint32(b)]; !ok {
+		if _, ok := fs.stagedBlock(ino, st, uint32(b)); !ok {
 			newBlocks++
 		}
 	}
 	if fs.bmap.freeBlocks()-fs.stagedBlocks < newBlocks+8 {
 		return ErrNoSpace
 	}
+	st.cover(uint32((end + BlockSize - 1) / BlockSize))
 	n := 0
 	for n < len(data) {
 		fbn := uint32((off + uint64(n)) / BlockSize)
@@ -276,7 +330,7 @@ func (fs *FS) writeAtOpts(ctx context.Context, ino Inum, off uint64, data []byte
 		if want > BlockSize-bo {
 			want = BlockSize - bo
 		}
-		blk, ok := st.dirty[fbn]
+		blk, ok := fs.stagedBlock(ino, st, fbn)
 		if !ok {
 			blk = fs.takeBuf()
 			// Partial block write: read-modify-write over existing
@@ -292,7 +346,7 @@ func (fs *FS) writeAtOpts(ctx context.Context, ino Inum, off uint64, data []byte
 					clear(blk)
 				}
 			}
-			st.dirty[fbn] = blk
+			fs.stage(ino, st, fbn, blk)
 			fs.stagedBlocks++
 		}
 		copy(blk[bo:bo+want], data[n:n+want])
@@ -324,33 +378,25 @@ func (fs *FS) truncateTo(ctx context.Context, ino Inum, size uint64) error {
 		return err
 	}
 	newBlocks := uint32((size + BlockSize - 1) / BlockSize)
-	for fbn, pbn := range st.fmap {
-		if fbn >= newBlocks {
-			fs.bmap.free(pbn)
-			fs.cache.drop(pbn)
-			delete(st.fmap, fbn)
-		}
-	}
-	for fbn := range st.dirty {
-		if fbn >= newBlocks {
-			delete(st.dirty, fbn)
-			fs.stagedBlocks--
-		}
+	fs.stagedBlocks -= fs.unstage(ino, st, newBlocks)
+	if uint64(newBlocks) < uint64(len(st.fmap)) {
+		fs.release(st.fmap[newBlocks:])
+		st.fmap = st.fmap[:newBlocks]
 	}
 	// Zero the tail of a now-partial last block.
 	if size%BlockSize != 0 && size < st.ino.Size {
 		fbn := uint32(size / BlockSize)
 		cut := int(size % BlockSize)
-		blk, ok := st.dirty[fbn]
+		blk, ok := fs.stagedBlock(ino, st, fbn)
 		if !ok {
-			if pbn := st.fmap[fbn]; pbn != 0 {
+			if pbn := st.pbn(fbn); pbn != 0 {
 				old, err := fs.readBlock(ctx, pbn)
 				if err != nil {
 					return err
 				}
 				blk = fs.takeBuf()
 				copy(blk, old)
-				st.dirty[fbn] = blk
+				fs.stage(ino, st, fbn, blk)
 				fs.stagedBlocks++
 			}
 		}
@@ -378,25 +424,29 @@ func (fs *FS) freeInode(ctx context.Context, ino Inum) error {
 	if err := fs.ensureFmap(ctx, st); err != nil {
 		return err
 	}
-	for _, pbn := range st.fmap {
-		fs.bmap.free(pbn)
-		fs.cache.drop(pbn)
-	}
-	for _, pbn := range st.ptrBlocks {
-		fs.bmap.free(pbn)
-		fs.cache.drop(pbn)
-	}
-	fs.stagedBlocks -= len(st.dirty)
+	fs.stagedBlocks -= fs.unstage(ino, st, 0)
+	fs.release(st.fmap)
+	fs.release(st.ptrBlocks)
 	gen := st.ino.Gen
 	st.ino = Inode{Gen: gen}
 	st.inodeDirty = true
-	st.dirty = make(map[uint32][]byte)
-	st.fmap = make(map[uint32]BlockNo)
+	st.fmap = st.fmap[:0]
 	st.fmapValid = true
 	st.ptrBlocks = st.ptrBlocks[:0]
 	fs.addFreeIno(ino)
 	delete(fs.lastRead, ino)
 	return nil
+}
+
+// release frees every block of pbns (holes are 0 and skipped) and
+// forgets any cached copy.
+func (fs *FS) release(pbns []BlockNo) {
+	for _, pbn := range pbns {
+		if pbn != 0 {
+			fs.bmap.free(pbn)
+			fs.cache.drop(pbn)
+		}
+	}
 }
 
 // addFreeIno inserts ino into the sorted free list.

@@ -75,16 +75,49 @@ func (o Options) applyDefaults() Options {
 }
 
 // istate is the staged (since the last consistency point) state of one
-// inode: its current metadata, dirty data blocks, and — once the file
-// has been modified — the complete fbn→pbn mapping of its block tree.
+// inode: its current metadata, how many dirty data blocks it has in
+// FS.staged, and — once the file has been modified — the complete
+// fbn→pbn mapping of its block tree.
+//
+// Nothing of it is allocated per file once a filesystem has warmed up:
+// istates come from a slab (newState), the dirty blocks of every file
+// share one map that consistency points empty and writes refill, and
+// the block map is one dense slice, grown at most once per write, that
+// starts out in the istate itself.
 type istate struct {
 	ino        Inode
 	inodeDirty bool
-	treeDirty  bool              // mapping changed (truncate) even with no dirty data
-	dirty      map[uint32][]byte // fbn → staged contents
-	fmap       map[uint32]BlockNo
+	treeDirty  bool      // mapping changed (truncate) even with no dirty data
+	ndirty     int       // this inode's blocks in FS.staged
+	fmap       []BlockNo // fbn → pbn; covers every staged fbn, and fbns past it are holes
 	fmapValid  bool
 	ptrBlocks  []BlockNo // pointer blocks of the current on-disk tree
+	// fmap's room until the file outgrows it: a 64 KiB file's whole map.
+	small [16]BlockNo
+}
+
+// blockKey names one block of one file.
+type blockKey struct {
+	ino Inum
+	fbn uint32
+}
+
+// inofIno stands for the inode file in a blockKey: no file is inode 0.
+const inofIno Inum = 0
+
+// pbn returns what fbn maps to in st's staged block map, 0 for a hole.
+func (st *istate) pbn(fbn uint32) BlockNo {
+	if uint64(fbn) < uint64(len(st.fmap)) {
+		return st.fmap[fbn]
+	}
+	return 0
+}
+
+// cover grows st's block map to span fbns [0, n), the new ones holes.
+func (st *istate) cover(n uint32) {
+	if have := len(st.fmap); uint64(n) > uint64(have) {
+		st.fmap = append(st.fmap, make([]BlockNo, int(n)-have)...)
+	}
 }
 
 // FS is a mounted filesystem.
@@ -109,6 +142,16 @@ type FS struct {
 	inofSt   *istate // the inode file (rooted in fsinfo)
 	freeInos []Inum
 	nextIno  Inum
+
+	// staged holds every data block written since the last consistency
+	// point. The CP writes them out in inode order, then fbn order, and
+	// leaves the map empty with its room kept for the next ones.
+	staged map[blockKey][]byte
+	// Recycled staged state (see istate): the rest of the current slab,
+	// and a CP's scratch, its sorted inodes and sorted staged blocks.
+	slab   []istate
+	cpInos []Inum
+	cpKeys []blockKey
 
 	stagedBlocks int           // staged-but-unallocated dirty blocks, for ENOSPC
 	owner        *sim.Proc     // simulated process holding the FS lock
@@ -258,6 +301,7 @@ func Mkfs(ctx context.Context, dev storage.Device, log *nvram.Log, opts Options)
 		cache:    newBlockCache(opts.CacheBlocks),
 		bmap:     newBlkmap(dev.NumBlocks(), groupStarts(dev)),
 		states:   make(map[Inum]*istate),
+		staged:   make(map[blockKey][]byte),
 		nextIno:  RootIno + 1,
 		lastRead: make(map[Inum]uint32),
 	}
@@ -268,11 +312,7 @@ func Mkfs(ctx context.Context, dev storage.Device, log *nvram.Log, opts Options)
 	for b := BlockNo(0); b < fsinfoReserved; b++ {
 		fs.bmap.setActive(b)
 	}
-	fs.inofSt = &istate{
-		dirty:     make(map[uint32][]byte),
-		fmap:      make(map[uint32]BlockNo),
-		fmapValid: true,
-	}
+	fs.inofSt = &istate{fmapValid: true}
 	fs.inofSt.ino.Mode = ModeReg
 
 	// Root directory with "." and "..".
@@ -283,8 +323,6 @@ func Mkfs(ctx context.Context, dev storage.Device, log *nvram.Log, opts Options)
 			Atime: now, Mtime: now, Ctime: now, Gen: 1,
 		},
 		inodeDirty: true,
-		dirty:      make(map[uint32][]byte),
-		fmap:       make(map[uint32]BlockNo),
 		fmapValid:  true,
 	}
 	blk := make([]byte, BlockSize)
@@ -295,7 +333,7 @@ func Mkfs(ctx context.Context, dev storage.Device, log *nvram.Log, opts Options)
 	if err := dirInsertInBlock(blk, "..", RootIno, ModeDir); err != nil {
 		return nil, err
 	}
-	root.dirty[0] = blk
+	fs.stage(RootIno, root, 0, blk)
 	fs.states[RootIno] = root
 	fs.stagedBlocks = 1
 
@@ -318,6 +356,7 @@ func Mount(ctx context.Context, dev storage.Device, log *nvram.Log, opts Options
 		costs:    opts.Costs,
 		cache:    newBlockCache(opts.CacheBlocks),
 		states:   make(map[Inum]*istate),
+		staged:   make(map[blockKey][]byte),
 		lastRead: make(map[Inum]uint32),
 	}
 	if p, ok := dev.(Prefetcher); ok {
@@ -363,8 +402,7 @@ func Mount(ctx context.Context, dev storage.Device, log *nvram.Log, opts Options
 	}
 	fs.bmap.refreeze()
 
-	fs.inofSt = &istate{dirty: make(map[uint32][]byte)}
-	fs.inofSt.ino = fs.info.InodeFile
+	fs.inofSt = &istate{ino: fs.info.InodeFile}
 
 	// Scan the inode file for free slots.
 	for i := RootIno + 1; i < fs.nextIno; i++ {

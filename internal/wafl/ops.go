@@ -85,7 +85,7 @@ func (fs *FS) makeNode(ctx context.Context, parent Inum, name string, mode uint3
 	st.inodeDirty = true
 
 	if IsDir(mode) {
-		blk := make([]byte, BlockSize)
+		blk := fs.takeBuf()
 		initDirBlock(blk)
 		if err := dirInsertInBlock(blk, ".", ino, ModeDir); err != nil {
 			return 0, err
@@ -95,7 +95,7 @@ func (fs *FS) makeNode(ctx context.Context, parent Inum, name string, mode uint3
 		}
 		st.ino.Nlink = 2
 		st.ino.Size = BlockSize
-		st.dirty[0] = blk
+		fs.stage(ino, st, 0, blk)
 		fs.stagedBlocks++
 		pst.ino.Nlink++ // the child's ".."
 		pst.inodeDirty = true

@@ -167,8 +167,7 @@ func (fs *FS) RevertToSnapshot(ctx context.Context, name string) error {
 	fs.info.BlkmapFile = target.Blkmap
 	fs.info.NInodes = target.Root.Size / InodeSize
 	fs.states = make(map[Inum]*istate)
-	fs.inofSt = &istate{dirty: make(map[uint32][]byte)}
-	fs.inofSt.ino = target.Root
+	fs.inofSt = &istate{ino: target.Root}
 	fs.cache = newBlockCache(fs.opts.CacheBlocks)
 	fs.lastRead = make(map[Inum]uint32)
 	fs.stagedBlocks = 0

@@ -147,7 +147,7 @@ func (v *View) BlockAt(ctx context.Context, ino Inum, fbn uint32) (BlockNo, erro
 		if err != nil {
 			return 0, err
 		}
-		if _, ok := st.dirty[fbn]; ok {
+		if _, ok := v.fs.stagedBlock(ino, st, fbn); ok {
 			return 1, nil // staged data: not a hole; physical home not yet assigned
 		}
 		return v.fs.mapping(ctx, st, fbn)

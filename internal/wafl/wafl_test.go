@@ -3,9 +3,11 @@ package wafl
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
 	"errors"
 	"fmt"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"repro/internal/nvram"
@@ -212,6 +214,43 @@ func TestOverwriteIsCopyOnWrite(t *testing.T) {
 	}
 	if newPbn == oldPbn {
 		t.Fatalf("overwrite reused block %d in place (no COW)", oldPbn)
+	}
+	check(t, fs)
+}
+
+// TestCPWritesInInodeThenBlockOrder: whatever order blocks were staged
+// in, a consistency point writes files in ascending inode order and
+// each file's blocks in ascending fbn order, so on one group a file's
+// blocks land contiguous and in order, right after the file before it.
+func TestCPWritesInInodeThenBlockOrder(t *testing.T) {
+	fs := newFS(t, 1024)
+	a, _ := fs.Create(ctx, RootIno, "a", 0644, 0, 0)
+	b, _ := fs.Create(ctx, RootIno, "b", 0644, 0, 0)
+	const n = 20 // past the direct blocks
+	for _, ino := range []Inum{b, a} {
+		for fbn := n - 1; fbn >= 0; fbn-- {
+			if err := fs.Write(ctx, ino, uint64(fbn)*BlockSize, randBytes(int64(fbn), BlockSize)); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if err := fs.CP(ctx); err != nil {
+		t.Fatal(err)
+	}
+	first, err := fs.ActiveView().BlockAt(ctx, a, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, ino := range []Inum{a, b} {
+		for fbn := uint32(0); fbn < n; fbn++ {
+			want := first + BlockNo(i*n) + BlockNo(fbn)
+			if pbn, err := fs.ActiveView().BlockAt(ctx, ino, fbn); err != nil || pbn != want {
+				t.Fatalf("file %d fbn %d at block %d, %v; want %d", i, fbn, pbn, err, want)
+			}
+		}
+		if i == 0 {
+			first++ // a's indirect block comes after its data
+		}
 	}
 	check(t, fs)
 }
@@ -594,6 +633,99 @@ func TestNVRAMReplayRecoversOperations(t *testing.T) {
 		t.Fatalf("replayed setattr: mode %o", st.Mode)
 	}
 	check(t, fs2)
+}
+
+// TestReplayAfterArenaReuse: NVRAM records its entries into one arena
+// that every consistency point empties and keeps, and the filesystem
+// recycles its staged state at each CP too. After two CPs have reused
+// both, the operations since the last one must still replay into the
+// very tree the crash interrupted.
+func TestReplayAfterArenaReuse(t *testing.T) {
+	dev := storage.NewMemDevice(4096)
+	log := nvram.New(nil, nvram.Params{Size: 64 << 10})
+	fs, err := Mkfs(ctx, dev, log, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cps := fs.CPCount()
+	for i := 0; fs.CPCount() < cps+2; i++ {
+		if _, err := fs.WriteFile(ctx, fmt.Sprintf("/d%d/f%d", i%3, i), randBytes(int64(i), 1500+700*(i%9)), 0644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Everything since the last CP, of every kind, and still in NVRAM.
+	ino, err := fs.ActiveView().Namei(ctx, "/d1/f1")
+	mode := uint32(0604)
+	for _, op := range []func() error{
+		func() error { return err },
+		func() error { _, err := fs.WriteFile(ctx, "/d0/new", randBytes(90, 3*BlockSize+5), 0600); return err },
+		func() error { return fs.Write(ctx, ino, 2*BlockSize+9, randBytes(91, BlockSize)) },
+		func() error { return fs.Truncate(ctx, ino, BlockSize+3) },
+		func() error { return fs.Link(ctx, ino, RootIno, "hard") },
+		func() error { return fs.Rename(ctx, RootIno, "d2", RootIno, "moved") },
+		func() error { return fs.RemovePath(ctx, "/d0/f0") },
+		func() error { _, err := fs.Symlink(ctx, RootIno, "ln", "/moved"); return err },
+		func() error { return fs.SetAttr(ctx, ino, Attr{Mode: &mode}) },
+	} {
+		if err := op(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if len(log.Entries()) == 0 || fs.CPCount() != cps+2 {
+		t.Fatalf("%d entries logged, %d CPs: the tail is not in NVRAM", len(log.Entries()), fs.CPCount()-cps)
+	}
+	want := treeSummary(t, fs)
+
+	fs.Crash()
+	fs2, err := Mount(ctx, dev, log, Options{})
+	if err != nil {
+		t.Fatalf("mount with replay: %v", err)
+	}
+	if got := treeSummary(t, fs2); !reflect.DeepEqual(got, want) {
+		t.Fatalf("replayed tree:\n%v\nwant:\n%v", got, want)
+	}
+	check(t, fs2)
+}
+
+// treeSummary describes every path of fs's active tree: its type and
+// mode, link count, size and contents (a symlink's target).
+func treeSummary(t *testing.T, fs *FS) map[string]string {
+	t.Helper()
+	v := fs.ActiveView()
+	out := make(map[string]string)
+	var walk func(ino Inum, p string)
+	walk = func(ino Inum, p string) {
+		inode, err := v.GetInode(ctx, ino)
+		if err != nil {
+			t.Fatalf("%s: %v", p, err)
+		}
+		var body string
+		switch {
+		case IsDir(inode.Mode):
+			ents, err := v.Readdir(ctx, ino)
+			if err != nil {
+				t.Fatalf("%s: %v", p, err)
+			}
+			for _, e := range ents {
+				if e.Name != "." && e.Name != ".." {
+					walk(e.Ino, p+"/"+e.Name)
+				}
+			}
+		case IsSymlink(inode.Mode):
+			if body, err = v.Readlink(ctx, ino); err != nil {
+				t.Fatalf("%s: %v", p, err)
+			}
+		default:
+			buf := make([]byte, inode.Size)
+			if _, err := v.ReadAt(ctx, ino, 0, buf); err != nil {
+				t.Fatalf("%s: %v", p, err)
+			}
+			body = fmt.Sprintf("%x", sha256.Sum256(buf))
+		}
+		out[p] = fmt.Sprintf("%o nlink %d size %d %s", inode.Mode, inode.Nlink, inode.Size, body)
+	}
+	walk(RootIno, "")
+	return out
 }
 
 func TestAutoCPOnNVRAMHighWater(t *testing.T) {
