@@ -97,7 +97,7 @@ func planFiles(st *dumpState, files []wafl.Inum) []fileJob {
 
 // chunkRes is one staged chunk moving from a reader to the writer.
 type chunkRes struct {
-	addrs   []byte  // hole map, after salvage demotion
+	addrs   *[]byte // pooled hole map, after salvage demotion; nil for an empty file
 	buf     *[]byte // pooled segment data; nil for an empty file
 	damaged []DamagedBlock
 }
@@ -120,10 +120,15 @@ func stageChunk(ctx context.Context, st *dumpState, ra *readAhead, shard, seq in
 	}
 	res.buf = bufpool.Get(j.blocks() * wafl.BlockSize)
 	chunkBuf := *res.buf
-	addrs := make([]byte, j.nsegs)
+	// At most MaxSegsPerHeader entries: the 1 KiB class. Pooled buffers
+	// are stale, so every entry starts a hole.
+	res.addrs = bufpool.Get(j.nsegs)
+	addrs := *res.addrs
+	clear(addrs)
 	fail := func(err error) (chunkRes, error) {
 		bufpool.Put(res.buf)
-		res.buf = nil
+		bufpool.Put(res.addrs)
+		res.buf, res.addrs = nil, nil
 		return res, err
 	}
 	st.lockView()
@@ -188,7 +193,6 @@ func stageChunk(ctx context.Context, st *dumpState, ra *readAhead, shard, seq in
 			i = j.nsegs
 		}
 	}
-	res.addrs = addrs
 	if ra != nil {
 		ra.shards[shard].staged += j.blocks()
 	}
@@ -256,11 +260,12 @@ func (sw *shardWriter) writeChunk(j fileJob, res chunkRes) error {
 	if !j.first {
 		t = dumpfmt.TSAddr
 	}
-	var data []byte
+	var addrs, data []byte
 	if res.buf != nil {
+		addrs = *res.addrs
 		data = (*res.buf)[:min(uint64(j.nsegs)*dumpfmt.TPBSize, inode.Size-uint64(j.seg)*dumpfmt.TPBSize)]
 	}
-	return sw.w.WriteMapped(t, uint32(j.ino), toDumpInode(&inode), res.addrs, data)
+	return sw.w.WriteMapped(t, uint32(j.ino), toDumpInode(&inode), addrs, data)
 }
 
 // emit writes Phase IV chunk seq, checkpointing after every
@@ -330,9 +335,8 @@ func (st *dumpState) dumpShard(ctx context.Context, k int, sw *shardWriter, ra *
 		Open: func() error { return sw.open(ctx) },
 		Emit: sw.emit,
 		Release: func(c chunkRes) {
-			if c.buf != nil {
-				bufpool.Put(c.buf)
-			}
+			bufpool.Put(c.buf)
+			bufpool.Put(c.addrs)
 		},
 	}
 	err := fan.Run(ctx)

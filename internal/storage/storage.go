@@ -56,7 +56,11 @@ var zeroBlock [BlockSize]byte
 type MemDevice struct {
 	mu     sync.Mutex
 	blocks [][]byte
+	slab   []byte // room not yet given to a block, in first-write order
 }
+
+// slabBlocks is how many never-written blocks one allocation backs.
+const slabBlocks = 64
 
 // NewMemDevice creates an in-memory device of n blocks, all zero.
 func NewMemDevice(n int) *MemDevice {
@@ -100,31 +104,15 @@ func (d *MemDevice) ReadRun(_ context.Context, bno, n int, buf []byte) error {
 	return nil
 }
 
-// WriteRun implements Device: one lock acquisition for the run,
-// backing all previously-unwritten blocks with a single arena
-// allocation instead of one make per block.
+// WriteRun implements Device: one lock acquisition for the run.
 func (d *MemDevice) WriteRun(_ context.Context, bno, n int, buf []byte) error {
 	if err := checkRun(bno, n, len(d.blocks), buf); err != nil {
 		return err
 	}
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	missing := 0
 	for i := 0; i < n; i++ {
-		if d.blocks[bno+i] == nil {
-			missing++
-		}
-	}
-	var arena []byte
-	if missing > 0 {
-		arena = make([]byte, missing*BlockSize)
-	}
-	for i := 0; i < n; i++ {
-		if d.blocks[bno+i] == nil {
-			d.blocks[bno+i] = arena[:BlockSize:BlockSize]
-			arena = arena[BlockSize:]
-		}
-		copy(d.blocks[bno+i], buf[i*BlockSize:(i+1)*BlockSize])
+		copy(d.back(bno+i), buf[i*BlockSize:(i+1)*BlockSize])
 	}
 	return nil
 }
@@ -138,9 +126,7 @@ func (d *MemDevice) Clone() *MemDevice {
 	out := NewMemDevice(len(d.blocks))
 	for i, b := range d.blocks {
 		if b != nil {
-			cp := make([]byte, BlockSize)
-			copy(cp, b)
-			out.blocks[i] = cp
+			copy(out.back(i), b)
 		}
 	}
 	return out
@@ -153,11 +139,26 @@ func (d *MemDevice) WriteBlock(_ context.Context, bno int, data []byte) error {
 	}
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	if d.blocks[bno] == nil {
-		d.blocks[bno] = make([]byte, BlockSize)
-	}
-	copy(d.blocks[bno], data)
+	copy(d.back(bno), data)
 	return nil
+}
+
+// back returns block bno's storage. A never-written block gets the next
+// BlockSize bytes of the device's slab, a fresh one of slabBlocks blocks
+// (fewer on a smaller device) when it runs out, so backing is one
+// allocation per slabBlocks first writes and only written blocks take
+// room. The caller holds d.mu.
+func (d *MemDevice) back(bno int) []byte {
+	if b := d.blocks[bno]; b != nil {
+		return b
+	}
+	if len(d.slab) == 0 {
+		d.slab = make([]byte, min(slabBlocks, len(d.blocks))*BlockSize)
+	}
+	b := d.slab[:BlockSize:BlockSize]
+	d.slab = d.slab[BlockSize:]
+	d.blocks[bno] = b
+	return b
 }
 
 func checkArgs(bno, n int, buf []byte) error {

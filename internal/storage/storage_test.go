@@ -169,3 +169,130 @@ func TestFaultDeviceCounts(t *testing.T) {
 		t.Fatalf("counts = (%d, %d), want (2, 3)", r, w)
 	}
 }
+
+// TestMemDeviceUnwrittenBlockReadsZero backs blocks on both sides of
+// one that is never written, in an order that puts them in one slab:
+// the gap must still read as zeros, through ReadBlock and ReadRun, and
+// a first write to it later must leave its neighbours alone.
+func TestMemDeviceUnwrittenBlockReadsZero(t *testing.T) {
+	ctx := context.Background()
+	d := NewMemDevice(16)
+	ones := bytes.Repeat([]byte{0xFF}, BlockSize)
+	for _, bno := range []int{6, 4, 3} {
+		if err := d.WriteBlock(ctx, bno, ones); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := d.WriteRun(ctx, 0, 2, bytes.Repeat([]byte{0xFF}, 2*BlockSize)); err != nil {
+		t.Fatal(err)
+	}
+	buf := bytes.Repeat([]byte{0x5A}, BlockSize)
+	if err := d.ReadBlock(ctx, 5, buf); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(buf, zeroBlock[:]) {
+		t.Fatal("never-written block 5 does not read as zeros")
+	}
+	run := make([]byte, 8*BlockSize)
+	if err := d.ReadRun(ctx, 0, 8, run); err != nil {
+		t.Fatal(err)
+	}
+	for bno := 0; bno < 8; bno++ {
+		want := zeroBlock[:]
+		if bno != 2 && bno != 5 && bno != 7 {
+			want = ones
+		}
+		if !bytes.Equal(run[bno*BlockSize:(bno+1)*BlockSize], want) {
+			t.Fatalf("ReadRun: block %d holds the wrong bytes", bno)
+		}
+	}
+	twos := bytes.Repeat([]byte{2}, BlockSize)
+	if err := d.WriteBlock(ctx, 5, twos); err != nil {
+		t.Fatal(err)
+	}
+	for bno, want := range map[int][]byte{3: ones, 4: ones, 5: twos, 6: ones, 7: zeroBlock[:]} {
+		if err := d.ReadBlock(ctx, bno, buf); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(buf, want) {
+			t.Fatalf("after writing block 5, block %d holds the wrong bytes", bno)
+		}
+	}
+}
+
+// TestMemDeviceFirstWriteAllocs pins how a MemDevice backs blocks: at
+// most one allocation per slabBlocks blocks first written, whether they
+// arrive one by one or as runs, in any address order.
+func TestMemDeviceFirstWriteAllocs(t *testing.T) {
+	ctx := context.Background()
+	const runs = 8
+	data := make([]byte, 16*BlockSize)
+	for _, tc := range []struct {
+		name  string
+		write func(d *MemDevice, base int) error
+	}{
+		{"WriteBlock", func(d *MemDevice, base int) error {
+			for i := 0; i < slabBlocks; i++ {
+				if err := d.WriteBlock(ctx, base+i, data[:BlockSize]); err != nil {
+					return err
+				}
+			}
+			return nil
+		}},
+		{"WriteRun", func(d *MemDevice, base int) error {
+			for i := slabBlocks - 16; i >= 0; i -= 16 {
+				if err := d.WriteRun(ctx, base+i, 16, data); err != nil {
+					return err
+				}
+			}
+			return nil
+		}},
+	} {
+		d := NewMemDevice((runs + 1) * slabBlocks)
+		base := 0
+		n := testing.AllocsPerRun(runs, func() {
+			if err := tc.write(d, base); err != nil {
+				t.Fatal(err)
+			}
+			base += slabBlocks
+		})
+		if n > 1 {
+			t.Errorf("%s: %v allocations per %d blocks first written, want <= 1", tc.name, n, slabBlocks)
+		}
+	}
+}
+
+// TestMemDeviceCloneIsIndependent: a clone reads what the device held
+// when it was taken, never-written blocks as zeros, whatever either
+// side writes afterwards.
+func TestMemDeviceCloneIsIndependent(t *testing.T) {
+	ctx := context.Background()
+	d := NewMemDevice(8)
+	ones := bytes.Repeat([]byte{1}, BlockSize)
+	if err := d.WriteRun(ctx, 2, 3, bytes.Repeat([]byte{1}, 3*BlockSize)); err != nil {
+		t.Fatal(err)
+	}
+	c := d.Clone()
+	twos := bytes.Repeat([]byte{2}, BlockSize)
+	if err := d.WriteBlock(ctx, 3, twos); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.WriteBlock(ctx, 6, twos); err != nil {
+		t.Fatal(err)
+	}
+	buf := make([]byte, BlockSize)
+	for bno, want := range map[int][]byte{1: zeroBlock[:], 2: ones, 3: ones, 4: ones, 5: zeroBlock[:], 6: twos} {
+		if err := c.ReadBlock(ctx, bno, buf); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(buf, want) {
+			t.Fatalf("clone block %d holds the wrong bytes", bno)
+		}
+	}
+	if err := d.ReadBlock(ctx, 6, buf); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(buf, zeroBlock[:]) {
+		t.Fatal("a write to the clone reached the device")
+	}
+}

@@ -13,6 +13,7 @@ import (
 	"math/rand"
 	"time"
 
+	"repro/internal/bufpool"
 	"repro/internal/obs"
 	"repro/internal/sim"
 	"repro/internal/storage"
@@ -60,14 +61,24 @@ func DefaultParams() Params {
 // A Cartridge holds recorded data: a sequence of records and file
 // marks. Cartridges survive being unloaded, so a restore can reload
 // what a backup wrote — or a different filer can (cross-restore).
+//
+// The recorded bytes live in slabs taken from bufpool: a record is a
+// sub-slice of the last slab, so recording one allocates nothing once
+// the pool is warm. No slab is ever lent out — every read copies — so
+// Erase can hand them all back.
 type Cartridge struct {
 	Label    string
 	records  []record
+	slabs    []*[]byte // every buffer the records point into
+	free     []byte    // the unused tail of the last slab
 	used     int64
 	damaged  bool         // latched by a persistent media write error
 	badReads map[int]bool // record indexes latched unreadable
 	marginal map[int]bool // record indexes whose next read fails, once
 }
+
+// slabSize is the room one pooled slab gives the records carved from it.
+const slabSize = 1 << 20
 
 // record is one tape record or a file mark.
 type record struct {
@@ -100,15 +111,48 @@ func (c *Cartridge) Records() int {
 func (c *Cartridge) Index() int { return len(c.records) }
 
 // Erase wipes the cartridge back to scratch: all records, file marks
-// and latched damage are gone. Only the media pool calls this, and
-// only after every dump set on the cartridge has expired — the
-// overwrite protection a tape library's scratch rotation relies on.
+// and latched damage are gone, and the slabs that held the records go
+// back to bufpool (kept on a rotated-out cartridge, they would hold a
+// pass's worth of tape in memory beside the next pass's). Only the
+// media pool calls this, and only after every dump set on the
+// cartridge has expired — the overwrite protection a tape library's
+// scratch rotation relies on.
 func (c *Cartridge) Erase() {
-	c.records = nil
+	clear(c.records)
+	c.records = c.records[:0]
+	for _, p := range c.slabs {
+		bufpool.Put(p)
+	}
+	clear(c.slabs)
+	c.slabs = c.slabs[:0]
+	c.free = nil
 	c.used = 0
 	c.damaged = false
 	c.badReads = nil
 	c.marginal = nil
+}
+
+// keep copies data onto the cartridge and returns the copy: the next
+// len(data) bytes of the last slab, a fresh slab when those run out, or
+// a buffer of its own for a record larger than a slab.
+func (c *Cartridge) keep(data []byte) []byte {
+	n := len(data)
+	var cp []byte
+	if n > slabSize {
+		p := bufpool.Get(n)
+		c.slabs = append(c.slabs, p)
+		cp = (*p)[:n:n]
+	} else {
+		if n > len(c.free) {
+			p := bufpool.Get(slabSize)
+			c.slabs = append(c.slabs, p)
+			c.free = *p
+		}
+		cp = c.free[:n:n]
+		c.free = c.free[n:]
+	}
+	copy(cp, data)
+	return cp
 }
 
 // CorruptRecord flips bits in recorded record index i (counting data
@@ -204,9 +248,7 @@ func (c *Cartridge) RepairRecordAt(i int, data []byte) bool {
 		return false
 	}
 	c.used += int64(len(data)) - int64(len(c.records[i].data))
-	cp := make([]byte, len(data))
-	copy(cp, data)
-	c.records[i].data = cp
+	c.records[i].data = c.keep(data)
 	delete(c.badReads, i)
 	return true
 }
@@ -387,9 +429,7 @@ func (d *Drive) WriteRecord(p *sim.Proc, data []byte) error {
 	if err := d.writeFault(); err != nil {
 		return err
 	}
-	cp := make([]byte, len(data))
-	copy(cp, data)
-	d.cart.records = append(d.cart.records, record{data: cp})
+	d.cart.records = append(d.cart.records, record{data: d.cart.keep(data)})
 	d.cart.used += int64(len(data))
 	d.bytesWritten += int64(len(data))
 	d.recordsWritten++
