@@ -64,22 +64,25 @@ func restoreAllocsPerMiB(t *testing.T, want *wafl.View, drive *tape.Drive, opts 
 // TestRestoreAllocsPerMiB pins the heap objects a logical restore
 // allocates per MiB it lays down, through a filesystem that logs to
 // NVRAM as the filer's does: a ceiling that only ratchets down.
-// Measured 307 when recorded. What is left (make alloc-profile): a
-// staged 4 KiB buffer per block until a consistency point trades them
-// back (this restore fits in one NVRAM half, so that is 264 per MiB; a
-// longer one reuses them); per directory, its decoded entries and the
-// skeleton's listing of it; and the block map of a file past 16 blocks.
-// What must not come back is, per file, wafl's istate, dirty map and
-// block map (149 per MiB), NVRAM's copy of each entry logged (52), a
-// Header, hole map and label per header decoded (31) or a location
-// slice per directory entry (15): 563 with those. Nor must a copy of
-// every record read (the drive's and the dump reader's: 1 228 with
-// them), a string per directory entry listed or decoded, an error
-// formatted per lookup that misses, a string per directory record a
-// lookup passes over, a lookup per dump entry in the skeleton, a copy
-// of each block a consistency point hands the cache, a write buffer per
-// file (2 546 with all four), or two cache-entry objects per block
-// cached and a log entry grown by doubling (2 074 with those).
+// Measured 36 when recorded. What is left (make alloc-profile): the
+// block map of a file past 16 blocks; the slab takeBuf cuts 64 staged
+// buffers from until a consistency point trades them back (this restore
+// fits in one NVRAM half, so every block it stages takes a new one: 4
+// per MiB); the skeleton's maps; and the consistency point's pointer
+// blocks and sort scratch. What must not come back is a 4 KiB buffer per
+// block takeBuf stages (297 with it), or per directory a decoded entry
+// list and the skeleton's listing of it (307 with those too); per file,
+// wafl's istate, dirty map and block map (149 per MiB), NVRAM's copy of
+// each entry logged (52), a Header, hole map and label per header
+// decoded (31) or a location slice per directory entry (15): 563 with
+// those. Nor must a copy of every record read (the drive's and the dump
+// reader's: 1 228 with them), a string per directory entry listed or
+// decoded, an error formatted per lookup that misses, a string per
+// directory record a lookup passes over, a lookup per dump entry in the
+// skeleton, a copy of each block a consistency point hands the cache, a
+// write buffer per file (2 546 with all four), or two cache-entry
+// objects per block cached and a log entry grown by doubling (2 074
+// with those).
 func TestRestoreAllocsPerMiB(t *testing.T) {
 	if bufpool.RaceEnabled {
 		t.Skip("allocation counts are not meaningful under the race detector")
@@ -87,7 +90,7 @@ func TestRestoreAllocsPerMiB(t *testing.T) {
 	view := pinTree(t, newFS(t, 16384))
 	drive := newTape(t, 0, 1)
 	dumpToTape(t, view, drive, 0, nil)
-	const ceiling = 315
+	const ceiling = 38
 	if perMiB := restoreAllocsPerMiB(t, view, drive); perMiB > ceiling {
 		t.Fatalf("logical restore: %.0f allocations per MiB restored, want <= %d", perMiB, ceiling)
 	}
@@ -95,12 +98,13 @@ func TestRestoreAllocsPerMiB(t *testing.T) {
 
 // TestDedupRestoreAllocsPerMiB pins the same restore fed by chunk.Reader
 // instead: the stream dedup'd onto tape through DriveMedia and read back
-// chunk by chunk, as a dedup'd set is restored. Measured 335 when
+// chunk by chunk, as a dedup'd set is restored. Measured 63–64 when
 // recorded: the plain restore's objects and compress/flate's Huffman
 // tables, built afresh for every deflated block (22 per MiB; the
 // standard library's). What must not come back is a buffer per chunk
 // inflated or per record re-blocked, or anything on the plain restore's
-// list (1 380 with all of it).
+// list: 324 with takeBuf's buffer per block staged, 335 with the
+// per-directory lists too, 1 380 with all of it.
 func TestDedupRestoreAllocsPerMiB(t *testing.T) {
 	if bufpool.RaceEnabled {
 		t.Skip("allocation counts are not meaningful under the race detector")
@@ -118,7 +122,7 @@ func TestDedupRestoreAllocsPerMiB(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	const ceiling = 345
+	const ceiling = 67
 	if perMiB := restoreAllocsPerMiB(t, view, drive, func(o *RestoreOptions) {
 		o.Source = chunk.NewReader(ix, media, m)
 	}); perMiB > ceiling {
@@ -129,14 +133,16 @@ func TestDedupRestoreAllocsPerMiB(t *testing.T) {
 // TestDumpAllocsPerMiB pins the heap objects a logical dump allocates
 // per MiB it writes, reading through a warm filesystem whose cache is a
 // fraction of the tree, with the engine's read-ahead on: every file
-// block is a prefetch miss that evicts another. Measured 38–40 when
-// recorded (44 with every allocation sampled, whose profile writes
-// empty bufpool): directory listing — Readdir's entries and names, and
-// encodeDirEnts — the maps of Phase I and II, and the engine's per-file
-// bookkeeping. What must not come back is the tape's copy of each
-// record it is handed or a hole map per chunk staged (150 with them), a
-// string per directory entry listed (212 with it) or a heap object per
-// block read or cached (1 110 with them).
+// block is a prefetch miss that evicts another. Measured 25–28 when
+// recorded (31 with every allocation sampled, whose profile writes
+// empty bufpool): bufpool refills, the maps of Phase I and II, each
+// shard's pipeline and the engine's per-file bookkeeping. What must not
+// come back is a directory listing's entries and names per directory
+// listed, in Phase I and again in Phase III, or an encoded buffer per
+// directory (38–40 with them); the tape's copy of each record it is
+// handed or a hole map per chunk staged (150 with them), a string per
+// directory entry listed (212 with it) or a heap object per block read
+// or cached (1 110 with them).
 func TestDumpAllocsPerMiB(t *testing.T) {
 	if bufpool.RaceEnabled {
 		t.Skip("allocation counts are not meaningful under the race detector")
@@ -156,7 +162,7 @@ func TestDumpAllocsPerMiB(t *testing.T) {
 
 	perMiB := float64(mallocs) / (float64(stats.BytesWritten) / (1 << 20))
 	t.Logf("%d files, %.1f MiB: %.0f allocations per MiB", stats.FilesDumped, float64(stats.BytesWritten)/(1<<20), perMiB)
-	const ceiling = 45
+	const ceiling = 33
 	if perMiB > ceiling {
 		t.Fatalf("logical dump: %.0f allocations per MiB written, want <= %d", perMiB, ceiling)
 	}

@@ -39,7 +39,9 @@ type DumpOptions struct {
 	// data in a file system".
 	Subtree string
 	// Exclude, if set, filters out entries by name ("logical backup
-	// schemes often take advantage of filters").
+	// schemes often take advantage of filters"). The name is lent from a
+	// reused directory listing (wafl.Listing) and is scribbled over once
+	// the next directory is listed: Exclude must not keep it.
 	Exclude func(name string) bool
 	// Sink receives the stream of a single-stream dump: shorthand for a
 	// one-element Sinks whose failure comes back bare, with the resume
@@ -176,7 +178,7 @@ type dumpState struct {
 	clri     *dumpfmt.InoMap
 	dirInos  []wafl.Inum
 	fileInos []wafl.Inum
-	dirBlobs [][]byte // parallel to dirInos
+	dirBlobs [][]byte // parallel to dirInos, each a capped slice of one arena
 
 	untimed bool       // stages are real goroutines, not simulator procs
 	viewMu  sync.Mutex // see lockView
@@ -325,6 +327,7 @@ func (st *dumpState) phaseMap(ctx context.Context) error {
 	var next []qent
 	var pbns []wafl.BlockNo
 	visited := map[wafl.Inum]bool{}
+	var listing wafl.Listing
 	for len(frontier) > 0 {
 		level := frontier[:min(len(frontier), stretch)]
 		frontier = frontier[len(level):]
@@ -372,7 +375,7 @@ func (st *dumpState) phaseMap(ctx context.Context) error {
 				st.dump.Set(uint32(cur.ino))
 			}
 			if wafl.IsDir(inode.Mode) {
-				ents, err := st.view.Readdir(ctx, cur.ino)
+				ents, err := listing.Fill(ctx, st.view, cur.ino)
 				if err != nil {
 					return err
 				}
@@ -425,14 +428,18 @@ func (st *dumpState) appendBlocks(ctx context.Context, pbns []wafl.BlockNo, ino 
 	return pbns
 }
 
-// canonical directory record encoding: [ino u32][type u8][len u16][name].
-func encodeDirEnts(ents []wafl.DirEnt) []byte {
+// Directory records on tape, one per entry: [ino u32][type u8][len u16][name].
+const dirRecHead = 7
+
+// appendDirEnts appends the encoded records of ents to buf, growing it
+// as an arena grows (see growArena).
+func appendDirEnts(buf []byte, ents []wafl.DirEnt) []byte {
 	size := 0
 	for _, e := range ents {
-		size += 7 + len(e.Name)
+		size += dirRecHead + len(e.Name)
 	}
-	buf := make([]byte, 0, size)
-	var tmp [7]byte
+	buf = growArena(buf, size)
+	var tmp [dirRecHead]byte
 	for _, e := range ents {
 		binary.LittleEndian.PutUint32(tmp[0:], uint32(e.Ino))
 		tmp[4] = byte(e.Type >> 12)
@@ -443,30 +450,55 @@ func encodeDirEnts(ents []wafl.DirEnt) []byte {
 	return buf
 }
 
-// DecodeDirEnts reverses encodeDirEnts; exported for restore and tests.
-// The names are slices of one copy of data.
+// growArena returns buf with room for n more bytes. When it must move,
+// it at least doubles, so an arena of every directory's records costs at
+// most its own size again in copies; append grows a large slice by
+// about a quarter at a time, which would cost several times that.
+func growArena(buf []byte, n int) []byte {
+	if cap(buf)-len(buf) >= n {
+		return buf
+	}
+	return slices.Grow(buf, max(n, len(buf)))
+}
+
+// DecodeDirEnts reverses appendDirEnts for one directory's records;
+// exported for tests. The names are slices of one copy of data.
 func DecodeDirEnts(data []byte) ([]wafl.DirEnt, error) {
+	n, err := countDirEnts(data)
+	if err != nil {
+		return nil, err
+	}
+	return decodeDirEnts(make([]wafl.DirEnt, 0, n), string(data)), nil
+}
+
+// countDirEnts checks that data is whole directory records and returns
+// how many there are.
+func countDirEnts(data []byte) (int, error) {
 	n := 0
 	for off := 0; off < len(data); n++ {
-		if off+7 > len(data) {
-			return nil, fmt.Errorf("logical: truncated directory record at %d", off)
+		if off+dirRecHead > len(data) {
+			return 0, fmt.Errorf("logical: truncated directory record at %d", off)
 		}
-		name := off + 7
+		name := off + dirRecHead
 		off = name + int(binary.LittleEndian.Uint16(data[off+5:]))
 		if off > len(data) {
-			return nil, fmt.Errorf("logical: truncated directory name at %d", name)
+			return 0, fmt.Errorf("logical: truncated directory name at %d", name)
 		}
 	}
-	ents := make([]wafl.DirEnt, 0, n)
-	s := string(data)
+	return n, nil
+}
+
+// decodeDirEnts appends the entries of records countDirEnts has
+// accepted, held in s, to ents; every name is a slice of s.
+func decodeDirEnts(ents []wafl.DirEnt, s string) []wafl.DirEnt {
 	for off := 0; off < len(s); {
-		ino := binary.LittleEndian.Uint32(data[off:])
-		typ := uint32(data[off+4]) << 12
-		end := off + 7 + int(binary.LittleEndian.Uint16(data[off+5:]))
-		ents = append(ents, wafl.DirEnt{Ino: wafl.Inum(ino), Type: typ, Name: s[off+7 : end]})
+		ino := uint32(s[off]) | uint32(s[off+1])<<8 | uint32(s[off+2])<<16 | uint32(s[off+3])<<24
+		typ := uint32(s[off+4]) << 12
+		end := off + dirRecHead + (int(s[off+5]) | int(s[off+6])<<8)
+		ents = append(ents, wafl.DirEnt{Ino: wafl.Inum(ino), Type: typ, Name: s[off+dirRecHead : end]})
 		off = end
 	}
-	return ents, nil
+	return ents
 }
 
 func toDumpInode(ino *wafl.Inode) dumpfmt.DumpInode {

@@ -368,13 +368,18 @@ func (st *dumpState) dumpShards(ctx context.Context, streams []pipeline.Stream[C
 	st.untimed = sim.ProcFrom(ctx) == nil
 
 	begin("Dumping directories")
+	// Every directory's records go into one arena. A blob aliases the
+	// arena as it was when the blob was appended; once the arena has
+	// stopped growing, every blob is cut from its final bytes.
 	st.dirBlobs = make([][]byte, len(st.dirInos))
+	var listing wafl.Listing
+	var arena []byte
 	for i, ino := range st.dirInos {
 		if err := ctx.Err(); err != nil {
 			end()
 			return stats, err
 		}
-		ents, err := st.view.Readdir(ctx, ino)
+		ents, err := listing.Fill(ctx, st.view, ino)
 		if err != nil {
 			end()
 			return stats, err
@@ -388,7 +393,15 @@ func (st *dumpState) dumpShards(ctx context.Context, streams []pipeline.Stream[C
 			}
 			kept = append(kept, e)
 		}
-		st.dirBlobs[i] = encodeDirEnts(kept)
+		at := len(arena)
+		arena = appendDirEnts(arena, kept)
+		st.dirBlobs[i] = arena[at:]
+	}
+	at := 0
+	for i, blob := range st.dirBlobs {
+		next := at + len(blob)
+		st.dirBlobs[i] = arena[at:next:next]
+		at = next
 	}
 	stats.DirsDumped = len(st.dirInos)
 	end()

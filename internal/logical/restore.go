@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"sort"
+	"unsafe"
 
 	"repro/internal/dumpfmt"
 	"repro/internal/obs"
@@ -199,15 +200,13 @@ func Restore(ctx context.Context, opts RestoreOptions) (*RestoreStats, error) {
 // the desiccated tree and the first header past them: a file's, an
 // orphan continuation's or TS_END.
 func readDirectories(r *dumpfmt.Reader, stats *RestoreStats) (*desiccated, *dumpfmt.Header, error) {
-	des := &desiccated{
-		ents:  make(map[wafl.Inum][]wafl.DirEnt),
-		attrs: make(map[wafl.Inum]dumpfmt.DumpInode),
-	}
+	des := &desiccated{attrs: make(map[wafl.Inum]dumpfmt.DumpInode)}
 	// Maps and directories are hole-free, so a blob is its segments in
-	// stream order.
-	var blob []byte
+	// stream order. Each is collected at the end of the arena: a map's is
+	// copied out and dropped, a directory's kept there.
+	var arena dirArena
 	collect := func(_ uint64, seg []byte) error {
-		blob = append(blob, seg...)
+		arena.buf = append(growArena(arena.buf, len(seg)), seg...)
 		return nil
 	}
 	h, err := r.NextHeader()
@@ -218,32 +217,80 @@ func readDirectories(r *dumpfmt.Reader, stats *RestoreStats) (*desiccated, *dump
 			h, err = r.NextHeader()
 			continue
 		case !isMap && !(h.Type == dumpfmt.TSInode && wafl.IsDir(h.Dinode.Mode)):
-			return des, h, nil // directories are over
+			des.ents = arena.entries() // directories are over
+			return des, h, nil
 		}
 		cur := *h // h is lent only until the Walk
-		blob = blob[:0]
+		mark := len(arena.buf)
 		if h, err = r.Walk(&cur, collect); err != nil {
 			break
 		}
+		blob := arena.buf[mark:]
 		stats.BytesRead += int64(len(blob))
 		ino := wafl.Inum(cur.Inumber)
 		switch {
 		case cur.Type == dumpfmt.TSBits:
 			des.haveBits, des.rootIno = dumpfmt.InoMapFromBytes(blob), ino
+			arena.buf = arena.buf[:mark]
 		case isMap:
 			des.usedBits, des.rootIno = dumpfmt.InoMapFromBytes(blob), ino
+			arena.buf = arena.buf[:mark]
 		case uint64(len(blob)) < cur.Dinode.Size:
 			// A listing cut short would pass for one with entries deleted.
 			return nil, nil, fmt.Errorf("logical: directory inode %d truncated at %d of %d bytes", ino, len(blob), cur.Dinode.Size)
-		default:
-			// A damaged directory loses only its own entries.
-			if ents, err := DecodeDirEnts(blob); err == nil {
-				des.ents[ino] = ents
-				des.attrs[ino] = cur.Dinode
-			}
+		case arena.keep(ino, mark):
+			des.attrs[ino] = cur.Dinode
 		}
 	}
 	return nil, nil, err
+}
+
+// dirArena holds one stream's directory records for the desiccated
+// tree: every directory whose records decode, back to back in one
+// buffer that becomes one string once the directories are over, and
+// their entries decoded into one slice.
+type dirArena struct {
+	buf  []byte
+	dirs []arenaDir // the directories kept, in stream order
+	n    int        // their entries, all told
+}
+
+type arenaDir struct {
+	ino wafl.Inum
+	end int // where its records end in buf
+}
+
+// keep checks buf's records from mark on, directory ino's, and keeps
+// them if they decode. If not it drops them and reports false: a
+// damaged directory loses only its own entries.
+func (a *dirArena) keep(ino wafl.Inum, mark int) bool {
+	n, err := countDirEnts(a.buf[mark:])
+	if err != nil {
+		a.buf = a.buf[:mark]
+		return false
+	}
+	a.dirs = append(a.dirs, arenaDir{ino: ino, end: len(a.buf)})
+	a.n += n
+	return true
+}
+
+// entries decodes every directory kept, each one's entries a capped
+// slice of one slice and their names slices of one string. A directory
+// kept twice gets its later records. The string is the arena's own
+// bytes, not a copy: nothing writes to the arena after this.
+func (a *dirArena) entries() map[wafl.Inum][]wafl.DirEnt {
+	s := unsafe.String(unsafe.SliceData(a.buf), len(a.buf))
+	a.buf = nil
+	all := make([]wafl.DirEnt, 0, a.n)
+	ents := make(map[wafl.Inum][]wafl.DirEnt, len(a.dirs))
+	start := 0
+	for _, d := range a.dirs {
+		lo := len(all)
+		all = decodeDirEnts(all, s[start:d.end])
+		ents[d.ino] = all[lo:len(all):len(all)]
+		start = d.end
+	}
+	return ents
 }
 
 // markSubtree marks ino and (for directories) everything beneath it.
@@ -318,7 +365,8 @@ func (rst *restoreState) buildSkeleton(ctx context.Context) error {
 	av := rst.fs.ActiveView()
 	// Per-directory scratch, cleared and reused for every directory.
 	dumpNames := make(map[string]wafl.DirEnt)
-	onDisk := make(map[string]wafl.Inum)
+	onDisk := make(map[string]wafl.Inum) // keyed by names the listing lends
+	var listing wafl.Listing
 	var names []string
 	for len(queue) > 0 {
 		d := queue[0]
@@ -351,12 +399,13 @@ func (rst *restoreState) buildSkeleton(ctx context.Context) error {
 
 		// One listing of the target directory answers every question
 		// this pass has about it: what to delete, which directories
-		// are already there, which files to adopt.
-		existing, err := av.Readdir(ctx, fsDir)
+		// are already there, which files to adopt. The refill scribbles
+		// over the names onDisk is keyed by, so it is emptied first.
+		clear(onDisk)
+		existing, err := listing.Fill(ctx, av, fsDir)
 		if err != nil {
 			return err
 		}
-		clear(onDisk)
 		for _, e := range existing {
 			onDisk[e.Name] = e.Ino
 		}
@@ -450,6 +499,8 @@ func (rst *restoreState) anySelectedBelow(dir wafl.Inum) bool {
 }
 
 // removeRecursive deletes a directory entry and any subtree under it.
+// It lists each level with a Readdir of its own, never the skeleton's
+// Listing: its caller is still iterating that one.
 func (rst *restoreState) removeRecursive(ctx context.Context, fsDir wafl.Inum, ent wafl.DirEnt) error {
 	av := rst.fs.ActiveView()
 	if ent.Type == wafl.ModeDir {

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"slices"
 	"strings"
+	"unsafe"
 )
 
 // Directories are specially formatted files (paper §2): each 4 KB
@@ -20,7 +21,7 @@ import (
 
 const dirRecFixed = 8 // bytes before the name
 
-// DirEnt is one directory entry as returned by Readdir.
+// DirEnt is one directory entry as returned by Readdir and Listing.Fill.
 type DirEnt struct {
 	Name string
 	Ino  Inum
@@ -54,40 +55,6 @@ func dirRecAt(blk []byte, off int) (ino Inum, reclen, namelen int, ftype uint32,
 		return 0, 0, 0, 0, fmt.Errorf("%w: bad directory record at %d (reclen %d)", ErrCorrupt, off, reclen)
 	}
 	return ino, reclen, namelen, ftype, nil
-}
-
-// appendDirEnts appends the live records of one directory block to
-// ents. The block's names share one string, and a free record costs
-// nothing.
-func appendDirEnts(ents []DirEnt, blk []byte) ([]DirEnt, error) {
-	live, nameBytes := 0, 0
-	for off := 0; off < BlockSize; {
-		ino, reclen, namelen, _, err := dirRecAt(blk, off)
-		if err != nil {
-			return ents, err
-		}
-		if ino != 0 {
-			live++
-			nameBytes += namelen
-		}
-		off += reclen
-	}
-	// Grown once, the builder never moves its bytes, so each String()
-	// below is a prefix of the final one and a name sliced from it stays
-	// valid.
-	var names strings.Builder
-	names.Grow(nameBytes)
-	ents = slices.Grow(ents, live)
-	for off := 0; off < BlockSize; {
-		ino, reclen, namelen, ftype, _ := dirRecAt(blk, off)
-		if ino != 0 {
-			names.Write(blk[off+dirRecFixed : off+dirRecFixed+namelen])
-			all := names.String()
-			ents = append(ents, DirEnt{Name: all[len(all)-namelen:], Ino: ino, Type: ftype})
-		}
-		off += reclen
-	}
-	return ents, nil
 }
 
 // dirFind returns the offset, inode and type of the live record called
@@ -178,17 +145,26 @@ func dirRemoveFromBlock(blk []byte, name string) (Inum, bool) {
 	return removed, true
 }
 
+// openDir returns how many blocks directory dir spans in view v,
+// charging the one operation a pass over a directory costs.
+func (v *View) openDir(ctx context.Context, dir Inum) (uint32, error) {
+	ino, err := v.GetInode(ctx, dir)
+	if err != nil {
+		return 0, err
+	}
+	if !IsDir(ino.Mode) {
+		return 0, ErrNotDir
+	}
+	v.fs.charge(ctx, v.fs.costs.Op)
+	return ino.Blocks(), nil
+}
+
 // lookupDir finds name in directory dir of view v.
 func (v *View) lookupDir(ctx context.Context, dir Inum, name string) (Inum, uint32, error) {
-	ino, err := v.GetInode(ctx, dir)
+	blocks, err := v.openDir(ctx, dir)
 	if err != nil {
 		return 0, 0, err
 	}
-	if !IsDir(ino.Mode) {
-		return 0, 0, ErrNotDir
-	}
-	v.fs.charge(ctx, v.fs.costs.Op)
-	blocks := ino.Blocks()
 	blk := make([]byte, BlockSize)
 	for fbn := uint32(0); fbn < blocks; fbn++ {
 		if _, err := v.readAt(ctx, dir, uint64(fbn)*BlockSize, blk); err != nil {
@@ -218,29 +194,104 @@ func (v *View) lookupNamed(ctx context.Context, dir Inum, name string) (Inum, ui
 }
 
 // Readdir returns the entries of directory dir (excluding free
-// records), sorted by name for deterministic iteration.
+// records), sorted by name for deterministic iteration. They are a fresh
+// Listing's, which nothing refills, so the caller may keep them.
 func (v *View) Readdir(ctx context.Context, dir Inum) ([]DirEnt, error) {
-	ino, err := v.GetInode(ctx, dir)
+	var l Listing
+	return l.Fill(ctx, v, dir)
+}
+
+// Listing is the lending form of Readdir: a listing its caller keeps and
+// refills, directory after directory, which keeps its entries and name
+// bytes across fills, so that once it has held the largest directory a
+// fill allocates nothing. What Fill returns is lent: the entries and
+// their names are valid until the next Fill. That one first scribbles
+// over the name bytes it lent last — always, not only in tests — and
+// lists into the other of two name buffers, as the dump reader decodes
+// into the other of two headers, so a caller that keeps a name past it
+// reads poison rather than, silently, a name of the next directory. A
+// caller that needs a name longer clones it (strings.Clone), and a map
+// keyed by lent names is cleared before the refill. A caller that lists
+// another directory while it still iterates one uses a second Listing.
+type Listing struct {
+	ents  []DirEnt
+	names [2][]byte // every entry's name, back to back in record order
+	lent  int       // names[lent] holds the names Fill returned last
+	blk   []byte    // the directory block being scanned
+}
+
+// listingPoison is what Fill scribbles over the names it lent last.
+const listingPoison = 0xA5
+
+// Fill lists directory dir of view v into l, as Readdir does: one
+// operation charged, every block read in order, the entries sorted by
+// name.
+func (l *Listing) Fill(ctx context.Context, v *View, dir Inum) ([]DirEnt, error) {
+	for i := range l.names[l.lent] {
+		l.names[l.lent][i] = listingPoison
+	}
+	l.lent = 1 - l.lent
+	l.ents, l.names[l.lent] = l.ents[:0], l.names[l.lent][:0]
+	blocks, err := v.openDir(ctx, dir)
 	if err != nil {
 		return nil, err
 	}
-	if !IsDir(ino.Mode) {
-		return nil, ErrNotDir
+	if l.blk == nil {
+		l.blk = make([]byte, BlockSize)
 	}
-	v.fs.charge(ctx, v.fs.costs.Op)
-	var ents []DirEnt
-	blocks := ino.Blocks()
-	blk := make([]byte, BlockSize)
 	for fbn := uint32(0); fbn < blocks; fbn++ {
-		if _, err := v.readAt(ctx, dir, uint64(fbn)*BlockSize, blk); err != nil {
+		if _, err := v.readAt(ctx, dir, uint64(fbn)*BlockSize, l.blk); err != nil {
 			return nil, err
 		}
-		if ents, err = appendDirEnts(ents, blk); err != nil {
+		if err := l.appendBlock(l.blk); err != nil {
 			return nil, err
 		}
 	}
-	slices.SortFunc(ents, func(a, b DirEnt) int { return strings.Compare(a.Name, b.Name) })
-	return ents, nil
+	// A name aliases the bytes its buffer had when it was appended; the
+	// buffer has stopped growing now, so point every one at its final
+	// bytes, the ones the next Fill poisons.
+	names := l.names[l.lent]
+	all := unsafe.String(unsafe.SliceData(names), len(names))
+	off := 0
+	for i := range l.ents {
+		n := len(l.ents[i].Name)
+		l.ents[i].Name = all[off : off+n]
+		off += n
+	}
+	slices.SortFunc(l.ents, func(a, b DirEnt) int { return strings.Compare(a.Name, b.Name) })
+	return l.ents, nil
+}
+
+// appendBlock appends the live records of one directory block to the
+// listing, checking the whole block before it takes any of them. A free
+// record costs nothing.
+func (l *Listing) appendBlock(blk []byte) error {
+	live, nameBytes := 0, 0
+	for off := 0; off < BlockSize; {
+		ino, reclen, namelen, _, err := dirRecAt(blk, off)
+		if err != nil {
+			return err
+		}
+		if ino != 0 {
+			live++
+			nameBytes += namelen
+		}
+		off += reclen
+	}
+	l.ents = slices.Grow(l.ents, live)
+	names := slices.Grow(l.names[l.lent], nameBytes)
+	for off := 0; off < BlockSize; {
+		ino, reclen, namelen, ftype, _ := dirRecAt(blk, off)
+		if ino != 0 {
+			at := len(names)
+			names = append(names, blk[off+dirRecFixed:off+dirRecFixed+namelen]...)
+			name := names[at:]
+			l.ents = append(l.ents, DirEnt{Name: unsafe.String(unsafe.SliceData(name), len(name)), Ino: ino, Type: ftype})
+		}
+		off += reclen
+	}
+	l.names[l.lent] = names
+	return nil
 }
 
 // dirInsert adds (name → ino) to the active directory dir, growing the
@@ -295,18 +346,32 @@ func (fs *FS) dirRemove(ctx context.Context, dir Inum, name string) (Inum, error
 	return 0, fmt.Errorf("%w: %q", ErrNotFound, name)
 }
 
-// dirIsEmpty reports whether dir contains only "." and "..".
+// dirIsEmpty reports whether dir contains only "." and "..". It scans
+// the records in place, as dirFind does, and reads every block as a
+// listing would, whatever the first one holds.
 func (v *View) dirIsEmpty(ctx context.Context, dir Inum) (bool, error) {
-	ents, err := v.Readdir(ctx, dir)
+	blocks, err := v.openDir(ctx, dir)
 	if err != nil {
 		return false, err
 	}
-	for _, e := range ents {
-		if e.Name != "." && e.Name != ".." {
-			return false, nil
+	empty := true
+	blk := make([]byte, BlockSize)
+	for fbn := uint32(0); fbn < blocks; fbn++ {
+		if _, err := v.readAt(ctx, dir, uint64(fbn)*BlockSize, blk); err != nil {
+			return false, err
+		}
+		for off := 0; off < BlockSize; {
+			ino, reclen, namelen, _, err := dirRecAt(blk, off)
+			if err != nil {
+				return false, err
+			}
+			if name := string(blk[off+dirRecFixed : off+dirRecFixed+namelen]); ino != 0 && name != "." && name != ".." {
+				empty = false
+			}
+			off += reclen
 		}
 	}
-	return true, nil
+	return empty, nil
 }
 
 // SplitPath cleans and splits a slash-separated path into components,

@@ -130,6 +130,7 @@ type FS struct {
 	costs Costs
 	cache *blockCache
 	bufs  [][]byte // spare block buffers, see takeBuf
+	fresh []byte   // room for block buffers not yet taken, see takeBuf
 	// poison makes giveBuf scribble over every buffer it is handed, so
 	// that a slice of the cache read after its time reads garbage. Set
 	// only by tests (TestTinyPoisonedCache).
@@ -453,19 +454,35 @@ func (fs *FS) readFsinfo(ctx context.Context) (*fsinfo, error) {
 // cache — one read from the device, staged by a write, or built by a
 // consistency point — drawing on the buffers the cache has traded back
 // (cacheInsert) and those a consistency point wrote file data from
-// (writeBlock) before allocating. A recycled buffer holds whatever
-// block it held last: a caller that does not overwrite all of it must
-// clear it first. The spares never outnumber the blocks that were
-// staged or cached at once, and like the cache they are touched only
-// by the filesystem's one running operation.
+// (writeBlock) before cutting a new one. A recycled buffer holds
+// whatever block it held last: a caller that does not overwrite all of
+// it must clear it first. The spares never outnumber the blocks that
+// were staged or cached at once, and like the cache they are touched
+// only by the filesystem's one running operation.
+//
+// A new buffer is the next 4 KiB of a slab of bufSlabBlocks, so that a
+// fresh filesystem, which stages every block of its first consistency
+// point before it has any to trade back, allocates once per slab rather
+// than once per block. Each is cut with its capacity capped, so it
+// cannot grow into its neighbour. Nothing hands these buffers back: the
+// FS keeps every one, cached, staged or spare, for its lifetime.
 func (fs *FS) takeBuf() []byte {
 	if n := len(fs.bufs); n > 0 {
 		buf := fs.bufs[n-1]
 		fs.bufs = fs.bufs[:n-1]
 		return buf
 	}
-	return make([]byte, BlockSize)
+	if len(fs.fresh) == 0 {
+		fs.fresh = make([]byte, bufSlabBlocks*BlockSize)
+	}
+	buf := fs.fresh[:BlockSize:BlockSize]
+	fs.fresh = fs.fresh[BlockSize:]
+	return buf
 }
+
+// bufSlabBlocks is how many new block buffers takeBuf cuts from one
+// allocation, as many as a storage.MemDevice backs from one.
+const bufSlabBlocks = 64
 
 // giveBuf keeps a buffer nothing references any more for takeBuf.
 func (fs *FS) giveBuf(buf []byte) {

@@ -112,12 +112,12 @@ func TestDirBlockInsertRemoveProperty(t *testing.T) {
 					break
 				}
 			}
-			ents, err := appendDirEnts(nil, blk)
-			if err != nil {
+			var l Listing
+			if err := l.appendBlock(blk); err != nil {
 				t.Fatal(err)
 			}
 			got := make(map[string]Inum)
-			for _, e := range ents {
+			for _, e := range l.ents {
 				got[e.Name] = e.Ino
 			}
 			if len(got) != len(want) {

@@ -1,13 +1,18 @@
 // Property test for lent buffers: a stream.Source's record and a
-// chunk.Media's chunk are valid only until the next read, and a header
-// dumpfmt.Reader returns only until its next call. Every consumer of a
+// chunk.Media's chunk are valid only until the next read, a header
+// dumpfmt.Reader returns only until its next call, and a name a
+// wafl.Listing lends (to the dump's Exclude filter, to the restore's
+// skeleton) only until its next fill. Every consumer of a
 // stream reads it here through a source (and media) that poisons what it
 // lent last with 0xA5 before each read, so one that keeps a lent buffer
 // past that works on poison. Each must come out exactly as it does
 // reading buffers nobody reuses. The Reader needs no such wrapper: it
 // poisons the header it lent last, hole map and Dinode included, before
 // each call, in every run; what a consumer makes of the headers is held
-// to the snapshot itself.
+// to the snapshot itself. A Listing, likewise, poisons the names it lent
+// before every refill, in every run, so a restore that deletes a
+// non-empty directory and a dump through an Exclude filter are held to
+// the snapshots too.
 package repro_test
 
 import (
@@ -15,6 +20,8 @@ import (
 	"context"
 	"io"
 	"reflect"
+	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/catalog"
@@ -93,12 +100,25 @@ func TestLentRecordsAreNotKept(t *testing.T) {
 	plain := func(i int) stream.Source { return &records{rest: streams[i]} }
 	scribbled := func(i int) stream.Source { return &scribblingSource{src: plain(i)} }
 
-	// Logical restore, full then level 1, and logical.Verify of the full
-	// against what it restored.
+	pruned, err := src.SnapshotView("pruned")
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantPruned, err := workload.TreeDigest(ctx, pruned, "/")
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// Logical restore, full then level 1, logical.Verify of the full
+	// against what it restored, then the level 1 of "pruned" on top:
+	// its SyncDeletes removes a non-empty directory, listing each level
+	// below it while the skeleton's listing of its parent is still being
+	// iterated.
 	type logicalRun struct {
-		stats  [2]logical.RestoreStats
+		stats  [3]logical.RestoreStats
 		verify logical.VerifyResult
 		tree   map[string]workload.Entry
+		pruned map[string]workload.Entry
 	}
 	logicalCycle := func(open func(int) stream.Source) logicalRun {
 		t.Helper()
@@ -107,15 +127,17 @@ func TestLentRecordsAreNotKept(t *testing.T) {
 			t.Fatal(err)
 		}
 		var run logicalRun
-		for i := range 2 {
+		restore := func(i, stream int) {
 			st, err := logical.Restore(ctx, logical.RestoreOptions{
-				FS: fs, Source: open(i), KernelIntegrated: true, SyncDeletes: i > 0,
+				FS: fs, Source: open(stream), KernelIntegrated: true, SyncDeletes: i > 0,
 			})
 			if err != nil {
 				t.Fatalf("logical restore %d: %v", i, err)
 			}
 			run.stats[i] = *st
 		}
+		restore(0, 0)
+		restore(1, 1)
 		res, err := logical.Verify(ctx, logical.VerifyOptions{View: fs.ActiveView(), Source: open(0)})
 		if err != nil {
 			t.Fatal(err)
@@ -124,11 +146,18 @@ func TestLentRecordsAreNotKept(t *testing.T) {
 		if run.tree, err = workload.TreeDigest(ctx, fs.ActiveView(), "/"); err != nil {
 			t.Fatal(err)
 		}
+		restore(2, 4)
+		if run.pruned, err = workload.TreeDigest(ctx, fs.ActiveView(), "/"); err != nil {
+			t.Fatal(err)
+		}
 		return run
 	}
 	base := logicalCycle(plain)
 	if diffs := workload.DiffDigests(want, base.tree); len(diffs) > 0 || len(base.verify.Problems) > 0 {
 		t.Fatalf("plain logical restore: %d diffs, verify %v", len(diffs), base.verify.Problems)
+	}
+	if diffs := workload.DiffDigests(wantPruned, base.pruned); len(diffs) > 0 || base.stats[2].Deleted < 2 {
+		t.Fatalf("plain level 1 of the pruned tree: %d diffs, %d entries deleted", len(diffs), base.stats[2].Deleted)
 	}
 	if got := logicalCycle(scribbled); !reflect.DeepEqual(got, base) {
 		t.Errorf("logical restore and verify through a scribbling source: %+v, %v, want %+v, %v",
@@ -136,6 +165,45 @@ func TestLentRecordsAreNotKept(t *testing.T) {
 		for _, d := range workload.DiffDigests(want, got.tree) {
 			t.Error(d)
 		}
+		for _, d := range workload.DiffDigests(wantPruned, got.pruned) {
+			t.Error(d)
+		}
+	}
+
+	// The full dumped through an Exclude filter restores "tip" less what
+	// the filter names, and its subtrees.
+	wantExcluded := map[string]workload.Entry{}
+	for p, e := range want {
+		if !slices.ContainsFunc(strings.Split(p, "/"), excluded) {
+			wantExcluded[p] = e
+		}
+	}
+	if len(wantExcluded) == len(want) {
+		t.Fatal("the filter excludes nothing")
+	}
+	filtered := func(open func(int) stream.Source) (logical.RestoreStats, map[string]workload.Entry) {
+		t.Helper()
+		fs, err := wafl.Mkfs(ctx, storage.NewMemDevice(4096), nil, wafl.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		st, err := logical.Restore(ctx, logical.RestoreOptions{FS: fs, Source: open(5), KernelIntegrated: true})
+		if err != nil {
+			t.Fatalf("restore of the filtered full: %v", err)
+		}
+		tree, err := workload.TreeDigest(ctx, fs.ActiveView(), "/")
+		if err != nil {
+			t.Fatal(err)
+		}
+		return *st, tree
+	}
+	plainSt, plainTree := filtered(plain)
+	if diffs := workload.DiffDigests(wantExcluded, plainTree); len(diffs) > 0 {
+		t.Errorf("plain restore of the filtered full: %v", diffs)
+	}
+	if st, tree := filtered(scribbled); st != plainSt || !reflect.DeepEqual(tree, plainTree) {
+		t.Errorf("filtered full through a scribbling source: %+v, want %+v; diffs %v",
+			st, plainSt, workload.DiffDigests(plainTree, tree))
 	}
 
 	// engine.CheckSet (logical.Index, for a logical stream) and

@@ -11,6 +11,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/bufpool"
@@ -37,10 +39,12 @@ func (s *captureSink) WriteRecord(data []byte) error {
 func (s *captureSink) NextVolume() error { return fmt.Errorf("no next volume") }
 
 // buildAndDump deterministically builds a filesystem, mutates it
-// between two snapshots ("base" and "tip"), and returns it with the four
-// dump streams of "tip": logical full + level 1, physical full +
-// incremental from "base".
-func buildAndDump(t *testing.T) ([4][]byte, *wafl.FS) {
+// between two snapshots ("base" and "tip"), and returns it with six
+// dump streams: of "tip", logical full + level 1 and physical full +
+// incremental from "base"; a logical level 1 of "pruned", "tip" less
+// its first non-empty directory (see prune); and a logical full of
+// "tip" through an Exclude filter (excluded).
+func buildAndDump(t *testing.T) ([6][]byte, *wafl.FS) {
 	t.Helper()
 	ctx := context.Background()
 	dev := storage.NewMemDevice(4096)
@@ -65,7 +69,7 @@ func buildAndDump(t *testing.T) ([4][]byte, *wafl.FS) {
 		t.Fatal(err)
 	}
 
-	var out [4][]byte
+	var out [6][]byte
 	dates := logical.NewDumpDates()
 	for i, level := range []int{0, 1} {
 		view, err := fs.SnapshotView("tip")
@@ -90,8 +94,89 @@ func buildAndDump(t *testing.T) ([4][]byte, *wafl.FS) {
 		}
 		out[2+i] = sink.stream
 	}
+
+	prune(t, fs)
+	if err := fs.CreateSnapshot(ctx, "pruned"); err != nil {
+		t.Fatal(err)
+	}
+	for i, d := range []struct {
+		snap  string
+		level int
+		skip  func(string) bool
+	}{{"pruned", 1, nil}, {"tip", 0, excluded}} {
+		view, err := fs.SnapshotView(d.snap)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sink := &captureSink{}
+		if _, err := logical.Dump(ctx, logical.DumpOptions{
+			View: view, Level: d.level, Dates: dates, Exclude: d.skip, FSID: "pool", Label: "pooltest",
+			Sink: sink, ReadAhead: 8,
+		}); err != nil {
+			t.Fatalf("logical dump of %s: %v", d.snap, err)
+		}
+		out[4+i] = sink.stream
+	}
 	return out, fs
 }
+
+// prune removes the first directory under the root, by name, that
+// holds a directory of its own, with everything beneath it.
+func prune(t *testing.T, fs *wafl.FS) {
+	t.Helper()
+	ctx := context.Background()
+	v := fs.ActiveView()
+	ents, err := v.Readdir(ctx, wafl.RootIno)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range ents {
+		if e.Type != wafl.ModeDir || e.Name == "." || e.Name == ".." {
+			continue
+		}
+		kids, err := v.Readdir(ctx, e.Ino)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if slices.ContainsFunc(kids, func(k wafl.DirEnt) bool { return k.Type == wafl.ModeDir && k.Name != "." && k.Name != ".." }) {
+			removeTree(t, fs, "/"+e.Name)
+			return
+		}
+	}
+	t.Fatal("prune: no directory under the root holds one")
+}
+
+// removeTree removes the file or directory at path and everything
+// beneath it.
+func removeTree(t *testing.T, fs *wafl.FS, path string) {
+	t.Helper()
+	ctx := context.Background()
+	v := fs.ActiveView()
+	ino, err := v.Namei(ctx, path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if inode, err := v.GetInode(ctx, ino); err != nil {
+		t.Fatal(err)
+	} else if wafl.IsDir(inode.Mode) {
+		kids, err := v.Readdir(ctx, ino)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, k := range kids {
+			if k.Name != "." && k.Name != ".." {
+				removeTree(t, fs, path+"/"+k.Name)
+			}
+		}
+	}
+	if err := fs.RemovePath(ctx, path); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// excluded is the Exclude filter of buildAndDump's filtered full: every
+// name ending in 1, which drops files, directories and their subtrees.
+func excluded(name string) bool { return strings.HasSuffix(name, "1") }
 
 // tapeDumps runs a 4-sink, 3-reader logical dump of fs's "base" onto
 // four drives, erases the cartridges, dumps "tip" onto them the same
@@ -216,7 +301,7 @@ func TestPoolingDoesNotChangeStreams(t *testing.T) {
 	plain := all()
 
 	names := []string{"logical full", "logical level 1", "physical full", "physical incremental",
-		"tape stream 0", "tape stream 1", "tape stream 2", "tape stream 3", "salvaged dump"}
+		"logical level 1 after a pruning", "logical full with a filter", "tape stream 0", "tape stream 1", "tape stream 2", "tape stream 3", "salvaged dump"}
 	for i := range pooled {
 		if len(pooled[i]) == 0 {
 			t.Fatalf("%s: empty stream", names[i])
