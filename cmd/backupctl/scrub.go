@@ -12,7 +12,7 @@
 //	backupctl -vol home.img catalog               # per-set health column
 //	backupctl -vol home.img fsck                  # filesystem + catalog check
 //
-// Both scrub and fsck exit nonzero while findings remain unrepaired.
+// Both scrub and fsck exit nonzero while any finding remains.
 package main
 
 import (

@@ -136,11 +136,13 @@ type Expiry struct {
 type SetHealthState uint8
 
 const (
-	// HealthDamaged marks a set whose media the scrubber found corrupt
-	// and could not repair: the restore planner routes around it.
+	// HealthDamaged marks a set whose read-back found damage (the
+	// scrubber's, or the landing's): the restore planner routes around
+	// it.
 	HealthDamaged SetHealthState = 1
 	// HealthRepaired marks a set whose damaged records were rewritten
-	// in place from a replica copy and re-verified clean.
+	// in place and re-verified clean. Nothing writes it any more; a
+	// journal that holds one still replays, the set back in service.
 	HealthRepaired SetHealthState = 2
 )
 
@@ -155,8 +157,9 @@ func (s SetHealthState) String() string {
 }
 
 // SetHealth is one integrity verdict on a dump set, journaled by the
-// scrubber. The latest record for a set wins, so a repair after a
-// damage mark returns the set to service.
+// scrubber or a landing's read-back. The latest record for a set wins,
+// so a repaired record (an older journal's) after a damage mark
+// returns the set to service.
 type SetHealth struct {
 	SetID  uint64
 	State  SetHealthState
@@ -414,9 +417,10 @@ func (c *Catalog) AppendSessionCheckpoint(sc SessionCheckpoint) error {
 	return c.append(sc, encodeSessionCkpt(&sc))
 }
 
-// MarkDamaged journals a damaged verdict on a dump set — the scrubber
-// found corruption it could not repair. Idempotent while the set stays
-// damaged; a later MarkRepaired supersedes it.
+// MarkDamaged journals a damaged verdict on a dump set — reading it
+// back found corruption. The verdict is final: nothing rewrites a set
+// in place, so the planner routes around it from now on. Idempotent
+// while the set stays damaged.
 func (c *Catalog) MarkDamaged(setID uint64, now int64, reason string) error {
 	if _, ok := c.byID[setID]; !ok {
 		return fmt.Errorf("catalog: mark unknown set %d damaged", setID)
@@ -425,17 +429,6 @@ func (c *Catalog) MarkDamaged(setID uint64, now int64, reason string) error {
 		return nil
 	}
 	r := SetHealth{SetID: setID, State: HealthDamaged, Time: now, Reason: reason}
-	return c.append(r, encodeSetHealth(&r))
-}
-
-// MarkRepaired journals a repaired verdict: the set's media was
-// rewritten from a replica copy and re-verified, returning it to the
-// planner's eligible pool.
-func (c *Catalog) MarkRepaired(setID uint64, now int64, reason string) error {
-	if _, ok := c.byID[setID]; !ok {
-		return fmt.Errorf("catalog: mark unknown set %d repaired", setID)
-	}
-	r := SetHealth{SetID: setID, State: HealthRepaired, Time: now, Reason: reason}
 	return c.append(r, encodeSetHealth(&r))
 }
 

@@ -25,7 +25,7 @@ func FuzzDecodeJournal(f *testing.F) {
 	_ = c.Expire(id, 300)
 	_ = c.AppendMediaEvent(MediaEvent{Kind: MediaActivate, Volume: "t0", Pool: "main", Time: 250})
 	_ = c.MarkDamaged(id, 260, "scrub: unreadable record")
-	_ = c.MarkRepaired(id, 270, "scrub: rewrote from mirror")
+	appendRepaired(f, c, id, 270)
 	_ = c.AppendMediaEvent(MediaEvent{Kind: MediaQuarantine, Volume: "t0", Pool: "main", Time: 280})
 	_ = c.CommitChunks(sampleChunkEntries("t0", 0))
 	id2, _ := c.AppendDumpSet(DumpSet{Engine: Logical, FSID: "vol0", Snap: "s2",

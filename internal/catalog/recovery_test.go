@@ -35,9 +35,7 @@ func buildJournal(t *testing.T, n int) (buf []byte, lastFrame int) {
 	if err := c.MarkDamaged(2, 1000, "scrub: unreadable record"); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.MarkRepaired(2, 1001, "scrub: rewrote from mirror"); err != nil {
-		t.Fatal(err)
-	}
+	appendRepaired(t, c, 2, 1001)
 	if err := c.MarkDamaged(3, 1002, "scrub: stream corrupt"); err != nil {
 		t.Fatal(err)
 	}

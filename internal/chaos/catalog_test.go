@@ -17,9 +17,9 @@ import (
 
 // schedRig is a filer with scheduled, catalogued dumps — the sched
 // acceptance rig, rebuilt here so the chaos suite can crash its journal
-// and rot its media between runs. With scrubbing a scrubber rides the
-// schedule; with mirrored the scheduler also feeds a stream mirror the
-// scrubber repairs from.
+// and rot its media between runs. With scrubbing it also has a
+// scrubber over the schedule's catalog and pool, for the test to run
+// when it wants a pass.
 type schedRig struct {
 	engine catalog.Engine
 	f      *core.Filer
@@ -27,11 +27,10 @@ type schedRig struct {
 	store  *catalog.MemStore
 	pool   *media.Pool
 	s      *sched.Scheduler
-	mirror *scrub.Store
 	scr    *scrub.Scrubber
 }
 
-func newSchedRig(t *testing.T, engine catalog.Engine, scrubbing, mirrored bool) *schedRig {
+func newSchedRig(t *testing.T, engine catalog.Engine, scrubbing bool) *schedRig {
 	t.Helper()
 	cfg := core.DefaultConfig()
 	cfg.Name = "vol0"
@@ -57,20 +56,14 @@ func newSchedRig(t *testing.T, engine catalog.Engine, scrubbing, mirrored bool) 
 	}
 	f.Dates = r.cat.DumpDates()
 	if scrubbing {
-		scfg := scrub.Config{Catalog: r.cat, Pool: r.pool,
-			Open: r.pool.Opener(tape.NewDrive(f.Env, "scrub/maint", tape.DefaultParams()))}
-		if mirrored {
-			r.mirror = scrub.NewStore()
-			scfg.Replicas = []scrub.Replica{r.mirror}
-		}
-		if r.scr, err = scrub.New(scfg); err != nil {
+		if r.scr, err = scrub.New(scrub.Config{Catalog: r.cat, Pool: r.pool,
+			Open: r.pool.Opener(tape.NewDrive(f.Env, "scrub/maint", tape.DefaultParams()))}); err != nil {
 			t.Fatal(err)
 		}
 	}
 	if r.s, err = sched.New(sched.Config{
 		Filer: f, Catalog: r.cat, Pool: r.pool, Engine: engine,
 		Policy: sched.BSDLadder{Ladder: []int{3, 5}},
-		Mirror: r.mirror, Scrub: r.scr,
 	}); err != nil {
 		t.Fatal(err)
 	}
@@ -131,7 +124,7 @@ func TestChaosCatalogCrashRecovery(t *testing.T) {
 		for _, engine := range []catalog.Engine{catalog.Logical, catalog.Image} {
 			t.Run(fmt.Sprintf("seed%d-%s", seed, engine), func(t *testing.T) {
 				rng := rand.New(rand.NewSource(seed))
-				r := newSchedRig(t, engine, false, false)
+				r := newSchedRig(t, engine, false)
 
 				var states []map[string]workload.Entry
 				for run := 0; run < 3; run++ {

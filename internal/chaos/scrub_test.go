@@ -36,70 +36,122 @@ func (r *schedRig) rot(t *testing.T, setID uint64, latent bool) string {
 }
 
 // TestChaosScrubBitRotRepair: latent read faults and silent bit flips
-// land on catalogued media between scheduled runs. The nightly scrub
-// must detect every fault and repair it in place from the stream
-// mirror — no set degraded, no media quarantined — and the final
-// catalog-planned restore must be byte-identical. A corrupted record
-// must never reach a restore undetected.
+// land on catalogued media between scheduled runs, and a scrub runs
+// after each. Every rot must be condemned before a restore needs the
+// set: the victim marked damaged, its volume quarantined — and still
+// quarantined after the later runs land on it — and no healthy set
+// condemned. The final plan must contain no damaged set and restore
+// byte-identically to the tree its newest step dumped; if every chain
+// passes through damage, the planner must refuse with the typed error.
+// A corrupted record must never reach a restore undetected.
 func TestChaosScrubBitRotRepair(t *testing.T) {
 	for seed := int64(1); seed <= int64(seedCount()); seed++ {
 		for _, engine := range []catalog.Engine{catalog.Logical, catalog.Image} {
 			t.Run(fmt.Sprintf("seed%d-%s", seed, engine), func(t *testing.T) {
 				rng := rand.New(rand.NewSource(seed))
-				r := newSchedRig(t, engine, true, true)
+				r := newSchedRig(t, engine, true)
 
-				var last map[string]workload.Entry
+				// dumped is the tree each set's run dumped; victims, the
+				// sets rotted so far, and quarantined, their volumes.
+				dumped := map[uint64]map[string]workload.Entry{}
+				victims := map[uint64]bool{}
+				var quarantined []string
 				for run := 0; run < 3; run++ {
 					if run > 0 {
 						if _, err := r.f.FS.WriteFile(ctx, "/data/report.txt",
 							[]byte(fmt.Sprintf("revision %d", run)), 0644); err != nil {
 							t.Fatal(err)
 						}
-						// Rot a random already-catalogued set before the
-						// next scheduled cycle.
+						// Rot a random already-catalogued set, then scrub.
 						live := r.cat.Live()
 						victim := live[rng.Intn(len(live))]
-						r.rot(t, victim.ID, rng.Intn(2) == 0)
+						_, wasDamaged := r.cat.Damaged(victim.ID)
+						vol := r.rot(t, victim.ID, rng.Intn(2) == 0)
+						victims[victim.ID] = true
+						rep, err := r.scr.Run(ctx)
+						if err != nil {
+							t.Fatalf("run %d: scrub: %v", run, err)
+						}
+						if !wasDamaged && (len(rep.Damaged) != 1 || rep.Damaged[0] != victim.ID) {
+							t.Fatalf("run %d: scrub did not condemn set %d: %+v", run, victim.ID, rep)
+						}
+						if _, bad := r.cat.Damaged(victim.ID); !bad {
+							t.Fatalf("run %d: rotted set %d not damaged", run, victim.ID)
+						}
+						for _, f := range rep.Findings {
+							if f.SetID != victim.ID {
+								t.Fatalf("run %d: finding off the rotted set %d: %v", run, victim.ID, f)
+							}
+						}
+						quarantined = append(quarantined, vol)
 					}
-					last = r.digest(t)
+					want := r.digest(t)
 					res, err := r.s.RunOne(ctx)
 					if err != nil {
 						t.Fatalf("run %d: %v", run, err)
 					}
-					if res.Scrub == nil {
-						t.Fatalf("run %d: no scheduled scrub report", run)
-					}
-					if run > 0 && len(res.Scrub.Repaired) == 0 {
-						t.Fatalf("run %d: injected fault not repaired: %+v", run, res.Scrub)
-					}
-					if len(res.Scrub.Findings) != 0 || len(res.Scrub.Damaged) != 0 ||
-						len(res.Scrub.Quarantined) != 0 {
-						t.Fatalf("run %d: mirror-backed rot degraded the archive: %+v", run, res.Scrub)
-					}
-					if res.Scrub.BytesScanned == 0 {
-						t.Fatalf("run %d: scrub scanned nothing", run)
+					dumped[res.SetID] = want
+					for _, vol := range quarantined {
+						if v, _ := r.pool.Volume(vol); v.State != media.Quarantined {
+							t.Fatalf("run %d landed: volume %q %s, want quarantined", run, vol, v.State)
+						}
 					}
 				}
-				if ids := r.cat.DamagedSets(); len(ids) != 0 {
-					t.Fatalf("damaged sets after repairs: %v", ids)
+				for _, id := range r.cat.DamagedSets() {
+					if !victims[id] {
+						t.Fatalf("set %d condemned but never rotted (victims %v)", id, victims)
+					}
 				}
 
-				// The repaired media restores the newest state exactly.
+				// The first rot can only land on the full every chain of
+				// this schedule needs, so the refusal is what this gauntlet
+				// meets; TestChaosScrubDegradeRouteAround restores around
+				// damage.
 				plan, err := r.cat.Plan(catalog.PlanOptions{Engine: engine, FSID: "vol0"})
+				var up *catalog.UnplannableError
+				if errors.As(err, &up) {
+					// Refused: then no chain may avoid the damage.
+					for _, ds := range r.cat.Live() {
+						if !r.chainDamaged(ds) {
+							t.Fatalf("plan refused (%v), but set %d's chain is undamaged", err, ds.ID)
+						}
+					}
+					return
+				}
 				if err != nil {
 					t.Fatal(err)
 				}
-				if len(plan.Steps) != 3 {
-					t.Fatalf("plan has %d steps: %s", len(plan.Steps), plan)
+				for _, st := range plan.Steps {
+					if _, bad := r.cat.Damaged(st.ID); bad {
+						t.Fatalf("plan %s restores damaged set %d", plan, st.ID)
+					}
 				}
-				r.recover(t, plan, last, "repaired media")
+				r.recover(t, plan, dumped[plan.Steps[len(plan.Steps)-1].ID], "plan around the rot")
 			})
 		}
 	}
 }
 
-// TestChaosScrubDegradeRouteAround: the same rot with no mirror to
-// repair from. The scrub must mark the set damaged and quarantine its
+// chainDamaged reports whether restoring ds needs a damaged set: ds
+// itself or one its chain of bases reaches (a broken chain counts).
+func (r *schedRig) chainDamaged(ds catalog.DumpSet) bool {
+	for {
+		if _, bad := r.cat.Damaged(ds.ID); bad {
+			return true
+		}
+		if ds.Full() {
+			return false
+		}
+		base, ok := r.cat.Base(ds)
+		if !ok {
+			return true
+		}
+		ds = base
+	}
+}
+
+// TestChaosScrubDegradeRouteAround: the same rot on a chosen set. The
+// scrub must mark the set damaged and quarantine its
 // media BEFORE any restore touches it, the planner must route the
 // restore around the damaged set (an older intact generation), and the
 // rerouted restore must be byte-identical to the state that chain
@@ -110,7 +162,7 @@ func TestChaosScrubDegradeRouteAround(t *testing.T) {
 		for _, engine := range []catalog.Engine{catalog.Logical, catalog.Image} {
 			t.Run(fmt.Sprintf("seed%d-%s", seed, engine), func(t *testing.T) {
 				rng := rand.New(rand.NewSource(seed))
-				r := newSchedRig(t, engine, true, false)
+				r := newSchedRig(t, engine, true)
 
 				// Full, then two chained incrementals.
 				var states []map[string]workload.Entry

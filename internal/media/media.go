@@ -33,10 +33,10 @@ const (
 	// Expired volumes hold only expired dump sets; they are awaiting
 	// reclamation and still readable (last-resort restores).
 	Expired
-	// Quarantined volumes carry media damage the scrubber could not
-	// repair. They are excluded from Reclaim and refused by Erase —
-	// frozen as evidence and for salvage reads — until an operator
-	// re-registers them after replacing the media.
+	// Quarantined volumes carry media damage a read-back found. They
+	// are excluded from Reclaim and refused by Erase — frozen as
+	// evidence and for salvage reads — and a set committed to one
+	// later leaves it quarantined.
 	Quarantined
 )
 
@@ -184,9 +184,11 @@ func (p *Pool) Volumes() []*Volume {
 }
 
 // CommitSet records that a dump set's stream landed on the given
-// volumes: each becomes Active (journaled on the first transition)
-// and gains the set reference. Unknown labels are auto-registered —
-// a dump may have spanned onto media the pool had not seen.
+// volumes: each gains the set reference and becomes Active (journaled
+// on the first transition) — except a Quarantined volume, which stays
+// quarantined: a new set on damaged media lifts nothing. Unknown labels
+// are auto-registered — a dump may have spanned onto media the pool
+// had not seen.
 func (p *Pool) CommitSet(setID uint64, labels []string, now int64) error {
 	for _, l := range labels {
 		if _, ok := p.vols[l]; !ok {
@@ -195,7 +197,7 @@ func (p *Pool) CommitSet(setID uint64, labels []string, now int64) error {
 			}
 		}
 		v := p.vols[l]
-		if v.State != Active {
+		if v.State != Active && v.State != Quarantined {
 			if err := p.cat.AppendMediaEvent(catalog.MediaEvent{
 				Kind: catalog.MediaActivate, Volume: l, Pool: p.Name, Time: now,
 			}); err != nil {
@@ -288,7 +290,7 @@ func (p *Pool) Reclaim(now int64) ([]string, error) {
 	return out, nil
 }
 
-// Quarantine freezes a volume after unrepairable damage: journaled,
+// Quarantine freezes a volume after damage is found on it: journaled,
 // excluded from Reclaim, refused by Erase. Idempotent while the volume
 // stays quarantined. Unknown labels are auto-registered first — damage
 // may be found on media the pool had not seen.

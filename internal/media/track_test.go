@@ -7,21 +7,20 @@ import (
 	"repro/internal/core"
 	"repro/internal/media"
 	"repro/internal/physical"
-	"repro/internal/scrub"
 	"repro/internal/sim"
 	"repro/internal/stream"
 	"repro/internal/workload"
 )
 
 // TestWrappedSinksOnSimulatedImageDump is the wiring of sched's image
-// run — physical.Dump into a CaptureSink around a TrackingSink around a
-// DriveSink, on the simulator — at a volume big enough that the tape
-// drive blocks the writer. The wrappers used not to forward BindProc,
-// so a writer running on a spawned process drove the caller's parked
-// one and the simulator panicked ("2 process(es) still live"). With
-// one sink the writer now runs on the caller; with two, each shard
-// rebinds its sink through the wrappers. Either way the wrapped dump
-// must complete in exactly the bare sinks' virtual time.
+// run — physical.Dump into a TrackingSink around a DriveSink, on the
+// simulator — at a volume big enough that the tape drive blocks the
+// writer. The wrapper used not to forward BindProc, so a writer running
+// on a spawned process drove the caller's parked one and the simulator
+// panicked ("2 process(es) still live"). With one sink the writer now
+// runs on the caller; with two, each shard rebinds its sink through the
+// wrapper. Either way the wrapped dump must complete in exactly the
+// bare sinks' virtual time.
 func TestWrappedSinksOnSimulatedImageDump(t *testing.T) {
 	elapsed := func(drives int, wrap func(*core.Filer, int, stream.Sink) stream.Sink) sim.Time {
 		ctx := context.Background()
@@ -64,7 +63,7 @@ func TestWrappedSinksOnSimulatedImageDump(t *testing.T) {
 	for _, drives := range []int{1, 2} {
 		bare := elapsed(drives, func(_ *core.Filer, _ int, s stream.Sink) stream.Sink { return s })
 		wrapped := elapsed(drives, func(f *core.Filer, d int, s stream.Sink) stream.Sink {
-			return &scrub.CaptureSink{Sink: &media.TrackingSink{Sink: s, Drive: f.Tapes[d]}}
+			return &media.TrackingSink{Sink: s, Drive: f.Tapes[d]}
 		})
 		if bare == 0 || wrapped != bare {
 			t.Errorf("%d drive(s): dump through the wrappers took %v, bare DriveSink %v", drives, wrapped, bare)

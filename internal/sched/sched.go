@@ -22,9 +22,7 @@ import (
 	"repro/internal/media"
 	"repro/internal/obs"
 	"repro/internal/physical"
-	"repro/internal/scrub"
 	"repro/internal/sim"
-	"repro/internal/stream"
 	"repro/internal/tape"
 )
 
@@ -115,14 +113,6 @@ type Config struct {
 	// Churn, when set, mutates the filesystem before each run after
 	// the first — the users the schedule is protecting.
 	Churn func(ctx context.Context, run int) error
-	// Mirror, when set, receives a byte-identical capture of every
-	// dump's stream records, keyed by set ID — the stream-level
-	// standby replica the scrubber repairs damaged media from.
-	Mirror *scrub.Store
-	// Scrub, when set, runs an integrity pass (scan, repair, degrade,
-	// fsck) after every run's retention completes — nightly scrub after
-	// the nightly dump.
-	Scrub *scrub.Scrubber
 }
 
 // RunResult describes one completed scheduled dump.
@@ -134,8 +124,6 @@ type RunResult struct {
 	Bytes   int64
 	Media   []string
 	Expired []uint64 // sets expired by retention after this run
-	// Scrub is the integrity pass run after this run, when scheduled.
-	Scrub *scrub.Report
 }
 
 // imageBase tracks the snapshot a future incremental can base on, per
@@ -249,21 +237,9 @@ func (s *Scheduler) RunOne(ctx context.Context) (*RunResult, error) {
 			return nil, err
 		}
 		res.Expired = expired
-		if s.cfg.Mirror != nil {
-			for _, id := range expired {
-				s.cfg.Mirror.Drop(id)
-			}
-		}
 		if _, err := s.cfg.Pool.Reclaim(now); err != nil {
 			return nil, err
 		}
-	}
-	if s.cfg.Scrub != nil {
-		srep, err := s.cfg.Scrub.Run(ctx)
-		if err != nil {
-			return nil, fmt.Errorf("sched: scrub after run %d: %w", run, err)
-		}
-		res.Scrub = srep
 	}
 	return res, nil
 }
@@ -298,19 +274,13 @@ func (e dumpError) Unwrap() error { return e.error }
 
 // runJob dumps job to the schedule's drive and records the completed
 // set everywhere it is accounted for: the catalog (engine.Land, reading
-// it back on a verify drive built as Recover builds its restore drive),
-// the stream mirror and the media pool. A set found damaged fails the
-// run once its media is committed.
+// it back on a verify drive built as Recover builds its restore drive)
+// and the media pool. A set found damaged fails the run once its media
+// is committed.
 func (s *Scheduler) runJob(ctx context.Context, run, level int, snap string, job *engine.Dump) (*RunResult, error) {
 	f := s.cfg.Filer
 	track := &media.TrackingSink{Sink: f.Sink(ctx, schedDrive), Drive: f.Tapes[schedDrive]}
-	var sink stream.Sink = track
-	var capture *scrub.CaptureSink
-	if s.cfg.Mirror != nil {
-		capture = &scrub.CaptureSink{Sink: track}
-		sink = capture
-	}
-	if err := job.To(ctx, sink); err != nil {
+	if err := job.To(ctx, track); err != nil {
 		return nil, dumpError{fmt.Errorf("sched: run %d level %d: %w", run, level, err)}
 	}
 	f.Tapes[schedDrive].Flush(sim.ProcFrom(ctx))
@@ -326,9 +296,6 @@ func (s *Scheduler) runJob(ctx context.Context, run, level int, snap string, job
 	id, damage, err := engine.Land(ctx, s.cfg.Catalog, ds, nil, s.cfg.Pool.Opener(verify))
 	if err != nil {
 		return nil, err
-	}
-	if capture != nil {
-		s.cfg.Mirror.Put(id, capture.Records())
 	}
 	if err := s.cfg.Pool.CommitSet(id, track.Labels(), ds.Date); err != nil {
 		return nil, err

@@ -1,10 +1,11 @@
-// Package scrub is the end-to-end integrity subsystem: a scheduled
-// media scrubber that re-reads every catalogued dump set and verifies
-// it before a restore needs it, a catalog↔media fsck cross-checking
-// the two sources of truth, and automated repair — rewrite damaged
-// records from a replica of the stream, or degrade gracefully by
-// marking the set Damaged in the catalog and quarantining its volumes
-// so the restore planner routes around them.
+// Package scrub is the end-to-end integrity subsystem: a media
+// scrubber that re-reads every catalogued dump set and verifies it
+// before a restore needs it, and a catalog↔media fsck cross-checking
+// the two sources of truth. Damage has one verdict: the set is marked
+// Damaged in the catalog and its volumes are quarantined, so the
+// restore planner routes around them and nothing recycles the
+// evidence. Nothing is rewritten in place — the scrubber holds no copy
+// of a stream to rewrite it from.
 //
 // The paper's opening horror story is tapes that sat unread for a
 // year and turned out rotten at restore time. The scrubber closes
@@ -14,7 +15,6 @@
 package scrub
 
 import (
-	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -108,10 +108,8 @@ type Report struct {
 	Sets int
 	// BytesScanned is stream bytes re-read off media.
 	BytesScanned int64
-	// Repaired lists findings fixed in place (and re-verified clean).
-	Repaired []Finding
-	// Findings lists problems that remain after repair — the scan
-	// findings of sets that had to be degraded, plus fsck findings.
+	// Findings lists every problem found: the scan findings of the
+	// sets degraded (or, from Scan, that would be), plus fsck findings.
 	Findings []Finding
 	// Damaged lists sets newly marked Damaged in the catalog.
 	Damaged []uint64
@@ -120,14 +118,14 @@ type Report struct {
 }
 
 func (r *Report) String() string {
-	return fmt.Sprintf("scrub: %d set(s), %d bytes; %d repaired, %d unrepaired, %d damaged, %d quarantined",
-		r.Sets, r.BytesScanned, len(r.Repaired), len(r.Findings), len(r.Damaged), len(r.Quarantined))
+	return fmt.Sprintf("scrub: %d set(s), %d bytes; %d finding(s), %d damaged, %d quarantined",
+		r.Sets, r.BytesScanned, len(r.Findings), len(r.Damaged), len(r.Quarantined))
 }
 
 // scrubName prefixes the maintenance drive and the spans.
 const scrubName = "scrub"
 
-// stamp dates the scrubber's repair, damage and quarantine records: the
+// stamp dates the scrubber's damage and quarantine records: the
 // filesystem clock is not reachable from here.
 const stamp = 0
 
@@ -149,10 +147,6 @@ type Config struct {
 	// Pool, when the media is a tape pool, is where volumes of degraded
 	// sets are quarantined and what the fsck cross-checks.
 	Pool *media.Pool
-	// Replicas are stream-record redundancy sources tried in order for
-	// in-place repair — the -standby mirror, a RAID rebuild, anything
-	// that can produce the set's byte-identical record list.
-	Replicas []Replica
 }
 
 // Scrubber runs integrity passes.
@@ -169,8 +163,7 @@ func New(cfg Config) (*Scrubber, error) {
 }
 
 // Run executes one full integrity pass: scan every live, undamaged
-// set's media end to end; attempt in-place repair of anything found
-// (re-verifying after); degrade what cannot be repaired (mark the set
+// set's media end to end; degrade every set with a finding (mark it
 // Damaged, quarantine its volumes); then fsck the catalog against the
 // pool. Already-damaged sets are skipped — their verdict is in — and so
 // are resumed ones: all but the last of their streams are torn by
@@ -178,7 +171,7 @@ func New(cfg Config) (*Scrubber, error) {
 func (s *Scrubber) Run(ctx context.Context) (*Report, error) { return s.pass(ctx, true) }
 
 // Scan is Run's report-only half: the same scan and fsck with the
-// findings reported and nothing repaired, marked or quarantined.
+// findings reported and nothing marked or quarantined.
 func (s *Scrubber) Scan(ctx context.Context) (*Report, error) { return s.pass(ctx, false) }
 
 func (s *Scrubber) pass(ctx context.Context, act bool) (*Report, error) {
@@ -201,25 +194,6 @@ func (s *Scrubber) pass(ctx context.Context, act bool) (*Report, error) {
 			continue
 		}
 		m.Counter("scrub_errors_total", nil).Add(int64(len(findings)))
-		if act && s.repairSet(ctx, ds) {
-			// Trust nothing: the set counts as repaired only if a fresh
-			// scan of the media comes back clean.
-			re, n2, err := s.scanSet(ctx, ds)
-			rep.BytesScanned += n2
-			if err == nil && len(re) == 0 {
-				if err := s.cfg.Catalog.MarkRepaired(ds.ID, stamp,
-					fmt.Sprintf("scrub repaired %d finding(s)", len(findings))); err != nil {
-					return nil, err
-				}
-				rep.Repaired = append(rep.Repaired, findings...)
-				m.Counter("scrub_repairs_total", nil).Inc()
-				continue
-			}
-			if err != nil {
-				return nil, err
-			}
-			findings = re
-		}
 		rep.Findings = append(rep.Findings, findings...)
 		if act {
 			if err := s.degrade(ds, findings, rep, m); err != nil {
@@ -232,7 +206,7 @@ func (s *Scrubber) pass(ctx context.Context, act bool) (*Report, error) {
 	m.Counter("scrub_errors_total", nil).Add(int64(len(fsck)))
 	span.SetAttr("sets", rep.Sets)
 	span.SetAttr("bytes", rep.BytesScanned)
-	span.SetAttr("unrepaired", len(rep.Findings))
+	span.SetAttr("findings", len(rep.Findings))
 	return rep, nil
 }
 
@@ -356,49 +330,4 @@ func (c *pacedSource) ReadRecord() ([]byte, error) {
 		}
 	}
 	return rec, err
-}
-
-// repairSet tries each redundancy source in order until one produces
-// the set's record list and the media walk applies cleanly.
-func (s *Scrubber) repairSet(ctx context.Context, ds catalog.DumpSet) bool {
-	for _, rep := range s.cfg.Replicas {
-		recs, ok := rep.Fetch(ctx, ds.ID)
-		if !ok || len(recs) == 0 {
-			continue
-		}
-		if s.repairFrom(ds, recs) {
-			return true
-		}
-	}
-	return false
-}
-
-// repairFrom rewrites the set's media records from a replica's record
-// list. Dump streams land contiguously: a set's records occupy
-// [ref.Start, …) on each of its volumes in order, and a failed tape
-// write never lands, so the k-th replica record corresponds exactly to
-// the k-th data record of the walk. Unreadable or byte-divergent
-// records are rewritten in place (clearing latched faults); the repair
-// succeeds only if every replica record found its spot.
-func (s *Scrubber) repairFrom(ds catalog.DumpSet, recs [][]byte) bool {
-	k := 0
-	for _, ref := range ds.Media {
-		v, ok := s.cfg.Pool.Volume(ref.Volume)
-		if !ok || v.Cart == nil {
-			return false
-		}
-		for raw := int(ref.Start); k < len(recs); raw++ {
-			data, mark, unreadable, ok := v.Cart.RecordAt(raw)
-			if !ok || mark {
-				break // end of this volume's span
-			}
-			if unreadable || !bytes.Equal(data, recs[k]) {
-				if !v.Cart.RepairRecordAt(raw, recs[k]) {
-					return false
-				}
-			}
-			k++
-		}
-	}
-	return k == len(recs)
 }

@@ -1,8 +1,10 @@
 package scrub_test
 
 import (
+	"bytes"
 	"context"
 	"io"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -22,21 +24,32 @@ type driveSink struct{ d *tape.Drive }
 func (s driveSink) WriteRecord(data []byte) error { return s.d.WriteRecord(nil, data) }
 func (s driveSink) NextVolume() error             { return s.d.Load(nil) }
 
-// rig is one cartridge holding one logical dump set, with its catalog,
-// pool and stream mirror.
+// rig is one cartridge holding one logical dump set, with its catalog
+// and pool.
 type rig struct {
-	cat     *catalog.Catalog
-	store   *catalog.MemStore
-	pool    *media.Pool
-	cart    *tape.Cartridge
-	mirror  *scrub.Store
-	setID   uint64
-	start   int // raw index of the set's first record
-	records int // records the stream occupies
+	cat   *catalog.Catalog
+	store *catalog.MemStore
+	pool  *media.Pool
+	cart  *tape.Cartridge
+	setID uint64
+	start int      // raw index of the set's first record
+	recs  [][]byte // the records the stream occupies, as written
+}
+
+// recordSink copies every record it is handed to a list and on to its
+// sink.
+type recordSink struct {
+	driveSink
+	recs [][]byte
+}
+
+func (s *recordSink) WriteRecord(data []byte) error {
+	s.recs = append(s.recs, bytes.Clone(data))
+	return s.driveSink.WriteRecord(data)
 }
 
 // newRig writes a small valid logical dump stream onto a cartridge and
-// catalogs it, mirroring the records for repair.
+// catalogs it, keeping a copy of the records for stream-level checks.
 func newRig(t *testing.T) *rig {
 	t.Helper()
 	cart := tape.NewCartridge("vol0")
@@ -45,7 +58,7 @@ func newRig(t *testing.T) *rig {
 	if err := drive.Load(nil); err != nil {
 		t.Fatal(err)
 	}
-	capture := &scrub.CaptureSink{Sink: driveSink{drive}}
+	capture := &recordSink{driveSink: driveSink{drive}}
 	start := cart.Index()
 	w, err := dumpfmt.NewWriter(capture, "rig", 1000, 0, 0)
 	if err != nil {
@@ -90,20 +103,14 @@ func newRig(t *testing.T) *rig {
 	if err := pool.CommitSet(id, []string{"vol0"}, 1000); err != nil {
 		t.Fatal(err)
 	}
-	mirror := scrub.NewStore()
-	mirror.Put(id, capture.Records())
-	return &rig{cat: cat, store: store, pool: pool, cart: cart, mirror: mirror,
-		setID: id, start: start, records: cart.Index() - start}
+	return &rig{cat: cat, store: store, pool: pool, cart: cart,
+		setID: id, start: start, recs: capture.recs}
 }
 
-func (r *rig) scrubber(t *testing.T, withMirror bool) *scrub.Scrubber {
+func (r *rig) scrubber(t *testing.T) *scrub.Scrubber {
 	t.Helper()
-	cfg := scrub.Config{Catalog: r.cat, Pool: r.pool,
-		Open: r.pool.Opener(tape.NewDrive(nil, "scrub/maint", tape.DefaultParams()))}
-	if withMirror {
-		cfg.Replicas = []scrub.Replica{r.mirror}
-	}
-	s, err := scrub.New(cfg)
+	s, err := scrub.New(scrub.Config{Catalog: r.cat, Pool: r.pool,
+		Open: r.pool.Opener(tape.NewDrive(nil, "scrub/maint", tape.DefaultParams()))})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,107 +119,99 @@ func (r *rig) scrubber(t *testing.T, withMirror bool) *scrub.Scrubber {
 
 func TestScrubCleanPass(t *testing.T) {
 	r := newRig(t)
-	rep, err := r.scrubber(t, true).Run(context.Background())
+	rep, err := r.scrubber(t).Run(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
 	if rep.Sets != 1 || rep.BytesScanned == 0 {
 		t.Fatalf("scanned %d sets, %d bytes", rep.Sets, rep.BytesScanned)
 	}
-	if len(rep.Findings) != 0 || len(rep.Repaired) != 0 {
+	if len(rep.Findings)+len(rep.Damaged)+len(rep.Quarantined) != 0 {
 		t.Fatalf("clean media produced findings: %+v", rep)
 	}
 }
 
-func TestScrubRepairsLatentFault(t *testing.T) {
-	r := newRig(t)
-	if !r.cart.InjectLatentFault(r.start) {
-		t.Fatal("inject failed")
-	}
-	rep, err := r.scrubber(t, true).Run(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rep.Repaired) == 0 {
-		t.Fatalf("latent fault not repaired: %+v", rep)
-	}
-	if len(rep.Findings) != 0 || len(rep.Damaged) != 0 || len(rep.Quarantined) != 0 {
-		t.Fatalf("repairable fault degraded the set: %+v", rep)
-	}
-	if _, bad := r.cat.Damaged(r.setID); bad {
-		t.Fatal("set marked damaged after successful repair")
-	}
-	if r.cart.BadRecords() != 0 {
-		t.Fatalf("%d latched records remain after repair", r.cart.BadRecords())
-	}
-	// The repair must be durable: a fresh pass finds nothing.
-	rep2, err := r.scrubber(t, true).Run(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rep2.Findings)+len(rep2.Repaired) != 0 {
-		t.Fatalf("re-scan after repair not clean: %+v", rep2)
-	}
-}
-
-func TestScrubRepairsSilentCorruption(t *testing.T) {
-	r := newRig(t)
-	// Flip bits without latching: only the stream's own checksums can
-	// notice, and only the replica byte-compare can fix it.
-	if !r.cart.CorruptRecordAt(r.start + 1) {
-		t.Fatal("corrupt failed")
-	}
-	rep, err := r.scrubber(t, true).Run(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rep.Repaired) == 0 || len(rep.Findings) != 0 {
-		t.Fatalf("silent corruption not repaired: %+v", rep)
-	}
-}
-
+// TestScrubDegradesWithoutReplica: damage has one verdict, whatever
+// found it. A latched read fault (the drive's ECC notices, at a spot)
+// and a silent bit flip (only the stream's own checksums notice, with
+// no spot to name) both mark the set damaged and quarantine its media:
+// the volume the fault names, or — for the flip — every volume the set
+// touches. The quarantine then freezes the media, and a later pass
+// leaves the condemned set alone.
 func TestScrubDegradesWithoutReplica(t *testing.T) {
-	r := newRig(t)
-	r.cart.InjectLatentFault(r.start)
-	rep, err := r.scrubber(t, false).Run(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rep.Damaged) != 1 || rep.Damaged[0] != r.setID {
-		t.Fatalf("set not marked damaged: %+v", rep)
-	}
-	if len(rep.Quarantined) != 1 || rep.Quarantined[0] != "vol0" {
-		t.Fatalf("volume not quarantined: %+v", rep)
-	}
-	if _, bad := r.cat.Damaged(r.setID); !bad {
-		t.Fatal("catalog does not report the set damaged")
-	}
-	v, _ := r.pool.Volume("vol0")
-	if v.State != media.Quarantined {
-		t.Fatalf("pool state = %s, want quarantined", v.State)
-	}
-	// Quarantine is frozen: no reclaim, no erase.
-	if got, err := r.pool.Reclaim(5000); err != nil || len(got) != 0 {
-		t.Fatalf("Reclaim touched quarantined media: %v %v", got, err)
-	}
-	if err := r.pool.Erase("vol0", 5000); err == nil ||
-		!strings.Contains(err.Error(), "quarantined") {
-		t.Fatalf("Erase of quarantined volume: %v", err)
-	}
-	// A second pass skips the already-damaged set.
-	rep2, err := r.scrubber(t, false).Run(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep2.Sets != 0 {
-		t.Fatalf("damaged set re-scanned: %+v", rep2)
+	for _, tc := range []struct {
+		name string
+		rot  func(r *rig) bool
+		// kind is the finding the rot must produce; located, whether it
+		// names the volume and record.
+		kind    scrub.FindingKind
+		located bool
+	}{
+		{"latent fault", func(r *rig) bool { return r.cart.InjectLatentFault(r.start) }, scrub.MediaFault, true},
+		{"silent flip", func(r *rig) bool { return r.cart.CorruptRecordAt(r.start + 1) }, scrub.StreamCorrupt, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			r := newRig(t)
+			if !tc.rot(r) {
+				t.Fatal("inject failed")
+			}
+			rep, err := r.scrubber(t).Run(context.Background())
+			if err != nil {
+				t.Fatal(err)
+			}
+			found := false
+			for _, f := range rep.Findings {
+				if f.SetID != r.setID {
+					t.Fatalf("finding off the damaged set: %v", f)
+				}
+				if f.Kind == tc.kind {
+					found = true
+					if located := f.Volume != "" && f.Record >= 0; located != tc.located {
+						t.Fatalf("%v: located %v, want %v", f, located, tc.located)
+					}
+				}
+			}
+			if !found {
+				t.Fatalf("no %s finding: %+v", tc.kind, rep)
+			}
+			if len(rep.Damaged) != 1 || rep.Damaged[0] != r.setID {
+				t.Fatalf("set not marked damaged: %+v", rep)
+			}
+			ds, _ := r.cat.Set(r.setID)
+			if len(rep.Quarantined) != len(ds.Media) || rep.Quarantined[0] != "vol0" {
+				t.Fatalf("quarantined %v, want every volume of %v", rep.Quarantined, ds.Media)
+			}
+			if _, bad := r.cat.Damaged(r.setID); !bad {
+				t.Fatal("catalog does not report the set damaged")
+			}
+			v, _ := r.pool.Volume("vol0")
+			if v.State != media.Quarantined {
+				t.Fatalf("pool state = %s, want quarantined", v.State)
+			}
+			// Quarantine is frozen: no reclaim, no erase.
+			if got, err := r.pool.Reclaim(5000); err != nil || len(got) != 0 {
+				t.Fatalf("Reclaim touched quarantined media: %v %v", got, err)
+			}
+			if err := r.pool.Erase("vol0", 5000); err == nil ||
+				!strings.Contains(err.Error(), "quarantined") {
+				t.Fatalf("Erase of quarantined volume: %v", err)
+			}
+			// A second pass skips the already-damaged set.
+			rep2, err := r.scrubber(t).Run(context.Background())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if rep2.Sets != 0 {
+				t.Fatalf("damaged set re-scanned: %+v", rep2)
+			}
+		})
 	}
 }
 
 // TestScanReportsWithoutActing: Scan is Run's scan with nothing done
-// about it — the same findings, with a mirror to repair from left
-// unused, no set marked, no volume quarantined — and it passes over a
-// resumed set as Run does.
+// about it — the same findings, no set marked, no volume quarantined —
+// and it passes over a resumed set as Run does. Run over the same
+// state then condemns the set on those findings.
 func TestScanReportsWithoutActing(t *testing.T) {
 	r := newRig(t)
 	r.cart.InjectLatentFault(r.start)
@@ -222,7 +221,7 @@ func TestScanReportsWithoutActing(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	s := r.scrubber(t, true)
+	s := r.scrubber(t)
 	rep, err := s.Scan(context.Background())
 	if err != nil {
 		t.Fatal(err)
@@ -235,24 +234,59 @@ func TestScanReportsWithoutActing(t *testing.T) {
 			t.Fatalf("finding off the faulted set: %v", f)
 		}
 	}
-	if len(rep.Repaired)+len(rep.Damaged)+len(rep.Quarantined) != 0 || r.cart.BadRecords() != 1 {
+	if len(rep.Damaged)+len(rep.Quarantined) != 0 || r.cart.BadRecords() != 1 {
 		t.Fatalf("a report-only pass acted: %+v, %d bad records", rep, r.cart.BadRecords())
 	}
 	if _, bad := r.cat.Damaged(r.setID); bad {
 		t.Fatal("a report-only pass marked the set damaged")
 	}
-	// Run over the same state still repairs it.
-	if rep, err = s.Run(context.Background()); err != nil || len(rep.Repaired) == 0 || len(rep.Findings) != 0 {
-		t.Fatalf("run after scan: %+v, %v", rep, err)
+	if v, _ := r.pool.Volume("vol0"); v.State != media.Active {
+		t.Fatalf("a report-only pass moved vol0 to %s", v.State)
+	}
+	// Run over the same state condemns the set on the same findings.
+	run, err := s.Run(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(run.Findings, rep.Findings) {
+		t.Fatalf("run found %v, scan %v", run.Findings, rep.Findings)
+	}
+	if len(run.Damaged) != 1 || run.Damaged[0] != r.setID ||
+		len(run.Quarantined) != 1 || run.Quarantined[0] != "vol0" {
+		t.Fatalf("run after scan did not condemn set %d: %+v", r.setID, run)
 	}
 }
 
+// TestScrubQuarantineSurvivesReopen: a scrub's damage and quarantine
+// replay from the journal. A set committed to the quarantined volume
+// afterwards — a schedule keeps writing to its cartridge — lifts
+// nothing: the volume stays quarantined, live and replayed, and
+// neither Reclaim nor Erase touches it once every set on it expires.
 func TestScrubQuarantineSurvivesReopen(t *testing.T) {
 	r := newRig(t)
 	r.cart.InjectLatentFault(r.start)
-	if _, err := r.scrubber(t, false).Run(context.Background()); err != nil {
+	if _, err := r.scrubber(t).Run(context.Background()); err != nil {
 		t.Fatal(err)
 	}
+	later, err := r.cat.AppendDumpSet(catalog.DumpSet{
+		Engine: catalog.Logical, FSID: "fs", Snap: "s1", Level: 0, Date: 2000,
+		Bytes: 100, Media: []catalog.MediaRef{{Volume: "vol0", Start: int64(r.cart.Index())}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := r.pool.CommitSet(later, []string{"vol0"}, 2000); err != nil {
+		t.Fatal(err)
+	}
+	if v, _ := r.pool.Volume("vol0"); v.State != media.Quarantined {
+		t.Fatalf("committing set %d lifted the quarantine: vol0 %s", later, v.State)
+	}
+	for _, id := range []uint64{r.setID, later} {
+		if err := r.cat.Expire(id, 3000); err != nil {
+			t.Fatal(err)
+		}
+	}
+
 	// Replay the journal into a fresh catalog + pool: health and
 	// quarantine must come back.
 	cat2, err := catalog.Open(&catalog.MemStore{Buf: append([]byte(nil), r.store.Buf...)})
@@ -262,10 +296,24 @@ func TestScrubQuarantineSurvivesReopen(t *testing.T) {
 	if _, bad := cat2.Damaged(r.setID); !bad {
 		t.Fatal("damage lost across journal replay")
 	}
-	pool2 := media.NewPool("p", cat2)
-	v, ok := pool2.Volume("vol0")
-	if !ok || v.State != media.Quarantined {
-		t.Fatalf("quarantine lost across replay: %+v", v)
+	for _, p := range []struct {
+		name string
+		pool *media.Pool
+	}{{"live", r.pool}, {"replayed", media.NewPool("p", cat2)}} {
+		v, ok := p.pool.Volume("vol0")
+		if !ok || v.State != media.Quarantined {
+			t.Fatalf("%s: quarantine lost: %+v", p.name, v)
+		}
+		if got, err := p.pool.Reclaim(5000); err != nil || len(got) != 0 {
+			t.Fatalf("%s: Reclaim touched quarantined media: %v %v", p.name, got, err)
+		}
+		if err := p.pool.Erase("vol0", 5000); err == nil ||
+			!strings.Contains(err.Error(), "quarantined") {
+			t.Fatalf("%s: Erase of quarantined volume: %v", p.name, err)
+		}
+	}
+	if r.cart.Records() == 0 {
+		t.Fatal("the quarantined cartridge was erased")
 	}
 }
 
@@ -365,12 +413,12 @@ func (m *memSource) ReadRecord() ([]byte, error) {
 }
 
 // TestVerifySetStream: the set-level check a scan runs — the one a set
-// lands through, engine.CheckSet — passes the mirrored stream and
+// lands through, engine.CheckSet — passes the stream as written and
 // fails a corrupted or truncated copy of it.
 func TestVerifySetStream(t *testing.T) {
 	r := newRig(t)
 	ds, _ := r.cat.Set(r.setID)
-	recs, _ := r.mirror.Fetch(context.Background(), r.setID)
+	recs := r.recs
 	if fs, _, _ := engine.CheckSet(context.Background(), ds, []stream.Source{&memSource{recs: recs}}); len(fs) != 0 {
 		t.Fatalf("clean stream produced findings: %v", fs)
 	}

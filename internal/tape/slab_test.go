@@ -44,7 +44,7 @@ func writeAll(t *testing.T, d *Drive, recs ...[]byte) [][]byte {
 }
 
 // wantRecords checks that c holds exactly want, in order, through a
-// drive's reads and through RecordAt, and that Bytes counts them.
+// drive's reads, and that Bytes counts them.
 func wantRecords(t *testing.T, d *Drive, c *Cartridge, want [][]byte) {
 	t.Helper()
 	d.Rewind(nil)
@@ -54,16 +54,10 @@ func wantRecords(t *testing.T, d *Drive, c *Cartridge, want [][]byte) {
 		if err != nil || !bytes.Equal(got, w) {
 			t.Fatalf("ReadRecord %d: %d bytes, %v; want its %d bytes", i, len(got), err, len(w))
 		}
-		if got, mark, bad, ok := c.RecordAt(i); !ok || mark || bad || !bytes.Equal(got, w) {
-			t.Fatalf("RecordAt(%d): %d bytes (mark %v, unreadable %v, ok %v); want its %d bytes", i, len(got), mark, bad, ok, len(w))
-		}
 		total += int64(len(w))
 	}
 	if _, err := d.ReadRecord(nil); !errors.Is(err, ErrEndOfTape) {
 		t.Fatalf("past the last record: %v, want ErrEndOfTape", err)
-	}
-	if _, _, _, ok := c.RecordAt(len(want)); ok {
-		t.Fatalf("RecordAt(%d) past the last record reports a record", len(want))
 	}
 	if c.Bytes() != total || c.Records() != len(want) {
 		t.Fatalf("Bytes %d, Records %d; want %d, %d", c.Bytes(), c.Records(), total, len(want))
@@ -104,30 +98,25 @@ func TestCorruptRecordAtLeavesSlabNeighbours(t *testing.T) {
 	wantRecords(t, d, c, [][]byte{want[0], flipped, want[2]})
 }
 
-func TestLongerRepairKeepsNeighbours(t *testing.T) {
-	d, c := loadedDrive(t)
-	want := writeAll(t, d, pattern(1, 1000), pattern(2, 1000), pattern(3, 1000))
-	if !c.RepairRecordAt(1, pattern(4, 9000)) {
-		t.Fatal("RepairRecordAt(1) refused")
-	}
-	want[1] = pattern(4, 9000)
-	// A record written after the repair lands behind the repaired copy.
-	want = append(want, writeAll(t, d, pattern(5, 2000))...)
-	wantRecords(t, d, c, want)
-}
-
-func TestRecordAtCopyOutlivesErase(t *testing.T) {
+// TestReadRecordOutlivesErase: a record read through a drive is the
+// drive's copy, not a slice of the cartridge's slab, so erasing the
+// cartridge and writing over its slabs leaves it as read.
+func TestReadRecordOutlivesErase(t *testing.T) {
 	d, c := loadedDrive(t)
 	want := writeAll(t, d, pattern(1, 10<<10), pattern(2, 10<<10))
-	got, _, _, ok := c.RecordAt(1)
-	if !ok {
-		t.Fatal("RecordAt(1) found no record")
+	d.Rewind(nil)
+	if err := d.SpaceRecords(nil, 1); err != nil {
+		t.Fatal(err)
+	}
+	got, err := d.ReadRecord(nil)
+	if err != nil {
+		t.Fatal(err)
 	}
 	c.Erase()
 	for i := 0; i < 400; i++ {
 		writeAll(t, d, bytes.Repeat([]byte{0xA5}, 10<<10))
 	}
 	if !bytes.Equal(got, want[1]) {
-		t.Fatal("a RecordAt copy changed when the cartridge was erased and rewritten")
+		t.Fatal("a record read through the drive changed when the cartridge was erased and rewritten")
 	}
 }

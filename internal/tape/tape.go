@@ -219,40 +219,6 @@ func (c *Cartridge) InjectMarginalRead(i int) bool {
 	return true
 }
 
-// RecordAt is the scrubber's maintenance read: it returns a copy of the
-// record at raw index i without the drive fault model or time charges.
-// unreadable reports a latched read fault (data is nil then); mark
-// reports a file mark; ok is false past the recorded extent.
-func (c *Cartridge) RecordAt(i int) (data []byte, mark, unreadable, ok bool) {
-	if i < 0 || i >= len(c.records) {
-		return nil, false, false, false
-	}
-	r := c.records[i]
-	if r.mark {
-		return nil, true, false, true
-	}
-	if c.badReads[i] {
-		return nil, false, true, true
-	}
-	cp := make([]byte, len(r.data))
-	copy(cp, r.data)
-	return cp, false, false, true
-}
-
-// RepairRecordAt rewrites the record at raw index i with known-good
-// bytes (from a replica or RAID reconstruction), clearing any latched
-// read fault — the in-place repair of the scrub subsystem. It refuses
-// file marks and out-of-range indexes.
-func (c *Cartridge) RepairRecordAt(i int, data []byte) bool {
-	if i < 0 || i >= len(c.records) || c.records[i].mark || len(data) == 0 {
-		return false
-	}
-	c.used += int64(len(data)) - int64(len(c.records[i].data))
-	c.records[i].data = c.keep(data)
-	delete(c.badReads, i)
-	return true
-}
-
 // Drive is a simulated tape drive with an attached stacker (a queue of
 // cartridges). Loading, reading, writing and changing cartridges all
 // charge virtual time when a sim process is attached via the methods'
