@@ -10,13 +10,17 @@
 //	backupctl -vol home.img catalog -expire 3        # retention by hand
 //
 // The serve side keeps its own catalog (<out>.catalog) of pushed
-// streams, built from the session Hello and the stream headers.
+// streams, built from the session Hello and the stream headers; with
+// -standby it is a mirrored pair, which `replica status` inspects.
 package main
 
 import (
+	"bytes"
 	"context"
+	"errors"
 	"flag"
 	"fmt"
+	"io/fs"
 	"os"
 	"sort"
 	"strings"
@@ -25,7 +29,6 @@ import (
 	"repro/internal/engine"
 	"repro/internal/logical"
 	"repro/internal/ndmp"
-	"repro/internal/replica"
 	"repro/internal/wafl"
 )
 
@@ -34,10 +37,10 @@ func catalogPath(vol string) string { return vol + ".catalog" }
 
 // openCatalog opens (creating if absent) the catalog journal beside vol;
 // the caller runs done when finished with it. With a standby path — the
-// serve side's -standby — the journal is a mirrored pair: a two-member
-// replica.Cluster over <vol>.catalog and the standby file, ideally on
-// different media. Opening it elects the copy with the longest valid
-// journal and reinstalls the other from it, and every append lands in
+// serve side's -standby — the journal is a mirrored pair: a
+// catalog.Mirror over <vol>.catalog and the standby file, ideally on
+// different media. Opening it keeps the copy with the longest valid
+// journal and repairs the other from it, and every append lands in
 // both files or fails, so losing either file loses no acknowledged set.
 func openCatalog(vol, standby string) (cat *catalog.Catalog, done func(), err error) {
 	primary, err := catalog.OpenFileStore(catalogPath(vol))
@@ -52,17 +55,12 @@ func openCatalog(vol, standby string) (cat *catalog.Catalog, done func(), err er
 			done()
 			return nil, nil, err
 		}
-		// The cluster has no Close of its own: it only borrows the stores.
+		// The mirror has no Close of its own: it only borrows the stores.
 		done = func() { primary.Close(); second.Close() }
-		cluster, err := replica.New(replica.Config{
-			Members: []string{"primary", "standby"},
-			Stores:  map[string]catalog.Store{"primary": primary, "standby": second},
-		})
-		if err != nil {
+		if store, err = catalog.Mirror(primary, second); err != nil {
 			done()
 			return nil, nil, err
 		}
-		store = cluster
 	}
 	if cat, err = catalog.Open(store); err != nil {
 		done()
@@ -72,6 +70,52 @@ func openCatalog(vol, standby string) (cat *catalog.Catalog, done func(), err er
 		fmt.Fprintf(os.Stderr, "backupctl: catalog: dropped %d torn trailing bytes (crash mid-append)\n", cat.TornBytes)
 	}
 	return cat, done, nil
+}
+
+// replicaCommand is `backupctl replica status`: it compares the two
+// journal files of a mirrored pair the way the next open will, by their
+// valid prefixes. It only reads — a missing file counts as empty and is
+// not created.
+func replicaCommand(rest []string) error {
+	if len(rest) == 0 {
+		return fmt.Errorf("replica: subcommand required (status)")
+	}
+	if rest[0] != "status" {
+		return fmt.Errorf("replica: unknown subcommand %q", rest[0])
+	}
+	set := newFlagSet("replica status")
+	primary := set.String("primary", "", "primary catalog journal (default <vol>.catalog of -o base)")
+	standby := set.String("standby", "", "standby catalog journal")
+	if err := set.Parse(rest[1:]); err != nil {
+		return err
+	}
+	if *primary == "" || *standby == "" {
+		return fmt.Errorf("replica status: -primary and -standby required")
+	}
+	var bufs [2][]byte
+	names, paths := [2]string{"primary", "standby"}, [2]string{*primary, *standby}
+	for i, path := range paths {
+		buf, err := os.ReadFile(path)
+		if err != nil && !errors.Is(err, fs.ErrNotExist) {
+			return err
+		}
+		bufs[i] = buf
+	}
+	lead, n := catalog.MirrorLead(bufs[0], bufs[1])
+	for i, path := range paths {
+		cat, err := catalog.Open(&catalog.MemStore{Buf: bufs[i][:n[i]]})
+		if err != nil {
+			return fmt.Errorf("replica status: %s does not replay: %w", names[i], err)
+		}
+		fmt.Printf("%s %s: %d bytes (%d valid), %d sets\n", names[i], path, len(bufs[i]), n[i], len(cat.Sets()))
+	}
+	if bytes.Equal(bufs[0][:n[0]], bufs[1][:n[1]]) {
+		fmt.Println("state: in sync")
+	} else {
+		fmt.Printf("state: %s leads by %d bytes, the other copy is caught up at next open\n",
+			names[lead], n[lead]-n[1-lead])
+	}
+	return nil
 }
 
 // catalogDates returns the dump-date history for vol: derived from the

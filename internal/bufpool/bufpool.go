@@ -1,8 +1,14 @@
-// Package bufpool is a sync.Pool-backed arena for the block and
-// record buffers of the backup data path. The RAID layer's de-striping
+// Package bufpool is a free-list arena for the block and record
+// buffers of the backup data path. The RAID layer's de-striping
 // scratch, dumpfmt's blocked tape records and physical's image stream
 // records all recycle through it, so the steady-state dump/restore
 // record path (header + payload + CRC) runs allocation-free.
+//
+// Each size class is a mutex-guarded free list, not a sync.Pool: a
+// sync.Pool empties at every GC, so how many buffers a pass
+// re-allocated would depend on when the collector ran. A free list
+// keeps what was Put until it is taken again, so it holds at most as
+// many buffers of a class as were once in use at the same time.
 //
 // Ownership rule: a buffer obtained from Get belongs to the caller
 // until Put; after Put it must not be touched. Layers that hand a
@@ -29,7 +35,28 @@ const (
 	nClasses = maxShift - minShift + 1
 )
 
-var pools [nClasses]sync.Pool
+// freeList is one size class's recycled buffers.
+type freeList struct {
+	mu   sync.Mutex
+	bufs []*[]byte
+}
+
+var pools [nClasses]freeList
+
+func (l *freeList) get() (p *[]byte) {
+	l.mu.Lock()
+	if n := len(l.bufs); n > 0 {
+		p, l.bufs[n-1], l.bufs = l.bufs[n-1], nil, l.bufs[:n-1]
+	}
+	l.mu.Unlock()
+	return p
+}
+
+func (l *freeList) put(p *[]byte) {
+	l.mu.Lock()
+	l.bufs = append(l.bufs, p)
+	l.mu.Unlock()
+}
 
 var disabled atomic.Bool
 
@@ -59,7 +86,7 @@ func class(n int) int {
 // recycling does not re-box the slice header.
 func Get(n int) *[]byte {
 	if c := class(n); c >= 0 && Enabled() {
-		if p, _ := pools[c].Get().(*[]byte); p != nil {
+		if p := pools[c].get(); p != nil {
 			*p = (*p)[:n]
 			return p
 		}
@@ -81,5 +108,5 @@ func Put(p *[]byte) {
 		return
 	}
 	*p = (*p)[:c]
-	pools[bits.Len(uint(c))-1-minShift].Put(p)
+	pools[bits.Len(uint(c))-1-minShift].put(p)
 }

@@ -1,6 +1,9 @@
 package bufpool
 
-import "testing"
+import (
+	"runtime"
+	"testing"
+)
 
 func TestClassRoundTrip(t *testing.T) {
 	for _, n := range []int{1, 1024, 1025, 4096, 60<<10 + 8, 2 << 20} {
@@ -51,4 +54,19 @@ func TestPutForeignBuffer(t *testing.T) {
 	b := make([]byte, 1000) // non-power-of-two cap
 	Put(&b)                 // dropped
 	Put(nil)                // no-op
+}
+
+// TestPutSurvivesGC: a buffer that is Put stays pooled across garbage
+// collections, so how many buffers a pass allocates does not depend on
+// when the collector ran (a sync.Pool empties at GC).
+func TestPutSurvivesGC(t *testing.T) {
+	const n = 3 << 20 // a class no other test here uses
+	p := Get(n)
+	(*p)[0] = 0xAB
+	Put(p)
+	runtime.GC()
+	runtime.GC()
+	if q := Get(n); q != p {
+		t.Fatal("a buffer Put before two GCs did not come back from Get")
+	}
 }

@@ -2,7 +2,7 @@
 
 package bufpool
 
-// RaceEnabled reports a build with the race detector, under which
-// sync.Pool drops a random quarter of Puts: pooled paths still work
-// but are no longer allocation-free, so allocation-count tests skip.
+// RaceEnabled reports a build with the race detector, under which every
+// sync.Pool (the standard library's, internal/chunk's flate coders')
+// drops a random quarter of Puts, so allocation-count tests skip.
 const RaceEnabled = false

@@ -167,12 +167,12 @@ type SetHealth struct {
 	Reason string
 }
 
-// SessionCheckpoint records the replicated durable progress of one
-// remote push stream: records 1..Seq of (Session, Stream) are on the
-// live tape host's media AND this fact has reached a journal quorum.
-// It is what lets a standby host, after failover, recognise a stream
-// it never served and direct the client to resume on a fresh stream
-// from its last replicated-acknowledged checkpoint instead of
+// SessionCheckpoint records the durable progress of one remote push
+// stream: records 1..Seq of (Session, Stream) are on the live tape
+// host's media AND this fact is in the journal. It is what lets a
+// standby host that opens the same (mirrored) journal, after failover,
+// recognise a stream it never served and direct the client to resume
+// on a fresh stream from its last recorded checkpoint instead of
 // restarting the dump.
 type SessionCheckpoint struct {
 	Session uint64
@@ -261,9 +261,8 @@ func Open(store Store) (*Catalog, error) {
 		if err != nil {
 			// An intact frame holding an undecodable payload is
 			// corruption, not a torn tail; surface it with the frame's
-			// offset and kind byte — replica catch-up diagnostics need
-			// the position — rather than silently dropping acknowledged
-			// history.
+			// offset and kind byte rather than silently dropping
+			// acknowledged history.
 			var kind uint8
 			if len(p) > 0 {
 				kind = p[0]
@@ -408,11 +407,11 @@ func (c *Catalog) AppendMediaEvent(ev MediaEvent) error {
 	return c.append(ev, encodeMediaEvent(&ev))
 }
 
-// AppendSessionCheckpoint records replicated durable progress of a
-// remote push stream. When the catalog's store is a replication group,
-// the record — and therefore the checkpoint it certifies — is durable
-// on a quorum before this returns; that is the contract that upgrades
-// stream.Syncer's "host-acked" to "replicated".
+// AppendSessionCheckpoint records durable progress of a remote push
+// stream. When the catalog's store is a Mirror, the record — and so the
+// checkpoint it certifies — is in both journal copies before this
+// returns; that is the contract that upgrades stream.Syncer's
+// "host-acked" to "replicated".
 func (c *Catalog) AppendSessionCheckpoint(sc SessionCheckpoint) error {
 	return c.append(sc, encodeSessionCkpt(&sc))
 }
@@ -478,8 +477,8 @@ func (c *Catalog) HealthLabel(setID uint64) string {
 	return "ok"
 }
 
-// SessionProgress returns the highest replicated-acknowledged record
-// sequence recorded for one push stream, and whether any was.
+// SessionProgress returns the highest checkpointed record sequence
+// recorded for one push stream, and whether any was.
 func (c *Catalog) SessionProgress(session uint64, stream int) (uint64, bool) {
 	seq, ok := c.progress[streamKey{session: session, stream: stream}]
 	return seq, ok

@@ -40,9 +40,8 @@ const (
 var ErrCorrupt = errors.New("catalog: corrupt journal record")
 
 // CorruptError is the structured form of ErrCorrupt: it names the byte
-// offset of the failing frame and the record kind byte of its payload,
-// which is what a replica catch-up needs to diagnose where two
-// journals diverge. errors.Is matches ErrCorrupt.
+// offset of the failing frame and the record kind byte of its payload.
+// errors.Is matches ErrCorrupt.
 type CorruptError struct {
 	// Offset is the byte offset in the journal where the bad frame (or
 	// bad region) begins.
@@ -169,8 +168,8 @@ func frame(payload []byte) []byte {
 // because appends are atomic-at-sync). A frame that fails its magic,
 // length bound, or CRC ends the scan — the journal is append-only, so
 // nothing meaningful can follow a bad frame. This is the framing-level
-// check only (no payload decoding); the replication layer uses it to
-// validate journal bytes in flight during catch-up.
+// check only (no payload decoding); Mirror uses it to choose between
+// two copies of a journal.
 func ScanFrames(buf []byte, visit func(off int64, payload []byte) error) (int64, error) {
 	le := binary.LittleEndian
 	off := 0

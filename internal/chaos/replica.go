@@ -6,252 +6,181 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"time"
 
 	"repro/internal/catalog"
 	"repro/internal/engine"
 	"repro/internal/ndmp"
 	"repro/internal/obs"
-	"repro/internal/replica"
 	"repro/internal/storage"
 	"repro/internal/stream"
 	"repro/internal/transport"
 	"repro/internal/wafl"
 )
 
-// ReplicaScenario is one seeded chaos run against the replicated
-// catalog journal itself: a stream of catalog appends with the
-// primary killed or partitioned mid-append, backups crashed and
-// rejoined, and stranded unacknowledged tails manufactured in the
-// exact window between the primary's durable frame and the first
-// backup copy. The invariant is the replication layer's whole reason
-// to exist: an acknowledged append is NEVER lost, an unacknowledged
-// one never splits the group — after the dust settles all journals
-// are byte-identical and replay to the acknowledged history.
+// ReplicaScenario is one seeded chaos run against the mirrored catalog
+// journal itself: a stream of catalog appends through a catalog.Mirror
+// whose copies fail one at a time — a copy refuses an append, a copy
+// takes a torn frame (part of the record, then the crash), or a copy's
+// file is lost between appends. After every failed append, and after a
+// lost file, the pair is reopened as a restarted serve would reopen it.
+// The invariant is the mirror's whole reason to exist: an acknowledged
+// append is never lost, and every open leaves the two copies
+// byte-identical with no torn bytes left for the catalog to drop.
 type ReplicaScenario struct {
 	Seed    int64
 	Appends int // catalog records to push through the gauntlet (default 40)
-	// Stores are the nodes' durable journals, keyed by ReplicaMembers
-	// name; a missing entry is a fresh in-memory store.
-	Stores map[string]catalog.Store
+	// Copies are the pair's durable journals; a nil entry is a fresh
+	// in-memory store.
+	Copies [2]catalog.Store
 }
 
-// ReplicaMembers names the nodes of a RunReplica group.
-var ReplicaMembers = []string{"r0", "r1", "r2"}
-
-// ReplicaReport is the outcome of a replicated-journal chaos run.
+// ReplicaReport is the outcome of a mirrored-journal chaos run.
 type ReplicaReport struct {
-	Seed        int64
-	Acked       int // appends acknowledged by the quorum
-	Lost        int // acked appends missing at the end — MUST be 0
-	Rejected    int // appends that failed (crash injection, no quorum)
-	ViewChanges uint64
-	Kills       int
-	Partitions  int
-	StrandedCut bool // a stranded unacked tail was manufactured and truncated
-	Converged   bool // all journals byte-identical at the end
-	Metrics     []obs.Point
+	Acked    int // appends acknowledged by the pair
+	Lost     int // acked appends missing at the end — MUST be 0
+	Rejected int // appends that failed (a copy refused or tore)
+	Faults   int // refusals, torn frames and lost files injected
+	// Stranded counts failed appends whose record reached the first
+	// copy whole; the next open keeps it and copies it to the second.
+	Stranded  int
+	Converged bool // the copies were byte-identical after every open
 }
 
-// RunReplica executes one replicated-journal chaos scenario.
+// faultyCopy is one copy of the pair with a one-shot fault armed for
+// its next Append.
+type faultyCopy struct {
+	catalog.Store
+	fault func(p []byte) error
+}
+
+func (c *faultyCopy) Append(p []byte) error {
+	if f := c.fault; f != nil {
+		c.fault = nil
+		return f(p)
+	}
+	return c.Store.Append(p)
+}
+
+var errInjected = errors.New("chaos: injected journal write fault")
+
+// RunReplica executes one mirrored-journal chaos scenario.
 func RunReplica(ctx context.Context, s ReplicaScenario) (*ReplicaReport, error) {
 	if s.Appends <= 0 {
 		s.Appends = 40
 	}
 	rng := rand.New(rand.NewSource(s.Seed))
-	rep := &ReplicaReport{Seed: s.Seed}
-	reg := obs.NewRegistry()
-	defer func() { rep.Metrics = reg.Snapshot() }()
-
-	members := ReplicaMembers
-	cluster, err := replica.New(replica.Config{Members: members, Stores: s.Stores, Ctx: ctx, Registry: reg})
+	rep := &ReplicaReport{Converged: true}
+	var copies [2]*faultyCopy
+	for i, st := range s.Copies {
+		if st == nil {
+			st = &catalog.MemStore{}
+		}
+		copies[i] = &faultyCopy{Store: st}
+	}
+	// open reopens the pair and checks what every open must leave.
+	open := func() (*catalog.Catalog, error) {
+		store, err := catalog.Mirror(copies[0], copies[1])
+		if err != nil {
+			return nil, err
+		}
+		cat, err := catalog.Open(store)
+		if err != nil {
+			return nil, err
+		}
+		if cat.TornBytes != 0 {
+			return nil, fmt.Errorf("chaos: mirrored journal replayed with %d torn bytes", cat.TornBytes)
+		}
+		a, errA := copies[0].ReadAll()
+		b, errB := copies[1].ReadAll()
+		if err := errors.Join(errA, errB); err != nil {
+			return nil, err
+		}
+		rep.Converged = rep.Converged && bytes.Equal(a, b)
+		return cat, nil
+	}
+	cat, err := open()
 	if err != nil {
 		return nil, err
-	}
-	cat, err := catalog.Open(cluster)
-	if err != nil {
-		return nil, err
-	}
-
-	// down tracks the single injected failure (the fault model the
-	// quorum is sized for: one node down at a time, then healed).
-	type downNode struct {
-		name        string
-		partitioned bool
-		healAfter   int
-	}
-	var down *downNode
-	heal := func() error {
-		if down == nil {
-			return nil
-		}
-		if down.partitioned {
-			cluster.Rejoin(down.name)
-		} else if err := cluster.Restart(down.name); err != nil {
-			return fmt.Errorf("chaos: restart %s: %v", down.name, err)
-		}
-		down = nil
-		return nil
 	}
 
 	acked := make(map[string]bool) // snap label -> acknowledged
-	for i := 0; i < s.Appends; i++ {
-		if down != nil {
-			down.healAfter--
-			if down.healAfter <= 0 {
-				if err := heal(); err != nil {
-					return nil, err
-				}
+	for i := 0; i <= s.Appends; i++ {
+		// Inject at most one fault per append (rolls 0–2), seeded; the
+		// last append runs clean.
+		label, victim, roll := fmt.Sprintf("s%d", i), copies[rng.Intn(2)], rng.Intn(10)
+		if i == s.Appends {
+			label, roll = "final", 3
+		}
+		if roll < 3 {
+			rep.Faults++
+		}
+		switch roll {
+		case 0: // the copy refuses the append
+			victim.fault = func([]byte) error { return errInjected }
+		case 1: // the copy crashes mid-frame
+			victim.fault = func(p []byte) error {
+				return errors.Join(victim.Store.Append(p[:rng.Intn(len(p))]), errInjected)
+			}
+		case 2: // the copy's file is lost; the next open finds it empty
+			if err := victim.Store.Truncate(0); err != nil {
+				return nil, err
+			}
+			if cat, err = open(); err != nil {
+				return nil, err
 			}
 		}
-
-		// Inject at most one concurrent fault, seeded.
-		if down == nil {
-			switch roll := rng.Intn(10); {
-			case roll == 0:
-				// Kill the primary in the stranded-tail window: the record
-				// is durably framed on the primary, no backup has it, the
-				// client never acknowledges. The append must fail, the
-				// record must stay unacknowledged, and the tail must be
-				// truncated when the node rejoins.
-				boom := errors.New("chaos: primary crashed mid-append")
-				victim := cluster.View().Primary
-				cluster.TestHookAfterPrimary = func() error {
-					cluster.Kill(victim)
-					return boom
-				}
-				label := fmt.Sprintf("stranded-%d", i)
-				_, err := cat.AppendDumpSet(catalog.DumpSet{
-					Engine: catalog.Logical, FSID: "vol0", Snap: label,
-					Date: int64(1000 + i), Media: []catalog.MediaRef{{Volume: "t0"}},
-				})
-				cluster.TestHookAfterPrimary = nil
-				if !errors.Is(err, boom) {
-					return nil, fmt.Errorf("chaos: stranded append returned %v, want injected crash", err)
-				}
-				rep.Rejected++
-				rep.Kills++
-				rep.StrandedCut = true
-				down = &downNode{name: victim, healAfter: 1 + rng.Intn(4)}
-				// The failed append desyncs the catalog handle; reopen over
-				// the cluster, exactly as a recovering client would.
-				if cat, err = catalog.Open(cluster); err != nil {
-					return nil, fmt.Errorf("chaos: reopen after stranded append: %w", err)
-				}
-				continue
-			case roll == 1:
-				victim := cluster.View().Primary
-				cluster.Kill(victim)
-				rep.Kills++
-				down = &downNode{name: victim, healAfter: 1 + rng.Intn(4)}
-			case roll == 2:
-				victim := cluster.View().Primary
-				cluster.Isolate(victim)
-				rep.Partitions++
-				down = &downNode{name: victim, partitioned: true, healAfter: 1 + rng.Intn(4)}
-			case roll == 3:
-				view := cluster.View()
-				victim := view.Backups[rng.Intn(len(view.Backups))]
-				if rng.Intn(2) == 0 {
-					cluster.Kill(victim)
-					rep.Kills++
-					down = &downNode{name: victim, healAfter: 1 + rng.Intn(4)}
-				} else {
-					cluster.Isolate(victim)
-					rep.Partitions++
-					down = &downNode{name: victim, partitioned: true, healAfter: 1 + rng.Intn(4)}
-				}
-			}
-		}
-
-		label := fmt.Sprintf("s%d", i)
 		_, err := cat.AppendDumpSet(catalog.DumpSet{
 			Engine: catalog.Logical, FSID: "vol0", Snap: label,
 			Date: int64(1000 + i), Bytes: int64(rng.Intn(1 << 20)),
-			Media: []catalog.MediaRef{{Volume: fmt.Sprintf("t%d", i)}},
+			Media: []catalog.MediaRef{{Volume: "t-" + label}},
 		})
-		if err != nil {
-			rep.Rejected++
-			if cat, err = catalog.Open(cluster); err != nil {
-				return nil, fmt.Errorf("chaos: reopen after failed append: %w", err)
-			}
+		if err == nil {
+			rep.Acked++
+			acked[label] = true
 			continue
 		}
-		rep.Acked++
-		acked[label] = true
+		if !errors.Is(err, errInjected) {
+			return nil, fmt.Errorf("chaos: append %s: %w", label, err)
+		}
+		rep.Rejected++
+		if victim == copies[1] {
+			rep.Stranded++
+		}
+		if cat, err = open(); err != nil {
+			return nil, err
+		}
 	}
-
-	// Heal everything and force one last replicated append so every
-	// node converges.
-	if err := heal(); err != nil {
+	// A fresh open holds every acknowledged set.
+	final, err := open()
+	if err != nil {
 		return nil, err
 	}
-	if _, err := cat.AppendDumpSet(catalog.DumpSet{
-		Engine: catalog.Logical, FSID: "vol0", Snap: "final",
-		Date: 9999, Media: []catalog.MediaRef{{Volume: "tf"}},
-	}); err != nil {
-		return nil, fmt.Errorf("chaos: final append: %w", err)
-	}
-
-	// Invariant 1: all journals byte-identical.
-	ref := cluster.Journal(members[0])
-	rep.Converged = true
-	for _, m := range members[1:] {
-		if !bytes.Equal(cluster.Journal(m), ref) {
-			rep.Converged = false
-		}
-	}
-
-	// Invariant 2: a fresh replay holds every acknowledged set (and
-	// no stranded one).
-	final, err := catalog.Open(cluster)
-	if err != nil {
-		return nil, fmt.Errorf("chaos: final replay: %w", err)
-	}
-	if final.TornBytes != 0 {
-		return nil, fmt.Errorf("chaos: replicated journal replayed with %d torn bytes", final.TornBytes)
-	}
-	present := make(map[string]bool)
 	for _, ds := range final.Sets() {
-		present[ds.Snap] = true
+		delete(acked, ds.Snap)
 	}
-	for label := range acked {
-		if !present[label] {
-			rep.Lost++
-		}
-	}
-	rep.ViewChanges = cluster.ViewChanges()
+	rep.Lost = len(acked)
 	return rep, nil
 }
 
-// ReplicaFailoverScenario is the end-to-end failover chaos run: a
-// dump streams over ndmp to the active tape host while the catalog
-// journal replicates across three nodes; mid-dump the active host's
-// machine dies — its link severed for good, its co-located replica
-// killed. The view service promotes a standby, the client's reconnect
-// loop redials toward the host the new view advertises, the standby
-// answers the stale stream with the checkpoint the replicated catalog
-// vouches for, and the engine resumes from exactly that
-// replicated-acknowledged checkpoint. The restored tree must be
+// ReplicaFailoverScenario is the end-to-end failover chaos run: a dump
+// streams over ndmp to tape host A, which journals every stream
+// checkpoint into a catalog mirrored across two journal copies that
+// tape host B can open too (the storage is shared; no protocol is).
+// Mid-dump host A's machine dies — its link severed for good. The
+// client's reconnect redials host B, which opens the pair, answers the
+// stale stream with the checkpoint the catalog holds, and the engine
+// resumes from exactly that checkpoint. The restored tree must be
 // byte-identical for both engines.
-type ReplicaFailoverScenario struct {
-	Dataset
-
-	// FailAfterRecords kills the active tape host after this many
-	// accepted records (0 = a third of the way through, at least 1).
-	FailAfterRecords int
-
-	CheckpointEvery int
-	MaxResumes      int
-}
+// Host A dies a third of the way through the dump (after 4 image
+// records).
+type ReplicaFailoverScenario struct{ Dataset }
 
 // ReplicaFailoverReport is the outcome of a failover chaos run.
 type ReplicaFailoverReport struct {
 	Outcome
 
-	ViewChanges uint64
-	StaleHellos int // standby Hellos answered from the replicated catalog
-	CatalogSets int // dump sets committed through the replicated catalog
+	StaleHellos int // Hellos answered from the mirrored catalog's checkpoint
+	CatalogSets int // dump sets the mirrored catalog replays at the end
 }
 
 // RunReplicaFailover executes one tape-host failover scenario.
@@ -266,91 +195,90 @@ func RunReplicaFailover(ctx context.Context, s ReplicaFailoverScenario) (*Replic
 		return nil, err
 	}
 
-	// Replicated catalog: node r0 is co-located with tape host A, so
-	// the machine death that severs host A's link also kills r0.
-	cluster, err := replica.New(replica.Config{
-		Members: []string{"r0", "r1", "r2"}, Ctx: ctx, Registry: reg,
-	})
-	if err != nil {
-		return nil, err
+	// The two journal copies both hosts reach. Each host opens the pair
+	// when it starts serving: A at once, B when the client fails over.
+	a, b := &catalog.MemStore{}, &catalog.MemStore{}
+	openPair := func() (*catalog.Catalog, error) {
+		store, err := catalog.Mirror(a, b)
+		if err != nil {
+			return nil, err
+		}
+		return catalog.Open(store)
 	}
-	cat, err := catalog.Open(cluster)
-	if err != nil {
-		return nil, err
-	}
+	var now int64 // virtual seconds, one per dial
 
 	// Two tape hosts behind two links. Streams land on per-stream
 	// drives; both hosts append into the shared tapes list, which
 	// stays stream-ordered because the harness is single-threaded.
 	var tapes []*streamTape
-	newHost := func(hostName string) *ndmp.Host {
+	newHost := func(hostName string, cat **catalog.Catalog) *ndmp.Host {
 		h := tapeHost(hostName+"-rt", &tapes, 1, 0)
 		h.Replicate = func(session uint64, stream int, acked uint64) error {
-			return cat.AppendSessionCheckpoint(catalog.SessionCheckpoint{
-				Session: session, Stream: int32(stream), Seq: acked,
-				Time: cluster.Now().Unix(),
+			return (*cat).AppendSessionCheckpoint(catalog.SessionCheckpoint{
+				Session: session, Stream: int32(stream), Seq: acked, Time: now,
 			})
 		}
 		h.Progress = func(session uint64, stream int) (uint64, bool) {
-			return cat.SessionProgress(session, stream)
+			return (*cat).SessionProgress(session, stream)
 		}
 		h.RegisterMetrics(reg)
 		return h
 	}
-	hostA := newHost("a")
-	hostB := newHost("b")
+	var catA, catB *catalog.Catalog
+	if catA, err = openPair(); err != nil {
+		return nil, err
+	}
+	hostA := newHost("a", &catA)
+	hostB := newHost("b", &catB)
 	linkA := transport.NewLink(transport.DefaultParams())
 	linkB := transport.NewLink(transport.DefaultParams())
 	linkA.B().Attach(hostA.HandleFrame)
 	linkB.B().Attach(hostB.HandleFrame)
 
 	at := &attempts{
-		// The dial is the failover redirect: it asks the view service
-		// which replica is primary and dials the tape host co-located
-		// with it. Each dial advances the virtual clock, so a redial
-		// loop doubles as the failure detector's time source.
+		// The dial is the failover redirect: host A while its machine
+		// lives, host B — which opens the pair first — once it is gone.
 		dial: func() (transport.Conn, error) {
-			cluster.Advance(time.Second)
-			v := cluster.Heartbeat()
-			link := linkB
-			if v.Primary == "r0" {
-				link = linkA
+			now++
+			if !linkA.Severed() {
+				return linkA.A(), nil
 			}
-			if link.Down() {
-				link.Heal() // no-op if severed: a dead machine stays dead
+			if catB == nil {
+				cat, err := openPair()
+				if err != nil {
+					return nil, fmt.Errorf("chaos: host b opens the catalog: %w", err)
+				}
+				catB = cat
 			}
-			if link.Severed() {
-				return nil, fmt.Errorf("chaos: tape host for %s is gone", v.Primary)
-			}
-			return link.A(), nil
+			return linkB.A(), nil
 		},
 		cfg: ndmp.Config{Kind: byte(s.Engine), Session: uint64(s.Seed) + 1, Ctx: ctx},
 		reg: reg,
-		// The active machine dies whole, mid-dump: tape host link
-		// severed permanently, co-located catalog replica killed.
+		// The active machine dies whole, mid-dump: its link is severed
+		// for good.
 		sink: tripSink{
-			at: []int{perEngine(s.FailAfterRecords, s.Engine, s.Files/3+1, 4)},
-			trip: func() {
-				linkA.Sever()
-				cluster.Kill("r0")
-			},
+			at:   []int{perEngine(0, s.Engine, s.Files/3+1, 4)},
+			trip: linkA.Sever,
 		},
 	}
-	job, maxResumes := src.resumable(s.Engine, s.CheckpointEvery, s.MaxResumes)
+	job, maxResumes := src.resumable(s.Engine, 0, 0)
 	if rep.Resumes, err = engine.Resume(ctx, job, maxResumes, at.open, ndmp.StreamLost); err != nil {
 		return nil, fmt.Errorf("chaos: %s dump: %w", s.Engine, err)
 	}
+	if catB == nil {
+		return nil, errors.New("chaos: the dump finished without failing over to host b")
+	}
 
-	// Land the completed dump in the replicated catalog — the
+	// Host B lands the completed dump in its catalog — the
 	// acknowledgment the zero-loss guarantee is stated over. An attempt
-	// can bind more than one tape (a reconnect that lands on the
-	// standby opens a fresh one), and every one of them is the set's.
+	// can bind more than one tape (a reconnect that lands on host B
+	// opens a fresh one), and every one of them is the set's.
 	ds := job.Set()
-	ds.FSID, ds.Snap, ds.Date, ds.Resumed = "chaosvol", src.snap, cluster.Now().Unix(), len(tapes) > 1
+	ds.FSID, ds.Snap, ds.Date, ds.Resumed = "chaosvol", src.snap, now, len(tapes) > 1
 	for _, t := range tapes {
 		ds.Media = append(ds.Media, catalog.MediaRef{Volume: t.label})
 	}
-	_, damage, err := engine.Land(ctx, cat, ds, nil, func(context.Context, catalog.DumpSet, func(string, int)) ([]stream.Source, error) {
+	_, damage, err := engine.Land(ctx, catB, ds, nil, func(context.Context, catalog.DumpSet, func(string, int)) ([]stream.Source, error) {
 		return sources(tapes)
 	})
 	if err == nil && damage != "" {
@@ -363,18 +291,20 @@ func RunReplicaFailover(ctx context.Context, s ReplicaFailoverScenario) (*Replic
 	if err := rep.restore(ctx, src, tapes); err != nil {
 		return nil, err
 	}
-	rep.ViewChanges = cluster.ViewChanges()
 	rep.StaleHellos = hostB.Stats().Stales + hostA.Stats().Stales
 
-	// The committed dump set must replay out of the replicated
-	// catalog — from the surviving nodes only.
-	finalCat, err := catalog.Open(cluster)
+	// The committed dump set must replay out of a fresh open of the
+	// pair, and both copies must hold it.
+	finalCat, err := openPair()
 	if err != nil {
 		return nil, fmt.Errorf("chaos: catalog replay after failover: %w", err)
 	}
+	if !bytes.Equal(a.Buf, b.Buf) {
+		return nil, errors.New("chaos: the catalog's copies differ after failover")
+	}
 	rep.CatalogSets = len(finalCat.Sets())
 	if rep.CatalogSets == 0 {
-		return nil, errors.New("chaos: committed dump set lost from replicated catalog")
+		return nil, errors.New("chaos: committed dump set lost from the mirrored catalog")
 	}
 	return rep, nil
 }

@@ -132,19 +132,20 @@ type StreamEnd struct {
 // single-connection convenience that binds a default Conn — which is
 // what simulated links attach.
 type Host struct {
-	// Replicate, when set, records a stream checkpoint in the
-	// replicated catalog: called on MsgSync with the stream identity
-	// and the durable high-water mark, it must return only once the
-	// checkpoint is quorum-replicated (e.g. an
-	// AppendSessionCheckpoint through a replica.Cluster-backed
-	// catalog). When nil, MsgSync degrades to host-local durability:
-	// the host acks its own mark as replicated.
+	// Replicate, when set, records a stream checkpoint in the host's
+	// catalog: called on MsgSync with the stream identity and the
+	// durable high-water mark, it must return only once the checkpoint
+	// is durable in that catalog (e.g. an AppendSessionCheckpoint
+	// through a catalog over a catalog.Mirror, which lands it in both
+	// journal copies). When nil, MsgSync degrades to host-local
+	// durability: the host acks its own mark as replicated.
 	Replicate func(session uint64, stream int, acked uint64) error
-	// Progress, when set, reads the replicated checkpoint for a
-	// stream from the catalog. It is what lets a standby host answer
-	// a failed-over client's Hello with AckStale plus the checkpoint
-	// instead of silently restarting the stream from zero. When nil,
-	// a mismatched Hello opens a fresh sink (v1 behavior).
+	// Progress, when set, reads a stream's recorded checkpoint from
+	// the catalog. It is what lets a standby host that opens the same
+	// mirrored catalog answer a failed-over client's Hello with
+	// AckStale plus the checkpoint instead of silently restarting the
+	// stream from zero. When nil, a mismatched Hello opens a fresh
+	// sink (v1 behavior).
 	Progress func(session uint64, stream int) (uint64, bool)
 	// Gate, when set, is the drive-pool scheduler: every new stream
 	// passes admission, every durable byte is charged against its
@@ -201,18 +202,6 @@ func (h *Host) ActiveStreams() int {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	return len(h.streams)
-}
-
-// StreamAcked returns the durable high-water mark of one registered
-// stream.
-func (h *Host) StreamAcked(session uint64, stream int) (uint64, bool) {
-	h.mu.Lock()
-	st, ok := h.streams[streamKey{session, stream}]
-	h.mu.Unlock()
-	if !ok {
-		return 0, false
-	}
-	return st.acked.Load(), true
 }
 
 // TenantBytes returns the payload bytes durably written for tenant,

@@ -194,11 +194,6 @@ func (s *Session) RegisterMetrics(r *obs.Registry) {
 // Acked returns the host's durable high-water mark as last heard.
 func (s *Session) Acked() uint64 { return s.acked }
 
-// Replicated returns the replicated checkpoint high-water mark: the
-// sequence through which this stream's progress is recorded in the
-// replicated catalog and would survive losing the tape host.
-func (s *Session) Replicated() uint64 { return s.repl }
-
 func (s *Session) ctxErr() error {
 	if s.cfg.Ctx != nil {
 		return s.cfg.Ctx.Err()
@@ -641,10 +636,10 @@ func (s *Session) Sync() error {
 }
 
 // replicate runs the MsgSync round trip until the host reports the
-// replicated mark has caught up with everything we drained. A
-// replication quorum that stays unavailable past the dead-peer window
-// surfaces as a lost session: the engine's checkpoint-resume loop
-// redials, by which time the quorum may have recovered.
+// replicated mark has caught up with everything we drained. A catalog
+// that stays unavailable past the dead-peer window surfaces as a lost
+// session: the engine's checkpoint-resume loop redials, by which time
+// the catalog may have recovered.
 func (s *Session) replicate() error {
 	var stalled time.Duration
 	for s.repl < s.acked {
@@ -674,13 +669,13 @@ func (s *Session) replicate() error {
 		s.slideTo(a.acked)
 		if a.repl > s.repl {
 			s.repl = a.repl
-			// Partial progress: the quorum is slow, not gone. Only a
-			// quorum that advances nothing for a full DeadAfter window
-			// is declared lost.
+			// Partial progress: the catalog is slow, not gone. Only
+			// one that advances nothing for a full DeadAfter window is
+			// declared lost.
 			stalled = 0
 		}
 		if a.repl < s.acked {
-			// Replication quorum unavailable right now: let the clock
+			// The catalog is unavailable right now: let the clock
 			// advance (the wait is charged like a heartbeat) and retry
 			// rather than spin.
 			stalled += s.cfg.HeartbeatEvery

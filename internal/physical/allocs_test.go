@@ -18,10 +18,11 @@ import (
 // benchmark's physical restore passes are: every block it writes is a
 // first write to some member disk. The restore counted is the second,
 // onto a second fresh volume, so the pools are warm as they are after
-// the benchmark's first pass. Measured 6.3 when recorded (7.1 with
-// every allocation sampled, whose profile writes empty bufpool): the
-// member disks' backing slabs, one per 64 blocks first written to a
-// disk (4.8), and the restore's own set-up. What must not come back is
+// the benchmark's first pass. Measured 5.3 when recorded (5.4 with
+// every allocation sampled): the member disks' backing slabs, one per
+// 64 blocks first written to a disk (4.8), and the restore's own
+// set-up; bufpool keeps its buffers across GC, so none is refilled
+// (6.2–7.1 while it was a sync.Pool). What must not come back is
 // a backing allocation per run a disk is written (14.4 with it) or per
 // block.
 func TestImageRestoreAllocsPerMiB(t *testing.T) {
@@ -94,7 +95,7 @@ func TestImageRestoreAllocsPerMiB(t *testing.T) {
 
 	perMiB := float64(mallocs) / (float64(stats.BytesRead) / (1 << 20))
 	t.Logf("%d blocks, %.1f MiB: %.1f allocations per MiB", stats.BlocksRestored, float64(stats.BytesRead)/(1<<20), perMiB)
-	const ceiling = 8
+	const ceiling = 6
 	if perMiB > ceiling {
 		t.Fatalf("image restore: %.1f allocations per MiB read, want <= %d", perMiB, ceiling)
 	}

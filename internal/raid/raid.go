@@ -71,41 +71,6 @@ type Group struct {
 
 	stripeReads  atomic.Int64 // bulk ReadRun calls served on the striped fast path
 	degradedRuns atomic.Int64 // runs that fell back to per-block degraded reads
-
-	// scratch is a free list of de-striping buffers owned by the
-	// group. Unlike a sync.Pool it survives GC, so steady-state run
-	// reads allocate nothing, and it naturally scales to one buffer
-	// per concurrent reader.
-	scratchMu sync.Mutex
-	scratch   [][]byte
-}
-
-// getScratch returns a buffer of at least size bytes from the group's
-// free list, allocating only when every buffer is in use.
-func (g *Group) getScratch(size int) []byte {
-	g.scratchMu.Lock()
-	for i := len(g.scratch) - 1; i >= 0; i-- {
-		if cap(g.scratch[i]) >= size {
-			s := g.scratch[i]
-			g.scratch[i] = g.scratch[len(g.scratch)-1]
-			g.scratch[len(g.scratch)-1] = nil
-			g.scratch = g.scratch[:len(g.scratch)-1]
-			g.scratchMu.Unlock()
-			return s[:size]
-		}
-	}
-	g.scratchMu.Unlock()
-	return make([]byte, size)
-}
-
-// putScratch returns a buffer to the free list. The list is bounded
-// by the number of concurrent readers, which is small.
-func (g *Group) putScratch(s []byte) {
-	g.scratchMu.Lock()
-	if len(g.scratch) < 16 {
-		g.scratch = append(g.scratch, s)
-	}
-	g.scratchMu.Unlock()
 }
 
 // NewGroup builds a RAID-4 group. All disks must have equal size.

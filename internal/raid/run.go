@@ -26,8 +26,9 @@ func (g *Group) readRunInto(ctx context.Context, bno, n int, buf []byte) (sim.Ti
 	// Issue every member disk's sub-run concurrently: a striped read
 	// costs max over disks, not sum.
 	var latest sim.Time
-	scratch := g.getScratch((n/nd + 1) * storage.BlockSize)
-	defer g.putScratch(scratch)
+	pooled := bufpool.Get((n/nd + 1) * storage.BlockSize)
+	defer bufpool.Put(pooled)
+	scratch := *pooled
 	for k := 0; k < nd; k++ {
 		// Blocks b in [bno, bno+n) with b % nd == k.
 		first := bno + ((k-bno%nd)+nd)%nd

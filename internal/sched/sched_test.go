@@ -11,7 +11,6 @@ import (
 	"repro/internal/catalog"
 	"repro/internal/core"
 	"repro/internal/media"
-	"repro/internal/replica"
 	"repro/internal/workload"
 )
 
@@ -325,11 +324,11 @@ func planSetIDs(p *catalog.Plan) []uint64 {
 }
 
 // TestScheduleSurvivesCatalogFailover: the nightly schedule recording
-// into a catalog whose journal is replicated across three nodes, with
-// the primary replica killed between runs. The schedule must not
-// notice — the view service promotes a backup, appends re-route, and
-// once the dead node restarts and catches up, every node's journal is
-// byte-identical and replays all recorded sets.
+// into a catalog mirrored across two journal copies, with one copy lost
+// between runs — first one, then the other. Each time the catalog is
+// reopened over the pair, as a restarted host would: the schedule
+// carries on from the surviving copy, later runs land in both, and the
+// copies converge byte for byte and replay every recorded set.
 func TestScheduleSurvivesCatalogFailover(t *testing.T) {
 	cfg := core.DefaultConfig()
 	cfg.Name = "vol0"
@@ -342,23 +341,29 @@ func TestScheduleSurvivesCatalogFailover(t *testing.T) {
 	}
 	workload.Generate(ctx, f.FS, workload.Spec{Seed: 77, Files: 25, DirFanout: 4, MeanFileSize: 6 << 10})
 
-	members := []string{"c0", "c1", "c2"}
-	cluster, err := replica.New(replica.Config{Members: members, Ctx: ctx})
-	if err != nil {
-		t.Fatal(err)
+	copies := [2]*catalog.MemStore{{}, {}}
+	r := &schedRig{f: f}
+	open := func() {
+		t.Helper()
+		store, err := catalog.Mirror(copies[0], copies[1])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if r.cat, err = catalog.Open(store); err != nil {
+			t.Fatal(err)
+		}
+		r.pool = media.NewPool("main", r.cat)
+		if err := r.pool.Adopt(f.Tapes[0], 0); err != nil {
+			t.Fatal(err)
+		}
+		f.Dates = r.cat.DumpDates()
+		if r.s != nil {
+			r.s.cfg.Catalog, r.s.cfg.Pool = r.cat, r.pool
+		}
 	}
-	cat, err := catalog.Open(cluster)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pool := media.NewPool("main", cat)
-	if err := pool.Adopt(f.Tapes[0], 0); err != nil {
-		t.Fatal(err)
-	}
-	f.Dates = cat.DumpDates()
-	r := &schedRig{f: f, cat: cat, pool: pool}
+	open()
 	if r.s, err = New(Config{
-		Filer: f, Catalog: cat, Pool: pool, Engine: catalog.Logical,
+		Filer: f, Catalog: r.cat, Pool: r.pool, Engine: catalog.Logical,
 		Policy: BSDLadder{Ladder: []int{3, 5}},
 	}); err != nil {
 		t.Fatal(err)
@@ -367,35 +372,27 @@ func TestScheduleSurvivesCatalogFailover(t *testing.T) {
 	if _, err := r.s.RunN(ctx, 1); err != nil {
 		t.Fatalf("run 0: %v", err)
 	}
-	victim := cluster.View().Primary
-	cluster.Kill(victim)
-	r.churn(t, 1)
-	if _, err := r.s.RunN(ctx, 1); err != nil {
-		t.Fatalf("run 1 with dead catalog primary: %v", err)
-	}
-	if cluster.View().Primary == victim {
-		t.Fatalf("view never moved off the dead primary %s", victim)
-	}
-	if err := cluster.Restart(victim); err != nil {
-		t.Fatalf("restarting %s: %v", victim, err)
-	}
-	r.churn(t, 2)
-	if _, err := r.s.RunN(ctx, 1); err != nil {
-		t.Fatalf("run 2 after rejoin: %v", err)
-	}
-
-	ref := cluster.Journal(members[0])
-	for _, m := range members[1:] {
-		if !bytes.Equal(cluster.Journal(m), ref) {
-			t.Fatalf("node %s journal diverged after rejoin", m)
+	for run, lost := range []int{0, 1} {
+		copies[lost].Buf = nil
+		open()
+		if !bytes.Equal(copies[0].Buf, copies[1].Buf) {
+			t.Fatalf("copy %d was not repaired at open", lost)
+		}
+		r.churn(t, run+1)
+		if _, err := r.s.RunN(ctx, 1); err != nil {
+			t.Fatalf("run %d after losing copy %d: %v", run+1, lost, err)
 		}
 	}
-	replay, err := catalog.Open(cluster)
+
+	if !bytes.Equal(copies[0].Buf, copies[1].Buf) {
+		t.Fatalf("copies diverged: %d vs %d bytes", len(copies[0].Buf), len(copies[1].Buf))
+	}
+	replay, err := catalog.Open(&catalog.MemStore{Buf: copies[1].Buf})
 	if err != nil {
-		t.Fatalf("replaying replicated catalog: %v", err)
+		t.Fatalf("replaying mirrored catalog: %v", err)
 	}
 	if got := len(replay.Sets()); got != 3 {
-		t.Fatalf("replicated catalog replays %d sets, want 3", got)
+		t.Fatalf("mirrored catalog replays %d sets, want 3", got)
 	}
 	for i, ds := range replay.Sets() {
 		if len(ds.Media) == 0 {

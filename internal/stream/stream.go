@@ -1,10 +1,9 @@
 // Package stream holds the record-stream contract every layer between
 // a dump engine and the medium speaks: the engines and dumpfmt write to
 // a Sink and read from a Source; tape adapters, the chunk store, the
-// ndmp session, the scrub capture tee and the media tracker implement
-// or wrap them. The optional capabilities a sink may add (Syncer,
-// ProcBinder) live here too, with the one helper each that wrappers use
-// to forward them.
+// ndmp session and the media tracker implement or wrap them. The
+// optional capabilities a sink may add (Syncer, ProcBinder) live here
+// too, with the one helper each that wrappers use to forward them.
 package stream
 
 import (
@@ -62,13 +61,13 @@ func Close(srcs ...Source) {
 // everything up to the marker is on tape, and a provisional accept
 // alone cannot promise that.
 //
-// When the sink is an ndmp session against a tape host backed by the
-// replicated catalog, Sync promises more: the checkpoint's high-water
-// mark is recorded in the replicated journal, quorum-acknowledged, so
-// the resume point survives the loss of the tape host itself. A
-// checkpoint a dump engine considers reached is then exactly the point
-// a standby host can answer for after failover — "durable" means
-// replicated, not just host-acked.
+// When the sink is an ndmp session against a tape host that journals
+// checkpoints into a mirrored catalog, Sync promises more: the
+// checkpoint's high-water mark is in both copies of the journal, so the
+// resume point survives the loss of the tape host itself. A checkpoint
+// a dump engine considers reached is then exactly the point a standby
+// host can answer for after failover — "durable" means replicated, not
+// just host-acked.
 type Syncer interface {
 	Sync() error
 }
