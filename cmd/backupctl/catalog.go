@@ -368,7 +368,7 @@ func recordReceived(ctx context.Context, base, standby string, streams []recvStr
 	if err != nil {
 		return err
 	}
-	ds, err := engine.PeekSet(catalog.Engine(hello.Kind), src)
+	ds, err := engine.ScanSet(ctx, catalog.Engine(hello.Kind), src)
 	src.Close()
 	if err != nil {
 		return fmt.Errorf("serve: catalog %s: %w", last, err)

@@ -366,7 +366,7 @@ func TestRecordReceivedVerifiesResumedSet(t *testing.T) {
 					t.Fatal(err)
 				}
 				if flip {
-					// Past the leading header PeekSet needs whole: the
+					// Past the leading header ScanSet needs whole: the
 					// logical stream's next header, the image stream's middle.
 					at := 4 + dumpfmt.TPBSize + 60
 					if eng == catalog.Image {
@@ -448,7 +448,7 @@ func TestRecordReceivedVerifiesLandedSet(t *testing.T) {
 		file   string
 		flipAt func(n int) int
 	}{
-		// The header after the stream's leading one (which PeekSet
+		// The header after the stream's leading one (which ScanSet
 		// needs whole to build the record at all).
 		{ndmp.KindLogical, dump, func(int) int { return 4 + dumpfmt.TPBSize + 60 }},
 		{ndmp.KindImage, image, func(n int) int { return n / 2 }},

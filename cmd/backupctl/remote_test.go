@@ -297,3 +297,42 @@ func TestServeIndexesPushedChain(t *testing.T) {
 		t.Fatalf("the recovered chain differs from the volume in %d paths: %v", len(diffs), diffs[:min(len(diffs), 5)])
 	}
 }
+
+// TestPushedSetUnits: a pushed set is cataloged with its size, read off
+// the landed stream — the files a logical stream holds, the blocks an
+// image stream carries — and it is the size a local -o dump of the same
+// snapshot catalogs.
+func TestPushedSetUnits(t *testing.T) {
+	dir := t.TempDir()
+	vol := filepath.Join(dir, "home.img")
+	do := func(args ...string) {
+		t.Helper()
+		if err := run(args); err != nil {
+			t.Fatalf("backupctl %s: %v", strings.Join(args, " "), err)
+		}
+	}
+	do("-vol", vol, "mkfs", "-blocks", "4096")
+	do("-vol", vol, "fill", "-mb", "2")
+	do("-vol", vol, "snap", "create", "nightly")
+	for _, kind := range []struct{ name, dump, snap string }{
+		{"logical", "dump", ""}, // a logical dump snapshots the tree itself
+		{"image", "imagedump", "nightly"},
+	} {
+		local, pushed := filepath.Join(dir, kind.name+".local"), filepath.Join(dir, kind.name+".pushed")
+		args := []string{"-vol", vol, "push", "-kind", kind.name}
+		if kind.snap != "" {
+			do("-vol", vol, kind.dump, "-snap", kind.snap, "-o", local)
+			args = append(args, "-snap", kind.snap)
+		} else {
+			do("-vol", vol, kind.dump, "-o", local)
+		}
+		sets := volSets(t, vol)
+		addr, wait := serveOnce(t, pushed)
+		do(append(args, "-to", addr)...)
+		wait()
+		want, got := sets[len(sets)-1], volSets(t, pushed)
+		if len(got) != 1 || want.Units == 0 || got[0].Units != want.Units {
+			t.Fatalf("%s: pushed sets %+v, want one of %d units like the local dump", kind.name, got, want.Units)
+		}
+	}
+}

@@ -113,7 +113,7 @@ func newMirror(f *core.Filer, linkMBps float64) *mirror {
 		}
 		return &logical.DriveSink{Drive: m.drive}, nil
 	})
-	m.link.B().Attach(host.HandleFrame)
+	m.link.B().Attach(host.NewConn().HandleFrame)
 	return m
 }
 

@@ -167,20 +167,6 @@ type SetHealth struct {
 	Reason string
 }
 
-// SessionCheckpoint records the durable progress of one remote push
-// stream: records 1..Seq of (Session, Stream) are on the live tape
-// host's media AND this fact is in the journal. It is what lets a
-// standby host that opens the same (mirrored) journal, after failover,
-// recognise a stream it never served and direct the client to resume
-// on a fresh stream from its last recorded checkpoint instead of
-// restarting the dump.
-type SessionCheckpoint struct {
-	Session uint64
-	Stream  int32
-	Seq     uint64
-	Time    int64
-}
-
 // Record is any journal payload; exposed so the fuzzer and tools can
 // decode frames generically.
 type Record interface{ isRecord() }
@@ -190,21 +176,21 @@ type fileIndexRecord struct {
 	Entries []FileIndexEntry
 }
 
-func (DumpSet) isRecord()           {}
-func (fileIndexRecord) isRecord()   {}
-func (Expiry) isRecord()            {}
-func (MediaEvent) isRecord()        {}
-func (SessionCheckpoint) isRecord() {}
-func (SetHealth) isRecord()         {}
+func (DumpSet) isRecord()         {}
+func (fileIndexRecord) isRecord() {}
+func (Expiry) isRecord()          {}
+func (MediaEvent) isRecord()      {}
+func (SetHealth) isRecord()       {}
 
-// Payload kinds.
+// Payload kinds. Kind 5 was a push-stream checkpoint that nothing
+// writes any more; it is reserved and never reused, so a journal that
+// holds one fails to open rather than replaying it as something else.
 const (
-	kindDumpSet     = 1
-	kindFileIndex   = 2
-	kindExpiry      = 3
-	kindMedia       = 4
-	kindSessionCkpt = 5
-	kindSetHealth   = 6
+	kindDumpSet   = 1
+	kindFileIndex = 2
+	kindExpiry    = 3
+	kindMedia     = 4
+	kindSetHealth = 6
 )
 
 // Catalog is the replayed journal state plus the append side.
@@ -217,7 +203,6 @@ type Catalog struct {
 	index       map[uint64][]FileIndexEntry
 	expired     map[uint64]int64
 	events      []MediaEvent
-	progress    map[streamKey]uint64
 	health      map[uint64]SetHealth
 	quarantined map[string]bool
 
@@ -250,7 +235,6 @@ func Open(store Store) (*Catalog, error) {
 		byID:        make(map[uint64]int),
 		index:       make(map[uint64][]FileIndexEntry),
 		expired:     make(map[uint64]int64),
-		progress:    make(map[streamKey]uint64),
 		health:      make(map[uint64]SetHealth),
 		quarantined: make(map[string]bool),
 		chunks:      make(map[chunk.Hash]chunk.Entry),
@@ -314,20 +298,9 @@ func (c *Catalog) apply(rec Record) {
 		}
 	case SetHealth:
 		c.health[r.SetID] = r
-	case SessionCheckpoint:
-		k := streamKey{session: r.Session, stream: int(r.Stream)}
-		if r.Seq > c.progress[k] {
-			c.progress[k] = r.Seq
-		}
 	default:
 		c.applyChunk(rec)
 	}
-}
-
-// streamKey identifies one remote push stream.
-type streamKey struct {
-	session uint64
-	stream  int
 }
 
 // append frames, persists and applies one record.
@@ -407,15 +380,6 @@ func (c *Catalog) AppendMediaEvent(ev MediaEvent) error {
 	return c.append(ev, encodeMediaEvent(&ev))
 }
 
-// AppendSessionCheckpoint records durable progress of a remote push
-// stream. When the catalog's store is a Mirror, the record — and so the
-// checkpoint it certifies — is in both journal copies before this
-// returns; that is the contract that upgrades stream.Syncer's
-// "host-acked" to "replicated".
-func (c *Catalog) AppendSessionCheckpoint(sc SessionCheckpoint) error {
-	return c.append(sc, encodeSessionCkpt(&sc))
-}
-
 // MarkDamaged journals a damaged verdict on a dump set — reading it
 // back found corruption. The verdict is final: nothing rewrites a set
 // in place, so the planner routes around it from now on. Idempotent
@@ -475,13 +439,6 @@ func (c *Catalog) HealthLabel(setID uint64) string {
 		}
 	}
 	return "ok"
-}
-
-// SessionProgress returns the highest checkpointed record sequence
-// recorded for one push stream, and whether any was.
-func (c *Catalog) SessionProgress(session uint64, stream int) (uint64, bool) {
-	seq, ok := c.progress[streamKey{session: session, stream: stream}]
-	return seq, ok
 }
 
 // Sets returns every recorded dump set, in completion order.
@@ -599,17 +556,6 @@ func encodeExpiry(r *Expiry) []byte {
 	return e.B
 }
 
-func encodeSessionCkpt(sc *SessionCheckpoint) []byte {
-	e := &codec.Enc{}
-	e.U8(kindSessionCkpt)
-	e.U8(1)
-	e.U64(sc.Session)
-	e.U32(uint32(sc.Stream))
-	e.U64(sc.Seq)
-	e.I64(sc.Time)
-	return e.B
-}
-
 func encodeSetHealth(r *SetHealth) []byte {
 	e := &codec.Enc{}
 	e.U8(kindSetHealth)
@@ -707,16 +653,6 @@ func DecodeRecord(p []byte) (Record, error) {
 			return nil, err
 		}
 		return r, nil
-	case kindSessionCkpt:
-		var sc SessionCheckpoint
-		sc.Session = d.U64()
-		sc.Stream = int32(d.U32())
-		sc.Seq = d.U64()
-		sc.Time = d.I64()
-		if err := d.Done(); err != nil {
-			return nil, err
-		}
-		return sc, nil
 	case kindMedia:
 		var ev MediaEvent
 		ev.Kind = MediaEventKind(d.U8())

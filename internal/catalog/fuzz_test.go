@@ -63,8 +63,6 @@ func FuzzDecodeJournal(f *testing.F) {
 				enc = encodeExpiry(&r)
 			case MediaEvent:
 				enc = encodeMediaEvent(&r)
-			case SessionCheckpoint:
-				enc = encodeSessionCkpt(&r)
 			case SetHealth:
 				enc = encodeSetHealth(&r)
 			case chunkIndexRecord:

@@ -80,7 +80,7 @@ func TestMirrorCatalogReplays(t *testing.T) {
 	for i := int64(1); i <= 5; i++ {
 		appendDated(t, c, 100*i)
 	}
-	if err := c.AppendSessionCheckpoint(SessionCheckpoint{Session: 7, Stream: 0, Seq: 42, Time: 600}); err != nil {
+	if err := c.Expire(3, 600); err != nil {
 		t.Fatal(err)
 	}
 	samePair(t, a, b)
@@ -88,8 +88,8 @@ func TestMirrorCatalogReplays(t *testing.T) {
 	if len(c2.Sets()) != 5 {
 		t.Fatalf("replay: %d sets, want 5", len(c2.Sets()))
 	}
-	if seq, ok := c2.SessionProgress(7, 0); !ok || seq != 42 {
-		t.Fatalf("SessionProgress = %d,%v want 42,true", seq, ok)
+	if at, ok := c2.Expired(3); !ok || at != 600 {
+		t.Fatalf("Expired(3) = %d,%v want 600,true", at, ok)
 	}
 }
 

@@ -91,7 +91,7 @@ func RunNet(ctx context.Context, s NetScenario) (*NetReport, error) {
 	var tapes []*streamTape
 	host := tapeHost("rt", &tapes, s.Cartridges, s.TapeCapacity)
 	host.RegisterMetrics(reg)
-	link.B().Attach(host.HandleFrame)
+	link.B().Attach(host.NewConn().HandleFrame)
 
 	at := &attempts{
 		dial: func() (transport.Conn, error) {

@@ -60,13 +60,14 @@ func TestChaosReplicatedJournal(t *testing.T) {
 
 // TestChaosTapeHostFailover: mid-dump the active tape host's machine
 // dies — its link severed for good. The client must redirect to the
-// standby host, which opens the mirrored catalog and answers the stale
-// Hello with the checkpoint it holds; the engine must resume from it,
-// and the restored tree must be byte-identical — for both engines.
-// Every resume is one such stale Hello. (A host that dies before the
-// dump's first checkpoint leaves nothing to answer for: the standby
-// takes the stream as new and the session replays its window, with no
-// resume — logical seed 7.)
+// standby host, which opens the mirrored catalog and answers the Hello
+// with fresh media; the client, whose acked mark is higher, ends the
+// stream with a StaleStreamError, the engine must resume from its own
+// last checkpoint, and the restored tree must be byte-identical — for
+// both engines. Every resume is one such stale stream. (A host that
+// dies before the client has seen any record acknowledged leaves its
+// mark at 0: the standby takes the stream as new and the session
+// replays its window, with no resume — logical seed 7.)
 func TestChaosTapeHostFailover(t *testing.T) {
 	for _, engine := range []catalog.Engine{catalog.Logical, catalog.Image} {
 		resumed, stale := 0, 0
@@ -82,7 +83,7 @@ func TestChaosTapeHostFailover(t *testing.T) {
 					engine, seed, rep.DiffPaths)
 			}
 			if rep.StaleHellos != rep.Resumes {
-				t.Fatalf("%s seed %d: %d stale Hellos answered from the catalog for %d resumes",
+				t.Fatalf("%s seed %d: %d stale streams seen by the client for %d resumes",
 					engine, seed, rep.StaleHellos, rep.Resumes)
 			}
 			if rep.CatalogSets == 0 {

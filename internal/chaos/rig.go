@@ -2,6 +2,7 @@ package chaos
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"sort"
 
@@ -293,7 +294,8 @@ func (t *tripSink) Sync() error { return t.sess.Sync() }
 // attempts dumps through one ndmp session per engine.Resume attempt:
 // each attempt runs fresh (if set), dials its own stream with cfg and
 // writes through sink; when the attempt ends its session is closed and
-// its reconnects and replays are summed.
+// its reconnects and replays are summed, and an attempt a
+// StaleStreamError ended is counted.
 type attempts struct {
 	dial  ndmp.Dialer
 	cfg   ndmp.Config // Stream is set per attempt
@@ -301,7 +303,7 @@ type attempts struct {
 	fresh func()
 	sink  tripSink
 
-	reconnects, replayed int
+	reconnects, replayed, stale int
 }
 
 func (a *attempts) open(attempt int) (stream.Sink, func(error) error, error) {
@@ -323,6 +325,10 @@ func (a *attempts) open(attempt int) (stream.Sink, func(error) error, error) {
 		st := sess.Stats()
 		a.reconnects += st.Reconnects
 		a.replayed += st.Replayed
+		var se *ndmp.StaleStreamError
+		if errors.As(err, &se) {
+			a.stale++
+		}
 		return err
 	}, nil
 }

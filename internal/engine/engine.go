@@ -322,24 +322,41 @@ func Recover(ctx context.Context, plan *catalog.Plan, t Target, open Opener,
 	return total, nil
 }
 
-// PeekSet reads a landed stream's first good header into the engine's
-// half of its catalog record — what a receiver that never saw the
-// dump's stats can still know. Every header of every stream of a set
-// carries the same values.
-func PeekSet(eng catalog.Engine, src stream.Source) (catalog.DumpSet, error) {
+// ScanSet reads a landed stream into the engine's half of its catalog
+// record — what a receiver that never saw the dump's stats can still
+// know. The first good header gives dates or generations (every header
+// of every stream of a set carries the same values); Units counts what
+// the stream carries: the files its file section holds, or the blocks
+// an image stream's verification walk finds. A damaged stream still
+// yields its header; its Units stop at the damage (0 for an image), and
+// the landing's read-back reports it.
+func ScanSet(ctx context.Context, eng catalog.Engine, src stream.Source) (catalog.DumpSet, error) {
 	switch eng {
 	case catalog.Logical:
 	case catalog.Image:
-		nblocks, gen, baseGen, _, err := physical.StreamInfo(src)
-		return catalog.DumpSet{Engine: eng, Level: -1,
-			Date: int64(gen), Gen: gen, BaseGen: baseGen, NBlocks: nblocks}, err
+		nblocks, gen, baseGen, replay, err := physical.StreamInfo(src)
+		if err != nil {
+			return catalog.DumpSet{}, err
+		}
+		ds := catalog.DumpSet{Engine: eng, Level: -1, Date: int64(gen), Gen: gen, BaseGen: baseGen, NBlocks: nblocks}
+		if check, err := physical.VerifyStream(ctx, replay); err == nil {
+			ds.Units = int64(check.BlockCount)
+		}
+		return ds, nil
 	default:
 		// eng may be an unvalidated wire byte; never guess an engine for it.
 		return catalog.DumpSet{}, fmt.Errorf("engine: unknown engine %d", eng)
 	}
-	h, err := dumpfmt.NewReader(src).NextHeader()
+	r := dumpfmt.NewReader(src)
+	h, err := r.NextHeader()
 	if err != nil {
 		return catalog.DumpSet{}, err
 	}
-	return catalog.DumpSet{Engine: eng, Snap: h.Label, Date: h.Date, BaseDate: h.DDate}, nil
+	ds := catalog.DumpSet{Engine: eng, Snap: h.Label, Date: h.Date, BaseDate: h.DDate}
+	for h, err = r.NextHeader(); err == nil && h.Type != dumpfmt.TSEnd; h, err = r.Walk(h, nil) {
+		if h.Type == dumpfmt.TSInode && !wafl.IsDir(h.Dinode.Mode) {
+			ds.Units++
+		}
+	}
+	return ds, nil
 }

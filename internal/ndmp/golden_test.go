@@ -44,10 +44,6 @@ var (
 			"4e444d460b0003000000000000001100000023c67a060303000000000000000000000000000000"},
 		{MsgHelloAck, ack{status: AckErr, msg: "version 2 not supported (host speaks 3)"},
 			"4e444d460200000000000000000038000000f433c510030000000000000000000000000000000076657273696f6e2032206e6f7420737570706f727465642028686f737420737065616b73203329"},
-		{MsgHelloAck, ack{status: AckStale, repl: 77},
-			"4e444d460200000000000000000011000000931c68610400000000000000004d00000000000000"},
-		{MsgHelloAck, ack{status: AckStale, repl: 77, msg: "stream 7/1 was checkpointed elsewhere"},
-			"4e444d460200000000000000000036000000026230cd0400000000000000004d0000000000000073747265616d20372f312077617320636865636b706f696e74656420656c73657768657265"},
 		{MsgCloseAck, ack{status: AckOK, acked: 512, repl: 512},
 			"4e444d46090000020000000000001100000019c99df80000020000000000000002000000000000"},
 	}
@@ -68,7 +64,7 @@ func TestGoldenMessageBytes(t *testing.T) {
 	// The Hello a Session opens with.
 	g := goldenHello
 	l := transport.NewLink(transport.DefaultParams())
-	l.B().Attach(NewHost(func(Hello) (Sink, error) { return &memSink{}, nil }).HandleFrame)
+	l.B().Attach(NewHost(func(Hello) (Sink, error) { return &memSink{}, nil }).NewConn().HandleFrame)
 	conn := &sentConn{Conn: l.A()}
 	if _, err := Dial(func() (transport.Conn, error) { return conn, nil }, Config{Kind: g.h.Kind,
 		Session: g.h.Session, Stream: g.h.Stream, Level: g.h.Level, FSID: g.h.FSID, Tenant: g.h.Tenant}); err != nil {
@@ -110,5 +106,105 @@ func TestGoldenMessageBytes(t *testing.T) {
 		if _, err := decodeAck(f.Payload[:ackFixed-1]); !errors.Is(err, transport.ErrBadFrame) {
 			t.Errorf("an ack cut to %d bytes: %v", ackFixed-1, err)
 		}
+	}
+}
+
+// wireFrame is one frame of a recorded conversation: who sent it ("c"
+// the client, "h" the host, "lost" a client frame dropped in flight),
+// its type, sequence and payload length.
+type wireFrame struct {
+	from string
+	typ  byte
+	seq  uint64
+	n    int
+}
+
+// goldenConversation is the whole exchange of TestGoldenConversation: a
+// checkpointed push of twelve records through a four-record window,
+// with data frame 3 lost once, two Syncs and a Close. Each of the three
+// gap acks the lost frame draws starts a replay, so frames 3–6 go out
+// three more times.
+var goldenConversation = []wireFrame{
+	{"c", MsgHello, 0, 26}, {"h", MsgHelloAck, 0, 17}, {"c", MsgData, 1, 44},
+	{"c", MsgData, 2, 44}, {"h", MsgAck, 2, 17}, {"lost", MsgData, 3, 44},
+	{"c", MsgData, 4, 44}, {"h", MsgAck, 2, 17}, {"c", MsgData, 5, 44},
+	{"h", MsgAck, 2, 17}, {"c", MsgData, 6, 44}, {"h", MsgAck, 2, 17},
+	{"c", MsgData, 3, 44}, {"c", MsgData, 4, 44}, {"h", MsgAck, 4, 17},
+	{"c", MsgData, 5, 44}, {"h", MsgAck, 5, 17}, {"c", MsgData, 6, 44},
+	{"h", MsgAck, 6, 17}, {"c", MsgData, 3, 44}, {"h", MsgAck, 6, 17},
+	{"c", MsgData, 4, 44}, {"h", MsgAck, 6, 17}, {"c", MsgData, 5, 44},
+	{"h", MsgAck, 6, 17}, {"c", MsgData, 6, 44}, {"h", MsgAck, 6, 17},
+	{"c", MsgData, 3, 44}, {"h", MsgAck, 6, 17}, {"c", MsgData, 4, 44},
+	{"h", MsgAck, 6, 17}, {"c", MsgData, 5, 44}, {"h", MsgAck, 6, 17},
+	{"c", MsgData, 6, 44}, {"h", MsgAck, 6, 17}, {"c", MsgHeartbeat, 0, 0},
+	{"h", MsgAck, 6, 17}, {"c", MsgSync, 6, 0}, {"h", MsgSyncAck, 6, 17},
+	{"c", MsgData, 7, 44}, {"c", MsgData, 8, 44}, {"h", MsgAck, 8, 17},
+	{"c", MsgData, 9, 44}, {"h", MsgAck, 9, 17}, {"c", MsgData, 10, 44},
+	{"h", MsgAck, 10, 17}, {"c", MsgHeartbeat, 0, 0}, {"h", MsgAck, 10, 17},
+	{"c", MsgSync, 10, 0}, {"h", MsgSyncAck, 10, 17}, {"c", MsgData, 11, 44},
+	{"c", MsgData, 12, 44}, {"h", MsgAck, 12, 17}, {"c", MsgHeartbeat, 0, 0},
+	{"h", MsgAck, 12, 17}, {"c", MsgSync, 12, 0}, {"h", MsgSyncAck, 12, 17},
+	{"c", MsgClose, 0, 0}, {"h", MsgCloseAck, 12, 17},
+}
+
+// TestGoldenConversation pins the sequence of frames a checkpointed
+// push exchanges, where TestGoldenMessageBytes pins each frame's bytes:
+// the handshake, the acks a window draws, the gap a lost frame opens
+// and its replay, each Sync's round trip and the close. A change to the
+// session that moves one frame shows here.
+func TestGoldenConversation(t *testing.T) {
+	var got []wireFrame
+	record := func(from string, raw []byte) transport.Frame {
+		f, err := transport.Decode(raw)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got = append(got, wireFrame{from, f.Type, f.Seq, len(f.Payload)})
+		return f
+	}
+	hc := NewHost(func(Hello) (Sink, error) { return &memSink{}, nil }).NewConn()
+	lost := false
+	l := transport.NewLink(transport.DefaultParams())
+	l.B().Attach(func(raw []byte) [][]byte {
+		if f, _ := transport.Decode(raw); f.Type == MsgData && f.Seq == 3 && !lost {
+			lost = true
+			record("lost", raw)
+			return nil
+		}
+		resps := hc.Handle(record("c", raw))
+		for _, r := range resps {
+			record("h", r)
+		}
+		return resps
+	})
+	s, err := Dial(func() (transport.Conn, error) { return l.A(), nil },
+		Config{Kind: KindLogical, Session: 0x5EED, Window: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	recs := testRecords(12)
+	for i, rec := range recs {
+		if err := s.WriteRecord(rec); err != nil {
+			t.Fatal(err)
+		}
+		if i == 5 || i == 9 {
+			if err := s.Sync(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if !lost {
+		t.Fatal("data frame 3 was never sent")
+	}
+	i := 0
+	for i < len(got) && i < len(goldenConversation) && got[i] == goldenConversation[i] {
+		i++
+	}
+	if i < len(got) || i < len(goldenConversation) {
+		t.Errorf("the conversation leaves the pinned one at frame %d (%d frames, %d pinned); from there: %v",
+			i, len(got), len(goldenConversation), got[i:])
 	}
 }

@@ -160,10 +160,10 @@ func TestTransportHelloVersion(t *testing.T) {
 	}
 
 	var opened int
-	host := NewHost(func(Hello) (Sink, error) { opened++; return &memSink{}, nil })
+	hc := NewHost(func(Hello) (Sink, error) { opened++; return &memSink{}, nil }).NewConn()
 	sendHello := func(payload []byte) ack {
 		t.Helper()
-		resps := host.HandleFrame(transport.Encode(&transport.Frame{
+		resps := hc.HandleFrame(transport.Encode(&transport.Frame{
 			Type: MsgHello, Payload: payload}))
 		if len(resps) != 1 {
 			t.Fatalf("hello got %d responses, want 1", len(resps))

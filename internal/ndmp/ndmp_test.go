@@ -38,7 +38,7 @@ func (m *memSink) NextVolume() error { m.cur = 0; m.vols++; return nil }
 func harness(l *transport.Link, sink Sink) (*Host, Dialer, *int) {
 	opened := 0
 	host := NewHost(func(Hello) (Sink, error) { opened++; return sink, nil })
-	l.B().Attach(host.HandleFrame)
+	l.B().Attach(host.NewConn().HandleFrame)
 	dials := 0
 	dial := func() (transport.Conn, error) {
 		dials++
@@ -214,7 +214,7 @@ func TestTransportSessionStreamSwitchReopensSink(t *testing.T) {
 		sinks = append(sinks, m)
 		return m, nil
 	})
-	l.B().Attach(host.HandleFrame)
+	l.B().Attach(host.NewConn().HandleFrame)
 	dial := func() (transport.Conn, error) { return l.A(), nil }
 	recs := testRecords(10)
 	for stream := 0; stream < 2; stream++ {
@@ -243,7 +243,7 @@ func TestTransportSessionStreamSwitchReopensSink(t *testing.T) {
 func TestTransportSessionRemoteErrorIsTerminal(t *testing.T) {
 	l := transport.NewLink(transport.DefaultParams())
 	host := NewHost(func(Hello) (Sink, error) { return nil, errors.New("stacker jammed") })
-	l.B().Attach(host.HandleFrame)
+	l.B().Attach(host.NewConn().HandleFrame)
 	dial := func() (transport.Conn, error) { return l.A(), nil }
 	_, err := Dial(dial, Config{Session: 4})
 	var re *RemoteError
@@ -260,7 +260,7 @@ func TestHostRefusesUnknownKind(t *testing.T) {
 		l := transport.NewLink(transport.DefaultParams())
 		opened := false
 		host := NewHost(func(Hello) (Sink, error) { opened = true; return &memSink{}, nil })
-		l.B().Attach(host.HandleFrame)
+		l.B().Attach(host.NewConn().HandleFrame)
 		_, err := Dial(func() (transport.Conn, error) { return l.A(), nil }, Config{Kind: kind, Session: 5})
 		var re *RemoteError
 		if !errors.As(err, &re) || opened {

@@ -24,11 +24,10 @@ import (
 )
 
 // Version is the one protocol version both ends speak: acks carry the
-// replication high-water mark, MsgSync/MsgSyncAck replicate
-// checkpoints, a standby tape host answers AckStale to a failed-over
-// client, and the Hello names the tenant so a multi-tenant tape host
-// can namespace catalogs and enforce per-tenant scheduling. A host
-// refuses a Hello of any other version.
+// host's mark at the stream's last checkpoint, MsgSync/MsgSyncAck
+// confirm a checkpoint in one round trip, and the Hello names the
+// tenant so a multi-tenant tape host can namespace catalogs and enforce
+// per-tenant scheduling. A host refuses a Hello of any other version.
 const Version = 3
 
 // Message types carried in transport.Frame.Type.
@@ -54,13 +53,12 @@ const (
 	MsgClose = 0x08
 	// MsgCloseAck confirms the host saw the close.
 	MsgCloseAck = 0x09
-	// MsgSync asks the host to replicate a checkpoint: record the
-	// current durable high-water mark in the replicated catalog so a
-	// standby host can take over from it. Frame.Seq carries the
-	// client's acked mark as a cross-check.
+	// MsgSync asks the host to confirm a checkpoint: the host records
+	// its current durable high-water mark as the stream's checkpoint
+	// mark. Frame.Seq carries the client's acked mark as a cross-check.
 	MsgSync = 0x0A
-	// MsgSyncAck answers MsgSync once the checkpoint is replicated;
-	// its repl field is the new replicated high-water mark.
+	// MsgSyncAck answers MsgSync; its repl field is the host's mark at
+	// the checkpoint.
 	MsgSyncAck = 0x0B
 )
 
@@ -84,14 +82,9 @@ const (
 	// AckErr: a non-media host-side failure; payload carries a message
 	// and the session is not recoverable by retransmission.
 	AckErr = 0x03
-	// AckStale: the host holds none of this stream's media but the
-	// replicated catalog says the stream has checkpointed progress —
-	// the client has failed over to a standby (or to a restarted
-	// primary). Appending mid-stream is impossible on fresh media; the
-	// client must surface StaleStreamError so the engine resumes from
-	// the replicated checkpoint on a fresh stream. The ack's repl
-	// field carries that checkpoint.
-	AckStale = 0x04
+	// 0x04 is reserved and never reused: an older host speaking this
+	// Version answered a failed-over stream's Hello with it. The client
+	// catches a failed-over stream itself (StaleStreamError).
 )
 
 // Stream kinds named in MsgHello, so the tape host can label media.
@@ -170,10 +163,10 @@ func decodeHello(p []byte) (Hello, error) {
 }
 
 // ack is the payload of MsgHelloAck, MsgAck, MsgVolAck and MsgSyncAck:
-// a status byte, the cumulative acknowledged sequence, the replicated
-// checkpoint high-water mark (records 1..repl are recorded in the
-// replicated catalog, so they survive the loss of this tape host), and
-// (for AckErr) a human-readable reason.
+// a status byte, the cumulative acknowledged sequence, the host's
+// durable mark at the stream's last checkpoint (records 1..repl were
+// on its media when it answered the last MsgSync), and (for AckErr) a
+// human-readable reason.
 type ack struct {
 	status byte
 	acked  uint64
@@ -252,21 +245,21 @@ func (e *SessionLostError) Is(target error) bool {
 }
 
 // StaleStreamError reports that the host answering this stream's
-// Hello is not the host that was writing it: a failover (or a host
-// restart) put the client in front of fresh media. Records 1..Repl
-// are safe — their checkpoint is in the replicated catalog — but the
-// stream cannot be appended to; the engine must resume from the
-// checkpoint on a fresh stream. errors.Is matches ErrSessionLost, so
-// every existing resume-from-checkpoint loop handles a failover
-// without modification.
+// Hello is not the host that was writing it: its mark is behind the
+// one this client already saw acknowledged, because a failover (or a
+// host restart) put the client in front of fresh media. The stream
+// cannot be appended to; the engine resumes on a fresh stream from
+// its own last checkpoint, which the host confirmed at mark Repl.
+// errors.Is matches ErrSessionLost, so every resume-from-checkpoint
+// loop handles a failover without modification.
 type StaleStreamError struct {
 	Session uint64
 	Stream  int
-	Repl    uint64 // replicated checkpoint sequence for the lost stream
+	Repl    uint64 // the lost host's mark at the client's last checkpoint
 }
 
 func (e *StaleStreamError) Error() string {
-	return fmt.Sprintf("ndmp: stale stream %d/%d after failover (replicated checkpoint %d): %v",
+	return fmt.Sprintf("ndmp: stale stream %d/%d after failover (checkpoint mark %d): %v",
 		e.Session, e.Stream, e.Repl, ErrSessionLost)
 }
 func (e *StaleStreamError) Is(target error) bool { return target == ErrSessionLost }

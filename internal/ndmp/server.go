@@ -75,8 +75,7 @@ type HostStats struct {
 	BadFrames  int   // undecodable frames received
 	Heartbeats int   // probes answered
 	NextVols   int   // volume switches served
-	Syncs      int   // checkpoint replications served
-	Stales     int   // failed-over Hellos answered with AckStale
+	Syncs      int   // checkpoints confirmed
 	Sessions   int   // sessions closed cleanly
 	Waits      int   // Hellos left unanswered by admission control
 	Rejects    int   // Hellos refused by admission control
@@ -100,7 +99,7 @@ type stream struct {
 	hello Hello
 	sink  Sink
 	acked atomic.Uint64 // cumulative: records 1..acked are durable
-	repl  atomic.Uint64 // cumulative: records 1..repl are checkpoint-replicated
+	repl  atomic.Uint64 // cumulative: records 1..repl were durable at the last MsgSync
 	bytes atomic.Int64  // payload bytes durably written
 	// released is the high-water mark the host has granted window
 	// credit for: acks report it instead of acked while the Gate is
@@ -128,25 +127,9 @@ type StreamEnd struct {
 // Host is the tape-host side of the session layer: a registry of
 // per-(session, stream) state, so N clients coexist on one host. Each
 // connection gets its own Conn binding (NewConn) and routes frames to
-// the stream its Hello named; Host.HandleFrame remains as a
-// single-connection convenience that binds a default Conn — which is
-// what simulated links attach.
+// the stream its Hello named; a simulated link attaches one Conn's
+// HandleFrame for its life.
 type Host struct {
-	// Replicate, when set, records a stream checkpoint in the host's
-	// catalog: called on MsgSync with the stream identity and the
-	// durable high-water mark, it must return only once the checkpoint
-	// is durable in that catalog (e.g. an AppendSessionCheckpoint
-	// through a catalog over a catalog.Mirror, which lands it in both
-	// journal copies). When nil, MsgSync degrades to host-local
-	// durability: the host acks its own mark as replicated.
-	Replicate func(session uint64, stream int, acked uint64) error
-	// Progress, when set, reads a stream's recorded checkpoint from
-	// the catalog. It is what lets a standby host that opens the same
-	// mirrored catalog answer a failed-over client's Hello with
-	// AckStale plus the checkpoint instead of silently restarting the
-	// stream from zero. When nil, a mismatched Hello opens a fresh
-	// sink (v1 behavior).
-	Progress func(session uint64, stream int) (uint64, bool)
 	// Gate, when set, is the drive-pool scheduler: every new stream
 	// passes admission, every durable byte is charged against its
 	// tenant's rate. When nil every stream is admitted and unthrottled.
@@ -162,7 +145,6 @@ type Host struct {
 	mu      sync.Mutex
 	factory SinkFactory
 	streams map[streamKey]*stream
-	def     *Conn
 	stats   HostStats
 
 	reg        *obs.Registry
@@ -171,8 +153,7 @@ type Host struct {
 }
 
 // NewHost creates a host that opens sinks through factory. Set the
-// Replicate/Progress hooks and the Gate before serving to tie the
-// host into a replicated catalog and a drive-pool scheduler.
+// Gate before serving to tie the host into a drive-pool scheduler.
 func NewHost(factory SinkFactory) *Host {
 	return &Host{
 		factory:    factory,
@@ -248,7 +229,6 @@ func (h *Host) RegisterMetrics(r *obs.Registry) {
 	r.RegisterFunc("ndmp_host_heartbeats_total", obs.KindCounter, nil, snap(func(s HostStats) float64 { return float64(s.Heartbeats) }))
 	r.RegisterFunc("ndmp_host_next_vols_total", obs.KindCounter, nil, snap(func(s HostStats) float64 { return float64(s.NextVols) }))
 	r.RegisterFunc("ndmp_host_syncs_total", obs.KindCounter, nil, snap(func(s HostStats) float64 { return float64(s.Syncs) }))
-	r.RegisterFunc("ndmp_host_stales_total", obs.KindCounter, nil, snap(func(s HostStats) float64 { return float64(s.Stales) }))
 	r.RegisterFunc("ndmp_host_sessions_total", obs.KindCounter, nil, snap(func(s HostStats) float64 { return float64(s.Sessions) }))
 	r.RegisterFunc("ndmp_host_waits_total", obs.KindCounter, nil, snap(func(s HostStats) float64 { return float64(s.Waits) }))
 	r.RegisterFunc("ndmp_host_rejects_total", obs.KindCounter, nil, snap(func(s HostStats) float64 { return float64(s.Rejects) }))
@@ -340,20 +320,6 @@ func (c *Conn) HandleFrame(raw []byte) [][]byte {
 	return c.Handle(f)
 }
 
-// HandleFrame is the single-connection convenience used by simulated
-// links: it routes through a host-owned default Conn, preserving the
-// pre-registry behavior of one client driving the host directly. Its
-// answer is valid until the next call.
-func (h *Host) HandleFrame(raw []byte) [][]byte {
-	h.mu.Lock()
-	if h.def == nil {
-		h.def = h.NewConn()
-	}
-	c := h.def
-	h.mu.Unlock()
-	return c.HandleFrame(raw)
-}
-
 // BadFrame records an undecodable frame and answers with the bound
 // stream's high-water mark so the client replays without waiting for
 // a window-full stall. The answer is valid until the next call on c.
@@ -392,7 +358,7 @@ func (c *Conn) Handle(f transport.Frame) [][]byte {
 
 // respond encodes one ack-bearing response frame into the
 // connection's buffers, defaulting its repl field to the bound
-// stream's replicated mark.
+// stream's checkpoint mark.
 func (c *Conn) respond(typ byte, a ack) [][]byte {
 	if a.repl == 0 && c.cur != nil {
 		a.repl = c.cur.repl.Load()
@@ -434,20 +400,11 @@ func (c *Conn) handleHello(f transport.Frame) [][]byte {
 		defer st.mu.Unlock()
 		return c.respond(MsgHelloAck, ack{status: st.status(), acked: st.acked.Load()})
 	}
-	// This host holds no media for the stream. If the replicated
-	// catalog says the stream already checkpointed progress, the
-	// client is failing over from another host (or from this host's
-	// previous life) mid-stream: fresh media cannot be appended to
-	// mid-stream, so answer AckStale with the replicated checkpoint
-	// and let the engine resume on a fresh stream. Only a stream with
-	// no replicated history is genuinely new.
-	if h.Progress != nil {
-		if rep, ok := h.Progress(hello.Session, hello.Stream); ok && rep > 0 {
-			h.bump(func(s *HostStats) { s.Stales++ })
-			return c.respond(MsgHelloAck, ack{status: AckStale, repl: rep,
-				msg: fmt.Sprintf("stream %d/%d was checkpointed elsewhere", hello.Session, hello.Stream)})
-		}
-	}
+	// This host holds no media for the stream, so it opens fresh media
+	// and answers mark 0. A client failing over mid-stream (from
+	// another host, or from this host's previous life) holds a higher
+	// mark than that and resumes from its own checkpoint on a fresh
+	// stream (StaleStreamError).
 	if h.Gate != nil {
 		adm, msg := h.Gate.Admit(hello.Tenant, hello.Session, hello.Stream)
 		switch adm {
@@ -611,10 +568,8 @@ func (c *Conn) handleNextVol() [][]byte {
 	return c.respond(MsgVolAck, ack{status: AckOK, acked: st.acked.Load()})
 }
 
-// handleSync replicates a stream checkpoint: once the Replicate hook
-// returns, records 1..acked are recorded in the replicated catalog
-// and a standby host can answer for them. Without a replication
-// layer the host's own durable mark is the best promise available.
+// handleSync confirms a stream checkpoint: records 1..acked are on
+// this host's media, and the answer's repl field says so.
 func (c *Conn) handleSync() [][]byte {
 	st := c.cur
 	if st == nil {
@@ -624,13 +579,6 @@ func (c *Conn) handleSync() [][]byte {
 	defer st.mu.Unlock()
 	acked := st.acked.Load()
 	if st.repl.Load() < acked {
-		if c.h.Replicate != nil {
-			if err := c.h.Replicate(st.hello.Session, st.hello.Stream, acked); err != nil {
-				// Replication unavailable is not a stream error: report
-				// the old mark; the client keeps the window and retries.
-				return c.respond(MsgSyncAck, ack{status: st.status(), acked: acked})
-			}
-		}
 		st.repl.Store(acked)
 		c.h.bump(func(s *HostStats) { s.Syncs++ })
 	}
@@ -653,7 +601,11 @@ func (c *Conn) handleClose() [][]byte {
 	if st.eom {
 		a.status = AckEOM
 	}
-	ends := c.h.evictSession(session)
+	evicted := c.h.evict(func(k streamKey) bool { return k.session == session })
+	ends := make([]StreamEnd, 0, len(evicted))
+	for _, st := range evicted {
+		ends = append(ends, StreamEnd{Hello: st.hello, Acked: st.acked.Load(), Bytes: st.bytes.Load()})
+	}
 	c.h.bump(func(s *HostStats) { s.Sessions++ })
 	if c.h.OnSessionClose != nil {
 		c.h.OnSessionClose(session, ends)
@@ -662,14 +614,15 @@ func (c *Conn) handleClose() [][]byte {
 	return c.respond(MsgCloseAck, a)
 }
 
-// evictSession removes every stream of a session from the registry,
-// closes their sinks and releases their grants, returning what was
-// evicted in stream order.
-func (h *Host) evictSession(session uint64) []StreamEnd {
+// evict removes every registered stream whose key match selects, then
+// finalizes each — closes its sink (eviction is the only way a
+// registered sink leaves the registry, and it always finalizes) and
+// releases its drive grant — and returns them in stream order.
+func (h *Host) evict(match func(streamKey) bool) []*stream {
 	h.mu.Lock()
 	var evicted []*stream
 	for k, st := range h.streams {
-		if k.session == session {
+		if match(k) {
 			evicted = append(evicted, st)
 			delete(h.streams, k)
 			h.stats.Evictions++
@@ -678,64 +631,32 @@ func (h *Host) evictSession(session uint64) []StreamEnd {
 	}
 	h.mu.Unlock()
 	sort.Slice(evicted, func(i, j int) bool { return evicted[i].hello.Stream < evicted[j].hello.Stream })
-	ends := make([]StreamEnd, 0, len(evicted))
 	for _, st := range evicted {
-		h.finalize(st)
-		ends = append(ends, StreamEnd{Hello: st.hello, Acked: st.acked.Load(), Bytes: st.bytes.Load()})
+		st.mu.Lock()
+		if cl, ok := st.sink.(io.Closer); ok {
+			cl.Close()
+		}
+		st.mu.Unlock()
+		if h.Gate != nil {
+			h.Gate.Release(st.hello.Tenant, st.hello.Session, st.hello.Stream)
+		}
 	}
-	return ends
-}
-
-// finalize closes an evicted stream's sink (the displaced-sink fix:
-// eviction is the only way a registered sink leaves the registry, and
-// it always finalizes) and releases its drive grant.
-func (h *Host) finalize(st *stream) {
-	st.mu.Lock()
-	if cl, ok := st.sink.(io.Closer); ok {
-		cl.Close()
-	}
-	st.mu.Unlock()
-	if h.Gate != nil {
-		h.Gate.Release(st.hello.Tenant, st.hello.Session, st.hello.Stream)
-	}
+	return evicted
 }
 
 // Evict removes one stream from the registry, closing its sink and
 // releasing its grant. It is the operator path for abandoning a
 // stream whose client will never return; a client that does come back
-// is answered like a failed-over one (via Progress, or a fresh sink).
+// is answered like a failed-over one: fresh media at mark 0.
 func (h *Host) Evict(session uint64, stream int) bool {
 	key := streamKey{session, stream}
-	h.mu.Lock()
-	st, ok := h.streams[key]
-	if ok {
-		delete(h.streams, key)
-		h.stats.Evictions++
-		h.tenantDone[st.hello.Tenant] += st.bytes.Load()
-	}
-	h.mu.Unlock()
-	if !ok {
-		return false
-	}
-	h.finalize(st)
-	return true
+	return len(h.evict(func(k streamKey) bool { return k == key })) > 0
 }
 
 // Close evicts every registered stream, finalizing all sinks — host
 // shutdown.
 func (h *Host) Close() error {
-	h.mu.Lock()
-	var all []*stream
-	for k, st := range h.streams {
-		all = append(all, st)
-		delete(h.streams, k)
-		h.stats.Evictions++
-		h.tenantDone[st.hello.Tenant] += st.bytes.Load()
-	}
-	h.mu.Unlock()
-	for _, st := range all {
-		h.finalize(st)
-	}
+	h.evict(func(streamKey) bool { return true })
 	return nil
 }
 

@@ -110,7 +110,7 @@ type Session struct {
 	free        [][]byte // buffers of acknowledged records, for the next ones
 	sendBuf     []byte   // the last data frame or heartbeat sent
 	acked       uint64   // host's durable high-water mark
-	repl        uint64   // replicated checkpoint high-water mark
+	repl        uint64   // host's mark at the last confirmed checkpoint
 	nextSeq     uint64   // next sequence to assign
 	sentThrough uint64   // highest seq transmitted on the current conn
 	maxSent     uint64   // highest seq ever transmitted (replay stats)
@@ -264,17 +264,11 @@ func (s *Session) connect() error {
 	if a.status == AckErr {
 		return &RemoteError{Op: "hello", Msg: a.msg}
 	}
-	if a.status == AckStale {
-		// A standby (or amnesiac) host: it has no media for this
-		// stream, but the replicated catalog vouches for records
-		// 1..repl. Terminal for this session — the engine resumes
-		// from the checkpoint on a fresh stream.
-		return &StaleStreamError{Session: s.cfg.Session, Stream: s.cfg.Stream, Repl: a.repl}
-	}
 	if a.acked < s.acked {
-		// The host lost stream state without a replication layer to
-		// vouch for it: same failure shape as a failover, minus the
-		// checkpoint guarantee beyond what we last saw replicated.
+		// A standby (or amnesiac) host: it holds none of the records
+		// this client already saw acknowledged. Terminal for this
+		// session — the engine resumes from its own last checkpoint
+		// on a fresh stream.
 		return &StaleStreamError{Session: s.cfg.Session, Stream: s.cfg.Stream, Repl: s.repl}
 	}
 	s.slideTo(a.acked)
@@ -606,16 +600,17 @@ func (s *Session) NextVolume() error {
 }
 
 // Sync drains the send window, blocking until every record accepted
-// so far is acknowledged durable AND the checkpoint is replicated. It
-// implements stream.Syncer: the dump engines call it after emitting
-// a checkpoint marker, which is what makes a checkpoint over the wire
-// mean the same thing it means on a local drive — everything up to
-// the marker is on tape — plus one promise a local drive never made:
-// the progress mark survives losing the tape host itself, because the
-// MsgSync round trip records it in the replicated catalog before Sync
-// returns. End of media can surface mid-drain (provisionally accepted
-// tail records did not fit); the volume switch that a local drive
-// would have demanded one write earlier is driven here.
+// so far is acknowledged durable AND the host has confirmed the
+// checkpoint (the MsgSync round trip). It implements stream.Syncer:
+// the dump engines call it after emitting a checkpoint marker, which
+// is what makes a checkpoint over the wire mean the same thing it
+// means on a local drive — everything up to the marker is on tape.
+// If the host is later lost, a fresh host answers the Hello with a
+// lower mark and the engine resumes from that checkpoint
+// (StaleStreamError). End of media can surface mid-drain
+// (provisionally accepted tail records did not fit); the volume switch
+// that a local drive would have demanded one write earlier is driven
+// here.
 func (s *Session) Sync() error {
 	if s.closed {
 		return errors.New("ndmp: sync on closed session")
@@ -635,11 +630,11 @@ func (s *Session) Sync() error {
 	return s.replicate()
 }
 
-// replicate runs the MsgSync round trip until the host reports the
-// replicated mark has caught up with everything we drained. A catalog
-// that stays unavailable past the dead-peer window surfaces as a lost
-// session: the engine's checkpoint-resume loop redials, by which time
-// the catalog may have recovered.
+// replicate runs the MsgSync round trip until the host reports its
+// checkpoint mark has caught up with everything we drained. A SyncAck
+// may trail; one that advances nothing for the dead-peer window
+// surfaces as a lost session, and the engine's checkpoint-resume loop
+// redials.
 func (s *Session) replicate() error {
 	var stalled time.Duration
 	for s.repl < s.acked {
@@ -669,15 +664,14 @@ func (s *Session) replicate() error {
 		s.slideTo(a.acked)
 		if a.repl > s.repl {
 			s.repl = a.repl
-			// Partial progress: the catalog is slow, not gone. Only
-			// one that advances nothing for a full DeadAfter window is
+			// Partial progress: the host is slow, not gone. Only one
+			// that advances nothing for a full DeadAfter window is
 			// declared lost.
 			stalled = 0
 		}
 		if a.repl < s.acked {
-			// The catalog is unavailable right now: let the clock
-			// advance (the wait is charged like a heartbeat) and retry
-			// rather than spin.
+			// The mark trails: let the clock advance (the wait is
+			// charged like a heartbeat) and retry rather than spin.
 			stalled += s.cfg.HeartbeatEvery
 			if p := s.proc(); p != nil {
 				p.Sleep(s.cfg.HeartbeatEvery)

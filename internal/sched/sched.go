@@ -211,8 +211,14 @@ func (s *Scheduler) RunOne(ctx context.Context) (*RunResult, error) {
 	if p := sim.ProcFrom(ctx); p != nil {
 		p.Sleep(interval)
 	}
-	if f.Tapes[schedDrive].Loaded() == nil {
-		if err := f.Tapes[schedDrive].Load(sim.ProcFrom(ctx)); err != nil {
+	// Mount media, and cycle the stacker, at most once round, past any
+	// cartridge the pool has quarantined: nothing new lands on it.
+	d := f.Tapes[schedDrive]
+	for tries := len(d.Stacker()); d.Loaded() == nil || s.quarantined(d.Loaded().Label); tries-- {
+		if d.Loaded() != nil && tries == 0 {
+			return nil, fmt.Errorf("sched: run %d: every cartridge in drive %s is quarantined", run, d.Name())
+		}
+		if err := d.Load(sim.ProcFrom(ctx)); err != nil {
 			return nil, fmt.Errorf("sched: mounting media for run %d: %w", run, err)
 		}
 	}
@@ -242,6 +248,12 @@ func (s *Scheduler) RunOne(ctx context.Context) (*RunResult, error) {
 		}
 	}
 	return res, nil
+}
+
+// quarantined reports whether the pool has quarantined a volume.
+func (s *Scheduler) quarantined(label string) bool {
+	v, ok := s.cfg.Pool.Volume(label)
+	return ok && v.State == media.Quarantined
 }
 
 // logicalRun performs one scheduled logical dump.

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/catalog"
@@ -444,4 +445,42 @@ func TestImageRunKeepsSnapshotOnceCataloged(t *testing.T) {
 		t.Fatalf("cataloged set %d lost its snapshot %q: %v", sets[0].ID, sets[0].Snap, err)
 	}
 
+}
+
+// TestRunSkipsQuarantinedMedia: a volume the scrubber quarantined stays
+// mounted in the schedule's drive, and the next run must not land its
+// set on it; with every cartridge quarantined, a run fails and
+// catalogs nothing.
+func TestRunSkipsQuarantinedMedia(t *testing.T) {
+	r := newRig(t, catalog.Logical)
+	if _, err := r.s.RunN(ctx, 1); err != nil {
+		t.Fatal(err)
+	}
+	loaded := r.f.Tapes[schedDrive].Loaded().Label
+	if err := r.pool.Quarantine(loaded, r.f.FS.Clock()); err != nil {
+		t.Fatal(err)
+	}
+	res, err := r.s.RunN(ctx, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, label := range res[0].Media {
+		if label == loaded {
+			t.Fatalf("run 1 landed on quarantined volume %q (media %v)", loaded, res[0].Media)
+		}
+	}
+
+	for _, v := range r.pool.Volumes() {
+		if err := r.pool.Quarantine(v.Label, r.f.FS.Clock()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	sets := len(r.cat.Sets())
+	written, _, _ := r.f.Tapes[schedDrive].Stats()
+	if _, err := r.s.RunN(ctx, 1); err == nil || !strings.Contains(err.Error(), "quarantined") {
+		t.Fatalf("run onto an all-quarantined stacker: %v", err)
+	}
+	if got, _, _ := r.f.Tapes[schedDrive].Stats(); got != written || len(r.cat.Sets()) != sets {
+		t.Fatalf("the refused run wrote %d bytes and cataloged %d sets", got-written, len(r.cat.Sets())-sets)
+	}
 }

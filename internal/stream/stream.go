@@ -60,14 +60,6 @@ func Close(srcs ...Source) {
 // the checkpoint as reached — the checkpoint contract promises
 // everything up to the marker is on tape, and a provisional accept
 // alone cannot promise that.
-//
-// When the sink is an ndmp session against a tape host that journals
-// checkpoints into a mirrored catalog, Sync promises more: the
-// checkpoint's high-water mark is in both copies of the journal, so the
-// resume point survives the loss of the tape host itself. A checkpoint
-// a dump engine considers reached is then exactly the point a standby
-// host can answer for after failover — "durable" means replicated, not
-// just host-acked.
 type Syncer interface {
 	Sync() error
 }

@@ -207,7 +207,7 @@ func TestLentRecordsAreNotKept(t *testing.T) {
 	}
 
 	// engine.CheckSet (logical.Index, for a logical stream) and
-	// engine.PeekSet of all four streams.
+	// engine.ScanSet of all four streams.
 	type landing struct {
 		findings []engine.Finding
 		n        int64
@@ -220,12 +220,12 @@ func TestLentRecordsAreNotKept(t *testing.T) {
 		land := func(open func(int) stream.Source) landing {
 			var l landing
 			l.findings, l.n, l.index = engine.CheckSet(ctx, catalog.DumpSet{Engine: eng}, []stream.Source{open(i)})
-			l.peek, l.peekErr = engine.PeekSet(eng, open(i))
+			l.peek, l.peekErr = engine.ScanSet(ctx, eng, open(i))
 			return l
 		}
 		want, got := land(plain), land(scribbled)
 		if len(want.findings) > 0 || want.peekErr != nil || !reflect.DeepEqual(got, want) {
-			t.Errorf("CheckSet and PeekSet of stream %d through a scribbling source: %+v; plain %+v", i, got, want)
+			t.Errorf("CheckSet and ScanSet of stream %d through a scribbling source: %+v; plain %+v", i, got, want)
 		}
 	}
 	// The full dump's index, held to the stream and the tree rather than
