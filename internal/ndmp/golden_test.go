@@ -1,6 +1,7 @@
 package ndmp
 
 import (
+	"bytes"
 	"encoding/hex"
 	"errors"
 	"testing"
@@ -121,9 +122,9 @@ type wireFrame struct {
 
 // goldenConversation is the whole exchange of TestGoldenConversation: a
 // checkpointed push of twelve records through a four-record window,
-// with data frame 3 lost once, two Syncs and a Close. Each of the three
-// gap acks the lost frame draws starts a replay, so frames 3–6 go out
-// three more times.
+// with data frame 3 lost once, two Syncs and a Close. The lost frame
+// draws a gap ack from each of frames 4, 5 and 6; the first starts the
+// one replay of frames 3–6, and the other two start nothing.
 var goldenConversation = []wireFrame{
 	{"c", MsgHello, 0, 26}, {"h", MsgHelloAck, 0, 17}, {"c", MsgData, 1, 44},
 	{"c", MsgData, 2, 44}, {"h", MsgAck, 2, 17}, {"lost", MsgData, 3, 44},
@@ -131,28 +132,24 @@ var goldenConversation = []wireFrame{
 	{"h", MsgAck, 2, 17}, {"c", MsgData, 6, 44}, {"h", MsgAck, 2, 17},
 	{"c", MsgData, 3, 44}, {"c", MsgData, 4, 44}, {"h", MsgAck, 4, 17},
 	{"c", MsgData, 5, 44}, {"h", MsgAck, 5, 17}, {"c", MsgData, 6, 44},
-	{"h", MsgAck, 6, 17}, {"c", MsgData, 3, 44}, {"h", MsgAck, 6, 17},
-	{"c", MsgData, 4, 44}, {"h", MsgAck, 6, 17}, {"c", MsgData, 5, 44},
-	{"h", MsgAck, 6, 17}, {"c", MsgData, 6, 44}, {"h", MsgAck, 6, 17},
-	{"c", MsgData, 3, 44}, {"h", MsgAck, 6, 17}, {"c", MsgData, 4, 44},
-	{"h", MsgAck, 6, 17}, {"c", MsgData, 5, 44}, {"h", MsgAck, 6, 17},
-	{"c", MsgData, 6, 44}, {"h", MsgAck, 6, 17}, {"c", MsgHeartbeat, 0, 0},
-	{"h", MsgAck, 6, 17}, {"c", MsgSync, 6, 0}, {"h", MsgSyncAck, 6, 17},
-	{"c", MsgData, 7, 44}, {"c", MsgData, 8, 44}, {"h", MsgAck, 8, 17},
-	{"c", MsgData, 9, 44}, {"h", MsgAck, 9, 17}, {"c", MsgData, 10, 44},
-	{"h", MsgAck, 10, 17}, {"c", MsgHeartbeat, 0, 0}, {"h", MsgAck, 10, 17},
-	{"c", MsgSync, 10, 0}, {"h", MsgSyncAck, 10, 17}, {"c", MsgData, 11, 44},
-	{"c", MsgData, 12, 44}, {"h", MsgAck, 12, 17}, {"c", MsgHeartbeat, 0, 0},
-	{"h", MsgAck, 12, 17}, {"c", MsgSync, 12, 0}, {"h", MsgSyncAck, 12, 17},
-	{"c", MsgClose, 0, 0}, {"h", MsgCloseAck, 12, 17},
+	{"h", MsgAck, 6, 17}, {"c", MsgHeartbeat, 0, 0}, {"h", MsgAck, 6, 17},
+	{"c", MsgSync, 6, 0}, {"h", MsgSyncAck, 6, 17}, {"c", MsgData, 7, 44},
+	{"c", MsgData, 8, 44}, {"h", MsgAck, 8, 17}, {"c", MsgData, 9, 44},
+	{"h", MsgAck, 9, 17}, {"c", MsgData, 10, 44}, {"h", MsgAck, 10, 17},
+	{"c", MsgHeartbeat, 0, 0}, {"h", MsgAck, 10, 17}, {"c", MsgSync, 10, 0},
+	{"h", MsgSyncAck, 10, 17}, {"c", MsgData, 11, 44}, {"c", MsgData, 12, 44},
+	{"h", MsgAck, 12, 17}, {"c", MsgHeartbeat, 0, 0}, {"h", MsgAck, 12, 17},
+	{"c", MsgSync, 12, 0}, {"h", MsgSyncAck, 12, 17}, {"c", MsgClose, 0, 0},
+	{"h", MsgCloseAck, 12, 17},
 }
 
-// TestGoldenConversation pins the sequence of frames a checkpointed
-// push exchanges, where TestGoldenMessageBytes pins each frame's bytes:
-// the handshake, the acks a window draws, the gap a lost frame opens
-// and its replay, each Sync's round trip and the close. A change to the
-// session that moves one frame shows here.
-func TestGoldenConversation(t *testing.T) {
+// conversation pushes twelve records through a four-record window over
+// a simulated link, with a Sync after the sixth and the tenth and a
+// Close, dropping the first `drops` sends of data frame 3. It checks
+// that the host holds every record in order and returns every frame,
+// the session's counts and the host's.
+func conversation(t *testing.T, drops int) ([]wireFrame, SessionStats, HostStats) {
+	t.Helper()
 	var got []wireFrame
 	record := func(from string, raw []byte) transport.Frame {
 		f, err := transport.Decode(raw)
@@ -162,12 +159,13 @@ func TestGoldenConversation(t *testing.T) {
 		got = append(got, wireFrame{from, f.Type, f.Seq, len(f.Payload)})
 		return f
 	}
-	hc := NewHost(func(Hello) (Sink, error) { return &memSink{}, nil }).NewConn()
-	lost := false
+	sink := &memSink{}
+	host := NewHost(func(Hello) (Sink, error) { return sink, nil })
+	hc := host.NewConn()
 	l := transport.NewLink(transport.DefaultParams())
 	l.B().Attach(func(raw []byte) [][]byte {
-		if f, _ := transport.Decode(raw); f.Type == MsgData && f.Seq == 3 && !lost {
-			lost = true
+		if f, _ := transport.Decode(raw); f.Type == MsgData && f.Seq == 3 && drops > 0 {
+			drops--
 			record("lost", raw)
 			return nil
 		}
@@ -196,9 +194,27 @@ func TestGoldenConversation(t *testing.T) {
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if !lost {
-		t.Fatal("data frame 3 was never sent")
+	if drops > 0 {
+		t.Fatalf("data frame 3 went out too few times to drop %d more", drops)
 	}
+	if len(sink.recs) != len(recs) {
+		t.Fatalf("the host holds %d records, want %d", len(sink.recs), len(recs))
+	}
+	for i := range recs {
+		if !bytes.Equal(sink.recs[i], recs[i]) {
+			t.Fatalf("the host's record %d is %q, want %q", i, sink.recs[i], recs[i])
+		}
+	}
+	return got, s.Stats(), host.Stats()
+}
+
+// TestGoldenConversation pins the sequence of frames a checkpointed
+// push exchanges, where TestGoldenMessageBytes pins each frame's bytes:
+// the handshake, the acks a window draws, the gap a lost frame opens
+// and its replay, each Sync's round trip and the close. A change to the
+// session that moves one frame shows here.
+func TestGoldenConversation(t *testing.T) {
+	got, ss, hs := conversation(t, 1)
 	i := 0
 	for i < len(got) && i < len(goldenConversation) && got[i] == goldenConversation[i] {
 		i++
@@ -206,5 +222,22 @@ func TestGoldenConversation(t *testing.T) {
 	if i < len(got) || i < len(goldenConversation) {
 		t.Errorf("the conversation leaves the pinned one at frame %d (%d frames, %d pinned); from there: %v",
 			i, len(got), len(goldenConversation), got[i:])
+	}
+	if ss.Replayed != 4 || hs.Duplicates != 0 {
+		t.Errorf("one lost frame: %d frames replayed, %d duplicates at the host; want 4 and 0", ss.Replayed, hs.Duplicates)
+	}
+}
+
+// TestLostReplayIsReplayedAgain loses data frame 3 and then its replay
+// too. The gap acks the replay draws are at the mark the first replay
+// started from, so they start nothing; after one silent heartbeat
+// interval the go-back replays the window once more, and the push
+// completes with every record in order: two replays of frames 3–6 and
+// no duplicate at the host.
+func TestLostReplayIsReplayedAgain(t *testing.T) {
+	_, ss, hs := conversation(t, 2)
+	if ss.Replayed != 8 || ss.Timeouts != 1 || hs.Duplicates != 0 {
+		t.Errorf("the replay lost too: %d frames replayed, %d timeouts, %d duplicates at the host; want 8, 1 and 0",
+			ss.Replayed, ss.Timeouts, hs.Duplicates)
 	}
 }

@@ -113,6 +113,7 @@ type Session struct {
 	repl        uint64   // host's mark at the last confirmed checkpoint
 	nextSeq     uint64   // next sequence to assign
 	sentThrough uint64   // highest seq transmitted on the current conn
+	gapReplay   uint64   // first seq of the gap replay on this conn (0: none)
 	maxSent     uint64   // highest seq ever transmitted (replay stats)
 	eom         bool     // host reported end of media
 	silence     time.Duration
@@ -277,6 +278,7 @@ func (s *Session) connect() error {
 	}
 	s.eom = a.status == AckEOM
 	s.sentThrough = s.acked
+	s.gapReplay = 0
 	s.silence = 0
 	return nil
 }
@@ -473,9 +475,15 @@ func (s *Session) handleFrame(f transport.Frame) error {
 	case AckErr:
 		return &RemoteError{Op: "data", Msg: a.msg}
 	case AckGap:
-		// Frames lost in flight: replay everything unacknowledged.
+		// Frames lost in flight: replay everything unacknowledged, once
+		// per gap point. Every frame past the hole draws a gap ack at
+		// the same mark, and the first has already started the replay;
+		// one that is itself lost is caught by recvOnce's go-back.
 		s.slideTo(a.acked)
-		s.sentThrough = s.acked
+		if s.gapReplay != s.acked+1 {
+			s.gapReplay = s.acked + 1
+			s.sentThrough = s.acked
+		}
 	case AckEOM:
 		s.slideTo(a.acked)
 		s.eom = true

@@ -10,6 +10,11 @@ package wafl
 // point are additionally held in the frozen set and are never
 // reallocated before the next CP commits, so a crash can always fall
 // back to the on-disk image.
+//
+// The map keeps an exact count of the blocks the allocator may hand out
+// (allocatable), so a write's space check costs nothing however large
+// the volume. The single-block mutators adjust it; the passes over the
+// whole map recount it in the loop they already run.
 
 // ActiveBit is the block-map bit plane of the live filesystem.
 const ActiveBit uint32 = 1 << 0
@@ -23,7 +28,7 @@ type blkmap struct {
 	frozen []uint64 // bitset: referenced by the last committed CP
 	groups []allocGroup
 	cur    int // index in groups of the one allocations come from
-	nfree  int // blocks with zero word and not frozen
+	nfree  int // blocks for which allocatable holds
 }
 
 // allocGroup is one stretch of the volume backed by its own spindles
@@ -49,12 +54,29 @@ func newBlkmap(nblocks int, starts []int) *blkmap {
 		}
 		m.groups[i] = allocGroup{start: start, end: end, cursor: start}
 	}
-	m.nfree = nblocks
+	m.nfree = max(nblocks-fsinfoReserved, 0)
 	return m
 }
 
 func (m *blkmap) isFrozen(b BlockNo) bool {
 	return m.frozen[b/64]&(1<<(uint(b)%64)) != 0
+}
+
+// allocatable reports whether the allocator may hand out b now: it is
+// not an fsinfo block, no plane holds it and the last CP does not.
+func (m *blkmap) allocatable(b int) bool {
+	return b >= fsinfoReserved && m.words[b] == 0 && !m.isFrozen(BlockNo(b))
+}
+
+// setWord stores w as b's word, keeping the allocatable count exact.
+func (m *blkmap) setWord(b int, w uint32) {
+	if m.allocatable(b) {
+		m.nfree--
+	}
+	m.words[b] = w
+	if m.allocatable(b) {
+		m.nfree++
+	}
 }
 
 // refreeze recomputes the frozen set from the current words; called
@@ -68,7 +90,7 @@ func (m *blkmap) refreeze() {
 	for b, w := range m.words {
 		if w != 0 {
 			m.frozen[b/64] |= 1 << (uint(b) % 64)
-		} else {
+		} else if b >= fsinfoReserved {
 			free++
 		}
 	}
@@ -89,10 +111,7 @@ func (m *blkmap) alloc() BlockNo {
 		n := g.end - g.start
 		for i := 0; i < n; i++ {
 			b := g.start + (g.cursor-g.start+i)%n
-			if b < fsinfoReserved { // fsinfo blocks are never allocatable
-				continue
-			}
-			if m.words[b] == 0 && !m.isFrozen(BlockNo(b)) {
+			if m.allocatable(b) {
 				m.words[b] = ActiveBit
 				g.cursor = b + 1
 				m.nfree--
@@ -117,14 +136,15 @@ func (m *blkmap) free(b BlockNo) {
 	if b < fsinfoReserved || int(b) >= len(m.words) {
 		return
 	}
-	m.words[b] &^= ActiveBit
+	m.setWord(int(b), m.words[b]&^ActiveBit)
 }
 
 // setActive marks b as belonging to the active filesystem without
-// going through the allocator (used by mkfs and image restore).
+// going through the allocator (used by mkfs; an image restore writes
+// its map to disk, and Mount's refreeze counts it).
 func (m *blkmap) setActive(b BlockNo) {
 	if int(b) < len(m.words) {
-		m.words[b] |= ActiveBit
+		m.setWord(int(b), m.words[b]|ActiveBit)
 	}
 }
 
@@ -132,20 +152,30 @@ func (m *blkmap) setActive(b BlockNo) {
 // implementing snapshot creation (active→snap) and, inverted, nothing
 // else: snapshot deletion just clears the plane.
 func (m *blkmap) copyPlane(srcMask, dstMask uint32) {
+	free := 0
 	for i, w := range m.words {
 		if w&srcMask != 0 {
 			m.words[i] |= dstMask
 		} else {
 			m.words[i] &^= dstMask
 		}
+		if m.allocatable(i) {
+			free++
+		}
 	}
+	m.nfree = free
 }
 
 // clearPlane removes every bit of the given plane (snapshot deletion).
 func (m *blkmap) clearPlane(mask uint32) {
+	free := 0
 	for i := range m.words {
 		m.words[i] &^= mask
+		if m.allocatable(i) {
+			free++
+		}
 	}
+	m.nfree = free
 }
 
 // countPlane returns the number of blocks in the given plane.
@@ -160,12 +190,4 @@ func (m *blkmap) countPlane(mask uint32) int {
 }
 
 // freeBlocks returns the number of blocks allocatable right now.
-func (m *blkmap) freeBlocks() int {
-	n := 0
-	for b, w := range m.words {
-		if b >= fsinfoReserved && w == 0 && !m.isFrozen(BlockNo(b)) {
-			n++
-		}
-	}
-	return n
-}
+func (m *blkmap) freeBlocks() int { return m.nfree }

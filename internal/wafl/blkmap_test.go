@@ -32,11 +32,26 @@ func (a *cursorAlloc) alloc() BlockNo {
 	return 0
 }
 
+// scanFree counts the allocatable blocks word by word, spelling the
+// rule out rather than calling allocatable: the oracle the block map's
+// own count is held to.
+func (m *blkmap) scanFree() int {
+	n := 0
+	for b, w := range m.words {
+		if b >= fsinfoReserved && w == 0 && !m.isFrozen(BlockNo(b)) {
+			n++
+		}
+	}
+	return n
+}
+
 // TestOneGroupAllocatesLikeTheCursor drives the allocator on a device
 // without geometry and the old single-cursor allocator through the same
-// long random sequence of allocations, frees, consistency points and
-// remounts, over a map small enough to fill up and wrap many times, and
-// wants the same block from both at every step.
+// long random sequence of allocations, frees, consistency points,
+// snapshot planes copied and cleared, and remounts, over a map small
+// enough to fill up and wrap many times, and wants the same block from
+// both at every step, and the map's count of free blocks equal to a
+// scan of it after every step.
 func TestOneGroupAllocatesLikeTheCursor(t *testing.T) {
 	const nblocks = 700
 	fresh := func() (*blkmap, *cursorAlloc) {
@@ -69,7 +84,7 @@ func TestOneGroupAllocatesLikeTheCursor(t *testing.T) {
 				held = append(held, g)
 			}
 			got.nextGroup()
-		case op < 97:
+		case op < 95:
 			for n := r.Intn(12) + 1; n > 0 && len(held) > 0; n-- {
 				i := r.Intn(len(held))
 				got.free(held[i])
@@ -77,9 +92,18 @@ func TestOneGroupAllocatesLikeTheCursor(t *testing.T) {
 				held[i] = held[len(held)-1]
 				held = held[:len(held)-1]
 			}
-		case op < 99:
+		case op < 97:
 			got.refreeze()
 			want.m.refreeze()
+		case op < 98:
+			// A snapshot of the active plane, in one of three slots.
+			s := SnapBit(r.Intn(3) + 1)
+			got.copyPlane(ActiveBit, s)
+			want.m.copyPlane(ActiveBit, s)
+		case op < 99:
+			s := SnapBit(r.Intn(3) + 1)
+			got.clearPlane(s)
+			want.m.clearPlane(s)
 		default:
 			// Mount: a new map over the same words, cursors at the start.
 			g2, w2 := fresh()
@@ -88,6 +112,9 @@ func TestOneGroupAllocatesLikeTheCursor(t *testing.T) {
 			g2.refreeze()
 			w2.m.refreeze()
 			got, want = g2, w2
+		}
+		if n, scan := got.freeBlocks(), got.scanFree(); n != scan {
+			t.Fatalf("step %d: the map counts %d blocks free, a scan %d", step, n, scan)
 		}
 	}
 	if allocs < 100000 || full == 0 {

@@ -140,7 +140,8 @@ func TestGroupedVolumeSpreadsFiles(t *testing.T) {
 // TestGroupedVolumeSpills: a file bigger than a RAID group spills into
 // the next one, and a volume being filled file by file takes them until
 // the filesystem's own admission check refuses one: no consistency
-// point runs out of space in one group while the others have room.
+// point runs out of space in one group while the others have room. The
+// file refused, and the free count it is refused at, are pinned.
 func TestGroupedVolumeSpills(t *testing.T) {
 	vol, fs := newGroupedFS(t, 64, nil) // groups of 256 blocks
 	big := randBytes(1, 300*BlockSize)
@@ -158,6 +159,9 @@ func TestGroupedVolumeSpills(t *testing.T) {
 		p, data := fmt.Sprintf("/s%02d", i), randBytes(int64(100+i), 20*BlockSize)
 		_, err := fs.WriteFile(ctx, p, data, 0644)
 		if errors.Is(err, ErrNoSpace) {
+			if free := fs.FreeBlocks(); i != 21 || free != 18 {
+				t.Errorf("file %d refused with %d blocks free, want file 21 with 18", i, free)
+			}
 			break
 		}
 		if err != nil {

@@ -162,7 +162,9 @@ func TestDirBlockCoalescing(t *testing.T) {
 
 // TestRandomOpsAgainstModel drives the filesystem with a random
 // operation sequence and checks it against a flat in-memory model,
-// including across consistency points, snapshots and a crash+replay.
+// including across consistency points, snapshot creation, deletion and
+// revert, and a crash+replay. After every operation the block map's
+// count of free blocks must equal a scan of the map.
 func TestRandomOpsAgainstModel(t *testing.T) {
 	const files = 24
 	r := rand.New(rand.NewSource(1234))
@@ -175,6 +177,19 @@ func TestRandomOpsAgainstModel(t *testing.T) {
 	tweaked(fs)
 	model := make(map[string][]byte)
 	name := func(i int) string { return fmt.Sprintf("/dir%d/f%d", i%4, i) }
+	// snaps holds each live snapshot's model, oldest first.
+	type snap struct {
+		name  string
+		model map[string][]byte
+	}
+	var snaps []snap
+	clone := func(m map[string][]byte) map[string][]byte {
+		c := make(map[string][]byte, len(m))
+		for p, data := range m {
+			c[p] = bytes.Clone(data)
+		}
+		return c
+	}
 
 	verify := func(f *FS, stage string) {
 		t.Helper()
@@ -195,10 +210,11 @@ func TestRandomOpsAgainstModel(t *testing.T) {
 		}
 	}
 
+	snapSeq := 0
 	for step := 0; step < 400; step++ {
 		i := r.Intn(files)
 		p := name(i)
-		switch r.Intn(10) {
+		switch r.Intn(13) {
 		case 0, 1, 2, 3: // write/overwrite
 			data := randBytes(r.Int63(), r.Intn(6*BlockSize)+1)
 			if _, err := fs.WriteFile(ctx, p, data, 0644); err != nil {
@@ -248,7 +264,43 @@ func TestRandomOpsAgainstModel(t *testing.T) {
 			}
 			tweaked(fs)
 			verify(fs, fmt.Sprintf("step %d post-crash", step))
+		case 10: // snapshot create
+			if len(snaps) == MaxSnapshots {
+				continue
+			}
+			snapSeq++
+			sn := fmt.Sprintf("s%d", snapSeq)
+			if err := fs.CreateSnapshot(ctx, sn); err != nil {
+				t.Fatalf("step %d snapshot %s: %v", step, sn, err)
+			}
+			snaps = append(snaps, snap{sn, clone(model)})
+		case 11: // snapshot delete
+			if len(snaps) == 0 {
+				continue
+			}
+			k := r.Intn(len(snaps))
+			if err := fs.DeleteSnapshot(ctx, snaps[k].name); err != nil {
+				t.Fatalf("step %d delete %s: %v", step, snaps[k].name, err)
+			}
+			snaps = append(snaps[:k], snaps[k+1:]...)
+		case 12: // revert: the target's newer snapshots go with it
+			if len(snaps) == 0 {
+				continue
+			}
+			k := r.Intn(len(snaps))
+			if err := fs.RevertToSnapshot(ctx, snaps[k].name); err != nil {
+				t.Fatalf("step %d revert to %s: %v", step, snaps[k].name, err)
+			}
+			model = clone(snaps[k].model)
+			snaps = snaps[:k+1]
+			verify(fs, fmt.Sprintf("step %d post-revert", step))
 		}
+		if n, scan := fs.bmap.freeBlocks(), fs.bmap.scanFree(); n != scan {
+			t.Fatalf("step %d: the block map counts %d blocks free, a scan %d", step, n, scan)
+		}
+	}
+	if len(snaps) == 0 {
+		t.Fatal("no snapshot survives the sequence: it no longer covers what it should")
 	}
 	verify(fs, "final")
 	check(t, fs)
