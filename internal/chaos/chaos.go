@@ -56,7 +56,6 @@ type Scenario struct {
 	Cartridges   int   // per drive, min 1
 
 	CheckpointEvery int // files (logical) or blocks (physical)
-	MaxResumes      int
 }
 
 // Report is the outcome of a scenario.
@@ -218,7 +217,7 @@ func Run(ctx context.Context, s Scenario) (*Report, error) {
 	if tapeCfg.Seed == 0 {
 		tapeCfg.Seed = s.Seed
 	}
-	job, maxResumes := src.resumable(s.Engine, s.CheckpointEvery, s.MaxResumes)
+	job := src.resumable(s.Engine, s.CheckpointEvery)
 	var tapes []*streamTape
 	rep.Resumes, err = engine.Resume(ctx, job, maxResumes, func(attempt int) (stream.Sink, func(error) error, error) {
 		t, err := newStreamTape(fmt.Sprintf("t%d", attempt), s.Cartridges, s.TapeCapacity)

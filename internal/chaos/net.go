@@ -47,7 +47,6 @@ type NetScenario struct {
 	Cartridges   int   // per stream drive, min 1
 
 	CheckpointEvery int // files (logical) or blocks (physical)
-	MaxResumes      int
 }
 
 // NetReport is the outcome of a network chaos scenario. Its Metrics
@@ -114,7 +113,7 @@ func RunNet(ctx context.Context, s NetScenario) (*NetReport, error) {
 			trip: func() { link.PartitionOneWay(false) },
 		},
 	}
-	job, maxResumes := src.resumable(s.Engine, s.CheckpointEvery, s.MaxResumes)
+	job := src.resumable(s.Engine, s.CheckpointEvery)
 	if rep.Resumes, err = engine.Resume(ctx, job, maxResumes, at.open, ndmp.StreamLost); err != nil {
 		return nil, fmt.Errorf("chaos: %s dump: %w", s.Engine, err)
 	}

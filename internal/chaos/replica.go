@@ -251,18 +251,25 @@ func RunReplicaFailover(ctx context.Context, s ReplicaFailoverScenario) (*Replic
 			trip: linkA.Sever,
 		},
 	}
-	job, maxResumes := src.resumable(s.Engine, 0, 0)
+	job := src.resumable(s.Engine, 0)
 	if rep.Resumes, err = engine.Resume(ctx, job, maxResumes, at.open, ndmp.StreamLost); err != nil {
 		return nil, fmt.Errorf("chaos: %s dump: %w", s.Engine, err)
 	}
 	if catB == nil {
 		return nil, errors.New("chaos: the dump finished without failing over to host b")
 	}
+	// A host opens no media for a stream the client has seen
+	// acknowledged elsewhere, so each host lands one tape: A the stream
+	// it was writing when it died, B the stream the client went on with
+	// (a fresh one after a stale Hello, or the same one when A died
+	// before acknowledging a record).
+	if len(tapes) != 2 {
+		return nil, fmt.Errorf("chaos: %d tapes landed on two hosts for %d attempts", len(tapes), rep.Resumes+1)
+	}
 
 	// Host B lands the completed dump in its catalog — the
-	// acknowledgment the zero-loss guarantee is stated over. An attempt
-	// can bind more than one tape (a reconnect that lands on host B
-	// opens a fresh one), and every one of them is the set's.
+	// acknowledgment the zero-loss guarantee is stated over. Every
+	// attempt's tape is the set's.
 	ds := job.Set()
 	ds.FSID, ds.Snap, ds.Date, ds.Resumed = "chaosvol", src.snap, now, len(tapes) > 1
 	for _, t := range tapes {

@@ -106,14 +106,14 @@ func (s *source) dump(eng catalog.Engine, checkpointEvery, readers int) *engine.
 	})
 }
 
+// maxResumes bounds the checkpoint resumes of every scenario's dump.
+const maxResumes = 4
+
 // resumable is the dump of a scenario that resumes after a lost
-// stream, and its resume bound: unless the scenario sets them, it
-// checkpoints every 2 files or 32 blocks and resumes at most 4 times.
-func (s *source) resumable(eng catalog.Engine, checkpointEvery, maxResumes int) (*engine.Dump, int) {
-	if maxResumes <= 0 {
-		maxResumes = 4
-	}
-	return s.dump(eng, perEngine(checkpointEvery, eng, 2, 32), 0), maxResumes
+// stream: unless the scenario sets checkpointEvery, it checkpoints
+// every 2 files or 32 blocks.
+func (s *source) resumable(eng catalog.Engine, checkpointEvery int) *engine.Dump {
+	return s.dump(eng, perEngine(checkpointEvery, eng, 2, 32), 0)
 }
 
 // restoreDiff applies a set's streams to a fresh volume of the source's

@@ -29,7 +29,7 @@ func (r *schedRig) rot(t *testing.T, setID uint64, latent bool) string {
 		if !v.Cart.InjectLatentFault(int(ref.Start)) {
 			t.Fatalf("rot: latent inject at %d failed", ref.Start)
 		}
-	} else if !v.Cart.CorruptRecordAt(int(ref.Start)) {
+	} else if !v.Cart.CorruptRecord(int(ref.Start)) {
 		t.Fatalf("rot: corrupt at %d failed", ref.Start)
 	}
 	return ref.Volume

@@ -8,9 +8,11 @@ import (
 	"repro/internal/workload"
 )
 
-// TestTwoDumpsOnOneCartridge stores two dump streams as separate tape
-// files on a single cartridge and restores each independently via
-// tape-file seeks — the operational pattern for small nightly dumps.
+// TestTwoDumpsOnOneCartridge stores two dump streams one after the
+// other on a single cartridge and restores each independently,
+// positioned by the record index noted before it was written (as the
+// catalog's MediaRef.Start does) — the operational pattern for small
+// nightly dumps.
 func TestTwoDumpsOnOneCartridge(t *testing.T) {
 	src := newFS(t, 8192)
 	src.WriteFile(ctx, "/first/one.txt", []byte("dump one"), 0644)
@@ -18,19 +20,19 @@ func TestTwoDumpsOnOneCartridge(t *testing.T) {
 	sv1, _ := src.SnapshotView("d1")
 
 	drive := newTape(t, 0, 1)
+	start1 := drive.Loaded().Index()
 	dumpToTape(t, sv1, drive, 0, nil)
-	if err := drive.WriteFileMark(nil); err != nil {
-		t.Fatal(err)
-	}
+	start2 := drive.Loaded().Index()
 
 	src.WriteFile(ctx, "/second/two.txt", []byte("dump two"), 0644)
 	src.CreateSnapshot(ctx, "d2")
 	sv2, _ := src.SnapshotView("d2")
 	dumpToTape(t, sv2, drive, 0, nil)
 
-	// Restore tape file 0 (first dump): no second/two.txt yet.
+	// Restore the first dump: no second/two.txt yet.
 	dstA := newFS(t, 8192)
-	if err := drive.SeekFile(nil, 0); err != nil {
+	drive.Rewind(nil)
+	if err := drive.SpaceRecords(nil, start1); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := Restore(ctx, RestoreOptions{
@@ -42,12 +44,13 @@ func TestTwoDumpsOnOneCartridge(t *testing.T) {
 		t.Fatal(err)
 	}
 	if _, err := dstA.ActiveView().ReadFile(ctx, "/second/two.txt"); err == nil {
-		t.Fatal("first tape file leaked the second dump's contents")
+		t.Fatal("the first dump's restore leaked the second dump's contents")
 	}
 
-	// Restore tape file 1 (second dump): both files present.
+	// Restore the second dump: both files present.
 	dstB := newFS(t, 8192)
-	if err := drive.SeekFile(nil, 1); err != nil {
+	drive.Rewind(nil)
+	if err := drive.SpaceRecords(nil, start2); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := Restore(ctx, RestoreOptions{

@@ -104,8 +104,8 @@ func (s *DriveSink) NextVolume() error {
 // cycling through stacker cartridges at end of tape and treating an
 // empty stacker as end of stream.
 //
-// Records come off the drive through tape.Drive.ReadData: file marks
-// skipped, transient read errors retried with backoff charged to the
+// Records come off the drive through tape.Drive.ReadData: transient
+// read errors retried with backoff charged to the
 // simulated clock. A persistent error — a damaged spot of tape —
 // either propagates (default, verify wants to know) or, with
 // SkipDamaged, is spaced past, leaning on the stream formats'

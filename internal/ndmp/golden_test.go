@@ -13,14 +13,17 @@ import (
 // a Session opens with, and goldenAcks an answer of every status with
 // and without a message, as the whole frame a host's Conn sends: the
 // hex was recorded before the payload encoders became codec.Enc callers
-// appending into a connection's buffers. internal/transport's golden
-// test pins the other frames a data mover sends.
+// appending into a connection's buffers (the Hello, the version refusal
+// and the acks of Version 3 that carried a second mark were recorded
+// again for Version 4). markedAck is such a Version 3 ack, which
+// decodeAck refuses. internal/transport's golden test pins the other
+// frames a data mover sends.
 var (
 	goldenHello = struct {
 		h   Hello
 		hex string
 	}{Hello{Version: Version, Kind: KindLogical, Session: 0x5EED, Stream: 2, Level: 1, FSID: "fs042", Tenant: "tenant01"},
-		"4e444d460101000000000000000027000000313b570a0301ed5e00000000000002000000010000000500000066733034320800000074656e616e743031"}
+		"4e444d4601010000000000000000270000002f0f99380401ed5e00000000000002000000010000000500000066733034320800000074656e616e743031"}
 
 	goldenAcks = []struct {
 		typ byte
@@ -29,25 +32,27 @@ var (
 	}{
 		{MsgHelloAck, ack{status: AckOK},
 			"4e444d46020000000000000000001100000060ecf8a00000000000000000000000000000000000"},
-		{MsgAck, ack{status: AckOK, acked: 41, repl: 17},
-			"4e444d4604002900000000000000110000005ddac6e70029000000000000001100000000000000"},
-		{MsgAck, ack{status: AckOK, acked: 41, repl: 17, msg: "fine"},
-			"4e444d460400290000000000000015000000e37ea35f002900000000000000110000000000000066696e65"},
+		{MsgAck, ack{status: AckOK, acked: 41},
+			"4e444d460400290000000000000011000000e8ebd7570029000000000000000000000000000000"},
+		{MsgAck, ack{status: AckOK, acked: 41, msg: "fine"},
+			"4e444d46040029000000000000001500000070df1ec8002900000000000000000000000000000066696e65"},
 		{MsgAck, ack{status: AckEOM, acked: 5},
 			"4e444d46040005000000000000001100000026333e4f0105000000000000000000000000000000"},
 		{MsgVolAck, ack{status: AckEOM, acked: 5, msg: "volume 3 full"},
 			"4e444d46070005000000000000001e000000b4c096660105000000000000000000000000000000766f6c756d6520332066756c6c"},
-		{MsgAck, ack{status: AckGap, acked: 9, repl: 8},
-			"4e444d460400090000000000000011000000ac07d1910209000000000000000800000000000000"},
-		{MsgAck, ack{status: AckGap, acked: 9, repl: 8, msg: "lost 10"},
-			"4e444d46040009000000000000001800000035d4438a02090000000000000008000000000000006c6f7374203130"},
+		{MsgAck, ack{status: AckGap, acked: 9},
+			"4e444d460400090000000000000011000000191c34420209000000000000000000000000000000"},
+		{MsgAck, ack{status: AckGap, acked: 9, msg: "lost 10"},
+			"4e444d460400090000000000000018000000b218ca4502090000000000000000000000000000006c6f7374203130"},
 		{MsgSyncAck, ack{status: AckErr, acked: 3},
 			"4e444d460b0003000000000000001100000023c67a060303000000000000000000000000000000"},
-		{MsgHelloAck, ack{status: AckErr, msg: "version 2 not supported (host speaks 3)"},
-			"4e444d460200000000000000000038000000f433c510030000000000000000000000000000000076657273696f6e2032206e6f7420737570706f727465642028686f737420737065616b73203329"},
-		{MsgCloseAck, ack{status: AckOK, acked: 512, repl: 512},
-			"4e444d46090000020000000000001100000019c99df80000020000000000000002000000000000"},
+		{MsgHelloAck, ack{status: AckErr, msg: "version 2 not supported (host speaks 4)"},
+			"4e444d46020000000000000000003800000033a5845f030000000000000000000000000000000076657273696f6e2032206e6f7420737570706f727465642028686f737420737065616b73203429"},
+		{MsgCloseAck, ack{status: AckOK, acked: 512},
+			"4e444d46090000020000000000001100000030d8026f0000020000000000000000000000000000"},
 	}
+
+	markedAck = "4e444d4604002900000000000000110000005ddac6e70029000000000000001100000000000000"
 )
 
 // sentConn records a copy of every frame sent through it.
@@ -107,6 +112,12 @@ func TestGoldenMessageBytes(t *testing.T) {
 		if _, err := decodeAck(f.Payload[:ackFixed-1]); !errors.Is(err, transport.ErrBadFrame) {
 			t.Errorf("an ack cut to %d bytes: %v", ackFixed-1, err)
 		}
+	}
+	raw, _ := hex.DecodeString(markedAck)
+	if f, err := transport.Decode(raw); err != nil {
+		t.Fatal(err)
+	} else if a, err := decodeAck(f.Payload); !errors.Is(err, transport.ErrBadFrame) {
+		t.Errorf("an ack with nonzero reserved bytes decodes to %+v, %v", a, err)
 	}
 }
 
@@ -239,5 +250,38 @@ func TestLostReplayIsReplayedAgain(t *testing.T) {
 	if ss.Replayed != 8 || ss.Timeouts != 1 || hs.Duplicates != 0 {
 		t.Errorf("the replay lost too: %d frames replayed, %d timeouts, %d duplicates at the host; want 8, 1 and 0",
 			ss.Replayed, ss.Timeouts, hs.Duplicates)
+	}
+}
+
+// TestRepeatedSyncSendsOneMsgSync: Sync, Sync and Close with no record
+// between them confirm one checkpoint, so the client sends one
+// MsgSync: the second Sync and the Close's find nothing acknowledged
+// since the checkpoint the first confirmed.
+func TestRepeatedSyncSendsOneMsgSync(t *testing.T) {
+	l := transport.NewLink(transport.DefaultParams())
+	host, _, _ := harness(l, &memSink{})
+	conn := &sentConn{Conn: l.A()}
+	s, err := Dial(func() (transport.Conn, error) { return conn, nil },
+		Config{Kind: KindLogical, Session: 0x5EED, Window: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pushAll(t, s, testRecords(6))
+	for i := 0; i < 2; i++ {
+		if err := s.Sync(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	syncs := 0
+	for _, raw := range conn.sent {
+		if f, err := transport.Decode(raw); err == nil && f.Type == MsgSync {
+			syncs++
+		}
+	}
+	if hs := host.Stats(); syncs != 1 || hs.Syncs != 1 {
+		t.Errorf("Sync, Sync, Close sent %d MsgSyncs and the host confirmed %d, want 1 and 1", syncs, hs.Syncs)
 	}
 }

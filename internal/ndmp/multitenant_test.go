@@ -196,76 +196,6 @@ func TestTransportHelloVersion(t *testing.T) {
 	}
 }
 
-// TestTransportReplicateStallResetsOnProgress drives Sync against a
-// host whose replication quorum advances the checkpoint one record
-// per round trip — slow, but never stuck. The stall detector must
-// reset on every round of progress; pre-fix it accumulated across
-// rounds and surfaced a spurious SessionLostError once the sum
-// crossed DeadAfter.
-func TestTransportReplicateStallResetsOnProgress(t *testing.T) {
-	const (
-		heartbeat = 50 * time.Millisecond
-		deadAfter = 4 * heartbeat // trips after 4 stalled rounds
-		records   = 10            // needs 10 rounds of partial progress
-	)
-	env := sim.NewEnv()
-	l := transport.NewLink(transport.DefaultParams())
-	var acked, repl uint64
-	reply := func(typ byte, a ack) [][]byte {
-		return [][]byte{transport.Encode(&transport.Frame{Type: typ, Seq: a.acked, Payload: appendAck(nil, a)})}
-	}
-	l.B().Attach(func(raw []byte) [][]byte {
-		f, err := transport.Decode(raw)
-		if err != nil {
-			return nil
-		}
-		switch f.Type {
-		case MsgHello:
-			return reply(MsgHelloAck, ack{status: AckOK, acked: acked, repl: repl})
-		case MsgData:
-			if f.Seq == acked+1 {
-				acked = f.Seq
-			}
-			if f.Flags&FlagAckNow != 0 {
-				return reply(MsgAck, ack{status: AckOK, acked: acked, repl: repl})
-			}
-			return nil
-		case MsgHeartbeat:
-			return reply(MsgAck, ack{status: AckOK, acked: acked, repl: repl})
-		case MsgSync:
-			if repl < acked {
-				repl++ // one record of replication progress per round
-			}
-			return reply(MsgSyncAck, ack{status: AckOK, acked: acked, repl: repl})
-		case MsgClose:
-			return reply(MsgCloseAck, ack{status: AckOK, acked: acked, repl: repl})
-		}
-		return nil
-	})
-	var syncErr error
-	env.Spawn("mover", func(p *sim.Proc) {
-		l.A().Bind(p)
-		s, err := Dial(func() (transport.Conn, error) { return l.A(), nil },
-			Config{Kind: KindLogical, Session: 6, Window: records * 2,
-				HeartbeatEvery: heartbeat, DeadAfter: deadAfter, Proc: p})
-		if err != nil {
-			syncErr = err
-			return
-		}
-		for _, rec := range testRecords(records) {
-			if err := s.WriteRecord(rec); err != nil {
-				syncErr = err
-				return
-			}
-		}
-		syncErr = s.Sync()
-	})
-	env.Run()
-	if syncErr != nil {
-		t.Fatalf("sync against a slow-but-advancing quorum: %v", syncErr)
-	}
-}
-
 // TestTransportReconnectAggressiveBackoffStillDials cuts the link
 // under a redial policy whose very first backoff exceeds DeadAfter.
 // The session must still make one immediate dial attempt — pre-fix
@@ -472,5 +402,65 @@ func TestTransportGateThrottleWithholdsCredit(t *testing.T) {
 	assertIdentical(t, sink.recs, recs)
 	if hs := host.Stats(); hs.Throttled == 0 {
 		t.Fatalf("host stats %+v, want throttled > 0", hs)
+	}
+}
+
+// TestHelloWithMarkOpensNoMedia: a client fails over to a host that
+// holds nothing of its stream after seeing four records acknowledged.
+// Its Hello says so (Seq 4), and the host answers mark 0 without
+// consulting the Gate or opening a sink, so the client ends the stream
+// with a StaleStreamError and the host is left with no stream and no
+// media. A fresh Hello (Seq 0) for another stream still opens one.
+func TestHelloWithMarkOpensNoMedia(t *testing.T) {
+	hostA := NewHost(func(Hello) (Sink, error) { return &memSink{}, nil })
+	var admits, opened int
+	hostB := NewHost(func(Hello) (Sink, error) { opened++; return &memSink{}, nil })
+	hostB.Gate = gateFunc{admit: func(string, uint64, int) (Admission, string) {
+		admits++
+		return AdmitGranted, ""
+	}}
+	linkA := transport.NewLink(transport.DefaultParams())
+	linkB := transport.NewLink(transport.DefaultParams())
+	linkA.B().Attach(hostA.NewConn().HandleFrame)
+	linkB.B().Attach(hostB.NewConn().HandleFrame)
+	dial := func() (transport.Conn, error) {
+		if linkA.Severed() {
+			return linkB.A(), nil
+		}
+		return linkA.A(), nil
+	}
+	s, err := Dial(dial, Config{Kind: KindLogical, Session: 21, Window: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	recs := testRecords(5)
+	pushAll(t, s, recs[:4])
+	if err := s.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	linkA.Sever()
+	err = s.WriteRecord(recs[4])
+	if err == nil {
+		err = s.Sync()
+	}
+	var se *StaleStreamError
+	if !errors.As(err, &se) {
+		t.Fatalf("push after failover: %v, want a StaleStreamError", err)
+	}
+	if admits != 0 || opened != 0 || hostB.ActiveStreams() != 0 || hostB.Stats().Streams != 0 {
+		t.Fatalf("a Hello with a mark: %d admissions, %d sinks opened, %d streams registered (%+v); want none",
+			admits, opened, hostB.ActiveStreams(), hostB.Stats())
+	}
+
+	fresh, err := Dial(func() (transport.Conn, error) { return linkB.A(), nil },
+		Config{Kind: KindLogical, Session: 21, Stream: 1, Window: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := fresh.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if admits != 1 || opened != 1 {
+		t.Fatalf("a fresh Hello: %d admissions, %d sinks opened; want 1 and 1", admits, opened)
 	}
 }

@@ -23,17 +23,22 @@ import (
 	"repro/internal/transport"
 )
 
-// Version is the one protocol version both ends speak: acks carry the
-// host's mark at the stream's last checkpoint, MsgSync/MsgSyncAck
-// confirm a checkpoint in one round trip, and the Hello names the
-// tenant so a multi-tenant tape host can namespace catalogs and enforce
-// per-tenant scheduling. A host refuses a Hello of any other version.
-const Version = 3
+// Version is the one protocol version both ends speak: a Hello carries
+// the client's acknowledged mark and names the tenant, so a
+// multi-tenant tape host can namespace catalogs and enforce per-tenant
+// scheduling; MsgSync/MsgSyncAck confirm a checkpoint in one round
+// trip; an ack carries one mark, the host's acknowledged sequence,
+// followed by eight reserved zero bytes. A host refuses a Hello of any
+// other version.
+const Version = 4
 
 // Message types carried in transport.Frame.Type.
 const (
 	// MsgHello opens (or re-opens) a session: payload names the
-	// stream so the tape host can bind or create the right sink.
+	// stream so the tape host can bind or create the right sink, and
+	// Frame.Seq carries the client's acknowledged mark (0 on a fresh
+	// stream), so a host holding nothing of a stream the client has
+	// seen acknowledged opens no media for it.
 	MsgHello = 0x01
 	// MsgHelloAck answers a Hello with the host's durable high-water
 	// mark, which is what makes reconnect resume instead of restart.
@@ -53,12 +58,11 @@ const (
 	MsgClose = 0x08
 	// MsgCloseAck confirms the host saw the close.
 	MsgCloseAck = 0x09
-	// MsgSync asks the host to confirm a checkpoint: the host records
-	// its current durable high-water mark as the stream's checkpoint
-	// mark. Frame.Seq carries the client's acked mark as a cross-check.
+	// MsgSync asks the host to confirm a checkpoint. Frame.Seq carries
+	// the client's acked mark.
 	MsgSync = 0x0A
-	// MsgSyncAck answers MsgSync; its repl field is the host's mark at
-	// the checkpoint.
+	// MsgSyncAck answers MsgSync with the host's acknowledged mark:
+	// records 1..acked are on its media.
 	MsgSyncAck = 0x0B
 )
 
@@ -162,15 +166,13 @@ func decodeHello(p []byte) (Hello, error) {
 	return h, nil
 }
 
-// ack is the payload of MsgHelloAck, MsgAck, MsgVolAck and MsgSyncAck:
-// a status byte, the cumulative acknowledged sequence, the host's
-// durable mark at the stream's last checkpoint (records 1..repl were
-// on its media when it answered the last MsgSync), and (for AckErr) a
-// human-readable reason.
+// ack is the payload of MsgHelloAck, MsgAck, MsgVolAck, MsgSyncAck and
+// MsgCloseAck: a status byte, the cumulative acknowledged sequence,
+// eight reserved bytes (zero), and (for AckErr) a human-readable
+// reason.
 type ack struct {
 	status byte
 	acked  uint64
-	repl   uint64
 	msg    string
 }
 
@@ -183,17 +185,24 @@ func appendAck(dst []byte, a ack) []byte {
 	e := codec.Enc{B: dst}
 	e.U8(a.status)
 	e.U64(a.acked)
-	e.U64(a.repl)
+	e.U64(0) // reserved
 	e.Raw([]byte(a.msg))
 	return e.B
 }
 
+// decodeAck unmarshals an ack payload; one whose reserved bytes are
+// not zero is refused.
 func decodeAck(p []byte) (ack, error) {
 	if len(p) < ackFixed {
 		return ack{}, fmt.Errorf("%w: ack payload %d bytes", transport.ErrBadFrame, len(p))
 	}
 	d := codec.Dec{B: p, Bad: transport.ErrBadFrame}
-	return ack{status: d.U8(), acked: d.U64(), repl: d.U64(), msg: string(p[ackFixed:])}, nil
+	a := ack{status: d.U8(), acked: d.U64()}
+	if d.U64() != 0 {
+		return ack{}, fmt.Errorf("%w: ack reserved bytes not zero", transport.ErrBadFrame)
+	}
+	a.msg = string(p[ackFixed:])
+	return a, nil
 }
 
 // RemoteError is a host-side failure relayed over the wire (an AckErr
@@ -244,22 +253,20 @@ func (e *SessionLostError) Is(target error) bool {
 	return target == ErrSessionLost
 }
 
-// StaleStreamError reports that the host answering this stream's
-// Hello is not the host that was writing it: its mark is behind the
-// one this client already saw acknowledged, because a failover (or a
-// host restart) put the client in front of fresh media. The stream
-// cannot be appended to; the engine resumes on a fresh stream from
-// its own last checkpoint, which the host confirmed at mark Repl.
-// errors.Is matches ErrSessionLost, so every resume-from-checkpoint
-// loop handles a failover without modification.
+// StaleStreamError reports that the host answering this stream is not
+// the host that was writing it: its mark is behind the one this client
+// already saw acknowledged, because a failover (or a host restart) put
+// the client in front of a host that holds none of the stream. The
+// stream cannot be appended to; the engine resumes on a fresh stream
+// from its own last checkpoint. errors.Is matches ErrSessionLost, so
+// every resume-from-checkpoint loop handles a failover without
+// modification.
 type StaleStreamError struct {
 	Session uint64
 	Stream  int
-	Repl    uint64 // the lost host's mark at the client's last checkpoint
 }
 
 func (e *StaleStreamError) Error() string {
-	return fmt.Sprintf("ndmp: stale stream %d/%d after failover (checkpoint mark %d): %v",
-		e.Session, e.Stream, e.Repl, ErrSessionLost)
+	return fmt.Sprintf("ndmp: stale stream %d/%d after failover: %v", e.Session, e.Stream, ErrSessionLost)
 }
 func (e *StaleStreamError) Is(target error) bool { return target == ErrSessionLost }

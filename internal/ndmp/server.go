@@ -75,7 +75,7 @@ type HostStats struct {
 	BadFrames  int   // undecodable frames received
 	Heartbeats int   // probes answered
 	NextVols   int   // volume switches served
-	Syncs      int   // checkpoints confirmed
+	Syncs      int   // MsgSyncs answered AckOK
 	Sessions   int   // sessions closed cleanly
 	Waits      int   // Hellos left unanswered by admission control
 	Rejects    int   // Hellos refused by admission control
@@ -92,14 +92,13 @@ type streamKey struct {
 // stream is the per-(session, stream) server state: exactly what the
 // pre-registry Host kept once, now one entry per client. The mutex
 // serializes the data path (normally a single connection goroutine;
-// after a reconnect race, possibly a zombie too); acked/repl/bytes
-// are atomics so metric collectors read them without taking it.
+// after a reconnect race, possibly a zombie too); acked and bytes are
+// atomics so metric collectors read them without taking it.
 type stream struct {
 	mu    sync.Mutex
 	hello Hello
 	sink  Sink
 	acked atomic.Uint64 // cumulative: records 1..acked are durable
-	repl  atomic.Uint64 // cumulative: records 1..repl were durable at the last MsgSync
 	bytes atomic.Int64  // payload bytes durably written
 	// released is the high-water mark the host has granted window
 	// credit for: acks report it instead of acked while the Gate is
@@ -238,15 +237,6 @@ func (h *Host) RegisterMetrics(r *obs.Registry) {
 		defer h.mu.Unlock()
 		return float64(len(h.streams))
 	})
-	r.RegisterFunc("ndmp_host_replication_lag_records", obs.KindGauge, nil, func() float64 {
-		h.mu.Lock()
-		defer h.mu.Unlock()
-		var lag uint64
-		for _, st := range h.streams {
-			lag += st.acked.Load() - st.repl.Load()
-		}
-		return float64(lag)
-	})
 }
 
 // registerTenantLocked installs the per-tenant collectors once a
@@ -357,12 +347,8 @@ func (c *Conn) Handle(f transport.Frame) [][]byte {
 }
 
 // respond encodes one ack-bearing response frame into the
-// connection's buffers, defaulting its repl field to the bound
-// stream's checkpoint mark.
+// connection's buffers.
 func (c *Conn) respond(typ byte, a ack) [][]byte {
-	if a.repl == 0 && c.cur != nil {
-		a.repl = c.cur.repl.Load()
-	}
 	c.ackBuf = appendAck(c.ackBuf[:0], a)
 	c.frameBuf = transport.AppendFrame(c.frameBuf[:0], &transport.Frame{
 		Type:    typ,
@@ -400,11 +386,15 @@ func (c *Conn) handleHello(f transport.Frame) [][]byte {
 		defer st.mu.Unlock()
 		return c.respond(MsgHelloAck, ack{status: st.status(), acked: st.acked.Load()})
 	}
-	// This host holds no media for the stream, so it opens fresh media
-	// and answers mark 0. A client failing over mid-stream (from
-	// another host, or from this host's previous life) holds a higher
-	// mark than that and resumes from its own checkpoint on a fresh
-	// stream (StaleStreamError).
+	// This host holds no media for the stream, so it answers mark 0. A
+	// client failing over mid-stream (from another host, or from this
+	// host's previous life) has seen a higher mark acknowledged and says
+	// so in the Hello's Seq: it can only end the stream and resume from
+	// its own checkpoint on a fresh one (StaleStreamError), so it gets
+	// no admission and no media. A fresh stream gets both.
+	if f.Seq > 0 {
+		return c.respond(MsgHelloAck, ack{status: AckOK})
+	}
 	if h.Gate != nil {
 		adm, msg := h.Gate.Admit(hello.Tenant, hello.Session, hello.Stream)
 		switch adm {
@@ -568,8 +558,8 @@ func (c *Conn) handleNextVol() [][]byte {
 	return c.respond(MsgVolAck, ack{status: AckOK, acked: st.acked.Load()})
 }
 
-// handleSync confirms a stream checkpoint: records 1..acked are on
-// this host's media, and the answer's repl field says so.
+// handleSync confirms a stream checkpoint: the answer's mark says
+// records 1..acked are on this host's media.
 func (c *Conn) handleSync() [][]byte {
 	st := c.cur
 	if st == nil {
@@ -578,12 +568,12 @@ func (c *Conn) handleSync() [][]byte {
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	acked := st.acked.Load()
-	if st.repl.Load() < acked {
-		st.repl.Store(acked)
+	st.released = acked // a checkpoint drain must not be throttled
+	status := st.status()
+	if status == AckOK {
 		c.h.bump(func(s *HostStats) { s.Syncs++ })
 	}
-	st.released = acked // a checkpoint drain must not be throttled
-	return c.respond(MsgSyncAck, ack{status: st.status(), acked: acked, repl: st.repl.Load()})
+	return c.respond(MsgSyncAck, ack{status: status, acked: acked})
 }
 
 // handleClose ends the bound stream's whole session: every stream of
@@ -597,7 +587,7 @@ func (c *Conn) handleClose() [][]byte {
 		return c.respond(MsgCloseAck, ack{status: AckOK})
 	}
 	session := st.hello.Session
-	a := ack{status: AckOK, acked: st.acked.Load(), repl: st.repl.Load()}
+	a := ack{status: AckOK, acked: st.acked.Load()}
 	if st.eom {
 		a.status = AckEOM
 	}
@@ -610,7 +600,7 @@ func (c *Conn) handleClose() [][]byte {
 	if c.h.OnSessionClose != nil {
 		c.h.OnSessionClose(session, ends)
 	}
-	c.cur = nil // so respond keeps a.repl as it is
+	c.cur = nil // the session is retired: a re-sent MsgClose closes nothing again
 	return c.respond(MsgCloseAck, a)
 }
 
@@ -647,7 +637,7 @@ func (h *Host) evict(match func(streamKey) bool) []*stream {
 // Evict removes one stream from the registry, closing its sink and
 // releasing its grant. It is the operator path for abandoning a
 // stream whose client will never return; a client that does come back
-// is answered like a failed-over one: fresh media at mark 0.
+// is answered like a failed-over one: mark 0, and no media.
 func (h *Host) Evict(session uint64, stream int) bool {
 	key := streamKey{session, stream}
 	return len(h.evict(func(k streamKey) bool { return k == key })) > 0

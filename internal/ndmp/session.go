@@ -110,7 +110,7 @@ type Session struct {
 	free        [][]byte // buffers of acknowledged records, for the next ones
 	sendBuf     []byte   // the last data frame or heartbeat sent
 	acked       uint64   // host's durable high-water mark
-	repl        uint64   // host's mark at the last confirmed checkpoint
+	synced      uint64   // acked at the last confirmed checkpoint
 	nextSeq     uint64   // next sequence to assign
 	sentThrough uint64   // highest seq transmitted on the current conn
 	gapReplay   uint64   // first seq of the gap replay on this conn (0: none)
@@ -184,12 +184,6 @@ func (s *Session) RegisterMetrics(r *obs.Registry) {
 	r.RegisterFunc("ndmp_acked_records", obs.KindGauge, l, func() float64 {
 		return float64(s.acked)
 	})
-	r.RegisterFunc("ndmp_replicated_records", obs.KindGauge, l, func() float64 {
-		return float64(s.repl)
-	})
-	r.RegisterFunc("ndmp_replication_lag_records", obs.KindGauge, l, func() float64 {
-		return float64(s.acked - s.repl)
-	})
 }
 
 // Acked returns the host's durable high-water mark as last heard.
@@ -243,9 +237,10 @@ func (s *Session) slideTo(acked uint64) {
 	}
 }
 
-// connect dials and handshakes. On success the host's high-water
-// mark has been folded in and unacknowledged records are marked for
-// retransmission — the resume handshake in one round trip.
+// connect dials and handshakes, telling the host the mark this client
+// has seen acknowledged. On success the host's high-water mark has been
+// folded in and unacknowledged records are marked for retransmission —
+// the resume handshake in one round trip.
 func (s *Session) connect() error {
 	if s.conn != nil {
 		s.conn.Close()
@@ -255,7 +250,7 @@ func (s *Session) connect() error {
 		return err
 	}
 	s.conn = conn
-	hello := transport.Encode(&transport.Frame{Type: MsgHello, Flags: FlagAckNow,
+	hello := transport.Encode(&transport.Frame{Type: MsgHello, Flags: FlagAckNow, Seq: s.acked,
 		Payload: appendHello(nil, Hello{Version: Version, Kind: s.cfg.Kind, Session: s.cfg.Session,
 			Stream: s.cfg.Stream, Level: s.cfg.Level, FSID: s.cfg.FSID, Tenant: s.cfg.Tenant})})
 	a, err := s.request(hello, MsgHelloAck)
@@ -270,12 +265,9 @@ func (s *Session) connect() error {
 		// this client already saw acknowledged. Terminal for this
 		// session — the engine resumes from its own last checkpoint
 		// on a fresh stream.
-		return &StaleStreamError{Session: s.cfg.Session, Stream: s.cfg.Stream, Repl: s.repl}
+		return &StaleStreamError{Session: s.cfg.Session, Stream: s.cfg.Stream}
 	}
 	s.slideTo(a.acked)
-	if a.repl > s.repl {
-		s.repl = a.repl
-	}
 	s.eom = a.status == AckEOM
 	s.sentThrough = s.acked
 	s.gapReplay = 0
@@ -608,14 +600,15 @@ func (s *Session) NextVolume() error {
 }
 
 // Sync drains the send window, blocking until every record accepted
-// so far is acknowledged durable AND the host has confirmed the
-// checkpoint (the MsgSync round trip). It implements stream.Syncer:
+// so far is acknowledged durable, then has the host confirm the
+// checkpoint in one MsgSync round trip. It implements stream.Syncer:
 // the dump engines call it after emitting a checkpoint marker, which
 // is what makes a checkpoint over the wire mean the same thing it
-// means on a local drive — everything up to the marker is on tape.
-// If the host is later lost, a fresh host answers the Hello with a
-// lower mark and the engine resumes from that checkpoint
-// (StaleStreamError). End of media can surface mid-drain
+// means on a local drive — everything up to the marker is on tape. A
+// Sync with nothing acknowledged since the last confirmed checkpoint
+// sends no MsgSync. If the host is later lost, a fresh host answers
+// the Hello with a lower mark and the engine resumes from that
+// checkpoint (StaleStreamError). End of media can surface mid-drain
 // (provisionally accepted tail records did not fit); the volume switch
 // that a local drive would have demanded one write earlier is driven
 // here.
@@ -635,25 +628,9 @@ func (s *Session) Sync() error {
 			return err
 		}
 	}
-	return s.replicate()
-}
-
-// replicate runs the MsgSync round trip until the host reports its
-// checkpoint mark has caught up with everything we drained. A SyncAck
-// may trail; one that advances nothing for the dead-peer window
-// surfaces as a lost session, and the engine's checkpoint-resume loop
-// redials.
-func (s *Session) replicate() error {
-	var stalled time.Duration
-	for s.repl < s.acked {
+	for s.synced < s.acked {
 		if err := s.ctxErr(); err != nil {
 			return err
-		}
-		if stalled >= s.cfg.DeadAfter {
-			return &SessionLostError{
-				Cause:      fmt.Errorf("checkpoint replication stalled at %d/%d for %v", s.repl, s.acked, stalled),
-				Reconnects: s.stats.Reconnects,
-			}
 		}
 		req := transport.Encode(&transport.Frame{Type: MsgSync, Flags: FlagAckNow, Seq: s.acked})
 		a, err := s.request(req, MsgSyncAck)
@@ -669,22 +646,12 @@ func (s *Session) replicate() error {
 		if a.status == AckErr {
 			return &RemoteError{Op: "sync", Msg: a.msg}
 		}
+		if a.acked < s.acked {
+			// The host lost records it had acknowledged.
+			return &StaleStreamError{Session: s.cfg.Session, Stream: s.cfg.Stream}
+		}
 		s.slideTo(a.acked)
-		if a.repl > s.repl {
-			s.repl = a.repl
-			// Partial progress: the host is slow, not gone. Only one
-			// that advances nothing for a full DeadAfter window is
-			// declared lost.
-			stalled = 0
-		}
-		if a.repl < s.acked {
-			// The mark trails: let the clock advance (the wait is
-			// charged like a heartbeat) and retry rather than spin.
-			stalled += s.cfg.HeartbeatEvery
-			if p := s.proc(); p != nil {
-				p.Sleep(s.cfg.HeartbeatEvery)
-			}
-		}
+		s.synced = s.acked
 	}
 	return nil
 }

@@ -30,15 +30,12 @@ type Kind int
 const (
 	KindCounter Kind = iota
 	KindGauge
-	KindHistogram
 )
 
 func (k Kind) String() string {
 	switch k {
 	case KindGauge:
 		return "gauge"
-	case KindHistogram:
-		return "histogram"
 	default:
 		return "counter"
 	}
@@ -90,49 +87,6 @@ func (g *Gauge) Value() float64 {
 	return math.Float64frombits(g.bits.Load())
 }
 
-// Histogram is a push-style distribution with fixed bucket bounds.
-// A nil Histogram is a no-op.
-type Histogram struct {
-	mu     sync.Mutex
-	bounds []float64 // ascending upper bounds; +Inf is implicit
-	counts []int64   // len(bounds)+1, last is the overflow bucket
-	sum    float64
-	count  int64
-}
-
-// Observe records one sample.
-func (h *Histogram) Observe(v float64) {
-	if h == nil {
-		return
-	}
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	i := sort.SearchFloat64s(h.bounds, v)
-	h.counts[i]++
-	h.sum += v
-	h.count++
-}
-
-// HistSnapshot is a histogram's frozen state.
-type HistSnapshot struct {
-	Bounds []float64
-	Counts []int64 // cumulative per bound, then total
-	Sum    float64
-	Count  int64
-}
-
-func (h *Histogram) snapshot() *HistSnapshot {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	s := &HistSnapshot{
-		Bounds: append([]float64(nil), h.bounds...),
-		Counts: append([]int64(nil), h.counts...),
-		Sum:    h.sum,
-		Count:  h.count,
-	}
-	return s
-}
-
 // series is one labeled instance of a metric.
 type series struct {
 	labels Labels
@@ -140,7 +94,6 @@ type series struct {
 
 	counter *Counter
 	gauge   *Gauge
-	hist    *Histogram
 	fn      func() float64 // pull collector; wins over the push forms
 }
 
@@ -160,7 +113,6 @@ func (s *series) value() float64 {
 type family struct {
 	name   string
 	kind   Kind
-	help   string
 	series map[string]*series
 	order  []string // registration order of series keys
 }
@@ -251,24 +203,6 @@ func (r *Registry) Gauge(name string, l Labels) *Gauge {
 	return s.gauge
 }
 
-// Histogram returns the histogram for (name, labels) with the given
-// bucket upper bounds (ascending; used only on first creation).
-func (r *Registry) Histogram(name string, l Labels, bounds []float64) *Histogram {
-	if r == nil {
-		return nil
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	s := r.getSeries(name, KindHistogram, l)
-	if s.hist == nil {
-		s.hist = &Histogram{
-			bounds: append([]float64(nil), bounds...),
-			counts: make([]int64, len(bounds)+1),
-		}
-	}
-	return s.hist
-}
-
 // RegisterFunc installs a pull collector for (name, labels): fn is
 // called at snapshot/export time. Re-registering the same series
 // replaces the collector, so rebuilding a subsystem is idempotent.
@@ -282,25 +216,12 @@ func (r *Registry) RegisterFunc(name string, kind Kind, l Labels, fn func() floa
 	s.fn = fn
 }
 
-// SetHelp attaches a help string shown in the Prometheus export.
-func (r *Registry) SetHelp(name, help string) {
-	if r == nil {
-		return
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if f, ok := r.families[name]; ok {
-		f.help = help
-	}
-}
-
 // Point is one series' value in a snapshot.
 type Point struct {
 	Name   string
 	Kind   Kind
 	Labels Labels
 	Value  float64
-	Hist   *HistSnapshot // non-nil only for histograms
 }
 
 // Snapshot evaluates every series (running pull collectors) and
@@ -316,12 +237,7 @@ func (r *Registry) Snapshot() []Point {
 		f := r.families[name]
 		for _, key := range f.order {
 			s := f.series[key]
-			p := Point{Name: name, Kind: f.kind, Labels: s.labels, Value: s.value()}
-			if s.hist != nil {
-				p.Hist = s.hist.snapshot()
-				p.Value = p.Hist.Sum
-			}
-			out = append(out, p)
+			out = append(out, Point{Name: name, Kind: f.kind, Labels: s.labels, Value: s.value()})
 		}
 	}
 	return out
@@ -376,7 +292,7 @@ func (r *Registry) Has(name string) bool {
 }
 
 // promLabels renders a label set in Prometheus exposition syntax.
-func promLabels(l Labels, extra ...string) string {
+func promLabels(l Labels) string {
 	keys := make([]string, 0, len(l))
 	for k := range l {
 		keys = append(keys, k)
@@ -386,7 +302,6 @@ func promLabels(l Labels, extra ...string) string {
 	for _, k := range keys {
 		parts = append(parts, fmt.Sprintf("%s=%q", k, l[k]))
 	}
-	parts = append(parts, extra...)
 	if len(parts) == 0 {
 		return ""
 	}
@@ -401,8 +316,7 @@ func formatFloat(v float64) string {
 }
 
 // WritePrometheus writes the registry in Prometheus text exposition
-// format: # HELP / # TYPE headers followed by one line per series
-// (histograms expand to _bucket/_sum/_count).
+// format: a # TYPE header followed by one line per series.
 func (r *Registry) WritePrometheus(w io.Writer) error {
 	if r == nil {
 		return nil
@@ -411,37 +325,11 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 	defer r.mu.Unlock()
 	for _, name := range r.order {
 		f := r.families[name]
-		if f.help != "" {
-			if _, err := fmt.Fprintf(w, "# HELP %s %s\n", name, f.help); err != nil {
-				return err
-			}
-		}
 		if _, err := fmt.Fprintf(w, "# TYPE %s %s\n", name, f.kind); err != nil {
 			return err
 		}
 		for _, key := range f.order {
 			s := f.series[key]
-			if s.hist != nil {
-				snap := s.hist.snapshot()
-				cum := int64(0)
-				for i, b := range snap.Bounds {
-					cum += snap.Counts[i]
-					le := fmt.Sprintf("le=%q", formatFloat(b))
-					if _, err := fmt.Fprintf(w, "%s_bucket%s %d\n", name, promLabels(s.labels, le), cum); err != nil {
-						return err
-					}
-				}
-				if _, err := fmt.Fprintf(w, "%s_bucket%s %d\n", name, promLabels(s.labels, `le="+Inf"`), snap.Count); err != nil {
-					return err
-				}
-				if _, err := fmt.Fprintf(w, "%s_sum%s %s\n", name, promLabels(s.labels), formatFloat(snap.Sum)); err != nil {
-					return err
-				}
-				if _, err := fmt.Fprintf(w, "%s_count%s %d\n", name, promLabels(s.labels), snap.Count); err != nil {
-					return err
-				}
-				continue
-			}
 			if _, err := fmt.Fprintf(w, "%s%s %s\n", name, promLabels(s.labels), formatFloat(s.value())); err != nil {
 				return err
 			}

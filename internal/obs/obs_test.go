@@ -14,7 +14,6 @@ func TestNilRegistryIsNoop(t *testing.T) {
 	var r *Registry
 	r.Counter("x_total", nil).Add(5)
 	r.Gauge("g", nil).Set(1)
-	r.Histogram("h", nil, []float64{1}).Observe(2)
 	r.RegisterFunc("f", KindCounter, nil, func() float64 { return 1 })
 	if got := r.Sum("x_total"); got != 0 {
 		t.Fatalf("nil registry Sum = %v", got)
@@ -67,40 +66,15 @@ func TestRegisterFuncPullAndReplace(t *testing.T) {
 	}
 }
 
-func TestHistogram(t *testing.T) {
-	r := NewRegistry()
-	h := r.Histogram("lat_seconds", nil, []float64{0.1, 1})
-	h.Observe(0.05)
-	h.Observe(0.5)
-	h.Observe(5)
-	var b strings.Builder
-	if err := r.WritePrometheus(&b); err != nil {
-		t.Fatal(err)
-	}
-	out := b.String()
-	for _, want := range []string{
-		`lat_seconds_bucket{le="0.1"} 1`,
-		`lat_seconds_bucket{le="1"} 2`,
-		`lat_seconds_bucket{le="+Inf"} 3`,
-		"lat_seconds_count 3",
-	} {
-		if !strings.Contains(out, want) {
-			t.Fatalf("prometheus output missing %q:\n%s", want, out)
-		}
-	}
-}
-
 func TestPrometheusFormat(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("ops_total", Labels{"kind": "read", "disk": "d0"}).Add(2)
-	r.SetHelp("ops_total", "operations served")
 	var b strings.Builder
 	if err := r.WritePrometheus(&b); err != nil {
 		t.Fatal(err)
 	}
 	out := b.String()
 	for _, want := range []string{
-		"# HELP ops_total operations served",
 		"# TYPE ops_total counter",
 		`ops_total{disk="d0",kind="read"} 2`,
 	} {

@@ -29,15 +29,9 @@ type DrivePoolConfig struct {
 	// saturation, adding clients redistributes bytes instead of adding
 	// throughput.
 	DriveRate int64
-	// DefaultRate is the per-tenant byte-rate limit applied to tenants
-	// absent from Rates (0 = unlimited).
+	// DefaultRate is the byte-rate limit applied to every tenant
+	// (0 = unlimited).
 	DefaultRate int64
-	// Rates overrides DefaultRate per tenant.
-	Rates map[string]int64
-	// Priority orders tenants in the wait queue; higher drains first
-	// (default 0). Equal priorities fall back to fair share: the tenant
-	// with the fewest admitted streams wins, then first-come.
-	Priority map[string]int
 	// StaleAfter expires a waiter whose client stopped polling —
 	// crashed mid-wait, or gave up at its DeadAfter (default 10s).
 	StaleAfter time.Duration
@@ -97,7 +91,7 @@ func (b *bucket) ok() bool { return b.rate <= 0 || b.tokens >= 0 }
 
 // DrivePool is the multi-tenant drive scheduler: it admits up to
 // Drives concurrent streams, queues the overflow (bounded, fair-share
-// + priority ordered, polled by the clients' own Hello retries), and
+// ordered, polled by the clients' own Hello retries), and
 // meters bytes through per-tenant and aggregate token buckets. It
 // implements the session layer's Gate interface; hang it on
 // ndmp.Host.Gate.
@@ -227,8 +221,8 @@ func (p *DrivePool) Admit(tenant string, session uint64, stream int) (ndmp.Admis
 }
 
 // bestWaiterLocked reports whether id should win the next free drive:
-// highest tenant priority first, then fair share (fewest admitted
-// streams for the tenant), then earliest arrival. An id not yet in
+// fair share first (fewest admitted streams for the tenant), then
+// earliest arrival. An id not yet in
 // the queue competes as if it had just joined the tail.
 func (p *DrivePool) bestWaiterLocked(id streamID) bool {
 	cand, ok := p.waiting[id]
@@ -239,18 +233,14 @@ func (p *DrivePool) bestWaiterLocked(id streamID) bool {
 	for a := range p.active {
 		perTenant[a.tenant]++
 	}
-	rank := func(w *waiter) (int, int, int64) {
-		return p.cfg.Priority[w.id.tenant], perTenant[w.id.tenant], w.arrived
-	}
-	cp, cs, ca := rank(cand)
+	cs := perTenant[cand.id.tenant]
 	for _, w := range p.waiting {
 		if w.id == id {
 			continue
 		}
-		wp, ws, wa := rank(w)
-		// w beats cand: higher priority, or same priority and a
-		// smaller share, or a full tie broken by arrival order.
-		if wp > cp || (wp == cp && (ws < cs || (ws == cs && wa < ca))) {
+		// w beats cand: a smaller share, or the same share and an
+		// earlier arrival.
+		if ws := perTenant[w.id.tenant]; ws < cs || (ws == cs && w.arrived < cand.arrived) {
 			return false
 		}
 	}
@@ -292,9 +282,6 @@ func (p *DrivePool) Charge(tenant string, session uint64, stream int, n int) boo
 	tb := p.tenants[tenant]
 	if tb == nil {
 		rate := p.cfg.DefaultRate
-		if r, ok := p.cfg.Rates[tenant]; ok {
-			rate = r
-		}
 		burst := rate // one second of burst
 		tb = &bucket{rate: rate, burst: burst, tokens: burst, last: now}
 		p.tenants[tenant] = tb

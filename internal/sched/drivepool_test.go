@@ -87,18 +87,6 @@ func TestSchedFairShare(t *testing.T) {
 	mustAdmit(t, p, "hog", 3, ndmp.AdmitGranted)
 }
 
-// TestSchedPriority: a higher-priority tenant jumps the whole queue
-// regardless of fair share and arrival order.
-func TestSchedPriority(t *testing.T) {
-	p, _ := clockPool(DrivePoolConfig{Drives: 1, Priority: map[string]int{"gold": 10}})
-	mustAdmit(t, p, "bronze", 1, ndmp.AdmitGranted)
-	mustAdmit(t, p, "iron", 2, ndmp.AdmitWait)
-	mustAdmit(t, p, "gold", 3, ndmp.AdmitWait)
-	p.Release("bronze", 1, 0)
-	mustAdmit(t, p, "iron", 2, ndmp.AdmitWait)
-	mustAdmit(t, p, "gold", 3, ndmp.AdmitGranted)
-}
-
 // TestSchedStaleWaiterExpiry: a waiter whose client stops polling is
 // reclaimed after StaleAfter, freeing its queue slot; a live poller
 // at the same age survives.
@@ -128,7 +116,7 @@ func TestSchedStaleWaiterExpiry(t *testing.T) {
 // credit is withheld until refill repays the debt.
 func TestSchedTenantRateLimit(t *testing.T) {
 	p, now := clockPool(DrivePoolConfig{
-		Drives: 2, DefaultRate: 1000, Rates: map[string]int64{"vip": 0},
+		Drives: 2, DefaultRate: 1000,
 	})
 	// Burst = one second of rate: the first 1000 bytes pass.
 	if !p.Charge("a", 1, 0, 1000) {
@@ -146,10 +134,6 @@ func TestSchedTenantRateLimit(t *testing.T) {
 	*now = 500 * time.Millisecond
 	if !p.Charge("a", 1, 0, 0) {
 		t.Fatal("poll after refill still throttled")
-	}
-	// An unlimited tenant (explicit 0 rate) is never throttled.
-	if !p.Charge("vip", 2, 0, 1<<30) {
-		t.Fatal("unlimited tenant throttled")
 	}
 	if st := p.Stats(); st.Throttled != 2 {
 		t.Fatalf("throttled = %d, want 2", st.Throttled)

@@ -148,7 +148,7 @@ func TestScrubDegradesWithoutReplica(t *testing.T) {
 		located bool
 	}{
 		{"latent fault", func(r *rig) bool { return r.cart.InjectLatentFault(r.start) }, scrub.MediaFault, true},
-		{"silent flip", func(r *rig) bool { return r.cart.CorruptRecordAt(r.start + 1) }, scrub.StreamCorrupt, false},
+		{"silent flip", func(r *rig) bool { return r.cart.CorruptRecord(r.start + 1) }, scrub.StreamCorrupt, false},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			r := newRig(t)

@@ -55,7 +55,9 @@ func Close(srcs ...Source) {
 // Syncer is optionally implemented by sinks whose WriteRecord accepts
 // records provisionally (a network session with a send window, a deep
 // write-behind buffer) and by chunk media that buffer appends. Sync
-// returns once everything accepted so far is durable on media. The dump
+// returns once everything accepted so far is durable on media: for a
+// network session, once the window is drained and one MsgSync round
+// trip has had the host confirm its acknowledged mark. The dump
 // engines call it after emitting a checkpoint marker, before recording
 // the checkpoint as reached — the checkpoint contract promises
 // everything up to the marker is on tape, and a provisional accept

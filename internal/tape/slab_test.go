@@ -88,8 +88,8 @@ func TestEraseThenRewriteReadsOnlyNewRecords(t *testing.T) {
 func TestCorruptRecordAtLeavesSlabNeighbours(t *testing.T) {
 	d, c := loadedDrive(t)
 	want := writeAll(t, d, pattern(1, 3000), pattern(2, 5000), pattern(3, 4000))
-	if !c.CorruptRecordAt(1) {
-		t.Fatal("CorruptRecordAt(1) found no record")
+	if !c.CorruptRecord(1) {
+		t.Fatal("CorruptRecord(1) found no record")
 	}
 	flipped := bytes.Clone(want[1])
 	for k := range flipped {

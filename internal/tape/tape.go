@@ -26,8 +26,6 @@ var (
 	ErrEndOfMedia = errors.New("tape: end of media")
 	// ErrEndOfTape is returned by ReadRecord at the end of recorded data.
 	ErrEndOfTape = errors.New("tape: end of recorded data")
-	// ErrFileMark is returned by ReadRecord when positioned at a file mark.
-	ErrFileMark = errors.New("tape: file mark")
 	// ErrNoCartridge is returned when no cartridge is loaded.
 	ErrNoCartridge = errors.New("tape: no cartridge loaded")
 )
@@ -58,9 +56,9 @@ func DefaultParams() Params {
 	}
 }
 
-// A Cartridge holds recorded data: a sequence of records and file
-// marks. Cartridges survive being unloaded, so a restore can reload
-// what a backup wrote — or a different filer can (cross-restore).
+// A Cartridge holds recorded data: a sequence of records. Cartridges
+// survive being unloaded, so a restore can reload what a backup wrote —
+// or a different filer can (cross-restore).
 //
 // The recorded bytes live in slabs taken from bufpool: a record is a
 // sub-slice of the last slab, so recording one allocates nothing once
@@ -68,7 +66,7 @@ func DefaultParams() Params {
 // Erase can hand them all back.
 type Cartridge struct {
 	Label    string
-	records  []record
+	records  [][]byte
 	slabs    []*[]byte // every buffer the records point into
 	free     []byte    // the unused tail of the last slab
 	used     int64
@@ -80,40 +78,25 @@ type Cartridge struct {
 // slabSize is the room one pooled slab gives the records carved from it.
 const slabSize = 1 << 20
 
-// record is one tape record or a file mark.
-type record struct {
-	data []byte // nil means file mark
-	mark bool
-}
-
 // NewCartridge creates an empty labelled cartridge.
 func NewCartridge(label string) *Cartridge { return &Cartridge{Label: label} }
 
 // Bytes returns the number of data bytes recorded.
 func (c *Cartridge) Bytes() int64 { return c.used }
 
-// Records returns the number of records (excluding file marks).
-func (c *Cartridge) Records() int {
-	n := 0
-	for _, r := range c.records {
-		if !r.mark {
-			n++
-		}
-	}
-	return n
-}
+// Records returns the number of records.
+func (c *Cartridge) Records() int { return len(c.records) }
 
-// Index returns the raw write-head position: the count of records and
-// file marks on the cartridge. The backup catalog records it before a
-// dump starts so a restore can position to the dump's first record
-// with Rewind + SpaceRecords(index), even on a cartridge shared by
-// several dump sets.
+// Index returns the write-head position: the count of records on the
+// cartridge. The backup catalog records it before a dump starts so a
+// restore can position to the dump's first record with Rewind +
+// SpaceRecords(index), even on a cartridge shared by several dump sets.
 func (c *Cartridge) Index() int { return len(c.records) }
 
-// Erase wipes the cartridge back to scratch: all records, file marks
-// and latched damage are gone, and the slabs that held the records go
-// back to bufpool (kept on a rotated-out cartridge, they would hold a
-// pass's worth of tape in memory beside the next pass's). Only the
+// Erase wipes the cartridge back to scratch: all records and latched
+// damage are gone, and the slabs that held the records go back to
+// bufpool (kept on a rotated-out cartridge, they would hold a pass's
+// worth of tape in memory beside the next pass's). Only the
 // media pool calls this, and only after every dump set on the
 // cartridge has expired — the overwrite protection a tape library's
 // scratch rotation relies on.
@@ -155,46 +138,26 @@ func (c *Cartridge) keep(data []byte) []byte {
 	return cp
 }
 
-// CorruptRecord flips bits in recorded record index i (counting data
-// records only), for restore-resilience tests. It reports whether a
-// record was corrupted.
+// CorruptRecord silently flips bits in the record at index i (the
+// Index() coordinate), for restore-resilience tests. Unlike
+// InjectLatentFault the record stays readable — detection is up to
+// stream checksums, modelling rot the drive's ECC misses. It reports
+// whether a record was corrupted.
 func (c *Cartridge) CorruptRecord(i int) bool {
-	n := 0
-	for j := range c.records {
-		if c.records[j].mark {
-			continue
-		}
-		if n == i {
-			for k := range c.records[j].data {
-				c.records[j].data[k] ^= 0xFF
-			}
-			return true
-		}
-		n++
-	}
-	return false
-}
-
-// CorruptRecordAt silently flips bits in the record at raw index i
-// (the Index() coordinate, counting file marks). Unlike InjectLatentFault
-// the record stays readable — detection is up to stream checksums,
-// modelling rot the drive's ECC misses. It reports whether a data
-// record was corrupted.
-func (c *Cartridge) CorruptRecordAt(i int) bool {
-	if i < 0 || i >= len(c.records) || c.records[i].mark {
+	if i < 0 || i >= len(c.records) {
 		return false
 	}
-	for k := range c.records[i].data {
-		c.records[i].data[k] ^= 0xFF
+	for k := range c.records[i] {
+		c.records[i][k] ^= 0xFF
 	}
 	return true
 }
 
-// InjectLatentFault latches the record at raw index i unreadable — the
+// InjectLatentFault latches the record at index i unreadable — the
 // latent-sector rot a drive's ECC does catch, surfacing as a persistent
-// MediaError on read. It reports whether a data record was latched.
+// MediaError on read. It reports whether a record was latched.
 func (c *Cartridge) InjectLatentFault(i int) bool {
-	if i < 0 || i >= len(c.records) || c.records[i].mark {
+	if i < 0 || i >= len(c.records) {
 		return false
 	}
 	if c.badReads == nil {
@@ -204,12 +167,12 @@ func (c *Cartridge) InjectLatentFault(i int) bool {
 	return true
 }
 
-// InjectMarginalRead makes the next read of the record at raw index i
-// fail with a transient MediaError, once, on whatever drive the
-// cartridge is in — a marginal spot that reads on the repositioning
-// pass. It reports whether a data record was marked.
+// InjectMarginalRead makes the next read of the record at index i fail
+// with a transient MediaError, once, on whatever drive the cartridge is
+// in — a marginal spot that reads on the repositioning pass. It reports
+// whether a record was marked.
 func (c *Cartridge) InjectMarginalRead(i int) bool {
-	if i < 0 || i >= len(c.records) || c.records[i].mark {
+	if i < 0 || i >= len(c.records) {
 		return false
 	}
 	if c.marginal == nil {
@@ -361,7 +324,7 @@ func (d *Drive) Rewind(p *sim.Proc) {
 	}
 	var passed int64
 	for i := 0; i < d.pos && i < len(d.cart.records); i++ {
-		passed += int64(len(d.cart.records[i].data))
+		passed += int64(len(d.cart.records[i]))
 	}
 	if d.pos >= len(d.cart.records) {
 		passed = d.cart.used
@@ -395,7 +358,7 @@ func (d *Drive) WriteRecord(p *sim.Proc, data []byte) error {
 	if err := d.writeFault(); err != nil {
 		return err
 	}
-	d.cart.records = append(d.cart.records, record{data: d.cart.keep(data)})
+	d.cart.records = append(d.cart.records, d.cart.keep(data))
 	d.cart.used += int64(len(data))
 	d.bytesWritten += int64(len(data))
 	d.recordsWritten++
@@ -409,18 +372,6 @@ func (d *Drive) WriteRecord(p *sim.Proc, data []byte) error {
 	return nil
 }
 
-// WriteFileMark writes a file mark separating tape files.
-func (d *Drive) WriteFileMark(p *sim.Proc) error {
-	if d.cart == nil {
-		return ErrNoCartridge
-	}
-	d.cart.records = append(d.cart.records, record{mark: true})
-	if d.station != nil {
-		d.station.Async(p, d.params.PerRecord)
-	}
-	return nil
-}
-
 // Flush blocks until the drive buffer has drained to media.
 func (d *Drive) Flush(p *sim.Proc) {
 	if d.station != nil {
@@ -428,9 +379,8 @@ func (d *Drive) Flush(p *sim.Proc) {
 	}
 }
 
-// ReadRecord returns the next record. At a file mark it returns
-// (nil, ErrFileMark) and advances past the mark; at the end of data it
-// returns (nil, ErrEndOfTape). The record is a copy in the drive's one
+// ReadRecord returns the next record; at the end of data it returns
+// (nil, ErrEndOfTape). The record is a copy in the drive's one
 // read buffer, lent until the drive's next read: the cartridge stays
 // isolated from whatever the caller does with it, and a caller that
 // keeps a record copies it (the stream.Source contract).
@@ -452,10 +402,6 @@ func (d *Drive) ReadRecord(p *sim.Proc) ([]byte, error) {
 		return nil, ErrEndOfTape
 	}
 	r := d.cart.records[d.pos]
-	if r.mark {
-		d.pos++
-		return nil, ErrFileMark
-	}
 	// Media read faults surface before the head advances: a transient
 	// retry re-reads this record, a persistent fault parks the head
 	// before the bad spot (SpaceRecords skips past it).
@@ -463,23 +409,22 @@ func (d *Drive) ReadRecord(p *sim.Proc) ([]byte, error) {
 		return nil, err
 	}
 	d.pos++
-	d.bytesRead += int64(len(r.data))
+	d.bytesRead += int64(len(r))
 	if d.station != nil {
-		d.station.Async(p, d.params.PerRecord+sim.TimeFor(len(r.data), d.params.Rate))
+		d.station.Async(p, d.params.PerRecord+sim.TimeFor(len(r), d.params.Rate))
 	}
-	d.rbuf = append(d.rbuf[:0], r.data...)
+	d.rbuf = append(d.rbuf[:0], r...)
 	return d.rbuf, nil
 }
 
-// ReadData returns the next data record of the mounted cartridge — the
-// one read loop every consumer of recorded media (restore, verify,
-// scrub, chunk fetch) sits on. File marks are skipped and the end of
-// the recording is ErrEndOfTape, the caller's cue to change volumes.
+// ReadData returns the next record of the mounted cartridge — the one
+// read loop every consumer of recorded media (restore, verify, scrub,
+// chunk fetch) sits on. The end of the recording is ErrEndOfTape, the caller's cue to change volumes.
 // A transient media error (a marginal read the drive recovers on a
 // repositioning pass) is retried under storage.DefaultRetryPolicy with
 // the backoff charged to p; retries counts them. A persistent error —
 // a damaged spot of tape — is returned when damaged is nil; otherwise
-// damaged is told the volume and raw record index, the head spaces
+// damaged is told the volume and record index, the head spaces
 // past the spot and reading goes on, leaving the stream formats'
 // resynchronization to salvage the rest. ctx, when not nil, is polled
 // before every attempt so a canceled restore stops retrying promptly.
@@ -494,7 +439,6 @@ func (d *Drive) ReadData(ctx context.Context, p *sim.Proc, damaged func(volume s
 		switch {
 		case err == nil:
 			return rec, retries, nil
-		case errors.Is(err, ErrFileMark):
 		case IsTransientMedia(err):
 			attempt++
 			if attempt > retry.MaxRetries {
@@ -520,37 +464,6 @@ func (d *Drive) ReadData(ctx context.Context, p *sim.Proc, damaged func(volume s
 	}
 }
 
-// SeekFile positions the head immediately after the nth file mark
-// (n = 0 rewinds to the start), spacing at search speed — how a
-// stacker-less operator reaches the second dump on a multi-dump
-// cartridge.
-func (d *Drive) SeekFile(p *sim.Proc, n int) error {
-	if d.cart == nil {
-		return ErrNoCartridge
-	}
-	d.pos = 0
-	if n == 0 {
-		return nil
-	}
-	var passed int64
-	marks := 0
-	for d.pos < len(d.cart.records) {
-		r := d.cart.records[d.pos]
-		d.pos++
-		passed += int64(len(r.data))
-		if r.mark {
-			marks++
-			if marks == n {
-				if d.station != nil {
-					d.station.Sync(p, sim.TimeFor(int(passed), d.params.Rate*8))
-				}
-				return nil
-			}
-		}
-	}
-	return ErrEndOfTape
-}
-
 // SpaceRecords skips n records forward at search speed (much faster
 // than reading), the way restore skips files it does not need.
 func (d *Drive) SpaceRecords(p *sim.Proc, n int) error {
@@ -559,7 +472,7 @@ func (d *Drive) SpaceRecords(p *sim.Proc, n int) error {
 	}
 	var skipped int64
 	for i := 0; i < n && d.pos < len(d.cart.records); i++ {
-		skipped += int64(len(d.cart.records[d.pos].data))
+		skipped += int64(len(d.cart.records[d.pos]))
 		d.pos++
 	}
 	if d.station != nil {

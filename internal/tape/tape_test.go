@@ -21,9 +21,6 @@ func TestWriteReadRoundTrip(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := d.WriteFileMark(nil); err != nil {
-		t.Fatal(err)
-	}
 	d.Rewind(nil)
 	for i, want := range recs {
 		got, err := d.ReadRecord(nil)
@@ -33,9 +30,6 @@ func TestWriteReadRoundTrip(t *testing.T) {
 		if !bytes.Equal(got, want) {
 			t.Fatalf("record %d mismatch", i)
 		}
-	}
-	if _, err := d.ReadRecord(nil); !errors.Is(err, ErrFileMark) {
-		t.Fatalf("err = %v, want ErrFileMark", err)
 	}
 	if _, err := d.ReadRecord(nil); !errors.Is(err, ErrEndOfTape) {
 		t.Fatalf("err = %v, want ErrEndOfTape", err)
@@ -186,7 +180,6 @@ func TestCorruptRecord(t *testing.T) {
 	d.AddCartridges(NewCartridge("c"))
 	d.Load(nil)
 	d.WriteRecord(nil, []byte{1, 2, 3})
-	d.WriteFileMark(nil)
 	d.WriteRecord(nil, []byte{4, 5, 6})
 	if !d.Loaded().CorruptRecord(1) {
 		t.Fatal("CorruptRecord(1) found nothing")
@@ -195,9 +188,6 @@ func TestCorruptRecord(t *testing.T) {
 	r0, err := d.ReadRecord(nil)
 	if err != nil || !bytes.Equal(r0, []byte{1, 2, 3}) {
 		t.Fatalf("record 0 = %v, %v", r0, err)
-	}
-	if _, err := d.ReadRecord(nil); !errors.Is(err, ErrFileMark) {
-		t.Fatal("expected file mark")
 	}
 	r1, _ := d.ReadRecord(nil)
 	if bytes.Equal(r1, []byte{4, 5, 6}) {
@@ -241,7 +231,6 @@ func TestCartridgeAccounting(t *testing.T) {
 	d.Load(nil)
 	d.WriteRecord(nil, make([]byte, 100))
 	d.WriteRecord(nil, make([]byte, 200))
-	d.WriteFileMark(nil)
 	if c.Bytes() != 300 {
 		t.Fatalf("Bytes = %d, want 300", c.Bytes())
 	}
@@ -250,43 +239,39 @@ func TestCartridgeAccounting(t *testing.T) {
 	}
 }
 
+// TestSeekFile reaches each of three tape files on one cartridge the
+// way a restore does: by the record index the catalog noted before the
+// file was written, with Rewind and SpaceRecords.
 func TestSeekFile(t *testing.T) {
 	d := NewDrive(nil, "t0", DefaultParams())
-	d.AddCartridges(NewCartridge("c"))
+	c := NewCartridge("c")
+	d.AddCartridges(c)
 	d.Load(nil)
-	// Three tape files: [A1 A2] mark [B1] mark [C1 C2 C3]
-	d.WriteRecord(nil, []byte("A1"))
-	d.WriteRecord(nil, []byte("A2"))
-	d.WriteFileMark(nil)
-	d.WriteRecord(nil, []byte("B1"))
-	d.WriteFileMark(nil)
-	d.WriteRecord(nil, []byte("C1"))
-
-	if err := d.SeekFile(nil, 1); err != nil {
+	// Three tape files: [A1 A2] [B1] [C1]
+	var starts []int
+	for _, file := range [][]string{{"A1", "A2"}, {"B1"}, {"C1"}} {
+		starts = append(starts, c.Index())
+		for _, r := range file {
+			d.WriteRecord(nil, []byte(r))
+		}
+	}
+	for i, want := range []string{"A1", "B1", "C1"} {
+		d.Rewind(nil)
+		if err := d.SpaceRecords(nil, starts[i]); err != nil {
+			t.Fatal(err)
+		}
+		if r, err := d.ReadRecord(nil); err != nil || string(r) != want {
+			t.Fatalf("file %d at record %d: %q, %v; want %q", i, starts[i], r, err, want)
+		}
+	}
+	d.Rewind(nil)
+	if err := d.SpaceRecords(nil, 9); err != nil {
 		t.Fatal(err)
 	}
-	r, err := d.ReadRecord(nil)
-	if err != nil || string(r) != "B1" {
-		t.Fatalf("after SeekFile(1): %q, %v", r, err)
+	if _, err := d.ReadRecord(nil); !errors.Is(err, ErrEndOfTape) {
+		t.Fatalf("read after spacing past the last record: %v, want ErrEndOfTape", err)
 	}
-	if err := d.SeekFile(nil, 2); err != nil {
-		t.Fatal(err)
-	}
-	r, _ = d.ReadRecord(nil)
-	if string(r) != "C1" {
-		t.Fatalf("after SeekFile(2): %q", r)
-	}
-	if err := d.SeekFile(nil, 0); err != nil {
-		t.Fatal(err)
-	}
-	r, _ = d.ReadRecord(nil)
-	if string(r) != "A1" {
-		t.Fatalf("after SeekFile(0): %q", r)
-	}
-	if err := d.SeekFile(nil, 9); err == nil {
-		t.Fatal("seek past last mark succeeded")
-	}
-	if err := NewDrive(nil, "x", DefaultParams()).SeekFile(nil, 1); err == nil {
-		t.Fatal("seek with no cartridge succeeded")
+	if err := NewDrive(nil, "x", DefaultParams()).SpaceRecords(nil, 1); !errors.Is(err, ErrNoCartridge) {
+		t.Fatalf("spacing with no cartridge: %v, want ErrNoCartridge", err)
 	}
 }
