@@ -60,7 +60,6 @@ func main() {
 	if err := pool.Adopt(filer.Tapes[0], 0); err != nil {
 		log.Fatal(err)
 	}
-	filer.Dates = cat.DumpDates()
 
 	// A week of nightly dumps: level 0 then the ladder, with users
 	// editing a report between runs and retention keeping the newest

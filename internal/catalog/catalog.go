@@ -126,6 +126,60 @@ type MediaEvent struct {
 	Time   int64
 }
 
+// VolumeState is a media volume's lifecycle position, folded from its
+// media events.
+type VolumeState uint8
+
+const (
+	// Scratch volumes are empty and writable.
+	Scratch VolumeState = iota
+	// Active volumes hold data of at least one unexpired dump set and
+	// are protected against erasure.
+	Active
+	// Expired volumes are active ones whose every set has expired; they
+	// are awaiting reclamation and still readable (last-resort
+	// restores). The state is derived when asked, never journaled.
+	Expired
+	// Quarantined volumes carry media damage a read-back found. They
+	// are never erased or reused, and a set committed to one later
+	// leaves it quarantined: quarantine is terminal.
+	Quarantined
+)
+
+func (s VolumeState) String() string {
+	switch s {
+	case Scratch:
+		return "scratch"
+	case Active:
+		return "active"
+	case Expired:
+		return "expired"
+	case Quarantined:
+		return "quarantined"
+	}
+	return fmt.Sprintf("state(%d)", int(s))
+}
+
+// MediaVolume is the catalog's view of one media volume.
+type MediaVolume struct {
+	Label string
+	// Pool is the pool whose event first named the volume; events from
+	// any other pool leave it alone.
+	Pool  string
+	State VolumeState
+	// Sets are the IDs of the sets since the volume's last reclaim whose
+	// media names it, in completion order.
+	Sets []uint64
+}
+
+// volume is one volume's folded lifecycle: what MediaVolume is computed
+// from.
+type volume struct {
+	pool  string
+	state VolumeState // never Expired: that is derived
+	from  uint64      // the next set ID at the last reclaim
+}
+
 // Expiry marks a dump set expired by retention.
 type Expiry struct {
 	SetID uint64
@@ -198,13 +252,14 @@ type Catalog struct {
 	store Store
 	next  uint64 // next DumpSet ID
 
-	sets        []DumpSet
-	byID        map[uint64]int
-	index       map[uint64][]FileIndexEntry
-	expired     map[uint64]int64
-	events      []MediaEvent
-	health      map[uint64]SetHealth
-	quarantined map[string]bool
+	sets     []DumpSet
+	byID     map[uint64]int
+	index    map[uint64][]FileIndexEntry
+	expired  map[uint64]int64
+	events   []MediaEvent
+	health   map[uint64]SetHealth
+	vols     map[string]*volume
+	volOrder []string // labels in the order their first event came
 
 	// Chunk-layer state (see chunk.go): the SHA-256 chunk index and
 	// per-set manifests, plus stored/dead byte accounting.
@@ -230,15 +285,15 @@ func Open(store Store) (*Catalog, error) {
 		return nil, err
 	}
 	c := &Catalog{
-		store:       store,
-		next:        1,
-		byID:        make(map[uint64]int),
-		index:       make(map[uint64][]FileIndexEntry),
-		expired:     make(map[uint64]int64),
-		health:      make(map[uint64]SetHealth),
-		quarantined: make(map[string]bool),
-		chunks:      make(map[chunk.Hash]chunk.Entry),
-		manifests:   make(map[uint64]chunk.Manifest),
+		store:     store,
+		next:      1,
+		byID:      make(map[uint64]int),
+		index:     make(map[uint64][]FileIndexEntry),
+		expired:   make(map[uint64]int64),
+		health:    make(map[uint64]SetHealth),
+		vols:      make(map[string]*volume),
+		chunks:    make(map[chunk.Hash]chunk.Entry),
+		manifests: make(map[uint64]chunk.Manifest),
 	}
 	valid, err := ScanFrames(buf, func(off int64, p []byte) error {
 		rec, err := DecodeRecord(p)
@@ -293,13 +348,35 @@ func (c *Catalog) apply(rec Record) {
 		c.expired[r.SetID] = r.Time
 	case MediaEvent:
 		c.events = append(c.events, r)
-		if r.Kind == MediaQuarantine {
-			c.quarantined[r.Volume] = true
-		}
+		c.applyMedia(r)
 	case SetHealth:
 		c.health[r.SetID] = r
 	default:
 		c.applyChunk(rec)
+	}
+}
+
+// applyMedia folds one lifecycle event into its volume: the first event
+// naming a label creates it, scratch, in that event's pool; activate
+// makes it active, reclaim scratch again (its set list restarting at
+// the next set ID), and quarantine freezes it for good.
+func (c *Catalog) applyMedia(ev MediaEvent) {
+	v, ok := c.vols[ev.Volume]
+	if !ok {
+		v = &volume{pool: ev.Pool}
+		c.vols[ev.Volume] = v
+		c.volOrder = append(c.volOrder, ev.Volume)
+	}
+	if v.pool != ev.Pool || v.state == Quarantined {
+		return
+	}
+	switch ev.Kind {
+	case MediaActivate:
+		v.state = Active
+	case MediaReclaim:
+		v.state, v.from = Scratch, c.next
+	case MediaQuarantine:
+		v.state = Quarantined
 	}
 }
 
@@ -417,11 +494,46 @@ func (c *Catalog) DamagedSets() []uint64 {
 	return out
 }
 
-// VolumeQuarantined reports whether a MediaQuarantine event has been
-// journaled for the volume. Quarantine is terminal: the pool never
-// erases or reuses the volume.
-func (c *Catalog) VolumeQuarantined(label string) bool {
-	return c.quarantined[label]
+// Volume returns the folded view of a media volume: its state, with
+// Expired derived (active, holding sets, every one expired), and its
+// sets.
+func (c *Catalog) Volume(label string) (MediaVolume, bool) {
+	v, ok := c.vols[label]
+	if !ok {
+		return MediaVolume{}, false
+	}
+	mv := MediaVolume{Label: label, Pool: v.pool, State: v.state}
+	live := false
+	for _, ds := range c.sets {
+		if ds.ID < v.from {
+			continue
+		}
+		for _, m := range ds.Media {
+			if m.Volume == label {
+				mv.Sets = append(mv.Sets, ds.ID)
+				_, dead := c.expired[ds.ID]
+				live = live || !dead
+				break
+			}
+		}
+	}
+	if mv.State == Active && len(mv.Sets) > 0 && !live {
+		mv.State = Expired
+	}
+	return mv, true
+}
+
+// Volumes returns the volumes of a pool, in the order the journal
+// first named them.
+func (c *Catalog) Volumes(pool string) []MediaVolume {
+	var out []MediaVolume
+	for _, l := range c.volOrder {
+		if c.vols[l].pool == pool {
+			mv, _ := c.Volume(l)
+			out = append(out, mv)
+		}
+	}
+	return out
 }
 
 // HealthLabel renders a set's operator-facing health: "damaged" when
@@ -433,7 +545,7 @@ func (c *Catalog) HealthLabel(setID uint64) string {
 	}
 	if ds, ok := c.Set(setID); ok {
 		for _, m := range ds.Media {
-			if c.quarantined[m.Volume] {
+			if v, ok := c.vols[m.Volume]; ok && v.state == Quarantined {
 				return "quarantined-media"
 			}
 		}

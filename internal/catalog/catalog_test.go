@@ -473,8 +473,8 @@ func TestSetHealthJournal(t *testing.T) {
 	if err := c.AppendMediaEvent(MediaEvent{Kind: MediaQuarantine, Volume: "a", Pool: "p", Time: 502}); err != nil {
 		t.Fatal(err)
 	}
-	if !c.VolumeQuarantined("a") {
-		t.Fatal("quarantine not recorded")
+	if v, _ := c.Volume("a"); v.State != Quarantined {
+		t.Fatalf("volume a is %v after its quarantine", v.State)
 	}
 
 	// Replay: state must survive verbatim.
@@ -486,8 +486,8 @@ func TestSetHealthJournal(t *testing.T) {
 	if _, bad := c2.Damaged(id); !bad {
 		t.Fatal("damage lost on replay")
 	}
-	if !c2.VolumeQuarantined("a") {
-		t.Fatal("quarantine lost on replay")
+	if v, _ := c2.Volume("a"); v.State != Quarantined {
+		t.Fatalf("volume a replays %v, want quarantined", v.State)
 	}
 	if got := c2.HealthLabel(id); got != "quarantined-media" && got != "damaged" {
 		t.Fatalf("replayed HealthLabel = %q", got)

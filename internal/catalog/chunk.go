@@ -169,8 +169,8 @@ func (c *Catalog) ChunkVolumes() map[string]bool {
 // SweepChunks erases zero-ref chunks: index entries no live manifest
 // references. The erase record is journaled FIRST — once it is
 // durable the chunks are logically gone — and only then is media
-// asked to erase the bytes (via erase, typically a chunk.Eraser;
-// may be nil to leave media reclaim to volume retirement). It returns
+// asked to erase the bytes (via erase, typically a chunk media's
+// Erase; may be nil to leave media reclaim to volume retirement). It returns
 // the swept entries.
 func (c *Catalog) SweepChunks(erase func(chunk.Entry) error) ([]chunk.Entry, error) {
 	refs := c.ChunkRefcounts()

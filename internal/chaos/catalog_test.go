@@ -54,7 +54,6 @@ func newSchedRig(t *testing.T, engine catalog.Engine, scrubbing bool) *schedRig 
 	if err := r.pool.Adopt(f.Tapes[0], 0); err != nil {
 		t.Fatal(err)
 	}
-	f.Dates = r.cat.DumpDates()
 	if scrubbing {
 		if r.scr, err = scrub.New(scrub.Config{Catalog: r.cat, Pool: r.pool,
 			Open: r.pool.Opener(tape.NewDrive(f.Env, "scrub/maint", tape.DefaultParams()))}); err != nil {

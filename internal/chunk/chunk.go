@@ -150,10 +150,3 @@ type Media interface {
 	Append(data []byte) (Loc, error)
 	ReadAt(loc Loc) ([]byte, error)
 }
-
-// Eraser is optionally implemented by media that can erase individual
-// chunks in place (the catalog sweep calls it for zero-ref chunks).
-// Media without it reclaim dead bytes at volume granularity instead.
-type Eraser interface {
-	Erase(loc Loc) error
-}

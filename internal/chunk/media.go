@@ -70,7 +70,8 @@ func (m *MemMedia) ReadAt(loc Loc) ([]byte, error) {
 	return cp, nil
 }
 
-// Erase implements Eraser: the chunk's bytes are gone for good.
+// Erase erases one chunk in place (the catalog sweep's erase for a
+// zero-ref chunk): its bytes are gone for good.
 func (m *MemMedia) Erase(loc Loc) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -166,8 +167,8 @@ func (m *FileMedia) ReadAt(loc Loc) ([]byte, error) {
 	return data, nil
 }
 
-// Erase implements Eraser by zeroing the frame's payload. The frame
-// header survives so later offsets stay valid.
+// Erase erases one chunk in place by zeroing the frame's payload. The
+// frame header survives so later offsets stay valid.
 func (m *FileMedia) Erase(loc Loc) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()

@@ -122,13 +122,17 @@ func (d *Dec) Count() int {
 }
 
 // Str returns a length-prefixed string.
-func (d *Dec) Str() string {
+func (d *Dec) Str() string { return string(d.Bytes()) }
+
+// Bytes returns a length-prefixed field as a slice of B: no copy, valid
+// as long as B is.
+func (d *Dec) Bytes() []byte {
 	n := int(d.U32())
 	if n < 0 || n > d.Max {
 		d.fail("over-long field", d.off-4)
-		return ""
+		return nil
 	}
-	return string(d.take(n))
+	return d.take(n)
 }
 
 // Done reports the first failure, or bytes left over after the last

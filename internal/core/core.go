@@ -51,9 +51,8 @@ type FilerConfig struct {
 	FSCosts   wafl.Costs
 	PhysCosts physical.Costs
 
-	// CacheBlocks and ReadAhead tune the filesystem (0 = defaults).
+	// CacheBlocks sizes the filesystem's buffer cache (0 = default).
 	CacheBlocks int
-	ReadAhead   int
 
 	// Env and CPU, when set together with Simulate, attach the filer
 	// to an existing environment and CPU station — how multi-volume
@@ -142,7 +141,6 @@ func NewFiler(ctx context.Context, cfg FilerConfig) (*Filer, error) {
 		Costs:       cfg.FSCosts,
 		Env:         f.Env,
 		CacheBlocks: cfg.CacheBlocks,
-		ReadAhead:   cfg.ReadAhead,
 	})
 	if err != nil {
 		return nil, err
@@ -166,7 +164,6 @@ func (f *Filer) Wipe(ctx context.Context) error {
 		Costs:       f.Config.FSCosts,
 		Env:         f.Env,
 		CacheBlocks: f.Config.CacheBlocks,
-		ReadAhead:   f.Config.ReadAhead,
 	})
 	if err != nil {
 		return err
@@ -184,7 +181,6 @@ func (f *Filer) Remount(ctx context.Context) error {
 		Costs:       f.Config.FSCosts,
 		Env:         f.Env,
 		CacheBlocks: f.Config.CacheBlocks,
-		ReadAhead:   f.Config.ReadAhead,
 	})
 	if err != nil {
 		return err

@@ -91,9 +91,6 @@ type DumpOptions struct {
 	// self-contained enough for restore to map names), but Phase IV
 	// skips files already durably on the previous stream.
 	Resume *Checkpoint
-	// Log, if set, receives a line per notable recovery event
-	// (hole-mapped blocks, for the operator's damage report).
-	Log func(line string)
 }
 
 // Checkpoint is the durable progress of an interrupted dump. It names
@@ -182,7 +179,6 @@ type dumpState struct {
 
 	untimed bool       // stages are real goroutines, not simulator procs
 	viewMu  sync.Mutex // see lockView
-	cbMu    sync.Mutex // see log
 
 	stats *DumpStats
 }

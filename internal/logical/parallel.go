@@ -42,16 +42,6 @@ func (st *dumpState) unlockView() {
 	}
 }
 
-// log hands the operator's Log callback a line, serialized across shard
-// writers when they are real goroutines.
-func (st *dumpState) log(line string) {
-	if st.untimed {
-		st.cbMu.Lock()
-		defer st.cbMu.Unlock()
-	}
-	st.opts.Log(line)
-}
-
 // segsPerBlock is how many dump segments one filesystem block holds.
 const segsPerBlock = wafl.BlockSize / dumpfmt.TPBSize
 
@@ -279,12 +269,7 @@ func (sw *shardWriter) emit(seq int, c chunkRes) error {
 	}
 	// Damage reports fold in here, in stream order, so the report is
 	// deterministic for any reader count.
-	for _, d := range c.damaged {
-		sw.res.Damaged = append(sw.res.Damaged, d)
-		if opts.Log != nil {
-			st.log(fmt.Sprintf("ino %d fbn %d unreadable, hole-mapped: %s", d.Ino, d.Fbn, d.Err))
-		}
-	}
+	sw.res.Damaged = append(sw.res.Damaged, c.damaged...)
 	if !j.last {
 		return nil
 	}

@@ -1,10 +1,10 @@
 // Package media manages the backup media pool: the labelled tape
-// volumes the dump streams land on, their scratch → active → expired
-// lifecycle, retention policies deciding which dump sets (and hence
-// which media) must be kept, and the reclamation pass that erases
-// volumes once nothing live references them. Every transition is
-// recorded in the backup catalog's journal, so the pool's state
-// survives restarts the same way the dump history does.
+// volumes the dump streams land on, retention policies deciding which
+// dump sets (and hence which media) must be kept, and the reclamation
+// pass that erases volumes once nothing live references them. Every
+// transition is an event in the backup catalog's journal, and a
+// volume's scratch → active → expired lifecycle is the catalog's fold
+// of them (catalog.Catalog.Volume), the same at open and live.
 //
 // The safety property the pool enforces is the one tape libraries are
 // built around: a volume is never erased or overwritten while any
@@ -21,134 +21,62 @@ import (
 	"repro/internal/tape"
 )
 
-// State is a volume's lifecycle position.
-type State int
+// State is a volume's lifecycle position: the catalog's, under the
+// names callers of the pool know it by.
+type State = catalog.VolumeState
 
+// The lifecycle states (see catalog.VolumeState).
 const (
-	// Scratch volumes are empty and writable.
-	Scratch State = iota
-	// Active volumes hold data of at least one unexpired dump set and
-	// are protected against erasure.
-	Active
-	// Expired volumes hold only expired dump sets; they are awaiting
-	// reclamation and still readable (last-resort restores).
-	Expired
-	// Quarantined volumes carry media damage a read-back found. They
-	// are excluded from Reclaim and refused by Erase — frozen as
-	// evidence and for salvage reads — and a set committed to one
-	// later leaves it quarantined.
-	Quarantined
+	Scratch     = catalog.Scratch
+	Active      = catalog.Active
+	Expired     = catalog.Expired
+	Quarantined = catalog.Quarantined
 )
 
-func (s State) String() string {
-	switch s {
-	case Scratch:
-		return "scratch"
-	case Active:
-		return "active"
-	case Expired:
-		return "expired"
-	case Quarantined:
-		return "quarantined"
-	}
-	return fmt.Sprintf("state(%d)", int(s))
-}
-
-// Volume is one labelled media volume and its pool bookkeeping.
+// Volume is the catalog's view of one pool volume plus the cartridge
+// it is bound to.
 type Volume struct {
-	Label string
-	State State
-	// Sets are the dump-set IDs whose streams touch this volume.
-	Sets []uint64
+	catalog.MediaVolume
 	// Cart binds the volume to simulated tape media; nil for volumes
 	// that are host files (backupctl stream files).
 	Cart *tape.Cartridge
 }
 
-// Pool tracks a set of volumes against a catalog.
+// Pool tracks a set of volumes against a catalog. Their lifecycle is
+// the catalog's fold of the journal's media events; the pool writes
+// those events and keeps only what is never journaled, the cartridge
+// each label is bound to.
 type Pool struct {
-	Name string
-	cat  *catalog.Catalog
-	vols map[string]*Volume
-	// order preserves registration order for deterministic iteration.
-	order []string
+	Name  string
+	cat   *catalog.Catalog
+	carts map[string]*tape.Cartridge
 }
 
-// NewPool creates a pool named name, recording against cat. Lifecycle
-// history already in the catalog (a reopened journal) is replayed so
-// the pool resumes where it left off.
+// NewPool creates a pool named name, recording against cat. Volumes
+// the catalog already holds for the pool (a reopened journal) are the
+// pool's from the start; their cartridges are bound again by Register.
 func NewPool(name string, cat *catalog.Catalog) *Pool {
-	p := &Pool{Name: name, cat: cat, vols: make(map[string]*Volume)}
-	for _, ev := range cat.MediaEvents() {
-		if ev.Pool != name {
-			continue
-		}
-		switch ev.Kind {
-		case catalog.MediaRegister:
-			p.ensure(ev.Volume)
-		case catalog.MediaActivate:
-			p.ensure(ev.Volume).State = Active
-		case catalog.MediaReclaim:
-			v := p.ensure(ev.Volume)
-			v.State = Scratch
-			v.Sets = nil
-		case catalog.MediaQuarantine:
-			p.ensure(ev.Volume).State = Quarantined
-		}
-	}
-	// Rebuild set references and expired states from the dump history.
-	for _, ds := range cat.Sets() {
-		for _, m := range ds.Media {
-			if v, ok := p.vols[m.Volume]; ok && v.State != Scratch {
-				v.Sets = append(v.Sets, ds.ID)
-			}
-		}
-	}
-	for _, v := range p.vols {
-		p.refreshState(v)
-	}
-	return p
-}
-
-func (p *Pool) ensure(label string) *Volume {
-	if v, ok := p.vols[label]; ok {
-		return v
-	}
-	v := &Volume{Label: label}
-	p.vols[label] = v
-	p.order = append(p.order, label)
-	return v
-}
-
-// refreshState demotes an Active volume to Expired when every
-// referencing set has expired (it never resurrects a volume).
-func (p *Pool) refreshState(v *Volume) {
-	if v.State != Active {
-		return
-	}
-	for _, id := range v.Sets {
-		if _, dead := p.cat.Expired(id); !dead {
-			return
-		}
-	}
-	if len(v.Sets) > 0 {
-		v.State = Expired
-	}
+	return &Pool{Name: name, cat: cat, carts: make(map[string]*tape.Cartridge)}
 }
 
 // Register introduces a volume (optionally bound to a cartridge) as
 // scratch, journaling the event. Registering a known label rebinds
-// its cartridge without a new event.
+// its cartridge without a new event; a label another pool holds is
+// refused.
 func (p *Pool) Register(label string, cart *tape.Cartridge, now int64) error {
-	if v, ok := p.vols[label]; ok {
-		v.Cart = cart
-		return nil
+	if v, ok := p.cat.Volume(label); !ok {
+		if err := p.journal(catalog.MediaRegister, label, now); err != nil {
+			return err
+		}
+	} else if v.Pool != p.Name {
+		return fmt.Errorf("media: volume %q belongs to pool %q", label, v.Pool)
 	}
-	v := p.ensure(label)
-	v.Cart = cart
-	return p.cat.AppendMediaEvent(catalog.MediaEvent{
-		Kind: catalog.MediaRegister, Volume: label, Pool: p.Name, Time: now,
-	})
+	p.carts[label] = cart
+	return nil
+}
+
+func (p *Pool) journal(kind catalog.MediaEventKind, label string, now int64) error {
+	return p.cat.AppendMediaEvent(catalog.MediaEvent{Kind: kind, Volume: label, Pool: p.Name, Time: now})
 }
 
 // Adopt registers every cartridge in a drive's stacker (and the
@@ -169,43 +97,43 @@ func (p *Pool) Adopt(d *tape.Drive, now int64) error {
 }
 
 // Volume returns the pool's view of a label.
-func (p *Pool) Volume(label string) (*Volume, bool) {
-	v, ok := p.vols[label]
-	return v, ok
+func (p *Pool) Volume(label string) (Volume, bool) {
+	v, ok := p.cat.Volume(label)
+	if !ok || v.Pool != p.Name {
+		return Volume{}, false
+	}
+	return Volume{MediaVolume: v, Cart: p.carts[label]}, true
 }
 
 // Volumes lists the pool in registration order.
-func (p *Pool) Volumes() []*Volume {
-	out := make([]*Volume, 0, len(p.order))
-	for _, l := range p.order {
-		out = append(out, p.vols[l])
+func (p *Pool) Volumes() []Volume {
+	var out []Volume
+	for _, v := range p.cat.Volumes(p.Name) {
+		out = append(out, Volume{MediaVolume: v, Cart: p.carts[v.Label]})
 	}
 	return out
 }
 
 // CommitSet records that a dump set's stream landed on the given
-// volumes: each gains the set reference and becomes Active (journaled
-// on the first transition) — except a Quarantined volume, which stays
-// quarantined: a new set on damaged media lifts nothing. Unknown labels
-// are auto-registered — a dump may have spanned onto media the pool
-// had not seen.
+// volumes: a scratch one becomes Active (journaled) — but a
+// Quarantined one stays quarantined: a new set on damaged media lifts
+// nothing. The set itself is already in the catalog, which is where
+// each volume's set list comes from. Unknown labels are
+// auto-registered — a dump may have spanned onto media the pool had
+// not seen.
 func (p *Pool) CommitSet(setID uint64, labels []string, now int64) error {
 	for _, l := range labels {
-		if _, ok := p.vols[l]; !ok {
+		v, ok := p.Volume(l)
+		if !ok {
 			if err := p.Register(l, nil, now); err != nil {
 				return err
 			}
 		}
-		v := p.vols[l]
-		if v.State != Active && v.State != Quarantined {
-			if err := p.cat.AppendMediaEvent(catalog.MediaEvent{
-				Kind: catalog.MediaActivate, Volume: l, Pool: p.Name, Time: now,
-			}); err != nil {
+		if !ok || v.State == Scratch {
+			if err := p.journal(catalog.MediaActivate, l, now); err != nil {
 				return err
 			}
-			v.State = Active
 		}
-		v.Sets = append(v.Sets, setID)
 	}
 	return nil
 }
@@ -233,9 +161,6 @@ func (p *Pool) ApplyRetention(policy RetentionPolicy, fsid string, engine catalo
 		}
 		expired = append(expired, ds.ID)
 	}
-	for _, v := range p.vols {
-		p.refreshState(v)
-	}
 	return expired, nil
 }
 
@@ -255,37 +180,25 @@ func (p *Pool) chainClose(sets []catalog.DumpSet, keep map[uint64]bool) {
 	}
 }
 
-// Reclaim erases and returns to scratch every volume whose referencing
-// dump sets have all expired. Volumes with any live reference are left
-// untouched — the pool's overwrite protection. It returns the labels
-// reclaimed.
+// Reclaim erases and returns to scratch every Expired volume: one
+// whose referencing dump sets have all expired. Volumes with any live
+// reference are left untouched — the pool's overwrite protection. It
+// returns the labels reclaimed.
 func (p *Pool) Reclaim(now int64) ([]string, error) {
 	var out []string
 	chunkVols := p.cat.ChunkVolumes()
-	for _, l := range p.order {
-		v := p.vols[l]
-		p.refreshState(v)
-		if v.State != Expired {
-			continue
-		}
+	for _, v := range p.Volumes() {
 		// A volume holding live indexed chunks is pinned even when every
 		// dump set directly on it has expired: reverse dedup can leave it
 		// hosting the only copy of chunks newer sets reference. Sweep the
 		// chunk index first (catalog.SweepChunks), then reclaim.
-		if chunkVols[l] {
+		if v.State != Expired || chunkVols[v.Label] {
 			continue
 		}
-		if v.Cart != nil {
-			v.Cart.Erase()
-		}
-		if err := p.cat.AppendMediaEvent(catalog.MediaEvent{
-			Kind: catalog.MediaReclaim, Volume: l, Pool: p.Name, Time: now,
-		}); err != nil {
+		if err := p.erase(v.Label, now); err != nil {
 			return out, err
 		}
-		v.State = Scratch
-		v.Sets = nil
-		out = append(out, l)
+		out = append(out, v.Label)
 	}
 	return out, nil
 }
@@ -295,28 +208,22 @@ func (p *Pool) Reclaim(now int64) ([]string, error) {
 // stays quarantined. Unknown labels are auto-registered first — damage
 // may be found on media the pool had not seen.
 func (p *Pool) Quarantine(label string, now int64) error {
-	if _, ok := p.vols[label]; !ok {
+	v, ok := p.Volume(label)
+	if !ok {
 		if err := p.Register(label, nil, now); err != nil {
 			return err
 		}
 	}
-	v := p.vols[label]
 	if v.State == Quarantined {
 		return nil
 	}
-	if err := p.cat.AppendMediaEvent(catalog.MediaEvent{
-		Kind: catalog.MediaQuarantine, Volume: label, Pool: p.Name, Time: now,
-	}); err != nil {
-		return err
-	}
-	v.State = Quarantined
-	return nil
+	return p.journal(catalog.MediaQuarantine, label, now)
 }
 
 // Erase force-erases one volume, refusing while any unexpired dump
 // set references it.
 func (p *Pool) Erase(label string, now int64) error {
-	v, ok := p.vols[label]
+	v, ok := p.Volume(label)
 	if !ok {
 		return fmt.Errorf("media: unknown volume %q", label)
 	}
@@ -331,17 +238,15 @@ func (p *Pool) Erase(label string, now int64) error {
 	if p.cat.ChunkVolumes()[label] {
 		return fmt.Errorf("media: volume %q holds live dedup chunks", label)
 	}
-	if v.Cart != nil {
-		v.Cart.Erase()
+	return p.erase(label, now)
+}
+
+// erase wipes a volume's cartridge and journals it back to scratch.
+func (p *Pool) erase(label string, now int64) error {
+	if c := p.carts[label]; c != nil {
+		c.Erase()
 	}
-	if err := p.cat.AppendMediaEvent(catalog.MediaEvent{
-		Kind: catalog.MediaReclaim, Volume: label, Pool: p.Name, Time: now,
-	}); err != nil {
-		return err
-	}
-	v.State = Scratch
-	v.Sets = nil
-	return nil
+	return p.journal(catalog.MediaReclaim, label, now)
 }
 
 // RetentionPolicy decides which dump sets to keep. Keep returns the

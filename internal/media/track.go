@@ -15,10 +15,12 @@ import (
 // TrackingSink wraps a drive-backed sink and records which cartridges
 // the stream lands on, and at which raw record index each begins —
 // the MediaRefs the catalog stores so a restore can find and position
-// the media with no operator-supplied list.
+// the media with no operator-supplied list. With a Pool, each volume
+// switch skips the cartridges it has quarantined (Pool.LoadWritable).
 type TrackingSink struct {
 	Sink  stream.Sink
 	Drive *tape.Drive
+	Pool  *Pool
 
 	refs []catalog.MediaRef
 }
@@ -45,7 +47,7 @@ func (t *TrackingSink) WriteRecord(data []byte) error {
 
 // NextVolume implements stream.Sink, binding the newly mounted volume.
 func (t *TrackingSink) NextVolume() error {
-	if err := t.Sink.NextVolume(); err != nil {
+	if err := t.Pool.LoadWritable(t.Drive, t.Sink.NextVolume, true); err != nil {
 		return err
 	}
 	t.bind()
@@ -75,6 +77,33 @@ func (t *TrackingSink) Labels() []string {
 	return out
 }
 
+// LoadWritable loads cartridges into d with load until it holds one a
+// set may land on: one the pool has not quarantined. With next it loads
+// at least once (a volume switch); otherwise a writable cartridge
+// already mounted stays. Each stacker cartridge is tried at most once,
+// so a stacker of quarantined cartridges is an error, not a loop. A nil
+// pool quarantines nothing.
+func (p *Pool) LoadWritable(d *tape.Drive, load func() error, next bool) error {
+	for tries := len(d.Stacker()); next || d.Loaded() == nil || p.quarantined(d.Loaded().Label); tries-- {
+		if tries == 0 && !next && d.Loaded() != nil {
+			return fmt.Errorf("media: every cartridge in drive %s is quarantined", d.Name())
+		}
+		if err := load(); err != nil {
+			return err
+		}
+		next = false
+	}
+	return nil
+}
+
+func (p *Pool) quarantined(label string) bool {
+	if p == nil {
+		return false
+	}
+	v, ok := p.Volume(label)
+	return ok && v.State == Quarantined
+}
+
 // Unmountable is the error an opener (engine.Opener) returns for a set
 // whose media cannot be produced: the volumes, in set order.
 type Unmountable []string
@@ -95,11 +124,11 @@ func (p *Pool) Opener(drive *tape.Drive) func(context.Context, catalog.DumpSet, 
 	return func(ctx context.Context, ds catalog.DumpSet, damaged func(volume string, record int)) ([]stream.Source, error) {
 		var missing Unmountable
 		for i := 0; p != nil && i < len(ds.Media); i++ {
-			if v, ok := p.vols[ds.Media[i].Volume]; !ok || v.Cart == nil {
+			if cart := p.carts[ds.Media[i].Volume]; cart == nil {
 				missing = append(missing, ds.Media[i].Volume)
-			} else if !held[v.Cart] {
-				held[v.Cart] = true
-				drive.AddCartridges(v.Cart)
+			} else if !held[cart] {
+				held[cart] = true
+				drive.AddCartridges(cart)
 			}
 		}
 		if missing != nil {

@@ -256,7 +256,8 @@ func TestLostReplayIsReplayedAgain(t *testing.T) {
 // TestRepeatedSyncSendsOneMsgSync: Sync, Sync and Close with no record
 // between them confirm one checkpoint, so the client sends one
 // MsgSync: the second Sync and the Close's find nothing acknowledged
-// since the checkpoint the first confirmed.
+// since the checkpoint the first confirmed, and an empty window, so
+// they send no heartbeat either.
 func TestRepeatedSyncSendsOneMsgSync(t *testing.T) {
 	l := transport.NewLink(transport.DefaultParams())
 	host, _, _ := harness(l, &memSink{})
@@ -275,13 +276,22 @@ func TestRepeatedSyncSendsOneMsgSync(t *testing.T) {
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
-	syncs := 0
+	syncs, probes := 0, 0
 	for _, raw := range conn.sent {
-		if f, err := transport.Decode(raw); err == nil && f.Type == MsgSync {
+		f, err := transport.Decode(raw)
+		switch {
+		case err != nil:
+		case f.Type == MsgSync:
 			syncs++
+		case f.Type == MsgHeartbeat && syncs > 0:
+			probes++
 		}
 	}
 	if hs := host.Stats(); syncs != 1 || hs.Syncs != 1 {
 		t.Errorf("Sync, Sync, Close sent %d MsgSyncs and the host confirmed %d, want 1 and 1", syncs, hs.Syncs)
+	}
+	// After the checkpoint the window is empty: nothing to probe for.
+	if probes != 0 {
+		t.Errorf("%d heartbeats probed an empty window after the MsgSync, want 0", probes)
 	}
 }

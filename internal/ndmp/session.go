@@ -616,7 +616,9 @@ func (s *Session) Sync() error {
 	if s.closed {
 		return errors.New("ndmp: sync on closed session")
 	}
-	_ = s.probe() // solicit the tail acks; failures recover in advance
+	if len(s.window) > 0 {
+		_ = s.probe() // solicit the tail acks; failures recover in advance
+	}
 	for {
 		if err := s.advance(func() bool { return len(s.window) == 0 || s.eom }); err != nil {
 			return err

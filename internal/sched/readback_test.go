@@ -44,7 +44,6 @@ func newReadbackRig(t *testing.T, capacity int64) *readbackRig {
 	if err := pool.Adopt(f.Tapes[0], 0); err != nil {
 		t.Fatal(err)
 	}
-	f.Dates = cat.DumpDates()
 	s, err := New(Config{Filer: f, Catalog: cat, Pool: pool, Engine: catalog.Logical,
 		Policy: BSDLadder{Ladder: []int{0}}})
 	if err != nil {
@@ -73,9 +72,9 @@ func TestSetReadBackThroughRecoverAndScrub(t *testing.T) {
 
 	for _, tc := range []struct {
 		name string
-		// damage hurts one of the set's two volumes (vols); rec is a
-		// record a few into the set on the first.
-		damage func(vols []*media.Volume, rec int)
+		// damage hurts one of the set's two volumes (vols) of pool;
+		// rec is a record a few into the set on the first.
+		damage func(pool *media.Pool, vols []media.Volume, rec int)
 		hurt   int // which volume
 		// recoverErr is what recovery must fail with (nil: it succeeds
 		// and the tree is exact).
@@ -87,13 +86,14 @@ func TestSetReadBackThroughRecoverAndScrub(t *testing.T) {
 	}{
 		{name: "clean"},
 		{name: "transient read fault",
-			damage: func(vols []*media.Volume, rec int) { vols[0].Cart.InjectMarginalRead(rec) }},
+			damage: func(_ *media.Pool, vols []media.Volume, rec int) { vols[0].Cart.InjectMarginalRead(rec) }},
 		{name: "persistent read fault",
-			damage:     func(vols []*media.Volume, rec int) { vols[0].Cart.InjectLatentFault(rec) },
+			damage:     func(_ *media.Pool, vols []media.Volume, rec int) { vols[0].Cart.InjectLatentFault(rec) },
 			recoverErr: func(err error) bool { return errors.Is(err, tape.ErrMediaRead) },
 			finding:    scrub.MediaFault, located: true},
 		{name: "volume the pool cannot mount",
-			damage: func(vols []*media.Volume, rec int) { vols[1].Cart = nil }, hurt: 1,
+			// Rebinding a known label to no cartridge journals nothing.
+			damage: func(pool *media.Pool, vols []media.Volume, _ int) { _ = pool.Register(vols[1].Label, nil, 0) }, hurt: 1,
 			recoverErr: func(err error) bool {
 				return err != nil && strings.Contains(err.Error(), "cannot mount")
 			},
@@ -110,7 +110,7 @@ func TestSetReadBackThroughRecoverAndScrub(t *testing.T) {
 				second, _ := r.pool.Volume(refs[1].Volume)
 				rec := int(refs[0].Start) + 3
 				if tc.damage != nil {
-					tc.damage([]*media.Volume{first, second}, rec)
+					tc.damage(r.pool, []media.Volume{first, second}, rec)
 				}
 
 				if consumer == "recover" {

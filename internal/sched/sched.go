@@ -211,16 +211,11 @@ func (s *Scheduler) RunOne(ctx context.Context) (*RunResult, error) {
 	if p := sim.ProcFrom(ctx); p != nil {
 		p.Sleep(interval)
 	}
-	// Mount media, and cycle the stacker, at most once round, past any
-	// cartridge the pool has quarantined: nothing new lands on it.
+	// Mount media a set may land on: the pool's cartridges past any it
+	// has quarantined, as at every volume switch (runJob's TrackingSink).
 	d := f.Tapes[schedDrive]
-	for tries := len(d.Stacker()); d.Loaded() == nil || s.quarantined(d.Loaded().Label); tries-- {
-		if d.Loaded() != nil && tries == 0 {
-			return nil, fmt.Errorf("sched: run %d: every cartridge in drive %s is quarantined", run, d.Name())
-		}
-		if err := d.Load(sim.ProcFrom(ctx)); err != nil {
-			return nil, fmt.Errorf("sched: mounting media for run %d: %w", run, err)
-		}
+	if err := s.cfg.Pool.LoadWritable(d, func() error { return d.Load(sim.ProcFrom(ctx)) }, false); err != nil {
+		return nil, fmt.Errorf("sched: mounting media for run %d: %w", run, err)
 	}
 	level := s.cfg.Policy.Level(run)
 
@@ -250,12 +245,6 @@ func (s *Scheduler) RunOne(ctx context.Context) (*RunResult, error) {
 	return res, nil
 }
 
-// quarantined reports whether the pool has quarantined a volume.
-func (s *Scheduler) quarantined(label string) bool {
-	v, ok := s.cfg.Pool.Volume(label)
-	return ok && v.State == media.Quarantined
-}
-
 // logicalRun performs one scheduled logical dump.
 func (s *Scheduler) logicalRun(ctx context.Context, run, level int) (*RunResult, error) {
 	f := s.cfg.Filer
@@ -271,7 +260,7 @@ func (s *Scheduler) logicalRun(ctx context.Context, run, level int) (*RunResult,
 	return s.runJob(ctx, run, level, snap, engine.NewLogical(logical.DumpOptions{
 		View:      view,
 		Level:     level,
-		Dates:     f.Dates,
+		Dates:     s.cfg.Catalog.DumpDates(),
 		FSID:      s.cfg.FSID,
 		Label:     snap,
 		ReadAhead: 16,
@@ -291,7 +280,7 @@ func (e dumpError) Unwrap() error { return e.error }
 // is committed.
 func (s *Scheduler) runJob(ctx context.Context, run, level int, snap string, job *engine.Dump) (*RunResult, error) {
 	f := s.cfg.Filer
-	track := &media.TrackingSink{Sink: f.Sink(ctx, schedDrive), Drive: f.Tapes[schedDrive]}
+	track := &media.TrackingSink{Sink: f.Sink(ctx, schedDrive), Drive: f.Tapes[schedDrive], Pool: s.cfg.Pool}
 	if err := job.To(ctx, track); err != nil {
 		return nil, dumpError{fmt.Errorf("sched: run %d level %d: %w", run, level, err)}
 	}

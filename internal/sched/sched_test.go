@@ -68,7 +68,6 @@ func newRig(t *testing.T, engine catalog.Engine) *schedRig {
 	if err := pool.Adopt(f.Tapes[0], 0); err != nil {
 		t.Fatal(err)
 	}
-	f.Dates = cat.DumpDates()
 	s, err := New(Config{
 		Filer:   f,
 		Catalog: cat,
@@ -150,9 +149,10 @@ func TestScheduledLogicalRecovery(t *testing.T) {
 	r := newRig(t, catalog.Logical)
 	results, states := runThree(t, r)
 
-	// The catalog-derived dump dates must match the live history.
-	if !reflect.DeepEqual(r.cat.DumpDates().Entries(), r.f.Dates.Entries()) {
-		t.Fatalf("catalog dates %v != live dates %v", r.cat.DumpDates().Entries(), r.f.Dates.Entries())
+	// Each incremental bases on the run before it: the scheduler reads
+	// the dump dates from the catalog on every run.
+	if sets := r.cat.Sets(); sets[1].BaseDate != sets[0].Date || sets[2].BaseDate != sets[1].Date {
+		t.Fatalf("incrementals not based on the runs before them: %+v", sets)
 	}
 
 	// Recover at the middle run's time: chain is [level 0, level 3].
@@ -357,7 +357,6 @@ func TestScheduleSurvivesCatalogFailover(t *testing.T) {
 		if err := r.pool.Adopt(f.Tapes[0], 0); err != nil {
 			t.Fatal(err)
 		}
-		f.Dates = r.cat.DumpDates()
 		if r.s != nil {
 			r.s.cfg.Catalog, r.s.cfg.Pool = r.cat, r.pool
 		}
@@ -482,5 +481,28 @@ func TestRunSkipsQuarantinedMedia(t *testing.T) {
 	}
 	if got, _, _ := r.f.Tapes[schedDrive].Stats(); got != written || len(r.cat.Sets()) != sets {
 		t.Fatalf("the refused run wrote %d bytes and cataloged %d sets", got-written, len(r.cat.Sets())-sets)
+	}
+
+	// A set spanning cartridges switches volume mid-dump, and the switch
+	// skips a quarantined cartridge too. Cartridges of 5/4 of a dump
+	// leave half a dump free on the mounted one after two runs, so the
+	// third spills onto the next in the stacker — quarantined here.
+	trial := newReadbackRig(t, 0)
+	sp := newReadbackRig(t, trial.set.Bytes*5/4)
+	next := sp.f.Tapes[schedDrive].Stacker()[0].Label
+	if err := sp.pool.Quarantine(next, sp.f.FS.Clock()); err != nil {
+		t.Fatal(err)
+	}
+	res, err = sp.s.RunN(ctx, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res[0].Media) < 2 {
+		t.Fatalf("run did not span: media %v", res[0].Media)
+	}
+	for _, label := range res[0].Media {
+		if label == next {
+			t.Fatalf("spanning run switched onto quarantined volume %q (media %v)", next, res[0].Media)
+		}
 	}
 }

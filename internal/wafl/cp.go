@@ -328,7 +328,7 @@ func (fs *FS) maybeCP(ctx context.Context) error {
 	if fs.log != nil && fs.log.NeedCP() {
 		return fs.CP(ctx)
 	}
-	if fs.opts.Env != nil && fs.opts.CPInterval > 0 && fs.nowSim()-fs.lastCPAt >= fs.opts.CPInterval {
+	if fs.opts.Env != nil && fs.nowSim()-fs.lastCPAt >= cpInterval {
 		return fs.CP(ctx)
 	}
 	return nil

@@ -231,7 +231,7 @@ func (fs *FS) readAt(ctx context.Context, ino Inum, off uint64, buf []byte) (int
 // filesystem's own policy; the dump engine in internal/logical can
 // drive deeper, dump-aware read-ahead itself (paper §3).
 func (fs *FS) readAhead(ctx context.Context, ino Inum, st *istate, fbn uint32) {
-	if fs.pref == nil || fs.opts.ReadAhead <= 0 {
+	if fs.pref == nil {
 		return
 	}
 	last, seen := fs.lastRead[ino]
@@ -240,7 +240,7 @@ func (fs *FS) readAhead(ctx context.Context, ino Inum, st *istate, fbn uint32) {
 		return
 	}
 	blocks := st.ino.Blocks()
-	for i := uint32(1); i <= uint32(fs.opts.ReadAhead); i++ {
+	for i := uint32(1); i <= readAheadBlocks; i++ {
 		next := fbn + i
 		if next >= blocks {
 			break

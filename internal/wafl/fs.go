@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"time"
 
+	"repro/internal/codec"
 	"repro/internal/nvram"
 	"repro/internal/sim"
 	"repro/internal/storage"
@@ -48,14 +49,8 @@ func groupStarts(dev storage.Device) []int {
 type Options struct {
 	// CacheBlocks is the buffer-cache size in blocks.
 	CacheBlocks int
-	// ReadAhead is how many blocks ahead the filesystem prefetches on
-	// sequential file reads; 0 disables read-ahead.
-	ReadAhead int
 	// Costs is the CPU cost model.
 	Costs Costs
-	// CPInterval is the consistency-point cadence on the virtual clock
-	// (paper §2.2: "at least once every 10 seconds").
-	CPInterval time.Duration
 	// Env is the simulation environment, used only as the filesystem's
 	// time source; nil falls back to a deterministic logical clock.
 	Env *sim.Env
@@ -65,14 +60,17 @@ func (o Options) applyDefaults() Options {
 	if o.CacheBlocks == 0 {
 		o.CacheBlocks = 2048
 	}
-	if o.ReadAhead == 0 {
-		o.ReadAhead = 8
-	}
-	if o.CPInterval == 0 {
-		o.CPInterval = 10 * time.Second
-	}
 	return o
 }
+
+const (
+	// readAheadBlocks is how many blocks ahead the filesystem
+	// prefetches on sequential file reads.
+	readAheadBlocks = 8
+	// cpInterval is the consistency-point cadence on the virtual clock
+	// (paper §2.2: "at least once every 10 seconds").
+	cpInterval = 10 * time.Second
+)
 
 // istate is the staged (since the last consistency point) state of one
 // inode: its current metadata, how many dirty data blocks it has in
@@ -125,7 +123,7 @@ type FS struct {
 	dev   storage.Device
 	pref  Prefetcher // dev, if it supports prefetch
 	log   *nvram.Log // may be nil (no operation logging)
-	enc   logEnc     // the log entry being built, see logEntry
+	enc   codec.Enc  // the log entry being built, see logEntry
 	opts  Options
 	costs Costs
 	cache *blockCache

@@ -2,10 +2,11 @@ package wafl
 
 import (
 	"context"
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"slices"
+
+	"repro/internal/codec"
 )
 
 // NVRAM log records. Each mutating operation is serialized (including
@@ -29,97 +30,36 @@ const (
 	opSetAttr
 )
 
-// logEnc builds one log entry in the filesystem's one scratch buffer
-// (FS.enc): nvram.Log.Record copies what it is given, so the buffer is
-// free again as soon as the entry is recorded.
-type logEnc struct{ buf []byte }
-
 // logFixedMax bounds the fixed-width part of any entry: the opcode and
 // the integers around its names and data (a SetAttr with every
 // attribute present is the longest, at 49 bytes).
 const logFixedMax = 64
 
 // logEntry starts the entry for an operation whose names and data take
-// n bytes, with room for all of it up front. It returns nil when the
-// operation is not to be logged — no NVRAM, logging off, or the log
-// being replayed — so that nothing is encoded for a log that will not
-// take it.
-func (fs *FS) logEntry(op opcode, n int) *logEnc {
+// n bytes, with room for all of it up front, in the filesystem's one
+// scratch encoder (FS.enc): nvram.Log.Record copies what it is given,
+// so the buffer is free again as soon as the entry is recorded. It
+// returns nil when the operation is not to be logged — no NVRAM,
+// logging off, or the log being replayed — so that nothing is encoded
+// for a log that will not take it. Entries use the codec's layout:
+// little-endian integers, u32-length-prefixed names and data.
+func (fs *FS) logEntry(op opcode, n int) *codec.Enc {
 	if fs.log == nil || fs.replaying || fs.noLog {
 		return nil
 	}
 	e := &fs.enc
-	e.buf = append(slices.Grow(e.buf[:0], logFixedMax+n), byte(op))
+	e.B = append(slices.Grow(e.B[:0], logFixedMax+n), byte(op))
 	return e
-}
-
-func (e *logEnc) u32(v uint32) *logEnc {
-	var b [4]byte
-	binary.LittleEndian.PutUint32(b[:], v)
-	e.buf = append(e.buf, b[:]...)
-	return e
-}
-func (e *logEnc) u64(v uint64) *logEnc {
-	var b [8]byte
-	binary.LittleEndian.PutUint64(b[:], v)
-	e.buf = append(e.buf, b[:]...)
-	return e
-}
-func (e *logEnc) str(s string) *logEnc { e.u32(uint32(len(s))); e.buf = append(e.buf, s...); return e }
-func (e *logEnc) bytes(b []byte) *logEnc {
-	e.u32(uint32(len(b)))
-	e.buf = append(e.buf, b...)
-	return e
-}
-
-// logDec parses one log entry.
-type logDec struct {
-	buf []byte
-	off int
-	err error
-}
-
-func (d *logDec) u32() uint32 {
-	if d.err != nil || d.off+4 > len(d.buf) {
-		d.err = fmt.Errorf("%w: truncated log entry", ErrCorrupt)
-		return 0
-	}
-	v := binary.LittleEndian.Uint32(d.buf[d.off:])
-	d.off += 4
-	return v
-}
-
-func (d *logDec) u64() uint64 {
-	if d.err != nil || d.off+8 > len(d.buf) {
-		d.err = fmt.Errorf("%w: truncated log entry", ErrCorrupt)
-		return 0
-	}
-	v := binary.LittleEndian.Uint64(d.buf[d.off:])
-	d.off += 8
-	return v
-}
-
-func (d *logDec) str() string { return string(d.bytes()) }
-
-func (d *logDec) bytes() []byte {
-	n := int(d.u32())
-	if d.err != nil || d.off+n > len(d.buf) {
-		d.err = fmt.Errorf("%w: truncated log entry", ErrCorrupt)
-		return nil
-	}
-	b := d.buf[d.off : d.off+n]
-	d.off += n
-	return b
 }
 
 // logAppend records an entry in NVRAM and pays for its commit: at once,
 // or — when the caller holds the filesystem lock, so that the entry
 // lands in the order the operations were staged — when the lock is
 // released (see lock).
-func (fs *FS) logAppend(ctx context.Context, e *logEnc) {
+func (fs *FS) logAppend(ctx context.Context, e *codec.Enc) {
 	// Record never legitimately fails here: maybeCP keeps the log
 	// below capacity. A failure indicates a sizing bug.
-	svc, err := fs.log.Record(e.buf)
+	svc, err := fs.log.Record(e.B)
 	if err != nil {
 		panic(fmt.Sprintf("wafl: NVRAM append failed: %v", err))
 	}
@@ -132,37 +72,59 @@ func (fs *FS) logAppend(ctx context.Context, e *logEnc) {
 
 func (fs *FS) logCreate(ctx context.Context, op opcode, parent Inum, name string, ino Inum, mode, uid, gid uint32, target string) {
 	if e := fs.logEntry(op, len(name)+len(target)); e != nil {
-		fs.logAppend(ctx, e.u32(uint32(parent)).str(name).u32(uint32(ino)).u32(mode).u32(uid).u32(gid).str(target))
+		e.U32(uint32(parent))
+		e.Str(name)
+		e.U32(uint32(ino))
+		e.U32(mode)
+		e.U32(uid)
+		e.U32(gid)
+		e.Str(target)
+		fs.logAppend(ctx, e)
 	}
 }
 
 func (fs *FS) logWrite(ctx context.Context, ino Inum, off uint64, data []byte) {
 	if e := fs.logEntry(opWrite, len(data)); e != nil {
-		fs.logAppend(ctx, e.u32(uint32(ino)).u64(off).bytes(data))
+		e.U32(uint32(ino))
+		e.U64(off)
+		e.U32(uint32(len(data)))
+		e.Raw(data)
+		fs.logAppend(ctx, e)
 	}
 }
 
 func (fs *FS) logTruncate(ctx context.Context, ino Inum, size uint64) {
 	if e := fs.logEntry(opTruncate, 0); e != nil {
-		fs.logAppend(ctx, e.u32(uint32(ino)).u64(size))
+		e.U32(uint32(ino))
+		e.U64(size)
+		fs.logAppend(ctx, e)
 	}
 }
 
 func (fs *FS) logNameOp(ctx context.Context, op opcode, parent Inum, name string) {
 	if e := fs.logEntry(op, len(name)); e != nil {
-		fs.logAppend(ctx, e.u32(uint32(parent)).str(name))
+		e.U32(uint32(parent))
+		e.Str(name)
+		fs.logAppend(ctx, e)
 	}
 }
 
 func (fs *FS) logLink(ctx context.Context, ino, parent Inum, name string) {
 	if e := fs.logEntry(opLink, len(name)); e != nil {
-		fs.logAppend(ctx, e.u32(uint32(ino)).u32(uint32(parent)).str(name))
+		e.U32(uint32(ino))
+		e.U32(uint32(parent))
+		e.Str(name)
+		fs.logAppend(ctx, e)
 	}
 }
 
 func (fs *FS) logRename(ctx context.Context, srcDir Inum, srcName string, dstDir Inum, dstName string) {
 	if e := fs.logEntry(opRename, len(srcName)+len(dstName)); e != nil {
-		fs.logAppend(ctx, e.u32(uint32(srcDir)).str(srcName).u32(uint32(dstDir)).str(dstName))
+		e.U32(uint32(srcDir))
+		e.Str(srcName)
+		e.U32(uint32(dstDir))
+		e.Str(dstName)
+		fs.logAppend(ctx, e)
 	}
 }
 
@@ -178,7 +140,7 @@ const (
 	attrHasQtree
 )
 
-func encodeAttr(e *logEnc, a Attr) {
+func encodeAttr(e *codec.Enc, a Attr) {
 	var mask uint32
 	if a.Mode != nil {
 		mask |= attrHasMode
@@ -204,66 +166,66 @@ func encodeAttr(e *logEnc, a Attr) {
 	if a.QtreeID != nil {
 		mask |= attrHasQtree
 	}
-	e.u32(mask)
+	e.U32(mask)
 	if a.Mode != nil {
-		e.u32(*a.Mode)
+		e.U32(*a.Mode)
 	}
 	if a.UID != nil {
-		e.u32(*a.UID)
+		e.U32(*a.UID)
 	}
 	if a.GID != nil {
-		e.u32(*a.GID)
+		e.U32(*a.GID)
 	}
 	if a.Atime != nil {
-		e.u64(uint64(*a.Atime))
+		e.U64(uint64(*a.Atime))
 	}
 	if a.Mtime != nil {
-		e.u64(uint64(*a.Mtime))
+		e.U64(uint64(*a.Mtime))
 	}
 	if a.XMode != nil {
-		e.u32(*a.XMode)
+		e.U32(*a.XMode)
 	}
 	if a.Flags != nil {
-		e.u32(*a.Flags)
+		e.U32(*a.Flags)
 	}
 	if a.QtreeID != nil {
-		e.u32(*a.QtreeID)
+		e.U32(*a.QtreeID)
 	}
 }
 
-func decodeAttr(d *logDec) Attr {
+func decodeAttr(d *codec.Dec) Attr {
 	var a Attr
-	mask := d.u32()
+	mask := d.U32()
 	if mask&attrHasMode != 0 {
-		v := d.u32()
+		v := d.U32()
 		a.Mode = &v
 	}
 	if mask&attrHasUID != 0 {
-		v := d.u32()
+		v := d.U32()
 		a.UID = &v
 	}
 	if mask&attrHasGID != 0 {
-		v := d.u32()
+		v := d.U32()
 		a.GID = &v
 	}
 	if mask&attrHasAtime != 0 {
-		v := int64(d.u64())
+		v := int64(d.U64())
 		a.Atime = &v
 	}
 	if mask&attrHasMtime != 0 {
-		v := int64(d.u64())
+		v := int64(d.U64())
 		a.Mtime = &v
 	}
 	if mask&attrHasXMode != 0 {
-		v := d.u32()
+		v := d.U32()
 		a.XMode = &v
 	}
 	if mask&attrHasFlags != 0 {
-		v := d.u32()
+		v := d.U32()
 		a.Flags = &v
 	}
 	if mask&attrHasQtree != 0 {
-		v := d.u32()
+		v := d.U32()
 		a.QtreeID = &v
 	}
 	return a
@@ -271,7 +233,8 @@ func decodeAttr(d *logDec) Attr {
 
 func (fs *FS) logSetAttr(ctx context.Context, ino Inum, a Attr) {
 	if e := fs.logEntry(opSetAttr, 0); e != nil {
-		encodeAttr(e.u32(uint32(ino)), a)
+		e.U32(uint32(ino))
+		encodeAttr(e, a)
 		fs.logAppend(ctx, e)
 	}
 }
@@ -285,20 +248,20 @@ func (fs *FS) replay(ctx context.Context, entries [][]byte) error {
 		if len(raw) == 0 {
 			return fmt.Errorf("%w: empty log entry %d", ErrCorrupt, i)
 		}
-		d := &logDec{buf: raw, off: 1}
+		d := &codec.Dec{B: raw[1:], Max: len(raw), Bad: ErrCorrupt}
 		op := opcode(raw[0])
 		var err error
 		switch op {
 		case opCreate, opMkdir, opSymlink:
-			parent := Inum(d.u32())
-			name := d.str()
-			wantIno := Inum(d.u32())
-			mode := d.u32()
-			uid := d.u32()
-			gid := d.u32()
-			target := d.str()
-			if d.err != nil {
-				return d.err
+			parent := Inum(d.U32())
+			name := d.Str()
+			wantIno := Inum(d.U32())
+			mode := d.U32()
+			uid := d.U32()
+			gid := d.U32()
+			target := d.Str()
+			if err := d.Err(); err != nil {
+				return err
 			}
 			var got Inum
 			got, err = fs.makeNode(ctx, parent, name, mode, uid, gid, target)
@@ -307,11 +270,11 @@ func (fs *FS) replay(ctx context.Context, entries [][]byte) error {
 					ErrCrossed, name, got, wantIno)
 			}
 		case opWrite:
-			ino := Inum(d.u32())
-			off := d.u64()
-			data := d.bytes()
-			if d.err != nil {
-				return d.err
+			ino := Inum(d.U32())
+			off := d.U64()
+			data := d.Bytes()
+			if err := d.Err(); err != nil {
+				return err
 			}
 			err = fs.writeAt(ctx, ino, off, data)
 			// Writes are logged before validation (see FS.Write); an
@@ -321,48 +284,48 @@ func (fs *FS) replay(ctx context.Context, entries [][]byte) error {
 				err = nil
 			}
 		case opTruncate:
-			ino := Inum(d.u32())
-			size := d.u64()
-			if d.err != nil {
-				return d.err
+			ino := Inum(d.U32())
+			size := d.U64()
+			if err := d.Err(); err != nil {
+				return err
 			}
 			err = fs.truncateTo(ctx, ino, size)
 		case opRemove:
-			parent := Inum(d.u32())
-			name := d.str()
-			if d.err != nil {
-				return d.err
+			parent := Inum(d.U32())
+			name := d.Str()
+			if err := d.Err(); err != nil {
+				return err
 			}
 			err = fs.Remove(ctx, parent, name)
 		case opRmdir:
-			parent := Inum(d.u32())
-			name := d.str()
-			if d.err != nil {
-				return d.err
+			parent := Inum(d.U32())
+			name := d.Str()
+			if err := d.Err(); err != nil {
+				return err
 			}
 			err = fs.Rmdir(ctx, parent, name)
 		case opLink:
-			ino := Inum(d.u32())
-			parent := Inum(d.u32())
-			name := d.str()
-			if d.err != nil {
-				return d.err
+			ino := Inum(d.U32())
+			parent := Inum(d.U32())
+			name := d.Str()
+			if err := d.Err(); err != nil {
+				return err
 			}
 			err = fs.Link(ctx, ino, parent, name)
 		case opRename:
-			srcDir := Inum(d.u32())
-			srcName := d.str()
-			dstDir := Inum(d.u32())
-			dstName := d.str()
-			if d.err != nil {
-				return d.err
+			srcDir := Inum(d.U32())
+			srcName := d.Str()
+			dstDir := Inum(d.U32())
+			dstName := d.Str()
+			if err := d.Err(); err != nil {
+				return err
 			}
 			err = fs.Rename(ctx, srcDir, srcName, dstDir, dstName)
 		case opSetAttr:
-			ino := Inum(d.u32())
+			ino := Inum(d.U32())
 			attr := decodeAttr(d)
-			if d.err != nil {
-				return d.err
+			if err := d.Err(); err != nil {
+				return err
 			}
 			err = fs.SetAttr(ctx, ino, attr)
 		default:
