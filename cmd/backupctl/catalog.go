@@ -11,7 +11,8 @@
 //
 // The serve side keeps its own catalog (<out>.catalog) of pushed
 // streams, built from the session Hello and the stream headers; with
-// -standby it is a mirrored pair, which `replica status` inspects.
+// -standby it is a mirrored pair every command opens, which `replica
+// status` inspects.
 package main
 
 import (
@@ -22,6 +23,7 @@ import (
 	"fmt"
 	"io/fs"
 	"os"
+	"path/filepath"
 	"sort"
 	"strings"
 
@@ -35,29 +37,55 @@ import (
 // catalogPath names the journal beside a volume image.
 func catalogPath(vol string) string { return vol + ".catalog" }
 
-// openCatalog opens (creating if absent) the catalog journal beside vol;
-// the caller runs done when finished with it. With a standby path — the
-// serve side's -standby — the journal is a mirrored pair: a
-// catalog.Mirror over <vol>.catalog and the standby file, ideally on
+// standbyRecord names the one-line record `serve -standby` leaves beside
+// a base: the path of the standby journal mirrored with its catalog.
+func standbyRecord(base string) string { return catalogPath(base) + ".standby" }
+
+// bindStandby records standby beside base, or checks that the record
+// there names the same file: a different one is refused before either
+// journal is opened, since a fresh empty standby beside a lost primary
+// would open as an empty catalog.
+func bindStandby(base, standby string) error {
+	abs, err := filepath.Abs(standby)
+	if standby == "" || err != nil {
+		return err
+	}
+	recorded, err := os.ReadFile(standbyRecord(base))
+	if len(recorded) == 0 && (err == nil || errors.Is(err, fs.ErrNotExist)) {
+		return os.WriteFile(standbyRecord(base), []byte(abs+"\n"), 0644)
+	}
+	if err == nil && string(recorded) != abs+"\n" {
+		err = fmt.Errorf("%s is mirrored to %s, not to -standby %s", catalogPath(base), bytes.TrimSpace(recorded), standby)
+	}
+	return err
+}
+
+// openCatalog opens (creating if absent) the catalog journal beside
+// base; the caller runs done when finished with it. Where serve has
+// recorded a standby beside base, every command opens the mirrored pair:
+// a catalog.Mirror over <base>.catalog and the standby, ideally on
 // different media. Opening it keeps the copy with the longest valid
-// journal and repairs the other from it, and every append lands in
-// both files or fails, so losing either file loses no acknowledged set.
-func openCatalog(vol, standby string) (cat *catalog.Catalog, done func(), err error) {
-	primary, err := catalog.OpenFileStore(catalogPath(vol))
+// journal and repairs the other from it, and every append lands in both
+// files or fails, so losing either file loses no acknowledged record.
+func openCatalog(base string) (cat *catalog.Catalog, done func(), err error) {
+	standby, err := os.ReadFile(standbyRecord(base))
+	if err != nil && !errors.Is(err, fs.ErrNotExist) {
+		return nil, nil, err
+	}
+	primary, err := catalog.OpenFileStore(catalogPath(base))
 	if err != nil {
 		return nil, nil, err
 	}
 	var store catalog.Store = primary
 	done = func() { primary.Close() }
-	if standby != "" {
-		second, err := catalog.OpenFileStore(standby)
-		if err != nil {
-			done()
-			return nil, nil, err
+	if len(standby) > 0 {
+		second, err := catalog.OpenFileStore(strings.TrimSuffix(string(standby), "\n"))
+		if err == nil {
+			// The mirror has no Close of its own: it only borrows the stores.
+			done = func() { primary.Close(); second.Close() }
+			store, err = catalog.Mirror(primary, second)
 		}
-		// The mirror has no Close of its own: it only borrows the stores.
-		done = func() { primary.Close(); second.Close() }
-		if store, err = catalog.Mirror(primary, second); err != nil {
+		if err != nil {
 			done()
 			return nil, nil, err
 		}
@@ -144,7 +172,7 @@ func catalogCommand(vol string, rest []string) error {
 	if vol == "" {
 		return fmt.Errorf("catalog: -vol required")
 	}
-	cat, done, err := openCatalog(vol, "")
+	cat, done, err := openCatalog(vol)
 	if err != nil {
 		return err
 	}
@@ -246,7 +274,7 @@ func selectPlan(set *flag.FlagSet, vol string, rest []string) (*catalog.Plan, *c
 	default:
 		return nil, nil, nil, fmt.Errorf("%s: unknown -engine %q (want logical or image)", set.Name(), *engine)
 	}
-	cat, done, err := openCatalog(vol, "")
+	cat, done, err := openCatalog(vol)
 	if err != nil {
 		return nil, nil, nil, err
 	}
@@ -330,40 +358,31 @@ func recoverCommand(ctx context.Context, vol string, rest []string) error {
 	return writeExtracted(res.Files)
 }
 
-// recvStream is one pushed stream the serve side has landed: the wire
-// Hello that announced it, the file it was written to and the record
-// bytes the host accepted into it.
-type recvStream struct {
-	hello ndmp.Hello
-	path  string
-	bytes int64
-}
-
 // recordReceived lands a cleanly closed push session in the server's
-// own catalog (<base>.catalog). All streams of a session are one dump —
-// checkpoint resumes add streams, not dumps — so they land as a single
-// DumpSet whose Media lists the stream files in replay order. Engine and
-// level come off the wire Hello; dump dates and generations come from
-// the stream headers, so the server's catalog can plan restore chains
-// exactly like the client's. With a standby path every append lands in
-// both journals before it is acknowledged.
+// own catalog (<base>.catalog, mirrored where serve recorded a standby).
+// All streams of a session are one dump — checkpoint resumes add
+// streams, not dumps — so they land as a single DumpSet whose Media
+// lists the stream files, read off the host's sinks, in replay order.
+// Engine and level come off the wire Hello; dump dates and generations
+// come from the stream headers, so the server's catalog can plan
+// restore chains exactly like the client's.
 //
 // Nothing is cataloged healthy on the sender's word: engine.Land reads
 // the landed files back (of a resumed set, the last) and indexes a
 // logical set from them, so `plan -file` prunes a pushed chain; a set
 // with findings is journaled damaged, and `plan` routes around it.
-func recordReceived(ctx context.Context, base, standby string, streams []recvStream) error {
-	if len(streams) == 0 {
+func recordReceived(ctx context.Context, base string, ends []ndmp.StreamEnd) error {
+	if len(ends) == 0 {
 		return nil
 	}
-	cat, done, err := openCatalog(base, standby)
+	cat, done, err := openCatalog(base)
 	if err != nil {
 		return err
 	}
 	defer done()
-	// Every stream of the set carries the same header values; the last
-	// is the one that completed, so it is the one certain to have one.
-	hello, last := streams[0].hello, streams[len(streams)-1].path
+	// serve's sinks are stream files. Every stream of the set carries
+	// the same header values; the last completed, so it surely has one.
+	hello, last := ends[0].Hello, ends[len(ends)-1].Sink.(*fileSink).f.Name()
 	src, err := openStream(last)
 	if err != nil {
 		return err
@@ -373,10 +392,10 @@ func recordReceived(ctx context.Context, base, standby string, streams []recvStr
 	if err != nil {
 		return fmt.Errorf("serve: catalog %s: %w", last, err)
 	}
-	ds.FSID, ds.Level, ds.Resumed = hello.FSID, hello.Level, len(streams) > 1
-	for _, rs := range streams {
-		ds.Bytes += rs.bytes
-		ds.Media = append(ds.Media, catalog.MediaRef{Volume: rs.path})
+	ds.FSID, ds.Level, ds.Resumed = hello.FSID, hello.Level, len(ends) > 1
+	for _, e := range ends {
+		ds.Bytes += e.Bytes
+		ds.Media = append(ds.Media, catalog.MediaRef{Volume: e.Sink.(*fileSink).f.Name()})
 	}
 	id, damage, err := engine.Land(ctx, cat, ds, nil, (&setOpener{cat: cat}).open)
 	if err == nil && damage != "" {
@@ -417,7 +436,7 @@ var commandDocs = []commandDoc{
 	{"plan", "plan [-engine E] [-at T] [-file PATH] [-expired] [-damaged]", "show the restore chain the catalog selects (routes around damaged sets)"},
 	{"recover", "recover [-engine E] [-at T] [-file PATH] [-target DIR] [-wipe] [-damaged]", "execute a catalog-selected restore chain"},
 	{"push", "push -to HOST:PORT [-kind logical|image] [-level N]", "dump across the network to a serve host"},
-	{"serve", "serve -listen ADDR -o FILE [-standby FILE] [-once]", "receive pushed streams; recorded in <out>.catalog (mirrored to -standby)"},
+	{"serve", "serve -listen ADDR -o FILE [-standby FILE] [-once]", "receive pushed streams; recorded in <out>.catalog, mirrored to -standby by every command once serve records it"},
 	{"replica", "replica status -primary FILE -standby FILE", "report catalog journal replication state"},
 	{"help", "help [command]", "show usage"},
 }

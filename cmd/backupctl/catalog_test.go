@@ -209,8 +209,8 @@ func (d *dyingSink) WriteRecord(rec []byte) error {
 // pushResumed dumps vol with eng the way a push that lost its stream
 // once lands: the first stream file (base) dies partway, past a
 // checkpoint, and the engine resumes onto a second (base.s1). It
-// returns the two landed streams, as serve hands them to recordReceived.
-func pushResumed(t *testing.T, vol, base string, eng catalog.Engine) []recvStream {
+// returns the two landed streams, as the host hands them to serve.
+func pushResumed(t *testing.T, vol, base string, eng catalog.Engine) []ndmp.StreamEnd {
 	t.Helper()
 	ctx := context.Background()
 	dev, err := storage.OpenFileDevice(vol)
@@ -237,7 +237,7 @@ func pushResumed(t *testing.T, vol, base string, eng catalog.Engine) []recvStrea
 		job = engine.NewImage(physical.DumpOptions{FS: fs, Vol: dev, SnapName: "s0", CheckpointEvery: 64})
 		hello, left = ndmp.Hello{Kind: ndmp.KindImage, FSID: vol, Level: -1}, 6
 	}
-	var landed []recvStream
+	var landed []ndmp.StreamEnd
 	resumes, err := engine.Resume(ctx, job, 2, func(attempt int) (stream.Sink, func(error) error, error) {
 		path := streamPath(base, attempt)
 		file, err := createStream(path, os.O_TRUNC)
@@ -245,7 +245,7 @@ func pushResumed(t *testing.T, vol, base string, eng catalog.Engine) []recvStrea
 			return nil, nil, err
 		}
 		hello.Stream = attempt
-		landed = append(landed, recvStream{hello: hello, path: path})
+		landed = append(landed, ndmp.StreamEnd{Hello: hello, Sink: file})
 		var sink stream.Sink = file
 		if attempt == 0 {
 			sink = &dyingSink{Sink: file, left: left}
@@ -261,16 +261,29 @@ func pushResumed(t *testing.T, vol, base string, eng catalog.Engine) []recvStrea
 	return landed
 }
 
+// landedAt is the host's record of a stream serve landed in the file
+// at path: its Hello, its (closed) stream-file sink and the record bytes
+// the session accepted into it.
+func landedAt(t *testing.T, hello ndmp.Hello, path string, bytes int64) ndmp.StreamEnd {
+	t.Helper()
+	f, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f.Close()
+	return ndmp.StreamEnd{Hello: hello, Sink: &fileSink{f: f}, Bytes: bytes}
+}
+
 // landResumed journals a resumed push's streams through recordReceived
 // into vol's catalog, exactly as serve records one, and returns the set:
 // one Resumed set over the two stream files.
-func landResumed(t *testing.T, vol string, landed []recvStream) catalog.DumpSet {
+func landResumed(t *testing.T, vol string, landed []ndmp.StreamEnd) catalog.DumpSet {
 	t.Helper()
-	if err := recordReceived(context.Background(), vol, "", landed); err != nil {
+	if err := recordReceived(context.Background(), vol, landed); err != nil {
 		t.Fatal(err)
 	}
 	sets := volSets(t, vol)
-	if len(sets) != 1 || sets[0].Engine != catalog.Engine(landed[0].hello.Kind) || !sets[0].Resumed || len(sets[0].Media) != 2 {
+	if len(sets) != 1 || sets[0].Engine != catalog.Engine(landed[0].Hello.Kind) || !sets[0].Resumed || len(sets[0].Media) != 2 {
 		t.Fatalf("journaled sets %+v, want one resumed set over two files", sets)
 	}
 	return sets[0]
@@ -360,7 +373,7 @@ func TestRecordReceivedVerifiesResumedSet(t *testing.T) {
 			t.Run(fmt.Sprintf("%s flipped=%v", eng, flip), func(t *testing.T) {
 				r := newOneWayRig(t)
 				landed := pushResumed(t, r.vol, filepath.Join(r.dir, "pushed"), eng)
-				last := landed[len(landed)-1].path
+				last := landed[len(landed)-1].Sink.(*fileSink).f.Name()
 				data, err := os.ReadFile(last)
 				if err != nil {
 					t.Fatal(err)
@@ -407,13 +420,13 @@ func TestRecordReceivedRejectsUnknownKind(t *testing.T) {
 	}
 	base := filepath.Join(dir, "recv")
 	for _, kind := range []byte{0, 3} {
-		landed := []recvStream{{hello: ndmp.Hello{Kind: kind, FSID: vol}, path: out}}
-		if err := recordReceived(context.Background(), base, "", landed); err == nil {
+		landed := []ndmp.StreamEnd{landedAt(t, ndmp.Hello{Kind: kind, FSID: vol}, out, 0)}
+		if err := recordReceived(context.Background(), base, landed); err == nil {
 			t.Fatalf("kind %d: journaled a set with no engine", kind)
 		}
 	}
-	landed := []recvStream{{hello: ndmp.Hello{Kind: ndmp.KindLogical, FSID: vol}, path: out}}
-	if err := recordReceived(context.Background(), base, "", landed); err != nil {
+	landed := []ndmp.StreamEnd{landedAt(t, ndmp.Hello{Kind: ndmp.KindLogical, FSID: vol}, out, 0)}
+	if err := recordReceived(context.Background(), base, landed); err != nil {
 		t.Fatalf("catalog unusable after the refused kinds: %v", err)
 	}
 	if sets := volSets(t, base); len(sets) != 1 || sets[0].Engine != catalog.Logical {
@@ -489,8 +502,8 @@ func TestRecordReceivedVerifiesLandedSet(t *testing.T) {
 			if err := os.WriteFile(path, c.landed, 0644); err != nil {
 				t.Fatal(err)
 			}
-			landed := []recvStream{{hello: ndmp.Hello{Kind: eng.kind, FSID: vol}, path: path, bytes: accepted}}
-			if err := recordReceived(context.Background(), base, "", landed); err != nil {
+			landed := []ndmp.StreamEnd{landedAt(t, ndmp.Hello{Kind: eng.kind, FSID: vol}, path, accepted)}
+			if err := recordReceived(context.Background(), base, landed); err != nil {
 				t.Fatalf("%s: %v", name, err)
 			}
 			store, err := catalog.OpenFileStore(catalogPath(base))

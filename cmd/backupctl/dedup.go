@@ -100,7 +100,7 @@ func openInput(ctx context.Context, in, from, vol string, id uint64, eng catalog
 	if from == "" {
 		from = vol
 	}
-	cat, closeCat, err := openCatalog(from, "")
+	cat, closeCat, err := openCatalog(from)
 	if err != nil {
 		return catalog.DumpSet{}, nil, nil, err
 	}

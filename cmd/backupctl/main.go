@@ -348,10 +348,11 @@ func volumeCommand(ctx context.Context, fs *wafl.FS, vol, cmd string, rest []str
 			fmt.Println("fsck:", p)
 		}
 		// Cross-check the backup catalog against its stream files when
-		// one exists beside the volume.
+		// one exists beside the volume (its journal, or a standby's record).
 		var findings []scrub.Finding
-		if _, err := os.Stat(catalogPath(vol)); err == nil {
-			cat, done, err := openCatalog(vol, "")
+		_, errJournal := os.Stat(catalogPath(vol))
+		if _, errRecord := os.Stat(standbyRecord(vol)); errJournal == nil || errRecord == nil {
+			cat, done, err := openCatalog(vol)
 			if err != nil {
 				return err
 			}
@@ -570,7 +571,7 @@ func dumpCommand(ctx context.Context, fs *wafl.FS, vol, cmd string, rest []strin
 		return err
 	}
 	defer flush()
-	cat, done, err := openCatalog(vol, "")
+	cat, done, err := openCatalog(vol)
 	if err != nil {
 		return err
 	}

@@ -61,7 +61,7 @@ func output(t *testing.T, args ...string) (string, error) {
 // column, in set order.
 func health(t *testing.T, vol string) []string {
 	t.Helper()
-	cat, done, err := openCatalog(vol, "")
+	cat, done, err := openCatalog(vol)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -22,8 +22,10 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math/rand/v2"
 	"net"
 	"os"
+	"regexp"
 	"sync"
 	"time"
 
@@ -49,21 +51,24 @@ func streamPath(base string, stream int) string {
 
 // tenantPath namespaces a server-side path by tenant: the default
 // tenant keeps the plain path (and its catalog), every other tenant
-// gets its own <path>.<tenant> family — stream files and catalog
-// journals never cross tenant boundaries.
+// gets its own <path>@<tenant> family. serve admits only tenant names
+// tenantName matches, so no wire string aliases another namespace's
+// files (tenant "catalog" is not <path>.catalog) or names a directory.
 func tenantPath(path, tenant string) string {
 	if tenant == "" || path == "" {
 		return path
 	}
-	return path + "." + tenant
+	return path + "@" + tenant
 }
+
+var tenantName = regexp.MustCompile(`^[A-Za-z0-9_-]{1,64}$`)
 
 func serveCommand(rest []string) error {
 	set := newFlagSet("serve")
 	listen := set.String("listen", ":9000", "TCP address to listen on")
 	out := set.String("o", "", "output stream file (resumed streams get .s<N> suffixes, a path already taken .x<session>)")
 	once := set.Bool("once", false, "exit after one session closes cleanly")
-	standby := set.String("standby", "", "mirror the serve-side catalog to this standby journal file")
+	standby := set.String("standby", "", "mirror the serve-side catalog to this standby journal file (recorded beside -o for every later command)")
 	idle := set.Duration("idle", 30*time.Second, "drop a connection silent for this long")
 	trace := set.String("trace", "", "write a Chrome trace of served connections to this file")
 	drives := set.Int("drives", 4, "tape drives in the pool: concurrent streams admitted")
@@ -101,23 +106,29 @@ func serveCommand(rest []string) error {
 // reopened: a session takes the plain path if no file is there yet and
 // otherwise one with an .x<session> disambiguator, so no session writes
 // over a stream another session landed, whether that one is still live
-// or already names a cataloged set. A session's streams are
-// cataloged if and only if that session closes cleanly (the
-// OnSessionClose hook), so a connection that drops mid-session can
-// never smuggle its aborted streams into the catalog on the back of
-// another client's clean close. Returns after the first clean session
-// close when once is set, otherwise serves until l is closed.
+// or already names a cataloged set. A session's streams are cataloged
+// if and only if that session closes cleanly (the OnSessionClose hook),
+// so a connection that drops mid-session can never smuggle its aborted
+// streams into the catalog on the back of another client's clean close.
+// A standby is recorded beside a base before its first stream lands,
+// and one its record conflicts with fails before the first accept (or a
+// tenant's Hello). Returns after the first clean session close when
+// once is set, otherwise serves until l is closed.
 func serveOn(l net.Listener, base, standby string, once bool, idle time.Duration, tr *obs.Tracer, gate ndmp.Gate) error {
+	if err := bindStandby(base, standby); err != nil {
+		return fmt.Errorf("serve: %w", err)
+	}
 	traceCtx := obs.WithTracer(context.Background(), tr)
-	var (
-		mu       sync.Mutex
-		received = make(map[uint64][]recvStream) // session -> landed streams
-		catMu    sync.Mutex                      // serializes per-tenant catalog appends
-	)
+	var catMu sync.Mutex // serializes per-tenant catalog appends; the host serializes its factory calls
 	host := ndmp.NewHost(func(h ndmp.Hello) (ndmp.Sink, error) {
-		mu.Lock()
-		defer mu.Unlock()
-		path := streamPath(tenantPath(base, h.Tenant), h.Stream)
+		if h.Tenant != "" && !tenantName.MatchString(h.Tenant) {
+			return nil, fmt.Errorf("serve: tenant %q is not 1-64 of [A-Za-z0-9_-]", h.Tenant)
+		}
+		tbase := tenantPath(base, h.Tenant)
+		if err := bindStandby(tbase, tenantPath(standby, h.Tenant)); err != nil {
+			return nil, err
+		}
+		path := streamPath(tbase, h.Stream)
 		sink, err := createStream(path, os.O_EXCL)
 		if errors.Is(err, os.ErrExist) {
 			// Another session made it — live, or closed and cataloged
@@ -128,7 +139,6 @@ func serveOn(l net.Listener, base, standby string, once bool, idle time.Duration
 		if err != nil {
 			return nil, err
 		}
-		received[h.Session] = append(received[h.Session], recvStream{hello: h, path: path})
 		fmt.Printf("receiving session %d stream %d (tenant %q fsid %q level %d) -> %s\n",
 			h.Session, h.Stream, h.Tenant, h.FSID, h.Level, path)
 		return sink, nil
@@ -139,29 +149,17 @@ func serveOn(l net.Listener, base, standby string, once bool, idle time.Duration
 	// the accept loop consumes it (and returns in -once mode).
 	closed := make(chan error, 64)
 	host.OnSessionClose = func(session uint64, ends []ndmp.StreamEnd) {
-		var tenant string
-		if len(ends) > 0 {
-			tenant = ends[0].Hello.Tenant
-		}
-		mu.Lock()
-		rs := received[session]
-		delete(received, session)
-		mu.Unlock()
-		var bytes int64
+		tenant, bytes := "", int64(0)
 		for _, e := range ends {
+			tenant = e.Hello.Tenant
 			bytes += e.Bytes
-			for i := range rs {
-				if rs[i].hello.Stream == e.Hello.Stream {
-					rs[i].bytes = e.Bytes
-				}
-			}
 		}
 		fmt.Printf("session %d closed: %d stream(s), %d bytes (tenant %q)\n",
 			session, len(ends), bytes, tenant)
 		// The session closed cleanly, so every landed stream is a
 		// completed dump: record them in the tenant's own catalog.
 		catMu.Lock()
-		err := recordReceived(traceCtx, tenantPath(base, tenant), tenantPath(standby, tenant), rs)
+		err := recordReceived(traceCtx, tenantPath(base, tenant), ends)
 		catMu.Unlock()
 		if err != nil {
 			err = fmt.Errorf("serve: recording session %d in catalog: %w", session, err)
@@ -253,17 +251,14 @@ func pushCommand(ctx context.Context, fs *wafl.FS, vol string, rest []string) er
 	if *to == "" {
 		return fmt.Errorf("push: -to required")
 	}
-	if *session == 0 {
+	for *session == 0 {
 		// Clock-derived ids collide when two pushes start in the same
 		// nanosecond tick (coarse clocks make that real) and, worse, a
 		// collision silently rebinds the receiver's stream state.
-		// Random ids make collisions 2^-64-unlikely; redraw the
-		// reserved id 0, which the protocol uses for "no session".
-		id, err := randomSessionID()
-		if err != nil {
-			return fmt.Errorf("push: deriving session id: %w", err)
-		}
-		*session = id
+		// Random ids (the generator is seeded from the OS per process)
+		// make collisions 2^-64-unlikely; redraw the reserved id 0,
+		// which the protocol uses for "no session".
+		*session = rand.Uint64()
 	}
 	ctx, flush, err := traceToFile(ctx, *trace)
 	if err != nil {

@@ -253,7 +253,7 @@ func TestServeIndexesPushedChain(t *testing.T) {
 		wait()
 	}
 
-	cat, done, err := openCatalog(base, "")
+	cat, done, err := openCatalog(base)
 	if err != nil {
 		t.Fatal(err)
 	}

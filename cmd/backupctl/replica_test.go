@@ -22,15 +22,21 @@ type mirrorPair struct {
 	pPath, sPath string
 }
 
+// newMirrorPair records the standby beside the base, as serve -standby
+// does, so that every open of the base opens the pair.
 func newMirrorPair(t *testing.T) *mirrorPair {
 	dir := t.TempDir()
 	base := filepath.Join(dir, "landing.dump")
-	return &mirrorPair{t: t, base: base, pPath: catalogPath(base), sPath: filepath.Join(dir, "standby.catalog")}
+	m := &mirrorPair{t: t, base: base, pPath: catalogPath(base), sPath: filepath.Join(dir, "standby.catalog")}
+	if err := bindStandby(m.base, m.sPath); err != nil {
+		t.Fatal(err)
+	}
+	return m
 }
 
 func (m *mirrorPair) open() (*catalog.Catalog, func()) {
 	m.t.Helper()
-	cat, done, err := openCatalog(m.base, m.sPath)
+	cat, done, err := openCatalog(m.base)
 	if err != nil {
 		m.t.Fatalf("openCatalog: %v", err)
 	}

@@ -36,7 +36,7 @@ func scrubCommand(ctx context.Context, vol string, rest []string) error {
 	if vol == "" {
 		return fmt.Errorf("scrub: -vol required")
 	}
-	cat, done, err := openCatalog(vol, "")
+	cat, done, err := openCatalog(vol)
 	if err != nil {
 		return err
 	}

@@ -86,7 +86,7 @@ func TestTransportServeConcurrentPushes(t *testing.T) {
 		{"alpha", volA, "docs/alpha.txt"},
 		{"beta", volB, "docs/beta.txt"},
 	} {
-		landed := base + "." + c.tenant
+		landed := base + "@" + c.tenant
 		if _, err := os.Stat(landed); err != nil {
 			t.Fatalf("tenant %s stream file: %v", c.tenant, err)
 		}

@@ -10,8 +10,6 @@ package main
 import (
 	"bytes"
 	"context"
-	"crypto/rand"
-	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"os"
@@ -19,20 +17,6 @@ import (
 	"repro/internal/bench"
 	"repro/internal/obs"
 )
-
-// randomSessionID draws a nonzero 64-bit session id. Session id 0 is
-// reserved (the ndmp layer rejects it), so redraw until nonzero.
-func randomSessionID() (uint64, error) {
-	var b [8]byte
-	for {
-		if _, err := rand.Read(b[:]); err != nil {
-			return 0, err
-		}
-		if id := binary.LittleEndian.Uint64(b[:]); id != 0 {
-			return id, nil
-		}
-	}
-}
 
 // traceToFile returns ctx carrying a tracer, and the flush that writes
 // its spans to path as a Chrome trace on the way out; with no path both

@@ -18,14 +18,17 @@ import (
 )
 
 // ReplicaScenario is one seeded chaos run against the mirrored catalog
-// journal itself: a stream of catalog appends through a catalog.Mirror
-// whose copies fail one at a time — a copy refuses an append, a copy
-// takes a torn frame (part of the record, then the crash), or a copy's
-// file is lost between appends. After every failed append, and after a
-// lost file, the pair is reopened as a restarted serve would reopen it.
-// The invariant is the mirror's whole reason to exist: an acknowledged
-// append is never lost, and every open leaves the two copies
-// byte-identical with no torn bytes left for the catalog to drop.
+// journal itself: a stream of catalog appends — dump sets, and seeded
+// verdicts on them: a set condemned (MarkDamaged) or expired — through
+// a catalog.Mirror whose copies fail one at a time: a copy refuses an
+// append, a copy takes a torn frame (part of the record, then the
+// crash), or a copy's file is lost between appends. After every failed
+// append, and after a lost file, the pair is reopened as a restarted
+// serve would reopen it. The invariant is the mirror's whole reason to
+// exist: an acknowledged append is never lost — a set stays cataloged,
+// a condemned set stays condemned, an expired one expired — and every
+// open leaves the two copies byte-identical with no torn bytes left for
+// the catalog to drop.
 type ReplicaScenario struct {
 	Seed    int64
 	Appends int // catalog records to push through the gauntlet (default 40)
@@ -37,7 +40,12 @@ type ReplicaScenario struct {
 // ReplicaReport is the outcome of a mirrored-journal chaos run.
 type ReplicaReport struct {
 	Acked    int // appends acknowledged by the pair
-	Lost     int // acked appends missing at the end — MUST be 0
+	Lost     int // acked dump sets missing at the end — MUST be 0
+	Verdicts int // sets with an acked condemnation or expiry (a set may count twice)
+	// Revived counts, over every reopen, acked verdicts no longer in
+	// force — a condemned set not Damaged, an expired one not Expired.
+	// MUST be 0.
+	Revived  int
 	Rejected int // appends that failed (a copy refused or tore)
 	Faults   int // refusals, torn frames and lost files injected
 	// Stranded counts failed appends whose record reached the first
@@ -77,6 +85,8 @@ func RunReplica(ctx context.Context, s ReplicaScenario) (*ReplicaReport, error) 
 		}
 		copies[i] = &faultyCopy{Store: st}
 	}
+	// The sets whose condemnation, and whose expiry, the pair acknowledged.
+	condemned, expired := make(map[uint64]bool), make(map[uint64]bool)
 	// open reopens the pair and checks what every open must leave.
 	open := func() (*catalog.Catalog, error) {
 		store, err := catalog.Mirror(copies[0], copies[1])
@@ -96,6 +106,16 @@ func RunReplica(ctx context.Context, s ReplicaScenario) (*ReplicaReport, error) 
 			return nil, err
 		}
 		rep.Converged = rep.Converged && bytes.Equal(a, b)
+		for id := range condemned {
+			if _, bad := cat.Damaged(id); !bad {
+				rep.Revived++
+			}
+		}
+		for id := range expired {
+			if _, dead := cat.Expired(id); !dead {
+				rep.Revived++
+			}
+		}
 		return cat, nil
 	}
 	cat, err := open()
@@ -129,14 +149,40 @@ func RunReplica(ctx context.Context, s ReplicaScenario) (*ReplicaReport, error) 
 				return nil, err
 			}
 		}
-		_, err := cat.AppendDumpSet(catalog.DumpSet{
-			Engine: catalog.Logical, FSID: "vol0", Snap: label,
-			Date: int64(1000 + i), Bytes: int64(rng.Intn(1 << 20)),
-			Media: []catalog.MediaRef{{Volume: "t-" + label}},
-		})
+		// One record in four condemns a cataloged set, one in four
+		// expires one (each only once: a repeat journals nothing); the
+		// rest, and the last, are dump sets.
+		sets, verdict := cat.Sets(), rng.Intn(4)
+		var target catalog.DumpSet
+		if verdict < 2 && len(sets) > 0 && i < s.Appends {
+			target = sets[rng.Intn(len(sets))]
+		}
+		_, bad := cat.Damaged(target.ID)
+		_, dead := cat.Expired(target.ID)
+		var err error
+		switch {
+		case target.ID != 0 && verdict == 0 && !bad:
+			err = cat.MarkDamaged(target.ID, int64(1000+i), "chaos: condemned at append "+label)
+		case target.ID != 0 && verdict == 1 && !dead:
+			err = cat.Expire(target.ID, int64(1000+i))
+		default:
+			verdict = 2
+			_, err = cat.AppendDumpSet(catalog.DumpSet{
+				Engine: catalog.Logical, FSID: "vol0", Snap: label,
+				Date: int64(1000 + i), Bytes: int64(rng.Intn(1 << 20)),
+				Media: []catalog.MediaRef{{Volume: "t-" + label}},
+			})
+		}
 		if err == nil {
 			rep.Acked++
-			acked[label] = true
+			switch verdict {
+			case 0:
+				condemned[target.ID] = true
+			case 1:
+				expired[target.ID] = true
+			default:
+				acked[label] = true
+			}
 			continue
 		}
 		if !errors.Is(err, errInjected) {
@@ -158,7 +204,7 @@ func RunReplica(ctx context.Context, s ReplicaScenario) (*ReplicaReport, error) 
 	for _, ds := range final.Sets() {
 		delete(acked, ds.Snap)
 	}
-	rep.Lost = len(acked)
+	rep.Lost, rep.Verdicts = len(acked), len(condemned)+len(expired)
 	return rep, nil
 }
 

@@ -1,6 +1,7 @@
 package chaos
 
 import (
+	"bytes"
 	"path/filepath"
 	"testing"
 
@@ -10,13 +11,15 @@ import (
 // TestChaosReplicatedJournal: the mirrored catalog journal under a
 // seeded gauntlet of one fault per append — a copy refuses the append,
 // a copy takes a torn frame, or a copy's file is lost — with the pair
-// reopened after each, as a restarted serve would. The zero-loss
-// invariant: no acknowledged append is ever missing from the final
-// replay, and every open leaves both copies byte-identical with no torn
-// bytes. Every seed runs twice: over in-memory stores and over the
-// journal files `serve -standby` keeps.
+// reopened after each, as a restarted serve would. The appends are dump
+// sets and seeded verdicts on them (condemned, expired). The zero-loss
+// invariant: no acknowledged dump set is ever missing from the final
+// replay, no acknowledged verdict is out of force after any reopen, and
+// every open leaves both copies byte-identical with no torn bytes.
+// Every seed runs twice: over in-memory stores and over the journal
+// files `serve -standby` keeps.
 func TestChaosReplicatedJournal(t *testing.T) {
-	faults, stranded := 0, 0
+	faults, stranded, verdicts := 0, 0, 0
 	for run := 0; run < 2*seedCount(); run++ {
 		seed, onFiles := int64(run/2+1), run%2 == 1
 		s := ReplicaScenario{Seed: seed}
@@ -39,6 +42,9 @@ func TestChaosReplicatedJournal(t *testing.T) {
 			t.Fatalf("seed %d: %d acknowledged dump sets lost (acked=%d faults=%d)",
 				seed, rep.Lost, rep.Acked, rep.Faults)
 		}
+		if rep.Revived != 0 {
+			t.Fatalf("seed %d: %d acknowledged condemnations or expiries out of force after a reopen", seed, rep.Revived)
+		}
 		if !rep.Converged {
 			t.Fatalf("seed %d: the copies differed after an open", seed)
 		}
@@ -47,14 +53,43 @@ func TestChaosReplicatedJournal(t *testing.T) {
 		}
 		faults += rep.Faults
 		stranded += rep.Stranded
-		t.Logf("seed %d (files=%v): acked=%d rejected=%d faults=%d stranded=%d",
-			seed, onFiles, rep.Acked, rep.Rejected, rep.Faults, rep.Stranded)
+		verdicts += rep.Verdicts
+		t.Logf("seed %d (files=%v): acked=%d verdicts=%d rejected=%d faults=%d stranded=%d",
+			seed, onFiles, rep.Acked, rep.Verdicts, rep.Rejected, rep.Faults, rep.Stranded)
 	}
 	if faults == 0 {
 		t.Errorf("no faults injected across all seeds; the sweep proved nothing")
 	}
 	if stranded == 0 {
 		t.Errorf("no failed append ever stranded its record on the first copy across all seeds")
+	}
+	if verdicts == 0 {
+		t.Errorf("no condemnation or expiry ever acknowledged across all seeds")
+	}
+}
+
+// forgetfulStore is a journal copy that acknowledges every append but
+// silently keeps none that condemns a set.
+type forgetfulStore struct{ catalog.MemStore }
+
+func (s *forgetfulStore) Append(p []byte) error {
+	if bytes.Contains(p, []byte("chaos: condemned")) {
+		return nil
+	}
+	return s.MemStore.Append(p)
+}
+
+// TestChaosReplicaOracleSeesRevivedCondemnation: the gauntlet's verdict
+// check is live. Over a pair whose copies both drop condemnations, a
+// condemned set comes back healthy at the next reopen, and RunReplica
+// must count it.
+func TestChaosReplicaOracleSeesRevivedCondemnation(t *testing.T) {
+	rep, err := RunReplica(ctx, ReplicaScenario{Seed: 1, Copies: [2]catalog.Store{&forgetfulStore{}, &forgetfulStore{}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Revived == 0 {
+		t.Fatalf("condemnations dropped by both copies went unseen: %+v", rep)
 	}
 }
 

@@ -116,10 +116,11 @@ func (st *stream) status() byte {
 }
 
 // StreamEnd describes one stream at the moment its session closed
-// cleanly: the Hello that opened it and the durable high-water mark.
+// cleanly: the Hello that opened it, the sink the factory made for it
+// (already closed) and the payload bytes durably written to it.
 type StreamEnd struct {
 	Hello Hello
-	Acked uint64
+	Sink  Sink
 	Bytes int64
 }
 
@@ -594,7 +595,7 @@ func (c *Conn) handleClose() [][]byte {
 	evicted := c.h.evict(func(k streamKey) bool { return k.session == session })
 	ends := make([]StreamEnd, 0, len(evicted))
 	for _, st := range evicted {
-		ends = append(ends, StreamEnd{Hello: st.hello, Acked: st.acked.Load(), Bytes: st.bytes.Load()})
+		ends = append(ends, StreamEnd{Hello: st.hello, Sink: st.sink, Bytes: st.bytes.Load()})
 	}
 	c.h.bump(func(s *HostStats) { s.Sessions++ })
 	if c.h.OnSessionClose != nil {

@@ -90,6 +90,11 @@ def main(root, top):
         print(f"{n:5d}  {a}  <->  {b}")
 
 
+USAGE = 'usage: dup.py [ROOT [COUNT]]  (COUNT: how many file pairs to print, default 10)'
+
 if __name__ == '__main__':
-    main(sys.argv[1] if len(sys.argv) > 1 else '.',
-         int(sys.argv[2]) if len(sys.argv) > 2 else 10)
+    args = sys.argv[1:]
+    if len(args) > 2 or (len(args) == 2 and not args[1].isdigit()) or args[:1] in (['-h'], ['--help']):
+        print(USAGE, file=sys.stderr)
+        sys.exit(2)
+    main(args[0] if args else '.', int(args[1]) if len(args) > 1 else 10)
