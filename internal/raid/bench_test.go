@@ -98,3 +98,18 @@ func TestRunIOZeroAlloc(t *testing.T) {
 		}
 	}
 }
+
+// BenchmarkXorInto is the rate of parity arithmetic: one block XORed
+// into another, as every parity update and reconstruction does.
+func BenchmarkXorInto(b *testing.B) {
+	dst := make([]byte, storage.BlockSize)
+	src := make([]byte, storage.BlockSize)
+	for i := range src {
+		src[i] = byte(i * 13)
+	}
+	b.SetBytes(storage.BlockSize)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		xorInto(dst, src)
+	}
+}

@@ -11,8 +11,9 @@
 package raid
 
 import (
+	"bytes"
 	"context"
-	"encoding/binary"
+	"crypto/subtle"
 	"errors"
 	"fmt"
 	"sync"
@@ -286,9 +287,7 @@ func (g *Group) VerifyParity(ctx context.Context) ([]int, error) {
 	acc := make([]byte, storage.BlockSize)
 	tmp := make([]byte, storage.BlockSize)
 	for dblock := 0; dblock < g.data[0].NumBlocks(); dblock++ {
-		for i := range acc {
-			acc[i] = 0
-		}
+		clear(acc)
 		for _, d := range g.data {
 			if err := d.ReadBlock(ctx, dblock, tmp); err != nil {
 				return nil, err
@@ -298,11 +297,8 @@ func (g *Group) VerifyParity(ctx context.Context) ([]int, error) {
 		if err := g.parity.ReadBlock(ctx, dblock, tmp); err != nil {
 			return nil, err
 		}
-		for i := range acc {
-			if acc[i] != tmp[i] {
-				bad = append(bad, dblock*len(g.data))
-				break
-			}
+		if !bytes.Equal(acc, tmp) {
+			bad = append(bad, dblock*len(g.data))
 		}
 	}
 	return bad, nil
@@ -323,20 +319,8 @@ func (g *Group) chargeParity(dblock int) bool {
 	return true
 }
 
-// xorInto XORs src into dst, eight bytes per step on the aligned body.
+// xorInto XORs src into dst, which are the same length, with the
+// standard library's word- and vector-wide loop.
 func xorInto(dst, src []byte) {
-	n := len(dst)
-	if n == 0 {
-		return
-	}
-	_ = src[n-1]
-	i := 0
-	for ; i+8 <= n; i += 8 {
-		d := binary.LittleEndian.Uint64(dst[i:])
-		s := binary.LittleEndian.Uint64(src[i:])
-		binary.LittleEndian.PutUint64(dst[i:], d^s)
-	}
-	for ; i < n; i++ {
-		dst[i] ^= src[i]
-	}
+	subtle.XORBytes(dst, dst, src)
 }

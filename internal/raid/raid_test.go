@@ -351,3 +351,56 @@ func TestDegradedGroupDeclinesOnlyFailedDisk(t *testing.T) {
 		t.Errorf("group busy seconds %v and %v, volume %v", busy("0"), busy("1"), v.DiskBusy().Seconds())
 	}
 }
+
+func TestVerifyParityFindsBadStripe(t *testing.T) {
+	ctx := context.Background()
+	g := newTestGroup(t, 3, 8)
+	for bno := 0; bno < g.NumBlocks(); bno++ {
+		if err := g.WriteBlock(ctx, bno, block(bno)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	par := make([]byte, storage.BlockSize)
+	if err := g.parity.ReadBlock(ctx, 5, par); err != nil {
+		t.Fatal(err)
+	}
+	par[storage.BlockSize-1] ^= 1 // the last byte: a compare that stops early misses it
+	if err := g.parity.WriteBlock(ctx, 5, par); err != nil {
+		t.Fatal(err)
+	}
+	bad, err := g.VerifyParity(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(bad) != 1 || bad[0] != 5*3 {
+		t.Fatalf("VerifyParity = %v, want [15] (stripe 5 of a 3-disk group)", bad)
+	}
+}
+
+// TestXorIntoMatchesByteLoop holds xorInto to the one-byte loop it
+// stands for, over lengths around a word and a block, on sub-slices
+// that start off any alignment.
+func TestXorIntoMatchesByteLoop(t *testing.T) {
+	r := rand.New(rand.NewSource(3))
+	for _, n := range []int{0, 1, 7, 8, 9, 4095, 4096, 65536} {
+		for _, off := range [][2]int{{0, 0}, {1, 0}, {0, 3}, {5, 7}, {7, 1}} {
+			dstBuf := make([]byte, n+off[0])
+			srcBuf := make([]byte, n+off[1])
+			r.Read(dstBuf)
+			r.Read(srcBuf)
+			dst, src := dstBuf[off[0]:], srcBuf[off[1]:]
+			want := bytes.Clone(dst)
+			for i := range want {
+				want[i] ^= src[i]
+			}
+			srcBefore := bytes.Clone(src)
+			xorInto(dst, src)
+			if !bytes.Equal(dst, want) {
+				t.Fatalf("len %d, offsets %v: xorInto differs from the byte loop", n, off)
+			}
+			if !bytes.Equal(src, srcBefore) {
+				t.Fatalf("len %d, offsets %v: xorInto wrote to src", n, off)
+			}
+		}
+	}
+}

@@ -11,6 +11,7 @@ package workload
 import (
 	"context"
 	"crypto/sha256"
+	"encoding/binary"
 	"fmt"
 	"math/rand"
 	"sort"
@@ -56,6 +57,53 @@ func fileSize(r *rand.Rand, mean int) int {
 	}
 }
 
+// byteStream yields exactly the bytes (*rand.Rand).Read would from r,
+// Intn draws between reads included, but stores each Int63 draw with
+// one 8-byte write instead of seven single-byte ones. Like Read, it
+// takes seven bytes from every draw, low byte first, and carries the
+// unused ones of the last draw into the next call. Every generated
+// volume, and so every golden stream digest, depends on these bytes.
+type byteStream struct {
+	r   *rand.Rand
+	val int64 // what is left of the last draw, next byte lowest
+	pos int   // how many of val's bytes are still unused
+	buf []byte
+}
+
+// Read fills p.
+func (s *byteStream) Read(p []byte) {
+	n := 0
+	for ; n < len(p) && s.pos > 0; n++ {
+		p[n] = byte(s.val)
+		s.val >>= 8
+		s.pos--
+	}
+	// A draw's eighth byte is written too, and overwritten by the next
+	// draw or the tail; the loop stops while there is room for it.
+	for ; n+8 <= len(p); n += 7 {
+		binary.LittleEndian.PutUint64(p[n:], uint64(s.r.Int63()))
+	}
+	for ; n < len(p); n++ {
+		if s.pos == 0 {
+			s.val, s.pos = s.r.Int63(), 7
+		}
+		p[n] = byte(s.val)
+		s.val >>= 8
+		s.pos--
+	}
+}
+
+// file returns the next size bytes in a buffer the next call reuses:
+// WriteFile copies its data, so one buffer serves a whole Generate or
+// Age call.
+func (s *byteStream) file(size int) []byte {
+	if cap(s.buf) < size {
+		s.buf = make([]byte, size)
+	}
+	s.Read(s.buf[:size])
+	return s.buf[:size]
+}
+
 // dirFor picks/creates a directory path for file index i.
 func dirFor(r *rand.Rand, spec Spec, i int) string {
 	depth := 1 + r.Intn(3)
@@ -74,11 +122,11 @@ func dirFor(r *rand.Rand, spec Spec, i int) string {
 // paths created, sorted.
 func Generate(ctx context.Context, fs *wafl.FS, spec Spec) ([]string, error) {
 	r := rand.New(rand.NewSource(spec.Seed))
+	bs := byteStream{r: r}
 	var paths []string
 	for i := 0; i < spec.Files; i++ {
 		p := fmt.Sprintf("%s%s/file%04d.dat", spec.Prefix, dirFor(r, spec, i), i)
-		data := make([]byte, fileSize(r, spec.MeanFileSize))
-		r.Read(data)
+		data := bs.file(fileSize(r, spec.MeanFileSize))
 		if _, err := fs.WriteFile(ctx, p, data, 0644); err != nil {
 			return nil, fmt.Errorf("workload: writing %s: %w", p, err)
 		}
@@ -138,6 +186,7 @@ type AgeSpec struct {
 // points so freed space scatters through the volume.
 func Age(ctx context.Context, fs *wafl.FS, paths []string, spec AgeSpec) ([]string, error) {
 	r := rand.New(rand.NewSource(spec.Seed))
+	bs := byteStream{r: r}
 	alive := append([]string(nil), paths...)
 	serial := 0
 	for round := 0; round < spec.Rounds; round++ {
@@ -151,8 +200,7 @@ func Age(ctx context.Context, fs *wafl.FS, paths []string, spec AgeSpec) ([]stri
 				alive[i] = alive[len(alive)-1]
 				alive = alive[:len(alive)-1]
 			case 1: // overwrite with a different size
-				data := make([]byte, fileSize(r, spec.MeanFileSize))
-				r.Read(data)
+				data := bs.file(fileSize(r, spec.MeanFileSize))
 				if _, err := fs.WriteFile(ctx, alive[i], data, 0644); err != nil {
 					return nil, err
 				}
@@ -162,8 +210,7 @@ func Age(ctx context.Context, fs *wafl.FS, paths []string, spec AgeSpec) ([]stri
 				// (with different seeds) never collide and double-list
 				// a path in the survivor set.
 				p := fmt.Sprintf("%s/aged/r%d/new%d-%05d.dat", spec.Prefix, round%4, spec.Seed, serial)
-				data := make([]byte, fileSize(r, spec.MeanFileSize))
-				r.Read(data)
+				data := bs.file(fileSize(r, spec.MeanFileSize))
 				if _, err := fs.WriteFile(ctx, p, data, 0644); err != nil {
 					return nil, err
 				}
