@@ -61,13 +61,13 @@ attribution: ## per-layer table of one traced benchmark run (non-zero series; PH
 	@bash benchmark/run.sh --workload $(WORKLOAD) --seed 1999 --seconds 6 --trace 1 | awk -v phase="$(PHASE)" '/^  / && $$2 + 0 != 0 && (phase == "" || $$1 ~ "\\." phase "$$")'
 
 ALLOC_PROFILE_DIR ?= $(CURDIR)/.alloc_profile
-ALLOC_PINS = logical:TestDumpAllocsPerMiB logical:TestRestoreAllocsPerMiB logical:TestDedupRestoreAllocsPerMiB physical:TestImageRestoreAllocsPerMiB ndmp:TestPushAllocsPerMiB
+ALLOC_PINS = logical:TestDumpAllocsPerMiB logical:TestRestoreAllocsPerMiB logical:TestDedupRestoreAllocsPerMiB physical:TestImageDumpAllocsPerMiB physical:TestImageRestoreAllocsPerMiB ndmp:TestPushAllocsPerMiB
 
 # Each pin writes the allocs profile on both sides of what it counts
 # (internal/allocpin); writing the first snapshot allocates under
 # runtime/pprof frames, which the second includes and -ignore drops
 # (percentages are then of what is left).
-alloc-profile: ## where the heap objects come from: the allocation pins (internal/logical's dump, restore and dedup'd restore, internal/physical's image restore onto a fresh RAID volume, internal/ndmp's push over TCP) with every allocation sampled, top 25 sites of exactly the objects each pin counts (pprof -base of its two snapshots; the frozen benchmark/ binary has no profile flag)
+alloc-profile: ## where the heap objects come from: the allocation pins (internal/logical's dump, restore and dedup'd restore, internal/physical's fanned-out image dump off a simulated RAID volume and its image restore onto a fresh one, internal/ndmp's push over TCP) with every allocation sampled, top 25 sites of exactly the objects each pin counts (pprof -base of its two snapshots; the frozen benchmark/ binary has no profile flag)
 	@mkdir -p $(ALLOC_PROFILE_DIR)
 	@for p in $(ALLOC_PINS); do \
 		pkg=$${p%%:*}; pin=$${p#*:}; \

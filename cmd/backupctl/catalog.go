@@ -29,7 +29,6 @@ import (
 
 	"repro/internal/catalog"
 	"repro/internal/engine"
-	"repro/internal/logical"
 	"repro/internal/ndmp"
 	"repro/internal/wafl"
 )
@@ -144,18 +143,6 @@ func replicaCommand(rest []string) error {
 			names[lead], n[lead]-n[1-lead])
 	}
 	return nil
-}
-
-// catalogDates returns the dump-date history for vol: derived from the
-// catalog when it has logical sets (the journal is authoritative),
-// otherwise from the legacy <vol>.dumpdates file.
-func catalogDates(cat *catalog.Catalog, vol string) *logical.DumpDates {
-	d := cat.DumpDates()
-	if len(d.Entries()) > 0 {
-		return d
-	}
-	legacy, _ := loadDates(vol)
-	return legacy
 }
 
 // catalogCommand lists and edits the catalog beside -vol.

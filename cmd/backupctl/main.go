@@ -21,9 +21,10 @@
 //	backupctl -vol home.img df
 //	backupctl -vol home.img rm /docs/readme
 //
-// Dump streams are host files of length-prefixed tape records. The
-// dump-date history for incremental levels lives beside the volume in
-// <vol>.dumpdates.
+// Dump streams are host files of length-prefixed tape records. A
+// dump's incremental levels base on the dump dates in the catalog
+// beside the volume, <vol>.catalog; <vol>.dumpdates is push's own
+// history, since the host keeps the catalog of what it received.
 package main
 
 import (
@@ -578,14 +579,12 @@ func dumpCommand(ctx context.Context, fs *wafl.FS, vol, cmd string, rest []strin
 	defer done()
 
 	var job *engine.Dump
-	var dates *logical.DumpDates
 	name, release := "backupctl.dump", func() {}
 	if image {
 		job, name, err = imageJob(ctx, fs, *snap, "backupctl.image", physical.DumpOptions{BaseSnapName: *base})
 	} else {
-		dates = catalogDates(cat, vol)
 		job, release, err = logicalJob(ctx, fs, name, logical.DumpOptions{
-			Level: *level, Dates: dates, FSID: vol, Subtree: *subtree,
+			Level: *level, Dates: cat.DumpDates(), FSID: vol, Subtree: *subtree,
 		})
 	}
 	if err != nil {
@@ -643,11 +642,6 @@ func dumpCommand(ctx context.Context, fs *wafl.FS, vol, cmd string, rest []strin
 		fmt.Printf("image-dumped %d blocks (generation %d, base %d)\n",
 			stats.BlocksDumped, stats.Gen, stats.BaseGen)
 	} else {
-		// The catalog journal is the authoritative record; the legacy
-		// <vol>.dumpdates file is kept in sync for older tooling.
-		if err := saveDates(vol, dates); err != nil {
-			return err
-		}
 		stats := job.LogicalStats
 		fmt.Printf("dumped %d files, %d dirs, %d bytes (level %d, base date %d)\n",
 			stats.FilesDumped, stats.DirsDumped, stats.BytesWritten, *level, stats.BaseDate)
@@ -763,7 +757,7 @@ func openOrCreate(path string, n int) (*storage.FileDevice, error) {
 	return storage.CreateFileDevice(path, n)
 }
 
-// --- dump-date persistence: "<level> <date>" lines per fsid.
+// --- push's dump-date history: "<level> <date>" lines per fsid.
 
 func datesPath(vol string) string { return vol + ".dumpdates" }
 

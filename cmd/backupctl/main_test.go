@@ -1,6 +1,8 @@
 package main
 
 import (
+	"errors"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"strings"
@@ -61,8 +63,9 @@ func TestCLIWalkthrough(t *testing.T) {
 	os.WriteFile(second, []byte("second file"), 0644)
 	do("-vol", vol, "put", second, "/docs/second.txt")
 	do("-vol", vol, "dump", "-o", dump1, "-level", "1")
-	if _, err := os.Stat(vol + ".dumpdates"); err != nil {
-		t.Fatalf("dumpdates not persisted: %v", err)
+	// Its dates live in the catalog; .dumpdates is push's history alone.
+	if _, err := os.Stat(vol + ".dumpdates"); !errors.Is(err, fs.ErrNotExist) {
+		t.Fatalf("dump wrote %s.dumpdates (stat: %v)", filepath.Base(vol), err)
 	}
 
 	// Physical cycle: image dump, verify, restore to a new volume,

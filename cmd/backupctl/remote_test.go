@@ -84,7 +84,7 @@ func TestTransportServePush(t *testing.T) {
 	do("-vol", vol, "restore", "-i", remoteDump, "-file", "docs/payload.txt")
 	do("-vol", vol, "cat", "/docs/payload.txt")
 
-	// Push records dump dates like a local dump would.
+	// Push records its own dump dates beside the volume.
 	if _, err := os.Stat(vol + ".dumpdates"); err != nil {
 		t.Fatalf("push did not persist dump dates: %v", err)
 	}
@@ -153,6 +153,66 @@ func TestTransportServePush(t *testing.T) {
 	}
 	if err := run([]string{"serve"}); err == nil {
 		t.Fatal("serve without -o succeeded")
+	}
+}
+
+// TestDumpDatesPerDestination: a local dump and a push keep separate
+// dump-date histories, so an incremental to one destination never
+// bases itself on a dump that only the other received. Either order,
+// the first incremental each destination sees is a full dump, and its
+// catalog plans a chain from what it holds.
+func TestDumpDatesPerDestination(t *testing.T) {
+	dir := t.TempDir()
+	do := func(args ...string) {
+		t.Helper()
+		if err := run(args); err != nil {
+			t.Fatalf("backupctl %s: %v", strings.Join(args, " "), err)
+		}
+	}
+	newVol := func(name string) string {
+		vol := filepath.Join(dir, name)
+		do("-vol", vol, "mkfs", "-blocks", "2048")
+		do("-vol", vol, "fill", "-mb", "1")
+		return vol
+	}
+	// full checks the one set in the catalog beside base is a full dump
+	// of vol, and that the catalog plans vol's chain.
+	full := func(base, vol string) {
+		t.Helper()
+		sets := volSets(t, base)
+		if len(sets) != 1 || sets[0].BaseDate != 0 {
+			t.Fatalf("catalog beside %s: %+v, want one set with base date 0", filepath.Base(base), sets)
+		}
+		cat, done, err := openCatalog(base)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer done()
+		if _, err := cat.Plan(catalog.PlanOptions{Engine: catalog.Logical, FSID: vol}); err != nil {
+			t.Fatalf("plan from the catalog beside %s: %v", filepath.Base(base), err)
+		}
+	}
+
+	// A level-0 push, then a local level-1 dump: the local catalog has
+	// no level 0 to base on.
+	vol := newVol("pushed.img")
+	addr, wait := serveOnce(t, filepath.Join(dir, "pushed.l0.dump"))
+	do("-vol", vol, "push", "-to", addr, "-level", "0")
+	wait()
+	do("-vol", vol, "dump", "-o", filepath.Join(dir, "pushed.l1.dump"), "-level", "1")
+	full(vol, vol)
+
+	// A local level-0 dump, then a level-1 push: the host never
+	// received that level 0.
+	vol = newVol("dumped.img")
+	do("-vol", vol, "dump", "-o", filepath.Join(dir, "dumped.l0.dump"), "-level", "0")
+	remote := filepath.Join(dir, "dumped.l1.dump")
+	addr, wait = serveOnce(t, remote)
+	do("-vol", vol, "push", "-to", addr, "-level", "1")
+	wait()
+	full(remote, vol)
+	if _, err := os.Stat(vol + ".dumpdates"); err != nil {
+		t.Fatalf("push did not record its own dump dates: %v", err)
 	}
 }
 

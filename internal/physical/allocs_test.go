@@ -7,11 +7,83 @@ import (
 	"repro/internal/bufpool"
 	"repro/internal/logical"
 	"repro/internal/raid"
+	"repro/internal/sim"
+	"repro/internal/stream"
 	"repro/internal/tape"
 	"repro/internal/vdev"
 	"repro/internal/wafl"
 	"repro/internal/workload"
 )
+
+// TestImageDumpAllocsPerMiB pins the heap objects a fanned-out image
+// dump allocates per MiB it writes, at the benchmark's physical shape:
+// a simulated RAID volume of three groups of ten data disks, four
+// streams, three readers per stream each keeping three run reads in
+// flight. It runs on a sim process, so every run read takes the timed
+// branch and waits on its completion. The dump counted is the second,
+// so the pools are warm. Measured 35–37 when recorded (36 with every
+// allocation sampled), nearly all of it set up once per dump and so
+// large only because the volume is small: the sim processes of the
+// shards and readers with their events and conditions, the fan-out
+// pipelines and their queues, names and the extent plan (make
+// alloc-profile). The run reads themselves allocate nothing
+// (TestRunIOZeroAlloc). What must not come back is a heap object per
+// block read, ≈ 256 per MiB.
+func TestImageDumpAllocsPerMiB(t *testing.T) {
+	if bufpool.RaceEnabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	const groups, disks, perDisk = 3, 10, 548
+	env := sim.NewEnv()
+	vol, err := raid.Build(env, "source", raid.Config{
+		Groups: groups, DataDisksPerGroup: disks, BlocksPerDisk: perDisk, DiskParams: vdev.DefaultParams(),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fs, err := wafl.Mkfs(ctx, vol, nil, wafl.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := workload.Generate(ctx, fs, workload.Spec{
+		Seed: 7, Files: 120, DirFanout: 12, MeanFileSize: 64 << 10, Symlinks: 3, Hardlinks: 2,
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if err := fs.CreateSnapshot(ctx, "s"); err != nil {
+		t.Fatal(err)
+	}
+	costs := DefaultCosts()
+	costs.CPU = sim.NewStation(env, "cpu", 0)
+	dump := func() *DumpStats {
+		var stats *DumpStats
+		env.Spawn("idump", func(p *sim.Proc) {
+			var err error
+			stats, err = Dump(sim.WithProc(ctx, p), DumpOptions{
+				FS: fs, Vol: vol, SnapName: "s", Costs: costs,
+				Sinks: []stream.Sink{nullSink{}, nullSink{}, nullSink{}, nullSink{}}, Readers: 3, ReadAhead: 3,
+			})
+			if err != nil {
+				t.Error(err)
+			}
+		})
+		env.Run()
+		if stats == nil {
+			t.FailNow()
+		}
+		return stats
+	}
+	dump()
+	var stats *DumpStats
+	mallocs := allocpin.Count(t, func() { stats = dump() })
+
+	perMiB := float64(mallocs) / (float64(stats.BytesWritten) / (1 << 20))
+	t.Logf("%d blocks, %.1f MiB: %.1f allocations per MiB", stats.BlocksDumped, float64(stats.BytesWritten)/(1<<20), perMiB)
+	const ceiling = 40
+	if perMiB > ceiling {
+		t.Fatalf("image dump: %.1f allocations per MiB written, want <= %d", perMiB, ceiling)
+	}
+}
 
 // TestImageRestoreAllocsPerMiB pins the heap objects an image restore
 // allocates per MiB it reads, onto a freshly built raid.Volume as the

@@ -178,7 +178,7 @@ func dumpShard(ctx context.Context, opts *DumpOptions, s pipeline.Stream[Checkpo
 		Stage: func(ctx context.Context, _, seq int) (extentBuf, error) {
 			e := sw.plan[seq]
 			bp := bufpool.Get(e.count * storage.BlockSize)
-			done, err := storage.ReadRunAsync(ctx, opts.Vol, int(e.bno), e.count, (*bp)[:e.count*storage.BlockSize])
+			done, err := opts.Vol.ReadRunAsync(ctx, int(e.bno), e.count, (*bp)[:e.count*storage.BlockSize])
 			if err != nil {
 				bufpool.Put(bp)
 				return extentBuf{}, err

@@ -47,7 +47,7 @@ func runStep(tb testing.TB, write bool) func() {
 	// Warm each group's de-striping scratch so the loop measures the
 	// steady state: run reads allocate nothing once warm.
 	for _, g := range v.Groups() {
-		if err := g.ReadRun(ctx, 0, benchRun, buf); err != nil {
+		if err := storage.ReadRun(ctx, g, 0, benchRun, buf); err != nil {
 			tb.Fatal(err)
 		}
 	}

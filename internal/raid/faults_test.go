@@ -57,7 +57,7 @@ func TestDegradedReadFromLatentSector(t *testing.T) {
 	}
 
 	run := make([]byte, 32*storage.BlockSize)
-	if err := g.ReadRun(ctx, 0, 32, run); err != nil {
+	if err := storage.ReadRun(ctx, g, 0, 32, run); err != nil {
 		t.Fatalf("degraded ReadRun: %v", err)
 	}
 	if !bytes.Equal(run, img[:32*storage.BlockSize]) {
@@ -123,7 +123,7 @@ func TestWholeDiskFailStillWorks(t *testing.T) {
 		t.Fatal(err)
 	}
 	got := make([]byte, g.NumBlocks()*storage.BlockSize)
-	if err := g.ReadRun(ctx, 0, g.NumBlocks(), got); err != nil {
+	if err := storage.ReadRun(ctx, g, 0, g.NumBlocks(), got); err != nil {
 		t.Fatalf("degraded full scan: %v", err)
 	}
 	if !bytes.Equal(got, img) {

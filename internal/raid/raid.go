@@ -31,10 +31,10 @@ var (
 )
 
 // Disk is the device interface a RAID group needs from its members:
-// block and bulk-run I/O, the asynchronous run read, and the prefetch
-// hook used for streaming reads.
+// block and bulk-run I/O, and the prefetch hook used for streaming
+// reads.
 type Disk interface {
-	storage.AsyncRunDevice
+	storage.Device
 	Prefetch(ctx context.Context, bno int)
 	Flush(ctx context.Context)
 	Station() *sim.Station
@@ -70,7 +70,7 @@ type Group struct {
 	retries      atomic.Int64 // transient-fault retries performed
 	reconstructs atomic.Int64 // single-block degraded reads served from parity
 
-	stripeReads  atomic.Int64 // bulk ReadRun calls served on the striped fast path
+	stripeReads  atomic.Int64 // run reads served on the striped fast path
 	degradedRuns atomic.Int64 // runs that fell back to per-block degraded reads
 }
 

@@ -11,8 +11,7 @@ import (
 // readRunInto issues every member disk's sub-run for group data blocks
 // [bno, bno+n) and de-stripes into buf, returning the latest member
 // completion time without waiting for it. The data in buf is usable on
-// return; the time is when it would be on a simulated clock. The
-// caller decides whether to block (ReadRun) or pipeline (ReadRunAsync).
+// return; the time is when it would be on a simulated clock.
 // A non-nil error means a member fault interrupted the fast path and
 // the caller should recover through readRunDegraded.
 func (g *Group) readRunInto(ctx context.Context, bno, n int, buf []byte) (sim.Time, error) {
@@ -65,30 +64,12 @@ func (g *Group) readRunInto(ctx context.Context, bno, n int, buf []byte) (sim.Ti
 // De-striping scratch recycles through bufpool, so steady-state run
 // traffic allocates nothing.
 
-// ReadRun reads n consecutive group data blocks starting at bno into
-// buf (n*BlockSize long). Degraded groups fall back to per-block
-// reconstruction.
-func (g *Group) ReadRun(ctx context.Context, bno, n int, buf []byte) error {
-	if g.failed >= 0 {
-		return g.readRunDegraded(ctx, bno, n, buf)
-	}
-	latest, err := g.readRunInto(ctx, bno, n, buf)
-	if err != nil {
-		// Recover block by block, so a single latent sector costs one
-		// reconstruction, not the whole dump.
-		return g.readRunDegraded(ctx, bno, n, buf)
-	}
-	if p := sim.ProcFrom(ctx); p != nil && latest > 0 {
-		p.WaitUntil(latest)
-	}
-	return nil
-}
-
-// ReadRunAsync reads n consecutive group data blocks at bno into buf,
-// returning the virtual completion time instead of waiting for it
-// (storage.AsyncRunDevice semantics: data ready now, time charged
-// later). Faults fall back to the synchronous degraded path, which
-// completes before returning (time 0).
+// ReadRunAsync implements storage.Device: it reads n consecutive group
+// data blocks at bno into buf (n*BlockSize long) and returns the
+// virtual time the latest member disk's transfer completes. Degraded
+// groups and member faults fall back to per-block reconstruction,
+// which completes before returning (time 0), so a single latent sector
+// costs one reconstruction, not the whole dump.
 func (g *Group) ReadRunAsync(ctx context.Context, bno, n int, buf []byte) (sim.Time, error) {
 	if g.failed >= 0 {
 		return 0, g.readRunDegraded(ctx, bno, n, buf)
@@ -100,7 +81,7 @@ func (g *Group) ReadRunAsync(ctx context.Context, bno, n int, buf []byte) (sim.T
 	return latest, nil
 }
 
-// readRunDegraded is the per-block slow path behind ReadRun: each
+// readRunDegraded is the per-block slow path behind ReadRunAsync: each
 // block goes through ReadBlock, which retries transient faults and
 // reconstructs persistently unreadable blocks from parity.
 func (g *Group) readRunDegraded(ctx context.Context, bno, n int, buf []byte) error {
@@ -189,34 +170,17 @@ func (g *Group) WriteRun(ctx context.Context, bno, n int, buf []byte) error {
 	return nil
 }
 
-// ReadRun reads n consecutive volume blocks starting at bno into buf,
-// splitting at group boundaries.
+// ReadRun is storage.ReadRun on v, kept as a method for the
+// benchmark's verify pass.
 func (v *Volume) ReadRun(ctx context.Context, bno, n int, buf []byte) error {
-	for n > 0 {
-		g, gb, err := v.locate(bno)
-		if err != nil {
-			return err
-		}
-		c := n
-		if gb+c > g.NumBlocks() {
-			c = g.NumBlocks() - gb
-		}
-		if err := g.ReadRun(ctx, gb, c, buf[:c*storage.BlockSize]); err != nil {
-			return err
-		}
-		v.bytesRead.Add(int64(c) * storage.BlockSize)
-		bno += c
-		n -= c
-		buf = buf[c*storage.BlockSize:]
-	}
-	return nil
+	return storage.ReadRun(ctx, v, bno, n, buf)
 }
 
-// ReadRunAsync reads n consecutive volume blocks at bno into buf with
-// storage.AsyncRunDevice semantics: buf is filled on return, and the
-// returned time is when the last member disk's transfer completes on
-// the virtual clock. Runs spanning group boundaries return the latest
-// completion across groups.
+// ReadRunAsync implements storage.Device: buf is filled on return, and
+// the returned time is when the last member disk's transfer completes
+// on the virtual clock. A run spanning group boundaries issues every
+// group's share before any wait, so the groups overlap and it
+// completes with the latest.
 func (v *Volume) ReadRunAsync(ctx context.Context, bno, n int, buf []byte) (sim.Time, error) {
 	var latest sim.Time
 	for n > 0 {

@@ -25,7 +25,7 @@ func memRunReadStep(tb testing.TB) func() {
 		if bno+benchRun > nblocks {
 			bno = 0
 		}
-		if err := d.ReadRun(ctx, bno, benchRun, buf); err != nil {
+		if err := ReadRun(ctx, d, bno, benchRun, buf); err != nil {
 			tb.Fatal(err)
 		}
 		bno += benchRun
@@ -46,6 +46,6 @@ func BenchmarkMemRunRead(b *testing.B) {
 
 func TestMemRunReadZeroAlloc(t *testing.T) {
 	if n := testing.AllocsPerRun(100, memRunReadStep(t)); n != 0 {
-		t.Fatalf("MemDevice.ReadRun: %v allocs per run, want 0", n)
+		t.Fatalf("ReadRun over MemDevice: %v allocs per run, want 0", n)
 	}
 }

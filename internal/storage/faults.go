@@ -33,7 +33,7 @@ type FaultProfile struct {
 	// ReadFault is the per-block probability that a read injects a
 	// fault (classified transient or persistent by Transient below).
 	ReadFault float64
-	// RunFault is the per-ReadRun probability of one additional fault
+	// RunFault is the per-run-read probability of one additional fault
 	// at a uniformly chosen offset inside the run, modelling errors
 	// that correlate with long sequential transfers.
 	RunFault float64

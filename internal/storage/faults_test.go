@@ -121,7 +121,7 @@ func TestRunFaultInsideRun(t *testing.T) {
 	d := NewFaultDevice(NewMemDevice(64))
 	d.Arm(FaultProfile{Seed: 5, RunFault: 1, Transient: 1, HealAfter: 1, MaxFaults: 3})
 	buf := make([]byte, 32*BlockSize)
-	err := d.ReadRun(context.Background(), 0, 32, buf)
+	err := ReadRun(context.Background(), d, 0, 32, buf)
 	if !IsTransient(err) {
 		t.Fatalf("want transient fault from run read, got %v", err)
 	}
@@ -129,7 +129,7 @@ func TestRunFaultInsideRun(t *testing.T) {
 	// total and every fault is transient, so retries converge.
 	ok := false
 	for i := 0; i < 10 && !ok; i++ {
-		ok = d.ReadRun(context.Background(), 0, 32, buf) == nil
+		ok = ReadRun(context.Background(), d, 0, 32, buf) == nil
 	}
 	if !ok {
 		t.Fatal("run read never succeeded despite bounded transient faults")

@@ -4,6 +4,8 @@ import (
 	"context"
 	"fmt"
 	"os"
+
+	"repro/internal/sim"
 )
 
 // FileDevice is a Device backed by a host file, giving the CLI
@@ -66,18 +68,19 @@ func (d *FileDevice) WriteBlock(_ context.Context, bno int, data []byte) error {
 	return err
 }
 
-// ReadRun implements Device with a single positional read for the
-// whole run — the CLI's persistent volumes move bulk data in one
-// syscall per run instead of one per 4 KB block.
-func (d *FileDevice) ReadRun(_ context.Context, bno, n int, buf []byte) error {
+// ReadRunAsync implements Device with a single positional read for
+// the whole run — the CLI's persistent volumes move bulk data in one
+// syscall per run instead of one per 4 KB block. Untimed, so always
+// complete.
+func (d *FileDevice) ReadRunAsync(_ context.Context, bno, n int, buf []byte) (sim.Time, error) {
 	if err := checkRun(bno, n, d.blocks, buf); err != nil {
-		return err
+		return 0, err
 	}
 	if n == 0 {
-		return nil
+		return 0, nil
 	}
 	_, err := d.f.ReadAt(buf, int64(bno)*BlockSize)
-	return err
+	return 0, err
 }
 
 // WriteRun implements Device with a single positional write.

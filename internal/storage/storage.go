@@ -10,6 +10,8 @@ import (
 	"fmt"
 	"math/rand"
 	"sync"
+
+	"repro/internal/sim"
 )
 
 // BlockSize is the unit of all device I/O, matching WAFL's 4 KB blocks.
@@ -30,9 +32,9 @@ var (
 // ReadBlock/WriteBlock calls but let an implementation amortize
 // locking, bounds checks and (for timed devices) seek accounting over
 // the whole run. Buffer ownership: buf belongs to the caller.
-// Implementations must not retain it past the call, and ReadRun must
-// fill every byte of buf[:n*BlockSize] (never-written blocks read as
-// zeros).
+// Implementations must not retain it past the call, and ReadRunAsync
+// must fill every byte of buf[:n*BlockSize] before it returns
+// (never-written blocks read as zeros).
 type Device interface {
 	// NumBlocks returns the device capacity in blocks.
 	NumBlocks() int
@@ -40,8 +42,14 @@ type Device interface {
 	ReadBlock(ctx context.Context, bno int, buf []byte) error
 	// WriteBlock stores data (which must be BlockSize long) at block bno.
 	WriteBlock(ctx context.Context, bno int, data []byte) error
-	// ReadRun fills buf (n*BlockSize long) with blocks [bno, bno+n).
-	ReadRun(ctx context.Context, bno, n int, buf []byte) error
+	// ReadRunAsync fills buf (n*BlockSize long) with blocks
+	// [bno, bno+n) before returning, but only reserves the device
+	// time: it returns the virtual time the read completes, 0 when
+	// untimed or already complete. A pipelined reader issues several
+	// runs back to back and waits on each as it needs the data, which
+	// keeps the spindle queues full across its own think time; the
+	// function ReadRun is the read plus that wait.
+	ReadRunAsync(ctx context.Context, bno, n int, buf []byte) (sim.Time, error)
 	// WriteRun stores buf (n*BlockSize long) at blocks [bno, bno+n).
 	WriteRun(ctx context.Context, bno, n int, buf []byte) error
 }
@@ -85,11 +93,12 @@ func (d *MemDevice) ReadBlock(_ context.Context, bno int, buf []byte) error {
 	return nil
 }
 
-// ReadRun implements Device: one lock acquisition for the whole
+// ReadRunAsync implements Device: one lock acquisition for the whole
 // run, copying block slices (or the shared zero block) into buf.
-func (d *MemDevice) ReadRun(_ context.Context, bno, n int, buf []byte) error {
+// Untimed, so always complete.
+func (d *MemDevice) ReadRunAsync(_ context.Context, bno, n int, buf []byte) (sim.Time, error) {
 	if err := checkRun(bno, n, len(d.blocks), buf); err != nil {
-		return err
+		return 0, err
 	}
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -101,7 +110,7 @@ func (d *MemDevice) ReadRun(_ context.Context, bno, n int, buf []byte) error {
 			copy(dst, zeroBlock[:])
 		}
 	}
-	return nil
+	return 0, nil
 }
 
 // WriteRun implements Device: one lock acquisition for the run.
@@ -265,17 +274,18 @@ func (d *FaultDevice) WriteBlock(ctx context.Context, bno int, data []byte) erro
 	return d.Inner.WriteBlock(ctx, bno, data)
 }
 
-// ReadRun implements Device, preserving per-block fault semantics:
-// a latent sector error inside the run surfaces after the blocks in
-// front of it have been read, exactly as the per-block loop would.
-func (d *FaultDevice) ReadRun(ctx context.Context, bno, n int, buf []byte) error {
+// ReadRunAsync implements Device, preserving per-block fault
+// semantics: a latent sector error inside the run surfaces after the
+// blocks in front of it have been read, exactly as the per-block loop
+// would. The time is the inner device's read of those blocks.
+func (d *FaultDevice) ReadRunAsync(ctx context.Context, bno, n int, buf []byte) (sim.Time, error) {
 	if err := checkRun(bno, n, d.Inner.NumBlocks(), buf); err != nil {
-		return err
+		return 0, err
 	}
 	d.mu.Lock()
 	if d.failed {
 		d.mu.Unlock()
-		return ErrFailed
+		return 0, ErrFailed
 	}
 	bad, badErr := -1, error(nil)
 	runAt := d.runFaultIndex(n)
@@ -295,12 +305,14 @@ func (d *FaultDevice) ReadRun(ctx context.Context, bno, n int, buf []byte) error
 	}
 	d.reads += good
 	d.mu.Unlock()
-	if good > 0 {
-		if err := d.Inner.ReadRun(ctx, bno, good, buf[:good*BlockSize]); err != nil {
-			return err
-		}
+	if good == 0 {
+		return 0, badErr
 	}
-	return badErr
+	done, err := d.Inner.ReadRunAsync(ctx, bno, good, buf[:good*BlockSize])
+	if err != nil {
+		return 0, err
+	}
+	return done, badErr
 }
 
 // WriteRun implements Device. A probabilistic write fault inside

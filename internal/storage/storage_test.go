@@ -194,7 +194,7 @@ func TestMemDeviceUnwrittenBlockReadsZero(t *testing.T) {
 		t.Fatal("never-written block 5 does not read as zeros")
 	}
 	run := make([]byte, 8*BlockSize)
-	if err := d.ReadRun(ctx, 0, 8, run); err != nil {
+	if err := ReadRun(ctx, d, 0, 8, run); err != nil {
 		t.Fatal(err)
 	}
 	for bno := 0; bno < 8; bno++ {

@@ -30,7 +30,7 @@ func diskRunReadStep(tb testing.TB) func() {
 		if bno+benchRun > nblocks {
 			bno = 0
 		}
-		if err := d.ReadRun(ctx, bno, benchRun, buf); err != nil {
+		if err := storage.ReadRun(ctx, d, bno, benchRun, buf); err != nil {
 			tb.Fatal(err)
 		}
 		bno += benchRun
@@ -51,6 +51,6 @@ func BenchmarkDiskRunRead(b *testing.B) {
 
 func TestDiskRunReadZeroAlloc(t *testing.T) {
 	if n := testing.AllocsPerRun(100, diskRunReadStep(t)); n != 0 {
-		t.Fatalf("Disk.ReadRun: %v allocs per run, want 0", n)
+		t.Fatalf("ReadRun over Disk: %v allocs per run, want 0", n)
 	}
 }

@@ -59,7 +59,7 @@ func TestPersistentFaultSurfaces(t *testing.T) {
 	fd.FailRead(5, storage.ErrLatentSector)
 
 	buf := make([]byte, 8*storage.BlockSize)
-	err := d.ReadRun(context.Background(), 0, 8, buf)
+	err := storage.ReadRun(context.Background(), d, 0, 8, buf)
 	if !errors.Is(err, storage.ErrLatentSector) {
 		t.Fatalf("want latent sector error, got %v", err)
 	}

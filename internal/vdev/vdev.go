@@ -258,31 +258,16 @@ func (d *Disk) Prefetch(ctx context.Context, bno int) {
 	}
 }
 
-// ReadRun reads n consecutive blocks starting at bno into buf (which
-// must be n*BlockSize long), charging at most one seek for the whole
-// run. Streaming readers (image dump) use this so that several
-// concurrent streams interleaving on one disk amortize their seeks
-// over large runs instead of paying one per block.
-func (d *Disk) ReadRun(ctx context.Context, bno, n int, buf []byte) error {
-	if err := d.store.ReadRun(ctx, bno, n, buf); err != nil {
-		if err = d.retryRead(ctx, err, bno, n, buf); err != nil {
-			return err
-		}
-	}
-	d.readBlocks.Add(int64(n))
-	if p := sim.ProcFrom(ctx); p != nil {
-		svc, _ := d.runCost(&d.readHeads, bno, n)
-		d.station.Sync(p, svc)
-	}
-	return nil
-}
-
-// ReadRunAsync is ReadRun without the wait: it copies the data,
-// reserves the service time on the disk and returns the virtual time
-// the run completes. The RAID layer uses it to overlap the member
-// disks of a striped read.
+// ReadRunAsync implements storage.Device: it reads n consecutive
+// blocks starting at bno into buf (which must be n*BlockSize long),
+// reserves the service time on the disk, charging at most one seek
+// for the whole run, and returns the virtual time the run completes.
+// Streaming readers (image dump) use runs so that several concurrent
+// streams interleaving on one disk amortize their seeks over large
+// runs instead of paying one per block; the RAID layer overlaps the
+// member disks of a striped read by waiting only on the latest.
 func (d *Disk) ReadRunAsync(ctx context.Context, bno, n int, buf []byte) (sim.Time, error) {
-	if err := d.store.ReadRun(ctx, bno, n, buf); err != nil {
+	if _, err := d.store.ReadRunAsync(ctx, bno, n, buf); err != nil {
 		if err = d.retryRead(ctx, err, bno, n, buf); err != nil {
 			return 0, err
 		}
@@ -341,7 +326,7 @@ func (d *Disk) retryRead(ctx context.Context, err error, bno, n int, buf []byte)
 		if n == 1 {
 			err = d.store.ReadBlock(ctx, bno, buf)
 		} else {
-			err = d.store.ReadRun(ctx, bno, n, buf)
+			_, err = d.store.ReadRunAsync(ctx, bno, n, buf)
 		}
 	}
 	return err
