@@ -13,7 +13,6 @@
 package nvram
 
 import (
-	"bytes"
 	"context"
 	"errors"
 	"time"
@@ -47,16 +46,24 @@ func DefaultParams() Params {
 // Log is a bounded non-volatile operation log. Entries survive Crash
 // (a simulated power loss) but not Reset (a consistency point).
 //
-// The entries are copied back to back into one arena, which Reset
-// empties but keeps: once the log has filled to its high-water mark,
-// recording an entry allocates nothing.
+// The entries are copied back to back into an arena of chunks, each
+// entry inside one chunk. Reset empties the chunks but keeps them, so
+// filling the log to its high-water mark never re-copies what is
+// already logged, and once it has been filled there, recording an
+// entry allocates nothing.
 type Log struct {
 	params  Params
 	station *sim.Station
-	arena   []byte // every entry since the last Reset, in order
-	ends    []int  // entry i is arena[ends[i-1]:ends[i]]
+	chunks  [][]byte // the arena; chunks[:inUse] hold the entries since the last Reset
+	inUse   int
+	ents    [][]byte // every entry since the last Reset, in order, each in a chunk
+	used    int      // the bytes of ents
 	appends int64
 }
+
+// chunkSize is the arena's unit of growth; an entry larger than it gets
+// a chunk of its own size.
+const chunkSize = 1 << 20
 
 // New creates a log. env may be nil for untimed use.
 func New(env *sim.Env, p Params) *Log {
@@ -72,7 +79,7 @@ func New(env *sim.Env, p Params) *Log {
 // consistency point when NeedCP reports true; Append itself only fails
 // when a single entry cannot fit at all.
 func (l *Log) Append(ctx context.Context, op []byte) error {
-	svc, err := l.Record(op)
+	svc, err := l.Record(op, nil)
 	if err != nil {
 		return err
 	}
@@ -80,20 +87,46 @@ func (l *Log) Append(ctx context.Context, op []byte) error {
 	return nil
 }
 
-// Record places one serialized operation in the log, after every entry
-// recorded before it, and returns the service time its commit costs.
-// It takes no modelled time, so a caller that must keep entries in the
-// order it applied them can record under its own lock and pay Commit
-// after releasing it; the operation must not be acknowledged before
-// Commit returns.
-func (l *Log) Record(op []byte) (time.Duration, error) {
-	if l.params.Size > 0 && len(l.arena)+len(op) > l.params.Size {
+// Record places one serialized operation, head followed by data, in the
+// log after every entry recorded before it, copying each part once, and
+// returns the service time its commit costs. It takes no modelled time,
+// so a caller that must keep entries in the order it applied them can
+// record under its own lock and pay Commit after releasing it; the
+// operation must not be acknowledged before Commit returns.
+func (l *Log) Record(head, data []byte) (time.Duration, error) {
+	n := len(head) + len(data)
+	if l.params.Size > 0 && l.used+n > l.params.Size {
 		return 0, ErrFull
 	}
-	l.arena = append(l.arena, op...)
-	l.ends = append(l.ends, len(l.arena))
+	e := l.take(n)
+	copy(e[copy(e, head):], data)
+	l.ents = append(l.ents, e)
+	l.used += n
 	l.appends++
-	return l.params.PerOp + time.Duration(len(op))*l.params.PerByte, nil
+	return l.params.PerOp + time.Duration(n)*l.params.PerByte, nil
+}
+
+// take returns n bytes of arena for the next entry: the rest of the
+// chunk in use when they fit there, else the next chunk, made when
+// there is none or the one kept is too small.
+func (l *Log) take(n int) []byte {
+	if l.inUse > 0 {
+		c := l.chunks[l.inUse-1]
+		if end := len(c) + n; end <= cap(c) {
+			l.chunks[l.inUse-1] = c[:end]
+			return c[len(c):end:end]
+		}
+	}
+	if l.inUse == len(l.chunks) {
+		l.chunks = append(l.chunks, nil)
+	}
+	if cap(l.chunks[l.inUse]) < n {
+		l.chunks[l.inUse] = make([]byte, 0, max(chunkSize, n))
+	}
+	c := l.chunks[l.inUse][:n]
+	l.chunks[l.inUse] = c
+	l.inUse++
+	return c[:n:n]
 }
 
 // Commit blocks the process in ctx for svc of service on the NVRAM
@@ -109,32 +142,39 @@ func (l *Log) Commit(ctx context.Context, svc time.Duration) {
 // full, mirroring WAFL's split-log scheme) and the filesystem should
 // take a consistency point.
 func (l *Log) NeedCP() bool {
-	return l.params.Size > 0 && len(l.arena) >= l.params.Size/2
+	return l.params.Size > 0 && l.used >= l.params.Size/2
 }
 
-// Reset discards all entries, keeping the arena's room for the next
+// Size returns the log's capacity in bytes, 0 when it is unbounded.
+func (l *Log) Size() int { return l.params.Size }
+
+// Reset discards all entries, keeping the arena's chunks for the next
 // ones; called when a consistency point commits.
 func (l *Log) Reset() {
-	l.arena = l.arena[:0]
-	l.ends = l.ends[:0]
+	for i := range l.chunks[:l.inUse] {
+		l.chunks[i] = l.chunks[i][:0]
+	}
+	l.inUse = 0
+	l.ents = l.ents[:0]
+	l.used = 0
 }
 
 // Entries returns copies of the logged operations in append order,
 // which later Records and Resets leave alone. After a crash the
 // filesystem replays these against the last consistency point.
 func (l *Log) Entries() [][]byte {
-	all := bytes.Clone(l.arena)
-	out := make([][]byte, len(l.ends))
-	start := 0
-	for i, end := range l.ends {
-		out[i] = all[start:end:end]
-		start = end
+	all := make([]byte, 0, l.used)
+	out := make([][]byte, len(l.ents))
+	for i, e := range l.ents {
+		start := len(all)
+		all = append(all, e...)
+		out[i] = all[start:len(all):len(all)]
 	}
 	return out
 }
 
 // Used returns the bytes currently logged.
-func (l *Log) Used() int { return len(l.arena) }
+func (l *Log) Used() int { return l.used }
 
 // Appends returns the total number of entries ever appended.
 func (l *Log) Appends() int64 { return l.appends }

@@ -150,3 +150,136 @@ func TestUntimedContextNoCharge(t *testing.T) {
 		t.Fatal("untimed append charged station time")
 	}
 }
+
+// entry is n bytes of a pattern that tells entry seed apart from its
+// neighbours.
+func entry(seed, n int) []byte {
+	b := make([]byte, n)
+	for i := range b {
+		b[i] = byte(seed*31 + i)
+	}
+	return b
+}
+
+// TestRecordJoinsHeadAndData: an entry is its head followed by its
+// data, each copied, and is charged for both.
+func TestRecordJoinsHeadAndData(t *testing.T) {
+	l := New(nil, Params{Size: 1024, PerOp: time.Millisecond, PerByte: time.Microsecond})
+	head, data := []byte("write 7 "), []byte("payload")
+	svc, err := l.Record(head, data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	head[0], data[0] = 'X', 'X'
+	if got := l.Entries(); len(got) != 1 || string(got[0]) != "write 7 payload" {
+		t.Fatalf("entries %q, want [\"write 7 payload\"]", got)
+	}
+	if want := time.Millisecond + 15*time.Microsecond; svc != want || l.Used() != 15 {
+		t.Fatalf("charged %v for %d bytes, want %v for 15", svc, l.Used(), want)
+	}
+}
+
+// TestChunkedArena records entries around the arena's chunk boundaries:
+// one that would span the end of a chunk, one larger than a chunk, and
+// small ones on either side. Each must read back whole, in order, and
+// Used must count entry bytes, not the room a chunk left unused.
+func TestChunkedArena(t *testing.T) {
+	l := New(nil, Params{Size: 8 * chunkSize})
+	sizes := []int{chunkSize - 100, 60, 80, 3 * chunkSize, 5, chunkSize, 1}
+	total := 0
+	for i, n := range sizes {
+		e := entry(i, n)
+		if _, err := l.Record(e[:n/2], e[n/2:]); err != nil {
+			t.Fatalf("entry %d (%d bytes): %v", i, n, err)
+		}
+		total += n
+	}
+	if l.Used() != total {
+		t.Fatalf("Used = %d, want %d", l.Used(), total)
+	}
+	got := l.Entries()
+	if len(got) != len(sizes) {
+		t.Fatalf("%d entries, want %d", len(got), len(sizes))
+	}
+	for i, n := range sizes {
+		if !bytes.Equal(got[i], entry(i, n)) {
+			t.Fatalf("entry %d (%d bytes) reads back wrong", i, n)
+		}
+	}
+	// [first, 60] [80] [3 chunks] [5] [chunk] [1]: the 80-byte entry
+	// would span the first chunk's end, the large one fills its own.
+	if l.inUse != 6 {
+		t.Fatalf("%d chunks in use, want 6", l.inUse)
+	}
+
+	// After Reset the first chunk kept is too small for a large entry.
+	l.Reset()
+	big := entry(9, 2*chunkSize)
+	if _, err := l.Record(big[:17], big[17:]); err != nil {
+		t.Fatal(err)
+	}
+	if got := l.Entries(); len(got) != 1 || !bytes.Equal(got[0], big) || l.Used() != len(big) {
+		t.Fatal("an entry larger than the kept chunk reads back wrong")
+	}
+}
+
+// TestFullAtExactlySize: entries may fill the log to exactly Size,
+// counting head and data, and not one byte past it.
+func TestFullAtExactlySize(t *testing.T) {
+	const size = 2*chunkSize + 10
+	l := New(nil, Params{Size: size})
+	if _, err := l.Record(entry(1, chunkSize), entry(2, chunkSize)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := l.Record(entry(3, 4), entry(4, 7)); !errors.Is(err, ErrFull) {
+		t.Fatalf("11 bytes into 10 left: err = %v, want ErrFull", err)
+	}
+	if _, err := l.Record(entry(3, 4), entry(4, 6)); err != nil {
+		t.Fatalf("10 bytes into 10 left: %v", err)
+	}
+	if _, err := l.Record(nil, []byte{1}); !errors.Is(err, ErrFull) || l.Used() != size || len(l.Entries()) != 2 {
+		t.Fatalf("one byte past Size: err = %v, %d bytes in %d entries", err, l.Used(), len(l.Entries()))
+	}
+}
+
+// TestEntriesOutliveRecords: Entries returns copies, so entries
+// recorded after it, into the same chunk or a new one, leave them be.
+func TestEntriesOutliveRecords(t *testing.T) {
+	l := New(nil, Params{Size: 4 * chunkSize})
+	l.Record(entry(1, 10), nil)
+	l.Record(entry(2, 20), nil)
+	before := l.Entries()
+	before[0] = append(before[0], "!!"...) // an entry's room ends where it does
+	l.Record(entry(3, 30), nil)
+	l.Record(entry(4, chunkSize), nil)
+	if !bytes.Equal(before[0][:10], entry(1, 10)) || !bytes.Equal(before[1], entry(2, 20)) {
+		t.Fatal("later Records changed entries taken before them")
+	}
+	if got := l.Entries(); !bytes.Equal(got[1], entry(2, 20)) || !bytes.Equal(got[2], entry(3, 30)) {
+		t.Fatal("growing a returned entry reached into the log")
+	}
+}
+
+// TestRecordAfterResetAllocatesNothing: Reset keeps the arena's chunks
+// and the entry list, so refilling the log to where it was allocates
+// nothing, large entries included.
+func TestRecordAfterResetAllocatesNothing(t *testing.T) {
+	l := New(nil, Params{Size: 8 * chunkSize})
+	head := entry(1, 17)
+	datas := [][]byte{entry(2, 64<<10), entry(3, chunkSize-50), entry(4, 2*chunkSize), entry(5, 100)}
+	fill := func() {
+		l.Reset()
+		for _, d := range datas {
+			if _, err := l.Record(head, d); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	fill()
+	if n := testing.AllocsPerRun(50, fill); n != 0 {
+		t.Fatalf("refilling after Reset: %v allocs, want 0", n)
+	}
+	if got := l.Entries(); len(got) != len(datas) || !bytes.Equal(got[2][17:], datas[2]) {
+		t.Fatal("refilled log reads back wrong")
+	}
+}

@@ -31,15 +31,20 @@ const (
 )
 
 // logFixedMax bounds the fixed-width part of any entry: the opcode and
-// the integers around its names and data (a SetAttr with every
-// attribute present is the longest, at 49 bytes).
+// the integers around its names (a SetAttr with every attribute present
+// is the longest, at 49 bytes).
 const logFixedMax = 64
 
-// logEntry starts the entry for an operation whose names and data take
-// n bytes, with room for all of it up front, in the filesystem's one
-// scratch encoder (FS.enc): nvram.Log.Record copies what it is given,
-// so the buffer is free again as soon as the entry is recorded. It
-// returns nil when the operation is not to be logged — no NVRAM,
+// logWriteHead is the fixed part of a write's entry: the opcode, the
+// inode, the offset and the data's length, which the data follows.
+const logWriteHead = 1 + 4 + 8 + 4
+
+// logEntry starts the entry for an operation whose names take n bytes,
+// with room for all of it up front, in the filesystem's one scratch
+// encoder (FS.enc). A write's data is not encoded: logAppend hands it
+// to NVRAM beside the scratch, and nvram.Log.Record copies both parts
+// once, so the scratch is free again as soon as the entry is recorded.
+// It returns nil when the operation is not to be logged — no NVRAM,
 // logging off, or the log being replayed — so that nothing is encoded
 // for a log that will not take it. Entries use the codec's layout:
 // little-endian integers, u32-length-prefixed names and data.
@@ -52,14 +57,16 @@ func (fs *FS) logEntry(op opcode, n int) *codec.Enc {
 	return e
 }
 
-// logAppend records an entry in NVRAM and pays for its commit: at once,
-// or — when the caller holds the filesystem lock, so that the entry
-// lands in the order the operations were staged — when the lock is
-// released (see lock).
-func (fs *FS) logAppend(ctx context.Context, e *codec.Enc) {
-	// Record never legitimately fails here: maybeCP keeps the log
-	// below capacity. A failure indicates a sizing bug.
-	svc, err := fs.log.Record(e.B)
+// logAppend records an entry, e's bytes followed by data, in NVRAM and
+// pays for its commit: at once, or — when the caller holds the
+// filesystem lock, so that the entry lands in the order the operations
+// were staged — when the lock is released (see lock).
+func (fs *FS) logAppend(ctx context.Context, e *codec.Enc, data []byte) {
+	// Record never legitimately fails here: every operation ends with
+	// maybeCP, which keeps the log below its high-water mark, and Write
+	// logs a write larger than half the log in pieces (writePieceMax).
+	// A failure indicates a sizing bug.
+	svc, err := fs.log.Record(e.B, data)
 	if err != nil {
 		panic(fmt.Sprintf("wafl: NVRAM append failed: %v", err))
 	}
@@ -79,17 +86,16 @@ func (fs *FS) logCreate(ctx context.Context, op opcode, parent Inum, name string
 		e.U32(uid)
 		e.U32(gid)
 		e.Str(target)
-		fs.logAppend(ctx, e)
+		fs.logAppend(ctx, e, nil)
 	}
 }
 
 func (fs *FS) logWrite(ctx context.Context, ino Inum, off uint64, data []byte) {
-	if e := fs.logEntry(opWrite, len(data)); e != nil {
+	if e := fs.logEntry(opWrite, 0); e != nil {
 		e.U32(uint32(ino))
 		e.U64(off)
 		e.U32(uint32(len(data)))
-		e.Raw(data)
-		fs.logAppend(ctx, e)
+		fs.logAppend(ctx, e, data)
 	}
 }
 
@@ -97,7 +103,7 @@ func (fs *FS) logTruncate(ctx context.Context, ino Inum, size uint64) {
 	if e := fs.logEntry(opTruncate, 0); e != nil {
 		e.U32(uint32(ino))
 		e.U64(size)
-		fs.logAppend(ctx, e)
+		fs.logAppend(ctx, e, nil)
 	}
 }
 
@@ -105,7 +111,7 @@ func (fs *FS) logNameOp(ctx context.Context, op opcode, parent Inum, name string
 	if e := fs.logEntry(op, len(name)); e != nil {
 		e.U32(uint32(parent))
 		e.Str(name)
-		fs.logAppend(ctx, e)
+		fs.logAppend(ctx, e, nil)
 	}
 }
 
@@ -114,7 +120,7 @@ func (fs *FS) logLink(ctx context.Context, ino, parent Inum, name string) {
 		e.U32(uint32(ino))
 		e.U32(uint32(parent))
 		e.Str(name)
-		fs.logAppend(ctx, e)
+		fs.logAppend(ctx, e, nil)
 	}
 }
 
@@ -124,7 +130,7 @@ func (fs *FS) logRename(ctx context.Context, srcDir Inum, srcName string, dstDir
 		e.Str(srcName)
 		e.U32(uint32(dstDir))
 		e.Str(dstName)
-		fs.logAppend(ctx, e)
+		fs.logAppend(ctx, e, nil)
 	}
 }
 
@@ -235,7 +241,7 @@ func (fs *FS) logSetAttr(ctx context.Context, ino Inum, a Attr) {
 	if e := fs.logEntry(opSetAttr, 0); e != nil {
 		e.U32(uint32(ino))
 		encodeAttr(e, a)
-		fs.logAppend(ctx, e)
+		fs.logAppend(ctx, e, nil)
 	}
 }
 

@@ -1,6 +1,7 @@
 package wafl
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"testing"
@@ -11,10 +12,10 @@ import (
 
 // TestLogEntryAllocs pins what logging one 64 KiB write costs the heap
 // once NVRAM's arena has filled and been reset, as it has after a
-// filer's first consistency point: nothing. The entry is encoded once,
-// into the filesystem's scratch, at its final size, and NVRAM copies it
-// into room its arena kept. Nothing is built at all when logging is off
-// (Table 8's NVRAM-bypass restore).
+// filer's first consistency point: nothing. Only the entry's 17-byte
+// fixed part is encoded, into the filesystem's scratch, and NVRAM
+// copies it and the data once each into room its arena kept. Nothing
+// is built at all when logging is off (Table 8's NVRAM-bypass restore).
 func TestLogEntryAllocs(t *testing.T) {
 	fs, err := Mkfs(ctx, storage.NewMemDevice(1024), nvram.New(nil, nvram.DefaultParams()), Options{})
 	if err != nil {
@@ -29,8 +30,11 @@ func TestLogEntryAllocs(t *testing.T) {
 	if n := testing.AllocsPerRun(100, logWrite); n != 0 {
 		t.Fatalf("logging a write: %v allocs per entry, want 0", n)
 	}
-	if got, want := len(fs.enc.B), 1+4+8+4+len(data); got != want || cap(fs.enc.B) > want+want/4 {
-		t.Fatalf("write entry is %d bytes in a %d-byte scratch, want %d sized up front", got, cap(fs.enc.B), want)
+	if got := len(fs.enc.B); got != logWriteHead || cap(fs.enc.B) > logFixedMax {
+		t.Fatalf("scratch holds %d bytes in %d, want only the %d-byte fixed part", got, cap(fs.enc.B), logWriteHead)
+	}
+	if entries := fs.log.Entries(); len(entries[0]) != logWriteHead+len(data) || !bytes.Equal(entries[0][logWriteHead:], data) {
+		t.Fatal("the logged entry does not end with the written data")
 	}
 
 	fs.SetNVRAMLogging(false)

@@ -118,7 +118,40 @@ func (fs *FS) makeNode(ctx context.Context, parent Inum, name string, mode uint3
 // (parallel restore streams) overlap on the shared stations the way a
 // filer's NFS operations do; only the staging of the mutation itself
 // is serialized.
+//
+// A write larger than half the NVRAM log is logged and applied as
+// consecutive pieces, each followed by a chance to take a consistency
+// point, so that its entries fit the log whatever it held before.
 func (fs *FS) Write(ctx context.Context, ino Inum, off uint64, data []byte) error {
+	if n := fs.writePieceMax(); n > 0 {
+		for len(data) > n {
+			if err := fs.writePiece(ctx, ino, off, data[:n]); err != nil {
+				return err
+			}
+			off += uint64(n)
+			data = data[n:]
+		}
+	}
+	return fs.writePiece(ctx, ino, off, data)
+}
+
+// writePieceMax is the most data one write entry may carry, 0 for no
+// limit: maybeCP leaves the log below half full, so an entry of at most
+// half the log always fits. Pieces are whole blocks where the log
+// allows, so the pieces of an aligned write are charged what it is.
+func (fs *FS) writePieceMax() int {
+	if fs.log == nil || fs.log.Size() == 0 {
+		return 0
+	}
+	n := fs.log.Size()/2 - logWriteHead
+	if n >= BlockSize {
+		n -= n % BlockSize
+	}
+	return n
+}
+
+// writePiece is Write for data whose entry fits the log.
+func (fs *FS) writePiece(ctx context.Context, ino Inum, off uint64, data []byte) error {
 	if len(data) > 0 {
 		first := off / BlockSize
 		last := (off + uint64(len(data)) - 1) / BlockSize

@@ -743,6 +743,62 @@ func TestAutoCPOnNVRAMHighWater(t *testing.T) {
 	check(t, fs)
 }
 
+// TestLargeWriteFitsNVRAM: a write is logged before the consistency
+// point that follows it, so one whose entry does not fit what the log
+// already holds used to panic the filer ("NVRAM append failed: log
+// full"): 15.5 MiB then 17 MiB on the F630's 32 MiB log, or any single
+// write over 32 MiB. Write logs a write larger than half the log in
+// pieces with a chance to take a consistency point after each, and the
+// pieces replay into the same file after a crash.
+func TestLargeWriteFitsNVRAM(t *testing.T) {
+	mkfs := func() (*storage.MemDevice, *nvram.Log, *FS) {
+		dev := storage.NewMemDevice(12288) // 48 MiB
+		log := nvram.New(nil, nvram.DefaultParams())
+		fs, err := Mkfs(ctx, dev, log, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return dev, log, fs
+	}
+	t.Run("after a write that filled half the log", func(t *testing.T) {
+		_, _, fs := mkfs()
+		a, b := randBytes(1, 31<<19), randBytes(2, 17<<20)
+		for _, w := range []struct {
+			path string
+			data []byte
+		}{{"/a", a}, {"/b", b}} {
+			if _, err := fs.WriteFile(ctx, w.path, w.data, 0644); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for path, want := range map[string][]byte{"/a": a, "/b": b} {
+			if got, err := fs.ActiveView().ReadFile(ctx, path); err != nil || !bytes.Equal(got, want) {
+				t.Fatalf("%s reads back %d bytes (%v), want the %d written", path, len(got), err, len(want))
+			}
+		}
+		check(t, fs)
+	})
+	t.Run("larger than the log, across a crash", func(t *testing.T) {
+		dev, log, fs := mkfs()
+		data := randBytes(3, 40<<20)
+		if _, err := fs.WriteFile(ctx, "/big", data, 0644); err != nil {
+			t.Fatal(err)
+		}
+		if len(log.Entries()) == 0 {
+			t.Fatal("nothing left in NVRAM to replay")
+		}
+		fs.Crash()
+		fs2, err := Mount(ctx, dev, log, Options{})
+		if err != nil {
+			t.Fatalf("mount with replay: %v", err)
+		}
+		if got, err := fs2.ActiveView().ReadFile(ctx, "/big"); err != nil || !bytes.Equal(got, data) {
+			t.Fatalf("/big reads back %d bytes (%v) after replay, want the %d written", len(got), err, len(data))
+		}
+		check(t, fs2)
+	})
+}
+
 // TestNoSpace fills a tiny volume one block at a time. The write that
 // is refused, and the free count it is refused at, are pinned: a count
 // of free blocks that drifts from the map (by the fsinfo blocks, say)

@@ -2,7 +2,11 @@ package workload
 
 import (
 	"context"
+	"errors"
+	"runtime"
+	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/storage"
 	"repro/internal/wafl"
@@ -185,4 +189,52 @@ func keys(m map[string]Entry) []string {
 		out = append(out, k)
 	}
 	return out
+}
+
+// settledGoroutines waits briefly for goroutines that have been joined
+// to exit, and returns how many are left.
+func settledGoroutines(want int) int {
+	n := runtime.NumGoroutine()
+	for deadline := time.Now().Add(time.Second); n > want && time.Now().Before(deadline); n = runtime.NumGoroutine() {
+		time.Sleep(time.Millisecond)
+	}
+	return n
+}
+
+// TestGenerateFailureStopsDrawer: when the writer fails, Generate
+// returns its error, wrapped, and its drawer — which had files drawn
+// ahead and was waiting for room to send more — is gone.
+func TestGenerateFailureStopsDrawer(t *testing.T) {
+	fs := newFS(t, 256)
+	before := runtime.NumGoroutine()
+	_, err := Generate(ctx, fs, Spec{Seed: 6, Files: 400, DirFanout: 8, MeanFileSize: 16 << 10})
+	if !errors.Is(err, wafl.ErrNoSpace) || !strings.HasPrefix(err.Error(), "workload: writing /") {
+		t.Fatalf("Generate onto a 1 MiB volume: %v, want a wrapped ErrNoSpace", err)
+	}
+	if n := settledGoroutines(before); n != before {
+		t.Fatalf("%d goroutines after a failed Generate, %d before", n, before)
+	}
+}
+
+// TestAgeFailureStopsDrawer: an Age that runs out of space part way
+// through a round returns the writer's error, wrapped, and leaves no
+// drawer behind.
+func TestAgeFailureStopsDrawer(t *testing.T) {
+	fs := newFS(t, 1024)
+	paths, err := Generate(ctx, fs, Spec{Seed: 7, Files: 40, DirFanout: 8, MeanFileSize: 8 << 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cps := fs.CPCount()
+	before := runtime.NumGoroutine()
+	_, err = Age(ctx, fs, paths, AgeSpec{Seed: 8, Rounds: 50, ChurnPerRound: 30, MeanFileSize: 64 << 10})
+	if !errors.Is(err, wafl.ErrNoSpace) || !strings.HasPrefix(err.Error(), "workload: writing /") {
+		t.Fatalf("aging a 4 MiB volume with 64 KiB files: %v, want a wrapped ErrNoSpace", err)
+	}
+	if fs.CPCount() == cps {
+		t.Fatal("Age failed in its first round; the test wants a failure after some")
+	}
+	if n := settledGoroutines(before); n != before {
+		t.Fatalf("%d goroutines after a failed Age, %d before", n, before)
+	}
 }
