@@ -131,7 +131,7 @@ func sweepChunks(cat *catalog.Catalog, vol string) error {
 			return err
 		}
 		defer store.Close()
-		erase = func(e chunk.Entry) error { return store.Erase(e.Loc) }
+		erase = store.Erase
 	}
 	swept, err := cat.SweepChunks(erase)
 	if err != nil {

@@ -700,7 +700,7 @@ func DecodeRecord(p []byte) (Record, error) {
 	if d.Err() != nil {
 		return nil, d.Err()
 	}
-	if ver != 1 {
+	if ver != 1 && (kind != kindChunkIndex || ver != chunkIndexPacked) {
 		return nil, fmt.Errorf("catalog: record version %d", ver)
 	}
 	switch kind {
@@ -792,5 +792,5 @@ func DecodeRecord(p []byte) (Record, error) {
 		}
 		return r, nil
 	}
-	return decodeChunkRecord(kind, d)
+	return decodeChunkRecord(kind, ver, d)
 }

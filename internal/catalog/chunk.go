@@ -35,6 +35,12 @@ const (
 	kindChunkErase = 9
 )
 
+// chunkIndexPacked is the chunk-index record version that carries each
+// entry's Loc.Off. Version 1, journaled before chunks were packed into
+// containers, has no Off: every entry it holds is a record of its own,
+// and it decodes with Off 0.
+const chunkIndexPacked = 2
+
 type chunkIndexRecord struct {
 	Entries []chunk.Entry
 }
@@ -227,7 +233,7 @@ func (c *Catalog) RegisterChunkMetrics(r *obs.Registry) {
 func encodeChunkIndex(r *chunkIndexRecord) []byte {
 	e := &codec.Enc{}
 	e.U8(kindChunkIndex)
-	e.U8(1)
+	e.U8(chunkIndexPacked)
 	e.U32(uint32(len(r.Entries)))
 	for _, ce := range r.Entries {
 		e.Raw(ce.Hash[:])
@@ -236,6 +242,7 @@ func encodeChunkIndex(r *chunkIndexRecord) []byte {
 		e.Bool(ce.Compressed)
 		e.Str(ce.Loc.Volume)
 		e.I64(ce.Loc.Index)
+		e.U32(ce.Loc.Off)
 	}
 	return e.B
 }
@@ -268,7 +275,7 @@ func encodeChunkErase(r *chunkEraseRecord) []byte {
 
 // decodeChunkRecord parses kinds 7-9 (called from DecodeRecord with
 // the kind/version prefix already consumed).
-func decodeChunkRecord(kind uint8, d *codec.Dec) (Record, error) {
+func decodeChunkRecord(kind, ver uint8, d *codec.Dec) (Record, error) {
 	switch kind {
 	case kindChunkIndex:
 		n := d.Count()
@@ -281,6 +288,9 @@ func decodeChunkRecord(kind uint8, d *codec.Dec) (Record, error) {
 			ce.Compressed = d.Bool()
 			ce.Loc.Volume = d.Str()
 			ce.Loc.Index = d.I64()
+			if ver == chunkIndexPacked {
+				ce.Loc.Off = d.U32()
+			}
 			if d.Err() != nil {
 				return nil, d.Err()
 			}

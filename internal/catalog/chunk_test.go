@@ -2,7 +2,12 @@ package catalog
 
 import (
 	"bytes"
+	"encoding/hex"
 	"fmt"
+	"io"
+	"math/rand"
+	"os"
+	"reflect"
 	"testing"
 
 	"repro/internal/chunk"
@@ -237,7 +242,9 @@ func openAt(t *testing.T, buf []byte) *Catalog {
 }
 
 // FuzzDecodeChunkIndex fuzzes the chunk-index record decoder: never
-// panic, and any accepted payload re-encodes canonically.
+// panic, and any accepted payload re-encodes canonically — except a
+// version-1 record, which the encoder no longer writes: its entries
+// all read at Off 0, and their re-encoding decodes to the same record.
 func FuzzDecodeChunkIndex(f *testing.F) {
 	for i := int64(0); i < 3; i++ {
 		r := chunkIndexRecord{Entries: sampleChunkEntries(fmt.Sprintf("t%d", i), i)}
@@ -245,6 +252,9 @@ func FuzzDecodeChunkIndex(f *testing.F) {
 	}
 	r := chunkIndexRecord{}
 	f.Add(encodeChunkIndex(&r))
+	f.Add(encodeChunkIndex(&chunkIndexRecord{Entries: packedChunkEntries()}))
+	legacy, _ := hex.DecodeString(legacyChunkIndexHex)
+	f.Add(legacy)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		rec, err := DecodeRecord(data)
 		if err != nil {
@@ -254,8 +264,20 @@ func FuzzDecodeChunkIndex(f *testing.F) {
 		if !ok {
 			return
 		}
-		if enc := encodeChunkIndex(&ci); !bytes.Equal(enc, data) {
-			t.Fatalf("decode/encode not canonical: %x -> %x", data, enc)
+		enc := encodeChunkIndex(&ci)
+		if data[1] == chunkIndexPacked {
+			if !bytes.Equal(enc, data) {
+				t.Fatalf("decode/encode not canonical: %x -> %x", data, enc)
+			}
+			return
+		}
+		for _, e := range ci.Entries {
+			if e.Loc.Off != 0 {
+				t.Fatalf("version-1 entry %s read at Off %d", e.Hash, e.Loc.Off)
+			}
+		}
+		if again, err := DecodeRecord(enc); err != nil || !reflect.DeepEqual(again, rec) {
+			t.Fatalf("version-1 record %x re-encodes to %x, which decodes to %+v, %v", data, enc, again, err)
 		}
 	})
 }
@@ -282,4 +304,86 @@ func FuzzDecodeManifest(f *testing.F) {
 			}
 		}
 	})
+}
+
+// unpackedStream is the stream of day 1 or 2 in testdata's unpacked
+// store: 192 KiB drawn from six 16 KiB blocks, half random and half
+// text, with a small edit on day two.
+func unpackedStream(day int) []byte {
+	rng := rand.New(rand.NewSource(60))
+	pool := make([][]byte, 6)
+	for i := range pool {
+		pool[i] = make([]byte, 16<<10)
+		if i%2 == 0 {
+			rng.Read(pool[i])
+		} else {
+			phrase := fmt.Sprintf("block %d: one chunk per record; ", i)
+			for j := range pool[i] {
+				pool[i][j] = phrase[j%len(phrase)]
+			}
+		}
+	}
+	var out []byte
+	for len(out) < 192<<10 {
+		out = append(out, pool[rng.Intn(len(pool))]...)
+	}
+	out = out[:192<<10]
+	if day == 2 {
+		copy(out[100_000:], "day two's edit")
+	}
+	return out
+}
+
+// TestUnpackedStoreRestores: testdata/unpacked.chunkstore and its
+// journal were written before chunks were packed into containers — one
+// chunk per record, chunk-index records of version 1 — by two forward
+// dedup dumps of unpackedStream. Both sets still restore
+// byte-identical, every entry read at Off 0.
+func TestUnpackedStoreRestores(t *testing.T) {
+	journal, err := os.ReadFile("testdata/unpacked.catalog")
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := Open(&MemStore{Buf: journal})
+	if err != nil {
+		t.Fatal(err)
+	}
+	stored, err := os.ReadFile("testdata/unpacked.chunkstore")
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := t.TempDir() + "/unpacked.chunkstore"
+	if err := os.WriteFile(path, stored, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	media, err := chunk.OpenFileMedia(path, "store")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer media.Close()
+	for day := 1; day <= 2; day++ {
+		m, ok := c.Manifest(uint64(day))
+		if !ok {
+			t.Fatalf("set %d has no manifest", day)
+		}
+		for _, ref := range m.Refs {
+			if e, _ := c.LookupChunk(ref.Hash); e.Loc.Off != 0 {
+				t.Fatalf("set %d: chunk %s read at Off %d", day, ref.Hash, e.Loc.Off)
+			}
+		}
+		var got []byte
+		for r := chunk.NewReader(c, media, m); ; {
+			rec, err := r.ReadRecord()
+			if err == io.EOF {
+				break
+			}
+			if err != nil {
+				t.Fatalf("set %d: %v", day, err)
+			}
+			got = append(got, rec...)
+		}
+		if !bytes.Equal(got, unpackedStream(day)) {
+			t.Fatalf("set %d restored %d bytes that differ from its stream", day, len(got))
+		}
+	}
 }

@@ -3,6 +3,7 @@ package catalog
 import (
 	"encoding/hex"
 	"errors"
+	"reflect"
 	"testing"
 
 	"repro/internal/chunk"
@@ -11,7 +12,9 @@ import (
 // goldenRecords is one encoded payload of every journal record kind,
 // with the hex the encoder produced before the record codec became a
 // shared package: the journal's bytes are a durable format, and a
-// refactor of the codec must not move one of them.
+// refactor of the codec must not move one of them. A row without a
+// payload is a format the encoder no longer writes but every journal
+// that holds it must still decode.
 var goldenRecords = []struct {
 	name    string
 	payload []byte
@@ -36,11 +39,12 @@ var goldenRecords = []struct {
 		"040104020000007430040000006d61696e1801000000000000"},
 	{"set-health", encodeSetHealth(&SetHealth{SetID: 7, State: HealthDamaged, Time: 260, Reason: "scrub: unreadable record"}),
 		"060107000000000000000104010000000000001800000073637275623a20756e7265616461626c65207265636f7264"},
-	{"chunk-index", encodeChunkIndex(&chunkIndexRecord{Entries: sampleChunkEntries("t0", 3)}),
-		"07010300000003010000000000000000000000000000000000000000000000000000000000abe9030000f50100000002" +
-			"0000007430010000000000000003020000000000000000000000000000000000000000000000000000000000abea0300" +
-			"00f601000001020000007430020000000000000003030000000000000000000000000000000000000000000000000000" +
-			"000000abeb030000f7010000000200000074300300000000000000"},
+	{"chunk-index v1", nil, legacyChunkIndexHex},
+	{"chunk-index", encodeChunkIndex(&chunkIndexRecord{Entries: packedChunkEntries()}),
+		"07020300000003010000000000000000000000000000000000000000000000000000000000abe9030000f50100000002" +
+			"000000743004000000000000000000000003020000000000000000000000000000000000000000000000000000000000" +
+			"abea030000f6010000010200000074300400000000000000f50100000303000000000000000000000000000000000000" +
+			"0000000000000000000000abeb030000f7010000000200000074300400000000000000eb030000"},
 	{"chunk-manifest", encodeChunkManifest(&chunkManifestRecord{SetID: 7, M: sampleManifest("t0", 3)}),
 		"08010700000000000000d307000000000000eb0300000000000002000000030100000000000000000000000000000000" +
 			"00000000000000000000000000abe9030000030200000000000000000000000000000000000000000000000000000000" +
@@ -50,9 +54,29 @@ var goldenRecords = []struct {
 			"00000000000000000000000000000000000000000000"},
 }
 
+// legacyChunkIndexHex is sampleChunkEntries("t0", 3) as chunk-index
+// records were journaled before chunks were packed into containers
+// (version 1, no Loc.Off).
+const legacyChunkIndexHex = "07010300000003010000000000000000000000000000000000000000000000000000000000abe9030000f50100000002" +
+	"0000007430010000000000000003020000000000000000000000000000000000000000000000000000000000abea0300" +
+	"00f601000001020000007430020000000000000003030000000000000000000000000000000000000000000000000000" +
+	"000000abeb030000f7010000000200000074300300000000000000"
+
+// packedChunkEntries is sampleChunkEntries("t0", 3) packed back to
+// back into record 4.
+func packedChunkEntries() []chunk.Entry {
+	es := sampleChunkEntries("t0", 3)
+	off := uint32(0)
+	for i := range es {
+		es[i].Loc.Index, es[i].Loc.Off = 4, off
+		off += es[i].StoredLen
+	}
+	return es
+}
+
 func TestGoldenRecordBytes(t *testing.T) {
 	for _, g := range goldenRecords {
-		if got := hex.EncodeToString(g.payload); got != g.hex {
+		if got := hex.EncodeToString(g.payload); g.payload != nil && got != g.hex {
 			t.Errorf("%s encodes to\n%s, want\n%s", g.name, got, g.hex)
 		}
 		want, _ := hex.DecodeString(g.hex)
@@ -74,6 +98,12 @@ func TestGoldenRecordBytes(t *testing.T) {
 			}
 		}
 	}
+	// An old chunk-index record reads as one chunk per record: Off 0.
+	legacy, _ := hex.DecodeString(legacyChunkIndexHex)
+	if rec, err := DecodeRecord(legacy); err != nil || !reflect.DeepEqual(rec, chunkIndexRecord{Entries: sampleChunkEntries("t0", 3)}) {
+		t.Errorf("version-1 chunk index decodes to %+v, %v", rec, err)
+	}
+
 	// Kind 5 is reserved: a record of that kind, as the push-stream
 	// checkpoint once encoded it, is refused rather than replayed.
 	reserved, _ := hex.DecodeString("05010500000000000000020000004d000000000000002201000000000000")

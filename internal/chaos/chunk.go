@@ -1,6 +1,7 @@
 package chaos
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"math/rand"
@@ -27,7 +28,9 @@ type ChunkScenario struct {
 	Dataset
 	Reverse bool // day-two dumps in reverse (RevDedup) mode
 	// FailAfter is the media append the crash lands on, counted from
-	// the start of the day-two dump; 0 derives one from Seed.
+	// the start of the day-two dump; 0 derives one from Seed among the
+	// appends an uninterrupted day-two dump makes after its first
+	// journaled container and before Close.
 	FailAfter int
 }
 
@@ -90,14 +93,23 @@ func RunChunkCrash(ctx context.Context, s ChunkScenario) (*ChunkReport, error) {
 
 	// Day two, take one: the media dies mid-dump. The writer is
 	// abandoned — no Close, no manifest — exactly a crash.
-	media.FailAfter = s.FailAfter
-	if media.FailAfter <= 0 {
-		media.FailAfter = 3 + int(rng.Int63n(20))
+	failAfter := s.FailAfter
+	if failAfter <= 0 {
+		synced, total, err := appendPoints(ctx, s, src, store)
+		if err != nil {
+			return nil, err
+		}
+		// The last append is Close's seal, after the dump itself.
+		if total-1 <= synced {
+			return nil, fmt.Errorf("chaos: day two appends nothing mid-dump after its first journaled container (%d appends)", total)
+		}
+		failAfter = synced + 1 + rng.Intn(total-1-synced)
 	}
+	media.FailAfter(failAfter)
 	if _, _, _, err := dedupDump(ctx, s, src, 200, cat, media, s.Reverse); err == nil {
 		return nil, fmt.Errorf("chaos: injected media failure never surfaced")
 	}
-	media.FailAfter = 0
+	media.FailAfter(0)
 
 	// The crash also tears the catalog journal mid-frame: half of a
 	// would-be record follows the last durable frame.
@@ -142,7 +154,7 @@ func RunChunkCrash(ctx context.Context, s ChunkScenario) (*ChunkReport, error) {
 	for _, r := range m2.Refs {
 		live[r.Hash] = true
 	}
-	swept, err := cat2.SweepChunks(func(e chunk.Entry) error { return media.Erase(e.Loc) })
+	swept, err := cat2.SweepChunks(func(e chunk.Entry) error { return media.Erase(e) })
 	if err != nil {
 		return nil, fmt.Errorf("chaos: sweep: %w", err)
 	}
@@ -170,6 +182,45 @@ func RunChunkCrash(ctx context.Context, s ChunkScenario) (*ChunkReport, error) {
 		}
 	}
 	return rep, nil
+}
+
+// appendPoints runs day two's dump uninterrupted on a copy of the
+// journal in store and fresh media, and returns how many media appends
+// it had made when it first journaled chunk entries, and in all. The
+// crashed dump makes the same appends up to its crash.
+func appendPoints(ctx context.Context, s ChunkScenario, src *source, store *catalog.MemStore) (synced, total int, err error) {
+	cat, err := catalog.Open(&catalog.MemStore{Buf: bytes.Clone(store.Buf)})
+	if err != nil {
+		return 0, 0, err
+	}
+	media := chunk.NewMemMedia("m0")
+	probe := &commitProbe{Index: cat, media: media}
+	w, err := chunk.NewWriter(chunk.WriterOptions{Index: probe, Media: media, Reverse: s.Reverse, Ctx: ctx, Engine: s.Engine.String()})
+	if err != nil {
+		return 0, 0, err
+	}
+	if err := src.dump(s.Engine, perEngine(0, s.Engine, 4, 16), 0).To(ctx, w); err != nil {
+		return 0, 0, fmt.Errorf("chaos: day two's uninterrupted dump: %w", err)
+	}
+	if _, err := w.Close(); err != nil {
+		return 0, 0, err
+	}
+	return probe.first, media.Appends(), nil
+}
+
+// commitProbe notes how many appends media had made at the first
+// CommitChunks through it.
+type commitProbe struct {
+	chunk.Index
+	media *chunk.MemMedia
+	first int
+}
+
+func (p *commitProbe) CommitChunks(es []chunk.Entry) error {
+	if p.first == 0 {
+		p.first = p.media.Appends()
+	}
+	return p.Index.CommitChunks(es)
 }
 
 // dedupDump runs one dump of the frozen snapshot through a fresh

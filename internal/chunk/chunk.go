@@ -9,9 +9,10 @@
 // chunk is addressed by its SHA-256; a chunk already in the index is a
 // dedup hit and is NOT written to media again — the stream's manifest
 // just references it. Misses are compressed (deflate, skipped when the
-// bytes don't compress) and appended to chunk media, and their index
-// entries are journaled in the backup catalog with the same CRC
-// framing and torn-tail recovery the rest of the catalog enjoys.
+// bytes don't compress) and packed into containers that are appended
+// to chunk media one record each, and their index entries are
+// journaled in the backup catalog with the same CRC framing and
+// torn-tail recovery the rest of the catalog enjoys.
 //
 // Restore is the inverse: a manifest's refs resolve through the index
 // to stored locations, chunks are read, decompressed, verified against
@@ -78,13 +79,21 @@ func (p Params) norm() Params {
 	return p
 }
 
-// Loc addresses one stored chunk on chunk media: a volume label plus a
-// position whose meaning belongs to the media implementation (raw
-// record index on tape, byte offset in a chunk-store file).
+// Loc addresses one stored chunk on chunk media: a volume label, the
+// position of the media record that holds it, whose meaning belongs to
+// the media implementation (raw record index on tape, byte offset in a
+// chunk-store file), and the chunk's byte offset inside that record.
+// The chunk's length is its Entry's StoredLen. A Writer packs chunks
+// into records of at most ContainerBytes; a record written before
+// chunks were packed holds exactly one chunk, at Off 0.
 type Loc struct {
 	Volume string
 	Index  int64
+	Off    uint32
 }
+
+// record is the location of the media record that holds the chunk.
+func (l Loc) record() Loc { return Loc{Volume: l.Volume, Index: l.Index} }
 
 // Entry is the chunk index's record for one stored chunk: where the
 // current copy lives and how to undo its encoding. Entries are
@@ -138,14 +147,15 @@ type Index interface {
 	CommitChunks(entries []Entry) error
 }
 
-// Media is append-only chunk storage. Append must consume data before
-// returning (the caller reuses the buffer); ReadAt returns the exact
-// bytes appended at loc, lent like a stream.Source's record: read-only
-// and valid until the media's next ReadAt (DriveMedia hands out the
-// drive's one read buffer). Media with write-behind buffering also
-// implement stream.Syncer: the Writer syncs them before journaling
-// index entries, so the journal never references bytes that aren't on
-// media.
+// Media is append-only record storage for chunk containers. Append
+// must consume data before returning (the caller reuses the buffer)
+// and returns the record's location (Off 0); ReadAt returns the exact
+// bytes of the record at loc (loc.Off is ignored), lent like a
+// stream.Source's record: read-only and valid until the media's next
+// ReadAt (DriveMedia hands out the drive's one read buffer). Media
+// with write-behind buffering also implement stream.Syncer: the Writer
+// syncs them before journaling index entries, so the journal never
+// references bytes that aren't on media.
 type Media interface {
 	Append(data []byte) (Loc, error)
 	ReadAt(loc Loc) ([]byte, error)

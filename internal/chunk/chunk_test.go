@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/bufpool"
@@ -289,16 +290,17 @@ func TestReaderDetectsCorruption(t *testing.T) {
 		victim = e
 		break
 	}
-	stored, err := media.ReadAt(victim.Loc)
+	rec, err := media.ReadAt(victim.Loc)
 	if err != nil {
 		t.Fatal(err)
 	}
-	raw := bytes.Clone(stored) // ReadAt lends its bytes read-only
+	raw := bytes.Clone(rec[victim.Loc.Off:][:victim.StoredLen]) // ReadAt lends its bytes read-only
 	raw[0] ^= 0xff
-	if err := media.Erase(victim.Loc); err != nil {
+	if err := media.Erase(victim); err != nil {
 		t.Fatal(err)
 	}
-	// Re-append corrupted bytes and redirect the index entry at them.
+	// Re-append corrupted bytes as a record of their own and redirect
+	// the index entry at them.
 	loc, err := media.Append(raw)
 	if err != nil {
 		t.Fatal(err)
@@ -321,14 +323,23 @@ func TestReaderDetectsCorruption(t *testing.T) {
 // TestWriterMediaFailure: a failing media append surfaces to the
 // engine as a write error (which the engines turn into a checkpointed
 // failure), and entries staged before the failure are still
-// committable by Sync.
+// committable by Sync. The failure lands midway through the appends
+// an uninterrupted run of the same stream makes.
 func TestWriterMediaFailure(t *testing.T) {
+	data := dedupable(6, 1<<20)
+	clean := chunk.NewMemMedia("m0")
+	w, _ := chunk.NewWriter(chunk.WriterOptions{Index: newMemIndex(), Media: clean})
+	writeStream(t, w, data)
+	total := clean.Appends() // the last one is Close's seal
+	if total < 3 {
+		t.Fatalf("an uninterrupted run makes %d appends; the stream is too small to fail mid-way", total)
+	}
+
 	ix := newMemIndex()
 	media := chunk.NewMemMedia("m0")
-	media.FailAfter = 10
-	w, _ := chunk.NewWriter(chunk.WriterOptions{Index: ix, Media: media})
+	media.FailAfter((total + 1) / 2)
+	w, _ = chunk.NewWriter(chunk.WriterOptions{Index: ix, Media: media})
 
-	data := dedupable(6, 1<<20)
 	var werr error
 	for off := 0; off < len(data) && werr == nil; off += 10240 {
 		end := off + 10240
@@ -435,7 +446,7 @@ func TestDriveMediaRidesOutTransientReads(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	data := dedupable(9, 256<<10)
+	data := dedupable(9, 2<<20)
 	m := writeStream(t, w, data)
 
 	drive.FailNextRead(true) // the first chunk fetch
@@ -466,5 +477,210 @@ func TestDriveMediaRidesOutTransientReads(t *testing.T) {
 		}
 	}); n != 0 {
 		t.Fatalf("fault-free ReadAt: %v allocations, want 0", n)
+	}
+}
+
+// recordingMedia records the length and location of every record an
+// Append has returned for, and counts reads.
+type recordingMedia struct {
+	chunk.Media
+	lens  map[chunk.Loc]int
+	reads int
+}
+
+func (m *recordingMedia) ReadAt(loc chunk.Loc) ([]byte, error) {
+	m.reads++
+	return m.Media.ReadAt(loc)
+}
+
+func (m *recordingMedia) Append(data []byte) (chunk.Loc, error) {
+	loc, err := m.Media.Append(data)
+	if err == nil {
+		m.lens[loc] = len(data)
+	}
+	return loc, err
+}
+
+// TestContainersTileRecords: every record a Writer appends is at most
+// ContainerBytes, and the chunks stored in it cover it back to back in
+// the order the stream first referenced them. A Reader reads a record
+// again only when the stream's next chunk lives in another one.
+func TestContainersTileRecords(t *testing.T) {
+	ix := newMemIndex()
+	media := &recordingMedia{Media: chunk.NewMemMedia("m0"), lens: make(map[chunk.Loc]int)}
+	w, _ := chunk.NewWriter(chunk.WriterOptions{Index: ix, Media: media})
+	data := dedupable(10, 2<<20)
+	m := writeStream(t, w, data)
+
+	if len(media.lens) < 2 {
+		t.Fatalf("%d records; want several containers", len(media.lens))
+	}
+	next := make(map[chunk.Loc]int) // each record's next untiled byte
+	var last chunk.Loc
+	switches := 0
+	for i, ref := range m.Refs {
+		e, ok := ix.LookupChunk(ref.Hash)
+		if !ok {
+			t.Fatalf("ref %s not indexed", ref.Hash)
+		}
+		at := chunk.Loc{Volume: e.Loc.Volume, Index: e.Loc.Index}
+		if i == 0 || at != last {
+			switches++
+		}
+		last = at
+		end := int(e.Loc.Off) + int(e.StoredLen)
+		switch {
+		case end <= next[at]: // a repeat of a chunk already tiled
+			continue
+		case int(e.Loc.Off) != next[at]:
+			t.Fatalf("chunk %s at %d of record %d; the record's next byte is %d", ref.Hash, e.Loc.Off, at.Index, next[at])
+		}
+		next[at] = end
+	}
+	for at, n := range media.lens {
+		if n > 64<<10 {
+			t.Errorf("record %d is %d bytes, over 64 KiB", at.Index, n)
+		}
+		if next[at] != n {
+			t.Errorf("record %d: chunks cover %d of its %d bytes", at.Index, next[at], n)
+		}
+	}
+	if got := readStream(t, chunk.NewReader(ix, media, m)); !bytes.Equal(got, data) {
+		t.Fatal("restored stream differs from input")
+	}
+	if media.reads != switches {
+		t.Errorf("restore read %d records; the stream moves to another record %d times", media.reads, switches)
+	}
+}
+
+// TestJournalNeverOutrunsMedia: the index is never handed an entry
+// whose record's append has not returned, including when the seal in
+// Sync fails; the Writer then refuses more writes and Close, and a
+// later Sync journals only what was sealed before the failure.
+func TestJournalNeverOutrunsMedia(t *testing.T) {
+	mem := chunk.NewMemMedia("m0")
+	media := &recordingMedia{Media: mem, lens: make(map[chunk.Loc]int)}
+	ix := &checkedIndex{memIndex: newMemIndex(), t: t, media: media}
+	w, _ := chunk.NewWriter(chunk.WriterOptions{Index: ix, Media: media})
+
+	data := dedupable(11, 1<<20)
+	write := func(from, to int) error {
+		for off := from; off < to; off += 10240 {
+			if err := w.WriteRecord(data[off:min(off+10240, to)]); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+	if err := write(0, 400<<10); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	synced := len(ix.m)
+	if synced == 0 {
+		t.Fatal("the first Sync journaled nothing")
+	}
+	// More chunks, then a Sync whose seal fails.
+	if err := write(400<<10, 440<<10); err != nil {
+		t.Fatal(err)
+	}
+	mem.FailAfter(1)
+	if err := w.Sync(); err == nil {
+		t.Fatal("a Sync whose seal failed succeeded")
+	}
+	if len(ix.m) != synced {
+		t.Fatalf("a failed seal journaled %d more entries", len(ix.m)-synced)
+	}
+	if err := w.WriteRecord(data[:10240]); err == nil {
+		t.Fatal("a write after lost chunks succeeded")
+	}
+	if err := w.Sync(); err != nil {
+		t.Fatalf("Sync with nothing left to seal: %v", err)
+	}
+	if _, err := w.Close(); err == nil {
+		t.Fatal("Close after lost chunks returned a manifest")
+	}
+}
+
+// checkedIndex fails the test when CommitChunks is handed an entry
+// whose record media has not returned from appending.
+type checkedIndex struct {
+	*memIndex
+	t     *testing.T
+	media *recordingMedia
+}
+
+func (ix *checkedIndex) CommitChunks(es []chunk.Entry) error {
+	for _, e := range es {
+		at := chunk.Loc{Volume: e.Loc.Volume, Index: e.Loc.Index}
+		if n, ok := ix.media.lens[at]; !ok || int(e.Loc.Off)+int(e.StoredLen) > n {
+			ix.t.Errorf("entry %s journaled at %s@%d+%d before its record was appended", e.Hash, at.Volume, at.Index, e.Loc.Off)
+		}
+	}
+	return ix.memIndex.CommitChunks(es)
+}
+
+// TestEraseLeavesNeighboursClean: erasing one chunk of a shared record
+// zeroes only that chunk, on MemMedia and on FileMedia: every other
+// chunk of the record still reads back hash-clean, and the erased one
+// fails its hash check like any other damage.
+func TestEraseLeavesNeighboursClean(t *testing.T) {
+	file, err := chunk.OpenFileMedia(t.TempDir()+"/store", "store")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer file.Close()
+	for _, tc := range []struct {
+		name  string
+		media interface {
+			chunk.Media
+			Erase(chunk.Entry) error
+		}
+	}{{"mem", chunk.NewMemMedia("m0")}, {"file", file}} {
+		t.Run(tc.name, func(t *testing.T) {
+			ix := newMemIndex()
+			w, _ := chunk.NewWriter(chunk.WriterOptions{Index: ix, Media: tc.media})
+			m := writeStream(t, w, dedupable(12, 512<<10))
+
+			// The victim: a chunk with neighbours on both sides.
+			byRecord := make(map[int64][]chunk.Entry)
+			for _, e := range ix.m {
+				byRecord[e.Loc.Index] = append(byRecord[e.Loc.Index], e)
+			}
+			var shared []chunk.Entry
+			for _, es := range byRecord {
+				if len(es) >= 3 {
+					shared = es
+					break
+				}
+			}
+			if shared == nil {
+				t.Fatal("no record holds three chunks")
+			}
+			slices.SortFunc(shared, func(a, b chunk.Entry) int { return int(a.Loc.Off) - int(b.Loc.Off) })
+			victim := shared[1]
+			if err := tc.media.Erase(victim); err != nil {
+				t.Fatal(err)
+			}
+			var live chunk.Manifest
+			for _, ref := range m.Refs {
+				if ref.Hash != victim.Hash {
+					live.Refs = append(live.Refs, ref)
+				}
+			}
+			for r := chunk.NewReader(ix, tc.media, live); ; {
+				if _, err := r.ReadRecord(); err == io.EOF {
+					break
+				} else if err != nil {
+					t.Fatalf("a neighbour of the erased chunk: %v", err)
+				}
+			}
+			gone := chunk.Manifest{Refs: []chunk.Ref{{Hash: victim.Hash, RawLen: victim.RawLen}}}
+			if _, err := chunk.NewReader(ix, tc.media, gone).ReadRecord(); err == nil {
+				t.Fatal("the erased chunk read back")
+			}
+		})
 	}
 }

@@ -1,6 +1,7 @@
 package chunk
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -11,76 +12,96 @@ import (
 	"repro/internal/tape"
 )
 
-// ErrChunkErased is returned by media reads of a chunk the sweep has
-// erased. Seeing it through a live manifest means the sweep's
-// zero-ref precondition was violated — the chaos tests assert it
-// never surfaces.
-var ErrChunkErased = errors.New("chunk: chunk erased")
-
 // --- MemMedia -----------------------------------------------------------
 
 // MemMedia is in-memory chunk storage for tests and the chaos rigs.
 // Loc.Index is the append sequence number.
 type MemMedia struct {
-	mu     sync.Mutex
-	vol    string
-	chunks [][]byte
-	stored int64
+	mu      sync.Mutex
+	vol     string
+	records [][]byte
+	stored  int64
+	erased  map[Loc]bool
 
-	// FailAfter, when positive, fails the n-th next Append and every
-	// one after it — the chaos hook simulating media loss mid-dump.
-	FailAfter int
-	appends   int
+	appends int
+	failAt  int // the append that fails, with every one after it; 0: none
 }
 
 // NewMemMedia creates an empty in-memory volume labelled vol.
-func NewMemMedia(vol string) *MemMedia { return &MemMedia{vol: vol} }
+func NewMemMedia(vol string) *MemMedia { return &MemMedia{vol: vol, erased: make(map[Loc]bool)} }
+
+// FailAfter makes the n-th Append from now fail, and every one after
+// it — the chaos hook simulating media loss mid-dump. n <= 0 clears it.
+func (m *MemMedia) FailAfter(n int) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	m.failAt = 0
+	if n > 0 {
+		m.failAt = m.appends + n
+	}
+}
+
+// Appends returns how many Appends the media has been asked for,
+// failed ones included.
+func (m *MemMedia) Appends() int {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return m.appends
+}
 
 // Append implements Media.
 func (m *MemMedia) Append(data []byte) (Loc, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	m.appends++
-	if m.FailAfter > 0 && m.appends >= m.FailAfter {
+	if m.failAt > 0 && m.appends >= m.failAt {
 		return Loc{}, errors.New("chunk: injected media failure")
 	}
-	cp := make([]byte, len(data))
-	copy(cp, data)
-	m.chunks = append(m.chunks, cp)
-	m.stored += int64(len(cp))
-	return Loc{Volume: m.vol, Index: int64(len(m.chunks) - 1)}, nil
+	m.records = append(m.records, bytes.Clone(data))
+	m.stored += int64(len(data))
+	return Loc{Volume: m.vol, Index: int64(len(m.records) - 1)}, nil
+}
+
+// record returns the record at loc; the caller holds mu.
+func (m *MemMedia) record(loc Loc) ([]byte, error) {
+	if loc.Volume != m.vol {
+		return nil, fmt.Errorf("chunk: volume %q not mounted (have %q)", loc.Volume, m.vol)
+	}
+	if loc.Index < 0 || loc.Index >= int64(len(m.records)) {
+		return nil, fmt.Errorf("chunk: index %d out of range", loc.Index)
+	}
+	return m.records[loc.Index], nil
 }
 
 // ReadAt implements Media.
 func (m *MemMedia) ReadAt(loc Loc) ([]byte, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if loc.Volume != m.vol {
-		return nil, fmt.Errorf("chunk: volume %q not mounted (have %q)", loc.Volume, m.vol)
+	rec, err := m.record(loc)
+	if err != nil {
+		return nil, err
 	}
-	if loc.Index < 0 || loc.Index >= int64(len(m.chunks)) {
-		return nil, fmt.Errorf("chunk: index %d out of range", loc.Index)
-	}
-	data := m.chunks[loc.Index]
-	if data == nil {
-		return nil, ErrChunkErased
-	}
-	cp := make([]byte, len(data))
-	copy(cp, data)
-	return cp, nil
+	return bytes.Clone(rec), nil
 }
 
 // Erase erases one chunk in place (the catalog sweep's erase for a
-// zero-ref chunk): its bytes are gone for good.
-func (m *MemMedia) Erase(loc Loc) error {
+// zero-ref chunk): its bytes are zeroed for good, and the other chunks
+// of its record stay readable.
+func (m *MemMedia) Erase(e Entry) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if loc.Volume != m.vol || loc.Index < 0 || loc.Index >= int64(len(m.chunks)) {
-		return fmt.Errorf("chunk: erase %s@%d: no such chunk", loc.Volume, loc.Index)
+	rec, err := m.record(e.Loc)
+	if err != nil {
+		return fmt.Errorf("chunk: erase %s: %w", e.Hash, err)
 	}
-	if m.chunks[loc.Index] != nil {
-		m.stored -= int64(len(m.chunks[loc.Index]))
-		m.chunks[loc.Index] = nil
+	end := int64(e.Loc.Off) + int64(e.StoredLen)
+	if end > int64(len(rec)) {
+		return fmt.Errorf("chunk: erase %s: bytes [%d,%d) past the end of a %d-byte record", e.Hash, e.Loc.Off, end, len(rec))
+	}
+	clear(rec[e.Loc.Off:end])
+	if !m.erased[e.Loc] {
+		m.erased[e.Loc] = true
+		m.stored -= int64(e.StoredLen)
 	}
 	return nil
 }
@@ -94,16 +115,18 @@ func (m *MemMedia) StoredBytes() int64 {
 
 // --- FileMedia ----------------------------------------------------------
 
-// maxFileChunk bounds a frame length read back from a chunk-store
+// maxFileRecord bounds a frame length read back from a chunk-store
 // file, so a corrupt length prefix cannot drive an oversized
-// allocation. Far above any splitter Max in use.
-const maxFileChunk = 16 << 20
+// allocation. Far above ContainerBytes, and above any single chunk a
+// store written before chunks were packed holds.
+const maxFileRecord = 16 << 20
 
-// FileMedia stores chunks in one host file — backupctl's
+// FileMedia stores chunk containers in one host file — backupctl's
 // `<volume>.chunkstore`. Frames are [u32 LE length][payload];
-// Loc.Index is the frame's byte offset. Erase zeroes a frame's
-// payload in place (the space itself is reclaimed only by deleting
-// the store once every set on it has expired, like retiring a tape).
+// Loc.Index is the frame's byte offset. Erase zeroes one chunk's bytes
+// in its frame's payload (the space itself is reclaimed only by
+// deleting the store once every set on it has expired, like retiring
+// a tape).
 type FileMedia struct {
 	mu  sync.Mutex
 	vol string
@@ -145,20 +168,26 @@ func (m *FileMedia) Append(data []byte) (Loc, error) {
 	return Loc{Volume: m.vol, Index: at}, nil
 }
 
+// frameLen reads the length of the frame at loc; the caller holds mu.
+func (m *FileMedia) frameLen(loc Loc) (int, error) {
+	var hdr [4]byte
+	if _, err := m.f.ReadAt(hdr[:], loc.Index); err != nil {
+		return 0, err
+	}
+	n := binary.LittleEndian.Uint32(hdr[:])
+	if n == 0 || n > maxFileRecord {
+		return 0, fmt.Errorf("chunk: bad frame length %d at %d", n, loc.Index)
+	}
+	return int(n), nil
+}
+
 // ReadAt implements Media.
 func (m *FileMedia) ReadAt(loc Loc) ([]byte, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if loc.Volume != m.vol {
-		return nil, fmt.Errorf("chunk: volume %q not mounted (have %q)", loc.Volume, m.vol)
-	}
-	var hdr [4]byte
-	if _, err := m.f.ReadAt(hdr[:], loc.Index); err != nil {
+	n, err := m.frameLen(loc)
+	if err != nil {
 		return nil, err
-	}
-	n := binary.LittleEndian.Uint32(hdr[:])
-	if n == 0 || n > maxFileChunk {
-		return nil, fmt.Errorf("chunk: bad frame length %d at %d", n, loc.Index)
 	}
 	data := make([]byte, n)
 	if _, err := m.f.ReadAt(data, loc.Index+4); err != nil {
@@ -167,20 +196,21 @@ func (m *FileMedia) ReadAt(loc Loc) ([]byte, error) {
 	return data, nil
 }
 
-// Erase erases one chunk in place by zeroing the frame's payload. The
-// frame header survives so later offsets stay valid.
-func (m *FileMedia) Erase(loc Loc) error {
+// Erase erases one chunk in place by zeroing its bytes in the frame's
+// payload. The frame header and the record's other chunks survive, so
+// later offsets and live neighbours stay valid.
+func (m *FileMedia) Erase(e Entry) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	var hdr [4]byte
-	if _, err := m.f.ReadAt(hdr[:], loc.Index); err != nil {
+	n, err := m.frameLen(e.Loc)
+	if err != nil {
 		return err
 	}
-	n := binary.LittleEndian.Uint32(hdr[:])
-	if n == 0 || n > maxFileChunk {
-		return fmt.Errorf("chunk: bad frame length %d at %d", n, loc.Index)
+	end := int64(e.Loc.Off) + int64(e.StoredLen)
+	if end > int64(n) {
+		return fmt.Errorf("chunk: erase %s: bytes [%d,%d) past the end of a %d-byte record", e.Hash, e.Loc.Off, end, n)
 	}
-	_, err := m.f.WriteAt(make([]byte, n), loc.Index+4)
+	_, err = m.f.WriteAt(make([]byte, e.StoredLen), e.Loc.Index+4+int64(e.Loc.Off))
 	return err
 }
 

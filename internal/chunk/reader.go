@@ -15,16 +15,20 @@ import (
 const RecordBytes = dumpfmt.NTRec * dumpfmt.TPBSize
 
 // Reader reconstitutes a dedup-encoded stream: manifest refs resolve
-// through the index to stored chunks, which are read, decompressed,
-// verified against their content hash and re-blocked into tape-sized
-// records. It implements stream.Source (and physical's Source shape),
-// so either engine's restore consumes it unchanged.
+// through the index to stored chunks, which are sliced out of their
+// media records, decompressed, verified against their content hash and
+// re-blocked into tape-sized records. It implements stream.Source (and
+// physical's Source shape), so either engine's restore consumes it
+// unchanged. The record media last lent is kept, so the chunks packed
+// into one container cost one media read.
 type Reader struct {
 	index Lookup
 	media Media
 	refs  []Ref
 	next  int // next ref to fetch
 
+	held    []byte // the record media.ReadAt last lent, valid until the next ReadAt
+	heldAt  Loc    // where held was read from (Off 0)
 	buf     []byte // chunk bytes pending emission: lent by media or inflate
 	off     int    // read offset into buf
 	rec     []byte // the record ReadRecord lends, reused by every call
@@ -67,15 +71,22 @@ func (r *Reader) fetch(ref Ref) error {
 	if !ok {
 		return fmt.Errorf("chunk: %s not in index (erased while referenced?)", ref.Hash)
 	}
-	stored, err := r.media.ReadAt(e.Loc)
-	if err != nil {
-		return fmt.Errorf("chunk: reading %s from %s@%d: %w", ref.Hash, e.Loc.Volume, e.Loc.Index, err)
+	if at := e.Loc.record(); r.held == nil || at != r.heldAt {
+		rec, err := r.media.ReadAt(at)
+		if err != nil {
+			r.held = nil
+			return fmt.Errorf("chunk: reading %s from %s@%d: %w", ref.Hash, e.Loc.Volume, e.Loc.Index, err)
+		}
+		r.held, r.heldAt = rec, at
 	}
-	if len(stored) != int(e.StoredLen) {
-		return fmt.Errorf("chunk: %s: %d stored bytes, index says %d", ref.Hash, len(stored), e.StoredLen)
+	end := int64(e.Loc.Off) + int64(e.StoredLen)
+	if end > int64(len(r.held)) {
+		return fmt.Errorf("chunk: %s: stored bytes [%d,%d) past the end of its %d-byte record", ref.Hash, e.Loc.Off, end, len(r.held))
 	}
+	stored := r.held[e.Loc.Off:end]
 	raw := stored
 	if e.Compressed {
+		var err error
 		if raw, err = r.inflate.inflate(stored, int(e.RawLen)); err != nil {
 			return fmt.Errorf("chunk: %s: %w", ref.Hash, err)
 		}

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 
+	"repro/internal/bufpool"
 	"repro/internal/obs"
 	"repro/internal/sim"
 	"repro/internal/stream"
@@ -25,6 +26,14 @@ type WriterStats struct {
 	CompressedChunks int64 // stored deflated
 	RawChunks        int64 // stored raw (incompressible)
 }
+
+// ContainerBytes bounds the media record a Writer appends: stored
+// chunks are packed back to back into a container of at most this many
+// bytes, which goes to media as one record, so the drive's fixed
+// per-record cost is paid once per container rather than once per
+// chunk. A stored chunk is never larger than the splitter's Max (32
+// KiB), so one always fits an empty container.
+const ContainerBytes = 64 << 10
 
 // WriterOptions configures a dedup Writer.
 type WriterOptions struct {
@@ -50,25 +59,35 @@ type WriterOptions struct {
 // stream's manifest. Close returns the manifest; the caller journals
 // it (catalog.AppendManifest) alongside the dump set.
 //
-// Sync (the stream.Syncer hook the engines call after checkpoint
-// markers) flushes media and journals the entries staged so far, so a
-// crash mid-dump leaves every journaled chunk reusable: the retry's
-// dedup hits skip exactly the work already done. The manifest itself
-// is journaled only at completion — a torn dedup dump has no set, and
-// its orphaned chunks are zero-ref until the retry claims them (or a
-// sweep erases them).
+// Stored chunks are packed into a container (see ContainerBytes) that
+// is sealed — appended to media as one record — when the next chunk
+// would not fit, at Sync and at Close. Sync (the stream.Syncer hook the
+// engines call after checkpoint markers) seals, flushes media and
+// journals the entries staged so far, so a crash mid-dump leaves every
+// journaled chunk reusable: the retry's dedup hits skip exactly the
+// work already done, and no entry is journaled before its container's
+// append has returned. The manifest itself is journaled only at
+// completion — a torn dedup dump has no set, and its orphaned chunks
+// are zero-ref until the retry claims them (or a sweep erases them).
+//
+// A failed append loses the open container's chunks, which the stream
+// already references, so the Writer then refuses further writes and
+// Close; Sync still journals the chunks sealed before the failure.
 type Writer struct {
 	split   *Splitter
 	index   Index
 	media   Media
 	reverse bool
 
-	staged   []Entry       // stored but not yet journaled
+	staged   []Entry       // stored but not yet journaled; staged[sealed:] are in the open container
+	sealed   int           // staged entries whose container is on media
+	cont     *[]byte       // the open container, from bufpool at the first stored chunk
 	own      map[Hash]bool // hashes referenced by this stream already
 	manifest Manifest
 	stats    WriterStats
 	closed   bool
-	zbuf     bytes.Buffer // deflate output of the chunk being stored; Media.Append consumes it
+	err      error        // the media failure that lost the open container
+	zbuf     bytes.Buffer // deflate output of the chunk being stored; packing copies it
 
 	mHits, mMisses, mSaved, mRaw, mStored, mRewrites *obs.Counter
 }
@@ -106,6 +125,9 @@ func (w *Writer) WriteRecord(data []byte) error {
 	if w.closed {
 		return errors.New("chunk: write on closed Writer")
 	}
+	if w.err != nil {
+		return w.err
+	}
 	return w.split.Write(data, w.onChunk)
 }
 
@@ -118,13 +140,17 @@ func (w *Writer) NextVolume() error { return nil }
 // charges tape time to a bound process).
 func (w *Writer) BindProc(p *sim.Proc) *sim.Proc { return stream.BindProc(w.media, p) }
 
-// Sync implements stream.Syncer: flush chunk media, then journal the
-// staged index entries. Called by both engines after checkpoint
-// markers. The partial chunk still in the splitter is intentionally
-// NOT forced out — cutting at checkpoint offsets would make chunk
-// boundaries depend on checkpoint cadence and wreck cross-set dedup;
-// a torn dump redoes from scratch anyway (cheaply, via hits).
+// Sync implements stream.Syncer: seal the open container, flush chunk
+// media, then journal the staged index entries. Called by both engines
+// after checkpoint markers. The partial chunk still in the splitter is
+// intentionally NOT forced out — cutting at checkpoint offsets would
+// make chunk boundaries depend on checkpoint cadence and wreck
+// cross-set dedup; a torn dump redoes from scratch anyway (cheaply,
+// via hits).
 func (w *Writer) Sync() error {
+	if err := w.seal(); err != nil {
+		return err
+	}
 	if err := stream.Sync(w.media); err != nil {
 		return err
 	}
@@ -134,7 +160,7 @@ func (w *Writer) Sync() error {
 	if err := w.index.CommitChunks(w.staged); err != nil {
 		return err
 	}
-	w.staged = w.staged[:0]
+	w.staged, w.sealed = w.staged[:0], 0
 	return nil
 }
 
@@ -146,6 +172,10 @@ func (w *Writer) Close() (Manifest, error) {
 	}
 	w.closed = true
 	defer w.split.Close()
+	defer w.release()
+	if w.err != nil {
+		return Manifest{}, w.err
+	}
 	if err := w.split.Flush(w.onChunk); err != nil {
 		return Manifest{}, err
 	}
@@ -153,6 +183,12 @@ func (w *Writer) Close() (Manifest, error) {
 		return Manifest{}, err
 	}
 	return w.manifest, nil
+}
+
+// release hands the container buffer back to bufpool.
+func (w *Writer) release() {
+	bufpool.Put(w.cont)
+	w.cont = nil
 }
 
 // Stats returns the stream's dedup counters so far.
@@ -201,7 +237,9 @@ func (w *Writer) hit(n int64) {
 	w.mSaved.Add(n)
 }
 
-// store compresses and appends one new (or rewritten) chunk.
+// store compresses one new (or rewritten) chunk and packs it into the
+// open container, sealing the container first when the chunk would not
+// fit.
 func (w *Writer) store(h Hash, data []byte) error {
 	stored := data
 	compressed := false
@@ -212,20 +250,48 @@ func (w *Writer) store(h Hash, data []byte) error {
 	} else {
 		w.stats.RawChunks++
 	}
-	loc, err := w.media.Append(stored)
-	if err != nil {
-		return fmt.Errorf("chunk: storing %s: %w", h, err)
+	if w.cont == nil {
+		w.cont = bufpool.Get(ContainerBytes)
+		*w.cont = (*w.cont)[:0]
+	}
+	if len(*w.cont)+len(stored) > ContainerBytes {
+		if err := w.seal(); err != nil {
+			return err
+		}
 	}
 	w.staged = append(w.staged, Entry{
 		Hash:       h,
 		RawLen:     uint32(len(data)),
 		StoredLen:  uint32(len(stored)),
 		Compressed: compressed,
-		Loc:        loc,
+		Loc:        Loc{Off: uint32(len(*w.cont))},
 	})
+	*w.cont = append(*w.cont, stored...)
 	w.own[h] = true
 	w.stats.StoredBytes += int64(len(stored))
 	w.mStored.Add(int64(len(stored)))
 	w.manifest.StoredBytes += int64(len(stored))
+	return nil
+}
+
+// seal appends the open container to media as one record and gives its
+// chunks the record's location. When the append fails, the container's
+// chunks never reached media: their entries are dropped, so none is
+// ever journaled, and the failure sticks (see Writer).
+func (w *Writer) seal() error {
+	if w.cont == nil || len(*w.cont) == 0 {
+		return nil
+	}
+	loc, err := w.media.Append(*w.cont)
+	*w.cont = (*w.cont)[:0]
+	if err != nil {
+		w.staged = w.staged[:w.sealed]
+		w.err = fmt.Errorf("chunk: appending a container: %w", err)
+		return w.err
+	}
+	for i := w.sealed; i < len(w.staged); i++ {
+		w.staged[i].Loc.Volume, w.staged[i].Loc.Index = loc.Volume, loc.Index
+	}
+	w.sealed = len(w.staged)
 	return nil
 }
