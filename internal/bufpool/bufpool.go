@@ -2,7 +2,9 @@
 // buffers of the backup data path. The RAID layer's de-striping
 // scratch, dumpfmt's blocked tape records and physical's image stream
 // records all recycle through it, so the steady-state dump/restore
-// record path (header + payload + CRC) runs allocation-free.
+// record path (header + payload + CRC) runs allocation-free. The
+// simulated media keep their bytes in slabs from it too: a tape
+// cartridge's records and a storage.MemDevice's blocks.
 //
 // Each size class is a mutex-guarded free list, not a sync.Pool: a
 // sync.Pool empties at every GC, so how many buffers a pass
@@ -58,6 +60,12 @@ func (l *freeList) put(p *[]byte) {
 	l.mu.Unlock()
 }
 
+func (l *freeList) len() int {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return len(l.bufs)
+}
+
 var disabled atomic.Bool
 
 // SetEnabled turns pooling on or off globally. Off means Get always
@@ -95,6 +103,16 @@ func Get(n int) *[]byte {
 	}
 	b := make([]byte, n)
 	return &b
+}
+
+// Free returns how many buffers of n's class wait to be taken again:
+// what the next Gets of that class take without allocating. It is 0
+// for a size too large to pool.
+func Free(n int) int {
+	if c := class(n); c >= 0 {
+		return pools[c].len()
+	}
+	return 0
 }
 
 // Put recycles a buffer obtained from Get. Buffers whose capacity is

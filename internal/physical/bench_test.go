@@ -3,6 +3,7 @@ package physical
 import (
 	"encoding/binary"
 	"hash/crc32"
+	"runtime"
 	"testing"
 
 	"repro/internal/storage"
@@ -53,5 +54,23 @@ func BenchmarkImageRecordWrite(b *testing.B) {
 func TestImageRecordWriteZeroAlloc(t *testing.T) {
 	if n := testing.AllocsPerRun(100, imageRecordWriteStep(t)); n != 0 {
 		t.Fatalf("image record write: %v allocs per run, want 0", n)
+	}
+}
+
+// BenchmarkImageRestore times an image restore onto a fresh 3×10-disk
+// volume, each iteration onto a new one, with a collection before each
+// as the benchmark's physical restore passes have: the set-up of
+// TestImageRestoreAllocsPerMiB (make restore-profile).
+func BenchmarkImageRestore(b *testing.B) {
+	rig := newImageRestoreRig(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		target := rig.newTarget()
+		runtime.GC()
+		b.StartTimer()
+		stats := rig.restore(target)
+		b.SetBytes(stats.BytesRead)
 	}
 }

@@ -52,7 +52,7 @@ func (s *memSource) ReadRecord() ([]byte, error) {
 	return r, nil
 }
 
-func newFS(t *testing.T, blocks int) (*wafl.FS, *storage.MemDevice) {
+func newFS(t testing.TB, blocks int) (*wafl.FS, *storage.MemDevice) {
 	t.Helper()
 	dev := storage.NewMemDevice(blocks)
 	fs, err := wafl.Mkfs(ctx, dev, nil, wafl.Options{})

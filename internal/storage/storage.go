@@ -9,8 +9,11 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"sync"
+	"sync/atomic"
 
+	"repro/internal/bufpool"
 	"repro/internal/sim"
 )
 
@@ -61,18 +64,37 @@ var zeroBlock [BlockSize]byte
 // MemDevice is an untimed in-memory Device. It is safe for concurrent
 // use and is the workhorse of functional tests. Its run calls take the
 // lock once.
+//
+// Written blocks live in slabs taken from bufpool, and a device hands
+// them back when it is dropped: a finalizer puts every slab back once
+// the device is unreachable. No method lends out a block's slice (every
+// read copies), so nothing can still point into a slab by then.
 type MemDevice struct {
 	mu     sync.Mutex
 	blocks [][]byte
-	slab   []byte // room not yet given to a block, in first-write order
+	slabs  []*[]byte // every slab the blocks point into; room for all of them from the start
+	slab   []byte    // room not yet given to a block, in first-write order
 }
 
-// slabBlocks is how many never-written blocks one allocation backs.
+// slabBlocks is how many never-written blocks one slab backs.
 const slabBlocks = 64
 
 // NewMemDevice creates an in-memory device of n blocks, all zero.
 func NewMemDevice(n int) *MemDevice {
-	return &MemDevice{blocks: make([][]byte, n)}
+	d := &MemDevice{
+		blocks: make([][]byte, n),
+		slabs:  make([]*[]byte, 0, (n+slabBlocks-1)/slabBlocks),
+	}
+	runtime.SetFinalizer(d, (*MemDevice).release)
+	return d
+}
+
+// release hands every slab back to bufpool. It runs as d's finalizer,
+// when nothing can read or write d any more.
+func (d *MemDevice) release() {
+	for _, p := range d.slabs {
+		bufpool.Put(p)
+	}
 }
 
 // NumBlocks implements Device.
@@ -153,21 +175,37 @@ func (d *MemDevice) WriteBlock(_ context.Context, bno int, data []byte) error {
 }
 
 // back returns block bno's storage. A never-written block gets the next
-// BlockSize bytes of the device's slab, a fresh one of slabBlocks blocks
-// (fewer on a smaller device) when it runs out, so backing is one
-// allocation per slabBlocks first writes and only written blocks take
-// room. The caller holds d.mu.
+// BlockSize bytes of the device's slab, a new one of slabBlocks blocks
+// (fewer on a smaller device) from bufpool when it runs out, so only
+// written blocks take room. The slab is not cleared: a recycled one
+// holds a dropped device's bytes, and every caller (WriteBlock,
+// WriteRun, Clone) overwrites all BlockSize bytes of what back returns
+// before it lets go of d.mu. The caller holds d.mu.
 func (d *MemDevice) back(bno int) []byte {
 	if b := d.blocks[bno]; b != nil {
 		return b
 	}
 	if len(d.slab) == 0 {
-		d.slab = make([]byte, min(slabBlocks, len(d.blocks))*BlockSize)
+		p := bufpool.Get(min(slabBlocks, len(d.blocks)) * BlockSize)
+		d.slabs = append(d.slabs, p)
+		d.slab = *p
+		slabsTaken.Add(1)
 	}
 	b := d.slab[:BlockSize:BlockSize]
 	d.slab = d.slab[BlockSize:]
 	d.blocks[bno] = b
 	return b
+}
+
+// slabsTaken counts the slabs every MemDevice has taken from bufpool.
+var slabsTaken atomic.Int64
+
+// Slabs returns how many slabs MemDevices have taken so far and how
+// many wait in bufpool for the next device to take. An allocation test
+// compares the two to wait, one collection at a time, until a dropped
+// device's slabs are back.
+func Slabs() (taken int64, free int) {
+	return slabsTaken.Load(), bufpool.Free(slabBlocks * BlockSize)
 }
 
 func checkArgs(bno, n int, buf []byte) error {

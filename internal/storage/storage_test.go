@@ -4,8 +4,11 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"runtime"
 	"testing"
 	"testing/quick"
+
+	"repro/internal/bufpool"
 )
 
 func TestMemDeviceReadWrite(t *testing.T) {
@@ -220,8 +223,8 @@ func TestMemDeviceUnwrittenBlockReadsZero(t *testing.T) {
 	}
 }
 
-// TestMemDeviceFirstWriteAllocs pins how a MemDevice backs blocks: at
-// most one allocation per slabBlocks blocks first written, whether they
+// TestMemDeviceFirstWriteAllocs pins how a MemDevice backs blocks: once
+// bufpool holds free slabs, first writes allocate nothing, whether they
 // arrive one by one or as runs, in any address order.
 func TestMemDeviceFirstWriteAllocs(t *testing.T) {
 	ctx := context.Background()
@@ -248,6 +251,14 @@ func TestMemDeviceFirstWriteAllocs(t *testing.T) {
 			return nil
 		}},
 	} {
+		// AllocsPerRun writes runs+1 slabs' worth; put that many in the pool.
+		var slabs []*[]byte
+		for i := 0; i <= runs; i++ {
+			slabs = append(slabs, bufpool.Get(slabBlocks*BlockSize))
+		}
+		for _, p := range slabs {
+			bufpool.Put(p)
+		}
 		d := NewMemDevice((runs + 1) * slabBlocks)
 		base := 0
 		n := testing.AllocsPerRun(runs, func() {
@@ -256,9 +267,117 @@ func TestMemDeviceFirstWriteAllocs(t *testing.T) {
 			}
 			base += slabBlocks
 		})
-		if n > 1 {
-			t.Errorf("%s: %v allocations per %d blocks first written, want <= 1", tc.name, n, slabBlocks)
+		if n != 0 {
+			t.Errorf("%s: %v allocations per %d blocks first written, want 0", tc.name, n, slabBlocks)
 		}
+	}
+}
+
+// awaitSlabs runs collections until at least want slabs wait in
+// bufpool, as they do once a dropped device has been found unreachable
+// and its finalizer has handed its slabs back.
+func awaitSlabs(t *testing.T, want int) {
+	t.Helper()
+	for i := 0; ; i++ {
+		if _, free := Slabs(); free >= want {
+			return
+		}
+		if i == 20 {
+			t.Fatalf("%d collections after a device was dropped, fewer than %d slabs are back in bufpool", i, want)
+		}
+		runtime.GC()
+	}
+}
+
+// TestMemDeviceReusesDroppedSlabs: the slabs of a device nothing refers
+// to go back to bufpool, and a device that backs its blocks from them
+// reads back exactly what it wrote and reads its never-written blocks
+// as zeros, never the bytes a slab held before.
+func TestMemDeviceReusesDroppedSlabs(t *testing.T) {
+	ctx := context.Background()
+	const n = 4 * slabBlocks
+	stale := bytes.Repeat([]byte{0xC3}, n*BlockSize)
+	d := NewMemDevice(n)
+	if err := d.WriteRun(ctx, 0, n, stale); err != nil {
+		t.Fatal(err)
+	}
+	_, free := Slabs()
+	runtime.KeepAlive(d)
+	awaitSlabs(t, free+n/slabBlocks)
+	// Other dropped devices' slabs may sit above d's in the pool: make
+	// every free slab hold d's bytes, whichever the device takes.
+	_, free = Slabs()
+	pooled := make([]*[]byte, free)
+	for i := range pooled {
+		pooled[i] = bufpool.Get(slabBlocks * BlockSize)
+		copy(*pooled[i], stale)
+	}
+	for _, p := range pooled {
+		bufpool.Put(p)
+	}
+
+	// A run that fills one slab, then one block of the next slab with
+	// never-written blocks on either side of it.
+	e := NewMemDevice(n)
+	run := make([]byte, slabBlocks*BlockSize)
+	for i := range run {
+		run[i] = byte(i/BlockSize + 1)
+	}
+	one := bytes.Repeat([]byte{0x5A}, BlockSize)
+	taken, _ := Slabs()
+	if err := e.WriteRun(ctx, 0, slabBlocks, run); err != nil {
+		t.Fatal(err)
+	}
+	if err := e.WriteBlock(ctx, slabBlocks+1, one); err != nil {
+		t.Fatal(err)
+	}
+	if now, _ := Slabs(); now != taken+2 {
+		t.Fatalf("the device took %d slabs, want 2", now-taken)
+	}
+	got := make([]byte, n*BlockSize)
+	if err := ReadRun(ctx, e, 0, n, got); err != nil {
+		t.Fatal(err)
+	}
+	for bno := 0; bno < n; bno++ {
+		want := zeroBlock[:]
+		switch {
+		case bno < slabBlocks:
+			want = run[bno*BlockSize : (bno+1)*BlockSize]
+		case bno == slabBlocks+1:
+			want = one
+		}
+		blk := got[bno*BlockSize : (bno+1)*BlockSize]
+		if bytes.Equal(blk, want) {
+			continue
+		}
+		if bytes.Equal(blk, stale[:BlockSize]) {
+			t.Fatalf("block %d reads a dropped device's bytes", bno)
+		}
+		t.Fatalf("block %d holds the wrong bytes", bno)
+	}
+}
+
+// TestMemDeviceUnpooledSlabsAreFresh: with pooling off, a device
+// allocates its slabs, zeroed, and leaves the free ones in bufpool.
+func TestMemDeviceUnpooledSlabsAreFresh(t *testing.T) {
+	ctx := context.Background()
+	p := bufpool.Get(slabBlocks * BlockSize)
+	for i := range *p {
+		(*p)[i] = 0xC3
+	}
+	bufpool.Put(p)
+	bufpool.SetEnabled(false)
+	defer bufpool.SetEnabled(true)
+	_, free := Slabs()
+	d := NewMemDevice(slabBlocks)
+	if err := d.WriteBlock(ctx, 0, bytes.Repeat([]byte{1}, BlockSize)); err != nil {
+		t.Fatal(err)
+	}
+	if _, now := Slabs(); now < free {
+		t.Fatalf("a device took a pooled slab with pooling off: %d free, was %d", now, free)
+	}
+	if s := *d.slabs[0]; !bytes.Equal(s[BlockSize:], make([]byte, len(s)-BlockSize)) {
+		t.Fatal("with pooling off, a device's slab is not fresh")
 	}
 }
 
