@@ -3,7 +3,7 @@ GO ?= go
 WORKLOAD ?= logical-4d
 PHASE ?=
 
-.PHONY: tier1 race tables tables-check tables-diff attribution alloc-profile setup-profile build vet test chaos fuzz-smoke obs-smoke examples examples-check loc dup
+.PHONY: tier1 race tables tables-check tables-diff attribution alloc-profile setup-profile restore-profile build vet test chaos fuzz-smoke obs-smoke examples examples-check loc dup
 
 tier1: ## gofmt + vet + build + full test suite (the repo's gate)
 	@test -z "$$(gofmt -l .)" || { echo "gofmt needed:"; gofmt -l .; exit 1; }
@@ -84,6 +84,14 @@ setup-profile: ## where set-up time goes: CPU profile of eight builds of the ben
 	$(GO) test -count 1 -run '^$$' -bench '^BenchmarkAgedVolume$$/^64MiB$$' -benchtime 8x \
 		-cpuprofile $(SETUP_PROFILE_DIR)/cpu.pb.gz -o $(SETUP_PROFILE_DIR)/bench.test ./internal/bench
 	$(GO) tool pprof -top -nodecount 25 $(SETUP_PROFILE_DIR)/bench.test $(SETUP_PROFILE_DIR)/cpu.pb.gz
+
+RESTORE_PROFILE_DIR ?= $(CURDIR)/.restore_profile
+
+restore-profile: ## where an image restore's host time goes: CPU profile of image restores onto a fresh 3x10-disk volume each, with a collection before each as the benchmark's physical restore passes have (internal/physical's BenchmarkImageRestore, the set-up of TestImageRestoreAllocsPerMiB), top 25 entries
+	@mkdir -p $(RESTORE_PROFILE_DIR)
+	$(GO) test -count 1 -run '^$$' -bench '^BenchmarkImageRestore$$' -benchtime 400x \
+		-cpuprofile $(RESTORE_PROFILE_DIR)/cpu.pb.gz -o $(RESTORE_PROFILE_DIR)/physical.test ./internal/physical
+	$(GO) tool pprof -top -nodecount 25 $(RESTORE_PROFILE_DIR)/physical.test $(RESTORE_PROFILE_DIR)/cpu.pb.gz
 
 tables: ## regenerate every EXPERIMENTS.md table into the committed reference
 	$(GO) run ./cmd/benchtables > docs/benchtables-reference.txt

@@ -10,7 +10,10 @@
 // sync.Pool empties at every GC, so how many buffers a pass
 // re-allocated would depend on when the collector ran. A free list
 // keeps what was Put until it is taken again, so it holds at most as
-// many buffers of a class as were once in use at the same time.
+// many buffers of a class as were once in use at the same time, and
+// never more than maxFreeBytes of them: one large build (a volume's
+// worth of device slabs) does not keep its high-water mark for the
+// life of the process.
 //
 // Ownership rule: a buffer obtained from Get belongs to the caller
 // until Put; after Put it must not be touched. Layers that hand a
@@ -54,16 +57,17 @@ func (l *freeList) get() (p *[]byte) {
 	return p
 }
 
+// maxFreeBytes bounds what one class keeps free; past it Put drops.
+// It holds a restore target's worth of device slabs (≈ 100 MiB on the
+// benchmark's 3×10-disk volume).
+const maxFreeBytes = 128 << 20
+
 func (l *freeList) put(p *[]byte) {
 	l.mu.Lock()
-	l.bufs = append(l.bufs, p)
+	if (len(l.bufs)+1)*cap(*p) <= maxFreeBytes {
+		l.bufs = append(l.bufs, p)
+	}
 	l.mu.Unlock()
-}
-
-func (l *freeList) len() int {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return len(l.bufs)
 }
 
 var disabled atomic.Bool
@@ -105,14 +109,16 @@ func Get(n int) *[]byte {
 	return &b
 }
 
-// Free returns how many buffers of n's class wait to be taken again:
-// what the next Gets of that class take without allocating. It is 0
-// for a size too large to pool.
+// Free returns how many buffers of n's class the next Gets of that
+// class take without allocating; 0 for a size too large to pool.
 func Free(n int) int {
-	if c := class(n); c >= 0 {
-		return pools[c].len()
+	c := class(n)
+	if c < 0 {
+		return 0
 	}
-	return 0
+	pools[c].mu.Lock()
+	defer pools[c].mu.Unlock()
+	return len(pools[c].bufs)
 }
 
 // Put recycles a buffer obtained from Get. Buffers whose capacity is

@@ -65,14 +65,13 @@ var zeroBlock [BlockSize]byte
 // use and is the workhorse of functional tests. Its run calls take the
 // lock once.
 //
-// Written blocks live in slabs taken from bufpool, and a device hands
-// them back when it is dropped: a finalizer puts every slab back once
-// the device is unreachable. No method lends out a block's slice (every
-// read copies), so nothing can still point into a slab by then.
+// Written blocks live in slabs from bufpool, which a finalizer puts
+// back once the device is unreachable. No method lends out a block's
+// slice (every read copies), so nothing points into a slab by then.
 type MemDevice struct {
 	mu     sync.Mutex
 	blocks [][]byte
-	slabs  []*[]byte // every slab the blocks point into; room for all of them from the start
+	slabs  []*[]byte // every slab the blocks point into, sized for all at the start
 	slab   []byte    // room not yet given to a block, in first-write order
 }
 
@@ -201,9 +200,8 @@ func (d *MemDevice) back(bno int) []byte {
 var slabsTaken atomic.Int64
 
 // Slabs returns how many slabs MemDevices have taken so far and how
-// many wait in bufpool for the next device to take. An allocation test
-// compares the two to wait, one collection at a time, until a dropped
-// device's slabs are back.
+// many wait in bufpool: what a test polls, one collection at a time,
+// until a dropped device's slabs are back.
 func Slabs() (taken int64, free int) {
 	return slabsTaken.Load(), bufpool.Free(slabBlocks * BlockSize)
 }
