@@ -192,7 +192,10 @@ func keys(m map[string]Entry) []string {
 }
 
 // settledGoroutines waits briefly for goroutines that have been joined
-// to exit, and returns how many are left.
+// to exit, and returns how many are left. The count can also fall below
+// what it was: the runtime's finalizer goroutine counts while it runs a
+// finalizer (a dropped storage.MemDevice handing its slabs back), so a
+// leak is a count above the one before, not any other count.
 func settledGoroutines(want int) int {
 	n := runtime.NumGoroutine()
 	for deadline := time.Now().Add(time.Second); n > want && time.Now().Before(deadline); n = runtime.NumGoroutine() {
@@ -211,7 +214,7 @@ func TestGenerateFailureStopsDrawer(t *testing.T) {
 	if !errors.Is(err, wafl.ErrNoSpace) || !strings.HasPrefix(err.Error(), "workload: writing /") {
 		t.Fatalf("Generate onto a 1 MiB volume: %v, want a wrapped ErrNoSpace", err)
 	}
-	if n := settledGoroutines(before); n != before {
+	if n := settledGoroutines(before); n > before {
 		t.Fatalf("%d goroutines after a failed Generate, %d before", n, before)
 	}
 }
@@ -234,7 +237,7 @@ func TestAgeFailureStopsDrawer(t *testing.T) {
 	if fs.CPCount() == cps {
 		t.Fatal("Age failed in its first round; the test wants a failure after some")
 	}
-	if n := settledGoroutines(before); n != before {
+	if n := settledGoroutines(before); n > before {
 		t.Fatalf("%d goroutines after a failed Age, %d before", n, before)
 	}
 }
