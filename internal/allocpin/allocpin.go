@@ -5,6 +5,8 @@
 // allocs profile there at the same two points, so that `go tool pprof
 // -base` of the pair shows the sites of exactly the objects the pin
 // counted and nothing its set-up allocated (`make alloc-profile`).
+// AwaitFree is the wait before a pin that counts on a dropped
+// storage.MemDevice's slabs being back in bufpool.
 package allocpin
 
 import (
@@ -13,6 +15,8 @@ import (
 	"runtime"
 	"runtime/pprof"
 	"testing"
+
+	"repro/internal/bufpool"
 )
 
 // Count runs work and returns the heap objects it allocated. With
@@ -51,5 +55,19 @@ func snapshot(tb testing.TB, side string) {
 	}
 	if err != nil {
 		tb.Fatal(err)
+	}
+}
+
+// AwaitFree runs collections until at least want buffers of n's class
+// wait in bufpool, as they do once a dropped device has been found
+// unreachable and its finalizer has handed its slabs back. It fails tb
+// after 20 collections.
+func AwaitFree(tb testing.TB, n, want int) {
+	tb.Helper()
+	for i := 0; bufpool.Free(n) < want; i++ {
+		if i == 20 {
+			tb.Fatalf("%d collections after a device was dropped, %d of %d buffers of %d bytes are back in bufpool", i, bufpool.Free(n), want, n)
+		}
+		runtime.GC()
 	}
 }

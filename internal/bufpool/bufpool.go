@@ -10,10 +10,7 @@
 // sync.Pool empties at every GC, so how many buffers a pass
 // re-allocated would depend on when the collector ran. A free list
 // keeps what was Put until it is taken again, so it holds at most as
-// many buffers of a class as were once in use at the same time, and
-// never more than maxFreeBytes of them: one large build (a volume's
-// worth of device slabs) does not keep its high-water mark for the
-// life of the process.
+// many buffers of a class as were once in use at the same time.
 //
 // Ownership rule: a buffer obtained from Get belongs to the caller
 // until Put; after Put it must not be touched. Layers that hand a
@@ -57,16 +54,9 @@ func (l *freeList) get() (p *[]byte) {
 	return p
 }
 
-// maxFreeBytes bounds what one class keeps free; past it Put drops.
-// It holds a restore target's worth of device slabs (≈ 100 MiB on the
-// benchmark's 3×10-disk volume).
-const maxFreeBytes = 128 << 20
-
 func (l *freeList) put(p *[]byte) {
 	l.mu.Lock()
-	if (len(l.bufs)+1)*cap(*p) <= maxFreeBytes {
-		l.bufs = append(l.bufs, p)
-	}
+	l.bufs = append(l.bufs, p)
 	l.mu.Unlock()
 }
 

@@ -70,18 +70,3 @@ func TestPutSurvivesGC(t *testing.T) {
 		t.Fatal("a buffer Put before two GCs did not come back from Get")
 	}
 }
-
-// TestFreeListIsBounded: past maxFreeBytes a class drops what is Put.
-func TestFreeListIsBounded(t *testing.T) {
-	const n = 512 << 10 // a class no other test here uses
-	c := class(n)
-	defer func() { pools[c].bufs = nil }()
-	b := make([]byte, n) // every Put below lends the same bytes; none is read
-	for i := 0; i < maxFreeBytes/n+8; i++ {
-		p := b[:]
-		Put(&p)
-	}
-	if got := Free(n); got != maxFreeBytes/n {
-		t.Fatalf("%d buffers of %d bytes free, want %d", got, n, maxFreeBytes/n)
-	}
-}

@@ -97,6 +97,8 @@ func TestImageDumpAllocsPerMiB(t *testing.T) {
 // cartridge and restores the dump onto a target.
 type imageRestoreRig struct {
 	fs        *wafl.FS
+	disks     int // member disks of a target, parity disks included
+	perDisk   int // blocks per member disk
 	newTarget func() *raid.Volume
 	restore   func(*raid.Volume) *RestoreStats
 }
@@ -121,7 +123,9 @@ func newImageRestoreRig(tb testing.TB) imageRestoreRig {
 		tb.Fatal(err)
 	}
 	return imageRestoreRig{
-		fs: fs,
+		fs:      fs,
+		disks:   groups * (disks + 1),
+		perDisk: perDisk,
 		newTarget: func() *raid.Volume {
 			vol, err := raid.Build(nil, "target", raid.Config{
 				Groups: groups, DataDisksPerGroup: disks, BlocksPerDisk: perDisk, DiskParams: vdev.DefaultParams(),
@@ -142,21 +146,6 @@ func newImageRestoreRig(tb testing.TB) imageRestoreRig {
 	}
 }
 
-// awaitSlabs runs collections until at least want slabs wait in
-// bufpool, as they do once a dropped volume's member disks have been
-// found unreachable and their finalizers have handed their slabs back.
-func awaitSlabs(tb testing.TB, want int) {
-	for i := 0; ; i++ {
-		if _, free := storage.Slabs(); free >= want {
-			return
-		}
-		if i == 20 {
-			tb.Fatalf("%d collections after a volume was dropped, fewer than %d slabs are back in bufpool", i, want)
-		}
-		runtime.GC()
-	}
-}
-
 // TestImageRestoreAllocsPerMiB pins the heap objects an image restore
 // allocates per MiB it reads, onto a freshly built raid.Volume as the
 // benchmark's physical restore passes are: every block it writes is a
@@ -174,12 +163,24 @@ func TestImageRestoreAllocsPerMiB(t *testing.T) {
 		t.Skip("allocation counts are not meaningful under the race detector")
 	}
 	rig := newImageRestoreRig(t)
+	// Fill the pool with as many slabs as a target's member disks can
+	// take (every data and parity disk written whole), so the first
+	// restore takes all of its slabs from the pool and the second
+	// finds them all back once the pool holds what it held before.
+	const slabBytes = 64 * storage.BlockSize // a storage.MemDevice slab
+	most := rig.disks * ((rig.perDisk*storage.BlockSize + slabBytes - 1) / slabBytes)
+	held := make([]*[]byte, most)
+	for i := range held {
+		held[i] = bufpool.Get(slabBytes)
+	}
+	for _, p := range held {
+		bufpool.Put(p)
+	}
+	free := bufpool.Free(slabBytes)
 	first := rig.newTarget()
-	taken, _ := storage.Slabs()
 	rig.restore(first)
-	taken2, free := storage.Slabs()
 	runtime.KeepAlive(first)
-	awaitSlabs(t, free+int(taken2-taken))
+	allocpin.AwaitFree(t, slabBytes, free)
 
 	target := rig.newTarget()
 	var stats *RestoreStats

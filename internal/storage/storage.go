@@ -11,7 +11,6 @@ import (
 	"math/rand"
 	"runtime"
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/bufpool"
 	"repro/internal/sim"
@@ -188,22 +187,11 @@ func (d *MemDevice) back(bno int) []byte {
 		p := bufpool.Get(min(slabBlocks, len(d.blocks)) * BlockSize)
 		d.slabs = append(d.slabs, p)
 		d.slab = *p
-		slabsTaken.Add(1)
 	}
 	b := d.slab[:BlockSize:BlockSize]
 	d.slab = d.slab[BlockSize:]
 	d.blocks[bno] = b
 	return b
-}
-
-// slabsTaken counts the slabs every MemDevice has taken from bufpool.
-var slabsTaken atomic.Int64
-
-// Slabs returns how many slabs MemDevices have taken so far and how
-// many wait in bufpool: what a test polls, one collection at a time,
-// until a dropped device's slabs are back.
-func Slabs() (taken int64, free int) {
-	return slabsTaken.Load(), bufpool.Free(slabBlocks * BlockSize)
 }
 
 func checkArgs(bno, n int, buf []byte) error {

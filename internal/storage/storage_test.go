@@ -8,6 +8,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"repro/internal/allocpin"
 	"repro/internal/bufpool"
 )
 
@@ -223,17 +224,21 @@ func TestMemDeviceUnwrittenBlockReadsZero(t *testing.T) {
 	}
 }
 
-// TestMemDeviceFirstWriteAllocs pins how a MemDevice backs blocks: once
-// bufpool holds free slabs, first writes allocate nothing, whether they
-// arrive one by one or as runs, in any address order.
+// TestMemDeviceFirstWriteAllocs pins how a MemDevice backs blocks: at
+// most two allocations per slabBlocks blocks first written when its
+// slabs are fresh (the slab and the pointer bufpool.Get returns it by),
+// none once bufpool holds free slabs, whether the blocks arrive one by
+// one or as runs, in any address order.
 func TestMemDeviceFirstWriteAllocs(t *testing.T) {
 	ctx := context.Background()
 	const runs = 8
 	data := make([]byte, 16*BlockSize)
-	for _, tc := range []struct {
+	defer bufpool.SetEnabled(true)
+	type writer struct {
 		name  string
 		write func(d *MemDevice, base int) error
-	}{
+	}
+	writers := []writer{
 		{"WriteBlock", func(d *MemDevice, base int) error {
 			for i := 0; i < slabBlocks; i++ {
 				if err := d.WriteBlock(ctx, base+i, data[:BlockSize]); err != nil {
@@ -250,44 +255,41 @@ func TestMemDeviceFirstWriteAllocs(t *testing.T) {
 			}
 			return nil
 		}},
-	} {
-		// AllocsPerRun writes runs+1 slabs' worth; put that many in the pool.
-		var slabs []*[]byte
-		for i := 0; i <= runs; i++ {
-			slabs = append(slabs, bufpool.Get(slabBlocks*BlockSize))
+	}
+	for _, pooled := range []bool{false, true} {
+		bufpool.SetEnabled(pooled)
+		ceiling, slabs := 2.0, "fresh slabs"
+		if pooled {
+			ceiling, slabs = 0, "pooled slabs"
 		}
-		for _, p := range slabs {
-			bufpool.Put(p)
-		}
-		d := NewMemDevice((runs + 1) * slabBlocks)
-		base := 0
-		n := testing.AllocsPerRun(runs, func() {
-			if err := tc.write(d, base); err != nil {
-				t.Fatal(err)
+		for _, tc := range writers {
+			if pooled {
+				// AllocsPerRun writes runs+1 slabs' worth; put that many in the pool.
+				var held []*[]byte
+				for i := 0; i <= runs; i++ {
+					held = append(held, bufpool.Get(slabBytes))
+				}
+				for _, p := range held {
+					bufpool.Put(p)
+				}
 			}
-			base += slabBlocks
-		})
-		if n != 0 {
-			t.Errorf("%s: %v allocations per %d blocks first written, want 0", tc.name, n, slabBlocks)
+			d := NewMemDevice((runs + 1) * slabBlocks)
+			base := 0
+			n := testing.AllocsPerRun(runs, func() {
+				if err := tc.write(d, base); err != nil {
+					t.Fatal(err)
+				}
+				base += slabBlocks
+			})
+			if n > ceiling {
+				t.Errorf("%s on %s: %v allocations per %d blocks first written, want <= %v", tc.name, slabs, n, slabBlocks, ceiling)
+			}
 		}
 	}
 }
 
-// awaitSlabs runs collections until at least want slabs wait in
-// bufpool, as they do once a dropped device has been found unreachable
-// and its finalizer has handed its slabs back.
-func awaitSlabs(t *testing.T, want int) {
-	t.Helper()
-	for i := 0; ; i++ {
-		if _, free := Slabs(); free >= want {
-			return
-		}
-		if i == 20 {
-			t.Fatalf("%d collections after a device was dropped, fewer than %d slabs are back in bufpool", i, want)
-		}
-		runtime.GC()
-	}
-}
+// slabBytes is the bufpool class a MemDevice's slabs come from.
+const slabBytes = slabBlocks * BlockSize
 
 // TestMemDeviceReusesDroppedSlabs: the slabs of a device nothing refers
 // to go back to bufpool, and a device that backs its blocks from them
@@ -301,15 +303,14 @@ func TestMemDeviceReusesDroppedSlabs(t *testing.T) {
 	if err := d.WriteRun(ctx, 0, n, stale); err != nil {
 		t.Fatal(err)
 	}
-	_, free := Slabs()
+	free := bufpool.Free(slabBytes)
 	runtime.KeepAlive(d)
-	awaitSlabs(t, free+n/slabBlocks)
+	allocpin.AwaitFree(t, slabBytes, free+n/slabBlocks)
 	// Other dropped devices' slabs may sit above d's in the pool: make
 	// every free slab hold d's bytes, whichever the device takes.
-	_, free = Slabs()
-	pooled := make([]*[]byte, free)
+	pooled := make([]*[]byte, bufpool.Free(slabBytes))
 	for i := range pooled {
-		pooled[i] = bufpool.Get(slabBlocks * BlockSize)
+		pooled[i] = bufpool.Get(slabBytes)
 		copy(*pooled[i], stale)
 	}
 	for _, p := range pooled {
@@ -324,15 +325,14 @@ func TestMemDeviceReusesDroppedSlabs(t *testing.T) {
 		run[i] = byte(i/BlockSize + 1)
 	}
 	one := bytes.Repeat([]byte{0x5A}, BlockSize)
-	taken, _ := Slabs()
 	if err := e.WriteRun(ctx, 0, slabBlocks, run); err != nil {
 		t.Fatal(err)
 	}
 	if err := e.WriteBlock(ctx, slabBlocks+1, one); err != nil {
 		t.Fatal(err)
 	}
-	if now, _ := Slabs(); now != taken+2 {
-		t.Fatalf("the device took %d slabs, want 2", now-taken)
+	if len(e.slabs) != 2 {
+		t.Fatalf("the device took %d slabs, want 2", len(e.slabs))
 	}
 	got := make([]byte, n*BlockSize)
 	if err := ReadRun(ctx, e, 0, n, got); err != nil {
@@ -361,19 +361,19 @@ func TestMemDeviceReusesDroppedSlabs(t *testing.T) {
 // allocates its slabs, zeroed, and leaves the free ones in bufpool.
 func TestMemDeviceUnpooledSlabsAreFresh(t *testing.T) {
 	ctx := context.Background()
-	p := bufpool.Get(slabBlocks * BlockSize)
+	p := bufpool.Get(slabBytes)
 	for i := range *p {
 		(*p)[i] = 0xC3
 	}
 	bufpool.Put(p)
 	bufpool.SetEnabled(false)
 	defer bufpool.SetEnabled(true)
-	_, free := Slabs()
+	free := bufpool.Free(slabBytes)
 	d := NewMemDevice(slabBlocks)
 	if err := d.WriteBlock(ctx, 0, bytes.Repeat([]byte{1}, BlockSize)); err != nil {
 		t.Fatal(err)
 	}
-	if _, now := Slabs(); now < free {
+	if now := bufpool.Free(slabBytes); now < free {
 		t.Fatalf("a device took a pooled slab with pooling off: %d free, was %d", now, free)
 	}
 	if s := *d.slabs[0]; !bytes.Equal(s[BlockSize:], make([]byte, len(s)-BlockSize)) {

@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"runtime"
@@ -191,14 +192,26 @@ func keys(m map[string]Entry) []string {
 	return out
 }
 
-// settledGoroutines waits briefly for goroutines that have been joined
-// to exit, and returns how many are left. The count can also fall below
-// what it was: the runtime's finalizer goroutine counts while it runs a
-// finalizer (a dropped storage.MemDevice handing its slabs back), so a
-// leak is a count above the one before, not any other count.
-func settledGoroutines(want int) int {
-	n := runtime.NumGoroutine()
-	for deadline := time.Now().Add(time.Second); n > want && time.Now().Before(deadline); n = runtime.NumGoroutine() {
+// drawers returns how many drawer goroutines (drawAndWrite's) exist.
+// It counts them by their stacks, not by runtime.NumGoroutine: a
+// drawer an earlier test joined may not have exited yet, and other
+// goroutines come and go.
+func drawers() int {
+	buf := make([]byte, 64<<10)
+	for {
+		n := runtime.Stack(buf, true)
+		if n < len(buf) {
+			return bytes.Count(buf[:n], []byte("workload.drawAndWrite.func1("))
+		}
+		buf = make([]byte, 2*len(buf))
+	}
+}
+
+// settledDrawers waits briefly for drawers that have been joined to
+// exit, and returns how many are left.
+func settledDrawers() int {
+	n := drawers()
+	for deadline := time.Now().Add(time.Second); n > 0 && time.Now().Before(deadline); n = drawers() {
 		time.Sleep(time.Millisecond)
 	}
 	return n
@@ -209,13 +222,12 @@ func settledGoroutines(want int) int {
 // ahead and was waiting for room to send more — is gone.
 func TestGenerateFailureStopsDrawer(t *testing.T) {
 	fs := newFS(t, 256)
-	before := runtime.NumGoroutine()
 	_, err := Generate(ctx, fs, Spec{Seed: 6, Files: 400, DirFanout: 8, MeanFileSize: 16 << 10})
 	if !errors.Is(err, wafl.ErrNoSpace) || !strings.HasPrefix(err.Error(), "workload: writing /") {
 		t.Fatalf("Generate onto a 1 MiB volume: %v, want a wrapped ErrNoSpace", err)
 	}
-	if n := settledGoroutines(before); n > before {
-		t.Fatalf("%d goroutines after a failed Generate, %d before", n, before)
+	if n := settledDrawers(); n != 0 {
+		t.Fatalf("%d drawers left after a failed Generate", n)
 	}
 }
 
@@ -229,7 +241,6 @@ func TestAgeFailureStopsDrawer(t *testing.T) {
 		t.Fatal(err)
 	}
 	cps := fs.CPCount()
-	before := runtime.NumGoroutine()
 	_, err = Age(ctx, fs, paths, AgeSpec{Seed: 8, Rounds: 50, ChurnPerRound: 30, MeanFileSize: 64 << 10})
 	if !errors.Is(err, wafl.ErrNoSpace) || !strings.HasPrefix(err.Error(), "workload: writing /") {
 		t.Fatalf("aging a 4 MiB volume with 64 KiB files: %v, want a wrapped ErrNoSpace", err)
@@ -237,7 +248,7 @@ func TestAgeFailureStopsDrawer(t *testing.T) {
 	if fs.CPCount() == cps {
 		t.Fatal("Age failed in its first round; the test wants a failure after some")
 	}
-	if n := settledGoroutines(before); n > before {
-		t.Fatalf("%d goroutines after a failed Age, %d before", n, before)
+	if n := settledDrawers(); n != 0 {
+		t.Fatalf("%d drawers left after a failed Age", n)
 	}
 }
